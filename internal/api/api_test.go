@@ -88,7 +88,6 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 		t.Fatal(err)
 	}
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-	pf.PollInterval = time.Millisecond
 	go pf.Run(ctx, 1)
 	dest := store.NewMemFS("dest", nil)
 	vs := validate.NewService(validate.Passthrough{}, results, dest, clk)

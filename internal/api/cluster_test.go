@@ -88,7 +88,6 @@ func newClusterAPIPair(t *testing.T) (*cluster.Coordinator, *store.MemFS, *auth.
 			t.Fatal(err)
 		}
 		pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-		pf.PollInterval = time.Millisecond
 		go pf.Run(ctx, 1)
 		vs := validate.NewService(validate.Passthrough{}, results, store.NewMemFS("dest-"+id, nil), clk)
 		vs.PollInterval = time.Millisecond

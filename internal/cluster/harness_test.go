@@ -268,7 +268,6 @@ func (cl *chaosCluster) startNode(t *testing.T, id string, delay time.Duration) 
 		t.Fatal(err)
 	}
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-	pf.PollInterval = time.Millisecond
 	go pf.Run(ctx, 2)
 	valsvc := validate.NewService(validate.Passthrough{}, cl.results, cl.dest, clk)
 	valsvc.PollInterval = time.Millisecond

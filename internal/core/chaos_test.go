@@ -124,7 +124,6 @@ func runChaosJob(t *testing.T, seed int64) {
 	seedScience(t, riverFS, "/data")
 
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-	pf.PollInterval = time.Millisecond
 	go pf.Run(ctx, 2)
 	dest := store.NewMemFS("user-dest", nil)
 	valsvc := validate.NewService(validate.Passthrough{}, results, dest, clk)

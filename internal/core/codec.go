@@ -89,9 +89,6 @@ func encodeStepPayload(dst []byte, sp *stepPayload) []byte {
 	} else {
 		dst = fastjson.AppendStringMap(dst, sp.Files)
 	}
-	if sp.DeleteAfter {
-		dst = append(dst, `,"delete_after":true`...)
-	}
 	if sp.FetchFrom != "" {
 		dst = append(dst, `,"fetch_from":`...)
 		dst = fastjson.AppendString(dst, sp.FetchFrom)
@@ -189,10 +186,6 @@ func decodeStepPayload(d *fastjson.Dec, sp *stepPayload) error {
 				sp.Files[name] = v
 				return nil
 			})
-		case fieldIs(key, "delete_after"):
-			if !d.Null() {
-				sp.DeleteAfter, err = d.Bool()
-			}
 		case fieldIs(key, "fetch_from"):
 			if !d.Null() {
 				sp.FetchFrom, err = d.Str()

@@ -99,7 +99,6 @@ func newHarnessCfg(t *testing.T, sites []siteSpec, policy scheduler.Policy, mut 
 	}
 
 	h.pf = transfer.NewPrefetcher(h.fabric, prefetch, prefetchDone, clk)
-	h.pf.PollInterval = time.Millisecond
 	go h.pf.Run(ctx, 2)
 
 	h.dest = store.NewMemFS("user-dest", nil)

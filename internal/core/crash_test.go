@@ -164,7 +164,6 @@ func startCrashLife(t *testing.T, jpath string, dataFS, dest *store.MemFS, inv *
 		t.Fatal(err)
 	}
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-	pf.PollInterval = time.Millisecond
 	go pf.Run(ctx, 2)
 	valsvc := validate.NewService(validate.Passthrough{}, results, dest, clk)
 	valsvc.PollInterval = time.Millisecond

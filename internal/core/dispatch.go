@@ -353,13 +353,15 @@ func (d *dispatcher) recycle(reqs []faas.TaskRequest, refs [][]stepRef, bufs []*
 
 // terminal forwards one finished/lost task to the pump. The out-map
 // check makes notification and reconciliation idempotent: whichever path
-// sees the task first claims it.
+// sees the task first claims it. The claim is also the end of the task's
+// record on the fabric: info is the only copy anyone reads from here on.
 func (d *dispatcher) terminal(id string, info faas.TaskInfo) {
 	ot, ok := d.out[id]
 	if !ok {
 		return
 	}
 	delete(d.out, id)
+	d.s.cfg.FaaS.Forget(id)
 	d.s.obsPipelineDepth.Dec()
 	d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(ot.refs))
 	d.s.recordSiteOutcome(d.site.Name, info)
@@ -368,9 +370,10 @@ func (d *dispatcher) terminal(id string, info faas.TaskInfo) {
 
 // releaseAbandoned returns every fair-share task slot this shard still
 // holds when its job context ends: steps buffered in buckets, tasks
-// built but not yet submitted, tasks outstanding on the fabric, and
-// anything left unread in the feed. Without this sweep a cancelled job
-// would permanently shrink the global slot budget.
+// built but not yet submitted, tasks outstanding on the fabric (whose
+// records are dropped with them), and anything left unread in the feed.
+// Without this sweep a cancelled job would permanently shrink the global
+// slot budget.
 func (d *dispatcher) releaseAbandoned() {
 	n := 0
 	for _, items := range d.buckets {
@@ -379,8 +382,9 @@ func (d *dispatcher) releaseAbandoned() {
 	for _, r := range d.refs {
 		n += len(r)
 	}
-	for _, ot := range d.out {
+	for id, ot := range d.out {
 		n += len(ot.refs)
+		d.s.cfg.FaaS.Forget(id) // nobody will read these results
 	}
 	for {
 		select {

@@ -18,9 +18,6 @@ type stepPayload struct {
 	// Files maps original paths to the effective paths at the execution
 	// site (identical when data are local; staged paths when prefetched).
 	Files map[string]string `json:"files"`
-	// DeleteAfter removes the effective files after extraction (staged
-	// copies only).
-	DeleteAfter bool `json:"delete_after,omitempty"`
 	// FetchFrom, when set, names the transfer-fabric endpoint to download
 	// each file from at extraction time (the direct HTTPS/Drive-API path
 	// for sites without a shared file system).
@@ -177,11 +174,6 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 			// Flush each processed group's metadata to disk on completion
 			// (the paper's 'checkpoint-flag').
 			_ = site.Store.Write(cpPath, data)
-		}
-	}
-	if step.DeleteAfter {
-		for _, effective := range step.Files {
-			_ = site.Store.Delete(effective)
 		}
 	}
 	return out

@@ -452,6 +452,14 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 		p.flushResults() // error paths must not strand buffered records
 		cancelJob()
 		p.shardWG.Wait()
+		// A job that ends early (cancelled, failed crawl) still gives its
+		// families' stage space back.
+		for _, st := range p.states {
+			p.unstage(st)
+		}
+		for _, st := range p.staging {
+			p.unstage(st)
+		}
 		if s.cfg.Cluster != nil {
 			s.cfg.Cluster.UntrackPump(jobID)
 			// A draining node keeps its leases: they expire on their own
@@ -987,7 +995,21 @@ func (p *pump) retryStagingOrFail(st *famState, cause string) {
 		cause = "retry budget exhausted: " + cause
 	}
 	delete(p.staging, st.fam.ID)
+	p.unstage(st)
 	p.failFamily(st.fam.ID, cause, st.stageAttempts)
+}
+
+// unstage ends a staged family's claim on its site. With DeleteStaged the
+// copies go — once per family, after its last step, because the groups of
+// a family share files — and their bytes return to the staging budget.
+func (p *pump) unstage(st *famState) {
+	if !st.staged || !st.site.DeleteStaged {
+		return
+	}
+	for _, staged := range st.pathMap {
+		_ = st.site.Store.Delete(staged) // a copy that never arrived is not an error
+	}
+	st.site.releaseStage(st.fam.TotalBytes())
 }
 
 // intakeRetries re-dispatches backlog entries whose backoff has elapsed:
@@ -1273,8 +1295,7 @@ func (p *pump) hedgeTarget(st *famState, extractor string) *Site {
 // reuses the family's effective paths; on an alternate site the worker
 // fetches the original files from the family's home data layer over the
 // transfer fabric (the same mechanism as direct-fetch placement), so a
-// hedge needs no staging. Hedges never delete staged files — the
-// original attempt may still be reading them.
+// hedge needs no staging.
 func (p *pump) dispatchHedge(st *famState, step scheduler.Step) {
 	target := p.hedgeTarget(st, step.Extractor)
 	if target == nil {
@@ -1389,11 +1410,10 @@ func (p *pump) dispatch(st *famState, step scheduler.Step, files map[string]stri
 		extractor: step.Extractor,
 		readyAt:   p.s.clk.Now(),
 		sp: stepPayload{
-			FamilyID:    st.fam.ID,
-			GroupID:     step.GroupID,
-			Files:       files,
-			DeleteAfter: st.staged && st.site.DeleteStaged,
-			FetchFrom:   st.fetchFrom,
+			FamilyID:  st.fam.ID,
+			GroupID:   step.GroupID,
+			Files:     files,
+			FetchFrom: st.fetchFrom,
 		},
 	}
 	select {
@@ -1718,6 +1738,7 @@ func (p *pump) finishIfDone(st *famState) {
 		return
 	}
 	delete(p.states, st.fam.ID)
+	p.unstage(st)
 	if st.deadLettered > 0 {
 		stragglers := int64(p.s.cfg.StragglerBudget)
 		if stragglers <= 0 || p.deadLettered > stragglers {

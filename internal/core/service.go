@@ -44,8 +44,8 @@ type Site struct {
 	Compute *faas.Endpoint
 	// StagePath is the directory staged (prefetched) files land in.
 	StagePath string
-	// DeleteStaged removes staged files after extraction (the
-	// family_batch.delete_files flag of Listing 1).
+	// DeleteStaged removes a family's staged files once its last step has
+	// ended (the family_batch.delete_files flag of Listing 1).
 	DeleteStaged bool
 	// DirectFetch makes workers at this site download remote files
 	// per-file through the transfer fabric at extraction time instead of
@@ -57,17 +57,17 @@ type Site struct {
 	// systems); they are not registered here.
 	ExcludeExtractors []string
 	// StageCapacityBytes bounds how much data may be staged to this site
-	// (Listing 2's available_gb); 0 means unlimited. Reservations are
-	// conservative: staged bytes are not returned to the budget even when
-	// DeleteStaged removes the copies.
+	// (Listing 2's available_gb); 0 means unlimited. A family's bytes are
+	// reserved at placement and returned when DeleteStaged removes its
+	// copies; without DeleteStaged the copies stay, and so does the
+	// reservation.
 	StageCapacityBytes int64
 
-	stagedBytes int64 // reserved staging bytes (pump-thread only)
-
-	// mu guards Compute once the site is registered: jobs read the
+	// mu guards Compute once the site is registered (jobs read the
 	// endpoint while Service.SwapCompute may replace it after an
-	// allocation loss.
-	mu sync.Mutex
+	// allocation loss) and stagedBytes, which every job's pump updates.
+	mu          sync.Mutex
+	stagedBytes int64 // reserved staging bytes
 }
 
 // ComputeEndpoint returns the site's current compute endpoint (nil for
@@ -88,11 +88,20 @@ func (s *Site) setCompute(ep *faas.Endpoint) {
 
 // reserveStage reserves n staging bytes, reporting whether they fit.
 func (s *Site) reserveStage(n int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.StageCapacityBytes > 0 && s.stagedBytes+n > s.StageCapacityBytes {
 		return false
 	}
 	s.stagedBytes += n
 	return true
+}
+
+// releaseStage returns n reserved staging bytes to the budget.
+func (s *Site) releaseStage(n int64) {
+	s.mu.Lock()
+	s.stagedBytes -= n
+	s.mu.Unlock()
 }
 
 // excludes reports whether the site cannot run the named extractor.

@@ -329,6 +329,8 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	if !ok || usage.StepsProcessed != stats.StepsProcessed {
 		t.Fatalf("tenant billed %d steps, job processed %d", usage.StepsProcessed, stats.StepsProcessed)
 	}
+	// The cancelled loser's record went with the winner's.
+	assertNoRecords(t, h)
 
 	// Each family shipped exactly one validation record.
 	deadline := time.Now().Add(10 * time.Second)
@@ -643,7 +645,6 @@ func runTailChaosJob(t *testing.T, seed int64) {
 	}
 
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-	pf.PollInterval = time.Millisecond
 	go pf.Run(ctx, 2)
 	dest := store.NewMemFS("user-dest", nil)
 	valsvc := validate.NewService(validate.Passthrough{}, results, dest, clk)

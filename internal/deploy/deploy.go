@@ -234,7 +234,7 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	}
 
 	d.Prefetcher = transfer.NewPrefetcher(d.Fabric, prefetch, prefetchDone, clk)
-	go d.Prefetcher.Run(ctx, 2)
+	go d.Prefetcher.Run(ctx, 10) // transfer jobs in flight, as in the paper's Fig. 6 run
 
 	d.Validation = validate.NewService(opts.Validator, results, opts.Dest, clk)
 	d.Validation.Instrument(d.Obs)

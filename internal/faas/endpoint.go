@@ -175,10 +175,13 @@ func (e *Endpoint) Stop() {
 	e.stopped = true
 	cancel := e.cancel
 	e.mu.Unlock()
+	// Mark LOST before cancelling the workers: a ctx-aware handler returns
+	// as soon as its context ends, and its result must find the task
+	// already terminal rather than race endpointLost to the status.
+	e.svc.endpointLost(e.ID)
 	if cancel != nil {
 		cancel()
 	}
-	e.svc.endpointLost(e.ID)
 }
 
 // Stopped reports whether the endpoint has been stopped.

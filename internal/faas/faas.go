@@ -155,18 +155,25 @@ func (t *task) setStatus(s TaskStatus) bool {
 		return false
 	}
 	t.info.Status = s
-	var info TaskInfo
-	var subs []*CompletionSink
 	if s.Terminal() {
-		close(t.doneCh)
-		info = t.info
-		subs, t.subs = t.subs, nil
+		t.publishUnlock()
+	} else {
+		t.mu.Unlock()
 	}
+	return true
+}
+
+// publishUnlock ends a task that has just been given a terminal status:
+// waiters are released, t.mu (held by the caller) is dropped, and every
+// subscribed sink receives the final snapshot.
+func (t *task) publishUnlock() {
+	close(t.doneCh)
+	info, subs := t.info, t.subs
+	t.subs = nil
 	t.mu.Unlock()
 	for _, sub := range subs {
 		sub.push(info)
 	}
-	return true
 }
 
 // CompletionSink is a terminal-event subscription endpoint: tasks
@@ -514,6 +521,23 @@ func (s *Service) Wait(id string) (TaskInfo, error) {
 	return t.info, nil
 }
 
+// Forget drops a task's record once its owner has consumed the terminal
+// TaskInfo or abandoned the task, releasing the payload and result the
+// record pins. The ID is unknown to every later call; an execution still
+// in progress finishes against the orphaned record and is discarded.
+func (s *Service) Forget(id string) {
+	s.mu.Lock()
+	delete(s.tasks, id)
+	s.mu.Unlock()
+}
+
+// TaskRecords reports how many task records the service holds.
+func (s *Service) TaskRecords() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.tasks)
+}
+
 // panicRecovered counts one recovered handler panic.
 func (s *Service) panicRecovered() {
 	s.HandlerPanics.Inc()
@@ -591,15 +615,8 @@ func (s *Service) taskFinished(t *task, result []byte, err error) {
 		t.info.Status = TaskSuccess
 		s.obsCompleted.Inc()
 	}
-	close(t.doneCh)
-	info := t.info
-	var subs []*CompletionSink
-	subs, t.subs = t.subs, nil
-	t.mu.Unlock()
-	for _, sub := range subs {
-		sub.push(info)
-	}
-	s.TasksCompleted.Inc()
+	s.TasksCompleted.Inc() // before doneCh: a Wait that returns sees the task counted
+	t.publishUnlock()
 	s.obsTaskLatency.ObserveDuration(latency)
 }
 
@@ -626,14 +643,7 @@ func (s *Service) CancelTask(id string) bool {
 	t.info.Err = ErrTaskCancelled.Error()
 	t.info.Finished = s.clk.Now()
 	t.info.Status = TaskFailed
-	close(t.doneCh)
-	info := t.info
-	var subs []*CompletionSink
-	subs, t.subs = t.subs, nil
-	t.mu.Unlock()
-	for _, sub := range subs {
-		sub.push(info)
-	}
+	t.publishUnlock()
 	return true
 }
 

@@ -33,8 +33,9 @@ type PrefetchResult struct {
 }
 
 // Prefetcher is the microservice that drains a queue of staging tasks,
-// batches same-route tasks into single fabric jobs, polls them to
-// completion, and reports results on the done queue.
+// folds the same-route tasks of each received window into one fabric job,
+// keeps a bounded number of those jobs in flight, and reports each
+// finished job's results on the done queue in one batch.
 type Prefetcher struct {
 	fabric *Fabric
 	in     *queue.Queue
@@ -44,170 +45,148 @@ type Prefetcher struct {
 	// BatchWindow bounds how many queued tasks are folded into one
 	// fabric job per route (amortizing per-job RTT).
 	BatchWindow int
-	// PollInterval is how often job status is polled.
-	PollInterval time.Duration
 	// Visibility is the queue visibility timeout while a task is staged.
 	Visibility time.Duration
 
 	TasksDone   metrics.Counter
 	TasksFailed metrics.Counter
 	BytesMoved  metrics.Counter
-
-	wg sync.WaitGroup
 }
 
 // NewPrefetcher wires a prefetcher to its fabric and queues.
 func NewPrefetcher(fabric *Fabric, in, out *queue.Queue, clk clock.Clock) *Prefetcher {
 	return &Prefetcher{
-		fabric:       fabric,
-		in:           in,
-		out:          out,
-		clk:          clk,
-		BatchWindow:  32,
-		PollInterval: 20 * time.Millisecond,
-		Visibility:   5 * time.Minute,
+		fabric:      fabric,
+		in:          in,
+		out:         out,
+		clk:         clk,
+		BatchWindow: 32,
+		Visibility:  5 * time.Minute,
 	}
 }
 
-// Run drains the input queue until ctx is cancelled, processing tasks with
-// the given number of concurrent route workers.
-func (p *Prefetcher) Run(ctx context.Context, workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.worker(ctx)
-		}()
-	}
-	p.wg.Wait()
+// window is the part of one received batch that shares a route: it
+// becomes one fabric job and one batch of results.
+type window struct {
+	src, dst string
+	tasks    []PrefetchTask
+	receipts []string
 }
 
-func (p *Prefetcher) worker(ctx context.Context) {
+// Run drains the input queue until ctx is cancelled, keeping at most
+// inFlight fabric jobs active, and returns once every waiter has exited.
+// The intake loop takes a slot before it receives, so a batch is never
+// held invisible while waiting for capacity; the batch's waiter runs one
+// fabric job per route, one after the other.
+func (p *Prefetcher) Run(ctx context.Context, inFlight int) {
+	if inFlight < 1 {
+		inFlight = 1
+	}
+	slots := make(chan struct{}, inFlight) // semaphore: one token per waiter
+	var waiters sync.WaitGroup
+	defer waiters.Wait()
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		default:
+		case slots <- struct{}{}:
 		}
 		msgs := p.in.Receive(p.BatchWindow, p.Visibility)
 		if len(msgs) == 0 {
-			// Block on the queue's wakeup channel instead of sleeping a
-			// fixed interval; PollInterval remains only as a reconciliation
-			// backstop (e.g., visibility-timeout reclaims racing a token
-			// another worker consumed).
+			<-slots
+			// Every way a message becomes visible (send, Nack, visibility
+			// expiry, a fault-suppressed Receive) signals Ready.
 			select {
 			case <-ctx.Done():
 				return
 			case <-p.in.Ready():
-			case <-p.clk.After(p.PollInterval):
 			}
 			continue
 		}
-		p.processBatch(ctx, msgs)
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			for _, w := range p.split(msgs) {
+				p.stage(ctx, w)
+			}
+			<-slots
+		}()
 	}
 }
 
-// processBatch groups received tasks by route and runs one fabric job per
-// route, then reports results and acks.
-func (p *Prefetcher) processBatch(ctx context.Context, msgs []queue.Message) {
-	type routed struct {
-		tasks    []PrefetchTask
-		receipts []string
-	}
-	routes := make(map[[2]string]*routed)
+// split decodes a received batch and groups it by route, in arrival
+// order. Poison messages are dropped.
+func (p *Prefetcher) split(msgs []queue.Message) []*window {
+	var windows []*window
+next:
 	for _, m := range msgs {
 		var t PrefetchTask
 		if err := DecodePrefetchTask(m.Body, &t); err != nil {
-			// Poison message: drop it.
 			_ = p.in.Delete(m.Receipt)
 			continue
 		}
-		key := [2]string{t.Src, t.Dst}
-		r, ok := routes[key]
-		if !ok {
-			r = &routed{}
-			routes[key] = r
+		for _, w := range windows {
+			if w.src == t.Src && w.dst == t.Dst {
+				w.tasks = append(w.tasks, t)
+				w.receipts = append(w.receipts, m.Receipt)
+				continue next
+			}
 		}
-		r.tasks = append(r.tasks, t)
-		r.receipts = append(r.receipts, m.Receipt)
+		windows = append(windows, &window{
+			src: t.Src, dst: t.Dst,
+			tasks:    []PrefetchTask{t},
+			receipts: []string{m.Receipt},
+		})
 	}
-	for key, r := range routes {
-		p.runRoute(ctx, key[0], key[1], r.tasks, r.receipts)
-	}
+	return windows
 }
 
-func (p *Prefetcher) runRoute(ctx context.Context, src, dst string, tasks []PrefetchTask, receipts []string) {
+// stage runs one window as one fabric job and blocks on its completion
+// event. Results go out in one batch before the receipts are deleted in
+// one batch: a crash between the two redelivers the tasks (at-least-once)
+// and never loses a result.
+func (p *Prefetcher) stage(ctx context.Context, w *window) {
 	var pairs []FilePair
-	for _, t := range tasks {
+	for _, t := range w.tasks {
 		pairs = append(pairs, t.Pairs...)
 	}
 	start := p.clk.Now()
 	var info JobInfo
-	jobID, err := p.fabric.Submit(src, dst, pairs)
+	jobID, err := p.fabric.Submit(w.src, w.dst, pairs)
 	if err == nil {
-		info, err = p.waitPolling(ctx, jobID)
+		info, err = p.fabric.WaitContext(ctx, jobID)
 	}
 	if ctx.Err() != nil {
 		// Shutdown mid-fetch: hand the tasks back to the queue instead of
 		// reporting results, so a restarted prefetcher can redo them.
-		for _, r := range receipts {
+		for _, r := range w.receipts {
 			_ = p.in.Nack(r)
 		}
 		return
 	}
-	elapsed := p.clk.Since(start)
-	perTaskBytes := int64(0)
-	if err == nil && len(tasks) > 0 {
-		perTaskBytes = info.BytesTransferred / int64(len(tasks))
+	res := PrefetchResult{
+		Src:     w.src,
+		Dst:     w.dst,
+		OK:      err == nil && info.Status == StatusSucceeded,
+		Elapsed: p.clk.Since(start),
 	}
-	for i, t := range tasks {
-		res := PrefetchResult{
-			FamilyID: t.FamilyID,
-			Src:      src,
-			Dst:      dst,
-			OK:       err == nil && info.Status == StatusSucceeded,
-			Bytes:    perTaskBytes,
-			Elapsed:  elapsed,
-		}
-		if err != nil {
-			res.Err = err.Error()
-		} else if info.Status == StatusFailed {
-			res.OK = false
-			res.Err = info.Err
-		}
-		if res.OK {
-			p.TasksDone.Inc()
-		} else {
-			p.TasksFailed.Inc()
-		}
-		p.out.Send(AppendPrefetchResult(nil, &res))
-		_ = p.in.Delete(receipts[i])
-	}
-	if err == nil {
+	if err != nil {
+		res.Err = err.Error()
+	} else {
+		res.Err = info.Err
+		res.Bytes = info.BytesTransferred / int64(len(w.tasks))
 		p.BytesMoved.Add(info.BytesTransferred)
 	}
-}
-
-// waitPolling polls job status at PollInterval until terminal, mirroring
-// the paper's "polls each transfer task until it is completed". It
-// returns ctx.Err() as soon as the context is cancelled so a worker
-// shutting down never blocks on an in-flight fabric job.
-func (p *Prefetcher) waitPolling(ctx context.Context, jobID string) (JobInfo, error) {
-	for {
-		info, err := p.fabric.Status(jobID)
-		if err != nil {
-			return JobInfo{}, err
-		}
-		if info.Status == StatusSucceeded || info.Status == StatusFailed {
-			return info, nil
-		}
-		select {
-		case <-ctx.Done():
-			return JobInfo{}, ctx.Err()
-		case <-p.clk.After(p.PollInterval):
-		}
+	bodies := make([][]byte, len(w.tasks))
+	for i, t := range w.tasks {
+		res.FamilyID = t.FamilyID
+		bodies[i] = AppendPrefetchResult(nil, &res)
 	}
+	if res.OK {
+		p.TasksDone.Add(int64(len(w.tasks)))
+	} else {
+		p.TasksFailed.Add(int64(len(w.tasks)))
+	}
+	p.out.SendBatch(bodies)
+	p.in.DeleteBatch(w.receipts)
 }

@@ -29,7 +29,6 @@ func newPrefetchRig(t *testing.T) (*Fabric, *Prefetcher, *queue.Queue, *queue.Qu
 	in := queue.New("prefetch-in", clk)
 	out := queue.New("prefetch-out", clk)
 	pf := NewPrefetcher(fabric, in, out, clk)
-	pf.PollInterval = time.Millisecond
 	return fabric, pf, in, out, src
 }
 
@@ -97,7 +96,7 @@ func TestPrefetcherInjectedTransferError(t *testing.T) {
 
 // TestPrefetcherCancelMidFetch: cancelling the prefetcher while a fabric
 // job is in flight hands the task back to the queue (Nack, not a result)
-// and every worker goroutine exits.
+// and every prefetcher goroutine exits.
 func TestPrefetcherCancelMidFetch(t *testing.T) {
 	fabric, pf, in, out, _ := newPrefetchRig(t)
 	// A long injected stall holds the fabric job active while we cancel.
@@ -139,7 +138,7 @@ func TestPrefetcherCancelMidFetch(t *testing.T) {
 	if out.Len() != 0 {
 		t.Fatalf("cancelled fetch reported %d results", out.Len())
 	}
-	// No goroutine leak: the worker pool is gone once the lingering
+	// No goroutine leak: the waiters are gone once the lingering
 	// fabric job's stall elapses. goleak is unavailable here, so poll the
 	// global count back to (at or below) its baseline with slack for
 	// unrelated runtime goroutines.
@@ -156,8 +155,8 @@ func TestPrefetcherCancelMidFetch(t *testing.T) {
 	}
 }
 
-// TestPrefetcherCancelWhileIdle: cancelling workers blocked on an empty
-// queue poll also exits cleanly.
+// TestPrefetcherCancelWhileIdle: cancelling an intake loop blocked on an
+// empty queue also exits cleanly.
 func TestPrefetcherCancelWhileIdle(t *testing.T) {
 	_, pf, _, _, _ := newPrefetchRig(t)
 	before := runtime.NumGoroutine()
@@ -167,7 +166,7 @@ func TestPrefetcherCancelWhileIdle(t *testing.T) {
 		pf.Run(ctx, 4)
 		close(runDone)
 	}()
-	time.Sleep(10 * time.Millisecond) // let the workers reach their idle poll
+	time.Sleep(10 * time.Millisecond) // let the intake loop reach its idle wait
 	cancel()
 	select {
 	case <-runDone:

@@ -11,6 +11,7 @@
 package transfer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -94,12 +95,9 @@ func (s Status) String() string {
 	}
 }
 
-// JobInfo is a snapshot of a transfer job's progress.
+// JobInfo is the final state of a transfer job.
 type JobInfo struct {
-	ID               string
-	Src, Dst         string
 	Status           Status
-	FilesTotal       int
 	FilesDone        int
 	BytesTransferred int64
 	Elapsed          time.Duration
@@ -344,40 +342,39 @@ func (f *Fabric) observeTerminal(j *job) {
 	f.obsDuration.ObserveDuration(elapsed)
 }
 
-func (f *Fabric) jobByID(id string) (*job, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	j, ok := f.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoJob, id)
-	}
-	return j, nil
+// Wait blocks until the job completes and returns its final state.
+func (f *Fabric) Wait(id string) (JobInfo, error) {
+	return f.WaitContext(context.Background(), id)
 }
 
-// Status reports a snapshot of the job. This is the polling interface the
-// prefetcher uses, mirroring Globus task polling.
-func (f *Fabric) Status(id string) (JobInfo, error) {
-	j, err := f.jobByID(id)
-	if err != nil {
-		return JobInfo{}, err
+// WaitContext blocks until the job completes or ctx ends. The final
+// JobInfo is handed out once: the job's record (and the pair list it
+// pins) is dropped when the wait returns, whichever way it ends, so the
+// ID is unknown afterwards.
+func (f *Fabric) WaitContext(ctx context.Context, id string) (JobInfo, error) {
+	f.mu.Lock()
+	j, ok := f.jobs[id]
+	f.mu.Unlock()
+	if !ok {
+		return JobInfo{}, fmt.Errorf("%w: %s", ErrNoJob, id)
+	}
+	defer func() {
+		f.mu.Lock()
+		delete(f.jobs, id)
+		f.mu.Unlock()
+	}()
+	select {
+	case <-j.doneCh:
+	case <-ctx.Done():
+		return JobInfo{}, ctx.Err()
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	info := JobInfo{
-		ID:               j.id,
-		Src:              j.src,
-		Dst:              j.dst,
 		Status:           j.status,
-		FilesTotal:       len(j.pairs),
 		FilesDone:        j.done,
 		BytesTransferred: j.bytes,
-	}
-	if !j.started.IsZero() {
-		end := j.finished
-		if end.IsZero() {
-			end = f.clk.Now()
-		}
-		info.Elapsed = end.Sub(j.started)
+		Elapsed:          j.finished.Sub(j.started),
 	}
 	if j.err != nil {
 		info.Err = j.err.Error()
@@ -385,14 +382,11 @@ func (f *Fabric) Status(id string) (JobInfo, error) {
 	return info, nil
 }
 
-// Wait blocks until the job completes and returns its final state.
-func (f *Fabric) Wait(id string) (JobInfo, error) {
-	j, err := f.jobByID(id)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	<-j.doneCh
-	return f.Status(id)
+// JobRecords reports how many job records the fabric holds.
+func (f *Fabric) JobRecords() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.jobs)
 }
 
 // Fetch performs a direct per-file download from an endpoint (the Globus

@@ -75,11 +75,8 @@ func TestJobFailsOnMissingFile(t *testing.T) {
 	}
 }
 
-func TestStatusUnknownJob(t *testing.T) {
+func TestWaitUnknownJob(t *testing.T) {
 	f, _, _ := newLiveFabric()
-	if _, err := f.Status("bogus"); !errors.Is(err, ErrNoJob) {
-		t.Fatalf("err = %v", err)
-	}
 	if _, err := f.Wait("bogus"); !errors.Is(err, ErrNoJob) {
 		t.Fatalf("err = %v", err)
 	}
@@ -229,7 +226,6 @@ func TestPrefetcherEndToEnd(t *testing.T) {
 	in := queue.New("prefetch", clk)
 	out := queue.New("ready", clk)
 	p := NewPrefetcher(f, in, out, clk)
-	p.PollInterval = time.Millisecond
 
 	const families = 20
 	for i := 0; i < families; i++ {
@@ -289,7 +285,6 @@ func TestPrefetcherReportsFailure(t *testing.T) {
 	in := queue.New("prefetch", clk)
 	out := queue.New("ready", clk)
 	p := NewPrefetcher(f, in, out, clk)
-	p.PollInterval = time.Millisecond
 
 	body, _ := json.Marshal(PrefetchTask{
 		FamilyID: "f1", Src: "a", Dst: "b",
@@ -322,7 +317,6 @@ func TestPrefetcherDropsPoisonMessage(t *testing.T) {
 	in := queue.New("prefetch", clk)
 	out := queue.New("ready", clk)
 	p := NewPrefetcher(f, in, out, clk)
-	p.PollInterval = time.Millisecond
 	in.Send([]byte("{not json"))
 	ctx, cancel := context.WithCancel(context.Background())
 	go p.Run(ctx, 1)
