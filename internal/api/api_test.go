@@ -90,8 +90,7 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
 	go pf.Run(ctx, 1)
 	dest := store.NewMemFS("dest", nil)
-	vs := validate.NewService(validate.Passthrough{}, results, dest, clk)
-	vs.PollInterval = time.Millisecond
+	vs := validate.NewService(validate.Passthrough{}, results, dest)
 	vs.Instrument(o)
 	go vs.Run(ctx)
 
@@ -253,7 +252,7 @@ func TestSearchEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	dest := store.NewMemFS("dest", nil)
-	vs := validate.NewService(validate.Passthrough{}, results, dest, clk)
+	vs := validate.NewService(validate.Passthrough{}, results, dest)
 	_ = fs.Write("/data/doc.txt", []byte("perovskite absorber research notes"))
 
 	srv := api.NewServer(svc, reg, lib, nil)

@@ -89,8 +89,7 @@ func newClusterAPIPair(t *testing.T) (*cluster.Coordinator, *store.MemFS, *auth.
 		}
 		pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
 		go pf.Run(ctx, 1)
-		vs := validate.NewService(validate.Passthrough{}, results, store.NewMemFS("dest-"+id, nil), clk)
-		vs.PollInterval = time.Millisecond
+		vs := validate.NewService(validate.Passthrough{}, results, store.NewMemFS("dest-"+id, nil))
 		go vs.Run(ctx)
 
 		srv := api.NewServer(svc, reg, lib, issuer)

@@ -269,8 +269,7 @@ func (cl *chaosCluster) startNode(t *testing.T, id string, delay time.Duration) 
 	}
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
 	go pf.Run(ctx, 2)
-	valsvc := validate.NewService(validate.Passthrough{}, cl.results, cl.dest, clk)
-	valsvc.PollInterval = time.Millisecond
+	valsvc := validate.NewService(validate.Passthrough{}, cl.results, cl.dest)
 	go valsvc.Run(ctx)
 
 	n := &chaosNode{

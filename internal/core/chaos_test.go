@@ -126,8 +126,7 @@ func runChaosJob(t *testing.T, seed int64) {
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
 	go pf.Run(ctx, 2)
 	dest := store.NewMemFS("user-dest", nil)
-	valsvc := validate.NewService(validate.Passthrough{}, results, dest, clk)
-	valsvc.PollInterval = time.Millisecond
+	valsvc := validate.NewService(validate.Passthrough{}, results, dest)
 	go valsvc.Run(ctx)
 
 	// Even seeds get a medic: when the injected crash kills river's

@@ -102,8 +102,7 @@ func newHarnessCfg(t *testing.T, sites []siteSpec, policy scheduler.Policy, mut 
 	go h.pf.Run(ctx, 2)
 
 	h.dest = store.NewMemFS("user-dest", nil)
-	h.valsvc = validate.NewService(validate.Passthrough{}, results, h.dest, clk)
-	h.valsvc.PollInterval = time.Millisecond
+	h.valsvc = validate.NewService(validate.Passthrough{}, results, h.dest)
 	go h.valsvc.Run(ctx)
 	return h
 }

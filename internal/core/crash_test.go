@@ -165,8 +165,7 @@ func startCrashLife(t *testing.T, jpath string, dataFS, dest *store.MemFS, inv *
 	}
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
 	go pf.Run(ctx, 2)
-	valsvc := validate.NewService(validate.Passthrough{}, results, dest, clk)
-	valsvc.PollInterval = time.Millisecond
+	valsvc := validate.NewService(validate.Passthrough{}, results, dest)
 	go valsvc.Run(ctx)
 	return &crashLife{
 		svc: svc, valsvc: valsvc, jnl: jnl, ctx: ctx, cancel: cancel,

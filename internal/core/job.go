@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -256,29 +255,23 @@ type pump struct {
 	duplicateSteps int64
 	degradedFam    int64
 
-	// pendingResults accumulates finished-family validation records so
-	// one ResultQueue.SendBatch per pump cycle replaces a queue lock (and
-	// a wakeup signal) per family. The pooled encode buffers ride along
-	// and are released only after the batch send copies the bodies.
+	// pendingResults holds the validation records of the families that
+	// finished this pass, encoded back to back in resultBuf, so one
+	// ResultQueue.SendBatch per pass replaces a queue lock (and a wakeup
+	// signal) per family. The send copies the bodies; both reset after it.
 	pendingResults [][]byte
-	pendingBufs    []*[]byte
+	resultBuf      []byte
 }
 
-// flushResults batch-sends the buffered validation records and returns
-// their encode buffers to the payload pool. Called once per pump cycle
-// and deferred for the error-return paths.
+// flushResults batch-sends the buffered validation records. Called once
+// per pump pass and deferred for the error-return paths.
 func (p *pump) flushResults() {
 	if len(p.pendingResults) == 0 {
 		return
 	}
 	p.s.cfg.ResultQueue.SendBatch(p.pendingResults)
-	for i, b := range p.pendingBufs {
-		putPayloadBuf(b)
-		p.pendingResults[i] = nil
-		p.pendingBufs[i] = nil
-	}
 	p.pendingResults = p.pendingResults[:0]
-	p.pendingBufs = p.pendingBufs[:0]
+	p.resultBuf = p.resultBuf[:0]
 }
 
 // RunJob crawls the given repositories and orchestrates extraction until
@@ -416,8 +409,8 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 				crawlErr <- err
 				return
 			}
-			s.obs.Emitf(jobID, obs.EvCrawlFinished, "site=%s files=%d families=%d",
-				spec.SiteName, stats.FilesSeen, stats.FamiliesEmitted)
+			s.obs.Emitf(jobID, obs.EvCrawlFinished, "site=%s files=%d families=%d encode_errors=%d",
+				spec.SiteName, stats.FilesSeen, stats.FamiliesEmitted, stats.EncodeErrors)
 			crawlDone <- stats
 		}(spec)
 	}
@@ -512,12 +505,7 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 			for crawlsPending > 0 {
 				select {
 				case stats := <-crawlDone:
-					crawlStats.DirsListed += stats.DirsListed
-					crawlStats.FilesSeen += stats.FilesSeen
-					crawlStats.GroupsFormed += stats.GroupsFormed
-					crawlStats.FamiliesEmitted += stats.FamiliesEmitted
-					crawlStats.BytesSeen += stats.BytesSeen
-					crawlStats.ListErrors += stats.ListErrors
+					crawlStats.Add(stats)
 					crawlsPending--
 					pass = true
 					continue
@@ -546,10 +534,11 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 			if !pass {
 				break
 			}
+			// Families finished this pass go to the validator now, so it
+			// works alongside a pump that rarely goes idle.
+			p.flushResults()
 			progress = true
 		}
-		// One batch send covers every family finished this cycle.
-		p.flushResults()
 		// The job-start drain and crawl completions are work in themselves
 		// even when no step became actionable; anything else that woke the
 		// pump for nothing is counted as idle overhead.
@@ -696,8 +685,12 @@ func (p *pump) intakeFamilies() bool {
 	receipts := make([]string, 0, len(msgs))
 	for _, m := range msgs {
 		receipts = append(receipts, m.Receipt)
-		var fam family.Family
-		if err := json.Unmarshal(m.Body, &fam); err != nil {
+		fam, err := family.DecodeFamily(m.Body)
+		if err != nil {
+			// The family's identity went with its body: fail it under the
+			// queue message ID so the job cannot end COMPLETE a document
+			// short.
+			p.failFamily(m.ID, "undecodable family body: "+err.Error(), 0)
 			continue
 		}
 		if p.seenFams[fam.ID] {
@@ -1106,12 +1099,7 @@ func (p *pump) await(ctx context.Context, crawlDone <-chan crawler.Stats, crawlE
 	case <-ctx.Done():
 		return "", ctx.Err()
 	case stats := <-cd:
-		crawlStats.DirsListed += stats.DirsListed
-		crawlStats.FilesSeen += stats.FilesSeen
-		crawlStats.GroupsFormed += stats.GroupsFormed
-		crawlStats.FamiliesEmitted += stats.FamiliesEmitted
-		crawlStats.BytesSeen += stats.BytesSeen
-		crawlStats.ListErrors += stats.ListErrors
+		crawlStats.Add(stats)
 		*crawlsPending--
 		return "crawl", nil
 	case err := <-ce:
@@ -1770,18 +1758,16 @@ func (p *pump) finishIfDone(st *famState) {
 		Metadata:  st.results,
 		Extracted: st.steps,
 	}
-	buf := getPayloadBuf()
-	body, err := validate.AppendRecord(*buf, &rec)
-	*buf = body
+	start := len(p.resultBuf)
+	body, err := validate.AppendRecord(p.resultBuf, &rec)
 	if err != nil {
 		// Unserializable metadata must not vanish silently: surface it
 		// through the dead-letter path and fail the family.
-		putPayloadBuf(buf)
 		p.failFamily(st.fam.ID, "result marshal: "+err.Error(), 0)
 		return
 	}
-	p.pendingResults = append(p.pendingResults, body)
-	p.pendingBufs = append(p.pendingBufs, buf)
+	p.resultBuf = body
+	p.pendingResults = append(p.pendingResults, body[start:])
 	p.familiesDone++
 	p.s.FamiliesDone.Inc()
 	p.s.obsFamiliesDone.Inc()

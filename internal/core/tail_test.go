@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -491,19 +490,10 @@ func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{})
 	defer h.close()
 
-	famQ := queue.New("crawl-families/test-dup", h.clk)
-	jobID := h.svc.cfg.Registry.CreateJob("", []string{"alpha"}, h.clk.Now())
-	p := &pump{
-		s:        h.svc,
-		jobID:    jobID,
-		famQ:     famQ,
-		states:   make(map[string]*famState),
-		staging:  make(map[string]*famState),
-		attempts: make(map[stepKey]int),
-		seenFams: make(map[string]bool),
-	}
+	p := barePump(h, "test-dup")
+	famQ, jobID := p.famQ, p.jobID
 
-	body, err := json.Marshal(family.Family{ID: "fam-dup", Store: "ghost"})
+	body, err := family.AppendFamily(nil, &family.Family{ID: "fam-dup", Store: "ghost"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,8 +637,7 @@ func runTailChaosJob(t *testing.T, seed int64) {
 	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
 	go pf.Run(ctx, 2)
 	dest := store.NewMemFS("user-dest", nil)
-	valsvc := validate.NewService(validate.Passthrough{}, results, dest, clk)
-	valsvc.PollInterval = time.Millisecond
+	valsvc := validate.NewService(validate.Passthrough{}, results, dest)
 	go valsvc.Run(ctx)
 
 	type result struct {

@@ -8,7 +8,6 @@ package crawler
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -37,6 +36,20 @@ type Stats struct {
 	FamiliesEmitted int64
 	BytesSeen       int64
 	ListErrors      int64
+	// EncodeErrors counts families dropped because their metadata could
+	// not be serialized for the queue.
+	EncodeErrors int64
+}
+
+// Add accumulates another crawl's statistics into s.
+func (s *Stats) Add(o Stats) {
+	s.DirsListed += o.DirsListed
+	s.FilesSeen += o.FilesSeen
+	s.GroupsFormed += o.GroupsFormed
+	s.FamiliesEmitted += o.FamiliesEmitted
+	s.BytesSeen += o.BytesSeen
+	s.ListErrors += o.ListErrors
+	s.EncodeErrors += o.EncodeErrors
 }
 
 // Crawler traverses a store and emits families onto an output queue.
@@ -51,7 +64,8 @@ type Crawler struct {
 	MaxFamilySize int
 	// Seed drives the randomized min-cut for reproducible crawls.
 	Seed int64
-	// Out receives one JSON-serialized family.Family per family.
+	// Out receives one family.AppendFamily body per family, sent one
+	// batch per directory.
 	Out *queue.Queue
 	// UseMinTransfers toggles the min-transfers packaging; when false,
 	// each group ships as its own family (the Figure 7 baseline).
@@ -83,6 +97,7 @@ type Crawler struct {
 	FilesSeen       metrics.Counter
 	FamiliesEmitted metrics.Counter
 	ListErrors      metrics.Counter
+	EncodeErrors    metrics.Counter
 	RateLimited     metrics.Counter
 	WorkersSpawned  metrics.Counter
 
@@ -262,6 +277,7 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 		FamiliesEmitted: c.FamiliesEmitted.Value(),
 		BytesSeen:       bytesSeen.Value(),
 		ListErrors:      c.ListErrors.Value(),
+		EncodeErrors:    c.EncodeErrors.Value(),
 	}, nil
 }
 
@@ -333,27 +349,33 @@ func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFor
 		}
 		metaOf[fi.Path] = fm
 	}
+	// Bodies share one buffer: the queue copies each on send.
+	var buf []byte
+	bodies := make([][]byte, 0, len(fams))
 	for i := range fams {
 		fam := &fams[i]
 		fam.ID = fmt.Sprintf("%s:%s#%d", c.Store.Name(), dir, i)
 		fam.Store = c.Store.Name()
 		fam.BasePath = dir
-		fam.FileMeta = make(map[string]family.FileMeta)
-		seen := make(map[string]bool)
+		fam.FileMeta = make(map[string]family.FileMeta, len(fam.Files))
 		for _, g := range fam.Groups {
 			for _, f := range g.Files {
-				if !seen[f] {
-					seen[f] = true
-					fam.FileMeta[f] = metaOf[f]
-				}
+				fam.FileMeta[f] = metaOf[f]
 			}
 		}
-		body, err := json.Marshal(fam)
-		if err != nil {
+		start := len(buf)
+		var err error
+		if buf, err = family.AppendFamily(buf, fam); err != nil {
+			buf = buf[:start]
+			c.EncodeErrors.Inc()
 			continue
 		}
-		c.Out.Send(body)
-		c.FamiliesEmitted.Inc()
-		c.ObsFamiliesEmitted.Inc()
+		bodies = append(bodies, buf[start:])
 	}
+	if len(bodies) == 0 {
+		return
+	}
+	c.Out.SendBatch(bodies)
+	c.FamiliesEmitted.Add(int64(len(bodies)))
+	c.ObsFamiliesEmitted.Add(float64(len(bodies)))
 }

@@ -2,8 +2,9 @@ package crawler
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,8 +40,8 @@ func drainFamilies(t *testing.T, q *queue.Queue) []family.Family {
 	t.Helper()
 	var out []family.Family
 	for _, body := range q.Drain() {
-		var f family.Family
-		if err := json.Unmarshal(body, &f); err != nil {
+		f, err := family.DecodeFamily(body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, f)
@@ -425,5 +426,78 @@ func TestCrawlFingerprintRecordsContentHashes(t *testing.T) {
 	// Hashes are content-addressed: distinct contents, distinct hashes.
 	if len(hashes) < 8 {
 		t.Fatalf("only %d distinct hashes for 8 distinct files", len(hashes))
+	}
+}
+
+// peekStore notes the output queue's depth each time the crawler asks the
+// store's name, which it does once per family while packaging a directory.
+type peekStore struct {
+	store.Store
+	out      *queue.Queue
+	maxDepth int
+}
+
+func (p *peekStore) Name() string {
+	if n := p.out.Len(); n > p.maxDepth {
+		p.maxDepth = n
+	}
+	return p.Store.Name()
+}
+
+// A directory's families become visible together, in one batch: while the
+// crawler is still packaging them the queue is empty.
+func TestCrawlSendsOneBatchPerDirectory(t *testing.T) {
+	fs := store.NewMemFS("petrel", nil)
+	for i := 0; i < 10; i++ {
+		if err := fs.Write(fmt.Sprintf("/d/f%d.txt", i), []byte("words")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := queue.New("families", clock.NewReal())
+	ps := &peekStore{Store: fs, out: out}
+	c := New(ps, SingleFileGrouper(extractors.DefaultLibrary()), out)
+	c.Workers = 1
+	stats, err := c.Crawl(context.Background(), []string{"/d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.maxDepth != 0 {
+		t.Fatalf("queue held %d families of a directory still being packaged", ps.maxDepth)
+	}
+	if stats.FamiliesEmitted != 10 || out.Len() != 10 {
+		t.Fatalf("emitted %d, queued %d; want 10, 10", stats.FamiliesEmitted, out.Len())
+	}
+}
+
+// A family whose metadata cannot be serialized is dropped, but counted:
+// FamiliesEmitted covers only what reached the queue.
+func TestCrawlCountsUnencodableFamilies(t *testing.T) {
+	fs := buildTree(t)
+	out := queue.New("families", clock.NewReal())
+	grouper := func(dir string, files []store.FileInfo) []family.Group {
+		var groups []family.Group
+		for _, fi := range files {
+			g := family.Group{ID: fi.Path, Files: []string{fi.Path}, Extractor: "keyword"}
+			if fi.Name == "OUTCAR" {
+				g.Metadata = map[string]interface{}{"energy": math.NaN()}
+			}
+			groups = append(groups, g)
+		}
+		return groups
+	}
+	c := New(fs, grouper, out)
+	c.UseMinTransfers = false
+	stats, err := c.Crawl(context.Background(), []string{"/data/exp1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.EncodeErrors != 1 || stats.FamiliesEmitted != 3 || out.Len() != 3 {
+		t.Fatalf("encode errors %d, emitted %d, queued %d; want 1, 3, 3",
+			stats.EncodeErrors, stats.FamiliesEmitted, out.Len())
+	}
+	for _, f := range drainFamilies(t, out) {
+		if strings.HasSuffix(f.Files[0], "OUTCAR") {
+			t.Fatalf("the unencodable family was sent: %+v", f)
+		}
 	}
 }

@@ -236,7 +236,7 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	d.Prefetcher = transfer.NewPrefetcher(d.Fabric, prefetch, prefetchDone, clk)
 	go d.Prefetcher.Run(ctx, 10) // transfer jobs in flight, as in the paper's Fig. 6 run
 
-	d.Validation = validate.NewService(opts.Validator, results, opts.Dest, clk)
+	d.Validation = validate.NewService(opts.Validator, results, opts.Dest)
 	d.Validation.Instrument(d.Obs)
 	go d.Validation.Run(ctx)
 	return d, nil

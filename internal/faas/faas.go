@@ -407,17 +407,20 @@ func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
 	byEP := make(map[string]*routed)
 
 	s.mu.Lock()
+	// The whole batch is checked before any record exists, so a rejected
+	// batch strands nothing in s.tasks.
 	for _, req := range reqs {
-		fn, ok := s.functions[req.FunctionID]
-		if !ok {
+		if _, ok := s.functions[req.FunctionID]; !ok {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s", ErrUnknownFunction, req.FunctionID)
 		}
-		ep, ok := s.endpoints[req.EndpointID]
-		if !ok {
+		if _, ok := s.endpoints[req.EndpointID]; !ok {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s", ErrUnknownEndpoint, req.EndpointID)
 		}
+	}
+	for _, req := range reqs {
+		fn, ep := s.functions[req.FunctionID], s.endpoints[req.EndpointID]
 		s.seq++
 		id := fmt.Sprintf("task-%d", s.seq)
 		t := &task{

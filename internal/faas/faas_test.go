@@ -120,6 +120,34 @@ func TestBatchSubmitAndPoll(t *testing.T) {
 	}
 }
 
+// A batch rejected for its last request must not leave records for the
+// requests before it.
+func TestRejectedBatchCreatesNoTaskRecords(t *testing.T) {
+	svc, _, cancel := newLiveService(t, 1)
+	defer cancel()
+	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	good := TaskRequest{FunctionID: fid, EndpointID: "ep1"}
+	before := svc.TaskRecords()
+	for _, tc := range []struct {
+		bad  TaskRequest
+		want error
+	}{
+		{TaskRequest{FunctionID: "nope", EndpointID: "ep1"}, ErrUnknownFunction},
+		{TaskRequest{FunctionID: fid, EndpointID: "nope"}, ErrUnknownEndpoint},
+	} {
+		ids, err := svc.SubmitBatch([]TaskRequest{good, good, tc.bad})
+		if !errors.Is(err, tc.want) || ids != nil {
+			t.Errorf("SubmitBatch = %v, %v; want nil, %v", ids, err, tc.want)
+		}
+		if got := svc.TaskRecords(); got != before {
+			t.Errorf("after %v: TaskRecords = %d, want %d", tc.want, got, before)
+		}
+	}
+	if n := svc.TasksSubmitted.Value(); n != 0 {
+		t.Errorf("TasksSubmitted = %d, want 0", n)
+	}
+}
+
 func TestPollBatchUnknownID(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 1)
 	defer cancel()

@@ -161,17 +161,7 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 		}
 		return AppendStringMap(dst, x), nil
 	case []string:
-		if x == nil {
-			return append(dst, "null"...), nil
-		}
-		dst = append(dst, '[')
-		for i, s := range x {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = AppendString(dst, s)
-		}
-		return append(dst, ']'), nil
+		return AppendStrings(dst, x), nil
 	case map[string]map[string]interface{}:
 		return appendNestedMap(dst, x)
 	default:
@@ -183,6 +173,21 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 		}
 		return append(dst, blob...), nil
 	}
+}
+
+// AppendStrings appends ss as a JSON array of strings, null when nil.
+func AppendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, s)
+	}
+	return append(dst, ']')
 }
 
 // appendMap encodes a generic object with sorted keys.

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -86,7 +87,8 @@ type MemFS struct {
 	root *node
 	now  func() time.Time
 
-	bytesRead    int64
+	// bytesRead is atomic so concurrent readers share the read lock.
+	bytesRead    atomic.Int64
 	bytesWritten int64
 }
 
@@ -150,8 +152,8 @@ func (m *MemFS) List(dir string) ([]FileInfo, error) {
 
 // Read implements Store.
 func (m *MemFS) Read(p string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	n, err := m.lookup(p)
 	if err != nil {
 		return nil, err
@@ -159,7 +161,7 @@ func (m *MemFS) Read(p string) ([]byte, error) {
 	if n.children != nil {
 		return nil, ErrIsDir
 	}
-	m.bytesRead += int64(len(n.data))
+	m.bytesRead.Add(int64(len(n.data)))
 	out := make([]byte, len(n.data))
 	copy(out, n.data)
 	return out, nil
@@ -265,7 +267,7 @@ func (m *MemFS) Delete(p string) error {
 func (m *MemFS) Traffic() (read, written int64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.bytesRead, m.bytesWritten
+	return m.bytesRead.Load(), m.bytesWritten
 }
 
 // TotalBytes walks the tree and returns the total file bytes and count.

@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -181,6 +183,47 @@ func TestMemFSConcurrent(t *testing.T) {
 	_, files := fs.TotalBytes()
 	if files != 800 {
 		t.Fatalf("files = %d, want 800", files)
+	}
+}
+
+// Readers hold only the read lock, so the read counter must stay exact
+// on its own while a writer keeps changing the file's size under them.
+func TestMemFSTrafficExactUnderConcurrentReads(t *testing.T) {
+	fs := NewMemFS("test", nil)
+	_ = fs.Write("/shared", []byte("a"))
+	var readers sync.WaitGroup
+	var got atomic.Int64
+	for i := 0; i < 8; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for j := 0; j < 500; j++ {
+				data, err := fs.Read("/shared")
+				if err != nil || strings.Trim(string(data), "a") != "" {
+					t.Errorf("Read = %q, %v", data, err)
+				}
+				got.Add(int64(len(data)))
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for n := 1; ; n = n%7 + 1 {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = fs.Write("/shared", []byte(strings.Repeat("a", n)))
+			}
+		}
+	}()
+	readers.Wait()
+	close(stop)
+	<-writerDone
+	if r, _ := fs.Traffic(); r != got.Load() {
+		t.Fatalf("Traffic read = %d, readers saw %d bytes", r, got.Load())
 	}
 }
 

@@ -26,12 +26,9 @@ func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	dst = fastjson.AppendString(dst, rec.Store)
 	dst = append(dst, `,"base_path":`...)
 	dst = fastjson.AppendString(dst, rec.BasePath)
-	dst = append(dst, `,"files":`...)
-	var err error
-	if dst, err = fastjson.AppendValue(dst, rec.Files); err != nil {
-		return dst, err
-	}
+	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
 	dst = append(dst, `,"metadata":`...)
+	var err error
 	if dst, err = fastjson.AppendValue(dst, rec.Metadata); err != nil {
 		return dst, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"xtract/internal/clock"
 	"xtract/internal/metrics"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
@@ -13,20 +12,17 @@ import (
 )
 
 // Service is the asynchronous validation microservice: it drains the
-// result queue, validates/transforms each record, and writes the final
-// JSON document to the user's destination endpoint under DestPrefix.
+// result queue by event, validates/transforms each record, and writes
+// the final JSON document to the user's destination endpoint under
+// DestPrefix.
 type Service struct {
 	Validator Validator
 	In        *queue.Queue
 	Dest      store.Store
 	// DestPrefix is the destination directory for validated documents.
 	DestPrefix string
-	// PollInterval is the idle backoff between empty receives.
-	PollInterval time.Duration
 	// Visibility is the queue visibility timeout during validation.
 	Visibility time.Duration
-
-	clk clock.Clock
 
 	Validated metrics.Counter
 	Rejected  metrics.Counter
@@ -51,38 +47,27 @@ func (s *Service) Instrument(o *obs.Observer) {
 }
 
 // NewService wires a validation service.
-func NewService(v Validator, in *queue.Queue, dest store.Store, clk clock.Clock) *Service {
+func NewService(v Validator, in *queue.Queue, dest store.Store) *Service {
 	return &Service{
-		Validator:    v,
-		In:           in,
-		Dest:         dest,
-		DestPrefix:   "/metadata",
-		PollInterval: 10 * time.Millisecond,
-		Visibility:   time.Minute,
-		clk:          clk,
+		Validator:  v,
+		In:         in,
+		Dest:       dest,
+		DestPrefix: "/metadata",
+		Visibility: time.Minute,
 	}
 }
 
-// Run drains the queue until ctx is cancelled.
+// Run validates records as they arrive until ctx is cancelled. An empty
+// queue blocks on its wakeup channel: a send, a Nack, a visibility
+// expiry and a fault-suppressed receive all signal it.
 func (s *Service) Run(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		msgs := s.In.Receive(16, s.Visibility)
-		if len(msgs) == 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-s.clk.After(s.PollInterval):
-			}
+	for ctx.Err() == nil {
+		if s.receive() {
 			continue
 		}
-		for _, m := range msgs {
-			s.process(m.Body)
-			_ = s.In.Delete(m.Receipt)
+		select {
+		case <-ctx.Done():
+		case <-s.In.Ready():
 		}
 	}
 }
@@ -90,16 +75,21 @@ func (s *Service) Run(ctx context.Context) {
 // Drain synchronously validates everything currently visible on the
 // queue. Useful at job completion and in tests.
 func (s *Service) Drain() {
-	for {
-		msgs := s.In.Receive(64, s.Visibility)
-		if len(msgs) == 0 {
-			return
-		}
-		for _, m := range msgs {
-			s.process(m.Body)
-			_ = s.In.Delete(m.Receipt)
-		}
+	for s.receive() {
 	}
+}
+
+// receive validates one batch and acknowledges it with a single delete,
+// reporting whether the queue delivered anything.
+func (s *Service) receive() bool {
+	msgs := s.In.Receive(64, s.Visibility)
+	receipts := make([]string, len(msgs))
+	for i, m := range msgs {
+		s.process(m.Body)
+		receipts[i] = m.Receipt
+	}
+	s.In.DeleteBatch(receipts)
+	return len(msgs) > 0
 }
 
 func (s *Service) process(body []byte) {

@@ -72,12 +72,9 @@ func (Passthrough) Validate(rec Record) ([]byte, error) {
 	dst := make([]byte, 0, 256)
 	dst = append(dst, `{"family":`...)
 	dst = fastjson.AppendString(dst, rec.FamilyID)
-	dst = append(dst, `,"files":`...)
-	var err error
-	if dst, err = fastjson.AppendValue(dst, rec.Files); err != nil {
-		return nil, err
-	}
+	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
 	dst = append(dst, `,"metadata":`...)
+	var err error
 	if dst, err = fastjson.AppendValue(dst, rec.Metadata); err != nil {
 		return nil, err
 	}
@@ -176,15 +173,9 @@ func (m *MDF) Validate(rec Record) ([]byte, error) {
 	// replaces, byte-identical to json.Marshal of that map (pinned by
 	// codec_test.go). Both nesting levels keep their keys sorted.
 	dst := make([]byte, 0, 384)
-	dst = append(dst, `{"extractors":`...)
+	dst = fastjson.AppendStrings(append(dst, `{"extractors":`...), ranList)
+	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
 	var aerr error
-	if dst, aerr = fastjson.AppendValue(dst, ranList); aerr != nil {
-		return nil, aerr
-	}
-	dst = append(dst, `,"files":`...)
-	if dst, aerr = fastjson.AppendValue(dst, rec.Files); aerr != nil {
-		return nil, aerr
-	}
 	dst = append(dst, `,"mdf":{"resource_type":"record","schema":`...)
 	dst = fastjson.AppendString(dst, schema.Name)
 	dst = append(dst, `,"scroll_id":`...)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,7 +122,7 @@ func TestServiceValidatesToDestination(t *testing.T) {
 	clk := clock.NewReal()
 	in := queue.New("results", clk)
 	dest := store.NewMemFS("user-endpoint", nil)
-	s := NewService(Passthrough{}, in, dest, clk)
+	s := NewService(Passthrough{}, in, dest)
 
 	body, _ := json.Marshal(sampleRecord())
 	in.Send(body)
@@ -141,31 +143,118 @@ func TestServiceValidatesToDestination(t *testing.T) {
 	}
 }
 
-func TestServiceRunLoop(t *testing.T) {
-	clk := clock.NewReal()
-	in := queue.New("results", clk)
-	dest := store.NewMemFS("user-endpoint", nil)
-	s := NewService(Passthrough{}, in, dest, clk)
-	s.PollInterval = time.Millisecond
+// runService starts Run over a results queue on a fake clock that the
+// test never advances, so whatever the service does it does by event.
+// stop cancels it and fails the test unless Run returns promptly.
+func runService(t *testing.T) (s *Service, in *queue.Queue, clk *clock.Fake, stop func()) {
+	t.Helper()
+	clk = clock.NewFake(time.Unix(0, 0))
+	in = queue.New("results", clk)
+	s = NewService(Passthrough{}, in, store.NewMemFS("user-endpoint", nil))
 	ctx, cancel := context.WithCancel(context.Background())
-	go s.Run(ctx)
-	body, _ := json.Marshal(sampleRecord())
-	in.Send(body)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Validated.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("record never validated")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(ctx)
+	}()
+	return s, in, clk, func() {
+		t.Helper()
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Run did not return after cancel")
+		}
+	}
+}
+
+// waitAcked blocks until the queue has seen n deletes.
+func waitAcked(t *testing.T, in *queue.Queue, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, deleted := in.Stats(); deleted == n {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("queue acknowledged %d records, want %d", deleted, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cancel()
+}
+
+func recordBodies(n int) [][]byte {
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		rec := sampleRecord()
+		rec.FamilyID = fmt.Sprintf("fam-%d", i)
+		bodies[i], _ = AppendRecord(nil, &rec)
+	}
+	return bodies
+}
+
+func TestRunWakesOnSendNotOnATimer(t *testing.T) {
+	s, in, clk, stop := runService(t)
+	defer stop()
+	if n := clk.PendingTimers(); n != 0 {
+		t.Fatalf("idle service holds %d timers", n)
+	}
+	bodies := recordBodies(2)
+	in.Send(bodies[0])
+	waitAcked(t, in, 1)
+	// The only timer left is the queue's own visibility deadline; once it
+	// has fired nothing is waiting on the clock, and the service still
+	// picks up the next record.
+	clk.Advance(2 * s.Visibility)
+	if n := clk.PendingTimers(); n != 0 {
+		t.Fatalf("service between records holds %d timers", n)
+	}
+	in.Send(bodies[1])
+	waitAcked(t, in, 2)
+	if s.Validated.Value() != 2 {
+		t.Fatalf("validated = %d, want 2", s.Validated.Value())
+	}
+}
+
+func TestRunAcknowledgesEveryRecord(t *testing.T) {
+	s, in, _, stop := runService(t)
+	defer stop()
+	const n = 200 // several receive batches
+	in.SendBatch(recordBodies(n))
+	waitAcked(t, in, n)
+	if in.InFlight() != 0 || in.Len() != 0 || s.Validated.Value() != n {
+		t.Fatalf("in flight %d, visible %d, validated %d; want 0, 0, %d",
+			in.InFlight(), in.Len(), s.Validated.Value(), n)
+	}
+	if infos, err := s.Dest.List("/metadata"); err != nil || len(infos) != n {
+		t.Fatalf("destination holds %d documents (%v), want %d", len(infos), err, n)
+	}
+}
+
+// failFirst suppresses the first n deliveries of a queue.
+type failFirst struct{ left atomic.Int32 }
+
+func (f *failFirst) ReceiveFault(string) bool { return f.left.Add(-1) >= 0 }
+
+// A suppressed receive spends the wakeup token; the queue re-signals it,
+// and that alone must bring the service back.
+func TestRunNotStalledByReceiveFault(t *testing.T) {
+	_, in, _, stop := runService(t)
+	defer stop()
+	hook := &failFirst{}
+	hook.left.Store(3)
+	in.SetFaults(hook)
+	in.Send(recordBodies(1)[0])
+	waitAcked(t, in, 1)
+	if left := hook.left.Load(); left >= 0 {
+		t.Fatalf("only %d of 3 faults fired", 3-left)
+	}
 }
 
 func TestServiceRejectsInvalidRecord(t *testing.T) {
 	clk := clock.NewReal()
 	in := queue.New("results", clk)
 	dest := store.NewMemFS("user-endpoint", nil)
-	s := NewService(NewMDF("x"), in, dest, clk)
+	s := NewService(NewMDF("x"), in, dest)
 	body, _ := json.Marshal(Record{FamilyID: "f"}) // no metadata
 	in.Send(body)
 	s.Drain()
