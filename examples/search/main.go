@@ -20,6 +20,7 @@ import (
 	"xtract/internal/dedup"
 	"xtract/internal/deploy"
 	"xtract/internal/extractors"
+	"xtract/internal/fastjson"
 	"xtract/internal/index"
 	"xtract/internal/quality"
 	"xtract/internal/store"
@@ -126,9 +127,9 @@ func loadRecords(d *deploy.Deployment) []validate.Record {
 	var out []validate.Record
 	walkFiles(d.Dest, "/metadata", func(p string, data []byte) {
 		var doc struct {
-			MDF      map[string]interface{}            `json:"mdf"`
-			Files    []string                          `json:"files"`
-			Metadata map[string]map[string]interface{} `json:"metadata"`
+			MDF      map[string]interface{}  `json:"mdf"`
+			Files    []string                `json:"files"`
+			Metadata map[string]fastjson.Raw `json:"metadata"`
 		}
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return

@@ -46,10 +46,10 @@ type Key struct {
 // verify the entry actually answers the key it was looked up under —
 // a truncated, corrupted, or foreign file is a miss, not an answer.
 type Entry struct {
-	ContentHash string                 `json:"content_hash"`
-	Extractor   string                 `json:"extractor"`
-	Version     string                 `json:"version"`
-	Metadata    map[string]interface{} `json:"metadata"`
+	ContentHash string       `json:"content_hash"`
+	Extractor   string       `json:"extractor"`
+	Version     string       `json:"version"`
+	Metadata    fastjson.Raw `json:"metadata"`
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -88,12 +88,11 @@ type Cache struct {
 	hits, misses, evictions, persistHits, persistErrors int64
 }
 
-// memEntry holds the serialized metadata; storing bytes instead of the
-// live map means every Get hands out an independent deep copy, so one
-// family mutating its metadata can never corrupt another's replay.
+// memEntry holds a step's metadata as the worker encoded it. Get hands
+// out this very slice, so every holder treats it as read-only.
 type memEntry struct {
 	key  Key
-	body []byte
+	body fastjson.Raw
 }
 
 // New returns a memory-only cache bounded to capacity entries
@@ -167,8 +166,8 @@ func sanitize(s string) string {
 }
 
 // Get looks the key up in memory, then in the persistent layer. The
-// returned metadata is an independent copy.
-func (c *Cache) Get(k Key) (map[string]interface{}, bool) {
+// returned bytes are the cache's own and must not be modified.
+func (c *Cache) Get(k Key) (fastjson.Raw, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -178,14 +177,7 @@ func (c *Cache) Get(k Key) (map[string]interface{}, bool) {
 		body := el.Value.(*memEntry).body
 		c.hits++
 		c.mu.Unlock()
-		v, err := fastjson.DecodeValue(body)
-		md, ok := v.(map[string]interface{})
-		if err != nil || !ok {
-			// Unreachable in practice: body was produced by the encoder
-			// from a non-nil map.
-			return nil, false
-		}
-		return md, true
+		return body, true
 	}
 	c.mu.Unlock()
 
@@ -201,7 +193,7 @@ func (c *Cache) Get(k Key) (map[string]interface{}, bool) {
 	var ent Entry
 	if err := json.Unmarshal(data, &ent); err != nil ||
 		ent.ContentHash != k.ContentHash || ent.Extractor != k.Extractor ||
-		ent.Version != k.Version || ent.Metadata == nil {
+		ent.Version != k.Version || !fastjson.IsObject(ent.Metadata) {
 		// Corrupted or mismatched entry: a miss, never an answer.
 		c.mu.Lock()
 		c.persistErrors++
@@ -209,15 +201,10 @@ func (c *Cache) Get(k Key) (map[string]interface{}, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	body, err := fastjson.AppendValue(nil, ent.Metadata)
-	if err != nil {
-		c.miss()
-		return nil, false
-	}
 	c.mu.Lock()
 	c.hits++
 	c.persistHits++
-	c.putLocked(k, body)
+	c.putLocked(k, ent.Metadata)
 	c.mu.Unlock()
 	return ent.Metadata, true
 }
@@ -228,28 +215,31 @@ func (c *Cache) miss() {
 	c.mu.Unlock()
 }
 
-// Put stores a result under the key, in memory and (when configured)
-// write-through to the persistent layer. Metadata that cannot be
-// serialized is not cached.
+// Put encodes a metadata dictionary and stores it, for callers that hold
+// a map. Metadata that cannot be serialized, or is nil, is not cached.
 func (c *Cache) Put(k Key, metadata map[string]interface{}) {
-	if c == nil || metadata == nil {
-		return
+	if body, err := fastjson.AppendCanonical(nil, metadata); err == nil {
+		c.PutRaw(k, body)
 	}
-	body, err := fastjson.AppendValue(nil, metadata)
-	if err != nil {
+}
+
+// PutRaw stores a step's encoded metadata object under the key, in
+// memory and (when configured) write-through to the persistent layer.
+// The cache keeps the slice it is given.
+func (c *Cache) PutRaw(k Key, metadata fastjson.Raw) {
+	if c == nil || !fastjson.IsObject(metadata) {
 		return
 	}
 	c.mu.Lock()
-	c.putLocked(k, body)
+	c.putLocked(k, metadata)
 	c.mu.Unlock()
 	if c.persist != nil {
-		ent := Entry{
+		data, err := json.Marshal(Entry{
 			ContentHash: k.ContentHash,
 			Extractor:   k.Extractor,
 			Version:     k.Version,
 			Metadata:    metadata,
-		}
-		data, err := json.Marshal(ent)
+		})
 		if err == nil {
 			err = c.persist.Write(c.entryPath(k), data)
 		}
@@ -261,7 +251,7 @@ func (c *Cache) Put(k Key, metadata map[string]interface{}) {
 	}
 }
 
-func (c *Cache) putLocked(k Key, body []byte) {
+func (c *Cache) putLocked(k Key, body fastjson.Raw) {
 	if el, ok := c.entries[k]; ok {
 		el.Value.(*memEntry).body = body
 		c.order.MoveToFront(el)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"xtract/internal/fastjson"
 	"xtract/internal/store"
 )
 
@@ -23,8 +24,8 @@ func TestHitMissAndLRUEviction(t *testing.T) {
 	c.Put(k1, md("a"))
 	c.Put(k2, md("b"))
 	got, ok := c.Get(k1)
-	if !ok || got["value"] != "a" {
-		t.Fatalf("k1 = %v, %v", got, ok)
+	if !ok || string(got) != `{"value":"a"}` {
+		t.Fatalf("k1 = %s, %v", got, ok)
 	}
 	// k2 is now least recently used; k3 must evict it, not k1.
 	c.Put(k3, md("c"))
@@ -61,19 +62,42 @@ func TestVersionAndContentInvalidation(t *testing.T) {
 	}
 }
 
-func TestGetReturnsIndependentCopies(t *testing.T) {
+// TestBytesAreStoredOnceAndHandedOut pins the cache's side of the
+// encode-once contract: PutRaw keeps the slice it is given, every Get
+// returns that same slice, and the map-typed Put stores the canonical
+// encoding (sorted keys, typed values normalized as a decode would).
+func TestBytesAreStoredOnceAndHandedOut(t *testing.T) {
 	c := New(0)
 	k := Key{ContentHash: "h1", Extractor: "keyword", Version: "1"}
-	c.Put(k, map[string]interface{}{"list": []interface{}{"x"}})
+	raw := fastjson.Raw(`{"list":["x"],"n":1}`)
+	c.PutRaw(k, raw)
 	first, _ := c.Get(k)
-	first["list"] = "corrupted"
-	first["extra"] = true
 	second, _ := c.Get(k)
-	if _, ok := second["extra"]; ok {
-		t.Fatal("mutation of one Get leaked into the next")
+	if &first[0] != &raw[0] || &second[0] != &raw[0] {
+		t.Fatal("Get returned a copy, not the stored bytes")
 	}
-	if _, ok := second["list"].([]interface{}); !ok {
-		t.Fatalf("list corrupted across Gets: %v", second["list"])
+	if n := testing.AllocsPerRun(100, func() { c.Get(k) }); n != 0 {
+		t.Fatalf("a memory hit allocates %.0f times; it hands out bytes it already holds", n)
+	}
+
+	type point struct {
+		Y int `json:"y"`
+		X int `json:"x"`
+	}
+	c.Put(k, map[string]interface{}{"p": point{Y: 2, X: 1}, "big": int64(1<<53 + 1)})
+	got, _ := c.Get(k)
+	if want := `{"big":9007199254740992,"p":{"x":1,"y":2}}`; string(got) != want {
+		t.Fatalf("Put stored %s, want %s", got, want)
+	}
+
+	// Only an object is a step's metadata: null, empty and scalars are
+	// not cached.
+	for _, bad := range []string{"", "null", "[1]", `"s"`} {
+		k2 := Key{ContentHash: "h2", Extractor: "keyword", Version: "1"}
+		c.PutRaw(k2, fastjson.Raw(bad))
+		if _, ok := c.Get(k2); ok {
+			t.Fatalf("PutRaw(%q) was cached", bad)
+		}
 	}
 }
 
@@ -88,8 +112,8 @@ func TestPersistentRoundTripAcrossRestart(t *testing.T) {
 	// memory layer is cold but the persistent layer answers.
 	c2 := NewPersistent(4, fs, "/cache")
 	got, ok := c2.Get(k)
-	if !ok || got["value"] != "persisted" {
-		t.Fatalf("persistent layer miss: %v, %v", got, ok)
+	if !ok || string(got) != `{"value":"persisted"}` {
+		t.Fatalf("persistent layer miss: %s, %v", got, ok)
 	}
 	st := c2.Stats()
 	if st.PersistHits != 1 || st.Hits != 1 {
@@ -126,7 +150,7 @@ func TestCorruptedPersistentEntryIsAMiss(t *testing.T) {
 	// as untrustworthy.
 	wrong, _ := json.Marshal(Entry{
 		ContentHash: "other", Extractor: "keyword", Version: "1",
-		Metadata: md("stolen"),
+		Metadata: fastjson.Raw(`{"value":"stolen"}`),
 	})
 	if err := fs.Write(path, wrong); err != nil {
 		t.Fatal(err)
@@ -135,12 +159,28 @@ func TestCorruptedPersistentEntryIsAMiss(t *testing.T) {
 		t.Fatal("mismatched entry served as a hit")
 	}
 
+	// So is an entry under the right identity whose metadata is not an
+	// object: a step's metadata is a dictionary or nothing.
+	for _, bad := range []string{`null`, `[1,2]`, `"text"`, `7`} {
+		body := `{"content_hash":"abc","extractor":"keyword","version":"1","metadata":` + bad + `}`
+		if err := fs.Write(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Stats().PersistErrors
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("entry with metadata %s served as a hit", bad)
+		}
+		if c.Stats().PersistErrors != before+1 {
+			t.Fatalf("metadata %s not counted as a persist error", bad)
+		}
+	}
+
 	// Write-back repairs the slot and later reads trust it again.
 	c2 := NewPersistent(4, fs, "/cache")
 	c2.Put(k, md("repaired"))
 	c3 := NewPersistent(4, fs, "/cache")
-	if got, ok := c3.Get(k); !ok || got["value"] != "repaired" {
-		t.Fatalf("repaired entry = %v, %v", got, ok)
+	if got, ok := c3.Get(k); !ok || string(got) != `{"value":"repaired"}` {
+		t.Fatalf("repaired entry = %s, %v", got, ok)
 	}
 }
 

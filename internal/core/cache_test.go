@@ -2,21 +2,14 @@ package core
 
 import (
 	"context"
-	"math"
-	"strings"
 	"sync"
 	"testing"
 
 	"xtract/internal/cache"
-	"xtract/internal/clock"
 	"xtract/internal/crawler"
 	"xtract/internal/extractors"
-	"xtract/internal/faas"
-	"xtract/internal/family"
 	"xtract/internal/obs"
-	"xtract/internal/registry"
 	"xtract/internal/scheduler"
-	"xtract/internal/transfer"
 )
 
 // TestWarmRunServedFromCache is the tentpole end-to-end check: a second
@@ -205,68 +198,5 @@ func TestConcurrentJobStatsIsolation(t *testing.T) {
 	}
 	if got := h.svc.GroupsProcessed.Value(); got != a.StepsProcessed+b.StepsProcessed {
 		t.Fatalf("service steps %d != %d + %d", got, a.StepsProcessed, b.StepsProcessed)
-	}
-}
-
-// TestFinishMarshalErrorDeadLetters forces json.Marshal to fail on a
-// finished family's record and checks the failure surfaces through the
-// dead-letter path instead of being silently dropped (the old behavior
-// sent nothing and still counted the family done).
-func TestFinishMarshalErrorDeadLetters(t *testing.T) {
-	clk := clock.NewReal()
-	families, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock:         clk,
-		FaaS:          faas.NewService(clk, faas.Costs{}),
-		Fabric:        transfer.NewFabric(clk),
-		Registry:      registry.New(clk, 0),
-		Library:       extractors.DefaultLibrary(),
-		FamilyQueue:   families,
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone,
-		ResultQueue:   results,
-	})
-	jobID := svc.cfg.Registry.CreateJob("", []string{"x"}, clk.Now())
-	p := &pump{
-		s:        svc,
-		jobID:    jobID,
-		states:   make(map[string]*famState),
-		staging:  make(map[string]*famState),
-		attempts: make(map[stepKey]int),
-	}
-	fam := family.Family{ID: "fam-nan", Store: "x", BasePath: "/"}
-	st := &famState{
-		fam:  fam,
-		plan: scheduler.BuildPlan(&fam), // no groups: already done
-		results: map[string]map[string]interface{}{
-			"g/keyword": {"score": math.NaN()}, // json.Marshal rejects NaN
-		},
-	}
-	p.states[fam.ID] = st
-
-	p.finishIfDone(st)
-
-	if p.familiesDone != 0 {
-		t.Fatal("unserializable family counted as done")
-	}
-	if p.failedFam != 1 {
-		t.Fatalf("failedFam = %d", p.failedFam)
-	}
-	if results.Len() != 0 {
-		t.Fatal("a record reached the result queue despite the marshal error")
-	}
-	rec, err := svc.cfg.Registry.Job(jobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, dl := range rec.DeadLetters {
-		if dl.Kind == "family" && dl.FamilyID == "fam-nan" &&
-			strings.Contains(dl.Reason, "result marshal") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no marshal dead letter on record: %+v", rec.DeadLetters)
 	}
 }

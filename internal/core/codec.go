@@ -9,10 +9,11 @@ import (
 
 // This file is the hot-path wire codec for the dispatch pipeline:
 // hand-rolled append-style encoders and pull decoders for the task
-// payload and task result shapes, byte-identical to encoding/json on the
-// same structs (pinned by the equivalence and fuzz suites in
-// codec_test.go). Reflection-driven marshaling was the dominant per-task
-// allocation source; these codecs write into pooled scratch instead.
+// payload and task result shapes. The payload codec is byte-identical to
+// encoding/json on its structs (pinned by the equivalence and fuzz suites
+// in codec_test.go); the result codec is an internal format, see below.
+// Reflection-driven marshaling was the dominant per-task allocation
+// source; these codecs write into pooled scratch instead.
 //
 // Pool ownership discipline: getPayloadBuf hands out a scratch slice
 // whose bytes may be passed only to copying consumers (queue.Send/
@@ -197,9 +198,15 @@ func decodeStepPayload(d *fastjson.Dec, sp *stepPayload) error {
 	})
 }
 
-// encodeTaskResult appends r as JSON, byte-identical to
-// encoding/json.Marshal(r). The only error source is unencodable
-// metadata (NaN/Inf floats), which encoding/json rejects too.
+// The task result is an internal format: the handler writes it and the
+// pump of the same binary reads it. It is JSON in the field order and
+// with the omitempty rules of handler.go's struct tags, but the decoder
+// is strict -- exact lower-case keys, unknown keys skipped, a repeated
+// key replaces the earlier value -- and owes encoding/json nothing beyond
+// reading back what encodeTaskResult wrote.
+
+// encodeTaskResult appends r's body to dst. Each step's metadata is
+// already encoded and is spliced in as is.
 func encodeTaskResult(dst []byte, r *taskResult) ([]byte, error) {
 	dst = append(dst, `{"extractor":`...)
 	dst = fastjson.AppendString(dst, r.Extractor)
@@ -235,11 +242,7 @@ func encodeStepOutcome(dst []byte, o *stepOutcome) ([]byte, error) {
 		dst = fastjson.AppendString(dst, o.Err)
 	}
 	if len(o.Metadata) > 0 {
-		dst = append(dst, `,"metadata":`...)
-		var err error
-		if dst, err = fastjson.AppendValue(dst, o.Metadata); err != nil {
-			return dst, err
-		}
+		dst = append(append(dst, `,"metadata":`...), o.Metadata...)
 	}
 	dst = append(dst, `,"extract_ms":`...)
 	dst, err := fastjson.AppendFloat(dst, o.ExtractMS)
@@ -252,97 +255,58 @@ func encodeStepOutcome(dst []byte, o *stepOutcome) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// decodeTaskResult parses data into r with encoding/json's struct
-// semantics.
+// decodeTaskResult parses a task body into r. Each outcome's metadata
+// aliases data: an object's bytes, or nil for null; any other value makes
+// the whole result bad.
 func decodeTaskResult(data []byte, r *taskResult) error {
 	d := fastjson.NewDec(data)
-	if d.Null() {
-		return d.End()
-	}
-	err := d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "extractor"):
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "extractor":
+			r.Extractor, err = d.Str()
+		case "outcomes":
+			r.Outcomes = nil
 			if !d.Null() {
-				r.Extractor, err = d.Str()
-			}
-		case fieldIs(key, "outcomes"):
-			if d.Null() {
-				break
-			}
-			r.Outcomes = r.Outcomes[:0]
-			err = d.ArrEach(func() error {
-				if len(r.Outcomes) < cap(r.Outcomes) {
-					r.Outcomes = r.Outcomes[:len(r.Outcomes)+1]
-				} else {
-					r.Outcomes = append(r.Outcomes, stepOutcome{})
-				}
-				return decodeStepOutcome(d, &r.Outcomes[len(r.Outcomes)-1])
-			})
-			if err == nil && r.Outcomes == nil {
 				r.Outcomes = []stepOutcome{}
+				err = d.ArrEach(func() error {
+					o, err := decodeStepOutcome(d)
+					r.Outcomes = append(r.Outcomes, o)
+					return err
+				})
 			}
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.End()
 	}
-	return d.End()
+	return err
 }
 
-func decodeStepOutcome(d *fastjson.Dec, o *stepOutcome) error {
-	if d.Null() {
-		return nil
-	}
-	return d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "family_id"):
-			if !d.Null() {
-				o.FamilyID, err = d.Str()
-			}
-		case fieldIs(key, "group_id"):
-			if !d.Null() {
-				o.GroupID, err = d.Str()
-			}
-		case fieldIs(key, "ok"):
-			if !d.Null() {
-				o.OK, err = d.Bool()
-			}
-		case fieldIs(key, "err"):
-			if !d.Null() {
-				o.Err, err = d.Str()
-			}
-		case fieldIs(key, "metadata"):
-			if d.Null() {
-				break
-			}
-			if o.Metadata == nil {
-				o.Metadata = make(map[string]interface{}, 8)
-			}
-			err = d.ObjEach(func(k []byte) error {
-				name := string(k)
-				v, e := d.Value()
-				if e != nil {
-					return e
-				}
-				o.Metadata[name] = v
-				return nil
-			})
-		case fieldIs(key, "extract_ms"):
-			if !d.Null() {
-				o.ExtractMS, err = d.Float()
-			}
-		case fieldIs(key, "from_checkpoint"):
-			if !d.Null() {
-				o.FromCheckpoint, err = d.Bool()
-			}
+func decodeStepOutcome(d *fastjson.Dec) (stepOutcome, error) {
+	var o stepOutcome
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "family_id":
+			o.FamilyID, err = d.Str()
+		case "group_id":
+			o.GroupID, err = d.Str()
+		case "ok":
+			o.OK, err = d.Bool()
+		case "err":
+			o.Err, err = d.Str()
+		case "metadata":
+			o.Metadata, err = d.RawObject()
+		case "extract_ms":
+			o.ExtractMS, err = d.Float()
+		case "from_checkpoint":
+			o.FromCheckpoint, err = d.Bool()
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
+	return o, err
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"xtract/internal/fastjson"
 )
 
 // taskPayloadCases spans the encoder surface: empty, nil vs empty
@@ -95,18 +97,18 @@ func taskResultCases() []taskResult {
 		{Extractor: "keyword", Outcomes: []stepOutcome{}},
 		{Extractor: "keyword", Outcomes: []stepOutcome{
 			{FamilyID: "f", GroupID: "g", OK: true, ExtractMS: 1.25,
-				Metadata: map[string]interface{}{
-					"terms": []interface{}{"a", "b"}, "score": 0.5,
-					"nested": map[string]interface{}{"n": nil, "t": true},
-				}},
+				Metadata: fastjson.Raw(`{"nested":{"n":null,"t":true},"score":0.5,"terms":["a","b"]}`)},
 			{FamilyID: "f2", GroupID: "g2", Err: "read /x: boom\n", ExtractMS: 0},
-			{FamilyID: "f3", GroupID: "g3", OK: true, FromCheckpoint: true,
+			{FamilyID: "f3", GroupID: "g<3>", OK: true, FromCheckpoint: true,
 				ExtractMS: 1e21},
 		}},
 	}
 }
 
-func TestEncodeTaskResultEquivalence(t *testing.T) {
+// TestEncodeTaskResultFollowsStructTags keeps the body what the struct
+// tags describe (fastjson.Raw marshals as its own bytes), so the format
+// stays readable with stock tools.
+func TestEncodeTaskResultFollowsStructTags(t *testing.T) {
 	for i, tr := range taskResultCases() {
 		want, err := json.Marshal(tr)
 		if err != nil {
@@ -120,37 +122,76 @@ func TestEncodeTaskResultEquivalence(t *testing.T) {
 			t.Errorf("case %d:\nfast: %s\njson: %s", i, got, want)
 		}
 	}
-	// NaN metadata must fail, exactly as encoding/json does.
-	bad := taskResult{Outcomes: []stepOutcome{{OK: true,
-		Metadata: map[string]interface{}{"x": math.NaN()}}}}
-	if _, err := json.Marshal(bad); err == nil {
-		t.Fatal("expected json to reject NaN")
-	}
+	bad := taskResult{Outcomes: []stepOutcome{{OK: true, ExtractMS: math.NaN()}}}
 	if _, err := encodeTaskResult(nil, &bad); err == nil {
-		t.Error("fast encoder accepted NaN metadata")
+		t.Error("encoder accepted a NaN duration")
 	}
 }
 
-func TestDecodeTaskResultEquivalence(t *testing.T) {
-	docs := []string{
-		`null`,
-		`{}`,
-		`{"extractor":"e","outcomes":[{"family_id":"f","group_id":"g","ok":true,"metadata":{"a":1,"b":[true,null,"s"]},"extract_ms":0.75}]}`,
-		`{"Extractor":"e","OUTCOMES":[{"ok":false,"err":"boom","extract_ms":3}]}`,
-		`{"outcomes":[null,{"metadata":{"m":{"deep":-2.5e-3}},"from_checkpoint":true}]}`,
-		`{"outcomes":[{"metadata":{"k":"1"},"metadata":{"k2":"2"}}]}`,
-		`{"outcomes":[]}`,
-	}
-	for _, doc := range docs {
-		var want taskResult
-		werr := json.Unmarshal([]byte(doc), &want)
-		var got taskResult
-		gerr := decodeTaskResult([]byte(doc), &got)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%s: error mismatch json=%v fast=%v", doc, werr, gerr)
+// TestTaskResultRoundTrip pins encode→decode as the identity between the
+// handler and the pump, and that metadata crosses as bytes sliced out of
+// the task body, not rebuilt.
+func TestTaskResultRoundTrip(t *testing.T) {
+	for i, tr := range taskResultCases() {
+		enc, err := encodeTaskResult(nil, &tr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if werr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\nfast: %#v\njson: %#v", doc, got, want)
+		var back taskResult
+		if err := decodeTaskResult(enc, &back); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Errorf("case %d round trip:\n got: %#v\nwant: %#v", i, back, tr)
+		}
+		for _, o := range back.Outcomes {
+			if len(o.Metadata) == 0 {
+				continue
+			}
+			if at := bytes.Index(enc, o.Metadata); at < 0 || &enc[at] != &o.Metadata[0] {
+				t.Fatalf("case %d: metadata of %s was copied out of the body", i, o.GroupID)
+			}
+		}
+	}
+}
+
+// TestDecodeTaskResultStrict pins the internal-format rules: exact
+// lower-case keys, unknown keys skipped, a repeated key replaces the
+// earlier value, metadata is an object or null, and anything else --
+// including a metadata value of another kind -- is a bad result.
+func TestDecodeTaskResultStrict(t *testing.T) {
+	accept := []struct {
+		doc  string
+		want taskResult
+	}{
+		{`{}`, taskResult{}},
+		{`{"Extractor":"no","extractor":"e","OUTCOMES":[{}],"zzz":[1,{"q":null}]}`, taskResult{Extractor: "e"}},
+		{`{"outcomes":[{"ok":true}],"outcomes":null}`, taskResult{}},
+		{`{"outcomes":[{"metadata":{"k":"1"},"metadata": {"k2" : [2.50]} ,"err":"a","err":"b"}]}`,
+			taskResult{Outcomes: []stepOutcome{{Err: "b", Metadata: fastjson.Raw(`{"k2" : [2.50]}`)}}}},
+		{`{"outcomes":[{"metadata":null,"extract_ms":0.75,"from_checkpoint":true}]}`,
+			taskResult{Outcomes: []stepOutcome{{ExtractMS: 0.75, FromCheckpoint: true}}}},
+		{`{"outcomes":[]}`, taskResult{Outcomes: []stepOutcome{}}},
+	}
+	for _, c := range accept {
+		var got taskResult
+		if err := decodeTaskResult([]byte(c.doc), &got); err != nil {
+			t.Errorf("%s: %v", c.doc, err)
+		} else if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s:\n got: %#v\nwant: %#v", c.doc, got, c.want)
+		}
+	}
+	reject := []string{
+		``, `null`, `[]`, `{`, `{} trailing`, `{"extractor":null}`, `{"outcomes":5}`,
+		`{"outcomes":[null]}`, `{"outcomes":[{"ok":"yes"}]}`, `{"outcomes":[{"extract_ms":"1"}]}`,
+		`{"outcomes":[{"metadata":[1,2]}]}`, `{"outcomes":[{"metadata":"text"}]}`,
+		`{"outcomes":[{"metadata":7}]}`, `{"outcomes":[{"metadata":true}]}`,
+		`{"outcomes":[{"metadata":{"a":}}]}`, `{"outcomes":[{"metadata":{"a":1}]}`,
+	}
+	for _, doc := range reject {
+		var got taskResult
+		if err := decodeTaskResult([]byte(doc), &got); err == nil {
+			t.Errorf("decoder accepted %q as %#v", doc, got)
 		}
 	}
 }
@@ -198,23 +239,30 @@ func FuzzTaskPayloadDecodeParity(f *testing.F) {
 	})
 }
 
-func FuzzTaskResultDecodeParity(f *testing.F) {
-	f.Add([]byte(`{"extractor":"e","outcomes":[{"family_id":"f","ok":true,"metadata":{"a":[1,2]},"extract_ms":0.5,"from_checkpoint":true}]}`))
-	f.Add([]byte(`{"outcomes":[{"err":"x","extract_ms":1e3}]}`))
+// FuzzTaskResultRoundTrip: arbitrary bytes never panic the strict
+// decoder, and any body it accepts re-encodes to a fixed point.
+func FuzzTaskResultRoundTrip(f *testing.F) {
+	for _, tr := range taskResultCases() {
+		body, _ := encodeTaskResult(nil, &tr)
+		f.Add(body)
+	}
+	f.Add([]byte(`{"outcomes":[{"err":"\ud800","extract_ms":1e3,"metadata":{"a":[1, 2]}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want taskResult
-		werr := json.Unmarshal(data, &want)
-		var got taskResult
-		gerr := decodeTaskResult(data, &got)
-		if werr == nil {
-			if gerr != nil {
-				t.Fatalf("json accepted, fast rejected %q: %v", data, gerr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("state divergence on %q:\nfast: %#v\njson: %#v", data, got, want)
-			}
-		} else if gerr == nil {
-			t.Fatalf("json rejected (%v), fast accepted %q", werr, data)
+		var tr taskResult
+		if decodeTaskResult(data, &tr) != nil {
+			return
+		}
+		enc, err := encodeTaskResult(nil, &tr)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot re-encode: %v", data, err)
+		}
+		var again taskResult
+		if err := decodeTaskResult(enc, &again); err != nil {
+			t.Fatalf("own encoding %q rejected: %v", enc, err)
+		}
+		enc2, _ := encodeTaskResult(nil, &again)
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("not a fixed point:\n1: %s\n2: %s", enc, enc2)
 		}
 	})
 }

@@ -35,12 +35,15 @@ type taskPayload struct {
 
 // stepOutcome is the result of one step within a task.
 type stepOutcome struct {
-	FamilyID  string                 `json:"family_id"`
-	GroupID   string                 `json:"group_id"`
-	OK        bool                   `json:"ok"`
-	Err       string                 `json:"err,omitempty"`
-	Metadata  map[string]interface{} `json:"metadata,omitempty"`
-	ExtractMS float64                `json:"extract_ms"`
+	FamilyID string `json:"family_id"`
+	GroupID  string `json:"group_id"`
+	OK       bool   `json:"ok"`
+	Err      string `json:"err,omitempty"`
+	// Metadata is the extractor's dictionary in canonical form, encoded
+	// here in the worker and never parsed again on its way to the
+	// destination document. Empty when the extractor returned none.
+	Metadata  fastjson.Raw `json:"metadata,omitempty"`
+	ExtractMS float64      `json:"extract_ms"`
 	// FromCheckpoint marks metadata reloaded from a checkpoint instead of
 	// recomputed (the Figure 8 restart path).
 	FromCheckpoint bool `json:"from_checkpoint,omitempty"`
@@ -83,18 +86,21 @@ func (s *Service) makeHandler(site *Site, ext extractors.Extractor) func(context
 			return nil, fmt.Errorf("core: bad task payload: %w", err)
 		}
 		result := taskResult{Extractor: task.Extractor}
+		size := 64
 		for _, step := range task.Steps {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			default:
 			}
-			result.Outcomes = append(result.Outcomes, s.runStep(site, ext, task, step))
+			out := s.runStep(site, ext, task, step)
+			size += 96 + len(out.Err) + len(out.Metadata)
+			result.Outcomes = append(result.Outcomes, out)
 		}
-		// The result buffer cannot be pooled: the fabric retains it in the
-		// task record until the pump consumes it, so it is allocated once,
-		// sized for the batch.
-		return encodeTaskResult(make([]byte, 0, 64+96*len(result.Outcomes)), &result)
+		// The result buffer cannot be pooled: the pump slices each step's
+		// metadata out of it and those slices live on in the cache and the
+		// journal's state, so it is allocated once, sized for the batch.
+		return encodeTaskResult(make([]byte, 0, size), &result)
 	}
 }
 
@@ -113,17 +119,19 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 			return out
 		}
 	}
-	cpPath := checkpointPath(step.FamilyID, step.GroupID, task.Extractor)
+	var cpPath string
 	if task.Checkpoint {
+		cpPath = checkpointPath(step.FamilyID, step.GroupID, task.Extractor)
 		if data, err := site.Store.Read(cpPath); err == nil {
 			// A checkpoint file holds one JSON object (or null, for an
 			// extractor that returned no metadata); anything else is
-			// corrupt and falls through to re-extraction.
+			// corrupt and falls through to re-extraction. The file is
+			// re-encoded, not trusted to be canonical.
 			if v, derr := fastjson.DecodeValue(data); derr == nil {
 				if md, ok := v.(map[string]interface{}); ok || v == nil {
-					out.OK = true
-					out.Metadata = md
-					out.FromCheckpoint = true
+					if out.setMetadata(md) {
+						out.FromCheckpoint = true
+					}
 					return out
 				}
 			}
@@ -131,11 +139,9 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 	}
 
 	files := make(map[string][]byte, len(step.Files))
-	origOf := make(map[string]string, len(step.Files))
-	var paths []string
-	for orig, effective := range step.Files {
+	paths := make([]string, 0, len(step.Files))
+	for orig := range step.Files {
 		paths = append(paths, orig)
-		origOf[orig] = effective
 	}
 	// Deterministic read order.
 	sort.Strings(paths)
@@ -145,12 +151,12 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 		if step.FetchFrom != "" {
 			// Direct download from the remote data layer (Listing 1's
 			// GoogleDriveDownloader path).
-			data, err = s.cfg.Fabric.Fetch(step.FetchFrom, origOf[orig])
+			data, err = s.cfg.Fabric.Fetch(step.FetchFrom, step.Files[orig])
 		} else {
-			data, err = site.Store.Read(origOf[orig])
+			data, err = site.Store.Read(step.Files[orig])
 		}
 		if err != nil {
-			out.Err = fmt.Sprintf("read %s: %v", origOf[orig], err)
+			out.Err = fmt.Sprintf("read %s: %v", step.Files[orig], err)
 			return out
 		}
 		// Extractors key results by the original path so metadata refers
@@ -166,17 +172,28 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 		out.Err = err.Error()
 		return out
 	}
-	out.OK = true
-	out.Metadata = md
-
-	if task.Checkpoint {
-		if data, err := fastjson.AppendValue(nil, md); err == nil {
-			// Flush each processed group's metadata to disk on completion
-			// (the paper's 'checkpoint-flag').
-			_ = site.Store.Write(cpPath, data)
-		}
+	if out.setMetadata(md) && task.Checkpoint {
+		// Flush each processed group's metadata to disk on completion
+		// (the paper's 'checkpoint-flag').
+		_ = site.Store.Write(cpPath, orNull(out.Metadata))
 	}
 	return out
+}
+
+// setMetadata completes a successful outcome with the one encoding its
+// metadata ever gets. A dictionary JSON cannot carry (NaN, Inf, an
+// unencodable type) fails the step, not the batch it shares a task with.
+func (out *stepOutcome) setMetadata(md map[string]interface{}) bool {
+	if len(md) > 0 {
+		raw, err := fastjson.AppendCanonical(nil, md)
+		if err != nil {
+			out.Err = "encode metadata: " + err.Error()
+			return false
+		}
+		out.Metadata = raw
+	}
+	out.OK = true
+	return true
 }
 
 // ReadStore reports the store a site exposes (exported for examples).

@@ -12,8 +12,10 @@ import (
 	"xtract/internal/cache"
 	"xtract/internal/clock"
 	"xtract/internal/crawler"
+	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/family"
+	"xtract/internal/fastjson"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
@@ -116,11 +118,16 @@ type stepRef struct {
 
 // famState is the service-side record of one in-flight family.
 type famState struct {
-	fam       family.Family
-	plan      *scheduler.Plan
-	site      *Site
-	pathMap   map[string]string
-	results   map[string]map[string]interface{}
+	fam     family.Family
+	plan    *scheduler.Plan
+	site    *Site
+	pathMap map[string]string
+	// results holds each finished step's metadata as the worker encoded
+	// it; the bytes are shared with the cache and the journal.
+	results map[string]fastjson.Raw
+	// cacheKeys remembers the key a step missed the cache under, so its
+	// completion writes back without deriving the key again.
+	cacheKeys map[scheduler.Step]cache.Key
 	steps     []validate.StepResult
 	staged    bool
 	fetchFrom string // direct-fetch source endpoint ("" = local/staged)
@@ -735,31 +742,29 @@ func (p *pump) journal(rec journal.Record) {
 // metadata, which is what lets recovery seed the result cache so no
 // extractor re-runs for work completed before a crash.
 func (p *pump) journalStepCompleted(famID string, step scheduler.Step,
-	md map[string]interface{}, key cache.Key, cacheable, fromCache bool) {
+	md fastjson.Raw, key cache.Key, cacheable, fromCache bool) {
 	if p.s.cfg.Journal == nil {
 		return
 	}
 	rec := journal.Record{
 		Type: journal.RecStepCompleted, FamilyID: famID,
 		GroupID: step.GroupID, Extractor: step.Extractor, Cached: fromCache,
+		Metadata: orNull(md),
 	}
 	if cacheable {
 		rec.CacheKey = &journal.CacheKey{ContentHash: key.ContentHash, Version: key.Version}
 	}
-	// Defer metadata serialization to the journal's flush leader: the
-	// record carries the live map (never mutated after step completion)
-	// and the group-commit encoder renders it off the pump's hot path.
-	if md != nil {
-		rec.MetadataObj = md
-	} else {
-		rec.Metadata = nullJSON
-	}
 	p.journal(rec)
 }
 
-// nullJSON preserves the pre-deferred-encode journal bytes for nil
-// metadata (json.Marshal(nil map) == null).
-var nullJSON = []byte("null")
+// orNull is how a step's metadata is journaled and checkpointed: a step
+// without any as null (json.Marshal(nil map) == null).
+func orNull(md fastjson.Raw) fastjson.Raw {
+	if len(md) == 0 {
+		return fastjson.Raw("null")
+	}
+	return md
+}
 
 // placeFamily runs the placement policy and routes the family either
 // straight to dispatch or through the prefetcher.
@@ -790,7 +795,7 @@ func (p *pump) placeFamily(fam family.Family) {
 		plan:    scheduler.BuildPlan(&fam),
 		site:    target,
 		pathMap: make(map[string]string),
-		results: make(map[string]map[string]interface{}),
+		results: make(map[string]fastjson.Raw),
 	}
 	if target.Name == home.Name {
 		for path := range fam.FileMeta {
@@ -1487,6 +1492,10 @@ func (p *pump) bucketReadySteps(st *famState) {
 				}
 				p.cacheMisses++
 				p.s.obsCacheMisses.Inc()
+				if st.cacheKeys == nil {
+					st.cacheKeys = make(map[scheduler.Step]cache.Key)
+				}
+				st.cacheKeys[step] = key
 			}
 		}
 		p.dispatch(st, step, p.groupFiles(st, step.GroupID))
@@ -1527,12 +1536,12 @@ func (p *pump) stepCacheKey(st *famState, step scheduler.Step) (cache.Key, bool)
 // advances (including any schedule suggestions the metadata carries),
 // the validation record gains a Cached provenance entry, and throughput
 // counts the step — but no FaaS task is ever created.
-func (p *pump) completeFromCache(st *famState, step scheduler.Step, md map[string]interface{}, key cache.Key) {
+func (p *pump) completeFromCache(st *famState, step scheduler.Step, md fastjson.Raw, key cache.Key) {
 	st.steps = append(st.steps, validate.StepResult{
 		GroupID: step.GroupID, Extractor: step.Extractor,
 		OK: true, Cached: true,
 	})
-	st.plan.Complete(step, md)
+	st.plan.Complete(step, extractors.Suggestions(md))
 	st.results[step.GroupID+"/"+step.Extractor] = md
 	p.journalStepCompleted(st.fam.ID, step, md, key, true, true)
 	p.stepsProcessed++
@@ -1646,13 +1655,13 @@ func (p *pump) handleTerminal(id string, info faas.TaskInfo, refs []stepRef, hed
 					GroupID: outc.GroupID, Extractor: step.Extractor,
 					OK: true, Duration: dur,
 				})
-				st.plan.Complete(step, outc.Metadata)
+				st.plan.Complete(step, extractors.Suggestions(outc.Metadata))
 				st.results[outc.GroupID+"/"+step.Extractor] = outc.Metadata
 				// Remember the fresh result so a later run over identical
 				// content replays it instead of re-extracting.
-				key, cacheable := p.stepCacheKey(st, step)
+				key, cacheable := st.cacheKeys[step]
 				if cacheable {
-					p.s.cfg.Cache.Put(key, outc.Metadata)
+					p.s.cfg.Cache.PutRaw(key, outc.Metadata)
 				}
 				p.journalStepCompleted(st.fam.ID, step, outc.Metadata, key, cacheable, false)
 				p.stepsProcessed++
@@ -1749,6 +1758,7 @@ func (p *pump) finishIfDone(st *famState) {
 	for f := range st.fam.FileMeta {
 		files = append(files, f)
 	}
+	sort.Strings(files) // the same family writes the same document every run
 	rec := validate.Record{
 		JobID:     p.jobID,
 		FamilyID:  st.fam.ID,
@@ -1759,15 +1769,10 @@ func (p *pump) finishIfDone(st *famState) {
 		Extracted: st.steps,
 	}
 	start := len(p.resultBuf)
-	body, err := validate.AppendRecord(p.resultBuf, &rec)
-	if err != nil {
-		// Unserializable metadata must not vanish silently: surface it
-		// through the dead-letter path and fail the family.
-		p.failFamily(st.fam.ID, "result marshal: "+err.Error(), 0)
-		return
-	}
-	p.resultBuf = body
-	p.pendingResults = append(p.pendingResults, body[start:])
+	// The record splices metadata the worker already encoded (a dictionary
+	// JSON cannot carry failed its step there), so nothing is left to fail.
+	p.resultBuf, _ = validate.AppendRecord(p.resultBuf, &rec)
+	p.pendingResults = append(p.pendingResults, p.resultBuf[start:])
 	p.familiesDone++
 	p.s.FamiliesDone.Inc()
 	p.s.obsFamiliesDone.Inc()

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"time"
 
 	"xtract/internal/cache"
 	"xtract/internal/crawler"
+	"xtract/internal/fastjson"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
@@ -258,18 +258,16 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts Rec
 	reconciled := 0
 	if s.cfg.Cache != nil && !js.Spec.NoCache {
 		for _, sd := range js.Steps {
-			if sd.CacheKey == nil || len(sd.Metadata) == 0 {
+			// The journal replay already held the bytes to JSON syntax; a
+			// step journaled without metadata (null) has nothing to seed.
+			if sd.CacheKey == nil || !fastjson.IsObject(sd.Metadata) {
 				continue
 			}
-			var md map[string]interface{}
-			if err := json.Unmarshal(sd.Metadata, &md); err != nil {
-				continue
-			}
-			s.cfg.Cache.Put(cache.Key{
+			s.cfg.Cache.PutRaw(cache.Key{
 				ContentHash: sd.CacheKey.ContentHash,
 				Extractor:   sd.Extractor,
 				Version:     sd.CacheKey.Version,
-			}, md)
+			}, sd.Metadata)
 			reconciled++
 		}
 	}

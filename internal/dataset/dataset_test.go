@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"xtract/internal/clock"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
+	"xtract/internal/fastjson"
 	"xtract/internal/store"
 )
 
@@ -255,5 +257,96 @@ func TestGDriveInvocationsTable3(t *testing.T) {
 	avgKeyword := durSum["keyword"] / time.Duration(byExt["keyword"])
 	if avgKeyword < 1500*time.Millisecond || avgKeyword > 4200*time.Millisecond {
 		t.Fatalf("keyword avg = %v, want ~2.76s", avgKeyword)
+	}
+}
+
+// TestExtractorOutputEncodesCanonically runs every extractor of the
+// default library over the content generators and holds the worker's
+// one encoding of each real result to its definition: the bytes the old
+// encode → decode → encode chain ended up writing into a document. The
+// typed values extractors return (structs in field order, []int,
+// map[string]float64, nested typed maps) are where the two could part.
+func TestExtractorOutputEncodesCanonically(t *testing.T) {
+	fs := store.NewMemFS("repo", nil)
+	if _, err := MaterializeMDF(fs, "/mdf", 120, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MaterializeCDIAC(fs, "/cdiac", 80, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MaterializeCOCO(fs, "/coco", 6, 5); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for name, data := range map[string][]byte{
+		"/misc/a.py": PythonFile(rng), "/misc/b.c": CFile(rng), "/misc/c.zip": ZipFile(rng, 4),
+		"/misc/plot.png": Image(rng, ImgPlot, 48), "/misc/map.png": Image(rng, ImgMap, 48),
+		"/misc/scan.h5": extractors.EncodeXHD(&extractors.XHDNode{
+			Name: "/", IsGroup: true, Attrs: map[string]string{"experiment": "thesis-data"},
+			Children: []*extractors.XHDNode{{Name: "scan", Dims: []uint64{64}, Payload: make([]byte, 512)}},
+		}),
+	} {
+		if err := fs.Write(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib := extractors.DefaultLibrary()
+	ran := make(map[string]int)
+	check := func(ext extractors.Extractor, g *family.Group, files map[string][]byte) {
+		md, err := ext.Extract(g, files)
+		if err != nil || len(md) == 0 {
+			return
+		}
+		ran[ext.Name()]++
+		enc, err := fastjson.AppendValue(nil, md)
+		if err != nil {
+			t.Fatalf("%s on %v: %v", ext.Name(), g.Files, err)
+		}
+		generic, err := fastjson.DecodeValue(enc)
+		if err != nil {
+			t.Fatalf("%s on %v: %v", ext.Name(), g.Files, err)
+		}
+		want, _ := fastjson.AppendValue(nil, generic)
+		got, err := fastjson.AppendCanonical(nil, md)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s on %v (%v):\ncanonical:  %s\nround trip: %s", ext.Name(), g.Files, err, got, want)
+		}
+	}
+	var walk func(dir string)
+	walk = func(dir string) {
+		infos, err := fs.List(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := &family.Group{ID: dir}
+		all := make(map[string][]byte)
+		for _, info := range infos {
+			if info.IsDir {
+				walk(info.Path)
+				continue
+			}
+			data, err := fs.Read(info.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole.Files = append(whole.Files, info.Path)
+			all[info.Path] = data
+			for _, name := range lib.CandidatesFor(info) {
+				ext, _ := lib.Get(name)
+				check(ext, &family.Group{ID: info.Path, Files: []string{info.Path}}, map[string][]byte{info.Path: data})
+			}
+		}
+		// The directory as one group, the way the matio grouper packs it.
+		for _, name := range []string{"matio", "ase", "images", "imagesort"} {
+			if ext, err := lib.Get(name); err == nil && len(all) > 0 {
+				check(ext, whole, all)
+			}
+		}
+	}
+	walk("/")
+	for _, name := range lib.Names() {
+		if ran[name] == 0 {
+			t.Errorf("extractor %s produced no metadata over the generated corpus", name)
+		}
 	}
 }

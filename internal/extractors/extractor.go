@@ -13,11 +13,13 @@
 package extractors
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 
 	"xtract/internal/family"
+	"xtract/internal/fastjson"
 	"xtract/internal/store"
 )
 
@@ -152,26 +154,28 @@ func (l *Library) CandidatesFor(info store.FileInfo) []string {
 }
 
 // Suggestions pulls the dynamic-plan extractor suggestions out of a
-// metadata result, if any.
-func Suggestions(metadata map[string]interface{}) []string {
-	v, ok := metadata[SuggestKey]
-	if !ok {
+// step's encoded metadata. The bytes are looked into only when they
+// mention the reserved key at all, and then only along the top level.
+func Suggestions(md fastjson.Raw) []string {
+	if !bytes.Contains(md, []byte(`"`+SuggestKey+`"`)) {
 		return nil
 	}
-	switch s := v.(type) {
-	case []string:
-		return s
-	case []interface{}:
-		out := make([]string, 0, len(s))
-		for _, e := range s {
-			if str, ok := e.(string); ok {
-				out = append(out, str)
-			}
+	var out []string
+	d := fastjson.NewDec(md)
+	_ = d.ObjEach(func(key []byte) error {
+		if string(key) != SuggestKey {
+			return d.Skip()
 		}
-		return out
-	default:
-		return nil
-	}
+		return d.ArrEach(func() error {
+			s, err := d.Str()
+			if err != nil {
+				return d.Skip() // not a string: ignored
+			}
+			out = append(out, s)
+			return nil
+		})
+	})
+	return out
 }
 
 // sortedKeys returns a map's keys sorted, for deterministic metadata.

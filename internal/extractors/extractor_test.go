@@ -2,9 +2,11 @@ package extractors
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"xtract/internal/family"
+	"xtract/internal/fastjson"
 	"xtract/internal/store"
 )
 
@@ -87,17 +89,25 @@ func TestCandidatesFor(t *testing.T) {
 }
 
 func TestSuggestions(t *testing.T) {
-	if got := Suggestions(map[string]interface{}{SuggestKey: []string{"tabular"}}); len(got) != 1 || got[0] != "tabular" {
-		t.Fatalf("Suggestions = %v", got)
+	cases := []struct {
+		md   string
+		want []string
+	}{
+		{`{"xtract.suggest":["tabular"]}`, []string{"tabular"}},
+		{`{"a":{"deep":[1,2]},"xtract.suggest":["a",3,"b"],"z":null}`, []string{"a", "b"}},
+		{`{}`, nil},
+		{`null`, nil},
+		{``, nil},
+		{`{"xtract.suggest":42}`, nil},
+		// Only the top level counts: the key inside a nested block, or as
+		// a string value, suggests nothing.
+		{`{"nested":{"xtract.suggest":["tabular"]}}`, nil},
+		{`{"note":"xtract.suggest"}`, nil},
 	}
-	if got := Suggestions(map[string]interface{}{SuggestKey: []interface{}{"a", 3, "b"}}); len(got) != 2 {
-		t.Fatalf("Suggestions from []interface{} = %v", got)
-	}
-	if got := Suggestions(map[string]interface{}{}); got != nil {
-		t.Fatalf("Suggestions on empty = %v", got)
-	}
-	if got := Suggestions(map[string]interface{}{SuggestKey: 42}); got != nil {
-		t.Fatalf("Suggestions on bad type = %v", got)
+	for _, c := range cases {
+		if got := Suggestions(fastjson.Raw(c.md)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Suggestions(%s) = %v, want %v", c.md, got, c.want)
+		}
 	}
 }
 
@@ -158,7 +168,11 @@ func TestKeywordSuggestsTabular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sugg := Suggestions(md)
+	raw, err := fastjson.AppendCanonical(nil, md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sugg := Suggestions(raw)
 	if len(sugg) != 1 || sugg[0] != "tabular" {
 		t.Fatalf("suggestions = %v", sugg)
 	}

@@ -462,32 +462,36 @@ func (a *ASE) Extract(g *family.Group, files map[string][]byte) (map[string]inte
 }
 
 // radialDistribution histograms all pairwise distances and returns the
-// histogram plus mean nearest-neighbor distance.
+// histogram plus mean nearest-neighbor distance. Each pair is visited
+// once; d(i,j) serves both ends' nearest-neighbor search.
 func (a *ASE) radialDistribution(coords [][3]float64) ([]int, float64) {
 	bins := make([]int, a.Bins)
 	binWidth := a.RMax / float64(a.Bins)
-	nnSum := 0.0
+	nearest := make([]float64, len(coords))
+	for i := range nearest {
+		nearest[i] = math.Inf(1)
+	}
 	for i := range coords {
-		nearest := math.Inf(1)
-		for j := range coords {
-			if i == j {
-				continue
-			}
+		for j := i + 1; j < len(coords); j++ {
 			dx := coords[i][0] - coords[j][0]
 			dy := coords[i][1] - coords[j][1]
 			dz := coords[i][2] - coords[j][2]
 			d := math.Sqrt(dx*dx + dy*dy + dz*dz)
-			if d < nearest {
-				nearest = d
+			if d < nearest[i] {
+				nearest[i] = d
 			}
-			if j > i {
-				if b := int(d / binWidth); b >= 0 && b < a.Bins {
-					bins[b]++
-				}
+			if d < nearest[j] {
+				nearest[j] = d
+			}
+			if b := int(d / binWidth); b >= 0 && b < a.Bins {
+				bins[b]++
 			}
 		}
-		if !math.IsInf(nearest, 1) {
-			nnSum += nearest
+	}
+	nnSum := 0.0
+	for _, d := range nearest {
+		if !math.IsInf(d, 1) {
+			nnSum += d
 		}
 	}
 	meanNN := 0.0

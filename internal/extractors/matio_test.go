@@ -3,6 +3,8 @@ package extractors
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"xtract/internal/family"
@@ -222,6 +224,69 @@ func TestASEExtract(t *testing.T) {
 	}
 	if md["mean_nn_distance"].(float64) <= 0 {
 		t.Fatal("mean nn distance should be positive")
+	}
+}
+
+// radialDistributionAllPairs is the loop radialDistribution replaced: it
+// computes every distance twice, once from each end.
+func radialDistributionAllPairs(a *ASE, coords [][3]float64) ([]int, float64) {
+	bins := make([]int, a.Bins)
+	binWidth := a.RMax / float64(a.Bins)
+	nnSum := 0.0
+	for i := range coords {
+		nearest := math.Inf(1)
+		for j := range coords {
+			if i == j {
+				continue
+			}
+			dx := coords[i][0] - coords[j][0]
+			dy := coords[i][1] - coords[j][1]
+			dz := coords[i][2] - coords[j][2]
+			d := math.Sqrt(dx*dx + dy*dy + dz*dz)
+			if d < nearest {
+				nearest = d
+			}
+			if j > i {
+				if b := int(d / binWidth); b >= 0 && b < a.Bins {
+					bins[b]++
+				}
+			}
+		}
+		if !math.IsInf(nearest, 1) {
+			nnSum += nearest
+		}
+	}
+	meanNN := 0.0
+	if len(coords) > 1 {
+		meanNN = nnSum / float64(len(coords))
+	}
+	return bins, meanNN
+}
+
+// TestRadialDistributionMatchesAllPairsLoop holds the one-visit-per-pair
+// loop to the old one bit for bit (d(i,j) == d(j,i) exactly), so cached
+// ASE results stay valid and the extractor's Version does not move.
+func TestRadialDistributionMatchesAllPairsLoop(t *testing.T) {
+	a := NewASE()
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 600} {
+		coords := make([][3]float64, n)
+		for i := range coords {
+			for k := range coords[i] {
+				coords[i][k] = rng.Float64() * 12
+			}
+		}
+		if n == 3 {
+			coords[2] = coords[0] // a zero distance and a tie
+		}
+		wantBins, wantNN := radialDistributionAllPairs(a, coords)
+		gotBins, gotNN := a.radialDistribution(coords)
+		if !reflect.DeepEqual(gotBins, wantBins) {
+			t.Errorf("n=%d: rdf differs", n)
+		}
+		if math.Float64bits(gotNN) != math.Float64bits(wantNN) {
+			t.Errorf("n=%d: mean_nn_distance = %v, want %v", n, gotNN, wantNN)
+		}
 	}
 }
 

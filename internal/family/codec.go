@@ -96,7 +96,7 @@ func DecodeFamily(data []byte) (Family, error) {
 		case "id":
 			f.ID, err = d.Str()
 		case "files":
-			f.Files, err = decodeStrings(d)
+			f.Files, err = d.Strings()
 		case "groups":
 			f.Groups = nil
 			if !d.Null() {
@@ -142,7 +142,7 @@ func decodeGroup(d *fastjson.Dec) (Group, error) {
 		case "id":
 			g.ID, err = d.Str()
 		case "files":
-			g.Files, err = decodeStrings(d)
+			g.Files, err = d.Strings()
 		case "extractor":
 			g.Extractor, err = d.Str()
 		case "metadata":
@@ -173,20 +173,6 @@ func decodeFileMeta(d *fastjson.Dec) (FileMeta, error) {
 		return err
 	})
 	return m, err
-}
-
-// decodeStrings reads a string array; null is the nil slice.
-func decodeStrings(d *fastjson.Dec) ([]string, error) {
-	if d.Null() {
-		return nil, nil
-	}
-	out := []string{}
-	err := d.ArrEach(func() error {
-		s, err := d.Str()
-		out = append(out, s)
-		return err
-	})
-	return out, err
 }
 
 // decodeMetadata reads a generic object; null is the nil map.

@@ -504,6 +504,34 @@ func (d *Dec) Raw() ([]byte, error) {
 	return d.data[start:d.pos], nil
 }
 
+// RawObject consumes an object and returns its exact input bytes,
+// aliasing the decoder's data; null is the nil Raw, anything else an
+// error. It is how an already-encoded metadata dictionary travels.
+func (d *Dec) RawObject() (Raw, error) {
+	if d.Null() {
+		return nil, nil
+	}
+	raw, err := d.Raw()
+	if err == nil && !IsObject(raw) {
+		return nil, d.errf("expected object or null")
+	}
+	return raw, err
+}
+
+// Strings consumes an array of strings; null is the nil slice.
+func (d *Dec) Strings() ([]string, error) {
+	if d.Null() {
+		return nil, nil
+	}
+	out := []string{}
+	err := d.ArrEach(func() error {
+		s, err := d.Str()
+		out = append(out, s)
+		return err
+	})
+	return out, err
+}
+
 // Value consumes any single value as the generic Go shape
 // encoding/json.Unmarshal produces into interface{}: float64 numbers,
 // map[string]interface{} objects (duplicate keys last-wins), and

@@ -4,10 +4,11 @@
 // validation records, journal metadata). Every encoder is byte-identical
 // to encoding/json.Marshal for the inputs the pipeline produces -- same
 // HTML escaping, same float format, same sorted map keys -- and a fuzz +
-// table suite pins the equivalence. The decoder accepts exactly the JSON
-// grammar encoding/json accepts (strict numbers, UTF-8 repair, surrogate
-// pairs, a nesting-depth bound) and produces the same generic values
-// (float64 numbers, map[string]interface{} objects).
+// table suite pins the equivalence (AppendCanonical, which writes what a
+// decode and re-encode would, is the one that differs). The decoder
+// accepts exactly the JSON grammar encoding/json accepts (strict numbers,
+// UTF-8 repair, surrogate pairs, a nesting-depth bound) and produces the
+// same generic values (float64 numbers, map[string]interface{} objects).
 //
 // Encoders append into caller-owned buffers, so the pipeline can reuse
 // pooled scratch across tasks: the alloc-free discipline the perf gate's
@@ -162,8 +163,6 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 		return AppendStringMap(dst, x), nil
 	case []string:
 		return AppendStrings(dst, x), nil
-	case map[string]map[string]interface{}:
-		return appendNestedMap(dst, x)
 	default:
 		// Rare kinds (json.Number, typed structs, ...) keep exact
 		// encoding/json bytes by delegating to it.
@@ -211,42 +210,11 @@ func appendMap(dst []byte, m map[string]interface{}) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendNestedMap encodes the validate.Record metadata shape
-// (map[string]map[string]interface{}) with both levels' keys sorted.
-func appendNestedMap(dst []byte, m map[string]map[string]interface{}) ([]byte, error) {
-	if m == nil {
-		return append(dst, "null"...), nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = append(dst, '{')
-	var err error
-	for i, k := range keys {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendString(dst, k)
-		dst = append(dst, ':')
-		if dst, err = appendMap(dst, m[k]); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
-}
-
 // AppendStringMap appends a map[string]string object with sorted keys,
 // byte-identical to encoding/json. The caller has checked for nil.
 func AppendStringMap(dst []byte, m map[string]string) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	dst = append(dst, '{')
-	for i, k := range keys {
+	for i, k := range sortedKeys(m) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -257,7 +225,7 @@ func AppendStringMap(dst []byte, m map[string]string) []byte {
 	return append(dst, '}')
 }
 
-func sortedKeys(m map[string]interface{}) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -103,11 +103,12 @@ type Record struct {
 	Cached    bool            `json:"cached,omitempty"`
 	CacheKey  *CacheKey       `json:"cache_key,omitempty"`
 	Metadata  json.RawMessage `json:"metadata,omitempty"`
-	// MetadataObj defers metadata encoding to the group-commit flush
-	// leader: the accept path stores the live map (zero allocation) and
-	// the leader serializes it off the caller's critical path. The map
-	// must never be mutated after the record is handed to Append. Exactly
-	// one of Metadata / MetadataObj is set.
+	// Metadata is a step's dictionary as the FaaS worker encoded it; the
+	// pump hands the bytes over and they are written and folded into live
+	// state as they are, so they must never change afterwards.
+	// MetadataObj is for a caller that holds a map instead: the flush
+	// leader encodes it, off the caller's path, and the map must not be
+	// mutated after Append. At most one of the two is set.
 	MetadataObj map[string]interface{} `json:"-"`
 	Attempt     int                    `json:"attempt,omitempty"`
 	Reason      string                 `json:"reason,omitempty"`

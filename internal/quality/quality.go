@@ -9,6 +9,7 @@ package quality
 import (
 	"math"
 
+	"xtract/internal/fastjson"
 	"xtract/internal/validate"
 )
 
@@ -62,8 +63,17 @@ func Evaluate(rec validate.Record, w Weights) Score {
 		s.Completeness = float64(succeeded) / float64(attempted)
 	}
 
-	for _, md := range rec.Metadata {
-		s.Fields += countFields(md, 0)
+	// The record carries each block as encoded bytes; scoring is the one
+	// consumer that needs the values, so it decodes them here, on use.
+	blocks := make([]interface{}, 0, len(rec.Metadata))
+	for _, raw := range rec.Metadata {
+		if !fastjson.IsObject(raw) {
+			continue // a step that produced no metadata
+		}
+		if md, err := fastjson.DecodeValue(raw); err == nil {
+			blocks = append(blocks, md)
+			s.Fields += countFields(md, 0)
+		}
 	}
 	// log saturation: ~0.5 at 10 fields, ~0.8 at 50, →1 beyond.
 	s.Richness = 1 - 1/math.Log(math.E+float64(s.Fields)/4)
@@ -71,7 +81,7 @@ func Evaluate(rec validate.Record, w Weights) Score {
 	if len(rec.Files) > 0 {
 		covered := 0
 		for _, f := range rec.Files {
-			if fileMentioned(rec.Metadata, f) {
+			if fileMentioned(blocks, f) {
 				covered++
 			}
 		}
@@ -115,8 +125,8 @@ func countFields(v interface{}, depth int) int {
 
 // fileMentioned reports whether any metadata block references the file
 // path as a key.
-func fileMentioned(metadata map[string]map[string]interface{}, file string) bool {
-	for _, md := range metadata {
+func fileMentioned(blocks []interface{}, file string) bool {
+	for _, md := range blocks {
 		if mentioned(md, file, 0) {
 			return true
 		}

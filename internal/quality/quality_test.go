@@ -5,14 +5,28 @@ import (
 	"testing/quick"
 	"time"
 
+	"xtract/internal/fastjson"
 	"xtract/internal/validate"
 )
+
+// encoded renders each step's dictionary the way the worker does.
+func encoded(blocks map[string]map[string]interface{}) map[string]fastjson.Raw {
+	out := make(map[string]fastjson.Raw, len(blocks))
+	for k, md := range blocks {
+		raw, err := fastjson.AppendCanonical(nil, md)
+		if err != nil {
+			panic(err)
+		}
+		out[k] = raw
+	}
+	return out
+}
 
 func richRecord() validate.Record {
 	return validate.Record{
 		FamilyID: "f1",
 		Files:    []string{"/a.csv", "/b.txt"},
-		Metadata: map[string]map[string]interface{}{
+		Metadata: encoded(map[string]map[string]interface{}{
 			"g1/tabular": {
 				"columns": []interface{}{
 					map[string]interface{}{"name": "x", "mean": 1.0, "max": 2.0},
@@ -24,7 +38,7 @@ func richRecord() validate.Record {
 				"keywords": []interface{}{"perovskite", "anneal"},
 				"tokens":   300,
 			},
-		},
+		}),
 		Extracted: []validate.StepResult{
 			{GroupID: "g1", Extractor: "tabular", OK: true, Duration: time.Second},
 			{GroupID: "g2", Extractor: "keyword", OK: true, Duration: time.Second},
@@ -73,7 +87,7 @@ func TestEvaluateEmptyRecord(t *testing.T) {
 func TestEvaluateNoStepsButMetadata(t *testing.T) {
 	rec := validate.Record{
 		FamilyID: "f",
-		Metadata: map[string]map[string]interface{}{"g/e": {"k": 1}},
+		Metadata: encoded(map[string]map[string]interface{}{"g/e": {"k": 1}}),
 	}
 	s := Evaluate(rec, DefaultWeights())
 	if s.Completeness != 1 {
@@ -84,7 +98,7 @@ func TestEvaluateNoStepsButMetadata(t *testing.T) {
 func TestRicherBeatsShallower(t *testing.T) {
 	rich := Evaluate(richRecord(), DefaultWeights())
 	shallow := richRecord()
-	shallow.Metadata = map[string]map[string]interface{}{"g1/tabular": {"rows": 40}}
+	shallow.Metadata = encoded(map[string]map[string]interface{}{"g1/tabular": {"rows": 40}})
 	sh := Evaluate(shallow, DefaultWeights())
 	if sh.Richness >= rich.Richness {
 		t.Fatalf("shallow richness %v >= rich %v", sh.Richness, rich.Richness)
@@ -95,9 +109,9 @@ func TestCoveragePartial(t *testing.T) {
 	rec := validate.Record{
 		FamilyID: "f",
 		Files:    []string{"/a", "/b"},
-		Metadata: map[string]map[string]interface{}{
+		Metadata: encoded(map[string]map[string]interface{}{
 			"g/images": {"images": map[string]interface{}{"/a": map[string]interface{}{"class": "plot"}}},
-		},
+		}),
 		Extracted: []validate.StepResult{{OK: true}},
 	}
 	s := Evaluate(rec, DefaultWeights())
@@ -123,10 +137,7 @@ func TestScoreBounds(t *testing.T) {
 				GroupID: "g", Extractor: string(rune('a' + i%26)), OK: ok,
 			})
 			if ok {
-				if rec.Metadata == nil {
-					rec.Metadata = make(map[string]map[string]interface{})
-				}
-				rec.Metadata["g/x"] = map[string]interface{}{"v": i}
+				rec.Metadata = encoded(map[string]map[string]interface{}{"g/x": {"v": i}})
 			}
 		}
 		s := Evaluate(rec, DefaultWeights())
@@ -145,7 +156,7 @@ func TestRank(t *testing.T) {
 	mid := validate.Record{
 		FamilyID:  "mid",
 		Files:     []string{"/x"},
-		Metadata:  map[string]map[string]interface{}{"g/e": {"k": 1}},
+		Metadata:  encoded(map[string]map[string]interface{}{"g/e": {"k": 1}}),
 		Extracted: []validate.StepResult{{OK: true}},
 	}
 	order := Rank([]validate.Record{low, high, mid}, DefaultWeights())

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 
-	"xtract/internal/extractors"
 	"xtract/internal/family"
 )
 
@@ -81,14 +80,14 @@ func (p *Plan) Next() (Step, bool) {
 	return s, true
 }
 
-// Complete records a step's terminal result and applies any extractor
-// suggestions to extend the plan (the dynamic replanning of §3).
-func (p *Plan) Complete(s Step, metadata map[string]interface{}) {
+// Complete records a step's terminal result and extends the plan with
+// the extractors its metadata suggested (the dynamic replanning of §3).
+func (p *Plan) Complete(s Step, suggestions []string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.issued, s)
 	p.done[s] = true
-	for _, suggested := range extractors.Suggestions(metadata) {
+	for _, suggested := range suggestions {
 		p.addLocked(Step{GroupID: s.GroupID, Extractor: suggested})
 	}
 }

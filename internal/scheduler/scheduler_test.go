@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"xtract/internal/extractors"
 	"xtract/internal/family"
 )
 
@@ -61,9 +60,7 @@ func TestPlanDynamicSuggestions(t *testing.T) {
 	p := BuildPlan(testFamily())
 	s, _ := p.Next()
 	// Result suggests the tabular extractor for the same group.
-	p.Complete(s, map[string]interface{}{
-		extractors.SuggestKey: []string{"tabular", "nullvalue"},
-	})
+	p.Complete(s, []string{"tabular", "nullvalue"})
 	// g1/tabular and g1/nullvalue are new; g2/tabular was initial.
 	pending, _, _ := p.Counts()
 	if pending != 3 { // g2-tabular (initial) + g1-tabular + g1-nullvalue
@@ -71,7 +68,7 @@ func TestPlanDynamicSuggestions(t *testing.T) {
 	}
 	// Completing a suggested step with the same suggestion must not loop.
 	s2, _ := p.Next()
-	p.Complete(s2, map[string]interface{}{extractors.SuggestKey: []string{"tabular"}})
+	p.Complete(s2, []string{"tabular"})
 	for {
 		st, ok := p.Next()
 		if !ok {
@@ -138,13 +135,11 @@ func TestPlanConvergesProperty(t *testing.T) {
 			if !ok {
 				break
 			}
-			var md map[string]interface{}
+			var suggested []string
 			if rng.Intn(2) == 0 {
-				md = map[string]interface{}{
-					extractors.SuggestKey: []string{extractorSet[rng.Intn(len(extractorSet))]},
-				}
+				suggested = []string{extractorSet[rng.Intn(len(extractorSet))]}
 			}
-			p.Complete(s, md)
+			p.Complete(s, suggested)
 			completions++
 			if completions > 2*len(extractorSet)*2 {
 				return false // runaway plan

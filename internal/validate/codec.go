@@ -1,22 +1,21 @@
 package validate
 
 import (
-	"strings"
 	"time"
 
 	"xtract/internal/fastjson"
 )
 
-// Hand-rolled codecs for the validation wire shapes. AppendRecord and
-// DecodeRecord are byte/semantics-identical to encoding/json on Record
-// (pinned by codec_test.go); the Xtract service encodes every finished
-// family through AppendRecord into pooled scratch, and the validation
-// service decodes with DecodeRecord, so the per-family result path
-// carries no reflection.
+// The validation record is an internal format: the pump writes it onto
+// the result queue and the validation service of the same binary reads
+// it back. It is JSON in the field order of Record's struct tags, but the
+// decoder is strict -- exact lower-case keys, unknown keys skipped, a
+// repeated key replaces the earlier value -- and owes encoding/json
+// nothing beyond reading back what AppendRecord wrote. Each step's
+// metadata crosses as the bytes the worker encoded: spliced in on the
+// way out, sliced out of the body on the way in.
 
-// AppendRecord appends rec as JSON, byte-identical to
-// encoding/json.Marshal(rec). The only error source is unencodable
-// metadata values (NaN/Inf floats), which encoding/json rejects too.
+// AppendRecord appends rec's queue body to dst.
 func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	dst = append(dst, `{"job_id":`...)
 	dst = fastjson.AppendString(dst, rec.JobID)
@@ -27,11 +26,7 @@ func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	dst = append(dst, `,"base_path":`...)
 	dst = fastjson.AppendString(dst, rec.BasePath)
 	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
-	dst = append(dst, `,"metadata":`...)
-	var err error
-	if dst, err = fastjson.AppendValue(dst, rec.Metadata); err != nil {
-		return dst, err
-	}
+	dst = fastjson.AppendRawMap(append(dst, `,"metadata":`...), rec.Metadata)
 	dst = append(dst, `,"extracted":`...)
 	if rec.Extracted == nil {
 		return append(append(dst, "null"...), '}'), nil
@@ -68,167 +63,75 @@ func appendStepResult(dst []byte, sr *StepResult) []byte {
 	return append(dst, '}')
 }
 
-// DecodeRecord parses data into rec with encoding/json's struct
-// semantics: unknown fields skipped, null fields left untouched,
-// case-insensitive key fallback, map members merged.
+// DecodeRecord parses a queue body into rec. Metadata values alias data.
 func DecodeRecord(data []byte, rec *Record) error {
 	d := fastjson.NewDec(data)
-	if d.Null() {
-		return d.End()
-	}
-	err := d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "job_id"):
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "job_id":
+			rec.JobID, err = d.Str()
+		case "family_id":
+			rec.FamilyID, err = d.Str()
+		case "store":
+			rec.Store, err = d.Str()
+		case "base_path":
+			rec.BasePath, err = d.Str()
+		case "files":
+			rec.Files, err = d.Strings()
+		case "metadata":
+			rec.Metadata = nil
 			if !d.Null() {
-				rec.JobID, err = d.Str()
-			}
-		case fieldIs(key, "family_id"):
-			if !d.Null() {
-				rec.FamilyID, err = d.Str()
-			}
-		case fieldIs(key, "store"):
-			if !d.Null() {
-				rec.Store, err = d.Str()
-			}
-		case fieldIs(key, "base_path"):
-			if !d.Null() {
-				rec.BasePath, err = d.Str()
-			}
-		case fieldIs(key, "files"):
-			if d.Null() {
-				break
-			}
-			rec.Files = rec.Files[:0]
-			err = d.ArrEach(func() error {
-				// Grow like encoding/json: slots within capacity keep their
-				// prior contents (visible when a duplicate key re-decodes the
-				// slice), fresh slots are zero; null elements are no-ops.
-				if len(rec.Files) < cap(rec.Files) {
-					rec.Files = rec.Files[:len(rec.Files)+1]
-				} else {
-					rec.Files = append(rec.Files, "")
-				}
-				if d.Null() {
-					return nil
-				}
-				s, e := d.Str()
-				if e != nil {
-					return e
-				}
-				rec.Files[len(rec.Files)-1] = s
-				return nil
-			})
-			if err == nil && rec.Files == nil {
-				// encoding/json turns an empty JSON array into a
-				// non-nil empty slice.
-				rec.Files = []string{}
-			}
-		case fieldIs(key, "metadata"):
-			if d.Null() {
-				break
-			}
-			if rec.Metadata == nil {
-				rec.Metadata = make(map[string]map[string]interface{}, 8)
-			}
-			err = d.ObjEach(func(k []byte) error {
-				name := string(k)
-				if d.Null() {
-					rec.Metadata[name] = nil
-					return nil
-				}
-				// Fresh inner map per occurrence: encoding/json zeroes the
-				// map element before decoding, so duplicate outer keys
-				// replace, never merge.
-				inner := make(map[string]interface{}, 8)
-				e := d.ObjEach(func(ik []byte) error {
-					ikey := string(ik)
-					v, e := d.Value()
-					if e != nil {
-						return e
-					}
-					inner[ikey] = v
-					return nil
+				rec.Metadata = make(map[string]fastjson.Raw, 8)
+				err = d.ObjEach(func(k []byte) error {
+					name := string(k)
+					md, err := d.RawObject()
+					rec.Metadata[name] = md
+					return err
 				})
-				if e != nil {
-					return e
-				}
-				rec.Metadata[name] = inner
-				return nil
-			})
-		case fieldIs(key, "extracted"):
-			if d.Null() {
-				break
 			}
-			rec.Extracted = rec.Extracted[:0]
-			err = d.ArrEach(func() error {
-				if len(rec.Extracted) < cap(rec.Extracted) {
-					rec.Extracted = rec.Extracted[:len(rec.Extracted)+1]
-				} else {
-					rec.Extracted = append(rec.Extracted, StepResult{})
-				}
-				return decodeStepResult(d, &rec.Extracted[len(rec.Extracted)-1])
-			})
-			if err == nil && rec.Extracted == nil {
+		case "extracted":
+			rec.Extracted = nil
+			if !d.Null() {
 				rec.Extracted = []StepResult{}
+				err = d.ArrEach(func() error {
+					sr, err := decodeStepResult(d)
+					rec.Extracted = append(rec.Extracted, sr)
+					return err
+				})
 			}
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.End()
 	}
-	return d.End()
+	return err
 }
 
-func decodeStepResult(d *fastjson.Dec, sr *StepResult) error {
-	if d.Null() {
-		return nil
-	}
-	return d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "group_id"):
-			if !d.Null() {
-				sr.GroupID, err = d.Str()
-			}
-		case fieldIs(key, "extractor"):
-			if !d.Null() {
-				sr.Extractor, err = d.Str()
-			}
-		case fieldIs(key, "ok"):
-			if !d.Null() {
-				sr.OK, err = d.Bool()
-			}
-		case fieldIs(key, "err"):
-			if !d.Null() {
-				sr.Err, err = d.Str()
-			}
-		case fieldIs(key, "duration"):
-			if !d.Null() {
-				var ns int64
-				ns, err = d.Int64()
-				sr.Duration = time.Duration(ns)
-			}
-		case fieldIs(key, "cached"):
-			if !d.Null() {
-				sr.Cached, err = d.Bool()
-			}
+func decodeStepResult(d *fastjson.Dec) (StepResult, error) {
+	var sr StepResult
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "group_id":
+			sr.GroupID, err = d.Str()
+		case "extractor":
+			sr.Extractor, err = d.Str()
+		case "ok":
+			sr.OK, err = d.Bool()
+		case "err":
+			sr.Err, err = d.Str()
+		case "duration":
+			var ns int64
+			ns, err = d.Int64()
+			sr.Duration = time.Duration(ns)
+		case "cached":
+			sr.Cached, err = d.Bool()
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
-}
-
-// fieldIs reports whether a decoded object key selects the named struct
-// field, using encoding/json's matching: exact first, then
-// case-insensitive.
-func fieldIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	return strings.EqualFold(string(key), name)
+	return sr, err
 }

@@ -24,8 +24,10 @@ type Record struct {
 	BasePath string   `json:"base_path"`
 	Files    []string `json:"files"`
 	// Metadata maps "groupID/extractor" to that step's extracted
-	// metadata dictionary.
-	Metadata map[string]map[string]interface{} `json:"metadata"`
+	// metadata dictionary, as the worker encoded it: an object, or
+	// empty/null for a step that produced none. Validators splice the
+	// bytes into the document and look inside without building maps.
+	Metadata map[string]fastjson.Raw `json:"metadata"`
 	// Extracted lists the extractors that ran, with timings.
 	Extracted []StepResult `json:"extracted"`
 }
@@ -69,15 +71,11 @@ func (Passthrough) Validate(rec Record) ([]byte, error) {
 	if rec.FamilyID == "" {
 		return nil, fmt.Errorf("%w: missing family_id", ErrInvalid)
 	}
-	dst := make([]byte, 0, 256)
+	dst := make([]byte, 0, 256+metadataLen(rec.Metadata))
 	dst = append(dst, `{"family":`...)
 	dst = fastjson.AppendString(dst, rec.FamilyID)
 	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
-	dst = append(dst, `,"metadata":`...)
-	var err error
-	if dst, err = fastjson.AppendValue(dst, rec.Metadata); err != nil {
-		return nil, err
-	}
+	dst = fastjson.AppendRawMap(append(dst, `,"metadata":`...), rec.Metadata)
 	dst = append(dst, `,"path":`...)
 	dst = fastjson.AppendString(dst, rec.BasePath)
 	dst = append(dst, `,"schema":"passthrough/v1","store":`...)
@@ -129,21 +127,57 @@ func NewMDF(sourceName string) *MDF {
 // Name implements Validator.
 func (m *MDF) Name() string { return "mdf" }
 
-// classify finds the first schema matched by the record's metadata.
+// classify finds the first schema matched by the record's metadata: one
+// scan of each block's top-level keys, each key tried only against the
+// schemas ahead of the best match so far.
 func (m *MDF) classify(rec Record) (MDFSchema, error) {
-	for _, schema := range m.Schemas {
+	best := len(m.Schemas)
+	for i, schema := range m.Schemas {
 		if len(schema.AnyOfBlocks) == 0 {
-			return schema, nil
+			best = i // the catch-all bounds the search
+			break
 		}
-		for _, md := range rec.Metadata {
-			for _, block := range schema.AnyOfBlocks {
-				if _, ok := md[block]; ok {
-					return schema, nil
-				}
+	}
+	var d fastjson.Dec
+	for _, md := range rec.Metadata {
+		if !fastjson.IsObject(md) {
+			continue
+		}
+		d.Reset(md)
+		err := d.ObjEach(func(key []byte) error {
+			best = m.firstNaming(key, best)
+			return d.Skip()
+		})
+		if err != nil {
+			return MDFSchema{}, fmt.Errorf("%w: metadata: %v", ErrInvalid, err)
+		}
+	}
+	if best == len(m.Schemas) {
+		return MDFSchema{}, fmt.Errorf("%w: no MDF schema matches", ErrInvalid)
+	}
+	return m.Schemas[best], nil
+}
+
+// firstNaming returns the index of the first of the leading limit schemas
+// that lists key as a block, or limit when none does.
+func (m *MDF) firstNaming(key []byte, limit int) int {
+	for i, schema := range m.Schemas[:limit] {
+		for _, block := range schema.AnyOfBlocks {
+			if string(key) == block {
+				return i
 			}
 		}
 	}
-	return MDFSchema{}, fmt.Errorf("%w: no MDF schema matches", ErrInvalid)
+	return limit
+}
+
+// metadataLen sizes a document buffer for the blocks it will splice in.
+func metadataLen(md map[string]fastjson.Raw) int {
+	n := 0
+	for k, v := range md {
+		n += len(k) + len(v) + 8
+	}
+	return n
 }
 
 // Validate implements Validator.
@@ -172,20 +206,16 @@ func (m *MDF) Validate(rec Record) ([]byte, error) {
 	// Direct appends in the sorted-key order of the map form this
 	// replaces, byte-identical to json.Marshal of that map (pinned by
 	// codec_test.go). Both nesting levels keep their keys sorted.
-	dst := make([]byte, 0, 384)
+	dst := make([]byte, 0, 384+metadataLen(rec.Metadata))
 	dst = fastjson.AppendStrings(append(dst, `{"extractors":`...), ranList)
 	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
-	var aerr error
 	dst = append(dst, `,"mdf":{"resource_type":"record","schema":`...)
 	dst = fastjson.AppendString(dst, schema.Name)
 	dst = append(dst, `,"scroll_id":`...)
 	dst = fastjson.AppendString(dst, rec.FamilyID)
 	dst = append(dst, `,"source_name":`...)
 	dst = fastjson.AppendString(dst, m.SourceName)
-	dst = append(dst, `},"metadata":`...)
-	if dst, aerr = fastjson.AppendValue(dst, rec.Metadata); aerr != nil {
-		return nil, aerr
-	}
+	dst = fastjson.AppendRawMap(append(dst, `},"metadata":`...), rec.Metadata)
 	dst = append(dst, `,"origin":{"path":`...)
 	dst = fastjson.AppendString(dst, rec.BasePath)
 	dst = append(dst, `,"store":`...)

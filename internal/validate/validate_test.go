@@ -22,12 +22,12 @@ func sampleRecord() Record {
 		Store:    "petrel",
 		BasePath: "/data/exp1",
 		Files:    []string{"/data/exp1/POSCAR", "/data/exp1/OUTCAR"},
-		Metadata: map[string]map[string]interface{}{
+		Metadata: encoded(map[string]map[string]interface{}{
 			"g1/matio": {
 				"structure": map[string]interface{}{"n_atoms": 8},
 				"results":   map[string]interface{}{"final_energy_ev": -43.4},
 			},
-		},
+		}),
 	}
 }
 
@@ -89,9 +89,9 @@ func TestMDFSchemaSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		rec := sampleRecord()
-		rec.Metadata = map[string]map[string]interface{}{
+		rec.Metadata = encoded(map[string]map[string]interface{}{
 			"g/e": {c.block: 1},
-		}
+		})
 		doc, err := m.Validate(rec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.block, err)
@@ -107,7 +107,7 @@ func TestMDFRejects(t *testing.T) {
 	if _, err := m.Validate(Record{FamilyID: "f"}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("no-metadata err = %v", err)
 	}
-	if _, err := m.Validate(Record{Metadata: map[string]map[string]interface{}{"g/e": {"k": 1}}}); !errors.Is(err, ErrInvalid) {
+	if _, err := m.Validate(Record{Metadata: encoded(map[string]map[string]interface{}{"g/e": {"k": 1}})}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("no-family err = %v", err)
 	}
 }
