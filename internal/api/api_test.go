@@ -25,10 +25,12 @@ import (
 
 // testDeps exposes the pieces of a test deployment individual tests poke.
 type testDeps struct {
-	Server *api.Server
-	Store  *store.MemFS
-	Svc    *core.Service
-	Obs    *obs.Observer
+	Server  *api.Server
+	Store   *store.MemFS
+	Dest    *store.MemFS
+	Results *queue.Queue
+	Svc     *core.Service
+	Obs     *obs.Observer
 }
 
 // newTestServer stands up a full service with one compute site behind the
@@ -64,8 +66,8 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 
 	cfg := core.Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric, Registry: reg, Library: lib,
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results, Obs: o,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results, Obs: o,
 	}
 	if cfgMut != nil {
 		cfgMut(&cfg)
@@ -112,7 +114,7 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 			[]string{auth.ScopeCrawl, auth.ScopeExtract, auth.ScopeValidate}, time.Hour)
 	}
 	client := sdk.New(ts.URL, token)
-	deps := &testDeps{Server: srv, Store: fs, Svc: svc, Obs: o}
+	deps := &testDeps{Server: srv, Store: fs, Dest: dest, Results: results, Svc: svc, Obs: o}
 	return client, issuer, deps, func() { ts.Close(); cancel() }
 }
 
@@ -232,11 +234,11 @@ func TestSearchEndpoints(t *testing.T) {
 	fabric := transfer.NewFabric(clk)
 	reg := registry.New(clk, 0)
 	lib := extractors.DefaultLibrary()
-	families, prefetch, prefetchDone, results := core.NewQueues(clk)
+	_, prefetch, prefetchDone, results := core.NewQueues(clk)
 	svc := core.New(core.Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric, Registry: reg, Library: lib,
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 	})
 	fs := store.NewMemFS("local", nil)
 	fabric.AddEndpoint("local", fs)

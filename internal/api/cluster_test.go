@@ -70,11 +70,11 @@ func newClusterAPIPair(t *testing.T) (*cluster.Coordinator, *store.MemFS, *auth.
 		// The address is only known once the listener exists; join with a
 		// placeholder and refresh below (Join upserts).
 		node := cluster.NewNode(coord, id, "")
-		families, prefetch, prefetchDone, results := core.NewQueues(clk)
+		_, prefetch, prefetchDone, results := core.NewQueues(clk)
 		svc := core.New(core.Config{
 			Clock: clk, FaaS: fsvc, Fabric: fabric, Registry: reg, Library: lib,
-			FamilyQueue: families, PrefetchQueue: prefetch,
-			PrefetchDone: prefetchDone, ResultQueue: results, Obs: o,
+			PrefetchQueue: prefetch,
+			PrefetchDone:  prefetchDone, ResultQueue: results, Obs: o,
 			Tenants: ctrl, Cluster: node,
 		})
 		fabric.AddEndpoint("local", siteFS)

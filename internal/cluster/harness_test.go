@@ -243,10 +243,10 @@ func (cl *chaosCluster) startNode(t *testing.T, id string, delay time.Duration) 
 	families, prefetch, prefetchDone, _ := core.NewQueues(clk)
 	svc := core.New(core.Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry:    reg,
-		Library:     countingLibrary(inv, delay),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: cl.results,
+		Registry:      reg,
+		Library:       countingLibrary(inv, delay),
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: cl.results,
 		Policy:     scheduler.LocalPolicy{},
 		Checkpoint: true,
 		Cache:      cache.New(0),
@@ -465,7 +465,10 @@ func (cl *chaosCluster) journaledSteps(jobID string) map[string]bool {
 func TestClusterFailoverMidDispatch(t *testing.T) {
 	control := chaosControlRun(t)
 	cl := newChaosCluster(t)
-	delay := 3 * time.Millisecond
+	// Step completions nobody waits on reach the journal with the next
+	// waited batch or after its age bound (≤ 10 ms); steps are slow enough
+	// that some are durable while more are still to come.
+	delay := 20 * time.Millisecond
 	n1 := cl.startNode(t, "n1", delay)
 	n2 := cl.startNode(t, "n2", delay)
 	n3 := cl.startNode(t, "n3", delay)
@@ -600,10 +603,10 @@ func TestRecoverIsLeaseAware(t *testing.T) {
 	families, prefetch, prefetchDone, results := core.NewQueues(clk)
 	svc := core.New(core.Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry:    registry.New(clk, 0),
-		Library:     countingLibrary(inv, 0),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		Registry:      registry.New(clk, 0),
+		Library:       countingLibrary(inv, 0),
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Policy:  scheduler.LocalPolicy{},
 		Journal: jnl2,
 		Cluster: node,

@@ -76,8 +76,8 @@ func runChaosJob(t *testing.T, seed int64) {
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Policy:          scheduler.LocalPolicy{},
 		XtractBatchSize: 2, FuncXBatchSize: 2,
 		Checkpoint: true,

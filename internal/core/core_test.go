@@ -53,7 +53,7 @@ func newHarnessCfg(t *testing.T, sites []siteSpec, policy scheduler.Policy, mut 
 
 	h.fsvc = faas.NewService(clk, faas.Costs{})
 	h.fabric = transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 
 	cfg := Config{
 		Clock:         clk,
@@ -61,7 +61,6 @@ func newHarnessCfg(t *testing.T, sites []siteSpec, policy scheduler.Policy, mut 
 		Fabric:        h.fabric,
 		Registry:      registry.New(clk, 0),
 		Library:       extractors.DefaultLibrary(),
-		FamilyQueue:   families,
 		PrefetchQueue: prefetch,
 		PrefetchDone:  prefetchDone,
 		ResultQueue:   results,
@@ -304,12 +303,12 @@ func TestEndToEndCheckpointRestart(t *testing.T) {
 	clk := clock.NewReal()
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fabric := transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Checkpoint: true, XtractBatchSize: 1, FuncXBatchSize: 1,
 	})
 	fs := store.NewMemFS("theta", nil)
@@ -456,12 +455,12 @@ func TestExcludedExtractorFailsGracefully(t *testing.T) {
 	clk := clock.NewReal()
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fabric := transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 	})
 	fs := store.NewMemFS("sing", nil)
 	fabric.AddEndpoint("sing", fs)

@@ -126,11 +126,17 @@ type crashLife struct {
 
 func startCrashLife(t *testing.T, jpath string, dataFS, dest *store.MemFS, inv *invLog, delay time.Duration) *crashLife {
 	t.Helper()
-	clk := clock.NewReal()
 	jdir, err := journal.OSDir(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startCrashLifeOn(t, jdir, dataFS, dest, inv, delay)
+}
+
+// startCrashLifeOn is startCrashLife over any journal directory.
+func startCrashLifeOn(t *testing.T, jdir journal.Dir, dataFS, dest *store.MemFS, inv *invLog, delay time.Duration) *crashLife {
+	t.Helper()
+	clk := clock.NewReal()
 	jnl, err := journal.Open(jdir, journal.Options{Clock: clk})
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +146,10 @@ func startCrashLife(t *testing.T, jpath string, dataFS, dest *store.MemFS, inv *
 	families, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry:    registry.New(clk, 0),
-		Library:     countingLibrary(inv, delay),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		Registry:      registry.New(clk, 0),
+		Library:       countingLibrary(inv, delay),
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Policy:     scheduler.LocalPolicy{},
 		Checkpoint: true,
 		Cache:      cache.New(0),
@@ -665,5 +671,116 @@ func TestCancelledJobStaysCancelledAfterRestart(t *testing.T) {
 	}
 	if n := inv2.total(); n != 0 {
 		t.Fatalf("cancelled job ran %d extractor invocations after restart", n)
+	}
+}
+
+// heldDir is a journal directory whose segment fsyncs block until release
+// closes and, once lost is set, fail instead of reaching the store: the
+// batch in flight when the process died never landed.
+type heldDir struct {
+	journal.Dir
+	release chan struct{}
+	lost    atomic.Bool
+}
+
+type heldFile struct {
+	journal.File
+	d *heldDir
+}
+
+func (d *heldDir) Create(name string) (journal.File, error) {
+	f, err := d.Dir.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return heldFile{File: f, d: d}, nil
+}
+
+func (f heldFile) Sync() error {
+	<-f.d.release
+	if f.d.lost.Load() {
+		return fmt.Errorf("power lost")
+	}
+	return f.File.Sync()
+}
+
+// TestCrashBeforeSubmissionDurableLeavesNoTrace is the crash half of the
+// submission gate. The job's whole run happens behind a held job_submitted
+// fsync and the process dies inside that batch: nothing it did is visible
+// afterwards — the restarted journal does not know the job, the destination
+// holds no document — and the next submission is handed the same job ID
+// over a clean slate and converges to the control.
+func TestCrashBeforeSubmissionDurableLeavesNoTrace(t *testing.T) {
+	control := crashControlRun(t)
+	dataFS := seedCrashCorpus(t)
+	dest := store.NewMemFS("user-dest", nil)
+	disk := store.NewMemFS("journal-disk", nil)
+	held := &heldDir{Dir: journal.StoreDir(disk, "/wal"), release: make(chan struct{})}
+
+	inv1 := newInvLog()
+	life1 := startCrashLifeOn(t, held, dataFS, dest, inv1, 0)
+	// The last record before job_terminal: the kill lands with the job's
+	// work all but done, every record of it in the one unfinished batch.
+	life1.jnl.KillAtAppend(control.records - 1)
+	idCh := make(chan string, 1)
+	jobDone := make(chan error, 1)
+	go func() {
+		_, err := life1.svc.RunJobNotifyOpts(life1.ctx, crashRepos(inv1, 0), JobOptions{}, idCh)
+		jobDone <- err
+	}()
+	select {
+	case <-life1.jnl.Killed():
+	case <-time.After(60 * time.Second):
+		t.Fatal("kill point never reached behind the held fsync")
+	}
+	// The pump outlives the emulated kill until the test cancels it; let
+	// it finish every family, so everything it could leak is ready to.
+	deadline := time.Now().Add(30 * time.Second)
+	for life1.svc.FamiliesDone.Value() < int64(len(control.docs)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d families finished behind the held fsync",
+				life1.svc.FamiliesDone.Value(), len(control.docs))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if sent, _ := life1.queues[3].Stats(); sent != 0 {
+		t.Fatalf("%d results left the pump of a job that was never durable", sent)
+	}
+	life1.cancel()
+	if err := <-jobDone; err == nil {
+		t.Fatal("the job reported success without a durable submission")
+	}
+	held.lost.Store(true)
+	close(held.release)
+	// The ticket's waiter led the batch and sat in the held fsync; with the
+	// device back it resolves — killed, so its gate stays shut — and the
+	// reader of a buffered idCh is not left hanging.
+	jobID := <-idCh
+	if sent, _ := life1.queues[3].Stats(); sent != 0 {
+		t.Fatalf("%d results left the pump once the dead journal's fsync returned", sent)
+	}
+	if docs := snapshotDocs(t, dest); len(docs) != 0 {
+		t.Fatalf("%d documents written by a job that was never durable", len(docs))
+	}
+
+	inv2 := newInvLog()
+	life2 := startCrashLifeOn(t, journal.StoreDir(disk, "/wal"), dataFS, dest, inv2, 0)
+	defer func() {
+		life2.cancel()
+		_ = life2.jnl.Close()
+	}()
+	if st := life2.jnl.Recovered(); len(st.Jobs) != 0 || st.LastSeq != 0 {
+		t.Fatalf("restarted journal knows %d jobs through seq %d, want nothing", len(st.Jobs), st.LastSeq)
+	}
+	idCh2 := make(chan string, 1)
+	stats, err := life2.svc.RunJobNotifyOpts(life2.ctx, crashRepos(inv2, 0), JobOptions{}, idCh2)
+	if err != nil {
+		t.Fatalf("resubmission: %v", err)
+	}
+	if again := <-idCh2; again != jobID {
+		t.Fatalf("resubmission got %s, want the lost job's ID %s re-issued", again, jobID)
+	}
+	if docs := waitForDocs(t, life2.valsvc, dest, int(stats.FamiliesDone)); !docsEqual(docs, control.docs) {
+		t.Fatalf("resubmitted job wrote %d documents that differ from the control's %d", len(docs), len(control.docs))
 	}
 }

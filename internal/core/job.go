@@ -268,13 +268,27 @@ type pump struct {
 	// signal) per family. The send copies the bodies; both reset after it.
 	pendingResults [][]byte
 	resultBuf      []byte
+	// submitted is the submission gate (nil: open). It closes once
+	// job_submitted is durable or the journal has failed; until then no
+	// result leaves the pump — job IDs are re-issued after a crash, so a
+	// job the journal may never know leaves no document.
+	submitted <-chan struct{}
 }
 
-// flushResults batch-sends the buffered validation records. Called once
-// per pump pass and deferred for the error-return paths.
+// flushResults batch-sends the buffered validation records, unless the
+// submission gate still holds them. Called once per pump pass and deferred
+// for the error-return paths.
 func (p *pump) flushResults() {
 	if len(p.pendingResults) == 0 {
 		return
+	}
+	if p.submitted != nil {
+		select {
+		case <-p.submitted:
+			p.submitted = nil // open for good: later passes skip the check
+		default:
+			return
+		}
 	}
 	p.s.cfg.ResultQueue.SendBatch(p.pendingResults)
 	p.pendingResults = p.pendingResults[:0]
@@ -292,13 +306,6 @@ func (s *Service) RunJob(ctx context.Context, repos []RepoSpec) (JobStats, error
 // RunJobWithOptions is RunJob with per-job overrides.
 func (s *Service) RunJobWithOptions(ctx context.Context, repos []RepoSpec, opts JobOptions) (JobStats, error) {
 	return s.RunJobNotifyOpts(ctx, repos, opts, nil)
-}
-
-// RunJobNotify is RunJob, additionally delivering the assigned job ID on
-// idCh as soon as the job record exists (used by the REST front end to
-// return a handle before the job completes).
-func (s *Service) RunJobNotify(ctx context.Context, repos []RepoSpec, idCh chan<- string) (JobStats, error) {
-	return s.RunJobNotifyOpts(ctx, repos, JobOptions{}, idCh)
 }
 
 // journalSpec converts a job's repo list and options to the journal's
@@ -319,9 +326,11 @@ func journalSpec(repos []RepoSpec, opts JobOptions) *journal.JobSpec {
 }
 
 // RunJobNotifyOpts is the full-surface job entry point: overrides plus
-// job-ID notification. The job is journaled durably (when a journal is
-// configured) before any work starts, so a crash at any later point can
-// recover it.
+// job-ID notification. The crawl and the pump start at once, alongside the
+// submission record's fsync; its ticket gates only what leaves the process
+// — the job ID on idCh (hence the API's 202) and the pump's results (hence
+// every document). The job's other records are ordered behind it by seq,
+// so a crash either recovers the job or leaves no trace of it.
 func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts JobOptions, idCh chan<- string) (JobStats, error) {
 	names := make([]string, 0, len(repos))
 	for _, r := range repos {
@@ -341,36 +350,47 @@ func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts J
 			return JobStats{JobID: jobID}, err
 		}
 	}
-	s.journalAppend(journal.Record{
-		Type:  journal.RecJobSubmitted,
-		JobID: jobID,
-		Spec:  journalSpec(repos, opts),
-	})
-	if idCh != nil {
-		// Never let a slow (or absent) reader stall the job: the REST
-		// front end hands in an unbuffered channel, and a caller that
-		// abandons it must not wedge the pump before the first family is
-		// even crawled. Deliver asynchronously when not immediately
-		// writable, giving up if the job's context ends first.
+	var ticket journal.Ticket // zero without a journal: nothing to wait for
+	var submitted chan struct{}
+	if s.cfg.Journal != nil {
+		submitted = make(chan struct{})
+		ticket = s.cfg.Journal.Begin(journal.Record{
+			Type: journal.RecJobSubmitted, JobID: jobID, Spec: journalSpec(repos, opts),
+		})
+	}
+	go func() {
+		err := ticket.Wait()
+		if err != nil {
+			s.obsJournalErrors.Inc() // durability degraded, not correctness: see journalAppend
+		}
+		if submitted != nil && !errors.Is(err, journal.ErrKilled) {
+			close(submitted) // a killed journal is a dead process: its gate stays shut
+		}
+		if idCh == nil {
+			return
+		}
+		// A buffered channel takes the ID whether or not the job was
+		// cancelled meanwhile; an unbuffered reader that went away is
+		// abandoned when the job's context ends.
 		select {
 		case idCh <- jobID:
 		default:
-			go func() {
-				select {
-				case idCh <- jobID:
-				case <-ctx.Done():
-				}
-			}()
+			select {
+			case idCh <- jobID:
+			case <-ctx.Done():
+			}
 		}
-	}
+	}()
 	s.obs.Emitf(jobID, obs.EvJobSubmitted, "repositories=%s", strings.Join(names, ","))
-	return s.runJob(ctx, jobID, repos, opts)
+	return s.runJob(ctx, jobID, repos, opts, submitted)
 }
 
 // runJob crawls and pumps one job to a terminal state under an existing
 // job record. It is the shared back half of submission and journal
-// recovery — recovery re-enters here with the restored job ID.
-func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, opts JobOptions) (JobStats, error) {
+// recovery — recovery re-enters here with the restored job ID and an
+// open (nil) submission gate.
+func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, opts JobOptions,
+	submitted <-chan struct{}) (JobStats, error) {
 	s.obsJobsActive.Inc()
 	defer s.obsJobsActive.Dec()
 	ten := tenant.Normalize(opts.Tenant)
@@ -424,20 +444,21 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 
 	jobCtx, cancelJob := context.WithCancel(ctx)
 	p := &pump{
-		s:        s,
-		jobID:    jobID,
-		tenant:   ten,
-		start:    s.clk.Now(),
-		famQ:     famQ,
-		noCache:  opts.NoCache,
-		states:   make(map[string]*famState),
-		staging:  make(map[string]*famState),
-		jobCtx:   jobCtx,
-		events:   newShardEventSink(),
-		shards:   make(map[string]*dispatcher),
-		attempts: make(map[stepKey]int),
-		budget:   s.retry.JobBudget,
-		seenFams: make(map[string]bool),
+		s:         s,
+		jobID:     jobID,
+		tenant:    ten,
+		start:     s.clk.Now(),
+		famQ:      famQ,
+		noCache:   opts.NoCache,
+		states:    make(map[string]*famState),
+		staging:   make(map[string]*famState),
+		jobCtx:    jobCtx,
+		events:    newShardEventSink(),
+		shards:    make(map[string]*dispatcher),
+		attempts:  make(map[stepKey]int),
+		budget:    s.retry.JobBudget,
+		seenFams:  make(map[string]bool),
+		submitted: submitted,
 	}
 	if s.hedge.Enabled {
 		p.doneSteps = make(map[stepKey]bool)
@@ -549,16 +570,18 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 		// The job-start drain and crawl completions are work in themselves
 		// even when no step became actionable; anything else that woke the
 		// pump for nothing is counted as idle overhead.
-		if !progress && woke != "start" && woke != "crawl" {
+		if !progress && woke != "start" && woke != "crawl" && woke != "durable" {
 			p.idleWakeups++
 			s.wakeupCounter("idle").Inc()
 		}
 		// Termination: nothing crawling, no live or staging families, no
 		// retries pending, no shard events in flight, and the family queue
 		// drained. Families stay in p.states until their plan resolves, so
-		// an empty state map also means no outstanding shard work.
+		// an empty state map also means no outstanding shard work. Results
+		// held behind the submission gate keep the job open.
 		if crawlsPending == 0 && len(p.states) == 0 && len(p.staging) == 0 &&
-			len(p.backlog) == 0 && p.events.pending() == 0 && famQ.Len() == 0 {
+			len(p.backlog) == 0 && p.events.pending() == 0 && famQ.Len() == 0 &&
+			len(p.pendingResults) == 0 {
 			break
 		}
 		var err error
@@ -720,21 +743,12 @@ func (p *pump) intakeFamilies() bool {
 	return true
 }
 
-// journal appends one record for this job, without blocking the pump on
-// durability: step and family transitions ride the journal's group
-// commit asynchronously. The hard-durability records (submission,
-// cancellation, terminal state) go through Service.journalAppend instead.
+// journal appends one record for this job and nobody waits for it: step
+// and family transitions leave with the journal's next waited batch.
+// (Cancellation and terminal state go through Service.journalAppend.)
 func (p *pump) journal(rec journal.Record) {
-	if p.s.cfg.Journal == nil {
-		return
-	}
 	rec.JobID = p.jobID
-	if p.s.fenced(rec) {
-		return
-	}
-	if err := p.s.cfg.Journal.AppendAsync(rec); err != nil {
-		p.s.obsJournalErrors.Inc()
-	}
+	p.s.journalWrite(rec, (*journal.Journal).AppendAsync)
 }
 
 // journalStepCompleted records one finished step. The record carries the
@@ -1047,8 +1061,8 @@ func (p *pump) intakeRetries() bool {
 // await blocks until some event source signals work for this job: a
 // crawl finishing, the family queue, the shared prefetch-done queue
 // (only while this job is staging), a shard event, the earliest retry
-// backoff elapsing, or the foreign-result gate reopening. It returns a
-// low-cardinality reason label for the wakeup counter.
+// backoff elapsing, the foreign-result or the submission gate opening. It
+// returns a low-cardinality reason label for the wakeup counter.
 func (p *pump) await(ctx context.Context, crawlDone <-chan crawler.Stats, crawlErr <-chan error,
 	crawlStats *crawler.Stats, crawlsPending *int) (string, error) {
 	var retryCh <-chan time.Time
@@ -1100,9 +1114,16 @@ func (p *pump) await(ctx context.Context, crawlDone <-chan crawler.Stats, crawlE
 			hedgeCh = p.s.clk.After(d)
 		}
 	}
+	var durable <-chan struct{}
+	if len(p.pendingResults) > 0 {
+		durable = p.submitted
+	}
 	select {
 	case <-ctx.Done():
 		return "", ctx.Err()
+	case <-durable:
+		p.flushResults()
+		return "durable", nil
 	case stats := <-cd:
 		crawlStats.Add(stats)
 		*crawlsPending--

@@ -443,12 +443,12 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 func bareService(t testing.TB, c *cache.Cache) *Service {
 	t.Helper()
 	clk := clock.NewReal()
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: transfer.NewFabric(clk),
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results, Cache: c,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: c,
 	})
 	svc.AddSite(&Site{Name: "x", Store: store.NewMemFS("x", nil), TransferID: "x",
 		Compute: faas.NewEndpoint("ep-x", 1, clk)})
@@ -510,12 +510,12 @@ func TestWarmStepCostDoesNotGrowWithMetadata(t *testing.T) {
 func BenchmarkWarmStep(b *testing.B) {
 	clk := clock.NewReal()
 	fsvc := faas.NewService(clk, faas.Costs{})
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: transfer.NewFabric(clk),
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results, Cache: cache.New(0),
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: cache.New(0),
 	})
 	fs := store.NewMemFS("theta", nil)
 	if _, err := dataset.MaterializeMDF(fs, "/repo", 200, 5); err != nil {

@@ -18,7 +18,7 @@ import (
 )
 
 // TestRunJobNotifyUnreadChannel is the regression test for the job-ID
-// notification deadlock: the REST front end hands RunJobNotify an
+// notification deadlock: the REST front end hands RunJobNotifyOpts an
 // unbuffered channel, and a caller that never reads it must not wedge
 // the pump before the first family is crawled.
 func TestRunJobNotifyUnreadChannel(t *testing.T) {
@@ -29,11 +29,11 @@ func TestRunJobNotifyUnreadChannel(t *testing.T) {
 	idCh := make(chan string) // unbuffered and never read
 	done := make(chan error, 1)
 	go func() {
-		stats, err := h.svc.RunJobNotify(context.Background(), []RepoSpec{{
+		stats, err := h.svc.RunJobNotifyOpts(context.Background(), []RepoSpec{{
 			SiteName: "theta",
 			Roots:    []string{"/mdf"},
 			Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
-		}}, idCh)
+		}}, JobOptions{}, idCh)
 		if err == nil && stats.FamiliesDone == 0 {
 			err = fmt.Errorf("no families done: %+v", stats)
 		}
@@ -45,7 +45,7 @@ func TestRunJobNotifyUnreadChannel(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunJobNotify deadlocked on an unread id channel")
+		t.Fatal("RunJobNotifyOpts deadlocked on an unread id channel")
 	}
 }
 
@@ -160,12 +160,12 @@ func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 	fsvc.HeartbeatTimeout = 30 * time.Millisecond
 	fsvc.SetFaults(dropHeartbeats{})
 	fabric := transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Policy:          scheduler.LocalPolicy{},
 		XtractBatchSize: 2, FuncXBatchSize: 4,
 		Retry: RetryPolicy{

@@ -285,7 +285,7 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts Rec
 	go func() {
 		defer s.recoveryWG.Done()
 		defer cancel()
-		_, _ = s.runJob(jctx, js.ID, repos, jobOpts)
+		_, _ = s.runJob(jctx, js.ID, repos, jobOpts, nil)
 	}()
 	return RecoveredJob{
 		JobID: js.ID, Disposition: "resumed", State: string(registry.JobExtracting),

@@ -89,12 +89,12 @@ func TestUnrecoverableEndpointDeadLetters(t *testing.T) {
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fsvc.Instrument(ob.Reg())
 	fabric := transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Obs: ob,
 		Retry: RetryPolicy{
 			MaxAttempts: 3,
@@ -210,12 +210,12 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	clk := clock.NewReal()
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fabric := transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, results := NewQueues(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Retry: RetryPolicy{
 			MaxAttempts: 10,
 			BaseBackoff: time.Millisecond,

@@ -135,10 +135,6 @@ type Config struct {
 	Fabric   *transfer.Fabric
 	Registry *registry.Registry
 	Library  *extractors.Library
-	// FamilyQueue is retained for deployments that crawl outside RunJob;
-	// jobs themselves crawl into a private per-job queue so concurrent
-	// jobs cannot consume each other's families.
-	FamilyQueue *queue.Queue
 	// PrefetchQueue / PrefetchDone connect to the prefetcher.
 	PrefetchQueue *queue.Queue
 	PrefetchDone  *queue.Queue
@@ -594,18 +590,21 @@ func (s *Service) stepDurationHist(extractor string) *obs.Histogram {
 	return actual.(*obs.Histogram)
 }
 
-// journalAppend writes one record to the configured journal. Nil-safe: a
-// service without a journal skips it at near-zero cost. Append errors are
-// counted, not fatal — the in-memory transition already happened, and a
-// full disk must degrade durability, not correctness.
+// journalAppend writes one record to the configured journal and waits for
+// it to be durable.
 func (s *Service) journalAppend(rec journal.Record) {
-	if s.cfg.Journal == nil {
+	s.journalWrite(rec, (*journal.Journal).Append)
+}
+
+// journalWrite is the one way a record reaches the journal, by Append or
+// AppendAsync. Nil-safe: a service without a journal skips it at near-zero
+// cost. Errors are counted, not fatal — the in-memory transition already
+// happened, and a full disk must degrade durability, not correctness.
+func (s *Service) journalWrite(rec journal.Record, write func(*journal.Journal, journal.Record) error) {
+	if s.cfg.Journal == nil || s.fenced(rec) {
 		return
 	}
-	if s.fenced(rec) {
-		return
-	}
-	if err := s.cfg.Journal.Append(rec); err != nil {
+	if err := write(s.cfg.Journal, rec); err != nil {
 		s.obsJournalErrors.Inc()
 	}
 }
@@ -613,17 +612,10 @@ func (s *Service) journalAppend(rec journal.Record) {
 // fenced reports whether rec must be dropped because this node's lease
 // on the record's job is no longer live — the write-side half of
 // split-brain protection: a node that lost a job to a peer cannot
-// corrupt the job's journaled history with late appends. Submission
-// records are exempt (the lease is taken right after them), as are
-// lease records themselves (the coordinator, not the lessee, is
-// authoritative for those).
+// corrupt the job's journaled history with late appends. (Submission and
+// lease records do not come this way.)
 func (s *Service) fenced(rec journal.Record) bool {
 	if s.cfg.Cluster == nil || rec.JobID == "" {
-		return false
-	}
-	switch rec.Type {
-	case journal.RecJobSubmitted, journal.RecLeaseAcquired,
-		journal.RecLeaseRenewed, journal.RecLeaseReleased:
 		return false
 	}
 	if s.cfg.Cluster.HoldsLive(rec.JobID) {

@@ -97,7 +97,7 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		stats, err := h.svc.RunJobNotify(context.Background(), repos, idCh)
+		stats, err := h.svc.RunJobNotifyOpts(context.Background(), repos, JobOptions{}, idCh)
 		done <- result{stats, err}
 	}()
 	select {

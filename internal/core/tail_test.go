@@ -579,8 +579,8 @@ func runTailChaosJob(t *testing.T, seed int64) {
 	svc := New(Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry: registry.New(clk, 0), Library: xt.DefaultLibrary(),
-		FamilyQueue: families, PrefetchQueue: prefetch,
-		PrefetchDone: prefetchDone, ResultQueue: results,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone, ResultQueue: results,
 		Policy:          scheduler.LocalPolicy{},
 		XtractBatchSize: 2, FuncXBatchSize: 2,
 		Checkpoint: true,

@@ -181,7 +181,6 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		Fabric:          d.Fabric,
 		Registry:        d.Registry,
 		Library:         opts.Library,
-		FamilyQueue:     families,
 		PrefetchQueue:   prefetch,
 		PrefetchDone:    prefetchDone,
 		ResultQueue:     results,

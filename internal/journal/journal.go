@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
@@ -142,13 +143,6 @@ const frameHeader = 8
 // prefix cannot allocate absurdly.
 const maxRecordBytes = 16 << 20
 
-// appendJSONString appends s as a JSON string literal, byte-compatible
-// with encoding/json (fastjson pins the equivalence), without the
-// json.Marshal allocation the slow path used to pay.
-func appendJSONString(b []byte, s string) []byte {
-	return fastjson.AppendString(b, s)
-}
-
 // appendRecordJSON appends rec's JSON encoding to b: the hot-path
 // encoder the group-commit leader uses instead of reflection-driven
 // encoding/json (journaling runs on the pump's critical CPU budget). It
@@ -159,9 +153,9 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendUint(b, rec.Seq, 10)
 	b = append(b, `,"type":`...)
-	b = appendJSONString(b, rec.Type)
+	b = fastjson.AppendString(b, rec.Type)
 	b = append(b, `,"job_id":`...)
-	b = appendJSONString(b, rec.JobID)
+	b = fastjson.AppendString(b, rec.JobID)
 	b = append(b, `,"at":"`...)
 	b = rec.At.AppendFormat(b, time.RFC3339Nano)
 	b = append(b, '"')
@@ -175,7 +169,7 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 	}
 	if rec.FamilyID != "" {
 		b = append(b, `,"family_id":`...)
-		b = appendJSONString(b, rec.FamilyID)
+		b = fastjson.AppendString(b, rec.FamilyID)
 	}
 	if rec.Groups != 0 {
 		b = append(b, `,"groups":`...)
@@ -183,20 +177,20 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 	}
 	if rec.GroupID != "" {
 		b = append(b, `,"group_id":`...)
-		b = appendJSONString(b, rec.GroupID)
+		b = fastjson.AppendString(b, rec.GroupID)
 	}
 	if rec.Extractor != "" {
 		b = append(b, `,"extractor":`...)
-		b = appendJSONString(b, rec.Extractor)
+		b = fastjson.AppendString(b, rec.Extractor)
 	}
 	if rec.Cached {
 		b = append(b, `,"cached":true`...)
 	}
 	if rec.CacheKey != nil {
 		b = append(b, `,"cache_key":{"content_hash":`...)
-		b = appendJSONString(b, rec.CacheKey.ContentHash)
+		b = fastjson.AppendString(b, rec.CacheKey.ContentHash)
 		b = append(b, `,"version":`...)
-		b = appendJSONString(b, rec.CacheKey.Version)
+		b = fastjson.AppendString(b, rec.CacheKey.Version)
 		b = append(b, '}')
 	}
 	if len(rec.Metadata) != 0 {
@@ -227,19 +221,19 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 	}
 	if rec.Reason != "" {
 		b = append(b, `,"reason":`...)
-		b = appendJSONString(b, rec.Reason)
+		b = fastjson.AppendString(b, rec.Reason)
 	}
 	if rec.State != "" {
 		b = append(b, `,"state":`...)
-		b = appendJSONString(b, rec.State)
+		b = fastjson.AppendString(b, rec.State)
 	}
 	if rec.Err != "" {
 		b = append(b, `,"err":`...)
-		b = appendJSONString(b, rec.Err)
+		b = fastjson.AppendString(b, rec.Err)
 	}
 	if rec.Node != "" {
 		b = append(b, `,"node":`...)
-		b = appendJSONString(b, rec.Node)
+		b = fastjson.AppendString(b, rec.Node)
 	}
 	if rec.Epoch != 0 {
 		b = append(b, `,"epoch":`...)
@@ -435,8 +429,8 @@ type Options struct {
 	// CompactSegments triggers snapshot+compaction once this many closed
 	// segments accumulate (default 4; <0 disables auto-compaction).
 	CompactSegments int
-	// OnAppend, when set, observes every durable append with the record
-	// type (the xtract_journal_appends_total hook).
+	// OnAppend, when set, observes every accepted record with its type
+	// (the xtract_journal_appends_total hook).
 	OnAppend func(recType string)
 	// OnFsync, when set, observes each fsync batch duration.
 	OnFsync func(d time.Duration)
@@ -468,25 +462,24 @@ type Journal struct {
 	pendingSpare []Record
 	encBuf       []byte
 	syncing      bool
-	flushPending bool
-	killed       bool
-	closed       bool
-	err          error
-	// killAt arms a deterministic crash after that many accepted records;
-	// killedCh (lazily built by Killed) closes when the journal dies.
+	// ageArmed says flushAged is running.
+	ageArmed bool
+	killed   bool
+	closed   bool
+	err      error
+	// killAt arms a deterministic crash at that many accepted records;
+	// killedCh closes when the journal dies.
 	killAt   int64
-	accepts  int64
 	killedCh chan struct{}
 
 	cur        File
 	curName    string
 	curSize    int64
 	closedSegs []string
-	snapSeq    uint64
 
 	appends  int64
 	fsyncs   int64
-	compacts int64
+	compacts atomic.Int64 // bumped by compaction, which runs without the mutex
 }
 
 func segName(firstSeq uint64) string { return fmt.Sprintf("seg-%016d.wal", firstSeq) }
@@ -528,7 +521,7 @@ func Open(dir Dir, opts Options) (*Journal, error) {
 		info:       info,
 		nextSeq:    st.LastSeq + 1,
 		durableSeq: st.LastSeq,
-		snapSeq:    info.snapshotSeq,
+		killedCh:   make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	// Pre-existing segments count toward the compaction trigger so a
@@ -603,123 +596,139 @@ func (j *Journal) Info() ReplayInfo { return j.info }
 func (j *Journal) Stats() (appends, fsyncs, compacts int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appends, j.fsyncs, j.compacts
+	return j.appends, j.fsyncs, j.compacts.Load()
 }
 
-// Append accepts rec (assigning its Seq) and blocks until the record is
-// durable. Concurrent appenders group-commit: one leader timestamps,
-// encodes, writes, and fsyncs the shared batch, folds it into the live
-// state, and every record the batch carried is acknowledged together.
-// Encoding happens in the leader with the lock dropped; an encode
-// failure (impossible for well-formed records) fails the journal.
-func (j *Journal) Append(rec Record) error {
+// Ticket is an accepted record's claim on durability: a caller can start
+// the work the record announces while its fsync is in flight, and hold
+// back only what must not be seen before the record is safe.
+type Ticket struct {
+	j   *Journal
+	seq uint64
+	err error
+}
+
+// Records nobody waits on leave with the next waited batch, or on their
+// own once maxUnwaited of them are buffered, or when one is still
+// buffered a whole unwaitedAge check period after the check that first
+// saw it — so within two periods of being accepted.
+const (
+	maxUnwaited = 256
+	unwaitedAge = 5 * time.Millisecond
+)
+
+// Begin is the one accept path: it assigns rec its Seq, buffers it and
+// returns at once; a crash before the flush loses the record. A closed,
+// killed or failed journal refuses it, and the ticket says why.
+func (j *Journal) Begin(rec Record) Ticket {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if j.killed {
-		return ErrKilled
-	}
-	if j.err != nil {
-		return j.err
+	switch {
+	case j.closed:
+		return Ticket{err: ErrClosed}
+	case j.killed:
+		return Ticket{err: ErrKilled}
+	case j.err != nil:
+		return Ticket{err: j.err}
 	}
 	rec.Seq = j.nextSeq
 	j.nextSeq++
 	j.pending = append(j.pending, rec)
-	j.accepts++
-	if j.killAt > 0 && j.accepts >= j.killAt {
+	j.appends++
+	if j.killAt > 0 && j.appends >= j.killAt {
 		j.killLocked()
-		return ErrKilled
+		return Ticket{err: ErrKilled}
 	}
-	my := rec.Seq
-	for j.durableSeq < my && j.err == nil && !j.killed {
-		if !j.syncing {
-			j.syncing = true
-			j.flushLocked()
-			j.syncing = false
-			j.cond.Broadcast()
+	if j.opts.OnAppend != nil {
+		j.opts.OnAppend(rec.Type)
+	}
+	t := Ticket{j: j, seq: rec.Seq}
+	if len(j.pending) == maxUnwaited {
+		go t.Wait() // the size bound: a stand-in waiter for a full buffer
+	}
+	if !j.ageArmed {
+		j.ageArmed = true
+		go j.flushAged(rec.Seq)
+	}
+	return t
+}
+
+// Wait blocks until the ticket's record is durable, or reports why it
+// never will be. Waiting is what drives the group commit: there is a
+// leader flushing for as long as a waited record is not on disk.
+func (t Ticket) Wait() error {
+	if t.j == nil {
+		return t.err
+	}
+	t.j.mu.Lock()
+	defer t.j.mu.Unlock()
+	return t.j.waitLocked(t.seq)
+}
+
+// Append accepts rec and blocks until it is durable. Cancellation and
+// terminal records go this way; a submission waits on its ticket later.
+func (j *Journal) Append(rec Record) error { return j.Begin(rec).Wait() }
+
+// AppendAsync accepts rec and nobody waits for it. Callers use it only for
+// transitions recovery can reconstruct or afford to redo (step completions
+// are re-derived from the result cache; retries simply happen again).
+func (j *Journal) AppendAsync(rec Record) error { return j.Begin(rec).err }
+
+// waitLocked returns once seq is durable or the journal is dead. The
+// caller becomes the group-commit leader when there is none, and leads
+// only until seq is durable: a waiter still uncovered then takes over, so
+// no ticket resolves later than its own record's fsync.
+func (j *Journal) waitLocked(seq uint64) error {
+	for j.durableSeq < seq && j.err == nil && !j.killed {
+		if j.syncing {
+			j.cond.Wait()
 			continue
 		}
-		j.cond.Wait()
+		j.syncing = true
+		j.flushLocked(seq)
+		j.syncing = false
+		j.cond.Broadcast()
 	}
-	if j.killed && j.durableSeq < my {
+	switch {
+	case j.durableSeq >= seq:
+		return nil
+	case j.killed:
 		return ErrKilled
 	}
-	if j.err != nil {
-		return j.err
-	}
-	j.appends++
-	if j.opts.OnAppend != nil {
-		j.opts.OnAppend(rec.Type)
-	}
-	return nil
+	return j.err
 }
 
-// AppendAsync accepts and buffers rec without waiting for durability:
-// the record reaches disk with the next group-commit batch (a background
-// flusher is scheduled if no leader is active). A crash can lose buffered
-// async records — callers use it only for transitions recovery can
-// reconstruct or afford to redo (step completions are re-derived from the
-// result cache; retries simply happen again). Submission, cancellation,
-// and terminal records must use Append.
-func (j *Journal) AppendAsync(rec Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
+// flushAged is the age bound, started by the first record accepted while
+// it is not running. Each period it checks the oldest record the previous
+// check found buffered: still there, nobody waited for a whole period, and
+// it becomes the waiter for everything accepted so far. With a steady
+// supply of waiters it never flushes; on an empty buffer or a dead journal
+// it exits.
+func (j *Journal) flushAged(oldest uint64) {
+	for armed := true; armed; {
+		<-j.clk.After(unwaitedAge)
+		j.mu.Lock()
+		if j.durableSeq < oldest {
+			_ = j.waitLocked(j.nextSeq - 1)
+		}
+		oldest = j.durableSeq + 1
+		armed = oldest < j.nextSeq && j.err == nil && !j.killed
+		j.ageArmed = armed
+		j.mu.Unlock()
 	}
-	if j.killed {
-		return ErrKilled
-	}
-	if j.err != nil {
-		return j.err
-	}
-	rec.Seq = j.nextSeq
-	j.nextSeq++
-	j.pending = append(j.pending, rec)
-	j.accepts++
-	if j.killAt > 0 && j.accepts >= j.killAt {
-		j.killLocked()
-		return ErrKilled
-	}
-	j.appends++
-	if j.opts.OnAppend != nil {
-		j.opts.OnAppend(rec.Type)
-	}
-	if !j.syncing && !j.flushPending {
-		j.flushPending = true
-		go j.flushAsync()
-	}
-	return nil
 }
 
-// flushAsync is the background group-commit leader for async appends. By
-// the time it runs, a synchronous appender may already have flushed the
-// buffer — then it simply exits.
-func (j *Journal) flushAsync() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.flushPending = false
-	if j.closed || j.killed || j.err != nil || j.syncing || len(j.pending) == 0 {
-		return
-	}
-	j.syncing = true
-	j.flushLocked()
-	j.syncing = false
-	j.cond.Broadcast()
-}
-
-// flushLocked is the group-commit leader loop: while records are
-// buffered, write and fsync them as one batch (dropping the mutex for
-// the IO so followers keep queueing), then rotate/compact as needed.
-// Callers hold j.mu with j.syncing set.
-func (j *Journal) flushLocked() {
-	for len(j.pending) > 0 && j.err == nil && !j.killed {
+// flushLocked is the group-commit leader loop: until the leader's own seq
+// is durable, write and fsync everything buffered as one batch (dropping
+// the mutex for the IO so followers keep queueing), then rotate/compact as
+// needed. Records nobody waits on never start an fsync — the device stays
+// free for the next waiter — but every batch takes them along. Callers
+// hold j.mu with j.syncing set.
+func (j *Journal) flushLocked(seq uint64) {
+	for j.durableSeq < seq && len(j.pending) > 0 && j.err == nil && !j.killed {
 		if j.cur == nil {
 			if err := j.openSegmentLocked(); err != nil {
 				j.err = err
-				j.cond.Broadcast()
 				return
 			}
 		}
@@ -766,7 +775,6 @@ func (j *Journal) flushLocked() {
 		j.mu.Lock()
 		if werr != nil {
 			j.err = werr
-			j.cond.Broadcast()
 			return
 		}
 		// Fold the durable batch into the live state. Deferring the fold
@@ -783,12 +791,14 @@ func (j *Journal) flushLocked() {
 			j.encBuf = frames[:0]
 		}
 		if cut < len(batch) && !j.killed {
-			// Records past the segment boundary rejoin the queue ahead of
-			// anything followers appended while the lock was down; seq order
-			// is preserved because theirs are all lower.
-			requeued := make([]Record, 0, len(batch)-cut+len(j.pending))
-			requeued = append(requeued, batch[cut:]...)
-			j.pending = append(requeued, j.pending...)
+			// Records past the segment boundary rejoin the queue, shifted down
+			// in place, ahead of what followers appended while the lock was
+			// down (all higher in seq); the followers' buffer is the new spare.
+			late, n := j.pending, copy(batch, batch[cut:])
+			clear(batch[n:])
+			j.pending = append(batch[:n], late...)
+			clear(late)
+			j.pendingSpare = late[:0]
 		} else if cut == len(batch) && cap(batch) <= 1<<14 {
 			clear(batch)
 			j.pendingSpare = batch[:0]
@@ -799,7 +809,7 @@ func (j *Journal) flushLocked() {
 		}
 		j.cond.Broadcast()
 		if j.curSize >= j.opts.SegmentBytes {
-			j.rotateLocked()
+			j.rotateLocked(false)
 		}
 	}
 }
@@ -826,14 +836,15 @@ func (j *Journal) openSegmentLocked() error {
 }
 
 // rotateLocked closes the current segment and, past the compaction
-// threshold, snapshots the live state and deletes the covered segments.
-func (j *Journal) rotateLocked() {
+// threshold (or when forced), snapshots the live state and deletes the
+// covered segments.
+func (j *Journal) rotateLocked(force bool) {
 	if j.cur != nil {
 		_ = j.cur.Close()
 		j.closedSegs = append(j.closedSegs, j.curName)
 		j.cur, j.curName, j.curSize = nil, "", 0
 	}
-	if j.opts.CompactSegments > 0 && len(j.closedSegs) >= j.opts.CompactSegments {
+	if n := len(j.closedSegs); n > 0 && (force || j.opts.CompactSegments > 0 && n >= j.opts.CompactSegments) {
 		j.compactLocked()
 	}
 }
@@ -842,30 +853,32 @@ func (j *Journal) rotateLocked() {
 // removes every closed segment it covers. A crash between the snapshot
 // fsync and the removals only leaves garbage segments behind (replay
 // skips their records by seq); a crash during the snapshot write leaves
-// an invalid snapshot that replay ignores in favor of the segments.
+// an invalid snapshot that replay ignores in favor of the segments. The
+// mutex is dropped throughout, so appenders and readers carry on: only the
+// leader (the caller, j.syncing set) mutates j.state and j.closedSegs.
 func (j *Journal) compactLocked() {
 	// The snapshot's horizon is the flushed-and-folded prefix: records
 	// still pending for the next batch are not in the state yet, and
 	// their segments stay behind the snapshot until a later compaction.
 	last := j.durableSeq
+	j.mu.Unlock()
+	defer j.mu.Lock()
 	blob, err := json.Marshal(j.state)
 	if err != nil {
 		return
 	}
-	name := snapName(last)
-	f, err := j.dir.Create(name)
+	f, err := j.dir.Create(snapName(last))
 	if err != nil {
 		return
 	}
-	if _, err := f.Write(appendFrame(nil, blob)); err != nil {
-		_ = f.Close()
-		return
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return
+	_, err = f.Write(appendFrame(nil, blob))
+	if err == nil {
+		err = f.Sync()
 	}
 	_ = f.Close()
+	if err != nil {
+		return
+	}
 	for _, seg := range j.closedSegs {
 		_ = j.dir.Remove(seg)
 	}
@@ -878,44 +891,39 @@ func (j *Journal) compactLocked() {
 			}
 		}
 	}
-	j.snapSeq = last
-	j.compacts++
+	j.compacts.Add(1)
+}
+
+// drainLocked flushes everything buffered and waits out the active leader
+// (it holds the current segment file): on return that file may be closed,
+// and nothing is pending unless the journal is dead.
+func (j *Journal) drainLocked() {
+	for j.syncing || (len(j.pending) > 0 && j.err == nil && !j.killed) {
+		if j.syncing {
+			j.cond.Wait()
+		} else {
+			_ = j.waitLocked(j.nextSeq - 1)
+		}
+	}
 }
 
 // Compact forces a rotation and snapshot now, regardless of thresholds.
 func (j *Journal) Compact() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// Wait out any in-flight group commit: its leader holds a reference
-	// to the current segment file, which must not be closed under it.
-	for j.syncing {
-		j.cond.Wait()
-	}
+	j.drainLocked()
 	if j.closed || j.killed || j.err != nil {
 		return
 	}
-	// Flush buffered records first so the segment close is clean.
 	j.syncing = true
-	j.flushLocked()
+	j.rotateLocked(true)
 	j.syncing = false
 	j.cond.Broadcast()
-	if j.err != nil {
-		return
-	}
-	if j.cur != nil {
-		_ = j.cur.Close()
-		j.closedSegs = append(j.closedSegs, j.curName)
-		j.cur, j.curName, j.curSize = nil, "", 0
-	}
-	if len(j.closedSegs) > 0 {
-		j.compactLocked()
-	}
 }
 
-// Kill emulates a SIGKILL for crash tests: the un-fsynced tail is
-// dropped, pending appenders fail with ErrKilled, and no further IO
-// happens. The Dir's already-durable contents are exactly what a real
-// crash would leave behind.
+// Kill emulates a SIGKILL for crash tests: the buffered tail is dropped,
+// waiters fail with ErrKilled and nothing more is accepted. A write
+// already in flight may still land, as on a real disk.
 func (j *Journal) Kill() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -931,9 +939,7 @@ func (j *Journal) killLocked() {
 	j.killed = true
 	j.pending = nil
 	j.cond.Broadcast()
-	if j.killedCh != nil {
-		close(j.killedCh)
-	}
+	close(j.killedCh)
 }
 
 // KillAtAppend arms a deterministic crash: when the n-th accepted record
@@ -951,33 +957,15 @@ func (j *Journal) KillAtAppend(n int64) {
 // Killed returns a channel closed when the journal dies via Kill or an
 // armed KillAtAppend — the cue for a crash test to tear the rest of the
 // "process" down.
-func (j *Journal) Killed() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.killedCh == nil {
-		j.killedCh = make(chan struct{})
-		if j.killed {
-			close(j.killedCh)
-		}
-	}
-	return j.killedCh
-}
+func (j *Journal) Killed() <-chan struct{} { return j.killedCh }
 
 // Close flushes buffered records and closes the current segment.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.drainLocked()
 	if j.closed {
 		return nil
-	}
-	for j.syncing {
-		j.cond.Wait()
-	}
-	if !j.killed && j.err == nil && len(j.pending) > 0 {
-		j.syncing = true
-		j.flushLocked()
-		j.syncing = false
-		j.cond.Broadcast()
 	}
 	if j.cur != nil {
 		_ = j.cur.Close()
