@@ -95,13 +95,13 @@ type JobResponse struct {
 // Stats may be nil for old completed jobs whose statistics have been
 // evicted from the bounded result cache; the registry record remains.
 type JobStatus struct {
-	JobID    string             `json:"job_id"`
-	State    string             `json:"state"`
-	Tenant   string             `json:"tenant,omitempty"`
-	Crawled  int64              `json:"groups_crawled"`
-	Done     int64              `json:"groups_done"`
-	Err      string             `json:"err,omitempty"`
-	Complete bool               `json:"complete"`
+	JobID    string `json:"job_id"`
+	State    string `json:"state"`
+	Tenant   string `json:"tenant,omitempty"`
+	Crawled  int64  `json:"groups_crawled"`
+	Done     int64  `json:"groups_done"`
+	Err      string `json:"err,omitempty"`
+	Complete bool   `json:"complete"`
 	// Degraded marks a job that converged with partial results inside
 	// the service's straggler budget (terminal state DEGRADED): its
 	// metadata shipped, minus the dead-lettered steps listed on Record.

@@ -68,6 +68,10 @@ func TestCacheEndpointAndNoCacheOverride(t *testing.T) {
 	if !resp.Enabled || resp.Stats.Hits == 0 || resp.Stats.Entries == 0 {
 		t.Fatalf("cache endpoint = %+v", resp)
 	}
+	// The cold crawl hashed every file; the warm one reused every hash.
+	if resp.Stats.FileHashes == 0 || resp.Stats.FileHashHits != resp.Stats.FileHashes {
+		t.Fatalf("cache endpoint fingerprint counters = %+v", resp.Stats)
+	}
 
 	// The per-job override must bypass the cache entirely.
 	before := c.Stats()

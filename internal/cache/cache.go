@@ -70,6 +70,11 @@ type Stats struct {
 	Entries int `json:"entries"`
 	// Capacity is the in-memory LRU bound (0 = unbounded).
 	Capacity int `json:"capacity"`
+	// FileHashes counts files crawls read and hashed to fingerprint
+	// them; FileHashHits counts files whose hash was reused unread
+	// because the store's change token vouched for them.
+	FileHashes   int64 `json:"file_hashes"`
+	FileHashHits int64 `json:"file_hash_hits"`
 }
 
 // Cache is the two-layer extraction result cache. Safe for concurrent
@@ -86,6 +91,27 @@ type Cache struct {
 	onEvict func()
 
 	hits, misses, evictions, persistHits, persistErrors int64
+
+	// The fingerprint memo has its own lock: crawlers use it while the
+	// pump uses the entries above.
+	fileMu                   sync.Mutex
+	files                    map[fileKey]fileHash
+	maxFiles                 int
+	fileHashes, fileHashHits int64
+}
+
+// maxFileHashes bounds the fingerprint memo (roughly 250 bytes a file).
+const maxFileHashes = 1 << 18
+
+// fileKey names one file of one store in the fingerprint memo.
+type fileKey struct{ store, path string }
+
+// fileHash is what the memo knows about a file: the content hash of the
+// version the store listed under this change token and size.
+type fileHash struct {
+	token uint64
+	size  int64
+	hash  string
 }
 
 // memEntry holds a step's metadata as the worker encoded it. Get hands
@@ -102,6 +128,8 @@ func New(capacity int) *Cache {
 		capacity: capacity,
 		order:    list.New(),
 		entries:  make(map[Key]*list.Element),
+		files:    make(map[fileKey]fileHash),
+		maxFiles: maxFileHashes,
 	}
 }
 
@@ -119,26 +147,30 @@ func NewPersistent(capacity int, st store.Store, prefix string) *Cache {
 // (path, content hash) pairs. The boolean is false when any member lacks
 // a content hash (fingerprinting disabled or unreadable at crawl time),
 // in which case the group is uncacheable.
-func GroupFingerprint(files map[string]string) (string, bool) {
-	if len(files) == 0 {
+func GroupFingerprint(paths []string, hashOf func(path string) string) (string, bool) {
+	if len(paths) == 0 {
 		return "", false
 	}
-	paths := make([]string, 0, len(files))
-	for p, h := range files {
+	if !sort.StringsAreSorted(paths) {
+		paths = append([]string(nil), paths...)
+		sort.Strings(paths)
+	}
+	buf := make([]byte, 0, 1024)
+	for i, p := range paths {
+		if i > 0 && p == paths[i-1] {
+			continue // a path counts once, as when this hashed a map
+		}
+		h := hashOf(p)
 		if h == "" {
 			return "", false
 		}
-		paths = append(paths, p)
+		buf = append(append(buf, p...), 0)
+		buf = append(append(buf, h...), '\n')
 	}
-	sort.Strings(paths)
-	h := sha256.New()
-	for _, p := range paths {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-		h.Write([]byte(files[p]))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	sum := sha256.Sum256(buf)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:]), true
 }
 
 // entryPath is where a key's persistent entry lives. Extractor and
@@ -269,6 +301,50 @@ func (c *Cache) putLocked(k Key, body fastjson.Raw) {
 	}
 }
 
+// FileHash returns the content hash recorded for the file when the
+// store still lists it under the same change token and size, which a
+// token-issuing store guarantees means the same bytes. A zero token is
+// never a match.
+func (c *Cache) FileHash(storeName, path string, token uint64, size int64) (string, bool) {
+	if c == nil || token == 0 {
+		return "", false
+	}
+	c.fileMu.Lock()
+	defer c.fileMu.Unlock()
+	fh, ok := c.files[fileKey{storeName, path}]
+	if !ok || fh.token != token || fh.size != size {
+		return "", false
+	}
+	c.fileHashHits++
+	return fh.hash, true
+}
+
+// RecordFileHash notes that the file's content was read and hashed, and
+// remembers the hash under the token and size the store listed before
+// the read: a write that raced the read has already retired that token,
+// so a hash of the newer bytes is never offered for a later listing.
+// Token-less files are counted but not remembered. At the bound an
+// arbitrary entry makes room, which costs that file one re-read.
+func (c *Cache) RecordFileHash(storeName, path string, token uint64, size int64, hash string) {
+	if c == nil {
+		return
+	}
+	c.fileMu.Lock()
+	defer c.fileMu.Unlock()
+	c.fileHashes++
+	if token == 0 {
+		return
+	}
+	k := fileKey{storeName, path}
+	if _, ok := c.files[k]; !ok && len(c.files) >= c.maxFiles {
+		for victim := range c.files {
+			delete(c.files, victim)
+			break
+		}
+	}
+	c.files[k] = fileHash{token: token, size: size, hash: hash}
+}
+
 // SetEvictionHook installs fn, invoked once per LRU eviction while the
 // cache lock is held: keep it cheap and never call back into the cache.
 // The service layer uses it to mirror evictions into a live metric.
@@ -296,6 +372,9 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	c.fileMu.Lock()
+	fileHashes, fileHashHits := c.fileHashes, c.fileHashHits
+	c.fileMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
@@ -306,5 +385,7 @@ func (c *Cache) Stats() Stats {
 		PersistErrors: c.persistErrors,
 		Entries:       c.order.Len(),
 		Capacity:      c.capacity,
+		FileHashes:    fileHashes,
+		FileHashHits:  fileHashHits,
 	}
 }

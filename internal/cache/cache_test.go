@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"xtract/internal/fastjson"
@@ -184,28 +187,91 @@ func TestCorruptedPersistentEntryIsAMiss(t *testing.T) {
 	}
 }
 
+// fingerprintOf feeds GroupFingerprint a group given as path → hash, in
+// the path order given.
+func fingerprintOf(hashes map[string]string, paths ...string) (string, bool) {
+	return GroupFingerprint(paths, func(p string) string { return hashes[p] })
+}
+
 func TestGroupFingerprint(t *testing.T) {
-	if _, ok := GroupFingerprint(nil); ok {
+	if _, ok := fingerprintOf(nil); ok {
 		t.Fatal("empty group fingerprinted")
 	}
-	if _, ok := GroupFingerprint(map[string]string{"/a": "h1", "/b": ""}); ok {
+	if _, ok := fingerprintOf(map[string]string{"/a": "h1", "/b": ""}, "/a", "/b"); ok {
 		t.Fatal("group with unhashed member fingerprinted")
 	}
-	fp1, ok := GroupFingerprint(map[string]string{"/a": "h1", "/b": "h2"})
+	fp1, ok := fingerprintOf(map[string]string{"/a": "h1", "/b": "h2"}, "/a", "/b")
 	if !ok {
 		t.Fatal("fingerprint failed")
 	}
-	fp2, _ := GroupFingerprint(map[string]string{"/b": "h2", "/a": "h1"})
+	unsorted := []string{"/b", "/a"}
+	fp2, _ := GroupFingerprint(unsorted, func(p string) string { return map[string]string{"/a": "h1", "/b": "h2"}[p] })
 	if fp1 != fp2 {
-		t.Fatal("fingerprint depends on map order")
+		t.Fatal("fingerprint depends on member order")
 	}
-	fp3, _ := GroupFingerprint(map[string]string{"/a": "h1", "/b": "h3"})
+	if unsorted[0] != "/b" {
+		t.Fatal("fingerprinting reordered the caller's slice")
+	}
+	fp3, _ := fingerprintOf(map[string]string{"/a": "h1", "/b": "h3"}, "/a", "/b")
 	if fp1 == fp3 {
 		t.Fatal("content change did not change fingerprint")
 	}
-	fp4, _ := GroupFingerprint(map[string]string{"/a": "h1", "/c": "h2"})
+	fp4, _ := fingerprintOf(map[string]string{"/a": "h1", "/c": "h2"}, "/a", "/c")
 	if fp1 == fp4 {
 		t.Fatal("path change did not change fingerprint")
+	}
+}
+
+// TestGroupFingerprintGolden pins the key bytes: the literals were
+// computed by the map-hashing GroupFingerprint this one replaced, so
+// persistent entries written by it still hit.
+func TestGroupFingerprintGolden(t *testing.T) {
+	vasp := map[string]string{
+		"/data/exp-7/INCAR":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+		"/data/exp-7/OUTCAR": "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
+		"/data/exp-7/POSCAR": "2c26b46b68ffc68ff99b453c1d30413413422d706483bfa0f98a5e886266e7ae",
+	}
+	for _, tc := range []struct {
+		name   string
+		hashes map[string]string
+		paths  []string
+		want   string
+	}{
+		{"one file", map[string]string{"/a": "h1"}, []string{"/a"},
+			"b16555993b55bd3c86a2ced6a6e5f86e6fd270a3b671eaddc964a1afa6229962"},
+		{"two files", map[string]string{"/a": "h1", "/b": "h2"}, []string{"/a", "/b"},
+			"03665df6d50be6a8756890074716bc15a6c006fcd47723bb1ea52afccf412740"},
+		{"unsorted with a repeat", map[string]string{"/a": "h1", "/b": "h2"}, []string{"/b", "/a", "/b"},
+			"03665df6d50be6a8756890074716bc15a6c006fcd47723bb1ea52afccf412740"},
+		{"real hashes", vasp, []string{"/data/exp-7/INCAR", "/data/exp-7/OUTCAR", "/data/exp-7/POSCAR"},
+			"ce3c9e5f94e9413d7b1d67bb204eb96f993ad699aeef8d0de0dc04d7516cdeb7"},
+		{"non-ascii and spaces", map[string]string{"/z/ünï.csv": "h", "/z/a b.csv": "h"}, []string{"/z/ünï.csv", "/z/a b.csv"},
+			"59142e5c365e3e03a04aa0217f5d3d12b38032b36722585f2a897b4c8bace6f4"},
+	} {
+		if got, ok := fingerprintOf(tc.hashes, tc.paths...); !ok || got != tc.want {
+			t.Errorf("%s: fingerprint = %s, %v; want %s", tc.name, got, ok, tc.want)
+		}
+	}
+	// A group too large for the stack buffer hashes the same way.
+	var paths []string
+	for i := 0; i < 64; i++ {
+		paths = append(paths, fmt.Sprintf("/big/file-%03d.dat", i))
+	}
+	got, _ := GroupFingerprint(paths, func(string) string { return vasp["/data/exp-7/INCAR"] })
+	h := sha256.New()
+	for _, p := range paths {
+		fmt.Fprintf(h, "%s\x00%s\n", p, vasp["/data/exp-7/INCAR"])
+	}
+	if want := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("64-file group: fingerprint = %s, want %s", got, want)
+	}
+}
+
+func TestGroupFingerprintAllocatesOnlyTheKey(t *testing.T) {
+	paths := []string{"/data/exp-7/INCAR", "/data/exp-7/OUTCAR", "/data/exp-7/POSCAR"}
+	hashOf := func(string) string { return "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" }
+	if n := testing.AllocsPerRun(100, func() { GroupFingerprint(paths, hashOf) }); n > 1 {
+		t.Fatalf("GroupFingerprint allocates %v times, want 1 (the key string)", n)
 	}
 }
 

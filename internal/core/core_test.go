@@ -34,7 +34,8 @@ type harness struct {
 
 type siteSpec struct {
 	name    string
-	workers int // 0 = storage-only
+	workers int              // 0 = storage-only
+	now     func() time.Time // the store's clock; nil = time.Now
 }
 
 func newHarness(t *testing.T, sites []siteSpec, policy scheduler.Policy) *harness {
@@ -73,7 +74,7 @@ func newHarnessCfg(t *testing.T, sites []siteSpec, policy scheduler.Policy, mut 
 	h.svc = New(cfg)
 
 	for _, spec := range sites {
-		fs := store.NewMemFS(spec.name, nil)
+		fs := store.NewMemFS(spec.name, spec.now)
 		h.sites[spec.name] = fs
 		h.fabric.AddEndpoint(spec.name, fs)
 		site := &Site{

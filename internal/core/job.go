@@ -416,6 +416,7 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 		}
 		c := crawler.New(site.Store, spec.Grouper, famQ)
 		c.Fingerprint = s.cfg.Cache != nil && !opts.NoCache
+		c.Hashes = s.cfg.Cache // consulted only while fingerprinting
 		if spec.CrawlWorkers > 0 {
 			c.Workers = spec.CrawlWorkers
 		}
@@ -423,12 +424,7 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 			c.MaxFamilySize = spec.MaxFamilySize
 		}
 		c.UseMinTransfers = !spec.NoMinTransfers
-		c.ObsDirsListed = s.obsCrawlDirs
-		c.ObsFilesSeen = s.obsCrawlFiles
-		c.ObsGroupsFormed = s.obsCrawlGroups
-		c.ObsFamiliesEmitted = s.obsCrawlFamilies
-		c.ObsBytesSeen = s.obsCrawlBytes
-		c.ObsListErrors = s.obsCrawlErrors
+		c.Obs = s.obsCrawl
 		go func(spec RepoSpec) {
 			s.obs.Emitf(jobID, obs.EvCrawlStarted, "site=%s roots=%d", spec.SiteName, len(spec.Roots))
 			stats, err := c.Crawl(ctx, spec.Roots)
@@ -436,8 +432,9 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 				crawlErr <- err
 				return
 			}
-			s.obs.Emitf(jobID, obs.EvCrawlFinished, "site=%s files=%d families=%d encode_errors=%d",
-				spec.SiteName, stats.FilesSeen, stats.FamiliesEmitted, stats.EncodeErrors)
+			s.obs.Emitf(jobID, obs.EvCrawlFinished, "site=%s files=%d families=%d encode_errors=%d hashed=%d reused=%d fingerprint_errors=%d",
+				spec.SiteName, stats.FilesSeen, stats.FamiliesEmitted, stats.EncodeErrors,
+				stats.FilesHashed, stats.HashesReused, stats.FingerprintErrors)
 			crawlDone <- stats
 		}(spec)
 	}
@@ -1531,18 +1528,14 @@ func (p *pump) stepCacheKey(st *famState, step scheduler.Step) (cache.Key, bool)
 	if p.s.cfg.Cache == nil || p.noCache {
 		return cache.Key{}, false
 	}
-	var files map[string]string
-	for _, g := range st.fam.Groups {
-		if g.ID != step.GroupID {
-			continue
+	var files []string
+	for i := range st.fam.Groups {
+		if g := &st.fam.Groups[i]; g.ID == step.GroupID {
+			files = g.Files
+			break
 		}
-		files = make(map[string]string, len(g.Files))
-		for _, f := range g.Files {
-			files[f] = st.fam.FileMeta[f].ContentHash
-		}
-		break
 	}
-	fp, ok := cache.GroupFingerprint(files)
+	fp, ok := cache.GroupFingerprint(files, func(f string) string { return st.fam.FileMeta[f].ContentHash })
 	if !ok {
 		return cache.Key{}, false
 	}

@@ -18,6 +18,7 @@ import (
 	"xtract/internal/cache"
 	"xtract/internal/clock"
 	"xtract/internal/cluster"
+	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/journal"
@@ -276,12 +277,7 @@ type Service struct {
 	obsCacheHits        *obs.Counter
 	obsCacheMisses      *obs.Counter
 	obsCacheEvictions   *obs.Counter
-	obsCrawlDirs        *obs.Counter
-	obsCrawlFiles       *obs.Counter
-	obsCrawlGroups      *obs.Counter
-	obsCrawlFamilies    *obs.Counter
-	obsCrawlBytes       *obs.Counter
-	obsCrawlErrors      *obs.Counter
+	obsCrawl            crawler.Obs
 	obsPumpWakeups      *obs.CounterVec
 	obsDispatchLatency  *obs.Histogram
 	obsPipelineDepth    *obs.Gauge
@@ -386,18 +382,24 @@ func New(cfg Config) *Service {
 		"Result cache lookups answered by neither cache layer.")
 	s.obsCacheEvictions = reg.Counter("xtract_cache_evictions_total",
 		"Result cache entries displaced by the in-memory LRU bound.")
-	s.obsCrawlDirs = reg.Counter("xtract_crawl_dirs_listed_total",
+	s.obsCrawl.DirsListed = reg.Counter("xtract_crawl_dirs_listed_total",
 		"Directories listed by crawlers.")
-	s.obsCrawlFiles = reg.Counter("xtract_crawl_files_seen_total",
+	s.obsCrawl.FilesSeen = reg.Counter("xtract_crawl_files_seen_total",
 		"Files seen by crawlers.")
-	s.obsCrawlGroups = reg.Counter("xtract_crawl_groups_formed_total",
+	s.obsCrawl.GroupsFormed = reg.Counter("xtract_crawl_groups_formed_total",
 		"File groups formed by crawlers.")
-	s.obsCrawlFamilies = reg.Counter("xtract_crawl_families_emitted_total",
+	s.obsCrawl.FamiliesEmitted = reg.Counter("xtract_crawl_families_emitted_total",
 		"Families emitted onto the family queue by crawlers.")
-	s.obsCrawlBytes = reg.Counter("xtract_crawl_bytes_seen_total",
+	s.obsCrawl.BytesSeen = reg.Counter("xtract_crawl_bytes_seen_total",
 		"File bytes discovered by crawlers.")
-	s.obsCrawlErrors = reg.Counter("xtract_crawl_list_errors_total",
+	s.obsCrawl.ListErrors = reg.Counter("xtract_crawl_list_errors_total",
 		"Directory listings that failed during crawls.")
+	s.obsCrawl.FilesHashed = reg.Counter("xtract_crawl_fingerprint_reads_total",
+		"Files crawlers read and hashed for their content fingerprint.")
+	s.obsCrawl.HashesReused = reg.Counter("xtract_crawl_fingerprint_reused_total",
+		"Files whose remembered fingerprint the store's change token vouched for, unread.")
+	s.obsCrawl.FingerprintErrors = reg.Counter("xtract_crawl_fingerprint_errors_total",
+		"Fingerprint reads that failed, leaving the file's groups uncacheable.")
 	s.obsPumpWakeups = reg.CounterVec("xtract_pump_wakeups_total",
 		"Orchestration-loop wakeups by triggering event source.", "reason")
 	s.obsDispatchLatency = reg.Histogram("xtract_dispatch_latency_seconds",

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"xtract/internal/cache"
 	"xtract/internal/clock"
 	"xtract/internal/dedup"
 	"xtract/internal/family"
@@ -39,6 +40,13 @@ type Stats struct {
 	// EncodeErrors counts families dropped because their metadata could
 	// not be serialized for the queue.
 	EncodeErrors int64
+	// FilesHashed counts files read and hashed for their fingerprint,
+	// HashesReused files whose remembered hash the store's change token
+	// vouched for, and FingerprintErrors files whose read failed, leaving
+	// them without a hash and their groups uncacheable.
+	FilesHashed       int64
+	HashesReused      int64
+	FingerprintErrors int64
 }
 
 // Add accumulates another crawl's statistics into s.
@@ -50,6 +58,9 @@ func (s *Stats) Add(o Stats) {
 	s.BytesSeen += o.BytesSeen
 	s.ListErrors += o.ListErrors
 	s.EncodeErrors += o.EncodeErrors
+	s.FilesHashed += o.FilesHashed
+	s.HashesReused += o.HashesReused
+	s.FingerprintErrors += o.FingerprintErrors
 }
 
 // Crawler traverses a store and emits families onto an output queue.
@@ -85,30 +96,38 @@ type Crawler struct {
 	// RateLimitBackoff.
 	RateLimitRetries int
 	RateLimitBackoff time.Duration
-	// Fingerprint makes the crawler read each file and record its
-	// content hash (dedup.ExactKey) into family.FileMeta.ContentHash,
-	// the key material for the extraction result cache. This is the one
-	// deliberate exception to "the crawler never reads contents": the
-	// extra read is what turns a warm re-run into a crawl-bound pass. A
-	// file that cannot be read keeps an empty hash and stays uncacheable.
+	// Fingerprint makes the crawler record each file's content hash
+	// (dedup.ExactKey) into family.FileMeta.ContentHash, the key material
+	// for the extraction result cache. This is the one deliberate
+	// exception to "the crawler never reads contents": a file is read and
+	// hashed once per version when Hashes is set and the store issues
+	// change tokens (store.FileInfo.Token), and on every crawl otherwise.
+	// A file that cannot be read keeps an empty hash, stays uncacheable
+	// and is counted in FingerprintErrors.
 	Fingerprint bool
+	// Hashes is the fingerprint memo (nil-safe): consulted per listed
+	// file before reading it, told of every hash computed.
+	Hashes *cache.Cache
 
-	DirsListed      metrics.Counter
-	FilesSeen       metrics.Counter
-	FamiliesEmitted metrics.Counter
-	ListErrors      metrics.Counter
-	EncodeErrors    metrics.Counter
-	RateLimited     metrics.Counter
-	WorkersSpawned  metrics.Counter
+	DirsListed        metrics.Counter
+	FilesSeen         metrics.Counter
+	FamiliesEmitted   metrics.Counter
+	ListErrors        metrics.Counter
+	EncodeErrors      metrics.Counter
+	RateLimited       metrics.Counter
+	WorkersSpawned    metrics.Counter
+	FilesHashed       metrics.Counter
+	HashesReused      metrics.Counter
+	FingerprintErrors metrics.Counter
 
-	// Live observability handles, shared across the crawls of a service
-	// and set by the caller (nil-safe when unset).
-	ObsDirsListed      *obs.Counter
-	ObsFilesSeen       *obs.Counter
-	ObsGroupsFormed    *obs.Counter
-	ObsFamiliesEmitted *obs.Counter
-	ObsBytesSeen       *obs.Counter
-	ObsListErrors      *obs.Counter
+	// Obs mirrors the crawl into live metrics (nil-safe when unset).
+	Obs Obs
+}
+
+// Obs is the set of live metric handles a service's crawls share.
+type Obs struct {
+	DirsListed, FilesSeen, GroupsFormed, FamiliesEmitted, BytesSeen,
+	ListErrors, FilesHashed, HashesReused, FingerprintErrors *obs.Counter
 }
 
 // New returns a crawler with sensible defaults (16 workers, min-transfers
@@ -271,13 +290,16 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 		return Stats{}, err
 	}
 	return Stats{
-		DirsListed:      c.DirsListed.Value(),
-		FilesSeen:       c.FilesSeen.Value(),
-		GroupsFormed:    groupsFormed.Value(),
-		FamiliesEmitted: c.FamiliesEmitted.Value(),
-		BytesSeen:       bytesSeen.Value(),
-		ListErrors:      c.ListErrors.Value(),
-		EncodeErrors:    c.EncodeErrors.Value(),
+		DirsListed:        c.DirsListed.Value(),
+		FilesSeen:         c.FilesSeen.Value(),
+		GroupsFormed:      groupsFormed.Value(),
+		FamiliesEmitted:   c.FamiliesEmitted.Value(),
+		BytesSeen:         bytesSeen.Value(),
+		ListErrors:        c.ListErrors.Value(),
+		EncodeErrors:      c.EncodeErrors.Value(),
+		FilesHashed:       c.FilesHashed.Value(),
+		HashesReused:      c.HashesReused.Value(),
+		FingerprintErrors: c.FingerprintErrors.Value(),
 	}, nil
 }
 
@@ -296,42 +318,63 @@ func (c *Crawler) listWithBackoff(dir string) ([]store.FileInfo, error) {
 	}
 }
 
+// fingerprint returns the content hash of a listed file: the remembered
+// one when the store's change token vouches for it, else a fresh read
+// and hash, which the memo is told about. "" means the read failed.
+func (c *Crawler) fingerprint(fi store.FileInfo) string {
+	name := c.Store.Name()
+	if h, ok := c.Hashes.FileHash(name, fi.Path, fi.Token, fi.Size); ok {
+		c.HashesReused.Inc()
+		c.Obs.HashesReused.Inc()
+		return h
+	}
+	data, err := c.Store.Read(fi.Path)
+	if err != nil {
+		c.FingerprintErrors.Inc()
+		c.Obs.FingerprintErrors.Inc()
+		return ""
+	}
+	h := dedup.ExactKey(data)
+	c.Hashes.RecordFileHash(name, fi.Path, fi.Token, fi.Size, h)
+	c.FilesHashed.Inc()
+	c.Obs.FilesHashed.Inc()
+	return h
+}
+
 // processDir lists one directory, queues subdirectories, groups files,
 // and emits families.
 func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFormed, bytesSeen *metrics.Counter) {
 	infos, err := c.listWithBackoff(dir)
 	if err != nil {
 		c.ListErrors.Inc()
-		c.ObsListErrors.Inc()
+		c.Obs.ListErrors.Inc()
 		return
 	}
 	c.DirsListed.Inc()
-	c.ObsDirsListed.Inc()
+	c.Obs.DirsListed.Inc()
 	var files []store.FileInfo
+	var total int64
 	for _, fi := range infos {
 		if fi.IsDir {
 			dq.push(fi.Path)
 			continue
 		}
 		files = append(files, fi)
-		c.FilesSeen.Inc()
-		bytesSeen.Add(fi.Size)
+		total += fi.Size
 	}
-	c.ObsFilesSeen.Add(float64(len(files)))
 	if len(files) == 0 {
 		return
 	}
-	var total int64
-	for _, fi := range files {
-		total += fi.Size
-	}
-	c.ObsBytesSeen.Add(float64(total))
+	c.FilesSeen.Add(int64(len(files)))
+	c.Obs.FilesSeen.Add(float64(len(files)))
+	bytesSeen.Add(total)
+	c.Obs.BytesSeen.Add(float64(total))
 	groups := c.Grouper(dir, files)
 	if len(groups) == 0 {
 		return
 	}
 	groupsFormed.Add(int64(len(groups)))
-	c.ObsGroupsFormed.Add(float64(len(groups)))
+	c.Obs.GroupsFormed.Add(float64(len(groups)))
 
 	var fams []family.Family
 	if c.UseMinTransfers {
@@ -343,9 +386,7 @@ func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFor
 	for _, fi := range files {
 		fm := family.FileMeta{Size: fi.Size, Extension: fi.Extension, MimeType: fi.MimeType}
 		if c.Fingerprint {
-			if data, err := c.Store.Read(fi.Path); err == nil {
-				fm.ContentHash = dedup.ExactKey(data)
-			}
+			fm.ContentHash = c.fingerprint(fi)
 		}
 		metaOf[fi.Path] = fm
 	}
@@ -377,5 +418,5 @@ func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFor
 	}
 	c.Out.SendBatch(bodies)
 	c.FamiliesEmitted.Add(int64(len(bodies)))
-	c.ObsFamiliesEmitted.Add(float64(len(bodies)))
+	c.Obs.FamiliesEmitted.Add(float64(len(bodies)))
 }

@@ -29,13 +29,13 @@ const (
 	// EvTaskHedged marks a speculative duplicate dispatched for a step
 	// running past its extractor's latency estimate (detail names the
 	// target site).
-	EvTaskHedged = "task_hedged"
-	EvFamilyDone       = "family_done"
-	EvFamilyFailed     = "family_failed"
-	EvFamilyValidated  = "family_validated"
-	EvJobCompleted     = "job_completed"
-	EvJobFailed        = "job_failed"
-	EvJobCancelled     = "job_cancelled"
+	EvTaskHedged      = "task_hedged"
+	EvFamilyDone      = "family_done"
+	EvFamilyFailed    = "family_failed"
+	EvFamilyValidated = "family_validated"
+	EvJobCompleted    = "job_completed"
+	EvJobFailed       = "job_failed"
+	EvJobCancelled    = "job_cancelled"
 	// EvJobRecovered marks a job restored from the durable journal after a
 	// service restart, before its pump resumes.
 	EvJobRecovered = "job_recovered"

@@ -51,6 +51,7 @@ func (o *ObjectStore) Write(p string, data []byte) error {
 			Size:      int64(len(data)),
 			ModTime:   o.now(),
 			Extension: ExtensionOf(base),
+			Token:     lastToken.Add(1),
 		},
 		data: cp,
 	}

@@ -24,7 +24,6 @@ var (
 	ErrNotFound  = errors.New("store: not found")
 	ErrIsDir     = errors.New("store: is a directory")
 	ErrNotDir    = errors.New("store: not a directory")
-	ErrExists    = errors.New("store: already exists")
 	ErrRateLimit = errors.New("store: rate limited")
 )
 
@@ -38,7 +37,16 @@ type FileInfo struct {
 	IsDir     bool
 	Extension string // lowercase extension without the dot, "" if none
 	MimeType  string // set by stores that track MIME types (Drive)
+	// Token is a change token: List and Stat return the same value for a
+	// file until the path is next written or deleted, and never again
+	// after. Zero means the store gives no such guarantee (directories,
+	// OSStore) and the content must be read to learn whether it changed.
+	Token uint64
 }
+
+// lastToken issues change tokens. It is process-wide so that two stores
+// answering to the same name never issue the same token.
+var lastToken atomic.Uint64
 
 // Store is the uniform storage abstraction. Paths are slash-separated and
 // rooted at "/".
@@ -192,6 +200,7 @@ func (m *MemFS) Write(p string, data []byte) error {
 			Size:      int64(len(data)),
 			ModTime:   m.now(),
 			Extension: ExtensionOf(base),
+			Token:     lastToken.Add(1),
 		},
 		data: cp,
 	}
