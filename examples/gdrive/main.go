@@ -71,10 +71,12 @@ func main() {
 	fmt.Printf("bytes staged gdrive → river: %.1f MB\n", float64(stats.BytesStaged)/1e6)
 
 	fmt.Println("\nper-extractor mean execution time (live measurements):")
-	for _, name := range d.Service.StepDurations.Components() {
-		h := d.Service.StepDurations.Component(name)
-		fmt.Printf("  %-14s %6d invocations  %8.2f ms avg\n",
-			name, h.Count(), h.Mean()*1000)
+	durations := d.Obs.Reg().HistogramVec("xtract_step_duration_seconds", "", nil, "extractor")
+	for _, name := range extractors.DefaultLibrary().Names() {
+		if h := durations.With(name); h.Count() > 0 {
+			fmt.Printf("  %-14s %6d invocations  %8.2f ms avg\n",
+				name, h.Count(), h.Sum()/float64(h.Count())*1000)
+		}
 	}
 	fmt.Printf("\nvalidated MDF documents: %d\n", d.Validation.Validated.Value())
 }

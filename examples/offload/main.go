@@ -48,7 +48,7 @@ func run(percent float64, groups int) (time.Duration, int64, int64, int64) {
 	defer d.Close()
 
 	start := time.Now()
-	_, err = d.Service.RunJob(context.Background(), []core.RepoSpec{{
+	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
 		SiteName: "midway",
 		Roots:    []string{"/repo"},
 		Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
@@ -60,7 +60,7 @@ func run(percent float64, groups int) (time.Duration, int64, int64, int64) {
 	mw, _ := d.Service.Site("midway")
 	js, _ := d.Service.Site("jetstream")
 	return elapsed, mw.Compute.TasksExecuted.Value(),
-		js.Compute.TasksExecuted.Value(), d.Service.BytesStaged.Value()
+		js.Compute.TasksExecuted.Value(), stats.BytesStaged
 }
 
 func main() {

@@ -137,11 +137,12 @@ func TestSubmissionGate(t *testing.T) {
 		answer <- accepted{id, err}
 	}()
 
+	familiesDone := deps.Obs.Reg().Counter("xtract_families_done_total", "")
 	deadline := time.Now().Add(10 * time.Second)
-	for deps.Svc.FamiliesDone.Value() < 2 {
+	for familiesDone.Value() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d/2 families done behind the held fsync: the job did not start before its submission was durable",
-				deps.Svc.FamiliesDone.Value())
+			t.Fatalf("%.0f/2 families done behind the held fsync: the job did not start before its submission was durable",
+				familiesDone.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}

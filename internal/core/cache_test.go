@@ -312,10 +312,10 @@ func TestCacheMetricsAndEvents(t *testing.T) {
 // counters, JobStats read the service-lifetime aggregates, so whichever
 // job finished second reported both jobs' families, steps, and bytes.
 func TestConcurrentJobStatsIsolation(t *testing.T) {
-	h := newHarness(t, []siteSpec{
+	h := newHarnessCfg(t, []siteSpec{
 		{name: "alpha", workers: 4},
 		{name: "beta", workers: 4},
-	}, scheduler.LocalPolicy{})
+	}, scheduler.LocalPolicy{}, func(cfg *Config) { cfg.Obs = obs.New(cfg.Clock) })
 	defer h.close()
 	seedScience(t, h.sites["alpha"], "/mdf")
 	// beta gets a different (larger) corpus so equal-by-coincidence
@@ -356,10 +356,10 @@ func TestConcurrentJobStatsIsolation(t *testing.T) {
 		t.Fatalf("corpora should differ: alpha %d vs beta %d families", a.FamiliesDone, b.FamiliesDone)
 	}
 	// The service-level counters stay as aggregates: exactly the sum.
-	if got := h.svc.FamiliesDone.Value(); got != a.FamiliesDone+b.FamiliesDone {
+	if got := int64(h.svc.obsFamiliesDone.Value()); got != a.FamiliesDone+b.FamiliesDone {
 		t.Fatalf("service families %d != %d + %d", got, a.FamiliesDone, b.FamiliesDone)
 	}
-	if got := h.svc.GroupsProcessed.Value(); got != a.StepsProcessed+b.StepsProcessed {
+	if got := int64(h.svc.obsGroupsProcessed.Value()); got != a.StepsProcessed+b.StepsProcessed {
 		t.Fatalf("service steps %d != %d + %d", got, a.StepsProcessed, b.StepsProcessed)
 	}
 }

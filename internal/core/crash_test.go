@@ -31,6 +31,7 @@ import (
 	"xtract/internal/faas"
 	"xtract/internal/family"
 	"xtract/internal/journal"
+	"xtract/internal/obs"
 	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
@@ -154,6 +155,7 @@ func startCrashLifeOn(t *testing.T, jdir journal.Dir, dataFS, dest *store.MemFS,
 		Checkpoint: true,
 		Cache:      cache.New(0),
 		Journal:    jnl,
+		Obs:        obs.New(clk), // families_done is how a test watches a live pump
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	fabric.AddEndpoint("site", dataFS)
@@ -736,10 +738,10 @@ func TestCrashBeforeSubmissionDurableLeavesNoTrace(t *testing.T) {
 	// The pump outlives the emulated kill until the test cancels it; let
 	// it finish every family, so everything it could leak is ready to.
 	deadline := time.Now().Add(30 * time.Second)
-	for life1.svc.FamiliesDone.Value() < int64(len(control.docs)) {
+	for life1.svc.obsFamiliesDone.Value() < float64(len(control.docs)) {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d families finished behind the held fsync",
-				life1.svc.FamiliesDone.Value(), len(control.docs))
+			t.Fatalf("only %.0f/%d families finished behind the held fsync",
+				life1.svc.obsFamiliesDone.Value(), len(control.docs))
 		}
 		time.Sleep(time.Millisecond)
 	}

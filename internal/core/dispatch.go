@@ -7,7 +7,6 @@ import (
 
 	"xtract/internal/faas"
 	"xtract/internal/obs"
-	"xtract/internal/scheduler"
 )
 
 // This file is the dispatch half of the event-driven pipeline: one
@@ -18,12 +17,6 @@ import (
 // collect concurrently, so multi-site jobs overlap their control-plane
 // round trips instead of serializing them through one loop.
 
-// reconcileEvery is how often a shard cross-checks its outstanding tasks
-// against PollBatch. Completion notifications are the primary signal;
-// this is only the safety net for a notification lost to fabric-internal
-// races, so it can be slow without hurting latency.
-const reconcileEvery = 500 * time.Millisecond
-
 // feedDepth bounds the pump→shard step channel. The pump blocks (with
 // job-context cancellation) when a shard falls this far behind, which
 // back-pressures intake instead of growing memory without bound.
@@ -31,10 +24,12 @@ const feedDepth = 1024
 
 // dispatchItem is one dispatch-ready step routed from the pump to a site
 // shard, stamped with the time it became ready so the shard can observe
-// ready→submitted dispatch latency.
+// ready→submitted dispatch latency. ref is the pump's name for the step;
+// it comes back on every event about the task that carries it.
 type dispatchItem struct {
 	extractor string
 	readyAt   time.Time
+	ref       stepRef
 	sp        stepPayload
 	// hedge marks a speculative duplicate of a step already running
 	// elsewhere. Hedge steps never batch with originals (separate bucket
@@ -162,13 +157,11 @@ func newDispatcher(s *Service, jobID, tenant string, site *Site, sink *shardEven
 
 // run is the shard loop: drain whatever the pump has fed, flush it to
 // the fabric, and forward completion notifications, blocking between
-// bursts. The reconcile timer is armed only while tasks are outstanding.
+// bursts. Nothing polls behind the notifications: every way a task turns
+// terminal publishes under the task's lock and Notify checks the status
+// under it (faas: TestEveryTerminalTransitionNotifiesOnce).
 func (d *dispatcher) run(ctx context.Context) {
-	var reconcileCh <-chan time.Time
 	for {
-		if reconcileCh == nil && len(d.out) > 0 {
-			reconcileCh = d.s.clk.After(reconcileEvery)
-		}
 		select {
 		case <-ctx.Done():
 			d.releaseAbandoned()
@@ -191,9 +184,6 @@ func (d *dispatcher) run(ctx context.Context) {
 			for _, info := range d.comp.Drain() {
 				d.terminal(info.ID, info)
 			}
-		case <-reconcileCh:
-			reconcileCh = nil
-			d.reconcile()
 		}
 	}
 }
@@ -254,10 +244,7 @@ func (d *dispatcher) makeTask(k bucketKey) {
 	earliest := batch[0].readyAt
 	for _, it := range batch {
 		steps = append(steps, it.sp)
-		refs = append(refs, stepRef{
-			famID: it.sp.FamilyID,
-			step:  scheduler.Step{GroupID: it.sp.GroupID, Extractor: extractor},
-		})
+		refs = append(refs, it.ref)
 		if it.readyAt.Before(earliest) {
 			earliest = it.readyAt
 		}
@@ -351,10 +338,9 @@ func (d *dispatcher) recycle(reqs []faas.TaskRequest, refs [][]stepRef, bufs []*
 	d.hedges = hedges[:0]
 }
 
-// terminal forwards one finished/lost task to the pump. The out-map
-// check makes notification and reconciliation idempotent: whichever path
-// sees the task first claims it. The claim is also the end of the task's
-// record on the fabric: info is the only copy anyone reads from here on.
+// terminal forwards one finished/lost task to the pump, once: the out-map
+// check claims it. The claim is also the end of the task's record on the
+// fabric: info is the only copy anyone reads from here on.
 func (d *dispatcher) terminal(id string, info faas.TaskInfo) {
 	ot, ok := d.out[id]
 	if !ok {
@@ -396,23 +382,4 @@ func (d *dispatcher) releaseAbandoned() {
 		break
 	}
 	d.s.cfg.Tenants.ReleaseTasks(d.tenant, n)
-}
-
-// reconcile is the PollBatch safety net behind the notification path:
-// it sweeps outstanding tasks so a completion whose notification was
-// lost still terminates the job, just late.
-func (d *dispatcher) reconcile() {
-	if len(d.out) == 0 {
-		return
-	}
-	ids := make([]string, 0, len(d.out))
-	for id := range d.out {
-		ids = append(ids, id)
-	}
-	for _, info := range d.s.cfg.FaaS.PollBatch(ids) {
-		if info.ID == "" || !info.Status.Terminal() {
-			continue
-		}
-		d.terminal(info.ID, info)
-	}
 }

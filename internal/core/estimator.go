@@ -26,8 +26,8 @@ const estimatorRecomputeEvery = 16
 
 // HedgePolicy configures hedged speculative execution.
 type HedgePolicy struct {
-	// Enabled turns hedging on. Off (the default) leaves the dispatch
-	// path byte-identical to the pre-hedging pipeline.
+	// Enabled turns hedging on. Off (the default), shards report no
+	// accepted tasks, so no deadline is armed and no duplicate dispatched.
 	Enabled bool
 	// Quantile is the per-extractor latency quantile a task must exceed
 	// before a duplicate is dispatched (default 0.95).

@@ -465,11 +465,7 @@ func bareService(t testing.TB, c *cache.Cache) *Service {
 func TestWarmStepCostDoesNotGrowWithMetadata(t *testing.T) {
 	c := cache.New(0)
 	svc := bareService(t, c)
-	p := &pump{
-		s: svc, jobID: svc.cfg.Registry.CreateJob("", []string{"x"}, svc.clk.Now()),
-		states: make(map[string]*famState), staging: make(map[string]*famState),
-		attempts: make(map[stepKey]int),
-	}
+	p := newPump(svc, svc.cfg.Registry.CreateJob("", []string{"x"}, svc.clk.Now()), "", false, nil)
 	fam := family.Family{
 		ID: "x:/d#0", Store: "x", BasePath: "/d", Files: []string{"/d/a.txt"},
 		Groups:   []family.Group{{ID: "g", Files: []string{"/d/a.txt"}, Extractor: "keyword"}},
@@ -494,9 +490,9 @@ func TestWarmStepCostDoesNotGrowWithMetadata(t *testing.T) {
 		})
 	}
 	small, large := measure(fastjson.Raw(`{"k":1}`)), measure(big)
-	if p.cacheHits == 0 || p.cacheHits != p.familiesDone || p.cacheMisses != 0 {
+	if p.CacheHits == 0 || p.CacheHits != p.FamiliesDone || p.CacheMisses != 0 {
 		t.Fatalf("hits %d, misses %d, families %d; want every family served by one hit",
-			p.cacheHits, p.cacheMisses, p.familiesDone)
+			p.CacheHits, p.CacheMisses, p.FamiliesDone)
 	}
 	if large > small {
 		t.Fatalf("a cached step with %d bytes of metadata cost %.0f allocations, one with 7 bytes %.0f",

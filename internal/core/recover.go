@@ -220,7 +220,7 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts Rec
 			Type: journal.RecJobTerminal, JobID: js.ID,
 			State: string(registry.JobFailed), Err: msg,
 		})
-		s.jobStateCounter(registry.JobFailed).Inc()
+		s.obsJobs.with(string(registry.JobFailed)).Inc()
 		s.cfg.Tenants.JobOutcome(ten, string(registry.JobFailed))
 		s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=failed err=%s", msg)
 		return RecoveredJob{JobID: js.ID, Disposition: "failed", State: string(registry.JobFailed), Err: msg}

@@ -22,7 +22,6 @@ import (
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/journal"
-	"xtract/internal/metrics"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
 	"xtract/internal/registry"
@@ -245,23 +244,8 @@ type Service struct {
 	breakerMu  sync.Mutex
 	breakers   map[string]*breaker
 
-	GroupsProcessed   metrics.Counter
-	FamiliesDone      metrics.Counter
-	StepsFailed       metrics.Counter
-	TasksResubmitted  metrics.Counter
-	BytesStaged       metrics.Counter
-	StepsRetried      metrics.Counter
-	StepsDeadLettered metrics.Counter
-	// Throughput records one point per completed group for Figure 8.
-	Throughput metrics.TimeSeries
-	// StepDurations records per-extractor execution times (Table 3).
-	StepDurations *metrics.Breakdown
-	// TransferDurations records per-extractor staging times (Table 3).
-	TransferDurations *metrics.Breakdown
-
 	// Live observability handles resolved from cfg.Obs (nil-safe).
 	obs                 *obs.Observer
-	obsJobs             *obs.CounterVec
 	obsJobsActive       *obs.Gauge
 	obsFamiliesDone     *obs.Counter
 	obsFamiliesFailed   *obs.Counter
@@ -269,19 +253,15 @@ type Service struct {
 	obsStepsFailed      *obs.Counter
 	obsTasksResubmitted *obs.Counter
 	obsBytesStaged      *obs.Counter
-	obsRetries          *obs.CounterVec
 	obsRetryBackoff     *obs.Histogram
-	obsDeadLetters      *obs.CounterVec
 	obsBudgetExhausted  *obs.Counter
 	obsStepDuration     *obs.HistogramVec
 	obsCacheHits        *obs.Counter
 	obsCacheMisses      *obs.Counter
 	obsCacheEvictions   *obs.Counter
 	obsCrawl            crawler.Obs
-	obsPumpWakeups      *obs.CounterVec
 	obsDispatchLatency  *obs.Histogram
 	obsPipelineDepth    *obs.Gauge
-	obsJournalAppends   *obs.CounterVec
 	obsJournalErrors    *obs.Counter
 	obsJournalFsync     *obs.Histogram
 	obsRecoveredJobs    *obs.CounterVec
@@ -294,15 +274,14 @@ type Service struct {
 	obsHedgeCancelled   *obs.Counter
 	obsShedTotal        *obs.Counter
 
-	// Pre-resolved hot-path handles: the pump, dispatcher, and journal
+	// Labelled counters on hot paths: the pump, dispatcher, and journal
 	// hook emit millions of events per run, so their known label values
 	// are resolved to series handles once at construction instead of
-	// re-resolving a *Vec.With per event. Unknown values (new extractors,
-	// future record types) fall back to With through the helpers below.
-	obsWakeupBy      map[string]*obs.Counter
-	obsRetryBy       map[string]*obs.Counter
-	obsJobStateBy    map[registry.JobState]*obs.Counter
-	obsJournalBy     map[string]*obs.Counter
+	// re-resolving a *Vec.With per event (see labelledCounter).
+	obsWakeups       labelledCounter // by wakeup reason
+	obsRetries       labelledCounter // by failure cause
+	obsJobs          labelledCounter // by terminal registry.JobState
+	obsJournal       labelledCounter // by record type
 	obsDeadLetterFam *obs.Counter
 	obsDeadLetterStp *obs.Counter
 	obsStepDurBy     sync.Map // extractor name -> *obs.Histogram
@@ -332,26 +311,25 @@ func New(cfg Config) *Service {
 		cfg.FuncXBatchSize = 16
 	}
 	s := &Service{
-		cfg:               cfg,
-		clk:               cfg.Clock,
-		sites:             make(map[string]*Site),
-		functions:         make(map[[2]string]string),
-		containerOf:       make(map[string]string),
-		ColdStartCost:     0,
-		StepDurations:     metrics.NewBreakdown(),
-		TransferDurations: metrics.NewBreakdown(),
-		obs:               cfg.Obs,
-		retry:             cfg.Retry.withDefaults(),
-		hedge:             cfg.Hedge.withDefaults(),
-		breakerPol:        cfg.Breakers.withDefaults(),
-		breakers:          make(map[string]*breaker),
+		cfg:         cfg,
+		clk:         cfg.Clock,
+		sites:       make(map[string]*Site),
+		functions:   make(map[[2]string]string),
+		containerOf: make(map[string]string),
+		obs:         cfg.Obs,
+		retry:       cfg.Retry.withDefaults(),
+		hedge:       cfg.Hedge.withDefaults(),
+		breakerPol:  cfg.Breakers.withDefaults(),
+		breakers:    make(map[string]*breaker),
 	}
 	if s.hedge.Enabled {
 		s.estimator = newLatencyEstimator(s.hedge)
 	}
 	reg := cfg.Obs.Reg()
-	s.obsJobs = reg.CounterVec("xtract_jobs_total",
-		"Extraction jobs by terminal state.", "state")
+	s.obsJobs = newLabelledCounter(reg.CounterVec("xtract_jobs_total",
+		"Extraction jobs by terminal state.", "state"),
+		string(registry.JobCrawling), string(registry.JobExtracting), string(registry.JobComplete),
+		string(registry.JobFailed), string(registry.JobCancelled), string(registry.JobDegraded))
 	s.obsJobsActive = reg.Gauge("xtract_jobs_active",
 		"Extraction jobs currently running.")
 	s.obsFamiliesDone = reg.Counter("xtract_families_done_total",
@@ -366,12 +344,15 @@ func New(cfg Config) *Service {
 		"FaaS tasks resubmitted after being lost.")
 	s.obsBytesStaged = reg.Counter("xtract_bytes_staged_total",
 		"Bytes staged to remote compute sites by the prefetcher.")
-	s.obsRetries = reg.CounterVec("xtract_retry_total",
-		"Step retries scheduled, by failure cause.", "reason")
+	s.obsRetries = newLabelledCounter(reg.CounterVec("xtract_retry_total",
+		"Step retries scheduled, by failure cause.", "reason"),
+		"lost", "failed", "staging", "step_error", "bad_result", "no_function")
 	s.obsRetryBackoff = reg.Histogram("xtract_retry_backoff_seconds",
 		"Backoff delays scheduled before step retries.", nil)
-	s.obsDeadLetters = reg.CounterVec("xtract_deadletter_total",
+	deadLetters := reg.CounterVec("xtract_deadletter_total",
 		"Poison tasks quarantined after exhausting their retries.", "kind")
+	s.obsDeadLetterFam = deadLetters.With("family")
+	s.obsDeadLetterStp = deadLetters.With("step")
 	s.obsBudgetExhausted = reg.Counter("xtract_retry_budget_exhausted_total",
 		"Retries denied because the per-job retry budget was spent.")
 	s.obsStepDuration = reg.HistogramVec("xtract_step_duration_seconds",
@@ -400,14 +381,21 @@ func New(cfg Config) *Service {
 		"Files whose remembered fingerprint the store's change token vouched for, unread.")
 	s.obsCrawl.FingerprintErrors = reg.Counter("xtract_crawl_fingerprint_errors_total",
 		"Fingerprint reads that failed, leaving the file's groups uncacheable.")
-	s.obsPumpWakeups = reg.CounterVec("xtract_pump_wakeups_total",
-		"Orchestration-loop wakeups by triggering event source.", "reason")
+	s.obsWakeups = newLabelledCounter(reg.CounterVec("xtract_pump_wakeups_total",
+		"Orchestration-loop wakeups by triggering event source.", "reason"),
+		"start", "crawl", "families", "staged", "events", "retry", "hedge", "durable", "idle")
 	s.obsDispatchLatency = reg.Histogram("xtract_dispatch_latency_seconds",
 		"Time from a step becoming dispatch-ready to its FaaS batch submission.", nil)
 	s.obsPipelineDepth = reg.Gauge("xtract_pipeline_depth",
 		"FaaS tasks in flight across all dispatcher shards.")
-	s.obsJournalAppends = reg.CounterVec("xtract_journal_appends_total",
-		"Durable journal appends by record type.", "type")
+	s.obsJournal = newLabelledCounter(reg.CounterVec("xtract_journal_appends_total",
+		"Durable journal appends by record type.", "type"),
+		journal.RecJobSubmitted, journal.RecFamilyEnqueued,
+		journal.RecStepCompleted, journal.RecStepRetried,
+		journal.RecStepDeadLettered, journal.RecFamilyFailed,
+		journal.RecJobCancelled, journal.RecJobTerminal,
+		journal.RecLeaseAcquired, journal.RecLeaseRenewed,
+		journal.RecLeaseReleased)
 	s.obsJournalErrors = reg.Counter("xtract_journal_append_errors_total",
 		"Journal appends that failed (the transition proceeded un-journaled).")
 	s.obsJournalFsync = reg.Histogram("xtract_journal_fsync_seconds",
@@ -430,44 +418,12 @@ func New(cfg Config) *Service {
 		"Losing attempts cancelled after a sibling completed first.")
 	s.obsShedTotal = reg.Counter("xtract_shed_total",
 		"Job submissions refused by overload shedding (503 + Retry-After).")
-	s.obsWakeupBy = make(map[string]*obs.Counter)
-	for _, reason := range []string{
-		"start", "crawl", "families", "staged", "events", "retry", "hedge", "idle",
-	} {
-		s.obsWakeupBy[reason] = s.obsPumpWakeups.With(reason)
-	}
-	s.obsRetryBy = make(map[string]*obs.Counter)
-	for _, cause := range []string{
-		"lost", "failed", "staging", "step_error", "bad_result", "no_function",
-	} {
-		s.obsRetryBy[cause] = s.obsRetries.With(cause)
-	}
-	s.obsJobStateBy = make(map[registry.JobState]*obs.Counter)
-	for _, st := range []registry.JobState{
-		registry.JobCrawling, registry.JobExtracting, registry.JobComplete,
-		registry.JobFailed, registry.JobCancelled, registry.JobDegraded,
-	} {
-		s.obsJobStateBy[st] = s.obsJobs.With(string(st))
-	}
-	s.obsJournalBy = make(map[string]*obs.Counter)
-	for _, typ := range []string{
-		journal.RecJobSubmitted, journal.RecFamilyEnqueued,
-		journal.RecStepCompleted, journal.RecStepRetried,
-		journal.RecStepDeadLettered, journal.RecFamilyFailed,
-		journal.RecJobCancelled, journal.RecJobTerminal,
-		journal.RecLeaseAcquired, journal.RecLeaseRenewed,
-		journal.RecLeaseReleased,
-	} {
-		s.obsJournalBy[typ] = s.obsJournalAppends.With(typ)
-	}
-	s.obsDeadLetterFam = s.obsDeadLetters.With("family")
-	s.obsDeadLetterStp = s.obsDeadLetters.With("step")
 	if cfg.Cache != nil {
 		cfg.Cache.SetEvictionHook(func() { s.obsCacheEvictions.Inc() })
 	}
 	if cfg.Journal != nil {
 		cfg.Journal.Observe(
-			func(recType string) { s.journalAppendCounter(recType).Inc() },
+			func(recType string) { s.obsJournal.with(recType).Inc() },
 			func(d time.Duration) { s.obsJournalFsync.ObserveDuration(d) },
 		)
 	}
@@ -547,37 +503,27 @@ func (s *Service) ShedCheck() (time.Duration, bool) {
 	return 0, false
 }
 
-// wakeupCounter returns the cached counter for a pump wakeup reason.
-func (s *Service) wakeupCounter(reason string) *obs.Counter {
-	if c, ok := s.obsWakeupBy[reason]; ok {
-		return c
-	}
-	return s.obsPumpWakeups.With(reason)
+// labelledCounter is a one-label counter family with the series of its
+// known label values resolved ahead of time; with falls back to the
+// family's own (allocating) lookup for a value nobody listed.
+type labelledCounter struct {
+	vec *obs.CounterVec
+	by  map[string]*obs.Counter
 }
 
-// retryCounter returns the cached counter for a retry cause.
-func (s *Service) retryCounter(cause string) *obs.Counter {
-	if c, ok := s.obsRetryBy[cause]; ok {
-		return c
+func newLabelledCounter(vec *obs.CounterVec, known ...string) labelledCounter {
+	c := labelledCounter{vec: vec, by: make(map[string]*obs.Counter, len(known))}
+	for _, v := range known {
+		c.by[v] = vec.With(v)
 	}
-	return s.obsRetries.With(cause)
+	return c
 }
 
-// jobStateCounter returns the cached counter for a job terminal state.
-func (s *Service) jobStateCounter(state registry.JobState) *obs.Counter {
-	if c, ok := s.obsJobStateBy[state]; ok {
-		return c
+func (c labelledCounter) with(value string) *obs.Counter {
+	if h, ok := c.by[value]; ok {
+		return h
 	}
-	return s.obsJobs.With(string(state))
-}
-
-// journalAppendCounter returns the cached counter for a journal record
-// type. Runs on the journal append path (every durable transition).
-func (s *Service) journalAppendCounter(recType string) *obs.Counter {
-	if c, ok := s.obsJournalBy[recType]; ok {
-		return c
-	}
-	return s.obsJournalAppends.With(recType)
+	return c.vec.With(value)
 }
 
 // stepDurationHist returns the cached per-extractor step-duration

@@ -12,7 +12,6 @@ import (
 	"xtract/internal/extractors"
 	"xtract/internal/family"
 	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 )
@@ -120,19 +119,11 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 // barePump is a pump over its own family queue with no job loop around
 // it, for driving intakeFamilies directly.
 func barePump(h *harness, name string) *pump {
-	return &pump{
-		s:        h.svc,
-		jobID:    h.svc.cfg.Registry.CreateJob("", []string{name}, h.clk.Now()),
-		famQ:     queue.New("crawl-families/"+name, h.clk),
-		states:   make(map[string]*famState),
-		staging:  make(map[string]*famState),
-		attempts: make(map[stepKey]int),
-		seenFams: make(map[string]bool),
-	}
+	return newPump(h.svc, h.svc.cfg.Registry.CreateJob("", []string{name}, h.clk.Now()), "", false, nil)
 }
 
 // A body the pump cannot decode is a family it cannot process: it must
-// count as failed (so the job ends FAILED, as any failedFam > 0 does) and
+// count as failed (so the job ends FAILED, as any FamiliesFailed > 0 does) and
 // leave an audit trail under the queue message ID, not be acknowledged in
 // silence.
 func TestUndecodableFamilyBodyFailsTheFamily(t *testing.T) {
@@ -145,17 +136,17 @@ func TestUndecodableFamilyBodyFailsTheFamily(t *testing.T) {
 	if !p.intakeFamilies() {
 		t.Fatal("intake made no progress")
 	}
-	if p.failedFam != 1 {
-		t.Fatalf("failedFam = %d, want 1", p.failedFam)
+	if p.FamiliesFailed != 1 {
+		t.Fatalf("failedFam = %d, want 1", p.FamiliesFailed)
 	}
 	if p.famQ.Len() != 0 || p.famQ.InFlight() != 0 {
 		t.Fatalf("queue not drained: visible=%d inflight=%d", p.famQ.Len(), p.famQ.InFlight())
 	}
-	rec, err := h.svc.cfg.Registry.Job(p.jobID)
+	rec, err := h.svc.cfg.Registry.Job(p.JobID)
 	if err != nil || len(rec.DeadLetters) != 1 || rec.DeadLetters[0].FamilyID != msgID {
 		t.Fatalf("dead letters = %+v, %v; want one keyed %s", rec.DeadLetters, err, msgID)
 	}
-	events, _ := h.svc.obs.Tracer().Events(p.jobID)
+	events, _ := h.svc.obs.Tracer().Events(p.JobID)
 	found := false
 	for _, ev := range events {
 		if ev.Type == obs.EvFamilyFailed && strings.Contains(ev.Detail, msgID) {

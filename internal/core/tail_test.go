@@ -485,13 +485,13 @@ func TestStragglerBudgetZeroStaysFailed(t *testing.T) {
 // slow intake pass) must not be processed twice: the second delivery is
 // acknowledged and dropped. Exercised white-box through the pump's
 // intake over a family whose placement fails immediately, so a double
-// process would show up as failedFam == 2.
+// process would show up as FamiliesFailed == 2.
 func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{})
 	defer h.close()
 
 	p := barePump(h, "test-dup")
-	famQ, jobID := p.famQ, p.jobID
+	famQ, jobID := p.famQ, p.JobID
 
 	body, err := family.AppendFamily(nil, &family.Family{ID: "fam-dup", Store: "ghost"})
 	if err != nil {
@@ -503,8 +503,8 @@ func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 	if !p.intakeFamilies() {
 		t.Fatal("intake made no progress")
 	}
-	if p.failedFam != 1 {
-		t.Fatalf("failedFam = %d, want 1: the duplicate delivery was processed", p.failedFam)
+	if p.FamiliesFailed != 1 {
+		t.Fatalf("FamiliesFailed = %d, want 1: the duplicate delivery was processed", p.FamiliesFailed)
 	}
 	// Both deliveries were acknowledged — the duplicate does not circulate.
 	if famQ.Len() != 0 || famQ.InFlight() != 0 {

@@ -7,127 +7,73 @@ package scheduler
 
 import (
 	"fmt"
-	"sync"
 
 	"xtract/internal/family"
 )
 
-// Step is one pending extractor application within a plan.
+// Step is one extractor application within a plan.
 type Step struct {
 	GroupID   string `json:"group_id"`
 	Extractor string `json:"extractor"`
 }
 
 // Plan is the dynamic extraction plan for one family: the next() function
-// of the paper's formalization, realized as a work queue of steps that
-// extractor results may extend.
+// of the paper's formalization. It decides which steps exist — each named
+// once, in the order the family's groups and then the extractors' own
+// results name them — and nothing else: where a step stands after Next
+// has handed it out is the orchestrator's record, not the plan's. A plan
+// belongs to the one goroutine running its family.
 type Plan struct {
 	FamilyID string
 
-	mu      sync.Mutex
-	pending []Step
-	issued  map[Step]bool
-	done    map[Step]bool
+	steps []Step // every step named so far; steps[:next] have been handed out
+	next  int
 }
 
 // BuildPlan derives the initial plan from each group's assigned extractor.
 func BuildPlan(fam *family.Family) *Plan {
-	p := &Plan{
-		FamilyID: fam.ID,
-		issued:   make(map[Step]bool),
-		done:     make(map[Step]bool),
-	}
+	p := &Plan{FamilyID: fam.ID, steps: make([]Step, 0, len(fam.Groups))}
 	for _, g := range fam.Groups {
 		if g.Extractor != "" {
-			p.addLocked(Step{GroupID: g.ID, Extractor: g.Extractor})
+			p.Add(g.ID, g.Extractor)
 		}
 	}
 	return p
 }
 
-func (p *Plan) addLocked(s Step) bool {
-	if p.issued[s] || p.done[s] {
-		return false
-	}
-	for _, existing := range p.pending {
-		if existing == s {
+// Add names a step unless the plan has named it before, whether or not it
+// has been handed out since. Returns whether the step was added.
+func (p *Plan) Add(groupID, extractor string) bool {
+	s := Step{GroupID: groupID, Extractor: extractor}
+	for _, named := range p.steps {
+		if named == s {
 			return false
 		}
 	}
-	p.pending = append(p.pending, s)
+	p.steps = append(p.steps, s)
 	return true
 }
 
-// Add appends a step unless it is already pending, issued, or done.
-// Returns whether the step was added.
-func (p *Plan) Add(groupID, extractor string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.addLocked(Step{GroupID: groupID, Extractor: extractor})
-}
-
-// Next pops the next step to execute, marking it issued. The boolean is
-// false when no step is currently pending (the plan may still grow).
+// Next hands out the next step not handed out yet. The boolean is false
+// when there is none (the plan may still grow).
 func (p *Plan) Next() (Step, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.pending) == 0 {
+	if p.next == len(p.steps) {
 		return Step{}, false
 	}
-	s := p.pending[0]
-	p.pending = p.pending[1:]
-	p.issued[s] = true
+	s := p.steps[p.next]
+	p.next++
 	return s, true
 }
 
-// Complete records a step's terminal result and extends the plan with
-// the extractors its metadata suggested (the dynamic replanning of §3).
+// Complete extends the plan with the extractors a finished step's
+// metadata suggested for its group (the dynamic replanning of §3).
 func (p *Plan) Complete(s Step, suggestions []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.issued, s)
-	p.done[s] = true
 	for _, suggested := range suggestions {
-		p.addLocked(Step{GroupID: s.GroupID, Extractor: suggested})
+		p.Add(s.GroupID, suggested)
 	}
 }
 
-// Fail records a step as done without suggestions.
-func (p *Plan) Fail(s Step) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.issued, s)
-	p.done[s] = true
-}
-
-// Reset returns an issued step to pending (used when its task was lost
-// with the endpoint allocation — the Figure 8 restart path).
-func (p *Plan) Reset(s Step) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.issued[s] {
-		delete(p.issued, s)
-		p.pending = append(p.pending, s)
-	}
-}
-
-// Done reports whether every step has completed and none are pending or
-// in flight.
-func (p *Plan) Done() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pending) == 0 && len(p.issued) == 0
-}
-
-// Counts reports (pending, issued, done) step counts.
-func (p *Plan) Counts() (pending, issued, done int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pending), len(p.issued), len(p.done)
-}
-
-// String summarizes plan progress.
+// String summarizes the plan.
 func (p *Plan) String() string {
-	pe, is, dn := p.Counts()
-	return fmt.Sprintf("plan %s: %d pending, %d issued, %d done", p.FamilyID, pe, is, dn)
+	return fmt.Sprintf("plan %s: %d steps named, %d handed out", p.FamilyID, len(p.steps), p.next)
 }

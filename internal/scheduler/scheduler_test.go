@@ -22,14 +22,13 @@ func testFamily() *family.Family {
 	}
 }
 
+// pending counts the steps a plan has named and not yet handed out.
+func pending(p *Plan) int { return len(p.steps) - p.next }
+
 func TestBuildPlanInitialSteps(t *testing.T) {
 	p := BuildPlan(testFamily())
-	pending, issued, done := p.Counts()
-	if pending != 2 || issued != 0 || done != 0 {
-		t.Fatalf("counts = %d/%d/%d", pending, issued, done)
-	}
-	if p.Done() {
-		t.Fatal("fresh plan reported done")
+	if pending(p) != 2 || p.next != 0 {
+		t.Fatalf("pending = %d, handed out = %d", pending(p), p.next)
 	}
 }
 
@@ -46,13 +45,10 @@ func TestPlanNextCompleteFlow(t *testing.T) {
 	if _, ok := p.Next(); ok {
 		t.Fatal("third next should be empty")
 	}
-	if p.Done() {
-		t.Fatal("plan done while steps issued")
-	}
 	p.Complete(s1, nil)
 	p.Complete(s2, nil)
-	if !p.Done() {
-		t.Fatal("plan not done after completing all steps")
+	if _, ok := p.Next(); ok {
+		t.Fatal("completions without suggestions grew the plan")
 	}
 }
 
@@ -62,9 +58,8 @@ func TestPlanDynamicSuggestions(t *testing.T) {
 	// Result suggests the tabular extractor for the same group.
 	p.Complete(s, []string{"tabular", "nullvalue"})
 	// g1/tabular and g1/nullvalue are new; g2/tabular was initial.
-	pending, _, _ := p.Counts()
-	if pending != 3 { // g2-tabular (initial) + g1-tabular + g1-nullvalue
-		t.Fatalf("pending = %d, want 3", pending)
+	if n := pending(p); n != 3 { // g2-tabular (initial) + g1-tabular + g1-nullvalue
+		t.Fatalf("pending = %d, want 3", n)
 	}
 	// Completing a suggested step with the same suggestion must not loop.
 	s2, _ := p.Next()
@@ -76,8 +71,8 @@ func TestPlanDynamicSuggestions(t *testing.T) {
 		}
 		p.Complete(st, nil)
 	}
-	if !p.Done() {
-		t.Fatal("plan did not converge")
+	if len(p.steps) != 4 { // the repeated suggestion named nothing new
+		t.Fatalf("plan named %d steps, want 4", len(p.steps))
 	}
 }
 
@@ -91,27 +86,12 @@ func TestPlanAddDeduplicates(t *testing.T) {
 	}
 	s, _ := p.Next()
 	if p.Add(s.GroupID, s.Extractor) {
-		t.Fatal("issued step re-added")
+		t.Fatal("handed-out step re-added")
 	}
 	p.Complete(s, nil)
 	if p.Add(s.GroupID, s.Extractor) {
-		t.Fatal("done step re-added")
+		t.Fatal("completed step re-added")
 	}
-}
-
-func TestPlanResetRequeuesLostStep(t *testing.T) {
-	p := BuildPlan(testFamily())
-	s, _ := p.Next()
-	p.Reset(s)
-	s2, ok := p.Next()
-	if !ok {
-		t.Fatal("reset step not pending")
-	}
-	if s2 != s && s2.GroupID == "" {
-		t.Fatalf("unexpected step %+v", s2)
-	}
-	// Reset of a non-issued step is a no-op.
-	p.Reset(Step{GroupID: "zzz", Extractor: "none"})
 }
 
 func TestPlanString(t *testing.T) {
@@ -145,7 +125,7 @@ func TestPlanConvergesProperty(t *testing.T) {
 				return false // runaway plan
 			}
 		}
-		return p.Done()
+		return pending(p) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
