@@ -166,7 +166,7 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 
 	g := &family.Group{ID: step.GroupID, Extractor: task.Extractor, Files: paths}
 	start := s.clk.Now()
-	md, err := ext.Extract(g, files)
+	md, err := extract(ext, g, files)
 	out.ExtractMS = float64(s.clk.Since(start).Microseconds()) / 1000
 	if err != nil {
 		out.Err = err.Error()
@@ -178,6 +178,18 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 		_ = site.Store.Write(cpPath, orNull(out.Metadata))
 	}
 	return out
+}
+
+// extract runs one step's extraction. An extractor that panics on a
+// file's content fails that step, like any error it could have returned,
+// and not the task: its batch-mates share nothing with it but a worker.
+func extract(ext extractors.Extractor, g *family.Group, files map[string][]byte) (md map[string]interface{}, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("extractor panic: %v", r)
+		}
+	}()
+	return ext.Extract(g, files)
 }
 
 // setMetadata completes a successful outcome with the one encoding its

@@ -8,7 +8,10 @@ import (
 )
 
 // Micro-benchmarks for the extractor library: per-extractor throughput
-// on representative content sizes.
+// on representative content sizes. The BenchmarkHeavy* set, one
+// extract-mdf step per iteration at the end-to-end benchmark's heavy
+// sizes, is in corpus_test.go, where internal/dataset's generators can be
+// imported.
 
 func benchExtract(b *testing.B, e Extractor, path string, data []byte) {
 	b.Helper()

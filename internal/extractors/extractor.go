@@ -179,7 +179,7 @@ func Suggestions(md fastjson.Raw) []string {
 }
 
 // sortedKeys returns a map's keys sorted, for deterministic metadata.
-func sortedKeys(m map[string]int) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -1,6 +1,7 @@
 package extractors
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -111,6 +112,21 @@ func TestSuggestions(t *testing.T) {
 	}
 }
 
+// keywordsOf reads a result's "keywords" list the way a consumer of the
+// document does: from its encoding.
+func keywordsOf(t *testing.T, md map[string]interface{}) []KeywordWeight {
+	t.Helper()
+	raw, err := fastjson.AppendCanonical(nil, md["keywords"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kws []KeywordWeight
+	if err := json.Unmarshal(raw, &kws); err != nil {
+		t.Fatalf("keywords %s: %v", raw, err)
+	}
+	return kws
+}
+
 func TestKeywordExtract(t *testing.T) {
 	k := NewKeyword(5)
 	g := &family.Group{ID: "g1"}
@@ -121,7 +137,7 @@ Perovskite materials are studied at the materials facility.`
 	if err != nil {
 		t.Fatal(err)
 	}
-	kws := md["keywords"].([]KeywordWeight)
+	kws := keywordsOf(t, md)
 	if len(kws) == 0 || len(kws) > 5 {
 		t.Fatalf("keywords = %v", kws)
 	}
@@ -143,7 +159,7 @@ func TestKeywordStopwordsFiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kw := range md["keywords"].([]KeywordWeight) {
+	for _, kw := range keywordsOf(t, md) {
 		if stopwords[kw.Keyword] {
 			t.Fatalf("stopword %q in keywords", kw.Keyword)
 		}

@@ -46,8 +46,12 @@ func computeFeatures(data []byte) (imageFeatures, error) {
 	if w == 0 || h == 0 {
 		return f, nil
 	}
-	distinct := make(map[uint32]bool)
-	var white, dark, gb, edges, total int
+	// image/png decodes opaque truecolour, the corpus's kind, to
+	// *image.RGBA, whose stored bytes are what At(x, y).RGBA()>>8 returns
+	// without a boxed colour per pixel. Every other type goes through At.
+	rgba, _ := img.(*image.RGBA)
+	var seen [4096]bool // quantised colours are 12 bits wide
+	var white, dark, gb, edges, total, distinct int
 	var lumaSum float64
 	// Sample a grid of at most 128x128 points for speed on big images.
 	stepX, stepY := w/128+1, h/128+1
@@ -55,8 +59,14 @@ func computeFeatures(data []byte) (imageFeatures, error) {
 	for y := b.Min.Y; y < b.Max.Y; y += stepY {
 		prevLuma = -1
 		for x := b.Min.X; x < b.Max.X; x += stepX {
-			r, g, bl, _ := img.At(x, y).RGBA()
-			r8, g8, b8 := r>>8, g>>8, bl>>8
+			var r8, g8, b8 uint32
+			if rgba != nil {
+				p := rgba.Pix[rgba.PixOffset(x, y):]
+				r8, g8, b8 = uint32(p[0]), uint32(p[1]), uint32(p[2])
+			} else {
+				r, g, bl, _ := img.At(x, y).RGBA()
+				r8, g8, b8 = r>>8, g>>8, bl>>8
+			}
 			total++
 			luma := 0.299*float64(r8) + 0.587*float64(g8) + 0.114*float64(b8)
 			lumaSum += luma
@@ -70,7 +80,10 @@ func computeFeatures(data []byte) (imageFeatures, error) {
 				gb++
 			}
 			q := (r8>>4)<<8 | (g8>>4)<<4 | (b8 >> 4)
-			distinct[q] = true
+			if !seen[q] {
+				seen[q] = true
+				distinct++
+			}
 			if prevLuma >= 0 && abs64(luma-prevLuma) > 60 {
 				edges++
 			}
@@ -81,7 +94,7 @@ func computeFeatures(data []byte) (imageFeatures, error) {
 	f.WhiteFrac = float64(white) / ft
 	f.DarkFrac = float64(dark) / ft
 	f.GreenBlueFrac = float64(gb) / ft
-	f.DistinctQ = len(distinct)
+	f.DistinctQ = distinct
 	f.EdgeFrac = float64(edges) / ft
 	f.MeanLuma = lumaSum / ft
 	return f, nil
@@ -153,11 +166,7 @@ func (s *ImageSort) Applies(info store.FileInfo) bool { return isImageInfo(info)
 // Extract implements Extractor.
 func (s *ImageSort) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
 	classes := make(map[string]string)
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	paths := sortedKeys(files)
 	decoded := 0
 	for _, p := range paths {
 		f, err := computeFeatures(files[p])
@@ -215,11 +224,7 @@ func (i *Images) Applies(info store.FileInfo) bool { return isImageInfo(info) }
 
 // Extract implements Extractor.
 func (i *Images) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	paths := sortedKeys(files)
 	perImage := make(map[string]map[string]interface{})
 	decoded := 0
 	for _, p := range paths {

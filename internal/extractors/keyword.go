@@ -85,7 +85,8 @@ func (k *Keyword) Applies(info store.FileInfo) bool {
 	return false
 }
 
-// KeywordWeight pairs a keyword with its relevance weight.
+// KeywordWeight pairs a keyword with its relevance weight: the shape of
+// one element of the "keywords" list, for decoding a document.
 type KeywordWeight struct {
 	Keyword string  `json:"keyword"`
 	Weight  float64 `json:"weight"`
@@ -93,24 +94,33 @@ type KeywordWeight struct {
 
 // Extract implements Extractor.
 func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
-	tf := make(map[string]int)
+	tf := make(map[string]*int)
 	totalTokens := 0
 	looksTabular := false
+	var tok []byte // the token being read, lower-cased
 	for _, data := range files {
 		text := string(data)
 		if isProbablyTabular(text) {
 			looksTabular = true
 		}
-		for _, tok := range tokenize(text) {
-			if stopwords[tok] || len(tok) < 3 {
+		if !isASCII(text) {
+			// Case folding and letterhood beyond ASCII are unicode's to decide.
+			for _, t := range tokenize(text) {
+				totalTokens += countToken(tf, []byte(t))
+			}
+			continue
+		}
+		for i := 0; i <= len(text); i++ {
+			if i < len(text) && text[i]|0x20 >= 'a' && text[i]|0x20 <= 'z' {
+				tok = append(tok, text[i]|0x20)
 				continue
 			}
-			tf[tok]++
-			totalTokens++
+			totalTokens += countToken(tf, tok)
+			tok = tok[:0]
 		}
 	}
 	if totalTokens == 0 {
-		md := map[string]interface{}{"keywords": []KeywordWeight{}, "tokens": 0}
+		md := map[string]interface{}{"keywords": []interface{}{}, "tokens": 0}
 		if looksTabular {
 			md[SuggestKey] = []string{"tabular"}
 		}
@@ -120,11 +130,11 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 		word  string
 		score float64
 	}
-	var all []scored
+	all := make([]scored, 0, len(tf))
 	for w, c := range tf {
 		// TF with a length boost standing in for embedding-based rarity:
 		// longer tokens are rarer and more descriptive in scientific text.
-		score := float64(c) / float64(totalTokens) * (1 + float64(len(w))/10)
+		score := float64(*c) / float64(totalTokens) * (1 + float64(len(w))/10)
 		all = append(all, scored{w, score})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -137,9 +147,11 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 	if n > len(all) {
 		n = len(all)
 	}
-	keywords := make([]KeywordWeight, 0, n)
+	// Generic values in KeywordWeight's shape, which encode canonically in
+	// one pass where the typed slice takes the encode-decode-encode trip.
+	keywords := make([]interface{}, 0, n)
 	for _, s := range all[:n] {
-		keywords = append(keywords, KeywordWeight{Keyword: s.word, Weight: s.score})
+		keywords = append(keywords, map[string]interface{}{"keyword": s.word, "weight": s.score})
 	}
 	md := map[string]interface{}{
 		"keywords": keywords,
@@ -153,6 +165,23 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 	return md, nil
 }
 
+// countToken counts one lower-cased token unless it is short or a
+// stopword, and reports whether it did. The maps are probed with
+// string(tok), which does not allocate: only a token seen for the first
+// time is copied.
+func countToken(tf map[string]*int, tok []byte) int {
+	if len(tok) < 3 || stopwords[string(tok)] {
+		return 0
+	}
+	n := tf[string(tok)]
+	if n == nil {
+		n = new(int)
+		tf[string(tok)] = n
+	}
+	*n++
+	return 1
+}
+
 // tokenize lowercases and splits on non-letter runes.
 func tokenize(text string) []string {
 	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
@@ -163,10 +192,9 @@ func tokenize(text string) []string {
 // isProbablyTabular reports whether most non-empty lines have the same
 // comma/tab field count greater than one.
 func isProbablyTabular(text string) bool {
-	lines := strings.Split(text, "\n")
 	counts := make(map[int]int)
 	nonEmpty := 0
-	for _, ln := range lines {
+	for ln, rest, ok := nextLine(text); ok; ln, rest, ok = nextLine(rest) {
 		ln = strings.TrimSpace(ln)
 		if ln == "" {
 			continue

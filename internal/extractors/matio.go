@@ -2,7 +2,6 @@ package extractors
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -56,11 +55,7 @@ func (m *MatIO) Applies(info store.FileInfo) bool { return isMaterialsInfo(info)
 // Extract implements Extractor.
 func (m *MatIO) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
 	md := make(map[string]interface{})
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	paths := sortedKeys(files)
 	parsed := 0
 	for _, p := range paths {
 		base := strings.ToUpper(baseName(p))
@@ -115,7 +110,7 @@ func baseName(p string) string {
 // parseINCAR reads KEY = VALUE parameter lines.
 func parseINCAR(data []byte) map[string]string {
 	out := make(map[string]string)
-	for _, ln := range strings.Split(string(data), "\n") {
+	for ln, rest, ok := nextLine(string(data)); ok; ln, rest, ok = nextLine(rest) {
 		ln = strings.TrimSpace(ln)
 		if ln == "" || strings.HasPrefix(ln, "#") || strings.HasPrefix(ln, "!") {
 			continue
@@ -166,8 +161,9 @@ func parsePOSCAR(data []byte) (Structure, bool) {
 		s.Lattice[i] = v
 	}
 	s.Volume = math.Abs(det3(s.Lattice)) * scale * scale * scale
-	s.Species = strings.Fields(lines[5])
-	for _, c := range strings.Fields(lines[6]) {
+	s.Species = appendFields(nil, lines[5])
+	var buf [8]string
+	for _, c := range appendFields(buf[:0], lines[6]) {
 		n, err := strconv.Atoi(c)
 		if err != nil {
 			return Structure{}, false
@@ -183,7 +179,9 @@ func parsePOSCAR(data []byte) (Structure, bool) {
 		s.Composition[sp] = float64(s.Counts[i]) / float64(s.NAtoms)
 	}
 	// Coordinates: skip the mode line ("Direct"/"Cartesian"), then read
-	// up to NAtoms coordinate triples.
+	// up to NAtoms coordinate triples. Sized once, by the lines there are
+	// and not by the count the file claims.
+	s.Coords = make([][3]float64, 0, min(s.NAtoms, max(len(lines)-8, 0)))
 	for i := 8; i < len(lines) && len(s.Coords) < s.NAtoms; i++ {
 		if v, ok := parseVec3(lines[i]); ok {
 			s.Coords = append(s.Coords, v)
@@ -193,8 +191,8 @@ func parsePOSCAR(data []byte) (Structure, bool) {
 }
 
 func nonEmptyLines(text string) []string {
-	var out []string
-	for _, ln := range strings.Split(text, "\n") {
+	out := make([]string, 0, strings.Count(text, "\n")+1)
+	for ln, rest, ok := nextLine(text); ok; ln, rest, ok = nextLine(rest) {
 		if strings.TrimSpace(ln) != "" {
 			out = append(out, ln)
 		}
@@ -203,7 +201,8 @@ func nonEmptyLines(text string) []string {
 }
 
 func parseVec3(line string) ([3]float64, bool) {
-	fields := strings.Fields(line)
+	var buf [8]string
+	fields := appendFields(buf[:0], line)
 	if len(fields) < 3 {
 		return [3]float64{}, false
 	}
@@ -237,7 +236,8 @@ type VASPResults struct {
 func parseOUTCAR(data []byte) (VASPResults, bool) {
 	var r VASPResults
 	found := false
-	for _, ln := range strings.Split(string(data), "\n") {
+	var buf [8]string
+	for ln, rest, ok := nextLine(string(data)); ok; ln, rest, ok = nextLine(rest) {
 		switch {
 		case strings.Contains(ln, "TOTEN"):
 			if v, ok := lastFloatBefore(ln, "eV"); ok {
@@ -246,7 +246,10 @@ func parseOUTCAR(data []byte) (VASPResults, bool) {
 				found = true
 			}
 		case strings.Contains(ln, "E-fermi"):
-			if fields := strings.Fields(strings.SplitN(ln, ":", 2)[1]); len(fields) > 0 {
+			// The value follows a colon; a line without one is not a
+			// Fermi-level line.
+			_, value, _ := strings.Cut(ln, ":")
+			if fields := appendFields(buf[:0], value); len(fields) > 0 {
 				if v, err := strconv.ParseFloat(fields[0], 64); err == nil {
 					r.EFermi = v
 					found = true
@@ -265,7 +268,8 @@ func lastFloatBefore(line, marker string) (float64, bool) {
 	if idx < 0 {
 		idx = len(line)
 	}
-	fields := strings.Fields(line[:idx])
+	var buf [8]string
+	fields := appendFields(buf[:0], line[:idx])
 	for i := len(fields) - 1; i >= 0; i-- {
 		if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
 			return v, true
@@ -290,17 +294,16 @@ func parseCIF(data []byte) (Crystal, bool) {
 	var c Crystal
 	c.Tags = make(map[string]string)
 	found := false
-	for _, ln := range strings.Split(string(data), "\n") {
+	for ln, rest, ok := nextLine(string(data)); ok; ln, rest, ok = nextLine(rest) {
 		ln = strings.TrimSpace(ln)
 		if !strings.HasPrefix(ln, "_") {
 			continue
 		}
-		fields := strings.SplitN(ln, " ", 2)
-		if len(fields) != 2 {
+		key, val, spaced := strings.Cut(ln, " ")
+		if !spaced {
 			continue
 		}
-		key := fields[0]
-		val := strings.Trim(strings.TrimSpace(fields[1]), "'\"")
+		val = strings.Trim(strings.TrimSpace(val), "'\"")
 		switch key {
 		case "_cell_length_a":
 			c.CellA, _ = strconv.ParseFloat(val, 64)
@@ -336,17 +339,17 @@ type Geometry struct {
 // parseXYZ reads the XYZ atomistic format: atom count, comment, then
 // "Symbol x y z" lines.
 func parseXYZ(data []byte) (Geometry, bool) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) < 2 {
+	count, rest, _ := nextLine(string(data))
+	comment, rest, ok := nextLine(rest)
+	n, err := strconv.Atoi(strings.TrimSpace(count))
+	if !ok || err != nil || n <= 0 {
 		return Geometry{}, false
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(lines[0]))
-	if err != nil || n <= 0 {
-		return Geometry{}, false
-	}
-	g := Geometry{NAtoms: n, Comment: strings.TrimSpace(lines[1]), Symbols: make(map[string]int)}
-	for i := 2; i < len(lines) && len(g.Coords) < n; i++ {
-		fields := strings.Fields(lines[i])
+	g := Geometry{NAtoms: n, Comment: strings.TrimSpace(comment), Symbols: make(map[string]int)}
+	g.Coords = make([][3]float64, 0, min(n, strings.Count(rest, "\n")+1))
+	var buf [8]string
+	for ln, rest, ok := nextLine(rest); ok && len(g.Coords) < n; ln, rest, ok = nextLine(rest) {
+		fields := appendFields(buf[:0], ln)
 		if len(fields) < 4 {
 			continue
 		}
@@ -430,11 +433,7 @@ func (a *ASE) Applies(info store.FileInfo) bool {
 
 // Extract implements Extractor.
 func (a *ASE) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	paths := sortedKeys(files)
 	var coords [][3]float64
 	for _, p := range paths {
 		base := strings.ToUpper(baseName(p))

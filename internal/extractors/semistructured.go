@@ -44,11 +44,7 @@ func (s *SemiStructured) Applies(info store.FileInfo) bool {
 
 // Extract implements Extractor.
 func (s *SemiStructured) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	paths := sortedKeys(files)
 	parsed := 0
 	out := make(map[string]interface{})
 	for _, p := range paths {
@@ -170,7 +166,7 @@ func (s *SemiStructured) extractXML(data []byte) map[string]interface{} {
 // dependency.
 func (s *SemiStructured) extractYAMLish(text string) map[string]interface{} {
 	keys := make(map[string]string)
-	for _, ln := range strings.Split(text, "\n") {
+	for ln, rest, ok := nextLine(text); ok; ln, rest, ok = nextLine(rest) {
 		ln = strings.TrimRight(ln, "\r")
 		if strings.TrimSpace(ln) == "" || strings.HasPrefix(strings.TrimSpace(ln), "#") {
 			continue

@@ -3,7 +3,6 @@ package extractors
 import (
 	"encoding/csv"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -54,14 +53,31 @@ type ColumnStats struct {
 }
 
 // nullMarkers are cell values treated as missing data.
-var nullMarkers = map[string]bool{
-	"": true, "na": true, "n/a": true, "null": true, "none": true,
-	"nan": true, "-999": true, "-9999": true, "missing": true, "?": true,
+var nullMarkers = []string{
+	"", "na", "n/a", "null", "none", "nan", "-999", "-9999", "missing", "?",
 }
 
 // IsNullCell reports whether a cell value is a recognized null marker.
 func IsNullCell(v string) bool {
-	return nullMarkers[strings.ToLower(strings.TrimSpace(v))]
+	_, null := nullMarker(strings.TrimSpace(v))
+	return null
+}
+
+// nullMarker reports whether an already-trimmed cell spells a null
+// marker in any letter case, and which. An ASCII cell is compared where
+// it lies; any other first takes strings.ToLower, which lands on ASCII
+// where EqualFold does not (U+0130 lowers to 'i': "m\u0130ssing" is
+// missing data) and, by the length test, not where it would (U+017F).
+func nullMarker(cell string) (string, bool) {
+	if !isASCII(cell) {
+		cell = strings.ToLower(cell)
+	}
+	for _, m := range nullMarkers {
+		if len(m) == len(cell) && strings.EqualFold(m, cell) {
+			return m, true
+		}
+	}
+	return "", false
 }
 
 // parseTable sniffs the delimiter, parses rows, and reports whether the
@@ -69,17 +85,22 @@ func IsNullCell(v string) bool {
 func parseTable(data []byte) (header []string, rows [][]string, ok bool) {
 	text := string(data)
 	delim := sniffDelimiter(text)
-	r := csv.NewReader(strings.NewReader(text))
-	r.Comma = delim
-	r.FieldsPerRecord = -1
-	r.LazyQuotes = true
-	all, err := r.ReadAll()
-	if err != nil || len(all) == 0 {
+	var all [][]string
+	if strings.IndexByte(text, '"') < 0 {
+		all = splitRecords(text, byte(delim))
+	} else {
+		r := csv.NewReader(strings.NewReader(text))
+		r.Comma = delim
+		r.FieldsPerRecord = -1
+		r.LazyQuotes = true
+		all, _ = r.ReadAll() // nil when the text does not parse
+	}
+	if len(all) == 0 {
 		return nil, nil, false
 	}
 	// Drop ragged trailing rows so columns line up.
 	width := len(all[0])
-	var regular [][]string
+	regular := all[:0]
 	for _, row := range all {
 		if len(row) == width {
 			regular = append(regular, row)
@@ -96,6 +117,33 @@ func parseTable(data []byte) (header []string, rows [][]string, ok bool) {
 		header[i] = "col" + strconv.Itoa(i)
 	}
 	return header, regular, true
+}
+
+// splitRecords is csv.Reader.ReadAll for text that holds no quote
+// character, where a record is a line and a field is what lies between
+// delimiters: '\n' ends a record, one '\r' before it or before the end of
+// the text is dropped, and empty records are skipped. Fields are
+// substrings of text, held in one array sized from a count of the
+// delimiters, so the cost in allocations does not depend on the table.
+func splitRecords(text string, delim byte) [][]string {
+	lines := strings.Count(text, "\n") + 1
+	cells := make([]string, 0, strings.Count(text, string(rune(delim)))+lines)
+	rows := make([][]string, 0, lines)
+	for ln, rest, ok := nextLine(text); ok; ln, rest, ok = nextLine(rest) {
+		if n := len(ln); n > 0 && ln[n-1] == '\r' {
+			ln = ln[:n-1]
+		}
+		if ln == "" {
+			continue
+		}
+		first := len(cells)
+		for i := strings.IndexByte(ln, delim); i >= 0; i = strings.IndexByte(ln, delim) {
+			cells, ln = append(cells, ln[:i]), ln[i+1:]
+		}
+		cells = append(cells, ln)
+		rows = append(rows, cells[first:len(cells):len(cells)])
+	}
+	return rows
 }
 
 // sniffDelimiter picks the delimiter with the most consistent per-line
@@ -158,11 +206,7 @@ func (t *Tabular) Extract(g *family.Group, files map[string][]byte) (map[string]
 	var allCols []ColumnStats
 	totalRows := 0
 	tables := 0
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+	paths := sortedKeys(files)
 	for _, p := range paths {
 		header, rows, ok := parseTable(files[p])
 		if !ok {
@@ -170,18 +214,22 @@ func (t *Tabular) Extract(g *family.Group, files map[string][]byte) (map[string]
 		}
 		tables++
 		totalRows += len(rows)
+		// One value buffer and one distinct-set, sized for the rows there
+		// are, serve every column.
+		vals := make([]float64, 0, len(rows))
+		distinct := make(map[string]struct{}, len(rows))
 		for c, name := range header {
 			stats := ColumnStats{Name: name}
-			var vals []float64
-			distinct := make(map[string]bool)
+			vals = vals[:0]
+			clear(distinct)
 			for _, row := range rows {
 				cell := strings.TrimSpace(row[c])
-				if IsNullCell(cell) {
+				if _, null := nullMarker(cell); null {
 					stats.Nulls++
 					continue
 				}
 				stats.Count++
-				distinct[cell] = true
+				distinct[cell] = struct{}{}
 				if v, err := strconv.ParseFloat(cell, 64); err == nil {
 					vals = append(vals, v)
 				}
@@ -267,10 +315,8 @@ func (n *NullValue) Extract(g *family.Group, files map[string][]byte) (map[strin
 		for _, row := range rows {
 			for c, cell := range row {
 				totalCells++
-				trimmed := strings.ToLower(strings.TrimSpace(cell))
-				if nullMarkers[trimmed] {
+				if marker, null := nullMarker(strings.TrimSpace(cell)); null {
 					nullCells++
-					marker := trimmed
 					if marker == "" {
 						marker = "<empty>"
 					}

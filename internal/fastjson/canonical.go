@@ -46,15 +46,17 @@ func AppendCanonical(dst []byte, v interface{}) ([]byte, error) {
 }
 
 // plain reports whether v holds only what a decode would give back as it
-// is: generic objects, valid UTF-8, scalars, ints a float64 holds exactly.
+// is: generic objects and lists, valid UTF-8, scalars, ints a float64
+// holds exactly, and the flat typed kinds AppendValue writes natively,
+// whose decoded form encodes to the same bytes.
 func plain(v interface{}) bool {
 	switch x := v.(type) {
-	case nil, bool, float64:
+	case nil, bool, float64, []float64:
 		return true
 	case string:
 		return utf8.ValidString(x)
 	case int:
-		return int64(x) >= -1<<53 && int64(x) <= 1<<53
+		return exact(x)
 	case map[string]interface{}:
 		for k, e := range x {
 			if !utf8.ValidString(k) || !plain(e) {
@@ -62,8 +64,33 @@ func plain(v interface{}) bool {
 			}
 		}
 		return true
+	case map[string]string:
+		for k, s := range x {
+			if !utf8.ValidString(k) || !utf8.ValidString(s) {
+				return false
+			}
+		}
+		return true
+	case []interface{}:
+		return all(x, plain)
+	case []string:
+		return all(x, utf8.ValidString)
+	case []int:
+		return all(x, exact)
 	}
 	return false
+}
+
+// exact reports whether a float64 holds i exactly.
+func exact(i int) bool { return int64(i) >= -1<<53 && int64(i) <= 1<<53 }
+
+func all[T any](xs []T, ok func(T) bool) bool {
+	for _, x := range xs {
+		if !ok(x) {
+			return false
+		}
+	}
+	return true
 }
 
 // AppendRawMap appends m as an object with sorted keys, splicing each

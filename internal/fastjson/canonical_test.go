@@ -98,6 +98,15 @@ func TestAppendCanonicalDarkCorners(t *testing.T) {
 		&fieldOrder{},
 		map[string]int{"b": 1 << 60, "a": 2},
 		[]int{3, 1 << 55}, [3]float64{1, 2, 3}, []float64(nil),
+		// The flat typed kinds the plain shortcut takes, nil and empty, and
+		// each one's way of not being plain.
+		[]int(nil), []int{}, []int{0, -7, 1 << 53, -(1 << 53)}, []int{1, 1<<53 + 1}, []int{-(1<<53 + 1)},
+		[]float64{}, []float64{1.5, -0.0, 1e21, 1e-7, 5e-324}, []float64{1, math.NaN()}, []float64{math.Inf(-1)},
+		[]string{"a", "<&>", "\u2028", "\uFFFD"}, map[string]string{}, map[string]string{"b": "<", "a": "\u00e9"},
+		[]interface{}{[]string{"x"}, []int{1}, []float64{2}, map[string]string{"k": "v"}, []interface{}{nil}},
+		[]interface{}{[]string{"\xff"}}, []interface{}{map[string]string{"\xff": "v"}}, []interface{}{[]int{1 << 60}},
+		map[string]interface{}{"rdf": []int{0, 3, 9}, "keywords": []interface{}{map[string]interface{}{"keyword": "x", "weight": 0.5}},
+			"null_columns": []string{}, "classes": map[string]string{"/a.png": "plot"}, "v": []float64{0.25}},
 		json.Number("1.50"), json.Number("12345678901234567890"), json.RawMessage(`{"b": 1.0, "a":"\/"}`),
 		map[string]map[string]interface{}{"g": {"y": 1, "x": fieldOrder{}}},
 		map[string]interface{}{"nan": math.NaN()}, math.Inf(1), func() {},
@@ -120,6 +129,36 @@ func TestAppendCanonicalDarkCorners(t *testing.T) {
 		if again, _ := AppendValue(nil, g); !bytes.Equal(again, enc) {
 			t.Fatalf("canonical %s is not a fixed point: %s", enc, again)
 		}
+	}
+}
+
+// TestPlainKinds pins which values skip the decode: AppendCanonical is
+// right either way, so only this table and the allocation count can tell
+// whether a dictionary of the kinds extractors return takes one encode.
+func TestPlainKinds(t *testing.T) {
+	cases := []struct {
+		v    interface{}
+		want bool
+	}{
+		{[]int(nil), true}, {[]int{}, true}, {[]int{1 << 53, -(1 << 53)}, true}, {[]int{1<<53 + 1}, false}, {[]int{0, -(1<<53 + 1)}, false},
+		{[]float64(nil), true}, {[]float64{}, true}, {[]float64{-0.0, 1e300}, true},
+		{[]string(nil), true}, {[]string{}, true}, {[]string{"a", "\u00e9"}, true}, {[]string{"a", "\xff"}, false},
+		{map[string]string(nil), true}, {map[string]string{"k": "v"}, true}, {map[string]string{"k": "\xff"}, false}, {map[string]string{"\xff": "v"}, false},
+		{[]interface{}(nil), true}, {[]interface{}{}, true}, {[]interface{}{1, "s", nil, []int{2}}, true}, {[]interface{}{[]int{1 << 60}}, false},
+		{[]interface{}{int64(1)}, false}, {[]int64{1}, false}, {[]bool{true}, false}, {[3]float64{}, false}, {map[string]int{"a": 1}, false},
+		{map[string]interface{}{"rdf": []int{1}, "tags": []string{"a"}, "m": map[string]string{"a": "b"}, "l": []interface{}{0.5}}, true},
+		{map[string]interface{}{"l": []interface{}{map[string]interface{}{"k": []string{"\xff"}}}}, false},
+	}
+	for _, c := range cases {
+		if got := plain(c.v); got != c.want {
+			t.Errorf("plain(%#v) = %v, want %v", c.v, got, c.want)
+		}
+		checkCanonical(t, c.v)
+	}
+	md := map[string]interface{}{"rdf": []int{0, 1 << 20, 1 << 53}, "tags": []string{"a", "b"}, "w": []float64{1, 2}}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendCanonical(buf[:0], md) }); n > 1 {
+		t.Errorf("a plain dictionary took %v allocations to encode: want the sorted key slice and no decode", n)
 	}
 }
 
@@ -147,7 +186,7 @@ func randomValue(rng *rand.Rand, depth int) interface{} {
 			return rng.Float64()
 		}
 	}
-	leaf := 16
+	leaf := 18
 	if depth > 3 {
 		leaf = 11 // scalars and flat typed kinds only
 	}
@@ -192,6 +231,10 @@ func randomValue(rng *rand.Rand, depth int) interface{} {
 		return out
 	case 14:
 		return map[string]string{str(): str()}
+	case 15:
+		return []int{rng.Intn(9), int(rng.Int63() >> uint(rng.Intn(20))), -rng.Intn(1 << 30)}
+	case 16:
+		return []float64{num(), num()}
 	default:
 		return []map[string]interface{}{{str(): randomValue(rng, depth+1)}}
 	}

@@ -142,20 +142,11 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 	case map[string]interface{}:
 		return appendMap(dst, x)
 	case []interface{}:
-		if x == nil {
-			return append(dst, "null"...), nil
-		}
-		dst = append(dst, '[')
-		var err error
-		for i, e := range x {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = AppendValue(dst, e); err != nil {
-				return dst, err
-			}
-		}
-		return append(dst, ']'), nil
+		return appendList(dst, x, AppendValue)
+	case []int:
+		return appendList(dst, x, func(dst []byte, i int) ([]byte, error) { return AppendInt(dst, int64(i)), nil })
+	case []float64:
+		return appendList(dst, x, AppendFloat)
 	case map[string]string:
 		if x == nil {
 			return append(dst, "null"...), nil
@@ -172,6 +163,24 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 		}
 		return append(dst, blob...), nil
 	}
+}
+
+// appendList appends xs as a JSON array, null when nil.
+func appendList[T any](dst []byte, xs []T, each func([]byte, T) ([]byte, error)) ([]byte, error) {
+	if xs == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	var err error
+	for i, x := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if dst, err = each(dst, x); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
 }
 
 // AppendStrings appends ss as a JSON array of strings, null when nil.
