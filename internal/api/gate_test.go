@@ -22,14 +22,28 @@ import (
 // syncErr (nil: succeeds).
 type deviceDir struct {
 	journal.Dir
+	mu      sync.Mutex // guards release once hold may be called
 	release chan struct{}
 	opened  sync.Once
 	syncErr error
 }
 
+// hold makes every fsync that starts from now on wait for open.
+func (d *deviceDir) hold() {
+	d.mu.Lock()
+	d.release = make(chan struct{})
+	d.mu.Unlock()
+}
+
 // open releases the held fsyncs; safe to call again from a deferred
 // cleanup, so a failed assertion does not leave the server wedged.
-func (d *deviceDir) open() { d.opened.Do(func() { close(d.release) }) }
+func (d *deviceDir) open() {
+	d.opened.Do(func() {
+		d.mu.Lock()
+		close(d.release)
+		d.mu.Unlock()
+	})
+}
 
 type deviceFile struct {
 	journal.File
@@ -45,8 +59,11 @@ func (d *deviceDir) Create(name string) (journal.File, error) {
 }
 
 func (f deviceFile) Sync() error {
-	if f.d.release != nil {
-		<-f.d.release
+	f.d.mu.Lock()
+	release := f.d.release
+	f.d.mu.Unlock()
+	if release != nil {
+		<-release
 	}
 	if f.d.syncErr != nil {
 		return f.d.syncErr
@@ -241,5 +258,87 @@ func TestJournalDeviceErrorDegradesDurabilityOnly(t *testing.T) {
 	}
 	if n := metricValue(t, text, "xtract_journal_append_errors_total"); n < 1 {
 		t.Fatalf("xtract_journal_append_errors_total = %v after failed fsyncs", n)
+	}
+}
+
+// TestTerminalStateFollowsItsRecord: the job_terminal (or job_cancelled)
+// fsync is held. Until it lands the job is not over for anyone — status
+// says EXTRACTING and complete:false, the terminal state's listing does
+// not have it — because a crash now would bring the job back as running.
+// Released, both flip.
+func TestTerminalStateFollowsItsRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name, record, state string
+	}{
+		{"complete", journal.RecJobTerminal, "COMPLETE"},
+		{"cancelled", journal.RecJobCancelled, "CANCELLED"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := &deviceDir{Dir: journal.StoreDir(store.NewMemFS("journal-disk", nil), "/wal")}
+			jnl, err := journal.Open(dev, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The slow listing keeps the job running until it is cancelled.
+			client, _, _, done := newTestServerDepsCfg(t, false,
+				func(s store.Store) store.Store { return &slowStore{Store: s, delay: 100 * time.Millisecond} },
+				func(cfg *core.Config) { cfg.Journal = jnl })
+			defer done()
+			defer dev.open()
+			// The hook runs as the record is accepted, ahead of its fsync.
+			accepted := make(chan struct{})
+			jnl.Observe(func(recType string) {
+				if recType == tc.record {
+					dev.hold()
+					close(accepted)
+				}
+			}, nil)
+
+			id, err := client.Submit(twoFileJob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.record == journal.RecJobCancelled {
+				if err := client.CancelJob(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-accepted:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("the job never reached its %s record", tc.record)
+			}
+			listed := func(state string) bool {
+				t.Helper()
+				list, err := client.ListJobs(state, 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range list.Jobs {
+					if j.JobID == id {
+						return true
+					}
+				}
+				return false
+			}
+			st, err := client.JobStatus(id)
+			if err != nil || st.State != "EXTRACTING" || st.Complete {
+				t.Fatalf("status behind the held fsync = %s complete=%v, %v; want EXTRACTING, false", st.State, st.Complete, err)
+			}
+			if listed(tc.state) || !listed("EXTRACTING") {
+				t.Fatalf("listed %s=%v EXTRACTING=%v behind the held fsync; want false, true",
+					tc.state, listed(tc.state), listed("EXTRACTING"))
+			}
+
+			dev.open()
+			st, err = client.WaitJob(id, time.Millisecond, 10*time.Second)
+			if err != nil || st.State != tc.state || !st.Complete {
+				t.Fatalf("status after release = %s complete=%v, %v; want %s, true", st.State, st.Complete, err, tc.state)
+			}
+			if !listed(tc.state) || listed("EXTRACTING") {
+				t.Fatalf("listed %s=%v EXTRACTING=%v after release; want true, false",
+					tc.state, listed(tc.state), listed("EXTRACTING"))
+			}
+		})
 	}
 }

@@ -202,13 +202,13 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 	defer s.cfg.Tenants.JobEnded(ten)
 
 	p := newPump(s, jobID, ten, opts.NoCache, submitted)
-	if err := p.startCrawls(ctx, repos); err != nil {
-		s.failJob(jobID, ten, err)
-		return JobStats{JobID: jobID}, err
-	}
 	var cancelJob context.CancelFunc
 	p.jobCtx, cancelJob = context.WithCancel(ctx)
 	defer p.teardown(cancelJob)
+	if err := p.startCrawls(repos); err != nil {
+		s.failJob(jobID, ten, err)
+		return JobStats{JobID: jobID}, err
+	}
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.TrackPump(jobID, cancelJob)
 	}
@@ -224,9 +224,11 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 }
 
 // startCrawls starts one crawler per repository, each feeding the job's
-// private family queue, and fails before starting any of the rest on a
-// repository whose site is not registered.
-func (p *pump) startCrawls(ctx context.Context, repos []RepoSpec) error {
+// hand-off, and fails before starting any of the rest on a repository
+// whose site is not registered. The crawls run under the job's context:
+// teardown stops them on every exit, a worker waiting on a full hand-off
+// included.
+func (p *pump) startCrawls(repos []RepoSpec) error {
 	s := p.s
 	p.crawlDone = make(chan crawler.Stats, len(repos))
 	p.crawlErr = make(chan error, len(repos))
@@ -235,7 +237,7 @@ func (p *pump) startCrawls(ctx context.Context, repos []RepoSpec) error {
 		if !ok {
 			return fmt.Errorf("core: unknown site %q", spec.SiteName)
 		}
-		c := crawler.New(site.Store, spec.Grouper, p.famQ)
+		c := crawler.NewTo(site.Store, spec.Grouper, p.offerFamilies)
 		c.Fingerprint = s.cfg.Cache != nil && !p.noCache
 		c.Hashes = s.cfg.Cache // consulted only while fingerprinting
 		if spec.CrawlWorkers > 0 {
@@ -249,7 +251,7 @@ func (p *pump) startCrawls(ctx context.Context, repos []RepoSpec) error {
 		p.crawlsPending++
 		go func(spec RepoSpec) {
 			s.obs.Emitf(p.JobID, obs.EvCrawlStarted, "site=%s roots=%d", spec.SiteName, len(spec.Roots))
-			stats, err := c.Crawl(ctx, spec.Roots)
+			stats, err := c.Crawl(p.jobCtx, spec.Roots)
 			if err != nil {
 				p.crawlErr <- err
 				return
@@ -329,15 +331,17 @@ func (p *pump) conclude() JobStats {
 		errMsg = fmt.Sprintf("core: degraded: %d families partial, %d steps dead-lettered",
 			p.FamiliesDegraded, p.StepsDeadLettered)
 	}
+	// Durable first: a client that reads the terminal state finds it after
+	// a crash (a journal device error degrades exactly that, nothing else).
+	s.journalAppend(journal.Record{
+		Type: journal.RecJobTerminal, JobID: p.JobID,
+		State: string(state), Err: errMsg,
+	})
 	_ = s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) {
 		j.State = state
 		j.GroupsCrawled = p.Crawl.GroupsFormed
 		j.GroupsDone = p.StepsProcessed
 		j.Err = errMsg
-	})
-	s.journalAppend(journal.Record{
-		Type: journal.RecJobTerminal, JobID: p.JobID,
-		State: string(state), Err: errMsg,
 	})
 	s.obsJobs.with(string(state)).Inc()
 	s.cfg.Tenants.JobOutcome(p.tenant, string(state))
@@ -375,10 +379,7 @@ func (s *Service) failJob(jobID, ten string, err error) {
 		state = registry.JobCancelled
 		event = obs.EvJobCancelled
 	}
-	_ = s.cfg.Registry.UpdateJob(jobID, func(j *registry.JobRecord) {
-		j.State = state
-		j.Err = err.Error()
-	})
+	// Durable before visible, as in conclude.
 	if state == registry.JobCancelled {
 		// Durable cancellation: a restarted service must not resurrect a
 		// job the user cancelled.
@@ -386,6 +387,10 @@ func (s *Service) failJob(jobID, ten string, err error) {
 	} else {
 		s.journalAppend(journal.Record{Type: journal.RecJobTerminal, JobID: jobID, State: string(state), Err: err.Error()})
 	}
+	_ = s.cfg.Registry.UpdateJob(jobID, func(j *registry.JobRecord) {
+		j.State = state
+		j.Err = err.Error()
+	})
 	s.obsJobs.with(string(state)).Inc()
 	s.cfg.Tenants.JobOutcome(ten, string(state))
 	s.obs.Emit(jobID, event, err.Error())

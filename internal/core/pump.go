@@ -10,7 +10,6 @@ import (
 	"xtract/internal/fastjson"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/transfer"
 )
 
@@ -52,24 +51,23 @@ type pump struct {
 	tenant  string
 	start   time.Time
 	noCache bool
-	// famQ is this job's private crawl-output queue (a shared one would
-	// let concurrent pumps steal each other's families); each crawler
-	// reports its end on one of the channels.
-	famQ          *queue.Queue
+	// handoff is where this job's crawlers leave each directory's families
+	// for the pump; each crawler reports its end on one of the channels.
+	handoff       chan []family.Family
 	crawlDone     chan crawler.Stats
 	crawlErr      chan error
 	crawlsPending int
 
 	// fams holds every family the job has taken in; a family's phase is
 	// its entry's phase field: absent → staging → running → finished, the
-	// shared tombstone that keeps a redelivered family out (see
-	// intakeFamilies). famCount counts entries by phase.
+	// shared tombstone that keeps a family crawled twice out (see
+	// takeFamilies). famCount counts entries by phase.
 	fams     map[string]*famState
 	famCount [famFinished + 1]int
 
-	// jobCtx scopes shard goroutines to this job; events fans their
-	// notifications back in; shards holds one dispatcher per site, created
-	// on first use.
+	// jobCtx scopes crawl and shard goroutines to this job; events fans the
+	// shards' notifications back in; shards holds one dispatcher per site,
+	// created on first use.
 	jobCtx  context.Context
 	events  *shardEventSink
 	shards  map[string]*dispatcher
@@ -96,7 +94,7 @@ type pump struct {
 	submitted <-chan struct{}
 }
 
-// newPump returns the pump for one job; runJob adds crawls and jobCtx.
+// newPump returns the pump for one job; runJob adds jobCtx and crawls.
 func newPump(s *Service, jobID, ten string, noCache bool, submitted <-chan struct{}) *pump {
 	return &pump{
 		s:         s,
@@ -104,7 +102,7 @@ func newPump(s *Service, jobID, ten string, noCache bool, submitted <-chan struc
 		tenant:    ten,
 		start:     s.clk.Now(),
 		noCache:   noCache,
-		famQ:      queue.New("crawl-families/"+jobID, s.clk),
+		handoff:   make(chan []family.Family, handoffDirs),
 		fams:      make(map[string]*famState),
 		events:    newShardEventSink(),
 		shards:    make(map[string]*dispatcher),
@@ -138,19 +136,20 @@ func (p *pump) loop(ctx context.Context) error {
 			progress = true
 		}
 		// The job-start drain and crawl completions are work in themselves
-		// even when no step became actionable; anything else that woke the
-		// pump for nothing is counted as idle overhead.
-		if !progress && woke != "start" && woke != "crawl" && woke != "durable" {
+		// even when no step became actionable, and await itself works off
+		// the families and the held results it wakes for; anything else that
+		// woke the pump for nothing is counted as idle overhead.
+		if !progress && woke != "start" && woke != "crawl" && woke != "durable" && woke != "families" {
 			p.PumpIdleWakeups++
 			p.s.obsWakeups.with("idle").Inc()
 		}
 		// Termination: nothing crawling, no family staging or running (a
 		// family leaves those phases only when every step has resolved, so
 		// none also means no retry pending and no shard work outstanding),
-		// no shard events in flight, and the family queue drained. Results
-		// held behind the submission gate keep the job open.
+		// no shard events in flight, and the hand-off empty. Results held
+		// behind the submission gate keep the job open.
 		if p.crawlsPending == 0 && p.famCount[famStaging]+p.famCount[famRunning] == 0 &&
-			p.events.pending() == 0 && p.famQ.Len() == 0 && len(p.pendingResults) == 0 {
+			p.events.pending() == 0 && len(p.handoff) == 0 && len(p.pendingResults) == 0 {
 			return nil
 		}
 		var err error
@@ -203,7 +202,7 @@ func (p *pump) nextDeadline() (deadline, bool) {
 }
 
 // await blocks until some event source signals work for this job: a
-// crawl finishing, the family queue, the shared prefetch-done queue
+// crawl finishing, the crawl hand-off, the shared prefetch-done queue
 // (only while this job is staging), a shard event, the earliest deadline
 // coming due, the foreign-result or the submission gate opening. It
 // returns a low-cardinality reason label for the wakeup counter.
@@ -239,7 +238,11 @@ func (p *pump) await(ctx context.Context) (string, error) {
 		return "crawl", nil
 	case err := <-p.crawlErr:
 		return "", err
-	case <-p.famQ.Ready():
+	case fams := <-p.handoff:
+		// Taken while blocked, so worked off here as a pass of its own: the
+		// loop's next pass may find nothing else to flush these results.
+		p.takeFamilies(fams)
+		p.flushResults()
 		return "families", nil
 	case <-prefetchReady:
 		return "staged", nil
@@ -253,44 +256,49 @@ func (p *pump) await(ctx context.Context) (string, error) {
 	}
 }
 
-// intakeFamilies pulls crawled families off this job's private queue,
-// places them, and either readies them for dispatch or sends them to the
-// prefetcher.
+// handoffDirs bounds the crawl hand-off, in directories: a crawl worker
+// with one more blocks until the pump has taken one, so a crawl runs no
+// further ahead of extraction than this many directories' families on
+// the heap. Wide enough that a pump working through one-family
+// directories is not left waiting on a listing.
+const handoffDirs = 32
+
+// offerFamilies is the crawlers' sink: it parks one directory's families
+// on the hand-off, waiting for room until the job ends.
+func (p *pump) offerFamilies(ctx context.Context, fams []family.Family) int {
+	select {
+	case p.handoff <- fams:
+		return len(fams)
+	case <-ctx.Done():
+		return 0
+	}
+}
+
+// intakeFamilies takes what the crawlers have handed off, a bounded
+// amount per pass so that results keep leaving the pump while a crawl
+// runs ahead of it.
 func (p *pump) intakeFamilies() bool {
-	msgs := p.famQ.Receive(64, 5*time.Minute)
-	if len(msgs) == 0 {
-		// Empty queue with a pending ready token means an earlier pass
-		// already consumed the messages the token announced. Absorb the
-		// stale token so it doesn't wake the pump for nothing, then
-		// re-check: a send racing the absorb re-signals the channel, so
-		// no wakeup is ever lost.
+	for taken := 0; taken < 64; {
 		select {
-		case <-p.famQ.Ready():
-			msgs = p.famQ.Receive(64, 5*time.Minute)
+		case fams := <-p.handoff:
+			p.takeFamilies(fams)
+			taken += len(fams)
 		default:
-		}
-		if len(msgs) == 0 {
-			return false
+			return taken > 0
 		}
 	}
-	receipts := make([]string, 0, len(msgs))
-	for _, m := range msgs {
-		receipts = append(receipts, m.Receipt)
-		fam, err := family.DecodeFamily(m.Body)
-		if err != nil {
-			// The family's identity went with its body: fail it under the
-			// queue message ID so the job cannot end COMPLETE a document
-			// short.
-			p.failFamily(m.ID, "undecodable family body: "+err.Error(), 0)
-			continue
-		}
+	return true
+}
+
+// takeFamilies places one directory's families, and either readies them
+// for dispatch or sends them to the prefetcher.
+func (p *pump) takeFamilies(fams []family.Family) {
+	for _, fam := range fams {
 		if _, seen := p.fams[fam.ID]; seen {
-			// Redelivery: the crawl queue has SQS semantics, and the
-			// message's visibility expired while a slow intake pass was
-			// still holding it, so the queue handed it out again under a
-			// fresh receipt. The family is already placed (or finished) —
-			// running it twice would double every step's billing and
-			// journal record — so only the receipt is acknowledged.
+			// Overlapping roots crawl a directory twice and name its
+			// families the same both times. The family is already placed (or
+			// finished): running it again would double every step's billing
+			// and journal record.
 			continue
 		}
 		p.s.obs.Emitf(p.JobID, obs.EvFamilyEnqueued, "family=%s groups=%d bytes=%d",
@@ -300,8 +308,6 @@ func (p *pump) intakeFamilies() bool {
 		})
 		p.placeFamily(fam)
 	}
-	p.famQ.DeleteBatch(receipts) // one lock acquisition for the whole batch
-	return true
 }
 
 // intakeStaged consumes prefetcher results and readies staged families.
@@ -397,8 +403,10 @@ func (p *pump) intakeDeadlines() bool {
 func (p *pump) handleEvents() bool {
 	evs := p.events.drain()
 	if len(evs) == 0 {
-		// Absorb a stale ready token (same protocol as intakeFamilies):
-		// the events it announced were drained by an earlier pass.
+		// Empty sink with a pending ready token means an earlier pass already
+		// drained the events the token announced. Absorb the stale token so
+		// it doesn't wake the pump for nothing, then re-check: a send racing
+		// the absorb re-signals the channel, so no wakeup is ever lost.
 		select {
 		case <-p.events.Ready():
 			evs = p.events.drain()

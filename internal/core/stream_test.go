@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
-	"xtract/internal/obs"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 )
@@ -35,9 +33,9 @@ func (g *gatePolicy) Place(fam *family.Family, home scheduler.SiteState, alts []
 }
 
 // TestResultsLeaveThePumpEveryPass runs a warm job whose first 64
-// families (one directory, one queue batch) finish from the cache inside
-// the intake pass that placed them; the next pass holds the pump on the
-// last family. The 64 documents must reach the destination while the pump
+// families (one directory, one hand-off batch, all a pass takes) finish
+// from the cache inside the pass that placed them; the next pass holds the
+// pump on the last family. The 64 documents must reach the destination while the pump
 // is held and the job is still EXTRACTING. (The issue's shape — the last
 // family's extractor blocked on a worker — lets the pump go idle, and an
 // idle pump flushed at the parent too; holding the pump itself is what
@@ -56,8 +54,9 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 	if err := fs.Write("/d/b/last.txt", []byte("the family the pump is held on")); err != nil {
 		t.Fatal(err)
 	}
-	// One crawl worker lists /d/a before /d/b, so the queue holds a's 64
-	// families ahead of b's one and Receive(64) never mixes them.
+	// One crawl worker lists /d/a before /d/b, so the hand-off holds a's 64
+	// families ahead of b's one, and 64 families fill a pass: whether a's
+	// batch is taken by the intake or inside await, b's comes a pass later.
 	repos := []RepoSpec{{
 		SiteName: "theta", Roots: []string{"/d"}, CrawlWorkers: 1,
 		Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary()),
@@ -116,44 +115,8 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 	waitDocs(65)
 }
 
-// barePump is a pump over its own family queue with no job loop around
-// it, for driving intakeFamilies directly.
+// barePump is a pump over its own hand-off with no job loop around it,
+// for driving intakeFamilies directly.
 func barePump(h *harness, name string) *pump {
 	return newPump(h.svc, h.svc.cfg.Registry.CreateJob("", []string{name}, h.clk.Now()), "", false, nil)
-}
-
-// A body the pump cannot decode is a family it cannot process: it must
-// count as failed (so the job ends FAILED, as any FamiliesFailed > 0 does) and
-// leave an audit trail under the queue message ID, not be acknowledged in
-// silence.
-func TestUndecodableFamilyBodyFailsTheFamily(t *testing.T) {
-	h := newHarnessCfg(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{},
-		func(cfg *Config) { cfg.Obs = obs.New(cfg.Clock) })
-	defer h.close()
-	p := barePump(h, "test-corrupt")
-	msgID := p.famQ.Send([]byte(`{"id":"fam-1","groups":[{"id":`))
-
-	if !p.intakeFamilies() {
-		t.Fatal("intake made no progress")
-	}
-	if p.FamiliesFailed != 1 {
-		t.Fatalf("failedFam = %d, want 1", p.FamiliesFailed)
-	}
-	if p.famQ.Len() != 0 || p.famQ.InFlight() != 0 {
-		t.Fatalf("queue not drained: visible=%d inflight=%d", p.famQ.Len(), p.famQ.InFlight())
-	}
-	rec, err := h.svc.cfg.Registry.Job(p.JobID)
-	if err != nil || len(rec.DeadLetters) != 1 || rec.DeadLetters[0].FamilyID != msgID {
-		t.Fatalf("dead letters = %+v, %v; want one keyed %s", rec.DeadLetters, err, msgID)
-	}
-	events, _ := h.svc.obs.Tracer().Events(p.JobID)
-	found := false
-	for _, ev := range events {
-		if ev.Type == obs.EvFamilyFailed && strings.Contains(ev.Detail, msgID) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no family_failed event names %s: %+v", msgID, events)
-	}
 }

@@ -479,38 +479,34 @@ func TestStragglerBudgetZeroStaysFailed(t *testing.T) {
 	}
 }
 
-// --- duplicate family delivery (SQS redelivery race) -----------------------
+// --- duplicate family delivery (overlapping roots) -------------------------
 
-// A family redelivered after its visibility expired (the receipt raced a
-// slow intake pass) must not be processed twice: the second delivery is
-// acknowledged and dropped. Exercised white-box through the pump's
-// intake over a family whose placement fails immediately, so a double
-// process would show up as FamiliesFailed == 2.
+// Overlapping roots crawl a directory twice and hand its families over
+// twice under the same IDs: the second delivery must be dropped, whether
+// it arrives in the same batch or a later one. Exercised white-box
+// through the pump's intake over a family whose placement fails
+// immediately, so a double process would show up as FamiliesFailed == 2.
 func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{})
 	defer h.close()
 
 	p := barePump(h, "test-dup")
-	famQ, jobID := p.famQ, p.JobID
-
-	body, err := family.AppendFamily(nil, &family.Family{ID: "fam-dup", Store: "ghost"})
-	if err != nil {
-		t.Fatal(err)
+	fam := family.Family{ID: "fam-dup", Store: "ghost"}
+	for _, batch := range [][]family.Family{{fam, fam}, {fam}} {
+		if n := p.offerFamilies(context.Background(), batch); n != len(batch) {
+			t.Fatalf("hand-off took %d of %d families", n, len(batch))
+		}
 	}
-	famQ.Send(body)
-	famQ.Send(append([]byte(nil), body...)) // the redelivered copy
-
 	if !p.intakeFamilies() {
 		t.Fatal("intake made no progress")
 	}
 	if p.FamiliesFailed != 1 {
-		t.Fatalf("FamiliesFailed = %d, want 1: the duplicate delivery was processed", p.FamiliesFailed)
+		t.Fatalf("FamiliesFailed = %d, want 1: a duplicate delivery was processed", p.FamiliesFailed)
 	}
-	// Both deliveries were acknowledged — the duplicate does not circulate.
-	if famQ.Len() != 0 || famQ.InFlight() != 0 {
-		t.Fatalf("queue not drained: visible=%d inflight=%d", famQ.Len(), famQ.InFlight())
+	if len(p.handoff) != 0 {
+		t.Fatalf("hand-off not drained: %d batches left", len(p.handoff))
 	}
-	rec, err := h.svc.cfg.Registry.Job(jobID)
+	rec, err := h.svc.cfg.Registry.Job(p.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}

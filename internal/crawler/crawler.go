@@ -2,8 +2,9 @@
 // pool of worker threads draining a shared directory queue, listing each
 // directory on the remote store, applying a grouping function to the
 // files found, packaging overlapping groups into min-transfer families,
-// and enqueueing serialized family objects for the Xtract service
-// (paper §4.1, evaluated in Figure 4).
+// and handing each directory's families to a sink — in process, the
+// Xtract service's bounded hand-off; across a process boundary, a queue
+// of serialized family objects (paper §4.1, evaluated in Figure 4).
 package crawler
 
 import (
@@ -37,8 +38,8 @@ type Stats struct {
 	FamiliesEmitted int64
 	BytesSeen       int64
 	ListErrors      int64
-	// EncodeErrors counts families dropped because their metadata could
-	// not be serialized for the queue.
+	// EncodeErrors counts families the queue sink dropped because their
+	// metadata could not be serialized.
 	EncodeErrors int64
 	// FilesHashed counts files read and hashed for their fingerprint,
 	// HashesReused files whose remembered hash the store's change token
@@ -63,7 +64,12 @@ func (s *Stats) Add(o Stats) {
 	s.FingerprintErrors += o.FingerprintErrors
 }
 
-// Crawler traverses a store and emits families onto an output queue.
+// Sink receives one directory's finished families and reports how many
+// of them it took. It may block — that is the crawl's back-pressure — and
+// must return once ctx ends.
+type Sink func(ctx context.Context, fams []family.Family) int
+
+// Crawler traverses a store and hands the families it forms to a sink.
 type Crawler struct {
 	// Store is the storage system to crawl.
 	Store store.Store
@@ -75,9 +81,8 @@ type Crawler struct {
 	MaxFamilySize int
 	// Seed drives the randomized min-cut for reproducible crawls.
 	Seed int64
-	// Out receives one family.AppendFamily body per family, sent one
-	// batch per directory.
-	Out *queue.Queue
+	// Out receives each directory's families, one call per directory.
+	Out Sink
 	// UseMinTransfers toggles the min-transfers packaging; when false,
 	// each group ships as its own family (the Figure 7 baseline).
 	UseMinTransfers bool
@@ -130,9 +135,9 @@ type Obs struct {
 	ListErrors, FilesHashed, HashesReused, FingerprintErrors *obs.Counter
 }
 
-// New returns a crawler with sensible defaults (16 workers, min-transfers
-// on, family size 16).
-func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
+// NewTo returns a crawler with sensible defaults (16 workers,
+// min-transfers on, family size 16) feeding out.
+func NewTo(s store.Store, grouper GroupingFunc, out Sink) *Crawler {
 	return &Crawler{
 		Store:            s,
 		Workers:          16,
@@ -145,6 +150,34 @@ func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
 		RateLimitRetries: 4,
 		RateLimitBackoff: 100 * time.Millisecond,
 	}
+}
+
+// New is NewTo for a crawler whose consumer is in another process: each
+// family crosses as its family.AppendFamily body, one SendBatch per
+// directory. A family whose metadata JSON cannot carry is dropped and
+// counted in EncodeErrors.
+func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
+	c := NewTo(s, grouper, nil)
+	c.Out = func(_ context.Context, fams []family.Family) int {
+		// Bodies share one buffer: the queue copies each on send.
+		var buf []byte
+		bodies := make([][]byte, 0, len(fams))
+		for i := range fams {
+			start := len(buf)
+			var err error
+			if buf, err = family.AppendFamily(buf, &fams[i]); err != nil {
+				buf = buf[:start]
+				c.EncodeErrors.Inc()
+				continue
+			}
+			bodies = append(bodies, buf[start:])
+		}
+		if len(bodies) > 0 {
+			out.SendBatch(bodies)
+		}
+		return len(bodies)
+	}
+	return c
 }
 
 // dirQueue is the shared work queue of directories with termination
@@ -241,10 +274,11 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 			rng := rand.New(rand.NewSource(seed))
 			for {
 				dir, ok := dq.pop()
-				if !ok {
+				// A cancelled crawl lists nothing more, backlog or not.
+				if !ok || ctx.Err() != nil {
 					return
 				}
-				c.processDir(dir, dq, rng, &groupsFormed, &bytesSeen)
+				c.processDir(ctx, dir, dq, rng, &groupsFormed, &bytesSeen)
 				dq.done()
 			}
 		}()
@@ -342,8 +376,8 @@ func (c *Crawler) fingerprint(fi store.FileInfo) string {
 }
 
 // processDir lists one directory, queues subdirectories, groups files,
-// and emits families.
-func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFormed, bytesSeen *metrics.Counter) {
+// and hands the directory's families to the sink.
+func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng *rand.Rand, groupsFormed, bytesSeen *metrics.Counter) {
 	infos, err := c.listWithBackoff(dir)
 	if err != nil {
 		c.ListErrors.Inc()
@@ -390,9 +424,6 @@ func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFor
 		}
 		metaOf[fi.Path] = fm
 	}
-	// Bodies share one buffer: the queue copies each on send.
-	var buf []byte
-	bodies := make([][]byte, 0, len(fams))
 	for i := range fams {
 		fam := &fams[i]
 		fam.ID = fmt.Sprintf("%s:%s#%d", c.Store.Name(), dir, i)
@@ -404,19 +435,11 @@ func (c *Crawler) processDir(dir string, dq *dirQueue, rng *rand.Rand, groupsFor
 				fam.FileMeta[f] = metaOf[f]
 			}
 		}
-		start := len(buf)
-		var err error
-		if buf, err = family.AppendFamily(buf, fam); err != nil {
-			buf = buf[:start]
-			c.EncodeErrors.Inc()
-			continue
-		}
-		bodies = append(bodies, buf[start:])
 	}
-	if len(bodies) == 0 {
+	if len(fams) == 0 {
 		return
 	}
-	c.Out.SendBatch(bodies)
-	c.FamiliesEmitted.Add(int64(len(bodies)))
-	c.Obs.FamiliesEmitted.Add(float64(len(bodies)))
+	taken := c.Out(ctx, fams)
+	c.FamiliesEmitted.Add(int64(taken))
+	c.Obs.FamiliesEmitted.Add(float64(taken))
 }

@@ -2,9 +2,14 @@ package crawler
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,8 +45,8 @@ func drainFamilies(t *testing.T, q *queue.Queue) []family.Family {
 	t.Helper()
 	var out []family.Family
 	for _, body := range q.Drain() {
-		f, err := family.DecodeFamily(body)
-		if err != nil {
+		var f family.Family
+		if err := json.Unmarshal(body, &f); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, f)
@@ -250,6 +255,64 @@ func TestCrawlContextCancel(t *testing.T) {
 	if _, err := c.Crawl(ctx, []string{"/"}); err == nil {
 		t.Fatal("expected context error")
 	}
+}
+
+// A sink that has no room blocks the crawl — the listing stops with one
+// directory in each worker's hands — and cancellation is what releases a
+// worker blocked there: Crawl returns the context's error, lists nothing
+// more and leaves no goroutine behind.
+func TestCrawlBlockedOnItsSinkIsReleasedByCancel(t *testing.T) {
+	const workers = 3
+	fs := store.NewMemFS("petrel", nil)
+	for i := 0; i < 200; i++ {
+		if err := fs.Write(fmt.Sprintf("/r/d%03d/f.txt", i), []byte("words")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := &listCounter{Store: fs}
+	goroutines := runtime.NumGoroutine()
+	blocked := make(chan struct{}, workers)
+	c := NewTo(src, SingleFileGrouper(extractors.DefaultLibrary()), func(ctx context.Context, fams []family.Family) int {
+		blocked <- struct{}{}
+		<-ctx.Done()
+		return 0
+	})
+	c.Workers = workers
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Crawl(ctx, []string{"/r"})
+		done <- err
+	}()
+	for i := 0; i < workers; i++ {
+		<-blocked
+	}
+	if got := src.lists.Load(); got != 1+workers {
+		t.Fatalf("%d listings with every worker blocked on the sink, want the root and %d directories", got, workers)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Crawl = %v, want context.Canceled", err)
+	}
+	if got := src.lists.Load(); got != 1+workers {
+		t.Fatalf("%d listings after cancellation, want still %d", got, 1+workers)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the crawl", runtime.NumGoroutine(), goroutines)
+		}
+	}
+}
+
+// listCounter counts the listings that reach the store.
+type listCounter struct {
+	store.Store
+	lists atomic.Int64
+}
+
+func (l *listCounter) List(dir string) ([]store.FileInfo, error) {
+	l.lists.Add(1)
+	return l.Store.List(dir)
 }
 
 func TestCrawlMissingRoot(t *testing.T) {
@@ -498,6 +561,44 @@ func TestCrawlCountsUnencodableFamilies(t *testing.T) {
 	for _, f := range drainFamilies(t, out) {
 		if strings.HasSuffix(f.Files[0], "OUTCAR") {
 			t.Fatalf("the unencodable family was sent: %+v", f)
+		}
+	}
+}
+
+// The packaging of the matio grouper's overlapping groups, cut down to
+// two-file families so every seed really cuts, as family.AppendFamily
+// bytes computed at the commit before BuildGraph stopped allocating a set
+// per group: the leaner BuildGraph must hand MinTransfers the same graph.
+func TestMatIOFamiliesMatchGolden(t *testing.T) {
+	var files []store.FileInfo
+	for _, n := range []string{"INCAR", "POSCAR", "OUTCAR", "CONTCAR", "KPOINTS", "notes.txt", "run.csv"} {
+		files = append(files, store.FileInfo{Path: "/calc/" + n, Name: n, Size: int64(len(n))})
+	}
+	groups := MatIOGrouper(extractors.DefaultLibrary())("/calc", files)
+	// A group naming one file twice: BuildGraph deduplicates it.
+	groups = append(groups, family.Group{ID: "/calc#dup", Extractor: "keyword",
+		Files: []string{"/calc/run.csv", "/calc/notes.txt", "/calc/run.csv"}})
+	golden := []string{ // seeds 1, 2, 3
+		`{"id":"fam-0","files":["/calc/notes.txt","/calc/run.csv"],"groups":[{"id":"/calc#f0","files":["/calc/notes.txt"],"extractor":"keyword","metadata":{"candidates":["keyword","entity"]}},{"id":"/calc#f1","files":["/calc/run.csv"],"extractor":"keyword","metadata":{"candidates":["keyword","entity"]}},{"id":"/calc#dup","files":["/calc/run.csv","/calc/notes.txt","/calc/run.csv"],"extractor":"keyword"}]}` + "\n" +
+			`{"id":"fam-1","files":["/calc/POSCAR"],"groups":[{"id":"/calc#ase","files":["/calc/POSCAR","/calc/CONTCAR"],"extractor":"ase","metadata":{"candidates":["ase"]}}]}` + "\n" +
+			`{"id":"fam-3","files":["/calc/INCAR","/calc/CONTCAR","/calc/OUTCAR","/calc/KPOINTS"],"groups":[{"id":"/calc#vasp","files":["/calc/INCAR","/calc/POSCAR","/calc/OUTCAR","/calc/CONTCAR","/calc/KPOINTS"],"extractor":"matio","metadata":{"candidates":["matio"]}}]}` + "\n",
+		`{"id":"fam-0","files":["/calc/notes.txt","/calc/run.csv"],"groups":[{"id":"/calc#f0","files":["/calc/notes.txt"],"extractor":"keyword","metadata":{"candidates":["keyword","entity"]}},{"id":"/calc#f1","files":["/calc/run.csv"],"extractor":"keyword","metadata":{"candidates":["keyword","entity"]}},{"id":"/calc#dup","files":["/calc/run.csv","/calc/notes.txt","/calc/run.csv"],"extractor":"keyword"}]}` + "\n" +
+			`{"id":"fam-3","files":["/calc/POSCAR","/calc/KPOINTS","/calc/OUTCAR","/calc/INCAR","/calc/CONTCAR"],"groups":[{"id":"/calc#vasp","files":["/calc/INCAR","/calc/POSCAR","/calc/OUTCAR","/calc/CONTCAR","/calc/KPOINTS"],"extractor":"matio","metadata":{"candidates":["matio"]}},{"id":"/calc#ase","files":["/calc/POSCAR","/calc/CONTCAR"],"extractor":"ase","metadata":{"candidates":["ase"]}}]}` + "\n",
+		`{"id":"fam-0","files":["/calc/notes.txt","/calc/run.csv"],"groups":[{"id":"/calc#f0","files":["/calc/notes.txt"],"extractor":"keyword","metadata":{"candidates":["keyword","entity"]}},{"id":"/calc#f1","files":["/calc/run.csv"],"extractor":"keyword","metadata":{"candidates":["keyword","entity"]}},{"id":"/calc#dup","files":["/calc/run.csv","/calc/notes.txt","/calc/run.csv"],"extractor":"keyword"}]}` + "\n" +
+			`{"id":"fam-3","files":["/calc/POSCAR"],"groups":[{"id":"/calc#ase","files":["/calc/POSCAR","/calc/CONTCAR"],"extractor":"ase","metadata":{"candidates":["ase"]}}]}` + "\n" +
+			`{"id":"fam-4","files":["/calc/OUTCAR","/calc/CONTCAR","/calc/KPOINTS","/calc/INCAR"],"groups":[{"id":"/calc#vasp","files":["/calc/INCAR","/calc/POSCAR","/calc/OUTCAR","/calc/CONTCAR","/calc/KPOINTS"],"extractor":"matio","metadata":{"candidates":["matio"]}}]}` + "\n",
+	}
+	for i, want := range golden {
+		var body []byte
+		for _, f := range family.MinTransfers(groups, 2, rand.New(rand.NewSource(int64(i+1)))) {
+			var err error
+			if body, err = family.AppendFamily(body, &f); err != nil {
+				t.Fatal(err)
+			}
+			body = append(body, '\n')
+		}
+		if string(body) != want {
+			t.Errorf("seed %d:\n got %s\nwant %s", i+1, body, want)
 		}
 	}
 }

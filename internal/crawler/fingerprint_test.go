@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -302,8 +303,8 @@ func TestConcurrentCrawlsShareOneMemo(t *testing.T) {
 					return
 				}
 				for _, body := range out.Drain() {
-					f, err := family.DecodeFamily(body)
-					if err != nil {
+					var f family.Family
+					if err := json.Unmarshal(body, &f); err != nil {
 						t.Error(err)
 						return
 					}

@@ -1,18 +1,17 @@
 package family
 
 import (
-	"errors"
 	"sort"
 
 	"xtract/internal/fastjson"
 )
 
-// The crawl-queue body is an internal format: the crawler writes it and
-// the pump of the same binary reads it, and it is never journaled. It is
-// JSON in the field order and with the omitempty rules of family.go's
-// struct tags, but the decoder is strict — exact lower-case keys,
-// unknown keys skipped, a repeated key replaces the earlier value — and
-// owes encoding/json nothing beyond reading back what AppendFamily wrote.
+// The family body is the format of the crawler's queue sink
+// (crawler.New): what a family looks like when the crawler runs in
+// another process than the service. Inside one process families cross as
+// values and nothing encodes them. The body is JSON in the field order
+// and with the omitempty rules of family.go's struct tags, so the reader
+// on the other side is json.Unmarshal into a Family.
 
 // AppendFamily appends f's queue body to dst. It fails only on metadata
 // JSON cannot carry (NaN, Inf, an unencodable type).
@@ -85,105 +84,4 @@ func appendMetadata(dst []byte, m map[string]interface{}) ([]byte, error) {
 		return dst, nil
 	}
 	return fastjson.AppendValue(append(dst, `,"metadata":`...), m)
-}
-
-// DecodeFamily parses a queue body written by AppendFamily.
-func DecodeFamily(data []byte) (Family, error) {
-	var f Family
-	d := fastjson.NewDec(data)
-	err := d.ObjEach(func(key []byte) (err error) {
-		switch string(key) {
-		case "id":
-			f.ID, err = d.Str()
-		case "files":
-			f.Files, err = d.Strings()
-		case "groups":
-			f.Groups = nil
-			if !d.Null() {
-				f.Groups = []Group{}
-				err = d.ArrEach(func() error {
-					g, err := decodeGroup(d)
-					f.Groups = append(f.Groups, g)
-					return err
-				})
-			}
-		case "store":
-			f.Store, err = d.Str()
-		case "base_path":
-			f.BasePath, err = d.Str()
-		case "file_meta":
-			f.FileMeta = nil
-			if !d.Null() {
-				f.FileMeta = make(map[string]FileMeta)
-				err = d.ObjEach(func(key []byte) error {
-					path := string(key)
-					m, err := decodeFileMeta(d)
-					f.FileMeta[path] = m
-					return err
-				})
-			}
-		case "metadata":
-			f.Metadata, err = decodeMetadata(d)
-		default:
-			err = d.Skip()
-		}
-		return err
-	})
-	if err == nil {
-		err = d.End()
-	}
-	return f, err
-}
-
-func decodeGroup(d *fastjson.Dec) (Group, error) {
-	var g Group
-	err := d.ObjEach(func(key []byte) (err error) {
-		switch string(key) {
-		case "id":
-			g.ID, err = d.Str()
-		case "files":
-			g.Files, err = d.Strings()
-		case "extractor":
-			g.Extractor, err = d.Str()
-		case "metadata":
-			g.Metadata, err = decodeMetadata(d)
-		default:
-			err = d.Skip()
-		}
-		return err
-	})
-	return g, err
-}
-
-func decodeFileMeta(d *fastjson.Dec) (FileMeta, error) {
-	var m FileMeta
-	err := d.ObjEach(func(key []byte) (err error) {
-		switch string(key) {
-		case "size":
-			m.Size, err = d.Int64()
-		case "extension":
-			m.Extension, err = d.Str()
-		case "mime_type":
-			m.MimeType, err = d.Str()
-		case "content_hash":
-			m.ContentHash, err = d.Str()
-		default:
-			err = d.Skip()
-		}
-		return err
-	})
-	return m, err
-}
-
-// decodeMetadata reads a generic object; null is the nil map.
-func decodeMetadata(d *fastjson.Dec) (map[string]interface{}, error) {
-	v, err := d.Value()
-	if v == nil || err != nil {
-		return nil, err
-	}
-	m, ok := v.(map[string]interface{})
-	if !ok {
-		return nil, errors.New("family: metadata is not an object")
-	}
-	return m, nil
 }

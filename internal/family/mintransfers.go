@@ -26,7 +26,13 @@ type Edge struct {
 // group are pairwise connected (clique edges), so any two groups sharing
 // a file land in the same connected component.
 func BuildGraph(groups []Group) *Graph {
-	idx := make(map[string]int)
+	files, pairs := 0, 0
+	for i := range groups {
+		n := len(groups[i].Files)
+		files += n
+		pairs += n * (n - 1) / 2
+	}
+	idx := make(map[string]int, files)
 	g := &Graph{}
 	nodeOf := func(f string) int {
 		if i, ok := idx[f]; ok {
@@ -37,17 +43,21 @@ func BuildGraph(groups []Group) *Graph {
 		g.Nodes = append(g.Nodes, f)
 		return i
 	}
-	edgeW := make(map[[2]int]int)
+	edgeW := make(map[[2]int]int, pairs)
+	var members []int
 	for _, grp := range groups {
-		// Deduplicate within a group while preserving order.
-		seen := make(map[int]bool)
-		var members []int
+		// Deduplicate within a group while preserving order; a group holds
+		// a handful of files, so the scan beats a set.
+		members = members[:0]
+	file:
 		for _, f := range grp.Files {
 			i := nodeOf(f)
-			if !seen[i] {
-				seen[i] = true
-				members = append(members, i)
+			for _, m := range members {
+				if m == i {
+					continue file
+				}
 			}
+			members = append(members, i)
 		}
 		for a := 0; a < len(members); a++ {
 			for b := a + 1; b < len(members); b++ {
