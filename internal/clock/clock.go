@@ -22,6 +22,10 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
+// SleepUntil blocks until c reads t or later (not at all if it does): a
+// caller sleeping to the points of one schedule pays a late wake-up once.
+func SleepUntil(c Clock, t time.Time) { c.Sleep(t.Sub(c.Now())) }
+
 // Real is a Clock backed by the system wall clock.
 type Real struct{}
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -197,6 +198,65 @@ func TestTracerOrderAndRing(t *testing.T) {
 	}
 	if evs[0].Type != EvBatchDispatched || evs[2].Type != EvJobCompleted {
 		t.Fatalf("ring order wrong: %+v", evs)
+	}
+}
+
+// TestTracerEventBudget: a long-lived process finishing full-ring jobs
+// holds at most maxEvents events whatever the per-job and per-tracer
+// limits admit; whole oldest traces go first, the emitting job's never
+// does, and a retained job's trace reads as before.
+func TestTracerEventBudget(t *testing.T) {
+	const jobs, perJob = 600, 1024
+	tr := NewTracer(nil, 0, 0)
+	held := func() (n int) {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		for _, jt := range tr.jobs {
+			n += len(jt.events)
+		}
+		if n != tr.held {
+			t.Fatalf("tracer counts %d held events, its traces hold %d", tr.held, n)
+		}
+		return n
+	}
+	for j := 0; j < jobs; j++ {
+		id := fmt.Sprintf("job-%d", j)
+		for e := 0; e < perJob+10; e++ { // ten past the ring: the oldest ten drop
+			tr.Emit(id, EvTaskCompleted, "task")
+		}
+		if n := held(); n > maxEvents {
+			t.Fatalf("after %d jobs the tracer holds %d events, budget %d", j+1, n, maxEvents)
+		}
+	}
+	if want := maxEvents / perJob; tr.Jobs() != want {
+		t.Fatalf("%d traces retained, want the newest %d", tr.Jobs(), want)
+	}
+	evs, dropped := tr.Events(fmt.Sprintf("job-%d", jobs-1))
+	if len(evs) != perJob || dropped != 10 {
+		t.Fatalf("newest job: %d events, %d dropped; want %d and 10", len(evs), dropped, perJob)
+	}
+	if evs, _ := tr.Events("job-0"); evs != nil {
+		t.Fatalf("the oldest job still has %d events", len(evs))
+	}
+
+	// The budget never costs the emitting job its own trace: while the
+	// oldest retained job is the one emitting, nothing is evicted (its
+	// ring bounds the overshoot), and the next job to emit makes room.
+	tr2 := NewTracer(nil, 0, 2*maxEvents)
+	tr2.Emit("job-a", EvJobSubmitted, "")
+	tr2.Emit("job-b", EvJobSubmitted, "")
+	for e := 0; e < maxEvents; e++ {
+		tr2.Emit("job-a", EvTaskCompleted, "task")
+	}
+	if evs, _ := tr2.Events("job-a"); len(evs) != maxEvents+1 {
+		t.Fatalf("emitting job kept %d of its %d events", len(evs), maxEvents+1)
+	}
+	tr2.Emit("job-b", EvJobCompleted, "")
+	if evs, _ := tr2.Events("job-a"); evs != nil {
+		t.Fatal("the oldest trace outlived a full budget once another job emitted")
+	}
+	if evs, _ := tr2.Events("job-b"); len(evs) != 2 {
+		t.Fatalf("job-b has %d events, want 2", len(evs))
 	}
 }
 

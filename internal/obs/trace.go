@@ -62,11 +62,18 @@ type jobTrace struct {
 	dropped int64 // events overwritten
 }
 
+// maxEvents bounds the events retained across all jobs to 32 full rings;
+// the other two limits alone admit 512, some 95 MB of detail strings, so
+// a process's memory grew with the jobs it had finished.
+const maxEvents = 1 << 15
+
 // Tracer records per-job event traces in bounded ring buffers. Memory is
-// bounded on both axes: at most MaxJobs job traces are retained (oldest
-// evicted first), and each trace keeps at most EventsPerJob events
-// (oldest overwritten first, counted as dropped). Safe for concurrent
-// use; a nil *Tracer ignores Emit and reports no events.
+// bounded three ways: at most MaxJobs job traces are retained and at most
+// maxEvents events across them (whole oldest traces evicted first, and
+// none while the oldest is the emitting job's), and each trace keeps at
+// most EventsPerJob events (oldest overwritten first, counted as
+// dropped). Safe for concurrent use; a nil *Tracer ignores Emit and
+// reports no events.
 type Tracer struct {
 	clk clock.Clock
 
@@ -75,6 +82,7 @@ type Tracer struct {
 	perJob  int
 	jobs    map[string]*jobTrace
 	order   []string // job insertion order, for eviction
+	held    int      // events retained across all traces
 	seq     int64
 }
 
@@ -113,20 +121,30 @@ func (t *Tracer) Emit(jobID, typ, detail string) {
 		t.jobs[jobID] = jt
 		t.order = append(t.order, jobID)
 		for len(t.order) > t.maxJobs {
-			delete(t.jobs, t.order[0])
-			t.order = t.order[1:]
+			t.evictOldest()
 		}
 	}
 	t.seq++
 	ev := Event{Seq: t.seq, Time: now, Type: typ, Detail: detail}
 	if len(jt.events) < t.perJob {
 		jt.events = append(jt.events, ev)
+		t.held++
+		for t.held > maxEvents && t.order[0] != jobID {
+			t.evictOldest()
+		}
 		return
 	}
 	jt.events[jt.next] = ev
 	jt.next = (jt.next + 1) % t.perJob
 	jt.full = true
 	jt.dropped++
+}
+
+// evictOldest drops the oldest retained trace. Callers hold t.mu.
+func (t *Tracer) evictOldest() {
+	t.held -= len(t.jobs[t.order[0]].events)
+	delete(t.jobs, t.order[0])
+	t.order = t.order[1:]
 }
 
 // Emitf is Emit with a formatted detail string.

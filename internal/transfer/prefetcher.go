@@ -3,10 +3,10 @@ package transfer
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/metrics"
 	"xtract/internal/queue"
 )
 
@@ -32,10 +32,16 @@ type PrefetchResult struct {
 	Elapsed  time.Duration `json:"elapsed"`
 }
 
+// Tally is a monotonic count, safe for concurrent use.
+type Tally struct{ n atomic.Int64 }
+
+// Value returns the current count.
+func (t *Tally) Value() int64 { return t.n.Load() }
+
 // Prefetcher is the microservice that drains a queue of staging tasks,
 // folds the same-route tasks of each received window into one fabric job,
-// keeps a bounded number of those jobs in flight, and reports each
-// finished job's results on the done queue in one batch.
+// keeps a bounded number of those jobs in flight, and reports each task
+// on the done queue as soon as its own files have landed.
 type Prefetcher struct {
 	fabric *Fabric
 	in     *queue.Queue
@@ -48,9 +54,9 @@ type Prefetcher struct {
 	// Visibility is the queue visibility timeout while a task is staged.
 	Visibility time.Duration
 
-	TasksDone   metrics.Counter
-	TasksFailed metrics.Counter
-	BytesMoved  metrics.Counter
+	TasksDone   Tally
+	TasksFailed Tally
+	BytesMoved  Tally // bytes of the tasks reported staged
 }
 
 // NewPrefetcher wires a prefetcher to its fabric and queues.
@@ -141,52 +147,59 @@ next:
 	return windows
 }
 
-// stage runs one window as one fabric job and blocks on its completion
-// event. Results go out in one batch before the receipts are deleted in
-// one batch: a crash between the two redelivers the tasks (at-least-once)
-// and never loses a result.
+// stage runs one window as one fabric job and follows it in order: a
+// task is reported when its own last file is down, with its own bytes and
+// elapsed, along with every task behind it that is down by then. A report
+// is one batch of results, then one batch delete of those receipts: a
+// crash between the two redelivers tasks (at-least-once) and never loses
+// a result. If the job ends short the tasks already landed stay staged
+// and the rest fail with its error; on shutdown the unreported tasks go
+// back to the queue, so a restarted prefetcher can redo them.
 func (p *Prefetcher) stage(ctx context.Context, w *window) {
 	var pairs []FilePair
 	for _, t := range w.tasks {
 		pairs = append(pairs, t.Pairs...)
 	}
 	start := p.clk.Now()
-	var info JobInfo
 	jobID, err := p.fabric.Submit(w.src, w.dst, pairs)
-	if err == nil {
-		info, err = p.fabric.WaitContext(ctx, jobID)
-	}
-	if ctx.Err() != nil {
-		// Shutdown mid-fetch: hand the tasks back to the queue instead of
-		// reporting results, so a restarted prefetcher can redo them.
-		for _, r := range w.receipts {
-			_ = p.in.Nack(r)
-		}
-		return
-	}
-	res := PrefetchResult{
-		Src:     w.src,
-		Dst:     w.dst,
-		OK:      err == nil && info.Status == StatusSucceeded,
-		Elapsed: p.clk.Since(start),
-	}
-	if err != nil {
-		res.Err = err.Error()
-	} else {
-		res.Err = info.Err
-		res.Bytes = info.BytesTransferred / int64(len(w.tasks))
-		p.BytesMoved.Add(info.BytesTransferred)
-	}
-	bodies := make([][]byte, len(w.tasks))
+	res := PrefetchResult{Src: w.src, Dst: w.dst, OK: err == nil}
+	var info JobInfo
+	var bodies [][]byte
+	sent, end, moved := 0, 0, int64(0) // tasks reported, files through task i, bytes through task i-1
 	for i, t := range w.tasks {
-		res.FamilyID = t.FamilyID
-		bodies[i] = AppendPrefetchResult(nil, &res)
+		if res.OK {
+			end += len(t.Pairs)
+			info, err = p.fabric.WaitFiles(ctx, jobID, end)
+			res.OK = err == nil && info.FilesDone >= end
+		}
+		if err != nil && ctx.Err() != nil {
+			_, _ = p.fabric.WaitContext(ctx, jobID)
+			for _, r := range w.receipts[sent:] {
+				_ = p.in.Nack(r)
+			}
+			return
+		}
+		res.FamilyID, res.Elapsed = t.FamilyID, p.clk.Since(start)
+		if res.OK {
+			res.Bytes, moved = info.BytesTransferred-moved, info.BytesTransferred
+			p.TasksDone.n.Add(1)
+			p.BytesMoved.n.Add(res.Bytes)
+		} else {
+			res.Bytes, res.Err = 0, info.Err
+			if err != nil {
+				res.Err = err.Error()
+			}
+			p.TasksFailed.n.Add(1)
+		}
+		bodies = append(bodies, AppendPrefetchResult(nil, &res))
+		if i+1 < len(w.tasks) && (!res.OK || info.FilesDone >= end+len(w.tasks[i+1].Pairs)) {
+			continue // the next task is down too, or fails with this one: one report
+		}
+		if i+1 == len(w.tasks) {
+			_, _ = p.fabric.WaitContext(ctx, jobID) // the job's record goes before its last report does
+		}
+		p.out.SendBatch(bodies)
+		p.in.DeleteBatch(w.receipts[sent : i+1])
+		sent, bodies = i+1, bodies[:0]
 	}
-	if res.OK {
-		p.TasksDone.Add(int64(len(w.tasks)))
-	} else {
-		p.TasksFailed.Add(int64(len(w.tasks)))
-	}
-	p.out.SendBatch(bodies)
-	p.in.DeleteBatch(w.receipts)
 }

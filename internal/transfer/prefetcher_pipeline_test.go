@@ -3,6 +3,7 @@ package transfer
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,19 +29,38 @@ type pipelineRig struct {
 const rigRTT = 40 * time.Millisecond
 
 func newPipelineRig(t testing.TB, outClk clock.Clock) *pipelineRig {
+	return newPipelineRigOn(t, outClk, Link{RTT: rigRTT})
+}
+
+// rigFile is what a file of the streaming tests costs on streamLink.
+const rigFile = time.Millisecond
+
+// streamLink charges per file as well, so the files of one fabric job
+// land one fake-clock step apart.
+var streamLink = Link{RTT: rigRTT, PerFileOverhead: rigFile}
+
+func newPipelineRigOn(t testing.TB, outClk clock.Clock, link Link) *pipelineRig {
 	t.Helper()
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	fabric := NewFabric(clk)
 	src := store.NewMemFS("src", nil)
 	fabric.AddEndpoint("src", src)
 	fabric.AddEndpoint("dst", store.NewMemFS("dst", nil))
-	fabric.SetLink("src", "dst", Link{RTT: rigRTT})
+	fabric.SetLink("src", "dst", link)
 	if err := src.Write("/d/a.bin", []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
 	in := queue.New("prefetch-in", clock.NewReal())
 	out := queue.New("prefetch-out", outClk)
 	return &pipelineRig{clk: clk, fabric: fabric, pf: NewPrefetcher(fabric, in, out, clk), in: in, out: out}
+}
+
+// landFile waits for the one fabric job to park and lets its next
+// charge (the RTT first, then a file at a time) come due.
+func (r *pipelineRig) landFile(t testing.TB, d time.Duration) {
+	t.Helper()
+	eventually(t, "the job parked on the link", func() bool { return r.clk.PendingTimers() == 1 })
+	r.clk.Advance(d)
 }
 
 // send enqueues n single-file staging tasks and returns their bodies.
@@ -72,11 +92,17 @@ func (r *pipelineRig) run(inFlight int) (stop func()) {
 }
 
 // eventually polls cond on the real clock; every wait in these tests is
-// for goroutines to reach a state, never for time to pass.
+// for goroutines to reach a state, never for time to pass. It yields a
+// few times before it sleeps: the state is usually one goroutine switch
+// away, and a sleep costs a timer tick.
 func eventually(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
+	for i := 0; !cond(); i++ {
+		if i < 100 {
+			runtime.Gosched()
+			continue
+		}
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}

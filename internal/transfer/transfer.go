@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -95,7 +96,8 @@ func (s Status) String() string {
 	}
 }
 
-// JobInfo is the final state of a transfer job.
+// JobInfo is the state of a transfer job, final unless Status is
+// StatusActive (see WaitFiles).
 type JobInfo struct {
 	Status           Status
 	FilesDone        int
@@ -111,12 +113,13 @@ type job struct {
 
 	mu       sync.Mutex
 	status   Status
-	done     int
-	bytes    int64
+	landed   []int64 // landed[k]: bytes of the first k files down; len-1 files are
 	err      error
 	started  time.Time
 	finished time.Time
-	doneCh   chan struct{}
+	// progress takes a token whenever the job is about to sleep (the files
+	// of one burst are one wake-up) and is closed when it is terminal.
+	progress chan struct{}
 }
 
 // Fabric is the transfer service: a registry of endpoints and links plus
@@ -134,7 +137,6 @@ type Fabric struct {
 	// Observability handles (nil-safe when Instrument is never called).
 	obsBytes      *obs.Counter
 	obsFiles      *obs.Counter
-	obsJobs       *obs.CounterVec
 	obsDuration   *obs.Histogram
 	obsFetchBytes *obs.Counter
 	// obsJobsBy pre-resolves the per-status outcome counters so the
@@ -153,13 +155,11 @@ func (f *Fabric) Instrument(reg *obs.Registry) {
 		"Bytes moved by completed transfer jobs.")
 	f.obsFiles = reg.Counter("xtract_transfer_files_total",
 		"Files moved by completed transfer jobs.")
-	f.obsJobs = reg.CounterVec("xtract_transfer_jobs_total",
+	jobs := reg.CounterVec("xtract_transfer_jobs_total",
 		"Transfer jobs by terminal status.", "status")
 	f.obsJobsBy = map[Status]*obs.Counter{
-		StatusPending:   f.obsJobs.With(StatusPending.String()),
-		StatusActive:    f.obsJobs.With(StatusActive.String()),
-		StatusSucceeded: f.obsJobs.With(StatusSucceeded.String()),
-		StatusFailed:    f.obsJobs.With(StatusFailed.String()),
+		StatusSucceeded: jobs.With(StatusSucceeded.String()),
+		StatusFailed:    jobs.With(StatusFailed.String()),
 	}
 	f.obsDuration = reg.Histogram("xtract_transfer_duration_seconds",
 		"End-to-end latency of transfer jobs.", nil)
@@ -167,11 +167,37 @@ func (f *Fabric) Instrument(reg *obs.Registry) {
 		"Bytes served through the direct per-file fetch path.")
 }
 
+// linkTick is about one timer tick: a shorter sleep costs this anyway.
+const linkTick = time.Millisecond
+
 type linkState struct {
 	link Link
-	// payloadMu serializes payload time on the link so concurrent jobs
-	// share bandwidth instead of each enjoying the full rate.
-	payloadMu sync.Mutex
+	// mu guards busyUntil, when the link will have carried every payload
+	// charged so far: concurrent jobs share its rate through it.
+	mu        sync.Mutex
+	busyUntil time.Time
+}
+
+// carry charges a file's payload time to the link at time now and returns
+// when the link will have carried it, or zero while that is under a tick
+// away: jobs together never move more than rate x elapsed plus one tick,
+// and the tick of slack lets a job that woke late catch up instead of
+// paying a tick per file. Charges book from the clock, not from a job's
+// schedule, which would ratchet every job up to the one furthest ahead.
+func (ls *linkState) carry(now time.Time, pay time.Duration) time.Time {
+	if pay <= 0 {
+		return time.Time{} // an empty file, or a link with no rate, waits for nobody
+	}
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if ls.busyUntil.Before(now) {
+		ls.busyUntil = now
+	}
+	ls.busyUntil = ls.busyUntil.Add(pay)
+	if ls.busyUntil.Sub(now) < linkTick {
+		return time.Time{}
+	}
+	return ls.busyUntil
 }
 
 // SetFaults installs (or clears, with nil) the fabric's fault hook.
@@ -254,11 +280,12 @@ func (f *Fabric) Submit(src, dst string, pairs []FilePair) (string, error) {
 	f.mu.Lock()
 	f.seq++
 	j := &job{
-		id:     fmt.Sprintf("xfer-%d", f.seq),
-		src:    src,
-		dst:    dst,
-		pairs:  append([]FilePair(nil), pairs...),
-		doneCh: make(chan struct{}),
+		id:       fmt.Sprintf("xfer-%d", f.seq),
+		src:      src,
+		dst:      dst,
+		pairs:    append([]FilePair(nil), pairs...),
+		landed:   make([]int64, 1, len(pairs)+1),
+		progress: make(chan struct{}, 1),
 	}
 	f.jobs[j.id] = j
 	f.mu.Unlock()
@@ -267,79 +294,98 @@ func (f *Fabric) Submit(src, dst string, pairs []FilePair) (string, error) {
 	return j.id, nil
 }
 
-// run executes a job: RTT once, then per file overhead + payload.
+// run executes a job and publishes its terminal state.
 func (f *Fabric) run(j *job, srcEP, dstEP *Endpoint) {
-	ls := f.linkFor(j.src, j.dst)
+	start := f.clk.Now()
 	j.mu.Lock()
 	j.status = StatusActive
-	j.started = f.clk.Now()
+	j.started = start
 	j.mu.Unlock()
 
-	fail := func(err error) {
-		j.mu.Lock()
+	err := f.move(j, f.linkFor(j.src, j.dst), srcEP, dstEP, start)
+
+	j.mu.Lock()
+	j.status = StatusSucceeded
+	if err != nil {
 		j.status = StatusFailed
 		j.err = err
-		j.finished = f.clk.Now()
-		j.mu.Unlock()
-		f.observeTerminal(j)
-		close(j.doneCh)
 	}
+	j.finished = f.clk.Now()
+	j.mu.Unlock()
+	f.observeTerminal(j)
+	close(j.progress)
+}
 
-	f.clk.Sleep(ls.link.RTT)
+// move charges the job by schedule. due is the time the link model says
+// the job has reached: its start, the RTT once, any injected stall, then
+// each file's overhead and payload (or the link's time, when that is
+// behind). The job sleeps only while due is ahead of the clock, so a late
+// timer is absorbed by the files behind it, not paid again per file; a
+// file is written when the clock reaches its due time, never before.
+func (f *Fabric) move(j *job, ls *linkState, srcEP, dstEP *Endpoint, due time.Time) error {
+	due = due.Add(ls.link.RTT)
+	clock.SleepUntil(f.clk, due)
 	if h := f.faultHook(); h != nil {
 		stall, err := h.TransferFault(j.src, j.dst)
 		if stall > 0 {
-			f.clk.Sleep(stall)
+			due = due.Add(stall)
+			clock.SleepUntil(f.clk, due)
 		}
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 	}
 	for _, p := range j.pairs {
 		data, err := srcEP.Store.Read(p.Src)
 		if err != nil {
-			fail(fmt.Errorf("read %s:%s: %w", j.src, p.Src, err))
-			return
+			return fmt.Errorf("read %s:%s: %w", j.src, p.Src, err)
 		}
-		f.clk.Sleep(ls.link.PerFileOverhead)
-		// Serialize payload time on the link: concurrent jobs share rate.
-		ls.payloadMu.Lock()
-		f.clk.Sleep(ls.link.payloadTime(int64(len(data))))
-		ls.payloadMu.Unlock()
+		pay := ls.link.payloadTime(int64(len(data)))
+		due = due.Add(ls.link.PerFileOverhead + pay)
+		now := f.clk.Now()
+		if free := ls.carry(now, pay); free.After(due) {
+			due = free
+		}
+		if due.After(now) {
+			select {
+			case j.progress <- struct{}{}:
+			default:
+			}
+			f.clk.Sleep(due.Sub(now))
+		}
 		if err := dstEP.Store.Write(p.Dst, data); err != nil {
-			fail(fmt.Errorf("write %s:%s: %w", j.dst, p.Dst, err))
-			return
+			return fmt.Errorf("write %s:%s: %w", j.dst, p.Dst, err)
 		}
 		j.mu.Lock()
-		j.done++
-		j.bytes += int64(len(data))
+		j.landed = append(j.landed, j.landed[len(j.landed)-1]+int64(len(data)))
 		j.mu.Unlock()
 	}
-	j.mu.Lock()
-	j.status = StatusSucceeded
-	j.finished = f.clk.Now()
-	j.mu.Unlock()
-	f.observeTerminal(j)
-	close(j.doneCh)
+	return nil
 }
 
 // observeTerminal records a finished job's outcome on the observability
 // registry. Bytes and files reflect what actually moved, even on failure.
 func (f *Fabric) observeTerminal(j *job) {
+	info := j.info(math.MaxInt)
+	f.obsJobsBy[info.Status].Inc()
+	f.obsBytes.Add(float64(info.BytesTransferred))
+	f.obsFiles.Add(float64(info.FilesDone))
+	f.obsDuration.ObserveDuration(info.Elapsed)
+}
+
+// info is the job's state now, counting the bytes of its first n files.
+func (j *job) info(n int) JobInfo {
 	j.mu.Lock()
-	status := j.status
-	bytes, files := j.bytes, j.done
-	elapsed := j.finished.Sub(j.started)
-	j.mu.Unlock()
-	if c, ok := f.obsJobsBy[status]; ok {
-		c.Inc()
-	} else {
-		f.obsJobs.With(status.String()).Inc()
+	defer j.mu.Unlock()
+	info := JobInfo{Status: j.status, FilesDone: len(j.landed) - 1}
+	info.BytesTransferred = j.landed[min(n, info.FilesDone)]
+	if j.status >= StatusSucceeded {
+		info.Elapsed = j.finished.Sub(j.started)
 	}
-	f.obsBytes.Add(float64(bytes))
-	f.obsFiles.Add(float64(files))
-	f.obsDuration.ObserveDuration(elapsed)
+	if j.err != nil {
+		info.Err = j.err.Error()
+	}
+	return info
 }
 
 // Wait blocks until the job completes and returns its final state.
@@ -352,34 +398,36 @@ func (f *Fabric) Wait(id string) (JobInfo, error) {
 // pins) is dropped when the wait returns, whichever way it ends, so the
 // ID is unknown afterwards.
 func (f *Fabric) WaitContext(ctx context.Context, id string) (JobInfo, error) {
+	defer func() {
+		f.mu.Lock()
+		delete(f.jobs, id)
+		f.mu.Unlock()
+	}()
+	return f.WaitFiles(ctx, id, math.MaxInt)
+}
+
+// WaitFiles blocks until at least n of the job's files have landed, in
+// the order submitted, the job is terminal, or ctx ends (Globus's list of
+// successful transfers is the analogue). FilesDone below n means the job
+// ended short; BytesTransferred counts the first n files only. One
+// goroutine follows a job; WaitContext still collects the record.
+func (f *Fabric) WaitFiles(ctx context.Context, id string, n int) (JobInfo, error) {
 	f.mu.Lock()
 	j, ok := f.jobs[id]
 	f.mu.Unlock()
 	if !ok {
 		return JobInfo{}, fmt.Errorf("%w: %s", ErrNoJob, id)
 	}
-	defer func() {
-		f.mu.Lock()
-		delete(f.jobs, id)
-		f.mu.Unlock()
-	}()
-	select {
-	case <-j.doneCh:
-	case <-ctx.Done():
-		return JobInfo{}, ctx.Err()
+	for {
+		if info := j.info(n); info.FilesDone >= n || info.Status >= StatusSucceeded {
+			return info, nil
+		}
+		select {
+		case <-j.progress:
+		case <-ctx.Done():
+			return JobInfo{}, ctx.Err()
+		}
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	info := JobInfo{
-		Status:           j.status,
-		FilesDone:        j.done,
-		BytesTransferred: j.bytes,
-		Elapsed:          j.finished.Sub(j.started),
-	}
-	if j.err != nil {
-		info.Err = j.err.Error()
-	}
-	return info, nil
 }
 
 // JobRecords reports how many job records the fabric holds.
