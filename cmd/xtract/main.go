@@ -148,7 +148,7 @@ func runExtract(args []string) error {
 		stats.FamiliesDone, stats.StepsProcessed, stats.StepsFailed,
 		time.Since(start).Round(time.Millisecond))
 	fmt.Printf("validated %d metadata documents → %s\n",
-		d.Validation.Validated.Value(), *out)
+		d.Validation.Validated.Load(), *out)
 	return nil
 }
 

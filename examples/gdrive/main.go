@@ -78,5 +78,5 @@ func main() {
 				name, h.Count(), h.Sum()/float64(h.Count())*1000)
 		}
 	}
-	fmt.Printf("\nvalidated MDF documents: %d\n", d.Validation.Validated.Value())
+	fmt.Printf("\nvalidated MDF documents: %d\n", d.Validation.Validated.Load())
 }

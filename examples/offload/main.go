@@ -59,8 +59,8 @@ func run(percent float64, groups int) (time.Duration, int64, int64, int64) {
 	elapsed := time.Since(start)
 	mw, _ := d.Service.Site("midway")
 	js, _ := d.Service.Site("jetstream")
-	return elapsed, mw.Compute.TasksExecuted.Value(),
-		js.Compute.TasksExecuted.Value(), stats.BytesStaged
+	return elapsed, mw.Compute.TasksExecuted.Load(),
+		js.Compute.TasksExecuted.Load(), stats.BytesStaged
 }
 
 func main() {

@@ -49,7 +49,7 @@ func TestWarmRunServedFromCache(t *testing.T) {
 	if cold.CacheMisses == 0 || cold.StepsProcessed == 0 {
 		t.Fatalf("cold run did no cacheable work: %+v", cold)
 	}
-	coldTasks := h.fsvc.TasksSubmitted.Value()
+	coldTasks := h.fsvc.TasksSubmitted.Load()
 	if coldTasks == 0 {
 		t.Fatal("cold run submitted no FaaS tasks")
 	}
@@ -67,7 +67,7 @@ func TestWarmRunServedFromCache(t *testing.T) {
 	if warm.FamiliesDone != cold.FamiliesDone {
 		t.Fatalf("warm families %d != cold families %d", warm.FamiliesDone, cold.FamiliesDone)
 	}
-	if got := h.fsvc.TasksSubmitted.Value(); got != coldTasks {
+	if got := h.fsvc.TasksSubmitted.Load(); got != coldTasks {
 		t.Fatalf("warm run submitted %d FaaS tasks (zero extractor invocations required)", got-coldTasks)
 	}
 
@@ -85,7 +85,7 @@ func TestWarmRunServedFromCache(t *testing.T) {
 	if bypass.CacheHits != 0 || bypass.CacheMisses != 0 {
 		t.Fatalf("NoCache run touched the cache: %+v", bypass)
 	}
-	if got := h.fsvc.TasksSubmitted.Value(); got == coldTasks {
+	if got := h.fsvc.TasksSubmitted.Load(); got == coldTasks {
 		t.Fatal("NoCache run submitted no FaaS tasks")
 	}
 	after := c.Stats()
@@ -127,9 +127,9 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 			t.Fatalf("job not clean: %+v", stats)
 		}
 		jobs++
-		for deadline := time.Now().Add(10 * time.Second); h.valsvc.Validated.Value() < jobs*stats.FamiliesDone; {
+		for deadline := time.Now().Add(10 * time.Second); h.valsvc.Validated.Load() < jobs*stats.FamiliesDone; {
 			if time.Now().After(deadline) {
-				t.Fatalf("validated %d documents, want %d", h.valsvc.Validated.Value(), jobs*stats.FamiliesDone)
+				t.Fatalf("validated %d documents, want %d", h.valsvc.Validated.Load(), jobs*stats.FamiliesDone)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -168,7 +168,7 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 		if stats.CacheMisses != 0 || stats.CacheHits != cold.StepsProcessed || stats.StepsProcessed != cold.StepsProcessed {
 			t.Errorf("%s job: hits=%d misses=%d steps=%d, cold steps %d", name, stats.CacheHits, stats.CacheMisses, stats.StepsProcessed, cold.StepsProcessed)
 		}
-		if got := h.fsvc.TasksSubmitted.Value(); got != tasksBefore {
+		if got := h.fsvc.TasksSubmitted.Load(); got != tasksBefore {
 			t.Errorf("%s job submitted %d FaaS tasks", name, got-tasksBefore)
 		}
 		if len(docs) != len(coldDocs) {
@@ -180,7 +180,7 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 			}
 		}
 	}
-	tasks := h.fsvc.TasksSubmitted.Value()
+	tasks := h.fsvc.TasksSubmitted.Load()
 	warm, warmRead, warmDocs := run(JobOptions{})
 	wantWarm("warm", warm, warmRead, warmDocs, tasks)
 
@@ -194,7 +194,7 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 	if memoAfter := c.Stats(); memoAfter.FileHashes != memoBefore.FileHashes || memoAfter.FileHashHits != memoBefore.FileHashHits {
 		t.Fatalf("NoCache job moved the memo: %+v -> %+v", memoBefore, memoAfter)
 	}
-	tasks = h.fsvc.TasksSubmitted.Value()
+	tasks = h.fsvc.TasksSubmitted.Load()
 	again, againRead, againDocs := run(JobOptions{})
 	wantWarm("post-NoCache warm", again, againRead, againDocs, tasks)
 
@@ -277,7 +277,7 @@ func TestCacheMetricsAndEvents(t *testing.T) {
 		t.Fatal("xtract_cache_misses_total never moved")
 	}
 	// Two crawls of one corpus: the first hashed it, the second reused it.
-	if hashed, reused := int64(h.svc.obsCrawl.FilesHashed.Value()), int64(h.svc.obsCrawl.HashesReused.Value()); hashed != warm.Crawl.FilesSeen || reused != warm.Crawl.FilesSeen || h.svc.obsCrawl.FingerprintErrors.Value() != 0 {
+	if hashed, reused := h.svc.crawlTotals.FilesHashed.Load(), h.svc.crawlTotals.HashesReused.Load(); hashed != warm.Crawl.FilesSeen || reused != warm.Crawl.FilesSeen || h.svc.crawlTotals.FingerprintErrors.Load() != 0 {
 		t.Fatalf("fingerprint reads = %d, reused = %d, want %d each", hashed, reused, warm.Crawl.FilesSeen)
 	}
 	events, _ := h.svc.obs.Tracer().Events(warm.JobID)

@@ -289,11 +289,11 @@ func TestEndToEndOffloadRand(t *testing.T) {
 	// All executed tasks ran on jetstream's endpoint.
 	js, _ := h.svc.Site("jetstream")
 	mw, _ := h.svc.Site("midway")
-	if js.Compute.TasksExecuted.Value() == 0 {
+	if js.Compute.TasksExecuted.Load() == 0 {
 		t.Fatal("jetstream executed nothing")
 	}
-	if mw.Compute.TasksExecuted.Value() != 0 {
-		t.Fatalf("midway executed %d tasks despite full offload", mw.Compute.TasksExecuted.Value())
+	if mw.Compute.TasksExecuted.Load() != 0 {
+		t.Fatalf("midway executed %d tasks despite full offload", mw.Compute.TasksExecuted.Load())
 	}
 }
 
@@ -547,16 +547,16 @@ func TestEndToEndMultiRepoJob(t *testing.T) {
 	// LocalPolicy with local compute).
 	anl, _ := h.svc.Site("anl")
 	uc, _ := h.svc.Site("uchicago")
-	if anl.Compute.TasksExecuted.Value() == 0 || uc.Compute.TasksExecuted.Value() == 0 {
+	if anl.Compute.TasksExecuted.Load() == 0 || uc.Compute.TasksExecuted.Load() == 0 {
 		t.Fatalf("task split = %d/%d",
-			anl.Compute.TasksExecuted.Value(), uc.Compute.TasksExecuted.Value())
+			anl.Compute.TasksExecuted.Load(), uc.Compute.TasksExecuted.Load())
 	}
 	// The registry served extractor resolutions, with cache hits after
 	// the first lookup per extractor.
-	if h.svc.cfg.Registry.CacheMisses.Value() == 0 {
+	if h.svc.cfg.Registry.CacheMisses.Load() == 0 {
 		t.Fatal("registry never queried")
 	}
-	if h.svc.cfg.Registry.CacheHits.Value() == 0 {
+	if h.svc.cfg.Registry.CacheHits.Load() == 0 {
 		t.Fatal("registry cache never hit")
 	}
 }
@@ -587,7 +587,7 @@ func TestStageCapacityFallbackAndExhaustion(t *testing.T) {
 	if stats.FamiliesDone == 0 || stats.FamiliesFailed != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if js.Compute.TasksExecuted.Value() == 0 {
+	if js.Compute.TasksExecuted.Load() == 0 {
 		t.Fatal("overflow families never reached jetstream")
 	}
 

@@ -247,7 +247,7 @@ func (p *pump) startCrawls(repos []RepoSpec) error {
 			c.MaxFamilySize = spec.MaxFamilySize
 		}
 		c.UseMinTransfers = !spec.NoMinTransfers
-		c.Obs = s.obsCrawl
+		c.Totals = &s.crawlTotals
 		p.crawlsPending++
 		go func(spec RepoSpec) {
 			s.obs.Emitf(p.JobID, obs.EvCrawlStarted, "site=%s roots=%d", spec.SiteName, len(spec.Roots))

@@ -179,9 +179,9 @@ func TestStagingRetriedAfterFailedFabricJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.StepsRetried == 0 || h.pf.TasksFailed.Value() == 0 {
+	if stats.StepsRetried == 0 || h.pf.TasksFailed.Load() == 0 {
 		t.Fatalf("no staging failure was retried: retried %d, prefetcher failed %d",
-			stats.StepsRetried, h.pf.TasksFailed.Value())
+			stats.StepsRetried, h.pf.TasksFailed.Load())
 	}
 	if stats.FamiliesDone != stats.Crawl.FamiliesEmitted || stats.FamiliesFailed != 0 {
 		t.Fatalf("families done %d of %d, failed %d", stats.FamiliesDone,

@@ -126,10 +126,10 @@ func TestColdAndWarmJobsWriteIdenticalBytes(t *testing.T) {
 
 	cold, coldDocs := run(JobOptions{})
 	again, againDocs := run(JobOptions{NoCache: true})
-	tasksBeforeWarm := h.fsvc.TasksSubmitted.Value()
+	tasksBeforeWarm := h.fsvc.TasksSubmitted.Load()
 	warm, warmDocs := run(JobOptions{})
 	if warm.CacheHits != warm.StepsProcessed || warm.StepsProcessed != cold.StepsProcessed ||
-		h.fsvc.TasksSubmitted.Value() != tasksBeforeWarm {
+		h.fsvc.TasksSubmitted.Load() != tasksBeforeWarm {
 		t.Fatalf("warm job not served from the cache: %+v", warm)
 	}
 	if len(coldDocs) < 20 {
@@ -251,9 +251,9 @@ func TestConcurrentWarmJobsShareMetadataBytes(t *testing.T) {
 	// Every job writes each family's document to the same path; whichever
 	// write landed last, the bytes are the cold job's.
 	deadline := time.Now().Add(30 * time.Second)
-	for h.valsvc.Validated.Value() < 5*cold.FamiliesDone {
+	for h.valsvc.Validated.Load() < 5*cold.FamiliesDone {
 		if time.Now().After(deadline) {
-			t.Fatalf("validated %d of %d documents", h.valsvc.Validated.Value(), 5*cold.FamiliesDone)
+			t.Fatalf("validated %d of %d documents", h.valsvc.Validated.Load(), 5*cold.FamiliesDone)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -334,12 +334,12 @@ func TestCachedSuggestionStillExtendsThePlan(t *testing.T) {
 		t.Fatalf("cold job = %+v, %v; want keyword plus the tabular step it suggests", cold, err)
 	}
 	coldDocs := takeDocs(t, h, 1)
-	tasks := h.fsvc.TasksSubmitted.Value()
+	tasks := h.fsvc.TasksSubmitted.Load()
 	warm, err := h.svc.RunJob(context.Background(), repo)
 	if err != nil || warm.StepsProcessed != cold.StepsProcessed || warm.CacheHits != warm.StepsProcessed {
 		t.Fatalf("warm job = %+v, %v; want %d steps, all from the cache", warm, err, cold.StepsProcessed)
 	}
-	if h.fsvc.TasksSubmitted.Value() != tasks {
+	if h.fsvc.TasksSubmitted.Load() != tasks {
 		t.Fatal("warm job submitted FaaS tasks")
 	}
 	warmDocs := takeDocs(t, h, 1)

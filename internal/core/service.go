@@ -244,6 +244,10 @@ type Service struct {
 	breakerMu  sync.Mutex
 	breakers   map[string]*breaker
 
+	// crawlTotals sums every job's crawls: the xtract_crawl_* counters,
+	// read at scrape time.
+	crawlTotals crawler.Totals
+
 	// Live observability handles resolved from cfg.Obs (nil-safe).
 	obs                 *obs.Observer
 	obsJobsActive       *obs.Gauge
@@ -259,7 +263,6 @@ type Service struct {
 	obsCacheHits        *obs.Counter
 	obsCacheMisses      *obs.Counter
 	obsCacheEvictions   *obs.Counter
-	obsCrawl            crawler.Obs
 	obsDispatchLatency  *obs.Histogram
 	obsPipelineDepth    *obs.Gauge
 	obsJournalErrors    *obs.Counter
@@ -363,24 +366,25 @@ func New(cfg Config) *Service {
 		"Result cache lookups answered by neither cache layer.")
 	s.obsCacheEvictions = reg.Counter("xtract_cache_evictions_total",
 		"Result cache entries displaced by the in-memory LRU bound.")
-	s.obsCrawl.DirsListed = reg.Counter("xtract_crawl_dirs_listed_total",
-		"Directories listed by crawlers.")
-	s.obsCrawl.FilesSeen = reg.Counter("xtract_crawl_files_seen_total",
-		"Files seen by crawlers.")
-	s.obsCrawl.GroupsFormed = reg.Counter("xtract_crawl_groups_formed_total",
-		"File groups formed by crawlers.")
-	s.obsCrawl.FamiliesEmitted = reg.Counter("xtract_crawl_families_emitted_total",
-		"Families emitted onto the family queue by crawlers.")
-	s.obsCrawl.BytesSeen = reg.Counter("xtract_crawl_bytes_seen_total",
-		"File bytes discovered by crawlers.")
-	s.obsCrawl.ListErrors = reg.Counter("xtract_crawl_list_errors_total",
-		"Directory listings that failed during crawls.")
-	s.obsCrawl.FilesHashed = reg.Counter("xtract_crawl_fingerprint_reads_total",
-		"Files crawlers read and hashed for their content fingerprint.")
-	s.obsCrawl.HashesReused = reg.Counter("xtract_crawl_fingerprint_reused_total",
-		"Files whose remembered fingerprint the store's change token vouched for, unread.")
-	s.obsCrawl.FingerprintErrors = reg.Counter("xtract_crawl_fingerprint_errors_total",
-		"Fingerprint reads that failed, leaving the file's groups uncacheable.")
+	ct := &s.crawlTotals
+	reg.CounterFunc("xtract_crawl_dirs_listed_total",
+		"Directories listed by crawlers.", nil, ct.DirsListed.Load)
+	reg.CounterFunc("xtract_crawl_files_seen_total",
+		"Files seen by crawlers.", nil, ct.FilesSeen.Load)
+	reg.CounterFunc("xtract_crawl_groups_formed_total",
+		"File groups formed by crawlers.", nil, ct.GroupsFormed.Load)
+	reg.CounterFunc("xtract_crawl_families_emitted_total",
+		"Families emitted onto the family queue by crawlers.", nil, ct.FamiliesEmitted.Load)
+	reg.CounterFunc("xtract_crawl_bytes_seen_total",
+		"File bytes discovered by crawlers.", nil, ct.BytesSeen.Load)
+	reg.CounterFunc("xtract_crawl_list_errors_total",
+		"Directory listings that failed during crawls.", nil, ct.ListErrors.Load)
+	reg.CounterFunc("xtract_crawl_fingerprint_reads_total",
+		"Files crawlers read and hashed for their content fingerprint.", nil, ct.FilesHashed.Load)
+	reg.CounterFunc("xtract_crawl_fingerprint_reused_total",
+		"Files whose remembered fingerprint the store's change token vouched for, unread.", nil, ct.HashesReused.Load)
+	reg.CounterFunc("xtract_crawl_fingerprint_errors_total",
+		"Fingerprint reads that failed, leaving the file's groups uncacheable.", nil, ct.FingerprintErrors.Load)
 	s.obsWakeups = newLabelledCounter(reg.CounterVec("xtract_pump_wakeups_total",
 		"Orchestration-loop wakeups by triggering event source.", "reason"),
 		"start", "crawl", "families", "staged", "events", "retry", "hedge", "durable", "idle")

@@ -13,14 +13,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/cache"
 	"xtract/internal/clock"
 	"xtract/internal/dedup"
 	"xtract/internal/family"
-	"xtract/internal/metrics"
-	"xtract/internal/obs"
 	"xtract/internal/queue"
 	"xtract/internal/store"
 )
@@ -30,7 +29,7 @@ import (
 // sizes) — never file contents — so the crawler stays lightweight.
 type GroupingFunc func(dir string, files []store.FileInfo) []family.Group
 
-// Stats summarizes a completed crawl.
+// Stats summarizes one crawl; every field counts that crawl alone.
 type Stats struct {
 	DirsListed      int64
 	FilesSeen       int64
@@ -38,8 +37,8 @@ type Stats struct {
 	FamiliesEmitted int64
 	BytesSeen       int64
 	ListErrors      int64
-	// EncodeErrors counts families the queue sink dropped because their
-	// metadata could not be serialized.
+	// EncodeErrors counts families the sink did not take: the queue sink
+	// drops one whose metadata cannot be serialized.
 	EncodeErrors int64
 	// FilesHashed counts files read and hashed for their fingerprint,
 	// HashesReused files whose remembered hash the store's change token
@@ -48,6 +47,10 @@ type Stats struct {
 	FilesHashed       int64
 	HashesReused      int64
 	FingerprintErrors int64
+	// RateLimited counts listings retried after a rate-limit rejection,
+	// WorkersSpawned workers added by elastic scaling.
+	RateLimited    int64
+	WorkersSpawned int64
 }
 
 // Add accumulates another crawl's statistics into s.
@@ -62,6 +65,31 @@ func (s *Stats) Add(o Stats) {
 	s.FilesHashed += o.FilesHashed
 	s.HashesReused += o.HashesReused
 	s.FingerprintErrors += o.FingerprintErrors
+	s.RateLimited += o.RateLimited
+	s.WorkersSpawned += o.WorkersSpawned
+}
+
+// Totals are running sums over every crawl that shares them: the
+// process-wide xtract_crawl_* counters, as against one crawl's Stats. The
+// zero value is ready, and a nil *Totals counts nothing.
+type Totals struct {
+	DirsListed, FilesSeen, GroupsFormed, FamiliesEmitted, BytesSeen,
+	ListErrors, FilesHashed, HashesReused, FingerprintErrors atomic.Int64
+}
+
+func (t *Totals) add(d Stats) {
+	if t == nil {
+		return
+	}
+	t.DirsListed.Add(d.DirsListed)
+	t.FilesSeen.Add(d.FilesSeen)
+	t.GroupsFormed.Add(d.GroupsFormed)
+	t.FamiliesEmitted.Add(d.FamiliesEmitted)
+	t.BytesSeen.Add(d.BytesSeen)
+	t.ListErrors.Add(d.ListErrors)
+	t.FilesHashed.Add(d.FilesHashed)
+	t.HashesReused.Add(d.HashesReused)
+	t.FingerprintErrors.Add(d.FingerprintErrors)
 }
 
 // Sink receives one directory's finished families and reports how many
@@ -114,25 +142,9 @@ type Crawler struct {
 	// file before reading it, told of every hash computed.
 	Hashes *cache.Cache
 
-	DirsListed        metrics.Counter
-	FilesSeen         metrics.Counter
-	FamiliesEmitted   metrics.Counter
-	ListErrors        metrics.Counter
-	EncodeErrors      metrics.Counter
-	RateLimited       metrics.Counter
-	WorkersSpawned    metrics.Counter
-	FilesHashed       metrics.Counter
-	HashesReused      metrics.Counter
-	FingerprintErrors metrics.Counter
-
-	// Obs mirrors the crawl into live metrics (nil-safe when unset).
-	Obs Obs
-}
-
-// Obs is the set of live metric handles a service's crawls share.
-type Obs struct {
-	DirsListed, FilesSeen, GroupsFormed, FamiliesEmitted, BytesSeen,
-	ListErrors, FilesHashed, HashesReused, FingerprintErrors *obs.Counter
+	// Totals, when set, also receives every directory's counts as it is
+	// finished, so a service sees its crawls progress.
+	Totals *Totals
 }
 
 // NewTo returns a crawler with sensible defaults (16 workers,
@@ -154,11 +166,10 @@ func NewTo(s store.Store, grouper GroupingFunc, out Sink) *Crawler {
 
 // New is NewTo for a crawler whose consumer is in another process: each
 // family crosses as its family.AppendFamily body, one SendBatch per
-// directory. A family whose metadata JSON cannot carry is dropped and
-// counted in EncodeErrors.
+// directory. A family whose metadata JSON cannot carry is dropped, which
+// Stats.EncodeErrors counts.
 func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
-	c := NewTo(s, grouper, nil)
-	c.Out = func(_ context.Context, fams []family.Family) int {
+	return NewTo(s, grouper, func(_ context.Context, fams []family.Family) int {
 		// Bodies share one buffer: the queue copies each on send.
 		var buf []byte
 		bodies := make([][]byte, 0, len(fams))
@@ -167,7 +178,6 @@ func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
 			var err error
 			if buf, err = family.AppendFamily(buf, &fams[i]); err != nil {
 				buf = buf[:start]
-				c.EncodeErrors.Inc()
 				continue
 			}
 			bodies = append(bodies, buf[start:])
@@ -176,8 +186,7 @@ func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
 			out.SendBatch(bodies)
 		}
 		return len(bodies)
-	}
-	return c
+	})
 }
 
 // dirQueue is the shared work queue of directories with termination
@@ -266,7 +275,8 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 	}()
 
 	var wg sync.WaitGroup
-	var groupsFormed, bytesSeen metrics.Counter
+	var mu sync.Mutex // guards total
+	var total Stats
 	spawn := func(seed int64) {
 		wg.Add(1)
 		go func() {
@@ -278,7 +288,11 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 				if !ok || ctx.Err() != nil {
 					return
 				}
-				c.processDir(ctx, dir, dq, rng, &groupsFormed, &bytesSeen)
+				d := c.processDir(ctx, dir, dq, rng)
+				mu.Lock()
+				total.Add(d)
+				mu.Unlock()
+				c.Totals.add(d)
 				dq.done()
 			}
 		}()
@@ -308,7 +322,9 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 				if backlog > ratio*current {
 					spawn(c.Seed + int64(current) + 1000)
 					current++
-					c.WorkersSpawned.Inc()
+					mu.Lock()
+					total.WorkersSpawned++
+					mu.Unlock()
 					continue
 				}
 				select {
@@ -323,30 +339,20 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
-	return Stats{
-		DirsListed:        c.DirsListed.Value(),
-		FilesSeen:         c.FilesSeen.Value(),
-		GroupsFormed:      groupsFormed.Value(),
-		FamiliesEmitted:   c.FamiliesEmitted.Value(),
-		BytesSeen:         bytesSeen.Value(),
-		ListErrors:        c.ListErrors.Value(),
-		EncodeErrors:      c.EncodeErrors.Value(),
-		FilesHashed:       c.FilesHashed.Value(),
-		HashesReused:      c.HashesReused.Value(),
-		FingerprintErrors: c.FingerprintErrors.Value(),
-	}, nil
+	return total, nil
 }
 
 // listWithBackoff lists a directory, retrying rate-limit rejections
-// (e.g., the Drive API's token bucket) with exponential backoff.
-func (c *Crawler) listWithBackoff(dir string) ([]store.FileInfo, error) {
+// (e.g., the Drive API's token bucket) with exponential backoff, each
+// retry counted in d.
+func (c *Crawler) listWithBackoff(dir string, d *Stats) ([]store.FileInfo, error) {
 	backoff := c.RateLimitBackoff
 	for attempt := 0; ; attempt++ {
 		infos, err := c.Store.List(dir)
 		if err == nil || !errors.Is(err, store.ErrRateLimit) || attempt >= c.RateLimitRetries {
 			return infos, err
 		}
-		c.RateLimited.Inc()
+		d.RateLimited++
 		c.Clock.Sleep(backoff)
 		backoff *= 2
 	}
@@ -355,60 +361,52 @@ func (c *Crawler) listWithBackoff(dir string) ([]store.FileInfo, error) {
 // fingerprint returns the content hash of a listed file: the remembered
 // one when the store's change token vouches for it, else a fresh read
 // and hash, which the memo is told about. "" means the read failed.
-func (c *Crawler) fingerprint(fi store.FileInfo) string {
+// Which of the three it was is counted in d.
+func (c *Crawler) fingerprint(fi store.FileInfo, d *Stats) string {
 	name := c.Store.Name()
 	if h, ok := c.Hashes.FileHash(name, fi.Path, fi.Token, fi.Size); ok {
-		c.HashesReused.Inc()
-		c.Obs.HashesReused.Inc()
+		d.HashesReused++
 		return h
 	}
 	data, err := c.Store.Read(fi.Path)
 	if err != nil {
-		c.FingerprintErrors.Inc()
-		c.Obs.FingerprintErrors.Inc()
+		d.FingerprintErrors++
 		return ""
 	}
 	h := dedup.ExactKey(data)
 	c.Hashes.RecordFileHash(name, fi.Path, fi.Token, fi.Size, h)
-	c.FilesHashed.Inc()
-	c.Obs.FilesHashed.Inc()
+	d.FilesHashed++
 	return h
 }
 
 // processDir lists one directory, queues subdirectories, groups files,
-// and hands the directory's families to the sink.
-func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng *rand.Rand, groupsFormed, bytesSeen *metrics.Counter) {
-	infos, err := c.listWithBackoff(dir)
+// and hands the directory's families to the sink. It returns what the
+// directory adds to the crawl's Stats: each event is counted here, once.
+func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng *rand.Rand) (d Stats) {
+	infos, err := c.listWithBackoff(dir, &d)
 	if err != nil {
-		c.ListErrors.Inc()
-		c.Obs.ListErrors.Inc()
-		return
+		d.ListErrors++
+		return d
 	}
-	c.DirsListed.Inc()
-	c.Obs.DirsListed.Inc()
+	d.DirsListed++
 	var files []store.FileInfo
-	var total int64
 	for _, fi := range infos {
 		if fi.IsDir {
 			dq.push(fi.Path)
 			continue
 		}
 		files = append(files, fi)
-		total += fi.Size
+		d.BytesSeen += fi.Size
 	}
 	if len(files) == 0 {
-		return
+		return d
 	}
-	c.FilesSeen.Add(int64(len(files)))
-	c.Obs.FilesSeen.Add(float64(len(files)))
-	bytesSeen.Add(total)
-	c.Obs.BytesSeen.Add(float64(total))
+	d.FilesSeen = int64(len(files))
 	groups := c.Grouper(dir, files)
 	if len(groups) == 0 {
-		return
+		return d
 	}
-	groupsFormed.Add(int64(len(groups)))
-	c.Obs.GroupsFormed.Add(float64(len(groups)))
+	d.GroupsFormed = int64(len(groups))
 
 	var fams []family.Family
 	if c.UseMinTransfers {
@@ -420,7 +418,7 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 	for _, fi := range files {
 		fm := family.FileMeta{Size: fi.Size, Extension: fi.Extension, MimeType: fi.MimeType}
 		if c.Fingerprint {
-			fm.ContentHash = c.fingerprint(fi)
+			fm.ContentHash = c.fingerprint(fi, &d)
 		}
 		metaOf[fi.Path] = fm
 	}
@@ -437,9 +435,9 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 		}
 	}
 	if len(fams) == 0 {
-		return
+		return d
 	}
-	taken := c.Out(ctx, fams)
-	c.FamiliesEmitted.Add(int64(taken))
-	c.Obs.FamiliesEmitted.Add(float64(taken))
+	d.FamiliesEmitted = int64(c.Out(ctx, fams))
+	d.EncodeErrors = int64(len(fams)) - d.FamiliesEmitted
+	return d
 }

@@ -94,6 +94,27 @@ func TestCrawlFindsAllFiles(t *testing.T) {
 	}
 }
 
+// Stats is one crawl's: a second crawl on the same crawler reports the
+// same numbers as the first, while the shared Totals hold both.
+func TestSecondCrawlReportsItsOwnStats(t *testing.T) {
+	c := New(buildTree(t), SingleFileGrouper(extractors.DefaultLibrary()), queue.New("families", clock.NewReal()))
+	c.Fingerprint, c.Totals = true, &Totals{}
+	first, err := c.Crawl(context.Background(), []string{"/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Crawl(context.Background(), []string{"/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second || first.DirsListed != 7 || first.FilesHashed != 8 || first.GroupsFormed != 8 {
+		t.Fatalf("first crawl %+v, second crawl %+v", first, second)
+	}
+	if dirs, files := c.Totals.DirsListed.Load(), c.Totals.FilesSeen.Load(); dirs != 14 || files != 16 {
+		t.Fatalf("totals after two crawls: %d dirs, %d files", dirs, files)
+	}
+}
+
 func TestCrawlAssignsExtractors(t *testing.T) {
 	fs := buildTree(t)
 	out := queue.New("families", clock.NewReal())
@@ -386,9 +407,9 @@ func TestCrawlRetriesRateLimitedDriveStore(t *testing.T) {
 	}
 	if stats.FilesSeen != 6 {
 		t.Fatalf("FilesSeen = %d (list errors %d, rate limited %d)",
-			stats.FilesSeen, stats.ListErrors, c.RateLimited.Value())
+			stats.FilesSeen, stats.ListErrors, stats.RateLimited)
 	}
-	if c.RateLimited.Value() == 0 {
+	if stats.RateLimited == 0 {
 		t.Fatal("rate limiter never tripped; test is vacuous")
 	}
 }
@@ -436,11 +457,11 @@ func TestElasticScalingSpawnsWorkers(t *testing.T) {
 	if stats.FilesSeen != 200 {
 		t.Fatalf("FilesSeen = %d", stats.FilesSeen)
 	}
-	if c.WorkersSpawned.Value() == 0 {
+	if stats.WorkersSpawned == 0 {
 		t.Fatal("no workers spawned despite backlog")
 	}
-	if c.WorkersSpawned.Value() > 7 {
-		t.Fatalf("spawned %d workers, cap is 7", c.WorkersSpawned.Value())
+	if stats.WorkersSpawned > 7 {
+		t.Fatalf("spawned %d workers, cap is 7", stats.WorkersSpawned)
 	}
 }
 
@@ -448,11 +469,12 @@ func TestElasticScalingDisabledByDefault(t *testing.T) {
 	fs := buildTree(t)
 	out := queue.New("families", clock.NewReal())
 	c := New(fs, SingleFileGrouper(extractors.DefaultLibrary()), out)
-	if _, err := c.Crawl(context.Background(), []string{"/"}); err != nil {
+	stats, err := c.Crawl(context.Background(), []string{"/"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.WorkersSpawned.Value() != 0 {
-		t.Fatalf("spawned %d workers with scaling disabled", c.WorkersSpawned.Value())
+	if stats.WorkersSpawned != 0 {
+		t.Fatalf("spawned %d workers with scaling disabled", stats.WorkersSpawned)
 	}
 }
 

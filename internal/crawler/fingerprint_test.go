@@ -226,7 +226,7 @@ func TestFingerprintReadErrorsAreCounted(t *testing.T) {
 	out := queue.New("families", clock.NewReal())
 	c := New(flaky, SingleFileGrouper(extractors.DefaultLibrary()), out)
 	c.Workers = 1
-	c.Fingerprint, c.Hashes = true, memo
+	c.Fingerprint, c.Hashes, c.Totals = true, memo, &Totals{}
 	stats, err := c.Crawl(context.Background(), []string{"/data/exp1"})
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +235,8 @@ func TestFingerprintReadErrorsAreCounted(t *testing.T) {
 	if flaky.Injected() != 1 || stats.FingerprintErrors != 1 || stats.FilesHashed != 2 || stats.ListErrors != 0 {
 		t.Fatalf("stats = %+v with %d injected failures", stats, flaky.Injected())
 	}
-	if c.FingerprintErrors.Value() != 1 {
-		t.Fatalf("FingerprintErrors counter = %d", c.FingerprintErrors.Value())
+	if n := c.Totals.FingerprintErrors.Load(); n != 1 {
+		t.Fatalf("Totals.FingerprintErrors = %d", n)
 	}
 	unhashed := 0
 	for _, f := range drainFamilies(t, out) {

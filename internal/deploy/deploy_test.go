@@ -49,11 +49,11 @@ func waitValidated(t *testing.T, d *Deployment, n int64) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		d.DrainValidation()
-		if d.Validation.Validated.Value() >= n {
+		if d.Validation.Validated.Load() >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("validated %d of %d", d.Validation.Validated.Value(), n)
+			t.Fatalf("validated %d of %d", d.Validation.Validated.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}

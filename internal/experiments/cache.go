@@ -98,7 +98,7 @@ func CacheColdWarm(nFiles int, seed int64) (CacheRun, error) {
 		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
 	}}
 	timedRun := func() (core.JobStats, time.Duration, int64, error) {
-		before := d.FaaS.TasksSubmitted.Value()
+		before := d.FaaS.TasksSubmitted.Load()
 		start := time.Now()
 		stats, err := d.Service.RunJob(context.Background(), repos)
 		elapsed := time.Since(start)
@@ -109,7 +109,7 @@ func CacheColdWarm(nFiles int, seed int64) (CacheRun, error) {
 			return core.JobStats{}, 0, 0,
 				fmt.Errorf("experiments: %d families failed", stats.FamiliesFailed)
 		}
-		return stats, elapsed, d.FaaS.TasksSubmitted.Value() - before, nil
+		return stats, elapsed, d.FaaS.TasksSubmitted.Load() - before, nil
 	}
 
 	coldStats, coldElapsed, coldTasks, err := timedRun()

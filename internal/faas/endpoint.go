@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/metrics"
 	"xtract/internal/obs"
 )
 
@@ -23,19 +23,19 @@ type ContainerManager struct {
 	mu   sync.Mutex
 	warm map[string]int
 
-	ColdStarts metrics.Counter
-	WarmHits   metrics.Counter
+	// ColdStarts and WarmHits count acquisitions: an endpoint's manager
+	// counts into its service's totals, a standalone one into its own.
+	ColdStarts, WarmHits *atomic.Int64
 
-	// Shared observability handles, set by the owning service (nil-safe).
-	obsColdStarts *obs.Counter
-	obsColdStart  *obs.Histogram
-	obsWarmHits   *obs.Counter
+	// obsColdStart is the owning service's histogram (nil-safe).
+	obsColdStart *obs.Histogram
 }
 
 // NewContainerManager returns a manager that asks coldStart for each
 // container's startup cost.
 func NewContainerManager(clk clock.Clock, coldStart func(string) time.Duration) *ContainerManager {
-	return &ContainerManager{clk: clk, coldStart: coldStart, warm: make(map[string]int)}
+	return &ContainerManager{clk: clk, coldStart: coldStart, warm: make(map[string]int),
+		ColdStarts: new(atomic.Int64), WarmHits: new(atomic.Int64)}
 }
 
 // Acquire obtains a container instance, paying the cold-start cost when
@@ -48,13 +48,11 @@ func (cm *ContainerManager) Acquire(containerID string) {
 	if cm.warm[containerID] > 0 {
 		cm.warm[containerID]--
 		cm.mu.Unlock()
-		cm.WarmHits.Inc()
-		cm.obsWarmHits.Inc()
+		cm.WarmHits.Add(1)
 		return
 	}
 	cm.mu.Unlock()
-	cm.ColdStarts.Inc()
-	cm.obsColdStarts.Inc()
+	cm.ColdStarts.Add(1)
 	cost := cm.coldStart(containerID)
 	cm.obsColdStart.ObserveDuration(cost)
 	cm.clk.Sleep(cost)
@@ -103,8 +101,7 @@ type Endpoint struct {
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 
-	TasksExecuted metrics.Counter
-	BusyTime      metrics.Histogram
+	TasksExecuted atomic.Int64
 }
 
 // NewEndpoint creates an endpoint with the given worker count. It must be
@@ -125,9 +122,8 @@ func NewEndpoint(id string, workers int, clk clock.Clock) *Endpoint {
 func (e *Endpoint) attach(svc *Service) {
 	e.svc = svc
 	e.containers = NewContainerManager(e.clk, svc.ColdStart)
-	e.containers.obsColdStarts = svc.obsColdStarts
+	e.containers.ColdStarts, e.containers.WarmHits = &svc.ColdStarts, &svc.WarmHits
 	e.containers.obsColdStart = svc.obsColdStart
-	e.containers.obsWarmHits = svc.obsWarmHits
 }
 
 // Containers exposes the endpoint's container manager (for stats).
@@ -256,14 +252,12 @@ func (e *Endpoint) execute(ctx context.Context, item *dispatchItem) {
 
 	e.containers.Acquire(fn.container)
 	e.clk.Sleep(e.ExecOverheadPerTask)
-	start := e.clk.Now()
 	result, err := e.runHandler(ctx, fn, payload)
-	e.BusyTime.ObserveDuration(e.clk.Since(start))
 	e.containers.Release(fn.container)
 
 	// If the allocation died mid-execution the task is already LOST;
 	// taskFinished will be a no-op for it.
-	e.TasksExecuted.Inc()
+	e.TasksExecuted.Add(1)
 	e.svc.taskFinished(t, result, err)
 }
 

@@ -11,10 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/metrics"
 	"xtract/internal/obs"
 )
 
@@ -244,22 +244,22 @@ type Service struct {
 	// faults, when set, injects dispatch/heartbeat/crash failures.
 	faults FaultHook
 
-	TasksSubmitted metrics.Counter
-	TasksCompleted metrics.Counter
-	TasksLost      metrics.Counter
-	HandlerPanics  metrics.Counter
+	// Task lifecycle counts. A task that ran to the end is counted in
+	// exactly one of TasksCompleted (its handler returned a result) and
+	// TasksFailed (it returned an error); ColdStarts and WarmHits sum
+	// every endpoint's container acquisitions.
+	TasksSubmitted atomic.Int64
+	TasksCompleted atomic.Int64
+	TasksFailed    atomic.Int64
+	TasksLost      atomic.Int64
+	HandlerPanics  atomic.Int64
+	ColdStarts     atomic.Int64
+	WarmHits       atomic.Int64
 
 	// Observability handles (nil-safe when Instrument is never called).
 	obsReg         *obs.Registry
-	obsSubmitted   *obs.Counter
-	obsCompleted   *obs.Counter
-	obsFailed      *obs.Counter
-	obsLost        *obs.Counter
 	obsTaskLatency *obs.Histogram
-	obsColdStarts  *obs.Counter
 	obsColdStart   *obs.Histogram
-	obsWarmHits    *obs.Counter
-	obsPanics      *obs.Counter
 }
 
 // SetFaults installs (or clears, with nil) the fabric's fault hook.
@@ -290,33 +290,33 @@ func NewService(clk clock.Clock, costs Costs) *Service {
 	}
 }
 
-// Instrument registers the fabric's live metrics on the observability
-// registry: task lifecycle counters, the end-to-end task latency
-// histogram, container cold/warm start telemetry, and a per-endpoint
+// Instrument exposes the fabric's counters on the observability registry
+// (read at scrape time) and registers its histograms: the end-to-end
+// task latency, container cold-start durations, and a per-endpoint
 // queue-depth gauge for every endpoint (including ones registered after
 // this call).
 func (s *Service) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.obsSubmitted = reg.Counter("xtract_faas_tasks_submitted_total",
-		"Tasks submitted to the FaaS fabric.")
-	s.obsCompleted = reg.Counter("xtract_faas_tasks_completed_total",
-		"Tasks that finished successfully.")
-	s.obsFailed = reg.Counter("xtract_faas_tasks_failed_total",
-		"Tasks whose handler returned an error.")
-	s.obsLost = reg.Counter("xtract_faas_tasks_lost_total",
-		"Tasks lost to a dead endpoint or failed dispatch.")
+	reg.CounterFunc("xtract_faas_tasks_submitted_total",
+		"Tasks submitted to the FaaS fabric.", nil, s.TasksSubmitted.Load)
+	reg.CounterFunc("xtract_faas_tasks_completed_total",
+		"Tasks that finished successfully.", nil, s.TasksCompleted.Load)
+	reg.CounterFunc("xtract_faas_tasks_failed_total",
+		"Tasks whose handler returned an error.", nil, s.TasksFailed.Load)
+	reg.CounterFunc("xtract_faas_tasks_lost_total",
+		"Tasks lost to a dead endpoint or failed dispatch.", nil, s.TasksLost.Load)
+	reg.CounterFunc("xtract_faas_cold_starts_total",
+		"Container cold starts across all endpoints.", nil, s.ColdStarts.Load)
+	reg.CounterFunc("xtract_faas_warm_hits_total",
+		"Container acquisitions served from the warm pool.", nil, s.WarmHits.Load)
+	reg.CounterFunc("xtract_faas_handler_panics_total",
+		"Handler panics recovered by endpoint workers.", nil, s.HandlerPanics.Load)
 	s.obsTaskLatency = reg.Histogram("xtract_faas_task_latency_seconds",
 		"Submit-to-finish latency of successful and failed tasks.", nil)
-	s.obsColdStarts = reg.Counter("xtract_faas_cold_starts_total",
-		"Container cold starts across all endpoints.")
 	s.obsColdStart = reg.Histogram("xtract_faas_cold_start_seconds",
 		"Container cold-start durations.", nil)
-	s.obsWarmHits = reg.Counter("xtract_faas_warm_hits_total",
-		"Container acquisitions served from the warm pool.")
-	s.obsPanics = reg.Counter("xtract_faas_handler_panics_total",
-		"Handler panics recovered by endpoint workers.")
 	s.mu.Lock()
 	s.obsReg = reg
 	eps := make([]*Endpoint, 0, len(s.endpoints))
@@ -329,17 +329,15 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	}
 }
 
-// instrumentEndpoint registers the endpoint's queue-depth gauge and
-// refreshes its container manager's shared handles (covers endpoints
+// instrumentEndpoint registers the endpoint's queue-depth gauge and hands
+// its container manager the cold-start histogram (covers endpoints
 // registered before Instrument was called).
 func (s *Service) instrumentEndpoint(reg *obs.Registry, ep *Endpoint) {
 	reg.GaugeFunc("xtract_faas_queue_depth", "Tasks waiting on the endpoint's local queue.",
 		map[string]string{"endpoint": ep.ID},
 		func() float64 { return float64(ep.QueueDepth()) })
 	if cm := ep.containers; cm != nil {
-		cm.obsColdStarts = s.obsColdStarts
 		cm.obsColdStart = s.obsColdStart
-		cm.obsWarmHits = s.obsWarmHits
 	}
 }
 
@@ -447,7 +445,6 @@ func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
 	s.mu.Unlock()
 
 	s.TasksSubmitted.Add(int64(len(reqs)))
-	s.obsSubmitted.Add(float64(len(reqs)))
 	faults := s.faultHook()
 	for _, r := range byEP {
 		for i, t := range r.tasks {
@@ -463,8 +460,7 @@ func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
 				t.info.Err = err.Error()
 				t.mu.Unlock()
 				t.setStatus(TaskLost)
-				s.TasksLost.Inc()
-				s.obsLost.Inc()
+				s.TasksLost.Add(1)
 			}
 		}
 	}
@@ -543,8 +539,7 @@ func (s *Service) TaskRecords() int {
 
 // panicRecovered counts one recovered handler panic.
 func (s *Service) panicRecovered() {
-	s.HandlerPanics.Inc()
-	s.obsPanics.Inc()
+	s.HandlerPanics.Add(1)
 }
 
 // heartbeat records endpoint liveness.
@@ -573,8 +568,7 @@ func (s *Service) endpointLost(epID string) {
 		t.info.Err = ErrEndpointStopped.Error()
 		t.mu.Unlock()
 		t.setStatus(TaskLost)
-		s.TasksLost.Inc()
-		s.obsLost.Inc()
+		s.TasksLost.Add(1)
 	}
 }
 
@@ -612,14 +606,13 @@ func (s *Service) taskFinished(t *task, result []byte, err error) {
 	if err != nil {
 		t.info.Err = err.Error()
 		t.info.Status = TaskFailed
-		s.obsFailed.Inc()
+		s.TasksFailed.Add(1)
 	} else {
 		t.info.Result = result
 		t.info.Status = TaskSuccess
-		s.obsCompleted.Inc()
+		s.TasksCompleted.Add(1)
 	}
-	s.TasksCompleted.Inc() // before doneCh: a Wait that returns sees the task counted
-	t.publishUnlock()
+	t.publishUnlock() // after the count: a Wait that returns sees the task counted
 	s.obsTaskLatency.ObserveDuration(latency)
 }
 

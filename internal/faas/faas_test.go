@@ -115,8 +115,8 @@ func TestBatchSubmitAndPoll(t *testing.T) {
 			t.Fatalf("task %d result %q, want %q (order preserved)", i, info.Result, want)
 		}
 	}
-	if svc.TasksSubmitted.Value() != 16 || svc.TasksCompleted.Value() != 16 {
-		t.Fatalf("counters = %d/%d", svc.TasksSubmitted.Value(), svc.TasksCompleted.Value())
+	if svc.TasksSubmitted.Load() != 16 || svc.TasksCompleted.Load() != 16 {
+		t.Fatalf("counters = %d/%d", svc.TasksSubmitted.Load(), svc.TasksCompleted.Load())
 	}
 }
 
@@ -143,7 +143,7 @@ func TestRejectedBatchCreatesNoTaskRecords(t *testing.T) {
 			t.Errorf("after %v: TaskRecords = %d, want %d", tc.want, got, before)
 		}
 	}
-	if n := svc.TasksSubmitted.Value(); n != 0 {
+	if n := svc.TasksSubmitted.Load(); n != 0 {
 		t.Errorf("TasksSubmitted = %d, want 0", n)
 	}
 }
@@ -234,8 +234,8 @@ func TestContainerColdAndWarmStarts(t *testing.T) {
 		t.Fatalf("warm = %d", cm.WarmCount("c1"))
 	}
 	cm.Acquire("c1") // warm: no sleep needed
-	if cm.ColdStarts.Value() != 1 || cm.WarmHits.Value() != 1 {
-		t.Fatalf("cold/warm = %d/%d", cm.ColdStarts.Value(), cm.WarmHits.Value())
+	if cm.ColdStarts.Load() != 1 || cm.WarmHits.Load() != 1 {
+		t.Fatalf("cold/warm = %d/%d", cm.ColdStarts.Load(), cm.WarmHits.Load())
 	}
 }
 
@@ -244,7 +244,7 @@ func TestContainerEmptyIDFree(t *testing.T) {
 	cm := NewContainerManager(clk, func(string) time.Duration { return time.Hour })
 	cm.Acquire("")
 	cm.Release("")
-	if cm.ColdStarts.Value() != 0 {
+	if cm.ColdStarts.Load() != 0 {
 		t.Fatal("empty container should be free")
 	}
 }
@@ -277,8 +277,8 @@ func TestEndpointStopMarksTasksLost(t *testing.T) {
 			t.Fatalf("task %s status = %v, want LOST", id, info.Status)
 		}
 	}
-	if svc.TasksLost.Value() != 4 {
-		t.Fatalf("TasksLost = %d", svc.TasksLost.Value())
+	if svc.TasksLost.Load() != 4 {
+		t.Fatalf("TasksLost = %d", svc.TasksLost.Load())
 	}
 	close(block)
 	// A late handler completion must not flip the lost status.
@@ -417,14 +417,14 @@ func TestFunctionRunsInRegisteredContainer(t *testing.T) {
 	if info.Status != TaskSuccess {
 		t.Fatalf("status = %v", info.Status)
 	}
-	if ep.Containers().ColdStarts.Value() != 1 {
-		t.Fatalf("cold starts = %d", ep.Containers().ColdStarts.Value())
+	if ep.Containers().ColdStarts.Load() != 1 {
+		t.Fatalf("cold starts = %d", ep.Containers().ColdStarts.Load())
 	}
 	// Second task: warm hit.
 	id2, _ := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("y")})
 	_, _ = svc.Wait(id2)
-	if ep.Containers().WarmHits.Value() != 1 {
-		t.Fatalf("warm hits = %d", ep.Containers().WarmHits.Value())
+	if ep.Containers().WarmHits.Load() != 1 {
+		t.Fatalf("warm hits = %d", ep.Containers().WarmHits.Load())
 	}
 }
 
@@ -447,7 +447,7 @@ func TestManyTasksThroughput(t *testing.T) {
 			t.Fatalf("task %s: %v %v", id, info.Status, err)
 		}
 	}
-	if got := ep.TasksExecuted.Value(); got != n {
+	if got := ep.TasksExecuted.Load(); got != n {
 		t.Fatalf("executed = %d, want %d", got, n)
 	}
 }

@@ -77,8 +77,8 @@ func TestHandlerPanicBecomesTaskFailed(t *testing.T) {
 	if !strings.Contains(info.Err, "panic") {
 		t.Fatalf("err = %q, want panic message", info.Err)
 	}
-	if svc.HandlerPanics.Value() != 1 {
-		t.Fatalf("HandlerPanics = %d, want 1", svc.HandlerPanics.Value())
+	if svc.HandlerPanics.Load() != 1 {
+		t.Fatalf("HandlerPanics = %d, want 1", svc.HandlerPanics.Load())
 	}
 	// The worker survived the panic: the endpoint still executes tasks.
 	if ep.Stopped() {

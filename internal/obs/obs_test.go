@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,6 +119,25 @@ func TestWritePrometheusFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A counter read at scrape time prints what a handle holding the same
+// value prints, labeled or not, and a nil registry ignores it.
+func TestCounterFuncExposesLikeACounter(t *testing.T) {
+	var n atomic.Int64
+	n.Store(1 << 40)
+	pushed, read, none := NewRegistry(), NewRegistry(), (*Registry)(nil)
+	pushed.Counter("c_total", "h").Add(1 << 40)
+	pushed.CounterVec("v_total", "h", "result").With("ok").Add(1 << 40)
+	read.CounterFunc("c_total", "h", nil, n.Load)
+	read.CounterFunc("v_total", "h", map[string]string{"result": "ok"}, n.Load)
+	none.CounterFunc("c_total", "h", nil, n.Load)
+	var a, b strings.Builder
+	pushed.WritePrometheus(&a)
+	read.WritePrometheus(&b)
+	if a.String() != b.String() || !strings.Contains(b.String(), `v_total{result="ok"} 1.099511627776e+12`) {
+		t.Fatalf("handle:\n%s\ncallback:\n%s", a.String(), b.String())
 	}
 }
 

@@ -1,9 +1,8 @@
 // Package obs is Xtract's runtime observability layer: a concurrent
 // registry of named, labeled metrics (counters, gauges, bounded-bucket
 // histograms) with Prometheus text-format exposition, plus a lightweight
-// per-job event tracer. Unlike internal/metrics — which hoards raw samples
-// for offline experiment analysis — obs metrics are fixed-size aggregates
-// safe to leave enabled on a live service under heavy traffic.
+// per-job event tracer. Every metric is a fixed-size aggregate, safe to
+// leave enabled on a live service under heavy traffic.
 //
 // The emission path is lock-free and allocation-free: series values are
 // atomics (float bits for counters and gauges, per-bucket atomic counts
@@ -73,7 +72,7 @@ func NewRegistry() *Registry {
 }
 
 // metricFamily is one named metric with a fixed label schema: a set of
-// series keyed by label values, plus callback-backed gauge series.
+// series keyed by label values, plus callback-backed series.
 type metricFamily struct {
 	name    string
 	help    string
@@ -230,7 +229,22 @@ func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn fun
 	if r == nil || fn == nil {
 		return
 	}
-	f := r.getFamily(name, help, typeGauge, nil, nil)
+	r.registerFunc(name, help, typeGauge, labels, fn)
+}
+
+// CounterFunc is GaugeFunc for a counter its component already keeps:
+// fn, typically the Load method of an atomic.Int64 field, is read at
+// exposition time, so the event is counted once, where it happens, and
+// the registry holds no second copy. fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn func() int64) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.registerFunc(name, help, typeCounter, labels, func() float64 { return float64(fn()) })
+}
+
+func (r *Registry) registerFunc(name, help string, typ metricType, labels map[string]string, fn func() float64) {
+	f := r.getFamily(name, help, typ, nil, nil)
 	pairs := make([][2]string, 0, len(labels))
 	for k, v := range labels {
 		pairs = append(pairs, [2]string{k, v})
@@ -257,9 +271,8 @@ func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn fun
 
 // Histogram returns the unlabeled histogram registered under name.
 // buckets are the upper bounds of the observation buckets, ascending; nil
-// selects DefBuckets. Unlike metrics.Histogram, samples are folded into
-// fixed bucket counts, so memory stays constant no matter how many
-// observations arrive.
+// selects DefBuckets. Samples are folded into fixed bucket counts, so
+// memory stays constant no matter how many observations arrive.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil

@@ -12,10 +12,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/metrics"
 )
 
 // ErrNotFound is returned when a record does not exist.
@@ -134,8 +134,8 @@ type Registry struct {
 	seq        int
 	idPrefix   string
 
-	CacheHits   metrics.Counter
-	CacheMisses metrics.Counter
+	CacheHits   atomic.Int64
+	CacheMisses atomic.Int64
 }
 
 // New returns an empty registry.
@@ -164,12 +164,12 @@ func (r *Registry) ResolveExtractor(name string) (ExtractorRecord, error) {
 	r.mu.Lock()
 	if rec, ok := r.cache[name]; ok {
 		r.mu.Unlock()
-		r.CacheHits.Inc()
+		r.CacheHits.Add(1)
 		return rec, nil
 	}
 	rec, ok := r.extractors[name]
 	r.mu.Unlock()
-	r.CacheMisses.Inc()
+	r.CacheMisses.Add(1)
 	r.clk.Sleep(r.QueryLatency)
 	if !ok {
 		return ExtractorRecord{}, fmt.Errorf("%w: extractor %s", ErrNotFound, name)

@@ -29,16 +29,16 @@ func TestExtractorPutResolveCache(t *testing.T) {
 	if rec.FunctionID != "f1" {
 		t.Fatalf("rec = %+v", rec)
 	}
-	if r.CacheMisses.Value() != 1 {
-		t.Fatalf("misses = %d", r.CacheMisses.Value())
+	if r.CacheMisses.Load() != 1 {
+		t.Fatalf("misses = %d", r.CacheMisses.Load())
 	}
 	// Cached: resolves instantly, no timer needed.
 	rec2, err := r.ResolveExtractor("keyword")
 	if err != nil || rec2.FunctionID != "f1" {
 		t.Fatalf("cached resolve = %+v, %v", rec2, err)
 	}
-	if r.CacheHits.Value() != 1 {
-		t.Fatalf("hits = %d", r.CacheHits.Value())
+	if r.CacheHits.Load() != 1 {
+		t.Fatalf("hits = %d", r.CacheHits.Load())
 	}
 }
 

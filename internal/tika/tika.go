@@ -20,12 +20,12 @@ package tika
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
-	"xtract/internal/metrics"
 	"xtract/internal/store"
 )
 
@@ -41,9 +41,8 @@ type Server struct {
 	lib *extractors.Library
 	sem chan struct{}
 
-	Processed metrics.Counter
-	Failed    metrics.Counter
-	ParseTime metrics.Histogram
+	Processed atomic.Int64
+	Failed    atomic.Int64
 }
 
 // NewServer returns a Tika server with the given thread pool size.
@@ -126,24 +125,22 @@ func (s *Server) Parse(name string, data []byte) Result {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	s.clk.Sleep(s.Overhead)
-	start := s.clk.Now()
-	defer func() { s.ParseTime.ObserveDuration(s.clk.Since(start)) }()
 
 	mime := Detect(name, data)
 	parser, err := s.parserFor(mime)
 	if err != nil {
-		s.Failed.Inc()
+		s.Failed.Add(1)
 		return Result{Name: name, Mime: mime, Err: err.Error()}
 	}
 	g := &family.Group{ID: name, Files: []string{name}}
 	md, err := parser.Extract(g, map[string][]byte{name: data})
 	if err != nil {
-		s.Failed.Inc()
+		s.Failed.Add(1)
 		return Result{Name: name, Mime: mime, Parser: parser.Name(), Err: err.Error()}
 	}
 	// Tika has no dynamic planning: suggestions are discarded.
 	delete(md, extractors.SuggestKey)
-	s.Processed.Inc()
+	s.Processed.Add(1)
 	return Result{Name: name, Mime: mime, Parser: parser.Name(), Metadata: md}
 }
 
@@ -157,7 +154,7 @@ func (s *Server) ParseAll(names []string, read func(string) ([]byte, error)) []R
 		go func(i int, name string) {
 			data, err := read(name)
 			if err != nil {
-				s.Failed.Inc()
+				s.Failed.Add(1)
 				out[i] = Result{Name: name, Err: err.Error()}
 			} else {
 				out[i] = s.Parse(name, data)

@@ -58,8 +58,8 @@ func TestParseSelectsSingleParser(t *testing.T) {
 	if res.Err != "" || res.Parser != "tabular" {
 		t.Fatalf("res = %+v", res)
 	}
-	if s.Processed.Value() != 1 {
-		t.Fatalf("processed = %d", s.Processed.Value())
+	if s.Processed.Load() != 1 {
+		t.Fatalf("processed = %d", s.Processed.Load())
 	}
 }
 
@@ -93,8 +93,8 @@ func TestParseFailure(t *testing.T) {
 	if res.Err == "" {
 		t.Fatalf("res = %+v, want parse error", res)
 	}
-	if s.Failed.Value() != 1 {
-		t.Fatalf("failed = %d", s.Failed.Value())
+	if s.Failed.Load() != 1 {
+		t.Fatalf("failed = %d", s.Failed.Load())
 	}
 }
 

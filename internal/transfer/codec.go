@@ -1,19 +1,20 @@
 package transfer
 
 import (
-	"strings"
 	"time"
 
 	"xtract/internal/fastjson"
 )
 
-// Hand-rolled codecs for the prefetch queue wire shapes, byte-identical
-// to encoding/json on the same structs (pinned by codec_test.go). The
-// staging path rides the same per-family hot loop as dispatch, so its
-// queue bodies avoid reflection too.
+// The prefetch task and result are internal formats: the pump and the
+// prefetcher of the same binary write them onto the staging queues and
+// read them back. They are JSON in the field order of the structs' tags,
+// but the decoders are strict -- exact lower-case keys, unknown keys
+// skipped, a repeated key replaces the earlier value, null only where the
+// encoder writes it -- and owe encoding/json nothing beyond reading back
+// what AppendPrefetchTask and AppendPrefetchResult wrote.
 
-// AppendPrefetchTask appends t as JSON, byte-identical to
-// encoding/json.Marshal(t).
+// AppendPrefetchTask appends t's queue body to dst.
 func AppendPrefetchTask(dst []byte, t *PrefetchTask) []byte {
 	dst = append(dst, `{"family_id":`...)
 	dst = fastjson.AppendString(dst, t.FamilyID)
@@ -39,84 +40,55 @@ func AppendPrefetchTask(dst []byte, t *PrefetchTask) []byte {
 	return append(append(dst, ']'), '}')
 }
 
-// DecodePrefetchTask parses data into t with encoding/json's struct
-// semantics.
+// DecodePrefetchTask parses a queue body into t.
 func DecodePrefetchTask(data []byte, t *PrefetchTask) error {
 	d := fastjson.NewDec(data)
-	if d.Null() {
-		return d.End()
-	}
-	err := d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "family_id"):
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "family_id":
+			t.FamilyID, err = d.Str()
+		case "src":
+			t.Src, err = d.Str()
+		case "dst":
+			t.Dst, err = d.Str()
+		case "pairs":
+			t.Pairs = nil
 			if !d.Null() {
-				t.FamilyID, err = d.Str()
-			}
-		case fieldIs(key, "src"):
-			if !d.Null() {
-				t.Src, err = d.Str()
-			}
-		case fieldIs(key, "dst"):
-			if !d.Null() {
-				t.Dst, err = d.Str()
-			}
-		case fieldIs(key, "pairs"):
-			if d.Null() {
-				break
-			}
-			t.Pairs = t.Pairs[:0]
-			err = d.ArrEach(func() error {
-				// Grow like encoding/json: slots within capacity keep their
-				// prior contents (visible when a duplicate key re-decodes the
-				// slice), fresh slots are zero.
-				if len(t.Pairs) < cap(t.Pairs) {
-					t.Pairs = t.Pairs[:len(t.Pairs)+1]
-				} else {
-					t.Pairs = append(t.Pairs, FilePair{})
-				}
-				return decodeFilePair(d, &t.Pairs[len(t.Pairs)-1])
-			})
-			if err == nil && t.Pairs == nil {
-				// encoding/json turns an empty JSON array into a
-				// non-nil empty slice.
 				t.Pairs = []FilePair{}
+				err = d.ArrEach(func() error {
+					fp, err := decodeFilePair(d)
+					t.Pairs = append(t.Pairs, fp)
+					return err
+				})
 			}
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.End()
 	}
-	return d.End()
+	return err
 }
 
-func decodeFilePair(d *fastjson.Dec, fp *FilePair) error {
-	if d.Null() {
-		return nil
-	}
-	return d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "src"):
-			if !d.Null() {
-				fp.Src, err = d.Str()
-			}
-		case fieldIs(key, "dst"):
-			if !d.Null() {
-				fp.Dst, err = d.Str()
-			}
+func decodeFilePair(d *fastjson.Dec) (FilePair, error) {
+	var fp FilePair
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "src":
+			fp.Src, err = d.Str()
+		case "dst":
+			fp.Dst, err = d.Str()
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
+	return fp, err
 }
 
-// AppendPrefetchResult appends r as JSON, byte-identical to
-// encoding/json.Marshal(r).
+// AppendPrefetchResult appends r's queue body to dst.
 func AppendPrefetchResult(dst []byte, r *PrefetchResult) []byte {
 	dst = append(dst, `{"family_id":`...)
 	dst = fastjson.AppendString(dst, r.FamilyID)
@@ -140,63 +112,34 @@ func AppendPrefetchResult(dst []byte, r *PrefetchResult) []byte {
 	return append(dst, '}')
 }
 
-// DecodePrefetchResult parses data into r with encoding/json's struct
-// semantics.
+// DecodePrefetchResult parses a queue body into r.
 func DecodePrefetchResult(data []byte, r *PrefetchResult) error {
 	d := fastjson.NewDec(data)
-	if d.Null() {
-		return d.End()
-	}
-	err := d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "family_id"):
-			if !d.Null() {
-				r.FamilyID, err = d.Str()
-			}
-		case fieldIs(key, "src"):
-			if !d.Null() {
-				r.Src, err = d.Str()
-			}
-		case fieldIs(key, "dst"):
-			if !d.Null() {
-				r.Dst, err = d.Str()
-			}
-		case fieldIs(key, "ok"):
-			if !d.Null() {
-				r.OK, err = d.Bool()
-			}
-		case fieldIs(key, "err"):
-			if !d.Null() {
-				r.Err, err = d.Str()
-			}
-		case fieldIs(key, "bytes"):
-			if !d.Null() {
-				r.Bytes, err = d.Int64()
-			}
-		case fieldIs(key, "elapsed"):
-			if !d.Null() {
-				var ns int64
-				ns, err = d.Int64()
-				r.Elapsed = time.Duration(ns)
-			}
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "family_id":
+			r.FamilyID, err = d.Str()
+		case "src":
+			r.Src, err = d.Str()
+		case "dst":
+			r.Dst, err = d.Str()
+		case "ok":
+			r.OK, err = d.Bool()
+		case "err":
+			r.Err, err = d.Str()
+		case "bytes":
+			r.Bytes, err = d.Int64()
+		case "elapsed":
+			var ns int64
+			ns, err = d.Int64()
+			r.Elapsed = time.Duration(ns)
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.End()
 	}
-	return d.End()
-}
-
-// fieldIs reports whether a decoded object key selects the named struct
-// field, using encoding/json's matching: exact first, then
-// case-insensitive.
-func fieldIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	return strings.EqualFold(string(key), name)
+	return err
 }

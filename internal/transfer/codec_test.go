@@ -2,14 +2,13 @@ package transfer
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 )
 
-func TestAppendPrefetchTaskEquivalence(t *testing.T) {
-	cases := []PrefetchTask{
+func prefetchTaskCases() []PrefetchTask {
+	return []PrefetchTask{
 		{},
 		{FamilyID: "f", Src: "petrel", Dst: "theta", Pairs: []FilePair{}},
 		{FamilyID: "f#1", Src: "s", Dst: "d", Pairs: []FilePair{
@@ -17,123 +16,108 @@ func TestAppendPrefetchTaskEquivalence(t *testing.T) {
 			{Src: `we"ird\`, Dst: "päth<&>\t"},
 		}},
 	}
-	for i, task := range cases {
-		want, err := json.Marshal(task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := AppendPrefetchTask(nil, &task)
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d:\nfast: %s\njson: %s", i, got, want)
-		}
-	}
 }
 
-func TestAppendPrefetchResultEquivalence(t *testing.T) {
-	cases := []PrefetchResult{
+func prefetchResultCases() []PrefetchResult {
+	return []PrefetchResult{
 		{},
-		{FamilyID: "f", Src: "s", Dst: "d", OK: true, Bytes: 1 << 30,
-			Elapsed: 1500 * time.Millisecond},
-		{FamilyID: "f", Src: "s", Dst: "d", Err: "globus: rate limited\n",
-			Bytes: -1, Elapsed: -time.Second},
+		{FamilyID: "f", Src: "s", Dst: "d", OK: true, Bytes: 1 << 53, Elapsed: 1500 * time.Millisecond},
+		{FamilyID: "f", Src: "s", Dst: "d", Err: "globus: rate limited\n", Bytes: -1, Elapsed: -time.Second},
 	}
-	for i, res := range cases {
-		want, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// TestPrefetchDecodeStrict pins the internal-format rules for both
+// bodies: what the encoder wrote reads back as the value it was given,
+// keys are exact and lower-case, unknown keys are skipped, a repeated key
+// replaces the earlier value, and anything else is an error.
+func TestPrefetchDecodeStrict(t *testing.T) {
+	for i, task := range prefetchTaskCases() {
+		var back PrefetchTask
+		if err := DecodePrefetchTask(AppendPrefetchTask(nil, &task), &back); err != nil || !reflect.DeepEqual(back, task) {
+			t.Errorf("task %d round trip: %#v, %v", i, back, err)
 		}
-		got := AppendPrefetchResult(nil, &res)
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d:\nfast: %s\njson: %s", i, got, want)
+	}
+	for i, res := range prefetchResultCases() {
+		var back PrefetchResult
+		if err := DecodePrefetchResult(AppendPrefetchResult(nil, &res), &back); err != nil || back != res {
+			t.Errorf("result %d round trip: %#v, %v", i, back, err)
+		}
+	}
+	tasks := []struct {
+		doc  string
+		want PrefetchTask
+	}{
+		{`{}`, PrefetchTask{}},
+		{`{"FAMILY_ID":"x","Src":"y","family_id":"f","extra":[{"deep":null}]}`, PrefetchTask{FamilyID: "f"}},
+		{`{"pairs":[{"src":"a","dst":"b"}],"pairs":[{"dst":"kept","DST":"x"}]}`, PrefetchTask{Pairs: []FilePair{{Dst: "kept"}}}},
+		{`{"pairs":[],"pairs":null, "dst" : "d"}`, PrefetchTask{Dst: "d"}},
+	}
+	for _, c := range tasks {
+		var got PrefetchTask
+		if err := DecodePrefetchTask([]byte(c.doc), &got); err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: %#v, %v", c.doc, got, err)
+		}
+	}
+	for _, doc := range []string{``, `null`, `[]`, `{`, `{} x`, `{"src":null}`, `{"src":5}`,
+		`{"pairs":{}}`, `{"pairs":[null]}`, `{"pairs":[{"src":null}]}`} {
+		var got PrefetchTask
+		if err := DecodePrefetchTask([]byte(doc), &got); err == nil {
+			t.Errorf("task decoder accepted %q as %#v", doc, got)
+		}
+	}
+	results := []struct {
+		doc  string
+		want PrefetchResult
+	}{
+		{`{}`, PrefetchResult{}},
+		{`{"BYTES":12,"Elapsed":7,"ok":true,"bytes":9007199254740993}`, PrefetchResult{OK: true, Bytes: 9007199254740993}},
+		{`{"err":"x","err":"y","elapsed":-5}`, PrefetchResult{Err: "y", Elapsed: -5}},
+	}
+	for _, c := range results {
+		var got PrefetchResult
+		if err := DecodePrefetchResult([]byte(c.doc), &got); err != nil || got != c.want {
+			t.Errorf("%s: %#v, %v", c.doc, got, err)
+		}
+	}
+	for _, doc := range []string{``, `null`, `{`, `{} x`, `{"bytes":1.5}`, `{"elapsed":1e2}`,
+		`{"elapsed":null}`, `{"ok":null}`, `{"ok":1}`, `{"err":null}`} {
+		var got PrefetchResult
+		if err := DecodePrefetchResult([]byte(doc), &got); err == nil {
+			t.Errorf("result decoder accepted %q as %#v", doc, got)
 		}
 	}
 }
 
-func TestDecodePrefetchEquivalence(t *testing.T) {
-	taskDocs := []string{
-		`null`,
-		`{}`,
-		`{"family_id":"f","src":"s","dst":"d","pairs":[{"src":"a","dst":"b"},null]}`,
-		`{"FAMILY_ID":"f","SRC":"s","PAIRS":[{"SRC":"a","DST":"b"}],"unknown":{"x":[1]}}`,
-		`{"pairs":[],"src":null}`,
-		`{"pairs":[{"src":"a","dst":"b"}],"pairs":[{"dst":"kept"}]}`,
+// FuzzPrefetchRoundTrip: arbitrary bytes never panic either strict
+// decoder, and any body one accepts re-encodes to a fixed point.
+func FuzzPrefetchRoundTrip(f *testing.F) {
+	for _, task := range prefetchTaskCases() {
+		f.Add(AppendPrefetchTask(nil, &task))
 	}
-	for _, doc := range taskDocs {
-		var want, got PrefetchTask
-		werr := json.Unmarshal([]byte(doc), &want)
-		gerr := DecodePrefetchTask([]byte(doc), &got)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%s: error mismatch json=%v fast=%v", doc, werr, gerr)
-		}
-		if werr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\nfast: %#v\njson: %#v", doc, got, want)
-		}
+	for _, res := range prefetchResultCases() {
+		f.Add(AppendPrefetchResult(nil, &res))
 	}
-	resDocs := []string{
-		`{}`,
-		`{"family_id":"f","ok":true,"bytes":9007199254740993,"elapsed":1500000000}`,
-		`{"err":"x","bytes":-5,"elapsed":null}`,
-		`{"BYTES":12,"Elapsed":7}`,
-	}
-	for _, doc := range resDocs {
-		var want, got PrefetchResult
-		werr := json.Unmarshal([]byte(doc), &want)
-		gerr := DecodePrefetchResult([]byte(doc), &got)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%s: error mismatch json=%v fast=%v", doc, werr, gerr)
-		}
-		if werr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\nfast: %#v\njson: %#v", doc, got, want)
-		}
-	}
-	malformed := []string{``, `{`, `{"bytes":1.5}`, `{"elapsed":1e2}`, `{} x`}
-	for _, doc := range malformed {
-		var jt PrefetchResult
-		if err := json.Unmarshal([]byte(doc), &jt); err == nil {
-			t.Fatalf("expected json to reject %q", doc)
-		}
-		var gt PrefetchResult
-		if err := DecodePrefetchResult([]byte(doc), &gt); err == nil {
-			t.Errorf("fast decoder accepted %q", doc)
-		}
-	}
-}
-
-func FuzzPrefetchTaskDecodeParity(f *testing.F) {
-	f.Add([]byte(`{"family_id":"f","src":"s","dst":"d","pairs":[{"src":"a","dst":"b"}]}`))
-	f.Add([]byte(`{"pairs":[null],"PAIRS":[]}`))
+	f.Add([]byte(`{"pairs":[{"src":"\ud800"}],"PAIRS":[],"bytes":-0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want, got PrefetchTask
-		werr := json.Unmarshal(data, &want)
-		gerr := DecodePrefetchTask(data, &got)
-		if werr == nil {
-			if gerr != nil {
-				t.Fatalf("json accepted, fast rejected %q: %v", data, gerr)
+		var task, task2 PrefetchTask
+		if DecodePrefetchTask(data, &task) == nil {
+			enc := AppendPrefetchTask(nil, &task)
+			if err := DecodePrefetchTask(enc, &task2); err != nil {
+				t.Fatalf("own encoding %q rejected: %v", enc, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("state divergence on %q:\nfast: %#v\njson: %#v", data, got, want)
+			if enc2 := AppendPrefetchTask(nil, &task2); !bytes.Equal(enc, enc2) {
+				t.Fatalf("not a fixed point:\n1: %s\n2: %s", enc, enc2)
 			}
-		} else if gerr == nil {
-			t.Fatalf("json rejected (%v), fast accepted %q", werr, data)
 		}
-	})
-}
-
-func FuzzPrefetchResultDecodeParity(f *testing.F) {
-	f.Add([]byte(`{"family_id":"f","ok":true,"err":"e","bytes":123,"elapsed":-9}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var want, got PrefetchResult
-		werr := json.Unmarshal(data, &want)
-		gerr := DecodePrefetchResult(data, &got)
-		if werr == nil {
-			if gerr != nil {
-				t.Fatalf("json accepted, fast rejected %q: %v", data, gerr)
+		var res, res2 PrefetchResult
+		if DecodePrefetchResult(data, &res) == nil {
+			enc := AppendPrefetchResult(nil, &res)
+			if err := DecodePrefetchResult(enc, &res2); err != nil {
+				t.Fatalf("own encoding %q rejected: %v", enc, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("state divergence on %q:\nfast: %#v\njson: %#v", data, got, want)
+			if enc2 := AppendPrefetchResult(nil, &res2); !bytes.Equal(enc, enc2) {
+				t.Fatalf("not a fixed point:\n1: %s\n2: %s", enc, enc2)
 			}
-		} else if gerr == nil {
-			t.Fatalf("json rejected (%v), fast accepted %q", werr, data)
 		}
 	})
 }

@@ -32,12 +32,6 @@ type PrefetchResult struct {
 	Elapsed  time.Duration `json:"elapsed"`
 }
 
-// Tally is a monotonic count, safe for concurrent use.
-type Tally struct{ n atomic.Int64 }
-
-// Value returns the current count.
-func (t *Tally) Value() int64 { return t.n.Load() }
-
 // Prefetcher is the microservice that drains a queue of staging tasks,
 // folds the same-route tasks of each received window into one fabric job,
 // keeps a bounded number of those jobs in flight, and reports each task
@@ -54,9 +48,9 @@ type Prefetcher struct {
 	// Visibility is the queue visibility timeout while a task is staged.
 	Visibility time.Duration
 
-	TasksDone   Tally
-	TasksFailed Tally
-	BytesMoved  Tally // bytes of the tasks reported staged
+	TasksDone   atomic.Int64
+	TasksFailed atomic.Int64
+	BytesMoved  atomic.Int64 // bytes of the tasks reported staged
 }
 
 // NewPrefetcher wires a prefetcher to its fabric and queues.
@@ -182,14 +176,14 @@ func (p *Prefetcher) stage(ctx context.Context, w *window) {
 		res.FamilyID, res.Elapsed = t.FamilyID, p.clk.Since(start)
 		if res.OK {
 			res.Bytes, moved = info.BytesTransferred-moved, info.BytesTransferred
-			p.TasksDone.n.Add(1)
-			p.BytesMoved.n.Add(res.Bytes)
+			p.TasksDone.Add(1)
+			p.BytesMoved.Add(res.Bytes)
 		} else {
 			res.Bytes, res.Err = 0, info.Err
 			if err != nil {
 				res.Err = err.Error()
 			}
-			p.TasksFailed.n.Add(1)
+			p.TasksFailed.Add(1)
 		}
 		bodies = append(bodies, AppendPrefetchResult(nil, &res))
 		if i+1 < len(w.tasks) && (!res.OK || info.FilesDone >= end+len(w.tasks[i+1].Pairs)) {

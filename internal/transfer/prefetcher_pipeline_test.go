@@ -165,8 +165,8 @@ func TestPrefetcherOverlapsWindows(t *testing.T) {
 			t.Fatalf("result = %+v, want OK, 10 bytes, elapsed %v", x, rigRTT)
 		}
 	}
-	if r.pf.TasksDone.Value() != 2*k || r.pf.BytesMoved.Value() != 20*k {
-		t.Fatalf("TasksDone = %d, BytesMoved = %d", r.pf.TasksDone.Value(), r.pf.BytesMoved.Value())
+	if r.pf.TasksDone.Load() != 2*k || r.pf.BytesMoved.Load() != 20*k {
+		t.Fatalf("TasksDone = %d, BytesMoved = %d", r.pf.TasksDone.Load(), r.pf.BytesMoved.Load())
 	}
 }
 
@@ -203,8 +203,8 @@ func TestPrefetcherFailedJobFailsEveryTask(t *testing.T) {
 		}
 		seen[x.FamilyID] = true
 	}
-	if len(seen) != n || r.pf.TasksFailed.Value() != n || r.pf.TasksDone.Value() != 0 {
-		t.Fatalf("families = %d, TasksFailed = %d, TasksDone = %d", len(seen), r.pf.TasksFailed.Value(), r.pf.TasksDone.Value())
+	if len(seen) != n || r.pf.TasksFailed.Load() != n || r.pf.TasksDone.Load() != 0 {
+		t.Fatalf("families = %d, TasksFailed = %d, TasksDone = %d", len(seen), r.pf.TasksFailed.Load(), r.pf.TasksDone.Load())
 	}
 	if r.in.Len() != 0 {
 		t.Fatalf("%d failed tasks left on the queue; the retry is the pump's", r.in.Len())

@@ -40,9 +40,9 @@ func TestPrefetcherReportsFamilyWhenItsFilesLand(t *testing.T) {
 			t.Fatalf("result %d = %+v, want %+v", k, x, want)
 		}
 	}
-	if r.pf.TasksDone.Value() != n || r.pf.TasksFailed.Value() != 0 || r.pf.BytesMoved.Value() != 10*n {
+	if r.pf.TasksDone.Load() != n || r.pf.TasksFailed.Load() != 0 || r.pf.BytesMoved.Load() != 10*n {
 		t.Fatalf("TasksDone = %d, TasksFailed = %d, BytesMoved = %d",
-			r.pf.TasksDone.Value(), r.pf.TasksFailed.Value(), r.pf.BytesMoved.Value())
+			r.pf.TasksDone.Load(), r.pf.TasksFailed.Load(), r.pf.BytesMoved.Load())
 	}
 }
 
@@ -117,9 +117,9 @@ func TestPrefetcherJobFailingMidWindow(t *testing.T) {
 			t.Fatalf("family %d did not land: %+v", k, x)
 		}
 	}
-	if r.pf.TasksDone.Value() != bad || r.pf.TasksFailed.Value() != n-bad || r.pf.BytesMoved.Value() != 20*bad {
+	if r.pf.TasksDone.Load() != bad || r.pf.TasksFailed.Load() != n-bad || r.pf.BytesMoved.Load() != 20*bad {
 		t.Fatalf("TasksDone = %d, TasksFailed = %d, BytesMoved = %d",
-			r.pf.TasksDone.Value(), r.pf.TasksFailed.Value(), r.pf.BytesMoved.Value())
+			r.pf.TasksDone.Load(), r.pf.TasksFailed.Load(), r.pf.BytesMoved.Load())
 	}
 }
 
@@ -196,7 +196,7 @@ func TestPrefetchResultCarriesItsOwnBytes(t *testing.T) {
 	}
 	sum := res[0].Bytes + res[1].Bytes
 	moved := reg.Counter("xtract_transfer_bytes_total", "").Value()
-	if r.pf.BytesMoved.Value() != sum || moved != float64(sum) {
-		t.Fatalf("results bill %d bytes, BytesMoved = %d, the fabric moved %v", sum, r.pf.BytesMoved.Value(), moved)
+	if r.pf.BytesMoved.Load() != sum || moved != float64(sum) {
+		t.Fatalf("results bill %d bytes, BytesMoved = %d, the fabric moved %v", sum, r.pf.BytesMoved.Load(), moved)
 	}
 }

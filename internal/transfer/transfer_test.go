@@ -268,8 +268,8 @@ func TestPrefetcherEndToEnd(t *testing.T) {
 	if okCount != families {
 		t.Fatalf("ok = %d, want %d", okCount, families)
 	}
-	if p.TasksDone.Value() != families {
-		t.Fatalf("TasksDone = %d", p.TasksDone.Value())
+	if p.TasksDone.Load() != families {
+		t.Fatalf("TasksDone = %d", p.TasksDone.Load())
 	}
 	_, files := dst.TotalBytes()
 	if files != families {
@@ -306,8 +306,8 @@ func TestPrefetcherReportsFailure(t *testing.T) {
 	if r.OK || r.Err == "" {
 		t.Fatalf("result = %+v, want failure", r)
 	}
-	if p.TasksFailed.Value() != 1 {
-		t.Fatalf("TasksFailed = %d", p.TasksFailed.Value())
+	if p.TasksFailed.Load() != 1 {
+		t.Fatalf("TasksFailed = %d", p.TasksFailed.Load())
 	}
 }
 

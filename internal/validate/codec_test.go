@@ -283,8 +283,12 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // same contract: the service slices a record's blocks out of the queue
 // body and splices them into the document, so what it allocates for a
 // record is the same whether a block has one key or two thousand. A
-// decode into maps allocates per key and fails this at once.
+// decode into maps allocates per key, thousands for the large record,
+// and fails this at once. The slack is for fmt's buffer pool: the large
+// record makes more garbage, a collection empties the pool, and the next
+// Sprintf refills it with an allocation or two.
 func TestProcessCostDoesNotGrowWithMetadata(t *testing.T) {
+	const poolRefill = 4
 	big := []byte(`{"keywords":[0,"v",{"n":null}]`)
 	for i := 1; i < 2000; i++ {
 		big = append(big, fmt.Sprintf(`,"k%d":[%d,"v",{"n":null}]`, i, i)...)
@@ -303,7 +307,7 @@ func TestProcessCostDoesNotGrowWithMetadata(t *testing.T) {
 			return allocs
 		}
 		small, large := measure(fastjson.Raw(`{"keywords":1}`)), measure(big)
-		if large > small {
+		if large > small+poolRefill {
 			t.Errorf("%s: a record with %d bytes of metadata cost %.0f allocations, one with 14 bytes %.0f",
 				v.Name(), len(big), large, small)
 		}

@@ -3,9 +3,9 @@ package validate
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
-	"xtract/internal/metrics"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
 	"xtract/internal/store"
@@ -24,26 +24,23 @@ type Service struct {
 	// Visibility is the queue visibility timeout during validation.
 	Visibility time.Duration
 
-	Validated metrics.Counter
-	Rejected  metrics.Counter
+	// Validated and Rejected count records by outcome.
+	Validated atomic.Int64
+	Rejected  atomic.Int64
 
-	// Observability handles (nil-safe when Instrument is never called).
-	obsEvents    *obs.Tracer
-	obsRecords   *obs.CounterVec
-	obsRejected  *obs.Counter
-	obsValidated *obs.Counter
+	// obsEvents is nil-safe when Instrument is never called.
+	obsEvents *obs.Tracer
 }
 
-// Instrument wires the service to the observability layer: a records
-// counter labeled by result (with both outcome series pre-resolved —
-// process runs once per record), and family_validated trace events on
-// the owning job's trace.
+// Instrument wires the service to the observability layer: the two
+// outcome counters exposed as one family labeled by result (read at
+// scrape time), and family_validated trace events on the owning job's
+// trace.
 func (s *Service) Instrument(o *obs.Observer) {
 	s.obsEvents = o.Tracer()
-	s.obsRecords = o.Reg().CounterVec("xtract_validate_records_total",
-		"Validation outcomes by result.", "result")
-	s.obsRejected = s.obsRecords.With("rejected")
-	s.obsValidated = s.obsRecords.With("validated")
+	const name, help = "xtract_validate_records_total", "Validation outcomes by result."
+	o.Reg().CounterFunc(name, help, map[string]string{"result": "rejected"}, s.Rejected.Load)
+	o.Reg().CounterFunc(name, help, map[string]string{"result": "validated"}, s.Validated.Load)
 }
 
 // NewService wires a validation service.
@@ -95,24 +92,20 @@ func (s *Service) receive() bool {
 func (s *Service) process(body []byte) {
 	var rec Record
 	if err := DecodeRecord(body, &rec); err != nil {
-		s.Rejected.Inc()
-		s.obsRejected.Inc()
+		s.Rejected.Add(1)
 		return
 	}
 	doc, err := s.Validator.Validate(rec)
 	if err != nil {
-		s.Rejected.Inc()
-		s.obsRejected.Inc()
+		s.Rejected.Add(1)
 		return
 	}
 	path := fmt.Sprintf("%s/%s.json", s.DestPrefix, sanitize(rec.FamilyID))
 	if err := s.Dest.Write(path, doc); err != nil {
-		s.Rejected.Inc()
-		s.obsRejected.Inc()
+		s.Rejected.Add(1)
 		return
 	}
-	s.Validated.Inc()
-	s.obsValidated.Inc()
+	s.Validated.Add(1)
 	s.obsEvents.Emitf(rec.JobID, obs.EvFamilyValidated, "family=%s doc=%s", rec.FamilyID, path)
 }
 

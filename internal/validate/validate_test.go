@@ -129,8 +129,8 @@ func TestServiceValidatesToDestination(t *testing.T) {
 	in.Send([]byte("corrupt"))
 	s.Drain()
 
-	if s.Validated.Value() != 1 || s.Rejected.Value() != 1 {
-		t.Fatalf("validated/rejected = %d/%d", s.Validated.Value(), s.Rejected.Value())
+	if s.Validated.Load() != 1 || s.Rejected.Load() != 1 {
+		t.Fatalf("validated/rejected = %d/%d", s.Validated.Load(), s.Rejected.Load())
 	}
 	infos, err := dest.List("/metadata")
 	if err != nil || len(infos) != 1 {
@@ -210,8 +210,8 @@ func TestRunWakesOnSendNotOnATimer(t *testing.T) {
 	}
 	in.Send(bodies[1])
 	waitAcked(t, in, 2)
-	if s.Validated.Value() != 2 {
-		t.Fatalf("validated = %d, want 2", s.Validated.Value())
+	if s.Validated.Load() != 2 {
+		t.Fatalf("validated = %d, want 2", s.Validated.Load())
 	}
 }
 
@@ -221,9 +221,9 @@ func TestRunAcknowledgesEveryRecord(t *testing.T) {
 	const n = 200 // several receive batches
 	in.SendBatch(recordBodies(n))
 	waitAcked(t, in, n)
-	if in.InFlight() != 0 || in.Len() != 0 || s.Validated.Value() != n {
+	if in.InFlight() != 0 || in.Len() != 0 || s.Validated.Load() != n {
 		t.Fatalf("in flight %d, visible %d, validated %d; want 0, 0, %d",
-			in.InFlight(), in.Len(), s.Validated.Value(), n)
+			in.InFlight(), in.Len(), s.Validated.Load(), n)
 	}
 	if infos, err := s.Dest.List("/metadata"); err != nil || len(infos) != n {
 		t.Fatalf("destination holds %d documents (%v), want %d", len(infos), err, n)
@@ -258,8 +258,8 @@ func TestServiceRejectsInvalidRecord(t *testing.T) {
 	body, _ := json.Marshal(Record{FamilyID: "f"}) // no metadata
 	in.Send(body)
 	s.Drain()
-	if s.Rejected.Value() != 1 {
-		t.Fatalf("rejected = %d", s.Rejected.Value())
+	if s.Rejected.Load() != 1 {
+		t.Fatalf("rejected = %d", s.Rejected.Load())
 	}
 }
 
