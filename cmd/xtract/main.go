@@ -15,6 +15,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -71,22 +72,6 @@ func usage() {
   xtract extractors`)
 }
 
-// grouperByName resolves the CLI grouper flag.
-func grouperByName(name string, lib *extractors.Library) (crawler.GroupingFunc, error) {
-	switch name {
-	case "", "single":
-		return crawler.SingleFileGrouper(lib), nil
-	case "extension":
-		return crawler.ExtensionGrouper(lib), nil
-	case "directory":
-		return crawler.DirectoryGrouper(lib), nil
-	case "matio":
-		return crawler.MatIOGrouper(lib), nil
-	default:
-		return nil, fmt.Errorf("unknown grouper %q", name)
-	}
-}
-
 func runExtract(args []string) error {
 	fs := flag.NewFlagSet("extract", flag.ExitOnError)
 	root := fs.String("root", "", "directory to process (required)")
@@ -105,7 +90,7 @@ func runExtract(args []string) error {
 		return err
 	}
 
-	src, err := store.NewOSStore("local", *root)
+	osSrc, err := store.NewOSStore("local", *root)
 	if err != nil {
 		return err
 	}
@@ -113,13 +98,19 @@ func runExtract(args []string) error {
 	if err != nil {
 		return err
 	}
+	// An output directory inside the root (the default) is not input: a
+	// second run would extract metadata about the first run's documents.
+	var src store.Store = osSrc
+	if rel, err := filepath.Rel(osSrc.Root(), dest.Root()); err == nil && filepath.IsLocal(rel) && rel != "." {
+		src = hidingStore{Store: osSrc, hidden: store.Clean(filepath.ToSlash(rel))}
+	}
 	var validator validate.Validator = validate.Passthrough{}
 	if *validatorName == "mdf" {
 		validator = validate.NewMDF("local")
 	}
 
 	lib := extractors.DefaultLibrary()
-	grouper, err := grouperByName(*grouperName, lib)
+	grouper, err := crawler.GrouperByName(*grouperName, lib)
 	if err != nil {
 		return err
 	}
@@ -150,6 +141,22 @@ func runExtract(args []string) error {
 	fmt.Printf("validated %d metadata documents → %s\n",
 		d.Validation.Validated.Load(), *out)
 	return nil
+}
+
+// hidingStore is a store whose listings leave one directory out.
+type hidingStore struct {
+	store.Store
+	hidden string
+}
+
+func (h hidingStore) List(dir string) ([]store.FileInfo, error) {
+	infos, err := h.Store.List(dir)
+	for i, fi := range infos {
+		if fi.Path == h.hidden {
+			return append(infos[:i:i], infos[i+1:]...), err
+		}
+	}
+	return infos, err
 }
 
 func runServe(args []string) error {
@@ -276,7 +283,7 @@ func runServe(args []string) error {
 
 	lib := d.Library
 	recOpts := core.RecoveryOptions{
-		Grouper:  func(name string) (crawler.GroupingFunc, error) { return grouperByName(name, lib) },
+		Grouper:  func(name string) (crawler.GroupingFunc, error) { return crawler.GrouperByName(name, lib) },
 		OnResume: srv.TrackJob,
 		Queues: []*queue.Queue{
 			d.Queues.Families, d.Queues.Prefetch,

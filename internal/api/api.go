@@ -626,22 +626,6 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	})
 }
 
-// grouperByName maps grouper names to implementations.
-func (s *Server) grouperByName(name string) (crawler.GroupingFunc, error) {
-	switch name {
-	case "", "single":
-		return crawler.SingleFileGrouper(s.lib), nil
-	case "extension":
-		return crawler.ExtensionGrouper(s.lib), nil
-	case "directory":
-		return crawler.DirectoryGrouper(s.lib), nil
-	case "matio":
-		return crawler.MatIOGrouper(s.lib), nil
-	default:
-		return nil, fmt.Errorf("api: unknown grouper %q", name)
-	}
-}
-
 // placementKey derives the consistent-hash key that places a submission
 // on a node: the tenant plus every repository's site and roots. The key
 // is deterministic for a given request, so a client replaying a
@@ -672,9 +656,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var specs []core.RepoSpec
 	for _, repo := range req.Repos {
-		grouper, err := s.grouperByName(repo.Grouper)
+		grouper, err := crawler.GrouperByName(repo.Grouper, s.lib)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeUnknownGrouper, err)
+			writeError(w, http.StatusBadRequest, CodeUnknownGrouper, fmt.Errorf("api: %w", err))
 			return
 		}
 		if _, ok := s.svc.Site(repo.Site); !ok {

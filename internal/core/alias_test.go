@@ -28,9 +28,8 @@ func scribble(b *[]byte) {
 // the hand-off without corrupting queued messages.
 func TestPooledPayloadNotAliasedByQueue(t *testing.T) {
 	q := queue.New("alias", clock.NewReal())
-	tp := taskPayload{Extractor: "keyword", Site: "local",
-		Steps: []stepPayload{{FamilyID: "f", GroupID: "g",
-			Files: map[string]string{"/a": "/a"}}}}
+	tp := taskPayload{Extractor: "keyword",
+		Steps: []stepPayload{{FamilyID: "f", GroupID: "g", Files: []string{"/a"}}}}
 
 	const rounds = 200
 	var want []byte
@@ -89,9 +88,8 @@ func TestPooledPayloadNotAliasedByFaaS(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tp := taskPayload{Extractor: "keyword", Site: "local",
-		Steps: []stepPayload{{FamilyID: "f", GroupID: "g",
-			Files: map[string]string{"/a": "/a"}}}}
+	tp := taskPayload{Extractor: "keyword",
+		Steps: []stepPayload{{FamilyID: "f", GroupID: "g", Files: []string{"/a"}}}}
 	var want []byte
 	const rounds = 100
 	var ids []string

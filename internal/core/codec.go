@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 
 	"xtract/internal/fastjson"
@@ -9,9 +8,7 @@ import (
 
 // This file is the hot-path wire codec for the dispatch pipeline:
 // hand-rolled append-style encoders and pull decoders for the task
-// payload and task result shapes. The payload codec is byte-identical to
-// encoding/json on its structs (pinned by the equivalence and fuzz suites
-// in codec_test.go); the result codec is an internal format, see below.
+// payload and task result shapes, both internal formats (see below).
 // Reflection-driven marshaling was the dominant per-task allocation
 // source; these codecs write into pooled scratch instead.
 //
@@ -43,23 +40,19 @@ func putPayloadBuf(b *[]byte) {
 	payloadBufPool.Put(b)
 }
 
-// fieldIs reports whether a decoded object key selects the named struct
-// field, using encoding/json's matching: exact first, then
-// case-insensitive.
-func fieldIs(key []byte, name string) bool {
-	if string(key) == name {
-		return true
-	}
-	return strings.EqualFold(string(key), name)
-}
+// The task payload and the task result are internal formats: the shard
+// writes the payload and the handler of the same binary reads it, the
+// handler writes the result and the pump reads it. Both are JSON in the
+// field order and with the omitempty rules of handler.go's struct tags,
+// but the decoders are strict -- exact lower-case keys, unknown keys
+// skipped, a repeated key replaces the earlier value, null only where the
+// encoder writes it -- and owe encoding/json nothing beyond reading back
+// what the encoders wrote.
 
-// encodeTaskPayload appends t as JSON, byte-identical to
-// encoding/json.Marshal(t).
+// encodeTaskPayload appends t's body to dst.
 func encodeTaskPayload(dst []byte, t *taskPayload) []byte {
 	dst = append(dst, `{"extractor":`...)
 	dst = fastjson.AppendString(dst, t.Extractor)
-	dst = append(dst, `,"site":`...)
-	dst = fastjson.AppendString(dst, t.Site)
 	dst = append(dst, `,"steps":`...)
 	if t.Steps == nil {
 		dst = append(dst, "null"...)
@@ -84,11 +77,10 @@ func encodeStepPayload(dst []byte, sp *stepPayload) []byte {
 	dst = fastjson.AppendString(dst, sp.FamilyID)
 	dst = append(dst, `,"group_id":`...)
 	dst = fastjson.AppendString(dst, sp.GroupID)
-	dst = append(dst, `,"files":`...)
-	if sp.Files == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = fastjson.AppendStringMap(dst, sp.Files)
+	dst = fastjson.AppendStrings(append(dst, `,"files":`...), sp.Files)
+	if sp.Stage != "" {
+		dst = append(dst, `,"stage":`...)
+		dst = fastjson.AppendString(dst, sp.Stage)
 	}
 	if sp.FetchFrom != "" {
 		dst = append(dst, `,"fetch_from":`...)
@@ -97,113 +89,57 @@ func encodeStepPayload(dst []byte, sp *stepPayload) []byte {
 	return append(dst, '}')
 }
 
-// decodeTaskPayload parses data into t with encoding/json's struct
-// semantics: unknown fields skipped, null fields left untouched,
-// case-insensitive key fallback, duplicate map keys merged.
+// decodeTaskPayload parses a task body into t.
 func decodeTaskPayload(data []byte, t *taskPayload) error {
 	d := fastjson.NewDec(data)
-	if d.Null() {
-		return d.End()
-	}
-	err := d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "extractor"):
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "extractor":
+			t.Extractor, err = d.Str()
+		case "steps":
+			t.Steps = nil
 			if !d.Null() {
-				t.Extractor, err = d.Str()
-			}
-		case fieldIs(key, "site"):
-			if !d.Null() {
-				t.Site, err = d.Str()
-			}
-		case fieldIs(key, "steps"):
-			if d.Null() {
-				break
-			}
-			t.Steps = t.Steps[:0]
-			err = d.ArrEach(func() error {
-				// Grow like encoding/json: slots within capacity keep their
-				// prior contents (visible when a duplicate key re-decodes the
-				// slice), fresh slots are zero.
-				if len(t.Steps) < cap(t.Steps) {
-					t.Steps = t.Steps[:len(t.Steps)+1]
-				} else {
-					t.Steps = append(t.Steps, stepPayload{})
-				}
-				return decodeStepPayload(d, &t.Steps[len(t.Steps)-1])
-			})
-			if err == nil && t.Steps == nil {
-				// encoding/json turns an empty JSON array into a
-				// non-nil empty slice.
 				t.Steps = []stepPayload{}
+				err = d.ArrEach(func() error {
+					sp, err := decodeStepPayload(d)
+					t.Steps = append(t.Steps, sp)
+					return err
+				})
 			}
-		case fieldIs(key, "checkpoint"):
-			if !d.Null() {
-				t.Checkpoint, err = d.Bool()
-			}
+		case "checkpoint":
+			t.Checkpoint, err = d.Bool()
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = d.End()
 	}
-	return d.End()
+	return err
 }
 
-func decodeStepPayload(d *fastjson.Dec, sp *stepPayload) error {
-	if d.Null() {
-		return nil
-	}
-	return d.ObjEach(func(key []byte) error {
-		var err error
-		switch {
-		case fieldIs(key, "family_id"):
-			if !d.Null() {
-				sp.FamilyID, err = d.Str()
-			}
-		case fieldIs(key, "group_id"):
-			if !d.Null() {
-				sp.GroupID, err = d.Str()
-			}
-		case fieldIs(key, "files"):
-			if d.Null() {
-				break
-			}
-			if sp.Files == nil {
-				sp.Files = make(map[string]string, 8)
-			}
-			err = d.ObjEach(func(k []byte) error {
-				name := string(k)
-				if d.Null() {
-					sp.Files[name] = ""
-					return nil
-				}
-				v, e := d.Str()
-				if e != nil {
-					return e
-				}
-				sp.Files[name] = v
-				return nil
-			})
-		case fieldIs(key, "fetch_from"):
-			if !d.Null() {
-				sp.FetchFrom, err = d.Str()
-			}
+func decodeStepPayload(d *fastjson.Dec) (stepPayload, error) {
+	var sp stepPayload
+	err := d.ObjEach(func(key []byte) (err error) {
+		switch string(key) {
+		case "family_id":
+			sp.FamilyID, err = d.Str()
+		case "group_id":
+			sp.GroupID, err = d.Str()
+		case "files":
+			sp.Files, err = d.Strings()
+		case "stage":
+			sp.Stage, err = d.Str()
+		case "fetch_from":
+			sp.FetchFrom, err = d.Str()
 		default:
 			err = d.Skip()
 		}
 		return err
 	})
+	return sp, err
 }
-
-// The task result is an internal format: the handler writes it and the
-// pump of the same binary reads it. It is JSON in the field order and
-// with the omitempty rules of handler.go's struct tags, but the decoder
-// is strict -- exact lower-case keys, unknown keys skipped, a repeated
-// key replaces the earlier value -- and owes encoding/json nothing beyond
-// reading back what encodeTaskResult wrote.
 
 // encodeTaskResult appends r's body to dst. Each step's metadata is
 // already encoded and is spliced in as is.

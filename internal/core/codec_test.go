@@ -7,29 +7,31 @@ import (
 	"reflect"
 	"testing"
 
+	"xtract/internal/family"
 	"xtract/internal/fastjson"
 )
 
 // taskPayloadCases spans the encoder surface: empty, nil vs empty
-// slices/maps, optional fields, escaping torture, and unicode.
+// slices, optional fields, escaping torture, and unicode.
 func taskPayloadCases() []taskPayload {
 	return []taskPayload{
 		{},
-		{Extractor: "keyword", Site: "local", Steps: []stepPayload{}},
-		{Extractor: "keyword", Site: "local", Checkpoint: true,
+		{Extractor: "keyword", Steps: []stepPayload{}},
+		{Extractor: "keyword", Checkpoint: true,
 			Steps: []stepPayload{
-				{FamilyID: "f1", GroupID: "g1", Files: map[string]string{"/a.txt": "/stage/a.txt"}},
-				{FamilyID: "f2", GroupID: "g2", Files: map[string]string{}},
+				{FamilyID: "f1", GroupID: "g1", Files: []string{"/a.txt", "/b.txt"}, Stage: "/stage"},
+				{FamilyID: "f2", GroupID: "g2", Files: []string{}},
 				{FamilyID: "f3", GroupID: "g3", FetchFrom: "gdrive-east"},
 			}},
-		{Extractor: `tab"ular\`, Site: "päth/<&>", Steps: []stepPayload{
-			{FamilyID: "日本語", GroupID: "g\tid", Files: map[string]string{
-				"z": "1", "a": "2", "\x01ctl": "\x7f", "uni\u2028code": "ok",
-			}},
+		{Extractor: `tab"ular\`, Steps: []stepPayload{
+			{FamilyID: "日本語", GroupID: "g\tid", Stage: "päth/<&>",
+				Files: []string{"z", "a", "\x01ctl", "\x7f", "uni\u2028code"}},
 		}},
 	}
 }
 
+// TestEncodeTaskPayloadEquivalence keeps the body what the struct tags
+// describe, so the format stays readable with stock tools.
 func TestEncodeTaskPayloadEquivalence(t *testing.T) {
 	for i, tp := range taskPayloadCases() {
 		want, err := json.Marshal(tp)
@@ -43,50 +45,44 @@ func TestEncodeTaskPayloadEquivalence(t *testing.T) {
 	}
 }
 
-func TestDecodeTaskPayloadEquivalence(t *testing.T) {
-	docs := []string{
-		`null`,
-		`{}`,
-		`{"extractor":"keyword","site":"local","steps":[{"family_id":"f","group_id":"g","files":{"a":"b"}}],"checkpoint":true}`,
-		// Case-insensitive key fallback.
-		`{"EXTRACTOR":"up","Site":"s","Steps":[{"FAMILY_ID":"f","Group_Id":"g","FILES":{"a":"b"},"Delete_After":true,"FETCH_FROM":"ep"}]}`,
-		// Nulls leave fields untouched; null array elements become zero
-		// structs; null map values become zero strings.
-		`{"extractor":null,"steps":[null,{"family_id":"f","files":{"a":null}}],"checkpoint":null}`,
-		// Unknown fields skipped, whatever their shape.
-		`{"zzz":[1,{"q":[true,null]}],"extractor":"e","w":"x"}`,
-		// Duplicate keys: struct fields take the last value, map members
-		// merge, slices reset per occurrence.
-		`{"extractor":"first","extractor":"second","steps":[{"files":{"a":"1"},"files":{"b":"2"}}],"steps":[{"group_id":"kept"}]}`,
-		// Empty array becomes a non-nil empty slice.
-		`{"steps":[]}`,
-		// Number/string escapes inside values.
-		`{"site":"\u65e5\u672c\u8a9e \uD83D\uDE00 \n<&>","steps":[{"files":{"\u0000k":"v"}}]}`,
+// TestDecodeTaskPayloadStrict pins the internal-format rules for the
+// payload: exact lower-case keys, unknown keys skipped, a repeated key
+// replaces the earlier value, null only for files and steps (where the
+// encoder writes it), and a value of the wrong type is an error.
+func TestDecodeTaskPayloadStrict(t *testing.T) {
+	accept := []struct {
+		doc  string
+		want taskPayload
+	}{
+		{`{}`, taskPayload{}},
+		{`{"Extractor":"no","extractor":"e","STEPS":[{}],"site":"gone","zzz":[1,{"q":null}]}`, taskPayload{Extractor: "e"}},
+		{`{"steps":[{"family_id":"f"}],"steps":null,"checkpoint":true,"checkpoint":false}`, taskPayload{}},
+		{`{"steps":[]}`, taskPayload{Steps: []stepPayload{}}},
+		{`{"steps":[{"Family_ID":"no","family_id":"f","group_id":"a","group_id":"g","FILES":["no"],"files":["/x"],"files":["/y","/z"],"stage":"/s","fetch_from":"ep"}]}`,
+			taskPayload{Steps: []stepPayload{{FamilyID: "f", GroupID: "g", Files: []string{"/y", "/z"}, Stage: "/s", FetchFrom: "ep"}}}},
+		{`{"steps":[{"files":["/x"],"files":null},{"files":[]}]}`,
+			taskPayload{Steps: []stepPayload{{}, {Files: []string{}}}}},
 	}
-	for _, doc := range docs {
-		var want taskPayload
-		werr := json.Unmarshal([]byte(doc), &want)
+	for _, c := range accept {
 		var got taskPayload
-		gerr := decodeTaskPayload([]byte(doc), &got)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%s: error mismatch json=%v fast=%v", doc, werr, gerr)
-		}
-		if werr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%s:\nfast: %#v\njson: %#v", doc, got, want)
+		if err := decodeTaskPayload([]byte(c.doc), &got); err != nil {
+			t.Errorf("%s: %v", c.doc, err)
+		} else if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s:\n got: %#v\nwant: %#v", c.doc, got, c.want)
 		}
 	}
-	malformed := []string{
-		``, `{`, `{"extractor":}`, `{"steps":5}`, `{"checkpoint":"yes"}`,
-		`{} trailing`, `{"steps":[{}],}`,
+	reject := []string{
+		``, `null`, `[]`, `{`, `{} trailing`, `{"steps":[{}],}`,
+		`{"extractor":null}`, `{"extractor":5}`, `{"checkpoint":null}`, `{"checkpoint":"yes"}`,
+		`{"steps":5}`, `{"steps":{}}`, `{"steps":[null]}`, `{"steps":[[]]}`,
+		`{"steps":[{"family_id":null}]}`, `{"steps":[{"group_id":7}]}`,
+		`{"steps":[{"files":{"/a":"/a"}}]}`, `{"steps":[{"files":[null]}]}`, `{"steps":[{"files":"/a"}]}`,
+		`{"steps":[{"stage":null}]}`, `{"steps":[{"stage":["/s"]}]}`, `{"steps":[{"fetch_from":true}]}`,
 	}
-	for _, doc := range malformed {
-		var want taskPayload
-		if err := json.Unmarshal([]byte(doc), &want); err == nil {
-			t.Fatalf("expected json to reject %q", doc)
-		}
+	for _, doc := range reject {
 		var got taskPayload
 		if err := decodeTaskPayload([]byte(doc), &got); err == nil {
-			t.Errorf("fast decoder accepted %q", doc)
+			t.Errorf("decoder accepted %q as %#v", doc, got)
 		}
 	}
 }
@@ -196,6 +192,27 @@ func TestDecodeTaskResultStrict(t *testing.T) {
 	}
 }
 
+// TestPayloadNamesEachFileOnce holds the payload the pump builds for a
+// step to saying each thing once: every path appears once in the encoded
+// body, and a staged family's prefix once per step, not once per file.
+func TestPayloadNamesEachFileOnce(t *testing.T) {
+	files := []string{"/d/run/INCAR", "/d/run/OUTCAR", "/d/run/POSCAR"}
+	st := &famState{fam: family.Family{ID: "fam", Groups: []family.Group{{ID: "g", Files: files}}}}
+	for _, stage := range []string{"", "/xtract-stage"} {
+		st.stage = stage
+		sp := st.payload("g")
+		body := encodeStepPayload(nil, &sp)
+		for _, f := range files {
+			if n := bytes.Count(body, []byte(f)); n != 1 {
+				t.Errorf("stage %q: %s appears %d times in %s", stage, f, n, body)
+			}
+		}
+		if n := bytes.Count(body, []byte("/xtract-stage")); stage != "" && n != 1 {
+			t.Errorf("the stage prefix appears %d times in %s", n, body)
+		}
+	}
+}
+
 // TestTaskCodecRoundTrip pins encode→decode as the identity the
 // dispatcher and handler rely on end to end.
 func TestTaskCodecRoundTrip(t *testing.T) {
@@ -205,36 +222,31 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 		if err := decodeTaskPayload(enc, &back); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		var want taskPayload
-		if err := json.Unmarshal(enc, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back, want) {
-			t.Errorf("case %d round trip:\nfast: %#v\njson: %#v", i, back, want)
+		if !reflect.DeepEqual(back, tp) {
+			t.Errorf("case %d round trip:\n got: %#v\nwant: %#v", i, back, tp)
 		}
 	}
 }
 
-// FuzzTaskPayloadDecodeParity holds the fast decoder to encoding/json's
-// accept/reject behavior and decoded state on arbitrary input.
-func FuzzTaskPayloadDecodeParity(f *testing.F) {
-	f.Add([]byte(`{"extractor":"e","site":"s","steps":[{"family_id":"f","group_id":"g","files":{"a":"b"},"delete_after":true}],"checkpoint":true}`))
-	f.Add([]byte(`{"steps":[null],"STEPS":[]}`))
-	f.Add([]byte(`null`))
+// FuzzTaskPayloadRoundTrip: arbitrary bytes never panic the strict
+// decoder, and any body it accepts re-encodes to a fixed point.
+func FuzzTaskPayloadRoundTrip(f *testing.F) {
+	for _, tp := range taskPayloadCases() {
+		f.Add(encodeTaskPayload(nil, &tp))
+	}
+	f.Add([]byte(`{"steps":[{"files":["\ud800", "/a"],"stage":"/s","Stage":1}],"checkpoint":true}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want taskPayload
-		werr := json.Unmarshal(data, &want)
-		var got taskPayload
-		gerr := decodeTaskPayload(data, &got)
-		if werr == nil {
-			if gerr != nil {
-				t.Fatalf("json accepted, fast rejected %q: %v", data, gerr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("state divergence on %q:\nfast: %#v\njson: %#v", data, got, want)
-			}
-		} else if gerr == nil {
-			t.Fatalf("json rejected (%v), fast accepted %q", werr, data)
+		var tp taskPayload
+		if decodeTaskPayload(data, &tp) != nil {
+			return
+		}
+		enc := encodeTaskPayload(nil, &tp)
+		var again taskPayload
+		if err := decodeTaskPayload(enc, &again); err != nil {
+			t.Fatalf("own encoding %q rejected: %v", enc, err)
+		}
+		if enc2 := encodeTaskPayload(nil, &again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("not a fixed point:\n1: %s\n2: %s", enc, enc2)
 		}
 	})
 }

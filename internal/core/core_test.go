@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
+	"xtract/internal/family"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
@@ -206,6 +208,49 @@ func TestEndToEndStagingFromStorageOnlySite(t *testing.T) {
 	// Staged copies exist on river under the stage path.
 	if _, err := h.sites["river"].Stat("/xtract-stage/data/readme.md"); err != nil {
 		t.Fatalf("staged file missing: %v", err)
+	}
+}
+
+// echoExtractor reports what it was handed: the names its input is keyed
+// by, with the bytes under each.
+type echoExtractor struct{}
+
+func (echoExtractor) Name() string                { return "echo" }
+func (echoExtractor) Container() string           { return "xtract-echo" }
+func (echoExtractor) Applies(store.FileInfo) bool { return true }
+func (echoExtractor) Extract(_ *family.Group, files map[string][]byte) (map[string]interface{}, error) {
+	read := make(map[string]string, len(files))
+	for name, data := range files {
+		read[name] = string(data)
+	}
+	return map[string]interface{}{"read": read}, nil
+}
+
+// A staged family's worker reads each file under its site's stage prefix
+// and still hands it to the extractor under its original path. The
+// execution site holds a different file at that original path, which is
+// what a worker ignoring the prefix would read.
+func TestStagedStepReadsUnderItsPrefix(t *testing.T) {
+	lib := extractors.NewLibrary(echoExtractor{})
+	h := newHarnessCfg(t, []siteSpec{{name: "petrel"}, {name: "river", workers: 2}}, scheduler.LocalPolicy{},
+		func(cfg *Config) { cfg.Library = lib })
+	defer h.close()
+	if err := h.sites["petrel"].Write("/data/a.dat", []byte("from home")); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.sites["river"].Write("/data/a.dat", []byte("decoy")); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
+		SiteName: "petrel", Roots: []string{"/data"}, Grouper: crawler.SingleFileGrouper(lib),
+	}})
+	if err != nil || stats.FamiliesDone != 1 || stats.BytesStaged == 0 {
+		t.Fatalf("stats = %+v, err = %v", stats, err)
+	}
+	for _, doc := range takeDocs(t, h, 1) {
+		if !bytes.Contains(doc, []byte(`"read":{"/data/a.dat":"from home"}`)) {
+			t.Fatalf("the extractor was not handed the staged copy under the original path: %s", doc)
+		}
 	}
 }
 

@@ -44,35 +44,39 @@ type bucketKey struct {
 	hedge     bool
 }
 
-// outTask is one task outstanding on the fabric: the step refs it
-// carries and whether it is a hedge duplicate.
-type outTask struct {
+// task is the one record of an Xtract batch, from the bucket it left to
+// the commit of its last step: makeTask builds it and it travels by
+// pointer — the shard's pending list, its outstanding set, every shard
+// event about it, the pump's hedge deadlines and its steps' task lists.
+// No lock guards it because no field has two writers and each is written
+// before the record is published to its readers: refs, hedge, ready and
+// buf by makeTask; id and submitted by submit, before the first event
+// about the task enters the sink (whose mutex orders them for the pump);
+// ended by the pump alone, which is also its only reader.
+type task struct {
 	refs  []stepRef
-	hedge bool
+	hedge bool      // a speculative duplicate, never itself hedged
+	ready time.Time // earliest readyAt of its steps
+	buf   *[]byte   // pooled encode scratch behind the request's payload, until submitted
+
+	id        string    // the fabric's name for it
+	submitted time.Time // when the fabric accepted it
+
+	ended bool // the pump has resolved it; hedge deadlines and loser cancellation skip it
 }
 
 // shardEvent is one notification from a dispatcher shard back to the
-// pump: either a terminal task (info plus the step refs it carried) or a
-// dispatch failure, whose steps never reached the fabric and must go
-// through the pump's retry/dead-letter path.
+// pump about one task: it ended on the fabric (info), the fabric accepted
+// it (accepted, sent only when hedging is on: the pump arms the hedge
+// deadline and notes the task on its steps, for loser cancellation), or
+// it never got there (cause set), in which case its steps go through the
+// pump's retry/dead-letter path.
 type shardEvent struct {
-	taskID string
-	info   faas.TaskInfo
-	refs   []stepRef
-
-	// Dispatch-failure fields. When failed is set, info is meaningless
-	// and cause/detail describe why the steps could not be submitted.
-	failed bool
-	cause  string // "no_function" | "submit_error"
-	detail string
-
-	// submitted marks a task-accepted notification (hedging only): the
-	// pump arms the task's hedge deadline and records which task IDs
-	// carry which steps, for loser cancellation.
-	submitted bool
-	// hedge marks the task as a speculative duplicate, on both submitted
-	// and terminal events.
-	hedge bool
+	task     *task
+	info     faas.TaskInfo
+	accepted bool
+	cause    string // "no_function" | "submit_error"; empty unless dispatch failed
+	detail   string
 }
 
 // shardEventSink fans events from every shard into the pump. The buffer
@@ -133,12 +137,11 @@ type dispatcher struct {
 	comp   *faas.CompletionSink
 
 	buckets map[bucketKey][]dispatchItem
+	// reqs is the funcX batch being accumulated and pending the task behind
+	// each request; out holds the tasks the fabric has accepted, by ID.
 	reqs    []faas.TaskRequest
-	refs    [][]stepRef
-	bufs    []*[]byte
-	readyAt []time.Time // earliest readyAt per pending request
-	hedges  []bool      // hedge flag per pending request
-	out     map[string]outTask
+	pending []*task
+	out     map[string]*task
 }
 
 func newDispatcher(s *Service, jobID, tenant string, site *Site, sink *shardEventSink) *dispatcher {
@@ -151,7 +154,7 @@ func newDispatcher(s *Service, jobID, tenant string, site *Site, sink *shardEven
 		sink:    sink,
 		comp:    faas.NewCompletionSink(),
 		buckets: make(map[bucketKey][]dispatchItem),
-		out:     make(map[string]outTask),
+		out:     make(map[string]*task),
 	}
 }
 
@@ -188,17 +191,14 @@ func (d *dispatcher) run(ctx context.Context) {
 	}
 }
 
-// intake buckets one step; full Xtract batches become tasks immediately
-// and full funcX batches submit immediately, exactly as the paper's
-// batching layers prescribe.
+// intake buckets one step; a full Xtract batch becomes a task at once and
+// a full funcX batch is submitted at once, exactly as the paper's batching
+// layers prescribe.
 func (d *dispatcher) intake(it dispatchItem) {
 	k := bucketKey{extractor: it.extractor, hedge: it.hedge}
 	d.buckets[k] = append(d.buckets[k], it)
 	if len(d.buckets[k]) >= d.s.cfg.XtractBatchSize {
 		d.makeTask(k)
-		if len(d.reqs) >= d.s.cfg.FuncXBatchSize {
-			d.submit()
-		}
 	}
 }
 
@@ -207,46 +207,31 @@ func (d *dispatcher) intake(it dispatchItem) {
 func (d *dispatcher) flushAll() {
 	for k := range d.buckets {
 		d.makeTask(k)
-		if len(d.reqs) >= d.s.cfg.FuncXBatchSize {
-			d.submit()
-		}
 	}
 	if len(d.reqs) > 0 {
 		d.submit()
 	}
 }
 
-// makeTask turns up to one Xtract batch from the extractor's bucket into
-// a pending FaaS request. The extractor's container/endpoint tuple is
-// resolved through the registry first — an RDS query on first use,
-// served from cache afterwards (the Figure 3 t_xs cost). Resolution
-// failures go back to the pump as dispatch-failure events.
+// makeTask turns a bucket — never more than one Xtract batch, since intake
+// empties a bucket the moment it is full — into a task and its pending
+// FaaS request, and submits the funcX batch that request completes. The
+// extractor's container/endpoint tuple is resolved through the registry
+// first — an RDS query on first use, served from cache afterwards (the
+// Figure 3 t_xs cost). Resolution failures go back to the pump as
+// dispatch-failure events.
 func (d *dispatcher) makeTask(k bucketKey) {
 	extractor := k.extractor
-	items := d.buckets[k]
-	if len(items) == 0 {
-		delete(d.buckets, k)
-		return
-	}
-	n := d.s.cfg.XtractBatchSize
-	if n > len(items) {
-		n = len(items)
-	}
-	batch := items[:n]
-	if len(items) == n {
-		delete(d.buckets, k)
-	} else {
-		d.buckets[k] = items[n:]
-	}
+	batch := d.buckets[k]
+	delete(d.buckets, k)
 
+	t := &task{refs: make([]stepRef, 0, len(batch)), hedge: k.hedge, ready: batch[0].readyAt}
 	steps := make([]stepPayload, 0, len(batch))
-	refs := make([]stepRef, 0, len(batch))
-	earliest := batch[0].readyAt
 	for _, it := range batch {
 		steps = append(steps, it.sp)
-		refs = append(refs, it.ref)
-		if it.readyAt.Before(earliest) {
-			earliest = it.readyAt
+		t.refs = append(t.refs, it.ref)
+		if it.readyAt.Before(t.ready) {
+			t.ready = it.readyAt
 		}
 	}
 
@@ -257,101 +242,79 @@ func (d *dispatcher) makeTask(k bucketKey) {
 		}
 	}
 	if err != nil {
-		d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(refs))
-		d.sink.push(shardEvent{failed: true, cause: "no_function", detail: err.Error(), refs: refs})
+		d.undispatched(t, "no_function", err)
 		return
 	}
-	tp := taskPayload{
-		Extractor:  extractor,
-		Site:       d.site.Name,
-		Steps:      steps,
-		Checkpoint: d.s.cfg.Checkpoint,
-	}
-	buf := getPayloadBuf()
-	*buf = encodeTaskPayload(*buf, &tp)
-	payload := *buf
+	tp := taskPayload{Extractor: extractor, Steps: steps, Checkpoint: d.s.cfg.Checkpoint}
+	t.buf = getPayloadBuf()
+	*t.buf = encodeTaskPayload(*t.buf, &tp)
 	ep := ""
 	if cep := d.site.ComputeEndpoint(); cep != nil {
 		ep = cep.ID
 	}
-	d.reqs = append(d.reqs, faas.TaskRequest{FunctionID: fid, EndpointID: ep, Payload: payload})
-	d.refs = append(d.refs, refs)
-	d.bufs = append(d.bufs, buf)
-	d.readyAt = append(d.readyAt, earliest)
-	d.hedges = append(d.hedges, k.hedge)
+	d.reqs = append(d.reqs, faas.TaskRequest{FunctionID: fid, EndpointID: ep, Payload: *t.buf})
+	d.pending = append(d.pending, t)
+	if len(d.reqs) >= d.s.cfg.FuncXBatchSize {
+		d.submit()
+	}
+}
+
+// undispatched reports a task that never reached the fabric: its steps'
+// slots are returned and the pump decides what becomes of them.
+func (d *dispatcher) undispatched(t *task, cause string, err error) {
+	d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(t.refs))
+	d.sink.push(shardEvent{task: t, cause: cause, detail: err.Error()})
 }
 
 // submit sends the accumulated funcX batch and subscribes the shard's
 // completion sink to the new tasks. Submission failure loses the whole
-// batch: every step goes back to the pump for retry/dead-letter.
+// batch: every step goes back to the pump for retry/dead-letter. The
+// accumulation slices' backing arrays serve the next batch, cleared so
+// they pin neither payloads nor records.
 func (d *dispatcher) submit() {
-	reqs, refs, bufs, readyAt, hedges := d.reqs, d.refs, d.bufs, d.readyAt, d.hedges
-	d.reqs, d.refs, d.bufs, d.readyAt, d.hedges = nil, nil, nil, nil, nil
-	ids, err := d.s.cfg.FaaS.SubmitBatch(reqs)
-	for _, b := range bufs {
-		putPayloadBuf(b) // SubmitBatch copied every payload
-	}
-	if err != nil {
-		for _, r := range refs {
-			d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(r))
-			d.sink.push(shardEvent{failed: true, cause: "submit_error", detail: err.Error(), refs: r})
-		}
-		d.recycle(reqs, refs, bufs, readyAt, hedges)
-		return
-	}
+	ids, err := d.s.cfg.FaaS.SubmitBatch(d.reqs)
 	now := d.s.clk.Now()
-	for i, id := range ids {
-		d.out[id] = outTask{refs: refs[i], hedge: hedges[i]}
-		d.s.obsDispatchLatency.ObserveDuration(now.Sub(readyAt[i]))
+	for i, t := range d.pending {
+		putPayloadBuf(t.buf) // SubmitBatch copied every payload
+		t.buf = nil
+		if err != nil {
+			d.undispatched(t, "submit_error", err)
+			continue
+		}
+		t.id, t.submitted = ids[i], now
+		d.out[t.id] = t
+		d.s.obsDispatchLatency.ObserveDuration(now.Sub(t.ready))
 		d.s.obs.Emitf(d.jobID, obs.EvBatchDispatched, "task=%s steps=%d endpoint=%s",
-			id, len(refs[i]), reqs[i].EndpointID)
+			t.id, len(t.refs), d.reqs[i].EndpointID)
 		if d.s.hedge.Enabled {
 			// Tell the pump the task is live so it can arm the hedge
-			// deadline and map task→steps for loser cancellation.
-			d.sink.push(shardEvent{taskID: id, refs: refs[i], submitted: true, hedge: hedges[i]})
+			// deadline and note it on its steps for loser cancellation.
+			d.sink.push(shardEvent{task: t, accepted: true})
 		}
 	}
-	d.s.obsPipelineDepth.Add(float64(len(ids)))
-	d.s.cfg.FaaS.Notify(ids, d.comp)
-	d.recycle(reqs, refs, bufs, readyAt, hedges)
-}
-
-// recycle hands the accumulation slices' backing arrays back for the next
-// batch. Their elements escape submit (refs into d.out or shard events,
-// payloads into the buffer pool) but the outer arrays do not, so reusing
-// them removes four allocations per funcX batch. Elements are cleared so
-// the arrays don't pin dead payloads and refs until overwritten.
-func (d *dispatcher) recycle(reqs []faas.TaskRequest, refs [][]stepRef, bufs []*[]byte, readyAt []time.Time, hedges []bool) {
-	for i := range reqs {
-		reqs[i] = faas.TaskRequest{}
+	if err == nil {
+		d.s.obsPipelineDepth.Add(float64(len(ids)))
+		d.s.cfg.FaaS.Notify(ids, d.comp)
 	}
-	for i := range refs {
-		refs[i] = nil
-	}
-	for i := range bufs {
-		bufs[i] = nil
-	}
-	d.reqs = reqs[:0]
-	d.refs = refs[:0]
-	d.bufs = bufs[:0]
-	d.readyAt = readyAt[:0]
-	d.hedges = hedges[:0]
+	clear(d.reqs)
+	clear(d.pending)
+	d.reqs, d.pending = d.reqs[:0], d.pending[:0]
 }
 
 // terminal forwards one finished/lost task to the pump, once: the out-map
 // check claims it. The claim is also the end of the task's record on the
 // fabric: info is the only copy anyone reads from here on.
 func (d *dispatcher) terminal(id string, info faas.TaskInfo) {
-	ot, ok := d.out[id]
+	t, ok := d.out[id]
 	if !ok {
 		return
 	}
 	delete(d.out, id)
 	d.s.cfg.FaaS.Forget(id)
 	d.s.obsPipelineDepth.Dec()
-	d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(ot.refs))
+	d.s.cfg.Tenants.ReleaseTasks(d.tenant, len(t.refs))
 	d.s.recordSiteOutcome(d.site.Name, info)
-	d.sink.push(shardEvent{taskID: id, info: info, refs: ot.refs, hedge: ot.hedge})
+	d.sink.push(shardEvent{task: t, info: info})
 }
 
 // releaseAbandoned returns every fair-share task slot this shard still
@@ -365,11 +328,11 @@ func (d *dispatcher) releaseAbandoned() {
 	for _, items := range d.buckets {
 		n += len(items)
 	}
-	for _, r := range d.refs {
-		n += len(r)
+	for _, t := range d.pending {
+		n += len(t.refs)
 	}
-	for id, ot := range d.out {
-		n += len(ot.refs)
+	for id, t := range d.out {
+		n += len(t.refs)
 		d.s.cfg.FaaS.Forget(id) // nobody will read these results
 	}
 	for {

@@ -15,9 +15,14 @@ import (
 type stepPayload struct {
 	FamilyID string `json:"family_id"`
 	GroupID  string `json:"group_id"`
-	// Files maps original paths to the effective paths at the execution
-	// site (identical when data are local; staged paths when prefetched).
-	Files map[string]string `json:"files"`
+	// Files lists the group's files by their original paths: the names the
+	// extractor's input is keyed by, so metadata refers to a file's home
+	// location and not to a staging copy.
+	Files []string `json:"files"`
+	// Stage is the prefix the execution site reads them under: its staging
+	// directory for a prefetched family, empty for files read in place or
+	// fetched.
+	Stage string `json:"stage,omitempty"`
 	// FetchFrom, when set, names the transfer-fabric endpoint to download
 	// each file from at extraction time (the direct HTTPS/Drive-API path
 	// for sites without a shared file system).
@@ -25,10 +30,9 @@ type stepPayload struct {
 }
 
 // taskPayload is the body of one FaaS task: an Xtract batch of steps that
-// share an extractor and execution site.
+// share an extractor. The function it is submitted to is bound to its site.
 type taskPayload struct {
 	Extractor  string        `json:"extractor"`
-	Site       string        `json:"site"`
 	Steps      []stepPayload `json:"steps"`
 	Checkpoint bool          `json:"checkpoint,omitempty"`
 }
@@ -139,32 +143,25 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 	}
 
 	files := make(map[string][]byte, len(step.Files))
-	paths := make([]string, 0, len(step.Files))
-	for orig := range step.Files {
-		paths = append(paths, orig)
-	}
-	// Deterministic read order.
-	sort.Strings(paths)
-	for _, orig := range paths {
+	sort.Strings(step.Files) // deterministic read order
+	for _, orig := range step.Files {
 		var data []byte
 		var err error
 		if step.FetchFrom != "" {
 			// Direct download from the remote data layer (Listing 1's
 			// GoogleDriveDownloader path).
-			data, err = s.cfg.Fabric.Fetch(step.FetchFrom, step.Files[orig])
+			data, err = s.cfg.Fabric.Fetch(step.FetchFrom, step.Stage+orig)
 		} else {
-			data, err = site.Store.Read(step.Files[orig])
+			data, err = site.Store.Read(step.Stage + orig)
 		}
 		if err != nil {
-			out.Err = fmt.Sprintf("read %s: %v", step.Files[orig], err)
+			out.Err = fmt.Sprintf("read %s%s: %v", step.Stage, orig, err)
 			return out
 		}
-		// Extractors key results by the original path so metadata refers
-		// to the file's home location, not the staging copy.
 		files[orig] = data
 	}
 
-	g := &family.Group{ID: step.GroupID, Extractor: task.Extractor, Files: paths}
+	g := &family.Group{ID: step.GroupID, Extractor: task.Extractor, Files: step.Files}
 	start := s.clk.Now()
 	md, err := extract(ext, g, files)
 	out.ExtractMS = float64(s.clk.Since(start).Microseconds()) / 1000

@@ -59,10 +59,10 @@ func TestExtractorPanicFailsItsStepNotItsTask(t *testing.T) {
 	defer h.close()
 	ext, _ := lib.Get("sizer")
 	site, _ := h.svc.Site("theta")
-	task := taskPayload{Extractor: "sizer", Site: "theta"}
+	task := taskPayload{Extractor: "sizer"}
 	for _, name := range []string{"a0", "a1", "a2", "a3", "z", "a4", "a5", "a6"} {
 		p := "/repo/" + name + ".dat"
-		task.Steps = append(task.Steps, stepPayload{FamilyID: "fam-" + name, GroupID: "g-" + name, Files: map[string]string{p: p}})
+		task.Steps = append(task.Steps, stepPayload{FamilyID: "fam-" + name, GroupID: "g-" + name, Files: []string{p}})
 	}
 	body, err := h.svc.makeHandler(site, ext)(context.Background(), encodeTaskPayload(nil, &task))
 	if err != nil {

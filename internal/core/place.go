@@ -97,13 +97,11 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 			return
 		}
 	}
-	// Map every family file into the target stage dir.
-	st.staged = make(map[string]string)
-	var pairs []transfer.FilePair
+	// Every family file lands under the target's stage dir.
+	st.stage = st.site.StagePath
+	pairs := make([]transfer.FilePair, 0, len(st.fam.FileMeta))
 	for path := range st.fam.FileMeta {
-		staged := st.site.StagePath + path
-		st.staged[path] = staged
-		pairs = append(pairs, transfer.FilePair{Src: path, Dst: staged})
+		pairs = append(pairs, transfer.FilePair{Src: path, Dst: st.stage + path})
 	}
 	st.prefetchBody = transfer.AppendPrefetchTask(nil, &transfer.PrefetchTask{
 		FamilyID: st.fam.ID,
@@ -159,12 +157,13 @@ func (p *pump) failFamily(famID, reason string, attempts int) {
 // unstage ends a staged family's claim on its site. With DeleteStaged the
 // copies go — once per family, after its last step, because the groups of
 // a family share files — and their bytes return to the staging budget.
+// Only a staged family has a prefetch task.
 func (p *pump) unstage(st *famState) {
-	if st.staged == nil || !st.site.DeleteStaged {
+	if st.prefetchBody == nil || !st.site.DeleteStaged {
 		return
 	}
-	for _, staged := range st.staged {
-		_ = st.site.Store.Delete(staged) // a copy that never arrived is not an error
+	for path := range st.fam.FileMeta {
+		_ = st.site.Store.Delete(st.stage + path) // a copy that never arrived is not an error
 	}
 	st.site.releaseStage(st.fam.TotalBytes())
 }
@@ -172,17 +171,21 @@ func (p *pump) unstage(st *famState) {
 // dispatch routes one ready step to its site's shard.
 func (p *pump) dispatch(st *famState, idx int) {
 	step := st.steps[idx].step
-	if p.feed(st.site, dispatchItem{
-		extractor: step.Extractor,
-		ref:       stepRef{st, idx},
-		sp: stepPayload{
-			FamilyID:  st.fam.ID,
-			GroupID:   step.GroupID,
-			Files:     st.effectiveFiles(step.GroupID, st.staged),
-			FetchFrom: st.fetchFrom,
-		},
-	}) {
+	if p.feed(st.site, dispatchItem{extractor: step.Extractor, ref: stepRef{st, idx}, sp: st.payload(step.GroupID)}) {
 		st.steps[idx].phase = stepInflight
+	}
+}
+
+// payload is what a worker at the family's site is told about one of its
+// steps: the group's files, each named once by its original path, and
+// where that site finds them.
+func (st *famState) payload(groupID string) stepPayload {
+	return stepPayload{
+		FamilyID:  st.fam.ID,
+		GroupID:   groupID,
+		Files:     st.groupFiles(groupID),
+		Stage:     st.stage,
+		FetchFrom: st.fetchFrom,
 	}
 }
 
@@ -241,18 +244,4 @@ func (st *famState) groupFiles(groupID string) []string {
 		}
 	}
 	return nil
-}
-
-// effectiveFiles maps a group's files to where the execution site finds
-// them: at its staged copy when paths has one, else in place.
-func (st *famState) effectiveFiles(groupID string, paths map[string]string) map[string]string {
-	out := make(map[string]string)
-	for _, f := range st.groupFiles(groupID) {
-		if eff, ok := paths[f]; ok {
-			out[f] = eff
-		} else {
-			out[f] = f
-		}
-	}
-	return out
 }

@@ -25,17 +25,7 @@ import (
 type deadline struct {
 	at time.Time
 	stepRef
-	task string
-}
-
-// taskRec is one task the fabric has accepted and not yet ended, as
-// shards report them when hedging is on: its steps, for hedge deadlines
-// and loser cancellation, and its submission time — the estimator is fed
-// submit→terminal latency, the span the deadline is armed over, so
-// endpoint queueing is priced into the deadline, not counted against it.
-type taskRec struct {
-	refs      []stepRef
-	submitted time.Time
+	task *task
 }
 
 // pump is the orchestration state for one job. Only the pump goroutine
@@ -79,7 +69,6 @@ type pump struct {
 	// budget is the job's remaining retry budget.
 	budget    int
 	deadlines []deadline
-	tasks     map[string]taskRec
 
 	// pendingResults holds the validation records of the families that
 	// finished this pass, encoded back to back in resultBuf, so one
@@ -107,7 +96,6 @@ func newPump(s *Service, jobID, ten string, noCache bool, submitted <-chan struc
 		events:    newShardEventSink(),
 		shards:    make(map[string]*dispatcher),
 		budget:    s.retry.JobBudget,
-		tasks:     make(map[string]taskRec),
 		submitted: submitted,
 	}
 }
@@ -187,10 +175,8 @@ func (p *pump) nextDeadline() (deadline, bool) {
 	var next deadline
 	rest := p.deadlines[:0]
 	for _, d := range p.deadlines {
-		if d.task != "" {
-			if _, live := p.tasks[d.task]; !live {
-				continue
-			}
+		if d.task != nil && d.task.ended {
+			continue
 		}
 		rest = append(rest, d)
 		if len(rest) == 1 || d.at.Before(next.at) {
@@ -211,7 +197,7 @@ func (p *pump) await(ctx context.Context) (string, error) {
 	due := "retry"
 	if next, ok := p.nextDeadline(); ok {
 		deadlineCh = p.s.clk.After(next.at.Sub(p.s.clk.Now())) // at once when overdue
-		if next.task != "" {
+		if next.task != nil {
 			due = "hedge"
 		}
 	}
@@ -376,7 +362,7 @@ func (p *pump) intakeDeadlines() bool {
 		switch {
 		case d.at.After(now):
 			rest = append(rest, d)
-		case d.task != "":
+		case d.task != nil:
 			progress = p.fireHedge(d.task) || progress
 		case d.idx < 0:
 			progress = true
@@ -417,8 +403,8 @@ func (p *pump) handleEvents() bool {
 		}
 	}
 	for _, ev := range evs {
-		if ev.submitted {
-			p.noteSubmitted(ev)
+		if ev.accepted {
+			p.noteAccepted(ev.task)
 		} else {
 			p.resolveTask(ev)
 		}

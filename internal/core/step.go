@@ -52,7 +52,7 @@ type stepState struct {
 	key cache.Key
 	// tasks lists the accepted tasks carrying the step, whose losers are
 	// cancelled when one commits it (shards report them only when hedging).
-	tasks []string
+	tasks []*task
 }
 
 // stepRef names one step record: a dispatched step carries it through its
@@ -83,9 +83,10 @@ type famState struct {
 	// order; a stepRef indexes it.
 	steps []stepState
 	site  *Site
-	// staged maps each file to its staged copy at the site (nil: the
-	// family's files are read in place or fetched one by one).
-	staged map[string]string
+	// stage is the prefix the site's workers read the family's files under:
+	// the site's staging directory once the family is staged there, empty
+	// when its files are read in place or fetched one by one.
+	stage string
 	// results holds each finished step's metadata as the worker encoded
 	// it; the bytes are shared with the cache and the journal.
 	results map[string]fastjson.Raw
@@ -93,7 +94,8 @@ type famState struct {
 	extracted []validate.StepResult
 	fetchFrom string // direct-fetch source endpoint ("" = local/staged)
 
-	// prefetchBody is the serialized staging task, kept for re-sends.
+	// prefetchBody is the serialized staging task, kept for re-sends; only
+	// a staged family has one.
 	prefetchBody []byte
 	// stageAttempts counts staging tries for this family.
 	stageAttempts int
@@ -105,13 +107,12 @@ type famState struct {
 // outcome is what a completion brings to commitStep: the metadata and
 // whether the cache supplied it; for a fresh result also the extractor's
 // run time, the step's share of its task's submit→terminal span (zero
-// unless hedging), the task, and whether that was a speculative duplicate.
+// unless hedging) and the task.
 type outcome struct {
 	md       fastjson.Raw
 	cached   bool
 	dur, e2e time.Duration
-	task     string
-	hedge    bool
+	task     *task
 }
 
 // advance takes every step the family's plan has named since the last
@@ -238,7 +239,7 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 		p.s.estimator.Observe(step.Extractor, o.dur)
 	}
 	p.s.stepDurationHist(step.Extractor).ObserveDuration(o.dur)
-	if o.hedge {
+	if o.task.hedge {
 		p.HedgeWins++
 		p.s.obsHedgeWins.Inc()
 	}
@@ -358,43 +359,37 @@ func (p *pump) deadLetterStep(st *famState, idx int, cause string) {
 // fabric or before reaching it. Each ref is resolved exactly once, by
 // what the pump sent, not by what the worker claims to have run.
 func (p *pump) resolveTask(ev shardEvent) {
-	id, info, refs := ev.taskID, ev.info, ev.refs
-	// The task is over: retire its executions and its record before the
-	// per-step resolution below consults them.
-	var e2e time.Duration
-	if rec, ok := p.tasks[id]; ok {
-		if len(refs) > 0 {
-			e2e = p.s.clk.Now().Sub(rec.submitted) / time.Duration(len(refs))
-		}
-		delete(p.tasks, id)
-	}
-	for _, r := range refs {
+	t, info := ev.task, ev.info
+	// The task is over: retire it and its executions before the per-step
+	// resolution below consults them.
+	t.ended = true
+	for _, r := range t.refs {
 		if ss := &r.st.steps[r.idx]; ss.live > 0 {
 			ss.live--
 		}
 	}
 
 	switch {
-	case ev.failed: // the shard could not submit it: info is meaningless
-		p.failSteps(refs, ev.cause, ev.detail)
+	case ev.cause != "": // the shard could not submit it: info is meaningless
+		p.failSteps(t.refs, ev.cause, ev.detail)
 	case info.Status == faas.TaskSuccess:
-		p.resolveResult(ev, e2e)
+		p.resolveResult(t, info.Result)
 	case info.Status == faas.TaskFailed:
 		// Includes a hedge loser's cancellation, which every step's
 		// settled phase swallows.
-		p.s.obs.Emitf(p.JobID, obs.EvTaskFailed, "task=%s steps=%d err=%s", id, len(refs), info.Err)
-		p.failSteps(refs, "failed", info.Err)
+		p.s.obs.Emitf(p.JobID, obs.EvTaskFailed, "task=%s steps=%d err=%s", t.id, len(t.refs), info.Err)
+		p.failSteps(t.refs, "failed", info.Err)
 	case info.Status == faas.TaskLost:
 		// Allocation ended (Figure 8 restart): resubmit with bounded
 		// retry so a permanently dead endpoint cannot loop forever.
-		p.s.obs.Emitf(p.JobID, obs.EvTaskLost, "task=%s steps=%d", id, len(refs))
-		if requeued := p.failSteps(refs, "lost", info.Err); requeued > 0 {
+		p.s.obs.Emitf(p.JobID, obs.EvTaskLost, "task=%s steps=%d", t.id, len(t.refs))
+		if requeued := p.failSteps(t.refs, "lost", info.Err); requeued > 0 {
 			p.TasksResubmitted++
 			p.s.obsTasksResubmitted.Inc()
-			p.s.obs.Emitf(p.JobID, obs.EvTaskResubmitted, "task=%s steps=%d requeued after backoff", id, requeued)
+			p.s.obs.Emitf(p.JobID, obs.EvTaskResubmitted, "task=%s steps=%d requeued after backoff", t.id, requeued)
 		}
 	}
-	p.advanceAll(refs) // suggestions and ended backoffs become new steps
+	p.advanceAll(t.refs) // suggestions and ended backoffs become new steps
 }
 
 // resolveResult matches a successful task's result to the steps it
@@ -403,16 +398,23 @@ func (p *pump) resolveTask(ev shardEvent) {
 // result for that step (retried like any failure — left alone it would
 // stay in flight for ever), and outcomes beyond the refs are for steps
 // this task was never given: dropped, and counted as duplicates.
-func (p *pump) resolveResult(ev shardEvent, e2e time.Duration) {
+func (p *pump) resolveResult(t *task, body []byte) {
 	var result taskResult
-	if err := decodeTaskResult(ev.info.Result, &result); err != nil {
-		p.failSteps(ev.refs, "bad_result", err.Error())
-		p.s.obs.Emitf(p.JobID, obs.EvTaskFailed, "task=%s bad result payload", ev.taskID)
+	if err := decodeTaskResult(body, &result); err != nil {
+		p.failSteps(t.refs, "bad_result", err.Error())
+		p.s.obs.Emitf(p.JobID, obs.EvTaskFailed, "task=%s bad result payload", t.id)
 		return
 	}
 	p.s.obs.Emitf(p.JobID, obs.EvTaskCompleted, "task=%s extractor=%s outcomes=%d",
-		ev.taskID, result.Extractor, len(result.Outcomes))
-	for i, r := range ev.refs {
+		t.id, result.Extractor, len(result.Outcomes))
+	// The estimator is fed submit→terminal latency, the span the hedge
+	// deadline is armed over, so endpoint queueing is priced into the
+	// deadline, not counted against it. Without hedging nobody asks it.
+	var e2e time.Duration
+	if p.s.hedge.Enabled {
+		e2e = p.s.clk.Now().Sub(t.submitted) / time.Duration(len(t.refs))
+	}
+	for i, r := range t.refs {
 		var outc *stepOutcome
 		if i < len(result.Outcomes) {
 			outc = &result.Outcomes[i]
@@ -428,11 +430,11 @@ func (p *pump) resolveResult(ev shardEvent, e2e time.Duration) {
 			p.commitStep(r.st, r.idx, outcome{
 				md:  outc.Metadata,
 				dur: time.Duration(outc.ExtractMS * float64(time.Millisecond)),
-				e2e: e2e, task: ev.taskID, hedge: ev.hedge,
+				e2e: e2e, task: t,
 			})
 		}
 	}
-	if surplus := len(result.Outcomes) - len(ev.refs); surplus > 0 {
+	if surplus := len(result.Outcomes) - len(t.refs); surplus > 0 {
 		p.DuplicateSteps += int64(surplus)
 		p.s.obsHedgeFenced.Add(float64(surplus))
 	}
@@ -493,42 +495,35 @@ func (p *pump) finishFamily(st *famState) {
 // business, hedged or not; all of this is driven by the shards'
 // task-accepted events, which they send only when hedging is on.
 
-// noteSubmitted records a task accepted by the fabric: which steps it
-// carries, for loser cancellation, and — for first-attempt tasks — the
-// adaptive hedge deadline, scaled by the number of steps the task
-// carries.
-func (p *pump) noteSubmitted(ev shardEvent) {
-	if len(ev.refs) == 0 {
-		return
-	}
-	now := p.s.clk.Now()
-	p.tasks[ev.taskID] = taskRec{refs: ev.refs, submitted: now}
-	for _, r := range ev.refs {
+// noteAccepted takes in a task the fabric has accepted: its steps list
+// it, for loser cancellation, and — for first-attempt tasks — the adaptive
+// hedge deadline is armed, scaled by the number of steps the task carries.
+func (p *pump) noteAccepted(t *task) {
+	for _, r := range t.refs {
 		ss := &r.st.steps[r.idx]
-		ss.tasks = append(ss.tasks, ev.taskID)
+		ss.tasks = append(ss.tasks, t)
 	}
-	if ev.hedge {
+	if t.hedge {
 		return // hedges are never themselves hedged
 	}
-	first := ev.refs[0]
+	first := t.refs[0]
 	d := p.s.estimator.Deadline(first.st.steps[first.idx].step.Extractor, p.s.cfg.FaaS.HeartbeatTimeout)
 	if d <= 0 {
 		return
 	}
-	d *= time.Duration(len(ev.refs))
-	p.deadlines = append(p.deadlines, deadline{at: now.Add(d), task: ev.taskID})
+	d *= time.Duration(len(t.refs))
+	p.deadlines = append(p.deadlines, deadline{at: t.submitted.Add(d), task: t})
 }
 
 // fireHedge acts on a hedge deadline that has come due: if the task is
 // still running, each of its steps still in flight and not hedged before
 // (a step is never hedged twice) gets a speculative duplicate. It
 // reports whether the task was still running.
-func (p *pump) fireHedge(taskID string) bool {
-	rec, live := p.tasks[taskID]
-	if !live {
+func (p *pump) fireHedge(t *task) bool {
+	if t.ended {
 		return false // the task finished before its deadline
 	}
-	for _, r := range rec.refs {
+	for _, r := range t.refs {
 		if ss := &r.st.steps[r.idx]; ss.phase == stepInflight && !ss.hedged {
 			ss.hedged = true
 			p.dispatchHedge(r.st, r.idx)
@@ -567,22 +562,19 @@ func (p *pump) hedgeTarget(st *famState, extractor string) *Site {
 }
 
 // dispatchHedge routes one speculative duplicate. On the origin site it
-// reuses the family's effective paths; on an alternate site the worker
-// fetches the original files from the family's home data layer over the
-// transfer fabric (the same mechanism as direct-fetch placement), so a
-// hedge needs no staging.
+// reads what the original reads; on an alternate site the worker fetches
+// the original files from the family's home data layer over the transfer
+// fabric (the same mechanism as direct-fetch placement), so a hedge needs
+// no staging.
 func (p *pump) dispatchHedge(st *famState, idx int) {
 	step := st.steps[idx].step
 	target := p.hedgeTarget(st, step.Extractor)
 	if target == nil {
 		return
 	}
-	sp := stepPayload{FamilyID: st.fam.ID, GroupID: step.GroupID}
-	if target.Name == st.site.Name {
-		sp.Files = st.effectiveFiles(step.GroupID, st.staged)
-		sp.FetchFrom = st.fetchFrom
-	} else {
-		sp.Files = st.effectiveFiles(step.GroupID, nil)
+	sp := st.payload(step.GroupID)
+	if target.Name != st.site.Name {
+		sp.Stage, sp.FetchFrom = "", ""
 		if target.Name != st.fam.Store {
 			home, ok := p.s.Site(st.fam.Store)
 			if !ok {
@@ -604,23 +596,19 @@ func (p *pump) dispatchHedge(st *famState, idx int) {
 // has just been committed, freeing their workers early. A task is
 // cancelled only when every step it carries is settled — cancelling a
 // multi-step batch over one duplicate would kill innocent sibling steps.
-func (p *pump) cancelLosers(ss *stepState, winner string) {
-	for _, tid := range ss.tasks {
-		if tid == winner {
-			continue
-		}
-		rec, live := p.tasks[tid]
-		if !live {
+func (p *pump) cancelLosers(ss *stepState, winner *task) {
+	for _, t := range ss.tasks {
+		if t == winner || t.ended {
 			continue
 		}
 		all := true
-		for _, r := range rec.refs {
+		for _, r := range t.refs {
 			if r.st.steps[r.idx].phase < stepDone {
 				all = false
 				break
 			}
 		}
-		if all && p.s.cfg.FaaS.CancelTask(tid) {
+		if all && p.s.cfg.FaaS.CancelTask(t.id) {
 			p.s.obsHedgeCancelled.Inc()
 		}
 	}

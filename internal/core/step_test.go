@@ -137,10 +137,16 @@ func (m *machine) put(st *famState, idx int, phase stepPhase, live, attempts int
 	ss.key, _ = m.p.stepCacheKey(st, ss.step)
 }
 
-// terminal builds the shard event for a finished task carrying refs; outs
-// nil means the task ended with status and no result.
-func (m *machine) terminal(task string, status faas.TaskStatus, hedge bool, refs []stepRef, outs []stepOutcome) shardEvent {
-	info := faas.TaskInfo{ID: task, Status: status, Err: "task " + strings.ToLower(status.String())}
+// accepted is the record of a task carrying refs as its shard leaves it
+// once the fabric has taken the task.
+func (m *machine) accepted(id string, hedge bool, refs ...stepRef) *task {
+	return &task{id: id, hedge: hedge, refs: refs, submitted: m.clk.Now()}
+}
+
+// terminal builds the shard event for a finished task; outs nil means the
+// task ended with status and no result.
+func (m *machine) terminal(t *task, status faas.TaskStatus, outs []stepOutcome) shardEvent {
+	info := faas.TaskInfo{ID: t.id, Status: status, Err: "task " + strings.ToLower(status.String())}
 	if status == faas.TaskSuccess {
 		body, err := encodeTaskResult(nil, &taskResult{Extractor: "keyword", Outcomes: outs})
 		if err != nil {
@@ -148,7 +154,7 @@ func (m *machine) terminal(task string, status faas.TaskStatus, hedge bool, refs
 		}
 		info.Result, info.Err = body, ""
 	}
-	return shardEvent{taskID: task, info: info, refs: refs, hedge: hedge}
+	return shardEvent{task: t, info: info}
 }
 
 // ok is the outcome a worker reports for a step that extracted fine.
@@ -189,26 +195,26 @@ var committed = effects{completed: 1, billed: 1, cacheWrites: 1, results: 1, ext
 
 func TestStepTransitions(t *testing.T) {
 	complete := func(m *machine, st *famState) {
-		m.p.resolveTask(m.terminal("t1", faas.TaskSuccess, false, []stepRef{{st, 0}}, []stepOutcome{ok(st, 0)}))
+		m.p.resolveTask(m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, []stepOutcome{ok(st, 0)}))
 	}
 	stepError := func(m *machine, st *famState) {
 		bad := ok(st, 0)
 		bad.OK, bad.Err, bad.Metadata = false, "extractor blew up", nil
-		m.p.resolveTask(m.terminal("t1", faas.TaskSuccess, false, []stepRef{{st, 0}}, []stepOutcome{bad}))
+		m.p.resolveTask(m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, []stepOutcome{bad}))
 	}
 	taskFailed := func(m *machine, st *famState) {
-		m.p.resolveTask(m.terminal("t1", faas.TaskFailed, false, []stepRef{{st, 0}}, nil))
+		m.p.resolveTask(m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskFailed, nil))
 	}
 	taskLost := func(m *machine, st *famState) {
-		m.p.resolveTask(m.terminal("t1", faas.TaskLost, false, []stepRef{{st, 0}}, nil))
+		m.p.resolveTask(m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskLost, nil))
 	}
 	badResult := func(m *machine, st *famState) {
-		ev := m.terminal("t1", faas.TaskSuccess, false, []stepRef{{st, 0}}, nil)
+		ev := m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, nil)
 		ev.info.Result = []byte(`{"extractor":`)
 		m.p.resolveTask(ev)
 	}
 	neverSubmitted := func(m *machine, st *famState) {
-		m.p.events.push(shardEvent{failed: true, cause: "no_function", detail: "not registered", refs: []stepRef{{st, 0}}})
+		m.p.events.push(shardEvent{task: &task{refs: []stepRef{{st, 0}}}, cause: "no_function", detail: "not registered"})
 		m.p.handleEvents()
 	}
 	backedOff := effects{retried: 1, stats: JobStats{StepsRetried: 1}}
@@ -324,7 +330,7 @@ func TestSameCompletionTwiceHasNoSecondEffect(t *testing.T) {
 	m := newMachine(t, nil)
 	st := m.family("fam", 2)
 	m.p.advance(st) // both miss the cache and go in flight for real
-	ev := m.terminal("t1", faas.TaskSuccess, false, []stepRef{{st, 0}}, []stepOutcome{ok(st, 0)})
+	ev := m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, []stepOutcome{ok(st, 0)})
 
 	m.p.resolveTask(ev)
 	if got := m.effects(st); got.completed != 1 || got.billed != 1 || got.cacheWrites != 1 || got.stats.DuplicateSteps != 0 {
@@ -355,7 +361,7 @@ func TestShortResultRetriesTheMissingStep(t *testing.T) {
 
 	// Outcome 0 matches, outcome 1 is about a step this task never had,
 	// and there is no outcome 2.
-	m.p.resolveTask(m.terminal("t1", faas.TaskSuccess, false, refs, []stepOutcome{ok(st, 0), stranger}))
+	m.p.resolveTask(m.terminal(m.accepted("t1", false, refs...), faas.TaskSuccess, []stepOutcome{ok(st, 0), stranger}))
 	if st.steps[0].phase != stepDone || st.steps[1].phase != stepBackoff || st.steps[2].phase != stepBackoff {
 		t.Fatalf("phases = %d %d %d, want done, backoff, backoff", st.steps[0].phase, st.steps[1].phase, st.steps[2].phase)
 	}
@@ -369,7 +375,7 @@ func TestShortResultRetriesTheMissingStep(t *testing.T) {
 	}
 	// The retry's result carries one outcome too many: the surplus is for
 	// a step the task was never given and must complete nothing.
-	m.p.resolveTask(m.terminal("t2", faas.TaskSuccess, false, refs[1:], []stepOutcome{ok(st, 1), ok(st, 2), ok(st, 0)}))
+	m.p.resolveTask(m.terminal(m.accepted("t2", false, refs[1:]...), faas.TaskSuccess, []stepOutcome{ok(st, 1), ok(st, 2), ok(st, 0)}))
 	if st.phase != famFinished || m.p.FamiliesDone != 1 || m.p.StepsProcessed != 3 || m.p.DuplicateSteps != 1 {
 		t.Fatalf("family phase %d, stats %+v", st.phase, m.p.JobStats)
 	}
@@ -441,9 +447,10 @@ func TestHedgeDeadlineAndBackoffFireInTimeOrder(t *testing.T) {
 	m := newMachine(t, func(cfg *Config) { cfg.FaaS.HeartbeatTimeout = 40 * time.Millisecond })
 	st := m.family("fam", 2)
 	m.put(st, 0, stepInflight, 1, 0)
-	m.put(st, 1, stepInflight, 0, 0)                                                       // its one execution has just ended
-	m.p.noteSubmitted(shardEvent{taskID: "t0", submitted: true, refs: []stepRef{{st, 0}}}) // hedge deadline at +40ms
-	m.p.failStep(st, 1, "failed", "flaky")                                                 // backoff at +10ms
+	m.put(st, 1, stepInflight, 0, 0) // its one execution has just ended
+	t0 := m.accepted("t0", false, stepRef{st, 0})
+	m.p.noteAccepted(t0)                   // hedge deadline at +40ms
+	m.p.failStep(st, 1, "failed", "flaky") // backoff at +10ms
 	if len(m.p.deadlines) != 2 {
 		t.Fatalf("%d deadlines armed, want 2", len(m.p.deadlines))
 	}
@@ -483,13 +490,14 @@ func TestHedgeDeadlineAndBackoffFireInTimeOrder(t *testing.T) {
 	}
 	// The duplicate wins; the original's later result is a duplicate, and
 	// a step is never hedged twice.
-	m.p.noteSubmitted(shardEvent{taskID: "t0-hedge", submitted: true, hedge: true, refs: []stepRef{{st, 0}}})
-	m.p.resolveTask(m.terminal("t0-hedge", faas.TaskSuccess, true, []stepRef{{st, 0}}, []stepOutcome{ok(st, 0)}))
-	m.p.resolveTask(m.terminal("t0", faas.TaskSuccess, false, []stepRef{{st, 0}}, []stepOutcome{ok(st, 0)}))
+	dup := m.accepted("t0-hedge", true, stepRef{st, 0})
+	m.p.noteAccepted(dup)
+	m.p.resolveTask(m.terminal(dup, faas.TaskSuccess, []stepOutcome{ok(st, 0)}))
+	m.p.resolveTask(m.terminal(t0, faas.TaskSuccess, []stepOutcome{ok(st, 0)}))
 	if got := m.effects(st); got.completed != 1 || got.billed != 1 || got.stats.HedgeWins != 1 || got.stats.DuplicateSteps != 1 {
 		t.Fatalf("hedged step's effects: %+v", got)
 	}
-	if m.p.fireHedge("t0") {
+	if m.p.fireHedge(t0) {
 		t.Fatal("a finished task was hedged")
 	}
 }

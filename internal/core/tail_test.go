@@ -243,10 +243,12 @@ func TestShedCheck(t *testing.T) {
 
 // tailBlockExtractor parks exactly one execution on a channel — the
 // straggler hedging must route around — and answers instantly otherwise.
+// It keeps the names every execution's input was keyed by.
 type tailBlockExtractor struct {
 	mu      sync.Mutex
 	claimed bool
 	release chan struct{}
+	named   []string
 }
 
 func (b *tailBlockExtractor) Name() string                     { return "tailblock" }
@@ -259,6 +261,9 @@ func (b *tailBlockExtractor) Extract(g *family.Group, files map[string][]byte) (
 	if first {
 		b.claimed = true
 	}
+	for name := range files {
+		b.named = append(b.named, name)
+	}
 	b.mu.Unlock()
 	if first {
 		<-b.release
@@ -266,7 +271,18 @@ func (b *tailBlockExtractor) Extract(g *family.Group, files map[string][]byte) (
 	return map[string]interface{}{"files": len(files)}, nil
 }
 
+// The duplicate runs on the other compute site and reads the original
+// path from the family's home through FetchFrom, whether the straggler
+// reads the files in place (home alpha) or under its site's stage prefix
+// (home gamma, storage-only): either way every execution's input is keyed
+// by the original path.
 func TestHedgeWinsOverStraggler(t *testing.T) {
+	for _, home := range []string{"alpha", "gamma"} {
+		t.Run("home="+home, func(t *testing.T) { hedgeWinsOverStraggler(t, home) })
+	}
+}
+
+func hedgeWinsOverStraggler(t *testing.T, home string) {
 	ext := &tailBlockExtractor{release: make(chan struct{})}
 	defer close(ext.release)
 	ctrl := tenant.NewController(tenant.Config{})
@@ -274,6 +290,7 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	h := newHarnessCfg(t, []siteSpec{
 		{name: "alpha", workers: 4},
 		{name: "beta", workers: 4},
+		{name: "gamma"},
 	}, scheduler.LocalPolicy{}, func(cfg *Config) {
 		cfg.Library = xt.NewLibrary(ext)
 		cfg.Tenants = ctrl
@@ -289,7 +306,7 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 
 	const nfiles = 6
 	for i := 0; i < nfiles; i++ {
-		if err := h.sites["alpha"].Write(fmt.Sprintf("/d/f%02d.dat", i), []byte{byte(i)}); err != nil {
+		if err := h.sites[home].Write(fmt.Sprintf("/d/f%02d.dat", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,7 +319,7 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	}
 
 	stats, err := h.svc.RunJobWithOptions(context.Background(), []RepoSpec{{
-		SiteName: "alpha",
+		SiteName: home,
 		Roots:    []string{"/d"},
 		Grouper:  crawler.SingleFileGrouper(xt.NewLibrary(ext)),
 	}}, JobOptions{Tenant: "acme"})
@@ -312,6 +329,16 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	if stats.FamiliesDone != nfiles || stats.FamiliesFailed != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
+	if staged := stats.BytesStaged > 0; staged != (home == "gamma") {
+		t.Fatalf("bytes staged = %d from home %s", stats.BytesStaged, home)
+	}
+	ext.mu.Lock()
+	for _, name := range ext.named {
+		if !strings.HasPrefix(name, "/d/f") {
+			t.Errorf("an execution's input was keyed by %q, not by the original path", name)
+		}
+	}
+	ext.mu.Unlock()
 	if stats.StepsHedged < 1 {
 		t.Fatalf("no hedge dispatched for the blocked task: %+v", stats)
 	}

@@ -148,3 +148,21 @@ func MatIOGrouper(lib *extractors.Library) GroupingFunc {
 		return out
 	}
 }
+
+// GrouperByName resolves a grouper's name — a CLI flag, a REST request
+// field, a journaled job spec — to the grouping function over lib. The
+// empty name is the single-file grouper.
+func GrouperByName(name string, lib *extractors.Library) (GroupingFunc, error) {
+	switch name {
+	case "", "single":
+		return SingleFileGrouper(lib), nil
+	case "extension":
+		return ExtensionGrouper(lib), nil
+	case "directory":
+		return DirectoryGrouper(lib), nil
+	case "matio":
+		return MatIOGrouper(lib), nil
+	default:
+		return nil, fmt.Errorf("unknown grouper %q", name)
+	}
+}

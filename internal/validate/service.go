@@ -3,6 +3,7 @@ package validate
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,6 +31,11 @@ type Service struct {
 
 	// obsEvents is nil-safe when Instrument is never called.
 	obsEvents *obs.Tracer
+
+	// batch makes a batch exclusive from its receive to its delete, so
+	// that a Drain which finds nothing visible has also waited out the
+	// batch Run was holding.
+	batch sync.Mutex
 }
 
 // Instrument wires the service to the observability layer: the two
@@ -70,7 +76,8 @@ func (s *Service) Run(ctx context.Context) {
 }
 
 // Drain synchronously validates everything currently visible on the
-// queue. Useful at job completion and in tests.
+// queue and returns once every record received before it, by Run too, is
+// written and acknowledged. Useful at job completion and in tests.
 func (s *Service) Drain() {
 	for s.receive() {
 	}
@@ -79,6 +86,8 @@ func (s *Service) Drain() {
 // receive validates one batch and acknowledges it with a single delete,
 // reporting whether the queue delivered anything.
 func (s *Service) receive() bool {
+	s.batch.Lock()
+	defer s.batch.Unlock()
 	msgs := s.In.Receive(64, s.Visibility)
 	receipts := make([]string, len(msgs))
 	for i, m := range msgs {

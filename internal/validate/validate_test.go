@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -227,6 +228,54 @@ func TestRunAcknowledgesEveryRecord(t *testing.T) {
 	}
 	if infos, err := s.Dest.List("/metadata"); err != nil || len(infos) != n {
 		t.Fatalf("destination holds %d documents (%v), want %d", len(infos), err, n)
+	}
+}
+
+// heldStore parks the first write until release is closed, announcing it
+// on entered: a Run-side batch caught between its receive and its delete.
+type heldStore struct {
+	store.Store
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (h *heldStore) Write(path string, data []byte) error {
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+	return h.Store.Write(path, data)
+}
+
+// Drain is the barrier its callers print and exit on: with Run holding a
+// received batch — nothing visible on the queue, nothing written yet — it
+// returns only once that batch is at the destination. (At the parent
+// commit it returned at once and `xtract extract` lost those documents.)
+func TestDrainWaitsForTheBatchInFlight(t *testing.T) {
+	s, in, _, stop := runService(t)
+	defer stop()
+	held := &heldStore{Store: s.Dest, entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(held.release) })
+	defer release() // a failed test must not leave Run parked under stop
+	s.Dest = held
+	const n = 3
+	in.SendBatch(recordBodies(n))
+	<-held.entered
+
+	written := make(chan int)
+	go func() {
+		s.Drain()
+		infos, _ := s.Dest.List("/metadata")
+		written <- len(infos)
+	}()
+	select {
+	case got := <-written:
+		t.Fatalf("Drain returned with a batch in flight and %d of %d documents written", got, n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if got := <-written; got != n {
+		t.Fatalf("%d of %d documents written when Drain returned", got, n)
 	}
 }
 
