@@ -30,7 +30,6 @@ import (
 	"xtract/internal/extractors"
 	"xtract/internal/index"
 	"xtract/internal/journal"
-	"xtract/internal/queue"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
 	"xtract/internal/validate"
@@ -102,7 +101,7 @@ func runExtract(args []string) error {
 	// second run would extract metadata about the first run's documents.
 	var src store.Store = osSrc
 	if rel, err := filepath.Rel(osSrc.Root(), dest.Root()); err == nil && filepath.IsLocal(rel) && rel != "." {
-		src = hidingStore{Store: osSrc, hidden: store.Clean(filepath.ToSlash(rel))}
+		src = store.Hide(osSrc, filepath.ToSlash(rel))
 	}
 	var validator validate.Validator = validate.Passthrough{}
 	if *validatorName == "mdf" {
@@ -141,22 +140,6 @@ func runExtract(args []string) error {
 	fmt.Printf("validated %d metadata documents → %s\n",
 		d.Validation.Validated.Load(), *out)
 	return nil
-}
-
-// hidingStore is a store whose listings leave one directory out.
-type hidingStore struct {
-	store.Store
-	hidden string
-}
-
-func (h hidingStore) List(dir string) ([]store.FileInfo, error) {
-	infos, err := h.Store.List(dir)
-	for i, fi := range infos {
-		if fi.Path == h.hidden {
-			return append(infos[:i:i], infos[i+1:]...), err
-		}
-	}
-	return infos, err
 }
 
 func runServe(args []string) error {
@@ -281,17 +264,8 @@ func runServe(args []string) error {
 	}
 	srv.EnableSearch(index.New(), d.Dest, "/metadata")
 
-	lib := d.Library
-	recOpts := core.RecoveryOptions{
-		Grouper:  func(name string) (crawler.GroupingFunc, error) { return crawler.GrouperByName(name, lib) },
-		OnResume: srv.TrackJob,
-		Queues: []*queue.Queue{
-			d.Queues.Families, d.Queues.Prefetch,
-			d.Queues.PrefetchDone, d.Queues.Results,
-		},
-	}
 	if jnl != nil {
-		status, err := d.Service.Recover(d.Ctx, recOpts)
+		status, err := d.Service.Recover(d.Ctx)
 		if err != nil {
 			return err
 		}
@@ -307,10 +281,14 @@ func runServe(args []string) error {
 		fmt.Println()
 	}
 	if node != nil {
-		// The node loop heartbeats, renews this node's job leases, and
-		// scans for orphaned jobs (dead owner, ring says ours) to adopt.
-		go node.Run(d.Ctx, func(scanCtx context.Context) {
-			d.Service.FailoverScan(scanCtx, recOpts)
+		// The node loop heartbeats, renews this node's job leases — a job
+		// whose lease is lost stops here — and scans for orphaned jobs
+		// (dead owner, ring says ours) to adopt.
+		go node.Run(d.Ctx, func(scanCtx context.Context, lost []string) {
+			for _, id := range lost {
+				d.Service.Cancel(id)
+			}
+			d.Service.FailoverScan(scanCtx)
 		})
 		fmt.Printf("cluster: node %q of %d members, lease TTL %v\n",
 			node.ID(), len(node.Coordinator().Members()), *leaseTTL)

@@ -354,8 +354,7 @@ type Server struct {
 	obsHTTP *obs.CounterVec
 	baseCtx context.Context
 
-	mu        sync.Mutex
-	running   map[string]context.CancelFunc
+	mu        sync.Mutex // guards completed
 	completed *completedCache
 
 	// search integration (optional, via EnableSearch)
@@ -364,8 +363,12 @@ type Server struct {
 	destPrefix string
 }
 
+// jobResult is what a job submitted here returned. Its entry is cached
+// from the submission on, stats unset, so that between the job leaving the
+// service's live table and its result landing here no status reads
+// "finished, result evicted".
 type jobResult struct {
-	stats core.JobStats
+	stats *core.JobStats
 	err   error
 }
 
@@ -385,7 +388,7 @@ func NewServer(svc *core.Service, reg *registry.Registry, lib *extractors.Librar
 		reg:       reg,
 		lib:       lib,
 		issuer:    issuer,
-		running:   make(map[string]context.CancelFunc),
+		baseCtx:   context.Background(),
 		completed: newCompletedCache(256, time.Hour),
 	}
 }
@@ -426,13 +429,6 @@ func (s *Server) SetCompletedCacheLimits(max int, ttl time.Duration) {
 	defer s.mu.Unlock()
 	s.completed.max = max
 	s.completed.ttl = ttl
-}
-
-func (s *Server) baseContext() context.Context {
-	if s.baseCtx != nil {
-		return s.baseCtx
-	}
-	return context.Background()
 }
 
 // EnableSearch attaches a search index fed from the validated-metadata
@@ -565,21 +561,6 @@ func tenantOf(r *http.Request) string {
 	return tenant.Default
 }
 
-// ownsJob reports whether the requesting tenant owns the job record.
-// Records predating the tenancy layer have no tenant and belong to the
-// default tenant.
-func ownsJob(r *http.Request, rec registry.JobRecord) bool {
-	return tenantOf(r) == tenant.Normalize(rec.Tenant)
-}
-
-// forbidCrossTenant writes the structured 403 for a job the caller does
-// not own. The body does not confirm the job exists beyond the ID the
-// caller already supplied.
-func forbidCrossTenant(w http.ResponseWriter, jobID string) {
-	writeError(w, http.StatusForbidden, CodeTenantForbidden,
-		fmt.Errorf("api: job %s is not owned by your tenant", jobID))
-}
-
 // redirectToNode answers 307 Temporary Redirect pointing the client at
 // the owning node. 307 (not 302) so the method and body are preserved
 // when the client replays the request.
@@ -644,26 +625,19 @@ func placementKey(ten string, req JobRequest) string {
 	return b.String()
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
-		return
-	}
+// repoSpecs resolves a request's repositories to the service's terms, or
+// says with which error code the request is refused.
+func (s *Server) repoSpecs(req JobRequest) (specs []core.RepoSpec, code string, err error) {
 	if len(req.Repos) == 0 {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("api: no repositories"))
-		return
+		return nil, CodeInvalidRequest, fmt.Errorf("api: no repositories")
 	}
-	var specs []core.RepoSpec
 	for _, repo := range req.Repos {
 		grouper, err := crawler.GrouperByName(repo.Grouper, s.lib)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeUnknownGrouper, fmt.Errorf("api: %w", err))
-			return
+			return nil, CodeUnknownGrouper, fmt.Errorf("api: %w", err)
 		}
 		if _, ok := s.svc.Site(repo.Site); !ok {
-			writeError(w, http.StatusBadRequest, CodeUnknownSite, fmt.Errorf("api: unknown site %q", repo.Site))
-			return
+			return nil, CodeUnknownSite, fmt.Errorf("api: unknown site %q", repo.Site)
 		}
 		specs = append(specs, core.RepoSpec{
 			SiteName:       repo.Site,
@@ -674,6 +648,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			MaxFamilySize:  repo.MaxFamilySize,
 			NoMinTransfers: repo.NoMinTransfer,
 		})
+	}
+	return specs, "", nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		return
+	}
+	specs, code, err := s.repoSpecs(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, code, err)
+		return
 	}
 
 	// Placement runs after validation (a malformed request should 400
@@ -694,12 +682,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Retry-After — rather than letting it pile onto an already deep
 	// backlog. Shedding consumes none of the tenant's rate tokens.
 	if retry, shed := s.svc.ShedCheck(); shed {
-		secs := int(retry / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusServiceUnavailable, CodeOverloaded,
+		retryLater(w, http.StatusServiceUnavailable, CodeOverloaded, retry,
 			fmt.Errorf("api: service overloaded, retry after %s", retry))
 		return
 	}
@@ -710,59 +693,74 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := s.tenants.AdmitJob(ten); err != nil {
 		var qe *tenant.QuotaError
 		if errors.As(err, &qe) {
-			secs := int(qe.RetryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeError(w, http.StatusTooManyRequests, CodeTenantQuota, err)
+			retryLater(w, http.StatusTooManyRequests, CodeTenantQuota, qe.RetryAfter, err)
 			return
 		}
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
 
-	// The job ID is created inside RunJob; to hand the caller a handle
-	// immediately we learn the ID from the goroutine, then track the run
-	// so DELETE can cancel it. The job's context descends from the server
-	// lifecycle context, not context.Background, so server shutdown (or
-	// an explicit cancel) reaches the pump.
-	ctx, cancel := context.WithCancel(s.baseContext())
-	idCh := make(chan string, 1)
-	opts := core.JobOptions{NoCache: req.NoCache, Tenant: ten}
-	go func() {
-		stats, err := s.svc.RunJobNotifyOpts(ctx, specs, opts, idCh)
-		cancel()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.completed.put(stats.JobID, jobResult{stats: stats, err: err})
-		delete(s.running, stats.JobID)
-	}()
-	jobID := <-idCh
-	s.mu.Lock()
-	// The goroutine may already have finished (fast failure); only track
-	// the run while its result is not yet cached.
-	if _, done := s.completed.get(jobID); !done {
-		s.running[jobID] = cancel
+	// The job runs under the server's lifecycle context, not the request's:
+	// it outlives this handler, and shutdown still reaches its pump.
+	job, err := s.svc.Submit(s.baseCtx, specs, core.JobOptions{NoCache: req.NoCache, Tenant: ten})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		return
 	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, JobResponse{JobID: jobID})
+	s.cacheResult(job.ID, jobResult{})
+	go func() {
+		stats, err := job.Wait()
+		s.cacheResult(job.ID, jobResult{stats: &stats, err: err})
+	}()
+	writeJSON(w, http.StatusAccepted, JobResponse{JobID: job.ID})
 }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+// retryLater answers a submission refused for now, with the Retry-After
+// hint in whole seconds, at least one.
+func retryLater(w http.ResponseWriter, status int, code string, after time.Duration, err error) {
+	secs := int(after / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	writeError(w, status, code, err)
+}
+
+func (s *Server) cacheResult(id string, res jobResult) {
+	s.mu.Lock()
+	s.completed.put(id, res)
+	s.mu.Unlock()
+}
+
+// callersJob resolves a job route's {id} to the caller's own job on this
+// node, or answers — a redirect to the node that runs the job (a cancel
+// must reach its pump), 404 if unknown, 403 if another tenant's — and reports false.
+func (s *Server) callersJob(w http.ResponseWriter, r *http.Request) (rec registry.JobRecord, ok bool) {
 	id := r.PathValue("id")
 	if s.clusterRedirect(w, r, id) {
-		return
+		return rec, false
 	}
 	rec, err := s.reg.Job(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, CodeNotFound, err)
+		return rec, false
+	}
+	// Records predating the tenancy layer have no tenant and belong to the
+	// default one. The 403 confirms nothing beyond the ID the caller sent.
+	if tenantOf(r) != tenant.Normalize(rec.Tenant) {
+		writeError(w, http.StatusForbidden, CodeTenantForbidden,
+			fmt.Errorf("api: job %s is not owned by your tenant", id))
+		return rec, false
+	}
+	return rec, true
+}
+
+func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+	rec, ok := s.callersJob(w, r)
+	if !ok {
 		return
 	}
-	if !ownsJob(r, rec) {
-		forbidCrossTenant(w, id)
-		return
-	}
+	id := rec.ID
 	status := JobStatus{
 		JobID:    id,
 		State:    string(rec.State),
@@ -773,19 +771,20 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		Record:   rec,
 	}
 	s.mu.Lock()
-	if res, ok := s.completed.get(id); ok {
+	res, cached := s.completed.get(id)
+	s.mu.Unlock()
+	if cached && res.stats != nil {
 		status.Complete = true
-		status.Stats = &res.stats
+		status.Stats = res.stats
 		if res.err != nil {
 			status.Err = res.err.Error()
 		}
-	} else if _, run := s.running[id]; !run && rec.State.Terminal() {
-		// Finished long ago: the stats were evicted from the bounded
-		// cache, but the registry record still proves completion.
+	} else if !cached && s.svc.Job(id) == nil && rec.State.Terminal() {
+		// Finished long ago, or not submitted here (resumed, adopted): no
+		// stats to show, but the registry record still proves completion.
 		status.Complete = true
 		status.Err = rec.Err
 	}
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, status)
 }
 
@@ -845,19 +844,11 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.clusterRedirect(w, r, id) {
+	rec, ok := s.callersJob(w, r)
+	if !ok {
 		return
 	}
-	rec, err := s.reg.Job(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	if !ownsJob(r, rec) {
-		forbidCrossTenant(w, id)
-		return
-	}
+	id := rec.ID
 	events, dropped := s.obs.Tracer().Events(id)
 	if events == nil {
 		events = []obs.Event{}
@@ -866,33 +857,16 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	// A cancel must reach the node whose pump is running the job — the
-	// live lease holder — so redirect before any local lookup.
-	if s.clusterRedirect(w, r, id) {
+	rec, ok := s.callersJob(w, r)
+	if !ok {
 		return
 	}
-	// Ownership is checked against the registry record before the cancel
-	// fires — a tenant must not be able to kill another tenant's job.
-	rec, err := s.reg.Job(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	if !ownsJob(r, rec) {
-		forbidCrossTenant(w, id)
-		return
-	}
-	s.mu.Lock()
-	cancel, running := s.running[id]
-	s.mu.Unlock()
-	if running {
-		cancel()
-		writeJSON(w, http.StatusAccepted, CancelResponse{JobID: id, State: "cancelling"})
+	if s.svc.Cancel(rec.ID) {
+		writeJSON(w, http.StatusAccepted, CancelResponse{JobID: rec.ID, State: "cancelling"})
 		return
 	}
 	writeError(w, http.StatusConflict, CodeJobNotRunning,
-		fmt.Errorf("api: job %s is %s, not running", id, rec.State))
+		fmt.Errorf("api: job %s is %s, not running", rec.ID, rec.State))
 }
 
 // handleTenantUsage serves a tenant's cost accounting. A caller may only
@@ -985,20 +959,4 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleRecovery(w http.ResponseWriter, _ *http.Request) {
 	status, _ := s.svc.LastRecovery()
 	writeJSON(w, http.StatusOK, RecoveryResponse{Enabled: s.svc.JournalEnabled(), Status: status})
-}
-
-// TrackJob registers a running job's cancel function so DELETE
-// /api/v1/jobs/{id} reaches it, untracking when ctx ends — the recovery
-// path uses it for jobs resumed from the journal (pass it as
-// core.RecoveryOptions.OnResume).
-func (s *Server) TrackJob(jobID string, ctx context.Context, cancel context.CancelFunc) {
-	s.mu.Lock()
-	s.running[jobID] = cancel
-	s.mu.Unlock()
-	go func() {
-		<-ctx.Done()
-		s.mu.Lock()
-		delete(s.running, jobID)
-		s.mu.Unlock()
-	}()
 }

@@ -2,10 +2,16 @@ package api_test
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
+	"xtract/internal/api"
+	"xtract/internal/cluster"
 	"xtract/internal/core"
 	"xtract/internal/journal"
+	"xtract/internal/sdk"
+	"xtract/internal/store"
 )
 
 // TestRecoveryEndpointDisabled: a service without a journal reports
@@ -77,7 +83,7 @@ func TestRecoveryEndpointReportsRestoredJobs(t *testing.T) {
 		t.Fatalf("pre-recovery = %+v, want enabled and not ran", resp)
 	}
 
-	if _, err := deps.Svc.Recover(context.Background(), core.RecoveryOptions{}); err != nil {
+	if _, err := deps.Svc.Recover(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = client.Recovery()
@@ -115,5 +121,73 @@ func TestRecoveryEndpointReportsRestoredJobs(t *testing.T) {
 	}
 	if st.State != "CANCELLED" {
 		t.Fatalf("job-2 state = %s, want CANCELLED", st.State)
+	}
+}
+
+// TestCancelReachesRecoveredAndAdoptedJobs: DELETE /jobs/{id} finds a job
+// the service resumed from its journal, or adopted from a dead node, as it
+// finds one submitted a moment ago — through the service's own live-job
+// table, with nothing registered by whoever started the recovery or the
+// scan. The job ends CANCELLED and a second DELETE is a conflict.
+func TestCancelReachesRecoveredAndAdoptedJobs(t *testing.T) {
+	for _, tc := range []struct {
+		name, jobID string
+		clustered   bool
+	}{
+		{"resumed by Recover", "job-1", false},
+		{"adopted by FailoverScan", "job-n0-1", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := journal.StoreDir(store.NewMemFS("journal-disk", nil), "/wal")
+			prev, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prev.Append(journal.Record{Type: journal.RecJobSubmitted, JobID: tc.jobID, Spec: &journal.JobSpec{
+				Repos: []journal.RepoSpec{{Site: "local", Roots: []string{"/data"}, Grouper: "single", CrawlWorkers: 1}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := prev.Close(); err != nil {
+				t.Fatal(err)
+			}
+			jnl, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jnl.Close()
+			var node *cluster.Node
+			if tc.clustered {
+				node = cluster.NewNode(cluster.NewCoordinator(cluster.Options{Journal: jnl}), "n1", "")
+			}
+			// The slow listing keeps the job running until it is cancelled.
+			client, _, deps, done := newTestServerDepsCfg(t, false,
+				func(s store.Store) store.Store { return &slowStore{Store: s, delay: 100 * time.Millisecond} },
+				func(cfg *core.Config) { cfg.Journal, cfg.Cluster = jnl, node })
+			defer done()
+			if tc.clustered {
+				deps.Server.SetCluster(node)
+				if n := deps.Svc.FailoverScan(context.Background()); n != 1 {
+					t.Fatalf("the failover scan adopted %d jobs, want 1", n)
+				}
+			} else if status, err := deps.Svc.Recover(context.Background()); err != nil || status.Resumed != 1 {
+				t.Fatalf("recovery = %+v, %v; want the one job resumed", status, err)
+			}
+
+			if st, err := client.JobStatus(tc.jobID); err != nil || st.Complete || st.State != "EXTRACTING" {
+				t.Fatalf("status before the cancel = %+v, %v; want EXTRACTING and running", st, err)
+			}
+			if err := client.CancelJob(tc.jobID); err != nil {
+				t.Fatalf("DELETE on the %s job: %v", tc.name, err)
+			}
+			st, err := client.WaitJob(tc.jobID, time.Millisecond, 10*time.Second)
+			if err != nil || st.State != "CANCELLED" || !st.Complete {
+				t.Fatalf("status after the cancel = %+v, %v; want CANCELLED and complete", st, err)
+			}
+			var apiErr *sdk.APIError
+			if err := client.CancelJob(tc.jobID); !errors.As(err, &apiErr) || apiErr.Code != api.CodeJobNotRunning {
+				t.Fatalf("second DELETE = %v, want %s", err, api.CodeJobNotRunning)
+			}
+		})
 	}
 }

@@ -118,7 +118,7 @@ func TestExpositionMatchesDesign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Service.Recover(d.Ctx, core.RecoveryOptions{}); err != nil {
+		if _, err := d.Service.Recover(d.Ctx); err != nil {
 			t.Fatal(err)
 		}
 		return d, jnl

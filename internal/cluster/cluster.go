@@ -13,8 +13,8 @@
 // coordination service (the role etcd/ZooKeeper/DynamoDB-lock would
 // play in the paper's AWS deployment): membership, the lease table, and
 // epoch issuance live in one place that all in-process nodes share. A
-// per-node handle (Node) tracks the leases this node holds and the
-// pump cancellers to fence when one is lost.
+// per-node handle (Node) tracks the leases this node holds and reports
+// the jobs whose lease a renewal round lost.
 package cluster
 
 import (

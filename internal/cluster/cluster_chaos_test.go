@@ -29,7 +29,6 @@ import (
 	"testing"
 	"time"
 
-	"xtract/internal/core"
 	"xtract/internal/registry"
 )
 
@@ -69,13 +68,7 @@ func runChaosSeed(t *testing.T, seed int64, control chaosControlResult) {
 
 	jobCtx, jobCancel := context.WithCancel(n1.ctx)
 	defer jobCancel()
-	idCh := make(chan string, 1)
-	jobDone := make(chan error, 1)
-	go func() {
-		_, err := n1.svc.RunJobNotifyOpts(jobCtx, chaosRepos(n1.inv, delay), core.JobOptions{}, idCh)
-		jobDone <- err
-	}()
-	jobID := <-idCh
+	jobID, jobDone := startJob(t, n1.svc, jobCtx, chaosRepos(n1.inv, delay))
 
 	// The trigger may never fire if the job outruns the seeded append
 	// count — the scenario degrades to an unkilled run, which must still

@@ -18,7 +18,6 @@ package cluster_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -115,13 +114,20 @@ func countingLibrary(log *invLog, delay time.Duration) *extractors.Library {
 	return extractors.NewLibrary(wrapped...)
 }
 
-func chaosGrouper(inv *invLog, delay time.Duration) func(string) (crawler.GroupingFunc, error) {
-	return func(name string) (crawler.GroupingFunc, error) {
-		if name != "single" {
-			return nil, fmt.Errorf("unknown grouper %q", name)
-		}
-		return crawler.SingleFileGrouper(countingLibrary(inv, delay)), nil
+// startJob submits a job and returns its ID and where its error will
+// arrive once it has ended.
+func startJob(t *testing.T, svc *core.Service, ctx context.Context, repos []core.RepoSpec) (string, chan error) {
+	t.Helper()
+	job, err := svc.Submit(ctx, repos, core.JobOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := job.Wait()
+		done <- err
+	}()
+	return job.ID, done
 }
 
 func chaosRepos(inv *invLog, delay time.Duration) []core.RepoSpec {
@@ -183,7 +189,6 @@ type chaosNode struct {
 	reg      *registry.Registry
 	valsvc   *validate.Service
 	inv      *invLog
-	queues   []*queue.Queue
 	ctx      context.Context
 	cancel   context.CancelFunc
 	loopDone chan struct{}
@@ -240,7 +245,7 @@ func (cl *chaosCluster) startNode(t *testing.T, id string, delay time.Duration) 
 	reg.SetIDPrefix(id)
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fabric := transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, _ := core.NewQueues(clk)
+	_, prefetch, prefetchDone, _ := core.NewQueues(clk)
 	svc := core.New(core.Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry:      reg,
@@ -275,12 +280,15 @@ func (cl *chaosCluster) startNode(t *testing.T, id string, delay time.Duration) 
 	n := &chaosNode{
 		id: id, node: node, svc: svc, reg: reg, valsvc: valsvc, inv: inv,
 		ctx: ctx, cancel: cancel, loopDone: make(chan struct{}),
-		queues: []*queue.Queue{families, prefetch, prefetchDone, cl.results},
 	}
-	recOpts := core.RecoveryOptions{Grouper: chaosGrouper(inv, delay), Queues: n.queues}
 	go func() {
 		defer close(n.loopDone)
-		node.Run(ctx, func(c context.Context) { svc.FailoverScan(c, recOpts) })
+		node.Run(ctx, func(c context.Context, lost []string) {
+			for _, id := range lost {
+				svc.Cancel(id)
+			}
+			svc.FailoverScan(c)
+		})
 	}()
 	cl.mu.Lock()
 	cl.nodes[id] = n
@@ -411,7 +419,7 @@ func chaosControlRun(t *testing.T) chaosControlResult {
 	chaosControlOnce.Do(func() {
 		cl := newChaosCluster(t)
 		n1 := cl.startNode(t, "n1", 0)
-		stats, err := n1.svc.RunJobWithOptions(n1.ctx, chaosRepos(n1.inv, 0), core.JobOptions{})
+		stats, err := n1.svc.RunJob(n1.ctx, chaosRepos(n1.inv, 0))
 		if err != nil {
 			t.Fatalf("control run: %v", err)
 		}
@@ -473,13 +481,7 @@ func TestClusterFailoverMidDispatch(t *testing.T) {
 	n2 := cl.startNode(t, "n2", delay)
 	n3 := cl.startNode(t, "n3", delay)
 
-	idCh := make(chan string, 1)
-	jobDone := make(chan error, 1)
-	go func() {
-		_, err := n1.svc.RunJobNotifyOpts(n1.ctx, chaosRepos(n1.inv, delay), core.JobOptions{}, idCh)
-		jobDone <- err
-	}()
-	jobID := <-idCh
+	jobID, jobDone := startJob(t, n1.svc, n1.ctx, chaosRepos(n1.inv, delay))
 
 	// Wait until the job is demonstrably mid-dispatch: some completions
 	// journaled, more still to come.
@@ -556,6 +558,15 @@ func TestClusterFailoverMidDispatch(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	// The lease goes after the pump's teardown and before the job leaves
+	// its node's live table: wait for that last step, on every node.
+	for _, n := range []*chaosNode{n1, n2, n3} {
+		for deadline := time.Now().Add(5 * time.Second); n.svc.Job(jobID) != nil; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %s still holds the terminal job in its live table", n.id)
+			}
+		}
+	}
 }
 
 // TestRecoverIsLeaseAware pins the lease-aware restart path (the
@@ -600,7 +611,7 @@ func TestRecoverIsLeaseAware(t *testing.T) {
 	inv := newInvLog()
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fabric := transfer.NewFabric(clk)
-	families, prefetch, prefetchDone, results := core.NewQueues(clk)
+	_, prefetch, prefetchDone, results := core.NewQueues(clk)
 	svc := core.New(core.Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Registry:      registry.New(clk, 0),
@@ -625,10 +636,7 @@ func TestRecoverIsLeaseAware(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	status, err := svc.Recover(ctx, core.RecoveryOptions{
-		Grouper: chaosGrouper(inv, 0),
-		Queues:  []*queue.Queue{families, prefetch, prefetchDone, results},
-	})
+	status, err := svc.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package cluster
 // membership change, and lease records replaying through the journal.
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -273,7 +272,7 @@ func TestRingStability(t *testing.T) {
 
 // TestNodeRenewAllFencesLostLease exercises the per-node handle: when a
 // held lease expires and another node adopts the job, RenewAll drops
-// the lease and fires the tracked pump canceller.
+// the lease and reports the job lost.
 func TestNodeRenewAllFencesLostLease(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	c := NewCoordinator(Options{Clock: clk, LeaseTTL: time.Second})
@@ -283,8 +282,9 @@ func TestNodeRenewAllFencesLostLease(t *testing.T) {
 	if err := n1.AcquireJob("job-1"); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	n1.TrackPump("job-1", cancel)
+	if lost := n1.RenewAll(); len(lost) != 0 {
+		t.Fatalf("healthy renewal lost %v", lost)
+	}
 	if !n1.HoldsLive("job-1") {
 		t.Fatal("fresh lease not live")
 	}
@@ -297,11 +297,8 @@ func TestNodeRenewAllFencesLostLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n1.RenewAll()
-	select {
-	case <-ctx.Done():
-	default:
-		t.Fatal("losing the lease did not cancel the pump")
+	if lost := n1.RenewAll(); len(lost) != 1 || lost[0] != "job-1" {
+		t.Fatalf("losing the lease reported %v lost, want job-1", lost)
 	}
 	if n1.HoldsLive("job-1") || !n2.HoldsLive("job-1") {
 		t.Fatal("ownership not transferred")

@@ -7,18 +7,14 @@ import (
 )
 
 // Node is one serve process's handle on the cluster: its identity and
-// address, the leases it currently holds, and the pump cancellers to
-// fire when a lease is lost (the local half of fencing — a node that
-// cannot renew stops driving the job immediately instead of racing its
-// successor).
+// address, and the leases it currently holds.
 type Node struct {
 	coord *Coordinator
 	id    string
 	addr  string
 
-	mu    sync.Mutex
-	held  map[string]Lease
-	pumps map[string]context.CancelFunc
+	mu   sync.Mutex
+	held map[string]Lease
 }
 
 // NewNode creates the handle and joins the cluster.
@@ -28,7 +24,6 @@ func NewNode(c *Coordinator, id, addr string) *Node {
 		id:    id,
 		addr:  addr,
 		held:  make(map[string]Lease),
-		pumps: make(map[string]context.CancelFunc),
 	}
 	c.Join(id, addr)
 	return n
@@ -97,25 +92,11 @@ func (n *Node) Owns(key string) bool {
 	return ok && id == n.id
 }
 
-// TrackPump registers the canceller for a running job's pump so a lost
-// lease stops the pump immediately.
-func (n *Node) TrackPump(jobID string, cancel context.CancelFunc) {
-	n.mu.Lock()
-	n.pumps[jobID] = cancel
-	n.mu.Unlock()
-}
-
-// UntrackPump removes a finished job's canceller.
-func (n *Node) UntrackPump(jobID string) {
-	n.mu.Lock()
-	delete(n.pumps, jobID)
-	n.mu.Unlock()
-}
-
 // RenewAll renews every held lease. A lease that comes back fenced is
-// dropped and its pump cancelled: this node no longer owns the job, and
-// the journal-append fence stops anything already in flight.
-func (n *Node) RenewAll() {
+// dropped and its job reported lost: the journal-append fence stops what
+// is in flight, and the caller stops the job's pump (the local half of
+// fencing — this node stops driving the job instead of racing its successor).
+func (n *Node) RenewAll() (lost []string) {
 	n.mu.Lock()
 	held := make([]Lease, 0, len(n.held))
 	for _, l := range n.held {
@@ -125,30 +106,23 @@ func (n *Node) RenewAll() {
 	for _, l := range held {
 		renewed, err := n.coord.Renew(l)
 		n.mu.Lock()
-		if err == nil {
-			// Keep the newest view unless the job finished meanwhile.
-			if _, ok := n.held[l.JobID]; ok {
-				n.held[l.JobID] = renewed
-			}
-			n.mu.Unlock()
-			continue
+		if err != nil {
+			delete(n.held, l.JobID)
+			lost = append(lost, l.JobID)
+		} else if _, ok := n.held[l.JobID]; ok {
+			n.held[l.JobID] = renewed // the newest view, unless the job finished meanwhile
 		}
-		delete(n.held, l.JobID)
-		cancel := n.pumps[l.JobID]
-		delete(n.pumps, l.JobID)
 		n.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
 	}
+	return lost
 }
 
-// Run drives the node's maintenance loop until ctx ends: heartbeat,
-// lease renewal, and the failover scan (adopting unowned journaled jobs
-// this node places). The loop ticks at a third of the lease TTL so a
-// healthy node never lets a lease lapse, and reruns immediately on
-// membership changes.
-func (n *Node) Run(ctx context.Context, scan func(context.Context)) {
+// Run drives the node's maintenance loop until ctx ends: heartbeat, lease
+// renewal, and scan — which stops the jobs whose lease the round lost and
+// adopts the unowned journaled jobs this node places. The loop ticks at a
+// third of the lease TTL so a healthy node never lets a lease lapse, and
+// reruns immediately on membership changes.
+func (n *Node) Run(ctx context.Context, scan func(ctx context.Context, lost []string)) {
 	interval := n.coord.LeaseTTL() / 3
 	if n.coord.beatTTL > 0 && n.coord.beatTTL/3 < interval {
 		interval = n.coord.beatTTL / 3
@@ -159,10 +133,7 @@ func (n *Node) Run(ctx context.Context, scan func(context.Context)) {
 	changed := n.coord.Subscribe()
 	for {
 		n.coord.Heartbeat(n.id)
-		n.RenewAll()
-		if scan != nil {
-			scan(ctx)
-		}
+		scan(ctx, n.RenewAll())
 		select {
 		case <-ctx.Done():
 			return

@@ -28,7 +28,7 @@ func TestWarmRunServedFromCache(t *testing.T) {
 
 	run := func(opts JobOptions) JobStats {
 		t.Helper()
-		stats, err := h.svc.RunJobWithOptions(context.Background(), []RepoSpec{{
+		stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
 			SiteName: "theta",
 			Roots:    []string{"/mdf"},
 			Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
@@ -115,7 +115,7 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 	run := func(opts JobOptions) (JobStats, int64, map[string]string) {
 		t.Helper()
 		before, _ := src.Traffic()
-		stats, err := h.svc.RunJobWithOptions(context.Background(), []RepoSpec{{
+		stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
 			SiteName: "theta",
 			Roots:    []string{"/mdf"},
 			Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),

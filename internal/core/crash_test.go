@@ -181,16 +181,6 @@ func startCrashLifeOn(t *testing.T, jdir journal.Dir, dataFS, dest *store.MemFS,
 	}
 }
 
-// crashGrouper resolves the journaled grouper name on recovery.
-func crashGrouper(inv *invLog, delay time.Duration) func(string) (crawler.GroupingFunc, error) {
-	return func(name string) (crawler.GroupingFunc, error) {
-		if name != "single" {
-			return nil, fmt.Errorf("unknown grouper %q", name)
-		}
-		return crawler.SingleFileGrouper(countingLibrary(inv, delay)), nil
-	}
-}
-
 func crashRepos(inv *invLog, delay time.Duration) []RepoSpec {
 	return []RepoSpec{{
 		SiteName:    "site",
@@ -267,7 +257,7 @@ func crashControlRun(t *testing.T) crashControlResult {
 		inv := newInvLog()
 		life := startCrashLife(t, t.TempDir(), dataFS, dest, inv, 0)
 		defer life.cancel()
-		stats, err := life.svc.RunJobWithOptions(life.ctx, crashRepos(inv, 0), JobOptions{})
+		stats, err := life.svc.RunJob(life.ctx, crashRepos(inv, 0))
 		if err != nil {
 			t.Fatalf("control run: %v", err)
 		}
@@ -389,7 +379,7 @@ func runCrashSeed(t *testing.T, seed int64, control crashControlResult) {
 
 	jobDone := make(chan error, 1)
 	go func() {
-		_, err := life1.svc.RunJobWithOptions(life1.ctx, crashRepos(inv1, 0), JobOptions{})
+		_, err := life1.svc.RunJob(life1.ctx, crashRepos(inv1, 0))
 		jobDone <- err
 	}()
 	select {
@@ -435,10 +425,7 @@ func runCrashSeed(t *testing.T, seed int64, control crashControlResult) {
 		}
 	}
 
-	status, err := life2.svc.Recover(life2.ctx, RecoveryOptions{
-		Grouper: crashGrouper(inv2, 0),
-		Queues:  life2.queues,
-	})
+	status, err := life2.svc.Recover(life2.ctx)
 	if err != nil {
 		t.Fatalf("seed=%d: recover: %v", seed, err)
 	}
@@ -451,7 +438,7 @@ func runCrashSeed(t *testing.T, seed int64, control crashControlResult) {
 		// The crash predated the submission record's fsync: the client
 		// never had an acknowledged job. Model its retry with a fresh
 		// submission, which must still converge to the control.
-		if _, err := life2.svc.RunJobWithOptions(life2.ctx, crashRepos(inv2, 0), JobOptions{}); err != nil {
+		if _, err := life2.svc.RunJob(life2.ctx, crashRepos(inv2, 0)); err != nil {
 			t.Fatalf("seed=%d: resubmit after total journal loss: %v", seed, err)
 		}
 	} else {
@@ -525,7 +512,7 @@ func TestGracefulShutdownResume(t *testing.T) {
 	}, nil)
 	jobDone := make(chan error, 1)
 	go func() {
-		_, err := life1.svc.RunJobWithOptions(life1.ctx, crashRepos(inv1, 2*time.Millisecond), JobOptions{})
+		_, err := life1.svc.RunJob(life1.ctx, crashRepos(inv1, 2*time.Millisecond))
 		jobDone <- err
 	}()
 	select {
@@ -579,10 +566,7 @@ func TestGracefulShutdownResume(t *testing.T) {
 			t.Fatalf("drained job journaled as terminal (%s): shutdown must suspend, not cancel", js.State)
 		}
 	}
-	status, err := life2.svc.Recover(life2.ctx, RecoveryOptions{
-		Grouper: crashGrouper(inv2, 0),
-		Queues:  life2.queues,
-	})
+	status, err := life2.svc.Recover(life2.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,12 +608,14 @@ func TestCancelledJobStaysCancelledAfterRestart(t *testing.T) {
 		<-gate
 		cancelJob() // the DELETE /api/v1/jobs/{id} path cancels this context
 	}()
-	idCh := make(chan string, 1)
-	_, err := life1.svc.RunJobNotifyOpts(jobCtx, crashRepos(inv1, 2*time.Millisecond), JobOptions{}, idCh)
-	if err == nil {
+	job, err := life1.svc.Submit(jobCtx, crashRepos(inv1, 2*time.Millisecond), JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(); err == nil {
 		t.Fatal("job completed before the cancel landed")
 	}
-	jobID := <-idCh
+	jobID := job.ID
 	rec, err := life1.svc.cfg.Registry.Job(jobID)
 	if err != nil {
 		t.Fatal(err)
@@ -653,10 +639,7 @@ func TestCancelledJobStaysCancelledAfterRestart(t *testing.T) {
 	if !ok || !js.Terminal || !js.Cancelled {
 		t.Fatalf("journal lost the durable cancellation: %+v", js)
 	}
-	status, err := life2.svc.Recover(life2.ctx, RecoveryOptions{
-		Grouper: crashGrouper(inv2, 0),
-		Queues:  life2.queues,
-	})
+	status, err := life2.svc.Recover(life2.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,11 +707,13 @@ func TestCrashBeforeSubmissionDurableLeavesNoTrace(t *testing.T) {
 	// The last record before job_terminal: the kill lands with the job's
 	// work all but done, every record of it in the one unfinished batch.
 	life1.jnl.KillAtAppend(control.records - 1)
-	idCh := make(chan string, 1)
-	jobDone := make(chan error, 1)
+	submitted := make(chan *Job, 1)
 	go func() {
-		_, err := life1.svc.RunJobNotifyOpts(life1.ctx, crashRepos(inv1, 0), JobOptions{}, idCh)
-		jobDone <- err
+		job, err := life1.svc.Submit(life1.ctx, crashRepos(inv1, 0), JobOptions{})
+		if err != nil {
+			t.Error(err)
+		}
+		submitted <- job
 	}()
 	select {
 	case <-life1.jnl.Killed():
@@ -749,15 +734,17 @@ func TestCrashBeforeSubmissionDurableLeavesNoTrace(t *testing.T) {
 		t.Fatalf("%d results left the pump of a job that was never durable", sent)
 	}
 	life1.cancel()
-	if err := <-jobDone; err == nil {
-		t.Fatal("the job reported success without a durable submission")
-	}
+	eventually(t, "the cancelled job leaving the live table behind the held fsync",
+		func() bool { return liveJobs(life1.svc) == 0 })
 	held.lost.Store(true)
 	close(held.release)
-	// The ticket's waiter led the batch and sat in the held fsync; with the
-	// device back it resolves — killed, so its gate stays shut — and the
-	// reader of a buffered idCh is not left hanging.
-	jobID := <-idCh
+	// Submit led the batch and sat in the held fsync; with the device back
+	// it resolves — killed, so its gate stays shut — and returns the job.
+	job := <-submitted
+	if _, err := job.Wait(); err == nil {
+		t.Fatal("the job reported success without a durable submission")
+	}
+	jobID := job.ID
 	if sent, _ := life1.queues[3].Stats(); sent != 0 {
 		t.Fatalf("%d results left the pump once the dead journal's fsync returned", sent)
 	}
@@ -774,13 +761,12 @@ func TestCrashBeforeSubmissionDurableLeavesNoTrace(t *testing.T) {
 	if st := life2.jnl.Recovered(); len(st.Jobs) != 0 || st.LastSeq != 0 {
 		t.Fatalf("restarted journal knows %d jobs through seq %d, want nothing", len(st.Jobs), st.LastSeq)
 	}
-	idCh2 := make(chan string, 1)
-	stats, err := life2.svc.RunJobNotifyOpts(life2.ctx, crashRepos(inv2, 0), JobOptions{}, idCh2)
+	stats, err := life2.svc.RunJob(life2.ctx, crashRepos(inv2, 0))
 	if err != nil {
 		t.Fatalf("resubmission: %v", err)
 	}
-	if again := <-idCh2; again != jobID {
-		t.Fatalf("resubmission got %s, want the lost job's ID %s re-issued", again, jobID)
+	if stats.JobID != jobID {
+		t.Fatalf("resubmission got %s, want the lost job's ID %s re-issued", stats.JobID, jobID)
 	}
 	if docs := waitForDocs(t, life2.valsvc, dest, int(stats.FamiliesDone)); !docsEqual(docs, control.docs) {
 		t.Fatalf("resubmitted job wrote %d documents that differ from the control's %d", len(docs), len(control.docs))

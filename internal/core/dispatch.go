@@ -7,6 +7,7 @@ import (
 
 	"xtract/internal/faas"
 	"xtract/internal/obs"
+	"xtract/internal/transfer"
 )
 
 // This file is the dispatch half of the event-driven pipeline: one
@@ -70,8 +71,10 @@ type task struct {
 // it (accepted, sent only when hedging is on: the pump arms the hedge
 // deadline and notes the task on its steps, for loser cancellation), or
 // it never got there (cause set), in which case its steps go through the
-// pump's retry/dead-letter path.
+// pump's retry/dead-letter path. staged is not a shard's event: it is a
+// prefetcher result another job's pump took off the shared queue.
 type shardEvent struct {
+	staged   *transfer.PrefetchResult
 	task     *task
 	info     faas.TaskInfo
 	accepted bool

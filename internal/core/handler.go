@@ -59,9 +59,12 @@ type taskResult struct {
 	Outcomes  []stepOutcome `json:"outcomes"`
 }
 
+// checkpointDir holds every step checkpoint on a site's store.
+const checkpointDir = "/xtract-checkpoint"
+
 // checkpointPath is where a step's checkpoint lives on the site store.
 func checkpointPath(familyID, groupID, extractor string) string {
-	return fmt.Sprintf("/xtract-checkpoint/%s/%s-%s.json",
+	return fmt.Sprintf("%s/%s/%s-%s.json", checkpointDir,
 		sanitizePath(familyID), sanitizePath(groupID), extractor)
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
@@ -13,6 +15,7 @@ import (
 	"xtract/internal/obs"
 	"xtract/internal/queue"
 	"xtract/internal/registry"
+	"xtract/internal/store"
 	"xtract/internal/tenant"
 )
 
@@ -96,17 +99,31 @@ type JobOptions struct {
 	Tenant string
 }
 
-// RunJob crawls the given repositories and orchestrates extraction until
-// every family's plan completes. Crawling and extraction overlap: the
-// service dequeues families as the crawler emits them (the paper's
-// "begins extracting data within 3 seconds of the crawler starting").
-func (s *Service) RunJob(ctx context.Context, repos []RepoSpec) (JobStats, error) {
-	return s.RunJobNotifyOpts(ctx, repos, JobOptions{}, nil)
+// Job is the service's handle on one live job: its live-job table entry.
+type Job struct {
+	ID     string             // as the registry and the journal know it
+	cancel context.CancelFunc // ends the job's context
+	pump   *pump
+	// done closes once the job has ended and left the table; stats and err
+	// are what its run returned.
+	done  chan struct{}
+	stats JobStats
+	err   error
 }
 
-// RunJobWithOptions is RunJob with per-job overrides.
-func (s *Service) RunJobWithOptions(ctx context.Context, repos []RepoSpec, opts JobOptions) (JobStats, error) {
-	return s.RunJobNotifyOpts(ctx, repos, opts, nil)
+// Wait blocks until the job has ended and returns its stats and error.
+func (j *Job) Wait() (JobStats, error) {
+	<-j.done
+	return j.stats, j.err
+}
+
+// RunJob runs a job over the given repositories to its end: Submit, Wait.
+func (s *Service) RunJob(ctx context.Context, repos []RepoSpec) (JobStats, error) {
+	j, err := s.Submit(ctx, repos, JobOptions{})
+	if err != nil {
+		return JobStats{}, err
+	}
+	return j.Wait()
 }
 
 // journalSpec converts a job's repo list and options to the journal's
@@ -126,18 +143,21 @@ func journalSpec(repos []RepoSpec, opts JobOptions) *journal.JobSpec {
 	return js
 }
 
-// RunJobNotifyOpts is the full-surface job entry point: overrides plus
-// job-ID notification. The crawl and the pump start at once, alongside the
-// submission record's fsync; its ticket gates only what leaves the process
-// — the job ID on idCh (hence the API's 202) and the pump's results (hence
-// every document). The job's other records are ordered behind it by seq,
-// so a crash either recovers the job or leaves no trace of it.
-func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts JobOptions, idCh chan<- string) (JobStats, error) {
+// Submit starts a job and returns its handle once the submission record is
+// durable. The crawl and the pump start at once (and overlap: the paper's
+// "begins extracting data within 3 seconds of the crawler starting"),
+// alongside the record's fsync; its ticket gates only what leaves the
+// process — this return (hence the API's 202) and the pump's results (hence
+// every document). The job's other records are ordered behind it by seq, so
+// a crash either recovers the job or leaves no trace of it. The error is a
+// lease the coordination layer refused: that job never ran.
+func (s *Service) Submit(ctx context.Context, repos []RepoSpec, opts JobOptions) (*Job, error) {
 	names := make([]string, 0, len(repos))
 	for _, r := range repos {
 		names = append(names, r.SiteName)
 	}
-	jobID := s.cfg.Registry.CreateJob(tenant.Normalize(opts.Tenant), names, s.clk.Now())
+	ten := tenant.Normalize(opts.Tenant)
+	jobID := s.cfg.Registry.CreateJob(ten, names, s.clk.Now())
 	if s.cfg.Cluster != nil {
 		// Ownership lease before the submission record: a peer's failover
 		// scan sees the job in the journal's live fold only after the
@@ -147,8 +167,8 @@ func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts J
 		// Fresh IDs are node-unique, so acquisition can only fail on a
 		// coordination-layer fault.
 		if err := s.cfg.Cluster.AcquireJob(jobID); err != nil {
-			s.failJob(jobID, tenant.Normalize(opts.Tenant), err)
-			return JobStats{JobID: jobID}, err
+			s.failJob(jobID, ten, err)
+			return nil, fmt.Errorf("core: job %s: %w", jobID, err)
 		}
 	}
 	var ticket journal.Ticket // zero without a journal: nothing to wait for
@@ -159,66 +179,56 @@ func (s *Service) RunJobNotifyOpts(ctx context.Context, repos []RepoSpec, opts J
 			Type: journal.RecJobSubmitted, JobID: jobID, Spec: journalSpec(repos, opts),
 		})
 	}
-	go func() {
-		err := ticket.Wait()
-		if err != nil {
-			s.obsJournalErrors.Inc() // durability degraded, not correctness: see journalAppend
-		}
-		if submitted != nil && !errors.Is(err, journal.ErrKilled) {
-			close(submitted) // a killed journal is a dead process: its gate stays shut
-		}
-		if idCh == nil {
-			return
-		}
-		// A buffered channel takes the ID whether or not the job was
-		// cancelled meanwhile; an unbuffered reader that went away is
-		// abandoned when the job's context ends.
-		select {
-		case idCh <- jobID:
-		default:
-			select {
-			case idCh <- jobID:
-			case <-ctx.Done():
-			}
-		}
-	}()
 	s.obs.Emitf(jobID, obs.EvJobSubmitted, "repositories=%s", strings.Join(names, ","))
-	return s.runJob(ctx, jobID, repos, opts, submitted)
+	j := s.runJob(ctx, jobID, repos, opts, submitted)
+	err := ticket.Wait()
+	if err != nil {
+		s.obsJournalErrors.Inc() // durability degraded, not correctness: see journalAppend
+	}
+	if submitted != nil && !errors.Is(err, journal.ErrKilled) {
+		close(submitted) // a killed journal is a dead process: its gate stays shut
+	}
+	return j, nil
 }
 
-// runJob crawls and pumps one job to a terminal state under an existing
-// job record. It is the shared back half of submission and journal
-// recovery — recovery re-enters here with the restored job ID and an
-// open (nil) submission gate.
+// runJob is the shared back half of submission, recovery and failover
+// adoption (the last two with an open, nil, gate): it enters the job into
+// the live-job table and runs it on a goroutine and a context of its own.
 func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, opts JobOptions,
-	submitted <-chan struct{}) (JobStats, error) {
+	submitted <-chan struct{}) *Job {
+	p := newPump(s, jobID, tenant.Normalize(opts.Tenant), opts.NoCache, submitted)
+	j := &Job{ID: jobID, pump: p, done: make(chan struct{})}
+	p.jobCtx, j.cancel = context.WithCancel(ctx)
+	s.jobs.enter(s, j)
+	go func() {
+		j.stats, j.err = p.run(repos, j.cancel)
+		s.jobs.leave(j)
+		close(j.done)
+	}()
+	return j
+}
+
+// run crawls and pumps the job to a terminal state.
+func (p *pump) run(repos []RepoSpec, cancelJob context.CancelFunc) (JobStats, error) {
+	s := p.s
 	s.obsJobsActive.Inc()
 	defer s.obsJobsActive.Dec()
-	ten := tenant.Normalize(opts.Tenant)
 	// JobStarted consumes the admission reservation taken at the API
 	// front door (or a fresh slot for direct/recovered callers); the
 	// deferred JobEnded releases it whichever way the job exits.
-	s.cfg.Tenants.JobStarted(ten)
-	defer s.cfg.Tenants.JobEnded(ten)
-
-	p := newPump(s, jobID, ten, opts.NoCache, submitted)
-	var cancelJob context.CancelFunc
-	p.jobCtx, cancelJob = context.WithCancel(ctx)
+	s.cfg.Tenants.JobStarted(p.tenant)
+	defer s.cfg.Tenants.JobEnded(p.tenant)
 	defer p.teardown(cancelJob)
-	if err := p.startCrawls(repos); err != nil {
-		s.failJob(jobID, ten, err)
-		return JobStats{JobID: jobID}, err
+	err := p.startCrawls(repos)
+	if err == nil {
+		_ = s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) {
+			j.State = registry.JobExtracting
+		})
+		err = p.loop(p.jobCtx)
 	}
-	if s.cfg.Cluster != nil {
-		s.cfg.Cluster.TrackPump(jobID, cancelJob)
-	}
-	go s.scanHeartbeats(p.jobCtx)
-	_ = s.cfg.Registry.UpdateJob(jobID, func(j *registry.JobRecord) {
-		j.State = registry.JobExtracting
-	})
-	if err := p.loop(ctx); err != nil {
-		s.failJob(jobID, ten, err)
-		return JobStats{JobID: jobID}, err
+	if err != nil {
+		s.failJob(p.JobID, p.tenant, err)
+		return JobStats{JobID: p.JobID}, err
 	}
 	return p.conclude(), nil
 }
@@ -237,7 +247,9 @@ func (p *pump) startCrawls(repos []RepoSpec) error {
 		if !ok {
 			return fmt.Errorf("core: unknown site %q", spec.SiteName)
 		}
-		c := crawler.NewTo(site.Store, spec.Grouper, p.offerFamilies)
+		// What the service itself writes at the site is not the site's data.
+		own := store.Hide(site.Store, site.StagePath, checkpointDir)
+		c := crawler.NewTo(own, spec.Grouper, p.offerFamilies)
 		c.Fingerprint = s.cfg.Cache != nil && !p.noCache
 		c.Hashes = s.cfg.Cache // consulted only while fingerprinting
 		if spec.CrawlWorkers > 0 {
@@ -265,20 +277,85 @@ func (p *pump) startCrawls(repos []RepoSpec) error {
 	return nil
 }
 
-// scanHeartbeats scans endpoint liveness on its own timer, decoupled from
-// pump progress, so tasks stranded on a dead allocation surface as LOST —
-// and wake the pump through their completion notification — even while
-// the pump is busy with a submission burst.
-func (s *Service) scanHeartbeats(jobCtx context.Context) {
+// jobTable is the service's one table of live jobs. runJob enters a job
+// before its goroutine starts and that goroutine removes it after
+// teardown, on every exit; Cancel, Job and every pump's intakeStaged look
+// jobs up in it. One heartbeat scanner runs while it is non-empty.
+type jobTable struct {
+	mu   sync.Mutex
+	live map[string]*Job
+	// scanStop ends the running scanner; scanDone closes when it has gone.
+	// tick is its pending timer, which a stopped scanner leaves to the
+	// next: a service holds one however many busy spells it has.
+	scanStop, scanDone chan struct{}
+	tick               <-chan time.Time
+	strays             atomic.Int64 // staged results no family was waiting for
+}
+
+// enter adds j; the first entry starts the heartbeat scanner.
+func (t *jobTable) enter(s *Service, j *Job) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.live) == 0 {
+		prev := t.scanDone
+		t.scanStop, t.scanDone = make(chan struct{}), make(chan struct{})
+		go s.scanHeartbeats(prev, t.scanStop, t.scanDone)
+	}
+	t.live[j.ID] = j
+}
+
+// leave removes j; the last removal ends the heartbeat scanner.
+func (t *jobTable) leave(j *Job) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.live[j.ID] != j {
+		return
+	}
+	delete(t.live, j.ID)
+	if len(t.live) == 0 {
+		close(t.scanStop)
+	}
+}
+
+// Job returns the live job with this ID, or nil.
+func (s *Service) Job(id string) *Job {
+	s.jobs.mu.Lock()
+	defer s.jobs.mu.Unlock()
+	return s.jobs.live[id]
+}
+
+// Cancel ends a live job's context (see failJob) and reports if it was live.
+func (s *Service) Cancel(id string) bool {
+	j := s.Job(id)
+	if j != nil {
+		j.cancel()
+	}
+	return j != nil
+}
+
+// scanHeartbeats scans endpoint liveness on its own timer, so tasks
+// stranded on a dead allocation surface as LOST — and wake their pump
+// through their completion notification — even while the pumps are busy.
+// It starts once the scanner before it (prev) has gone, and until stop
+// closes is the only user of the table's tick.
+func (s *Service) scanHeartbeats(prev, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	if prev != nil {
+		<-prev
+	}
 	interval := s.cfg.FaaS.HeartbeatTimeout / 4
 	if interval < time.Millisecond {
 		interval = time.Millisecond
 	}
 	for {
+		if s.jobs.tick == nil {
+			s.jobs.tick = s.clk.After(interval)
+		}
 		select {
-		case <-jobCtx.Done():
+		case <-stop:
 			return
-		case <-s.clk.After(interval):
+		case <-s.jobs.tick:
+			s.jobs.tick = nil
 			s.cfg.FaaS.CheckHeartbeats()
 		}
 	}
@@ -294,15 +371,12 @@ func (p *pump) teardown(cancelJob context.CancelFunc) {
 	for _, st := range p.fams {
 		p.unstage(st) // the tombstone holds nothing staged
 	}
-	if cl := p.s.cfg.Cluster; cl != nil {
-		cl.UntrackPump(p.JobID)
-		// A draining node keeps its leases: they expire on their own
-		// TTL, which is exactly how a dead node's jobs become
-		// adoptable. Any other exit releases the lease after the
-		// terminal record (the release record then post-dates it).
-		if !p.s.draining.Load() {
-			cl.ReleaseJob(p.JobID)
-		}
+	// A draining node keeps its leases: they expire on their own TTL,
+	// which is exactly how a dead node's jobs become adoptable. Any other
+	// exit releases the lease after the terminal record (the release
+	// record then post-dates it).
+	if cl := p.s.cfg.Cluster; cl != nil && !p.s.draining.Load() {
+		cl.ReleaseJob(p.JobID)
 	}
 }
 
@@ -331,20 +405,9 @@ func (p *pump) conclude() JobStats {
 		errMsg = fmt.Sprintf("core: degraded: %d families partial, %d steps dead-lettered",
 			p.FamiliesDegraded, p.StepsDeadLettered)
 	}
-	// Durable first: a client that reads the terminal state finds it after
-	// a crash (a journal device error degrades exactly that, nothing else).
-	s.journalAppend(journal.Record{
-		Type: journal.RecJobTerminal, JobID: p.JobID,
-		State: string(state), Err: errMsg,
+	s.endJob(p.JobID, p.tenant, state, errMsg, func(j *registry.JobRecord) {
+		j.GroupsCrawled, j.GroupsDone = p.Crawl.GroupsFormed, p.StepsProcessed
 	})
-	_ = s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) {
-		j.State = state
-		j.GroupsCrawled = p.Crawl.GroupsFormed
-		j.GroupsDone = p.StepsProcessed
-		j.Err = errMsg
-	})
-	s.obsJobs.with(string(state)).Inc()
-	s.cfg.Tenants.JobOutcome(p.tenant, string(state))
 	s.obs.Emitf(p.JobID, event, "families_failed=%d steps_dead_lettered=%d cache_hits=%d elapsed=%s",
 		p.FamiliesFailed, p.StepsDeadLettered, p.CacheHits, p.Elapsed)
 	return p.JobStats
@@ -379,21 +442,29 @@ func (s *Service) failJob(jobID, ten string, err error) {
 		state = registry.JobCancelled
 		event = obs.EvJobCancelled
 	}
-	// Durable before visible, as in conclude.
+	s.endJob(jobID, ten, state, err.Error(), nil)
+	s.obs.Emit(jobID, event, err.Error())
+}
+
+// endJob records a job's terminal state, durable before visible: a client
+// that reads it finds it after a crash (a journal device error degrades
+// exactly that, nothing else). A cancellation has a record type of its own
+// — a restarted service must not resurrect a job the user cancelled. more,
+// when set, adds to the registry record in the same update.
+func (s *Service) endJob(jobID, ten string, state registry.JobState, errMsg string, more func(*registry.JobRecord)) {
+	rec := journal.Record{Type: journal.RecJobTerminal, JobID: jobID, State: string(state), Err: errMsg}
 	if state == registry.JobCancelled {
-		// Durable cancellation: a restarted service must not resurrect a
-		// job the user cancelled.
-		s.journalAppend(journal.Record{Type: journal.RecJobCancelled, JobID: jobID, Err: err.Error()})
-	} else {
-		s.journalAppend(journal.Record{Type: journal.RecJobTerminal, JobID: jobID, State: string(state), Err: err.Error()})
+		rec = journal.Record{Type: journal.RecJobCancelled, JobID: jobID, Err: errMsg}
 	}
+	s.journalAppend(rec)
 	_ = s.cfg.Registry.UpdateJob(jobID, func(j *registry.JobRecord) {
-		j.State = state
-		j.Err = err.Error()
+		j.State, j.Err = state, errMsg
+		if more != nil {
+			more(j)
+		}
 	})
 	s.obsJobs.with(string(state)).Inc()
 	s.cfg.Tenants.JobOutcome(ten, string(state))
-	s.obs.Emit(jobID, event, err.Error())
 }
 
 // NewQueues is a convenience constructor for the four queues a service

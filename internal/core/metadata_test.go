@@ -111,7 +111,7 @@ func TestColdAndWarmJobsWriteIdenticalBytes(t *testing.T) {
 	}
 	run := func(opts JobOptions) (JobStats, map[string][]byte) {
 		t.Helper()
-		stats, err := h.svc.RunJobWithOptions(context.Background(), []RepoSpec{{
+		stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
 			SiteName: "theta", Roots: []string{"/repo"},
 			Grouper: crawler.MatIOGrouper(extractors.DefaultLibrary()),
 			// One crawl worker: min-transfers packaging draws from a
@@ -362,7 +362,7 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 	jpath1 := t.TempDir()
 	inv1 := newInvLog()
 	life1 := startCrashLife(t, jpath1, dataFS, dest1, inv1, 0)
-	stats, err := life1.svc.RunJobWithOptions(life1.ctx, crashRepos(inv1, 0), JobOptions{})
+	stats, err := life1.svc.RunJob(life1.ctx, crashRepos(inv1, 0))
 	if err != nil || stats.FamiliesFailed != 0 {
 		t.Fatalf("first life: %+v, %v", stats, err)
 	}
@@ -413,10 +413,7 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 		life2.cancel()
 		_ = life2.jnl.Close()
 	}()
-	status, err := life2.svc.Recover(life2.ctx, RecoveryOptions{
-		Grouper: crashGrouper(inv2, 0),
-		Queues:  life2.queues,
-	})
+	status, err := life2.svc.Recover(life2.ctx)
 	if err != nil || status.Resumed != 1 {
 		t.Fatalf("recovery = %+v, %v; want one job resumed", status, err)
 	}

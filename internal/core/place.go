@@ -104,6 +104,7 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 		pairs = append(pairs, transfer.FilePair{Src: path, Dst: st.stage + path})
 	}
 	st.prefetchBody = transfer.AppendPrefetchTask(nil, &transfer.PrefetchTask{
+		JobID:    p.JobID,
 		FamilyID: st.fam.ID,
 		Src:      home.TransferID,
 		Dst:      st.site.TransferID,

@@ -62,9 +62,6 @@ type pump struct {
 	events  *shardEventSink
 	shards  map[string]*dispatcher
 	shardWG sync.WaitGroup
-	// prefetchGate, when non-nil, pauses PrefetchDone reads briefly after
-	// a batch that held only other jobs' results (see intakeStaged).
-	prefetchGate <-chan time.Time
 
 	// budget is the job's remaining retry budget.
 	budget    int
@@ -104,8 +101,7 @@ func newPump(s *Service, jobID, ten string, noCache bool, submitted <-chan struc
 // drains every actionable source to empty, then blocks in await until a
 // wakeup channel signals. The wakeup/idle split is the orchestration
 // bench's headline number — an idle wakeup means a signal fired with
-// nothing for this job to do (essentially only foreign results on the
-// shared prefetch queue).
+// nothing for this job to do.
 func (p *pump) loop(ctx context.Context) error {
 	woke := "start"
 	for {
@@ -189,9 +185,10 @@ func (p *pump) nextDeadline() (deadline, bool) {
 
 // await blocks until some event source signals work for this job: a
 // crawl finishing, the crawl hand-off, the shared prefetch-done queue
-// (only while this job is staging), a shard event, the earliest deadline
-// coming due, the foreign-result or the submission gate opening. It
-// returns a low-cardinality reason label for the wakeup counter.
+// (only while this job is staging), a shard event or a staged result
+// another pump routed here, the earliest deadline coming due, or the
+// submission gate opening. It returns a low-cardinality reason label for
+// the wakeup counter.
 func (p *pump) await(ctx context.Context) (string, error) {
 	var deadlineCh <-chan time.Time
 	due := "retry"
@@ -202,10 +199,9 @@ func (p *pump) await(ctx context.Context) (string, error) {
 		}
 	}
 	// The shared prefetch-done queue only matters while this job has
-	// families staging; while the foreign-result gate is closed, wait for
-	// it to reopen instead of the queue's ready channel.
+	// families staging.
 	var prefetchReady <-chan struct{}
-	if p.prefetchGate == nil && p.famCount[famStaging] > 0 {
+	if p.famCount[famStaging] > 0 {
 		prefetchReady = p.s.cfg.PrefetchDone.Ready()
 	}
 	var durable <-chan struct{}
@@ -236,9 +232,6 @@ func (p *pump) await(ctx context.Context) (string, error) {
 		return "events", nil
 	case <-deadlineCh:
 		return due, nil
-	case <-p.prefetchGate:
-		p.prefetchGate = nil
-		return "staged", nil
 	}
 }
 
@@ -296,54 +289,63 @@ func (p *pump) takeFamilies(fams []family.Family) {
 	}
 }
 
-// intakeStaged consumes prefetcher results and readies staged families.
-// Results for families this pump is not staging belong to a concurrent
-// job sharing the queue: they are made visible again (Nack), never
-// deleted, and do not count as progress. A batch of only such foreign
-// results closes the prefetch gate briefly — each Nack re-signals the
-// queue's ready channel, and without the gate two staging jobs would
-// ping-pong wakeups at full speed.
+// intakeStaged reads the shared prefetch-done queue to empty, as its ready
+// channel's contract asks of whoever takes the token. Every staging pump
+// reads it and none competes: a result names its job; this job's are taken
+// here, another live job's go onto its pump's event sink, and every
+// message is deleted, never re-queued. A result nobody waits for — its job
+// has ended, its family is no longer staging — is dropped and counted: a
+// job that ends with families staging restages them if it is resumed.
 func (p *pump) intakeStaged() bool {
-	if p.famCount[famStaging] == 0 || p.prefetchGate != nil {
-		return false
-	}
-	msgs := p.s.cfg.PrefetchDone.Receive(64, 5*time.Minute)
-	if len(msgs) == 0 {
+	if p.famCount[famStaging] == 0 {
 		return false
 	}
 	progress := false
-	acks := make([]string, 0, len(msgs))
-	for _, m := range msgs {
-		var res transfer.PrefetchResult
-		if err := transfer.DecodePrefetchResult(m.Body, &res); err != nil {
-			acks = append(acks, m.Receipt)
-			progress = true
-			continue
-		}
-		st, ok := p.fams[res.FamilyID]
-		if !ok || st.phase != famStaging {
-			_ = p.s.cfg.PrefetchDone.Nack(m.Receipt)
-			continue
+	for {
+		msgs := p.s.cfg.PrefetchDone.Receive(64, 5*time.Minute)
+		if len(msgs) == 0 {
+			return progress
 		}
 		progress = true
-		if res.OK {
-			p.BytesStaged += res.Bytes
-			p.s.cfg.Tenants.AddBytesStaged(p.tenant, res.Bytes)
-			p.s.obsBytesStaged.Add(float64(res.Bytes))
-			p.s.obs.Emitf(p.JobID, obs.EvFamilyStaged, "family=%s bytes=%d elapsed=%s",
-				res.FamilyID, res.Bytes, res.Elapsed)
-			p.setFamPhase(st, famRunning)
-			p.advance(st)
-		} else {
-			p.failStaging(st, "staging failed: "+res.Err)
+		acks := make([]string, 0, len(msgs))
+		for _, m := range msgs {
+			acks = append(acks, m.Receipt)
+			var res transfer.PrefetchResult
+			switch err := transfer.DecodePrefetchResult(m.Body, &res); {
+			case err != nil: // poison: deleted
+			case res.JobID == p.JobID:
+				p.takeStaged(&res)
+			default:
+				if j := p.s.Job(res.JobID); j != nil {
+					routed := res // res itself stays on the stack for a job's own results
+					j.pump.events.push(shardEvent{staged: &routed})
+				} else {
+					p.s.jobs.strays.Add(1)
+				}
+			}
 		}
-		acks = append(acks, m.Receipt)
+		p.s.cfg.PrefetchDone.DeleteBatch(acks)
 	}
-	p.s.cfg.PrefetchDone.DeleteBatch(acks)
-	if !progress {
-		p.prefetchGate = p.s.clk.After(2 * time.Millisecond)
+}
+
+// takeStaged readies the family a result is for, or retries its staging.
+func (p *pump) takeStaged(res *transfer.PrefetchResult) {
+	st, ok := p.fams[res.FamilyID]
+	if !ok || st.phase != famStaging {
+		p.s.jobs.strays.Add(1) // e.g. the answer to a task that was sent again
+		return
 	}
-	return progress
+	if !res.OK {
+		p.failStaging(st, "staging failed: "+res.Err)
+		return
+	}
+	p.BytesStaged += res.Bytes
+	p.s.cfg.Tenants.AddBytesStaged(p.tenant, res.Bytes)
+	p.s.obsBytesStaged.Add(float64(res.Bytes))
+	p.s.obs.Emitf(p.JobID, obs.EvFamilyStaged, "family=%s bytes=%d elapsed=%s",
+		res.FamilyID, res.Bytes, res.Elapsed)
+	p.setFamPhase(st, famRunning)
+	p.advance(st)
 }
 
 // intakeDeadlines fires every deadline that has come due: a task still
@@ -385,7 +387,8 @@ func (p *pump) intakeDeadlines() bool {
 }
 
 // handleEvents drains the shard event sink: accepted tasks are noted,
-// ended ones resolve against their steps.
+// ended ones resolve against their steps, and staged results that another
+// pump received are taken in.
 func (p *pump) handleEvents() bool {
 	evs := p.events.drain()
 	if len(evs) == 0 {
@@ -403,9 +406,12 @@ func (p *pump) handleEvents() bool {
 		}
 	}
 	for _, ev := range evs {
-		if ev.accepted {
+		switch {
+		case ev.staged != nil:
+			p.takeStaged(ev.staged)
+		case ev.accepted:
 			p.noteAccepted(ev.task)
-		} else {
+		default:
 			p.resolveTask(ev)
 		}
 	}

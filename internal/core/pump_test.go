@@ -17,38 +17,6 @@ import (
 	"xtract/internal/transfer"
 )
 
-// TestRunJobNotifyUnreadChannel is the regression test for the job-ID
-// notification deadlock: the REST front end hands RunJobNotifyOpts an
-// unbuffered channel, and a caller that never reads it must not wedge
-// the pump before the first family is crawled.
-func TestRunJobNotifyUnreadChannel(t *testing.T) {
-	h := newHarness(t, []siteSpec{{name: "theta", workers: 2}}, scheduler.LocalPolicy{})
-	defer h.close()
-	seedScience(t, h.sites["theta"], "/mdf")
-
-	idCh := make(chan string) // unbuffered and never read
-	done := make(chan error, 1)
-	go func() {
-		stats, err := h.svc.RunJobNotifyOpts(context.Background(), []RepoSpec{{
-			SiteName: "theta",
-			Roots:    []string{"/mdf"},
-			Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
-		}}, JobOptions{}, idCh)
-		if err == nil && stats.FamiliesDone == 0 {
-			err = fmt.Errorf("no families done: %+v", stats)
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunJobNotifyOpts deadlocked on an unread id channel")
-	}
-}
-
 // rendezvousHook blocks every dispatch until two distinct endpoints have
 // entered dispatch, proving task submission for different sites happens
 // concurrently. Under the old single-goroutine pump the first
@@ -223,6 +191,63 @@ func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 	if rec.State != registry.JobComplete {
 		t.Fatalf("job state %s (err=%q, dead letters=%d): loss burst did not recover",
 			rec.State, rec.Err, len(rec.DeadLetters))
+	}
+}
+
+// TestOneHeartbeatScannerPerService: the liveness scanner belongs to the
+// service, not to a job — it runs while any job is live and however many
+// jobs come and go it holds one timer. (A scanner per job left one
+// HeartbeatTimeout/4 timer behind for every job, however short.)
+func TestOneHeartbeatScannerPerService(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1000, 0))
+	fsvc := faas.NewService(clk, faas.Costs{})
+	fabric := transfer.NewFabric(clk)
+	_, prefetch, prefetchDone, results := NewQueues(clk)
+	svc := New(Config{
+		Clock: clk, FaaS: fsvc, Fabric: fabric,
+		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
+		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: results,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fs := store.NewMemFS("mira", nil)
+	ep := faas.NewEndpoint("ep-mira", 2, clk)
+	fsvc.RegisterEndpoint(ep)
+	if err := ep.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	svc.AddSite(&Site{Name: "mira", Store: fs, TransferID: "mira", Compute: ep})
+	if err := svc.RegisterExtractors(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Write("/d/f.txt", []byte("materials metadata sample")); err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		t.Helper()
+		stats, err := svc.RunJob(ctx, []RepoSpec{{SiteName: "mira", Roots: []string{"/d"},
+			Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())}})
+		if err != nil || stats.FamiliesDone != 1 {
+			t.Fatalf("job = %+v, %v", stats, err)
+		}
+	}
+	// scannerGone waits for the scanner of the job that has just ended: it
+	// has then armed its timer, if it was the first to need one.
+	scannerGone := func() {
+		svc.jobs.mu.Lock()
+		gone := svc.jobs.scanDone
+		svc.jobs.mu.Unlock()
+		<-gone
+	}
+	run()
+	scannerGone()
+	timers := clk.PendingTimers()
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	scannerGone()
+	if now := clk.PendingTimers(); now != timers {
+		t.Fatalf("%d timers pending after 100 more jobs, %d after the first", now, timers)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"xtract/internal/cache"
@@ -13,23 +14,6 @@ import (
 	"xtract/internal/registry"
 	"xtract/internal/tenant"
 )
-
-// RecoveryOptions configures the journal recovery pass.
-type RecoveryOptions struct {
-	// Grouper resolves a journaled grouper name back to a grouping
-	// function (functions cannot be persisted). Non-terminal jobs whose
-	// grouper cannot be resolved are marked FAILED rather than dropped.
-	Grouper func(name string) (crawler.GroupingFunc, error)
-	// OnResume, when set, observes each resumed job with its context and a
-	// cancel function scoped to that job — what the DELETE
-	// /api/v1/jobs/{id} path needs to cancel a recovered job (the context
-	// ends when the job does, letting trackers self-clean).
-	OnResume func(jobID string, ctx context.Context, cancel context.CancelFunc)
-	// Queues lists shared queues whose unacknowledged in-flight messages
-	// are made visible again before pumps resume: the consumers that held
-	// the receipts died with the old process.
-	Queues []*queue.Queue
-}
 
 // RecoveredJob is one job's recovery disposition.
 type RecoveredJob struct {
@@ -83,17 +67,19 @@ type RecoveryStatus struct {
 // IDs — their journaled step completions are first seeded into the
 // result cache so the resumed pump replays them as cache hits instead of
 // re-invoking extractors, which is what makes recovered jobs converge to
-// the same results with no duplicated extraction work.
+// the same results with no duplicated extraction work. Before any pump
+// resumes, the in-flight messages of the service's queues are made visible
+// again: the consumers that held the receipts died with the old process.
 //
 // Recover runs at most once per service; later calls return the first
 // pass's status. With no journal configured it is a no-op.
-func (s *Service) Recover(ctx context.Context, opts RecoveryOptions) (RecoveryStatus, error) {
+func (s *Service) Recover(ctx context.Context) (RecoveryStatus, error) {
 	s.recoveryMu.Lock()
 	defer s.recoveryMu.Unlock()
 	if s.cfg.Journal == nil {
 		return RecoveryStatus{}, nil
 	}
-	if s.recoveryDone {
+	if s.recovery.Ran {
 		return s.recovery, nil
 	}
 	start := s.clk.Now()
@@ -108,14 +94,12 @@ func (s *Service) Recover(ctx context.Context, opts RecoveryOptions) (RecoverySt
 		TornTail:        info.TornTail,
 		CorruptSegments: info.CorruptSegments,
 	}
-	for _, q := range opts.Queues {
-		if q != nil {
-			status.Reclaimed += q.ReclaimAll()
-		}
+	for _, q := range []*queue.Queue{s.cfg.PrefetchQueue, s.cfg.PrefetchDone, s.cfg.ResultQueue} {
+		status.Reclaimed += q.ReclaimAll()
 	}
 	for _, id := range st.JobIDs() {
 		js := st.Jobs[id]
-		rj := s.recoverJob(ctx, js, opts)
+		rj := s.recoverJob(ctx, js)
 		status.Jobs = append(status.Jobs, rj)
 		status.StepsReconciled += rj.StepsReconciled
 		switch rj.Disposition {
@@ -137,7 +121,6 @@ func (s *Service) Recover(ctx context.Context, opts RecoveryOptions) (RecoverySt
 	status.ElapsedSeconds = elapsed.Seconds()
 	s.obsRecoverySeconds.ObserveDuration(elapsed)
 	s.recovery = status
-	s.recoveryDone = true
 	return status, nil
 }
 
@@ -146,37 +129,38 @@ func (s *Service) Recover(ctx context.Context, opts RecoveryOptions) (RecoverySt
 func (s *Service) LastRecovery() (RecoveryStatus, bool) {
 	s.recoveryMu.Lock()
 	defer s.recoveryMu.Unlock()
-	return s.recovery, s.recoveryDone
+	return s.recovery, s.recovery.Ran
 }
 
-// RecoveryWait blocks until every job resumed by Recover reaches a
-// terminal state (test hook; servers just let the pumps run).
-func (s *Service) RecoveryWait() { s.recoveryWG.Wait() }
+// RecoveryWait blocks until every job Recover resumed has ended (test hook).
+func (s *Service) RecoveryWait() {
+	status, _ := s.LastRecovery()
+	for _, rj := range status.Jobs {
+		if j := s.Job(rj.JobID); j != nil && rj.Disposition == "resumed" {
+			_, _ = j.Wait()
+		}
+	}
+}
 
-// recoverJob restores one journaled job.
-func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts RecoveryOptions) RecoveredJob {
+// recoverJob restores one journaled job: its terminal state replayed, left
+// to the node that holds its lease, failed as unrunnable, or resumed.
+func (s *Service) recoverJob(ctx context.Context, js *journal.JobState) RecoveredJob {
 	submitted, _ := time.Parse(time.RFC3339Nano, js.Submitted)
-	var sites []string
+	rec := registry.JobRecord{
+		ID:        js.ID,
+		Submitted: submitted,
+		Err:       js.Err,
+		Recovered: true,
+	}
 	if js.Spec != nil {
 		for _, r := range js.Spec.Repos {
-			sites = append(sites, r.Site)
+			rec.Repositories = append(rec.Repositories, r.Site)
 		}
+		rec.Tenant = js.Spec.Tenant
 	}
 	// Tenant ownership survives the restart: pre-tenancy logs have no
 	// Tenant field and normalize to the default tenant.
-	ten := ""
-	if js.Spec != nil {
-		ten = js.Spec.Tenant
-	}
-	ten = tenant.Normalize(ten)
-	rec := registry.JobRecord{
-		ID:           js.ID,
-		Tenant:       ten,
-		Repositories: sites,
-		Submitted:    submitted,
-		Err:          js.Err,
-		Recovered:    true,
-	}
+	rec.Tenant = tenant.Normalize(rec.Tenant)
 
 	if js.Terminal {
 		rec.State = registry.JobState(js.State)
@@ -188,57 +172,52 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts Rec
 		s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=%s state=%s", disposition, js.State)
 		return RecoveredJob{JobID: js.ID, Disposition: disposition, State: js.State, Err: js.Err}
 	}
+	if owner, foreign := s.leasedElsewhere(js); foreign {
+		s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=foreign owner=%s", owner)
+		return RecoveredJob{JobID: js.ID, Disposition: "foreign", Owner: owner}
+	}
+	repos, err := s.journaledRepos(js.Spec)
+	if err != nil {
+		return s.failRecovered(rec, "recovery: "+err.Error())
+	}
+	return s.resumeJob(ctx, js, rec, repos)
+}
 
-	if s.cfg.Cluster != nil {
-		// Lease-aware recovery: a restarting node re-adopts only jobs
-		// whose lease it can (re-)take. The journaled lease covers peers
-		// not reachable through the live coordinator (a fresh process
-		// replaying a shared log); the AdoptLease call is the
-		// authoritative race — whoever acquires first, fencing the
-		// journaled epoch, owns the resume.
-		if js.LeaseNode != "" && js.LeaseNode != s.cfg.Cluster.ID() {
-			if exp, err := time.Parse(time.RFC3339Nano, js.LeaseExpiry); err == nil && s.clk.Now().Before(exp) {
-				s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=foreign owner=%s", js.LeaseNode)
-				return RecoveredJob{JobID: js.ID, Disposition: "foreign", Owner: js.LeaseNode}
-			}
+// leasedElsewhere is lease-aware recovery: a restarting node re-adopts
+// only jobs whose lease it can (re-)take. The journaled lease covers peers
+// not reachable through the live coordinator (a fresh process replaying a
+// shared log); the AdoptLease call is the authoritative race — whoever
+// acquires first, fencing the journaled epoch, owns the resume.
+func (s *Service) leasedElsewhere(js *journal.JobState) (owner string, foreign bool) {
+	cl := s.cfg.Cluster
+	if cl == nil {
+		return "", false
+	}
+	if js.LeaseNode != "" && js.LeaseNode != cl.ID() {
+		if exp, err := time.Parse(time.RFC3339Nano, js.LeaseExpiry); err == nil && s.clk.Now().Before(exp) {
+			return js.LeaseNode, true
 		}
-		if err := s.cfg.Cluster.AdoptLease(js.ID, js.LeaseEpoch); err != nil {
-			owner := ""
-			if l, ok := s.cfg.Cluster.Coordinator().Holder(js.ID); ok {
-				owner = l.Node
-			}
-			s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=foreign owner=%s", owner)
-			return RecoveredJob{JobID: js.ID, Disposition: "foreign", Owner: owner}
+	}
+	if err := cl.AdoptLease(js.ID, js.LeaseEpoch); err != nil {
+		if l, ok := cl.Coordinator().Holder(js.ID); ok {
+			owner = l.Node
 		}
+		return owner, true
 	}
+	return "", false
+}
 
-	fail := func(msg string) RecoveredJob {
-		rec.State = registry.JobFailed
-		rec.Err = msg
-		s.cfg.Registry.RestoreJob(rec)
-		s.journalAppend(journal.Record{
-			Type: journal.RecJobTerminal, JobID: js.ID,
-			State: string(registry.JobFailed), Err: msg,
-		})
-		s.obsJobs.with(string(registry.JobFailed)).Inc()
-		s.cfg.Tenants.JobOutcome(ten, string(registry.JobFailed))
-		s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=failed err=%s", msg)
-		return RecoveredJob{JobID: js.ID, Disposition: "failed", State: string(registry.JobFailed), Err: msg}
+// journaledRepos rebuilds a job's executable repo specs: the journal
+// carries grouper names, which the service's library resolves again.
+func (s *Service) journaledRepos(spec *journal.JobSpec) ([]RepoSpec, error) {
+	if spec == nil {
+		return nil, errors.New("job has no journaled spec")
 	}
-	if js.Spec == nil {
-		return fail("recovery: job has no journaled spec")
-	}
-
-	// Rebuild the executable repo specs; the journal carries grouper
-	// names, not functions.
 	var repos []RepoSpec
-	for _, r := range js.Spec.Repos {
-		if opts.Grouper == nil {
-			return fail("recovery: no grouper resolver configured")
-		}
-		g, err := opts.Grouper(r.Grouper)
+	for _, r := range spec.Repos {
+		g, err := crawler.GrouperByName(r.Grouper, s.cfg.Library)
 		if err != nil {
-			return fail("recovery: " + err.Error())
+			return nil, err
 		}
 		repos = append(repos, RepoSpec{
 			SiteName:       r.Site,
@@ -250,11 +229,25 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts Rec
 			NoMinTransfers: r.NoMinTransfers,
 		})
 	}
+	return repos, nil
+}
 
-	// Reconcile journaled step completions with the result cache: family
-	// packaging is not deterministic across runs, but the cache key is
-	// content-addressed — seeding it makes the resumed pump replay every
-	// pre-crash completion as a cache hit, whatever family it lands in.
+// failRecovered marks a job that cannot be run again FAILED rather than
+// dropping it.
+func (s *Service) failRecovered(rec registry.JobRecord, msg string) RecoveredJob {
+	rec.State, rec.Err = registry.JobFailed, msg
+	s.cfg.Registry.RestoreJob(rec)
+	s.endJob(rec.ID, rec.Tenant, registry.JobFailed, msg, nil)
+	s.obs.Emitf(rec.ID, obs.EvJobRecovered, "disposition=failed err=%s", msg)
+	return RecoveredJob{JobID: rec.ID, Disposition: "failed", State: string(registry.JobFailed), Err: msg}
+}
+
+// resumeJob re-runs an unfinished job under its original ID. Its journaled
+// step completions are first reconciled with the result cache: family
+// packaging is not deterministic across runs, but the cache key is
+// content-addressed — seeding it makes the resumed pump replay every
+// pre-crash completion as a cache hit, whatever family it lands in.
+func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, rec registry.JobRecord, repos []RepoSpec) RecoveredJob {
 	reconciled := 0
 	if s.cfg.Cache != nil && !js.Spec.NoCache {
 		for _, sd := range js.Steps {
@@ -271,22 +264,11 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts Rec
 			reconciled++
 		}
 	}
-
 	rec.State = registry.JobExtracting
 	s.cfg.Registry.RestoreJob(rec)
-	jctx, cancel := context.WithCancel(ctx)
-	if opts.OnResume != nil {
-		opts.OnResume(js.ID, jctx, cancel)
-	}
 	s.obs.Emitf(js.ID, obs.EvJobRecovered,
 		"disposition=resumed families=%d steps_reconciled=%d", len(js.Families), reconciled)
-	jobOpts := JobOptions{NoCache: js.Spec.NoCache, Tenant: ten}
-	s.recoveryWG.Add(1)
-	go func() {
-		defer s.recoveryWG.Done()
-		defer cancel()
-		_, _ = s.runJob(jctx, js.ID, repos, jobOpts, nil)
-	}()
+	s.runJob(ctx, js.ID, repos, JobOptions{NoCache: js.Spec.NoCache, Tenant: rec.Tenant}, nil)
 	return RecoveredJob{
 		JobID: js.ID, Disposition: "resumed", State: string(registry.JobExtracting),
 		StepsReconciled: reconciled, Families: len(js.Families),
@@ -300,7 +282,7 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState, opts Rec
 // original job ID. ok is false when the job is unknown, already
 // terminal, or still owned elsewhere. Calls for the same job must be
 // serialized (Node.Run's scan loop is).
-func (s *Service) AdoptJob(ctx context.Context, jobID string, opts RecoveryOptions) (RecoveredJob, bool) {
+func (s *Service) AdoptJob(ctx context.Context, jobID string) (RecoveredJob, bool) {
 	if s.cfg.Journal == nil || s.cfg.Cluster == nil {
 		return RecoveredJob{}, false
 	}
@@ -311,7 +293,7 @@ func (s *Service) AdoptJob(ctx context.Context, jobID string, opts RecoveryOptio
 	if !ok || js.Terminal {
 		return RecoveredJob{}, false
 	}
-	rj := s.recoverJob(ctx, js, opts)
+	rj := s.recoverJob(ctx, js)
 	s.obsRecoveredJobs.With(rj.Disposition).Inc()
 	return rj, rj.Disposition == "resumed"
 }
@@ -321,7 +303,7 @@ func (s *Service) AdoptJob(ctx context.Context, jobID string, opts RecoveryOptio
 // adopts each one. The scan is the cluster's failover engine: when a
 // node dies, its leases expire, and the next scan on the ring successor
 // picks the orphaned jobs up. Returns the number of jobs adopted.
-func (s *Service) FailoverScan(ctx context.Context, opts RecoveryOptions) int {
+func (s *Service) FailoverScan(ctx context.Context) int {
 	if s.cfg.Journal == nil || s.cfg.Cluster == nil || s.draining.Load() {
 		return 0
 	}
@@ -339,7 +321,7 @@ func (s *Service) FailoverScan(ctx context.Context, opts RecoveryOptions) int {
 		if !s.cfg.Cluster.Owns(id) {
 			continue // the ring places this orphan on another node
 		}
-		if _, ok := s.AdoptJob(ctx, id, opts); ok {
+		if _, ok := s.AdoptJob(ctx, id); ok {
 			adopted++
 		}
 	}

@@ -294,11 +294,11 @@ type Service struct {
 	// as user cancels (the jobs should resume on recovery).
 	draining atomic.Bool
 
+	jobs jobTable // the live-job table
+
 	// recovery guards the one-shot Recover pass and its published status.
-	recoveryMu   sync.Mutex
-	recoveryDone bool
-	recovery     RecoveryStatus
-	recoveryWG   sync.WaitGroup
+	recoveryMu sync.Mutex
+	recovery   RecoveryStatus
 }
 
 // New constructs the service. Call AddSite and RegisterExtractors before
@@ -325,6 +325,7 @@ func New(cfg Config) *Service {
 		breakerPol:  cfg.Breakers.withDefaults(),
 		breakers:    make(map[string]*breaker),
 	}
+	s.jobs.live = make(map[string]*Job)
 	if s.hedge.Enabled {
 		s.estimator = newLatencyEstimator(s.hedge)
 	}
@@ -583,9 +584,6 @@ func (s *Service) fenced(rec journal.Record) bool {
 // resumes them — and new journal appends for terminal states are
 // suppressed. Call it before cancelling the deployment context.
 func (s *Service) BeginShutdown() { s.draining.Store(true) }
-
-// Draining reports whether BeginShutdown was called.
-func (s *Service) Draining() bool { return s.draining.Load() }
 
 // JournalEnabled reports whether a durable journal is configured.
 func (s *Service) JournalEnabled() bool { return s.cfg.Journal != nil }

@@ -88,29 +88,23 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 	}
 
 	policy.hold = "/d/b"
-	idCh := make(chan string, 1)
-	type result struct {
-		stats JobStats
-		err   error
+	job, err := h.svc.Submit(context.Background(), repos, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan result, 1)
-	go func() {
-		stats, err := h.svc.RunJobNotifyOpts(context.Background(), repos, JobOptions{}, idCh)
-		done <- result{stats, err}
-	}()
 	select {
 	case <-policy.entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the pump never reached the held family")
 	}
 	waitDocs(64)
-	if rec, err := h.svc.cfg.Registry.Job(<-idCh); err != nil || rec.State != registry.JobExtracting {
+	if rec, err := h.svc.cfg.Registry.Job(job.ID); err != nil || rec.State != registry.JobExtracting {
 		t.Fatalf("job record = %+v, %v; want state EXTRACTING", rec, err)
 	}
 	close(policy.release)
-	r := <-done
-	if r.err != nil || r.stats.FamiliesDone != 65 || r.stats.CacheHits != r.stats.StepsProcessed {
-		t.Fatalf("warm job = %+v, %v; want 65 families, all steps from the cache", r.stats, r.err)
+	stats, err := job.Wait()
+	if err != nil || stats.FamiliesDone != 65 || stats.CacheHits != stats.StepsProcessed {
+		t.Fatalf("warm job = %+v, %v; want 65 families, all steps from the cache", stats, err)
 	}
 	waitDocs(65)
 }

@@ -318,7 +318,7 @@ func hedgeWinsOverStraggler(t *testing.T, home string) {
 		h.svc.estimator.Observe(ext.Name(), 2*time.Millisecond)
 	}
 
-	stats, err := h.svc.RunJobWithOptions(context.Background(), []RepoSpec{{
+	stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
 		SiteName: home,
 		Roots:    []string{"/d"},
 		Grouper:  crawler.SingleFileGrouper(xt.NewLibrary(ext)),
@@ -418,7 +418,7 @@ func TestStragglerBudgetDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := h.svc.RunJobWithOptions(context.Background(), []RepoSpec{{
+	stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
 		SiteName: "alpha",
 		Roots:    []string{"/d"},
 		Grouper:  crawler.SingleFileGrouper(lib),
@@ -669,7 +669,7 @@ func runTailChaosJob(t *testing.T, seed int64) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		stats, err := svc.RunJobWithOptions(context.Background(), []RepoSpec{
+		stats, err := runJobOpts(svc, context.Background(), []RepoSpec{
 			{SiteName: "alpha", Roots: []string{"/data"},
 				Grouper: crawler.SingleFileGrouper(xt.DefaultLibrary())},
 			{SiteName: "beta", Roots: []string{"/data"},

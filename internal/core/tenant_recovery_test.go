@@ -36,16 +36,18 @@ func TestTenantOwnershipSurvivesRestart(t *testing.T) {
 			close(drainCh)
 		}
 	}, nil)
-	idCh := make(chan string, 1)
+	// Mixed-case, padded identity: recovery must see the normalized
+	// form, proving normalization happens at the boundary, not ad hoc.
+	job, err := life1.svc.Submit(life1.ctx, crashRepos(inv1, 2*time.Millisecond), JobOptions{Tenant: " Alice "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobID := job.ID
 	jobDone := make(chan error, 1)
 	go func() {
-		// Mixed-case, padded identity: recovery must see the normalized
-		// form, proving normalization happens at the boundary, not ad hoc.
-		_, err := life1.svc.RunJobNotifyOpts(life1.ctx, crashRepos(inv1, 2*time.Millisecond),
-			JobOptions{Tenant: " Alice "}, idCh)
+		_, err := job.Wait()
 		jobDone <- err
 	}()
-	jobID := <-idCh
 	select {
 	case <-drainCh:
 	case <-time.After(60 * time.Second):
@@ -78,10 +80,7 @@ func TestTenantOwnershipSurvivesRestart(t *testing.T) {
 	if js.Spec.Tenant != "alice" {
 		t.Fatalf("journaled tenant = %q, want %q", js.Spec.Tenant, "alice")
 	}
-	status, err := life2.svc.Recover(life2.ctx, RecoveryOptions{
-		Grouper: crashGrouper(inv2, 0),
-		Queues:  life2.queues,
-	})
+	status, err := life2.svc.Recover(life2.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +152,7 @@ func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 	if js.Spec.Tenant != "" {
 		t.Fatalf("pre-tenant spec replayed with tenant %q", js.Spec.Tenant)
 	}
-	status, err := life.svc.Recover(life.ctx, RecoveryOptions{
-		Grouper: crashGrouper(inv, 0),
-		Queues:  life.queues,
-	})
+	status, err := life.svc.Recover(life.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

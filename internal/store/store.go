@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,6 +80,31 @@ func ExtensionOf(name string) string {
 		return ""
 	}
 	return strings.ToLower(strings.TrimPrefix(ext, "."))
+}
+
+// Hide returns s with the named paths left out of its listings; they stay
+// readable and writable. It keeps what a service writes itself — staged
+// copies, checkpoints, an output directory — from being crawled as input.
+func Hide(s Store, paths ...string) Store {
+	h := hiding{Store: s}
+	for _, p := range paths {
+		h.hidden = append(h.hidden, Clean(p))
+	}
+	return h
+}
+
+type hiding struct {
+	Store
+	hidden []string
+}
+
+func (h hiding) List(dir string) ([]FileInfo, error) {
+	infos, err := h.Store.List(dir)
+	hidden := func(fi FileInfo) bool { return slices.Contains(h.hidden, fi.Path) }
+	if slices.ContainsFunc(infos, hidden) {
+		infos = slices.DeleteFunc(slices.Clone(infos), hidden) // the listing may be the store's own
+	}
+	return infos, err
 }
 
 // node is a MemFS tree node.

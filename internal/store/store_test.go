@@ -90,6 +90,46 @@ func TestMemFSList(t *testing.T) {
 	}
 }
 
+// TestHideLeavesPathsOutOfListings: hidden directories are missing from
+// every listing, at any depth and however they were spelled, stay readable
+// by path, and the wrapped store's own listing is not written to.
+func TestHideLeavesPathsOutOfListings(t *testing.T) {
+	fs := NewMemFS("test", nil)
+	for _, p := range []string{"/a.txt", "/stage/x.txt", "/cp/y.json", "/d/out/z.json", "/d/in.txt"} {
+		if err := fs.Write(p, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func(s Store, dir string) string {
+		t.Helper()
+		infos, err := s.List(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, fi := range infos {
+			out = append(out, fi.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	h := Hide(fs, "/stage", "cp/", "/d/out", "")
+	if got := names(h, "/"); got != "a.txt d" {
+		t.Errorf("hidden root lists %q, want a.txt d", got)
+	}
+	if got := names(h, "/d"); got != "in.txt" {
+		t.Errorf("hidden /d lists %q, want in.txt", got)
+	}
+	if got := names(h, "/stage"); got != "x.txt" {
+		t.Errorf("a hidden directory lists %q itself, want x.txt", got)
+	}
+	if _, err := h.Read("/cp/y.json"); err != nil {
+		t.Errorf("a hidden file is not readable by path: %v", err)
+	}
+	if got := names(fs, "/"); got != "a.txt cp d stage" {
+		t.Errorf("the wrapped store lists %q afterwards", got)
+	}
+}
+
 func TestMemFSErrors(t *testing.T) {
 	fs := NewMemFS("test", nil)
 	if _, err := fs.Read("/missing"); !errors.Is(err, ErrNotFound) {

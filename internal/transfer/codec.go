@@ -16,7 +16,9 @@ import (
 
 // AppendPrefetchTask appends t's queue body to dst.
 func AppendPrefetchTask(dst []byte, t *PrefetchTask) []byte {
-	dst = append(dst, `{"family_id":`...)
+	dst = append(dst, `{"job_id":`...)
+	dst = fastjson.AppendString(dst, t.JobID)
+	dst = append(dst, `,"family_id":`...)
 	dst = fastjson.AppendString(dst, t.FamilyID)
 	dst = append(dst, `,"src":`...)
 	dst = fastjson.AppendString(dst, t.Src)
@@ -45,6 +47,8 @@ func DecodePrefetchTask(data []byte, t *PrefetchTask) error {
 	d := fastjson.NewDec(data)
 	err := d.ObjEach(func(key []byte) (err error) {
 		switch string(key) {
+		case "job_id":
+			t.JobID, err = d.Str()
 		case "family_id":
 			t.FamilyID, err = d.Str()
 		case "src":
@@ -90,12 +94,10 @@ func decodeFilePair(d *fastjson.Dec) (FilePair, error) {
 
 // AppendPrefetchResult appends r's queue body to dst.
 func AppendPrefetchResult(dst []byte, r *PrefetchResult) []byte {
-	dst = append(dst, `{"family_id":`...)
+	dst = append(dst, `{"job_id":`...)
+	dst = fastjson.AppendString(dst, r.JobID)
+	dst = append(dst, `,"family_id":`...)
 	dst = fastjson.AppendString(dst, r.FamilyID)
-	dst = append(dst, `,"src":`...)
-	dst = fastjson.AppendString(dst, r.Src)
-	dst = append(dst, `,"dst":`...)
-	dst = fastjson.AppendString(dst, r.Dst)
 	if r.OK {
 		dst = append(dst, `,"ok":true`...)
 	} else {
@@ -117,12 +119,10 @@ func DecodePrefetchResult(data []byte, r *PrefetchResult) error {
 	d := fastjson.NewDec(data)
 	err := d.ObjEach(func(key []byte) (err error) {
 		switch string(key) {
+		case "job_id":
+			r.JobID, err = d.Str()
 		case "family_id":
 			r.FamilyID, err = d.Str()
-		case "src":
-			r.Src, err = d.Str()
-		case "dst":
-			r.Dst, err = d.Str()
 		case "ok":
 			r.OK, err = d.Bool()
 		case "err":

@@ -10,8 +10,8 @@ import (
 func prefetchTaskCases() []PrefetchTask {
 	return []PrefetchTask{
 		{},
-		{FamilyID: "f", Src: "petrel", Dst: "theta", Pairs: []FilePair{}},
-		{FamilyID: "f#1", Src: "s", Dst: "d", Pairs: []FilePair{
+		{JobID: "job-1", FamilyID: "f", Src: "petrel", Dst: "theta", Pairs: []FilePair{}},
+		{JobID: `job-"n1"-7`, FamilyID: "f#1", Src: "s", Dst: "d", Pairs: []FilePair{
 			{Src: "/data/a.h5", Dst: "/stage/a.h5"},
 			{Src: `we"ird\`, Dst: "päth<&>\t"},
 		}},
@@ -21,8 +21,8 @@ func prefetchTaskCases() []PrefetchTask {
 func prefetchResultCases() []PrefetchResult {
 	return []PrefetchResult{
 		{},
-		{FamilyID: "f", Src: "s", Dst: "d", OK: true, Bytes: 1 << 53, Elapsed: 1500 * time.Millisecond},
-		{FamilyID: "f", Src: "s", Dst: "d", Err: "globus: rate limited\n", Bytes: -1, Elapsed: -time.Second},
+		{JobID: "job-1", FamilyID: "f", OK: true, Bytes: 1 << 53, Elapsed: 1500 * time.Millisecond},
+		{JobID: "job-n1-7", FamilyID: `f"#1\`, Err: "globus: rate limited\n", Bytes: -1, Elapsed: -time.Second},
 	}
 }
 
@@ -49,6 +49,7 @@ func TestPrefetchDecodeStrict(t *testing.T) {
 	}{
 		{`{}`, PrefetchTask{}},
 		{`{"FAMILY_ID":"x","Src":"y","family_id":"f","extra":[{"deep":null}]}`, PrefetchTask{FamilyID: "f"}},
+		{`{"job_id":"a","JOB_ID":"x","Job_id":"y","job_id":"job-2"}`, PrefetchTask{JobID: "job-2"}},
 		{`{"pairs":[{"src":"a","dst":"b"}],"pairs":[{"dst":"kept","DST":"x"}]}`, PrefetchTask{Pairs: []FilePair{{Dst: "kept"}}}},
 		{`{"pairs":[],"pairs":null, "dst" : "d"}`, PrefetchTask{Dst: "d"}},
 	}
@@ -58,7 +59,7 @@ func TestPrefetchDecodeStrict(t *testing.T) {
 			t.Errorf("%s: %#v, %v", c.doc, got, err)
 		}
 	}
-	for _, doc := range []string{``, `null`, `[]`, `{`, `{} x`, `{"src":null}`, `{"src":5}`,
+	for _, doc := range []string{``, `null`, `[]`, `{`, `{} x`, `{"src":null}`, `{"src":5}`, `{"job_id":null}`, `{"job_id":7}`,
 		`{"pairs":{}}`, `{"pairs":[null]}`, `{"pairs":[{"src":null}]}`} {
 		var got PrefetchTask
 		if err := DecodePrefetchTask([]byte(doc), &got); err == nil {
@@ -72,6 +73,7 @@ func TestPrefetchDecodeStrict(t *testing.T) {
 		{`{}`, PrefetchResult{}},
 		{`{"BYTES":12,"Elapsed":7,"ok":true,"bytes":9007199254740993}`, PrefetchResult{OK: true, Bytes: 9007199254740993}},
 		{`{"err":"x","err":"y","elapsed":-5}`, PrefetchResult{Err: "y", Elapsed: -5}},
+		{`{"JOB_ID":"x","job_id":"job-2","family_id":"f"}`, PrefetchResult{JobID: "job-2", FamilyID: "f"}},
 	}
 	for _, c := range results {
 		var got PrefetchResult
@@ -80,7 +82,7 @@ func TestPrefetchDecodeStrict(t *testing.T) {
 		}
 	}
 	for _, doc := range []string{``, `null`, `{`, `{} x`, `{"bytes":1.5}`, `{"elapsed":1e2}`,
-		`{"elapsed":null}`, `{"ok":null}`, `{"ok":1}`, `{"err":null}`} {
+		`{"elapsed":null}`, `{"ok":null}`, `{"ok":1}`, `{"err":null}`, `{"job_id":null}`, `{"job_id":[]}`} {
 		var got PrefetchResult
 		if err := DecodePrefetchResult([]byte(doc), &got); err == nil {
 			t.Errorf("result decoder accepted %q as %#v", doc, got)
@@ -97,7 +99,7 @@ func FuzzPrefetchRoundTrip(f *testing.F) {
 	for _, res := range prefetchResultCases() {
 		f.Add(AppendPrefetchResult(nil, &res))
 	}
-	f.Add([]byte(`{"pairs":[{"src":"\ud800"}],"PAIRS":[],"bytes":-0}`))
+	f.Add([]byte(`{"job_id":"\ud800","pairs":[{"src":"\ud800"}],"PAIRS":[],"bytes":-0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var task, task2 PrefetchTask
 		if DecodePrefetchTask(data, &task) == nil {

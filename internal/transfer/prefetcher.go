@@ -13,7 +13,10 @@ import (
 // PrefetchTask asks the prefetcher to stage a family's files from one
 // endpoint onto another before extraction. The Xtract service enqueues
 // these when a family's files are not local to their planned compute site.
+// JobID names the job the family belongs to — family IDs repeat across jobs
+// over one repository — and comes back on the result.
 type PrefetchTask struct {
+	JobID    string     `json:"job_id"`
 	FamilyID string     `json:"family_id"`
 	Src      string     `json:"src"`
 	Dst      string     `json:"dst"`
@@ -21,11 +24,10 @@ type PrefetchTask struct {
 }
 
 // PrefetchResult reports a completed (or failed) staging operation back to
-// the Xtract service's ready queue.
+// the Xtract service's ready queue, under its task's job and family IDs.
 type PrefetchResult struct {
+	JobID    string        `json:"job_id"`
 	FamilyID string        `json:"family_id"`
-	Src      string        `json:"src"`
-	Dst      string        `json:"dst"`
 	OK       bool          `json:"ok"`
 	Err      string        `json:"err,omitempty"`
 	Bytes    int64         `json:"bytes"`
@@ -156,7 +158,7 @@ func (p *Prefetcher) stage(ctx context.Context, w *window) {
 	}
 	start := p.clk.Now()
 	jobID, err := p.fabric.Submit(w.src, w.dst, pairs)
-	res := PrefetchResult{Src: w.src, Dst: w.dst, OK: err == nil}
+	res := PrefetchResult{OK: err == nil}
 	var info JobInfo
 	var bodies [][]byte
 	sent, end, moved := 0, 0, int64(0) // tasks reported, files through task i, bytes through task i-1
@@ -173,7 +175,7 @@ func (p *Prefetcher) stage(ctx context.Context, w *window) {
 			}
 			return
 		}
-		res.FamilyID, res.Elapsed = t.FamilyID, p.clk.Since(start)
+		res.JobID, res.FamilyID, res.Elapsed = t.JobID, t.FamilyID, p.clk.Since(start)
 		if res.OK {
 			res.Bytes, moved = info.BytesTransferred-moved, info.BytesTransferred
 			p.TasksDone.Add(1)

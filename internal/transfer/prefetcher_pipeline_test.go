@@ -68,7 +68,7 @@ func (r *pipelineRig) send(n int) [][]byte {
 	bodies := make([][]byte, n)
 	for i := range bodies {
 		bodies[i] = AppendPrefetchTask(nil, &PrefetchTask{
-			FamilyID: fmt.Sprintf("fam-%d", i), Src: "src", Dst: "dst",
+			JobID: fmt.Sprintf("job-%d", i%2), FamilyID: fmt.Sprintf("fam-%d", i), Src: "src", Dst: "dst",
 			Pairs: []FilePair{{Src: "/d/a.bin", Dst: fmt.Sprintf("/stage/%d/a.bin", i)}},
 		})
 	}

@@ -34,7 +34,8 @@ func TestPrefetcherReportsFamilyWhenItsFilesLand(t *testing.T) {
 	}
 	eventually(t, "the job's record collected", func() bool { return r.fabric.JobRecords() == 0 })
 	for k, x := range r.results(t) {
-		want := PrefetchResult{FamilyID: fmt.Sprintf("fam-%d", k), Src: "src", Dst: "dst",
+		// Two jobs' tasks share the window: each result names its task's job.
+		want := PrefetchResult{JobID: fmt.Sprintf("job-%d", k%2), FamilyID: fmt.Sprintf("fam-%d", k),
 			OK: true, Bytes: 10, Elapsed: rigRTT + time.Duration(k+1)*rigFile}
 		if x != want {
 			t.Fatalf("result %d = %+v, want %+v", k, x, want)
