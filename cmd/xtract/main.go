@@ -142,115 +142,93 @@ func runExtract(args []string) error {
 	return nil
 }
 
-func runServe(args []string) error {
+// serveFlags is what `xtract serve` is told on its command line.
+type serveFlags struct {
+	root, addr, journalDir, authKey, nodeID, clusterPeers string
+	workers, cacheCap, taskSlots                          int
+	pprof, devTokens                                      bool
+	tenant                                                tenant.Limits
+	leaseTTL                                              time.Duration
+}
+
+func parseServe(args []string) (serveFlags, error) {
+	var f serveFlags
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	root := fs.String("root", "", "directory to expose as the 'local' site (required)")
-	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 8, "extraction workers")
-	cacheCap := fs.Int("cache", 4096, "result cache capacity in entries (0 disables)")
-	journalDir := fs.String("journal", "", "durable job journal directory (enables crash recovery)")
-	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
-	authKey := fs.String("auth-key", "", "HMAC signing key; enables bearer-token auth on the API")
-	devTokens := fs.Bool("dev-tokens", false, "expose POST /api/v1/token to mint tokens (requires -auth-key; dev only)")
-	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant job submissions per second (0 = unlimited)")
-	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant submission burst (default 1 when -tenant-rate is set)")
-	tenantMaxJobs := fs.Int("tenant-max-jobs", 0, "per-tenant concurrent job cap (0 = unlimited)")
-	tenantInflight := fs.Int("tenant-inflight", 0, "per-tenant in-flight task cap (0 = unlimited)")
-	taskSlots := fs.Int("task-slots", 0, "global task slots shared fairly across tenants (0 = unlimited)")
-	nodeID := fs.String("node-id", "", "this node's cluster identity (required with -cluster-peers)")
-	clusterPeers := fs.String("cluster-peers", "", "comma-separated id=http://host:port cluster members, including this node; enables cluster mode")
-	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "job ownership lease TTL in cluster mode")
+	fs.StringVar(&f.root, "root", "", "directory to expose as the 'local' site (required)")
+	fs.StringVar(&f.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&f.workers, "workers", 8, "extraction workers")
+	fs.IntVar(&f.cacheCap, "cache", 4096, "result cache capacity in entries (0 disables)")
+	fs.StringVar(&f.journalDir, "journal", "", "durable job journal directory (enables crash recovery)")
+	fs.BoolVar(&f.pprof, "pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
+	fs.StringVar(&f.authKey, "auth-key", "", "HMAC signing key; enables bearer-token auth on the API")
+	fs.BoolVar(&f.devTokens, "dev-tokens", false, "expose POST /api/v1/token to mint tokens (requires -auth-key; dev only)")
+	fs.Float64Var(&f.tenant.SubmitRate, "tenant-rate", 0, "per-tenant job submissions per second (0 = unlimited)")
+	fs.IntVar(&f.tenant.SubmitBurst, "tenant-burst", 0, "per-tenant submission burst (default 1 when -tenant-rate is set)")
+	fs.IntVar(&f.tenant.MaxActiveJobs, "tenant-max-jobs", 0, "per-tenant concurrent job cap (0 = unlimited)")
+	fs.IntVar(&f.tenant.MaxInFlightTasks, "tenant-inflight", 0, "per-tenant in-flight task cap (0 = unlimited)")
+	fs.IntVar(&f.taskSlots, "task-slots", 0, "global task slots shared fairly across tenants (0 = unlimited)")
+	fs.StringVar(&f.nodeID, "node-id", "", "this node's cluster identity (required with -cluster-peers)")
+	fs.StringVar(&f.clusterPeers, "cluster-peers", "", "comma-separated id=http://host:port cluster members, including this node; enables cluster mode")
+	fs.DurationVar(&f.leaseTTL, "lease-ttl", 10*time.Second, "job ownership lease TTL in cluster mode")
 	_ = fs.Parse(args)
-	if *root == "" {
-		return fmt.Errorf("-root is required")
+	if f.root == "" {
+		return f, fmt.Errorf("-root is required")
 	}
-	src, err := store.NewOSStore("local", *root)
+	if f.devTokens && f.authKey == "" {
+		return f, fmt.Errorf("-dev-tokens requires -auth-key")
+	}
+	return f, nil
+}
+
+func runServe(args []string) error {
+	f, err := parseServe(args)
 	if err != nil {
 		return err
 	}
-	clk := clock.NewReal()
-
 	// SIGINT/SIGTERM begin a graceful shutdown: stop accepting requests,
 	// flush the journal, and wind down the deployment's goroutines.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	return serve(ctx, f)
+}
 
+// serve runs the service until ctx ends. The deployment has a context of
+// its own, ended only after the drain is marked: a signal that cancelled
+// job contexts first would have them journaled CANCELLED, not suspended.
+func serve(ctx context.Context, f serveFlags) error {
+	src, err := store.NewOSStore("local", f.root)
+	if err != nil {
+		return err
+	}
+	clk := clock.NewReal()
 	var jnl *journal.Journal
-	if *journalDir != "" {
-		jdir, err := journal.OSDir(*journalDir)
+	if f.journalDir != "" {
+		jdir, err := journal.OSDir(f.journalDir)
 		if err != nil {
 			return err
 		}
-		jnl, err = journal.Open(jdir, journal.Options{Clock: clk})
-		if err != nil {
+		if jnl, err = journal.Open(jdir, journal.Options{Clock: clk}); err != nil {
 			return err
 		}
 	}
-
 	// Tenancy: quotas, fair-share task scheduling, and per-tenant
 	// accounting. Always on so the usage endpoint and tenant metrics
 	// work even with no limits configured.
-	tenants := tenant.NewController(tenant.Config{
-		Clock: clk,
-		Defaults: tenant.Limits{
-			SubmitRate:       *tenantRate,
-			SubmitBurst:      *tenantBurst,
-			MaxActiveJobs:    *tenantMaxJobs,
-			MaxInFlightTasks: *tenantInflight,
-		},
-		TaskSlots: *taskSlots,
-	})
-
-	var issuer *auth.Issuer
-	if *authKey != "" {
-		issuer = auth.NewIssuer([]byte(*authKey), clk)
+	tenants := tenant.NewController(tenant.Config{Clock: clk, Defaults: f.tenant, TaskSlots: f.taskSlots})
+	node, err := f.clusterNode(clk, jnl, tenants)
+	if err != nil {
+		return err
 	}
-	if *devTokens && issuer == nil {
-		return fmt.Errorf("-dev-tokens requires -auth-key")
-	}
-
-	// Cluster mode: static membership from -cluster-peers. Every node
-	// builds the same consistent-hash ring from the same peer list, so
-	// submissions hash to the same owner no matter which node a client
-	// dials; non-owners answer 307 to the owner. Ownership leases are
-	// journaled, and minted job IDs carry -node-id so nodes sharing a
-	// journal directory never collide.
-	var node *cluster.Node
-	if *clusterPeers != "" {
-		if *nodeID == "" {
-			return fmt.Errorf("-cluster-peers requires -node-id")
-		}
-		if jnl == nil {
-			return fmt.Errorf("-cluster-peers requires -journal (ownership leases are journaled)")
-		}
-		coord := cluster.NewCoordinator(cluster.Options{Clock: clk, LeaseTTL: *leaseTTL, Journal: jnl})
-		self := false
-		for _, p := range strings.Split(*clusterPeers, ",") {
-			id, addr, ok := strings.Cut(strings.TrimSpace(p), "=")
-			if !ok || id == "" || addr == "" {
-				return fmt.Errorf("bad -cluster-peers entry %q (want id=http://host:port)", p)
-			}
-			if id == *nodeID {
-				self = true
-				node = cluster.NewNode(coord, id, addr)
-			} else {
-				coord.Join(id, addr)
-			}
-		}
-		if !self {
-			return fmt.Errorf("-cluster-peers does not list -node-id %q", *nodeID)
-		}
-		coord.RegisterUsage(*nodeID, tenants.UsageFor)
-		tenants.SetPeerActive(func(t string) int { return coord.PeerActive(*nodeID, t) })
-	}
-
-	d, err := deploy.New(ctx, clk, []deploy.SiteSpec{
-		{Name: "local", Store: src, Workers: *workers},
-	}, deploy.Options{CacheCapacity: *cacheCap, Journal: jnl, Tenants: tenants, Cluster: node})
+	d, err := deploy.New(context.Background(), clk, []deploy.SiteSpec{{Name: "local", Store: src, Workers: f.workers}},
+		deploy.Options{CacheCapacity: f.cacheCap, Journal: jnl, Tenants: tenants, Cluster: node})
 	if err != nil {
 		return err
 	}
 	defer d.Close()
+	var issuer *auth.Issuer
+	if f.authKey != "" {
+		issuer = auth.NewIssuer([]byte(f.authKey), clk)
+	}
 	srv := api.NewServer(d.Service, d.Registry, d.Library, issuer)
 	srv.SetObserver(d.Obs)
 	srv.SetBaseContext(d.Ctx)
@@ -258,12 +236,58 @@ func runServe(args []string) error {
 	if node != nil {
 		srv.SetCluster(node)
 	}
-	if *devTokens {
+	if f.devTokens {
 		srv.EnableDevTokens()
 		fmt.Printf("dev token minting enabled at POST /api/v1/token\n")
 	}
 	srv.EnableSearch(index.New(), d.Dest, "/metadata")
+	if err := startRecovery(d, jnl, node, f.leaseTTL); err != nil {
+		return err
+	}
+	fmt.Printf("xtract service listening on %s (site 'local' → %s)\n", f.addr, f.root)
+	fmt.Printf("metrics exposed at %s/metrics\n", f.addr)
+	return listen(ctx, f, srv.Handler(), d, jnl)
+}
 
+// clusterNode is this node's handle on the static membership -cluster-peers
+// names (nil without it). Every node builds the same ring from the same list,
+// so a submission hashes to one owner whichever node it reaches (the rest
+// answer 307); leases are journaled and job IDs carry -node-id.
+func (f serveFlags) clusterNode(clk clock.Clock, jnl *journal.Journal, tenants *tenant.Controller) (*cluster.Node, error) {
+	if f.clusterPeers == "" {
+		return nil, nil
+	}
+	if f.nodeID == "" {
+		return nil, fmt.Errorf("-cluster-peers requires -node-id")
+	}
+	if jnl == nil {
+		return nil, fmt.Errorf("-cluster-peers requires -journal (ownership leases are journaled)")
+	}
+	coord := cluster.NewCoordinator(cluster.Options{Clock: clk, LeaseTTL: f.leaseTTL, Journal: jnl})
+	var node *cluster.Node
+	for _, p := range strings.Split(f.clusterPeers, ",") {
+		id, addr, ok := strings.Cut(strings.TrimSpace(p), "=")
+		if !ok || id == "" || addr == "" {
+			return nil, fmt.Errorf("bad -cluster-peers entry %q (want id=http://host:port)", p)
+		}
+		if id == f.nodeID {
+			node = cluster.NewNode(coord, id, addr)
+		} else {
+			coord.Join(id, addr)
+		}
+	}
+	if node == nil {
+		return nil, fmt.Errorf("-cluster-peers does not list -node-id %q", f.nodeID)
+	}
+	coord.RegisterUsage(f.nodeID, tenants.UsageFor)
+	tenants.SetPeerActive(func(t string) int { return coord.PeerActive(f.nodeID, t) })
+	return node, nil
+}
+
+// startRecovery replays the journal, resuming what it left unfinished, and
+// starts the node loop: heartbeats, lease renewal — a job whose lease is
+// lost stops here — and adoption of orphaned jobs the ring places here.
+func startRecovery(d *deploy.Deployment, jnl *journal.Journal, node *cluster.Node, leaseTTL time.Duration) error {
 	if jnl != nil {
 		status, err := d.Service.Recover(d.Ctx)
 		if err != nil {
@@ -281,9 +305,6 @@ func runServe(args []string) error {
 		fmt.Println()
 	}
 	if node != nil {
-		// The node loop heartbeats, renews this node's job leases — a job
-		// whose lease is lost stops here — and scans for orphaned jobs
-		// (dead owner, ring says ours) to adopt.
 		go node.Run(d.Ctx, func(scanCtx context.Context, lost []string) {
 			for _, id := range lost {
 				d.Service.Cancel(id)
@@ -291,11 +312,15 @@ func runServe(args []string) error {
 			d.Service.FailoverScan(scanCtx)
 		})
 		fmt.Printf("cluster: node %q of %d members, lease TTL %v\n",
-			node.ID(), len(node.Coordinator().Members()), *leaseTTL)
+			node.ID(), len(node.Coordinator().Members()), leaseTTL)
 	}
+	return nil
+}
 
-	handler := srv.Handler()
-	if *pprofOn {
+// listen serves until ctx ends, then shuts down in the order that suspends
+// in-flight jobs: drain mark, HTTP, deployment (every job context), journal.
+func listen(ctx context.Context, f serveFlags, handler http.Handler, d *deploy.Deployment, jnl *journal.Journal) error {
+	if f.pprof {
 		// Profiling rides the API listener so one port serves both; off
 		// by default since the pprof endpoints disclose runtime internals.
 		mux := http.NewServeMux()
@@ -306,12 +331,9 @@ func runServe(args []string) error {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
-		fmt.Printf("pprof exposed at %s/debug/pprof/\n", *addr)
+		fmt.Printf("pprof exposed at %s/debug/pprof/\n", f.addr)
 	}
-	fmt.Printf("xtract service listening on %s (site 'local' → %s)\n", *addr, *root)
-	fmt.Printf("metrics exposed at %s/metrics\n", *addr)
-
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: f.addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {
@@ -320,8 +342,6 @@ func runServe(args []string) error {
 	case <-ctx.Done():
 	}
 	fmt.Println("shutting down: draining jobs, flushing journal")
-	// Mark the drain before cancelling job contexts so in-flight jobs are
-	// suspended (and later recovered), not recorded as cancelled.
 	d.Service.BeginShutdown()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

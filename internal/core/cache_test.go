@@ -23,7 +23,6 @@ func TestWarmRunServedFromCache(t *testing.T) {
 	c := cache.New(0)
 	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 4}}, scheduler.LocalPolicy{},
 		func(cfg *Config) { cfg.Cache = c })
-	defer h.close()
 	seedScience(t, h.sites["theta"], "/mdf")
 
 	run := func(opts JobOptions) JobStats {
@@ -105,7 +104,6 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 	// re-dispatched step would read its old one instead of the file.
 	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 4, now: frozen}}, scheduler.LocalPolicy{},
 		func(cfg *Config) { cfg.Cache, cfg.Checkpoint = c, false })
-	defer h.close()
 	src := h.sites["theta"]
 	files := int64(seedScience(t, src, "/mdf"))
 
@@ -254,7 +252,6 @@ func TestCacheMetricsAndEvents(t *testing.T) {
 			cfg.Cache = c
 			cfg.Obs = obs.New(cfg.Clock)
 		})
-	defer h.close()
 	seedScience(t, h.sites["theta"], "/mdf")
 
 	repo := []RepoSpec{{
@@ -316,7 +313,6 @@ func TestConcurrentJobStatsIsolation(t *testing.T) {
 		{name: "alpha", workers: 4},
 		{name: "beta", workers: 4},
 	}, scheduler.LocalPolicy{}, func(cfg *Config) { cfg.Obs = obs.New(cfg.Clock) })
-	defer h.close()
 	seedScience(t, h.sites["alpha"], "/mdf")
 	// beta gets a different (larger) corpus so equal-by-coincidence
 	// cannot mask cross-contamination.

@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"xtract/internal/clock"
+	"xtract/internal/cluster"
 	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/family"
+	"xtract/internal/faultinject"
+	"xtract/internal/journal"
+	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
@@ -20,24 +26,84 @@ import (
 	"xtract/internal/validate"
 )
 
-// harness wires a full live Xtract deployment over in-memory stores.
-type harness struct {
-	clk     clock.Clock
-	svc     *Service
-	fsvc    *faas.Service
-	fabric  *transfer.Fabric
-	pf      *transfer.Prefetcher
-	valsvc  *validate.Service
-	dest    *store.MemFS
-	cancel  context.CancelFunc
+// world is the durable layer every node life of one test shares: the
+// sites' data stores, the destination, the results queue (like SQS it
+// outlives the node that fed it), the journal's directory and, in a
+// cluster, the open journal and the coordinator. Everything else belongs
+// to one node life — a harness — and dies with it.
+type world struct {
+	specs   []siteSpec
 	sites   map[string]*store.MemFS
-	started []*faas.Endpoint
+	dest    *store.MemFS
+	results *queue.Queue
+	jdir    journal.Dir          // nil: no journal
+	jnl     *journal.Journal     // open on jdir: the current life's, or the whole cluster's
+	coord   *cluster.Coordinator // nil: a single node
+	lives   []*harness
 }
 
 type siteSpec struct {
 	name    string
 	workers int              // 0 = storage-only
 	now     func() time.Time // the store's clock; nil = time.Now
+	exclude []string         // extractors the site's container runtime cannot run
+}
+
+func newWorld(t testing.TB, sites []siteSpec) *world {
+	w := &world{
+		specs:   sites,
+		sites:   make(map[string]*store.MemFS),
+		dest:    store.NewMemFS("user-dest", nil),
+		results: queue.New("validation-results", clock.NewReal()),
+	}
+	for _, spec := range sites {
+		w.sites[spec.name] = store.NewMemFS(spec.name, spec.now)
+	}
+	t.Cleanup(w.teardown)
+	return w
+}
+
+// teardown ends every life and closes the open journal.
+func (w *world) teardown() {
+	for _, h := range w.lives {
+		h.kill()
+	}
+	if w.jnl != nil {
+		_ = w.jnl.Close()
+		w.jnl = nil
+	}
+}
+
+// node is what one life brings to its world.
+type node struct {
+	id     string      // cluster member ID; "" for a single node
+	clk    clock.Clock // nil: the wall clock
+	policy scheduler.Policy
+	inv    *invLog       // non-nil: the library counts extractor invocations
+	delay  time.Duration // per counted invocation
+	faults *faultinject.Injector
+	medic  bool // replace an endpoint that stops, as the paper's restart does
+	mut    func(*Config)
+}
+
+// harness is one node life of a live Xtract deployment over its world:
+// registry, FaaS service and endpoints, fabric, prefetch queues,
+// prefetcher, validator — and, in a cluster, the node's maintenance loop.
+type harness struct {
+	*world
+	id       string
+	clk      clock.Clock
+	svc      *Service
+	fsvc     *faas.Service
+	fabric   *transfer.Fabric
+	pf       *transfer.Prefetcher
+	valsvc   *validate.Service
+	inv      *invLog
+	node     *cluster.Node
+	ctx      context.Context
+	cancel   context.CancelFunc
+	loopDone chan struct{} // closes when the node loop has returned
+	dead     bool
 }
 
 func newHarness(t *testing.T, sites []siteSpec, policy scheduler.Policy) *harness {
@@ -45,74 +111,283 @@ func newHarness(t *testing.T, sites []siteSpec, policy scheduler.Policy) *harnes
 	return newHarnessCfg(t, sites, policy, nil)
 }
 
-// newHarnessCfg is newHarness with a config hook applied before the
-// service is built (e.g. to attach a result cache).
-func newHarnessCfg(t *testing.T, sites []siteSpec, policy scheduler.Policy, mut func(*Config)) *harness {
+// newHarnessCfg is one node over a world of its own, with a config hook
+// applied before the service is built (e.g. to attach a result cache).
+func newHarnessCfg(t testing.TB, sites []siteSpec, policy scheduler.Policy, mut func(*Config)) *harness {
 	t.Helper()
-	clk := clock.NewReal()
-	h := &harness{clk: clk, sites: make(map[string]*store.MemFS)}
-	ctx, cancel := context.WithCancel(context.Background())
-	h.cancel = cancel
+	return newWorld(t, sites).start(t, node{policy: policy, mut: mut})
+}
 
+// start boots one node life over the world. A journaled world's journal
+// is opened by the first life that needs it.
+func (w *world) start(t testing.TB, n node) *harness {
+	t.Helper()
+	clk := n.clk
+	if clk == nil {
+		clk = clock.NewReal()
+	}
+	h := &harness{world: w, id: n.id, clk: clk, inv: n.inv, loopDone: make(chan struct{})}
+	h.ctx, h.cancel = context.WithCancel(context.Background())
 	h.fsvc = faas.NewService(clk, faas.Costs{})
 	h.fabric = transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-
-	cfg := Config{
-		Clock:         clk,
-		FaaS:          h.fsvc,
-		Fabric:        h.fabric,
-		Registry:      registry.New(clk, 0),
-		Library:       extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone,
-		ResultQueue:   results,
-		Policy:        policy,
-		Checkpoint:    true,
+	_, prefetch, prefetchDone, _ := NewQueues(clk)
+	if w.jdir != nil && w.jnl == nil {
+		jnl, err := journal.Open(w.jdir, journal.Options{Clock: clk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.jnl = jnl
 	}
-	if mut != nil {
-		mut(&cfg)
+	cfg := Config{
+		Clock: clk, FaaS: h.fsvc, Fabric: h.fabric, Registry: registry.New(clk, 0),
+		Library:       extractors.DefaultLibrary(),
+		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: w.results,
+		Policy: n.policy, Checkpoint: true, Journal: w.jnl,
+	}
+	if n.inv != nil {
+		cfg.Library = countingLibrary(n.inv, n.delay)
+	}
+	if w.coord != nil {
+		h.node = cluster.NewNode(w.coord, n.id, "mem://"+n.id)
+		cfg.Registry.SetIDPrefix(n.id)
+		cfg.Cluster = h.node
+	}
+	if n.faults != nil {
+		h.fsvc.HeartbeatTimeout = 40 * time.Millisecond
+		h.fsvc.SetFaults(n.faults)
+		h.fabric.SetFaults(n.faults)
+		for _, q := range []*queue.Queue{prefetch, prefetchDone, w.results} {
+			q.SetFaults(n.faults)
+		}
+		cfg.ExtractFaults = n.faults
+	}
+	if n.mut != nil {
+		n.mut(&cfg)
 	}
 	h.svc = New(cfg)
-
-	for _, spec := range sites {
-		fs := store.NewMemFS(spec.name, spec.now)
-		h.sites[spec.name] = fs
+	for _, spec := range w.specs {
+		fs := w.sites[spec.name]
 		h.fabric.AddEndpoint(spec.name, fs)
-		site := &Site{
-			Name:       spec.name,
-			Store:      fs,
-			TransferID: spec.name,
-			StagePath:  "/xtract-stage",
-		}
+		site := &Site{Name: spec.name, Store: fs, TransferID: spec.name, StagePath: "/xtract-stage",
+			ExcludeExtractors: spec.exclude}
 		if spec.workers > 0 {
-			ep := faas.NewEndpoint("ep-"+spec.name, spec.workers, clk)
-			h.fsvc.RegisterEndpoint(ep)
-			if err := ep.Start(ctx); err != nil {
+			ep, err := h.endpoint("ep-"+spec.name, spec.workers)
+			if err != nil {
 				t.Fatal(err)
 			}
 			site.Compute = ep
-			h.started = append(h.started, ep)
 		}
 		h.svc.AddSite(site)
 	}
 	if err := h.svc.RegisterExtractors(); err != nil {
 		t.Fatal(err)
 	}
-
 	h.pf = transfer.NewPrefetcher(h.fabric, prefetch, prefetchDone, clk)
-	go h.pf.Run(ctx, 2)
-
-	h.dest = store.NewMemFS("user-dest", nil)
-	h.valsvc = validate.NewService(validate.Passthrough{}, results, h.dest)
-	go h.valsvc.Run(ctx)
+	go h.pf.Run(h.ctx, 2)
+	h.valsvc = validate.NewService(validate.Passthrough{}, w.results, w.dest)
+	go h.valsvc.Run(h.ctx)
+	if h.node != nil {
+		go func() {
+			defer close(h.loopDone)
+			h.node.Run(h.ctx, func(c context.Context, lost []string) {
+				for _, id := range lost {
+					h.svc.Cancel(id)
+				}
+				h.svc.FailoverScan(c)
+			})
+		}()
+	} else {
+		close(h.loopDone)
+	}
+	if n.medic {
+		go h.medic()
+	}
+	w.lives = append(w.lives, h)
 	return h
+}
+
+// endpoint registers and starts a compute endpoint on the life's FaaS
+// service.
+func (h *harness) endpoint(id string, workers int) (*faas.Endpoint, error) {
+	ep := faas.NewEndpoint(id, workers, h.clk)
+	h.fsvc.RegisterEndpoint(ep)
+	return ep, ep.Start(h.ctx)
+}
+
+// medic brings up a replacement for any compute endpoint that has stopped
+// and swaps it in: the paper's endpoint-restart recovery.
+func (h *harness) medic() {
+	for gen := 0; ; {
+		select {
+		case <-h.ctx.Done():
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+		for _, name := range h.svc.Sites() {
+			site, _ := h.svc.Site(name)
+			if cur := site.ComputeEndpoint(); cur == nil || !cur.Stopped() {
+				continue
+			}
+			gen++
+			ep, err := h.endpoint(fmt.Sprintf("ep-%s-%d", name, gen), 3)
+			if err != nil {
+				return
+			}
+			_ = h.svc.SwapCompute(name, ep)
+			_ = h.svc.RegisterExtractors()
+		}
+	}
 }
 
 func (h *harness) close() { h.cancel() }
 
+// kill ends the life the way a dying process does: BeginShutdown first, so
+// an interrupted pump suspends instead of journaling a terminal record —
+// as a SIGKILLed process never runs again — then every goroutine stops. A
+// node's leases are not released: they expire, which is how its peers
+// learn it has gone.
+func (h *harness) kill() {
+	if h.dead {
+		return
+	}
+	h.dead = true
+	h.svc.BeginShutdown()
+	h.cancel()
+	<-h.loopDone
+}
+
+// drain synchronously validates what the results queue holds, on every
+// live node.
+func (w *world) drain() {
+	for _, h := range w.lives {
+		if !h.dead {
+			h.valsvc.Drain()
+		}
+	}
+}
+
+// waitForDocs drains validation until the destination holds want docs.
+func (w *world) waitForDocs(t testing.TB, want int) map[string][]byte {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		w.drain()
+		docs := snapshotDocs(t, w.dest)
+		if len(docs) >= want {
+			return docs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("validation stalled: %d/%d documents", len(docs), want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// snapshotDocs reads every validated document at the destination.
+func snapshotDocs(t testing.TB, dest *store.MemFS) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	infos, err := dest.List("/metadata")
+	if err != nil {
+		return out // no docs yet
+	}
+	for _, info := range infos {
+		if info.IsDir {
+			continue
+		}
+		data, err := dest.Read(info.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[info.Path] = data
+	}
+	return out
+}
+
+func docsEqual(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if !bytes.Equal(v, b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// invLog records extractor invocations keyed by group and extractor, so a
+// test can prove a journaled completion is never run again.
+type invLog struct {
+	mu sync.Mutex
+	m  map[string]int
+}
+
+func newInvLog() *invLog { return &invLog{m: make(map[string]int)} }
+
+func invKey(groupID, extractor string) string { return groupID + "\x1f" + extractor }
+
+func (l *invLog) add(key string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.m[key]++
+}
+
+func (l *invLog) count(key string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.m[key]
+}
+
+func (l *invLog) total() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, c := range l.m {
+		n += c
+	}
+	return n
+}
+
+// countingExtractor wraps an extractor, logging each real invocation
+// (cache hits never reach Extract). delay slows extraction down so that
+// churn lands mid-run.
+type countingExtractor struct {
+	inner extractors.Extractor
+	log   *invLog
+	delay time.Duration
+}
+
+func (c *countingExtractor) Name() string                     { return c.inner.Name() }
+func (c *countingExtractor) Version() string                  { return extractors.VersionOf(c.inner) }
+func (c *countingExtractor) Container() string                { return c.inner.Container() }
+func (c *countingExtractor) Applies(info store.FileInfo) bool { return c.inner.Applies(info) }
+
+func (c *countingExtractor) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
+	c.log.add(invKey(g.ID, c.inner.Name()))
+	if c.delay > 0 {
+		time.Sleep(c.delay)
+	}
+	return c.inner.Extract(g, files)
+}
+
+// countingLibrary wraps the default library, preserving registration
+// order (order decides each group's initial extractor).
+func countingLibrary(log *invLog, delay time.Duration) *extractors.Library {
+	base := extractors.DefaultLibrary()
+	var wrapped []extractors.Extractor
+	for _, name := range base.Names() {
+		e, err := base.Get(name)
+		if err != nil {
+			panic(err)
+		}
+		wrapped = append(wrapped, &countingExtractor{inner: e, log: log, delay: delay})
+	}
+	return extractors.NewLibrary(wrapped...)
+}
+
 // seedScience writes a small mixed-type repository.
-func seedScience(t *testing.T, fs *store.MemFS, root string) int {
+func seedScience(t testing.TB, fs *store.MemFS, root string) int {
 	t.Helper()
 	files := map[string]string{
 		root + "/exp1/INCAR":     "ENCUT = 520\nISMEAR = 0\n",
@@ -132,7 +407,6 @@ func seedScience(t *testing.T, fs *store.MemFS, root string) int {
 
 func TestEndToEndLocalExtraction(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "theta", workers: 4}}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["theta"], "/mdf")
 
 	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
@@ -152,27 +426,10 @@ func TestEndToEndLocalExtraction(t *testing.T) {
 	if stats.StepsProcessed < stats.FamiliesDone {
 		t.Fatalf("steps %d < families %d", stats.StepsProcessed, stats.FamiliesDone)
 	}
-	// Validation output landed at the destination. Drain consumes only
-	// visible messages; the Run goroutine may hold a batch in flight, so
-	// poll briefly.
-	var infos []store.FileInfo
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		h.valsvc.Drain()
-		var err error
-		infos, err = h.dest.List("/metadata")
-		if err == nil && int64(len(infos)) == stats.FamiliesDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("validated docs = %d, want %d (%v)", len(infos), stats.FamiliesDone, err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The VASP family's metadata includes structure and results blocks.
+	// Validation output landed at the destination; the VASP family's
+	// metadata includes structure and results blocks.
 	foundStructure := false
-	for _, fi := range infos {
-		data, _ := h.dest.Read(fi.Path)
+	for _, data := range h.waitForDocs(t, int(stats.FamiliesDone)) {
 		if strings.Contains(string(data), `"structure"`) && strings.Contains(string(data), `"incar"`) {
 			foundStructure = true
 		}
@@ -188,7 +445,6 @@ func TestEndToEndStagingFromStorageOnlySite(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["petrel"], "/data")
 
 	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
@@ -234,7 +490,6 @@ func TestStagedStepReadsUnderItsPrefix(t *testing.T) {
 	lib := extractors.NewLibrary(echoExtractor{})
 	h := newHarnessCfg(t, []siteSpec{{name: "petrel"}, {name: "river", workers: 2}}, scheduler.LocalPolicy{},
 		func(cfg *Config) { cfg.Library = lib })
-	defer h.close()
 	if err := h.sites["petrel"].Write("/data/a.dat", []byte("from home")); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +512,6 @@ func TestStagedStepReadsUnderItsPrefix(t *testing.T) {
 func TestEndToEndDynamicPlanExpansion(t *testing.T) {
 	// A .txt file containing a table triggers keyword → tabular expansion.
 	h := newHarness(t, []siteSpec{{name: "midway", workers: 2}}, scheduler.LocalPolicy{})
-	defer h.close()
 	fs := h.sites["midway"]
 	table := "a,b,c\n1,2,3\n4,5,6\n7,8,9\n"
 	if err := fs.Write("/d/table.txt", []byte(table)); err != nil {
@@ -275,37 +529,19 @@ func TestEndToEndDynamicPlanExpansion(t *testing.T) {
 	if stats.FamiliesDone != 1 || stats.StepsProcessed < 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	var infos2 []store.FileInfo
-	deadline2 := time.Now().Add(10 * time.Second)
-	for len(infos2) == 0 && time.Now().Before(deadline2) {
-		h.valsvc.Drain()
-		infos2, _ = h.dest.List("/metadata")
-		time.Sleep(time.Millisecond)
-	}
-	if len(infos2) == 0 {
-		t.Fatal("no validated documents")
-	}
-	data, _ := h.dest.Read(infos2[0].Path)
-	var doc map[string]interface{}
-	_ = json.Unmarshal(data, &doc)
-	md := doc["metadata"].(map[string]interface{})
-	hasTabular := false
-	for key := range md {
-		if strings.HasSuffix(key, "/tabular") {
-			hasTabular = true
+	for _, data := range h.waitForDocs(t, 1) {
+		var doc struct{ Metadata map[string]json.RawMessage }
+		_ = json.Unmarshal(data, &doc)
+		hasTabular := false
+		var keys []string
+		for key := range doc.Metadata {
+			hasTabular = hasTabular || strings.HasSuffix(key, "/tabular")
+			keys = append(keys, key)
+		}
+		if !hasTabular {
+			t.Fatalf("dynamic tabular step missing; keys: %v", keys)
 		}
 	}
-	if !hasTabular {
-		t.Fatalf("dynamic tabular step missing; keys: %v", mdKeys(md))
-	}
-}
-
-func mdKeys(md map[string]interface{}) []string {
-	var out []string
-	for k := range md {
-		out = append(out, k)
-	}
-	return out
 }
 
 func TestEndToEndOffloadRand(t *testing.T) {
@@ -314,7 +550,6 @@ func TestEndToEndOffloadRand(t *testing.T) {
 		{name: "midway", workers: 2},
 		{name: "jetstream", workers: 2},
 	}, &scheduler.RandPolicy{Percent: 100, Rng: newSeededRand()})
-	defer h.close()
 	seedScience(t, h.sites["midway"], "/repo")
 
 	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
@@ -343,48 +578,21 @@ func TestEndToEndOffloadRand(t *testing.T) {
 }
 
 func TestEndToEndCheckpointRestart(t *testing.T) {
-	// Stop the only endpoint mid-job; a second endpoint started later
-	// picks up resubmitted tasks... simpler: verify lost tasks are
-	// resubmitted to the restarted endpoint via checkpoints.
-	clk := clock.NewReal()
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fabric := transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results,
-		Checkpoint: true, XtractBatchSize: 1, FuncXBatchSize: 1,
-	})
-	fs := store.NewMemFS("theta", nil)
-	fabric.AddEndpoint("theta", fs)
-	ep := faas.NewEndpoint("ep-theta", 2, clk)
-	fsvc.RegisterEndpoint(ep)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := ep.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	svc.AddSite(&Site{Name: "theta", Store: fs, TransferID: "theta", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	seedScience(t, fs, "/mdf")
-
-	// Kill the endpoint's allocation shortly after the job starts, then
-	// bring up a replacement endpoint under the same site.
+	// Stop the only endpoint mid-job and bring up a replacement under the
+	// same site: lost tasks are resubmitted to it via their checkpoints.
+	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, nil,
+		func(cfg *Config) { cfg.XtractBatchSize, cfg.FuncXBatchSize = 1, 1 })
+	seedScience(t, h.sites["theta"], "/mdf")
+	site, _ := h.svc.Site("theta")
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		ep.Stop()
-		ep2 := faas.NewEndpoint("ep-theta-2", 2, clk)
-		fsvc.RegisterEndpoint(ep2)
-		_ = ep2.Start(ctx)
-		_ = svc.SwapCompute("theta", ep2)
-		_ = svc.RegisterExtractors() // re-register functions on new endpoint
+		site.ComputeEndpoint().Stop()
+		ep, _ := h.endpoint("ep-theta-2", 2)
+		_ = h.svc.SwapCompute("theta", ep)
+		_ = h.svc.RegisterExtractors() // re-register functions on the new endpoint
 	}()
 
-	stats, err := svc.RunJob(context.Background(), []RepoSpec{{
+	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
 		SiteName: "theta",
 		Roots:    []string{"/mdf"},
 		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
@@ -392,18 +600,14 @@ func TestEndToEndCheckpointRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.FamiliesDone == 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
 	// The job must have completed every family despite the restart.
-	if stats.FamiliesDone+stats.FamiliesFailed < 6 {
-		t.Fatalf("families done+failed = %d, want >= 6", stats.FamiliesDone+stats.FamiliesFailed)
+	if stats.FamiliesDone == 0 || stats.FamiliesDone+stats.FamiliesFailed < 6 {
+		t.Fatalf("stats = %+v, want every family of 6 done or failed", stats)
 	}
 }
 
 func TestRunJobUnknownSite(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "a", workers: 1}}, nil)
-	defer h.close()
 	if _, err := h.svc.RunJob(context.Background(), []RepoSpec{{SiteName: "nope"}}); err == nil {
 		t.Fatal("expected error for unknown site")
 	}
@@ -411,7 +615,6 @@ func TestRunJobUnknownSite(t *testing.T) {
 
 func TestRunJobNoComputeAnywhere(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "petrel", workers: 0}}, scheduler.LocalPolicy{})
-	defer h.close()
 	if err := h.sites["petrel"].Write("/d/f.txt", []byte("words here")); err != nil {
 		t.Fatal(err)
 	}
@@ -430,15 +633,14 @@ func TestRunJobNoComputeAnywhere(t *testing.T) {
 
 func TestSitesListing(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "b", workers: 1}, {name: "a", workers: 0}}, nil)
-	defer h.close()
 	got := h.svc.Sites()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Sites = %v", got)
 	}
-	if _, ok := h.svc.Site("a"); !ok {
+	site, ok := h.svc.Site("a")
+	if !ok {
 		t.Fatal("site a missing")
 	}
-	site, _ := h.svc.Site("a")
 	if site.HasCompute() {
 		t.Fatal("storage-only site reports compute")
 	}
@@ -454,7 +656,6 @@ func TestEndToEndDirectFetch(t *testing.T) {
 		{name: "gdrive", workers: 0},
 		{name: "river", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	site, _ := h.svc.Site("river")
 	site.DirectFetch = true
 	seedScience(t, h.sites["gdrive"], "/docs")
@@ -485,48 +686,10 @@ func TestExcludedExtractorFailsGracefully(t *testing.T) {
 	// A site whose container runtime cannot run the keyword extractor
 	// (Docker-only on a Singularity-only system): steps targeting it fail
 	// without wedging the job.
-	h := newHarness(t, []siteSpec{{name: "sing", workers: 2}}, scheduler.LocalPolicy{})
-	defer h.close()
-	site, _ := h.svc.Site("sing")
-	site.ExcludeExtractors = []string{"keyword"}
-	if err := h.svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	// Re-registration is additive; wipe the keyword mapping by rebuilding
-	// the service would be heavier — instead verify registration skipped
-	// the excluded extractor through a fresh harness below.
-	h2 := newHarness(t, []siteSpec{{name: "sing", workers: 2}}, scheduler.LocalPolicy{})
-	defer h2.close()
-	// Rebuild with the exclusion in place before registration.
-	clk := clock.NewReal()
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fabric := transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results,
-	})
-	fs := store.NewMemFS("sing", nil)
-	fabric.AddEndpoint("sing", fs)
-	ep := faas.NewEndpoint("ep-sing", 2, clk)
-	fsvc.RegisterEndpoint(ep)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := ep.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	svc.AddSite(&Site{
-		Name: "sing", Store: fs, TransferID: "sing", Compute: ep,
-		ExcludeExtractors: []string{"keyword"},
-	})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	_ = fs.Write("/d/notes.txt", []byte("free text that wants the keyword extractor"))
-	_ = fs.Write("/d/data.csv", []byte("a,b\n1,2\n3,4\n"))
-	stats, err := svc.RunJob(context.Background(), []RepoSpec{{
+	h := newHarness(t, []siteSpec{{name: "sing", workers: 2, exclude: []string{"keyword"}}}, scheduler.LocalPolicy{})
+	_ = h.sites["sing"].Write("/d/notes.txt", []byte("free text that wants the keyword extractor"))
+	_ = h.sites["sing"].Write("/d/data.csv", []byte("a,b\n1,2\n3,4\n"))
+	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
 		SiteName: "sing",
 		Roots:    []string{"/d"},
 		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
@@ -546,7 +709,7 @@ func TestExcludedExtractorFailsGracefully(t *testing.T) {
 	if stats.StepsDeadLettered == 0 {
 		t.Fatalf("expected dead-lettered steps, got %+v", stats)
 	}
-	rec, err := svc.cfg.Registry.Job(stats.JobID)
+	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +732,6 @@ func TestEndToEndMultiRepoJob(t *testing.T) {
 		{name: "anl", workers: 2},
 		{name: "uchicago", workers: 2},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["anl"], "/science/data")
 	seedScience(t, h.sites["uchicago"], "/other_science/papers")
 
@@ -614,7 +776,6 @@ func TestStageCapacityFallbackAndExhaustion(t *testing.T) {
 		{name: "river", workers: 2},
 		{name: "jetstream", workers: 2},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["petrel"], "/data")
 	river, _ := h.svc.Site("river")
 	js, _ := h.svc.Site("jetstream")
@@ -641,7 +802,6 @@ func TestStageCapacityFallbackAndExhaustion(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 2},
 	}, scheduler.LocalPolicy{})
-	defer h2.close()
 	seedScience(t, h2.sites["petrel"], "/data")
 	r2, _ := h2.svc.Site("river")
 	r2.StageCapacityBytes = 1 // nothing fits

@@ -321,11 +321,11 @@ func (d *dispatcher) terminal(id string, info faas.TaskInfo) {
 }
 
 // releaseAbandoned returns every fair-share task slot this shard still
-// holds when its job context ends: steps buffered in buckets, tasks
-// built but not yet submitted, tasks outstanding on the fabric (whose
-// records are dropped with them), and anything left unread in the feed.
-// Without this sweep a cancelled job would permanently shrink the global
-// slot budget.
+// holds when its job context ends: steps buffered in buckets, tasks built
+// but not yet submitted, and tasks outstanding on the fabric (their records
+// dropped, their pipeline depth given back); the pump's teardown returns
+// what is left in the feed. Without this sweep a cancelled job would
+// permanently shrink the global slot budget.
 func (d *dispatcher) releaseAbandoned() {
 	n := 0
 	for _, items := range d.buckets {
@@ -338,14 +338,6 @@ func (d *dispatcher) releaseAbandoned() {
 		n += len(t.refs)
 		d.s.cfg.FaaS.Forget(id) // nobody will read these results
 	}
-	for {
-		select {
-		case <-d.feed:
-			n++
-			continue
-		default:
-		}
-		break
-	}
+	d.s.obsPipelineDepth.Add(-float64(len(d.out)))
 	d.s.cfg.Tenants.ReleaseTasks(d.tenant, n)
 }

@@ -176,7 +176,6 @@ func TestCrawlWaitsForThePump(t *testing.T) {
 // never leaving the pump: that pass finds nothing to do and flushes nothing.
 func TestBatchTakenInAwaitIsFlushed(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{})
-	defer h.close()
 	p := barePump(h, "test-await")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -220,7 +219,6 @@ func (g *gatedStore) List(dir string) ([]store.FileInfo, error) {
 // completes with all its documents.
 func TestLastFamiliesArriveWhileThePumpWaits(t *testing.T) {
 	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, scheduler.LocalPolicy{}, withCache)
-	defer h.close()
 	fs := h.sites["theta"]
 	for _, p := range []string{"/w/a/one.txt", "/w/b/two.txt"} {
 		if err := fs.Write(p, []byte("notes on "+p)); err != nil {
@@ -300,7 +298,6 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 
 	t.Run("a later repository names an unknown site", func(t *testing.T) {
 		h, src, goroutines := setup(t, scheduler.LocalPolicy{})
-		defer h.close()
 		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{flatRepo("theta", workers), flatRepo("nowhere", workers)})
 		if err == nil || !strings.Contains(err.Error(), `unknown site "nowhere"`) {
 			t.Fatalf("RunJob = %v; want the unknown-site error", err)
@@ -313,7 +310,6 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 
 	t.Run("another crawl fails", func(t *testing.T) {
 		h, src, goroutines := setup(t, scheduler.LocalPolicy{})
-		defer h.close()
 		broken := flatRepo("theta", workers)
 		broken.Grouper = nil
 		if _, err := h.svc.RunJob(context.Background(), []RepoSpec{flatRepo("theta", workers), broken}); err == nil ||
@@ -325,7 +321,6 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 
 	t.Run("the pump exits with a worker parked on the full hand-off", func(t *testing.T) {
 		h, src, goroutines := setup(t, scheduler.LocalPolicy{})
-		defer h.close()
 		p := barePump(h, "test-early-exit")
 		var cancelJob context.CancelFunc
 		p.jobCtx, cancelJob = context.WithCancel(context.Background())
@@ -346,7 +341,6 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 	t.Run("the job is cancelled with a worker parked on the full hand-off", func(t *testing.T) {
 		policy := newParkPolicy()
 		h, src, goroutines := setup(t, policy)
-		defer h.close()
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
@@ -374,7 +368,6 @@ func TestOverlappingRootsRunEachFamilyOnce(t *testing.T) {
 	}
 	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 4}}, scheduler.LocalPolicy{},
 		func(cfg *Config) { cfg.Journal = jnl })
-	defer h.close()
 	var mu sync.Mutex
 	journaled := map[string]int64{}
 	jnl.Observe(func(recType string) {
@@ -415,7 +408,6 @@ func TestOverlappingRootsRunEachFamilyOnce(t *testing.T) {
 // A job whose crawl finds no family ends, COMPLETE, with nothing done.
 func TestJobWithoutFamiliesTerminates(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "theta", workers: 1}}, scheduler.LocalPolicy{})
-	defer h.close()
 	type result struct {
 		stats JobStats
 		err   error
@@ -444,7 +436,6 @@ func TestJobWithoutFamiliesTerminates(t *testing.T) {
 // no path, hash or type string is created again on the way.
 func TestIntakeCostIsPerFamilyNotPerFile(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{})
-	defer h.close()
 	const runs, perBatch = 20, 16
 	perFamily := func(files int) float64 {
 		p := barePump(h, fmt.Sprintf("test-intake-%d", files))

@@ -366,6 +366,9 @@ func (p *pump) teardown(cancelJob context.CancelFunc) {
 	p.flushResults() // error paths must not strand buffered records
 	cancelJob()
 	p.shardWG.Wait()
+	for _, d := range p.shards { // fed after its shard's own sweep, a step still holds a slot
+		p.s.cfg.Tenants.ReleaseTasks(p.tenant, len(d.feed))
+	}
 	// A job that ends early (cancelled, failed crawl) still gives its
 	// families' stage space back.
 	for _, st := range p.fams {

@@ -18,6 +18,7 @@ import (
 	"xtract/internal/family"
 	"xtract/internal/faultinject"
 	"xtract/internal/journal"
+	"xtract/internal/obs"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
@@ -47,7 +48,6 @@ func TestRecordsDroppedAfterCompletedJob(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["petrel"], "/data")
 
 	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
@@ -89,7 +89,6 @@ func TestRecordsDroppedAfterCancelledJob(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 2},
 	}, scheduler.LocalPolicy{}, func(cfg *Config) { cfg.Library = xt.NewLibrary(ext) })
-	defer h.close()
 	seedScience(t, h.sites["petrel"], "/data")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -128,7 +127,6 @@ func TestDeleteStagedRemovesCopiesOncePerFamily(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "theta", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	if _, err := dataset.MaterializeMDF(h.sites["petrel"], "/data", 60, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +170,6 @@ func TestStagingRetriedAfterFailedFabricJob(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["petrel"], "/data")
 	h.fabric.SetFaults(faultinject.New(faultinject.Config{
 		Seed:          1,
@@ -252,8 +249,12 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 	// validator receives: it is started here, with a record the validator
 	// rejects, so that the count includes it.
 	setup := func(t *testing.T, policy scheduler.Policy, mut func(*Config)) (*harness, int) {
-		h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, policy, mut)
-		t.Cleanup(h.close)
+		h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, policy, func(cfg *Config) {
+			cfg.Obs = obs.New(cfg.Clock) // xtract_pipeline_depth
+			if mut != nil {
+				mut(cfg)
+			}
+		})
 		seedScience(t, h.sites["theta"], "/mdf")
 		h.svc.cfg.ResultQueue.Send([]byte("not a record"))
 		eventually(t, "the validator rejecting the warm-up record", func() bool { return h.valsvc.Rejected.Load() == 1 })
@@ -263,6 +264,9 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 		t.Helper()
 		if n := liveJobs(h.svc); n != 0 {
 			t.Fatalf("%d jobs in the live table after the job ended", n)
+		}
+		if d := h.svc.obsPipelineDepth.Value(); d != 0 {
+			t.Fatalf("xtract_pipeline_depth %.0f after the job ended, 0 before it", d)
 		}
 		eventually(t, "the job's goroutines exiting", func() bool { return runtime.NumGoroutine() <= goroutines })
 	}
@@ -414,7 +418,6 @@ func TestStagedResultsReachTheirOwnJob(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	// The link's round trip has all four jobs staging before the first
 	// result arrives, so pumps do take each other's.
 	h.fabric.SetLink("petrel", "river", transfer.Link{RTT: 20 * time.Millisecond})
@@ -464,7 +467,6 @@ func TestCancelledStagingJobLeavesNoResultsBehind(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	const files = 40
 	bytesHeld := seedSized(t, h.sites["petrel"], "/data", files, 100)
 	// No result arrives within the link's round trip: time to cancel.
@@ -509,7 +511,6 @@ func TestServiceDoesNotCrawlItsOwnDirectories(t *testing.T) {
 		{name: "petrel", workers: 0},
 		{name: "theta", workers: 4},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["petrel"], "/data")
 	own := seedScience(t, h.sites["theta"], "/mdf")
 	single := crawler.SingleFileGrouper(xt.DefaultLibrary())

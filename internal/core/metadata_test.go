@@ -7,8 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -28,21 +26,23 @@ import (
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 	"xtract/internal/transfer"
-	"xtract/internal/validate"
 )
 
-// journalRecords reads every record of the journal segments under jpath,
-// frame by frame, so tests can look at the bytes that reached the disk.
-func journalRecords(t testing.TB, jpath string) []journal.Record {
+// journalRecords reads every record of the journal segments in dir, frame
+// by frame, so tests can look at the bytes that reached the disk.
+func journalRecords(t testing.TB, dir journal.Dir) []journal.Record {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(jpath, "seg-*.wal"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no journal segments under %s: %v", jpath, err)
+	names, err := dir.List()
+	if err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(names)
 	var out []journal.Record
 	for _, name := range names {
-		data, err := os.ReadFile(name)
+		if !strings.HasPrefix(name, "seg-") {
+			continue
+		}
+		data, err := dir.Read(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,6 +55,9 @@ func journalRecords(t testing.TB, jpath string) []journal.Record {
 			out = append(out, rec)
 			off += 8 + n
 		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no journal records")
 	}
 	return out
 }
@@ -74,7 +77,7 @@ func stepMetadata(recs []journal.Record, jobID string) map[string]string {
 // empties the destination for the next job.
 func takeDocs(t *testing.T, h *harness, want int64) map[string][]byte {
 	t.Helper()
-	docs := waitForDocs(t, h.valsvc, h.dest, int(want))
+	docs := h.waitForDocs(t, int(want))
 	for p := range docs {
 		if err := h.dest.Delete(p); err != nil {
 			t.Fatal(err)
@@ -90,8 +93,7 @@ func takeDocs(t *testing.T, h *harness, want int64) map[string][]byte {
 // determinism fix too: a document's files array no longer follows map
 // iteration order.
 func TestColdAndWarmJobsWriteIdenticalBytes(t *testing.T) {
-	jpath := t.TempDir()
-	jdir, err := journal.OSDir(jpath)
+	jdir, err := journal.OSDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,6 @@ func TestColdAndWarmJobsWriteIdenticalBytes(t *testing.T) {
 			cfg.Cache = cache.New(0)
 			cfg.Journal = jnl
 		})
-	defer h.close()
 	seedScience(t, h.sites["theta"], "/repo/hand")
 	if _, err := dataset.MaterializeMDF(h.sites["theta"], "/repo/gen", 40, 11); err != nil {
 		t.Fatal(err)
@@ -175,7 +176,7 @@ func TestColdAndWarmJobsWriteIdenticalBytes(t *testing.T) {
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs := journalRecords(t, jpath)
+	recs := journalRecords(t, jdir)
 	coldMD := stepMetadata(recs, cold.JobID)
 	if int64(len(coldMD)) != cold.StepsProcessed {
 		t.Fatalf("journal holds %d step completions for the cold job, want %d", len(coldMD), cold.StepsProcessed)
@@ -221,7 +222,6 @@ func TestConcurrentWarmJobsShareMetadataBytes(t *testing.T) {
 			cfg.Cache = cache.New(0)
 			cfg.Journal = jnl
 		})
-	defer h.close()
 	if _, err := dataset.MaterializeMDF(h.sites["theta"], "/repo", 30, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,6 @@ func TestUnencodableMetadataFailsTheStepNotTheBatch(t *testing.T) {
 			cfg.Library = lib
 			cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
 		})
-	defer h.close()
 	for _, name := range []string{"/d/poison.txt", "/d/fine.txt"} {
 		if err := h.sites["alpha"].Write(name, []byte("perovskite absorber layers studied extensively")); err != nil {
 			t.Fatal(err)
@@ -321,7 +320,6 @@ func TestUnencodableMetadataFailsTheStepNotTheBatch(t *testing.T) {
 func TestCachedSuggestionStillExtendsThePlan(t *testing.T) {
 	h := newHarnessCfg(t, []siteSpec{{name: "midway", workers: 2}}, scheduler.LocalPolicy{},
 		func(cfg *Config) { cfg.Cache = cache.New(0) })
-	defer h.close()
 	if err := h.sites["midway"].Write("/d/table.txt", []byte("a,b,c\n1,2,3\n4,5,6\n7,8,9\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -357,33 +355,28 @@ func TestCachedSuggestionStillExtendsThePlan(t *testing.T) {
 // would write there (out of key order, a trailing zero), so a decode
 // anywhere on the way would show.
 func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
-	dataFS := seedCrashCorpus(t)
-	dest1 := store.NewMemFS("user-dest", nil)
-	jpath1 := t.TempDir()
-	inv1 := newInvLog()
-	life1 := startCrashLife(t, jpath1, dataFS, dest1, inv1, 0)
-	stats, err := life1.svc.RunJob(life1.ctx, crashRepos(inv1, 0))
+	w := systemWorld(t, oneSite)
+	life := func() *harness {
+		return w.start(t, node{policy: scheduler.LocalPolicy{}, inv: newInvLog(), mut: withCache})
+	}
+	life1 := life()
+	stats, err := life1.svc.RunJob(life1.ctx, w.repos())
 	if err != nil || stats.FamiliesFailed != 0 {
 		t.Fatalf("first life: %+v, %v", stats, err)
 	}
-	docs1 := waitForDocs(t, life1.valsvc, dest1, int(stats.FamiliesDone))
-	life1.cancel()
-	if err := life1.jnl.Close(); err != nil {
-		t.Fatal(err)
-	}
+	docs1 := w.waitForDocs(t, int(stats.FamiliesDone))
+	jdir1 := w.jdir
+	w.teardown()
 
-	jpath2 := t.TempDir()
-	jdir2, err := journal.OSDir(jpath2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jnl2, err := journal.Open(jdir2, journal.Options{})
+	// The second life's journal, dest and cache are new; its data is not.
+	w.jdir, w.dest = newDevice(), store.NewMemFS("user-dest", nil)
+	jnl2, err := journal.Open(w.jdir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const mark = `"~first":1.50,`
 	marked := 0
-	for _, rec := range journalRecords(t, jpath1) {
+	for _, rec := range journalRecords(t, jdir1) {
 		switch rec.Type {
 		case journal.RecJobSubmitted:
 		case journal.RecStepCompleted:
@@ -406,21 +399,15 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 		t.Fatal("first life journaled no step metadata")
 	}
 
-	dest2 := store.NewMemFS("user-dest", nil)
-	inv2 := newInvLog()
-	life2 := startCrashLife(t, jpath2, dataFS, dest2, inv2, 0)
-	defer func() {
-		life2.cancel()
-		_ = life2.jnl.Close()
-	}()
+	life2 := life()
 	status, err := life2.svc.Recover(life2.ctx)
 	if err != nil || status.Resumed != 1 {
 		t.Fatalf("recovery = %+v, %v; want one job resumed", status, err)
 	}
 	life2.svc.RecoveryWait()
-	docs2 := waitForDocs(t, life2.valsvc, dest2, len(docs1))
-	if inv2.total() != 0 {
-		t.Fatalf("resumed job invoked %d extractors; every step was journaled", inv2.total())
+	docs2 := w.waitForDocs(t, len(docs1))
+	if life2.inv.total() != 0 {
+		t.Fatalf("resumed job invoked %d extractors; every step was journaled", life2.inv.total())
 	}
 	found := 0
 	for p, doc := range docs2 {
@@ -501,48 +488,27 @@ func TestWarmStepCostDoesNotGrowWithMetadata(t *testing.T) {
 // reports what one cached step costs end to end: crawl, fingerprint,
 // cache read, journal record, validation record, document.
 func BenchmarkWarmStep(b *testing.B) {
-	clk := clock.NewReal()
-	fsvc := faas.NewService(clk, faas.Costs{})
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: transfer.NewFabric(clk),
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: cache.New(0),
-	})
-	fs := store.NewMemFS("theta", nil)
-	if _, err := dataset.MaterializeMDF(fs, "/repo", 200, 5); err != nil {
+	h := newHarnessCfg(b, []siteSpec{{name: "theta", workers: 4}}, nil, withCache)
+	if _, err := dataset.MaterializeMDF(h.sites["theta"], "/repo", 200, 5); err != nil {
 		b.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ep := faas.NewEndpoint("ep-theta", 4, clk)
-	fsvc.RegisterEndpoint(ep)
-	if err := ep.Start(ctx); err != nil {
-		b.Fatal(err)
-	}
-	svc.AddSite(&Site{Name: "theta", Store: fs, TransferID: "theta", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		b.Fatal(err)
-	}
-	valsvc := validate.NewService(validate.NewMDF("bench"), results, store.NewMemFS("dest", nil))
 	repo := []RepoSpec{{SiteName: "theta", Roots: []string{"/repo"},
 		Grouper: crawler.MatIOGrouper(extractors.DefaultLibrary())}}
-	if _, err := svc.RunJob(ctx, repo); err != nil { // the cold, priming job
+	if _, err := h.svc.RunJob(h.ctx, repo); err != nil { // the cold, priming job
 		b.Fatal(err)
 	}
-	valsvc.Drain()
+	h.valsvc.Drain()
 
 	var before, after runtime.MemStats
 	var steps int64
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := svc.RunJob(ctx, repo)
+		stats, err := h.svc.RunJob(h.ctx, repo)
 		if err != nil || stats.CacheHits != stats.StepsProcessed {
 			b.Fatalf("warm job = %+v, %v", stats, err)
 		}
-		valsvc.Drain()
+		h.valsvc.Drain()
 		steps += stats.StepsProcessed
 	}
 	b.StopTimer()

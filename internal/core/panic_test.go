@@ -56,7 +56,6 @@ func poisonHarness(t *testing.T) (*harness, *extractors.Library) {
 // the seven around it complete.
 func TestExtractorPanicFailsItsStepNotItsTask(t *testing.T) {
 	h, lib := poisonHarness(t)
-	defer h.close()
 	ext, _ := lib.Get("sizer")
 	site, _ := h.svc.Site("theta")
 	task := taskPayload{Extractor: "sizer"}
@@ -92,7 +91,6 @@ func TestExtractorPanicDeadLettersOneStep(t *testing.T) {
 	run := func(poison bool) (JobStats, map[string][]byte) {
 		t.Helper()
 		h, lib := poisonHarness(t)
-		defer h.close()
 		if !poison {
 			if err := h.sites["theta"].Delete("/repo/z.dat"); err != nil {
 				t.Fatal(err)

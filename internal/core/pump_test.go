@@ -10,11 +10,8 @@ import (
 	"xtract/internal/clock"
 	"xtract/internal/crawler"
 	"xtract/internal/extractors"
-	"xtract/internal/faas"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
-	"xtract/internal/store"
-	"xtract/internal/transfer"
 )
 
 // rendezvousHook blocks every dispatch until two distinct endpoints have
@@ -78,7 +75,6 @@ func TestTwoSiteShardsSubmitConcurrently(t *testing.T) {
 		{name: "alpha", workers: 2},
 		{name: "beta", workers: 2},
 	}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["alpha"], "/data")
 	seedScience(t, h.sites["beta"], "/data")
 
@@ -123,52 +119,26 @@ func (dropHeartbeats) EndpointCrash(string) bool  { return false }
 // endpoint dead mid-burst, mark its in-flight tasks LOST, and the job
 // must converge with those steps resubmitted.
 func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
-	clk := clock.NewReal()
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fsvc.HeartbeatTimeout = 30 * time.Millisecond
-	fsvc.SetFaults(dropHeartbeats{})
-	fabric := transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results,
-		Policy:          scheduler.LocalPolicy{},
-		XtractBatchSize: 2, FuncXBatchSize: 4,
-		Retry: RetryPolicy{
-			MaxAttempts: 4,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  10 * time.Millisecond,
-			JobBudget:   512,
-		},
+	h := newHarnessCfg(t, []siteSpec{{name: "mira", workers: 2}}, scheduler.LocalPolicy{}, func(cfg *Config) {
+		cfg.FaaS.HeartbeatTimeout = 30 * time.Millisecond
+		cfg.FaaS.SetFaults(dropHeartbeats{})
+		cfg.XtractBatchSize, cfg.FuncXBatchSize = 2, 4
+		cfg.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 10 * time.Millisecond, JobBudget: 512}
 	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fs := store.NewMemFS("mira", nil)
-	fabric.AddEndpoint("mira", fs)
-	ep := faas.NewEndpoint("ep-mira", 2, clk)
 	// Slow tasks keep completions flowing for much longer than the
 	// heartbeat timeout, so the death lands mid-burst with tasks in
-	// flight, never during an idle tail.
-	ep.ExecOverheadPerTask = 4 * time.Millisecond
-	fsvc.RegisterEndpoint(ep)
-	if err := ep.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	svc.AddSite(&Site{Name: "mira", Store: fs, TransferID: "mira", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
+	// flight, never during an idle tail. (Set before the first task
+	// reaches a worker.)
+	site, _ := h.svc.Site("mira")
+	site.Compute.ExecOverheadPerTask = 4 * time.Millisecond
 	for i := 0; i < 40; i++ {
-		if err := fs.Write(fmt.Sprintf("/d/f%02d.txt", i),
+		if err := h.sites["mira"].Write(fmt.Sprintf("/d/f%02d.txt", i),
 			[]byte("materials metadata sample for heartbeat chaos")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	stats, err := svc.RunJob(context.Background(), []RepoSpec{{
+	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
 		SiteName: "mira",
 		Roots:    []string{"/d"},
 		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
@@ -184,7 +154,7 @@ func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 		t.Fatalf("not converged: done(%d)+failed(%d) != emitted(%d)",
 			stats.FamiliesDone, stats.FamiliesFailed, stats.Crawl.FamiliesEmitted)
 	}
-	rec, err := svc.cfg.Registry.Job(stats.JobID)
+	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,29 +170,12 @@ func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 // HeartbeatTimeout/4 timer behind for every job, however short.)
 func TestOneHeartbeatScannerPerService(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fabric := transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: results,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fs := store.NewMemFS("mira", nil)
-	ep := faas.NewEndpoint("ep-mira", 2, clk)
-	fsvc.RegisterEndpoint(ep)
-	if err := ep.Start(ctx); err != nil {
+	h := newWorld(t, []siteSpec{{name: "mira", workers: 2}}).start(t, node{clk: clk})
+	svc := h.svc
+	if err := h.sites["mira"].Write("/d/f.txt", []byte("materials metadata sample")); err != nil {
 		t.Fatal(err)
 	}
-	svc.AddSite(&Site{Name: "mira", Store: fs, TransferID: "mira", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Write("/d/f.txt", []byte("materials metadata sample")); err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	run := func() {
 		t.Helper()
 		stats, err := svc.RunJob(ctx, []RepoSpec{{SiteName: "mira", Roots: []string{"/d"},
@@ -256,7 +209,6 @@ func TestOneHeartbeatScannerPerService(t *testing.T) {
 // prefetch queue traffic) essentially never for nothing.
 func TestPumpWakeupAccounting(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "theta", workers: 4}}, scheduler.LocalPolicy{})
-	defer h.close()
 	seedScience(t, h.sites["theta"], "/mdf")
 
 	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{

@@ -1,0 +1,175 @@
+package core
+
+// recover_test.go pins what recovery restores besides the work itself:
+// tenant ownership across the journal's kill-restart boundary — logs
+// written before the tenancy layer existed (no "tenant" key on the
+// job_submitted spec) replay as the default tenant — and, on a cluster
+// node, which journaled jobs are its to resume.
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"xtract/internal/clock"
+	"xtract/internal/cluster"
+	"xtract/internal/journal"
+	"xtract/internal/registry"
+	"xtract/internal/scheduler"
+	"xtract/internal/tenant"
+)
+
+// TestTenantOwnershipSurvivesRestart drains a tenant-owned job mid-run
+// (the graceful-shutdown path), restarts over the same journal, and
+// requires the resumed job to carry the same normalized tenant in both
+// the journal's recovered spec and the registry record.
+func TestTenantOwnershipSurvivesRestart(t *testing.T) {
+	ctl := controlOf(t, oneSite)
+	w := systemWorld(t, oneSite)
+	life := func(delay time.Duration) *harness {
+		return w.start(t, node{policy: scheduler.LocalPolicy{}, inv: newInvLog(), delay: delay, mut: withCache})
+	}
+	life1 := life(2 * time.Millisecond)
+	drained := make(chan struct{})
+	var appended atomic.Int64
+	w.jnl.Observe(func(string) {
+		if appended.Add(1) == 5 {
+			close(drained)
+		}
+	}, nil)
+	// Mixed-case, padded identity: recovery must see the normalized
+	// form, proving normalization happens at the boundary, not ad hoc.
+	job, err := life1.svc.Submit(life1.ctx, w.repos(), JobOptions{Tenant: " Alice "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job produced no journal records")
+	}
+	life1.kill()
+	if _, err := job.Wait(); err == nil {
+		t.Fatal("job completed despite shutdown (shrink the corpus or slow extraction)")
+	}
+	if err := w.jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.jnl = nil
+
+	life2 := life(0)
+	if js, ok := w.jnl.Recovered().Jobs[job.ID]; !ok || js.Spec == nil || js.Spec.Tenant != "alice" {
+		t.Fatalf("journaled job = %+v, want its spec owned by alice", js)
+	}
+	if status, err := life2.svc.Recover(life2.ctx); err != nil || status.Resumed != 1 {
+		t.Fatalf("recovery = %+v, %v; want the job resumed", status, err)
+	}
+	if rec, err := life2.svc.cfg.Registry.Job(job.ID); err != nil || rec.Tenant != "alice" {
+		t.Fatalf("recovered registry record = %+v, %v; want tenant alice", rec, err)
+	}
+	life2.svc.RecoveryWait()
+	w.waitForDocsEqual(t, ctl.docs)
+}
+
+// TestPreTenantJournalReplaysAsDefault hand-writes a journal whose
+// job_submitted spec carries no tenant key — byte-identical to a log
+// written before the tenancy layer — and requires replay to adopt the
+// job under the default tenant and run it to completion.
+func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
+	w := systemWorld(t, oneSite)
+	jnl, err := journal.Open(w.jdir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty Tenant marshals to no "tenant" key at all (omitempty),
+	// which is exactly what a pre-tenant writer produced.
+	const jobID = "job-pre-tenant"
+	if err := jnl.Append(journal.Record{Type: journal.RecJobSubmitted, JobID: jobID, At: time.Now(),
+		Spec: &journal.JobSpec{Repos: []journal.RepoSpec{{Site: "theta", Roots: []string{"/data"}, Grouper: "single",
+			NoMinTransfers: true}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := w.start(t, node{policy: scheduler.LocalPolicy{}, mut: withCache})
+	if js, ok := w.jnl.Recovered().Jobs[jobID]; !ok || js.Spec == nil || js.Spec.Tenant != "" {
+		t.Fatalf("journal replayed the hand-written job as %+v", js)
+	}
+	if status, err := h.svc.Recover(h.ctx); err != nil || status.Resumed != 1 {
+		t.Fatalf("recovery = %+v, %v; want the job resumed", status, err)
+	}
+	if rec, err := h.svc.cfg.Registry.Job(jobID); err != nil || rec.Tenant != tenant.Default {
+		t.Fatalf("pre-tenant job adopted as %+v, %v; want tenant %q", rec, err, tenant.Default)
+	}
+	// The adopted job must actually run to completion under the default
+	// tenant, not just be relabeled.
+	h.svc.RecoveryWait()
+	if rec, err := h.svc.cfg.Registry.Job(jobID); err != nil || rec.State != registry.JobComplete {
+		t.Fatalf("recovered pre-tenant job = %+v, %v; want COMPLETE", rec, err)
+	}
+}
+
+// TestRecoverIsLeaseAware pins the lease-aware restart path: a node
+// replaying a shared journal must not re-adopt a live job another node
+// owns — it reports it foreign — and must still resume jobs it can lease
+// (unleased, or its own expired lease).
+func TestRecoverIsLeaseAware(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1700000000, 0))
+	w := newWorld(t, []siteSpec{{name: "site", workers: 1}})
+	w.jdir = newDevice()
+	jnl, err := journal.Open(w.jdir, journal.Options{Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &journal.JobSpec{Repos: []journal.RepoSpec{{
+		Site: "site", Roots: []string{"/data"}, Grouper: "single", NoMinTransfers: true,
+	}}}
+	for _, rec := range []journal.Record{
+		// owned elsewhere: n2 holds a live lease (epoch 7, long TTL).
+		{Type: journal.RecJobSubmitted, JobID: "job-n2-1", Spec: spec},
+		{Type: journal.RecLeaseAcquired, JobID: "job-n2-1", Node: "n2", Epoch: 7, TTLMS: 3600_000},
+		// orphaned: n3's lease has already expired by replay time.
+		{Type: journal.RecJobSubmitted, JobID: "job-n3-1", Spec: spec},
+		{Type: journal.RecLeaseAcquired, JobID: "job-n3-1", Node: "n3", Epoch: 4, TTLMS: 1},
+	} {
+		if err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Second) // past n3's TTL, inside n2's
+
+	n1 := cluster.NewNode(cluster.NewCoordinator(cluster.Options{Clock: clk, LeaseTTL: time.Hour}), "n1", "mem://n1")
+	h := w.start(t, node{clk: clk, policy: scheduler.LocalPolicy{}, mut: func(cfg *Config) { cfg.Cluster = n1 }})
+	status, err := h.svc.Recover(h.ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Foreign != 1 || status.Resumed != 1 {
+		t.Fatalf("recovery = %+v, want 1 foreign + 1 resumed", status)
+	}
+	for _, rj := range status.Jobs {
+		switch rj.JobID {
+		case "job-n2-1":
+			if rj.Disposition != "foreign" || rj.Owner != "n2" {
+				t.Errorf("live-leased job disposition = %+v, want foreign owned by n2", rj)
+			}
+			if n1.HoldsLive("job-n2-1") {
+				t.Error("restarting node stole a live lease")
+			}
+		case "job-n3-1":
+			if rj.Disposition != "resumed" {
+				t.Errorf("orphaned job disposition = %+v, want resumed", rj)
+			}
+			// The adopted lease must fence the dead owner's journaled epoch.
+			if e := n1.HeldEpoch("job-n3-1"); e <= 4 {
+				t.Errorf("adopted lease epoch %d does not fence journaled epoch 4", e)
+			}
+		}
+	}
+	h.svc.RecoveryWait()
+}

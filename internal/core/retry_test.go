@@ -9,11 +9,8 @@ import (
 	"xtract/internal/clock"
 	"xtract/internal/crawler"
 	"xtract/internal/extractors"
-	"xtract/internal/faas"
 	"xtract/internal/obs"
 	"xtract/internal/registry"
-	"xtract/internal/store"
-	"xtract/internal/transfer"
 )
 
 func TestRetryPolicyDefaults(t *testing.T) {
@@ -84,48 +81,24 @@ func TestRetryBackoffJitterDeterministicAndBounded(t *testing.T) {
 // The job converges FAILED with a populated dead-letter report, and the
 // retry/dead-letter metrics and trace events are exposed.
 func TestUnrecoverableEndpointDeadLetters(t *testing.T) {
-	clk := clock.NewReal()
-	ob := obs.New(clk)
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fsvc.Instrument(ob.Reg())
-	fabric := transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results,
-		Obs: ob,
-		Retry: RetryPolicy{
-			MaxAttempts: 3,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-		},
+	ob := obs.New(clock.NewReal())
+	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, nil, func(cfg *Config) {
+		cfg.FaaS.Instrument(ob.Reg())
+		cfg.Obs = ob
+		cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 	})
-	fs := store.NewMemFS("theta", nil)
-	fabric.AddEndpoint("theta", fs)
-	ep := faas.NewEndpoint("ep-theta", 2, clk)
-	fsvc.RegisterEndpoint(ep)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := ep.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	svc.AddSite(&Site{Name: "theta", Store: fs, TransferID: "theta", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	_ = fs.Write("/d/a.txt", []byte("some words"))
-	_ = fs.Write("/d/b.csv", []byte("a,b\n1,2\n"))
+	_ = h.sites["theta"].Write("/d/a.txt", []byte("some words"))
+	_ = h.sites["theta"].Write("/d/b.csv", []byte("a,b\n1,2\n"))
 
 	// The allocation ends before any task dispatches — and no replacement
 	// ever arrives. Every dispatch is immediately LOST.
-	ep.Stop()
+	site, _ := h.svc.Site("theta")
+	site.Compute.Stop()
 
 	done := make(chan JobStats, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		stats, err := svc.RunJob(context.Background(), []RepoSpec{{
+		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
 			SiteName: "theta",
 			Roots:    []string{"/d"},
 			Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
@@ -152,7 +125,7 @@ func TestUnrecoverableEndpointDeadLetters(t *testing.T) {
 	if stats.StepsDeadLettered == 0 || stats.StepsRetried == 0 {
 		t.Fatalf("stats = %+v, want retries and dead letters", stats)
 	}
-	rec, err := svc.cfg.Registry.Job(stats.JobID)
+	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,40 +180,15 @@ func TestUnrecoverableEndpointDeadLetters(t *testing.T) {
 // TestRetryBudgetExhaustion: a tiny job budget dead-letters steps even
 // when per-step attempts remain.
 func TestRetryBudgetExhaustion(t *testing.T) {
-	clk := clock.NewReal()
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fabric := transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, results := NewQueues(clk)
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results,
-		Retry: RetryPolicy{
-			MaxAttempts: 10,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  2 * time.Millisecond,
-			JobBudget:   1,
-		},
+	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, nil, func(cfg *Config) {
+		cfg.Retry = RetryPolicy{MaxAttempts: 10, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, JobBudget: 1}
 	})
-	fs := store.NewMemFS("theta", nil)
-	fabric.AddEndpoint("theta", fs)
-	ep := faas.NewEndpoint("ep-theta", 2, clk)
-	fsvc.RegisterEndpoint(ep)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := ep.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	svc.AddSite(&Site{Name: "theta", Store: fs, TransferID: "theta", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	_ = fs.Write("/d/a.txt", []byte("words"))
-	_ = fs.Write("/d/b.txt", []byte("more words"))
-	ep.Stop()
+	_ = h.sites["theta"].Write("/d/a.txt", []byte("words"))
+	_ = h.sites["theta"].Write("/d/b.txt", []byte("more words"))
+	site, _ := h.svc.Site("theta")
+	site.Compute.Stop()
 
-	stats, err := svc.RunJob(context.Background(), []RepoSpec{{
+	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
 		SiteName: "theta",
 		Roots:    []string{"/d"},
 		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),

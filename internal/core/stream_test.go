@@ -44,7 +44,6 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 	policy := &gatePolicy{entered: make(chan struct{}), release: make(chan struct{})}
 	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 4}}, policy,
 		func(cfg *Config) { cfg.Cache = cache.New(0) })
-	defer h.close()
 	fs := h.sites["theta"]
 	for i := 0; i < 64; i++ {
 		if err := fs.Write(fmt.Sprintf("/d/a/f%02d.txt", i), []byte(fmt.Sprintf("sample %d of perovskite absorber notes", i))); err != nil {

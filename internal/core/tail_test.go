@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -14,15 +13,10 @@ import (
 	"xtract/internal/crawler"
 	"xtract/internal/faas"
 	"xtract/internal/family"
-	"xtract/internal/faultinject"
-	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
-	"xtract/internal/transfer"
-	"xtract/internal/validate"
 
 	xt "xtract/internal/extractors"
 )
@@ -176,7 +170,6 @@ func TestShedCheck(t *testing.T) {
 	h := newHarnessCfg(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{}, func(cfg *Config) {
 		cfg.Tenants = ctrl
 	})
-	defer h.close()
 
 	// Disabled policy never sheds.
 	h.svc.cfg.Shed = ShedPolicy{}
@@ -302,7 +295,6 @@ func hedgeWinsOverStraggler(t *testing.T, home string) {
 			MinSamples: 5,
 		}
 	})
-	defer h.close()
 
 	const nfiles = 6
 	for i := 0; i < nfiles; i++ {
@@ -407,7 +399,6 @@ func TestStragglerBudgetDegraded(t *testing.T) {
 			JobBudget:   16,
 		}
 	})
-	defer h.close()
 
 	for i := 0; i < 3; i++ {
 		if err := h.sites["alpha"].Write(fmt.Sprintf("/d/good%02d.dat", i), []byte{byte(i)}); err != nil {
@@ -481,7 +472,6 @@ func TestStragglerBudgetZeroStaysFailed(t *testing.T) {
 			JobBudget:   16,
 		}
 	})
-	defer h.close()
 	if err := h.sites["alpha"].Write("/d/poison.dat", []byte{0xff}); err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +505,6 @@ func TestStragglerBudgetZeroStaysFailed(t *testing.T) {
 // immediately, so a double process would show up as FamiliesFailed == 2.
 func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{})
-	defer h.close()
 
 	p := barePump(h, "test-dup")
 	fam := family.Family{ID: "fam-dup", Store: "ghost"}
@@ -539,205 +528,5 @@ func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 	}
 	if len(rec.DeadLetters) != 1 {
 		t.Fatalf("dead letters = %d, want exactly 1", len(rec.DeadLetters))
-	}
-}
-
-// --- chaos: slow endpoints + hedging + breakers ----------------------------
-
-// tailChaosSeeds seeds run the full pipeline with injected straggler
-// latency while hedging, breakers, and (on odd seeds) a straggler budget
-// are active. Every seed must converge with exactly-once accounting.
-const tailChaosSeeds = 12
-
-func TestTailChaosSeeds(t *testing.T) {
-	for seed := int64(1); seed <= tailChaosSeeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			runTailChaosJob(t, seed)
-		})
-	}
-}
-
-// tailChaosPlan injects stragglers (the slow fault) prominently, plus a
-// light mix of the failure kinds, so hedges race real completions and
-// breakers see genuine error rates.
-func tailChaosPlan(seed int64) faultinject.Config {
-	rng := rand.New(rand.NewSource(seed))
-	return faultinject.Config{
-		Seed:          seed,
-		Slow:          faultinject.Rule{Prob: 0.3 + rng.Float64()*0.4, Max: 20},
-		SlowFor:       30 * time.Millisecond,
-		DispatchError: faultinject.Rule{Prob: rng.Float64() * 0.2, Max: 6},
-		HeartbeatDrop: faultinject.Rule{Prob: rng.Float64() * 0.3, Max: 6},
-		TransferError: faultinject.Rule{Prob: rng.Float64() * 0.3, Max: 3},
-		ExtractError:  faultinject.Rule{Prob: rng.Float64() * 0.3, Max: 5},
-		QueueDrop:     faultinject.Rule{Prob: rng.Float64() * 0.3, Max: 8},
-	}
-}
-
-func runTailChaosJob(t *testing.T, seed int64) {
-	clk := clock.NewReal()
-	ob := obs.New(clk)
-	inj := faultinject.New(tailChaosPlan(seed))
-
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fsvc.HeartbeatTimeout = 40 * time.Millisecond
-	fsvc.Instrument(ob.Reg())
-	fsvc.SetFaults(inj)
-
-	fabric := transfer.NewFabric(clk)
-	fabric.SetFaults(inj)
-
-	families, prefetch, prefetchDone, results := NewQueues(clk)
-	for _, q := range []*queue.Queue{families, prefetch, prefetchDone, results} {
-		q.SetFaults(inj)
-	}
-
-	ctrl := tenant.NewController(tenant.Config{TaskSlots: 64})
-	budget := 0
-	if seed%2 == 1 {
-		budget = 4
-	}
-	svc := New(Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric,
-		Registry: registry.New(clk, 0), Library: xt.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results,
-		Policy:          scheduler.LocalPolicy{},
-		XtractBatchSize: 2, FuncXBatchSize: 2,
-		Checkpoint: true,
-		Obs:        ob,
-		Tenants:    ctrl,
-		Retry: RetryPolicy{
-			MaxAttempts: 3,
-			BaseBackoff: 2 * time.Millisecond,
-			MaxBackoff:  20 * time.Millisecond,
-			JitterSeed:  seed,
-			JobBudget:   64,
-		},
-		ExtractFaults: inj,
-		Hedge: HedgePolicy{
-			Enabled:    true,
-			Quantile:   0.9,
-			Multiplier: 2,
-			MinSamples: 8,
-			MinDelay:   2 * time.Millisecond,
-		},
-		Breakers: BreakerPolicy{
-			Enabled:        true,
-			Window:         8,
-			TripRatio:      0.6,
-			Cooldown:       20 * time.Millisecond,
-			HalfOpenProbes: 2,
-		},
-		StragglerBudget: budget,
-	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Two compute sites: hedged duplicates need a second healthy site to
-	// land on, fetching inputs from the straggling task's home.
-	for _, name := range []string{"alpha", "beta"} {
-		fs := store.NewMemFS(name, nil)
-		fabric.AddEndpoint(name, fs)
-		ep := faas.NewEndpoint("ep-"+name, 3, clk)
-		fsvc.RegisterEndpoint(ep)
-		if err := ep.Start(ctx); err != nil {
-			t.Fatal(err)
-		}
-		svc.AddSite(&Site{
-			Name: name, Store: fs, TransferID: name,
-			StagePath: "/xtract-stage", Compute: ep,
-		})
-		seedScience(t, fs, "/data")
-	}
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-
-	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-	go pf.Run(ctx, 2)
-	dest := store.NewMemFS("user-dest", nil)
-	valsvc := validate.NewService(validate.Passthrough{}, results, dest)
-	go valsvc.Run(ctx)
-
-	type result struct {
-		stats JobStats
-		err   error
-	}
-	done := make(chan result, 1)
-	go func() {
-		stats, err := runJobOpts(svc, context.Background(), []RepoSpec{
-			{SiteName: "alpha", Roots: []string{"/data"},
-				Grouper: crawler.SingleFileGrouper(xt.DefaultLibrary())},
-			{SiteName: "beta", Roots: []string{"/data"},
-				Grouper: crawler.SingleFileGrouper(xt.DefaultLibrary())},
-		}, JobOptions{Tenant: "chaos"})
-		done <- result{stats, err}
-	}()
-
-	var res result
-	select {
-	case res = <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatalf("job hung; reproduce with seed=%d (%s)", seed, inj)
-	}
-	if res.err != nil {
-		t.Fatalf("seed=%d: RunJob error: %v (%s)", seed, res.err, inj)
-	}
-	stats := res.stats
-	t.Logf("seed=%d stats=%+v", seed, stats)
-	t.Logf("%s", inj)
-
-	// Convergence: every emitted family reached a terminal outcome.
-	if stats.FamiliesDone+stats.FamiliesFailed != stats.Crawl.FamiliesEmitted {
-		t.Fatalf("seed=%d: done(%d)+failed(%d) != emitted(%d)",
-			seed, stats.FamiliesDone, stats.FamiliesFailed, stats.Crawl.FamiliesEmitted)
-	}
-
-	// Exactly-once accounting under hedged duplicates: the tenant's bill
-	// matches the job's step count — a double-billed duplicate or a
-	// swallowed completion would break the equality — and every granted
-	// task slot was returned.
-	usage, ok := ctrl.UsageFor("chaos")
-	if !ok {
-		t.Fatalf("seed=%d: no usage for tenant", seed)
-	}
-	if usage.StepsProcessed != stats.StepsProcessed {
-		t.Fatalf("seed=%d: tenant billed %d steps, job processed %d (hedge fence leak)",
-			seed, usage.StepsProcessed, stats.StepsProcessed)
-	}
-	if usage.InFlightTasks != 0 {
-		t.Fatalf("seed=%d: %d task slots leaked", seed, usage.InFlightTasks)
-	}
-
-	rec, err := svc.cfg.Registry.Job(stats.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	switch rec.State {
-	case registry.JobComplete:
-		if stats.FamiliesFailed != 0 || stats.StepsDeadLettered != 0 {
-			t.Fatalf("seed=%d: COMPLETE with failures: %+v", seed, stats)
-		}
-	case registry.JobDegraded:
-		if budget <= 0 {
-			t.Fatalf("seed=%d: DEGRADED without a straggler budget", seed)
-		}
-		if stats.FamiliesDegraded == 0 || stats.StepsDeadLettered == 0 ||
-			int(stats.StepsDeadLettered) > budget {
-			t.Fatalf("seed=%d: DEGRADED accounting off: %+v", seed, stats)
-		}
-		if usage.JobsDegraded != 1 {
-			t.Fatalf("seed=%d: tenant JobsDegraded = %d", seed, usage.JobsDegraded)
-		}
-	case registry.JobFailed:
-		if len(rec.DeadLetters) == 0 {
-			t.Fatalf("seed=%d: FAILED job has no dead-letter report", seed)
-		}
-	default:
-		t.Fatalf("seed=%d: non-terminal job state %s", seed, rec.State)
 	}
 }
