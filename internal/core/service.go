@@ -329,100 +329,7 @@ func New(cfg Config) *Service {
 	if s.hedge.Enabled {
 		s.estimator = newLatencyEstimator(s.hedge)
 	}
-	reg := cfg.Obs.Reg()
-	s.obsJobs = newLabelledCounter(reg.CounterVec("xtract_jobs_total",
-		"Extraction jobs by terminal state.", "state"),
-		string(registry.JobCrawling), string(registry.JobExtracting), string(registry.JobComplete),
-		string(registry.JobFailed), string(registry.JobCancelled), string(registry.JobDegraded))
-	s.obsJobsActive = reg.Gauge("xtract_jobs_active",
-		"Extraction jobs currently running.")
-	s.obsFamiliesDone = reg.Counter("xtract_families_done_total",
-		"Families whose extraction plans completed.")
-	s.obsFamiliesFailed = reg.Counter("xtract_families_failed_total",
-		"Families abandoned (no placement, staging failure, or capacity).")
-	s.obsGroupsProcessed = reg.Counter("xtract_groups_processed_total",
-		"Group-extractor steps completed successfully.")
-	s.obsStepsFailed = reg.Counter("xtract_steps_failed_total",
-		"Group-extractor steps that failed.")
-	s.obsTasksResubmitted = reg.Counter("xtract_tasks_resubmitted_total",
-		"FaaS tasks resubmitted after being lost.")
-	s.obsBytesStaged = reg.Counter("xtract_bytes_staged_total",
-		"Bytes staged to remote compute sites by the prefetcher.")
-	s.obsRetries = newLabelledCounter(reg.CounterVec("xtract_retry_total",
-		"Step retries scheduled, by failure cause.", "reason"),
-		"lost", "failed", "staging", "step_error", "bad_result", "no_function")
-	s.obsRetryBackoff = reg.Histogram("xtract_retry_backoff_seconds",
-		"Backoff delays scheduled before step retries.", nil)
-	deadLetters := reg.CounterVec("xtract_deadletter_total",
-		"Poison tasks quarantined after exhausting their retries.", "kind")
-	s.obsDeadLetterFam = deadLetters.With("family")
-	s.obsDeadLetterStp = deadLetters.With("step")
-	s.obsBudgetExhausted = reg.Counter("xtract_retry_budget_exhausted_total",
-		"Retries denied because the per-job retry budget was spent.")
-	s.obsStepDuration = reg.HistogramVec("xtract_step_duration_seconds",
-		"Extractor execution time per step.", nil, "extractor")
-	s.obsCacheHits = reg.Counter("xtract_cache_hits_total",
-		"Extraction steps answered by the result cache (no FaaS dispatch).")
-	s.obsCacheMisses = reg.Counter("xtract_cache_misses_total",
-		"Result cache lookups answered by neither cache layer.")
-	s.obsCacheEvictions = reg.Counter("xtract_cache_evictions_total",
-		"Result cache entries displaced by the in-memory LRU bound.")
-	ct := &s.crawlTotals
-	reg.CounterFunc("xtract_crawl_dirs_listed_total",
-		"Directories listed by crawlers.", nil, ct.DirsListed.Load)
-	reg.CounterFunc("xtract_crawl_files_seen_total",
-		"Files seen by crawlers.", nil, ct.FilesSeen.Load)
-	reg.CounterFunc("xtract_crawl_groups_formed_total",
-		"File groups formed by crawlers.", nil, ct.GroupsFormed.Load)
-	reg.CounterFunc("xtract_crawl_families_emitted_total",
-		"Families emitted onto the family queue by crawlers.", nil, ct.FamiliesEmitted.Load)
-	reg.CounterFunc("xtract_crawl_bytes_seen_total",
-		"File bytes discovered by crawlers.", nil, ct.BytesSeen.Load)
-	reg.CounterFunc("xtract_crawl_list_errors_total",
-		"Directory listings that failed during crawls.", nil, ct.ListErrors.Load)
-	reg.CounterFunc("xtract_crawl_fingerprint_reads_total",
-		"Files crawlers read and hashed for their content fingerprint.", nil, ct.FilesHashed.Load)
-	reg.CounterFunc("xtract_crawl_fingerprint_reused_total",
-		"Files whose remembered fingerprint the store's change token vouched for, unread.", nil, ct.HashesReused.Load)
-	reg.CounterFunc("xtract_crawl_fingerprint_errors_total",
-		"Fingerprint reads that failed, leaving the file's groups uncacheable.", nil, ct.FingerprintErrors.Load)
-	s.obsWakeups = newLabelledCounter(reg.CounterVec("xtract_pump_wakeups_total",
-		"Orchestration-loop wakeups by triggering event source.", "reason"),
-		"start", "crawl", "families", "staged", "events", "retry", "hedge", "durable", "idle")
-	s.obsDispatchLatency = reg.Histogram("xtract_dispatch_latency_seconds",
-		"Time from a step becoming dispatch-ready to its FaaS batch submission.", nil)
-	s.obsPipelineDepth = reg.Gauge("xtract_pipeline_depth",
-		"FaaS tasks in flight across all dispatcher shards.")
-	s.obsJournal = newLabelledCounter(reg.CounterVec("xtract_journal_appends_total",
-		"Durable journal appends by record type.", "type"),
-		journal.RecJobSubmitted, journal.RecFamilyEnqueued,
-		journal.RecStepCompleted, journal.RecStepRetried,
-		journal.RecStepDeadLettered, journal.RecFamilyFailed,
-		journal.RecJobCancelled, journal.RecJobTerminal,
-		journal.RecLeaseAcquired, journal.RecLeaseRenewed,
-		journal.RecLeaseReleased)
-	s.obsJournalErrors = reg.Counter("xtract_journal_append_errors_total",
-		"Journal appends that failed (the transition proceeded un-journaled).")
-	s.obsJournalFsync = reg.Histogram("xtract_journal_fsync_seconds",
-		"Journal group-commit fsync batch durations.", nil)
-	s.obsRecoveredJobs = reg.CounterVec("xtract_recovery_jobs_total",
-		"Jobs restored from the journal at startup, by disposition.", "disposition")
-	s.obsRecoverySteps = reg.Counter("xtract_recovery_steps_reconciled_total",
-		"Journaled step completions seeded into the result cache at recovery.")
-	s.obsRecoverySeconds = reg.Histogram("xtract_recovery_seconds",
-		"Wall time of the journal recovery pass (replay through resume).", nil)
-	s.obsClusterFenced = reg.Counter("xtract_cluster_fenced_appends_total",
-		"Journal appends dropped because this node's job lease was lost.")
-	s.obsHedges = reg.Counter("xtract_hedges_total",
-		"Duplicate step attempts dispatched after a task exceeded its adaptive deadline.")
-	s.obsHedgeWins = reg.Counter("xtract_hedge_wins_total",
-		"Steps whose hedged duplicate finished before the original attempt.")
-	s.obsHedgeFenced = reg.Counter("xtract_hedge_fenced_total",
-		"Duplicate step completions discarded by the exactly-once fence.")
-	s.obsHedgeCancelled = reg.Counter("xtract_hedge_cancelled_total",
-		"Losing attempts cancelled after a sibling completed first.")
-	s.obsShedTotal = reg.Counter("xtract_shed_total",
-		"Job submissions refused by overload shedding (503 + Retry-After).")
+	s.instrument(cfg.Obs.Reg())
 	if cfg.Cache != nil {
 		cfg.Cache.SetEvictionHook(func() { s.obsCacheEvictions.Inc() })
 	}
@@ -433,6 +340,92 @@ func New(cfg Config) *Service {
 		)
 	}
 	return s
+}
+
+// instrument registers the service's metric families on reg and keeps
+// their handles.
+func (s *Service) instrument(reg *obs.Registry) {
+	for _, c := range []struct {
+		h          **obs.Counter
+		name, help string
+	}{
+		{&s.obsFamiliesDone, "xtract_families_done_total", "Families whose extraction plans completed."},
+		{&s.obsFamiliesFailed, "xtract_families_failed_total", "Families abandoned (no placement, staging failure, or capacity)."},
+		{&s.obsGroupsProcessed, "xtract_groups_processed_total", "Group-extractor steps completed successfully."},
+		{&s.obsStepsFailed, "xtract_steps_failed_total", "Group-extractor steps that failed."},
+		{&s.obsTasksResubmitted, "xtract_tasks_resubmitted_total", "FaaS tasks resubmitted after being lost."},
+		{&s.obsBytesStaged, "xtract_bytes_staged_total", "Bytes staged to remote compute sites by the prefetcher."},
+		{&s.obsBudgetExhausted, "xtract_retry_budget_exhausted_total", "Retries denied because the per-job retry budget was spent."},
+		{&s.obsCacheHits, "xtract_cache_hits_total", "Extraction steps answered by the result cache (no FaaS dispatch)."},
+		{&s.obsCacheMisses, "xtract_cache_misses_total", "Result cache lookups answered by neither cache layer."},
+		{&s.obsCacheEvictions, "xtract_cache_evictions_total", "Result cache entries displaced by the in-memory LRU bound."},
+		{&s.obsJournalErrors, "xtract_journal_append_errors_total", "Journal appends that failed (the transition proceeded un-journaled)."},
+		{&s.obsRecoverySteps, "xtract_recovery_steps_reconciled_total", "Journaled step completions seeded into the result cache at recovery."},
+		{&s.obsClusterFenced, "xtract_cluster_fenced_appends_total", "Journal appends dropped because this node's job lease was lost."},
+		{&s.obsHedges, "xtract_hedges_total", "Duplicate step attempts dispatched after a task exceeded its adaptive deadline."},
+		{&s.obsHedgeWins, "xtract_hedge_wins_total", "Steps whose hedged duplicate finished before the original attempt."},
+		{&s.obsHedgeFenced, "xtract_hedge_fenced_total", "Duplicate step completions discarded by the exactly-once fence."},
+		{&s.obsHedgeCancelled, "xtract_hedge_cancelled_total", "Losing attempts cancelled after a sibling completed first."},
+		{&s.obsShedTotal, "xtract_shed_total", "Job submissions refused by overload shedding (503 + Retry-After)."},
+	} {
+		*c.h = reg.Counter(c.name, c.help)
+	}
+	s.obsRetryBackoff = reg.Histogram("xtract_retry_backoff_seconds", "Backoff delays scheduled before step retries.", nil)
+	s.obsDispatchLatency = reg.Histogram("xtract_dispatch_latency_seconds",
+		"Time from a step becoming dispatch-ready to its FaaS batch submission.", nil)
+	s.obsJournalFsync = reg.Histogram("xtract_journal_fsync_seconds", "Journal group-commit fsync batch durations.", nil)
+	s.obsRecoverySeconds = reg.Histogram("xtract_recovery_seconds",
+		"Wall time of the journal recovery pass (replay through resume).", nil)
+	s.obsJobsActive = reg.Gauge("xtract_jobs_active", "Extraction jobs currently running.")
+	s.obsPipelineDepth = reg.Gauge("xtract_pipeline_depth", "FaaS tasks in flight across all dispatcher shards.")
+	s.obsStepDuration = reg.HistogramVec("xtract_step_duration_seconds",
+		"Extractor execution time per step.", nil, "extractor")
+	s.obsRecoveredJobs = reg.CounterVec("xtract_recovery_jobs_total",
+		"Jobs restored from the journal at startup, by disposition.", "disposition")
+	deadLetters := reg.CounterVec("xtract_deadletter_total",
+		"Poison tasks quarantined after exhausting their retries.", "kind")
+	s.obsDeadLetterFam = deadLetters.With("family")
+	s.obsDeadLetterStp = deadLetters.With("step")
+	s.obsJobs = newLabelledCounter(reg.CounterVec("xtract_jobs_total",
+		"Extraction jobs by terminal state.", "state"),
+		string(registry.JobCrawling), string(registry.JobExtracting), string(registry.JobComplete),
+		string(registry.JobFailed), string(registry.JobCancelled), string(registry.JobDegraded))
+	s.obsRetries = newLabelledCounter(reg.CounterVec("xtract_retry_total",
+		"Step retries scheduled, by failure cause.", "reason"),
+		"lost", "failed", "staging", "step_error", "bad_result", "no_function")
+	s.obsWakeups = newLabelledCounter(reg.CounterVec("xtract_pump_wakeups_total",
+		"Orchestration-loop wakeups by triggering event source.", "reason"),
+		"start", "crawl", "families", "staged", "events", "retry", "hedge", "durable", "idle")
+	s.obsJournal = newLabelledCounter(reg.CounterVec("xtract_journal_appends_total",
+		"Durable journal appends by record type.", "type"),
+		journal.RecJobSubmitted, journal.RecFamilyEnqueued,
+		journal.RecStepCompleted, journal.RecStepRetried,
+		journal.RecStepDeadLettered, journal.RecFamilyFailed,
+		journal.RecJobCancelled, journal.RecJobTerminal,
+		journal.RecLeaseAcquired, journal.RecLeaseRenewed,
+		journal.RecLeaseReleased)
+	s.instrumentCrawls(reg)
+}
+
+// instrumentCrawls exposes the summed crawl counts, read at scrape time.
+func (s *Service) instrumentCrawls(reg *obs.Registry) {
+	ct := &s.crawlTotals
+	for _, c := range []struct {
+		name, help string
+		read       func() int64
+	}{
+		{"xtract_crawl_dirs_listed_total", "Directories listed by crawlers.", ct.DirsListed.Load},
+		{"xtract_crawl_files_seen_total", "Files seen by crawlers.", ct.FilesSeen.Load},
+		{"xtract_crawl_groups_formed_total", "File groups formed by crawlers.", ct.GroupsFormed.Load},
+		{"xtract_crawl_families_emitted_total", "Families emitted onto the family queue by crawlers.", ct.FamiliesEmitted.Load},
+		{"xtract_crawl_bytes_seen_total", "File bytes discovered by crawlers.", ct.BytesSeen.Load},
+		{"xtract_crawl_list_errors_total", "Directory listings that failed during crawls.", ct.ListErrors.Load},
+		{"xtract_crawl_fingerprint_reads_total", "Files crawlers read and hashed for their content fingerprint.", ct.FilesHashed.Load},
+		{"xtract_crawl_fingerprint_reused_total", "Files whose remembered fingerprint the store's change token vouched for, unread.", ct.HashesReused.Load},
+		{"xtract_crawl_fingerprint_errors_total", "Fingerprint reads that failed, leaving the file's groups uncacheable.", ct.FingerprintErrors.Load},
+	} {
+		reg.CounterFunc(c.name, c.help, nil, c.read)
+	}
 }
 
 // breakerFor returns (lazily creating) the site's circuit breaker; nil

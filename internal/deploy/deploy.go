@@ -131,15 +131,7 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("deploy: no sites")
 	}
-	if opts.Library == nil {
-		opts.Library = extractors.DefaultLibrary()
-	}
-	if opts.Validator == nil {
-		opts.Validator = validate.Passthrough{}
-	}
-	if opts.Dest == nil {
-		opts.Dest = store.NewMemFS("metadata-dest", nil)
-	}
+	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(ctx)
 
 	d := &Deployment{
@@ -165,15 +157,13 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		q.Instrument(d.Obs.Reg())
 	}
 
-	var resultCache *cache.Cache
 	if opts.CacheCapacity > 0 {
 		if opts.CachePersistPrefix != "" {
-			resultCache = cache.NewPersistent(opts.CacheCapacity, opts.Dest, opts.CachePersistPrefix)
+			d.Cache = cache.NewPersistent(opts.CacheCapacity, opts.Dest, opts.CachePersistPrefix)
 		} else {
-			resultCache = cache.New(opts.CacheCapacity)
+			d.Cache = cache.New(opts.CacheCapacity)
 		}
 	}
-	d.Cache = resultCache
 
 	d.Service = core.New(core.Config{
 		Clock:           clk,
@@ -189,7 +179,7 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		FuncXBatchSize:  opts.FuncXBatchSize,
 		Checkpoint:      opts.Checkpoint,
 		Obs:             d.Obs,
-		Cache:           resultCache,
+		Cache:           d.Cache,
 		Journal:         opts.Journal,
 		Tenants:         opts.Tenants,
 		Cluster:         opts.Cluster,
@@ -201,6 +191,38 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	d.Tenants = opts.Tenants
 	opts.Tenants.Instrument(d.Obs.Reg())
 
+	if err := d.addSites(ctx, clk, sites); err != nil {
+		cancel()
+		return nil, err
+	}
+
+	d.Prefetcher = transfer.NewPrefetcher(d.Fabric, prefetch, prefetchDone, clk)
+	go d.Prefetcher.Run(ctx, 10) // transfer jobs in flight, as in the paper's Fig. 6 run
+
+	d.Validation = validate.NewService(opts.Validator, results, opts.Dest)
+	d.Validation.Instrument(d.Obs)
+	go d.Validation.Run(ctx)
+	return d, nil
+}
+
+// withDefaults fills in the library, validator and destination store.
+func (opts Options) withDefaults() Options {
+	if opts.Library == nil {
+		opts.Library = extractors.DefaultLibrary()
+	}
+	if opts.Validator == nil {
+		opts.Validator = validate.Passthrough{}
+	}
+	if opts.Dest == nil {
+		opts.Dest = store.NewMemFS("metadata-dest", nil)
+	}
+	return opts
+}
+
+// addSites registers each site with the transfer fabric and the core
+// service, starting a FaaS endpoint for every site with workers, then
+// registers the extractors on them.
+func (d *Deployment) addSites(ctx context.Context, clk clock.Clock, sites []SiteSpec) error {
 	for _, spec := range sites {
 		d.Fabric.AddEndpoint(spec.Name, spec.Store)
 		site := &core.Site{
@@ -220,25 +242,13 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 			ep := faas.NewEndpoint("ep-"+spec.Name, spec.Workers, clk)
 			d.FaaS.RegisterEndpoint(ep)
 			if err := ep.Start(ctx); err != nil {
-				cancel()
-				return nil, err
+				return err
 			}
 			site.Compute = ep
 		}
 		d.Service.AddSite(site)
 	}
-	if err := d.Service.RegisterExtractors(); err != nil {
-		cancel()
-		return nil, err
-	}
-
-	d.Prefetcher = transfer.NewPrefetcher(d.Fabric, prefetch, prefetchDone, clk)
-	go d.Prefetcher.Run(ctx, 10) // transfer jobs in flight, as in the paper's Fig. 6 run
-
-	d.Validation = validate.NewService(opts.Validator, results, opts.Dest)
-	d.Validation.Instrument(d.Obs)
-	go d.Validation.Run(ctx)
-	return d, nil
+	return d.Service.RegisterExtractors()
 }
 
 // Close stops the deployment's background services and endpoints.

@@ -92,7 +92,8 @@ type Endpoint struct {
 	containers *ContainerManager
 
 	// ExecOverheadPerTask models per-invocation worker overhead
-	// (deserialization, namespace setup).
+	// (deserialization, namespace setup), slept by the worker before each
+	// task's handler runs.
 	ExecOverheadPerTask time.Duration
 
 	mu      sync.Mutex
@@ -187,16 +188,15 @@ func (e *Endpoint) Stopped() bool {
 	return e.stopped
 }
 
-// enqueue delivers a task to the endpoint's local queue, charging the
-// dispatch latency. Called by the service.
-func (e *Endpoint) enqueue(t *task, fn *function, dispatchLatency time.Duration) error {
+// enqueue delivers a task to the endpoint's local queue. Called by the
+// service when the task's dispatch is due.
+func (e *Endpoint) enqueue(t *task, fn *function) error {
 	e.mu.Lock()
 	stopped := e.stopped
 	e.mu.Unlock()
 	if stopped {
 		return ErrEndpointStopped
 	}
-	e.clk.Sleep(dispatchLatency)
 	select {
 	case e.queue <- &dispatchItem{t: t, fn: fn}:
 		return nil
@@ -269,7 +269,7 @@ func (e *Endpoint) runHandler(ctx context.Context, fn *function, payload []byte)
 		if r := recover(); r != nil {
 			result = nil
 			err = fmt.Errorf("faas: handler panic on endpoint %s: %v", e.ID, r)
-			e.svc.panicRecovered()
+			e.svc.HandlerPanics.Add(1)
 		}
 	}()
 	return fn.handler(ctx, payload)

@@ -115,18 +115,22 @@ type TaskInfo struct {
 }
 
 // Costs models the control-plane latencies of the FaaS service, the knobs
-// behind the paper's Figure 3 breakdown. All default to zero.
+// behind the paper's Figure 3 breakdown. All default to zero. SubmitBatch
+// charges the first four by schedule (see there).
 type Costs struct {
-	// AuthPerRequest models Globus Auth validation per web request.
+	// AuthPerRequest models Globus Auth validation per web request: once
+	// per SubmitBatch, and slept once per PollBatch.
 	AuthPerRequest time.Duration
 	// SubmitPerBatch is charged once per SubmitBatch call, regardless of
 	// batch size — this is what funcX batching amortizes.
 	SubmitPerBatch time.Duration
 	// SubmitPerTask is charged per task within a batch (serialization).
 	SubmitPerTask time.Duration
-	// DispatchPerTask is the service→endpoint delivery latency.
+	// DispatchPerTask is the service→endpoint delivery latency, charged
+	// per task in request order after the submit costs.
 	DispatchPerTask time.Duration
-	// ResultPerTask is the endpoint→service result return latency.
+	// ResultPerTask is the endpoint→service result return latency, slept
+	// by the worker that ran the task before the result is published.
 	ResultPerTask time.Duration
 }
 
@@ -144,23 +148,6 @@ type task struct {
 	doneCh  chan struct{}
 	// subs are completion sinks to notify when the task turns terminal.
 	subs []*CompletionSink
-}
-
-// setStatus transitions the task, returning false if it was already
-// terminal (e.g., marked lost while the handler was still running).
-func (t *task) setStatus(s TaskStatus) bool {
-	t.mu.Lock()
-	if t.info.Status.Terminal() {
-		t.mu.Unlock()
-		return false
-	}
-	t.info.Status = s
-	if s.Terminal() {
-		t.publishUnlock()
-	} else {
-		t.mu.Unlock()
-	}
-	return true
 }
 
 // publishUnlock ends a task that has just been given a terminal status:
@@ -390,19 +377,23 @@ func (s *Service) ColdStart(containerID string) time.Duration {
 }
 
 // SubmitBatch submits a batch of task requests (the "funcX batch") and
-// returns one task ID per request, in order. Batch-level costs are charged
-// once, per-task costs per element.
+// returns one task ID per request, in order.
+//
+// The batch is charged by schedule. due is the time the cost model says
+// the call has reached: its start plus the auth, batch and per-task
+// submit costs, then one DispatchPerTask for each task in request order.
+// The call sleeps only while due is ahead of the clock, so a late timer
+// is absorbed by the tasks behind it instead of costing a tick per task;
+// a task reaches its endpoint when the clock reaches its due time, never
+// before, and the call returns at the last one.
 func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
-	s.clk.Sleep(s.costs.AuthPerRequest + s.costs.SubmitPerBatch +
+	now := s.clk.Now()
+	due := now.Add(s.costs.AuthPerRequest + s.costs.SubmitPerBatch +
 		time.Duration(len(reqs))*s.costs.SubmitPerTask)
-
-	ids := make([]string, 0, len(reqs))
-	type routed struct {
-		ep    *Endpoint
-		tasks []*task
-		fns   []*function
-	}
-	byEP := make(map[string]*routed)
+	ids := make([]string, len(reqs))
+	tasks := make([]*task, len(reqs))
+	fns := make([]*function, len(reqs))
+	eps := make([]*Endpoint, len(reqs))
 
 	s.mu.Lock()
 	// The whole batch is checked before any record exists, so a rejected
@@ -417,8 +408,7 @@ func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownEndpoint, req.EndpointID)
 		}
 	}
-	for _, req := range reqs {
-		fn, ep := s.functions[req.FunctionID], s.endpoints[req.EndpointID]
+	for i, req := range reqs {
 		s.seq++
 		id := fmt.Sprintf("task-%d", s.seq)
 		t := &task{
@@ -427,44 +417,51 @@ func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
 				FunctionID: req.FunctionID,
 				EndpointID: req.EndpointID,
 				Status:     TaskPending,
-				Submitted:  s.clk.Now(),
+				Submitted:  due,
 			},
 			payload: append([]byte(nil), req.Payload...),
 			doneCh:  make(chan struct{}),
 		}
 		s.tasks[id] = t
-		ids = append(ids, id)
-		r := byEP[req.EndpointID]
-		if r == nil {
-			r = &routed{ep: ep}
-			byEP[req.EndpointID] = r
-		}
-		r.tasks = append(r.tasks, t)
-		r.fns = append(r.fns, fn)
+		ids[i], tasks[i] = id, t
+		fns[i], eps[i] = s.functions[req.FunctionID], s.endpoints[req.EndpointID]
 	}
 	s.mu.Unlock()
 
 	s.TasksSubmitted.Add(int64(len(reqs)))
 	faults := s.faultHook()
-	for _, r := range byEP {
-		for i, t := range r.tasks {
-			var err error
-			if faults != nil {
-				err = faults.DispatchFault(r.ep.ID)
-			}
-			if err == nil {
-				err = r.ep.enqueue(t, r.fns[i], s.costs.DispatchPerTask)
-			}
-			if err != nil {
-				t.mu.Lock()
-				t.info.Err = err.Error()
-				t.mu.Unlock()
-				t.setStatus(TaskLost)
-				s.TasksLost.Add(1)
-			}
+	for i, t := range tasks {
+		due = due.Add(s.costs.DispatchPerTask)
+		if due.After(now) {
+			clock.SleepUntil(s.clk, due)
+			now = s.clk.Now()
+		}
+		var err error
+		if faults != nil {
+			err = faults.DispatchFault(eps[i].ID)
+		}
+		if err == nil {
+			err = eps[i].enqueue(t, fns[i])
+		}
+		if err != nil {
+			s.lose(t, err)
 		}
 	}
 	return ids, nil
+}
+
+// lose marks a non-terminal task lost with err and counts it; a task that
+// is already terminal keeps its state and is not counted again.
+func (s *Service) lose(t *task, err error) {
+	t.mu.Lock()
+	if t.info.Status.Terminal() {
+		t.mu.Unlock()
+		return
+	}
+	t.info.Err = err.Error()
+	t.info.Status = TaskLost
+	s.TasksLost.Add(1)
+	t.publishUnlock()
 }
 
 // Submit is SubmitBatch for a single request.
@@ -537,11 +534,6 @@ func (s *Service) TaskRecords() int {
 	return len(s.tasks)
 }
 
-// panicRecovered counts one recovered handler panic.
-func (s *Service) panicRecovered() {
-	s.HandlerPanics.Add(1)
-}
-
 // heartbeat records endpoint liveness.
 func (s *Service) heartbeat(epID string) {
 	s.mu.Lock()
@@ -564,11 +556,7 @@ func (s *Service) endpointLost(epID string) {
 	}
 	s.mu.Unlock()
 	for _, t := range lost {
-		t.mu.Lock()
-		t.info.Err = ErrEndpointStopped.Error()
-		t.mu.Unlock()
-		t.setStatus(TaskLost)
-		s.TasksLost.Add(1)
+		s.lose(t, ErrEndpointStopped)
 	}
 }
 

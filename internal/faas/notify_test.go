@@ -83,7 +83,7 @@ func TestNotifyAfterTerminal(t *testing.T) {
 }
 
 // TestNotifyCoversLostTasks checks the endpoint-death terminal path
-// (endpointLost → setStatus) also feeds subscribed sinks, since the
+// (endpointLost → lose) also feeds subscribed sinks, since the
 // event-driven pump depends on LOST notifications to resubmit families.
 func TestNotifyCoversLostTasks(t *testing.T) {
 	svc, ep, cancel := newLiveService(t, 1)

@@ -52,8 +52,12 @@ func (c *Controller) AcquireTask(ctx context.Context, id string) (waited bool, e
 		c.mu.Unlock()
 		return false, nil
 	}
-	t.usage.Throttled++
-	t.mThrotFair.Inc()
+	// A throttle is a wait another tenant causes by holding or awaiting a
+	// slot; a wait behind the tenant's own tasks is not one.
+	if c.inflight > t.inflight || len(c.waiters) > t.waiting {
+		t.usage.Throttled++
+		t.mThrotFair.Inc()
+	}
 	c.mu.Unlock()
 
 	select {

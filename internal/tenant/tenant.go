@@ -110,7 +110,7 @@ type Usage struct {
 	// compute-cost half of the usage bill.
 	ExtractorSeconds float64 `json:"extractor_seconds"`
 	// Throttled counts admissions delayed or refused (rate limit, job
-	// quota, or fair-share wait).
+	// quota, or a fair-share wait behind another tenant's tasks).
 	Throttled int64 `json:"throttled"`
 }
 

@@ -358,6 +358,63 @@ func TestFairShareConvergence(t *testing.T) {
 	}
 }
 
+// TestWaitBehindOwnTasksIsNotThrottled: a tenant over the slot budget
+// with no other tenant in the system waits but is not throttled; a wait
+// while another tenant holds a slot, or is queued for one, is.
+func TestWaitBehindOwnTasksIsNotThrottled(t *testing.T) {
+	c := NewController(Config{Clock: clock.NewFake(time.Unix(0, 0)), TaskSlots: 2})
+	ctx := context.Background()
+	queued := 0
+	block := func(id string) <-chan bool {
+		waited := make(chan bool, 1)
+		go func() {
+			w, err := c.AcquireTask(ctx, id)
+			if err != nil {
+				t.Error(err)
+			}
+			waited <- w
+		}()
+		queued++
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			c.mu.Lock()
+			n := len(c.waiters)
+			c.mu.Unlock()
+			if n == queued {
+				return waited
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never queued", id)
+			}
+		}
+	}
+	throttled := func(id string, want int64) {
+		t.Helper()
+		if u, _ := c.UsageFor(id); u.Throttled != want {
+			t.Fatalf("%s throttled %d times, want %d", id, u.Throttled, want)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if waited, err := c.AcquireTask(ctx, "a"); waited || err != nil {
+			t.Fatalf("acquire %d: waited=%v err=%v", i, waited, err)
+		}
+	}
+	a3 := block("a") // behind a's own two tasks
+	throttled("a", 0)
+	b1 := block("b") // a holds both slots
+	throttled("b", 1)
+	a4 := block("a") // b is queued
+	throttled("a", 1)
+
+	c.ReleaseTasks("a", 2)
+	c.ReleaseTasks("a", 1)
+	c.ReleaseTasks("b", 1)
+	for _, waited := range []<-chan bool{a3, b1, a4} {
+		if !<-waited {
+			t.Fatal("a blocked acquire reported no wait")
+		}
+	}
+}
+
 func TestUsageAccounting(t *testing.T) {
 	c := NewController(Config{Clock: clock.NewFake(time.Unix(0, 0))})
 	c.JobStarted("a")
