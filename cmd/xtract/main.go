@@ -116,7 +116,7 @@ func runExtract(args []string) error {
 	clk := clock.NewReal()
 	d, err := deploy.New(context.Background(), clk, []deploy.SiteSpec{
 		{Name: "local", Store: src, Workers: *workers},
-	}, deploy.Options{Library: lib, Validator: validator, Dest: dest, Checkpoint: false})
+	}, deploy.Options{Library: lib, Validator: validator, Dest: dest})
 	if err != nil {
 		return err
 	}

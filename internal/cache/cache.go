@@ -12,8 +12,7 @@
 // working set, fronting an optional persistent layer backed by any
 // store.Store (typically the user's destination store), so warm state
 // survives service restarts. A corrupted or mismatched persistent entry
-// is treated as a miss and overwritten on the next write-back, never
-// trusted.
+// is treated as a miss and overwritten by the next write, never trusted.
 package cache
 
 import (
@@ -64,7 +63,7 @@ type Stats struct {
 	// of Hits; these were promoted into memory).
 	PersistHits int64 `json:"persist_hits"`
 	// PersistErrors counts persistent entries rejected as corrupted or
-	// mismatched, plus failed write-backs.
+	// mismatched, plus failed writes.
 	PersistErrors int64 `json:"persist_errors"`
 	// Entries is the current in-memory entry count.
 	Entries int `json:"entries"`

@@ -100,10 +100,8 @@ func TestWarmRunServedFromCache(t *testing.T) {
 func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 	c := cache.New(0)
 	frozen := func() time.Time { return time.Unix(1_600_000_000, 0) }
-	// Checkpoints are off: they live on the source store too, and a
-	// re-dispatched step would read its old one instead of the file.
 	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 4, now: frozen}}, scheduler.LocalPolicy{},
-		func(cfg *Config) { cfg.Cache, cfg.Checkpoint = c, false })
+		func(cfg *Config) { cfg.Cache = c })
 	src := h.sites["theta"]
 	files := int64(seedScience(t, src, "/mdf"))
 

@@ -66,9 +66,6 @@ func encodeTaskPayload(dst []byte, t *taskPayload) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	if t.Checkpoint {
-		dst = append(dst, `,"checkpoint":true`...)
-	}
 	return append(dst, '}')
 }
 
@@ -85,6 +82,10 @@ func encodeStepPayload(dst []byte, sp *stepPayload) []byte {
 	if sp.FetchFrom != "" {
 		dst = append(dst, `,"fetch_from":`...)
 		dst = fastjson.AppendString(dst, sp.FetchFrom)
+	}
+	if sp.ContentHash != "" {
+		dst = append(dst, `,"content_hash":`...)
+		dst = fastjson.AppendString(dst, sp.ContentHash)
 	}
 	return append(dst, '}')
 }
@@ -106,8 +107,6 @@ func decodeTaskPayload(data []byte, t *taskPayload) error {
 					return err
 				})
 			}
-		case "checkpoint":
-			t.Checkpoint, err = d.Bool()
 		default:
 			err = d.Skip()
 		}
@@ -133,6 +132,8 @@ func decodeStepPayload(d *fastjson.Dec) (stepPayload, error) {
 			sp.Stage, err = d.Str()
 		case "fetch_from":
 			sp.FetchFrom, err = d.Str()
+		case "content_hash":
+			sp.ContentHash, err = d.Str()
 		default:
 			err = d.Skip()
 		}
@@ -185,9 +186,6 @@ func encodeStepOutcome(dst []byte, o *stepOutcome) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	if o.FromCheckpoint {
-		dst = append(dst, `,"from_checkpoint":true`...)
-	}
 	return append(dst, '}'), nil
 }
 
@@ -237,8 +235,6 @@ func decodeStepOutcome(d *fastjson.Dec) (stepOutcome, error) {
 			o.Metadata, err = d.RawObject()
 		case "extract_ms":
 			o.ExtractMS, err = d.Float()
-		case "from_checkpoint":
-			o.FromCheckpoint, err = d.Bool()
 		default:
 			err = d.Skip()
 		}

@@ -9,6 +9,7 @@ import (
 
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
+	"xtract/internal/scheduler"
 )
 
 // taskPayloadCases spans the encoder surface: empty, nil vs empty
@@ -17,9 +18,9 @@ func taskPayloadCases() []taskPayload {
 	return []taskPayload{
 		{},
 		{Extractor: "keyword", Steps: []stepPayload{}},
-		{Extractor: "keyword", Checkpoint: true,
+		{Extractor: "keyword",
 			Steps: []stepPayload{
-				{FamilyID: "f1", GroupID: "g1", Files: []string{"/a.txt", "/b.txt"}, Stage: "/stage"},
+				{FamilyID: "f1", GroupID: "g1", Files: []string{"/a.txt", "/b.txt"}, Stage: "/stage", ContentHash: "9f86d081"},
 				{FamilyID: "f2", GroupID: "g2", Files: []string{}},
 				{FamilyID: "f3", GroupID: "g3", FetchFrom: "gdrive-east"},
 			}},
@@ -56,10 +57,10 @@ func TestDecodeTaskPayloadStrict(t *testing.T) {
 	}{
 		{`{}`, taskPayload{}},
 		{`{"Extractor":"no","extractor":"e","STEPS":[{}],"site":"gone","zzz":[1,{"q":null}]}`, taskPayload{Extractor: "e"}},
-		{`{"steps":[{"family_id":"f"}],"steps":null,"checkpoint":true,"checkpoint":false}`, taskPayload{}},
+		{`{"steps":[{"family_id":"f"}],"steps":null}`, taskPayload{}},
 		{`{"steps":[]}`, taskPayload{Steps: []stepPayload{}}},
-		{`{"steps":[{"Family_ID":"no","family_id":"f","group_id":"a","group_id":"g","FILES":["no"],"files":["/x"],"files":["/y","/z"],"stage":"/s","fetch_from":"ep"}]}`,
-			taskPayload{Steps: []stepPayload{{FamilyID: "f", GroupID: "g", Files: []string{"/y", "/z"}, Stage: "/s", FetchFrom: "ep"}}}},
+		{`{"steps":[{"Family_ID":"no","family_id":"f","group_id":"a","group_id":"g","FILES":["no"],"files":["/x"],"files":["/y","/z"],"stage":"/s","fetch_from":"ep","content_hash":"a","content_hash":"b"}]}`,
+			taskPayload{Steps: []stepPayload{{FamilyID: "f", GroupID: "g", Files: []string{"/y", "/z"}, Stage: "/s", FetchFrom: "ep", ContentHash: "b"}}}},
 		{`{"steps":[{"files":["/x"],"files":null},{"files":[]}]}`,
 			taskPayload{Steps: []stepPayload{{}, {Files: []string{}}}}},
 	}
@@ -73,11 +74,12 @@ func TestDecodeTaskPayloadStrict(t *testing.T) {
 	}
 	reject := []string{
 		``, `null`, `[]`, `{`, `{} trailing`, `{"steps":[{}],}`,
-		`{"extractor":null}`, `{"extractor":5}`, `{"checkpoint":null}`, `{"checkpoint":"yes"}`,
+		`{"extractor":null}`, `{"extractor":5}`,
 		`{"steps":5}`, `{"steps":{}}`, `{"steps":[null]}`, `{"steps":[[]]}`,
 		`{"steps":[{"family_id":null}]}`, `{"steps":[{"group_id":7}]}`,
 		`{"steps":[{"files":{"/a":"/a"}}]}`, `{"steps":[{"files":[null]}]}`, `{"steps":[{"files":"/a"}]}`,
 		`{"steps":[{"stage":null}]}`, `{"steps":[{"stage":["/s"]}]}`, `{"steps":[{"fetch_from":true}]}`,
+		`{"steps":[{"content_hash":null}]}`, `{"steps":[{"content_hash":7}]}`,
 	}
 	for _, doc := range reject {
 		var got taskPayload
@@ -95,8 +97,7 @@ func taskResultCases() []taskResult {
 			{FamilyID: "f", GroupID: "g", OK: true, ExtractMS: 1.25,
 				Metadata: fastjson.Raw(`{"nested":{"n":null,"t":true},"score":0.5,"terms":["a","b"]}`)},
 			{FamilyID: "f2", GroupID: "g2", Err: "read /x: boom\n", ExtractMS: 0},
-			{FamilyID: "f3", GroupID: "g<3>", OK: true, FromCheckpoint: true,
-				ExtractMS: 1e21},
+			{FamilyID: "f3", GroupID: "g<3>", OK: true, ExtractMS: 1e21},
 		}},
 	}
 }
@@ -165,8 +166,8 @@ func TestDecodeTaskResultStrict(t *testing.T) {
 		{`{"outcomes":[{"ok":true}],"outcomes":null}`, taskResult{}},
 		{`{"outcomes":[{"metadata":{"k":"1"},"metadata": {"k2" : [2.50]} ,"err":"a","err":"b"}]}`,
 			taskResult{Outcomes: []stepOutcome{{Err: "b", Metadata: fastjson.Raw(`{"k2" : [2.50]}`)}}}},
-		{`{"outcomes":[{"metadata":null,"extract_ms":0.75,"from_checkpoint":true}]}`,
-			taskResult{Outcomes: []stepOutcome{{ExtractMS: 0.75, FromCheckpoint: true}}}},
+		{`{"outcomes":[{"metadata":null,"extract_ms":0.75}]}`,
+			taskResult{Outcomes: []stepOutcome{{ExtractMS: 0.75}}}},
 		{`{"outcomes":[]}`, taskResult{Outcomes: []stepOutcome{}}},
 	}
 	for _, c := range accept {
@@ -197,10 +198,11 @@ func TestDecodeTaskResultStrict(t *testing.T) {
 // body, and a staged family's prefix once per step, not once per file.
 func TestPayloadNamesEachFileOnce(t *testing.T) {
 	files := []string{"/d/run/INCAR", "/d/run/OUTCAR", "/d/run/POSCAR"}
-	st := &famState{fam: family.Family{ID: "fam", Groups: []family.Group{{ID: "g", Files: files}}}}
+	st := &famState{fam: family.Family{ID: "fam", Groups: []family.Group{{ID: "g", Files: files}}},
+		steps: []stepState{{step: scheduler.Step{GroupID: "g", Extractor: "keyword"}}}}
 	for _, stage := range []string{"", "/xtract-stage"} {
 		st.stage = stage
-		sp := st.payload("g")
+		sp := st.payload(0)
 		body := encodeStepPayload(nil, &sp)
 		for _, f := range files {
 			if n := bytes.Count(body, []byte(f)); n != 1 {
@@ -234,7 +236,7 @@ func FuzzTaskPayloadRoundTrip(f *testing.F) {
 	for _, tp := range taskPayloadCases() {
 		f.Add(encodeTaskPayload(nil, &tp))
 	}
-	f.Add([]byte(`{"steps":[{"files":["\ud800", "/a"],"stage":"/s","Stage":1}],"checkpoint":true}`))
+	f.Add([]byte(`{"steps":[{"files":["\ud800", "/a"],"stage":"/s","Stage":1,"content_hash":"\u00e9"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tp taskPayload
 		if decodeTaskPayload(data, &tp) != nil {
@@ -259,6 +261,7 @@ func FuzzTaskResultRoundTrip(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add([]byte(`{"outcomes":[{"err":"\ud800","extract_ms":1e3,"metadata":{"a":[1, 2]}}]}`))
+	f.Add([]byte(`{"outcomes":[{"ok":true,"content_hash":"9f86d081","metadata":null}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tr taskResult
 		if decodeTaskResult(data, &tr) != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"xtract/internal/cache"
 	"xtract/internal/clock"
 	"xtract/internal/cluster"
 	"xtract/internal/crawler"
@@ -142,7 +143,7 @@ func (w *world) start(t testing.TB, n node) *harness {
 		Clock: clk, FaaS: h.fsvc, Fabric: h.fabric, Registry: registry.New(clk, 0),
 		Library:       extractors.DefaultLibrary(),
 		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: w.results,
-		Policy: n.policy, Checkpoint: true, Journal: w.jnl,
+		Policy: n.policy, Journal: w.jnl,
 	}
 	if n.inv != nil {
 		cfg.Library = countingLibrary(n.inv, n.delay)
@@ -577,32 +578,146 @@ func TestEndToEndOffloadRand(t *testing.T) {
 	}
 }
 
-func TestEndToEndCheckpointRestart(t *testing.T) {
-	// Stop the only endpoint mid-job and bring up a replacement under the
-	// same site: lost tasks are resubmitted to it via their checkpoints.
-	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, nil,
-		func(cfg *Config) { cfg.XtractBatchSize, cfg.FuncXBatchSize = 1, 1 })
-	seedScience(t, h.sites["theta"], "/mdf")
-	site, _ := h.svc.Site("theta")
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		site.ComputeEndpoint().Stop()
-		ep, _ := h.endpoint("ep-theta-2", 2)
-		_ = h.svc.SwapCompute("theta", ep)
-		_ = h.svc.RegisterExtractors() // re-register functions on the new endpoint
-	}()
+// stopMidBatch is the keyword extractor on an endpoint that dies in the
+// middle of a task: the first time it is handed a step after another of
+// the same task has finished, it reports the finished ones and parks until
+// released. A task boundary is where the endpoint's count of executed
+// tasks moves: its one worker runs tasks one after another.
+type stopMidBatch struct {
+	extractors.Extractor
+	ep      *faas.Endpoint
+	mu      sync.Mutex
+	fired   bool
+	task    int64    // ep.TasksExecuted at the last invocation
+	done    []string // groups of that task already extracted
+	parked  chan []string
+	release chan struct{}
+}
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "theta",
-		Roots:    []string{"/mdf"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
-	}})
-	if err != nil {
+func (x *stopMidBatch) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
+	x.mu.Lock()
+	if !x.fired {
+		if n := x.ep.TasksExecuted.Load(); n != x.task {
+			x.task, x.done = n, nil
+		}
+		if len(x.done) > 0 {
+			x.fired = true
+			x.mu.Unlock()
+			x.parked <- x.done
+			<-x.release
+			return x.Extractor.Extract(g, files)
+		}
+		x.done = append(x.done, g.ID)
+	}
+	x.mu.Unlock()
+	return x.Extractor.Extract(g, files)
+}
+
+// The paper's allocation restart (Figure 8) without a checkpoint file: the
+// only endpoint stops while a multi-step task is mid-batch, and a
+// replacement takes over. Every step the lost task had finished was filed
+// in the result cache by its worker, so it is extracted exactly once and
+// its retry commits as Cached; the job completes with the documents of a
+// run that lost nothing.
+func TestEndToEndRestartResumesFromCache(t *testing.T) {
+	texts := []string{"perovskite absorber layers", "graphene sheet growth", "zeolite pore sizes",
+		"battery cathode fade", "catalyst surface sites", "polymer chain length"}
+	run := func(stop bool) (*harness, *invLog, JobStats, []string) {
+		inv := newInvLog()
+		lib := countingLibrary(inv, 0)
+		keyword, _ := lib.Get("keyword")
+		gate := &stopMidBatch{Extractor: keyword, fired: !stop, parked: make(chan []string), release: make(chan struct{})}
+		h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 1}}, scheduler.LocalPolicy{}, func(cfg *Config) {
+			cfg.Library = extractors.NewLibrary(gate)
+			cfg.Cache = cache.New(0)
+			cfg.XtractBatchSize = len(texts)
+			cfg.Retry = RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond}
+		})
+		for i, text := range texts {
+			if err := h.sites["theta"].Write(fmt.Sprintf("/notes/n%d.txt", i), []byte(text)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		site, _ := h.svc.Site("theta")
+		gate.ep = site.ComputeEndpoint()
+		var finished []string
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			if finished = <-gate.parked; finished == nil {
+				return
+			}
+			ep, err := h.endpoint("ep-theta-2", 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			gate.ep.Stop() // the running task is lost with its finished steps' results
+			_ = h.svc.SwapCompute("theta", ep)
+			_ = h.svc.RegisterExtractors()
+		}()
+		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
+			SiteName: "theta", Roots: []string{"/notes"}, Grouper: crawler.SingleFileGrouper(h.svc.cfg.Library),
+		}})
+		close(gate.parked) // a run that never stopped reports nothing
+		<-stopped
+		close(gate.release) // the parked extraction ends on the dead endpoint
+		if err != nil || stats.FamiliesDone != int64(len(texts)) || stats.StepsProcessed != int64(len(texts)) {
+			t.Fatalf("stop=%v: stats = %+v, %v", stop, stats, err)
+		}
+		return h, inv, stats, finished
+	}
+
+	control, _, _, _ := run(false)
+	h, inv, stats, finished := run(true)
+	if len(finished) == 0 {
+		t.Fatal("no task carried a second step to stop in")
+	}
+	for _, group := range finished {
+		if n := inv.count(invKey(group, "keyword")); n != 1 {
+			t.Errorf("step %s finished before the stop and was extracted %d times", group, n)
+		}
+	}
+	if stats.TasksResubmitted == 0 || stats.CacheHits != int64(len(finished)) {
+		t.Errorf("tasks resubmitted %d, cache hits %d; want the lost task's %d finished steps committed from the cache",
+			stats.TasksResubmitted, stats.CacheHits, len(finished))
+	}
+	want := control.waitForDocs(t, len(texts))
+	if got := h.waitForDocs(t, len(texts)); !docsEqual(got, want) {
+		t.Fatalf("documents after the restart differ from the control's:\n got %v\nwant %v", got, want)
+	}
+}
+
+// A file rewritten between two jobs ships its new metadata: nothing a
+// worker keeps of an earlier run answers for different content.
+func TestRerunShipsTheRewrittenFile(t *testing.T) {
+	h := newHarness(t, []siteSpec{{name: "theta", workers: 2}}, scheduler.LocalPolicy{})
+	files := seedScience(t, h.sites["theta"], "/mdf")
+	repo := []RepoSpec{{SiteName: "theta", Roots: []string{"/mdf"}, Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())}}
+	notes := func() string {
+		t.Helper()
+		for _, doc := range h.waitForDocs(t, files) {
+			if bytes.Contains(doc, []byte(`"/mdf/exp2/notes.txt"`)) {
+				return string(doc)
+			}
+		}
+		t.Fatal("no document for notes.txt")
+		return ""
+	}
+	if _, err := h.svc.RunJob(context.Background(), repo); err != nil {
 		t.Fatal(err)
 	}
-	// The job must have completed every family despite the restart.
-	if stats.FamiliesDone == 0 || stats.FamiliesDone+stats.FamiliesFailed < 6 {
-		t.Fatalf("stats = %+v, want every family of 6 done or failed", stats)
+	if doc := notes(); !strings.Contains(doc, "perovskite") {
+		t.Fatalf("first job's notes document: %s", doc)
+	}
+	if err := h.sites["theta"].Write("/mdf/exp2/notes.txt", []byte("graphene transistor channels measured carefully")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.svc.RunJob(context.Background(), repo); err != nil {
+		t.Fatal(err)
+	}
+	if doc := notes(); !strings.Contains(doc, "graphene") || strings.Contains(doc, "perovskite") {
+		t.Fatalf("the second job shipped the first run's metadata for the rewritten file: %s", doc)
 	}
 }
 
@@ -675,8 +790,7 @@ func TestEndToEndDirectFetch(t *testing.T) {
 	if stats.BytesStaged != 0 {
 		t.Fatalf("direct fetch staged %d bytes", stats.BytesStaged)
 	}
-	// Nothing landed under the stage directory (checkpoint files are the
-	// only river-side writes).
+	// Nothing landed under the stage directory.
 	if _, err := h.sites["river"].Stat("/xtract-stage"); err == nil {
 		t.Fatal("stage directory exists despite direct fetch")
 	}

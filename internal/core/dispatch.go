@@ -248,7 +248,7 @@ func (d *dispatcher) makeTask(k bucketKey) {
 		d.undispatched(t, "no_function", err)
 		return
 	}
-	tp := taskPayload{Extractor: extractor, Steps: steps, Checkpoint: d.s.cfg.Checkpoint}
+	tp := taskPayload{Extractor: extractor, Steps: steps}
 	t.buf = getPayloadBuf()
 	*t.buf = encodeTaskPayload(*t.buf, &tp)
 	ep := ""

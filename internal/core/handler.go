@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"xtract/internal/cache"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
@@ -27,14 +28,16 @@ type stepPayload struct {
 	// each file from at extraction time (the direct HTTPS/Drive-API path
 	// for sites without a shared file system).
 	FetchFrom string `json:"fetch_from,omitempty"`
+	// ContentHash is the group's content fingerprint, set when the step is
+	// cacheable: the worker files its result in the result cache under it.
+	ContentHash string `json:"content_hash,omitempty"`
 }
 
 // taskPayload is the body of one FaaS task: an Xtract batch of steps that
 // share an extractor. The function it is submitted to is bound to its site.
 type taskPayload struct {
-	Extractor  string        `json:"extractor"`
-	Steps      []stepPayload `json:"steps"`
-	Checkpoint bool          `json:"checkpoint,omitempty"`
+	Extractor string        `json:"extractor"`
+	Steps     []stepPayload `json:"steps"`
 }
 
 // stepOutcome is the result of one step within a task.
@@ -48,9 +51,6 @@ type stepOutcome struct {
 	// destination document. Empty when the extractor returned none.
 	Metadata  fastjson.Raw `json:"metadata,omitempty"`
 	ExtractMS float64      `json:"extract_ms"`
-	// FromCheckpoint marks metadata reloaded from a checkpoint instead of
-	// recomputed (the Figure 8 restart path).
-	FromCheckpoint bool `json:"from_checkpoint,omitempty"`
 }
 
 // taskResult is the body returned by the extractor function.
@@ -59,33 +59,11 @@ type taskResult struct {
 	Outcomes  []stepOutcome `json:"outcomes"`
 }
 
-// checkpointDir holds every step checkpoint on a site's store.
-const checkpointDir = "/xtract-checkpoint"
-
-// checkpointPath is where a step's checkpoint lives on the site store.
-func checkpointPath(familyID, groupID, extractor string) string {
-	return fmt.Sprintf("%s/%s/%s-%s.json", checkpointDir,
-		sanitizePath(familyID), sanitizePath(groupID), extractor)
-}
-
-func sanitizePath(id string) string {
-	out := make([]rune, 0, len(id))
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
 // makeHandler builds the FaaS function body for one extractor at one
 // site: deserialize the Xtract batch, read each group's files from the
-// site's data layer, apply the extractor, optionally checkpoint, and
-// return the batched outcomes (Listing 1 of the paper).
+// site's data layer, apply the extractor, file each cacheable result in
+// the result cache, and return the batched outcomes (Listing 1 of the
+// paper).
 func (s *Service) makeHandler(site *Site, ext extractors.Extractor) func(context.Context, []byte) ([]byte, error) {
 	return func(ctx context.Context, payload []byte) ([]byte, error) {
 		var task taskPayload
@@ -105,13 +83,14 @@ func (s *Service) makeHandler(site *Site, ext extractors.Extractor) func(context
 			result.Outcomes = append(result.Outcomes, out)
 		}
 		// The result buffer cannot be pooled: the pump slices each step's
-		// metadata out of it and those slices live on in the cache and the
-		// journal's state, so it is allocated once, sized for the batch.
+		// metadata out of it and those slices live on in the family's
+		// results and the journal's state, so it is allocated once, sized
+		// for the batch.
 		return encodeTaskResult(make([]byte, 0, size), &result)
 	}
 }
 
-// runStep executes one step, honoring checkpoints.
+// runStep executes one step.
 func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload, step stepPayload) stepOutcome {
 	out := stepOutcome{FamilyID: step.FamilyID, GroupID: step.GroupID}
 	if h := s.cfg.ExtractFaults; h != nil {
@@ -126,25 +105,6 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 			return out
 		}
 	}
-	var cpPath string
-	if task.Checkpoint {
-		cpPath = checkpointPath(step.FamilyID, step.GroupID, task.Extractor)
-		if data, err := site.Store.Read(cpPath); err == nil {
-			// A checkpoint file holds one JSON object (or null, for an
-			// extractor that returned no metadata); anything else is
-			// corrupt and falls through to re-extraction. The file is
-			// re-encoded, not trusted to be canonical.
-			if v, derr := fastjson.DecodeValue(data); derr == nil {
-				if md, ok := v.(map[string]interface{}); ok || v == nil {
-					if out.setMetadata(md) {
-						out.FromCheckpoint = true
-					}
-					return out
-				}
-			}
-		}
-	}
-
 	files := make(map[string][]byte, len(step.Files))
 	sort.Strings(step.Files) // deterministic read order
 	for _, orig := range step.Files {
@@ -172,10 +132,12 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 		out.Err = err.Error()
 		return out
 	}
-	if out.setMetadata(md) && task.Checkpoint {
-		// Flush each processed group's metadata to disk on completion
-		// (the paper's 'checkpoint-flag').
-		_ = site.Store.Write(cpPath, orNull(out.Metadata))
+	if out.setMetadata(md) && step.ContentHash != "" {
+		// The one record a worker leaves of finished work, under the key
+		// the pump probes: a task lost after this step still has it, and
+		// the retry commits it from the cache instead of extracting again.
+		s.cfg.Cache.PutRaw(cache.Key{ContentHash: step.ContentHash, Extractor: ext.Name(),
+			Version: extractors.VersionOf(ext)}, out.Metadata)
 	}
 	return out
 }

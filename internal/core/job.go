@@ -248,7 +248,7 @@ func (p *pump) startCrawls(repos []RepoSpec) error {
 			return fmt.Errorf("core: unknown site %q", spec.SiteName)
 		}
 		// What the service itself writes at the site is not the site's data.
-		own := store.Hide(site.Store, site.StagePath, checkpointDir)
+		own := store.Hide(site.Store, site.StagePath)
 		c := crawler.NewTo(own, spec.Grouper, p.offerFamilies)
 		c.Fingerprint = s.cfg.Cache != nil && !p.noCache
 		c.Hashes = s.cfg.Cache // consulted only while fingerprinting

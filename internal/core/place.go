@@ -142,17 +142,10 @@ func (p *pump) failFamily(famID, reason string, attempts int) {
 	p.FamiliesFailed++
 	p.s.obsFamiliesFailed.Inc()
 	p.s.obsDeadLetterFam.Inc()
-	_ = p.s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) {
-		j.AddDeadLetter(registry.DeadLetter{
-			Kind:     "family",
-			FamilyID: famID,
-			Attempts: attempts,
-			Reason:   reason,
-			At:       p.s.clk.Now(),
-		})
-	})
+	dl := registry.DeadLetter{Kind: "family", FamilyID: famID, Attempts: attempts, Reason: reason, At: p.s.clk.Now()}
+	_ = p.s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) { j.AddDeadLetter(dl) })
 	p.s.obs.Emitf(p.JobID, obs.EvFamilyFailed, "family=%s abandoned: %s", famID, reason)
-	p.journal(journal.Record{Type: journal.RecFamilyFailed, FamilyID: famID, Reason: reason})
+	p.journal(journal.Record{Type: journal.RecFamilyFailed, FamilyID: famID, At: dl.At, Attempt: attempts, Reason: reason})
 }
 
 // unstage ends a staged family's claim on its site. With DeleteStaged the
@@ -171,22 +164,24 @@ func (p *pump) unstage(st *famState) {
 
 // dispatch routes one ready step to its site's shard.
 func (p *pump) dispatch(st *famState, idx int) {
-	step := st.steps[idx].step
-	if p.feed(st.site, dispatchItem{extractor: step.Extractor, ref: stepRef{st, idx}, sp: st.payload(step.GroupID)}) {
+	if p.feed(st.site, dispatchItem{extractor: st.steps[idx].step.Extractor, ref: stepRef{st, idx}, sp: st.payload(idx)}) {
 		st.steps[idx].phase = stepInflight
 	}
 }
 
 // payload is what a worker at the family's site is told about one of its
-// steps: the group's files, each named once by its original path, and
-// where that site finds them.
-func (st *famState) payload(groupID string) stepPayload {
+// steps: the group's files, each named once by its original path, where
+// that site finds them and, for a cacheable step, the content hash the
+// worker files its result under.
+func (st *famState) payload(idx int) stepPayload {
+	ss := &st.steps[idx]
 	return stepPayload{
-		FamilyID:  st.fam.ID,
-		GroupID:   groupID,
-		Files:     st.groupFiles(groupID),
-		Stage:     st.stage,
-		FetchFrom: st.fetchFrom,
+		FamilyID:    st.fam.ID,
+		GroupID:     ss.step.GroupID,
+		Files:       st.groupFiles(ss.step.GroupID),
+		Stage:       st.stage,
+		FetchFrom:   st.fetchFrom,
+		ContentHash: ss.key.ContentHash,
 	}
 }
 

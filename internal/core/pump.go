@@ -442,8 +442,8 @@ func (p *pump) journal(rec journal.Record) {
 	p.s.journalWrite(rec, (*journal.Journal).AppendAsync)
 }
 
-// orNull is how a step's metadata is journaled and checkpointed: a step
-// without any as null (json.Marshal(nil map) == null).
+// orNull is how a step's metadata is journaled: a step without any as
+// null (json.Marshal(nil map) == null).
 func orNull(md fastjson.Raw) fastjson.Raw {
 	if len(md) == 0 {
 		return fastjson.Raw("null")

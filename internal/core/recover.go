@@ -163,7 +163,9 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState) Recovere
 	rec.Tenant = tenant.Normalize(rec.Tenant)
 
 	if js.Terminal {
-		rec.State = registry.JobState(js.State)
+		// The dead-letter report comes back with the outcome it explains; a
+		// resumed job gets none, since its quarantined steps run again.
+		rec.State, rec.DeadLetters = registry.JobState(js.State), js.DeadLetters
 		s.cfg.Registry.RestoreJob(rec)
 		disposition := "terminal"
 		if js.Cancelled {

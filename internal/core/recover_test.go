@@ -3,10 +3,13 @@ package core
 // recover_test.go pins what recovery restores besides the work itself:
 // tenant ownership across the journal's kill-restart boundary — logs
 // written before the tenancy layer existed (no "tenant" key on the
-// job_submitted spec) replay as the default tenant — and, on a cluster
-// node, which journaled jobs are its to resume.
+// job_submitted spec) replay as the default tenant — a finished job's
+// dead-letter report, and, on a cluster node, which journaled jobs are
+// its to resume.
 
 import (
+	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,6 +111,59 @@ func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 	h.svc.RecoveryWait()
 	if rec, err := h.svc.cfg.Registry.Job(jobID); err != nil || rec.State != registry.JobComplete {
 		t.Fatalf("recovered pre-tenant job = %+v, %v; want COMPLETE", rec, err)
+	}
+}
+
+// A job cancelled with steps in the dead-letter queue comes back from
+// recovery with the same dead-letter report: the audit trail that
+// explains a failed or degraded family outlives the process. (At the
+// parent commit the journal's fold kept only counts, and the recovered
+// record had no dead letters.)
+func TestRecoveredJobKeepsItsDeadLetters(t *testing.T) {
+	w := newWorld(t, []siteSpec{{name: "theta", workers: 2, exclude: []string{"keyword"}}})
+	seedScience(t, w.sites["theta"], "/data")
+	w.jdir = newDevice()
+	life1 := w.start(t, node{policy: scheduler.LocalPolicy{}, inv: newInvLog(), delay: 500 * time.Millisecond,
+		mut: func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond} }})
+	job, err := life1.svc.Submit(life1.ctx, w.repos(), JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// keyword is not deployed at the site: its steps are quarantined while
+	// the slowed extractions of the others keep the job running.
+	eventually(t, "a step dead-lettered", func() bool {
+		rec, _ := life1.svc.cfg.Registry.Job(job.ID)
+		return len(rec.DeadLetters) > 0
+	})
+	life1.svc.Cancel(job.ID)
+	if _, err := job.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the job ended with %v, want it cancelled", err)
+	}
+	before, _ := life1.svc.cfg.Registry.Job(job.ID)
+	life1.kill()
+	if err := w.jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.jnl = nil
+
+	life2 := w.start(t, node{policy: scheduler.LocalPolicy{}})
+	if status, err := life2.svc.Recover(life2.ctx); err != nil || status.Cancelled != 1 {
+		t.Fatalf("recovery = %+v, %v; want the job recovered cancelled", status, err)
+	}
+	after, err := life2.svc.cfg.Registry.Job(job.ID)
+	if err != nil || len(after.DeadLetters) != len(before.DeadLetters) {
+		t.Fatalf("recovered record has %d dead letters (%v), the cancelled job had %d: %+v",
+			len(after.DeadLetters), err, len(before.DeadLetters), after.DeadLetters)
+	}
+	for i, dl := range after.DeadLetters {
+		want := before.DeadLetters[i]
+		if !dl.At.Equal(want.At) {
+			t.Errorf("dead letter %d at %v, want %v", i, dl.At, want.At)
+		}
+		dl.At = want.At
+		if dl != want {
+			t.Errorf("dead letter %d = %+v, want %+v", i, dl, want)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@
 // extraction plans for file families, places each family on a compute
 // site (local or offloaded), stages files through the prefetcher when
 // needed, batches extractor invocations at two levels (Xtract batches and
-// funcX batches), polls the FaaS fabric for results, handles lost tasks
-// via checkpoint/restart, and forwards finished metadata records to the
-// validation queue (paper §4).
+// funcX batches), polls the FaaS fabric for results, resumes lost tasks
+// from the result cache their workers wrote, and forwards finished
+// metadata records to the validation queue (paper §4).
 package core
 
 import (
@@ -146,8 +146,6 @@ type Config struct {
 	XtractBatchSize int
 	// FuncXBatchSize is how many FaaS tasks ride in one submit call.
 	FuncXBatchSize int
-	// Checkpoint enables per-step checkpointing at the endpoints.
-	Checkpoint bool
 	// Obs is the runtime observability layer (nil disables live metrics
 	// and per-job event traces at near-zero cost).
 	Obs *obs.Observer
@@ -161,8 +159,8 @@ type Config struct {
 	// Cache, when set, is the extraction result cache keyed by (group
 	// content hash, extractor, extractor version): steps whose key hits
 	// replay validated metadata instead of dispatching a FaaS task, and
-	// fresh results are written back on completion. Configuring a cache
-	// also turns on crawl-time content fingerprinting for jobs (see
+	// the worker that extracts a step writes its result. Configuring a
+	// cache also turns on crawl-time content fingerprinting for jobs (see
 	// crawler.Crawler.Fingerprint); per-job JobOptions.NoCache opts out.
 	Cache *cache.Cache
 	// Journal, when set, is the durable write-ahead log the service

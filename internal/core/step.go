@@ -47,8 +47,9 @@ type stepState struct {
 	// execution is live, so only the last one's reaches the retry policy.
 	attempts int
 	live     int
-	// key is the cache key the step missed under (zero: not cacheable),
-	// kept so its commit writes back without deriving the key again.
+	// key is the step's cache key (zero: not cacheable), derived at its
+	// first offer: every offer probes the cache under it, and its payload
+	// carries it to the worker, which files the result there.
 	key cache.Key
 	// tasks lists the accepted tasks carrying the step, whose losers are
 	// cancelled when one commits it (shards report them only when hedging).
@@ -156,22 +157,23 @@ func (p *pump) advanceAll(refs []stepRef) {
 	}
 }
 
-// offer looks at one pending step: a first attempt the result cache can
-// answer commits from it — no shard, no FaaS task — and anything else is
-// dispatched to the family's site.
+// offer looks at one pending step: one the result cache can answer —
+// from an earlier job, or from an execution that finished before its task
+// was lost — commits from it, with no shard and no FaaS task, and anything
+// else is dispatched to the family's site.
 func (p *pump) offer(st *famState, idx int) {
 	ss := &st.steps[idx]
 	if ss.attempts == 0 {
-		if key, ok := p.stepCacheKey(st, ss.step); ok {
-			ss.key = key
-			if md, hit := p.s.cfg.Cache.Get(key); hit {
-				ss.phase = stepCached
-				p.commitStep(st, idx, outcome{md: md, cached: true})
-				return
-			}
-			p.CacheMisses++
-			p.s.obsCacheMisses.Inc()
+		ss.key, _ = p.stepCacheKey(st, ss.step)
+	}
+	if ss.key != (cache.Key{}) {
+		if md, hit := p.s.cfg.Cache.Get(ss.key); hit {
+			ss.phase = stepCached
+			p.commitStep(st, idx, outcome{md: md, cached: true})
+			return
 		}
+		p.CacheMisses++
+		p.s.obsCacheMisses.Inc()
 	}
 	ss.phase = stepReady
 	p.dispatch(st, idx)
@@ -182,9 +184,11 @@ func (p *pump) offer(st *famState, idx int) {
 // effects, so a second completion is counted and changes nothing,
 // whether it came from a hedged duplicate or anywhere else — and then
 // runs each effect once: validation provenance, plan growth, the
-// family's results, cache write-back (fresh results only), the
-// step_completed journal record, tenant billing, counters, the latency
-// estimator, and the hedge win with its losers' cancellation.
+// family's results, the step_completed journal record, tenant billing,
+// counters, the latency estimator, and the hedge win with its losers'
+// cancellation. The cache write is not among them: the worker that
+// extracted the step made it, under the content-addressed key, so a
+// second write by a duplicate is the same entry again.
 func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	ss := &st.steps[idx]
 	if ss.phase >= stepDone {
@@ -200,12 +204,6 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	})
 	st.plan.Complete(step, extractors.Suggestions(o.md))
 	st.results[step.GroupID+"/"+step.Extractor] = o.md
-	cacheable := ss.key != cache.Key{}
-	if cacheable && !o.cached {
-		// Remember the fresh result so a later run over identical
-		// content replays it instead of re-extracting.
-		p.s.cfg.Cache.PutRaw(ss.key, o.md)
-	}
 	if p.s.cfg.Journal != nil {
 		// The record carries the step's content-addressed cache key and
 		// its metadata, which is what lets recovery seed the result cache
@@ -215,7 +213,7 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 			GroupID: step.GroupID, Extractor: step.Extractor, Cached: o.cached,
 			Metadata: orNull(o.md),
 		}
-		if cacheable {
+		if ss.key != (cache.Key{}) {
 			rec.CacheKey = &journal.CacheKey{ContentHash: ss.key.ContentHash, Version: ss.key.Version}
 		}
 		p.journal(rec)
@@ -330,17 +328,16 @@ func (p *pump) deadLetterStep(st *famState, idx int, cause string) {
 	p.s.cfg.Tenants.StepFailed(p.tenant)
 	p.s.obsStepsFailed.Inc()
 	p.s.obsDeadLetterStp.Inc()
-	_ = p.s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) {
-		j.AddDeadLetter(registry.DeadLetter{
-			Kind:      "step",
-			FamilyID:  st.fam.ID,
-			GroupID:   step.GroupID,
-			Extractor: step.Extractor,
-			Attempts:  ss.attempts,
-			Reason:    cause,
-			At:        p.s.clk.Now(),
-		})
-	})
+	dl := registry.DeadLetter{
+		Kind:      "step",
+		FamilyID:  st.fam.ID,
+		GroupID:   step.GroupID,
+		Extractor: step.Extractor,
+		Attempts:  ss.attempts,
+		Reason:    cause,
+		At:        p.s.clk.Now(),
+	}
+	_ = p.s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) { j.AddDeadLetter(dl) })
 	st.extracted = append(st.extracted, validate.StepResult{
 		GroupID: step.GroupID, Extractor: step.Extractor,
 		OK: false, Err: "dead-lettered: " + cause,
@@ -348,8 +345,10 @@ func (p *pump) deadLetterStep(st *famState, idx int, cause string) {
 	p.s.obs.Emitf(p.JobID, obs.EvTaskDeadLettered,
 		"family=%s group=%s extractor=%s attempts=%d cause=%s",
 		st.fam.ID, step.GroupID, step.Extractor, ss.attempts, cause)
+	// The record is the dead letter itself, At included: recovery hands
+	// it back to a job that ends before it runs again.
 	p.journal(journal.Record{
-		Type: journal.RecStepDeadLettered, FamilyID: st.fam.ID,
+		Type: journal.RecStepDeadLettered, FamilyID: st.fam.ID, At: dl.At,
 		GroupID: step.GroupID, Extractor: step.Extractor,
 		Attempt: ss.attempts, Reason: cause,
 	})
@@ -572,7 +571,7 @@ func (p *pump) dispatchHedge(st *famState, idx int) {
 	if target == nil {
 		return
 	}
-	sp := st.payload(step.GroupID)
+	sp := st.payload(idx)
 	if target.Name != st.site.Name {
 		sp.Stage, sp.FetchFrom = "", ""
 		if target.Name != st.fam.Store {

@@ -7,6 +7,7 @@ package core
 // so "effects run once" is asserted, not inferred from a job's totals.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -30,7 +31,7 @@ import (
 )
 
 // countingStore counts the writes the cache's persistent layer makes: one
-// per Cache.PutRaw.
+// per Cache.PutRaw. The pump makes none: the worker writes the cache.
 type countingStore struct {
 	store.Store
 	writes atomic.Int64
@@ -189,8 +190,9 @@ func (m *machine) effects(st *famState) effects {
 	return e
 }
 
-// committed is what one fresh completion causes, and nothing else may.
-var committed = effects{completed: 1, billed: 1, cacheWrites: 1, results: 1, extracted: 1,
+// committed is what one fresh completion causes, and nothing else may: no
+// cache write among it, since the worker that extracted the step made it.
+var committed = effects{completed: 1, billed: 1, results: 1, extracted: 1,
 	stats: JobStats{StepsProcessed: 1}}
 
 func TestStepTransitions(t *testing.T) {
@@ -289,36 +291,76 @@ func TestStepTransitions(t *testing.T) {
 	}
 }
 
-// The cache's half of the table: a pending step is offered once; a hit
-// commits without a cache write or an execution, a miss goes in flight
-// under the key it missed with, and a step back from backoff is not
-// looked up again.
+// The cache's half of the table: every offer of a pending step looks it
+// up, under the key derived at its first. A hit commits with no execution
+// and, like any commit, no cache write; a miss goes in flight with the
+// key's content hash in its payload; and a step back from backoff is
+// looked up again, so one whose lost task had already finished it — the
+// worker wrote the entry — commits from the cache.
 func TestStepOfferedToTheCache(t *testing.T) {
 	m := newMachine(t, nil)
-	st := m.family("fam", 3)
+	st := m.family("fam", 2)
 	key, _ := m.p.stepCacheKey(st, st.steps[0].step)
 	m.cache.PutRaw(key, fastjson.Raw(`{"from":"an earlier job"}`))
 	m.disk.writes.Store(0)
-	retried, _ := m.p.stepCacheKey(st, st.steps[2].step)
-	m.cache.PutRaw(retried, fastjson.Raw(`{"late":"arrival"}`))
-	m.disk.writes.Store(0)
-	m.put(st, 2, stepPending, 0, 1)
 
 	m.p.advance(st)
+	missed := &st.steps[1]
+	if st.steps[0].phase != stepDone || missed.phase != stepInflight {
+		t.Fatalf("phases = %d %d, want done, inflight", st.steps[0].phase, missed.phase)
+	}
+	if missed.live != 1 || missed.key == (cache.Key{}) || st.payload(1).ContentHash != missed.key.ContentHash {
+		t.Fatalf("missed step = %+v, want one live execution carrying the key it missed under", *missed)
+	}
 
-	if st.steps[0].phase != stepDone || st.steps[1].phase != stepInflight || st.steps[2].phase != stepInflight {
-		t.Fatalf("phases = %d %d %d, want done, inflight, inflight", st.steps[0].phase, st.steps[1].phase, st.steps[2].phase)
+	// The worker finishes the step and files it, then its task is lost.
+	m.cache.PutRaw(missed.key, fastjson.Raw(`{"finished":"before the loss"}`))
+	m.disk.writes.Store(0)
+	m.p.resolveTask(m.terminal(m.accepted("t1", false, stepRef{st, 1}), faas.TaskLost, nil))
+	if missed.phase != stepBackoff {
+		t.Fatalf("phase after the loss = %d, want backoff", missed.phase)
 	}
-	if st.steps[1].live != 1 || st.steps[1].key == (cache.Key{}) {
-		t.Fatalf("missed step = %+v, want one live execution and the key it missed under", st.steps[1])
+	m.clk.Advance(time.Second)
+	m.p.intakeDeadlines()
+
+	if missed.phase != stepDone || st.phase != famFinished {
+		t.Fatalf("retried step phase %d, family %d; want done from the cache", missed.phase, st.phase)
 	}
-	want := effects{completed: 1, billed: 1, billedCached: 1, results: 1, extracted: 1,
-		stats: JobStats{StepsProcessed: 1, CacheHits: 1, CacheMisses: 1}}
+	want := effects{completed: 2, retried: 1, billed: 2, billedCached: 2, results: 2, extracted: 2,
+		stats: JobStats{StepsProcessed: 2, CacheHits: 2, CacheMisses: 1, StepsRetried: 1, TasksResubmitted: 1, FamiliesDone: 1}}
 	if got := m.effects(st); got != want {
 		t.Fatalf("effects\n got %+v\nwant %+v", got, want)
 	}
-	if !st.extracted[0].Cached {
-		t.Fatal("the hit's provenance does not say cached")
+	if !st.extracted[0].Cached || !st.extracted[1].Cached {
+		t.Fatalf("provenance %+v, want both steps cached", st.extracted)
+	}
+}
+
+// The worker is the cache's one writer: a cacheable step's execution
+// files exactly one entry, under the key the pump probes, and a step of a
+// NoCache job carries no content hash, so its execution writes nothing.
+func TestWorkerWritesTheCache(t *testing.T) {
+	for _, noCache := range []bool{false, true} {
+		m := newMachine(t, nil)
+		m.p.noCache = noCache
+		st := m.family("fam", 1)
+		site, _ := m.svc.Site("x")
+		if err := site.Store.Write(st.fam.Files[0], []byte("perovskite absorber layers studied")); err != nil {
+			t.Fatal(err)
+		}
+		ext, _ := m.svc.cfg.Library.Get("keyword")
+		st.steps[0].key, _ = m.p.stepCacheKey(st, st.steps[0].step) // as its first offer derives it
+		payload := encodeTaskPayload(nil, &taskPayload{Extractor: "keyword", Steps: []stepPayload{st.payload(0)}})
+		body, err := m.svc.makeHandler(site, ext)(context.Background(), payload)
+		if err != nil || !bytes.Contains(body, []byte(`"ok":true`)) {
+			t.Fatalf("noCache=%v: the step did not extract: %s, %v", noCache, body, err)
+		}
+		if got, want := m.disk.writes.Load(), map[bool]int64{false: 1, true: 0}[noCache]; got != want {
+			t.Fatalf("noCache=%v: the worker wrote %d cache entries, want %d", noCache, got, want)
+		}
+		if md, hit := m.cache.Get(st.steps[0].key); hit != !noCache || hit && !bytes.Contains(md, []byte("perovskite")) {
+			t.Fatalf("noCache=%v: cache lookup = %s, %v", noCache, md, hit)
+		}
 	}
 }
 
@@ -333,7 +375,7 @@ func TestSameCompletionTwiceHasNoSecondEffect(t *testing.T) {
 	ev := m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, []stepOutcome{ok(st, 0)})
 
 	m.p.resolveTask(ev)
-	if got := m.effects(st); got.completed != 1 || got.billed != 1 || got.cacheWrites != 1 || got.stats.DuplicateSteps != 0 {
+	if got := m.effects(st); got.completed != 1 || got.billed != 1 || got.cacheWrites != 0 || got.stats.DuplicateSteps != 0 {
 		t.Fatalf("first delivery: %+v", got)
 	}
 	first := m.effects(st)

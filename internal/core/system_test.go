@@ -396,9 +396,6 @@ func (r *run) configure(cfg *Config) {
 	cfg.Tenants = tenant.NewController(tenant.Config{TaskSlots: 64})
 	cfg.Obs = obs.New(cfg.Clock)
 	cfg.XtractBatchSize, cfg.FuncXBatchSize = 2, 2
-	// Checkpoints are the endpoint restart's half of recovery (the medic's);
-	// anywhere else, what a restart does not run again it owes the journal.
-	cfg.Checkpoint = r.s.medic && r.s.plan != nil
 	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
 		JitterSeed: int64(r.s.seed), JobBudget: 128}
 	if r.s.armor {
@@ -713,6 +710,7 @@ func (r *run) check() {
 	r.checkAccounts(js, holder, rec)
 	r.checkDocs(js, rec)
 	r.checkRerun()
+	r.checkCached(js, holder)
 	r.checkLeaks()
 }
 
@@ -860,6 +858,24 @@ func (r *run) checkRerun() {
 			r.t.Errorf("%q ran %d extractions for a job its user cancelled", h.id, h.inv.total())
 		}
 	}
+}
+
+// checkCached: every step a complete job committed is in the result cache
+// of the holder that ran it — filed by the worker that extracted it, or
+// seeded from the journal by recovery — so the same repositories run again
+// as a second job extract nothing and leave the control's documents as
+// they are. A holder that only replayed the job's terminal record never
+// ran it: the cache the job filled died with the process that ran it.
+func (r *run) checkCached(js *journal.JobState, holder *harness) {
+	if js.State != string(registry.JobComplete) || holder == nil || holder.usage().JobsStarted == 0 {
+		return
+	}
+	before := holder.inv.total()
+	_, _ = r.wait(r.submit(holder))
+	if n := holder.inv.total() - before; n != 0 {
+		r.t.Errorf("the second job over the same repositories ran %d extractions", n)
+	}
+	r.w.waitForDocsEqual(r.t, r.ctl.docs)
 }
 
 // checkLeaks: with the job ended, no lease is held and no live life keeps

@@ -277,62 +277,26 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards total
 	var total Stats
+	add := func(d Stats) {
+		mu.Lock()
+		total.Add(d)
+		mu.Unlock()
+	}
 	spawn := func(seed int64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				dir, ok := dq.pop()
-				// A cancelled crawl lists nothing more, backlog or not.
-				if !ok || ctx.Err() != nil {
-					return
-				}
-				d := c.processDir(ctx, dir, dq, rng)
-				mu.Lock()
-				total.Add(d)
-				mu.Unlock()
-				c.Totals.add(d)
-				dq.done()
-			}
+			c.work(ctx, dq, seed, add)
 		}()
 	}
 	for w := 0; w < workers; w++ {
 		spawn(c.Seed + int64(w))
 	}
-	// Elastic scaling: add workers while the backlog outruns the pool.
 	if c.MaxWorkers > workers {
-		ratio := c.ScaleBacklog
-		if ratio < 1 {
-			ratio = 4
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			current := workers
-			for current < c.MaxWorkers {
-				dq.mu.Lock()
-				backlog := len(dq.items)
-				outstanding := dq.outstanding
-				closed := dq.closed
-				dq.mu.Unlock()
-				if closed || (backlog == 0 && outstanding == 0) {
-					return
-				}
-				if backlog > ratio*current {
-					spawn(c.Seed + int64(current) + 1000)
-					current++
-					mu.Lock()
-					total.WorkersSpawned++
-					mu.Unlock()
-					continue
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-c.Clock.After(time.Millisecond):
-				}
-			}
+			add(Stats{WorkersSpawned: c.scale(ctx, dq, workers, spawn)})
 		}()
 	}
 	wg.Wait()
@@ -340,6 +304,55 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 		return Stats{}, err
 	}
 	return total, nil
+}
+
+// work is one crawl worker: it lists directories off the queue until the
+// crawl drains or ctx ends, handing each directory's counts to add.
+func (c *Crawler) work(ctx context.Context, dq *dirQueue, seed int64, add func(Stats)) {
+	rng := rand.New(rand.NewSource(seed))
+	for {
+		dir, ok := dq.pop()
+		// A cancelled crawl lists nothing more, backlog or not.
+		if !ok || ctx.Err() != nil {
+			return
+		}
+		d := c.processDir(ctx, dir, dq, rng)
+		add(d)
+		c.Totals.add(d)
+		dq.done()
+	}
+}
+
+// scale is elastic scaling: it spawns workers while the backlog outruns
+// the pool of current, up to MaxWorkers, and reports how many it added.
+func (c *Crawler) scale(ctx context.Context, dq *dirQueue, current int, spawn func(seed int64)) int64 {
+	ratio := c.ScaleBacklog
+	if ratio < 1 {
+		ratio = 4
+	}
+	var added int64
+	for current < c.MaxWorkers {
+		dq.mu.Lock()
+		backlog := len(dq.items)
+		outstanding := dq.outstanding
+		closed := dq.closed
+		dq.mu.Unlock()
+		if closed || (backlog == 0 && outstanding == 0) {
+			return added
+		}
+		if backlog > ratio*current {
+			spawn(c.Seed + int64(current) + 1000)
+			current++
+			added++
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return added
+		case <-c.Clock.After(time.Millisecond):
+		}
+	}
+	return added
 }
 
 // listWithBackoff lists a directory, retrying rate-limit rejections

@@ -62,8 +62,6 @@ type Options struct {
 	// XtractBatchSize / FuncXBatchSize override batching (defaults 8/16).
 	XtractBatchSize int
 	FuncXBatchSize  int
-	// Checkpoint enables endpoint-side checkpointing.
-	Checkpoint bool
 	// FaaSCosts injects control-plane latencies (default zero).
 	FaaSCosts faas.Costs
 	// CacheCapacity, when > 0, enables the extraction result cache with
@@ -177,7 +175,6 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		Policy:          opts.Policy,
 		XtractBatchSize: opts.XtractBatchSize,
 		FuncXBatchSize:  opts.FuncXBatchSize,
-		Checkpoint:      opts.Checkpoint,
 		Obs:             d.Obs,
 		Cache:           d.Cache,
 		Journal:         opts.Journal,

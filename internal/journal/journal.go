@@ -111,8 +111,9 @@ type Record struct {
 	// leader encodes it, off the caller's path, and the map must not be
 	// mutated after Append. At most one of the two is set.
 	MetadataObj map[string]interface{} `json:"-"`
-	Attempt     int                    `json:"attempt,omitempty"`
-	Reason      string                 `json:"reason,omitempty"`
+	// step_retried / step_dead_lettered / family_failed
+	Attempt int    `json:"attempt,omitempty"`
+	Reason  string `json:"reason,omitempty"`
 	// job_terminal
 	State string `json:"state,omitempty"`
 	Err   string `json:"err,omitempty"`

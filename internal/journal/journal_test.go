@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"xtract/internal/clock"
+	"xtract/internal/registry"
 	"xtract/internal/store"
 )
 
@@ -497,6 +498,55 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 		if !bytes.Equal(bf, bc) {
 			t.Fatalf("seed %d: replay(snapshot+tail) != replay(full log)\nfull:      %s\ncompacted: %s\ninfo: %+v",
 				seed, bf, bc, infoC)
+		}
+	}
+}
+
+// The fold keeps a job's dead-letter report entry by entry, past the
+// pruning of a terminal job and through a snapshot, so recovery can hand
+// it back. A family enqueued again — a resumed job runs it again — starts
+// with none, and the report is capped like the registry's.
+func TestFoldKeepsDeadLetters(t *testing.T) {
+	at := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	recs := []Record{
+		{Type: RecJobSubmitted, JobID: "job-1", Spec: &JobSpec{}},
+		{Type: RecFamilyEnqueued, JobID: "job-1", FamilyID: "f1"},
+		{Type: RecFamilyEnqueued, JobID: "job-1", FamilyID: "f2"},
+		{Type: RecStepDeadLettered, JobID: "job-1", At: at, FamilyID: "f1", GroupID: "g", Extractor: "keyword", Attempt: 3, Reason: "boom"},
+		{Type: RecFamilyFailed, JobID: "job-1", At: at, FamilyID: "f2", Attempt: 2, Reason: "staging failed"},
+		{Type: RecFamilyEnqueued, JobID: "job-1", FamilyID: "f1"}, // resumed: f1 runs again
+	}
+	for i := 0; i < registry.MaxDeadLetters; i++ {
+		recs = append(recs, Record{Type: RecStepDeadLettered, JobID: "job-1", At: at, FamilyID: "f3", GroupID: fmt.Sprint(i), Reason: "x"})
+	}
+	recs = append(recs, Record{Type: RecJobCancelled, JobID: "job-1"})
+	dir := memDir(t)
+	j := mustOpen(t, dir, Options{CompactSegments: -1})
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Compact()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, info, err := Replay(dir)
+	if err != nil || info.SnapshotUsed == "" {
+		t.Fatalf("replay = %+v, %v; want it to start from the snapshot", info, err)
+	}
+	js := st.Jobs["job-1"]
+	if !js.Cancelled || js.Steps != nil || len(js.DeadLetters) != registry.MaxDeadLetters {
+		t.Fatalf("job = cancelled %v, %d steps, %d dead letters; want cancelled, pruned, %d letters",
+			js.Cancelled, len(js.Steps), len(js.DeadLetters), registry.MaxDeadLetters)
+	}
+	first := js.DeadLetters[0]
+	if want := (registry.DeadLetter{Kind: "family", FamilyID: "f2", Attempts: 2, Reason: "staging failed", At: first.At}); first != want || !first.At.Equal(at) {
+		t.Fatalf("first dead letter = %+v, want %+v at %v", first, want, at)
+	}
+	for _, dl := range js.DeadLetters {
+		if dl.FamilyID == "f1" {
+			t.Fatalf("the family enqueued again kept its earlier dead letter: %+v", dl)
 		}
 	}
 }

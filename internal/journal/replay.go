@@ -2,8 +2,11 @@ package journal
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"time"
+
+	"xtract/internal/registry"
 )
 
 // stepKeySep joins (family, group, extractor) into a step map key. The
@@ -28,8 +31,8 @@ type StepDone struct {
 }
 
 // JobState is the replayed view of one job. Terminal jobs keep only
-// their outcome — step and family detail is pruned to bound snapshot
-// size and replay memory.
+// their outcome and its dead-letter report — step and family detail is
+// pruned to bound snapshot size and replay memory.
 type JobState struct {
 	ID        string   `json:"id"`
 	Spec      *JobSpec `json:"spec,omitempty"`
@@ -45,6 +48,10 @@ type JobState struct {
 	Retries      int                 `json:"retries,omitempty"`
 	DeadLettered int                 `json:"dead_lettered,omitempty"`
 	FailedFams   int                 `json:"failed_families,omitempty"`
+	// DeadLetters is the job's dead-letter report as its step_dead_lettered
+	// and family_failed records tell it, capped like the registry's. A
+	// family enqueued again (a resumed job runs it again) starts with none.
+	DeadLetters []registry.DeadLetter `json:"dead_letters,omitempty"`
 	// Lease fields mirror the newest ownership record: which node held
 	// the job, at what fencing epoch, and when that lease expires
 	// (RFC3339Nano). A restarting node uses them to decide whether a
@@ -126,6 +133,10 @@ func (s *State) Apply(rec Record) {
 			job.Families = make(map[string]int)
 		}
 		job.Families[rec.FamilyID] = rec.Groups
+		if len(job.DeadLetters) > 0 {
+			job.DeadLetters = slices.DeleteFunc(job.DeadLetters,
+				func(dl registry.DeadLetter) bool { return dl.FamilyID == rec.FamilyID })
+		}
 	case RecStepCompleted:
 		if job.Steps == nil {
 			job.Steps = make(map[string]StepDone)
@@ -142,8 +153,12 @@ func (s *State) Apply(rec Record) {
 		job.Retries++
 	case RecStepDeadLettered:
 		job.DeadLettered++
+		job.addDeadLetter(registry.DeadLetter{Kind: "step", FamilyID: rec.FamilyID, GroupID: rec.GroupID,
+			Extractor: rec.Extractor, Attempts: rec.Attempt, Reason: rec.Reason, At: rec.At})
 	case RecFamilyFailed:
 		job.FailedFams++
+		job.addDeadLetter(registry.DeadLetter{Kind: "family", FamilyID: rec.FamilyID,
+			Attempts: rec.Attempt, Reason: rec.Reason, At: rec.At})
 	case RecJobCancelled:
 		job.Terminal = true
 		job.Cancelled = true
@@ -172,9 +187,16 @@ func (s *State) Apply(rec Record) {
 	}
 }
 
+// addDeadLetter notes one quarantine, up to registry.MaxDeadLetters.
+func (j *JobState) addDeadLetter(dl registry.DeadLetter) {
+	if len(j.DeadLetters) < registry.MaxDeadLetters {
+		j.DeadLetters = append(j.DeadLetters, dl)
+	}
+}
+
 // prune drops per-step detail once a job is terminal: recovery restores
-// the outcome only, and snapshots stay bounded by live work, not job
-// history.
+// the outcome and its dead-letter report only, and snapshots stay bounded
+// by live work, not job history.
 func (j *JobState) prune() {
 	j.Families = nil
 	j.Steps = nil
@@ -236,7 +258,27 @@ func Replay(dir Dir) (*State, ReplayInfo, error) {
 	sort.Strings(segs)
 	sort.Sort(sort.Reverse(sort.StringSlice(snaps)))
 
-	st := NewState()
+	st := newestSnapshot(dir, snaps, &info)
+	for i, n := range segs {
+		data, err := dir.Read(n)
+		if err == nil {
+			info.Segments++
+		}
+		// An unreadable segment counts like a damaged frame at offset 0.
+		if err != nil || !st.applySegment(data, &info) {
+			info.CorruptSegments++
+			if i == len(segs)-1 {
+				info.TornTail = true
+			}
+		}
+	}
+	return st, info, nil
+}
+
+// newestSnapshot returns the state of the newest snapshot among snaps
+// (newest first) that reads back whole, or an empty state when none does,
+// and notes which one it used in info.
+func newestSnapshot(dir Dir, snaps []string, info *ReplayInfo) *State {
 	for _, n := range snaps {
 		data, err := dir.Read(n)
 		if err != nil {
@@ -253,59 +295,41 @@ func Replay(dir Dir) (*State, ReplayInfo, error) {
 		if cand.Jobs == nil {
 			cand.Jobs = make(map[string]*JobState)
 		}
-		st = cand
 		info.SnapshotUsed = n
 		info.snapshotSeq = cand.LastSeq
-		break
+		return cand
 	}
+	return NewState()
+}
 
-	for i, n := range segs {
-		last := i == len(segs)-1
-		data, err := dir.Read(n)
-		if err != nil {
-			// Unreadable segment: treat like a damaged frame at offset 0.
-			info.CorruptSegments++
-			if last {
-				info.TornTail = true
-			}
+// applySegment folds one segment's records past the snapshot horizon into
+// s, stopping at the first damaged frame or sequence hole. It reports
+// false when it stopped at damage.
+func (s *State) applySegment(data []byte, info *ReplayInfo) bool {
+	for off := 0; off < len(data); {
+		payload, next, ok := readFrame(data, off)
+		if !ok {
+			return false
+		}
+		off = next
+		var rec Record
+		if json.Unmarshal(payload, &rec) != nil {
+			return false
+		}
+		if rec.Seq <= info.snapshotSeq {
+			info.Skipped++
 			continue
 		}
-		info.Segments++
-		off := 0
-		damaged := false
-		for off < len(data) {
-			payload, next, ok := readFrame(data, off)
-			if !ok {
-				damaged = true
-				break
-			}
-			off = next
-			var rec Record
-			if json.Unmarshal(payload, &rec) != nil {
-				damaged = true
-				break
-			}
-			if rec.Seq <= info.snapshotSeq {
-				info.Skipped++
-				continue
-			}
-			if rec.Seq != st.LastSeq+1 {
-				// A hole in the sequence: this segment does not continue
-				// the fold (an earlier segment was damaged, lost, or this
-				// one holds stale duplicates). Abandon it rather than fold
-				// an inconsistent history.
-				info.SeqGap = true
-				break
-			}
-			st.Apply(rec)
-			info.Records++
+		if rec.Seq != s.LastSeq+1 {
+			// A hole in the sequence: this segment does not continue the
+			// fold (an earlier segment was damaged, lost, or this one holds
+			// stale duplicates). Abandon it rather than fold an
+			// inconsistent history.
+			info.SeqGap = true
+			return true
 		}
-		if damaged {
-			info.CorruptSegments++
-			if last {
-				info.TornTail = true
-			}
-		}
+		s.Apply(rec)
+		info.Records++
 	}
-	return st, info, nil
+	return true
 }

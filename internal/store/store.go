@@ -84,7 +84,7 @@ func ExtensionOf(name string) string {
 
 // Hide returns s with the named paths left out of its listings; they stay
 // readable and writable. It keeps what a service writes itself — staged
-// copies, checkpoints, an output directory — from being crawled as input.
+// copies, an output directory — from being crawled as input.
 func Hide(s Store, paths ...string) Store {
 	h := hiding{Store: s}
 	for _, p := range paths {
