@@ -24,8 +24,6 @@ import (
 	"xtract/internal/auth"
 	"xtract/internal/clock"
 	"xtract/internal/cluster"
-	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/deploy"
 	"xtract/internal/extractors"
 	"xtract/internal/index"
@@ -108,25 +106,20 @@ func runExtract(args []string) error {
 		validator = validate.NewMDF("local")
 	}
 
-	lib := extractors.DefaultLibrary()
-	grouper, err := crawler.GrouperByName(*grouperName, lib)
-	if err != nil {
-		return err
-	}
 	clk := clock.NewReal()
 	d, err := deploy.New(context.Background(), clk, []deploy.SiteSpec{
 		{Name: "local", Store: src, Workers: *workers},
-	}, deploy.Options{Library: lib, Validator: validator, Dest: dest})
+	}, deploy.Options{Validator: validator, Dest: dest})
 	if err != nil {
 		return err
 	}
 	defer d.Close()
 
 	start := time.Now()
-	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "local",
-		Roots:    []string{"/"},
-		Grouper:  grouper,
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "local",
+		Roots:   []string{"/"},
+		Grouper: *grouperName,
 	}})
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -73,6 +74,35 @@ func TestExtractDoesNotCrawlItsOwnOutput(t *testing.T) {
 			t.Fatalf("run %d left %v, the first run %v", run, docs, first)
 		}
 	}
+	// The documents are the destination search's input.
+	got := printed(t, func() error { return runSearch([]string{"-metadata", out, "-q", "perovskite"}) })
+	if !strings.Contains(got, "indexed 3 documents") || strings.Contains(got, "no hits") {
+		t.Fatalf("search over the documents printed %q; want a perovskite hit among 3", got)
+	}
+	// A grouper is a name the service resolves; an unknown one runs nothing.
+	err := runExtract([]string{"-root", root, "-grouper", "bogus"})
+	if err == nil || !strings.Contains(err.Error(), "unknown grouper") {
+		t.Fatalf("extract -grouper bogus = %v; want unknown grouper", err)
+	}
+}
+
+// printed returns what f writes to standard output, failing on its error.
+func printed(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // A signal ends serve with a job mid-flight: the job is suspended — live in

@@ -15,11 +15,10 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/dataset"
 	"xtract/internal/deploy"
 	"xtract/internal/extractors"
+	"xtract/internal/journal"
 	"xtract/internal/store"
 	"xtract/internal/validate"
 )
@@ -55,10 +54,10 @@ func main() {
 	defer d.Close()
 
 	start := time.Now()
-	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "gdrive",
-		Roots:    []string{"/"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "gdrive",
+		Roots:   []string{"/"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		log.Fatal(err)

@@ -15,11 +15,9 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/dataset"
 	"xtract/internal/deploy"
-	"xtract/internal/extractors"
+	"xtract/internal/journal"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 )
@@ -48,10 +46,10 @@ func run(percent float64, groups int) (time.Duration, int64, int64, int64) {
 	defer d.Close()
 
 	start := time.Now()
-	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "midway",
-		Roots:    []string{"/repo"},
-		Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "midway",
+		Roots:   []string{"/repo"},
+		Grouper: "matio",
 	}})
 	if err != nil {
 		log.Fatal(err)

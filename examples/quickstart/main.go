@@ -12,11 +12,9 @@ import (
 	"log"
 
 	"xtract/internal/clock"
-	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/dataset"
 	"xtract/internal/deploy"
-	"xtract/internal/extractors"
+	"xtract/internal/journal"
 	"xtract/internal/store"
 )
 
@@ -42,11 +40,10 @@ func main() {
 
 	// 3. Run the extraction job with the MaterialsIO grouping function,
 	//    which bundles VASP artifacts into per-calculation groups.
-	lib := extractors.DefaultLibrary()
-	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "mdf-mini",
-		Roots:    []string{"/mdf"},
-		Grouper:  crawler.MatIOGrouper(lib),
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "mdf-mini",
+		Roots:   []string{"/mdf"},
+		Grouper: "matio",
 	}})
 	if err != nil {
 		log.Fatal(err)

@@ -59,9 +59,9 @@ import (
 	"xtract/internal/cache"
 	"xtract/internal/cluster"
 	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/index"
+	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/registry"
 	"xtract/internal/store"
@@ -76,7 +76,9 @@ type JobRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// RepoRequest names one repository within a job.
+// RepoRequest names one repository within a job. It is the REST contract,
+// copied once into the job's one description, a journal.RepoSpec, whose
+// no_min_transfers key it spells no_min_transfer.
 type RepoRequest struct {
 	Site          string   `json:"site"`
 	Roots         []string `json:"roots"`
@@ -625,31 +627,30 @@ func placementKey(ten string, req JobRequest) string {
 	return b.String()
 }
 
-// repoSpecs resolves a request's repositories to the service's terms, or
-// says with which error code the request is refused.
-func (s *Server) repoSpecs(req JobRequest) (specs []core.RepoSpec, code string, err error) {
+// jobSpec copies a request into the job spec the service runs and journals,
+// or says with which error code the request is refused.
+func (s *Server) jobSpec(req JobRequest) (spec journal.JobSpec, code string, err error) {
 	if len(req.Repos) == 0 {
-		return nil, CodeInvalidRequest, fmt.Errorf("api: no repositories")
+		return spec, CodeInvalidRequest, fmt.Errorf("api: no repositories")
 	}
 	for _, repo := range req.Repos {
-		grouper, err := crawler.GrouperByName(repo.Grouper, s.lib)
-		if err != nil {
-			return nil, CodeUnknownGrouper, fmt.Errorf("api: %w", err)
+		if _, err := s.svc.Grouper(repo.Grouper); err != nil {
+			return spec, CodeUnknownGrouper, fmt.Errorf("api: %w", err)
 		}
 		if _, ok := s.svc.Site(repo.Site); !ok {
-			return nil, CodeUnknownSite, fmt.Errorf("api: unknown site %q", repo.Site)
+			return spec, CodeUnknownSite, fmt.Errorf("api: unknown site %q", repo.Site)
 		}
-		specs = append(specs, core.RepoSpec{
-			SiteName:       repo.Site,
+		spec.Repos = append(spec.Repos, journal.RepoSpec{
+			Site:           repo.Site,
 			Roots:          repo.Roots,
-			Grouper:        grouper,
-			GrouperName:    repo.Grouper,
+			Grouper:        repo.Grouper,
 			CrawlWorkers:   repo.CrawlWorkers,
 			MaxFamilySize:  repo.MaxFamilySize,
 			NoMinTransfers: repo.NoMinTransfer,
 		})
 	}
-	return specs, "", nil
+	spec.NoCache = req.NoCache
+	return spec, "", nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -658,7 +659,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	specs, code, err := s.repoSpecs(req)
+	spec, code, err := s.jobSpec(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, code, err)
 		return
@@ -702,7 +703,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// The job runs under the server's lifecycle context, not the request's:
 	// it outlives this handler, and shutdown still reaches its pump.
-	job, err := s.svc.Submit(s.baseCtx, specs, core.JobOptions{NoCache: req.NoCache, Tenant: ten})
+	spec.Tenant = ten
+	job, err := s.svc.Submit(s.baseCtx, spec)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return

@@ -3,8 +3,8 @@
 // metadata produced by one (group content, extractor, extractor version)
 // execution is remembered so a later run over byte-identical content
 // replays the stored result instead of dispatching a FaaS task. The key
-// is content-addressed — it reuses the internal/dedup content hashing the
-// crawler records as per-file fingerprints — so a repository re-crawled
+// is content-addressed — it builds on the content hash the crawler
+// records as per-file fingerprints (crawler.ExactKey) — so a repository re-crawled
 // without content changes hits on every step, while any content or
 // extractor-version change misses and re-extracts.
 //

@@ -10,8 +10,7 @@ import (
 	"time"
 
 	"xtract/internal/cache"
-	"xtract/internal/crawler"
-	"xtract/internal/extractors"
+	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/scheduler"
 )
@@ -25,13 +24,13 @@ func TestWarmRunServedFromCache(t *testing.T) {
 		func(cfg *Config) { cfg.Cache = c })
 	seedScience(t, h.sites["theta"], "/mdf")
 
-	run := func(opts JobOptions) JobStats {
+	run := func(noCache bool) JobStats {
 		t.Helper()
-		stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
-			SiteName: "theta",
-			Roots:    []string{"/mdf"},
-			Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
-		}}, opts)
+		stats, err := runSpec(h.svc, context.Background(), journal.JobSpec{NoCache: noCache, Repos: []journal.RepoSpec{{
+			Site:    "theta",
+			Roots:   []string{"/mdf"},
+			Grouper: "matio",
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +40,7 @@ func TestWarmRunServedFromCache(t *testing.T) {
 		return stats
 	}
 
-	cold := run(JobOptions{})
+	cold := run(false)
 	if cold.CacheHits != 0 {
 		t.Fatalf("cold run hit the cache %d times", cold.CacheHits)
 	}
@@ -53,7 +52,7 @@ func TestWarmRunServedFromCache(t *testing.T) {
 		t.Fatal("cold run submitted no FaaS tasks")
 	}
 
-	warm := run(JobOptions{})
+	warm := run(false)
 	if warm.CacheMisses != 0 {
 		t.Fatalf("warm run missed the cache %d times", warm.CacheMisses)
 	}
@@ -80,7 +79,7 @@ func TestWarmRunServedFromCache(t *testing.T) {
 	// NoCache opts the third run out entirely: fresh extractions, no
 	// lookups, no write-backs counted against the job.
 	before := c.Stats()
-	bypass := run(JobOptions{NoCache: true})
+	bypass := run(true)
 	if bypass.CacheHits != 0 || bypass.CacheMisses != 0 {
 		t.Fatalf("NoCache run touched the cache: %+v", bypass)
 	}
@@ -108,14 +107,14 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 	var jobs int64
 	// run returns the job's statistics, the source bytes it read and the
 	// destination documents as they stand once the job's are all written.
-	run := func(opts JobOptions) (JobStats, int64, map[string]string) {
+	run := func(noCache bool) (JobStats, int64, map[string]string) {
 		t.Helper()
 		before, _ := src.Traffic()
-		stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
-			SiteName: "theta",
-			Roots:    []string{"/mdf"},
-			Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
-		}}, opts)
+		stats, err := runSpec(h.svc, context.Background(), journal.JobSpec{NoCache: noCache, Repos: []journal.RepoSpec{{
+			Site:    "theta",
+			Roots:   []string{"/mdf"},
+			Grouper: "matio",
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +144,7 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 		return stats, after - before, docs
 	}
 
-	cold, coldRead, coldDocs := run(JobOptions{})
+	cold, coldRead, coldDocs := run(false)
 	if cold.Crawl.FilesHashed != files || cold.Crawl.HashesReused != 0 || cold.CacheHits != 0 || coldRead == 0 {
 		t.Fatalf("cold job: %+v read %d bytes", cold, coldRead)
 	}
@@ -177,13 +176,13 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 		}
 	}
 	tasks := h.fsvc.TasksSubmitted.Load()
-	warm, warmRead, warmDocs := run(JobOptions{})
+	warm, warmRead, warmDocs := run(false)
 	wantWarm("warm", warm, warmRead, warmDocs, tasks)
 
 	// A NoCache job fingerprints nothing: the memo's counters stand still
 	// and the warm job after it still reads nothing.
 	memoBefore := c.Stats()
-	bypass, bypassRead, _ := run(JobOptions{NoCache: true})
+	bypass, bypassRead, _ := run(true)
 	if bypass.Crawl.FilesHashed != 0 || bypass.Crawl.HashesReused != 0 || bypassRead == 0 {
 		t.Fatalf("NoCache job: crawl %+v, read %d bytes", bypass.Crawl, bypassRead)
 	}
@@ -191,7 +190,7 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 		t.Fatalf("NoCache job moved the memo: %+v -> %+v", memoBefore, memoAfter)
 	}
 	tasks = h.fsvc.TasksSubmitted.Load()
-	again, againRead, againDocs := run(JobOptions{})
+	again, againRead, againDocs := run(false)
 	wantWarm("post-NoCache warm", again, againRead, againDocs, tasks)
 
 	// Same size, same ModTime, different bytes: only the token tells.
@@ -204,7 +203,7 @@ func TestWarmJobReadsNoSourceBytes(t *testing.T) {
 	if after.Size != before.Size || !after.ModTime.Equal(before.ModTime) {
 		t.Fatalf("test wants size and mtime unchanged: %+v -> %+v", before, after)
 	}
-	changed, changedRead, changedDocs := run(JobOptions{})
+	changed, changedRead, changedDocs := run(false)
 	if changed.Crawl.FilesHashed != 1 || changed.Crawl.HashesReused != files-1 {
 		t.Fatalf("crawl after the overwrite hashed %d files and reused %d", changed.Crawl.FilesHashed, changed.Crawl.HashesReused)
 	}
@@ -252,10 +251,10 @@ func TestCacheMetricsAndEvents(t *testing.T) {
 		})
 	seedScience(t, h.sites["theta"], "/mdf")
 
-	repo := []RepoSpec{{
-		SiteName: "theta",
-		Roots:    []string{"/mdf"},
-		Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
+	repo := []journal.RepoSpec{{
+		Site:    "theta",
+		Roots:   []string{"/mdf"},
+		Grouper: "matio",
 	}}
 	if _, err := h.svc.RunJob(context.Background(), repo); err != nil {
 		t.Fatal(err)
@@ -319,10 +318,10 @@ func TestConcurrentJobStatsIsolation(t *testing.T) {
 
 	runSite := func(site string, out *JobStats, errOut *error, wg *sync.WaitGroup) {
 		defer wg.Done()
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-			SiteName: site,
-			Roots:    []string{"/"},
-			Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+			Site:    site,
+			Roots:   []string{"/"},
+			Grouper: "matio",
 		}})
 		*out, *errOut = stats, err
 	}

@@ -13,7 +13,6 @@ import (
 	"xtract/internal/cache"
 	"xtract/internal/clock"
 	"xtract/internal/cluster"
-	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/family"
@@ -410,10 +409,10 @@ func TestEndToEndLocalExtraction(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "theta", workers: 4}}, scheduler.LocalPolicy{})
 	seedScience(t, h.sites["theta"], "/mdf")
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "theta",
-		Roots:    []string{"/mdf"},
-		Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "theta",
+		Roots:   []string{"/mdf"},
+		Grouper: "matio",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -448,10 +447,10 @@ func TestEndToEndStagingFromStorageOnlySite(t *testing.T) {
 	}, scheduler.LocalPolicy{})
 	seedScience(t, h.sites["petrel"], "/data")
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/data"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -497,8 +496,8 @@ func TestStagedStepReadsUnderItsPrefix(t *testing.T) {
 	if err := h.sites["river"].Write("/data/a.dat", []byte("decoy")); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel", Roots: []string{"/data"}, Grouper: crawler.SingleFileGrouper(lib),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site: "petrel", Roots: []string{"/data"}, Grouper: "single",
 	}})
 	if err != nil || stats.FamiliesDone != 1 || stats.BytesStaged == 0 {
 		t.Fatalf("stats = %+v, err = %v", stats, err)
@@ -518,10 +517,10 @@ func TestEndToEndDynamicPlanExpansion(t *testing.T) {
 	if err := fs.Write("/d/table.txt", []byte(table)); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "midway",
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "midway",
+		Roots:   []string{"/d"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -553,10 +552,10 @@ func TestEndToEndOffloadRand(t *testing.T) {
 	}, &scheduler.RandPolicy{Percent: 100, Rng: newSeededRand()})
 	seedScience(t, h.sites["midway"], "/repo")
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "midway",
-		Roots:    []string{"/repo"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "midway",
+		Roots:   []string{"/repo"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -656,8 +655,8 @@ func TestEndToEndRestartResumesFromCache(t *testing.T) {
 			_ = h.svc.SwapCompute("theta", ep)
 			_ = h.svc.RegisterExtractors()
 		}()
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-			SiteName: "theta", Roots: []string{"/notes"}, Grouper: crawler.SingleFileGrouper(h.svc.cfg.Library),
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+			Site: "theta", Roots: []string{"/notes"}, Grouper: "single",
 		}})
 		close(gate.parked) // a run that never stopped reports nothing
 		<-stopped
@@ -693,7 +692,7 @@ func TestEndToEndRestartResumesFromCache(t *testing.T) {
 func TestRerunShipsTheRewrittenFile(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "theta", workers: 2}}, scheduler.LocalPolicy{})
 	files := seedScience(t, h.sites["theta"], "/mdf")
-	repo := []RepoSpec{{SiteName: "theta", Roots: []string{"/mdf"}, Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())}}
+	repo := []journal.RepoSpec{{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}}
 	notes := func() string {
 		t.Helper()
 		for _, doc := range h.waitForDocs(t, files) {
@@ -723,7 +722,7 @@ func TestRerunShipsTheRewrittenFile(t *testing.T) {
 
 func TestRunJobUnknownSite(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "a", workers: 1}}, nil)
-	if _, err := h.svc.RunJob(context.Background(), []RepoSpec{{SiteName: "nope"}}); err == nil {
+	if _, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{Site: "nope"}}); err == nil {
 		t.Fatal("expected error for unknown site")
 	}
 }
@@ -733,10 +732,10 @@ func TestRunJobNoComputeAnywhere(t *testing.T) {
 	if err := h.sites["petrel"].Write("/d/f.txt", []byte("words here")); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/d"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -775,10 +774,10 @@ func TestEndToEndDirectFetch(t *testing.T) {
 	site.DirectFetch = true
 	seedScience(t, h.sites["gdrive"], "/docs")
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "gdrive",
-		Roots:    []string{"/docs"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "gdrive",
+		Roots:   []string{"/docs"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -803,10 +802,10 @@ func TestExcludedExtractorFailsGracefully(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "sing", workers: 2, exclude: []string{"keyword"}}}, scheduler.LocalPolicy{})
 	_ = h.sites["sing"].Write("/d/notes.txt", []byte("free text that wants the keyword extractor"))
 	_ = h.sites["sing"].Write("/d/data.csv", []byte("a,b\n1,2\n3,4\n"))
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "sing",
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "sing",
+		Roots:   []string{"/d"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -849,11 +848,11 @@ func TestEndToEndMultiRepoJob(t *testing.T) {
 	seedScience(t, h.sites["anl"], "/science/data")
 	seedScience(t, h.sites["uchicago"], "/other_science/papers")
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{
-		{SiteName: "anl", Roots: []string{"/science/data"},
-			Grouper: crawler.MatIOGrouper(extractors.DefaultLibrary())},
-		{SiteName: "uchicago", Roots: []string{"/other_science/papers"},
-			Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())},
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{
+		{Site: "anl", Roots: []string{"/science/data"},
+			Grouper: "matio"},
+		{Site: "uchicago", Roots: []string{"/other_science/papers"},
+			Grouper: "single"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -896,10 +895,10 @@ func TestStageCapacityFallbackAndExhaustion(t *testing.T) {
 	river.StageCapacityBytes = 64   // fits roughly one small family
 	js.StageCapacityBytes = 1 << 20 // plenty
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/data"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -919,10 +918,10 @@ func TestStageCapacityFallbackAndExhaustion(t *testing.T) {
 	seedScience(t, h2.sites["petrel"], "/data")
 	r2, _ := h2.svc.Site("river")
 	r2.StageCapacityBytes = 1 // nothing fits
-	stats2, err := h2.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats2, err := h2.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/data"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)

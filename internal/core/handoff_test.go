@@ -13,7 +13,6 @@ import (
 
 	"xtract/internal/cache"
 	"xtract/internal/crawler"
-	"xtract/internal/extractors"
 	"xtract/internal/family"
 	"xtract/internal/journal"
 	"xtract/internal/registry"
@@ -62,10 +61,10 @@ func seedFlat(t *testing.T, fs *store.MemFS, dirs, perDir int) {
 	}
 }
 
-func flatRepo(site string, workers int) RepoSpec {
-	return RepoSpec{
-		SiteName: site, Roots: []string{"/r"}, CrawlWorkers: workers,
-		Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+func flatRepo(site string, workers int) journal.RepoSpec {
+	return journal.RepoSpec{
+		Site: site, Roots: []string{"/r"}, CrawlWorkers: workers,
+		Grouper: "single",
 	}
 }
 
@@ -133,7 +132,7 @@ func TestCrawlWaitsForThePump(t *testing.T) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			stats, err := h.svc.RunJob(context.Background(), []RepoSpec{flatRepo("theta", workers)})
+			stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{flatRepo("theta", workers)})
 			done <- result{stats, err}
 		}()
 		<-policy.entered
@@ -229,8 +228,8 @@ func TestLastFamiliesArriveWhileThePumpWaits(t *testing.T) {
 	gate := &gatedStore{Store: site.Store, dir: "/w/b", open: make(chan struct{})}
 	close(gate.open)
 	site.Store = gate
-	repos := []RepoSpec{{SiteName: "theta", Roots: []string{"/w"}, CrawlWorkers: 2,
-		Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())}}
+	repos := []journal.RepoSpec{{Site: "theta", Roots: []string{"/w"}, CrawlWorkers: 2,
+		Grouper: "single"}}
 	docs := func() int {
 		infos, _ := h.dest.List("/metadata")
 		return len(infos)
@@ -298,7 +297,7 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 
 	t.Run("a later repository names an unknown site", func(t *testing.T) {
 		h, src, goroutines := setup(t, scheduler.LocalPolicy{})
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{flatRepo("theta", workers), flatRepo("nowhere", workers)})
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{flatRepo("theta", workers), flatRepo("nowhere", workers)})
 		if err == nil || !strings.Contains(err.Error(), `unknown site "nowhere"`) {
 			t.Fatalf("RunJob = %v; want the unknown-site error", err)
 		}
@@ -310,11 +309,14 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 
 	t.Run("another crawl fails", func(t *testing.T) {
 		h, src, goroutines := setup(t, scheduler.LocalPolicy{})
-		broken := flatRepo("theta", workers)
-		broken.Grouper = nil
-		if _, err := h.svc.RunJob(context.Background(), []RepoSpec{flatRepo("theta", workers), broken}); err == nil ||
-			!strings.Contains(err.Error(), "nil grouping function") {
-			t.Fatalf("RunJob = %v; want the crawl's error", err)
+		// No spec names a grouper that fails to resolve, so the job is run
+		// with a nil one: the crawler refuses it.
+		repos := []journal.RepoSpec{flatRepo("theta", workers), flatRepo("theta", workers)}
+		single, _ := h.svc.Grouper("single")
+		id := h.svc.cfg.Registry.CreateJob("", []string{"theta", "theta"}, h.clk.Now())
+		job := h.svc.runJob(context.Background(), id, journal.JobSpec{Repos: repos}, []crawler.GroupingFunc{single, nil}, nil)
+		if _, err := job.Wait(); err == nil || !strings.Contains(err.Error(), "nil grouping function") {
+			t.Fatalf("job = %v; want the crawl's error", err)
 		}
 		stopped(t, src, goroutines, true)
 	})
@@ -324,7 +326,8 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 		p := barePump(h, "test-early-exit")
 		var cancelJob context.CancelFunc
 		p.jobCtx, cancelJob = context.WithCancel(context.Background())
-		if err := p.startCrawls([]RepoSpec{flatRepo("theta", workers)}); err != nil {
+		single, _ := h.svc.Grouper("single")
+		if err := p.startCrawls([]journal.RepoSpec{flatRepo("theta", workers)}, []crawler.GroupingFunc{single}); err != nil {
 			t.Fatal(err)
 		}
 		// Nobody takes anything: one listing fewer than behind a pump that
@@ -344,7 +347,7 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := h.svc.RunJob(ctx, []RepoSpec{flatRepo("theta", workers)})
+			_, err := h.svc.RunJob(ctx, []journal.RepoSpec{flatRepo("theta", workers)})
 			done <- err
 		}()
 		<-policy.entered
@@ -378,8 +381,8 @@ func TestOverlappingRootsRunEachFamilyOnce(t *testing.T) {
 	seedScience(t, h.sites["theta"], "/mdf")
 	run := func(roots ...string) JobStats {
 		t.Helper()
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{SiteName: "theta", Roots: roots,
-			Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())}})
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{Site: "theta", Roots: roots,
+			Grouper: "single"}})
 		if err != nil || stats.FamiliesFailed != 0 {
 			t.Fatalf("job over %v = %+v, %v", roots, stats, err)
 		}
@@ -414,7 +417,7 @@ func TestJobWithoutFamiliesTerminates(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{flatRepo("theta", 2)})
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{flatRepo("theta", 2)})
 		done <- result{stats, err}
 	}()
 	select {

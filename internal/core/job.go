@@ -19,27 +19,6 @@ import (
 	"xtract/internal/tenant"
 )
 
-// RepoSpec names one repository to process within a job.
-type RepoSpec struct {
-	// SiteName is the registered site holding the repository.
-	SiteName string
-	// Roots are the directories to crawl.
-	Roots []string
-	// Grouper is the file grouping function.
-	Grouper crawler.GroupingFunc
-	// GrouperName is the symbolic name Grouper was resolved from, when
-	// known. It is what the journal persists — functions cannot survive a
-	// restart — and what recovery resolves back to a GroupingFunc.
-	GrouperName string
-	// CrawlWorkers sizes the crawler's thread pool (default 16).
-	CrawlWorkers int
-	// UseMinTransfers toggles min-transfer family packaging (default on
-	// when unset via the NoMinTransfers flag).
-	NoMinTransfers bool
-	// MaxFamilySize is the family size bound s (default 16).
-	MaxFamilySize int
-}
-
 // JobStats summarizes a finished job. Every counter is scoped to this
 // job alone — concurrent jobs on one service each report only their own
 // work (the service-lifetime aggregates are the xtract_* counters).
@@ -88,17 +67,6 @@ type JobStats struct {
 // per-site dispatcher shards own batching and submission.
 const PipelineKind = "event-driven"
 
-// JobOptions carries per-job overrides.
-type JobOptions struct {
-	// NoCache bypasses the extraction result cache for this job: the
-	// crawler skips content fingerprinting and the pump neither consults
-	// nor updates the cache.
-	NoCache bool
-	// Tenant owns the job for quota, fair-share, and cost accounting
-	// ("" = the default tenant).
-	Tenant string
-}
-
 // Job is the service's handle on one live job: its live-job table entry.
 type Job struct {
 	ID     string             // as the registry and the journal know it
@@ -118,29 +86,33 @@ func (j *Job) Wait() (JobStats, error) {
 }
 
 // RunJob runs a job over the given repositories to its end: Submit, Wait.
-func (s *Service) RunJob(ctx context.Context, repos []RepoSpec) (JobStats, error) {
-	j, err := s.Submit(ctx, repos, JobOptions{})
+func (s *Service) RunJob(ctx context.Context, repos []journal.RepoSpec) (JobStats, error) {
+	j, err := s.Submit(ctx, journal.JobSpec{Repos: repos})
 	if err != nil {
 		return JobStats{}, err
 	}
 	return j.Wait()
 }
 
-// journalSpec converts a job's repo list and options to the journal's
-// serializable form (the GroupingFunc travels as its symbolic name).
-func journalSpec(repos []RepoSpec, opts JobOptions) *journal.JobSpec {
-	js := &journal.JobSpec{NoCache: opts.NoCache, Tenant: tenant.Normalize(opts.Tenant)}
-	for _, r := range repos {
-		js.Repos = append(js.Repos, journal.RepoSpec{
-			Site:           r.SiteName,
-			Roots:          append([]string(nil), r.Roots...),
-			Grouper:        r.GrouperName,
-			CrawlWorkers:   r.CrawlWorkers,
-			MaxFamilySize:  r.MaxFamilySize,
-			NoMinTransfers: r.NoMinTransfers,
-		})
+// Grouper resolves a grouper name against the service's library. A job
+// names its groupers and holds none, so the spec its job_submitted record
+// carries is the job that ran; this is the one place a name becomes a
+// grouping function. Submit, recovery and the API's check of a request
+// all resolve through it.
+func (s *Service) Grouper(name string) (crawler.GroupingFunc, error) {
+	return crawler.GrouperByName(name, s.cfg.Library)
+}
+
+// groupers resolves every repository's grouper, in order.
+func (s *Service) groupers(repos []journal.RepoSpec) ([]crawler.GroupingFunc, error) {
+	gs := make([]crawler.GroupingFunc, len(repos))
+	for i, r := range repos {
+		var err error
+		if gs[i], err = s.Grouper(r.Grouper); err != nil {
+			return nil, err
+		}
 	}
-	return js
+	return gs, nil
 }
 
 // Submit starts a job and returns its handle once the submission record is
@@ -149,15 +121,22 @@ func journalSpec(repos []RepoSpec, opts JobOptions) *journal.JobSpec {
 // alongside the record's fsync; its ticket gates only what leaves the
 // process — this return (hence the API's 202) and the pump's results (hence
 // every document). The job's other records are ordered behind it by seq, so
-// a crash either recovers the job or leaves no trace of it. The error is a
-// lease the coordination layer refused: that job never ran.
-func (s *Service) Submit(ctx context.Context, repos []RepoSpec, opts JobOptions) (*Job, error) {
-	names := make([]string, 0, len(repos))
-	for _, r := range repos {
-		names = append(names, r.SiteName)
+// a crash either recovers the job or leaves no trace of it. The record
+// carries spec as given, its tenant normalized, and the job runs that value:
+// the caller must not change it afterwards. The error is a grouper the
+// library does not know or a lease the coordination layer refused: that
+// job never ran.
+func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error) {
+	groupers, err := s.groupers(spec.Repos)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	ten := tenant.Normalize(opts.Tenant)
-	jobID := s.cfg.Registry.CreateJob(ten, names, s.clk.Now())
+	spec.Tenant = tenant.Normalize(spec.Tenant)
+	names := make([]string, 0, len(spec.Repos))
+	for _, r := range spec.Repos {
+		names = append(names, r.Site)
+	}
+	jobID := s.cfg.Registry.CreateJob(spec.Tenant, names, s.clk.Now())
 	if s.cfg.Cluster != nil {
 		// Ownership lease before the submission record: a peer's failover
 		// scan sees the job in the journal's live fold only after the
@@ -167,7 +146,7 @@ func (s *Service) Submit(ctx context.Context, repos []RepoSpec, opts JobOptions)
 		// Fresh IDs are node-unique, so acquisition can only fail on a
 		// coordination-layer fault.
 		if err := s.cfg.Cluster.AcquireJob(jobID); err != nil {
-			s.failJob(jobID, ten, err)
+			s.failJob(jobID, spec.Tenant, err)
 			return nil, fmt.Errorf("core: job %s: %w", jobID, err)
 		}
 	}
@@ -176,13 +155,12 @@ func (s *Service) Submit(ctx context.Context, repos []RepoSpec, opts JobOptions)
 	if s.cfg.Journal != nil {
 		submitted = make(chan struct{})
 		ticket = s.cfg.Journal.Begin(journal.Record{
-			Type: journal.RecJobSubmitted, JobID: jobID, Spec: journalSpec(repos, opts),
+			Type: journal.RecJobSubmitted, JobID: jobID, Spec: &spec,
 		})
 	}
 	s.obs.Emitf(jobID, obs.EvJobSubmitted, "repositories=%s", strings.Join(names, ","))
-	j := s.runJob(ctx, jobID, repos, opts, submitted)
-	err := ticket.Wait()
-	if err != nil {
+	j := s.runJob(ctx, jobID, spec, groupers, submitted)
+	if err = ticket.Wait(); err != nil {
 		s.obsJournalErrors.Inc() // durability degraded, not correctness: see journalAppend
 	}
 	if submitted != nil && !errors.Is(err, journal.ErrKilled) {
@@ -194,14 +172,14 @@ func (s *Service) Submit(ctx context.Context, repos []RepoSpec, opts JobOptions)
 // runJob is the shared back half of submission, recovery and failover
 // adoption (the last two with an open, nil, gate): it enters the job into
 // the live-job table and runs it on a goroutine and a context of its own.
-func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, opts JobOptions,
-	submitted <-chan struct{}) *Job {
-	p := newPump(s, jobID, tenant.Normalize(opts.Tenant), opts.NoCache, submitted)
+func (s *Service) runJob(ctx context.Context, jobID string, spec journal.JobSpec,
+	groupers []crawler.GroupingFunc, submitted <-chan struct{}) *Job {
+	p := newPump(s, jobID, spec.Tenant, spec.NoCache, submitted)
 	j := &Job{ID: jobID, pump: p, done: make(chan struct{})}
 	p.jobCtx, j.cancel = context.WithCancel(ctx)
 	s.jobs.enter(s, j)
 	go func() {
-		j.stats, j.err = p.run(repos, j.cancel)
+		j.stats, j.err = p.run(spec.Repos, groupers, j.cancel)
 		s.jobs.leave(j)
 		close(j.done)
 	}()
@@ -209,7 +187,7 @@ func (s *Service) runJob(ctx context.Context, jobID string, repos []RepoSpec, op
 }
 
 // run crawls and pumps the job to a terminal state.
-func (p *pump) run(repos []RepoSpec, cancelJob context.CancelFunc) (JobStats, error) {
+func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, cancelJob context.CancelFunc) (JobStats, error) {
 	s := p.s
 	s.obsJobsActive.Inc()
 	defer s.obsJobsActive.Dec()
@@ -219,7 +197,7 @@ func (p *pump) run(repos []RepoSpec, cancelJob context.CancelFunc) (JobStats, er
 	s.cfg.Tenants.JobStarted(p.tenant)
 	defer s.cfg.Tenants.JobEnded(p.tenant)
 	defer p.teardown(cancelJob)
-	err := p.startCrawls(repos)
+	err := p.startCrawls(repos, groupers)
 	if err == nil {
 		_ = s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) {
 			j.State = registry.JobExtracting
@@ -233,23 +211,23 @@ func (p *pump) run(repos []RepoSpec, cancelJob context.CancelFunc) (JobStats, er
 	return p.conclude(), nil
 }
 
-// startCrawls starts one crawler per repository, each feeding the job's
-// hand-off, and fails before starting any of the rest on a repository
+// startCrawls starts one crawler per repository, with the grouper resolved
+// for it, each feeding the job's hand-off, and fails before starting any of the rest on a repository
 // whose site is not registered. The crawls run under the job's context:
 // teardown stops them on every exit, a worker waiting on a full hand-off
 // included.
-func (p *pump) startCrawls(repos []RepoSpec) error {
+func (p *pump) startCrawls(repos []journal.RepoSpec, groupers []crawler.GroupingFunc) error {
 	s := p.s
 	p.crawlDone = make(chan crawler.Stats, len(repos))
 	p.crawlErr = make(chan error, len(repos))
-	for _, spec := range repos {
-		site, ok := s.Site(spec.SiteName)
+	for i, spec := range repos {
+		site, ok := s.Site(spec.Site)
 		if !ok {
-			return fmt.Errorf("core: unknown site %q", spec.SiteName)
+			return fmt.Errorf("core: unknown site %q", spec.Site)
 		}
 		// What the service itself writes at the site is not the site's data.
 		own := store.Hide(site.Store, site.StagePath)
-		c := crawler.NewTo(own, spec.Grouper, p.offerFamilies)
+		c := crawler.NewTo(own, groupers[i], p.offerFamilies)
 		c.Fingerprint = s.cfg.Cache != nil && !p.noCache
 		c.Hashes = s.cfg.Cache // consulted only while fingerprinting
 		if spec.CrawlWorkers > 0 {
@@ -261,15 +239,15 @@ func (p *pump) startCrawls(repos []RepoSpec) error {
 		c.UseMinTransfers = !spec.NoMinTransfers
 		c.Totals = &s.crawlTotals
 		p.crawlsPending++
-		go func(spec RepoSpec) {
-			s.obs.Emitf(p.JobID, obs.EvCrawlStarted, "site=%s roots=%d", spec.SiteName, len(spec.Roots))
+		go func(spec journal.RepoSpec) {
+			s.obs.Emitf(p.JobID, obs.EvCrawlStarted, "site=%s roots=%d", spec.Site, len(spec.Roots))
 			stats, err := c.Crawl(p.jobCtx, spec.Roots)
 			if err != nil {
 				p.crawlErr <- err
 				return
 			}
 			s.obs.Emitf(p.JobID, obs.EvCrawlFinished, "site=%s files=%d families=%d encode_errors=%d hashed=%d reused=%d fingerprint_errors=%d",
-				spec.SiteName, stats.FilesSeen, stats.FamiliesEmitted, stats.EncodeErrors,
+				spec.Site, stats.FilesSeen, stats.FamiliesEmitted, stats.EncodeErrors,
 				stats.FilesHashed, stats.HashesReused, stats.FingerprintErrors)
 			p.crawlDone <- stats
 		}(spec)

@@ -50,10 +50,10 @@ func TestRecordsDroppedAfterCompletedJob(t *testing.T) {
 	}, scheduler.LocalPolicy{})
 	seedScience(t, h.sites["petrel"], "/data")
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.SingleFileGrouper(xt.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/data"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +95,10 @@ func TestRecordsDroppedAfterCancelledJob(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := h.svc.RunJob(ctx, []RepoSpec{{
-			SiteName: "petrel",
-			Roots:    []string{"/data"},
-			Grouper:  crawler.SingleFileGrouper(xt.NewLibrary(ext)),
+		_, err := h.svc.RunJob(ctx, []journal.RepoSpec{{
+			Site:    "petrel",
+			Roots:   []string{"/data"},
+			Grouper: "single",
 		}})
 		done <- err
 	}()
@@ -134,10 +134,10 @@ func TestDeleteStagedRemovesCopiesOncePerFamily(t *testing.T) {
 	theta.DeleteStaged = true
 	theta.StageCapacityBytes = 1 << 30
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.MatIOGrouper(xt.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/data"},
+		Grouper: "matio",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +176,10 @@ func TestStagingRetriedAfterFailedFabricJob(t *testing.T) {
 		TransferError: faultinject.Rule{Prob: 1, Max: 1},
 	}))
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.SingleFileGrouper(xt.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/data"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +241,7 @@ func journaledJob(t *testing.T, jobID string) *journal.Journal {
 // whichever way it ends, it is in the live-job table while it runs and
 // out of it — with every goroutine it started gone — once it has ended.
 func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
-	repo := RepoSpec{SiteName: "theta", Roots: []string{"/mdf"}, GrouperName: "single",
-		Grouper: crawler.SingleFileGrouper(xt.DefaultLibrary())}
+	repo := journal.RepoSpec{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}
 	// setup returns a one-site service over the science corpus and the
 	// goroutine count to come back to. The result queue's visibility timer
 	// is the queue's, not a job's, and starts with the first record the
@@ -274,7 +273,7 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 	// that it is certainly live when it is ended from outside.
 	parked := func(t *testing.T, h *harness, policy *parkPolicy, ctx context.Context) *Job {
 		t.Helper()
-		job, err := h.svc.Submit(ctx, []RepoSpec{repo}, JobOptions{})
+		job, err := h.svc.Submit(ctx, journal.JobSpec{Repos: []journal.RepoSpec{repo}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,16 +292,18 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 
 	t.Run("complete", func(t *testing.T) {
 		h, goroutines := setup(t, scheduler.LocalPolicy{}, nil)
-		if stats, err := h.svc.RunJob(context.Background(), []RepoSpec{repo}); err != nil || stats.FamiliesDone == 0 {
+		if stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{repo}); err != nil || stats.FamiliesDone == 0 {
 			t.Fatalf("job = %+v, %v", stats, err)
 		}
 		ended(t, h, goroutines)
 	})
 	t.Run("failed crawl", func(t *testing.T) {
 		h, goroutines := setup(t, scheduler.LocalPolicy{}, nil)
-		broken := repo
-		broken.Grouper = nil
-		if _, err := h.svc.RunJob(context.Background(), []RepoSpec{repo, broken}); err == nil {
+		single, _ := h.svc.Grouper(repo.Grouper)
+		id := h.svc.cfg.Registry.CreateJob("", []string{"theta", "theta"}, h.clk.Now())
+		job := h.svc.runJob(context.Background(), id, journal.JobSpec{Repos: []journal.RepoSpec{repo, repo}},
+			[]crawler.GroupingFunc{single, nil}, nil)
+		if _, err := job.Wait(); err == nil {
 			t.Fatal("a crawl without a grouping function did not fail the job")
 		}
 		ended(t, h, goroutines)
@@ -430,10 +431,10 @@ func TestStagedResultsReachTheirOwnJob(t *testing.T) {
 	}
 	var jobs []*Job
 	for _, root := range roots {
-		job, err := h.svc.Submit(context.Background(), []RepoSpec{{
-			SiteName: "petrel", Roots: []string{root},
-			Grouper: crawler.SingleFileGrouper(xt.DefaultLibrary()),
-		}}, JobOptions{})
+		job, err := h.svc.Submit(context.Background(), journal.JobSpec{Repos: []journal.RepoSpec{{
+			Site: "petrel", Roots: []string{root},
+			Grouper: "single",
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,11 +472,11 @@ func TestCancelledStagingJobLeavesNoResultsBehind(t *testing.T) {
 	bytesHeld := seedSized(t, h.sites["petrel"], "/data", files, 100)
 	// No result arrives within the link's round trip: time to cancel.
 	h.fabric.SetLink("petrel", "river", transfer.Link{RTT: 100 * time.Millisecond})
-	repos := []RepoSpec{{SiteName: "petrel", Roots: []string{"/data"},
-		Grouper: crawler.SingleFileGrouper(xt.DefaultLibrary())}}
+	repos := []journal.RepoSpec{{Site: "petrel", Roots: []string{"/data"},
+		Grouper: "single"}}
 	tasks, done := h.svc.cfg.PrefetchQueue, h.svc.cfg.PrefetchDone
 
-	job, err := h.svc.Submit(context.Background(), repos, JobOptions{})
+	job, err := h.svc.Submit(context.Background(), journal.JobSpec{Repos: repos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,9 +513,8 @@ func TestServiceDoesNotCrawlItsOwnDirectories(t *testing.T) {
 	}, scheduler.LocalPolicy{})
 	seedScience(t, h.sites["petrel"], "/data")
 	own := seedScience(t, h.sites["theta"], "/mdf")
-	single := crawler.SingleFileGrouper(xt.DefaultLibrary())
 
-	if stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{SiteName: "petrel", Roots: []string{"/data"}, Grouper: single}}); err != nil || stats.BytesStaged == 0 {
+	if stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{Site: "petrel", Roots: []string{"/data"}, Grouper: "single"}}); err != nil || stats.BytesStaged == 0 {
 		t.Fatalf("staging job = %+v, %v", stats, err)
 	}
 	theta, _ := h.svc.Site("theta")
@@ -522,7 +522,7 @@ func TestServiceDoesNotCrawlItsOwnDirectories(t *testing.T) {
 		t.Fatal("the staging job left no staged copies on theta")
 	}
 	for round := 1; round <= 3; round++ {
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{SiteName: "theta", Roots: []string{"/"}, Grouper: single}})
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{Site: "theta", Roots: []string{"/"}, Grouper: "single"}})
 		if err != nil {
 			t.Fatal(err)
 		}

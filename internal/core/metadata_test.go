@@ -15,7 +15,6 @@ import (
 
 	"xtract/internal/cache"
 	"xtract/internal/clock"
-	"xtract/internal/crawler"
 	"xtract/internal/dataset"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
@@ -110,25 +109,25 @@ func TestColdAndWarmJobsWriteIdenticalBytes(t *testing.T) {
 	if _, err := dataset.MaterializeMDF(h.sites["theta"], "/repo/gen", 40, 11); err != nil {
 		t.Fatal(err)
 	}
-	run := func(opts JobOptions) (JobStats, map[string][]byte) {
+	run := func(noCache bool) (JobStats, map[string][]byte) {
 		t.Helper()
-		stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
-			SiteName: "theta", Roots: []string{"/repo"},
-			Grouper: crawler.MatIOGrouper(extractors.DefaultLibrary()),
+		stats, err := runSpec(h.svc, context.Background(), journal.JobSpec{NoCache: noCache, Repos: []journal.RepoSpec{{
+			Site: "theta", Roots: []string{"/repo"},
+			Grouper: "matio",
 			// One crawl worker: min-transfers packaging draws from a
 			// per-worker generator, so family IDs repeat run to run.
 			CrawlWorkers: 1,
-		}}, opts)
+		}}})
 		if err != nil || stats.FamiliesFailed != 0 || stats.StepsDeadLettered != 0 {
 			t.Fatalf("job not clean: %+v, %v", stats, err)
 		}
 		return stats, takeDocs(t, h, stats.FamiliesDone)
 	}
 
-	cold, coldDocs := run(JobOptions{})
-	again, againDocs := run(JobOptions{NoCache: true})
+	cold, coldDocs := run(false)
+	again, againDocs := run(true)
 	tasksBeforeWarm := h.fsvc.TasksSubmitted.Load()
-	warm, warmDocs := run(JobOptions{})
+	warm, warmDocs := run(false)
 	if warm.CacheHits != warm.StepsProcessed || warm.StepsProcessed != cold.StepsProcessed ||
 		h.fsvc.TasksSubmitted.Load() != tasksBeforeWarm {
 		t.Fatalf("warm job not served from the cache: %+v", warm)
@@ -225,8 +224,8 @@ func TestConcurrentWarmJobsShareMetadataBytes(t *testing.T) {
 	if _, err := dataset.MaterializeMDF(h.sites["theta"], "/repo", 30, 2); err != nil {
 		t.Fatal(err)
 	}
-	repo := []RepoSpec{{SiteName: "theta", Roots: []string{"/repo"}, CrawlWorkers: 1,
-		Grouper: crawler.MatIOGrouper(extractors.DefaultLibrary())}}
+	repo := []journal.RepoSpec{{Site: "theta", Roots: []string{"/repo"}, CrawlWorkers: 1,
+		Grouper: "matio"}}
 	cold, err := h.svc.RunJob(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +298,8 @@ func TestUnencodableMetadataFailsTheStepNotTheBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "alpha", Roots: []string{"/d"}, Grouper: crawler.SingleFileGrouper(lib),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site: "alpha", Roots: []string{"/d"}, Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +322,9 @@ func TestCachedSuggestionStillExtendsThePlan(t *testing.T) {
 	if err := h.sites["midway"].Write("/d/table.txt", []byte("a,b,c\n1,2,3\n4,5,6\n7,8,9\n")); err != nil {
 		t.Fatal(err)
 	}
-	repo := []RepoSpec{{
-		SiteName: "midway", Roots: []string{"/d"},
-		Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	repo := []journal.RepoSpec{{
+		Site: "midway", Roots: []string{"/d"},
+		Grouper: "single",
 	}}
 	cold, err := h.svc.RunJob(context.Background(), repo)
 	if err != nil || cold.StepsProcessed < 2 {
@@ -360,7 +359,7 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 		return w.start(t, node{policy: scheduler.LocalPolicy{}, inv: newInvLog(), mut: withCache})
 	}
 	life1 := life()
-	stats, err := life1.svc.RunJob(life1.ctx, w.repos())
+	stats, err := life1.svc.RunJob(life1.ctx, w.repos("single"))
 	if err != nil || stats.FamiliesFailed != 0 {
 		t.Fatalf("first life: %+v, %v", stats, err)
 	}
@@ -492,8 +491,8 @@ func BenchmarkWarmStep(b *testing.B) {
 	if _, err := dataset.MaterializeMDF(h.sites["theta"], "/repo", 200, 5); err != nil {
 		b.Fatal(err)
 	}
-	repo := []RepoSpec{{SiteName: "theta", Roots: []string{"/repo"},
-		Grouper: crawler.MatIOGrouper(extractors.DefaultLibrary())}}
+	repo := []journal.RepoSpec{{Site: "theta", Roots: []string{"/repo"},
+		Grouper: "matio"}}
 	if _, err := h.svc.RunJob(h.ctx, repo); err != nil { // the cold, priming job
 		b.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"xtract/internal/crawler"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
+	"xtract/internal/journal"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 )
@@ -90,15 +90,15 @@ func TestExtractorPanicFailsItsStepNotItsTask(t *testing.T) {
 func TestExtractorPanicDeadLettersOneStep(t *testing.T) {
 	run := func(poison bool) (JobStats, map[string][]byte) {
 		t.Helper()
-		h, lib := poisonHarness(t)
+		h, _ := poisonHarness(t)
 		if !poison {
 			if err := h.sites["theta"].Delete("/repo/z.dat"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-			SiteName: "theta", Roots: []string{"/repo"},
-			Grouper: crawler.SingleFileGrouper(lib), CrawlWorkers: 1,
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+			Site: "theta", Roots: []string{"/repo"},
+			Grouper: "single", CrawlWorkers: 1,
 		}})
 		if err != nil {
 			t.Fatal(err)

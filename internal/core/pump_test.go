@@ -8,8 +8,7 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/crawler"
-	"xtract/internal/extractors"
+	"xtract/internal/journal"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 )
@@ -81,9 +80,9 @@ func TestTwoSiteShardsSubmitConcurrently(t *testing.T) {
 	hook := newRendezvousHook()
 	h.fsvc.SetFaults(hook)
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{
-		{SiteName: "alpha", Roots: []string{"/data"}, Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())},
-		{SiteName: "beta", Roots: []string{"/data"}, Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())},
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{
+		{Site: "alpha", Roots: []string{"/data"}, Grouper: "single"},
+		{Site: "beta", Roots: []string{"/data"}, Grouper: "single"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +137,10 @@ func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 		}
 	}
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "mira",
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "mira",
+		Roots:   []string{"/d"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +177,8 @@ func TestOneHeartbeatScannerPerService(t *testing.T) {
 	ctx := context.Background()
 	run := func() {
 		t.Helper()
-		stats, err := svc.RunJob(ctx, []RepoSpec{{SiteName: "mira", Roots: []string{"/d"},
-			Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary())}})
+		stats, err := svc.RunJob(ctx, []journal.RepoSpec{{Site: "mira", Roots: []string{"/d"},
+			Grouper: "single"}})
 		if err != nil || stats.FamiliesDone != 1 {
 			t.Fatalf("job = %+v, %v", stats, err)
 		}
@@ -211,10 +210,10 @@ func TestPumpWakeupAccounting(t *testing.T) {
 	h := newHarness(t, []siteSpec{{name: "theta", workers: 4}}, scheduler.LocalPolicy{})
 	seedScience(t, h.sites["theta"], "/mdf")
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "theta",
-		Roots:    []string{"/mdf"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "theta",
+		Roots:   []string{"/mdf"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"xtract/internal/cache"
@@ -178,11 +177,14 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState) Recovere
 		s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=foreign owner=%s", owner)
 		return RecoveredJob{JobID: js.ID, Disposition: "foreign", Owner: owner}
 	}
-	repos, err := s.journaledRepos(js.Spec)
+	if js.Spec == nil {
+		return s.failRecovered(rec, "recovery: job has no journaled spec")
+	}
+	groupers, err := s.groupers(js.Spec.Repos)
 	if err != nil {
 		return s.failRecovered(rec, "recovery: "+err.Error())
 	}
-	return s.resumeJob(ctx, js, rec, repos)
+	return s.resumeJob(ctx, js, rec, groupers)
 }
 
 // leasedElsewhere is lease-aware recovery: a restarting node re-adopts
@@ -209,31 +211,6 @@ func (s *Service) leasedElsewhere(js *journal.JobState) (owner string, foreign b
 	return "", false
 }
 
-// journaledRepos rebuilds a job's executable repo specs: the journal
-// carries grouper names, which the service's library resolves again.
-func (s *Service) journaledRepos(spec *journal.JobSpec) ([]RepoSpec, error) {
-	if spec == nil {
-		return nil, errors.New("job has no journaled spec")
-	}
-	var repos []RepoSpec
-	for _, r := range spec.Repos {
-		g, err := crawler.GrouperByName(r.Grouper, s.cfg.Library)
-		if err != nil {
-			return nil, err
-		}
-		repos = append(repos, RepoSpec{
-			SiteName:       r.Site,
-			Roots:          r.Roots,
-			Grouper:        g,
-			GrouperName:    r.Grouper,
-			CrawlWorkers:   r.CrawlWorkers,
-			MaxFamilySize:  r.MaxFamilySize,
-			NoMinTransfers: r.NoMinTransfers,
-		})
-	}
-	return repos, nil
-}
-
 // failRecovered marks a job that cannot be run again FAILED rather than
 // dropping it.
 func (s *Service) failRecovered(rec registry.JobRecord, msg string) RecoveredJob {
@@ -249,7 +226,8 @@ func (s *Service) failRecovered(rec registry.JobRecord, msg string) RecoveredJob
 // packaging is not deterministic across runs, but the cache key is
 // content-addressed — seeding it makes the resumed pump replay every
 // pre-crash completion as a cache hit, whatever family it lands in.
-func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, rec registry.JobRecord, repos []RepoSpec) RecoveredJob {
+func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, rec registry.JobRecord,
+	groupers []crawler.GroupingFunc) RecoveredJob {
 	reconciled := 0
 	if s.cfg.Cache != nil && !js.Spec.NoCache {
 		for _, sd := range js.Steps {
@@ -270,7 +248,9 @@ func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, rec regis
 	s.cfg.Registry.RestoreJob(rec)
 	s.obs.Emitf(js.ID, obs.EvJobRecovered,
 		"disposition=resumed families=%d steps_reconciled=%d", len(js.Families), reconciled)
-	s.runJob(ctx, js.ID, repos, JobOptions{NoCache: js.Spec.NoCache, Tenant: rec.Tenant}, nil)
+	spec := *js.Spec
+	spec.Tenant = rec.Tenant
+	s.runJob(ctx, js.ID, spec, groupers, nil)
 	return RecoveredJob{
 		JobID: js.ID, Disposition: "resumed", State: string(registry.JobExtracting),
 		StepsReconciled: reconciled, Families: len(js.Families),

@@ -25,59 +25,76 @@ import (
 // TestTenantOwnershipSurvivesRestart drains a tenant-owned job mid-run
 // (the graceful-shutdown path), restarts over the same journal, and
 // requires the resumed job to carry the same normalized tenant in both
-// the journal's recovered spec and the registry record.
+// the journal's recovered spec and the registry record, and to ship the
+// documents of an uninterrupted job with the same grouper: recovery
+// re-runs the grouper the job was submitted with, whichever it was.
 func TestTenantOwnershipSurvivesRestart(t *testing.T) {
-	ctl := controlOf(t, oneSite)
-	w := systemWorld(t, oneSite)
-	life := func(delay time.Duration) *harness {
-		return w.start(t, node{policy: scheduler.LocalPolicy{}, inv: newInvLog(), delay: delay, mut: withCache})
-	}
-	life1 := life(2 * time.Millisecond)
-	drained := make(chan struct{})
-	var appended atomic.Int64
-	w.jnl.Observe(func(string) {
-		if appended.Add(1) == 5 {
-			close(drained)
-		}
-	}, nil)
-	// Mixed-case, padded identity: recovery must see the normalized
-	// form, proving normalization happens at the boundary, not ad hoc.
-	job, err := life1.svc.Submit(life1.ctx, w.repos(), JobOptions{Tenant: " Alice "})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-drained:
-	case <-time.After(60 * time.Second):
-		t.Fatal("job produced no journal records")
-	}
-	life1.kill()
-	if _, err := job.Wait(); err == nil {
-		t.Fatal("job completed despite shutdown (shrink the corpus or slow extraction)")
-	}
-	if err := w.jnl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w.jnl = nil
+	for _, grouper := range []string{"single", "matio"} {
+		t.Run(grouper, func(t *testing.T) {
+			life := func(w *world, delay time.Duration) *harness {
+				return w.start(t, node{policy: scheduler.LocalPolicy{}, inv: newInvLog(), delay: delay, mut: withCache})
+			}
+			// Mixed-case, padded identity: recovery must see the normalized
+			// form, proving normalization happens at the boundary, not ad hoc.
+			submit := func(w *world, h *harness) *Job {
+				job, err := h.svc.Submit(h.ctx, journal.JobSpec{Tenant: " Alice ", Repos: w.repos(grouper)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return job
+			}
+			ctl := systemWorld(t, oneSite)
+			stats, err := submit(ctl, life(ctl, 0)).Wait()
+			if err != nil || stats.FamiliesFailed != 0 || stats.StepsDeadLettered != 0 {
+				t.Fatalf("control job not clean: %+v, %v", stats, err)
+			}
+			want := ctl.waitForDocs(t, int(stats.FamiliesDone))
 
-	life2 := life(0)
-	if js, ok := w.jnl.Recovered().Jobs[job.ID]; !ok || js.Spec == nil || js.Spec.Tenant != "alice" {
-		t.Fatalf("journaled job = %+v, want its spec owned by alice", js)
+			w := systemWorld(t, oneSite)
+			life1 := life(w, 2*time.Millisecond)
+			drained := make(chan struct{})
+			var appended atomic.Int64
+			w.jnl.Observe(func(string) {
+				if appended.Add(1) == 5 {
+					close(drained)
+				}
+			}, nil)
+			job := submit(w, life1)
+			select {
+			case <-drained:
+			case <-time.After(60 * time.Second):
+				t.Fatal("job produced no journal records")
+			}
+			life1.kill()
+			if _, err := job.Wait(); err == nil {
+				t.Fatal("job completed despite shutdown (shrink the corpus or slow extraction)")
+			}
+			if err := w.jnl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w.jnl = nil
+
+			life2 := life(w, 0)
+			if js, ok := w.jnl.Recovered().Jobs[job.ID]; !ok || js.Spec == nil || js.Spec.Tenant != "alice" {
+				t.Fatalf("journaled job = %+v, want its spec owned by alice", js)
+			}
+			if status, err := life2.svc.Recover(life2.ctx); err != nil || status.Resumed != 1 {
+				t.Fatalf("recovery = %+v, %v; want the job resumed", status, err)
+			}
+			if rec, err := life2.svc.cfg.Registry.Job(job.ID); err != nil || rec.Tenant != "alice" {
+				t.Fatalf("recovered registry record = %+v, %v; want tenant alice", rec, err)
+			}
+			life2.svc.RecoveryWait()
+			w.waitForDocsEqual(t, want)
+		})
 	}
-	if status, err := life2.svc.Recover(life2.ctx); err != nil || status.Resumed != 1 {
-		t.Fatalf("recovery = %+v, %v; want the job resumed", status, err)
-	}
-	if rec, err := life2.svc.cfg.Registry.Job(job.ID); err != nil || rec.Tenant != "alice" {
-		t.Fatalf("recovered registry record = %+v, %v; want tenant alice", rec, err)
-	}
-	life2.svc.RecoveryWait()
-	w.waitForDocsEqual(t, ctl.docs)
 }
 
 // TestPreTenantJournalReplaysAsDefault hand-writes a journal whose
 // job_submitted spec carries no tenant key — byte-identical to a log
 // written before the tenancy layer — and requires replay to adopt the
-// job under the default tenant and run it to completion.
+// job under the default tenant and run it to completion. A second spec
+// names a grouper this library lacks: that job is failed, not run.
 func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 	w := systemWorld(t, oneSite)
 	jnl, err := journal.Open(w.jdir, journal.Options{})
@@ -87,10 +104,12 @@ func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 	// An empty Tenant marshals to no "tenant" key at all (omitempty),
 	// which is exactly what a pre-tenant writer produced.
 	const jobID = "job-pre-tenant"
-	if err := jnl.Append(journal.Record{Type: journal.RecJobSubmitted, JobID: jobID, At: time.Now(),
-		Spec: &journal.JobSpec{Repos: []journal.RepoSpec{{Site: "theta", Roots: []string{"/data"}, Grouper: "single",
-			NoMinTransfers: true}}}}); err != nil {
-		t.Fatal(err)
+	for id, grouper := range map[string]string{jobID: "single", "job-bogus": "bogus"} {
+		if err := jnl.Append(journal.Record{Type: journal.RecJobSubmitted, JobID: id, At: time.Now(),
+			Spec: &journal.JobSpec{Repos: []journal.RepoSpec{{Site: "theta", Roots: []string{"/data"}, Grouper: grouper,
+				NoMinTransfers: true}}}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
@@ -100,8 +119,11 @@ func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 	if js, ok := w.jnl.Recovered().Jobs[jobID]; !ok || js.Spec == nil || js.Spec.Tenant != "" {
 		t.Fatalf("journal replayed the hand-written job as %+v", js)
 	}
-	if status, err := h.svc.Recover(h.ctx); err != nil || status.Resumed != 1 {
-		t.Fatalf("recovery = %+v, %v; want the job resumed", status, err)
+	if status, err := h.svc.Recover(h.ctx); err != nil || status.Resumed != 1 || status.Failed != 1 {
+		t.Fatalf("recovery = %+v, %v; want one job resumed, the unknown grouper's failed", status, err)
+	}
+	if rec, err := h.svc.cfg.Registry.Job("job-bogus"); err != nil || rec.State != registry.JobFailed {
+		t.Fatalf("unknown grouper's job = %+v, %v; want FAILED", rec, err)
 	}
 	if rec, err := h.svc.cfg.Registry.Job(jobID); err != nil || rec.Tenant != tenant.Default {
 		t.Fatalf("pre-tenant job adopted as %+v, %v; want tenant %q", rec, err, tenant.Default)
@@ -125,7 +147,7 @@ func TestRecoveredJobKeepsItsDeadLetters(t *testing.T) {
 	w.jdir = newDevice()
 	life1 := w.start(t, node{policy: scheduler.LocalPolicy{}, inv: newInvLog(), delay: 500 * time.Millisecond,
 		mut: func(cfg *Config) { cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond} }})
-	job, err := life1.svc.Submit(life1.ctx, w.repos(), JobOptions{})
+	job, err := life1.svc.Submit(life1.ctx, journal.JobSpec{Repos: w.repos("single")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,7 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/crawler"
-	"xtract/internal/extractors"
+	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/registry"
 )
@@ -98,10 +97,10 @@ func TestUnrecoverableEndpointDeadLetters(t *testing.T) {
 	done := make(chan JobStats, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-			SiteName: "theta",
-			Roots:    []string{"/d"},
-			Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+			Site:    "theta",
+			Roots:   []string{"/d"},
+			Grouper: "single",
 		}})
 		if err != nil {
 			errCh <- err
@@ -188,10 +187,10 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	site, _ := h.svc.Site("theta")
 	site.Compute.Stop()
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "theta",
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "theta",
+		Roots:   []string{"/d"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ type Config struct {
 	// replay validated metadata instead of dispatching a FaaS task, and
 	// the worker that extracts a step writes its result. Configuring a
 	// cache also turns on crawl-time content fingerprinting for jobs (see
-	// crawler.Crawler.Fingerprint); per-job JobOptions.NoCache opts out.
+	// crawler.Crawler.Fingerprint); a job spec's NoCache opts out.
 	Cache *cache.Cache
 	// Journal, when set, is the durable write-ahead log the service
 	// appends at every job state transition; Recover replays it after a
@@ -222,11 +222,6 @@ type Service struct {
 	functions map[[2]string]string
 	// containerOf maps container name to its registered ID.
 	containerOf map[string]string
-
-	// ColdStartCost is the container cold-start charged when an extractor
-	// container first starts on an endpoint (Table 3 reports ~70 s; tests
-	// and examples use smaller values).
-	ColdStartCost time.Duration
 
 	// retry is cfg.Retry with defaults applied.
 	retry RetryPolicy
@@ -649,7 +644,7 @@ func (s *Service) RegisterExtractors() error {
 		s.mu.Lock()
 		cid, ok := s.containerOf[containerName]
 		if !ok {
-			cid = s.cfg.FaaS.RegisterContainer(containerName, s.ColdStartCost)
+			cid = s.cfg.FaaS.RegisterContainer(containerName, 0)
 			s.containerOf[containerName] = cid
 		}
 		s.mu.Unlock()

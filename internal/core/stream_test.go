@@ -7,9 +7,8 @@ import (
 	"time"
 
 	"xtract/internal/cache"
-	"xtract/internal/crawler"
-	"xtract/internal/extractors"
 	"xtract/internal/family"
+	"xtract/internal/journal"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 )
@@ -56,9 +55,9 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 	// One crawl worker lists /d/a before /d/b, so the hand-off holds a's 64
 	// families ahead of b's one, and 64 families fill a pass: whether a's
 	// batch is taken by the intake or inside await, b's comes a pass later.
-	repos := []RepoSpec{{
-		SiteName: "theta", Roots: []string{"/d"}, CrawlWorkers: 1,
-		Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	repos := []journal.RepoSpec{{
+		Site: "theta", Roots: []string{"/d"}, CrawlWorkers: 1,
+		Grouper: "single",
 	}}
 	waitDocs := func(n int) {
 		t.Helper()
@@ -87,7 +86,7 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 	}
 
 	policy.hold = "/d/b"
-	job, err := h.svc.Submit(context.Background(), repos, JobOptions{})
+	job, err := h.svc.Submit(context.Background(), journal.JobSpec{Repos: repos})
 	if err != nil {
 		t.Fatal(err)
 	}

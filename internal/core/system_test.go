@@ -25,8 +25,6 @@ import (
 
 	"xtract/internal/cache"
 	"xtract/internal/cluster"
-	"xtract/internal/crawler"
-	"xtract/internal/extractors"
 	"xtract/internal/fastjson"
 	"xtract/internal/faultinject"
 	"xtract/internal/journal"
@@ -256,13 +254,13 @@ func systemWorld(t *testing.T, topo topology) *world {
 	return w
 }
 
-// repos names every site's /data: single-file families with deterministic
-// IDs, so that documents are byte-identical run to run.
-func (w *world) repos() []RepoSpec {
-	var out []RepoSpec
+// repos names every site's /data, grouped by the named grouper into one
+// family per group, with deterministic IDs, so that documents are
+// byte-identical run to run.
+func (w *world) repos(grouper string) []journal.RepoSpec {
+	var out []journal.RepoSpec
 	for _, spec := range w.specs {
-		out = append(out, RepoSpec{SiteName: spec.name, Roots: []string{"/data"}, GrouperName: "single",
-			Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary()), NoMinTransfers: true})
+		out = append(out, journal.RepoSpec{Site: spec.name, Roots: []string{"/data"}, Grouper: grouper, NoMinTransfers: true})
 	}
 	return out
 }
@@ -410,7 +408,7 @@ func (r *run) configure(cfg *Config) {
 }
 
 func (r *run) submit(h *harness) *Job {
-	job, err := h.svc.Submit(h.ctx, r.w.repos(), JobOptions{Tenant: systemTenant})
+	job, err := h.svc.Submit(h.ctx, journal.JobSpec{Tenant: systemTenant, Repos: r.w.repos("single")})
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -550,7 +548,7 @@ func (r *run) crashUndurable() {
 	r.w.jnl.KillAtAppend(r.s.at)
 	submitted := make(chan *Job, 1)
 	go func() {
-		job, _ := h.svc.Submit(h.ctx, r.w.repos(), JobOptions{Tenant: systemTenant})
+		job, _ := h.svc.Submit(h.ctx, journal.JobSpec{Tenant: systemTenant, Repos: r.w.repos("single")})
 		submitted <- job
 	}()
 	select {

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/crawler"
 	"xtract/internal/faas"
 	"xtract/internal/family"
+	"xtract/internal/journal"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
@@ -310,11 +310,11 @@ func hedgeWinsOverStraggler(t *testing.T, home string) {
 		h.svc.estimator.Observe(ext.Name(), 2*time.Millisecond)
 	}
 
-	stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
-		SiteName: home,
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(xt.NewLibrary(ext)),
-	}}, JobOptions{Tenant: "acme"})
+	stats, err := runSpec(h.svc, context.Background(), journal.JobSpec{Tenant: "acme", Repos: []journal.RepoSpec{{
+		Site:    home,
+		Roots:   []string{"/d"},
+		Grouper: "single",
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,11 +409,11 @@ func TestStragglerBudgetDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := runJobOpts(h.svc, context.Background(), []RepoSpec{{
-		SiteName: "alpha",
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(lib),
-	}}, JobOptions{Tenant: "acme"})
+	stats, err := runSpec(h.svc, context.Background(), journal.JobSpec{Tenant: "acme", Repos: []journal.RepoSpec{{
+		Site:    "alpha",
+		Roots:   []string{"/d"},
+		Grouper: "single",
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,10 +476,10 @@ func TestStragglerBudgetZeroStaysFailed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := h.svc.RunJob(context.Background(), []RepoSpec{{
-		SiteName: "alpha",
-		Roots:    []string{"/d"},
-		Grouper:  crawler.SingleFileGrouper(lib),
+	stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "alpha",
+		Roots:   []string{"/d"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -3,14 +3,16 @@ package core
 import (
 	"context"
 	"math/rand"
+
+	"xtract/internal/journal"
 )
 
 // newSeededRand returns a deterministic rand source for tests.
 func newSeededRand() *rand.Rand { return rand.New(rand.NewSource(99)) }
 
-// runJobOpts is RunJob with per-job options.
-func runJobOpts(s *Service, ctx context.Context, repos []RepoSpec, opts JobOptions) (JobStats, error) {
-	j, err := s.Submit(ctx, repos, opts)
+// runSpec runs one job spec to its end: Submit, Wait.
+func runSpec(s *Service, ctx context.Context, spec journal.JobSpec) (JobStats, error) {
+	j, err := s.Submit(ctx, spec)
 	if err != nil {
 		return JobStats{}, err
 	}

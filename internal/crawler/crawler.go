@@ -9,6 +9,8 @@ package crawler
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,7 +20,6 @@ import (
 
 	"xtract/internal/cache"
 	"xtract/internal/clock"
-	"xtract/internal/dedup"
 	"xtract/internal/family"
 	"xtract/internal/queue"
 	"xtract/internal/store"
@@ -130,7 +131,7 @@ type Crawler struct {
 	RateLimitRetries int
 	RateLimitBackoff time.Duration
 	// Fingerprint makes the crawler record each file's content hash
-	// (dedup.ExactKey) into family.FileMeta.ContentHash, the key material
+	// (ExactKey) into family.FileMeta.ContentHash, the key material
 	// for the extraction result cache. This is the one deliberate
 	// exception to "the crawler never reads contents": a file is read and
 	// hashed once per version when Hashes is set and the store issues
@@ -371,6 +372,13 @@ func (c *Crawler) listWithBackoff(dir string, d *Stats) ([]store.FileInfo, error
 	}
 }
 
+// ExactKey returns the content hash of a byte sequence, hex SHA-256: a
+// file's fingerprint.
+func ExactKey(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
 // fingerprint returns the content hash of a listed file: the remembered
 // one when the store's change token vouches for it, else a fresh read
 // and hash, which the memo is told about. "" means the read failed.
@@ -386,7 +394,7 @@ func (c *Crawler) fingerprint(fi store.FileInfo, d *Stats) string {
 		d.FingerprintErrors++
 		return ""
 	}
-	h := dedup.ExactKey(data)
+	h := ExactKey(data)
 	c.Hashes.RecordFileHash(name, fi.Path, fi.Token, fi.Size, h)
 	d.FilesHashed++
 	return h

@@ -9,12 +9,23 @@ import (
 
 	"xtract/internal/cache"
 	"xtract/internal/clock"
-	"xtract/internal/dedup"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
 	"xtract/internal/queue"
 	"xtract/internal/store"
 )
+
+// A fingerprint is the content's hex SHA-256: every cache key and journal
+// record written so far names content by it.
+func TestExactKeyDeterministic(t *testing.T) {
+	a, b, c := ExactKey([]byte("hello")), ExactKey([]byte("hello")), ExactKey([]byte("hello!"))
+	if a != "2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824" || a != b {
+		t.Fatalf("ExactKey(hello) = %s, then %s", a, b)
+	}
+	if a == c {
+		t.Fatal("different content, same key")
+	}
+}
 
 // readCounter counts the Read calls that reach the store, by path.
 type readCounter struct {
@@ -87,7 +98,7 @@ func wantHashes(t *testing.T, s store.Store, got map[string]string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := dedup.ExactKey(data); h != want {
+		if want := ExactKey(data); h != want {
 			t.Errorf("%s: crawl recorded %q, content hashes to %q", p, h, want)
 		}
 	}
@@ -243,7 +254,7 @@ func TestFingerprintReadErrorsAreCounted(t *testing.T) {
 		for p, fm := range f.FileMeta {
 			if fm.ContentHash == "" {
 				unhashed++
-			} else if data, _ := fs.Read(p); fm.ContentHash != dedup.ExactKey(data) {
+			} else if data, _ := fs.Read(p); fm.ContentHash != ExactKey(data) {
 				t.Errorf("%s: wrong hash", p)
 			}
 		}
@@ -270,7 +281,7 @@ func TestConcurrentCrawlsShareOneMemo(t *testing.T) {
 	versions := []string{"ENCUT = 100\n", "ENCUT = 200\n", "ENCUT = 300\n", "ENCUT = 520\n"}
 	valid := make(map[string]bool)
 	for _, v := range versions {
-		valid[dedup.ExactKey([]byte(v))] = true
+		valid[ExactKey([]byte(v))] = true
 	}
 	stop := make(chan struct{})
 	var writer sync.WaitGroup

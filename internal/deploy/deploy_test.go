@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/dataset"
-	"xtract/internal/extractors"
+	"xtract/internal/journal"
 	"xtract/internal/store"
 	"xtract/internal/validate"
 )
@@ -27,10 +25,10 @@ func TestDeploySingleSiteEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "site",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "site",
+		Roots:   []string{"/data"},
+		Grouper: "matio",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +91,9 @@ func TestDeployMDFValidator(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "s", Roots: []string{"/d"},
-		Grouper: crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	if _, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site: "s", Roots: []string{"/d"},
+		Grouper: "single",
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +124,10 @@ func TestDeploySurvivesFlakyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "flaky",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "flaky",
+		Roots:   []string{"/data"},
+		Grouper: "single",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -165,10 +163,10 @@ func TestDeployScaleSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	stats, err := d.Service.RunJob(context.Background(), []core.RepoSpec{{
-		SiteName: "big",
-		Roots:    []string{"/data"},
-		Grouper:  crawler.MatIOGrouper(extractors.DefaultLibrary()),
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site:    "big",
+		Roots:   []string{"/data"},
+		Grouper: "matio",
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,10 @@ import (
 
 	"xtract/internal/clock"
 	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/dataset"
 	"xtract/internal/deploy"
-	"xtract/internal/extractors"
 	"xtract/internal/faas"
+	"xtract/internal/journal"
 	"xtract/internal/store"
 )
 
@@ -92,10 +91,10 @@ func CacheColdWarm(nFiles int, seed int64) (CacheRun, error) {
 	}
 	defer d.Close()
 
-	repos := []core.RepoSpec{{
-		SiteName: "petrel",
-		Roots:    []string{"/repo"},
-		Grouper:  crawler.SingleFileGrouper(extractors.DefaultLibrary()),
+	repos := []journal.RepoSpec{{
+		Site:    "petrel",
+		Roots:   []string{"/repo"},
+		Grouper: "single",
 	}}
 	timedRun := func() (core.JobStats, time.Duration, int64, error) {
 		before := d.FaaS.TasksSubmitted.Load()

@@ -8,7 +8,6 @@ import (
 
 	"xtract/internal/clock"
 	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/deploy"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
@@ -80,7 +79,7 @@ func runPump(familiesPerSite, nSites int, seed int64, jnl *journal.Journal) (Pum
 	lib := extractors.NewLibrary(noopExtractor{})
 
 	specs := make([]deploy.SiteSpec, 0, nSites)
-	repos := make([]core.RepoSpec, 0, nSites)
+	repos := make([]journal.RepoSpec, 0, nSites)
 	for s := 0; s < nSites; s++ {
 		name := fmt.Sprintf("site%02d", s)
 		fs := store.NewMemFS(name, nil)
@@ -90,10 +89,10 @@ func runPump(familiesPerSite, nSites int, seed int64, jnl *journal.Journal) (Pum
 			}
 		}
 		specs = append(specs, deploy.SiteSpec{Name: name, Store: fs, Workers: 8})
-		repos = append(repos, core.RepoSpec{
-			SiteName: name,
-			Roots:    []string{"/p"},
-			Grouper:  crawler.SingleFileGrouper(lib),
+		repos = append(repos, journal.RepoSpec{
+			Site:    name,
+			Roots:   []string{"/p"},
+			Grouper: "single",
 		})
 	}
 

@@ -9,10 +9,10 @@ import (
 
 	"xtract/internal/clock"
 	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/deploy"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
+	"xtract/internal/journal"
 	"xtract/internal/store"
 )
 
@@ -103,7 +103,7 @@ func scalePoint(familiesPerPump, pumps int, seed int64) (ScalePoint, error) {
 	lib := extractors.NewLibrary(noopExtractor{})
 
 	specs := make([]deploy.SiteSpec, 0, pumps)
-	repos := make([][]core.RepoSpec, 0, pumps)
+	repos := make([][]journal.RepoSpec, 0, pumps)
 	for p := 0; p < pumps; p++ {
 		name := fmt.Sprintf("pump%02d", p)
 		fs := store.NewMemFS(name, nil)
@@ -113,10 +113,10 @@ func scalePoint(familiesPerPump, pumps int, seed int64) (ScalePoint, error) {
 			}
 		}
 		specs = append(specs, deploy.SiteSpec{Name: name, Store: fs, Workers: 16})
-		repos = append(repos, []core.RepoSpec{{
-			SiteName: name,
-			Roots:    []string{"/p"},
-			Grouper:  crawler.SingleFileGrouper(lib),
+		repos = append(repos, []journal.RepoSpec{{
+			Site:    name,
+			Roots:   []string{"/p"},
+			Grouper: "single",
 		}})
 	}
 
@@ -153,7 +153,7 @@ func scalePoint(familiesPerPump, pumps int, seed int64) (ScalePoint, error) {
 	start := time.Now()
 	for p := 0; p < pumps; p++ {
 		wg.Add(1)
-		go func(r []core.RepoSpec) {
+		go func(r []journal.RepoSpec) {
 			defer wg.Done()
 			stats, err := d.Service.RunJob(context.Background(), r)
 			mu.Lock()

@@ -9,12 +9,12 @@ import (
 
 	"xtract/internal/clock"
 	"xtract/internal/core"
-	"xtract/internal/crawler"
 	"xtract/internal/deploy"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/family"
 	"xtract/internal/faultinject"
+	"xtract/internal/journal"
 	"xtract/internal/store"
 )
 
@@ -117,10 +117,10 @@ func TailLatency(jobs, filesPerJob int, seed int64) (TailRun, error) {
 			{Name: "home", Store: home, Workers: 8},
 			{Name: "spare", Store: store.NewMemFS("spare", nil), Workers: 8},
 		}
-		repos := []core.RepoSpec{{
-			SiteName: "home",
-			Roots:    []string{"/p"},
-			Grouper:  crawler.SingleFileGrouper(lib),
+		repos := []journal.RepoSpec{{
+			Site:    "home",
+			Roots:   []string{"/p"},
+			Grouper: "single",
 		}}
 
 		d, err := deploy.New(context.Background(), clk, specs, deploy.Options{

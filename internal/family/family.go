@@ -51,8 +51,8 @@ type FileMeta struct {
 	Size      int64  `json:"size"`
 	Extension string `json:"extension,omitempty"`
 	MimeType  string `json:"mime_type,omitempty"`
-	// ContentHash is the file's content fingerprint (internal/dedup
-	// ExactKey), recorded when the crawler runs with fingerprinting on.
+	// ContentHash is the file's content fingerprint (crawler.ExactKey),
+	// recorded when the crawler runs with fingerprinting on.
 	// It keys the extraction result cache; empty means uncacheable.
 	ContentHash string `json:"content_hash,omitempty"`
 }

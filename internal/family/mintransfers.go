@@ -261,12 +261,15 @@ func MinTransfersN(groups []Group, maxSize, trials int, rng *rand.Rand) []Family
 		trials = 1
 	}
 	g := BuildGraph(groups)
+	return assignGroups(g, cutToSize(g, maxSize, trials, rng), groups)
+}
 
-	// Step 1: queue of connected components.
+// cutToSize is Algorithm 1's steps 1 and 2: queue g's connected
+// components, and cut each oversized one with the best of trials Karger
+// splits until every part fits maxSize or cannot be split.
+func cutToSize(g *Graph, maxSize, trials int, rng *rand.Rand) [][]int {
 	pending := connectedComponents(g)
 	var final [][]int
-
-	// Step 2: iteratively run Karger's min-cut on oversized components.
 	for len(pending) > 0 {
 		comp := pending[0]
 		pending = pending[1:]
@@ -292,8 +295,12 @@ func MinTransfersN(groups []Group, maxSize, trials int, rng *rand.Rand) []Family
 		}
 		pending = append(pending, a, b)
 	}
+	return final
+}
 
-	// Step 3: build families and assign groups by file plurality.
+// assignGroups is step 3: one family per final component, and each group
+// assigned to the family holding the plurality of its files.
+func assignGroups(g *Graph, final [][]int, groups []Group) []Family {
 	famOf := make(map[int]int) // node index -> family index
 	families := make([]Family, len(final))
 	for fi, comp := range final {
