@@ -1,25 +1,17 @@
-// Command perf-gate enforces the committed benchmark trajectory: it
-// compares a PR's fresh xtract-bench JSON against the floors and
-// ceilings recorded in BENCH_PUMP.json / BENCH_JOURNAL.json /
-// BENCH_SCALE.json and exits non-zero when throughput regressed — or
-// allocations per task grew — by more than the tolerance. This is what
-// turns the BENCH_*.json files from souvenirs into a contract — a
-// change that slows the pump, the journal path, or the multi-pump
-// aggregate, or that re-introduces per-task allocations, fails CI
-// instead of landing silently.
+// Command perf-gate holds hedging to its committed contract: it compares
+// fresh `xtract-bench -only tail -benchjson` results against the gate
+// block of BENCH_TAIL.json and exits non-zero when hedging stopped cutting
+// the p99 job makespan by the floor, or duplicates more than the ceiling's
+// share of steps. It is the one gate bench/ has no workload for; every
+// throughput and allocation bound of the live system is
+// `bench/run.sh -compare`'s, against BENCHMARK.json.
 //
-//	perf-gate -pump-baseline BENCH_PUMP.json -pump fresh1.json,fresh2.json \
-//	          -journal-baseline BENCH_JOURNAL.json -journal freshj.json \
-//	          -scale-baseline BENCH_SCALE.json -scale freshs.json \
+//	perf-gate -tail-baseline BENCH_TAIL.json -tail run1.json,run2.json \
 //	          -tolerance 0.05
 //
-// Fresh files may be given as a comma-separated list; the best run is
-// compared (wall-clock benches are noisy, so CI runs each bench a few
-// times and the gate takes the max for floors and the min for
-// ceilings). The committed baselines carry an explicit "gate" section
-// with the floor/ceiling figures and may pin a per-bench "tolerance"
-// that overrides the global flag; when the gate section is absent the
-// gate falls back to the headline throughput fields.
+// Wall-clock runs are noisy, and noise only ever makes a run look worse,
+// so the floor keys on the best fresh run and the ceiling on the least.
+// The gate block may pin a "tolerance" that overrides the flag.
 package main
 
 import (
@@ -30,46 +22,20 @@ import (
 	"strings"
 )
 
-// gateBlock is the enforced contract inside a committed baseline. Only
-// the fields relevant to that bench are set; a per-bench tolerance, when
-// present, overrides the global -tolerance flag for every check the
-// block drives.
+// gateBlock is the enforced contract inside BENCH_TAIL.json: hedging must
+// keep cutting p99 job makespan by at least the floor while duplicating no
+// more than the ceiling's fraction of steps.
 type gateBlock struct {
-	TasksPerSecFloor          float64 `json:"tasks_per_sec_floor"`
-	JournalTasksPerSecFloor   float64 `json:"journal_tasks_per_sec_floor"`
-	AggregateTasksPerSecFloor float64 `json:"aggregate_tasks_per_sec_floor"`
-	AllocsPerTaskCeiling      float64 `json:"allocs_per_task_ceiling"`
-	// P99SpeedupFloor / DuplicateWorkRatioCeiling gate the tail bench:
-	// hedging must keep cutting p99 job makespan by at least the floor
-	// while duplicating no more than the ceiling's fraction of steps.
 	P99SpeedupFloor           float64  `json:"p99_speedup_floor"`
 	DuplicateWorkRatioCeiling float64  `json:"duplicate_work_ratio_ceiling"`
 	Tolerance                 *float64 `json:"tolerance"`
 }
 
-// baseline is the subset of a committed BENCH_*.json the gate reads:
-// the gate block plus the headline figures used as fallback floors.
-type baseline struct {
-	Gate        gateBlock `json:"gate"`
-	EventDriven struct {
-		TasksPerSec float64 `json:"tasks_per_sec"`
-	} `json:"event_driven"`
-	JournalTasksPerSec   float64 `json:"journal_tasks_per_sec"`
-	AggregateTasksPerSec float64 `json:"aggregate_tasks_per_sec"`
-	P99Speedup           float64 `json:"p99_speedup"`
-}
-
-// freshRun is the subset of an xtract-bench -benchjson output the gate
-// reads; pump runs carry tasks_per_sec and allocs_per_task, journal
-// runs journal_tasks_per_sec, scale runs aggregate_tasks_per_sec and
-// allocs_per_task.
+// freshRun is the part of an xtract-bench -only tail -benchjson output the
+// gate reads.
 type freshRun struct {
-	TasksPerSec          float64 `json:"tasks_per_sec"`
-	JournalTasksPerSec   float64 `json:"journal_tasks_per_sec"`
-	AggregateTasksPerSec float64 `json:"aggregate_tasks_per_sec"`
-	AllocsPerTask        float64 `json:"allocs_per_task"`
-	P99Speedup           float64 `json:"p99_speedup"`
-	DuplicateWorkRatio   float64 `json:"duplicate_work_ratio"`
+	P99Speedup         float64 `json:"p99_speedup"`
+	DuplicateWorkRatio float64 `json:"duplicate_work_ratio"`
 }
 
 func readJSON(path string, v interface{}) error {
@@ -83,72 +49,18 @@ func readJSON(path string, v interface{}) error {
 	return nil
 }
 
-// bestFresh returns the maximum throughput across the comma-separated
-// fresh bench files, extracted by pick.
-func bestFresh(list string, pick func(freshRun) float64) (best float64, bestPath string, err error) {
-	for _, path := range strings.Split(list, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		var r freshRun
-		if err := readJSON(path, &r); err != nil {
-			return 0, "", err
-		}
-		v := pick(r)
-		if v <= 0 {
-			return 0, "", fmt.Errorf("%s: no throughput figure in bench JSON", path)
-		}
-		if v > best {
-			best, bestPath = v, path
-		}
-	}
-	if best == 0 {
-		return 0, "", fmt.Errorf("no fresh bench files in %q", list)
-	}
-	return best, bestPath, nil
-}
-
-// leastFresh returns the minimum figure across the comma-separated
-// fresh bench files. Ceilings key on the best (lowest) run for the same
-// reason floors key on the fastest: GC and scheduler timing make any
-// single run noisy upward, never downward.
-func leastFresh(list string, pick func(freshRun) float64) (least float64, leastPath string, err error) {
-	for _, path := range strings.Split(list, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		var r freshRun
-		if err := readJSON(path, &r); err != nil {
-			return 0, "", err
-		}
-		v := pick(r)
-		if v <= 0 {
-			continue
-		}
-		if leastPath == "" || v < least {
-			least, leastPath = v, path
-		}
-	}
-	if leastPath == "" {
-		return 0, "", fmt.Errorf("no allocs_per_task figure in any of %q", list)
-	}
-	return least, leastPath, nil
-}
-
 // checkFloor compares one fresh figure against its committed floor
 // under the tolerance, returning a human-readable verdict line and
 // pass/fail.
-func checkFloor(name, unit string, fresh, floor, tolerance float64) (string, bool) {
+func checkFloor(name string, fresh, floor, tolerance float64) (string, bool) {
 	limit := floor * (1 - tolerance)
 	verdict := "PASS"
 	ok := fresh >= limit
 	if !ok {
 		verdict = "FAIL"
 	}
-	return fmt.Sprintf("%s %s: %.1f%s vs floor %.1f (tolerance %.0f%% -> limit %.1f)",
-		verdict, name, fresh, unit, floor, tolerance*100, limit), ok
+	return fmt.Sprintf("%s %s: %.1fx vs floor %.1fx (tolerance %.0f%% -> limit %.1fx)",
+		verdict, name, fresh, floor, tolerance*100, limit), ok
 }
 
 // checkCeiling is the inverse direction: the fresh figure must stay at
@@ -160,186 +72,74 @@ func checkCeiling(name string, fresh, ceiling, tolerance float64) (string, bool)
 	if !ok {
 		verdict = "FAIL"
 	}
-	return fmt.Sprintf("%s %s: %.1f vs ceiling %.1f (tolerance %.0f%% -> limit %.1f)",
+	return fmt.Sprintf("%s %s: %.3f vs ceiling %.3f (tolerance %.0f%% -> limit %.3f)",
 		verdict, name, fresh, ceiling, tolerance*100, limit), ok
 }
 
-// tolFor resolves the tolerance for one bench: the baseline's gate
-// block may pin its own, otherwise the global flag applies.
-func tolFor(g gateBlock, global float64) float64 {
+// run gates the comma-separated fresh runs against the baseline: the
+// p99-speedup floor on the best run and the duplicate-work ceiling on the
+// least, where a zero ratio (no hedge fired) is the best case, not a
+// missing figure. It returns the report lines and overall pass.
+func run(basePath, freshList string, tolerance float64) ([]string, bool) {
+	fail := func(msg string) ([]string, bool) { return []string{"ERROR " + msg}, false }
+	if basePath == "" || freshList == "" {
+		return fail("-tail-baseline and -tail are both required")
+	}
+	var base struct {
+		Gate gateBlock `json:"gate"`
+	}
+	if err := readJSON(basePath, &base); err != nil {
+		return fail(err.Error())
+	}
+	g := base.Gate
+	if g.P99SpeedupFloor <= 0 {
+		return fail(basePath + ": no p99_speedup_floor in its gate block")
+	}
 	if g.Tolerance != nil {
-		return *g.Tolerance
+		tolerance = *g.Tolerance
 	}
-	return global
-}
-
-// gateOne runs one bench's checks: the throughput floor, plus an
-// allocations-per-task ceiling when the baseline pins one.
-func gateOne(name, basePath, freshList string, floorOf func(baseline) float64,
-	throughputOf func(freshRun) float64, global float64) ([]string, bool) {
-	var base baseline
-	if err := readJSON(basePath, &base); err != nil {
-		return []string{"ERROR " + err.Error()}, false
+	var runs []freshRun
+	var paths []string
+	for _, p := range strings.Split(freshList, ",") {
+		if p = strings.TrimSpace(p); p == "" {
+			continue
+		}
+		var r freshRun
+		if err := readJSON(p, &r); err != nil {
+			return fail(err.Error())
+		}
+		runs, paths = append(runs, r), append(paths, p)
 	}
-	floor := floorOf(base)
-	if floor == 0 {
-		return []string{"ERROR " + basePath + ": no " + name + " floor figure"}, false
+	if len(runs) == 0 {
+		return fail("no fresh tail bench files in " + freshList)
 	}
-	tol := tolFor(base.Gate, global)
-	fresh, path, err := bestFresh(freshList, throughputOf)
-	if err != nil {
-		return []string{"ERROR " + err.Error()}, false
+	best, least := 0, 0
+	for i, r := range runs {
+		if r.P99Speedup > runs[best].P99Speedup {
+			best = i
+		}
+		if r.DuplicateWorkRatio < runs[least].DuplicateWorkRatio {
+			least = i
+		}
 	}
-	line, ok := checkFloor(name+" ("+path+")", " tasks/s", fresh, floor, tol)
+	line, pass := checkFloor("tail p99 speedup ("+paths[best]+")",
+		runs[best].P99Speedup, g.P99SpeedupFloor, tolerance)
 	lines := []string{line}
-	pass := ok
-	if ceiling := base.Gate.AllocsPerTaskCeiling; ceiling > 0 {
-		least, lpath, err := leastFresh(freshList, func(r freshRun) float64 { return r.AllocsPerTask })
-		if err != nil {
-			return append(lines, "ERROR "+err.Error()), false
-		}
-		cline, cok := checkCeiling(name+" allocs/task ("+lpath+")", least, ceiling, tol)
-		lines = append(lines, cline)
-		pass = pass && cok
-	}
-	return lines, pass
-}
-
-// gateTail runs the tail bench's checks: the p99-speedup floor (best
-// run wins, like every floor) and the duplicate-work-ratio ceiling
-// (lowest run wins, like the allocs ceiling — noise only ever inflates
-// it). A zero ratio is a legitimate best case (no hedges fired), so the
-// ceiling scan accepts zeros instead of treating them as missing.
-func gateTail(basePath, freshList string, global float64) ([]string, bool) {
-	var base baseline
-	if err := readJSON(basePath, &base); err != nil {
-		return []string{"ERROR " + err.Error()}, false
-	}
-	floor := base.Gate.P99SpeedupFloor
-	if floor == 0 {
-		floor = base.P99Speedup
-	}
-	if floor == 0 {
-		return []string{"ERROR " + basePath + ": no tail p99 speedup floor figure"}, false
-	}
-	tol := tolFor(base.Gate, global)
-	fresh, path, err := bestFresh(freshList, func(r freshRun) float64 { return r.P99Speedup })
-	if err != nil {
-		return []string{"ERROR " + err.Error()}, false
-	}
-	line, ok := checkFloor("tail p99 speedup ("+path+")", "x", fresh, floor, tol)
-	lines := []string{line}
-	pass := ok
-	if ceiling := base.Gate.DuplicateWorkRatioCeiling; ceiling > 0 {
-		least, leastPath := 0.0, ""
-		for _, p := range strings.Split(freshList, ",") {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				continue
-			}
-			var r freshRun
-			if err := readJSON(p, &r); err != nil {
-				return append(lines, "ERROR "+err.Error()), false
-			}
-			if leastPath == "" || r.DuplicateWorkRatio < least {
-				least, leastPath = r.DuplicateWorkRatio, p
-			}
-		}
-		if leastPath == "" {
-			return append(lines, "ERROR no fresh tail bench files in "+freshList), false
-		}
-		cline, cok := checkCeiling("tail duplicate-work ratio ("+leastPath+")", least, ceiling, tol)
-		lines = append(lines, cline)
-		pass = pass && cok
-	}
-	return lines, pass
-}
-
-// inputs collects the gate's file arguments; each baseline/fresh pair
-// is optional but at least one must be given.
-type inputs struct {
-	PumpBase, PumpFresh       string
-	JournalBase, JournalFresh string
-	ScaleBase, ScaleFresh     string
-	TailBase, TailFresh       string
-	Tolerance                 float64
-}
-
-// run executes the gate; separated from main for the injected-slowdown
-// and injected-allocation regression tests. Returns the report lines
-// and overall pass.
-func run(in inputs) ([]string, bool) {
-	var lines []string
-	pass := true
-	checked := false
-	add := func(ls []string, ok bool) {
-		lines = append(lines, ls...)
-		pass = pass && ok
-		checked = true
-	}
-
-	if in.PumpBase != "" && in.PumpFresh != "" {
-		add(gateOne("pump", in.PumpBase, in.PumpFresh,
-			func(b baseline) float64 {
-				if b.Gate.TasksPerSecFloor != 0 {
-					return b.Gate.TasksPerSecFloor
-				}
-				return b.EventDriven.TasksPerSec
-			},
-			func(r freshRun) float64 { return r.TasksPerSec }, in.Tolerance))
-	}
-
-	if in.JournalBase != "" && in.JournalFresh != "" {
-		add(gateOne("journal", in.JournalBase, in.JournalFresh,
-			func(b baseline) float64 {
-				if b.Gate.JournalTasksPerSecFloor != 0 {
-					return b.Gate.JournalTasksPerSecFloor
-				}
-				return b.JournalTasksPerSec
-			},
-			func(r freshRun) float64 { return r.JournalTasksPerSec }, in.Tolerance))
-	}
-
-	if in.ScaleBase != "" && in.ScaleFresh != "" {
-		add(gateOne("scale", in.ScaleBase, in.ScaleFresh,
-			func(b baseline) float64 {
-				if b.Gate.AggregateTasksPerSecFloor != 0 {
-					return b.Gate.AggregateTasksPerSecFloor
-				}
-				return b.AggregateTasksPerSec
-			},
-			func(r freshRun) float64 { return r.AggregateTasksPerSec }, in.Tolerance))
-	}
-
-	if in.TailBase != "" && in.TailFresh != "" {
-		add(gateTail(in.TailBase, in.TailFresh, in.Tolerance))
-	}
-
-	if !checked {
-		return append(lines, "ERROR no baseline/fresh pair given"), false
+	if g.DuplicateWorkRatioCeiling > 0 {
+		line, ok := checkCeiling("tail duplicate-work ratio ("+paths[least]+")",
+			runs[least].DuplicateWorkRatio, g.DuplicateWorkRatioCeiling, tolerance)
+		lines, pass = append(lines, line), pass && ok
 	}
 	return lines, pass
 }
 
 func main() {
-	pumpBase := flag.String("pump-baseline", "", "committed BENCH_PUMP.json")
-	pumpFresh := flag.String("pump", "", "fresh pump bench JSON (comma-separated list; best run wins)")
-	journalBase := flag.String("journal-baseline", "", "committed BENCH_JOURNAL.json")
-	journalFresh := flag.String("journal", "", "fresh journal bench JSON (comma-separated list; best run wins)")
-	scaleBase := flag.String("scale-baseline", "", "committed BENCH_SCALE.json")
-	scaleFresh := flag.String("scale", "", "fresh scale bench JSON (comma-separated list; best run wins)")
 	tailBase := flag.String("tail-baseline", "", "committed BENCH_TAIL.json")
 	tailFresh := flag.String("tail", "", "fresh tail bench JSON (comma-separated list; best run wins)")
-	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional drift past a floor or ceiling (per-bench gate tolerance overrides)")
+	tolerance := flag.Float64("tolerance", 0.05, "allowed fractional drift past a floor or ceiling (the baseline's gate tolerance overrides)")
 	flag.Parse()
 
-	lines, pass := run(inputs{
-		PumpBase: *pumpBase, PumpFresh: *pumpFresh,
-		JournalBase: *journalBase, JournalFresh: *journalFresh,
-		ScaleBase: *scaleBase, ScaleFresh: *scaleFresh,
-		TailBase: *tailBase, TailFresh: *tailFresh,
-		Tolerance: *tolerance,
-	})
+	lines, pass := run(*tailBase, *tailFresh, *tolerance)
 	for _, l := range lines {
 		fmt.Println(l)
 	}

@@ -21,279 +21,109 @@ func writeJSON(t *testing.T, dir, name string, v interface{}) string {
 	return path
 }
 
-// fixture mirrors the committed baseline shapes: an explicit gate floor
-// plus the headline figures the gate falls back to.
-func fixture(t *testing.T, dir string, pumpFloor, journalFloor float64) (pumpBase, journalBase string) {
+// baseline mirrors BENCH_TAIL.json's gate block: a 2x p99-speedup floor
+// and a 0.10 duplicate-work ceiling, plus whatever else gate adds.
+func baseline(t *testing.T, dir string, gate map[string]float64) string {
 	t.Helper()
-	pumpBase = writeJSON(t, dir, "BENCH_PUMP.json", map[string]interface{}{
-		"gate":         map[string]float64{"tasks_per_sec_floor": pumpFloor},
-		"event_driven": map[string]float64{"tasks_per_sec": pumpFloor * 1.2},
-	})
-	journalBase = writeJSON(t, dir, "BENCH_JOURNAL.json", map[string]interface{}{
-		"gate":                  map[string]float64{"journal_tasks_per_sec_floor": journalFloor},
-		"journal_tasks_per_sec": journalFloor * 1.1,
-	})
-	return
+	g := map[string]float64{"p99_speedup_floor": 2.0, "duplicate_work_ratio_ceiling": 0.10}
+	for k, v := range gate {
+		g[k] = v
+	}
+	return writeJSON(t, dir, "BENCH_TAIL.json", map[string]interface{}{"gate": g, "p99_speedup": 3.0})
+}
+
+func fresh(t *testing.T, dir, name string, speedup, ratio float64) string {
+	return writeJSON(t, dir, name, map[string]float64{"p99_speedup": speedup, "duplicate_work_ratio": ratio})
 }
 
 func TestGatePassesAtFloor(t *testing.T) {
 	dir := t.TempDir()
-	pumpBase, journalBase := fixture(t, dir, 10000, 11000)
-	pumpFresh := writeJSON(t, dir, "pump.json", map[string]float64{"tasks_per_sec": 10000})
-	journalFresh := writeJSON(t, dir, "journal.json", map[string]float64{"journal_tasks_per_sec": 11000})
-
-	lines, pass := run(inputs{PumpBase: pumpBase, PumpFresh: pumpFresh,
-		JournalBase: journalBase, JournalFresh: journalFresh, Tolerance: 0.05})
+	lines, pass := run(baseline(t, dir, nil), fresh(t, dir, "tail.json", 2.0, 0.10), 0.05)
 	if !pass {
-		t.Fatalf("gate failed at exactly the floor:\n%s", strings.Join(lines, "\n"))
+		t.Fatalf("gate failed at exactly the floor and the ceiling:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
-// TestGateFailsOnInjectedSlowdown is the acceptance check: a 10%
-// slowdown against the committed floor must fail a 5%-tolerance gate.
+// TestGateFailsOnInjectedSlowdown is the acceptance check: a 10% drop in
+// p99 speedup against the committed floor must fail a 5%-tolerance gate.
 func TestGateFailsOnInjectedSlowdown(t *testing.T) {
 	dir := t.TempDir()
-	pumpBase, journalBase := fixture(t, dir, 10000, 11000)
-	// Inject a 10% regression on both figures.
-	pumpFresh := writeJSON(t, dir, "pump.json", map[string]float64{"tasks_per_sec": 9000})
-	journalFresh := writeJSON(t, dir, "journal.json", map[string]float64{"journal_tasks_per_sec": 9900})
-
-	lines, pass := run(inputs{PumpBase: pumpBase, PumpFresh: pumpFresh,
-		JournalBase: journalBase, JournalFresh: journalFresh, Tolerance: 0.05})
+	lines, pass := run(baseline(t, dir, nil), fresh(t, dir, "tail.json", 1.8, 0.04), 0.05)
 	if pass {
-		t.Fatalf("gate passed a 10%% slowdown:\n%s", strings.Join(lines, "\n"))
+		t.Fatalf("gate passed a 10%% speedup drop:\n%s", strings.Join(lines, "\n"))
 	}
-	joined := strings.Join(lines, "\n")
-	if !strings.Contains(joined, "FAIL pump") || !strings.Contains(joined, "FAIL journal") {
-		t.Fatalf("expected both FAIL verdicts, got:\n%s", joined)
+	if !strings.Contains(lines[0], "FAIL tail p99 speedup") {
+		t.Fatalf("expected a speedup FAIL verdict, got:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestGateTail: duplicate work past the ceiling fails even when hedging
+// still clears its speedup floor.
+func TestGateTail(t *testing.T) {
+	dir := t.TempDir()
+	lines, pass := run(baseline(t, dir, nil), fresh(t, dir, "tail.json", 2.8, 0.30), 0.05)
+	if pass {
+		t.Fatalf("gate passed a blown duplicate-work ceiling:\n%s", strings.Join(lines, "\n"))
+	}
+	if len(lines) < 2 || !strings.Contains(lines[1], "FAIL tail duplicate-work ratio") {
+		t.Fatalf("expected a duplicate-work FAIL verdict, got:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
 func TestGateTakesBestOfMultipleRuns(t *testing.T) {
 	dir := t.TempDir()
-	pumpBase, _ := fixture(t, dir, 10000, 11000)
-	// One noisy slow run plus one healthy run: the gate keys on the best.
-	slow := writeJSON(t, dir, "pump1.json", map[string]float64{"tasks_per_sec": 7000})
-	good := writeJSON(t, dir, "pump2.json", map[string]float64{"tasks_per_sec": 10400})
-
-	lines, pass := run(inputs{PumpBase: pumpBase, PumpFresh: slow + "," + good, Tolerance: 0.05})
+	// One noisy slow run plus one healthy run: the floor keys on the best.
+	slow := fresh(t, dir, "tail1.json", 1.2, 0.04)
+	good := fresh(t, dir, "tail2.json", 2.1, 0.04)
+	lines, pass := run(baseline(t, dir, nil), slow+","+good, 0.05)
 	if !pass {
 		t.Fatalf("gate ignored the best run:\n%s", strings.Join(lines, "\n"))
 	}
-	if !strings.Contains(lines[0], "pump2.json") {
+	if !strings.Contains(lines[0], "tail2.json") {
 		t.Fatalf("verdict should name the best run, got:\n%s", lines[0])
 	}
 }
 
-func TestGateFallsBackToHeadlineFigures(t *testing.T) {
+// TestGateCeilingTakesLeastOfRuns mirrors best-of-N for the floor: a noisy
+// wasteful run must not fail the gate when another run is clean, and a
+// zero ratio (no hedge fired) is that clean run, not a missing figure.
+func TestGateCeilingTakesLeastOfRuns(t *testing.T) {
 	dir := t.TempDir()
-	// Baseline without a gate section: headline event_driven figure is
-	// the floor.
-	pumpBase := writeJSON(t, dir, "BENCH_PUMP.json", map[string]interface{}{
-		"event_driven": map[string]float64{"tasks_per_sec": 10000},
-	})
-	fresh := writeJSON(t, dir, "pump.json", map[string]float64{"tasks_per_sec": 9000})
-	_, pass := run(inputs{PumpBase: pumpBase, PumpFresh: fresh, Tolerance: 0.05})
-	if pass {
-		t.Fatal("fallback floor not enforced")
+	noisy := fresh(t, dir, "tail1.json", 2.5, 0.30)
+	quiet := fresh(t, dir, "tail2.json", 2.4, 0)
+	lines, pass := run(baseline(t, dir, nil), noisy+","+quiet, 0.05)
+	if !pass {
+		t.Fatalf("gate keyed on the noisy run's duplicate work:\n%s", strings.Join(lines, "\n"))
+	}
+	if len(lines) < 2 || !strings.Contains(lines[1], "tail2.json") {
+		t.Fatalf("ceiling verdict should name the least wasteful run, got:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestGatePerBenchToleranceOverridesGlobal covers both directions of the
+// override: a loose baseline tolerance rescues a run the strict global
+// would fail, and a strict one fails a run the loose global would pass.
+func TestGatePerBenchToleranceOverridesGlobal(t *testing.T) {
+	dir := t.TempDir()
+	run18 := fresh(t, dir, "tail.json", 1.8, 0.04)
+	if lines, pass := run(baseline(t, dir, map[string]float64{"tolerance": 0.5}), run18, 0); !pass {
+		t.Fatalf("baseline 50%% tolerance did not override the 0%% global:\n%s", strings.Join(lines, "\n"))
+	}
+	if lines, pass := run(baseline(t, dir, map[string]float64{"tolerance": 0}), run18, 0.5); pass {
+		t.Fatalf("baseline 0%% tolerance did not override the 50%% global:\n%s", strings.Join(lines, "\n"))
 	}
 }
 
 func TestGateErrorsOnMissingInputs(t *testing.T) {
-	if _, pass := run(inputs{Tolerance: 0.05}); pass {
-		t.Fatal("empty invocation must fail")
-	}
 	dir := t.TempDir()
-	pumpBase, _ := fixture(t, dir, 10000, 11000)
-	if _, pass := run(inputs{PumpBase: pumpBase,
-		PumpFresh: filepath.Join(dir, "nope.json"), Tolerance: 0.05}); pass {
+	good := fresh(t, dir, "tail.json", 2.8, 0.04)
+	if _, pass := run("", good, 0.05); pass {
+		t.Fatal("invocation without a baseline must fail")
+	}
+	if _, pass := run(baseline(t, dir, nil), filepath.Join(dir, "nope.json"), 0.05); pass {
 		t.Fatal("missing fresh file must fail")
 	}
-}
-
-// allocFixture is a pump baseline that pins an allocations ceiling
-// alongside the throughput floor.
-func allocFixture(t *testing.T, dir string, floor, ceiling float64) string {
-	t.Helper()
-	return writeJSON(t, dir, "BENCH_PUMP.json", map[string]interface{}{
-		"gate": map[string]float64{
-			"tasks_per_sec_floor":     floor,
-			"allocs_per_task_ceiling": ceiling,
-		},
-	})
-}
-
-// TestGateFailsOnInjectedAllocation is the other acceptance direction:
-// a run whose allocs/task exceeds the committed ceiling (as an
-// accidentally re-introduced per-task allocation would) must fail even
-// though throughput is fine.
-func TestGateFailsOnInjectedAllocation(t *testing.T) {
-	dir := t.TempDir()
-	base := allocFixture(t, dir, 10000, 150)
-	fresh := writeJSON(t, dir, "pump.json", map[string]float64{
-		"tasks_per_sec": 12000, "allocs_per_task": 190})
-
-	lines, pass := run(inputs{PumpBase: base, PumpFresh: fresh, Tolerance: 0.05})
-	if pass {
-		t.Fatalf("gate passed a blown allocs ceiling:\n%s", strings.Join(lines, "\n"))
-	}
-	if joined := strings.Join(lines, "\n"); !strings.Contains(joined, "FAIL pump allocs/task") {
-		t.Fatalf("expected an allocs FAIL verdict, got:\n%s", joined)
-	}
-}
-
-func TestGatePassesAtAllocsCeiling(t *testing.T) {
-	dir := t.TempDir()
-	base := allocFixture(t, dir, 10000, 150)
-	fresh := writeJSON(t, dir, "pump.json", map[string]float64{
-		"tasks_per_sec": 10000, "allocs_per_task": 150})
-
-	lines, pass := run(inputs{PumpBase: base, PumpFresh: fresh, Tolerance: 0.05})
-	if !pass {
-		t.Fatalf("gate failed at exactly the ceiling:\n%s", strings.Join(lines, "\n"))
-	}
-}
-
-// TestGateCeilingTakesLeastOfRuns mirrors best-of-N for floors: a noisy
-// high-allocation run must not fail the gate when another run is clean.
-func TestGateCeilingTakesLeastOfRuns(t *testing.T) {
-	dir := t.TempDir()
-	base := allocFixture(t, dir, 10000, 150)
-	noisy := writeJSON(t, dir, "pump1.json", map[string]float64{
-		"tasks_per_sec": 10500, "allocs_per_task": 400})
-	clean := writeJSON(t, dir, "pump2.json", map[string]float64{
-		"tasks_per_sec": 10200, "allocs_per_task": 140})
-
-	lines, pass := run(inputs{PumpBase: base, PumpFresh: noisy + "," + clean, Tolerance: 0.05})
-	if !pass {
-		t.Fatalf("gate keyed on the noisy run's allocations:\n%s", strings.Join(lines, "\n"))
-	}
-	if len(lines) < 2 || !strings.Contains(lines[1], "allocs/task") ||
-		!strings.Contains(lines[1], "pump2.json") {
-		t.Fatalf("ceiling verdict should name the least-allocating run, got:\n%s",
-			strings.Join(lines, "\n"))
-	}
-}
-
-func TestGateErrorsWhenCeilingSetButNoAllocsFigure(t *testing.T) {
-	dir := t.TempDir()
-	base := allocFixture(t, dir, 10000, 150)
-	fresh := writeJSON(t, dir, "pump.json", map[string]float64{"tasks_per_sec": 10000})
-	if _, pass := run(inputs{PumpBase: base, PumpFresh: fresh, Tolerance: 0.05}); pass {
-		t.Fatal("ceiling with no fresh allocs figure must fail, not silently pass")
-	}
-}
-
-// TestGatePerBenchToleranceOverridesGlobal covers both directions of
-// the override: a loose per-bench tolerance rescues a run the strict
-// global would fail, and a strict per-bench tolerance fails a run the
-// loose global would pass.
-func TestGatePerBenchToleranceOverridesGlobal(t *testing.T) {
-	dir := t.TempDir()
-	loose := writeJSON(t, dir, "loose.json", map[string]interface{}{
-		"gate": map[string]float64{"tasks_per_sec_floor": 10000, "tolerance": 0.5},
-	})
-	strict := writeJSON(t, dir, "strict.json", map[string]interface{}{
-		"gate": map[string]float64{"tasks_per_sec_floor": 10000, "tolerance": 0},
-	})
-	fresh := writeJSON(t, dir, "pump.json", map[string]float64{"tasks_per_sec": 9000})
-
-	if lines, pass := run(inputs{PumpBase: loose, PumpFresh: fresh, Tolerance: 0}); !pass {
-		t.Fatalf("per-bench 50%% tolerance did not override the 0%% global:\n%s",
-			strings.Join(lines, "\n"))
-	}
-	if lines, pass := run(inputs{PumpBase: strict, PumpFresh: fresh, Tolerance: 0.5}); pass {
-		t.Fatalf("per-bench 0%% tolerance did not override the 50%% global:\n%s",
-			strings.Join(lines, "\n"))
-	}
-}
-
-// TestGateScaleFloor exercises the third baseline/fresh pair: the
-// multi-pump aggregate throughput floor from BENCH_SCALE.json.
-func TestGateScaleFloor(t *testing.T) {
-	dir := t.TempDir()
-	base := writeJSON(t, dir, "BENCH_SCALE.json", map[string]interface{}{
-		"gate": map[string]float64{
-			"aggregate_tasks_per_sec_floor": 12000,
-			"allocs_per_task_ceiling":       200,
-		},
-		"aggregate_tasks_per_sec": 14000,
-	})
-	good := writeJSON(t, dir, "scale_good.json", map[string]float64{
-		"aggregate_tasks_per_sec": 13000, "allocs_per_task": 150})
-	slow := writeJSON(t, dir, "scale_slow.json", map[string]float64{
-		"aggregate_tasks_per_sec": 9000, "allocs_per_task": 150})
-
-	if lines, pass := run(inputs{ScaleBase: base, ScaleFresh: good, Tolerance: 0.05}); !pass {
-		t.Fatalf("scale gate failed a healthy run:\n%s", strings.Join(lines, "\n"))
-	}
-	lines, pass := run(inputs{ScaleBase: base, ScaleFresh: slow, Tolerance: 0.05})
-	if pass {
-		t.Fatalf("scale gate passed a 25%% aggregate regression:\n%s", strings.Join(lines, "\n"))
-	}
-	if !strings.Contains(strings.Join(lines, "\n"), "FAIL scale") {
-		t.Fatalf("expected a scale FAIL verdict, got:\n%s", strings.Join(lines, "\n"))
-	}
-
-	// Fallback: no gate section, headline aggregate figure is the floor.
-	bare := writeJSON(t, dir, "BENCH_SCALE_bare.json", map[string]interface{}{
-		"aggregate_tasks_per_sec": 14000,
-	})
-	if _, pass := run(inputs{ScaleBase: bare, ScaleFresh: slow, Tolerance: 0.05}); pass {
-		t.Fatal("scale fallback floor not enforced")
-	}
-}
-
-// TestGateTail covers the fourth baseline/fresh pair: the hedging p99
-// speedup floor and the duplicate-work-ratio ceiling from
-// BENCH_TAIL.json, in both directions.
-func TestGateTail(t *testing.T) {
-	dir := t.TempDir()
-	base := writeJSON(t, dir, "BENCH_TAIL.json", map[string]interface{}{
-		"gate": map[string]float64{
-			"p99_speedup_floor":            2.0,
-			"duplicate_work_ratio_ceiling": 0.10,
-		},
-		"p99_speedup": 3.0,
-	})
-	good := writeJSON(t, dir, "tail_good.json", map[string]float64{
-		"p99_speedup": 2.8, "duplicate_work_ratio": 0.04})
-	slow := writeJSON(t, dir, "tail_slow.json", map[string]float64{
-		"p99_speedup": 1.2, "duplicate_work_ratio": 0.04})
-	wasteful := writeJSON(t, dir, "tail_wasteful.json", map[string]float64{
-		"p99_speedup": 2.8, "duplicate_work_ratio": 0.30})
-
-	if lines, pass := run(inputs{TailBase: base, TailFresh: good, Tolerance: 0.05}); !pass {
-		t.Fatalf("tail gate failed a healthy run:\n%s", strings.Join(lines, "\n"))
-	}
-	lines, pass := run(inputs{TailBase: base, TailFresh: slow, Tolerance: 0.05})
-	if pass {
-		t.Fatalf("tail gate passed a collapsed p99 speedup:\n%s", strings.Join(lines, "\n"))
-	}
-	if !strings.Contains(strings.Join(lines, "\n"), "FAIL tail p99 speedup") {
-		t.Fatalf("expected a tail speedup FAIL verdict, got:\n%s", strings.Join(lines, "\n"))
-	}
-	lines, pass = run(inputs{TailBase: base, TailFresh: wasteful, Tolerance: 0.05})
-	if pass {
-		t.Fatalf("tail gate passed a blown duplicate-work ceiling:\n%s", strings.Join(lines, "\n"))
-	}
-	if !strings.Contains(strings.Join(lines, "\n"), "FAIL tail duplicate-work ratio") {
-		t.Fatalf("expected a duplicate-work FAIL verdict, got:\n%s", strings.Join(lines, "\n"))
-	}
-
-	// A zero ratio (no hedges fired at all) is the best case, not a
-	// missing figure.
-	quiet := writeJSON(t, dir, "tail_quiet.json", map[string]float64{
-		"p99_speedup": 2.5, "duplicate_work_ratio": 0})
-	if lines, pass := run(inputs{TailBase: base, TailFresh: quiet, Tolerance: 0.05}); !pass {
-		t.Fatalf("tail gate rejected a zero duplicate-work ratio:\n%s", strings.Join(lines, "\n"))
-	}
-
-	// Fallback: no gate section, headline p99_speedup is the floor.
-	bare := writeJSON(t, dir, "BENCH_TAIL_bare.json", map[string]interface{}{
-		"p99_speedup": 3.0,
-	})
-	if _, pass := run(inputs{TailBase: bare, TailFresh: slow, Tolerance: 0.05}); pass {
-		t.Fatal("tail fallback floor not enforced")
+	if _, pass := run(baseline(t, dir, map[string]float64{"p99_speedup_floor": 0}), good, 0.05); pass {
+		t.Fatal("a baseline without a floor must fail")
 	}
 }

@@ -6,9 +6,12 @@
 //	xtract-bench -only fig2,tab2 # a subset
 //	xtract-bench -quick          # reduced workload sizes for smoke runs
 //
-// Profiling a benchmark (see README "Profiling the benchmarks"):
+// The live system's benchmark is bench/ (see its README). This command
+// keeps the one live scenario bench/ has no workload for, hedging against
+// stragglers (-only tail), whose floor BENCH_TAIL.json records. Profiling
+// it (see README "Profiling the benchmarks"):
 //
-//	xtract-bench -only pump -cpuprofile cpu.out -memprofile mem.out
+//	xtract-bench -only tail -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -24,52 +27,47 @@ import (
 	"xtract/internal/experiments"
 )
 
+// options are the flags a scenario reads.
+type options struct {
+	quick     bool
+	seed      int64
+	benchJSON string
+}
+
+// scenarios maps each -only key to what it prints, in the order a full
+// run prints them.
+var scenarios = []struct {
+	key string
+	run func(options)
+}{
+	{"tab1", table1},
+	{"fig2", figure2},
+	{"fig3", figure3},
+	{"fig4", figure4},
+	{"fig5", figure5},
+	{"tab2", table2},
+	{"fig6", figure6},
+	{"fig7", figure7},
+	{"fig8", figure8},
+	{"tab3", table3},
+	{"headline", headline},
+	{"tail", tailLatency},
+}
+
 func main() {
-	quick := flag.Bool("quick", false, "run reduced workload sizes")
-	only := flag.String("only", "", "comma-separated subset: tab1,fig2,fig3,fig4,fig5,tab2,fig6,fig7,fig8,tab3,headline,cache,pump,journal,scale,tail")
-	seed := flag.Int64("seed", 42, "random seed")
-	benchJSON := flag.String("benchjson", "", "write the selected benchmark's result (cache, pump, journal, scale, or tail) as JSON to this file")
-	pumps := flag.Int("pumps", 4, "maximum concurrent job pumps for the scale scenario")
+	keys := make([]string, len(scenarios))
+	for i, s := range scenarios {
+		keys[i] = s.key
+	}
+	var o options
+	flag.BoolVar(&o.quick, "quick", false, "run reduced workload sizes")
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(keys, ","))
+	flag.Int64Var(&o.seed, "seed", 42, "random seed")
+	flag.StringVar(&o.benchJSON, "benchjson", "", "write the tail benchmark's result as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the selected runs) to this file")
 	flag.StringVar(&csvDir, "csv", "", "also write each figure's data series as CSV into this directory")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Printf("cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Printf("cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		// Explicit stop before every exit path below would be fragile;
-		// instead the scenarios exit through os.Exit only on failure, so
-		// the profile is stopped (and the file closed) right after the
-		// selected runs complete at the bottom of main.
-		defer func() {
-			pprof.StopCPUProfile()
-			_ = f.Close()
-		}()
-	}
-	defer func() {
-		if *memProfile == "" {
-			return
-		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fmt.Printf("memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Printf("memprofile: %v\n", err)
-			os.Exit(1)
-		}
-		_ = f.Close()
-	}()
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -77,71 +75,76 @@ func main() {
 			want[strings.TrimSpace(k)] = true
 		}
 	}
-	run := func(key string) bool { return len(want) == 0 || want[key] }
+	all := len(want) == 0
+	var selected []func(options)
+	for _, s := range scenarios {
+		if all || want[s.key] {
+			selected = append(selected, s.run)
+			delete(want, s.key)
+		}
+	}
+	for k := range want {
+		fmt.Printf("unknown scenario %q (have %s)\n", k, strings.Join(keys, ","))
+		os.Exit(2)
+	}
 
-	if run("tab1") {
-		table1(*quick, *seed)
+	stop := startProfiles(*cpuProfile, *memProfile)
+	for _, run := range selected {
+		run(o)
 	}
-	if run("fig2") {
-		figure2(*quick, *seed)
+	stop()
+}
+
+// startProfiles starts the CPU profile, when cpuPath is set, and returns
+// the function that stops it and writes the allocation profile to memPath,
+// when that is set. The scenarios leave through os.Exit only on failure,
+// so stop runs after every successful selection.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpu *os.File
+	if cpuPath != "" {
+		var err error
+		if cpu, err = os.Create(cpuPath); err == nil {
+			err = pprof.StartCPUProfile(cpu)
+		}
+		if err != nil {
+			fmt.Printf("cpuprofile: %v\n", err)
+			os.Exit(1)
+		}
 	}
-	if run("fig3") {
-		figure3()
-	}
-	if run("fig4") {
-		figure4()
-	}
-	if run("fig5") {
-		figure5(*quick, *seed)
-	}
-	if run("tab2") {
-		table2(*seed)
-	}
-	if run("fig6") {
-		figure6(*quick, *seed)
-	}
-	if run("fig7") {
-		figure7(*seed)
-	}
-	if run("fig8") {
-		figure8(*quick, *seed)
-	}
-	if run("tab3") {
-		table3(*seed)
-	}
-	if run("headline") {
-		headline(*quick, *seed)
-	}
-	if run("cache") {
-		cacheColdWarm(*quick, *seed, *benchJSON)
-	}
-	if run("pump") {
-		pumpOverhead(*quick, *seed, *benchJSON)
-	}
-	if run("journal") {
-		journalOverhead(*quick, *seed, *benchJSON)
-	}
-	if run("scale") {
-		pumpScaling(*quick, *seed, *pumps, *benchJSON)
-	}
-	if run("tail") {
-		tailLatency(*quick, *seed, *benchJSON)
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			_ = cpu.Close()
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err == nil {
+			runtime.GC()
+			err = pprof.Lookup("allocs").WriteTo(f, 0)
+			_ = f.Close()
+		}
+		if err != nil {
+			fmt.Printf("memprofile: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }
 
-func tailLatency(quick bool, seed int64, jsonPath string) {
+func tailLatency(o options) {
 	header("Tail latency: hedged speculative execution off vs on")
 	jobs, filesPerJob := 60, 20
-	if quick {
+	if o.quick {
 		jobs = 25
 	}
-	res, err := experiments.TailLatency(jobs, filesPerJob, seed)
+	res, err := experiments.TailLatency(jobs, filesPerJob, o.seed)
 	if err != nil {
 		fmt.Printf("tail experiment failed: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("pipeline: %s  jobs: %d × %d files  straggler: %.0f%% of executions sleep %.0f ms (base %.1f ms)\n",
-		res.Pipeline, res.Jobs, res.FilesPerJob, res.StragglerProb*100,
+	fmt.Printf("jobs: %d × %d files  straggler: %.0f%% of executions sleep %.0f ms (base %.1f ms)\n",
+		res.Jobs, res.FilesPerJob, res.StragglerProb*100,
 		float64(res.StragglerSleep)/float64(time.Millisecond),
 		float64(res.BaseSleep)/float64(time.Millisecond))
 	fmt.Printf("hedging off: p50 %7.1f ms  p99 %7.1f ms\n",
@@ -162,189 +165,16 @@ func tailLatency(quick bool, seed int64, jsonPath string) {
 			f(float64(res.HedgedP99) / float64(time.Millisecond)),
 			f(res.P99Speedup), d(int(res.StepsProcessed)), d(int(res.StepsHedged)),
 			f(res.DuplicateWorkRatio)}})
-	if jsonPath != "" {
+	if o.benchJSON != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err == nil {
-			err = os.WriteFile(jsonPath, data, 0o644)
+			err = os.WriteFile(o.benchJSON, data, 0o644)
 		}
 		if err != nil {
 			fmt.Printf("benchjson write failed: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
-
-func pumpScaling(quick bool, seed int64, pumps int, jsonPath string) {
-	header("Pump scaling: aggregate throughput vs concurrent job pumps")
-	families := 300
-	if quick {
-		families = 75
-	}
-	res, err := experiments.PumpScaling(families, pumps, seed)
-	if err != nil {
-		fmt.Printf("scale experiment failed: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("pipeline: %s  families/pump: %d  GOMAXPROCS: %d\n",
-		res.Pipeline, res.FamiliesPerPump, res.GOMAXPROCS)
-	var rows [][]string
-	for _, pt := range res.Points {
-		fmt.Printf("  %2d pump(s): %6d steps in %7.1f ms  aggregate %8.0f tasks/s  (%7.0f/pump, %.2fx, %.0f allocs/task)\n",
-			pt.Pumps, pt.Steps, float64(pt.Elapsed)/float64(time.Millisecond),
-			pt.AggregateTasksPerSec, pt.PerPumpTasksPerSec, pt.Speedup, pt.AllocsPerTask)
-		rows = append(rows, []string{d(pt.Pumps), d(int(pt.Steps)),
-			f(float64(pt.Elapsed) / float64(time.Millisecond)),
-			f(pt.AggregateTasksPerSec), f(pt.PerPumpTasksPerSec),
-			f(pt.Speedup), f(pt.AllocsPerTask)})
-	}
-	writeCSV("pump_scaling",
-		[]string{"pumps", "steps", "elapsed_ms", "aggregate_tasks_per_sec", "per_pump_tasks_per_sec", "speedup", "allocs_per_task"},
-		rows)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, data, 0o644)
-		}
-		if err != nil {
-			fmt.Printf("benchjson write failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
-
-func journalOverhead(quick bool, seed int64, jsonPath string) {
-	header("Durability tax: pump workload with the job journal off vs on")
-	families, sites, iters := 300, 4, 15
-	replaySizes := []int{1000, 10000, 50000}
-	if quick {
-		families, iters = 75, 2
-		replaySizes = []int{500, 2000, 5000}
-	}
-	res, err := experiments.JournalOverhead(families, sites, iters, seed, replaySizes)
-	if err != nil {
-		fmt.Printf("journal experiment failed: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("pipeline: %s  families: %d (%d sites)  steps: %d  (best of %d)\n",
-		res.Pipeline, res.Families, res.Sites, res.Steps, res.Iterations)
-	fmt.Printf("journal off: %.1f ms (%.0f tasks/s)   journal on: %.1f ms (%.0f tasks/s)   overhead: %+.2f%%\n",
-		float64(res.BaseElapsed)/float64(time.Millisecond), res.BaseTasksPerSec,
-		float64(res.JournalElapsed)/float64(time.Millisecond), res.JournalTasksPerSec,
-		res.OverheadPct)
-	fmt.Printf("group commit: %d appends in %d fsync batches (%.1f records/fsync)\n",
-		res.Appends, res.Fsyncs, res.AppendsPerFsync)
-	writeCSV("journal_overhead",
-		[]string{"pipeline", "families", "sites", "steps", "base_ms", "base_tasks_per_sec", "journal_ms", "journal_tasks_per_sec", "overhead_pct", "appends", "fsyncs", "appends_per_fsync"},
-		[][]string{{res.Pipeline, d(res.Families), d(res.Sites), d(int(res.Steps)),
-			f(float64(res.BaseElapsed) / float64(time.Millisecond)), f(res.BaseTasksPerSec),
-			f(float64(res.JournalElapsed) / float64(time.Millisecond)), f(res.JournalTasksPerSec),
-			f(res.OverheadPct), d(int(res.Appends)), d(int(res.Fsyncs)), f(res.AppendsPerFsync)}})
-	fmt.Println("recovery time vs log length (cold Replay of a synthetic live-job log):")
-	var rows [][]string
-	for _, pt := range res.Replay {
-		mode := "full scan"
-		if pt.Compacted {
-			mode = "compacted"
-		}
-		fmt.Printf("  %7d records (%s): %8.2f ms  (%.0f records/s, %d segments applied %d",
-			pt.RecordsWritten, mode,
-			float64(pt.Elapsed)/float64(time.Millisecond), pt.RecordsPerSec,
-			pt.Segments, pt.RecordsApplied)
-		if pt.SnapshotUsed != "" {
-			fmt.Printf(", snapshot %s", pt.SnapshotUsed)
-		}
-		fmt.Println(")")
-		rows = append(rows, []string{d(int(pt.RecordsWritten)), fmt.Sprint(pt.Compacted),
-			d(int(pt.RecordsApplied)), d(pt.Segments),
-			f(float64(pt.Elapsed) / float64(time.Millisecond)), f(pt.RecordsPerSec)})
-	}
-	writeCSV("journal_replay_curve",
-		[]string{"records_written", "compacted", "records_applied", "segments", "replay_ms", "records_per_sec"},
-		rows)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, data, 0o644)
-		}
-		if err != nil {
-			fmt.Printf("benchjson write failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
-
-func pumpOverhead(quick bool, seed int64, jsonPath string) {
-	header("Orchestration overhead: no-op extractors, per-site dispatch")
-	families, sites := 300, 4
-	if quick {
-		families = 75
-	}
-	res, err := experiments.PumpOverhead(families, sites, seed)
-	if err != nil {
-		fmt.Printf("pump experiment failed: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("pipeline: %s  families: %d (%d sites)  steps: %d\n",
-		res.Pipeline, res.Families, res.Sites, res.Steps)
-	fmt.Printf("elapsed: %.1f ms  tasks/s: %.0f  pump wakeups: %d (%.2f/task)  idle: %d (%.3f/task)\n",
-		float64(res.Elapsed)/float64(time.Millisecond),
-		res.TasksPerSec, res.Wakeups, res.WakeupsPerTask,
-		res.IdleWakeups, res.IdleWakeupsPerTask)
-	writeCSV("pump_overhead",
-		[]string{"pipeline", "families", "sites", "steps", "elapsed_ms", "tasks_per_sec", "pump_wakeups", "wakeups_per_task", "idle_wakeups", "idle_wakeups_per_task"},
-		[][]string{{res.Pipeline, d(res.Families), d(res.Sites), d(int(res.Steps)),
-			f(float64(res.Elapsed) / float64(time.Millisecond)),
-			f(res.TasksPerSec), d(int(res.Wakeups)), f(res.WakeupsPerTask),
-			d(int(res.IdleWakeups)), f(res.IdleWakeupsPerTask)}})
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, data, 0o644)
-		}
-		if err != nil {
-			fmt.Printf("benchjson write failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-}
-
-func cacheColdWarm(quick bool, seed int64, jsonPath string) {
-	header("Incremental re-extraction: cold vs warm run (result cache)")
-	files := 800
-	if quick {
-		files = 200
-	}
-	res, err := experiments.CacheColdWarm(files, seed)
-	if err != nil {
-		fmt.Printf("cache experiment failed: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("files: %d  steps: %d  cold: %.1f ms (%d tasks)  warm: %.1f ms (%d tasks)\n",
-		res.Files, res.Steps,
-		float64(res.ColdElapsed)/float64(time.Millisecond), res.ColdTasks,
-		float64(res.WarmElapsed)/float64(time.Millisecond), res.WarmTasks)
-	fmt.Printf("cache hits: %d  speedup: %.1fx  (warm run dispatched zero extractors)\n",
-		res.CacheHits, res.Speedup)
-	writeCSV("cache_cold_warm",
-		[]string{"files", "steps", "cold_ms", "warm_ms", "cold_tasks", "warm_tasks", "cache_hits", "speedup"},
-		[][]string{{d(res.Files), d(int(res.Steps)),
-			f(float64(res.ColdElapsed) / float64(time.Millisecond)),
-			f(float64(res.WarmElapsed) / float64(time.Millisecond)),
-			d(int(res.ColdTasks)), d(int(res.WarmTasks)), d(int(res.CacheHits)), f(res.Speedup)}})
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonPath, data, 0o644)
-		}
-		if err != nil {
-			fmt.Printf("benchjson write failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
+		fmt.Printf("wrote %s\n", o.benchJSON)
 	}
 }
 
@@ -352,15 +182,15 @@ func header(title string) {
 	fmt.Printf("\n=== %s ===\n", title)
 }
 
-func table1(quick bool, seed int64) {
+func table1(o options) {
 	header("Table 1: repository characteristics")
 	scale := 1.0
-	if quick {
+	if o.quick {
 		scale = 0.01
 	}
 	fmt.Printf("%-12s %10s %12s %8s\n", "Repository", "Size (TB)", "Files", "Exts")
 	var rows [][]string
-	for _, s := range experiments.Table1(scale, seed) {
+	for _, s := range experiments.Table1(scale, o.seed) {
 		fmt.Printf("%-12s %10.3f %12d %8d\n", s.Name, s.SizeTB, s.Files, s.UniqueExtensions)
 		rows = append(rows, []string{s.Name, f(s.SizeTB), fmt.Sprint(s.Files), d(s.UniqueExtensions)})
 	}
@@ -368,17 +198,17 @@ func table1(quick bool, seed int64) {
 	fmt.Println("paper:       61 / 19,968,947 / 11,560 · 0.33 / 500,001 / 152 · 0.005 / 4,443 / 71")
 }
 
-func figure2(quick bool, seed int64) {
+func figure2(o options) {
 	header("Figure 2(a): strong scaling (200k invocations on Theta)")
 	n := 200000
-	if quick {
+	if o.quick {
 		n = 20000
 	}
 	workers := []int{512, 1024, 2048, 4096, 8192}
 	var f2a [][]string
 	for _, ext := range []string{"imagesort", "matio"} {
 		fmt.Printf("%-10s", ext)
-		for _, pt := range experiments.Figure2Strong(ext, workers, n, seed) {
+		for _, pt := range experiments.Figure2Strong(ext, workers, n, o.seed) {
 			fmt.Printf("  %5d:%8.0fs", pt.Workers, pt.Completion.Seconds())
 			f2a = append(f2a, []string{ext, d(pt.Workers), f(pt.Completion.Seconds())})
 		}
@@ -389,7 +219,7 @@ func figure2(quick bool, seed int64) {
 	var f2b [][]string
 	for _, ext := range []string{"imagesort", "matio"} {
 		fmt.Printf("%-10s", ext)
-		for _, pt := range experiments.Figure2Weak(ext, workers, 24, seed) {
+		for _, pt := range experiments.Figure2Weak(ext, workers, 24, o.seed) {
 			fmt.Printf("  %5d:%8.0fs", pt.Workers, pt.Completion.Seconds())
 			f2b = append(f2b, []string{ext, d(pt.Workers), f(pt.Completion.Seconds())})
 		}
@@ -398,12 +228,12 @@ func figure2(quick bool, seed int64) {
 	writeCSV("figure2b_weak_scaling", []string{"extractor", "workers", "completion_s"}, f2b)
 	header("§5.2.3: peak extraction throughput")
 	fmt.Printf("imagesort: %.1f invocations/s (paper: 357.5)\n",
-		experiments.PeakThroughput("imagesort", n, seed))
+		experiments.PeakThroughput("imagesort", n, o.seed))
 	fmt.Printf("matio:     %.1f invocations/s (paper: 249.3)\n",
-		experiments.PeakThroughput("matio", n, seed))
+		experiments.PeakThroughput("matio", n, o.seed))
 }
 
-func figure3() {
+func figure3(options) {
 	header("Figure 3: latency breakdown (single unbatched keyword task)")
 	for _, row := range experiments.Figure3() {
 		src := "calibrated"
@@ -415,7 +245,7 @@ func figure3() {
 	}
 }
 
-func figure4() {
+func figure4(options) {
 	header("Figure 4: crawl parallelization (2.3M MDF files)")
 	var f4 [][]string
 	for _, pt := range experiments.Figure4([]int{2, 4, 8, 16, 32}) {
@@ -428,15 +258,15 @@ func figure4() {
 	fmt.Println("paper: ~50 min at 2 threads, ~25 min at 16-32 (NIC-congested)")
 }
 
-func figure5(quick bool, seed int64) {
+func figure5(o options) {
 	header("Figure 5: batching surface (100k tasks, 224 Midway workers)")
 	n := 100000
-	if quick {
+	if o.quick {
 		n = 10000
 	}
 	xbs := []int{1, 2, 4, 8, 16, 32}
 	fxbs := []int{1, 2, 4, 8, 16, 32}
-	points := experiments.Figure5(xbs, fxbs, n, 224, seed)
+	points := experiments.Figure5(xbs, fxbs, n, 224, o.seed)
 	fmt.Printf("%8s", "fxb\\xb")
 	for _, xb := range xbs {
 		fmt.Printf("%8d", xb)
@@ -461,11 +291,11 @@ func figure5(quick bool, seed int64) {
 		best.XtractBatch, best.FuncXBatch, best.TasksPerSec)
 }
 
-func table2(seed int64) {
+func table2(o options) {
 	header("Table 2: RAND offloading, Midway(56w) → Jetstream(10w), 100k files")
 	fmt.Printf("%-8s %10s %14s %16s\n", "System", "Offload %", "Transfer (s)", "Completion (s)")
 	var t2 [][]string
-	for _, row := range experiments.Table2(seed) {
+	for _, row := range experiments.Table2(o.seed) {
 		fmt.Printf("%-8s %10d %14.0f %16.0f\n",
 			row.System, row.Percent, row.TransferTime.Seconds(), row.Completion.Seconds())
 		t2 = append(t2, []string{row.System, d(row.Percent),
@@ -475,14 +305,14 @@ func table2(seed int64) {
 	fmt.Println("paper: xtract 1696/1560/1662 · tika 2032/1868/1935 (transfer 0/374/655)")
 }
 
-func figure6(quick bool, seed int64) {
+func figure6(o options) {
 	header("Figure 6: prefetch pipeline, Petrel → Midway (200k MDF files)")
 	n := 200000
-	if quick {
+	if o.quick {
 		n = 20000
 	}
 	var f6 [][]string
-	for _, pt := range experiments.Figure6([]int{4, 8, 16, 32}, n, seed) {
+	for _, pt := range experiments.Figure6([]int{4, 8, 16, 32}, n, o.seed) {
 		fmt.Printf("%2d nodes (%4d workers): crawl %5.0fs  transfer %6.0fs  completion %6.0fs\n",
 			pt.Nodes, pt.Workers, pt.CrawlTime.Seconds(), pt.TransferTime.Seconds(),
 			pt.Completion.Seconds())
@@ -493,12 +323,12 @@ func figure6(quick bool, seed int64) {
 	fmt.Println("paper shape: transfer dominates; at 32 nodes extraction keeps pace with arrival")
 }
 
-func figure7(seed int64) {
+func figure7(o options) {
 	header("Figure 7: min-transfers vs regular (100k files → Jetstream)")
 	fmt.Printf("%-9s %-14s %10s %12s %12s %10s\n",
 		"Source", "Mode", "Crawl (s)", "Transfer (s)", "Redundant", "Total GB")
 	var f7 [][]string
-	for _, row := range experiments.Figure7(seed) {
+	for _, row := range experiments.Figure7(o.seed) {
 		fmt.Printf("%-9s %-14s %10.0f %12.0f %12d %10.1f\n",
 			row.Source, row.Mode, row.CrawlTime.Seconds(), row.TransferTime.Seconds(),
 			row.RedundantFiles, row.TotalGB)
@@ -509,13 +339,13 @@ func figure7(seed int64) {
 	fmt.Println("paper: midway2 8291→6290s (-24%), petrel 2464→2060s (-16%); 20,258 redundant files (32 GB)")
 }
 
-func figure8(quick bool, seed int64) {
+func figure8(o options) {
 	header("Figure 8: full MDF case study (Theta, 4096 workers)")
 	groups := 2500000
-	if quick {
+	if o.quick {
 		groups = 250000
 	}
-	run := experiments.Figure8(groups, 4096, 19274*time.Second, 5*time.Minute, seed)
+	run := experiments.Figure8(groups, 4096, 19274*time.Second, 5*time.Minute, o.seed)
 	fmt.Printf("groups: %d  crawl: %.1f min  walltime: %.2f h  core-hours: %.0f\n",
 		run.Groups, run.CrawlTime.Minutes(), run.Walltime.Hours(), run.CoreHours)
 	fmt.Printf("allocation restart at %.0f s; %d tasks resubmitted\n",
@@ -542,9 +372,9 @@ func figure8(quick bool, seed int64) {
 	fmt.Println("paper: crawl 26.3 min, 6.4 h walltime, 26,200 core-hours, restart at 19,274 s")
 }
 
-func table3(seed int64) {
+func table3(o options) {
 	header("Table 3: Google Drive case study (4443 files, 30 River pods)")
-	res := experiments.Table3(seed)
+	res := experiments.Table3(o.seed)
 	fmt.Printf("%-14s %12s %14s %14s %10s\n",
 		"Extractor", "Invocations", "Extract (s)", "Transfer (s)", "Size (MB)")
 	var t3 [][]string
@@ -561,17 +391,17 @@ func table3(seed int64) {
 	fmt.Println("paper: 35 min, ~23 pod-hours, ~70 s cold start per container")
 }
 
-func headline(quick bool, seed int64) {
+func headline(o options) {
 	header("§5.8.1 headline: in-situ extraction vs transfer-only")
 	groups := 2500000
-	if quick {
+	if o.quick {
 		groups = 250000
 	}
-	extract, transfer := experiments.TransferVsInSitu(groups, 4096, seed)
+	extract, transfer := experiments.TransferVsInSitu(groups, 4096, o.seed)
 	fmt.Printf("extract in place: %.2f h   transfer 61 TB to Theta: %.2f h   ratio: %.2f\n",
 		extract.Hours(), transfer.Hours(), extract.Hours()/transfer.Hours())
 	fmt.Println("paper: extraction 6.4 h vs transfer 13.3 h → repository processed in ~50% of transfer time")
-	if quick {
+	if o.quick {
 		fmt.Println("(quick mode scales the transfer with the reduced group count)")
 	}
 }

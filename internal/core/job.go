@@ -61,12 +61,6 @@ type JobStats struct {
 	Elapsed  time.Duration
 }
 
-// PipelineKind names the orchestration pipeline implementation, recorded
-// in benchmark output so perf trajectories compare like with like: the
-// pump blocks on wakeup channels and completion notifications, and
-// per-site dispatcher shards own batching and submission.
-const PipelineKind = "event-driven"
-
 // Job is the service's handle on one live job: its live-job table entry.
 type Job struct {
 	ID     string             // as the registry and the journal know it

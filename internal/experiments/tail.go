@@ -26,10 +26,8 @@ import (
 // perf-gate-enforced numbers: hedging must cut the tail without paying
 // for it in duplicated work.
 type TailRun struct {
-	// Pipeline names the orchestration implementation measured.
-	Pipeline    string `json:"pipeline"`
-	Jobs        int    `json:"jobs"`
-	FilesPerJob int    `json:"files_per_job"`
+	Jobs        int `json:"jobs"`
+	FilesPerJob int `json:"files_per_job"`
 	// StragglerProb is the per-execution probability of the slow path;
 	// StragglerSleep/BaseSleep are the two runtimes of the bimodal
 	// extractor.
@@ -93,7 +91,6 @@ func TailLatency(jobs, filesPerJob int, seed int64) (TailRun, error) {
 		warmupJobs     = 2
 	)
 	run := TailRun{
-		Pipeline:       core.PipelineKind,
 		Jobs:           jobs,
 		FilesPerJob:    filesPerJob,
 		StragglerProb:  stragglerProb,
@@ -196,7 +193,8 @@ func TailLatency(jobs, filesPerJob int, seed int64) (TailRun, error) {
 	return run, nil
 }
 
-// quantileDur returns the q-quantile of the samples (nearest rank).
+// quantileDur returns the q-quantile of the samples: the sorted sample at
+// index ⌊q·(n−1)⌋, with no interpolation.
 func quantileDur(samples []time.Duration, q float64) time.Duration {
 	if len(samples) == 0 {
 		return 0

@@ -12,7 +12,7 @@
 //
 // Encoders append into caller-owned buffers, so the pipeline can reuse
 // pooled scratch across tasks: the alloc-free discipline the perf gate's
-// allocs/task ceiling enforces.
+// allocs_per_step bound enforces.
 package fastjson
 
 import (

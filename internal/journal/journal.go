@@ -194,28 +194,7 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 		b = fastjson.AppendString(b, rec.CacheKey.Version)
 		b = append(b, '}')
 	}
-	if len(rec.Metadata) != 0 {
-		b = append(b, `,"metadata":`...)
-		b = append(b, rec.Metadata...)
-	} else if rec.MetadataObj != nil {
-		// Deferred encode: the accept path stored the live map and the
-		// flush leader materializes it here. An unencodable value drops
-		// the field silently — parity with the old accept-side
-		// `if blob, err := json.Marshal(md); err == nil` behavior.
-		mark := len(b)
-		const prefix = `,"metadata":`
-		b = append(b, prefix...)
-		if nb, err := fastjson.AppendValue(b, rec.MetadataObj); err == nil {
-			// Materialize the raw form on the record too: the leader folds
-			// the encoded batch into live state, and state consumers
-			// (compaction snapshots, JobSnapshot) read the Metadata bytes.
-			// Must be a copy — b is the leader's reused encode buffer.
-			rec.Metadata = append(json.RawMessage(nil), nb[mark+len(prefix):]...)
-			b = nb
-		} else {
-			b = b[:mark]
-		}
-	}
+	b = appendMetadata(b, rec)
 	if rec.Attempt != 0 {
 		b = append(b, `,"attempt":`...)
 		b = strconv.AppendInt(b, int64(rec.Attempt), 10)
@@ -232,6 +211,39 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 		b = append(b, `,"err":`...)
 		b = fastjson.AppendString(b, rec.Err)
 	}
+	b = appendLease(b, rec)
+	return append(b, '}'), nil
+}
+
+// appendMetadata appends rec's "metadata" field: the worker's bytes as
+// they are, or the deferred encode of MetadataObj — the accept path stored
+// the live map and the flush leader materializes it here. An unencodable
+// value drops the field silently, parity with the old accept-side
+// `if blob, err := json.Marshal(md); err == nil` behavior.
+func appendMetadata(b []byte, rec *Record) []byte {
+	const prefix = `,"metadata":`
+	if len(rec.Metadata) != 0 {
+		b = append(b, prefix...)
+		return append(b, rec.Metadata...)
+	}
+	if rec.MetadataObj == nil {
+		return b
+	}
+	mark := len(b)
+	nb, err := fastjson.AppendValue(append(b, prefix...), rec.MetadataObj)
+	if err != nil {
+		return b[:mark]
+	}
+	// Materialize the raw form on the record too: the leader folds the
+	// encoded batch into live state, and state consumers (compaction
+	// snapshots, JobSnapshot) read the Metadata bytes. Must be a copy — b
+	// is the leader's reused encode buffer.
+	rec.Metadata = append(json.RawMessage(nil), nb[mark+len(prefix):]...)
+	return nb
+}
+
+// appendLease appends the lease records' fields: node, epoch and TTL.
+func appendLease(b []byte, rec *Record) []byte {
 	if rec.Node != "" {
 		b = append(b, `,"node":`...)
 		b = fastjson.AppendString(b, rec.Node)
@@ -244,7 +256,7 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 		b = append(b, `,"ttl_ms":`...)
 		b = strconv.AppendInt(b, rec.TTLMS, 10)
 	}
-	return append(b, '}'), nil
+	return b
 }
 
 // appendRecordFrame encodes rec in place after a reserved frame header,
@@ -741,29 +753,7 @@ func (j *Journal) flushLocked(seq uint64) {
 		frames := j.encBuf[:0]
 		j.encBuf = nil
 		j.mu.Unlock()
-		now := j.clk.Now()
-		// Encode until the current segment is full: a huge batch must not
-		// become one huge segment, or rotation (and with it compaction)
-		// would stall until the writer pauses. The unwritten tail goes back
-		// to the front of the queue for the next segment.
-		cut := len(batch)
-		var werr error
-		for i := range batch {
-			if i > 0 && int64(len(frames)) >= room {
-				cut = i
-				break
-			}
-			if batch[i].At.IsZero() {
-				batch[i].At = now
-			}
-			var merr error
-			frames, merr = appendRecordFrame(frames, &batch[i])
-			if merr != nil {
-				werr = fmt.Errorf("journal: encode %s: %w", batch[i].Type, merr)
-				break
-			}
-		}
-		hi := batch[cut-1].Seq
+		frames, cut, werr := encodeBatch(frames, batch, room, j.clk.Now())
 		if werr == nil {
 			_, werr = cur.Write(frames)
 		}
@@ -786,24 +776,12 @@ func (j *Journal) flushLocked(seq uint64) {
 		for i := 0; i < cut; i++ {
 			j.state.Apply(batch[i])
 		}
-		j.durableSeq = hi
+		j.durableSeq = batch[cut-1].Seq
 		j.curSize += int64(len(frames))
 		if cap(frames) <= 1<<20 {
 			j.encBuf = frames[:0]
 		}
-		if cut < len(batch) && !j.killed {
-			// Records past the segment boundary rejoin the queue, shifted down
-			// in place, ahead of what followers appended while the lock was
-			// down (all higher in seq); the followers' buffer is the new spare.
-			late, n := j.pending, copy(batch, batch[cut:])
-			clear(batch[n:])
-			j.pending = append(batch[:n], late...)
-			clear(late)
-			j.pendingSpare = late[:0]
-		} else if cut == len(batch) && cap(batch) <= 1<<14 {
-			clear(batch)
-			j.pendingSpare = batch[:0]
-		}
+		j.requeueLocked(batch, cut)
 		j.fsyncs++
 		if j.opts.OnFsync != nil {
 			j.opts.OnFsync(fsyncDur)
@@ -812,6 +790,46 @@ func (j *Journal) flushLocked(seq uint64) {
 		if j.curSize >= j.opts.SegmentBytes {
 			j.rotateLocked(false)
 		}
+	}
+}
+
+// encodeBatch frames batch's records onto frames until the current
+// segment's room is used up: a huge batch must not become one huge
+// segment, or rotation (and with it compaction) would stall until the
+// writer pauses. Records without a time are stamped now. It returns the
+// frames and cut, the number of records framed; requeueLocked puts the
+// rest back at the front of the queue for the next segment.
+func encodeBatch(frames []byte, batch []Record, room int64, now time.Time) ([]byte, int, error) {
+	for i := range batch {
+		if i > 0 && int64(len(frames)) >= room {
+			return frames, i, nil
+		}
+		if batch[i].At.IsZero() {
+			batch[i].At = now
+		}
+		var err error
+		if frames, err = appendRecordFrame(frames, &batch[i]); err != nil {
+			return frames, len(batch), fmt.Errorf("journal: encode %s: %w", batch[i].Type, err)
+		}
+	}
+	return frames, len(batch), nil
+}
+
+// requeueLocked recycles a flushed batch. Records past cut (the segment
+// boundary) rejoin the queue, shifted down in place, ahead of what
+// followers appended while the lock was down (all higher in seq), and the
+// followers' buffer becomes the new spare; a batch flushed whole is the
+// spare itself.
+func (j *Journal) requeueLocked(batch []Record, cut int) {
+	if cut < len(batch) && !j.killed {
+		late, n := j.pending, copy(batch, batch[cut:])
+		clear(batch[n:])
+		j.pending = append(batch[:n], late...)
+		clear(late)
+		j.pendingSpare = late[:0]
+	} else if cut == len(batch) && cap(batch) <= 1<<14 {
+		clear(batch)
+		j.pendingSpare = batch[:0]
 	}
 }
 
