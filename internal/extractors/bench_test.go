@@ -1,7 +1,9 @@
 package extractors
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"xtract/internal/family"
@@ -102,4 +104,33 @@ func BenchmarkHierarchicalExtract(b *testing.B) {
 func BenchmarkSemiStructuredJSON(b *testing.B) {
 	benchExtract(b, NewSemiStructured(), "/m.json",
 		[]byte(`{"a":{"b":{"c":[1,2,3]}},"d":"text","e":true,"f":1.5}`))
+}
+
+// BenchmarkParseFloat: the corpus's number shapes (POSCAR coordinates
+// %.6f, lattice and energies %.4f, table cells %.3f, half of them
+// negative) and the words beside them, through parseFloat and through
+// strconv.ParseFloat.
+func BenchmarkParseFloat(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	var shapes []string
+	for _, format := range []string{"%.6f", "%.4f", "%.3f"} {
+		for i := 0; i < 32; i++ {
+			shapes = append(shapes, fmt.Sprintf(format, (rng.Float64()-0.5)*40))
+		}
+	}
+	shapes = append(shapes, "NA", "field_0", "Direct")
+	for _, p := range []struct {
+		name  string
+		parse func(string) (float64, error)
+	}{
+		{"parseFloat", parseFloat},
+		{"strconv", func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, _ = p.parse(shapes[i%len(shapes)])
+			}
+		})
+	}
 }

@@ -12,7 +12,9 @@ import (
 	"image/color"
 	"image/gif"
 	"image/jpeg"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -93,6 +95,9 @@ func checkMaterials(t testing.TB, data []byte) {
 	rc, rok := refParseCIF(data)
 	same("parseCIF", []interface{}{gc, gok}, []interface{}{rc, rok})
 	same("parseINCAR", parseINCAR(data), refParseINCAR(data))
+	gd, gok := parseDFTLog(data)
+	rd, rok := refParseDFTLog(data)
+	same("parseDFTLog", []interface{}{gd, gok}, []interface{}{rd, rok})
 	same("extractYAMLish", NewSemiStructured().extractYAMLish(string(data)), refExtractYAMLish(string(data)))
 	for ln, rest, ok := nextLine(string(data)); ok; ln, rest, ok = nextLine(rest) {
 		same("appendFields", appendFields(nil, ln), strings.Fields(ln))
@@ -118,6 +123,7 @@ var tabularCases = []string{
 	"k,v\n NA ,1\n-999,2\nN/A,3\nnUlL,4\nNone,5\n?,6\n-9999,7\nMISSING,8\n,9\n",
 	"k,v\n\uff2e\uff41\uff4e,1\nm\u0130ssing,2\n\u212a,3\n\u00a0NA\u00a0,4\n\u0085?\u0085,5\nna\u00e9,6\n",
 	"k,v\nmissing-value,1\nnot-a-marker-at-all,2\nmissingg,3\n-99999,4\n",
+	"k,v\n-,1\n-9,2\n-99,3\n-9.5,4\n-x,5\n+,6\n.,7\n-999 ,8\n+999,9\n-\u0130,10\n.nan,11\n-999.0,12\n-0999,13\nnAn,14\n-9999.00,15\n-NaN,16\n",
 	"k,v\n1e400,+.5\n-1e400,.5e1\n0x1p-2,1_000\nInf,NaN\ninfinity,-inf\n",
 	"a,b\n1,2\n" + strings.Repeat("3,4\n", 40), "a,b,c\n" + strings.Repeat("x,1.5, 2.5 \n", 12),
 	"a,b\n1,2\x00\n\xff,\xfe\n", "\xef\xbb\xbfa,b\n1,2\n",
@@ -165,6 +171,8 @@ var materialsCases = []string{
 	"_cell_length_a 5.43\n_chemical_formula_sum 'Si2 O4'\n_symmetry \"P 1\"\n_nospace\n _indented  7 \n_cell_angle_beta\t90\n",
 	"ENCUT = 520\n# comment\n! other\n = 3\nkey=\nismear = 0 ! trailing\nSYSTEM = a = b\n",
 	"title: run 7\n# c\nsamples: 12\nok: true\nempty:\nbad key: 1\n: v\nrate: 1e3\r\nnote: x\r",
+	"SCF cycle 1\nscf CYCLE 2\n! Total Energy = -93.45 Ry\n! total energy = x Ry 7\r\nConvergence Achieved\n",
+	"  scf\u00a0cycle 1\n \u212a total energy = -1.5 Ry\nconvergence ach\u0130eved\ns\u017fcf cycle\nTOTAL ENERGY\n",
 }
 
 func TestMaterialsMatchReference(t *testing.T) {
@@ -291,6 +299,43 @@ func FuzzPOSCARMatchesReference(f *testing.F) {
 		f.Add([]byte(c))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkMaterials(t, data) })
+}
+
+// parseFloatCases are the number shapes the generators write (POSCAR
+// coordinates, lattice lengths, OUTCAR energies, table cells and their
+// headers and nulls) and every shape that leaves the exact path.
+var parseFloatCases = []string{
+	"0.123456", "0.999999", "5.4310", "-10.5000", "12.345", "-3.142", "-0.052", "1.0", "0.0", "0", "42", "NA", "field_0",
+	"1e5", "1E-5", "2.5e+3", "1e400", ".5", "5.", "-0", "-0.000", "+.5", "+5", "inf", "-Inf", "+infinity", "NaN", "nan",
+	"+nan", "-n", "i", "nA", "NaNa", "INFINITY", "-infinitY", "+INF", "infinitx", "info", "nab", "-nan",
+	"0x1p3", "0X1.8P1", "1_0", "0x_1p0", "_1", "1234567890123456", "123456789012345",
+	"9007199254740993", "-123456789012345.6", "0.12345678901234567890123", "0.1234567890123456789012",
+	"0.0000000000000000000001", "1.0000000000000000000000", "000000000000000000001.5", "1..2", "1.2.3",
+	"+", "-", ".", "-.", "+-1", "", " 1.5", "1.5 ", "\t2", "1,5", "\u00a01", "\xff",
+}
+
+func FuzzParseFloatMatchesStrconv(f *testing.F) {
+	for _, c := range parseFloatCases {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, gerr := parseFloat(s)
+		want, werr := strconv.ParseFloat(s, 64)
+		if math.Float64bits(got) != math.Float64bits(want) || (gerr == nil) != (werr == nil) {
+			t.Errorf("parseFloat(%q) = %v (%x), %v; strconv %v (%x), %v",
+				s, got, math.Float64bits(got), gerr, want, math.Float64bits(want), werr)
+		}
+	})
+}
+
+// TestParseFloatAllocatesNothing: the shapes the corpus is made of,
+// numbers and the words beside them, cost no allocation.
+func TestParseFloatAllocatesNothing(t *testing.T) {
+	for _, s := range []string{"0.123456", "-10.5000", "12.345", "42", "NA", "field_0", "Direct", "-x", "none"} {
+		if n := testing.AllocsPerRun(20, func() { _, _ = parseFloat(s) }); n != 0 {
+			t.Errorf("parseFloat(%q) cost %v allocations", s, n)
+		}
+	}
 }
 
 // TestPOSCARCostDoesNotGrowWithAtoms: the line index, the coordinates and

@@ -148,7 +148,7 @@ func parsePOSCAR(data []byte) (Structure, bool) {
 	}
 	var s Structure
 	s.Comment = strings.TrimSpace(lines[0])
-	scale, err := strconv.ParseFloat(strings.TrimSpace(lines[1]), 64)
+	scale, err := parseFloat(strings.TrimSpace(lines[1]))
 	if err != nil {
 		return Structure{}, false
 	}
@@ -208,7 +208,7 @@ func parseVec3(line string) ([3]float64, bool) {
 	}
 	var v [3]float64
 	for i := 0; i < 3; i++ {
-		f, err := strconv.ParseFloat(fields[i], 64)
+		f, err := parseFloat(fields[i])
 		if err != nil {
 			return [3]float64{}, false
 		}
@@ -250,7 +250,7 @@ func parseOUTCAR(data []byte) (VASPResults, bool) {
 			// Fermi-level line.
 			_, value, _ := strings.Cut(ln, ":")
 			if fields := appendFields(buf[:0], value); len(fields) > 0 {
-				if v, err := strconv.ParseFloat(fields[0], 64); err == nil {
+				if v, err := parseFloat(fields[0]); err == nil {
 					r.EFermi = v
 					found = true
 				}
@@ -271,7 +271,7 @@ func lastFloatBefore(line, marker string) (float64, bool) {
 	var buf [8]string
 	fields := appendFields(buf[:0], line[:idx])
 	for i := len(fields) - 1; i >= 0; i-- {
-		if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+		if v, err := parseFloat(fields[i]); err == nil {
 			return v, true
 		}
 	}
@@ -306,18 +306,18 @@ func parseCIF(data []byte) (Crystal, bool) {
 		val = strings.Trim(strings.TrimSpace(val), "'\"")
 		switch key {
 		case "_cell_length_a":
-			c.CellA, _ = strconv.ParseFloat(val, 64)
+			c.CellA, _ = parseFloat(val)
 			found = true
 		case "_cell_length_b":
-			c.CellB, _ = strconv.ParseFloat(val, 64)
+			c.CellB, _ = parseFloat(val)
 		case "_cell_length_c":
-			c.CellC, _ = strconv.ParseFloat(val, 64)
+			c.CellC, _ = parseFloat(val)
 		case "_cell_angle_alpha":
-			c.Angles[0], _ = strconv.ParseFloat(val, 64)
+			c.Angles[0], _ = parseFloat(val)
 		case "_cell_angle_beta":
-			c.Angles[1], _ = strconv.ParseFloat(val, 64)
+			c.Angles[1], _ = parseFloat(val)
 		case "_cell_angle_gamma":
-			c.Angles[2], _ = strconv.ParseFloat(val, 64)
+			c.Angles[2], _ = parseFloat(val)
 		case "_chemical_formula_sum":
 			c.Formula = val
 			found = true
@@ -353,9 +353,9 @@ func parseXYZ(data []byte) (Geometry, bool) {
 		if len(fields) < 4 {
 			continue
 		}
-		x, e1 := strconv.ParseFloat(fields[1], 64)
-		y, e2 := strconv.ParseFloat(fields[2], 64)
-		z, e3 := strconv.ParseFloat(fields[3], 64)
+		x, e1 := parseFloat(fields[1])
+		y, e2 := parseFloat(fields[2])
+		z, e3 := parseFloat(fields[3])
 		if e1 != nil || e2 != nil || e3 != nil {
 			continue
 		}
@@ -374,17 +374,16 @@ func parseDFTLog(data []byte) (map[string]interface{}, bool) {
 	var scfSteps int
 	converged := false
 	found := false
-	for _, ln := range strings.Split(string(data), "\n") {
-		lower := strings.ToLower(ln)
+	for ln, rest, ok := nextLine(string(data)); ok; ln, rest, ok = nextLine(rest) {
 		switch {
-		case strings.Contains(lower, "total energy"):
+		case containsLower(ln, "total energy"):
 			if v, ok := lastFloatBefore(ln, "Ry"); ok {
 				energy = v
 				found = true
 			}
-		case strings.Contains(lower, "scf cycle"):
+		case containsLower(ln, "scf cycle"):
 			scfSteps++
-		case strings.Contains(lower, "convergence achieved"):
+		case containsLower(ln, "convergence achieved"):
 			converged = true
 			found = true
 		}

@@ -338,7 +338,7 @@ func refMatIOExtract(g *family.Group, files map[string][]byte) (map[string]inter
 				parsed++
 			}
 		case strings.HasSuffix(strings.ToLower(p), ".dft"):
-			if d, ok := parseDFTLog(data); ok {
+			if d, ok := refParseDFTLog(data); ok {
 				md["dft"] = d
 				parsed++
 			}
@@ -556,6 +556,38 @@ func refParseXYZ(data []byte) (Geometry, bool) {
 		return Geometry{}, false
 	}
 	return g, true
+}
+
+// refParseDFTLog scans a generic DFT output log. (The kernel's body
+// before it moved onto nextLine and ASCII case-folding.)
+func refParseDFTLog(data []byte) (map[string]interface{}, bool) {
+	var energy float64
+	var scfSteps int
+	converged := false
+	found := false
+	for _, ln := range strings.Split(string(data), "\n") {
+		lower := strings.ToLower(ln)
+		switch {
+		case strings.Contains(lower, "total energy"):
+			if v, ok := refLastFloatBefore(ln, "Ry"); ok {
+				energy = v
+				found = true
+			}
+		case strings.Contains(lower, "scf cycle"):
+			scfSteps++
+		case strings.Contains(lower, "convergence achieved"):
+			converged = true
+			found = true
+		}
+	}
+	if !found {
+		return nil, false
+	}
+	return map[string]interface{}{
+		"total_energy": energy,
+		"scf_steps":    scfSteps,
+		"converged":    converged,
+	}, true
 }
 
 func refASEExtract(a *ASE, g *family.Group, files map[string][]byte) (map[string]interface{}, error) {

@@ -68,7 +68,15 @@ func IsNullCell(v string) bool {
 // it lies; any other first takes strings.ToLower, which lands on ASCII
 // where EqualFold does not (U+0130 lowers to 'i': "m\u0130ssing" is
 // missing data) and, by the length test, not where it would (U+017F).
+// No marker begins with a digit, '.' or '+', nor with '-' and then
+// anything but '9', so a number is answered at once.
 func nullMarker(cell string) (string, bool) {
+	if cell != "" {
+		switch c := cell[0]; {
+		case '0' <= c && c <= '9', c == '.', c == '+', c == '-' && (len(cell) == 1 || cell[1] != '9'):
+			return "", false
+		}
+	}
 	if !isASCII(cell) {
 		cell = strings.ToLower(cell)
 	}
@@ -194,7 +202,7 @@ func numericFraction(row []string) float64 {
 	}
 	num := 0
 	for _, cell := range row {
-		if _, err := strconv.ParseFloat(strings.TrimSpace(cell), 64); err == nil {
+		if _, err := parseFloat(strings.TrimSpace(cell)); err == nil {
 			num++
 		}
 	}
@@ -224,13 +232,18 @@ func (t *Tabular) Extract(g *family.Group, files map[string][]byte) (map[string]
 			clear(distinct)
 			for _, row := range rows {
 				cell := strings.TrimSpace(row[c])
-				if _, null := nullMarker(cell); null {
-					stats.Nulls++
-					continue
+				// -999, -9999 and nan are the only markers that parse, so
+				// any other number is not a null.
+				v, err := parseFloat(cell)
+				if err != nil || v == -999 || v == -9999 || v != v {
+					if _, null := nullMarker(cell); null {
+						stats.Nulls++
+						continue
+					}
 				}
 				stats.Count++
 				distinct[cell] = struct{}{}
-				if v, err := strconv.ParseFloat(cell, 64); err == nil {
+				if err == nil {
 					vals = append(vals, v)
 				}
 			}
