@@ -18,8 +18,7 @@ func validLog(n int) []byte {
 		if i == 1 {
 			rec = Record{Seq: 1, Type: RecJobSubmitted, JobID: "job-1", Spec: &JobSpec{}}
 		}
-		payload, _ := json.Marshal(rec)
-		buf = appendFrame(buf, payload)
+		buf, _ = appendRecordFrame(buf, &rec)
 	}
 	return buf
 }

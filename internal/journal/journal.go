@@ -140,8 +140,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // CRC32C of the payload, then the JSON payload.
 const frameHeader = 8
 
-// maxRecordBytes bounds a single record so replay of a corrupt length
-// prefix cannot allocate absurdly.
+// maxRecordBytes bounds a segment's frames: the writer frames no larger
+// record, so replay takes a larger length prefix for damage. A snapshot
+// is one frame of any size, bounded by the file it was read from.
 const maxRecordBytes = 16 << 20
 
 // appendRecordJSON appends rec's JSON encoding to b: the hot-path
@@ -161,58 +162,71 @@ func appendRecordJSON(b []byte, rec *Record) ([]byte, error) {
 	b = rec.At.AppendFormat(b, time.RFC3339Nano)
 	b = append(b, '"')
 	if rec.Spec != nil {
-		blob, err := json.Marshal(rec.Spec)
-		if err != nil {
+		var err error
+		if b, err = appendMarshaled(b, `,"spec":`, rec.Spec); err != nil {
 			return b, err
 		}
-		b = append(b, `,"spec":`...)
-		b = append(b, blob...)
 	}
-	if rec.FamilyID != "" {
-		b = append(b, `,"family_id":`...)
-		b = fastjson.AppendString(b, rec.FamilyID)
-	}
-	if rec.Groups != 0 {
-		b = append(b, `,"groups":`...)
-		b = strconv.AppendInt(b, int64(rec.Groups), 10)
-	}
-	if rec.GroupID != "" {
-		b = append(b, `,"group_id":`...)
-		b = fastjson.AppendString(b, rec.GroupID)
-	}
-	if rec.Extractor != "" {
-		b = append(b, `,"extractor":`...)
-		b = fastjson.AppendString(b, rec.Extractor)
-	}
-	if rec.Cached {
-		b = append(b, `,"cached":true`...)
-	}
-	if rec.CacheKey != nil {
-		b = append(b, `,"cache_key":{"content_hash":`...)
-		b = fastjson.AppendString(b, rec.CacheKey.ContentHash)
-		b = append(b, `,"version":`...)
-		b = fastjson.AppendString(b, rec.CacheKey.Version)
-		b = append(b, '}')
-	}
+	b = appendStringField(b, `,"family_id":`, rec.FamilyID)
+	b = appendIntField(b, `,"groups":`, int64(rec.Groups))
+	b = appendStringField(b, `,"group_id":`, rec.GroupID)
+	b = appendStringField(b, `,"extractor":`, rec.Extractor)
+	b = appendTrueField(b, `,"cached":true`, rec.Cached)
+	b = appendCacheKey(b, rec.CacheKey)
 	b = appendMetadata(b, rec)
-	if rec.Attempt != 0 {
-		b = append(b, `,"attempt":`...)
-		b = strconv.AppendInt(b, int64(rec.Attempt), 10)
-	}
-	if rec.Reason != "" {
-		b = append(b, `,"reason":`...)
-		b = fastjson.AppendString(b, rec.Reason)
-	}
-	if rec.State != "" {
-		b = append(b, `,"state":`...)
-		b = fastjson.AppendString(b, rec.State)
-	}
-	if rec.Err != "" {
-		b = append(b, `,"err":`...)
-		b = fastjson.AppendString(b, rec.Err)
-	}
-	b = appendLease(b, rec)
+	b = appendIntField(b, `,"attempt":`, int64(rec.Attempt))
+	b = appendStringField(b, `,"reason":`, rec.Reason)
+	b = appendStringField(b, `,"state":`, rec.State)
+	b = appendStringField(b, `,"err":`, rec.Err)
+	b = appendStringField(b, `,"node":`, rec.Node)
+	b = appendIntField(b, `,"epoch":`, rec.Epoch)
+	b = appendIntField(b, `,"ttl_ms":`, rec.TTLMS)
 	return append(b, '}'), nil
+}
+
+// appendStringField, appendIntField and appendTrueField append an
+// omitempty field, shared by the record and snapshot encoders: nothing
+// for the zero value.
+func appendStringField(b []byte, name, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return fastjson.AppendString(append(b, name...), v)
+}
+
+func appendIntField(b []byte, name string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, name...), v, 10)
+}
+
+func appendTrueField(b []byte, field string, v bool) []byte {
+	if !v {
+		return b
+	}
+	return append(b, field...)
+}
+
+// appendCacheKey appends a step's "cache_key" field when it has one.
+func appendCacheKey(b []byte, k *CacheKey) []byte {
+	if k == nil {
+		return b
+	}
+	b = append(b, `,"cache_key":{"content_hash":`...)
+	b = fastjson.AppendString(b, k.ContentHash)
+	b = append(b, `,"version":`...)
+	b = fastjson.AppendString(b, k.Version)
+	return append(b, '}')
+}
+
+// appendMarshaled appends a rare sub-object's field through encoding/json.
+func appendMarshaled(b []byte, name string, v any) ([]byte, error) {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		return b, err
+	}
+	return append(append(b, name...), blob...), nil
 }
 
 // appendMetadata appends rec's "metadata" field: the worker's bytes as
@@ -242,58 +256,51 @@ func appendMetadata(b []byte, rec *Record) []byte {
 	return nb
 }
 
-// appendLease appends the lease records' fields: node, epoch and TTL.
-func appendLease(b []byte, rec *Record) []byte {
-	if rec.Node != "" {
-		b = append(b, `,"node":`...)
-		b = fastjson.AppendString(b, rec.Node)
-	}
-	if rec.Epoch != 0 {
-		b = append(b, `,"epoch":`...)
-		b = strconv.AppendInt(b, rec.Epoch, 10)
-	}
-	if rec.TTLMS != 0 {
-		b = append(b, `,"ttl_ms":`...)
-		b = strconv.AppendInt(b, rec.TTLMS, 10)
-	}
-	return b
-}
+// errRecordTooLarge is the encode error of a record whose frame replay
+// would reject.
+var errRecordTooLarge = fmt.Errorf("record over the %d-byte frame bound", maxRecordBytes)
 
 // appendRecordFrame encodes rec in place after a reserved frame header,
 // then back-fills the length and CRC — one framed record, zero
-// intermediate allocations.
+// intermediate allocations. A payload over maxRecordBytes, which replay
+// takes for damage, is never framed: a step completion is framed again
+// without its metadata (recovery re-extracts that step, as it does one
+// journaled as null), and any other record is an encode error.
 func appendRecordFrame(b []byte, rec *Record) ([]byte, error) {
 	start := len(b)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	b, err := appendRecordJSON(b, rec)
+	b, err := appendRecordJSON(append(b, 0, 0, 0, 0, 0, 0, 0, 0), rec)
+	if err == nil && len(b)-start-frameHeader > maxRecordBytes {
+		if rec.Type == RecStepCompleted && len(rec.Metadata) != 0 {
+			rec.Metadata, rec.MetadataObj = nil, nil
+			return appendRecordFrame(b[:start], rec)
+		}
+		err = errRecordTooLarge
+	}
 	if err != nil {
 		return b[:start], err
 	}
+	return sealFrame(b, start), nil
+}
+
+// sealFrame back-fills the header reserved at b[start:] with the length
+// and CRC of the payload after it.
+func sealFrame(b []byte, start int) []byte {
 	payload := b[start+frameHeader:]
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
-	return b, nil
-}
-
-// appendFrame appends one framed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return b
 }
 
 // readFrame decodes the frame at data[off:], returning the payload and
-// the offset just past it. ok is false at any damage: short header,
-// absurd length, short payload, or CRC mismatch.
-func readFrame(data []byte, off int) (payload []byte, next int, ok bool) {
+// the offset just past it. ok is false at any damage: short header, a
+// length over limit, short payload, or CRC mismatch.
+func readFrame(data []byte, off, limit int) (payload []byte, next int, ok bool) {
 	if off+frameHeader > len(data) {
 		return nil, off, false
 	}
 	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
 	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxRecordBytes || off+frameHeader+n > len(data) {
+	if n > limit || off+frameHeader+n > len(data) {
 		return nil, off, false
 	}
 	payload = data[off+frameHeader : off+frameHeader+n]
@@ -567,15 +574,7 @@ func (j *Journal) JobSnapshot(id string) (*JobState, bool) {
 	if !ok {
 		return nil, false
 	}
-	blob, err := json.Marshal(js)
-	if err != nil {
-		return nil, false
-	}
-	out := &JobState{}
-	if err := json.Unmarshal(blob, out); err != nil {
-		return nil, false
-	}
-	return out, true
+	return js.clone(), true
 }
 
 // LiveJobs lists the IDs of all non-terminal jobs in the live folded
@@ -882,7 +881,7 @@ func (j *Journal) compactLocked() {
 	last := j.durableSeq
 	j.mu.Unlock()
 	defer j.mu.Lock()
-	blob, err := json.Marshal(j.state)
+	frame, err := appendStateJSON(make([]byte, frameHeader), j.state)
 	if err != nil {
 		return
 	}
@@ -890,7 +889,7 @@ func (j *Journal) compactLocked() {
 	if err != nil {
 		return
 	}
-	_, err = f.Write(appendFrame(nil, blob))
+	_, err = f.Write(sealFrame(frame, 0))
 	if err == nil {
 		err = f.Sync()
 	}

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -45,6 +46,7 @@ func appendN(t *testing.T, j *Journal, n int) {
 		}
 		if err := j.Append(Record{Type: RecStepCompleted, JobID: "job-1",
 			FamilyID: fmt.Sprintf("fam-%d", i), GroupID: fmt.Sprintf("g-%d", i), Extractor: "noop",
+			CacheKey: &CacheKey{ContentHash: fmt.Sprintf("h-%d", i), Version: "noop@1"},
 			Metadata: json.RawMessage(`{"i":` + fmt.Sprint(i) + `}`)}); err != nil {
 			t.Fatal(err)
 		}
@@ -465,6 +467,10 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 				rec = Record{Type: RecStepCompleted, JobID: jobID, FamilyID: fmt.Sprintf("f%d", rng.Intn(9)),
 					GroupID: fmt.Sprintf("g%d", rng.Intn(9)), Extractor: "noop",
 					Metadata: json.RawMessage(fmt.Sprintf(`{"v":%d}`, rng.Intn(100)))}
+				// Half the steps are cacheable, and only those are folded.
+				if rng.Intn(2) == 0 {
+					rec.CacheKey = &CacheKey{ContentHash: fmt.Sprintf("h%d", rng.Intn(9)), Version: "noop@1"}
+				}
 			case 3:
 				rec = Record{Type: RecStepRetried, JobID: jobID, Attempt: rng.Intn(3)}
 			case 4:
@@ -660,7 +666,7 @@ func TestRecordEncoderMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, next, ok := readFrame(framed, 0)
+		payload, next, ok := readFrame(framed, 0, maxRecordBytes)
 		if !ok || next != len(framed) || !bytes.Equal(payload, fast) {
 			t.Fatalf("frame round trip broken for %s", rec.Type)
 		}
@@ -742,7 +748,8 @@ func TestDeferredMetadataVisibleInSnapshot(t *testing.T) {
 	}
 	md := map[string]interface{}{"rows": float64(3), "label": "ok"}
 	if err := j.Append(Record{Type: RecStepCompleted, JobID: "job-1",
-		FamilyID: "f", GroupID: "g", Extractor: "x", MetadataObj: md}); err != nil {
+		FamilyID: "f", GroupID: "g", Extractor: "x", MetadataObj: md,
+		CacheKey: &CacheKey{ContentHash: "h", Version: "x@1"}}); err != nil {
 		t.Fatal(err)
 	}
 	snap, ok := j.JobSnapshot("job-1")
@@ -756,5 +763,63 @@ func TestDeferredMetadataVisibleInSnapshot(t *testing.T) {
 	want, _ := json.Marshal(md)
 	if !bytes.Equal(step.Metadata, want) {
 		t.Fatalf("snapshot metadata = %s, want %s", step.Metadata, want)
+	}
+}
+
+// TestOversizedStepIsJournaledWithoutMetadata: a step completion whose
+// frame would pass the bound replay holds segments to is written without
+// its metadata — recovery re-extracts that step — so neither it nor the
+// records after it are lost to replay.
+func TestOversizedStepIsJournaledWithoutMetadata(t *testing.T) {
+	dir := memDir(t)
+	j := mustOpen(t, dir, Options{CompactSegments: -1})
+	key := &CacheKey{ContentHash: "h", Version: "x@1"}
+	huge := json.RawMessage(`{"blob":"` + strings.Repeat("x", maxRecordBytes) + `"}`)
+	for _, rec := range []Record{
+		{Type: RecJobSubmitted, JobID: "job-1", Spec: &JobSpec{}},
+		{Type: RecStepCompleted, JobID: "job-1", FamilyID: "f", GroupID: "huge", Extractor: "x", CacheKey: key, Metadata: huge},
+		{Type: RecStepCompleted, JobID: "job-1", FamilyID: "f", GroupID: "small", Extractor: "x", CacheKey: key, Metadata: json.RawMessage(`{"v":1}`)},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, _ := j.JobSnapshot("job-1")
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, info, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastSeq != 3 || info.Records != 3 || info.CorruptSegments != 0 || info.SeqGap {
+		t.Fatalf("replay = LastSeq %d, %+v; want all 3 records, undamaged", st.LastSeq, info)
+	}
+	for name, js := range map[string]*JobState{"live": live, "replayed": st.Jobs["job-1"]} {
+		if _, ok := js.Steps[StepKey("f", "small", "x")]; !ok || len(js.Steps) != 1 {
+			t.Fatalf("%s fold holds %d steps; want only the small one", name, len(js.Steps))
+		}
+	}
+}
+
+// TestOversizedRecordIsAnEncodeError: any other record over the bound is
+// refused like an unencodable one, and nothing replay would take for
+// damage reaches the segment.
+func TestOversizedRecordIsAnEncodeError(t *testing.T) {
+	dir := memDir(t)
+	j := mustOpen(t, dir, Options{CompactSegments: -1})
+	appendN(t, j, 1)
+	err := j.Append(Record{Type: RecStepDeadLettered, JobID: "job-1", FamilyID: "f",
+		Reason: strings.Repeat("x", maxRecordBytes)})
+	if !errors.Is(err, errRecordTooLarge) {
+		t.Fatalf("oversized append = %v, want errRecordTooLarge", err)
+	}
+	_ = j.Close()
+	st, info, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LastSeq != 1 || info.CorruptSegments != 0 || info.TornTail {
+		t.Fatalf("replay = LastSeq %d, %+v; want the submission alone, undamaged", st.LastSeq, info)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"xtract/internal/fastjson"
 	"xtract/internal/registry"
 )
 
@@ -43,7 +44,8 @@ type JobState struct {
 	Err       string   `json:"err,omitempty"`
 	// Families maps journaled family IDs to their group counts.
 	Families map[string]int `json:"families,omitempty"`
-	// Steps maps StepKey(...) to the journaled completion.
+	// Steps maps StepKey(...) to the journaled completion, for the steps
+	// recovery can seed: those with a cache key and an object body.
 	Steps        map[string]StepDone `json:"steps,omitempty"`
 	Retries      int                 `json:"retries,omitempty"`
 	DeadLettered int                 `json:"dead_lettered,omitempty"`
@@ -77,23 +79,6 @@ type State struct {
 // NewState returns an empty fold.
 func NewState() *State {
 	return &State{Jobs: make(map[string]*JobState)}
-}
-
-// clone deep-copies the state via its JSON form (snapshots use the same
-// encoding, so the round trip is exact).
-func (s *State) clone() *State {
-	blob, err := json.Marshal(s)
-	if err != nil {
-		return NewState()
-	}
-	out := NewState()
-	if err := json.Unmarshal(blob, out); err != nil {
-		return NewState()
-	}
-	if out.Jobs == nil {
-		out.Jobs = make(map[string]*JobState)
-	}
-	return out
 }
 
 // JobIDs lists journaled jobs in a stable order.
@@ -138,17 +123,7 @@ func (s *State) Apply(rec Record) {
 				func(dl registry.DeadLetter) bool { return dl.FamilyID == rec.FamilyID })
 		}
 	case RecStepCompleted:
-		if job.Steps == nil {
-			job.Steps = make(map[string]StepDone)
-		}
-		job.Steps[StepKey(rec.FamilyID, rec.GroupID, rec.Extractor)] = StepDone{
-			FamilyID:  rec.FamilyID,
-			GroupID:   rec.GroupID,
-			Extractor: rec.Extractor,
-			Cached:    rec.Cached,
-			CacheKey:  rec.CacheKey,
-			Metadata:  rec.Metadata,
-		}
+		job.foldStep(&rec)
 	case RecStepRetried:
 		job.Retries++
 	case RecStepDeadLettered:
@@ -184,6 +159,31 @@ func (s *State) Apply(rec Record) {
 			job.LeaseEpoch = rec.Epoch
 			job.LeaseExpiry = ""
 		}
+	}
+}
+
+// foldStep keeps a step completion only if recovery can seed it: a cache
+// key and an object body, the set resumeJob reads. A no_cache job's steps
+// would otherwise hold memory in proportion to its size, and every
+// snapshot would carry them. A later completion of the same step replaces
+// the entry, so one that cannot be seeded drops it.
+func (j *JobState) foldStep(rec *Record) {
+	if rec.CacheKey == nil || !fastjson.IsObject(rec.Metadata) {
+		if len(j.Steps) > 0 {
+			delete(j.Steps, StepKey(rec.FamilyID, rec.GroupID, rec.Extractor))
+		}
+		return
+	}
+	if j.Steps == nil {
+		j.Steps = make(map[string]StepDone)
+	}
+	j.Steps[StepKey(rec.FamilyID, rec.GroupID, rec.Extractor)] = StepDone{
+		FamilyID:  rec.FamilyID,
+		GroupID:   rec.GroupID,
+		Extractor: rec.Extractor,
+		Cached:    rec.Cached,
+		CacheKey:  rec.CacheKey,
+		Metadata:  rec.Metadata,
 	}
 }
 
@@ -284,7 +284,7 @@ func newestSnapshot(dir Dir, snaps []string, info *ReplayInfo) *State {
 		if err != nil {
 			continue
 		}
-		payload, _, ok := readFrame(data, 0)
+		payload, _, ok := readFrame(data, 0, len(data))
 		if !ok {
 			continue
 		}
@@ -307,7 +307,7 @@ func newestSnapshot(dir Dir, snaps []string, info *ReplayInfo) *State {
 // false when it stopped at damage.
 func (s *State) applySegment(data []byte, info *ReplayInfo) bool {
 	for off := 0; off < len(data); {
-		payload, next, ok := readFrame(data, off)
+		payload, next, ok := readFrame(data, off, maxRecordBytes)
 		if !ok {
 			return false
 		}
