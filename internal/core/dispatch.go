@@ -322,8 +322,8 @@ func (d *dispatcher) terminal(id string, info faas.TaskInfo) {
 
 // releaseAbandoned returns every fair-share task slot this shard still
 // holds when its job context ends: steps buffered in buckets, tasks built
-// but not yet submitted, and tasks outstanding on the fabric (their records
-// dropped, their pipeline depth given back); the pump's teardown returns
+// but not yet submitted, and tasks outstanding on the fabric (cancelled,
+// their records dropped, their pipeline depth given back); the pump's teardown returns
 // what is left in the feed. Without this sweep a cancelled job would
 // permanently shrink the global slot budget.
 func (d *dispatcher) releaseAbandoned() {
@@ -336,7 +336,10 @@ func (d *dispatcher) releaseAbandoned() {
 	}
 	for id, t := range d.out {
 		n += len(t.refs)
-		d.s.cfg.FaaS.Forget(id) // nobody will read these results
+		// Nobody will read these results: a task still running is
+		// cancelled, which ends its handler's context between steps.
+		d.s.cfg.FaaS.CancelTask(id)
+		d.s.cfg.FaaS.Forget(id)
 	}
 	d.s.obsPipelineDepth.Add(-float64(len(d.out)))
 	d.s.cfg.Tenants.ReleaseTasks(d.tenant, n)

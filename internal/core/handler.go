@@ -73,10 +73,10 @@ func (s *Service) makeHandler(site *Site, ext extractors.Extractor) func(context
 		result := taskResult{Extractor: task.Extractor}
 		size := 64
 		for _, step := range task.Steps {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			default:
+			// The context ends with the task: a task declared lost or
+			// cancelled stops here, between steps.
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			out := s.runStep(site, ext, task, step)
 			size += 96 + len(out.Err) + len(out.Metadata)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"time"
 
@@ -73,6 +74,9 @@ type pump struct {
 	// signal) per family. The send copies the bodies; both reset after it.
 	pendingResults [][]byte
 	resultBuf      []byte
+	// recordBuf is where finishFamily encodes one record's file list and
+	// metadata before AppendRecord copies them into resultBuf.
+	recordBuf []byte
 	// submitted is the submission gate (nil: open). It closes once
 	// job_submitted is durable or the journal has failed; until then no
 	// result leaves the pump — job IDs are re-issued after a crash, so a
@@ -280,8 +284,8 @@ func (p *pump) takeFamilies(fams []family.Family) {
 			// and journal record.
 			continue
 		}
-		p.s.obs.Emitf(p.JobID, obs.EvFamilyEnqueued, "family=%s groups=%d bytes=%d",
-			fam.ID, len(fam.Groups), fam.TotalBytes())
+		p.s.obs.Emit(p.JobID, obs.EvFamilyEnqueued, "family="+fam.ID+" groups="+strconv.Itoa(len(fam.Groups))+
+			" bytes="+strconv.FormatInt(fam.TotalBytes(), 10))
 		p.journal(journal.Record{
 			Type: journal.RecFamilyEnqueued, FamilyID: fam.ID, Groups: len(fam.Groups),
 		})

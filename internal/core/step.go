@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
 	"xtract/internal/cache"
@@ -90,9 +91,7 @@ type famState struct {
 	stage string
 	// results holds each finished step's metadata as the worker encoded
 	// it; the bytes are shared with the cache and the journal.
-	results map[string]fastjson.Raw
-	// extracted is the per-step provenance the validation record carries.
-	extracted []validate.StepResult
+	results   map[string]fastjson.Raw
 	fetchFrom string // direct-fetch source endpoint ("" = local/staged)
 
 	// prefetchBody is the serialized staging task, kept for re-sends; only
@@ -183,12 +182,12 @@ func (p *pump) offer(st *famState, idx int) {
 // step first — a step already done (or dead-lettered) has had its
 // effects, so a second completion is counted and changes nothing,
 // whether it came from a hedged duplicate or anywhere else — and then
-// runs each effect once: validation provenance, plan growth, the
-// family's results, the step_completed journal record, tenant billing,
-// counters, the latency estimator, and the hedge win with its losers'
-// cancellation. The cache write is not among them: the worker that
-// extracted the step made it, under the content-addressed key, so a
-// second write by a duplicate is the same entry again.
+// runs each effect once: plan growth, the family's results, the
+// step_completed journal record, tenant billing, counters, the latency
+// estimator, and the hedge win with its losers' cancellation. The cache
+// write is not among them: the worker that extracted the step made it,
+// under the content-addressed key, so a second write by a duplicate is
+// the same entry again.
 func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	ss := &st.steps[idx]
 	if ss.phase >= stepDone {
@@ -198,10 +197,6 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	}
 	ss.phase = stepDone
 	step := ss.step
-	st.extracted = append(st.extracted, validate.StepResult{
-		GroupID: step.GroupID, Extractor: step.Extractor,
-		OK: true, Cached: o.cached, Duration: o.dur,
-	})
 	st.plan.Complete(step, extractors.Suggestions(o.md))
 	st.results[step.GroupID+"/"+step.Extractor] = o.md
 	if p.s.cfg.Journal != nil {
@@ -224,9 +219,8 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	if o.cached {
 		p.CacheHits++
 		p.s.obsCacheHits.Inc()
-		p.s.obs.Emitf(p.JobID, obs.EvStepCacheHit,
-			"family=%s group=%s extractor=%s replayed from cache",
-			st.fam.ID, step.GroupID, step.Extractor)
+		p.s.obs.Emit(p.JobID, obs.EvStepCacheHit, "family="+st.fam.ID+" group="+step.GroupID+
+			" extractor="+step.Extractor+" replayed from cache")
 		return
 	}
 	// With hedging the estimator learns the span the hedge deadline is
@@ -338,10 +332,6 @@ func (p *pump) deadLetterStep(st *famState, idx int, cause string) {
 		At:        p.s.clk.Now(),
 	}
 	_ = p.s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) { j.AddDeadLetter(dl) })
-	st.extracted = append(st.extracted, validate.StepResult{
-		GroupID: step.GroupID, Extractor: step.Extractor,
-		OK: false, Err: "dead-lettered: " + cause,
-	})
 	p.s.obs.Emitf(p.JobID, obs.EvTaskDeadLettered,
 		"family=%s group=%s extractor=%s attempts=%d cause=%s",
 		st.fam.ID, step.GroupID, step.Extractor, ss.attempts, cause)
@@ -456,9 +446,8 @@ func (p *pump) finishFamily(st *famState) {
 			return
 		}
 		// Inside the straggler budget: the family finishes degraded — its
-		// validation record ships below with the dead-lettered steps
-		// marked OK:false, preserving the partial metadata instead of
-		// discarding the whole family.
+		// validation record ships below with the metadata of the steps
+		// that did finish, instead of discarding the whole family.
 		p.FamiliesDegraded++
 		p.s.obs.Emitf(p.JobID, obs.EvFamilyDone,
 			"family=%s degraded: %d steps dead-lettered within straggler budget",
@@ -469,14 +458,18 @@ func (p *pump) finishFamily(st *famState) {
 		files = append(files, f)
 	}
 	sort.Strings(files) // the same family writes the same document every run
+	// The file list and the metadata are encoded once, here, and from
+	// there on only spliced: into the record, then into the document.
+	p.recordBuf = fastjson.AppendStrings(p.recordBuf[:0], files)
+	n := len(p.recordBuf)
+	p.recordBuf = fastjson.AppendRawMap(p.recordBuf, st.results)
 	rec := validate.Record{
-		JobID:     p.JobID,
-		FamilyID:  st.fam.ID,
-		Store:     st.fam.Store,
-		BasePath:  st.fam.BasePath,
-		Files:     files,
-		Metadata:  st.results,
-		Extracted: st.extracted,
+		JobID:    p.JobID,
+		FamilyID: st.fam.ID,
+		Store:    st.fam.Store,
+		BasePath: st.fam.BasePath,
+		Files:    p.recordBuf[:n],
+		Metadata: p.recordBuf[n:],
 	}
 	start := len(p.resultBuf)
 	// The record splices metadata the worker already encoded (a dictionary
@@ -485,7 +478,7 @@ func (p *pump) finishFamily(st *famState) {
 	p.pendingResults = append(p.pendingResults, p.resultBuf[start:])
 	p.FamiliesDone++
 	p.s.obsFamiliesDone.Inc()
-	p.s.obs.Emitf(p.JobID, obs.EvFamilyDone, "family=%s steps=%d", st.fam.ID, len(st.extracted))
+	p.s.obs.Emit(p.JobID, obs.EvFamilyDone, "family="+st.fam.ID+" steps="+strconv.Itoa(len(st.steps)))
 }
 
 // What follows is hedged speculative execution: a policy that proposes a
@@ -498,6 +491,15 @@ func (p *pump) finishFamily(st *famState) {
 // it, for loser cancellation, and — for first-attempt tasks — the adaptive
 // hedge deadline is armed, scaled by the number of steps the task carries.
 func (p *pump) noteAccepted(t *task) {
+	if settled(t) {
+		// Every step it carries was committed before the fabric's accept
+		// reached the pump, so cancelLosers could not see it: a loser all
+		// the same, and left running it would extract for nobody.
+		if p.s.cfg.FaaS.CancelTask(t.id) {
+			p.s.obsHedgeCancelled.Inc()
+		}
+		return
+	}
 	for _, r := range t.refs {
 		ss := &r.st.steps[r.idx]
 		ss.tasks = append(ss.tasks, t)
@@ -600,16 +602,19 @@ func (p *pump) cancelLosers(ss *stepState, winner *task) {
 		if t == winner || t.ended {
 			continue
 		}
-		all := true
-		for _, r := range t.refs {
-			if r.st.steps[r.idx].phase < stepDone {
-				all = false
-				break
-			}
-		}
-		if all && p.s.cfg.FaaS.CancelTask(t.id) {
+		if settled(t) && p.s.cfg.FaaS.CancelTask(t.id) {
 			p.s.obsHedgeCancelled.Inc()
 		}
 	}
 	ss.tasks = nil
+}
+
+// settled reports whether every step t carries is done or dead-lettered.
+func settled(t *task) bool {
+	for _, r := range t.refs {
+		if r.st.steps[r.idx].phase < stepDone {
+			return false
+		}
+	}
+	return true
 }

@@ -169,7 +169,7 @@ type effects struct {
 	completed, retried, deadLettered int // journal records
 	billed, billedCached, billedFail int64
 	cacheWrites                      int64
-	results, extracted               int // the family's own record
+	results                          int // the family's own record
 	stats                            JobStats
 }
 
@@ -184,7 +184,7 @@ func (m *machine) effects(st *famState) effects {
 		cacheWrites: m.disk.writes.Load(), stats: m.p.JobStats,
 	}
 	if st != nil {
-		e.results, e.extracted = len(st.results), len(st.extracted)
+		e.results = len(st.results)
 	}
 	e.stats.JobID = ""
 	return e
@@ -192,7 +192,7 @@ func (m *machine) effects(st *famState) effects {
 
 // committed is what one fresh completion causes, and nothing else may: no
 // cache write among it, since the worker that extracted the step made it.
-var committed = effects{completed: 1, billed: 1, results: 1, extracted: 1,
+var committed = effects{completed: 1, billed: 1, results: 1,
 	stats: JobStats{StepsProcessed: 1}}
 
 func TestStepTransitions(t *testing.T) {
@@ -220,7 +220,7 @@ func TestStepTransitions(t *testing.T) {
 		m.p.handleEvents()
 	}
 	backedOff := effects{retried: 1, stats: JobStats{StepsRetried: 1}}
-	quarantined := effects{deadLettered: 1, billedFail: 1, extracted: 1,
+	quarantined := effects{deadLettered: 1, billedFail: 1,
 		stats: JobStats{StepsFailed: 1, StepsDeadLettered: 1, FamiliesFailed: 1}}
 	duplicate := effects{stats: JobStats{DuplicateSteps: 1}}
 	// A commit out of a non-terminal phase is the first completion and
@@ -326,13 +326,10 @@ func TestStepOfferedToTheCache(t *testing.T) {
 	if missed.phase != stepDone || st.phase != famFinished {
 		t.Fatalf("retried step phase %d, family %d; want done from the cache", missed.phase, st.phase)
 	}
-	want := effects{completed: 2, retried: 1, billed: 2, billedCached: 2, results: 2, extracted: 2,
+	want := effects{completed: 2, retried: 1, billed: 2, billedCached: 2, results: 2,
 		stats: JobStats{StepsProcessed: 2, CacheHits: 2, CacheMisses: 1, StepsRetried: 1, TasksResubmitted: 1, FamiliesDone: 1}}
 	if got := m.effects(st); got != want {
 		t.Fatalf("effects\n got %+v\nwant %+v", got, want)
-	}
-	if !st.extracted[0].Cached || !st.extracted[1].Cached {
-		t.Fatalf("provenance %+v, want both steps cached", st.extracted)
 	}
 }
 
@@ -541,5 +538,34 @@ func TestHedgeDeadlineAndBackoffFireInTimeOrder(t *testing.T) {
 	}
 	if m.p.fireHedge(t0) {
 		t.Fatal("a finished task was hedged")
+	}
+}
+
+// TestLateAcceptedLoserIsCancelled: a duplicate whose task-accepted event
+// reaches the pump only after every step it carries has committed is
+// cancelled there — cancelLosers ran before the pump knew of it — so its
+// handler, whose context ends with the task, extracts nothing more.
+func TestLateAcceptedLoserIsCancelled(t *testing.T) {
+	m := newMachine(t, nil)
+	st := m.family("f", 1)
+	m.put(st, 0, stepInflight, 2, 1)
+	fsvc := m.svc.cfg.FaaS
+	fid, err := fsvc.RegisterFunction("parked", func(context.Context, []byte) ([]byte, error) { return nil, nil }, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := fsvc.SubmitBatch([]faas.TaskRequest{{FunctionID: fid, EndpointID: "ep-x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	winner, loser := m.accepted("t-win", false, stepRef{st, 0}), m.accepted(ids[0], true, stepRef{st, 0})
+	m.p.noteAccepted(winner)
+	m.p.resolveTask(m.terminal(winner, faas.TaskSuccess, []stepOutcome{ok(st, 0)}))
+	if info, _ := fsvc.Poll(ids[0]); info.Status.Terminal() {
+		t.Fatalf("loser ended before its accept arrived: %+v", info)
+	}
+	m.p.noteAccepted(loser)
+	if info, _ := fsvc.Poll(ids[0]); info.Status != faas.TaskFailed || info.Err != faas.ErrTaskCancelled.Error() {
+		t.Fatalf("late-accepted loser %+v, want cancelled", info)
 	}
 }

@@ -310,7 +310,7 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 // work is one crawl worker: it lists directories off the queue until the
 // crawl drains or ctx ends, handing each directory's counts to add.
 func (c *Crawler) work(ctx context.Context, dq *dirQueue, seed int64, add func(Stats)) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(&lazySource{seed: seed})
 	for {
 		dir, ok := dq.pop()
 		// A cancelled crawl lists nothing more, backlog or not.
@@ -323,6 +323,26 @@ func (c *Crawler) work(ctx context.Context, dq *dirQueue, seed int64, add func(S
 		dq.done()
 	}
 }
+
+// lazySource is math/rand's source for seed, built on its first draw:
+// seeding one costs more than most crawls spend on Karger splits, and a
+// worker whose directories never need one never draws. The draws are the
+// ones rand.NewSource(seed) would give.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) get() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.get().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.get().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // scale is elastic scaling: it spawns workers while the backlog outruns
 // the pool of current, up to MaxWorkers, and reports how many it added.

@@ -624,3 +624,23 @@ func TestMatIOFamiliesMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestLazySourceDrawsWhatItsSeedWould: a crawl worker's source is seeded
+// on its first draw, not when the worker starts, and gives the draws
+// rand.NewSource of the same seed gives, so the families a crawl forms
+// are unchanged.
+func TestLazySourceDrawsWhatItsSeedWould(t *testing.T) {
+	lazy := &lazySource{seed: 42}
+	got, want := rand.New(lazy), rand.New(rand.NewSource(42))
+	if lazy.src != nil {
+		t.Fatal("source seeded before its first draw")
+	}
+	for i := 0; i < 1000; i++ {
+		if g, w := got.Intn(1+i), want.Intn(1+i); g != w {
+			t.Fatalf("draw %d: %d, want %d", i, g, w)
+		}
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("draw %d: %d, want %d", i, g, w)
+		}
+	}
+}

@@ -2,9 +2,12 @@ package faas
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"xtract/internal/clock"
 	"xtract/internal/faultinject"
 )
 
@@ -196,3 +199,74 @@ func TestCancelDuringSlowSleepAbortsPromptly(t *testing.T) {
 	default:
 	}
 }
+
+// TestLostTaskHandlerStopsBetweenSteps: a task declared lost while its
+// handler runs -- here its endpoint misses its heartbeats -- has its
+// handler's context ended, so a handler that checks it between steps
+// runs no step after the loss, though its endpoint keeps running.
+func TestLostTaskHandlerStopsBetweenSteps(t *testing.T) {
+	clk := clock.NewFake(time.Unix(0, 0))
+	svc := NewService(clk, Costs{})
+	svc.HeartbeatTimeout = 10 * time.Second
+	svc.SetFaults(silent{})
+	ep := NewEndpoint("ep1", 1, clk)
+	svc.RegisterEndpoint(ep)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := ep.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	inStep, next := make(chan int, 3), make(chan struct{})
+	var ran atomic.Int32
+	stopped := make(chan error, 1)
+	fid, err := svc.RegisterFunction("steps", func(ctx context.Context, _ []byte) ([]byte, error) {
+		for step := 0; step < 3; step++ {
+			if err := ctx.Err(); err != nil {
+				stopped <- err
+				return nil, err
+			}
+			ran.Add(1)
+			inStep <- step
+			<-next
+		}
+		stopped <- nil
+		return []byte("done"), nil
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-inStep
+	clk.Advance(svc.HeartbeatTimeout + time.Second)
+	if dead := svc.CheckHeartbeats(); len(dead) != 1 {
+		t.Fatalf("dead endpoints = %v", dead)
+	}
+	if info, _ := svc.Poll(id); info.Status != TaskLost {
+		t.Fatalf("status = %v, want lost", info.Status)
+	}
+	close(next) // the step in flight finishes
+	select {
+	case err := <-stopped:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("handler ended with %v, want a cancelled context", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler did not return")
+	}
+	if n := ran.Load(); n != 1 {
+		t.Fatalf("handler ran %d steps, want the one in flight at the loss", n)
+	}
+	if ep.Stopped() {
+		t.Fatal("endpoint stopped; the loss was its heartbeat's")
+	}
+}
+
+// silent drops every heartbeat and injects nothing else.
+type silent struct{}
+
+func (silent) DispatchFault(string) error { return nil }
+func (silent) HeartbeatDrop(string) bool  { return true }
+func (silent) EndpointCrash(string) bool  { return false }

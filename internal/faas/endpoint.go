@@ -218,6 +218,13 @@ func (e *Endpoint) worker(ctx context.Context) {
 
 func (e *Endpoint) execute(ctx context.Context, item *dispatchItem) {
 	t, fn := item.t, item.fn
+	// The handler's context also ends when the task turns terminal under
+	// it -- lost with its endpoint's heartbeat, cancelled as a hedge
+	// loser -- so a batch whose retry may already have finished the job
+	// stops between steps instead of extracting on. The terminal
+	// transition cancels it; no goroutine waits for that.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	t.mu.Lock()
 	if t.info.Status.Terminal() {
 		t.mu.Unlock()
@@ -225,6 +232,7 @@ func (e *Endpoint) execute(ctx context.Context, item *dispatchItem) {
 	}
 	t.info.Status = TaskRunning
 	t.info.Started = e.clk.Now()
+	t.stop = cancel
 	payload := t.payload
 	t.mu.Unlock()
 

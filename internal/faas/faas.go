@@ -146,6 +146,8 @@ type task struct {
 	info    TaskInfo
 	payload []byte
 	doneCh  chan struct{}
+	// stop ends the context the handler runs under; set while it runs.
+	stop context.CancelFunc
 	// subs are completion sinks to notify when the task turns terminal.
 	subs []*CompletionSink
 }
@@ -155,6 +157,10 @@ type task struct {
 // subscribed sink receives the final snapshot.
 func (t *task) publishUnlock() {
 	close(t.doneCh)
+	if t.stop != nil {
+		t.stop()
+		t.stop = nil
+	}
 	info, subs := t.info, t.subs
 	t.subs = nil
 	t.mu.Unlock()

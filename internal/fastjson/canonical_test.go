@@ -323,3 +323,62 @@ func TestDecRawObjectAndStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDecRawMapAndRawStrings: input already in AppendRawMap's or
+// AppendStrings' form comes back as the input's own bytes; anything else
+// comes back in that form, freshly encoded.
+func TestDecRawMapAndRawStrings(t *testing.T) {
+	type tc struct {
+		in, want string
+		aliased  bool
+	}
+	check := func(name string, c tc, read func(*Dec) (Raw, error)) {
+		d := NewDec([]byte(c.in))
+		got, err := read(d)
+		if err != nil || string(got) != c.want {
+			t.Errorf("%s(%s) = %s, %v; want %s", name, c.in, got, err, c.want)
+		} else if aliased := &got[0] == &d.data[0]; aliased != c.aliased {
+			t.Errorf("%s(%s): aliases the input = %v", name, c.in, aliased)
+		}
+	}
+	for _, c := range []tc{
+		{`{"a":{},"b":null}`, `{"a":{},"b":null}`, true},
+		{`{"a":null,"b":{ "x" : 1 }}`, `{"a":null,"b":{ "x" : 1 }}`, true},
+		{`{}`, `{}`, true},
+		{`{ "a":{}}`, `{"a":{}}`, false},
+		{`{"b":{},"a":{}}`, `{"a":{},"b":{}}`, false},
+		{`{"a":{"x":1},"a":null}`, `{"a":null}`, false},
+		// Keys order by their decoded bytes: an escaped one is re-encoded.
+		{`{"a\u003c":{}}`, `{"a\u003c":{}}`, false},
+	} {
+		check("RawMap", c, (*Dec).RawMap)
+	}
+	for _, c := range []tc{
+		{`["a","b c/é"]`, `["a","b c/é"]`, true},
+		{`["a","\u003c \n\u001f\u2028"]`, `["a","\u003c \n\u001f\u2028"]`, false},
+		{`[]`, `[]`, true},
+		{`[ ]`, `[]`, false},
+		{`["a" ,"b"]`, `["a","b"]`, false},
+		{`["\/"]`, `["/"]`, false},
+		{`["\u000a"]`, `["\n"]`, false},
+		{"[\"<\xff\"]", "[\"\\u003c\uFFFD\"]", false},
+	} {
+		check("RawStrings", c, (*Dec).RawStrings)
+	}
+	for _, bad := range []string{`[]`, `{"a":1}`, `{"a":[]}`, `{"a":"s"}`, `{"a":{},}`, `{"a"}`, `{"a":{"b":}}`, `{1:{}}`} {
+		if _, err := NewDec([]byte(bad)).RawMap(); err == nil {
+			t.Errorf("RawMap accepted %s", bad)
+		}
+	}
+	for _, bad := range []string{`{}`, `["a",1]`, `["a",null]`, `"s"`, `["a",]`, `["\x"]`} {
+		if _, err := NewDec([]byte(bad)).RawStrings(); err == nil {
+			t.Errorf("RawStrings accepted %s", bad)
+		}
+	}
+	if got, err := NewDec([]byte(` null`)).RawMap(); got != nil || err != nil {
+		t.Errorf("RawMap(null) = %q, %v", got, err)
+	}
+	if got, err := NewDec([]byte(`null`)).RawStrings(); got != nil || err != nil {
+		t.Errorf("RawStrings(null) = %q, %v", got, err)
+	}
+}

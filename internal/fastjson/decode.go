@@ -39,19 +39,15 @@ func (d *Dec) Reset(data []byte) {
 }
 
 func (d *Dec) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("fastjson: offset %d: "+format, append([]interface{}{d.pos}, args...)...)
+	return errAt(d.pos, format, args...)
 }
 
-func (d *Dec) skipWS() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
+// errAt reports a syntax error at offset pos.
+func errAt(pos int, format string, args ...interface{}) error {
+	return fmt.Errorf("fastjson: offset %d: "+format, append([]interface{}{pos}, args...)...)
 }
+
+func (d *Dec) skipWS() { d.pos = skipSpace(d.data, d.pos) }
 
 // peek skips whitespace and returns the next byte without consuming it.
 func (d *Dec) peek() (byte, error) {
@@ -250,7 +246,7 @@ func (d *Dec) strSlow(start int) ([]byte, error) {
 				buf = append(buf, '\t')
 				i++
 			case 'u':
-				r := d.hex4(i + 1)
+				r := hex4(d.data, i+1)
 				if r < 0 {
 					d.pos = i - 1
 					return nil, d.errf("invalid \\u escape")
@@ -259,7 +255,7 @@ func (d *Dec) strSlow(start int) ([]byte, error) {
 				if utf16.IsSurrogate(r) {
 					var r2 rune = -1
 					if i+1 < len(d.data) && d.data[i] == '\\' && d.data[i+1] == 'u' {
-						r2 = d.hex4(i + 2)
+						r2 = hex4(d.data, i+2)
 					}
 					if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
 						i += 6
@@ -296,12 +292,12 @@ func (d *Dec) strSlow(start int) ([]byte, error) {
 
 // hex4 parses the four hex digits of a \uXXXX escape starting at off,
 // returning -1 if they are missing or malformed.
-func (d *Dec) hex4(off int) rune {
-	if off+4 > len(d.data) {
+func hex4(data []byte, off int) rune {
+	if off+4 > len(data) {
 		return -1
 	}
 	var r rune
-	for _, b := range d.data[off : off+4] {
+	for _, b := range data[off : off+4] {
 		switch {
 		case b >= '0' && b <= '9':
 			r = r<<4 | rune(b-'0')
@@ -343,59 +339,19 @@ func (d *Dec) Null() bool {
 	return d.lit("null")
 }
 
-// numberLiteral consumes a number matching JSON's strict grammar
-// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) and returns its raw
-// bytes.
+// numberLiteral consumes a number matching JSON's strict grammar (see
+// scanNumber) and returns its raw bytes.
 func (d *Dec) numberLiteral() ([]byte, error) {
-	c, err := d.peek()
+	if _, err := d.peek(); err != nil {
+		return nil, err
+	}
+	start := d.pos
+	end, err := scanNumber(d.data, start)
 	if err != nil {
 		return nil, err
 	}
-	data, n := d.data, len(d.data)
-	start := d.pos
-	i := start
-	if c == '-' {
-		i++
-	}
-	if i >= n {
-		return nil, d.errf("truncated number")
-	}
-	switch {
-	case data[i] == '0':
-		i++
-	case data[i] >= '1' && data[i] <= '9':
-		i++
-		for i < n && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-	default:
-		return nil, d.errf("invalid character %q looking for a value", data[i])
-	}
-	if i < n && data[i] == '.' {
-		i++
-		if i >= n || data[i] < '0' || data[i] > '9' {
-			d.pos = i
-			return nil, d.errf("missing digits after decimal point")
-		}
-		for i < n && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-	}
-	if i < n && (data[i] == 'e' || data[i] == 'E') {
-		i++
-		if i < n && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if i >= n || data[i] < '0' || data[i] > '9' {
-			d.pos = i
-			return nil, d.errf("missing digits in exponent")
-		}
-		for i < n && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-	}
-	d.pos = i
-	return data[start:i], nil
+	d.pos = end
+	return d.data[start:end], nil
 }
 
 // Float consumes a number as float64. Short non-negative integer
@@ -465,32 +421,257 @@ func (d *Dec) Int64() (int64, error) {
 	return v, nil
 }
 
-// Skip consumes and discards any single value.
+// Skip consumes and discards any single value, holding it to the same
+// grammar as the typed reads and the same nesting bound. It is one loop
+// over the value's bytes, with no closures and no recursion: opens
+// remembers, a bit per open container, which are objects (read back only
+// when one closes), and strings are checked without being decoded.
 func (d *Dec) Skip() error {
-	c, err := d.peek()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case '{':
-		return d.ObjEach(func([]byte) error { return d.Skip() })
-	case '[':
-		return d.ArrEach(func() error { return d.Skip() })
-	case '"':
-		_, err := d.str()
-		return err
-	case 't', 'f':
-		_, err := d.Bool()
-		return err
-	case 'n':
-		if d.Null() {
+	data := d.data
+	var opens openSet
+	open, i := 0, d.pos
+	object := false // the innermost open container is an object
+	var err error
+	for {
+		// A value starts at i, after any whitespace.
+		if i = skipSpace(data, i); i >= len(data) {
+			return d.eof()
+		}
+		switch c := data[i]; c {
+		case '{', '[':
+			if d.depth+open >= maxDepth {
+				d.pos = i
+				return d.errf("exceeded max nesting depth")
+			}
+			if i = skipSpace(data, i+1); i >= len(data) {
+				return d.eof()
+			}
+			if data[i] != c+2 { // not '}' or ']' at once: a member follows
+				object = c == '{'
+				opens.set(open, object)
+				open++
+				if object {
+					i, err = scanKey(data, i)
+				}
+				if err != nil {
+					return err
+				}
+				continue
+			}
+			i++
+		case '"':
+			i, err = scanString(data, i)
+		case 't':
+			i, err = scanLiteral(data, i, "true")
+		case 'f':
+			i, err = scanLiteral(data, i, "false")
+		case 'n':
+			i, err = scanLiteral(data, i, "null")
+		default:
+			i, err = scanNumber(data, i)
+		}
+		if err != nil {
+			return err
+		}
+		// A value ended at i: close every container it ends, then step to
+		// the next member of the innermost one still open.
+		for open > 0 {
+			if i = skipSpace(data, i); i >= len(data) {
+				return d.eof()
+			}
+			if data[i] == ',' {
+				if i++; object {
+					i, err = scanKey(data, i)
+				}
+				break
+			}
+			if object && data[i] != '}' || !object && data[i] != ']' {
+				return unclosed(data, i, object)
+			}
+			i++
+			if open--; open > 0 {
+				object = opens.isObject(open - 1)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if open == 0 {
+			d.pos = i
 			return nil
 		}
-		return d.errf("invalid literal")
-	default:
-		_, err := d.numberLiteral()
-		return err
 	}
+}
+
+// unclosed reports the byte at i, where a member of an object or an
+// array should have been followed by a comma or the closing bracket.
+func unclosed(data []byte, i int, object bool) error {
+	if object {
+		return errAt(i, "expected ',' or '}' in object, found %q", data[i])
+	}
+	return errAt(i, "expected ',' or ']' in array, found %q", data[i])
+}
+
+// eof reports input that ended where more was due.
+func (d *Dec) eof() error {
+	d.pos = len(d.data)
+	return d.errf("unexpected end of input")
+}
+
+// skipSpace returns the offset of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && data[i] <= ' ' && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// scanKey returns the offset just past the object key at i (after any
+// whitespace) and the colon that follows it.
+func scanKey(data []byte, i int) (int, error) {
+	if i = skipSpace(data, i); i >= len(data) {
+		return i, errAt(i, "unexpected end of input")
+	}
+	if data[i] != '"' {
+		return i, errAt(i, "expected string, found %q", data[i])
+	}
+	i, err := scanString(data, i)
+	if err != nil {
+		return i, err
+	}
+	if i = skipSpace(data, i); i >= len(data) {
+		return i, errAt(i, "unexpected end of input")
+	}
+	if data[i] != ':' {
+		return i, errAt(i, "expected ':' after object key, found %q", data[i])
+	}
+	return i + 1, nil
+}
+
+// scanString returns the offset just past the string literal at i,
+// checking its escapes and rejecting control characters as str does. It
+// does not look at UTF-8: a decode repairs what is invalid rather than
+// rejecting it.
+func scanString(data []byte, i int) (int, error) {
+	for i++; i < len(data); i++ {
+		switch b := data[i]; {
+		case literal[b]:
+		case b == '"':
+			return i + 1, nil
+		case b == '\\':
+			if i++; i >= len(data) {
+				return i, errAt(i, "unterminated string escape")
+			}
+			switch data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if hex4(data, i+1) < 0 {
+					return i, errAt(i-1, "invalid \\u escape")
+				}
+				i += 4
+			default:
+				return i, errAt(i-1, "invalid escape character %q in string", data[i])
+			}
+		case b < 0x20:
+			return i, errAt(i, "invalid control character %#x in string", b)
+		}
+	}
+	return i, errAt(i, "unterminated string")
+}
+
+// literal marks the bytes a string literal holds as they are: all but
+// '"', '\\' and the control characters.
+var literal = func() (t [256]bool) {
+	for b := 0x20; b < 256; b++ {
+		t[b] = b != '"' && b != '\\'
+	}
+	return t
+}()
+
+// scanLiteral returns the offset just past lit, which must be at i.
+func scanLiteral(data []byte, i int, lit string) (int, error) {
+	if len(data)-i >= len(lit) && string(data[i:i+len(lit)]) == lit {
+		return i + len(lit), nil
+	}
+	return i, errAt(i, "invalid literal")
+}
+
+// scanNumber returns the offset just past the number at i, held to JSON's
+// strict grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func scanNumber(data []byte, i int) (int, error) {
+	n := len(data)
+	if data[i] == '-' {
+		i++
+	}
+	if i >= n {
+		return i, errAt(i, "truncated number")
+	}
+	switch {
+	case data[i] == '0':
+		i++
+	case data[i] >= '1' && data[i] <= '9':
+		i++
+		for i < n && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+	default:
+		return i, errAt(i, "invalid character %q looking for a value", data[i])
+	}
+	if i < n && data[i] == '.' {
+		i++
+		if i >= n || data[i] < '0' || data[i] > '9' {
+			return i, errAt(i, "missing digits after decimal point")
+		}
+		for i < n && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+	}
+	if i < n && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		if i < n && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if i >= n || data[i] < '0' || data[i] > '9' {
+			return i, errAt(i, "missing digits in exponent")
+		}
+		for i < n && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+	}
+	return i, nil
+}
+
+// openSet records, a bit per nesting level, whether the container open at
+// that level is an object. The first 128 levels need no allocation.
+type openSet struct {
+	near [2]uint64
+	far  []uint64
+}
+
+func (o *openSet) word(level int) *uint64 {
+	i := level / 64
+	if i < len(o.near) {
+		return &o.near[i]
+	}
+	i -= len(o.near)
+	for len(o.far) <= i {
+		o.far = append(o.far, 0)
+	}
+	return &o.far[i]
+}
+
+func (o *openSet) set(level int, object bool) {
+	w, bit := o.word(level), uint64(1)<<(level%64)
+	if object {
+		*w |= bit
+	} else {
+		*w &^= bit
+	}
+}
+
+func (o *openSet) isObject(level int) bool {
+	return *o.word(level)&(uint64(1)<<(level%64)) != 0
 }
 
 // Raw consumes any single value and returns its exact input bytes,

@@ -26,6 +26,15 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
+// safe marks the ASCII bytes AppendString copies as they are: printable,
+// and none of '"', '\\' and the HTML specials '<', '>', '&'.
+var safe = func() (t [utf8.RuneSelf]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
 // AppendString appends s as a JSON string literal, byte-identical to
 // encoding/json.Marshal(s): the default HTML-safe escaping ('<', '>',
 // '&' as <, >, &), two-character escapes for backslash,
@@ -37,7 +46,7 @@ func AppendString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if safe[b] {
 				i++
 				continue
 			}

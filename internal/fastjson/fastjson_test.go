@@ -228,6 +228,18 @@ func TestDecDepthLimit(t *testing.T) {
 	if _, err := DecodeValue([]byte(ok)); err != nil {
 		t.Fatalf("100-deep doc should parse: %v", err)
 	}
+	// Skip keeps the same bound, past the levels its open set holds
+	// without allocating.
+	for _, c := range []struct {
+		depth int
+		ok    bool
+	}{{maxDepth, true}, {maxDepth + 1, false}} {
+		doc := strings.Repeat(`{"k":[`, c.depth/2) + strings.Repeat("[", c.depth%2) +
+			strings.Repeat("]", c.depth%2) + strings.Repeat(`]}`, c.depth/2)
+		if err := NewDec([]byte(doc)).Skip(); (err == nil) != c.ok {
+			t.Errorf("Skip at depth %d: err = %v", c.depth, err)
+		}
+	}
 }
 
 // FuzzStringRoundTrip pins AppendString to json.Marshal bytes and the
@@ -300,6 +312,32 @@ func FuzzDecodeValue(f *testing.F) {
 		}
 		if !bytes.Equal(gotEnc, wantEnc) {
 			t.Fatalf("re-encode of %q: fastjson %s, json %s", data, gotEnc, wantEnc)
+		}
+	})
+}
+
+// FuzzSkipMatchesValid holds the skipper to encoding/json's grammar: a
+// document that is one skipped value and nothing after it is exactly a
+// document json.Valid accepts, and Raw hands back the value's own bytes.
+func FuzzSkipMatchesValid(f *testing.F) {
+	for _, s := range []string{
+		`{"a":[1,-0.5e+3,true,false,null,"é\n"],"b":{}}`, ` [ [] , {} ] `, `"\ud800"`,
+		`{"a":}`, `[1,]`, `{"a" 1}`, `01`, `1.`, `-`, `"\x"`, "\"\x01\"", `tru`, `nul`, `[}`, `{]`,
+		strings.Repeat("[", 200) + strings.Repeat("]", 200), `{"k":[{"k":[{"k":[]}]}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDec(data)
+		raw, err := d.Raw()
+		if err == nil {
+			err = d.End()
+		}
+		if (err == nil) != json.Valid(data) {
+			t.Fatalf("%q: Skip err = %v, json.Valid = %v", data, err, json.Valid(data))
+		}
+		if err == nil && !bytes.Equal(raw, bytes.TrimSpace(data)) {
+			t.Fatalf("%q: Raw = %q", data, raw)
 		}
 	})
 }

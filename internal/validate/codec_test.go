@@ -7,14 +7,18 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"xtract/internal/fastjson"
 	"xtract/internal/store"
 )
 
-// encoded renders each step's dictionary the way the worker does.
-func encoded(blocks map[string]map[string]interface{}) map[string]fastjson.Raw {
+// encoded renders each step's dictionary the way the worker does, and
+// the record's metadata the way the pump does.
+func encoded(blocks map[string]map[string]interface{}) fastjson.Raw {
+	return fastjson.AppendRawMap(nil, encodedBlocks(blocks))
+}
+
+func encodedBlocks(blocks map[string]map[string]interface{}) map[string]fastjson.Raw {
 	out := make(map[string]fastjson.Raw, len(blocks))
 	for k, md := range blocks {
 		raw, err := fastjson.AppendCanonical(nil, md)
@@ -26,8 +30,13 @@ func encoded(blocks map[string]map[string]interface{}) map[string]fastjson.Raw {
 	return out
 }
 
+// rawMap and fileList encode a record's metadata and files as the pump
+// does.
+func rawMap(m map[string]fastjson.Raw) fastjson.Raw { return fastjson.AppendRawMap(nil, m) }
+func fileList(files ...string) fastjson.Raw         { return fastjson.AppendStrings(nil, files) }
+
 func recordCases() []Record {
-	full := encoded(map[string]map[string]interface{}{
+	full := encodedBlocks(map[string]map[string]interface{}{
 		"g0/keyword": {"terms": []interface{}{"a", "b"}, "score": 0.25},
 		"g0/tabular": {"rows": float64(10), "null_cells": nil},
 	})
@@ -35,16 +44,10 @@ func recordCases() []Record {
 	return []Record{
 		{},
 		{JobID: "j", FamilyID: "f", Store: "local", BasePath: "/data",
-			Files: []string{}, Metadata: map[string]fastjson.Raw{},
-			Extracted: []StepResult{}},
+			Files: fileList([]string{}...), Metadata: rawMap(map[string]fastjson.Raw{})},
 		{JobID: "j1", FamilyID: "s:/p#0", Store: "petrel", BasePath: "/x/<&>",
-			Files:    []string{"/x/a.csv", "/x/b.csv", "uni\u2028code"},
-			Metadata: full,
-			Extracted: []StepResult{
-				{GroupID: "g0", Extractor: "keyword", OK: true, Duration: 1500 * time.Microsecond},
-				{GroupID: "g0", Extractor: "tabular", OK: true, Cached: true, Duration: 0},
-				{GroupID: "g1", Extractor: "matio", Err: "boom\t\"quoted\"", Duration: -time.Second},
-			}},
+			Files:    fileList("/x/a.csv", "/x/b.csv", "uni\u2028code"),
+			Metadata: rawMap(full)},
 	}
 }
 
@@ -84,21 +87,24 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(back, rec) {
 			t.Errorf("case %d round trip:\n got: %#v\nwant: %#v", i, back, rec)
 		}
-		for k, md := range back.Metadata {
-			if len(md) == 0 {
-				continue
+		for name, raw := range map[string]fastjson.Raw{"files": back.Files, "metadata": back.Metadata} {
+			if len(raw) == 0 || bytes.IndexByte(raw, '\\') >= 0 {
+				continue // a string with an escape is re-encoded, to the same bytes
 			}
-			if at := bytes.Index(enc, md); at < 0 || &enc[at] != &md[0] {
-				t.Fatalf("case %d: block %s was copied out of the body", i, k)
+			if at := bytes.Index(enc, raw); at < 0 || &enc[at] != &raw[0] {
+				t.Fatalf("case %d: %s was copied out of the body", i, name)
 			}
 		}
 	}
 }
 
 // TestDecodeRecordStrict pins the internal-format rules: exact lower-case
-// keys, unknown keys skipped, a repeated key replaces the earlier value,
-// a metadata block is an object or null, and anything malformed is an
-// error.
+// keys, unknown keys skipped (the retired "extracted" member among them,
+// whatever it holds), a repeated key replaces the earlier value, a
+// metadata block is an object or null, and anything malformed is an
+// error. Files and metadata that are not in canonical form come back in
+// it: whitespace between members gone, strings as AppendString writes
+// them, keys sorted, the last of a repeated key kept.
 func TestDecodeRecordStrict(t *testing.T) {
 	accept := []struct {
 		doc  string
@@ -108,12 +114,16 @@ func TestDecodeRecordStrict(t *testing.T) {
 		{`{"JOB_ID":"x","Family_Id":"y","job_id":"j","extra":[{"deep":null}]}`, Record{JobID: "j"}},
 		{`{"family_id":"a","family_id":"b","files":["x"],"files":null}`, Record{FamilyID: "b"}},
 		{`{"metadata":{"g":{"a":1},"g":{"b":2}},"extracted":[{"ok":true}],"extracted":[{"err":"e","duration":5}]}`,
-			Record{Metadata: map[string]fastjson.Raw{"g": fastjson.Raw(`{"b":2}`)},
-				Extracted: []StepResult{{Err: "e", Duration: 5}}}},
+			Record{Metadata: fastjson.Raw(`{"g":{"b":2}}`)}},
 		{`{"metadata":{"gone":null,"kept": { "k" : [1, 2] } },"files":[],"extracted":[]}`,
-			Record{Files: []string{}, Extracted: []StepResult{},
-				Metadata: map[string]fastjson.Raw{"gone": nil, "kept": fastjson.Raw(`{ "k" : [1, 2] }`)}}},
+			Record{Files: fastjson.Raw(`[]`), Metadata: fastjson.Raw(`{"gone":null,"kept":{ "k" : [1, 2] }}`)}},
 		{`{"metadata":null}`, Record{}},
+		{`{"extracted":[{"duration":0.5}]}`, Record{}},
+		{`{"extracted":[null]}`, Record{}},
+		{`{"files":[ "a" ,"\u0062", "<"]}`, Record{Files: fastjson.Raw(`["a","b","\u003c"]`)}},
+		{`{"metadata":{"b":null,"a":{}}}`, Record{Metadata: fastjson.Raw(`{"a":{},"b":null}`)}},
+		{`{"metadata":{"a\u003c":{},"a":null}}`, Record{Metadata: fastjson.Raw(`{"a":null,"a\u003c":{}}`)}},
+		{`{"metadata":{"a<":{}}}`, Record{Metadata: fastjson.Raw(`{"a\u003c":{}}`)}},
 	}
 	for _, c := range accept {
 		var got Record
@@ -126,7 +136,7 @@ func TestDecodeRecordStrict(t *testing.T) {
 	reject := []string{
 		``, `null`, `[]`, `{"duration":}`, `{} trailing`,
 		`{"job_id":null}`, `{"job_id":5}`, `{"files":["a",null]}`,
-		`{"extracted":[{"duration":0.5}]}`, `{"extracted":[null]}`,
+		`{"extracted":[1,]}`, `{"extracted":[nul]}`,
 		`{"metadata":{"g":5}}`, `{"metadata":{"g":[1]}}`, `{"metadata":{"g":"s"}}`,
 		`{"metadata":{"g":{"a":}}}`, `{"metadata":[]}`,
 	}
@@ -205,7 +215,7 @@ func TestMDFDocMatchesMapMarshal(t *testing.T) {
 // canonical; a decode would have normalized it.
 func TestDocumentsCarryMetadataBytesVerbatim(t *testing.T) {
 	odd := fastjson.Raw(`{"z" : 1.50, "keywords":[ "b","a" ], "a":{"y":2,"x":1e0}}`)
-	rec := Record{FamilyID: "f", Metadata: map[string]fastjson.Raw{"g/keyword": odd, "g/none": nil}}
+	rec := Record{FamilyID: "f", Metadata: rawMap(map[string]fastjson.Raw{"g/keyword": odd, "g/none": nil})}
 	for _, v := range []Validator{Passthrough{}, NewMDF("src")} {
 		doc, err := v.Validate(rec)
 		if err != nil {
@@ -234,8 +244,11 @@ func TestMDFClassifyFirstSchemaWins(t *testing.T) {
 		{map[string]fastjson.Raw{"a": fastjson.Raw(`{"deep":{"structure":1}}`)}, "mdf.generic"},
 		{map[string]fastjson.Raw{"a": nil, "b": fastjson.Raw(`null`), "c": fastjson.Raw(`{"structure":{"keywords":1}}`)}, "mdf.material"},
 	}
+	classify := func(m *MDF, blocks map[string]fastjson.Raw) (MDFSchema, error) {
+		return m.scan(rawMap(blocks), func([]byte) {})
+	}
 	for _, c := range cases {
-		got, err := m.classify(Record{Metadata: c.blocks})
+		got, err := classify(m, c.blocks)
 		if err != nil || got.Name != c.want {
 			t.Errorf("classify(%v) = %s, %v; want %s", c.blocks, got.Name, err, c.want)
 		}
@@ -243,10 +256,10 @@ func TestMDFClassifyFirstSchemaWins(t *testing.T) {
 	// Without a catch-all an unmatched record is invalid, and so is a
 	// block that is not JSON.
 	strict := &MDF{Schemas: DefaultMDFSchemas()[:3]}
-	if _, err := strict.classify(Record{Metadata: map[string]fastjson.Raw{"a": fastjson.Raw(`{"keywords":1}`)}}); !errors.Is(err, ErrInvalid) {
+	if _, err := classify(strict, map[string]fastjson.Raw{"a": fastjson.Raw(`{"keywords":1}`)}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("unmatched record: err = %v", err)
 	}
-	if _, err := m.classify(Record{Metadata: map[string]fastjson.Raw{"a": fastjson.Raw(`{"keywords":`)}}); !errors.Is(err, ErrInvalid) {
+	if _, err := classify(m, map[string]fastjson.Raw{"a": fastjson.Raw(`{"keywords":`)}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("malformed block: err = %v", err)
 	}
 }
@@ -280,15 +293,18 @@ func FuzzRecordRoundTrip(f *testing.F) {
 }
 
 // TestProcessCostDoesNotGrowWithMetadata is the white-box half of the
-// same contract: the service slices a record's blocks out of the queue
-// body and splices them into the document, so what it allocates for a
-// record is the same whether a block has one key or two thousand. A
-// decode into maps allocates per key, thousands for the large record,
-// and fails this at once. The slack is for fmt's buffer pool: the large
-// record makes more garbage, a collection empties the pool, and the next
-// Sprintf refills it with an allocation or two.
+// same contract: the service slices a record's files and metadata out of
+// the queue body and splices them into the document, so what it
+// allocates for a record is the same whether a block has one key or two
+// thousand. A decode into maps allocates per key, thousands for the large
+// record, and fails this at once. The slack is for fmt's buffer pool: the
+// large record makes more garbage, a collection empties the pool, and the
+// next Sprintf refills it with an allocation or two. The absolute bound
+// is the decode's four ID strings, the document, the destination path
+// and the destination's copy, with room for what the store keeps per
+// file.
 func TestProcessCostDoesNotGrowWithMetadata(t *testing.T) {
-	const poolRefill = 4
+	const poolRefill, perRecord = 4, 15
 	big := []byte(`{"keywords":[0,"v",{"n":null}]`)
 	for i := 1; i < 2000; i++ {
 		big = append(big, fmt.Sprintf(`,"k%d":[%d,"v",{"n":null}]`, i, i)...)
@@ -296,20 +312,29 @@ func TestProcessCostDoesNotGrowWithMetadata(t *testing.T) {
 	big = append(big, '}')
 	for _, v := range []Validator{Passthrough{}, NewMDF("src")} {
 		s := NewService(v, nil, store.NewMemFS("dest", nil))
-		measure := func(md fastjson.Raw) float64 {
-			rec := Record{JobID: "j", FamilyID: "f", Files: []string{"/a"},
-				Metadata: map[string]fastjson.Raw{"g/keyword": md}}
+		measure := func(files fastjson.Raw, blocks map[string]fastjson.Raw) float64 {
+			rec := Record{JobID: "job-1", FamilyID: "mdf:/data/exp1#0", Store: "petrel", BasePath: "/data/exp1",
+				Files: files, Metadata: rawMap(blocks)}
 			body, _ := AppendRecord(nil, &rec)
 			allocs := testing.AllocsPerRun(20, func() { s.process(body) })
-			if got, _ := s.Dest.Read("/metadata/f.json"); !bytes.Contains(got, md) {
+			if got, _ := s.Dest.Read("/metadata/mdf__data_exp1_0.json"); !bytes.Contains(got, rec.Metadata) {
 				t.Fatalf("%s wrote %s", v.Name(), got)
 			}
 			return allocs
 		}
-		small, large := measure(fastjson.Raw(`{"keywords":1}`)), measure(big)
-		if large > small+poolRefill {
+		one := func(md fastjson.Raw) map[string]fastjson.Raw { return map[string]fastjson.Raw{"g/keyword": md} }
+		small := measure(fileList("/data/exp1/a"), one(fastjson.Raw(`{"keywords":1}`)))
+		if large := measure(fileList("/data/exp1/a"), one(big)); large > small+poolRefill {
 			t.Errorf("%s: a record with %d bytes of metadata cost %.0f allocations, one with 14 bytes %.0f",
 				v.Name(), len(big), large, small)
+		}
+		shape := measure(fileList("/data/exp1/a.cif", "/data/exp1/b.xyz", "/data/exp1/OUTCAR"), map[string]fastjson.Raw{
+			"g0/matio":   fastjson.Raw(`{"structure":{"n_atoms":8},"results":{"energy":-1.5}}`),
+			"g1/keyword": fastjson.Raw(`{"keywords":["a","b"]}`),
+		})
+		if shape > perRecord {
+			t.Errorf("%s: a record of three files and two blocks cost %.0f allocations, want at most %d",
+				v.Name(), shape, perRecord)
 		}
 	}
 }

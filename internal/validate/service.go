@@ -2,10 +2,10 @@ package validate
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"xtract/internal/obs"
 	"xtract/internal/queue"
@@ -109,26 +109,37 @@ func (s *Service) process(body []byte) {
 		s.Rejected.Add(1)
 		return
 	}
-	path := fmt.Sprintf("%s/%s.json", s.DestPrefix, sanitize(rec.FamilyID))
+	var buf [128]byte // the path is built on the stack; only the string is allocated
+	p := append(append(buf[:0], s.DestPrefix...), '/')
+	path := string(append(appendSanitized(p, rec.FamilyID), ".json"...))
 	if err := s.Dest.Write(path, doc); err != nil {
 		s.Rejected.Add(1)
 		return
 	}
 	s.Validated.Add(1)
-	s.obsEvents.Emitf(rec.JobID, obs.EvFamilyValidated, "family=%s doc=%s", rec.FamilyID, path)
+	s.obsEvents.Emit(rec.JobID, obs.EvFamilyValidated, "family="+rec.FamilyID+" doc="+path)
 }
 
-// sanitize maps a family ID to a safe file name.
-func sanitize(id string) string {
-	out := make([]rune, 0, len(id))
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
+// appendSanitized appends a family ID as a safe file name: every rune
+// outside [A-Za-z0-9._-] becomes one '_', as does each byte of invalid
+// UTF-8.
+func appendSanitized(dst []byte, id string) []byte {
+	for i := 0; i < len(id); {
+		b := id[i]
+		if b >= utf8.RuneSelf {
+			_, size := utf8.DecodeRuneInString(id[i:])
+			dst = append(dst, '_')
+			i += size
+			continue
 		}
+		switch {
+		case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b >= '0' && b <= '9',
+			b == '-', b == '_', b == '.':
+			dst = append(dst, b)
+		default:
+			dst = append(dst, '_')
+		}
+		i++
 	}
-	return string(out)
+	return dst
 }

@@ -6,11 +6,9 @@
 package validate
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
-	"time"
 
 	"xtract/internal/fastjson"
 )
@@ -18,31 +16,19 @@ import (
 // Record is the raw metadata produced for one family, as handed to the
 // validation service by the Xtract service.
 type Record struct {
-	JobID    string   `json:"job_id"`
-	FamilyID string   `json:"family_id"`
-	Store    string   `json:"store"`
-	BasePath string   `json:"base_path"`
-	Files    []string `json:"files"`
+	JobID    string `json:"job_id"`
+	FamilyID string `json:"family_id"`
+	Store    string `json:"store"`
+	BasePath string `json:"base_path"`
+	// Files is the family's file list as fastjson.AppendStrings encodes
+	// it; empty stands for null.
+	Files fastjson.Raw `json:"files"`
 	// Metadata maps "groupID/extractor" to that step's extracted
-	// metadata dictionary, as the worker encoded it: an object, or
-	// empty/null for a step that produced none. Validators splice the
-	// bytes into the document and look inside without building maps.
-	Metadata map[string]fastjson.Raw `json:"metadata"`
-	// Extracted lists the extractors that ran, with timings.
-	Extracted []StepResult `json:"extracted"`
-}
-
-// StepResult records one extractor application.
-type StepResult struct {
-	GroupID   string        `json:"group_id"`
-	Extractor string        `json:"extractor"`
-	OK        bool          `json:"ok"`
-	Err       string        `json:"err,omitempty"`
-	Duration  time.Duration `json:"duration"`
-	// Cached marks metadata replayed from the extraction result cache
-	// instead of a fresh extractor invocation — the provenance trail for
-	// warm-run records.
-	Cached bool `json:"cached,omitempty"`
+	// metadata dictionary, encoded as fastjson.AppendRawMap writes it:
+	// keys sorted, each value the object the worker encoded, or null for
+	// a step that produced none; empty stands for null. Validators splice
+	// the bytes into the document and look inside without building maps.
+	Metadata fastjson.Raw `json:"metadata"`
 }
 
 // ErrInvalid is wrapped by all validation failures.
@@ -65,17 +51,18 @@ type Passthrough struct{}
 func (Passthrough) Name() string { return "passthrough" }
 
 // Validate implements Validator. The document is built by direct
-// appends in the map's sorted-key order, byte-identical to the
-// json.Marshal(map) form it replaces (pinned by codec_test.go).
+// appends in sorted-key order, byte-identical to the json.Marshal(map)
+// form it replaces (pinned by codec_test.go), with the file list and the
+// metadata spliced in as they are.
 func (Passthrough) Validate(rec Record) ([]byte, error) {
 	if rec.FamilyID == "" {
 		return nil, fmt.Errorf("%w: missing family_id", ErrInvalid)
 	}
-	dst := make([]byte, 0, 256+metadataLen(rec.Metadata))
+	dst := make([]byte, 0, 192+len(rec.Files)+len(rec.Metadata))
 	dst = append(dst, `{"family":`...)
 	dst = fastjson.AppendString(dst, rec.FamilyID)
-	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
-	dst = fastjson.AppendRawMap(append(dst, `,"metadata":`...), rec.Metadata)
+	dst = appendRaw(append(dst, `,"files":`...), rec.Files)
+	dst = appendRaw(append(dst, `,"metadata":`...), rec.Metadata)
 	dst = append(dst, `,"path":`...)
 	dst = fastjson.AppendString(dst, rec.BasePath)
 	dst = append(dst, `,"schema":"passthrough/v1","store":`...)
@@ -127,10 +114,12 @@ func NewMDF(sourceName string) *MDF {
 // Name implements Validator.
 func (m *MDF) Name() string { return "mdf" }
 
-// classify finds the first schema matched by the record's metadata: one
-// scan of each block's top-level keys, each key tried only against the
-// schemas ahead of the best match so far.
-func (m *MDF) classify(rec Record) (MDFSchema, error) {
+// scan walks the record's metadata once. Each key's extractor -- what
+// follows its last '/' -- goes to ran, and each block's top-level keys
+// are tried against the schemas ahead of the best match so far; it
+// returns the first schema, in declaration order, that any block
+// satisfies.
+func (m *MDF) scan(md fastjson.Raw, ran func(extractor []byte)) (MDFSchema, error) {
 	best := len(m.Schemas)
 	for i, schema := range m.Schemas {
 		if len(schema.AnyOfBlocks) == 0 {
@@ -138,19 +127,24 @@ func (m *MDF) classify(rec Record) (MDFSchema, error) {
 			break
 		}
 	}
-	var d fastjson.Dec
-	for _, md := range rec.Metadata {
-		if !fastjson.IsObject(md) {
-			continue
+	d := fastjson.NewDec(md)
+	err := d.ObjEach(func(key []byte) error {
+		if i := bytes.LastIndexByte(key, '/'); i >= 0 {
+			ran(key[i+1:])
 		}
-		d.Reset(md)
-		err := d.ObjEach(func(key []byte) error {
-			best = m.firstNaming(key, best)
+		if d.Null() {
+			return nil
+		}
+		if best == 0 {
+			return d.Skip() // no block can name an earlier schema
+		}
+		return d.ObjEach(func(block []byte) error {
+			best = m.firstNaming(block, best)
 			return d.Skip()
 		})
-		if err != nil {
-			return MDFSchema{}, fmt.Errorf("%w: metadata: %v", ErrInvalid, err)
-		}
+	})
+	if err != nil {
+		return MDFSchema{}, fmt.Errorf("%w: metadata: %v", ErrInvalid, err)
 	}
 	if best == len(m.Schemas) {
 		return MDFSchema{}, fmt.Errorf("%w: no MDF schema matches", ErrInvalid)
@@ -171,13 +165,32 @@ func (m *MDF) firstNaming(key []byte, limit int) int {
 	return limit
 }
 
-// metadataLen sizes a document buffer for the blocks it will splice in.
-func metadataLen(md map[string]fastjson.Raw) int {
-	n := 0
-	for k, v := range md {
-		n += len(k) + len(v) + 8
+// span locates a name in an arena.
+type span struct{ from, to int }
+
+// addName inserts name into set, the sorted distinct names it locates in
+// arena, unless it is there already. The name is copied: a key the
+// decoder had to unescape lives in its scratch buffer only until the
+// next read.
+func addName(arena []byte, set []span, name []byte) ([]byte, []span) {
+	i := 0
+	for i < len(set) && bytes.Compare(arena[set[i].from:set[i].to], name) < 0 {
+		i++
 	}
-	return n
+	if i < len(set) && bytes.Equal(arena[set[i].from:set[i].to], name) {
+		return arena, set
+	}
+	from := len(arena)
+	arena = append(arena, name...)
+	set = append(set, span{})
+	copy(set[i+1:], set[i:])
+	set[i] = span{from, len(arena)}
+	return arena, set
+}
+
+// empty reports whether encoded metadata holds no step at all.
+func empty(md fastjson.Raw) bool {
+	return len(md) == 0 || string(md) == "null" || string(md) == "{}"
 }
 
 // Validate implements Validator.
@@ -185,37 +198,37 @@ func (m *MDF) Validate(rec Record) ([]byte, error) {
 	if rec.FamilyID == "" {
 		return nil, fmt.Errorf("%w: missing family_id", ErrInvalid)
 	}
-	if len(rec.Metadata) == 0 {
+	if empty(rec.Metadata) {
 		return nil, fmt.Errorf("%w: no extracted metadata", ErrInvalid)
 	}
-	schema, err := m.classify(rec)
+	var arenaBuf [128]byte
+	var setBuf [8]span
+	arena, ran := arenaBuf[:0], setBuf[:0]
+	schema, err := m.scan(rec.Metadata, func(extractor []byte) {
+		arena, ran = addName(arena, ran, extractor)
+	})
 	if err != nil {
 		return nil, err
 	}
-	extractorsRan := make(map[string]bool)
-	for key := range rec.Metadata {
-		if i := strings.LastIndex(key, "/"); i >= 0 {
-			extractorsRan[key[i+1:]] = true
-		}
-	}
-	ranList := make([]string, 0, len(extractorsRan))
-	for e := range extractorsRan {
-		ranList = append(ranList, e)
-	}
-	sort.Strings(ranList)
 	// Direct appends in the sorted-key order of the map form this
 	// replaces, byte-identical to json.Marshal of that map (pinned by
 	// codec_test.go). Both nesting levels keep their keys sorted.
-	dst := make([]byte, 0, 384+metadataLen(rec.Metadata))
-	dst = fastjson.AppendStrings(append(dst, `{"extractors":`...), ranList)
-	dst = fastjson.AppendStrings(append(dst, `,"files":`...), rec.Files)
+	dst := make([]byte, 0, 320+len(rec.Files)+len(rec.Metadata))
+	dst = append(dst, `{"extractors":[`...)
+	for i, s := range ran {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = fastjson.AppendString(dst, string(arena[s.from:s.to]))
+	}
+	dst = appendRaw(append(dst, `],"files":`...), rec.Files)
 	dst = append(dst, `,"mdf":{"resource_type":"record","schema":`...)
 	dst = fastjson.AppendString(dst, schema.Name)
 	dst = append(dst, `,"scroll_id":`...)
 	dst = fastjson.AppendString(dst, rec.FamilyID)
 	dst = append(dst, `,"source_name":`...)
 	dst = fastjson.AppendString(dst, m.SourceName)
-	dst = fastjson.AppendRawMap(append(dst, `},"metadata":`...), rec.Metadata)
+	dst = appendRaw(append(dst, `},"metadata":`...), rec.Metadata)
 	dst = append(dst, `,"origin":{"path":`...)
 	dst = fastjson.AppendString(dst, rec.BasePath)
 	dst = append(dst, `,"store":`...)

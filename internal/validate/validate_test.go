@@ -22,7 +22,7 @@ func sampleRecord() Record {
 		FamilyID: "mdf:/data/exp1#0",
 		Store:    "petrel",
 		BasePath: "/data/exp1",
-		Files:    []string{"/data/exp1/POSCAR", "/data/exp1/OUTCAR"},
+		Files:    fileList("/data/exp1/POSCAR", "/data/exp1/OUTCAR"),
 		Metadata: encoded(map[string]map[string]interface{}{
 			"g1/matio": {
 				"structure": map[string]interface{}{"n_atoms": 8},
@@ -313,10 +313,15 @@ func TestServiceRejectsInvalidRecord(t *testing.T) {
 }
 
 func TestSanitize(t *testing.T) {
+	sanitize := func(id string) string { return string(appendSanitized(nil, id)) }
 	if got := sanitize("mdf:/data/exp1#0"); strings.ContainsAny(got, ":/#") {
 		t.Fatalf("sanitize = %q", got)
 	}
 	if got := sanitize("safe-name_1.2"); got != "safe-name_1.2" {
 		t.Fatalf("sanitize mangled safe name: %q", got)
+	}
+	// One '_' per rune outside the safe set, and per byte of invalid UTF-8.
+	if got := sanitize("a\u00e9\u4e16b\xff\xfe"); got != "a__b__" {
+		t.Fatalf("sanitize = %q", got)
 	}
 }
