@@ -282,10 +282,28 @@ func (x tagged) Extract(g *family.Group, files map[string][]byte) (map[string]in
 // cannot carry is refused where it is encoded, in the worker, and costs
 // only its own step -- the sibling sharing the FaaS task still lands.
 func TestUnencodableMetadataFailsTheStepNotTheBatch(t *testing.T) {
+	checkPoisonFailsOnlyItsStep(t, "encode metadata", func(md map[string]interface{}) {
+		md["score"] = math.NaN()
+	})
+}
+
+// TestUnencodableRecordFailsTheStepNotTheBatch: the same for a library
+// record that encodes itself, whose refusal is fastjson's.
+func TestUnencodableRecordFailsTheStepNotTheBatch(t *testing.T) {
+	checkPoisonFailsOnlyItsStep(t, "encode metadata: fastjson: unsupported float value NaN", func(md map[string]interface{}) {
+		md["columns"] = extractors.Columns{{Name: "depth", Type: "numeric", Count: 2, Mean: math.NaN()}}
+	})
+}
+
+// checkPoisonFailsOnlyItsStep runs two single-file families through one
+// worker, poisons the metadata of one, and wants that step alone
+// dead-lettered with a reason holding want.
+func checkPoisonFailsOnlyItsStep(t *testing.T, want string, poison func(md map[string]interface{})) {
+	t.Helper()
 	kw, _ := extractors.DefaultLibrary().Get("keyword")
 	lib := extractors.NewLibrary(tagged{kw, func(g *family.Group, md map[string]interface{}) {
 		if strings.Contains(g.Files[0], "poison") {
-			md["score"] = math.NaN()
+			poison(md)
 		}
 	}})
 	h := newHarnessCfg(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{},
@@ -308,8 +326,8 @@ func TestUnencodableMetadataFailsTheStepNotTheBatch(t *testing.T) {
 		t.Fatalf("stats = %+v; want one family done, one failed on its dead-lettered step", stats)
 	}
 	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
-	if err != nil || len(rec.DeadLetters) != 1 || !strings.Contains(rec.DeadLetters[0].Reason, "encode metadata") {
-		t.Fatalf("dead letters = %+v, %v; want one naming the encode failure", rec.DeadLetters, err)
+	if err != nil || len(rec.DeadLetters) != 1 || !strings.Contains(rec.DeadLetters[0].Reason, want) {
+		t.Fatalf("dead letters = %+v, %v; want one naming the encode failure (%q)", rec.DeadLetters, err, want)
 	}
 }
 

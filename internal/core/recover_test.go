@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -221,7 +222,8 @@ func TestRecoverIsLeaseAware(t *testing.T) {
 	}
 	clk.Advance(time.Second) // past n3's TTL, inside n2's
 
-	n1 := cluster.NewNode(cluster.NewCoordinator(cluster.Options{Clock: clk, LeaseTTL: time.Hour}), "n1", "mem://n1")
+	leases := &leaseLog{}
+	n1 := cluster.NewNode(cluster.NewCoordinator(cluster.Options{Clock: clk, LeaseTTL: time.Hour, Journal: leases}), "n1", "mem://n1")
 	h := w.start(t, node{clk: clk, policy: scheduler.LocalPolicy{}, mut: func(cfg *Config) { cfg.Cluster = n1 }})
 	status, err := h.svc.Recover(h.ctx)
 	if err != nil {
@@ -243,11 +245,40 @@ func TestRecoverIsLeaseAware(t *testing.T) {
 			if rj.Disposition != "resumed" {
 				t.Errorf("orphaned job disposition = %+v, want resumed", rj)
 			}
-			// The adopted lease must fence the dead owner's journaled epoch.
-			if e := n1.HeldEpoch("job-n3-1"); e <= 4 {
-				t.Errorf("adopted lease epoch %d does not fence journaled epoch 4", e)
-			}
 		}
 	}
 	h.svc.RecoveryWait()
+	// The adopted lease must fence the dead owner's journaled epoch. The
+	// resumed job has no families and may end, releasing its lease, before
+	// anything could ask n1 for it: the lease's own record outlives it.
+	adopted := leases.acquired("job-n3-1", "n1")
+	if len(adopted) != 1 || adopted[0] <= 4 {
+		t.Errorf("n1 acquired job-n3-1 at epochs %v, want once above the journaled epoch 4", adopted)
+	}
+}
+
+// leaseLog is a coordinator's lease journal kept in memory.
+type leaseLog struct {
+	mu   sync.Mutex
+	recs []journal.Record
+}
+
+func (l *leaseLog) Append(rec journal.Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.recs = append(l.recs, rec)
+	return nil
+}
+
+// acquired lists the epochs node acquired jobID's lease at.
+func (l *leaseLog) acquired(jobID, node string) []int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []int64
+	for _, r := range l.recs {
+		if r.Type == journal.RecLeaseAcquired && r.JobID == jobID && r.Node == node {
+			out = append(out, r.Epoch)
+		}
+	}
+	return out
 }

@@ -164,6 +164,39 @@ func TestKernelsMatchReferenceOverCorpus(t *testing.T) {
 	}
 }
 
+// TestLibraryDictionariesTakeNoTrip: over the corpus (the dataset MDF
+// and CDIAC repositories among it), every dictionary the default library
+// returns encodes to the round trip's bytes in one pass -- none of it,
+// not even a composition or a tag map inside a record, takes the trip.
+func TestLibraryDictionariesTakeNoTrip(t *testing.T) {
+	fs := buildCorpus(t)
+	lib := extractors.DefaultLibrary()
+	before, dicts := fastjson.Trips(), 0
+	walkCorpus(t, fs, lib, func(name string, g *family.Group, files map[string][]byte) {
+		ext, _ := lib.Get(name)
+		md, err := ext.Extract(g, files)
+		if err != nil {
+			return
+		}
+		got, err := fastjson.AppendCanonical(nil, md)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", name, g.ID, err)
+		}
+		want, err := extractors.TripReference(md)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s on %s:\none pass:   %.300s\nround trip: %.300s (%v)", name, g.ID, got, want, err)
+		}
+		dicts++
+	})
+	if n := fastjson.Trips() - before; n != 0 {
+		t.Errorf("%d values of %d dictionaries took the round trip", n, dicts)
+	}
+	t.Logf("%d dictionaries encoded in one pass", dicts)
+	if dicts < 500 {
+		t.Fatalf("only %d dictionaries; the corpus is too small to mean anything", dicts)
+	}
+}
+
 // parentDigests are the SHA-256 of each DefaultLibrary extractor's
 // canonical output over buildCorpus, computed AT THE PARENT COMMIT of the
 // kernel rewrite (4cf6f2d, PR 18) and pasted here. An extractor whose

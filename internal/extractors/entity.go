@@ -63,6 +63,20 @@ type EntityMention struct {
 	Type string `json:"type"`
 }
 
+// AppendCanonical implements fastjson.Canonical.
+func (e EntityMention) AppendCanonical(dst []byte) ([]byte, error) {
+	m := object(dst)
+	m.text("text", e.Text)
+	m.text("type", e.Type)
+	return m.end()
+}
+
+// Entities is an entity result's "entities" list.
+type Entities []EntityMention
+
+// AppendCanonical implements fastjson.Canonical.
+func (es Entities) AppendCanonical(dst []byte) ([]byte, error) { return appendRecords(dst, es) }
+
 // Extract implements Extractor.
 func (e *Entity) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
 	seen := make(map[EntityMention]bool)
@@ -94,7 +108,7 @@ func (e *Entity) Extract(g *family.Group, files map[string][]byte) (map[string]i
 	if totalChars == 0 {
 		return nil, ErrNotApplicable
 	}
-	mentions := make([]EntityMention, 0, len(seen))
+	mentions := make(Entities, 0, len(seen))
 	for m := range seen {
 		mentions = append(mentions, m)
 	}

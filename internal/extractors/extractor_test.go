@@ -204,7 +204,7 @@ func TestTabularExtract(t *testing.T) {
 	if md["tables"].(int) != 1 || md["rows"].(int) != 3 {
 		t.Fatalf("md = %v", md)
 	}
-	cols := md["columns"].([]ColumnStats)
+	cols := md["columns"].(Columns)
 	if len(cols) != 3 {
 		t.Fatalf("cols = %+v", cols)
 	}
@@ -230,7 +230,7 @@ func TestTabularHeaderless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := md["columns"].([]ColumnStats)
+	cols := md["columns"].(Columns)
 	if cols[0].Name != "col0" {
 		t.Fatalf("headerless col name = %q", cols[0].Name)
 	}
@@ -247,7 +247,7 @@ func TestTabularTSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(md["columns"].([]ColumnStats)) != 2 {
+	if len(md["columns"].(Columns)) != 2 {
 		t.Fatal("TSV not sniffed")
 	}
 }

@@ -225,7 +225,7 @@ func (i *Images) Applies(info store.FileInfo) bool { return isImageInfo(info) }
 // Extract implements Extractor.
 func (i *Images) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
 	paths := sortedKeys(files)
-	perImage := make(map[string]map[string]interface{})
+	perImage := make(map[string]interface{})
 	decoded := 0
 	for _, p := range paths {
 		data := files[p]

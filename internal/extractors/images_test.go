@@ -144,8 +144,8 @@ func TestImagesPhotoEntities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := md["images"].(map[string]map[string]interface{})
-	pmd := per["/p.png"]
+	per := md["images"].(map[string]interface{})
+	pmd := per["/p.png"].(map[string]interface{})
 	if pmd["class"] != ClassPhotograph {
 		t.Fatalf("class = %v", pmd["class"])
 	}
@@ -168,8 +168,8 @@ func TestImagesMapLocationOCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := md["images"].(map[string]map[string]interface{})
-	locs, ok := per["/map.png"]["locations"].([]string)
+	per := md["images"].(map[string]interface{})
+	locs, ok := per["/map.png"].(map[string]interface{})["locations"].([]string)
 	if !ok {
 		t.Fatalf("no locations: %v", per)
 	}

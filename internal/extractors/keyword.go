@@ -85,12 +85,25 @@ func (k *Keyword) Applies(info store.FileInfo) bool {
 	return false
 }
 
-// KeywordWeight pairs a keyword with its relevance weight: the shape of
-// one element of the "keywords" list, for decoding a document.
+// KeywordWeight pairs a keyword with its relevance weight.
 type KeywordWeight struct {
 	Keyword string  `json:"keyword"`
 	Weight  float64 `json:"weight"`
 }
+
+// AppendCanonical implements fastjson.Canonical.
+func (k KeywordWeight) AppendCanonical(dst []byte) ([]byte, error) {
+	m := object(dst)
+	m.text("keyword", k.Keyword)
+	m.number("weight", k.Weight)
+	return m.end()
+}
+
+// Keywords is a keyword result's "keywords" list.
+type Keywords []KeywordWeight
+
+// AppendCanonical implements fastjson.Canonical.
+func (ks Keywords) AppendCanonical(dst []byte) ([]byte, error) { return appendRecords(dst, ks) }
 
 // Extract implements Extractor.
 func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
@@ -120,7 +133,7 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 		}
 	}
 	if totalTokens == 0 {
-		md := map[string]interface{}{"keywords": []interface{}{}, "tokens": 0}
+		md := map[string]interface{}{"keywords": Keywords{}, "tokens": 0}
 		if looksTabular {
 			md[SuggestKey] = []string{"tabular"}
 		}
@@ -147,11 +160,9 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 	if n > len(all) {
 		n = len(all)
 	}
-	// Generic values in KeywordWeight's shape, which encode canonically in
-	// one pass where the typed slice takes the encode-decode-encode trip.
-	keywords := make([]interface{}, 0, n)
+	keywords := make(Keywords, 0, n)
 	for _, s := range all[:n] {
-		keywords = append(keywords, map[string]interface{}{"keyword": s.word, "weight": s.score})
+		keywords = append(keywords, KeywordWeight{Keyword: s.word, Weight: s.score})
 	}
 	md := map[string]interface{}{
 		"keywords": keywords,

@@ -139,6 +139,20 @@ type Structure struct {
 	Coords      [][3]float64       `json:"-"` // used by the ASE extractor
 }
 
+// AppendCanonical implements fastjson.Canonical.
+func (s Structure) AppendCanonical(dst []byte) ([]byte, error) {
+	m := object(dst)
+	m.text("comment", s.Comment)
+	m.value("composition", s.Composition)
+	m.integers("counts", s.Counts)
+	m.matrix("lattice", s.Lattice)
+	m.integer("n_atoms", s.NAtoms)
+	m.number("scale", s.Scale)
+	m.texts("species", s.Species)
+	m.number("volume", s.Volume)
+	return m.end()
+}
+
 // parsePOSCAR reads the VASP structure format: comment, scale factor,
 // three lattice vectors, species, counts, coordinate mode, coordinates.
 func parsePOSCAR(data []byte) (Structure, bool) {
@@ -231,6 +245,16 @@ type VASPResults struct {
 	Converged     bool    `json:"converged"`
 }
 
+// AppendCanonical implements fastjson.Canonical.
+func (r VASPResults) AppendCanonical(dst []byte) ([]byte, error) {
+	m := object(dst)
+	m.flag("converged", r.Converged)
+	m.number("e_fermi", r.EFermi)
+	m.number("final_energy_ev", r.FinalEnergyEV)
+	m.integer("ionic_steps", r.IonicSteps)
+	return m.end()
+}
+
 // parseOUTCAR scans VASP output for the total energy, Fermi level, and
 // ionic step count.
 func parseOUTCAR(data []byte) (VASPResults, bool) {
@@ -289,6 +313,20 @@ type Crystal struct {
 	Lengths map[string]float64 `json:"-"`
 }
 
+// AppendCanonical implements fastjson.Canonical.
+func (c Crystal) AppendCanonical(dst []byte) ([]byte, error) {
+	m := object(dst)
+	m.vector("angles", c.Angles)
+	m.number("cell_a", c.CellA)
+	m.number("cell_b", c.CellB)
+	m.number("cell_c", c.CellC)
+	m.text("formula", c.Formula)
+	if len(c.Tags) > 0 {
+		m.value("tags", c.Tags)
+	}
+	return m.end()
+}
+
 // parseCIF reads the "_key value" lines of a CIF file.
 func parseCIF(data []byte) (Crystal, bool) {
 	var c Crystal
@@ -334,6 +372,15 @@ type Geometry struct {
 	Comment string         `json:"comment"`
 	Symbols map[string]int `json:"symbols"`
 	Coords  [][3]float64   `json:"-"`
+}
+
+// AppendCanonical implements fastjson.Canonical.
+func (g Geometry) AppendCanonical(dst []byte) ([]byte, error) {
+	m := object(dst)
+	m.text("comment", g.Comment)
+	m.integer("n_atoms", g.NAtoms)
+	m.value("symbols", g.Symbols)
+	return m.end()
 }
 
 // parseXYZ reads the XYZ atomistic format: atom count, comment, then

@@ -255,7 +255,7 @@ See doi 10.1145/3431379.3460636. Samples of Fe2O3 and TiO2 under grant 70NANB19H
 	if err != nil {
 		t.Fatal(err)
 	}
-	mentions := md["entities"].([]EntityMention)
+	mentions := md["entities"].(Entities)
 	types := make(map[string]int)
 	for _, m := range mentions {
 		types[m.Type]++

@@ -52,6 +52,37 @@ type ColumnStats struct {
 	Distinct int     `json:"distinct,omitempty"`
 }
 
+// AppendCanonical implements fastjson.Canonical.
+func (c ColumnStats) AppendCanonical(dst []byte) ([]byte, error) {
+	m := object(dst)
+	m.integer("count", c.Count)
+	if c.Distinct != 0 {
+		m.integer("distinct", c.Distinct)
+	}
+	if c.Max != 0 {
+		m.number("max", c.Max)
+	}
+	if c.Mean != 0 {
+		m.number("mean", c.Mean)
+	}
+	if c.Min != 0 {
+		m.number("min", c.Min)
+	}
+	m.text("name", c.Name)
+	m.integer("nulls", c.Nulls)
+	if c.Stddev != 0 {
+		m.number("stddev", c.Stddev)
+	}
+	m.text("type", c.Type)
+	return m.end()
+}
+
+// Columns is a tabular result's "columns" list.
+type Columns []ColumnStats
+
+// AppendCanonical implements fastjson.Canonical.
+func (cs Columns) AppendCanonical(dst []byte) ([]byte, error) { return appendRecords(dst, cs) }
+
 // nullMarkers are cell values treated as missing data.
 var nullMarkers = []string{
 	"", "na", "n/a", "null", "none", "nan", "-999", "-9999", "missing", "?",
@@ -211,7 +242,7 @@ func numericFraction(row []string) float64 {
 
 // Extract implements Extractor.
 func (t *Tabular) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
-	var allCols []ColumnStats
+	var allCols Columns
 	totalRows := 0
 	tables := 0
 	paths := sortedKeys(files)

@@ -3,6 +3,7 @@ package fastjson
 import (
 	"bytes"
 	"encoding/json"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -19,22 +20,34 @@ type Raw = json.RawMessage
 // value's bytes from its first significant byte, so one look suffices.
 func IsObject(raw Raw) bool { return len(raw) > 0 && raw[0] == '{' }
 
+// Canonical is a value that appends its own canonical form: the bytes
+// the decode-and-re-encode round trip would leave of it. The extractor
+// library's records are Canonical, so a dictionary holding them is
+// encoded in one pass, by AppendValue as by AppendCanonical.
+type Canonical interface {
+	AppendCanonical(dst []byte) ([]byte, error)
+}
+
 // AppendCanonical appends v in canonical form: the fixed point of the
-// generic round trip, which is what a destination document carried when
-// metadata was still decoded and re-encoded on its way there. One encode
-// is not there yet where a decode loses information: typed values that
-// go through encoding/json in struct-field order, integers beyond 2^53,
-// invalid UTF-8 (written as the escape \ufffd, read back as the rune
-// U+FFFD, which can also reorder and merge keys). So it takes the trip:
-// encode, decode to generic values, encode those — unless v is plain,
-// when the first encode already is the fixed point. It runs in the FaaS
-// worker, in parallel and off the pump's path, once per step.
+// generic round trip -- encode, decode to generic values, encode those
+// -- which is what a destination document carried when metadata was
+// still decoded and re-encoded on its way there. Where v is plain (see
+// plain), one encode already is that fixed point. Anything else takes
+// the trip: typed values from outside the extractor library (written by
+// encoding/json in struct-field order), integers beyond 2^53 in generic
+// values, and invalid UTF-8 in generic strings and keys (written as the
+// escape \ufffd, read back as the rune U+FFFD, which can also reorder
+// and merge keys). It runs in the FaaS worker, in parallel and off the
+// pump's path, once per step.
 func AppendCanonical(dst []byte, v interface{}) ([]byte, error) {
 	if plain(v) {
-		if out, err := AppendValue(dst, v); err == nil {
-			return out, nil
+		out, err := AppendValue(dst, v)
+		if err != nil {
+			return dst, err // the trip's first encode fails the same way
 		}
+		return out, nil
 	}
+	trips.Add(1)
 	blob, err := AppendValue(nil, v)
 	if err != nil {
 		return dst, err
@@ -46,44 +59,58 @@ func AppendCanonical(dst []byte, v interface{}) ([]byte, error) {
 	return AppendValue(dst, g)
 }
 
+// trips counts the values AppendCanonical has sent through the round
+// trip.
+var trips atomic.Int64
+
+// Trips reports how many values AppendCanonical has sent through the
+// round trip since the process started: none, for the dictionaries the
+// extractor library returns over text that is valid UTF-8.
+func Trips() int64 { return trips.Load() }
+
 // plain reports whether v holds only what a decode would give back as it
-// is: generic objects and lists, valid UTF-8, scalars, ints a float64
-// holds exactly, and the flat typed kinds AppendValue writes natively,
-// whose decoded form encodes to the same bytes.
+// is: generic objects and lists, valid UTF-8, scalars, integers a
+// float64 holds exactly, the flat typed kinds AppendValue writes
+// natively, whose decoded form encodes to the same bytes, and Canonical
+// values.
 func plain(v interface{}) bool {
 	switch x := v.(type) {
-	case nil, bool, float64, []float64:
+	case nil, bool, float64, []float64, Canonical:
 		return true
 	case string:
 		return utf8.ValidString(x)
 	case int:
 		return exact(x)
+	case uint64:
+		return x <= 1<<53
 	case map[string]interface{}:
-		for k, e := range x {
-			if !utf8.ValidString(k) || !plain(e) {
-				return false
-			}
-		}
-		return true
+		return plainObject(x, plain)
 	case map[string]string:
-		for k, s := range x {
-			if !utf8.ValidString(k) || !utf8.ValidString(s) {
-				return false
-			}
-		}
-		return true
+		return plainObject(x, utf8.ValidString)
+	case map[string]float64:
+		return plainObject(x, func(float64) bool { return true })
+	case map[string]int:
+		return plainObject(x, exact[int])
 	case []interface{}:
 		return all(x, plain)
 	case []string:
 		return all(x, utf8.ValidString)
 	case []int:
-		return all(x, exact)
+		return all(x, exact[int])
 	}
 	return false
 }
 
-// exact reports whether a float64 holds i exactly.
-func exact(i int) bool { return int64(i) >= -1<<53 && int64(i) <= 1<<53 }
+// plainObject reports whether every key of m is valid UTF-8 and every
+// value ok.
+func plainObject[V any](m map[string]V, ok func(V) bool) bool {
+	for k, e := range m {
+		if !utf8.ValidString(k) || !ok(e) {
+			return false
+		}
+	}
+	return true
+}
 
 func all[T any](xs []T, ok func(T) bool) bool {
 	for _, x := range xs {
@@ -101,8 +128,9 @@ func AppendRawMap(dst []byte, m map[string]Raw) []byte {
 	if m == nil {
 		return append(dst, "null"...)
 	}
+	var buf [smallMap]string
 	dst = append(dst, '{')
-	for i, k := range sortedKeys(m) {
+	for i, k := range sortedKeys(buf[:0], m) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}

@@ -4,11 +4,14 @@
 // validation records, journal metadata). Every encoder is byte-identical
 // to encoding/json.Marshal for the inputs the pipeline produces -- same
 // HTML escaping, same float format, same sorted map keys -- and a fuzz +
-// table suite pins the equivalence (AppendCanonical, which writes what a
-// decode and re-encode would, is the one that differs). The decoder
-// accepts exactly the JSON grammar encoding/json accepts (strict numbers,
-// UTF-8 repair, surrogate pairs, a nesting-depth bound) and produces the
-// same generic values (float64 numbers, map[string]interface{} objects).
+// table suite pins the equivalence. What differs is canonical form, what
+// a decode and re-encode would write: AppendCanonical and its writers
+// (AppendCanonicalString, AppendCanonicalInt), and a Canonical value,
+// which AppendValue writes in that form and not as Marshal would. The
+// decoder accepts exactly the JSON grammar encoding/json accepts (strict
+// numbers, UTF-8 repair, surrogate pairs, a nesting-depth bound) and
+// produces the same generic values (float64 numbers,
+// map[string]interface{} objects).
 //
 // Encoders append into caller-owned buffers, so the pipeline can reuse
 // pooled scratch across tasks: the alloc-free discipline the perf gate's
@@ -19,7 +22,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"reflect"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -41,7 +45,14 @@ var safe = func() (t [utf8.RuneSelf]bool) {
 // quote, \b, \f, \n, \r, \t, \u00xx for remaining control bytes, the literal
 // six-byte escape \ufffd for invalid UTF-8, and U+2028/U+2029 escaped
 // for JS embedding.
-func AppendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte { return appendString(dst, s, false) }
+
+// AppendCanonicalString appends s as the decode-and-re-encode round trip
+// leaves it: as AppendString writes it, except that each invalid UTF-8
+// byte becomes the rune U+FFFD itself, not its escape.
+func AppendCanonicalString(dst []byte, s string) []byte { return appendString(dst, s, true) }
+
+func appendString(dst []byte, s string, repair bool) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -75,7 +86,11 @@ func AppendString(dst []byte, s string) []byte {
 		c, size := utf8.DecodeRuneInString(s[i:])
 		if c == utf8.RuneError && size == 1 {
 			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			if repair {
+				dst = utf8.AppendRune(dst, utf8.RuneError)
+			} else {
+				dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+			}
 			i += size
 			start = i
 			continue
@@ -119,12 +134,28 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 // AppendInt appends i in decimal.
 func AppendInt(dst []byte, i int64) []byte { return strconv.AppendInt(dst, i, 10) }
 
+// AppendCanonicalInt appends i as the round trip leaves it, as the
+// float64 a decode reads it into: in decimal within ±2^53, where a
+// float64 holds every integer, and rounded to the nearest float64
+// beyond.
+func AppendCanonicalInt(dst []byte, i int64) []byte {
+	if exact(i) {
+		return AppendInt(dst, i)
+	}
+	dst, _ = AppendFloat(dst, float64(i)) // finite: never an error
+	return dst
+}
+
+// exact reports whether a float64 holds i exactly.
+func exact[T int | int64](i T) bool { return int64(i) >= -1<<53 && int64(i) <= 1<<53 }
+
 // AppendValue appends v's JSON encoding, byte-identical to
-// encoding/json.Marshal(v). The dynamic kinds the extraction pipeline
-// produces (decoded JSON values, extractor metadata) are encoded without
-// reflection; anything else falls back to encoding/json, which keeps the
-// byte equivalence by construction. Map keys are sorted, as encoding/json
-// does.
+// encoding/json.Marshal(v) for every kind but one: a Canonical value
+// appends its own canonical form, whatever Marshal would write for it.
+// The dynamic kinds the extraction pipeline produces (decoded JSON
+// values, extractor metadata) are encoded without reflection; anything
+// else falls back to encoding/json, which keeps the byte equivalence by
+// construction. Map keys are sorted, as encoding/json does.
 func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -149,20 +180,26 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 	case uint:
 		return strconv.AppendUint(dst, uint64(x), 10), nil
 	case map[string]interface{}:
-		return appendMap(dst, x)
+		return appendObject(dst, x, AppendValue)
 	case []interface{}:
-		return appendList(dst, x, AppendValue)
+		return AppendList(dst, x, AppendValue)
 	case []int:
-		return appendList(dst, x, func(dst []byte, i int) ([]byte, error) { return AppendInt(dst, int64(i)), nil })
+		return AppendList(dst, x, appendInt)
 	case []float64:
-		return appendList(dst, x, AppendFloat)
+		return AppendList(dst, x, AppendFloat)
 	case map[string]string:
-		if x == nil {
-			return append(dst, "null"...), nil
-		}
-		return AppendStringMap(dst, x), nil
+		return appendObject(dst, x, appendStringValue)
+	case map[string]float64:
+		return appendObject(dst, x, AppendFloat)
+	case map[string]int:
+		return appendObject(dst, x, appendInt)
 	case []string:
 		return AppendStrings(dst, x), nil
+	case Canonical:
+		if p := reflect.ValueOf(x); p.Kind() == reflect.Pointer && p.IsNil() {
+			return append(dst, "null"...), nil // what Marshal and the trip write
+		}
+		return x.AppendCanonical(dst)
 	default:
 		// Rare kinds (json.Number, typed structs, ...) keep exact
 		// encoding/json bytes by delegating to it.
@@ -174,8 +211,13 @@ func AppendValue(dst []byte, v interface{}) ([]byte, error) {
 	}
 }
 
-// appendList appends xs as a JSON array, null when nil.
-func appendList[T any](dst []byte, xs []T, each func([]byte, T) ([]byte, error)) ([]byte, error) {
+func appendInt(dst []byte, i int) ([]byte, error) { return AppendInt(dst, int64(i)), nil }
+
+func appendStringValue(dst []byte, s string) ([]byte, error) { return AppendString(dst, s), nil }
+
+// AppendList appends xs as a JSON array, null when nil, each element
+// written by each; the first error ends it.
+func AppendList[T any](dst []byte, xs []T, each func([]byte, T) ([]byte, error)) ([]byte, error) {
 	if xs == nil {
 		return append(dst, "null"...), nil
 	}
@@ -207,47 +249,38 @@ func AppendStrings(dst []byte, ss []string) []byte {
 	return append(dst, ']')
 }
 
-// appendMap encodes a generic object with sorted keys.
-func appendMap(dst []byte, m map[string]interface{}) ([]byte, error) {
+// appendObject appends m as a JSON object with sorted keys, null when
+// nil.
+func appendObject[V any](dst []byte, m map[string]V, each func([]byte, V) ([]byte, error)) ([]byte, error) {
 	if m == nil {
 		return append(dst, "null"...), nil
 	}
+	var buf [smallMap]string
 	dst = append(dst, '{')
-	keys := sortedKeys(m)
 	var err error
-	for i, k := range keys {
+	for i, k := range sortedKeys(buf[:0], m) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = AppendString(dst, k)
-		dst = append(dst, ':')
-		if dst, err = AppendValue(dst, m[k]); err != nil {
+		dst = append(AppendString(dst, k), ':')
+		if dst, err = each(dst, m[k]); err != nil {
 			return dst, err
 		}
 	}
 	return append(dst, '}'), nil
 }
 
-// AppendStringMap appends a map[string]string object with sorted keys,
-// byte-identical to encoding/json. The caller has checked for nil.
-func AppendStringMap(dst []byte, m map[string]string) []byte {
-	dst = append(dst, '{')
-	for i, k := range sortedKeys(m) {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = AppendString(dst, k)
-		dst = append(dst, ':')
-		dst = AppendString(dst, m[k])
-	}
-	return append(dst, '}')
-}
+// smallMap is how many keys a caller's stack buffer holds for
+// sortedKeys: more than a metadata dictionary has.
+const smallMap = 16
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys appends m's keys to buf and sorts them. It keeps buf from
+// escaping (slices.Sort, unlike sort.Strings, takes no interface), so a
+// caller passing a stack array sorts a small map without allocating.
+func sortedKeys[V any](buf []string, m map[string]V) []string {
 	for k := range m {
-		keys = append(keys, k)
+		buf = append(buf, k)
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(buf)
+	return buf
 }

@@ -95,6 +95,10 @@ func TestAppendValueEquivalence(t *testing.T) {
 			"ext1": {"b": "x", "a": float64(1)},
 		},
 		map[string]map[string]interface{}(nil),
+		map[string]float64{"Si": 0.5, "O": 1e22, "<\xff": -0.0},
+		map[string]float64(nil),
+		map[string]int{"b": 1 << 60, "a": -2, "\xfe": 0},
+		map[string]int(nil),
 		json.RawMessage(`{"passthrough":1}`),
 	}
 	for _, v := range values {
