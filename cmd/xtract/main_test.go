@@ -188,7 +188,7 @@ func TestSignalSuspendsServesJobs(t *testing.T) {
 		t.Fatalf("recovery = %+v, %v; want the suspended job resumed", status, err)
 	}
 	d.Service.RecoveryWait()
-	if rec, err := d.Registry.Job(job.JobID); err != nil || rec.State != registry.JobComplete {
-		t.Fatalf("resumed job = %+v, %v; want COMPLETE", rec, err)
+	if v, ok := d.Service.LookupJob(job.JobID); !ok || v.Record.State != registry.JobComplete {
+		t.Fatalf("resumed job = %+v, %v; want COMPLETE", v, ok)
 	}
 }

@@ -43,7 +43,6 @@
 package api
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,7 +51,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"xtract/internal/auth"
@@ -94,8 +92,8 @@ type JobResponse struct {
 }
 
 // JobStatus reports job progress and, when complete, final statistics.
-// Stats may be nil for old completed jobs whose statistics have been
-// evicted from the bounded result cache; the registry record remains.
+// Stats is nil for a job answered from the journal's fold: one that has
+// left the service's bounded finished table, or did not end on this node.
 type JobStatus struct {
 	JobID    string `json:"job_id"`
 	State    string `json:"state"`
@@ -273,72 +271,9 @@ type errorBody struct {
 	Message string    `json:"message"`
 }
 
-// completedCache is the bounded (LRU + TTL) store of finished-job
-// results, replacing the previous unbounded map: a long-lived server
-// keeps registry records for every job but evicts bulky JobStats.
-type completedCache struct {
-	max     int
-	ttl     time.Duration
-	now     func() time.Time
-	order   *list.List // front = most recently used
-	entries map[string]*list.Element
-}
-
-type cacheEntry struct {
-	id    string
-	res   jobResult
-	added time.Time
-}
-
-func newCompletedCache(max int, ttl time.Duration) *completedCache {
-	return &completedCache{
-		max:     max,
-		ttl:     ttl,
-		now:     time.Now,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
-	}
-}
-
-// put inserts or refreshes an entry, evicting the least recently used
-// entries beyond the size bound.
-func (c *completedCache) put(id string, res jobResult) {
-	if el, ok := c.entries[id]; ok {
-		el.Value.(*cacheEntry).res = res
-		el.Value.(*cacheEntry).added = c.now()
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[id] = c.order.PushFront(&cacheEntry{id: id, res: res, added: c.now()})
-	for c.max > 0 && c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).id)
-	}
-}
-
-// get returns the cached result, expiring it when older than the TTL.
-func (c *completedCache) get(id string) (jobResult, bool) {
-	el, ok := c.entries[id]
-	if !ok {
-		return jobResult{}, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if c.ttl > 0 && c.now().Sub(ent.added) > c.ttl {
-		c.order.Remove(el)
-		delete(c.entries, id)
-		return jobResult{}, false
-	}
-	c.order.MoveToFront(el)
-	return ent.res, true
-}
-
-func (c *completedCache) len() int { return c.order.Len() }
-
 // Server is the HTTP front end over a core.Service.
 type Server struct {
 	svc    *core.Service
-	reg    *registry.Registry
 	lib    *extractors.Library
 	issuer *auth.Issuer // nil disables auth
 	// tenants enforces per-tenant quotas and keeps usage accounting;
@@ -356,29 +291,19 @@ type Server struct {
 	obsHTTP *obs.CounterVec
 	baseCtx context.Context
 
-	mu        sync.Mutex // guards completed
-	completed *completedCache
-
 	// search integration (optional, via EnableSearch)
 	idx        *index.Index
 	dest       store.Store
 	destPrefix string
 }
 
-// jobResult is what a job submitted here returned. Its entry is cached
-// from the submission on, stats unset, so that between the job leaving the
-// service's live table and its result landing here no status reads
-// "finished, result evicted".
-type jobResult struct {
-	stats *core.JobStats
-	err   error
-}
-
 // NewServer wires the REST API. issuer may be nil to disable auth —
 // a deliberate dev-mode choice that is loudly logged, since an
 // auth-less server treats every caller as the default tenant with
-// every scope.
-func NewServer(svc *core.Service, reg *registry.Registry, lib *extractors.Library, issuer *auth.Issuer) *Server {
+// every scope. The registry parameter is unused: the service answers for
+// its jobs itself. It stays only while the benchmark harness in bench/
+// passes one (ROADMAP item 1(f)).
+func NewServer(svc *core.Service, _ *registry.Registry, lib *extractors.Library, issuer *auth.Issuer) *Server {
 	if issuer == nil {
 		log.Printf("api: WARNING: no auth issuer configured — " +
 			"authentication is DISABLED and every caller has full access " +
@@ -386,12 +311,10 @@ func NewServer(svc *core.Service, reg *registry.Registry, lib *extractors.Librar
 			"issuer to NewServer) to secure this API")
 	}
 	return &Server{
-		svc:       svc,
-		reg:       reg,
-		lib:       lib,
-		issuer:    issuer,
-		baseCtx:   context.Background(),
-		completed: newCompletedCache(256, time.Hour),
+		svc:     svc,
+		lib:     lib,
+		issuer:  issuer,
+		baseCtx: context.Background(),
 	}
 }
 
@@ -423,15 +346,6 @@ func (s *Server) SetObserver(o *obs.Observer) {
 // started by POST /jobs are cancelled when ctx is, instead of leaking
 // past shutdown on context.Background.
 func (s *Server) SetBaseContext(ctx context.Context) { s.baseCtx = ctx }
-
-// SetCompletedCacheLimits bounds the finished-job result cache. max <= 0
-// means unlimited entries; ttl <= 0 disables expiry.
-func (s *Server) SetCompletedCacheLimits(max int, ttl time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.completed.max = max
-	s.completed.ttl = ttl
-}
 
 // EnableSearch attaches a search index fed from the validated-metadata
 // destination store. destPrefix is the directory validated documents
@@ -581,7 +495,7 @@ func (s *Server) clusterRedirect(w http.ResponseWriter, r *http.Request, jobID s
 	if s.cluster == nil {
 		return false
 	}
-	target := registry.MintingNode(jobID)
+	target := core.MintingNode(jobID)
 	if l, ok := s.cluster.Coordinator().Holder(jobID); ok {
 		target = l.Node
 	}
@@ -706,14 +620,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec.Tenant = ten
 	job, err := s.svc.Submit(s.baseCtx, spec)
 	if err != nil {
+		s.tenants.CancelAdmission(ten) // the job never started to consume it
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	s.cacheResult(job.ID, jobResult{})
-	go func() {
-		stats, err := job.Wait()
-		s.cacheResult(job.ID, jobResult{stats: &stats, err: err})
-	}()
 	writeJSON(w, http.StatusAccepted, JobResponse{JobID: job.ID})
 }
 
@@ -728,66 +638,46 @@ func retryLater(w http.ResponseWriter, status int, code string, after time.Durat
 	writeError(w, status, code, err)
 }
 
-func (s *Server) cacheResult(id string, res jobResult) {
-	s.mu.Lock()
-	s.completed.put(id, res)
-	s.mu.Unlock()
-}
-
 // callersJob resolves a job route's {id} to the caller's own job on this
 // node, or answers — a redirect to the node that runs the job (a cancel
 // must reach its pump), 404 if unknown, 403 if another tenant's — and reports false.
-func (s *Server) callersJob(w http.ResponseWriter, r *http.Request) (rec registry.JobRecord, ok bool) {
+func (s *Server) callersJob(w http.ResponseWriter, r *http.Request) (v core.JobView, ok bool) {
 	id := r.PathValue("id")
 	if s.clusterRedirect(w, r, id) {
-		return rec, false
+		return v, false
 	}
-	rec, err := s.reg.Job(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err)
-		return rec, false
+	v, ok = s.svc.LookupJob(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("api: job %s not found", id))
+		return v, false
 	}
-	// Records predating the tenancy layer have no tenant and belong to the
-	// default one. The 403 confirms nothing beyond the ID the caller sent.
-	if tenantOf(r) != tenant.Normalize(rec.Tenant) {
+	// The 403 confirms nothing beyond the ID the caller sent.
+	if tenantOf(r) != v.Record.Tenant {
 		writeError(w, http.StatusForbidden, CodeTenantForbidden,
 			fmt.Errorf("api: job %s is not owned by your tenant", id))
-		return rec, false
+		return v, false
 	}
-	return rec, true
+	return v, true
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.callersJob(w, r)
+	v, ok := s.callersJob(w, r)
 	if !ok {
 		return
 	}
-	id := rec.ID
-	status := JobStatus{
-		JobID:    id,
+	rec := v.Record
+	writeJSON(w, http.StatusOK, JobStatus{
+		JobID:    rec.ID,
 		State:    string(rec.State),
-		Tenant:   tenant.Normalize(rec.Tenant),
+		Tenant:   rec.Tenant,
 		Crawled:  rec.GroupsCrawled,
 		Done:     rec.GroupsDone,
+		Err:      v.Err,
+		Complete: v.Complete,
 		Degraded: rec.State == registry.JobDegraded,
+		Stats:    v.Stats,
 		Record:   rec,
-	}
-	s.mu.Lock()
-	res, cached := s.completed.get(id)
-	s.mu.Unlock()
-	if cached && res.stats != nil {
-		status.Complete = true
-		status.Stats = res.stats
-		if res.err != nil {
-			status.Err = res.err.Error()
-		}
-	} else if !cached && s.svc.Job(id) == nil && rec.State.Terminal() {
-		// Finished long ago, or not submitted here (resumed, adopted): no
-		// stats to show, but the registry record still proves completion.
-		status.Complete = true
-		status.Err = rec.Err
-	}
-	writeJSON(w, http.StatusOK, status)
+	})
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -820,8 +710,8 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	// Total counts matches within the tenant, not service-wide.
 	ten := tenantOf(r)
 	resp := JobListResponse{Jobs: []JobSummary{}}
-	for _, rec := range s.reg.Jobs() {
-		if tenant.Normalize(rec.Tenant) != ten {
+	for _, rec := range s.svc.JobRecords() {
+		if rec.Tenant != ten {
 			continue
 		}
 		if stateFilter != "" && string(rec.State) != stateFilter {
@@ -834,7 +724,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		resp.Jobs = append(resp.Jobs, JobSummary{
 			JobID:         rec.ID,
 			State:         string(rec.State),
-			Tenant:        tenant.Normalize(rec.Tenant),
+			Tenant:        rec.Tenant,
 			Submitted:     rec.Submitted,
 			Repositories:  rec.Repositories,
 			GroupsCrawled: rec.GroupsCrawled,
@@ -846,11 +736,11 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.callersJob(w, r)
+	v, ok := s.callersJob(w, r)
 	if !ok {
 		return
 	}
-	id := rec.ID
+	id := v.Record.ID
 	events, dropped := s.obs.Tracer().Events(id)
 	if events == nil {
 		events = []obs.Event{}
@@ -859,10 +749,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.callersJob(w, r)
+	v, ok := s.callersJob(w, r)
 	if !ok {
 		return
 	}
+	rec := v.Record
 	if s.svc.Cancel(rec.ID) {
 		writeJSON(w, http.StatusAccepted, CancelResponse{JobID: rec.ID, State: "cancelling"})
 		return

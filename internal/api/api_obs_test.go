@@ -235,32 +235,6 @@ func TestCancelJob(t *testing.T) {
 	}
 }
 
-func TestCompletedCacheBounded(t *testing.T) {
-	client, _, deps, done := newTestServerDeps(t, false, nil)
-	defer done()
-	deps.Server.SetCompletedCacheLimits(1, time.Hour)
-
-	first := runQuickJob(t, client)
-	second := runQuickJob(t, client)
-
-	// The newest job keeps its stats; the older one was evicted but its
-	// registry record still reports completion.
-	st2, err := client.JobStatus(second)
-	if err != nil || !st2.Complete || st2.Stats == nil {
-		t.Fatalf("second = %+v, %v", st2, err)
-	}
-	st1, err := client.JobStatus(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st1.Complete {
-		t.Fatal("evicted job no longer reports complete")
-	}
-	if st1.Stats != nil {
-		t.Fatal("evicted job still carries stats: cache unbounded?")
-	}
-}
-
 func TestErrorEnvelopeCodes(t *testing.T) {
 	client, _, done := newTestServer(t, false)
 	defer done()

@@ -13,6 +13,7 @@ import (
 	"xtract/internal/core"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
+	"xtract/internal/family"
 	"xtract/internal/index"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
@@ -302,5 +303,59 @@ func TestSearchNotEnabled(t *testing.T) {
 	}
 	if _, err := client.RefreshIndex(); err == nil {
 		t.Fatal("refresh without index should error")
+	}
+}
+
+// holdingExtractor runs its inner extractor, first waiting for release on
+// any group holding the file held.
+type holdingExtractor struct {
+	extractors.Extractor
+	held    string
+	release <-chan struct{}
+}
+
+func (h holdingExtractor) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
+	for _, f := range g.Files {
+		if f == h.held {
+			<-h.release
+		}
+	}
+	return h.Extractor.Extract(g, files)
+}
+
+// A running job shows its progress: held mid-run behind an extractor that
+// waits, it answers with the groups its crawl formed and the steps it has
+// done before it is complete.
+func TestRunningJobShowsProgress(t *testing.T) {
+	release := make(chan struct{})
+	base := extractors.DefaultLibrary()
+	var held []extractors.Extractor
+	for _, name := range base.Names() {
+		e, _ := base.Get(name)
+		held = append(held, holdingExtractor{Extractor: e, held: "/data/b.csv", release: release})
+	}
+	client, _, _, done := newTestServerDepsCfg(t, false, nil, func(cfg *core.Config) {
+		cfg.Library = extractors.NewLibrary(held...)
+		cfg.XtractBatchSize = 1 // a.txt's step is not in b.csv's task
+	})
+	defer done()
+	id, err := client.Submit(api.JobRequest{Repos: []api.RepoRequest{{Site: "local", Roots: []string{"/data"}, Grouper: "single"}}})
+	if err != nil {
+		close(release)
+		t.Fatal(err)
+	}
+	var st api.JobStatus
+	for deadline := time.Now().Add(10 * time.Second); st.Done == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st, err = client.JobStatus(id); err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if st.Crawled != 2 || st.Done == 0 || st.Complete || st.Record.GroupsDone != st.Done {
+		t.Fatalf("held job = %+v; want two groups crawled, steps done, not complete", st)
+	}
+	if st, err = client.WaitJob(id, time.Millisecond, 10*time.Second); err != nil || st.State != "COMPLETE" || st.Done <= 1 {
+		t.Fatalf("released job = %+v, %v", st, err)
 	}
 }

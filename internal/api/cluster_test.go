@@ -9,6 +9,7 @@ package api_test
 // of the per-node xtract_tenant_* metric expositions.
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -50,6 +51,13 @@ type clusterAPINode struct {
 // not expiry (the cluster harness owns that).
 func newClusterAPIPair(t *testing.T) (*cluster.Coordinator, *store.MemFS, *auth.Issuer, []*clusterAPINode, func()) {
 	t.Helper()
+	return newClusterAPIPairWith(t, tenant.Config{TaskSlots: 4})
+}
+
+// newClusterAPIPairWith is newClusterAPIPair with each node's tenancy
+// controller built from tcfg.
+func newClusterAPIPairWith(t *testing.T, tcfg tenant.Config) (*cluster.Coordinator, *store.MemFS, *auth.Issuer, []*clusterAPINode, func()) {
+	t.Helper()
 	clk := clock.NewReal()
 	coord := cluster.NewCoordinator(cluster.Options{Clock: clk, LeaseTTL: time.Hour})
 	siteFS := store.NewMemFS("local", nil)
@@ -60,12 +68,11 @@ func newClusterAPIPair(t *testing.T) (*cluster.Coordinator, *store.MemFS, *auth.
 
 	for _, id := range []string{"n1", "n2"} {
 		o := obs.New(clk)
-		ctrl := tenant.NewController(tenant.Config{TaskSlots: 4})
+		ctrl := tenant.NewController(tcfg)
 		ctrl.Instrument(o.Reg())
 		fsvc := faas.NewService(clk, faas.Costs{})
 		fabric := transfer.NewFabric(clk)
 		reg := registry.New(clk, 0)
-		reg.SetIDPrefix(id)
 		lib := extractors.DefaultLibrary()
 		// The address is only known once the listener exists; join with a
 		// placeholder and refresh below (Join upserts).
@@ -196,7 +203,7 @@ func TestClusterEndpointAndSubmitRedirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cross-node submit: %v", err)
 	}
-	if registry.MintingNode(jobID) != "n1" {
+	if core.MintingNode(jobID) != "n1" {
 		t.Fatalf("job %s did not land on the placement owner n1", jobID)
 	}
 
@@ -215,6 +222,44 @@ func TestClusterEndpointAndSubmitRedirect(t *testing.T) {
 	// probing the job through the non-owner must still be refused.
 	if _, err := tenantClient(nodes[1].base, issuer, "intruder").JobStatus(jobID); err == nil {
 		t.Fatal("foreign tenant read a redirected job")
+	}
+}
+
+// A submission whose lease the coordination layer refuses leaves nothing
+// behind: no job in the node's listing, and the tenant's admission
+// reservation returned, so that a tenant allowed one active job is
+// admitted again at once.
+func TestClusterRefusedSubmissionLeavesNothingBehind(t *testing.T) {
+	coord, siteFS, issuer, nodes, done := newClusterAPIPairWith(t,
+		tenant.Config{TaskSlots: 4, Defaults: tenant.Limits{MaxActiveJobs: 1}})
+	defer done()
+	if err := siteFS.Write("/data/a.txt", []byte("perovskite absorber layers")); err != nil {
+		t.Fatal(err)
+	}
+	req := api.JobRequest{Repos: []api.RepoRequest{{Site: "local", Roots: []string{"/data"}, Grouper: "single"}}}
+	alice := tenantPlacedOn(t, coord, "n1", req)
+	c := tenantClient(nodes[0].base, issuer, alice)
+
+	// n2 holds the lease on the ID n1 mints next.
+	if _, err := coord.Acquire("job-n1-1", "n2", 0); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *sdk.APIError
+	if _, err := c.Submit(req); !errors.As(err, &apiErr) || apiErr.Status != 500 {
+		t.Fatalf("submission under a foreign lease = %v; want a 500", err)
+	}
+	if list, err := c.ListJobs("", 0, 0); err != nil || list.Total != 0 {
+		t.Fatalf("n1 lists %+v, %v after a refused submission; want nothing", list, err)
+	}
+	if u, err := c.TenantUsage(alice); err != nil || u.Usage.ActiveJobs != 0 {
+		t.Fatalf("%s usage %+v, %v; want no active job", alice, u.Usage, err)
+	}
+	id, err := c.Submit(req)
+	if err != nil {
+		t.Fatalf("the next submission was not admitted: %v", err)
+	}
+	if st, err := c.WaitJob(id, 2*time.Millisecond, 30*time.Second); err != nil || st.State != "COMPLETE" {
+		t.Fatalf("job %s = %+v, %v", id, st, err)
 	}
 }
 
@@ -263,9 +308,9 @@ func TestClusterCrossNodeTenantAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if registry.MintingNode(aliceJob) != "n1" || registry.MintingNode(bobJob) != "n2" {
+	if core.MintingNode(aliceJob) != "n1" || core.MintingNode(bobJob) != "n2" {
 		t.Fatalf("placement not split: %s on %s, %s on %s", aliceJob,
-			registry.MintingNode(aliceJob), bobJob, registry.MintingNode(bobJob))
+			core.MintingNode(aliceJob), bobJob, core.MintingNode(bobJob))
 	}
 	if st, err := alice.WaitJob(aliceJob, 2*time.Millisecond, 30*time.Second); err != nil || st.Err != "" {
 		t.Fatalf("flood job: %+v, %v", st, err)

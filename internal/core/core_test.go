@@ -149,7 +149,6 @@ func (w *world) start(t testing.TB, n node) *harness {
 	}
 	if w.coord != nil {
 		h.node = cluster.NewNode(w.coord, n.id, "mem://"+n.id)
-		cfg.Registry.SetIDPrefix(n.id)
 		cfg.Cluster = h.node
 	}
 	if n.faults != nil {
@@ -822,7 +821,7 @@ func TestExcludedExtractorFailsGracefully(t *testing.T) {
 	if stats.StepsDeadLettered == 0 {
 		t.Fatalf("expected dead-lettered steps, got %+v", stats)
 	}
-	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
+	rec, err := record(h.svc, stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,7 +302,7 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 			t.Fatalf("RunJob = %v; want the unknown-site error", err)
 		}
 		stopped(t, src, goroutines, false)
-		if rec, err := h.svc.cfg.Registry.Job(stats.JobID); err != nil || rec.State != registry.JobFailed {
+		if rec, err := record(h.svc, stats.JobID); err != nil || rec.State != registry.JobFailed {
 			t.Fatalf("job record = %+v, %v; want FAILED", rec, err)
 		}
 	})
@@ -313,8 +313,9 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 		// with a nil one: the crawler refuses it.
 		repos := []journal.RepoSpec{flatRepo("theta", workers), flatRepo("theta", workers)}
 		single, _ := h.svc.Grouper("single")
-		id := h.svc.cfg.Registry.CreateJob("", []string{"theta", "theta"}, h.clk.Now())
-		job := h.svc.runJob(context.Background(), id, journal.JobSpec{Repos: repos}, []crawler.GroupingFunc{single, nil}, nil)
+		spec := journal.JobSpec{Repos: repos}
+		job := h.svc.runJob(context.Background(), newRecord(h.svc.jobs.mint(), spec, h.clk.Now()), spec,
+			[]crawler.GroupingFunc{single, nil}, nil)
 		if _, err := job.Wait(); err == nil || !strings.Contains(err.Error(), "nil grouping function") {
 			t.Fatalf("job = %v; want the crawl's error", err)
 		}
@@ -425,7 +426,7 @@ func TestJobWithoutFamiliesTerminates(t *testing.T) {
 		if r.err != nil || r.stats.FamiliesDone != 0 || r.stats.Crawl.FamiliesEmitted != 0 {
 			t.Fatalf("job over an empty repository = %+v, %v", r.stats, r.err)
 		}
-		if rec, err := h.svc.cfg.Registry.Job(r.stats.JobID); err != nil || rec.State != registry.JobComplete {
+		if rec, err := record(h.svc, r.stats.JobID); err != nil || rec.State != registry.JobComplete {
 			t.Fatalf("job record = %+v, %v; want COMPLETE", rec, err)
 		}
 	case <-time.After(20 * time.Second):

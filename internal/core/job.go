@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,22 +63,46 @@ type JobStats struct {
 	Elapsed  time.Duration
 }
 
-// Job is the service's handle on one live job: its live-job table entry.
+// Job is the service's handle on one job and, from submission until it
+// leaves the finished table, its one record: its live-job table entry while
+// it runs, its finished-table entry after.
 type Job struct {
-	ID     string             // as the registry and the journal know it
+	ID     string             // as the journal knows it
 	cancel context.CancelFunc // ends the job's context
-	pump   *pump
-	// done closes once the job has ended and left the table; stats and err
-	// are what its run returned.
+	events *shardEventSink    // the pump's; staged results are routed to it
+	// done closes once the job has ended and left the live table; stats and
+	// err are what its run returned.
 	done  chan struct{}
 	stats JobStats
 	err   error
+
+	// mu guards rec. The pump is its only writer: its state and dead
+	// letters as they change, its progress once a pump pass.
+	mu  sync.Mutex
+	rec registry.JobRecord
 }
 
 // Wait blocks until the job has ended and returns its stats and error.
 func (j *Job) Wait() (JobStats, error) {
 	<-j.done
 	return j.stats, j.err
+}
+
+// Record returns a copy of the job's record as last published.
+func (j *Job) Record() registry.JobRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rec
+}
+
+// newRecord is a job's record as it starts: crawling, owned by the spec's
+// tenant, over the spec's sites.
+func newRecord(id string, spec journal.JobSpec, at time.Time) registry.JobRecord {
+	rec := registry.JobRecord{ID: id, State: registry.JobCrawling, Tenant: spec.Tenant, Submitted: at}
+	for _, r := range spec.Repos {
+		rec.Repositories = append(rec.Repositories, r.Site)
+	}
+	return rec
 }
 
 // RunJob runs a job over the given repositories to its end: Submit, Wait.
@@ -126,11 +152,8 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	spec.Tenant = tenant.Normalize(spec.Tenant)
-	names := make([]string, 0, len(spec.Repos))
-	for _, r := range spec.Repos {
-		names = append(names, r.Site)
-	}
-	jobID := s.cfg.Registry.CreateJob(spec.Tenant, names, s.clk.Now())
+	rec := newRecord(s.jobs.mint(), spec, s.clk.Now())
+	jobID := rec.ID
 	if s.cfg.Cluster != nil {
 		// Ownership lease before the submission record: a peer's failover
 		// scan sees the job in the journal's live fold only after the
@@ -138,9 +161,9 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 		// adopted out from under its submitter. (Lease records for a job
 		// the fold does not know yet are skipped on replay — harmless.)
 		// Fresh IDs are node-unique, so acquisition can only fail on a
-		// coordination-layer fault.
+		// coordination-layer fault. A refused job leaves nothing behind:
+		// no record of it exists yet.
 		if err := s.cfg.Cluster.AcquireJob(jobID); err != nil {
-			s.failJob(jobID, spec.Tenant, err)
 			return nil, fmt.Errorf("core: job %s: %w", jobID, err)
 		}
 	}
@@ -152,8 +175,8 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 			Type: journal.RecJobSubmitted, JobID: jobID, Spec: &spec,
 		})
 	}
-	s.obs.Emitf(jobID, obs.EvJobSubmitted, "repositories=%s", strings.Join(names, ","))
-	j := s.runJob(ctx, jobID, spec, groupers, submitted)
+	s.obs.Emit(jobID, obs.EvJobSubmitted, "repositories="+strings.Join(rec.Repositories, ","))
+	j := s.runJob(ctx, rec, spec, groupers, submitted)
 	if err = ticket.Wait(); err != nil {
 		s.obsJournalErrors.Inc() // durability degraded, not correctness: see journalAppend
 	}
@@ -164,12 +187,14 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 }
 
 // runJob is the shared back half of submission, recovery and failover
-// adoption (the last two with an open, nil, gate): it enters the job into
-// the live-job table and runs it on a goroutine and a context of its own.
-func (s *Service) runJob(ctx context.Context, jobID string, spec journal.JobSpec,
+// adoption (the last two with an open, nil, gate): it enters the job, its
+// record starting as rec, into the live-job table and runs it on a
+// goroutine and a context of its own.
+func (s *Service) runJob(ctx context.Context, rec registry.JobRecord, spec journal.JobSpec,
 	groupers []crawler.GroupingFunc, submitted <-chan struct{}) *Job {
-	p := newPump(s, jobID, spec.Tenant, spec.NoCache, submitted)
-	j := &Job{ID: jobID, pump: p, done: make(chan struct{})}
+	p := newPump(s, rec, spec.NoCache, submitted)
+	j := p.job
+	j.done = make(chan struct{})
 	p.jobCtx, j.cancel = context.WithCancel(ctx)
 	s.jobs.enter(s, j)
 	go func() {
@@ -193,16 +218,34 @@ func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, ca
 	defer p.teardown(cancelJob)
 	err := p.startCrawls(repos, groupers)
 	if err == nil {
-		_ = s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) {
-			j.State = registry.JobExtracting
-		})
+		p.publish(registry.JobExtracting, "")
 		err = p.loop(p.jobCtx)
 	}
 	if err != nil {
-		s.failJob(p.JobID, p.tenant, err)
+		p.fail(err)
 		return JobStats{JobID: p.JobID}, err
 	}
 	return p.conclude(), nil
+}
+
+// publish makes the job's progress readable on its record, under the
+// job's own lock: once a pump pass, and with each change of state (when
+// state is set).
+func (p *pump) publish(state registry.JobState, errMsg string) {
+	j := p.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if state != "" {
+		j.rec.State, j.rec.Err = state, errMsg
+	}
+	j.rec.GroupsCrawled, j.rec.GroupsDone = p.Crawl.GroupsFormed, p.StepsProcessed
+}
+
+// addDeadLetter notes one quarantine on the job's record.
+func (p *pump) addDeadLetter(dl registry.DeadLetter) {
+	p.job.mu.Lock()
+	defer p.job.mu.Unlock()
+	p.job.rec.AddDeadLetter(dl)
 }
 
 // startCrawls starts one crawler per repository, with the grouper resolved
@@ -249,13 +292,27 @@ func (p *pump) startCrawls(repos []journal.RepoSpec, groupers []crawler.Grouping
 	return nil
 }
 
-// jobTable is the service's one table of live jobs. runJob enters a job
-// before its goroutine starts and that goroutine removes it after
-// teardown, on every exit; Cancel, Job and every pump's intakeStaged look
-// jobs up in it. One heartbeat scanner runs while it is non-empty.
+// finishedJobs bounds the finished table: the newest jobs to end, whose
+// handles answer with their stats. An older one answers from the journal's
+// fold, without them, or not at all without a journal.
+const finishedJobs = 256
+
+// jobTable is the service's one table of jobs. runJob enters a job before
+// its goroutine starts and that goroutine moves it to the finished table
+// after teardown, on every exit; Cancel, Job and every pump's intakeStaged
+// look live jobs up in it, LookupJob and JobRecords every job. One
+// heartbeat scanner runs while a job is live.
 type jobTable struct {
 	mu   sync.Mutex
 	live map[string]*Job
+	// finished holds the newest jobs to end, oldest first: at most keep of
+	// them (finishedJobs; a test may shrink it).
+	finished []*Job
+	keep     int
+	// seq numbers the jobs this service mints, after prefix: "job-", or
+	// "job-<node>-" on a cluster node.
+	seq    int
+	prefix string
 	// scanStop ends the running scanner; scanDone closes when it has gone.
 	// tick is its pending timer, which a stopped scanner leaves to the
 	// next: a service holds one however many busy spells it has.
@@ -264,7 +321,43 @@ type jobTable struct {
 	strays             atomic.Int64 // staged results no family was waiting for
 }
 
-// enter adds j; the first entry starts the heartbeat scanner.
+// mint returns a new job ID: "job-<n>", or "job-<node>-<n>" on a cluster
+// node, so that nodes sharing a journal never collide.
+func (t *jobTable) mint() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.seq++
+	return t.prefix + strconv.Itoa(t.seq)
+}
+
+// advance moves the counter past a journaled ID of this service's form, so
+// that jobs minted after recovery never collide with recovered ones.
+func (t *jobTable) advance(id string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if rest, ok := strings.CutPrefix(id, t.prefix); ok {
+		if n, err := strconv.Atoi(rest); err == nil && n > t.seq {
+			t.seq = n
+		}
+	}
+}
+
+// MintingNode extracts the node identity embedded in a job ID a cluster
+// node minted ("job-<node>-<seq>"); it is empty for single-node IDs
+// ("job-<seq>").
+func MintingNode(jobID string) string {
+	rest, ok := strings.CutPrefix(jobID, "job-")
+	if !ok {
+		return ""
+	}
+	i := strings.LastIndexByte(rest, '-')
+	if i <= 0 {
+		return ""
+	}
+	return rest[:i]
+}
+
+// enter adds j; the first live entry starts the heartbeat scanner.
 func (t *jobTable) enter(s *Service, j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -276,7 +369,9 @@ func (t *jobTable) enter(s *Service, j *Job) {
 	t.live[j.ID] = j
 }
 
-// leave removes j; the last removal ends the heartbeat scanner.
+// leave moves j from the live map to the finished table, evicting the
+// oldest finished job past the bound; the last live one ends the heartbeat
+// scanner. What is left in j's event sink goes: the job reads it no more.
 func (t *jobTable) leave(j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -284,6 +379,11 @@ func (t *jobTable) leave(j *Job) {
 		return
 	}
 	delete(t.live, j.ID)
+	j.events.drain()
+	if t.finished = append(t.finished, j); len(t.finished) > t.keep {
+		t.finished[0] = nil
+		t.finished = t.finished[1:]
+	}
 	if len(t.live) == 0 {
 		close(t.scanStop)
 	}
@@ -296,13 +396,110 @@ func (s *Service) Job(id string) *Job {
 	return s.jobs.live[id]
 }
 
-// Cancel ends a live job's context (see failJob) and reports if it was live.
+// Cancel ends a live job's context (see fail) and reports if it was live.
 func (s *Service) Cancel(id string) bool {
 	j := s.Job(id)
 	if j != nil {
 		j.cancel()
 	}
 	return j != nil
+}
+
+// JobView is what the service answers for one job.
+type JobView struct {
+	Record registry.JobRecord
+	// Complete reports that the job has ended. Stats and Err are what its
+	// run returned, while its handle is in the finished table; a job
+	// answered from the journal's fold has no stats, and Err is its
+	// terminal record's.
+	Complete bool
+	Stats    *JobStats
+	Err      string
+}
+
+// LookupJob answers for one job: from its handle while it runs and once it
+// has ended here, else from the journal's fold. A finished job whose record
+// is not terminal ended without a terminal record here — its lease moved,
+// or the service is draining — so the fold, when it knows the job, answers.
+// ok is false for a job neither knows.
+func (s *Service) LookupJob(id string) (JobView, bool) {
+	s.jobs.mu.Lock()
+	j, live := s.jobs.live[id]
+	for i := len(s.jobs.finished) - 1; i >= 0 && j == nil; i-- { // newest first
+		if s.jobs.finished[i].ID == id {
+			j = s.jobs.finished[i]
+		}
+	}
+	s.jobs.mu.Unlock()
+	var v JobView
+	if j != nil {
+		v = JobView{Record: j.Record(), Complete: !live}
+		if live {
+			return v, true
+		}
+	}
+	if s.cfg.Journal != nil && !v.Record.State.Terminal() {
+		if js, ok := s.cfg.Journal.JobSnapshot(id); ok {
+			return JobView{Record: s.foldRecord(js), Complete: js.Terminal, Err: js.Err}, true
+		}
+	}
+	if j == nil {
+		return v, false
+	}
+	stats := j.stats
+	v.Stats = &stats
+	if j.err != nil {
+		v.Err = j.err.Error()
+	}
+	return v, true
+}
+
+// JobRecords lists the record of every job LookupJob answers for — live,
+// in the finished table, in the journal's fold — by submission time, then
+// ID.
+func (s *Service) JobRecords() []registry.JobRecord {
+	var ids []string
+	if s.cfg.Journal != nil {
+		ids = s.cfg.Journal.JobIDs()
+	}
+	s.jobs.mu.Lock()
+	for id := range s.jobs.live {
+		ids = append(ids, id)
+	}
+	for _, j := range s.jobs.finished {
+		ids = append(ids, j.ID)
+	}
+	s.jobs.mu.Unlock()
+	slices.Sort(ids)
+	out := make([]registry.JobRecord, 0, len(ids))
+	for _, id := range slices.Compact(ids) {
+		if v, ok := s.LookupJob(id); ok {
+			out = append(out, v.Record)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b registry.JobRecord) int { return a.Submitted.Compare(b.Submitted) })
+	return out
+}
+
+// foldRecord is a journaled job's record as the fold tells it: no
+// progress, the state its terminal record gave or, for one still running
+// elsewhere or awaiting adoption, EXTRACTING. It is flagged recovered when
+// the job was journaled before this process opened the journal.
+func (s *Service) foldRecord(js *journal.JobState) registry.JobRecord {
+	var spec journal.JobSpec
+	if js.Spec != nil {
+		spec = *js.Spec
+	}
+	// Pre-tenancy logs have no tenant: the job is the default tenant's.
+	spec.Tenant = tenant.Normalize(spec.Tenant)
+	at, _ := time.Parse(time.RFC3339Nano, js.Submitted)
+	rec := newRecord(js.ID, spec, at)
+	rec.State, rec.Err, rec.DeadLetters = registry.JobExtracting, js.Err, js.DeadLetters
+	if js.Terminal {
+		rec.State = registry.JobState(js.State)
+	}
+	_, rec.Recovered = s.cfg.Journal.Recovered().Jobs[js.ID]
+	return rec
 }
 
 // scanHeartbeats scans endpoint liveness on its own timer, so tasks
@@ -380,9 +577,8 @@ func (p *pump) conclude() JobStats {
 		errMsg = fmt.Sprintf("core: degraded: %d families partial, %d steps dead-lettered",
 			p.FamiliesDegraded, p.StepsDeadLettered)
 	}
-	s.endJob(p.JobID, p.tenant, state, errMsg, func(j *registry.JobRecord) {
-		j.GroupsCrawled, j.GroupsDone = p.Crawl.GroupsFormed, p.StepsProcessed
-	})
+	s.endJob(p.JobID, p.tenant, state, errMsg)
+	p.publish(state, errMsg)
 	s.obs.Emitf(p.JobID, event, "families_failed=%d steps_dead_lettered=%d cache_hits=%d elapsed=%s",
 		p.FamiliesFailed, p.StepsDeadLettered, p.CacheHits, p.Elapsed)
 	return p.JobStats
@@ -395,13 +591,14 @@ func (p *pump) withinStragglerBudget() bool {
 	return budget > 0 && p.StepsDeadLettered <= budget
 }
 
-// failJob marks a job record terminal after an error: CANCELLED when the
-// context was cancelled (the DELETE /jobs/{id} path), FAILED otherwise.
-// During a graceful shutdown the cancellation is the restart itself, so
-// nothing terminal is recorded — the journal keeps the job live and
-// recovery resumes it. ten is the owning tenant for outcome accounting.
-func (s *Service) failJob(jobID, ten string, err error) {
-	if s.cfg.Cluster != nil && !s.cfg.Cluster.HoldsLive(jobID) && !s.draining.Load() {
+// fail records a job's end after an error: CANCELLED when the context was
+// cancelled (the DELETE /jobs/{id} path), FAILED otherwise. During a
+// graceful shutdown the cancellation is the restart itself, so nothing
+// terminal is recorded — the journal keeps the job live and recovery
+// resumes it.
+func (p *pump) fail(err error) {
+	s := p.s
+	if s.cfg.Cluster != nil && !s.cfg.Cluster.HoldsLive(p.JobID) && !s.draining.Load() {
 		// The job's lease moved to another node (this pump was cancelled
 		// by fencing, not by the user): the new owner drives the job to
 		// its real outcome; recording a terminal state here would be the
@@ -417,27 +614,23 @@ func (s *Service) failJob(jobID, ten string, err error) {
 		state = registry.JobCancelled
 		event = obs.EvJobCancelled
 	}
-	s.endJob(jobID, ten, state, err.Error(), nil)
-	s.obs.Emit(jobID, event, err.Error())
+	s.endJob(p.JobID, p.tenant, state, err.Error())
+	p.publish(state, err.Error())
+	s.obs.Emit(p.JobID, event, err.Error())
 }
 
-// endJob records a job's terminal state, durable before visible: a client
+// endJob journals a job's terminal state, durable before visible: a client
 // that reads it finds it after a crash (a journal device error degrades
 // exactly that, nothing else). A cancellation has a record type of its own
-// — a restarted service must not resurrect a job the user cancelled. more,
-// when set, adds to the registry record in the same update.
-func (s *Service) endJob(jobID, ten string, state registry.JobState, errMsg string, more func(*registry.JobRecord)) {
+// — a restarted service must not resurrect a job the user cancelled. ten
+// is the owning tenant for outcome accounting; a job with a handle
+// publishes the state on its record after this.
+func (s *Service) endJob(jobID, ten string, state registry.JobState, errMsg string) {
 	rec := journal.Record{Type: journal.RecJobTerminal, JobID: jobID, State: string(state), Err: errMsg}
 	if state == registry.JobCancelled {
 		rec = journal.Record{Type: journal.RecJobCancelled, JobID: jobID, Err: errMsg}
 	}
 	s.journalAppend(rec)
-	_ = s.cfg.Registry.UpdateJob(jobID, func(j *registry.JobRecord) {
-		j.State, j.Err = state, errMsg
-		if more != nil {
-			more(j)
-		}
-	})
 	s.obsJobs.with(string(state)).Inc()
 	s.cfg.Tenants.JobOutcome(ten, string(state))
 }

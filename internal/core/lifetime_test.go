@@ -212,19 +212,21 @@ func countFiles(t *testing.T, fs *store.MemFS, dir string) int {
 	return n
 }
 
-// journaledJob opens a journal on an in-memory disk that already knows one
-// submitted, unfinished job over theta:/mdf.
-func journaledJob(t *testing.T, jobID string) *journal.Journal {
+// journaledJob opens a journal on an in-memory disk that already knows
+// submitted, unfinished jobs over theta:/mdf, one per ID.
+func journaledJob(t *testing.T, jobIDs ...string) *journal.Journal {
 	t.Helper()
 	dir := journal.StoreDir(store.NewMemFS("journal-disk", nil), "/wal")
 	prev, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prev.Append(journal.Record{Type: journal.RecJobSubmitted, JobID: jobID, Spec: &journal.JobSpec{
-		Repos: []journal.RepoSpec{{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}},
-	}}); err != nil {
-		t.Fatal(err)
+	for _, id := range jobIDs {
+		if err := prev.Append(journal.Record{Type: journal.RecJobSubmitted, JobID: id, Spec: &journal.JobSpec{
+			Repos: []journal.RepoSpec{{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}},
+		}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := prev.Close(); err != nil {
 		t.Fatal(err)
@@ -300,8 +302,8 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 	t.Run("failed crawl", func(t *testing.T) {
 		h, goroutines := setup(t, scheduler.LocalPolicy{}, nil)
 		single, _ := h.svc.Grouper(repo.Grouper)
-		id := h.svc.cfg.Registry.CreateJob("", []string{"theta", "theta"}, h.clk.Now())
-		job := h.svc.runJob(context.Background(), id, journal.JobSpec{Repos: []journal.RepoSpec{repo, repo}},
+		spec := journal.JobSpec{Repos: []journal.RepoSpec{repo, repo}}
+		job := h.svc.runJob(context.Background(), newRecord(h.svc.jobs.mint(), spec, h.clk.Now()), spec,
 			[]crawler.GroupingFunc{single, nil}, nil)
 		if _, err := job.Wait(); err == nil {
 			t.Fatal("a crawl without a grouping function did not fail the job")
@@ -318,7 +320,7 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 		close(policy.release)
 		cancelled(t, job)
 		ended(t, h, goroutines)
-		if rec, err := h.svc.cfg.Registry.Job(job.ID); err != nil || rec.State != registry.JobCancelled {
+		if rec, err := record(h.svc, job.ID); err != nil || rec.State != registry.JobCancelled {
 			t.Fatalf("job record = %+v, %v; want CANCELLED", rec, err)
 		}
 		if h.svc.Cancel(job.ID) {
@@ -344,7 +346,7 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 		}
 		h.svc.RecoveryWait()
 		ended(t, h, goroutines)
-		if rec, err := h.svc.cfg.Registry.Job("job-7"); err != nil || rec.State != registry.JobComplete {
+		if rec, err := record(h.svc, "job-7"); err != nil || rec.State != registry.JobComplete {
 			t.Fatalf("job record = %+v, %v; want COMPLETE", rec, err)
 		}
 	})
@@ -390,7 +392,7 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 		cancelled(t, job)
 		ended(t, h, goroutines)
 		// The job is its new owner's: nothing terminal is recorded here.
-		if rec, err := h.svc.cfg.Registry.Job(job.ID); err != nil || rec.State.Terminal() {
+		if rec, err := record(h.svc, job.ID); err != nil || rec.State.Terminal() {
 			t.Fatalf("job record = %+v, %v; want no terminal state on the fenced node", rec, err)
 		}
 	})
@@ -530,5 +532,93 @@ func TestServiceDoesNotCrawlItsOwnDirectories(t *testing.T) {
 			t.Fatalf("round %d crawled %d families from /, the site holds %d files of its own",
 				round, stats.Crawl.FamiliesEmitted, own)
 		}
+	}
+}
+
+// TestFinishedTableIsBounded: the finished table keeps the newest jobs to
+// end, up to its bound. The newest answers with its stats; an evicted one
+// is unknown without a journal and, with one, answers complete without
+// stats from the journal's fold. The listing is what LookupJob answers.
+func TestFinishedTableIsBounded(t *testing.T) {
+	repo := journal.RepoSpec{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journaled), func(t *testing.T) {
+			w := newWorld(t, []siteSpec{{name: "theta", workers: 2}})
+			if journaled {
+				w.jdir = newDevice()
+			}
+			seedScience(t, w.sites["theta"], "/mdf")
+			h := w.start(t, node{policy: scheduler.LocalPolicy{}})
+			const keep, runs = 2, 5
+			h.svc.jobs.keep = keep
+			var ids []string
+			for i := 0; i < runs; i++ {
+				stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{repo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, stats.JobID)
+			}
+			h.svc.jobs.mu.Lock()
+			retained := len(h.svc.jobs.finished)
+			h.svc.jobs.mu.Unlock()
+			if retained != keep {
+				t.Fatalf("finished table holds %d, want %d", retained, keep)
+			}
+			newest, ok := h.svc.LookupJob(ids[runs-1])
+			if !ok || !newest.Complete || newest.Stats == nil || newest.Stats.FamiliesDone == 0 ||
+				newest.Record.State != registry.JobComplete || newest.Record.GroupsDone == 0 {
+				t.Fatalf("newest job = %+v, %v; want complete with stats", newest, ok)
+			}
+			old, ok := h.svc.LookupJob(ids[0])
+			listed := len(h.svc.JobRecords())
+			switch {
+			case !journaled && (ok || listed != keep):
+				t.Fatalf("without a journal the evicted job answers %+v, %v and %d are listed; want unknown, %d",
+					old, ok, listed, keep)
+			case journaled && (!ok || !old.Complete || old.Stats != nil || old.Record.State != registry.JobComplete ||
+				old.Record.Recovered || listed != runs):
+				t.Fatalf("with a journal the evicted job answers %+v, %v and %d are listed; want complete without stats, %d",
+					old, ok, listed, runs)
+			}
+		})
+	}
+}
+
+// TestRecoverAdvancesJobIDs: recovery moves the ID counter past every
+// journaled ID of the service's own form and never back, so a job
+// submitted after it gets a fresh ID; an ID of another form leaves the
+// counter alone.
+func TestRecoverAdvancesJobIDs(t *testing.T) {
+	for _, tc := range []struct {
+		node      string
+		journaled []string
+		next      string
+	}{
+		{"", []string{"job-7", "job-3", "imported-abc", "job-n1-9"}, "job-8"},
+		{"n1", []string{"job-n1-7", "job-n1-3", "job-12", "job-n2-20"}, "job-n1-8"},
+	} {
+		t.Run("node="+tc.node, func(t *testing.T) {
+			jnl := journaledJob(t, tc.journaled...)
+			h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, scheduler.LocalPolicy{}, func(cfg *Config) {
+				cfg.Journal = jnl
+				if tc.node != "" {
+					cfg.Cluster = cluster.NewNode(cluster.NewCoordinator(cluster.Options{Journal: jnl}), tc.node, "")
+				}
+			})
+			seedScience(t, h.sites["theta"], "/mdf")
+			if _, err := h.svc.Recover(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			h.svc.RecoveryWait()
+			job, err := h.svc.Submit(context.Background(), journal.JobSpec{Repos: []journal.RepoSpec{
+				{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := job.Wait(); err != nil || job.ID != tc.next {
+				t.Fatalf("job %s ended with %v; want %s, clean", job.ID, err, tc.next)
+			}
+		})
 	}
 }

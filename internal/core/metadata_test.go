@@ -325,7 +325,7 @@ func checkPoisonFailsOnlyItsStep(t *testing.T, want string, poison func(md map[s
 	if stats.FamiliesDone != 1 || stats.FamiliesFailed != 1 || stats.StepsDeadLettered != 1 {
 		t.Fatalf("stats = %+v; want one family done, one failed on its dead-lettered step", stats)
 	}
-	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
+	rec, err := record(h.svc, stats.JobID)
 	if err != nil || len(rec.DeadLetters) != 1 || !strings.Contains(rec.DeadLetters[0].Reason, want) {
 		t.Fatalf("dead letters = %+v, %v; want one naming the encode failure (%q)", rec.DeadLetters, err, want)
 	}
@@ -466,7 +466,7 @@ func bareService(t testing.TB, c *cache.Cache) *Service {
 func TestWarmStepCostDoesNotGrowWithMetadata(t *testing.T) {
 	c := cache.New(0)
 	svc := bareService(t, c)
-	p := newPump(svc, svc.cfg.Registry.CreateJob("", []string{"x"}, svc.clk.Now()), "", false, nil)
+	p := newPump(svc, registry.JobRecord{ID: svc.jobs.mint()}, false, nil)
 	fam := family.Family{
 		ID: "x:/d#0", Store: "x", BasePath: "/d", Files: []string{"/d/a.txt"},
 		Groups:   []family.Group{{ID: "g", Files: []string{"/d/a.txt"}, Extractor: "keyword"}},

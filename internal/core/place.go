@@ -143,7 +143,7 @@ func (p *pump) failFamily(famID, reason string, attempts int) {
 	p.s.obsFamiliesFailed.Inc()
 	p.s.obsDeadLetterFam.Inc()
 	dl := registry.DeadLetter{Kind: "family", FamilyID: famID, Attempts: attempts, Reason: reason, At: p.s.clk.Now()}
-	_ = p.s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) { j.AddDeadLetter(dl) })
+	p.addDeadLetter(dl)
 	p.s.obs.Emitf(p.JobID, obs.EvFamilyFailed, "family=%s abandoned: %s", famID, reason)
 	p.journal(journal.Record{Type: journal.RecFamilyFailed, FamilyID: famID, At: dl.At, Attempt: attempts, Reason: reason})
 }

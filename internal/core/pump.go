@@ -11,6 +11,7 @@ import (
 	"xtract/internal/fastjson"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
+	"xtract/internal/registry"
 	"xtract/internal/transfer"
 )
 
@@ -33,7 +34,8 @@ type deadline struct {
 // touches it, which is what keeps retry, dead-letter and cache semantics
 // free of locks.
 type pump struct {
-	s *Service
+	s   *Service
+	job *Job // the pump's handle: the record it publishes
 	// JobStats (with the job's ID) accumulates as the job runs and is what
 	// it returns: concurrent jobs never report each other's work.
 	JobStats
@@ -84,17 +86,20 @@ type pump struct {
 	submitted <-chan struct{}
 }
 
-// newPump returns the pump for one job; runJob adds jobCtx and crawls.
-func newPump(s *Service, jobID, ten string, noCache bool, submitted <-chan struct{}) *pump {
+// newPump returns the pump for one job, with the job's handle, its record
+// starting as rec; runJob adds jobCtx and crawls.
+func newPump(s *Service, rec registry.JobRecord, noCache bool, submitted <-chan struct{}) *pump {
+	events := newShardEventSink()
 	return &pump{
 		s:         s,
-		JobStats:  JobStats{JobID: jobID},
-		tenant:    ten,
+		job:       &Job{ID: rec.ID, events: events, rec: rec},
+		JobStats:  JobStats{JobID: rec.ID},
+		tenant:    rec.Tenant,
 		start:     s.clk.Now(),
 		noCache:   noCache,
 		handoff:   make(chan []family.Family, handoffDirs),
 		fams:      make(map[string]*famState),
-		events:    newShardEventSink(),
+		events:    events,
 		shards:    make(map[string]*dispatcher),
 		budget:    s.retry.JobBudget,
 		submitted: submitted,
@@ -136,6 +141,7 @@ func (p *pump) loop(ctx context.Context) error {
 		// none also means no retry pending and no shard work outstanding),
 		// no shard events in flight, and the hand-off empty. Results held
 		// behind the submission gate keep the job open.
+		p.publish("", "")
 		if p.crawlsPending == 0 && p.famCount[famStaging]+p.famCount[famRunning] == 0 &&
 			p.events.pending() == 0 && len(p.handoff) == 0 && len(p.pendingResults) == 0 {
 			return nil
@@ -322,7 +328,7 @@ func (p *pump) intakeStaged() bool {
 			default:
 				if j := p.s.Job(res.JobID); j != nil {
 					routed := res // res itself stays on the stack for a job's own results
-					j.pump.events.push(shardEvent{staged: &routed})
+					j.events.push(shardEvent{staged: &routed})
 				} else {
 					p.s.jobs.strays.Add(1)
 				}

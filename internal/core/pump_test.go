@@ -153,7 +153,7 @@ func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 		t.Fatalf("not converged: done(%d)+failed(%d) != emitted(%d)",
 			stats.FamiliesDone, stats.FamiliesFailed, stats.Crawl.FamiliesEmitted)
 	}
-	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
+	rec, err := record(h.svc, stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}

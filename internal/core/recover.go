@@ -61,9 +61,10 @@ type RecoveryStatus struct {
 }
 
 // Recover replays the configured journal and restores the world it
-// describes: terminal jobs (including durable cancellations) come back as
-// registry records, and unfinished jobs are re-run under their original
-// IDs — their journaled step completions are first seeded into the
+// describes: terminal jobs (including durable cancellations) answer from
+// the journal's fold as they are, and unfinished jobs are re-run under
+// their original IDs, the ID counter moved past every journaled one. A
+// resumed job's journaled step completions are first seeded into the
 // result cache so the resumed pump replays them as cache hits instead of
 // re-invoking extractors, which is what makes recovered jobs converge to
 // the same results with no duplicated extraction work. Before any pump
@@ -97,6 +98,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStatus, error) {
 		status.Reclaimed += q.ReclaimAll()
 	}
 	for _, id := range st.JobIDs() {
+		s.jobs.advance(id)
 		js := st.Jobs[id]
 		rj := s.recoverJob(ctx, js)
 		status.Jobs = append(status.Jobs, rj)
@@ -141,31 +143,11 @@ func (s *Service) RecoveryWait() {
 	}
 }
 
-// recoverJob restores one journaled job: its terminal state replayed, left
-// to the node that holds its lease, failed as unrunnable, or resumed.
+// recoverJob restores one journaled job: its terminal state left to the
+// fold, left to the node that holds its lease, failed as unrunnable, or
+// resumed.
 func (s *Service) recoverJob(ctx context.Context, js *journal.JobState) RecoveredJob {
-	submitted, _ := time.Parse(time.RFC3339Nano, js.Submitted)
-	rec := registry.JobRecord{
-		ID:        js.ID,
-		Submitted: submitted,
-		Err:       js.Err,
-		Recovered: true,
-	}
-	if js.Spec != nil {
-		for _, r := range js.Spec.Repos {
-			rec.Repositories = append(rec.Repositories, r.Site)
-		}
-		rec.Tenant = js.Spec.Tenant
-	}
-	// Tenant ownership survives the restart: pre-tenancy logs have no
-	// Tenant field and normalize to the default tenant.
-	rec.Tenant = tenant.Normalize(rec.Tenant)
-
 	if js.Terminal {
-		// The dead-letter report comes back with the outcome it explains; a
-		// resumed job gets none, since its quarantined steps run again.
-		rec.State, rec.DeadLetters = registry.JobState(js.State), js.DeadLetters
-		s.cfg.Registry.RestoreJob(rec)
 		disposition := "terminal"
 		if js.Cancelled {
 			disposition = "cancelled"
@@ -178,13 +160,17 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState) Recovere
 		return RecoveredJob{JobID: js.ID, Disposition: "foreign", Owner: owner}
 	}
 	if js.Spec == nil {
-		return s.failRecovered(rec, "recovery: job has no journaled spec")
+		return s.failRecovered(js.ID, tenant.Default, "recovery: job has no journaled spec")
 	}
-	groupers, err := s.groupers(js.Spec.Repos)
+	// Tenant ownership survives the restart: pre-tenancy logs have no
+	// Tenant field and normalize to the default tenant.
+	spec := *js.Spec
+	spec.Tenant = tenant.Normalize(spec.Tenant)
+	groupers, err := s.groupers(spec.Repos)
 	if err != nil {
-		return s.failRecovered(rec, "recovery: "+err.Error())
+		return s.failRecovered(js.ID, spec.Tenant, "recovery: "+err.Error())
 	}
-	return s.resumeJob(ctx, js, rec, groupers)
+	return s.resumeJob(ctx, js, spec, groupers)
 }
 
 // leasedElsewhere is lease-aware recovery: a restarting node re-adopts
@@ -211,25 +197,24 @@ func (s *Service) leasedElsewhere(js *journal.JobState) (owner string, foreign b
 	return "", false
 }
 
-// failRecovered marks a job that cannot be run again FAILED rather than
-// dropping it.
-func (s *Service) failRecovered(rec registry.JobRecord, msg string) RecoveredJob {
-	rec.State, rec.Err = registry.JobFailed, msg
-	s.cfg.Registry.RestoreJob(rec)
-	s.endJob(rec.ID, rec.Tenant, registry.JobFailed, msg, nil)
-	s.obs.Emitf(rec.ID, obs.EvJobRecovered, "disposition=failed err=%s", msg)
-	return RecoveredJob{JobID: rec.ID, Disposition: "failed", State: string(registry.JobFailed), Err: msg}
+// failRecovered journals a job that cannot be run again FAILED rather
+// than dropping it; the fold answers for it from then on.
+func (s *Service) failRecovered(jobID, ten, msg string) RecoveredJob {
+	s.endJob(jobID, ten, registry.JobFailed, msg)
+	s.obs.Emitf(jobID, obs.EvJobRecovered, "disposition=failed err=%s", msg)
+	return RecoveredJob{JobID: jobID, Disposition: "failed", State: string(registry.JobFailed), Err: msg}
 }
 
-// resumeJob re-runs an unfinished job under its original ID. Its journaled
-// step completions are first reconciled with the result cache: family
-// packaging is not deterministic across runs, but the cache key is
-// content-addressed — seeding it makes the resumed pump replay every
-// pre-crash completion as a cache hit, whatever family it lands in.
-func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, rec registry.JobRecord,
+// resumeJob re-runs an unfinished job under its original ID, flagged
+// recovered on its record. Its journaled step completions are first
+// reconciled with the result cache: family packaging is not deterministic
+// across runs, but the cache key is content-addressed — seeding it makes
+// the resumed pump replay every pre-crash completion as a cache hit,
+// whatever family it lands in.
+func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, spec journal.JobSpec,
 	groupers []crawler.GroupingFunc) RecoveredJob {
 	reconciled := 0
-	if s.cfg.Cache != nil && !js.Spec.NoCache {
+	if s.cfg.Cache != nil && !spec.NoCache {
 		for _, sd := range js.Steps {
 			// The journal replay already held the bytes to JSON syntax; a
 			// step journaled without metadata (null) has nothing to seed.
@@ -244,13 +229,12 @@ func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, rec regis
 			reconciled++
 		}
 	}
-	rec.State = registry.JobExtracting
-	s.cfg.Registry.RestoreJob(rec)
 	s.obs.Emitf(js.ID, obs.EvJobRecovered,
 		"disposition=resumed families=%d steps_reconciled=%d", len(js.Families), reconciled)
-	spec := *js.Spec
-	spec.Tenant = rec.Tenant
-	s.runJob(ctx, js.ID, spec, groupers, nil)
+	submitted, _ := time.Parse(time.RFC3339Nano, js.Submitted)
+	rec := newRecord(js.ID, spec, submitted)
+	rec.Recovered = true
+	s.runJob(ctx, rec, spec, groupers, nil)
 	return RecoveredJob{
 		JobID: js.ID, Disposition: "resumed", State: string(registry.JobExtracting),
 		StepsReconciled: reconciled, Families: len(js.Families),

@@ -26,7 +26,7 @@ import (
 // TestTenantOwnershipSurvivesRestart drains a tenant-owned job mid-run
 // (the graceful-shutdown path), restarts over the same journal, and
 // requires the resumed job to carry the same normalized tenant in both
-// the journal's recovered spec and the registry record, and to ship the
+// the journal's recovered spec and the job's record, and to ship the
 // documents of an uninterrupted job with the same grouper: recovery
 // re-runs the grouper the job was submitted with, whichever it was.
 func TestTenantOwnershipSurvivesRestart(t *testing.T) {
@@ -82,8 +82,8 @@ func TestTenantOwnershipSurvivesRestart(t *testing.T) {
 			if status, err := life2.svc.Recover(life2.ctx); err != nil || status.Resumed != 1 {
 				t.Fatalf("recovery = %+v, %v; want the job resumed", status, err)
 			}
-			if rec, err := life2.svc.cfg.Registry.Job(job.ID); err != nil || rec.Tenant != "alice" {
-				t.Fatalf("recovered registry record = %+v, %v; want tenant alice", rec, err)
+			if rec, err := record(life2.svc, job.ID); err != nil || rec.Tenant != "alice" {
+				t.Fatalf("recovered job record = %+v, %v; want tenant alice", rec, err)
 			}
 			life2.svc.RecoveryWait()
 			w.waitForDocsEqual(t, want)
@@ -123,16 +123,16 @@ func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 	if status, err := h.svc.Recover(h.ctx); err != nil || status.Resumed != 1 || status.Failed != 1 {
 		t.Fatalf("recovery = %+v, %v; want one job resumed, the unknown grouper's failed", status, err)
 	}
-	if rec, err := h.svc.cfg.Registry.Job("job-bogus"); err != nil || rec.State != registry.JobFailed {
+	if rec, err := record(h.svc, "job-bogus"); err != nil || rec.State != registry.JobFailed {
 		t.Fatalf("unknown grouper's job = %+v, %v; want FAILED", rec, err)
 	}
-	if rec, err := h.svc.cfg.Registry.Job(jobID); err != nil || rec.Tenant != tenant.Default {
+	if rec, err := record(h.svc, jobID); err != nil || rec.Tenant != tenant.Default {
 		t.Fatalf("pre-tenant job adopted as %+v, %v; want tenant %q", rec, err, tenant.Default)
 	}
 	// The adopted job must actually run to completion under the default
 	// tenant, not just be relabeled.
 	h.svc.RecoveryWait()
-	if rec, err := h.svc.cfg.Registry.Job(jobID); err != nil || rec.State != registry.JobComplete {
+	if rec, err := record(h.svc, jobID); err != nil || rec.State != registry.JobComplete {
 		t.Fatalf("recovered pre-tenant job = %+v, %v; want COMPLETE", rec, err)
 	}
 }
@@ -155,14 +155,14 @@ func TestRecoveredJobKeepsItsDeadLetters(t *testing.T) {
 	// keyword is not deployed at the site: its steps are quarantined while
 	// the slowed extractions of the others keep the job running.
 	eventually(t, "a step dead-lettered", func() bool {
-		rec, _ := life1.svc.cfg.Registry.Job(job.ID)
+		rec, _ := record(life1.svc, job.ID)
 		return len(rec.DeadLetters) > 0
 	})
 	life1.svc.Cancel(job.ID)
 	if _, err := job.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("the job ended with %v, want it cancelled", err)
 	}
-	before, _ := life1.svc.cfg.Registry.Job(job.ID)
+	before, _ := record(life1.svc, job.ID)
 	life1.kill()
 	if err := w.jnl.Close(); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestRecoveredJobKeepsItsDeadLetters(t *testing.T) {
 	if status, err := life2.svc.Recover(life2.ctx); err != nil || status.Cancelled != 1 {
 		t.Fatalf("recovery = %+v, %v; want the job recovered cancelled", status, err)
 	}
-	after, err := life2.svc.cfg.Registry.Job(job.ID)
+	after, err := record(life2.svc, job.ID)
 	if err != nil || len(after.DeadLetters) != len(before.DeadLetters) {
 		t.Fatalf("recovered record has %d dead letters (%v), the cancelled job had %d: %+v",
 			len(after.DeadLetters), err, len(before.DeadLetters), after.DeadLetters)

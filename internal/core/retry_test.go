@@ -124,7 +124,7 @@ func TestUnrecoverableEndpointDeadLetters(t *testing.T) {
 	if stats.StepsDeadLettered == 0 || stats.StepsRetried == 0 {
 		t.Fatalf("stats = %+v, want retries and dead letters", stats)
 	}
-	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
+	rec, err := record(h.svc, stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}

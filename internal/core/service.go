@@ -318,7 +318,11 @@ func New(cfg Config) *Service {
 		breakerPol:  cfg.Breakers.withDefaults(),
 		breakers:    make(map[string]*breaker),
 	}
-	s.jobs.live = make(map[string]*Job)
+	s.jobs.live, s.jobs.keep = make(map[string]*Job), finishedJobs
+	s.jobs.prefix = "job-"
+	if cfg.Cluster != nil {
+		s.jobs.prefix = "job-" + cfg.Cluster.ID() + "-"
+	}
 	if s.hedge.Enabled {
 		s.estimator = newLatencyEstimator(s.hedge)
 	}

@@ -331,7 +331,7 @@ func (p *pump) deadLetterStep(st *famState, idx int, cause string) {
 		Reason:    cause,
 		At:        p.s.clk.Now(),
 	}
-	_ = p.s.cfg.Registry.UpdateJob(p.JobID, func(j *registry.JobRecord) { j.AddDeadLetter(dl) })
+	p.addDeadLetter(dl)
 	p.s.obs.Emitf(p.JobID, obs.EvTaskDeadLettered,
 		"family=%s group=%s extractor=%s attempts=%d cause=%s",
 		st.fam.ID, step.GroupID, step.Extractor, ss.attempts, cause)

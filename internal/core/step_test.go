@@ -96,7 +96,7 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 	if err := m.svc.RegisterExtractors(); err != nil {
 		t.Fatal(err)
 	}
-	m.p = newPump(m.svc, m.svc.cfg.Registry.CreateJob("", []string{"x"}, clk.Now()), "default", false, nil)
+	m.p = newPump(m.svc, registry.JobRecord{ID: "job-1", Tenant: tenant.Default}, false, nil)
 	var cancel context.CancelFunc
 	m.p.jobCtx, cancel = context.WithCancel(context.Background())
 	t.Cleanup(func() {
@@ -468,7 +468,7 @@ func TestRetryPolicyBoundsStepsAndStagingAlike(t *testing.T) {
 		if staging.phase != famStaging || st.steps[0].phase != stepDeadLettered {
 			t.Fatalf("family %d, step %d; want staging retried, step quarantined", staging.phase, st.steps[0].phase)
 		}
-		rec, _ := m.svc.cfg.Registry.Job(m.p.JobID)
+		rec := m.p.job.Record()
 		if len(rec.DeadLetters) != 1 || !strings.HasPrefix(rec.DeadLetters[0].Reason, "retry budget exhausted: ") {
 			t.Fatalf("dead letters = %+v", rec.DeadLetters)
 		}

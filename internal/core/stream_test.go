@@ -96,7 +96,7 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 		t.Fatal("the pump never reached the held family")
 	}
 	waitDocs(64)
-	if rec, err := h.svc.cfg.Registry.Job(job.ID); err != nil || rec.State != registry.JobExtracting {
+	if rec, err := record(h.svc, job.ID); err != nil || rec.State != registry.JobExtracting {
 		t.Fatalf("job record = %+v, %v; want state EXTRACTING", rec, err)
 	}
 	close(policy.release)
@@ -110,5 +110,5 @@ func TestResultsLeaveThePumpEveryPass(t *testing.T) {
 // barePump is a pump over its own hand-off with no job loop around it,
 // for driving intakeFamilies directly.
 func barePump(h *harness, name string) *pump {
-	return newPump(h.svc, h.svc.cfg.Registry.CreateJob("", []string{name}, h.clk.Now()), "", false, nil)
+	return newPump(h.svc, registry.JobRecord{ID: h.svc.jobs.mint()}, false, nil)
 }

@@ -712,30 +712,39 @@ func (r *run) check() {
 	r.checkLeaks()
 }
 
-// checkRegistry: one terminal state. At most one live node holds the job
-// terminal, in the journal's state, flagged recovered unless it is the
-// life that submitted it; none does only when the node that ended the job
-// has died since.
+// checkRegistry: one terminal state. The fold and each live node's job
+// view agree: every live node answers for the job with the journal's
+// terminal state and error. At most one live node holds the job — its own
+// handle answers, having run the job to its end, or it recovered the
+// outcome from a journal it opened later — flagged recovered unless it is
+// the life that submitted it; none does only when the node that ended the
+// job has died since.
 func (r *run) checkRegistry(js *journal.JobState) (*harness, registry.JobRecord) {
 	var holder *harness
 	var held registry.JobRecord
 	diedHolding := false
 	for _, h := range r.w.lives {
-		rec, err := h.svc.cfg.Registry.Job(r.job.ID)
-		if err != nil || !rec.State.Terminal() {
+		// Live first: a job that leaves the live table between the two
+		// lookups answers from its handle with its stats.
+		own := h.svc.Job(r.job.ID) != nil
+		v, ok := h.svc.LookupJob(r.job.ID)
+		rec := v.Record
+		holds := ok && rec.State.Terminal() && (own || v.Stats != nil || rec.Recovered)
+		if h.dead {
+			diedHolding = diedHolding || holds && string(rec.State) == js.State
 			continue
 		}
-		if h.dead {
-			diedHolding = diedHolding || string(rec.State) == js.State
+		if !ok || string(rec.State) != js.State || rec.Err != js.Err {
+			r.t.Errorf("%q answers %s (%q), known %v; the journal's fold holds %s (%q)",
+				h.id, rec.State, rec.Err, ok, js.State, js.Err)
+		}
+		if !holds {
 			continue
 		}
 		if holder != nil {
 			r.t.Errorf("both %q and %q hold the job terminal", holder.id, h.id)
 		}
 		holder, held = h, rec
-		if string(rec.State) != js.State || rec.Err != js.Err {
-			r.t.Errorf("registry %s (%q) differs from the journal's %s (%q)", rec.State, rec.Err, js.State, js.Err)
-		}
 		if rec.Recovered != (h != r.owner) {
 			r.t.Errorf("the record on %q is flagged recovered=%v; it submitted the job: %v", h.id, rec.Recovered, h == r.owner)
 		}

@@ -428,12 +428,12 @@ func TestStragglerBudgetDegraded(t *testing.T) {
 		t.Fatalf("done=%d failed=%d, want 4/0", stats.FamiliesDone, stats.FamiliesFailed)
 	}
 
-	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
+	rec, err := record(h.svc, stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.State != registry.JobDegraded {
-		t.Fatalf("registry state = %s, want DEGRADED", rec.State)
+		t.Fatalf("job state = %s, want DEGRADED", rec.State)
 	}
 	if len(rec.DeadLetters) == 0 {
 		t.Fatal("degraded job must keep its dead-letter audit trail")
@@ -487,12 +487,12 @@ func TestStragglerBudgetZeroStaysFailed(t *testing.T) {
 	if stats.Degraded || stats.FamiliesDegraded != 0 {
 		t.Fatalf("budgetless job reported degraded: %+v", stats)
 	}
-	rec, err := h.svc.cfg.Registry.Job(stats.JobID)
+	rec, err := record(h.svc, stats.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.State != registry.JobFailed {
-		t.Fatalf("registry state = %s, want FAILED", rec.State)
+		t.Fatalf("job state = %s, want FAILED", rec.State)
 	}
 }
 
@@ -522,11 +522,7 @@ func TestDuplicateFamilyDeliveryIgnored(t *testing.T) {
 	if len(p.handoff) != 0 {
 		t.Fatalf("hand-off not drained: %d batches left", len(p.handoff))
 	}
-	rec, err := h.svc.cfg.Registry.Job(p.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.DeadLetters) != 1 {
+	if rec := p.job.Record(); len(rec.DeadLetters) != 1 {
 		t.Fatalf("dead letters = %d, want exactly 1", len(rec.DeadLetters))
 	}
 }

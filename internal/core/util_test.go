@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
 	"xtract/internal/journal"
+	"xtract/internal/registry"
 )
 
 // newSeededRand returns a deterministic rand source for tests.
@@ -24,4 +26,13 @@ func liveJobs(s *Service) int {
 	s.jobs.mu.Lock()
 	defer s.jobs.mu.Unlock()
 	return len(s.jobs.live)
+}
+
+// record is a job's record as the service answers for it.
+func record(s *Service, id string) (registry.JobRecord, error) {
+	v, ok := s.LookupJob(id)
+	if !ok {
+		return registry.JobRecord{}, fmt.Errorf("job %s not found", id)
+	}
+	return v.Record, nil
 }

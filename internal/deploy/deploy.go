@@ -82,8 +82,8 @@ type Options struct {
 	Tenants *tenant.Controller
 	// Cluster, when set, makes this deployment one node of a multi-node
 	// cluster: the core service fences journal writes by job lease, and
-	// minted job IDs carry the node identity so nodes sharing a journal
-	// never collide.
+	// the job IDs it mints carry the node identity so nodes sharing a
+	// journal never collide.
 	Cluster *cluster.Node
 	// Hedge enables hedged speculative execution: steps running past
 	// their extractor's online latency estimate get a duplicate on
@@ -142,9 +142,6 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		cancel:  cancel,
 	}
 	d.Registry = registry.New(clk, 0)
-	if opts.Cluster != nil {
-		d.Registry.SetIDPrefix(opts.Cluster.ID())
-	}
 	families, prefetch, prefetchDone, results := core.NewQueues(clk)
 	d.Queues.Families, d.Queues.Prefetch = families, prefetch
 	d.Queues.PrefetchDone, d.Queues.Results = prefetchDone, results

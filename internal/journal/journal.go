@@ -577,6 +577,13 @@ func (j *Journal) JobSnapshot(id string) (*JobState, bool) {
 	return js.clone(), true
 }
 
+// JobIDs lists the IDs of every job in the live folded state, sorted.
+func (j *Journal) JobIDs() []string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.JobIDs()
+}
+
 // LiveJobs lists the IDs of all non-terminal jobs in the live folded
 // state, sorted — the failover scan's work-list.
 func (j *Journal) LiveJobs() []string {

@@ -1,16 +1,16 @@
 // Package registry is Xtract's record database — the stand-in for the
-// AWS RDS instance where the paper stores job records and the
+// AWS RDS instance where the paper stores the
 // extractor→function→container→endpoint address tuples. Resolving a tuple
 // charges a query latency the first time and is served from cache on
 // subsequent lookups, reproducing the Figure 3 observation that the bulk
-// of the Xtract-service cost is the first RDS resolve.
+// of the Xtract-service cost is the first RDS resolve. It also defines a
+// job record's shape (JobRecord); the record itself is the service's, on
+// its job's handle and then in the journal's fold.
 package registry
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,13 +108,12 @@ type JobRecord struct {
 }
 
 // AddDeadLetter appends a quarantine record, enforcing MaxDeadLetters.
-// Call it from within Registry.UpdateJob.
 func (r *JobRecord) AddDeadLetter(dl DeadLetter) {
 	if len(r.DeadLetters) >= MaxDeadLetters {
 		r.DeadLettersDropped++
 		return
 	}
-	// Copy-on-append so record copies handed out by Job()/Jobs() never
+	// Copy-on-append so copies of the record handed to readers never
 	// share a backing array with later mutations.
 	letters := make([]DeadLetter, len(r.DeadLetters), len(r.DeadLetters)+1)
 	copy(letters, r.DeadLetters)
@@ -130,9 +129,8 @@ type Registry struct {
 	mu         sync.Mutex
 	extractors map[string]ExtractorRecord
 	cache      map[string]ExtractorRecord
-	jobs       map[string]JobRecord
+	jobs       map[string]JobRecord // the CreateJob/UpdateJob shim's
 	seq        int
-	idPrefix   string
 
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
@@ -191,39 +189,17 @@ func (r *Registry) Extractors() []string {
 	return out
 }
 
-// SetIDPrefix makes minted job IDs carry a node identity
-// ("job-<prefix>-<n>") so serve nodes sharing a journal never collide.
-func (r *Registry) SetIDPrefix(p string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.idPrefix = p
-}
+// CreateJob and UpdateJob are a shim: no service keeps job records here
+// (a job's record lives on its core.Job handle, then in the journal's
+// fold). They stay only while the benchmark harness in bench/ times them
+// as registry.job_update_us (ROADMAP item 1(f)).
 
-// MintingNode extracts the node identity embedded in a cluster-minted
-// job ID ("job-<node>-<seq>"); it is empty for single-node IDs
-// ("job-<seq>").
-func MintingNode(jobID string) string {
-	rest, ok := strings.CutPrefix(jobID, "job-")
-	if !ok {
-		return ""
-	}
-	i := strings.LastIndexByte(rest, '-')
-	if i <= 0 {
-		return ""
-	}
-	return rest[:i]
-}
-
-// CreateJob persists a new job record owned by tenant and returns its
-// ID.
+// CreateJob stores a new job record owned by tenant and returns its ID.
 func (r *Registry) CreateJob(tenant string, repositories []string, now time.Time) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
 	id := fmt.Sprintf("job-%d", r.seq)
-	if r.idPrefix != "" {
-		id = fmt.Sprintf("job-%s-%d", r.idPrefix, r.seq)
-	}
 	r.jobs[id] = JobRecord{
 		ID:           id,
 		State:        JobCrawling,
@@ -232,55 +208,6 @@ func (r *Registry) CreateJob(tenant string, repositories []string, now time.Time
 		Submitted:    now,
 	}
 	return id
-}
-
-// RestoreJob reinstates a job record under its original ID — the journal
-// recovery path, where IDs must survive a restart so client handles stay
-// valid. The ID counter advances past any numeric suffix so jobs created
-// after recovery never collide with restored ones.
-func (r *Registry) RestoreJob(rec JobRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec.Repositories = append([]string(nil), rec.Repositories...)
-	r.jobs[rec.ID] = rec
-	var n int
-	if _, err := fmt.Sscanf(rec.ID, "job-%d", &n); err == nil && n > r.seq {
-		r.seq = n
-	}
-	if r.idPrefix != "" {
-		if _, err := fmt.Sscanf(rec.ID, "job-"+r.idPrefix+"-%d", &n); err == nil && n > r.seq {
-			r.seq = n
-		}
-	}
-}
-
-// Job returns a job record.
-func (r *Registry) Job(id string) (JobRecord, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec, ok := r.jobs[id]
-	if !ok {
-		return JobRecord{}, fmt.Errorf("%w: job %s", ErrNotFound, id)
-	}
-	return rec, nil
-}
-
-// Jobs returns every job record, sorted by submission time and then ID
-// (stable across equal timestamps). This backs the job-list API.
-func (r *Registry) Jobs() []JobRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]JobRecord, 0, len(r.jobs))
-	for _, rec := range r.jobs {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Submitted.Equal(out[j].Submitted) {
-			return out[i].Submitted.Before(out[j].Submitted)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }
 
 // UpdateJob applies fn to the job record under the registry lock.

@@ -80,11 +80,14 @@ func TestExtractorsList(t *testing.T) {
 	}
 }
 
+// The job-record shim still stores and updates what it is given (the
+// only reader is the update function).
 func TestJobLifecycle(t *testing.T) {
 	r := New(clock.NewReal(), 0)
 	id := r.CreateJob("", []string{"mdf"}, time.Unix(100, 0))
-	rec, err := r.Job(id)
-	if err != nil {
+	var rec JobRecord
+	read := func(j *JobRecord) { rec = *j }
+	if err := r.UpdateJob(id, read); err != nil {
 		t.Fatal(err)
 	}
 	if rec.State != JobCrawling || rec.Repositories[0] != "mdf" {
@@ -96,7 +99,7 @@ func TestJobLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ = r.Job(id)
+	_ = r.UpdateJob(id, read)
 	if rec.State != JobExtracting || rec.GroupsCrawled != 42 {
 		t.Fatalf("rec = %+v", rec)
 	}
@@ -104,46 +107,8 @@ func TestJobLifecycle(t *testing.T) {
 
 func TestJobErrors(t *testing.T) {
 	r := New(clock.NewReal(), 0)
-	if _, err := r.Job("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
 	if err := r.UpdateJob("nope", func(*JobRecord) {}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRestoreJobPreservesIDAndAdvancesSeq(t *testing.T) {
-	r := New(clock.NewReal(), 0)
-	r.RestoreJob(JobRecord{
-		ID:           "job-7",
-		State:        JobExtracting,
-		Repositories: []string{"mdf"},
-		Submitted:    time.Unix(100, 0),
-		Recovered:    true,
-	})
-	rec, err := r.Job("job-7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != JobExtracting || !rec.Recovered || rec.Repositories[0] != "mdf" {
-		t.Fatalf("restored rec = %+v", rec)
-	}
-	// New jobs must not collide with the restored ID space.
-	if id := r.CreateJob("", nil, time.Now()); id != "job-8" {
-		t.Fatalf("post-restore CreateJob id = %s, want job-8", id)
-	}
-	// Restoring an older ID never rewinds the counter.
-	r.RestoreJob(JobRecord{ID: "job-3", State: JobComplete})
-	if id := r.CreateJob("", nil, time.Now()); id != "job-9" {
-		t.Fatalf("CreateJob id = %s, want job-9", id)
-	}
-	// Non-numeric IDs restore fine and leave the counter alone.
-	r.RestoreJob(JobRecord{ID: "imported-abc", State: JobComplete})
-	if _, err := r.Job("imported-abc"); err != nil {
-		t.Fatal(err)
-	}
-	if id := r.CreateJob("", nil, time.Now()); id != "job-10" {
-		t.Fatalf("CreateJob id = %s, want job-10", id)
 	}
 }
 

@@ -414,6 +414,22 @@ func (c *Controller) JobStarted(id string) {
 	t.mActive.Set(float64(t.active))
 }
 
+// CancelAdmission returns the reservation AdmitJob took for a job that
+// never started (its submission failed after admission).
+func (c *Controller) CancelAdmission(id string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.stateLocked(Normalize(id)); t.pendingStart > 0 {
+		t.pendingStart--
+		t.active--
+		t.usage.ActiveJobs = t.active
+		t.mActive.Set(float64(t.active))
+	}
+}
+
 // JobEnded releases the active-job slot taken by JobStarted.
 func (c *Controller) JobEnded(id string) {
 	if c == nil {
