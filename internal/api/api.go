@@ -362,20 +362,20 @@ func (s *Server) Handler() http.Handler {
 	route := func(pattern, scope string, h http.HandlerFunc) {
 		// Resolve the route's request counter once at registration; the
 		// fallback covers an observer attached after Handler() was built.
+		// The count comes before the auth check, so refused requests are
+		// counted too.
 		counter := s.obsHTTP.With(pattern)
-		counted := func(w http.ResponseWriter, r *http.Request) {
+		if scope != "" {
+			h = s.requireScope(scope, h)
+		}
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 			if counter != nil {
 				counter.Inc()
 			} else {
 				s.obsHTTP.With(pattern).Inc()
 			}
 			h(w, r)
-		}
-		if scope != "" {
-			mux.HandleFunc(pattern, s.requireScope(scope, counted))
-		} else {
-			mux.HandleFunc(pattern, counted)
-		}
+		})
 	}
 	// Job lifecycle and usage accounting require the extract scope;
 	// read-only topology/introspection routes the crawl scope; search
@@ -472,7 +472,7 @@ func (s *Server) requireScope(scope string, next http.HandlerFunc) http.HandlerF
 // claims; with auth disabled every caller is the default tenant.
 func tenantOf(r *http.Request) string {
 	if claims, ok := r.Context().Value(claimsKey).(auth.Claims); ok {
-		return tenant.FromIdentity(claims.Identity)
+		return tenant.Normalize(claims.Identity)
 	}
 	return tenant.Default
 }
@@ -832,7 +832,7 @@ func (s *Server) handleMintToken(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, TokenResponse{
 		Token:  s.issuer.Issue(req.Identity, scopes, ttl),
-		Tenant: tenant.FromIdentity(req.Identity),
+		Tenant: tenant.Normalize(req.Identity),
 	})
 }
 

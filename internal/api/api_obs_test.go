@@ -257,3 +257,24 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		t.Fatalf("empty err = %#v", err)
 	}
 }
+
+// Every route counts its requests, those auth refuses included.
+func TestRefusedRequestsAreCounted(t *testing.T) {
+	client, _, done := newTestServer(t, true)
+	defer done()
+	resp, err := http.Get(client.BaseURL + "/api/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("unauthenticated GET /api/v1/jobs = %d, want 401", resp.StatusCode)
+	}
+	text, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, text, `xtract_http_requests_total{route="GET /api/v1/jobs"}`); v != 1 {
+		t.Fatalf("GET /api/v1/jobs counted %v requests, want 1", v)
+	}
+}

@@ -17,9 +17,9 @@ import (
 	"xtract/internal/index"
 	"xtract/internal/obs"
 	"xtract/internal/queue"
-	"xtract/internal/registry"
 	"xtract/internal/sdk"
 	"xtract/internal/store"
+	"xtract/internal/tenant"
 	"xtract/internal/transfer"
 	"xtract/internal/validate"
 )
@@ -58,7 +58,6 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 	fsvc.Instrument(o.Reg())
 	fabric := transfer.NewFabric(clk)
 	fabric.Instrument(o.Reg())
-	reg := registry.New(clk, 0)
 	lib := extractors.DefaultLibrary()
 	families, prefetch, prefetchDone, results := core.NewQueues(clk)
 	for _, q := range []*queue.Queue{families, prefetch, prefetchDone, results} {
@@ -66,7 +65,7 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 	}
 
 	cfg := core.Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric, Registry: reg, Library: lib,
+		Clock: clk, FaaS: fsvc, Fabric: fabric, Library: lib,
 		PrefetchQueue: prefetch,
 		PrefetchDone:  prefetchDone, ResultQueue: results, Obs: o,
 	}
@@ -105,7 +104,7 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 	if withAuth {
 		issuer = auth.NewIssuer([]byte("api-key"), clk)
 	}
-	srv := api.NewServer(svc, reg, lib, issuer)
+	srv := api.NewServer(svc, nil, lib, issuer)
 	srv.SetObserver(o)
 	srv.SetBaseContext(ctx)
 	ts := httptest.NewServer(srv.Handler())
@@ -233,11 +232,10 @@ func TestSearchEndpoints(t *testing.T) {
 	clk := clock.NewReal()
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fabric := transfer.NewFabric(clk)
-	reg := registry.New(clk, 0)
 	lib := extractors.DefaultLibrary()
 	_, prefetch, prefetchDone, results := core.NewQueues(clk)
 	svc := core.New(core.Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric, Registry: reg, Library: lib,
+		Clock: clk, FaaS: fsvc, Fabric: fabric, Library: lib,
 		PrefetchQueue: prefetch,
 		PrefetchDone:  prefetchDone, ResultQueue: results,
 	})
@@ -258,7 +256,7 @@ func TestSearchEndpoints(t *testing.T) {
 	vs := validate.NewService(validate.Passthrough{}, results, dest)
 	_ = fs.Write("/data/doc.txt", []byte("perovskite absorber research notes"))
 
-	srv := api.NewServer(svc, reg, lib, nil)
+	srv := api.NewServer(svc, nil, lib, nil)
 	ix := index.New()
 	srv.EnableSearch(ix, dest, "/metadata")
 	ts := httptest.NewServer(srv.Handler())
@@ -357,5 +355,49 @@ func TestRunningJobShowsProgress(t *testing.T) {
 	}
 	if st, err = client.WaitJob(id, time.Millisecond, 10*time.Second); err != nil || st.State != "COMPLETE" || st.Done <= 1 {
 		t.Fatalf("released job = %+v, %v", st, err)
+	}
+}
+
+// A job that ends by error answers with the work it did: cancelled after
+// a step completed, its stats count the steps its record and its tenant's
+// bill count.
+func TestCancelledJobReportsItsWork(t *testing.T) {
+	release := make(chan struct{})
+	base := extractors.DefaultLibrary()
+	var held []extractors.Extractor
+	for _, name := range base.Names() {
+		e, _ := base.Get(name)
+		held = append(held, holdingExtractor{Extractor: e, held: "/data/b.csv", release: release})
+	}
+	ctrl := tenant.NewController(tenant.Config{})
+	client, _, deps, done := newTestServerDepsCfg(t, false, nil, func(cfg *core.Config) {
+		cfg.Library = extractors.NewLibrary(held...)
+		cfg.XtractBatchSize = 1 // a.txt's step is not in b.csv's task
+		cfg.Tenants = ctrl
+	})
+	defer done()
+	defer close(release)
+	deps.Server.SetTenants(ctrl)
+	id, err := client.Submit(api.JobRequest{Repos: []api.RepoRequest{{Site: "local", Roots: []string{"/data"}, Grouper: "single"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st api.JobStatus
+	for deadline := time.Now().Add(10 * time.Second); st.Done == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st, err = client.JobStatus(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.CancelJob(id); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = client.WaitJob(id, time.Millisecond, 10*time.Second); err != nil || st.State != "CANCELLED" || st.Stats == nil {
+		t.Fatalf("cancelled job = %+v, %v", st, err)
+	}
+	if s := st.Stats; s.StepsProcessed == 0 || s.StepsProcessed != st.Record.GroupsDone || s.Elapsed <= 0 {
+		t.Fatalf("cancelled job's stats: %d steps in %s, its record %d groups done", s.StepsProcessed, s.Elapsed, st.Record.GroupsDone)
+	}
+	if u, _ := ctrl.UsageFor(tenant.Default); u.StepsProcessed != st.Stats.StepsProcessed {
+		t.Fatalf("tenant billed %d steps, the job's stats say %d", u.StepsProcessed, st.Stats.StepsProcessed)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/obs"
-	"xtract/internal/registry"
 	"xtract/internal/sdk"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
@@ -72,14 +71,13 @@ func newClusterAPIPairWith(t *testing.T, tcfg tenant.Config) (*cluster.Coordinat
 		ctrl.Instrument(o.Reg())
 		fsvc := faas.NewService(clk, faas.Costs{})
 		fabric := transfer.NewFabric(clk)
-		reg := registry.New(clk, 0)
 		lib := extractors.DefaultLibrary()
 		// The address is only known once the listener exists; join with a
 		// placeholder and refresh below (Join upserts).
 		node := cluster.NewNode(coord, id, "")
 		_, prefetch, prefetchDone, results := core.NewQueues(clk)
 		svc := core.New(core.Config{
-			Clock: clk, FaaS: fsvc, Fabric: fabric, Registry: reg, Library: lib,
+			Clock: clk, FaaS: fsvc, Fabric: fabric, Library: lib,
 			PrefetchQueue: prefetch,
 			PrefetchDone:  prefetchDone, ResultQueue: results, Obs: o,
 			Tenants: ctrl, Cluster: node,
@@ -99,7 +97,7 @@ func newClusterAPIPairWith(t *testing.T, tcfg tenant.Config) (*cluster.Coordinat
 		vs := validate.NewService(validate.Passthrough{}, results, store.NewMemFS("dest-"+id, nil))
 		go vs.Run(ctx)
 
-		srv := api.NewServer(svc, reg, lib, issuer)
+		srv := api.NewServer(svc, nil, lib, issuer)
 		srv.SetObserver(o)
 		srv.SetBaseContext(ctx)
 		srv.SetTenants(ctrl)

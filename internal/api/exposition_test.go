@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -91,10 +92,11 @@ func exposedFamilies(t *testing.T, text string) map[string]string {
 }
 
 // TestExpositionMatchesDesign holds /metrics to DESIGN §8: a deployment
-// with everything on (tenants, cache, breakers, a journal holding an
-// earlier process's job, a storage-only site staged to a compute site)
-// serves one job over HTTP, and the families it then exposes -- name,
-// TYPE and label names -- are exactly the documented ones.
+// with everything on (tenants, a cache small enough to evict, breakers, a
+// journal holding an earlier process's job, a storage-only site staged to
+// a compute site) serves one job over HTTP, and the families it then
+// exposes -- name, TYPE and label names -- are exactly the documented
+// ones. The series whose numbers their owners keep read those numbers.
 func TestExpositionMatchesDesign(t *testing.T) {
 	clk := clock.NewReal()
 	jdir, err := journal.OSDir(t.TempDir())
@@ -113,7 +115,7 @@ func TestExpositionMatchesDesign(t *testing.T) {
 		d, err := deploy.New(context.Background(), clk, []deploy.SiteSpec{
 			{Name: "petrel", Store: src},
 			{Name: "theta", Store: store.NewMemFS("theta", nil), Workers: 2},
-		}, deploy.Options{CacheCapacity: 64, Journal: jnl, Tenants: tenants,
+		}, deploy.Options{CacheCapacity: 1, Journal: jnl, Tenants: tenants,
 			Breakers: core.BreakerPolicy{Enabled: true}})
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +157,8 @@ func TestExpositionMatchesDesign(t *testing.T) {
 	defer jnl.Close()
 	defer d.Close()
 
-	exposed, design := exposedFamilies(t, run(d)), designFamilies(t)
+	text := run(d)
+	exposed, design := exposedFamilies(t, text), designFamilies(t)
 	for name, line := range exposed {
 		if design[name] != line {
 			t.Errorf("/metrics has %q, DESIGN §8 has %q", line, design[name])
@@ -165,5 +168,69 @@ func TestExpositionMatchesDesign(t *testing.T) {
 		if _, ok := exposed[name]; !ok {
 			t.Errorf("DESIGN §8 lists %q, /metrics has no such family", line)
 		}
+	}
+	ownersAgree(t, d, jnl, text)
+}
+
+// ownersAgree checks that /metrics reads the tenant's bill, the result
+// cache's and the journal's counts, and the live-job table, where they
+// are kept.
+func ownersAgree(t *testing.T, d *deploy.Deployment, jnl *journal.Journal, text string) {
+	t.Helper()
+	got := make(map[string]float64)
+	var appends float64
+	for _, line := range strings.Split(text, "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || line[0] == '#' {
+			continue
+		}
+		series := line[:sp]
+		f, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		got[series] = f
+		if strings.HasPrefix(series, "xtract_journal_appends_total{") {
+			appends += f
+		}
+	}
+	u, _ := d.Tenants.UsageFor(tenant.Default)
+	c, _ := d.Service.CacheStats()
+	ten := `{tenant="default"`
+	want := map[string]float64{
+		"xtract_tenant_jobs_total" + ten + `,state="complete"}`:  float64(u.JobsCompleted),
+		"xtract_tenant_jobs_total" + ten + `,state="degraded"}`:  float64(u.JobsDegraded),
+		"xtract_tenant_jobs_total" + ten + `,state="failed"}`:    float64(u.JobsFailed),
+		"xtract_tenant_jobs_total" + ten + `,state="cancelled"}`: float64(u.JobsCancelled),
+		"xtract_tenant_jobs_active" + ten + "}":                  float64(u.ActiveJobs),
+		"xtract_tenant_tasks_total" + ten + "}":                  float64(u.TasksDispatched),
+		"xtract_tenant_tasks_inflight" + ten + "}":               float64(u.InFlightTasks),
+		"xtract_tenant_steps_total" + ten + "}":                  float64(u.StepsProcessed),
+		"xtract_tenant_steps_failed_total" + ten + "}":           float64(u.StepsFailed),
+		"xtract_tenant_cache_hits_total" + ten + "}":             float64(u.CacheHits),
+		"xtract_tenant_bytes_staged_total" + ten + "}":           float64(u.BytesStaged),
+		"xtract_tenant_extractor_seconds_total" + ten + "}":      u.ExtractorSeconds,
+		"xtract_cache_hits_total":                                float64(c.Hits),
+		"xtract_cache_misses_total":                              float64(c.Misses),
+		"xtract_cache_evictions_total":                           float64(c.Evictions),
+		"xtract_jobs_active":                                     0,
+	}
+	if u.JobsCompleted != 1 || u.StepsProcessed == 0 || c.Evictions == 0 {
+		t.Errorf("the job left tenant usage %+v and cache stats %+v: want a completed job and evictions", u, c)
+	}
+	for series, w := range want {
+		if v, ok := got[series]; !ok || v != w {
+			t.Errorf("%s = %v (exposed: %v), its owner says %v", series, v, ok, w)
+		}
+	}
+	var throttled float64
+	for _, reason := range []string{"rate", "jobs", "fairshare"} {
+		throttled += got["xtract_tenant_throttled_total"+ten+`,reason="`+reason+`"}`]
+	}
+	if throttled != float64(u.Throttled) {
+		t.Errorf("xtract_tenant_throttled_total sums to %v, the bill says %d", throttled, u.Throttled)
+	}
+	if n, _, _ := jnl.Stats(); appends != float64(n) {
+		t.Errorf("xtract_journal_appends_total sums to %v, the journal accepted %d", appends, n)
 	}
 }

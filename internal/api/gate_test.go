@@ -1,6 +1,7 @@
 package api_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -22,17 +23,14 @@ import (
 // syncErr (nil: succeeds).
 type deviceDir struct {
 	journal.Dir
-	mu      sync.Mutex // guards release once hold may be called
+	mu      sync.Mutex // guards release and holdAt
 	release chan struct{}
 	opened  sync.Once
 	syncErr error
-}
-
-// hold makes every fsync that starts from now on wait for open.
-func (d *deviceDir) hold() {
-	d.mu.Lock()
-	d.release = make(chan struct{})
-	d.mu.Unlock()
+	// holdAt, when set, names a record type: the first batch written with
+	// one in it is held (its fsync waits for open), and written closes.
+	holdAt  string
+	written chan struct{}
 }
 
 // open releases the held fsyncs; safe to call again from a deferred
@@ -56,6 +54,17 @@ func (d *deviceDir) Create(name string) (journal.File, error) {
 		return nil, err
 	}
 	return deviceFile{File: f, d: d}, nil
+}
+
+func (f deviceFile) Write(p []byte) (int, error) {
+	f.d.mu.Lock()
+	at := f.d.holdAt
+	if at != "" && bytes.Contains(p, []byte(`"type":"`+at+`"`)) {
+		f.d.holdAt, f.d.release = "", make(chan struct{})
+		close(f.d.written)
+	}
+	f.d.mu.Unlock()
+	return f.File.Write(p)
 }
 
 func (f deviceFile) Sync() error {
@@ -274,7 +283,11 @@ func TestTerminalStateFollowsItsRecord(t *testing.T) {
 		{"cancelled", journal.RecJobCancelled, "CANCELLED"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dev := &deviceDir{Dir: journal.StoreDir(store.NewMemFS("journal-disk", nil), "/wal")}
+			// The batch with the record is held as it is written, ahead of
+			// its fsync.
+			accepted := make(chan struct{})
+			dev := &deviceDir{Dir: journal.StoreDir(store.NewMemFS("journal-disk", nil), "/wal"),
+				holdAt: tc.record, written: accepted}
 			jnl, err := journal.Open(dev, journal.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -285,14 +298,6 @@ func TestTerminalStateFollowsItsRecord(t *testing.T) {
 				func(cfg *core.Config) { cfg.Journal = jnl })
 			defer done()
 			defer dev.open()
-			// The hook runs as the record is accepted, ahead of its fsync.
-			accepted := make(chan struct{})
-			jnl.Observe(func(recType string) {
-				if recType == tc.record {
-					dev.hold()
-					close(accepted)
-				}
-			}, nil)
 
 			id, err := client.Submit(twoFileJob)
 			if err != nil {

@@ -87,8 +87,6 @@ type Cache struct {
 	persist store.Store // nil disables the persistent layer
 	prefix  string
 
-	onEvict func()
-
 	hits, misses, evictions, persistHits, persistErrors int64
 
 	// The fingerprint memo has its own lock: crawlers use it while the
@@ -294,9 +292,6 @@ func (c *Cache) putLocked(k Key, body fastjson.Raw) {
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*memEntry).key)
 		c.evictions++
-		if c.onEvict != nil {
-			c.onEvict()
-		}
 	}
 }
 
@@ -342,18 +337,6 @@ func (c *Cache) RecordFileHash(storeName, path string, token uint64, size int64,
 		}
 	}
 	c.files[k] = fileHash{token: token, size: size, hash: hash}
-}
-
-// SetEvictionHook installs fn, invoked once per LRU eviction while the
-// cache lock is held: keep it cheap and never call back into the cache.
-// The service layer uses it to mirror evictions into a live metric.
-func (c *Cache) SetEvictionHook(fn func()) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.onEvict = fn
-	c.mu.Unlock()
 }
 
 // Len reports the in-memory entry count.

@@ -275,17 +275,6 @@ func TestGroupFingerprintAllocatesOnlyTheKey(t *testing.T) {
 	}
 }
 
-func TestEvictionHook(t *testing.T) {
-	c := New(1)
-	var fired int
-	c.SetEvictionHook(func() { fired++ })
-	c.Put(Key{ContentHash: "h1"}, md("a"))
-	c.Put(Key{ContentHash: "h2"}, md("b"))
-	if fired != 1 {
-		t.Fatalf("eviction hook fired %d times", fired)
-	}
-}
-
 func TestUnserializableMetadataNotCached(t *testing.T) {
 	c := New(0)
 	k := Key{ContentHash: "h1", Extractor: "keyword", Version: "1"}
@@ -304,7 +293,6 @@ func TestNilCacheIsSafe(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(Key{ContentHash: "h"}, md("a"))
-	c.SetEvictionHook(func() {})
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache reports state")
 	}

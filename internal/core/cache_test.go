@@ -264,10 +264,10 @@ func TestCacheMetricsAndEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := int64(h.svc.obsCacheHits.Value()); got != warm.CacheHits {
+	if got := int64(scrape(t, h.svc.obs.Reg(), "xtract_cache_hits_total")); got != warm.CacheHits {
 		t.Fatalf("xtract_cache_hits_total = %d, want %d", got, warm.CacheHits)
 	}
-	if h.svc.obsCacheMisses.Value() == 0 {
+	if scrape(t, h.svc.obs.Reg(), "xtract_cache_misses_total") == 0 {
 		t.Fatal("xtract_cache_misses_total never moved")
 	}
 	// Two crawls of one corpus: the first hashed it, the second reused it.

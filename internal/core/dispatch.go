@@ -219,10 +219,9 @@ func (d *dispatcher) flushAll() {
 // makeTask turns a bucket — never more than one Xtract batch, since intake
 // empties a bucket the moment it is full — into a task and its pending
 // FaaS request, and submits the funcX batch that request completes. The
-// extractor's container/endpoint tuple is resolved through the registry
-// first — an RDS query on first use, served from cache afterwards (the
-// Figure 3 t_xs cost). Resolution failures go back to the pump as
-// dispatch-failure events.
+// extractor's function at the site comes from the service's one function
+// table (the paper's RDS tuple, the Figure 3 t_xs resolve); an
+// unregistered pair goes back to the pump as a dispatch-failure event.
 func (d *dispatcher) makeTask(k bucketKey) {
 	extractor := k.extractor
 	batch := d.buckets[k]
@@ -239,11 +238,6 @@ func (d *dispatcher) makeTask(k bucketKey) {
 	}
 
 	fid, err := d.s.functionFor(extractor, d.site.Name)
-	if err == nil {
-		if _, rerr := d.s.cfg.Registry.ResolveExtractor(extractor); rerr != nil {
-			err = rerr
-		}
-	}
 	if err != nil {
 		d.undispatched(t, "no_function", err)
 		return

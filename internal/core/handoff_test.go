@@ -372,13 +372,6 @@ func TestOverlappingRootsRunEachFamilyOnce(t *testing.T) {
 	}
 	h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 4}}, scheduler.LocalPolicy{},
 		func(cfg *Config) { cfg.Journal = jnl })
-	var mu sync.Mutex
-	journaled := map[string]int64{}
-	jnl.Observe(func(recType string) {
-		mu.Lock()
-		journaled[recType]++
-		mu.Unlock()
-	}, nil)
 	seedScience(t, h.sites["theta"], "/mdf")
 	run := func(roots ...string) JobStats {
 		t.Helper()
@@ -390,9 +383,7 @@ func TestOverlappingRootsRunEachFamilyOnce(t *testing.T) {
 		return stats
 	}
 	once := run("/mdf")
-	mu.Lock()
-	enqueuedOnce, stepsOnce := journaled[journal.RecFamilyEnqueued], journaled[journal.RecStepCompleted]
-	mu.Unlock()
+	enqueuedOnce, stepsOnce := jnl.Appends(journal.RecFamilyEnqueued), jnl.Appends(journal.RecStepCompleted)
 	twice := run("/mdf", "/mdf/exp1", "/mdf/exp2")
 	if twice.Crawl.FamiliesEmitted <= once.Crawl.FamiliesEmitted {
 		t.Fatalf("overlapping roots emitted %d families, one root %d: nothing was delivered twice",
@@ -402,9 +393,7 @@ func TestOverlappingRootsRunEachFamilyOnce(t *testing.T) {
 		t.Fatalf("overlapping roots: %d families, %d steps; one root: %d, %d",
 			twice.FamiliesDone, twice.StepsProcessed, once.FamiliesDone, once.StepsProcessed)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if e, s := journaled[journal.RecFamilyEnqueued]-enqueuedOnce, journaled[journal.RecStepCompleted]-stepsOnce; e != enqueuedOnce || s != stepsOnce {
+	if e, s := jnl.Appends(journal.RecFamilyEnqueued)-enqueuedOnce, jnl.Appends(journal.RecStepCompleted)-stepsOnce; e != enqueuedOnce || s != stepsOnce {
 		t.Fatalf("overlapping roots journaled %d families and %d steps, one root %d and %d", e, s, enqueuedOnce, stepsOnce)
 	}
 }

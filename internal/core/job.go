@@ -208,8 +208,6 @@ func (s *Service) runJob(ctx context.Context, rec registry.JobRecord, spec journ
 // run crawls and pumps the job to a terminal state.
 func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, cancelJob context.CancelFunc) (JobStats, error) {
 	s := p.s
-	s.obsJobsActive.Inc()
-	defer s.obsJobsActive.Dec()
 	// JobStarted consumes the admission reservation taken at the API
 	// front door (or a fresh slot for direct/recovered callers); the
 	// deferred JobEnded releases it whichever way the job exits.
@@ -221,9 +219,10 @@ func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, ca
 		p.publish(registry.JobExtracting, "")
 		err = p.loop(p.jobCtx)
 	}
+	p.Elapsed = s.clk.Since(p.start)
 	if err != nil {
 		p.fail(err)
-		return JobStats{JobID: p.JobID}, err
+		return p.JobStats, err
 	}
 	return p.conclude(), nil
 }
@@ -559,7 +558,6 @@ func (p *pump) teardown(cancelJob context.CancelFunc) {
 // its record — rather than COMPLETE or hung.
 func (p *pump) conclude() JobStats {
 	s := p.s
-	p.Elapsed = s.clk.Since(p.start)
 	state := registry.JobComplete
 	event := obs.EvJobCompleted
 	var errMsg string

@@ -447,7 +447,7 @@ func bareService(t testing.TB, c *cache.Cache) *Service {
 	_, prefetch, prefetchDone, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: transfer.NewFabric(clk),
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
+		Library:       extractors.DefaultLibrary(),
 		PrefetchQueue: prefetch,
 		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: c,
 	})

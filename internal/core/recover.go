@@ -117,7 +117,6 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStatus, error) {
 		}
 		s.obsRecoveredJobs.With(rj.Disposition).Inc()
 	}
-	s.obsRecoverySteps.Add(float64(status.StepsReconciled))
 	elapsed := s.clk.Since(start)
 	status.ElapsedSeconds = elapsed.Seconds()
 	s.obsRecoverySeconds.ObserveDuration(elapsed)

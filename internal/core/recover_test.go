@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,13 +52,7 @@ func TestTenantOwnershipSurvivesRestart(t *testing.T) {
 
 			w := systemWorld(t, oneSite)
 			life1 := life(w, 2*time.Millisecond)
-			drained := make(chan struct{})
-			var appended atomic.Int64
-			w.jnl.Observe(func(string) {
-				if appended.Add(1) == 5 {
-					close(drained)
-				}
-			}, nil)
+			drained := afterAppends(t, w.jnl, 5)
 			job := submit(w, life1)
 			select {
 			case <-drained:

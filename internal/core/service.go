@@ -130,11 +130,10 @@ func (s *Site) state() scheduler.SiteState {
 
 // Config wires the Xtract service to its substrates.
 type Config struct {
-	Clock    clock.Clock
-	FaaS     *faas.Service
-	Fabric   *transfer.Fabric
-	Registry *registry.Registry
-	Library  *extractors.Library
+	Clock   clock.Clock
+	FaaS    *faas.Service
+	Fabric  *transfer.Fabric
+	Library *extractors.Library
 	// PrefetchQueue / PrefetchDone connect to the prefetcher.
 	PrefetchQueue *queue.Queue
 	PrefetchDone  *queue.Queue
@@ -243,7 +242,6 @@ type Service struct {
 
 	// Live observability handles resolved from cfg.Obs (nil-safe).
 	obs                 *obs.Observer
-	obsJobsActive       *obs.Gauge
 	obsFamiliesDone     *obs.Counter
 	obsFamiliesFailed   *obs.Counter
 	obsGroupsProcessed  *obs.Counter
@@ -253,15 +251,11 @@ type Service struct {
 	obsRetryBackoff     *obs.Histogram
 	obsBudgetExhausted  *obs.Counter
 	obsStepDuration     *obs.HistogramVec
-	obsCacheHits        *obs.Counter
-	obsCacheMisses      *obs.Counter
-	obsCacheEvictions   *obs.Counter
 	obsDispatchLatency  *obs.Histogram
 	obsPipelineDepth    *obs.Gauge
 	obsJournalErrors    *obs.Counter
 	obsJournalFsync     *obs.Histogram
 	obsRecoveredJobs    *obs.CounterVec
-	obsRecoverySteps    *obs.Counter
 	obsRecoverySeconds  *obs.Histogram
 	obsClusterFenced    *obs.Counter
 	obsHedges           *obs.Counter
@@ -270,14 +264,13 @@ type Service struct {
 	obsHedgeCancelled   *obs.Counter
 	obsShedTotal        *obs.Counter
 
-	// Labelled counters on hot paths: the pump, dispatcher, and journal
-	// hook emit millions of events per run, so their known label values
+	// Labelled counters on hot paths: the pump and dispatcher emit
+	// millions of events per run, so their known label values
 	// are resolved to series handles once at construction instead of
 	// re-resolving a *Vec.With per event (see labelledCounter).
 	obsWakeups       labelledCounter // by wakeup reason
 	obsRetries       labelledCounter // by failure cause
 	obsJobs          labelledCounter // by terminal registry.JobState
-	obsJournal       labelledCounter // by record type
 	obsDeadLetterFam *obs.Counter
 	obsDeadLetterStp *obs.Counter
 	obsStepDurBy     sync.Map // extractor name -> *obs.Histogram
@@ -327,14 +320,8 @@ func New(cfg Config) *Service {
 		s.estimator = newLatencyEstimator(s.hedge)
 	}
 	s.instrument(cfg.Obs.Reg())
-	if cfg.Cache != nil {
-		cfg.Cache.SetEvictionHook(func() { s.obsCacheEvictions.Inc() })
-	}
 	if cfg.Journal != nil {
-		cfg.Journal.Observe(
-			func(recType string) { s.obsJournal.with(recType).Inc() },
-			func(d time.Duration) { s.obsJournalFsync.ObserveDuration(d) },
-		)
+		cfg.Journal.Observe(s.obsJournalFsync.ObserveDuration)
 	}
 	return s
 }
@@ -353,11 +340,7 @@ func (s *Service) instrument(reg *obs.Registry) {
 		{&s.obsTasksResubmitted, "xtract_tasks_resubmitted_total", "FaaS tasks resubmitted after being lost."},
 		{&s.obsBytesStaged, "xtract_bytes_staged_total", "Bytes staged to remote compute sites by the prefetcher."},
 		{&s.obsBudgetExhausted, "xtract_retry_budget_exhausted_total", "Retries denied because the per-job retry budget was spent."},
-		{&s.obsCacheHits, "xtract_cache_hits_total", "Extraction steps answered by the result cache (no FaaS dispatch)."},
-		{&s.obsCacheMisses, "xtract_cache_misses_total", "Result cache lookups answered by neither cache layer."},
-		{&s.obsCacheEvictions, "xtract_cache_evictions_total", "Result cache entries displaced by the in-memory LRU bound."},
 		{&s.obsJournalErrors, "xtract_journal_append_errors_total", "Journal appends that failed (the transition proceeded un-journaled)."},
-		{&s.obsRecoverySteps, "xtract_recovery_steps_reconciled_total", "Journaled step completions seeded into the result cache at recovery."},
 		{&s.obsClusterFenced, "xtract_cluster_fenced_appends_total", "Journal appends dropped because this node's job lease was lost."},
 		{&s.obsHedges, "xtract_hedges_total", "Duplicate step attempts dispatched after a task exceeded its adaptive deadline."},
 		{&s.obsHedgeWins, "xtract_hedge_wins_total", "Steps whose hedged duplicate finished before the original attempt."},
@@ -373,7 +356,6 @@ func (s *Service) instrument(reg *obs.Registry) {
 	s.obsJournalFsync = reg.Histogram("xtract_journal_fsync_seconds", "Journal group-commit fsync batch durations.", nil)
 	s.obsRecoverySeconds = reg.Histogram("xtract_recovery_seconds",
 		"Wall time of the journal recovery pass (replay through resume).", nil)
-	s.obsJobsActive = reg.Gauge("xtract_jobs_active", "Extraction jobs currently running.")
 	s.obsPipelineDepth = reg.Gauge("xtract_pipeline_depth", "FaaS tasks in flight across all dispatcher shards.")
 	s.obsStepDuration = reg.HistogramVec("xtract_step_duration_seconds",
 		"Extractor execution time per step.", nil, "extractor")
@@ -393,19 +375,13 @@ func (s *Service) instrument(reg *obs.Registry) {
 	s.obsWakeups = newLabelledCounter(reg.CounterVec("xtract_pump_wakeups_total",
 		"Orchestration-loop wakeups by triggering event source.", "reason"),
 		"start", "crawl", "families", "staged", "events", "retry", "hedge", "durable", "idle")
-	s.obsJournal = newLabelledCounter(reg.CounterVec("xtract_journal_appends_total",
-		"Durable journal appends by record type.", "type"),
-		journal.RecJobSubmitted, journal.RecFamilyEnqueued,
-		journal.RecStepCompleted, journal.RecStepRetried,
-		journal.RecStepDeadLettered, journal.RecFamilyFailed,
-		journal.RecJobCancelled, journal.RecJobTerminal,
-		journal.RecLeaseAcquired, journal.RecLeaseRenewed,
-		journal.RecLeaseReleased)
-	s.instrumentCrawls(reg)
+	s.instrumentOwned(reg)
 }
 
-// instrumentCrawls exposes the summed crawl counts, read at scrape time.
-func (s *Service) instrumentCrawls(reg *obs.Registry) {
+// instrumentOwned exposes the counts their owners keep, read at scrape
+// time: the summed crawls', the result cache's, the journal's, the
+// recovery pass's and the live-job table's.
+func (s *Service) instrumentOwned(reg *obs.Registry) {
 	ct := &s.crawlTotals
 	for _, c := range []struct {
 		name, help string
@@ -420,9 +396,26 @@ func (s *Service) instrumentCrawls(reg *obs.Registry) {
 		{"xtract_crawl_fingerprint_reads_total", "Files crawlers read and hashed for their content fingerprint.", ct.FilesHashed.Load},
 		{"xtract_crawl_fingerprint_reused_total", "Files whose remembered fingerprint the store's change token vouched for, unread.", ct.HashesReused.Load},
 		{"xtract_crawl_fingerprint_errors_total", "Fingerprint reads that failed, leaving the file's groups uncacheable.", ct.FingerprintErrors.Load},
+		{"xtract_cache_hits_total", "Extraction steps answered by the result cache (no FaaS dispatch).", func() int64 { return s.cfg.Cache.Stats().Hits }},
+		{"xtract_cache_misses_total", "Result cache lookups answered by neither cache layer.", func() int64 { return s.cfg.Cache.Stats().Misses }},
+		{"xtract_cache_evictions_total", "Result cache entries displaced by the in-memory LRU bound.", func() int64 { return s.cfg.Cache.Stats().Evictions }},
+		{"xtract_recovery_steps_reconciled_total", "Journaled step completions seeded into the result cache at recovery.",
+			func() int64 { st, _ := s.LastRecovery(); return int64(st.StepsReconciled) }},
 	} {
 		reg.CounterFunc(c.name, c.help, nil, c.read)
 	}
+	for _, typ := range []string{journal.RecJobSubmitted, journal.RecFamilyEnqueued,
+		journal.RecStepCompleted, journal.RecStepRetried, journal.RecStepDeadLettered,
+		journal.RecFamilyFailed, journal.RecJobCancelled, journal.RecJobTerminal,
+		journal.RecLeaseAcquired, journal.RecLeaseRenewed, journal.RecLeaseReleased} {
+		reg.CounterFunc("xtract_journal_appends_total", "Durable journal appends by record type.",
+			map[string]string{"type": typ}, func() int64 { return s.cfg.Journal.Appends(typ) })
+	}
+	reg.GaugeFunc("xtract_jobs_active", "Extraction jobs currently running.", nil, func() float64 {
+		s.jobs.mu.Lock()
+		defer s.jobs.mu.Unlock()
+		return float64(len(s.jobs.live))
+	})
 }
 
 // breakerFor returns (lazily creating) the site's circuit breaker; nil
@@ -653,7 +646,6 @@ func (s *Service) RegisterExtractors() error {
 		}
 		s.mu.Unlock()
 
-		var endpointIDs []string
 		for _, site := range sites {
 			ep := site.ComputeEndpoint()
 			if ep == nil || site.excludes(name) {
@@ -668,14 +660,7 @@ func (s *Service) RegisterExtractors() error {
 			s.mu.Lock()
 			s.functions[[2]string{name, site.Name}] = fid
 			s.mu.Unlock()
-			endpointIDs = append(endpointIDs, ep.ID)
 		}
-		s.cfg.Registry.PutExtractor(registry.ExtractorRecord{
-			Name:        name,
-			FunctionID:  fmt.Sprintf("multi:%s", name),
-			ContainerID: cid,
-			EndpointIDs: endpointIDs,
-		})
 	}
 	return nil
 }

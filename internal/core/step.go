@@ -172,7 +172,6 @@ func (p *pump) offer(st *famState, idx int) {
 			return
 		}
 		p.CacheMisses++
-		p.s.obsCacheMisses.Inc()
 	}
 	ss.phase = stepReady
 	p.dispatch(st, idx)
@@ -218,7 +217,6 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	p.s.obsGroupsProcessed.Inc()
 	if o.cached {
 		p.CacheHits++
-		p.s.obsCacheHits.Inc()
 		p.s.obs.Emit(p.JobID, obs.EvStepCacheHit, "family="+st.fam.ID+" group="+step.GroupID+
 			" extractor="+step.Extractor+" replayed from cache")
 		return

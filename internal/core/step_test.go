@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,14 +53,13 @@ type machine struct {
 	cache   *cache.Cache
 	disk    *countingStore
 	tenants *tenant.Controller
-	mu      sync.Mutex
-	journal map[string]int // accepted records by type
+	jnl     *journal.Journal
 }
 
 func newMachine(t *testing.T, mut func(*Config)) *machine {
 	t.Helper()
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	m := &machine{t: t, clk: clk, journal: make(map[string]int)}
+	m := &machine{t: t, clk: clk}
 	m.disk = &countingStore{Store: store.NewMemFS("cache-disk", nil)}
 	m.cache = cache.NewPersistent(0, m.disk, "/cache")
 	m.tenants = tenant.NewController(tenant.Config{Clock: clk})
@@ -69,11 +67,12 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.jnl = jnl
 	fsvc := faas.NewService(clk, faas.Costs{})
 	_, prefetch, prefetchDone, results := NewQueues(clk)
 	cfg := Config{
 		Clock: clk, FaaS: fsvc, Fabric: transfer.NewFabric(clk),
-		Registry: registry.New(clk, 0), Library: extractors.DefaultLibrary(),
+		Library:       extractors.DefaultLibrary(),
 		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: results,
 		Cache: m.cache, Journal: jnl, Tenants: m.tenants,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, JitterFrac: 0, JobBudget: 8},
@@ -82,11 +81,6 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 		mut(&cfg)
 	}
 	m.svc = New(cfg)
-	jnl.Observe(func(recType string) {
-		m.mu.Lock()
-		m.journal[recType]++
-		m.mu.Unlock()
-	}, nil)
 	for _, name := range []string{"x", "y"} {
 		ep := faas.NewEndpoint("ep-"+name, 1, clk)
 		fsvc.RegisterEndpoint(ep)
@@ -166,7 +160,7 @@ func ok(st *famState, idx int) stepOutcome {
 
 // effects is everything a transition may cause, as the sinks saw it.
 type effects struct {
-	completed, retried, deadLettered int // journal records
+	completed, retried, deadLettered int64 // journal records
 	billed, billedCached, billedFail int64
 	cacheWrites                      int64
 	results                          int // the family's own record
@@ -174,12 +168,10 @@ type effects struct {
 }
 
 func (m *machine) effects(st *famState) effects {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	u, _ := m.tenants.UsageFor("default")
 	e := effects{
-		completed: m.journal[journal.RecStepCompleted], retried: m.journal[journal.RecStepRetried],
-		deadLettered: m.journal[journal.RecStepDeadLettered],
+		completed: m.jnl.Appends(journal.RecStepCompleted), retried: m.jnl.Appends(journal.RecStepRetried),
+		deadLettered: m.jnl.Appends(journal.RecStepDeadLettered),
 		billed:       u.StepsProcessed, billedCached: u.CacheHits, billedFail: u.StepsFailed,
 		cacheWrites: m.disk.writes.Load(), stats: m.p.JobStats,
 	}

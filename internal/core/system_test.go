@@ -426,16 +426,7 @@ func (r *run) wait(job *Job) (JobStats, error) {
 }
 
 // trigger closes the channel it returns at the journal's at-th append.
-func (r *run) trigger() <-chan struct{} {
-	ch := make(chan struct{})
-	var n atomic.Int64
-	r.w.jnl.Observe(func(string) {
-		if n.Add(1) == r.s.at {
-			close(ch)
-		}
-	}, nil)
-	return ch
-}
+func (r *run) trigger() <-chan struct{} { return afterAppends(r.t, r.w.jnl, r.s.at) }
 
 // reached waits for the churn point or the job's end and reports whether
 // the point came first: a job can outrun it, and is then unchurned.

@@ -4,8 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
 
 	"xtract/internal/journal"
+	"xtract/internal/obs"
 	"xtract/internal/registry"
 )
 
@@ -19,6 +24,49 @@ func runSpec(s *Service, ctx context.Context, spec journal.JobSpec) (JobStats, e
 		return JobStats{}, err
 	}
 	return j.Wait()
+}
+
+// scrape reads one series from reg's exposition.
+func scrape(t *testing.T, reg *obs.Registry, series string) float64 {
+	t.Helper()
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("bad sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s absent from exposition", series)
+	return 0
+}
+
+// afterAppends closes the channel it returns once jnl has accepted n more
+// records than it had at the call. It polls the count until then, or
+// until the test ends.
+func afterAppends(t *testing.T, jnl *journal.Journal, n int64) <-chan struct{} {
+	base, _, _ := jnl.Stats()
+	ch, stop := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		tick := time.NewTicker(50 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			if a, _, _ := jnl.Stats(); a-base >= n {
+				close(ch)
+				return
+			}
+			select {
+			case <-tick.C:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	return ch
 }
 
 // liveJobs is the size of the service's live-job table.

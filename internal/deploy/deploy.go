@@ -164,7 +164,6 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		Clock:           clk,
 		FaaS:            d.FaaS,
 		Fabric:          d.Fabric,
-		Registry:        d.Registry,
 		Library:         opts.Library,
 		PrefetchQueue:   prefetch,
 		PrefetchDone:    prefetchDone,

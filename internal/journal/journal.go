@@ -449,11 +449,6 @@ type Options struct {
 	// CompactSegments triggers snapshot+compaction once this many closed
 	// segments accumulate (default 4; <0 disables auto-compaction).
 	CompactSegments int
-	// OnAppend, when set, observes every accepted record with its type
-	// (the xtract_journal_appends_total hook).
-	OnAppend func(recType string)
-	// OnFsync, when set, observes each fsync batch duration.
-	OnFsync func(d time.Duration)
 }
 
 // Journal is an open write-ahead log. Safe for concurrent Append.
@@ -497,9 +492,13 @@ type Journal struct {
 	curSize    int64
 	closedSegs []string
 
+	// appends counts accepted records, byType the same records by type.
 	appends  int64
+	byType   map[string]int64
 	fsyncs   int64
 	compacts atomic.Int64 // bumped by compaction, which runs without the mutex
+	// onFsync, once Observe has set it, is handed each batch's fsync time.
+	onFsync func(d time.Duration)
 }
 
 func segName(firstSeq uint64) string { return fmt.Sprintf("seg-%016d.wal", firstSeq) }
@@ -541,6 +540,7 @@ func Open(dir Dir, opts Options) (*Journal, error) {
 		info:       info,
 		nextSeq:    st.LastSeq + 1,
 		durableSeq: st.LastSeq,
+		byType:     make(map[string]int64),
 		killedCh:   make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -599,13 +599,13 @@ func (j *Journal) LiveJobs() []string {
 	return ids
 }
 
-// Observe installs (or replaces) the append/fsync hooks after Open — the
-// journal is typically opened before the metrics registry exists.
-func (j *Journal) Observe(onAppend func(recType string), onFsync func(d time.Duration)) {
+// Observe installs (or replaces) the hook each fsync batch's duration is
+// handed to, under the journal lock — the journal is typically opened
+// before the metrics registry exists.
+func (j *Journal) Observe(onFsync func(d time.Duration)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.opts.OnAppend = onAppend
-	j.opts.OnFsync = onFsync
+	j.onFsync = onFsync
 }
 
 // Info reports what the Open-time replay scan found.
@@ -616,6 +616,17 @@ func (j *Journal) Stats() (appends, fsyncs, compacts int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.appends, j.fsyncs, j.compacts.Load()
+}
+
+// Appends reports how many of the accepted records are of type recType
+// (0 on a nil journal).
+func (j *Journal) Appends(recType string) int64 {
+	if j == nil {
+		return 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.byType[recType]
 }
 
 // Ticket is an accepted record's claim on durability: a caller can start
@@ -654,12 +665,10 @@ func (j *Journal) Begin(rec Record) Ticket {
 	j.nextSeq++
 	j.pending = append(j.pending, rec)
 	j.appends++
+	j.byType[rec.Type]++
 	if j.killAt > 0 && j.appends >= j.killAt {
 		j.killLocked()
 		return Ticket{err: ErrKilled}
-	}
-	if j.opts.OnAppend != nil {
-		j.opts.OnAppend(rec.Type)
 	}
 	t := Ticket{j: j, seq: rec.Seq}
 	if len(j.pending) == maxUnwaited {
@@ -789,8 +798,8 @@ func (j *Journal) flushLocked(seq uint64) {
 		}
 		j.requeueLocked(batch, cut)
 		j.fsyncs++
-		if j.opts.OnFsync != nil {
-			j.opts.OnFsync(fsyncDur)
+		if j.onFsync != nil {
+			j.onFsync(fsyncDur)
 		}
 		j.cond.Broadcast()
 		if j.curSize >= j.opts.SegmentBytes {
@@ -970,9 +979,9 @@ func (j *Journal) killLocked() {
 // KillAtAppend arms a deterministic crash: when the n-th accepted record
 // (counting every Append and AppendAsync since Open) enters the buffer,
 // the journal dies on the spot — same effect as Kill, but exact. Chaos
-// tests need the precision: a Kill driven from an OnAppend hook races the
-// records accepted between the hook firing and the Kill landing, and the
-// hook cannot call Kill itself (it runs under the journal lock).
+// tests need the precision: a Kill driven by watching the append count
+// races the records accepted between the count moving and the Kill
+// landing.
 func (j *Journal) KillAtAppend(n int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -588,21 +588,21 @@ func TestOSDirRoundTrip(t *testing.T) {
 	}
 }
 
+// TestObserverHooks: the journal counts what it accepts, by type, and
+// hands each fsync's duration to the hook Observe installs.
 func TestObserverHooks(t *testing.T) {
-	var appends []string
 	var fsyncs int
-	dir := memDir(t)
-	j := mustOpen(t, dir, Options{
-		OnAppend: func(typ string) { appends = append(appends, typ) },
-		OnFsync:  func(time.Duration) { fsyncs++ },
-	})
+	j := mustOpen(t, memDir(t), Options{})
+	j.Observe(func(time.Duration) { fsyncs++ })
 	appendN(t, j, 3)
 	_ = j.Close()
-	if len(appends) != 3 || appends[0] != RecJobSubmitted {
-		t.Fatalf("appends = %v", appends)
+	appends, batches, _ := j.Stats()
+	if got := j.Appends(RecJobSubmitted); got != 1 || j.Appends(RecStepCompleted) != 2 || appends != 3 {
+		t.Fatalf("appends by type = %d submitted, %d steps, %d in all; want 1, 2, 3",
+			got, j.Appends(RecStepCompleted), appends)
 	}
-	if fsyncs == 0 {
-		t.Fatal("no fsync observed")
+	if fsyncs == 0 || int64(fsyncs) != batches {
+		t.Fatalf("%d fsyncs observed, %d batches", fsyncs, batches)
 	}
 }
 

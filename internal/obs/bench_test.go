@@ -55,7 +55,7 @@ func TestGaugeFuncDedupUnlabeled(t *testing.T) {
 func TestCachedHandleZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	c := r.CounterVec("xtract_alloc_ctr", "c", "site").With("s1")
-	g := r.GaugeVec("xtract_alloc_g", "g", "site").With("s1")
+	g := r.Gauge("xtract_alloc_g", "g")
 	h := r.HistogramVec("xtract_alloc_h", "h", nil, "step").With("ex")
 
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
@@ -125,7 +125,7 @@ func BenchmarkCounterIncParallel(b *testing.B) {
 
 func BenchmarkGaugeSet(b *testing.B) {
 	r := NewRegistry()
-	g := r.GaugeVec("bench_g", "g", "site").With("s1")
+	g := r.Gauge("bench_g", "g")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -123,7 +123,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 // A counter read at scrape time prints what a handle holding the same
-// value prints, labeled or not, and a nil registry ignores it.
+// value prints, labeled or not, fractional and with its labels in the
+// order given, and a nil registry ignores it.
 func TestCounterFuncExposesLikeACounter(t *testing.T) {
 	var n atomic.Int64
 	n.Store(1 << 40)
@@ -133,10 +134,14 @@ func TestCounterFuncExposesLikeACounter(t *testing.T) {
 	read.CounterFunc("c_total", "h", nil, n.Load)
 	read.CounterFunc("v_total", "h", map[string]string{"result": "ok"}, n.Load)
 	none.CounterFunc("c_total", "h", nil, n.Load)
+	pushed.CounterVec("f_total", "h", "tenant", "state").With("a", "complete").Add(2.5)
+	read.FloatCounterFunc("f_total", "h", func() float64 { return 2.5 }, [2]string{"tenant", "a"}, [2]string{"state", "complete"})
+	none.FloatCounterFunc("f_total", "h", func() float64 { return 2.5 })
 	var a, b strings.Builder
 	pushed.WritePrometheus(&a)
 	read.WritePrometheus(&b)
-	if a.String() != b.String() || !strings.Contains(b.String(), `v_total{result="ok"} 1.099511627776e+12`) {
+	if a.String() != b.String() || !strings.Contains(b.String(), `v_total{result="ok"} 1.099511627776e+12`) ||
+		!strings.Contains(b.String(), `f_total{tenant="a",state="complete"} 2.5`) {
 		t.Fatalf("handle:\n%s\ncallback:\n%s", a.String(), b.String())
 	}
 }
@@ -146,7 +151,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("c", "h").Inc()
 	r.CounterVec("cv", "h", "l").With("x").Add(2)
 	r.Gauge("g", "h").Set(1)
-	r.GaugeVec("gv", "h", "l").With("x").Dec()
+	r.Gauge("gv", "h").Dec()
 	r.Histogram("h", "h", nil).Observe(1)
 	r.HistogramVec("hv", "h", nil, "l").With("x").ObserveDuration(time.Second)
 	r.GaugeFunc("gf", "h", nil, func() float64 { return 1 })

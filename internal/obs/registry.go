@@ -204,14 +204,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return &Gauge{s: f.getSeries(nil)}
 }
 
-// GaugeVec returns a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.getFamily(name, help, typeGauge, labels, nil)}
-}
-
 // GaugeFunc registers a callback-backed gauge series: the callback is
 // invoked at exposition time. labels fixes the series' label set; it may
 // be nil for an unlabeled series. Use this for live readings such as
@@ -229,7 +221,7 @@ func (r *Registry) GaugeFunc(name, help string, labels map[string]string, fn fun
 	if r == nil || fn == nil {
 		return
 	}
-	r.registerFunc(name, help, typeGauge, labels, fn)
+	r.registerFunc(name, help, typeGauge, sortedPairs(labels), fn)
 }
 
 // CounterFunc is GaugeFunc for a counter its component already keeps:
@@ -240,16 +232,32 @@ func (r *Registry) CounterFunc(name, help string, labels map[string]string, fn f
 	if r == nil || fn == nil {
 		return
 	}
-	r.registerFunc(name, help, typeCounter, labels, func() float64 { return float64(fn()) })
+	r.registerFunc(name, help, typeCounter, sortedPairs(labels), func() float64 { return float64(fn()) })
 }
 
-func (r *Registry) registerFunc(name, help string, typ metricType, labels map[string]string, fn func() float64) {
-	f := r.getFamily(name, help, typ, nil, nil)
+// FloatCounterFunc is CounterFunc for a count its owner keeps as a
+// float (seconds billed, say) or under a lock of its own. labels are
+// name, value pairs, exposed in the order given, so a family can lead
+// with the label that names the owner.
+func (r *Registry) FloatCounterFunc(name, help string, fn func() float64, labels ...[2]string) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.registerFunc(name, help, typeCounter, labels, fn)
+}
+
+// sortedPairs orders a label map by name.
+func sortedPairs(labels map[string]string) [][2]string {
 	pairs := make([][2]string, 0, len(labels))
 	for k, v := range labels {
 		pairs = append(pairs, [2]string{k, v})
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
+	return pairs
+}
+
+func (r *Registry) registerFunc(name, help string, typ metricType, pairs [][2]string, fn func() float64) {
+	f := r.getFamily(name, help, typ, nil, nil)
 	var sb strings.Builder
 	for _, p := range pairs {
 		sb.WriteString(p[0])
@@ -362,18 +370,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.s.bits.Load())
-}
-
-// GaugeVec hands out per-label-value gauges.
-type GaugeVec struct{ f *metricFamily }
-
-// With returns the gauge for the given label values (see CounterVec.With
-// on caching).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil || v.f == nil {
-		return nil
-	}
-	return &Gauge{s: v.f.getSeries(values)}
 }
 
 // Histogram is a bounded-bucket distribution handle.

@@ -1,18 +1,13 @@
-// Package registry is Xtract's record database — the stand-in for the
-// AWS RDS instance where the paper stores the
-// extractor→function→container→endpoint address tuples. Resolving a tuple
-// charges a query latency the first time and is served from cache on
-// subsequent lookups, reproducing the Figure 3 observation that the bulk
-// of the Xtract-service cost is the first RDS resolve. It also defines a
-// job record's shape (JobRecord); the record itself is the service's, on
-// its job's handle and then in the journal's fold.
+// Package registry defines a job record's shape (JobRecord); the record
+// itself is the service's, on its job's handle and then in the journal's
+// fold. The paper's RDS also holds the extractor→function→container→
+// endpoint tuples; here they live once, in core.Service's function table.
 package registry
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
@@ -20,30 +15,6 @@ import (
 
 // ErrNotFound is returned when a record does not exist.
 var ErrNotFound = errors.New("registry: not found")
-
-// ExtractorRecord maps a registered extractor to its FaaS function, its
-// container, and the endpoints it can execute on (e.g., Docker-only
-// extractors may not run on Singularity-only systems).
-type ExtractorRecord struct {
-	Name        string   `json:"name"`
-	FunctionID  string   `json:"function_id"`
-	ContainerID string   `json:"container_id"`
-	EndpointIDs []string `json:"endpoint_ids"`
-}
-
-// RunsOn reports whether the extractor may execute on endpoint ep.
-// An empty EndpointIDs list means "any endpoint".
-func (r ExtractorRecord) RunsOn(ep string) bool {
-	if len(r.EndpointIDs) == 0 {
-		return true
-	}
-	for _, id := range r.EndpointIDs {
-		if id == ep {
-			return true
-		}
-	}
-	return false
-}
 
 // JobState is the lifecycle state of an extraction job record.
 type JobState string
@@ -120,79 +91,21 @@ func (r *JobRecord) AddDeadLetter(dl DeadLetter) {
 	r.DeadLetters = append(letters, dl)
 }
 
-// Registry is the record store. Safe for concurrent use.
+// Registry is a shim: no service keeps job records here (a job's record
+// lives on its core.Job handle, then in the journal's fold). It, New,
+// CreateJob and UpdateJob stay only while the benchmark harness in bench/
+// times them as registry.job_update_us (ROADMAP item 1(f)). Safe for
+// concurrent use.
 type Registry struct {
-	clk clock.Clock
-	// QueryLatency is charged on every uncached extractor resolve.
-	QueryLatency time.Duration
-
-	mu         sync.Mutex
-	extractors map[string]ExtractorRecord
-	cache      map[string]ExtractorRecord
-	jobs       map[string]JobRecord // the CreateJob/UpdateJob shim's
-	seq        int
-
-	CacheHits   atomic.Int64
-	CacheMisses atomic.Int64
+	mu   sync.Mutex
+	jobs map[string]JobRecord
+	seq  int
 }
 
-// New returns an empty registry.
-func New(clk clock.Clock, queryLatency time.Duration) *Registry {
-	return &Registry{
-		clk:          clk,
-		QueryLatency: queryLatency,
-		extractors:   make(map[string]ExtractorRecord),
-		cache:        make(map[string]ExtractorRecord),
-		jobs:         make(map[string]JobRecord),
-	}
+// New returns an empty registry; both arguments are unused.
+func New(clock.Clock, time.Duration) *Registry {
+	return &Registry{jobs: make(map[string]JobRecord)}
 }
-
-// PutExtractor stores (or replaces) an extractor record and invalidates
-// its cache entry.
-func (r *Registry) PutExtractor(rec ExtractorRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.extractors[rec.Name] = rec
-	delete(r.cache, rec.Name)
-}
-
-// ResolveExtractor returns the record for name, charging QueryLatency on
-// a cache miss and caching the result.
-func (r *Registry) ResolveExtractor(name string) (ExtractorRecord, error) {
-	r.mu.Lock()
-	if rec, ok := r.cache[name]; ok {
-		r.mu.Unlock()
-		r.CacheHits.Add(1)
-		return rec, nil
-	}
-	rec, ok := r.extractors[name]
-	r.mu.Unlock()
-	r.CacheMisses.Add(1)
-	r.clk.Sleep(r.QueryLatency)
-	if !ok {
-		return ExtractorRecord{}, fmt.Errorf("%w: extractor %s", ErrNotFound, name)
-	}
-	r.mu.Lock()
-	r.cache[name] = rec
-	r.mu.Unlock()
-	return rec, nil
-}
-
-// Extractors lists all registered extractor names.
-func (r *Registry) Extractors() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.extractors))
-	for name := range r.extractors {
-		out = append(out, name)
-	}
-	return out
-}
-
-// CreateJob and UpdateJob are a shim: no service keeps job records here
-// (a job's record lives on its core.Job handle, then in the journal's
-// fold). They stay only while the benchmark harness in bench/ times them
-// as registry.job_update_us (ROADMAP item 1(f)).
 
 // CreateJob stores a new job record owned by tenant and returns its ID.
 func (r *Registry) CreateJob(tenant string, repositories []string, now time.Time) string {

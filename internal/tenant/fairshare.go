@@ -33,8 +33,6 @@ func (c *Controller) AcquireTask(ctx context.Context, id string) (waited bool, e
 		t.inflight++
 		c.inflight++
 		t.usage.TasksDispatched++
-		t.mTasks.Inc()
-		t.mInflight.Set(float64(t.inflight))
 		c.mu.Unlock()
 		return false, nil
 	}
@@ -55,8 +53,7 @@ func (c *Controller) AcquireTask(ctx context.Context, id string) (waited bool, e
 	// A throttle is a wait another tenant causes by holding or awaiting a
 	// slot; a wait behind the tenant's own tasks is not one.
 	if c.inflight > t.inflight || len(c.waiters) > t.waiting {
-		t.usage.Throttled++
-		t.mThrotFair.Inc()
+		t.throttled[throttleFair]++
 	}
 	c.mu.Unlock()
 
@@ -105,7 +102,6 @@ func (c *Controller) releaseLocked(t *state, n int) {
 			c.inflight--
 		}
 	}
-	t.mInflight.Set(float64(t.inflight))
 	c.pumpLocked()
 }
 
@@ -142,8 +138,6 @@ func (c *Controller) pumpLocked() {
 		}
 		t.pass += 1 / t.lim.weight()
 		t.usage.TasksDispatched++
-		t.mTasks.Inc()
-		t.mInflight.Set(float64(t.inflight))
 		close(best.ch)
 	}
 }

@@ -23,9 +23,10 @@ import (
 // Default is the tenant every anonymous or auth-less request maps to.
 const Default = "default"
 
-// Normalize canonicalizes a tenant ID: identities are case-insensitive
-// and an empty identity (auth disabled, legacy job records) is the
-// default tenant.
+// Normalize canonicalizes a tenant ID and derives one from an auth
+// identity (where production would map a Globus identity to a project):
+// identities are case-insensitive, and an empty one (auth disabled,
+// legacy job records) is the default tenant.
 func Normalize(id string) string {
 	id = strings.ToLower(strings.TrimSpace(id))
 	if id == "" {
@@ -33,11 +34,6 @@ func Normalize(id string) string {
 	}
 	return id
 }
-
-// FromIdentity derives the tenant ID for an authenticated identity —
-// today the normalized identity itself; a stand-in for the Globus Auth
-// identity→project mapping a production deployment would consult.
-func FromIdentity(identity string) string { return Normalize(identity) }
 
 // Limits bounds one tenant. Zero fields mean "unlimited" so the zero
 // value is a fully open tenant.
@@ -88,7 +84,9 @@ type Config struct {
 	TaskSlots int
 }
 
-// Usage is one tenant's cumulative cost accounting.
+// Usage is one tenant's cumulative cost accounting. ActiveJobs,
+// InFlightTasks and Throttled are read from the controller's own counts
+// when the bill is taken.
 type Usage struct {
 	JobsStarted   int64 `json:"jobs_started"`
 	JobsCompleted int64 `json:"jobs_completed"`
@@ -180,23 +178,31 @@ type state struct {
 	waiting  int
 	pass     float64
 
-	usage Usage
+	// usage is the bill and the one count of each of its events, but for
+	// the three fields bill fills in: active jobs and held slots are
+	// active and inflight, and throttles are counted per reason.
+	usage     Usage
+	throttled [len(throttleReasons)]int64
+}
 
-	// Cached metric handles, resolved once per tenant instead of per
-	// event: AcquireTask/ReleaseTasks run on the dispatch hot path, so a
-	// *Vec.With per grant would re-resolve the label on every task. All
-	// obs handles are nil-safe, so these stay nil until Instrument.
-	mTasks     *obs.Counter
-	mInflight  *obs.Gauge
-	mActive    *obs.Gauge
-	mSteps     *obs.Counter
-	mStepsFail *obs.Counter
-	mCacheHits *obs.Counter
-	mBytes     *obs.Counter
-	mExtract   *obs.Counter
-	mThrotRate *obs.Counter
-	mThrotJobs *obs.Counter
-	mThrotFair *obs.Counter
+// Throttle reasons, indexing state.throttled: a submission over the rate
+// limit or the job quota, a task slot waited for behind another tenant.
+const (
+	throttleRate = iota
+	throttleJobs
+	throttleFair
+)
+
+var throttleReasons = [...]string{"rate", "jobs", "fairshare"}
+
+// bill is the tenant's usage as read.
+func (t *state) bill() Usage {
+	u := t.usage
+	u.ActiveJobs, u.InFlightTasks = t.active, t.inflight
+	for _, n := range t.throttled {
+		u.Throttled += n
+	}
+	return u
 }
 
 // Controller enforces tenant quotas and fair-share admission. All
@@ -220,17 +226,8 @@ type Controller struct {
 	inflight int
 	vtime    float64
 
-	// Metrics (nil until Instrument; obs types are nil-safe).
-	obsJobs      *obs.CounterVec
-	obsActive    *obs.GaugeVec
-	obsTasks     *obs.CounterVec
-	obsInflight  *obs.GaugeVec
-	obsSteps     *obs.CounterVec
-	obsStepsFail *obs.CounterVec
-	obsCacheHits *obs.CounterVec
-	obsBytes     *obs.CounterVec
-	obsExtract   *obs.CounterVec
-	obsThrottled *obs.CounterVec
+	// reg, once Instrument has set it, exposes each tenant's bill.
+	reg *obs.Registry
 }
 
 // NewController returns a controller enforcing cfg.
@@ -246,54 +243,67 @@ func NewController(cfg Config) *Controller {
 	}
 }
 
-// Instrument registers the xtract_tenant_* metric families on reg and
-// re-resolves the cached handles of any tenants seen before
-// instrumentation.
+// Instrument exposes every tenant's bill on reg as the xtract_tenant_*
+// families, read at scrape time under the controller's lock. A tenant's
+// series are registered once, when it is first seen (those seen before
+// Instrument, now).
 func (c *Controller) Instrument(reg *obs.Registry) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.obsJobs = reg.CounterVec("xtract_tenant_jobs_total",
-		"Jobs by tenant and terminal state.", "tenant", "state")
-	c.obsActive = reg.GaugeVec("xtract_tenant_jobs_active",
-		"Admitted-or-running jobs per tenant.", "tenant")
-	c.obsTasks = reg.CounterVec("xtract_tenant_tasks_total",
-		"Fair-share task-slot grants per tenant.", "tenant")
-	c.obsInflight = reg.GaugeVec("xtract_tenant_tasks_inflight",
-		"Task slots currently held per tenant.", "tenant")
-	c.obsSteps = reg.CounterVec("xtract_tenant_steps_total",
-		"Extraction steps completed per tenant.", "tenant")
-	c.obsStepsFail = reg.CounterVec("xtract_tenant_steps_failed_total",
-		"Extraction steps dead-lettered per tenant.", "tenant")
-	c.obsCacheHits = reg.CounterVec("xtract_tenant_cache_hits_total",
-		"Steps served from the result cache per tenant.", "tenant")
-	c.obsBytes = reg.CounterVec("xtract_tenant_bytes_staged_total",
-		"Bytes staged to compute sites per tenant.", "tenant")
-	c.obsExtract = reg.CounterVec("xtract_tenant_extractor_seconds_total",
-		"Extractor execution seconds billed per tenant.", "tenant")
-	c.obsThrottled = reg.CounterVec("xtract_tenant_throttled_total",
-		"Admissions delayed or refused, by tenant and reason.", "tenant", "reason")
+	c.reg = reg
 	for _, t := range c.tenants {
-		c.resolveHandlesLocked(t)
+		c.exposeLocked(t)
 	}
 }
 
-// resolveHandlesLocked caches t's per-tenant metric handles so hot-path
-// accounting emits without a label lookup.
-func (c *Controller) resolveHandlesLocked(t *state) {
-	t.mTasks = c.obsTasks.With(t.id)
-	t.mInflight = c.obsInflight.With(t.id)
-	t.mActive = c.obsActive.With(t.id)
-	t.mSteps = c.obsSteps.With(t.id)
-	t.mStepsFail = c.obsStepsFail.With(t.id)
-	t.mCacheHits = c.obsCacheHits.With(t.id)
-	t.mBytes = c.obsBytes.With(t.id)
-	t.mExtract = c.obsExtract.With(t.id)
-	t.mThrotRate = c.obsThrottled.With(t.id, "rate")
-	t.mThrotJobs = c.obsThrottled.With(t.id, "jobs")
-	t.mThrotFair = c.obsThrottled.With(t.id, "fairshare")
+// exposeLocked registers t's series on the instrumented registry. Each
+// reads its count where t keeps it, under the controller's lock.
+func (c *Controller) exposeLocked(t *state) {
+	if c.reg == nil {
+		return
+	}
+	read := func(f func() float64) func() float64 {
+		return func() float64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return f()
+		}
+	}
+	count := func(n *int64) func() float64 { return read(func() float64 { return float64(*n) }) }
+	ten, u := [2]string{"tenant", t.id}, &t.usage
+	for _, f := range []struct {
+		name, help string
+		n          *int64
+	}{
+		{"xtract_tenant_tasks_total", "Fair-share task-slot grants per tenant.", &u.TasksDispatched},
+		{"xtract_tenant_steps_total", "Extraction steps completed per tenant.", &u.StepsProcessed},
+		{"xtract_tenant_steps_failed_total", "Extraction steps dead-lettered per tenant.", &u.StepsFailed},
+		{"xtract_tenant_cache_hits_total", "Steps served from the result cache per tenant.", &u.CacheHits},
+		{"xtract_tenant_bytes_staged_total", "Bytes staged to compute sites per tenant.", &u.BytesStaged},
+	} {
+		c.reg.FloatCounterFunc(f.name, f.help, count(f.n), ten)
+	}
+	c.reg.FloatCounterFunc("xtract_tenant_extractor_seconds_total", "Extractor execution seconds billed per tenant.",
+		read(func() float64 { return u.ExtractorSeconds }), ten)
+	for _, j := range []struct {
+		state string
+		n     *int64
+	}{{"complete", &u.JobsCompleted}, {"degraded", &u.JobsDegraded}, {"failed", &u.JobsFailed}, {"cancelled", &u.JobsCancelled}} {
+		c.reg.FloatCounterFunc("xtract_tenant_jobs_total", "Jobs by tenant and terminal state.",
+			count(j.n), ten, [2]string{"state", j.state})
+	}
+	for i, reason := range throttleReasons {
+		c.reg.FloatCounterFunc("xtract_tenant_throttled_total", "Admissions delayed or refused, by tenant and reason.",
+			count(&t.throttled[i]), ten, [2]string{"reason", reason})
+	}
+	only := map[string]string{"tenant": t.id}
+	c.reg.GaugeFunc("xtract_tenant_jobs_active", "Admitted-or-running jobs per tenant.", only,
+		read(func() float64 { return float64(t.active) }))
+	c.reg.GaugeFunc("xtract_tenant_tasks_inflight", "Task slots currently held per tenant.", only,
+		read(func() float64 { return float64(t.inflight) }))
 }
 
 // stateLocked returns (creating on first use) the tenant's state.
@@ -310,8 +320,8 @@ func (c *Controller) stateLocked(id string) *state {
 			tokens:   lim.burst(), // bucket starts full
 			lastFill: c.clk.Now(),
 		}
-		c.resolveHandlesLocked(t)
 		c.tenants[id] = t
+		c.exposeLocked(t)
 	}
 	return t
 }
@@ -372,13 +382,11 @@ func (c *Controller) AdmitJob(id string) error {
 		if retry < time.Second {
 			retry = time.Second
 		}
-		t.usage.Throttled++
-		t.mThrotRate.Inc()
+		t.throttled[throttleRate]++
 		return &QuotaError{Tenant: id, Reason: "rate", RetryAfter: retry}
 	}
 	if t.lim.MaxActiveJobs > 0 && t.active+peer >= t.lim.MaxActiveJobs {
-		t.usage.Throttled++
-		t.mThrotJobs.Inc()
+		t.throttled[throttleJobs]++
 		return &QuotaError{Tenant: id, Reason: "jobs", RetryAfter: time.Second}
 	}
 	if t.lim.SubmitRate > 0 {
@@ -386,8 +394,6 @@ func (c *Controller) AdmitJob(id string) error {
 	}
 	t.active++
 	t.pendingStart++
-	t.usage.ActiveJobs = t.active
-	t.mActive.Set(float64(t.active))
 	return nil
 }
 
@@ -410,8 +416,6 @@ func (c *Controller) JobStarted(id string) {
 		t.active++
 	}
 	t.usage.JobsStarted++
-	t.usage.ActiveJobs = t.active
-	t.mActive.Set(float64(t.active))
 }
 
 // CancelAdmission returns the reservation AdmitJob took for a job that
@@ -425,8 +429,6 @@ func (c *Controller) CancelAdmission(id string) {
 	if t := c.stateLocked(Normalize(id)); t.pendingStart > 0 {
 		t.pendingStart--
 		t.active--
-		t.usage.ActiveJobs = t.active
-		t.mActive.Set(float64(t.active))
 	}
 }
 
@@ -438,17 +440,13 @@ func (c *Controller) JobEnded(id string) {
 	id = Normalize(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.stateLocked(id)
-	if t.active > 0 {
+	if t := c.stateLocked(id); t.active > 0 {
 		t.active--
 	}
-	t.usage.ActiveJobs = t.active
-	t.mActive.Set(float64(t.active))
 }
 
 // JobOutcome records a job's terminal state ("COMPLETE", "DEGRADED",
-// "FAILED", "CANCELLED") for the tenant's bill and the per-tenant jobs
-// metric.
+// "FAILED", "CANCELLED") on the tenant's bill.
 func (c *Controller) JobOutcome(id, jobState string) {
 	if c == nil {
 		return
@@ -467,7 +465,6 @@ func (c *Controller) JobOutcome(id, jobState string) {
 	default:
 		t.usage.JobsFailed++
 	}
-	c.obsJobs.With(id, strings.ToLower(jobState)).Inc()
 }
 
 // StepDone bills one completed extraction step: execution time for
@@ -481,14 +478,11 @@ func (c *Controller) StepDone(id string, dur time.Duration, cached bool) {
 	defer c.mu.Unlock()
 	t := c.stateLocked(id)
 	t.usage.StepsProcessed++
-	t.mSteps.Inc()
 	if cached {
 		t.usage.CacheHits++
-		t.mCacheHits.Inc()
 		return
 	}
 	t.usage.ExtractorSeconds += dur.Seconds()
-	t.mExtract.Add(dur.Seconds())
 }
 
 // StepFailed bills one dead-lettered step.
@@ -499,9 +493,7 @@ func (c *Controller) StepFailed(id string) {
 	id = Normalize(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.stateLocked(id)
-	t.usage.StepsFailed++
-	t.mStepsFail.Inc()
+	c.stateLocked(id).usage.StepsFailed++
 }
 
 // AddBytesStaged bills prefetcher transfer volume.
@@ -512,9 +504,7 @@ func (c *Controller) AddBytesStaged(id string, n int64) {
 	id = Normalize(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.stateLocked(id)
-	t.usage.BytesStaged += n
-	t.mBytes.Add(float64(n))
+	c.stateLocked(id).usage.BytesStaged += n
 }
 
 // SlotPressure reports the global in-flight task-slot usage against the
@@ -543,9 +533,7 @@ func (c *Controller) UsageFor(id string) (Usage, bool) {
 	if !ok {
 		return Usage{}, false
 	}
-	u := t.usage
-	u.InFlightTasks = t.inflight
-	return u, true
+	return t.bill(), true
 }
 
 // LimitsFor reports the effective limits for a tenant.
@@ -569,9 +557,7 @@ func (c *Controller) Snapshots() []Snapshot {
 	defer c.mu.Unlock()
 	out := make([]Snapshot, 0, len(c.tenants))
 	for _, t := range c.tenants {
-		u := t.usage
-		u.InFlightTasks = t.inflight
-		out = append(out, Snapshot{Tenant: t.id, Usage: u, Limits: t.lim})
+		out = append(out, Snapshot{Tenant: t.id, Usage: t.bill(), Limits: t.lim})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
