@@ -2,6 +2,8 @@ package api_test
 
 import (
 	"context"
+	"errors"
+	"math"
 	"net/http/httptest"
 	"os"
 	"regexp"
@@ -14,6 +16,8 @@ import (
 	"xtract/internal/clock"
 	"xtract/internal/core"
 	"xtract/internal/deploy"
+	"xtract/internal/extractors"
+	"xtract/internal/family"
 	"xtract/internal/journal"
 	"xtract/internal/sdk"
 	"xtract/internal/store"
@@ -177,19 +181,9 @@ func TestExpositionMatchesDesign(t *testing.T) {
 // are kept.
 func ownersAgree(t *testing.T, d *deploy.Deployment, jnl *journal.Journal, text string) {
 	t.Helper()
-	got := make(map[string]float64)
+	got := samples(t, text)
 	var appends float64
-	for _, line := range strings.Split(text, "\n") {
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 || line[0] == '#' {
-			continue
-		}
-		series := line[:sp]
-		f, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			t.Fatalf("bad sample %q: %v", line, err)
-		}
-		got[series] = f
+	for series, f := range got {
 		if strings.HasPrefix(series, "xtract_journal_appends_total{") {
 			appends += f
 		}
@@ -232,5 +226,160 @@ func ownersAgree(t *testing.T, d *deploy.Deployment, jnl *journal.Journal, text 
 	}
 	if n, _, _ := jnl.Stats(); appends != float64(n) {
 		t.Errorf("xtract_journal_appends_total sums to %v, the journal accepted %d", appends, n)
+	}
+}
+
+// samples folds a scrape into its series' values, keyed by name and
+// labels as exposed.
+func samples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	got := make(map[string]float64)
+	for _, line := range strings.Split(text, "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || line[0] == '#' {
+			continue
+		}
+		f, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		got[line[:sp]] = f
+	}
+	return got
+}
+
+// failing is an extractor for *.poison files that always fails, so its
+// steps dead-letter and their job ends FAILED.
+type failing struct{}
+
+func (failing) Name() string                   { return "poison" }
+func (failing) Container() string              { return "xtract-poison" }
+func (failing) Applies(fi store.FileInfo) bool { return fi.Extension == "poison" }
+func (failing) Extract(*family.Group, map[string][]byte) (map[string]interface{}, error) {
+	return nil, errors.New("poisoned")
+}
+
+// holding is an extractor for *.held files that returns only once release
+// closes, so its job is still running when it is cancelled.
+type holding struct{ release chan struct{} }
+
+func (holding) Name() string                   { return "held" }
+func (holding) Container() string              { return "xtract-held" }
+func (holding) Applies(fi store.FileInfo) bool { return fi.Extension == "held" }
+func (h holding) Extract(*family.Group, map[string][]byte) (map[string]interface{}, error) {
+	<-h.release
+	return map[string]interface{}{}, nil
+}
+
+// TestPumpSeriesAreSumsOfJobStats: a job's JobStats is the one count of
+// its pump's events, and the process totals and the tenant's bill are
+// posted from it. Jobs that end COMPLETE (cold, then warm from the cache),
+// FAILED by dead-lettered steps and CANCELLED run over HTTP on one
+// deployment; then every series the pump posts equals the sum of their
+// stats, and so does the tenant's usage.
+func TestPumpSeriesAreSumsOfJobStats(t *testing.T) {
+	clk := clock.NewReal()
+	src := store.NewMemFS("petrel", nil)
+	for path, body := range map[string]string{
+		"/ok/a.txt": "perovskite cells and absorber layers", "/ok/b.csv": "x,y\n1,2\n3,4\n",
+		"/bad/c.poison": "x", "/bad/d.txt": "absorber",
+		"/held/e.txt": "perovskite", "/held/f.held": "x",
+	} {
+		if err := src.Write(path, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lib := extractors.DefaultLibrary()
+	release := make(chan struct{})
+	lib.Register(failing{})
+	lib.Register(holding{release})
+	d, err := deploy.New(context.Background(), clk, []deploy.SiteSpec{
+		{Name: "petrel", Store: src},
+		{Name: "theta", Store: store.NewMemFS("theta", nil), Workers: 2},
+	}, deploy.Options{CacheCapacity: 64, Library: lib, Tenants: tenant.NewController(tenant.Config{Clock: clk})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	defer close(release)
+	srv := api.NewServer(d.Service, d.Registry, d.Library, nil)
+	srv.SetObserver(d.Obs)
+	srv.SetBaseContext(d.Ctx)
+	srv.SetTenants(d.Tenants)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := sdk.New(ts.URL, "")
+
+	var jobs []core.JobStats
+	run := func(root, state string, cancel bool) {
+		t.Helper()
+		id, err := client.Submit(api.JobRequest{Repos: []api.RepoRequest{{Site: "petrel", Roots: []string{root}, Grouper: "single"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cancel {
+			for st, _ := client.JobStatus(id); st.Done == 0; st, _ = client.JobStatus(id) {
+				time.Sleep(time.Millisecond)
+			}
+			if err := client.CancelJob(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := client.WaitJob(id, time.Millisecond, 10*time.Second)
+		if err != nil || st.State != state || st.Stats == nil || st.Stats.StepsProcessed == 0 {
+			t.Fatalf("job over %s: %+v, %v; want %s with stats", root, st, err, state)
+		}
+		jobs = append(jobs, *st.Stats)
+	}
+	run("/ok", "COMPLETE", false)
+	run("/ok", "COMPLETE", false)
+	run("/bad", "FAILED", false)
+	run("/held", "CANCELLED", true)
+
+	var s core.JobStats
+	for _, j := range jobs {
+		s.FamiliesDone += j.FamiliesDone
+		s.FamiliesFailed += j.FamiliesFailed
+		s.FamiliesDeadLettered += j.FamiliesDeadLettered
+		s.StepsProcessed += j.StepsProcessed
+		s.StepsFailed += j.StepsFailed
+		s.StepsDeadLettered += j.StepsDeadLettered
+		s.TasksResubmitted += j.TasksResubmitted
+		s.BytesStaged += j.BytesStaged
+		s.StepsHedged += j.StepsHedged
+		s.HedgeWins += j.HedgeWins
+		s.DuplicateSteps += j.DuplicateSteps
+		s.CacheHits += j.CacheHits
+		s.ExtractorTime += j.ExtractorTime
+	}
+	if s.CacheHits == 0 || s.StepsDeadLettered == 0 || s.BytesStaged == 0 {
+		t.Fatalf("the jobs' stats sum to %+v: want cache hits, dead-lettered steps and staged bytes", s)
+	}
+	text, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := samples(t, text)
+	for series, want := range map[string]int64{
+		"xtract_families_done_total":             s.FamiliesDone,
+		"xtract_families_failed_total":           s.FamiliesFailed,
+		"xtract_groups_processed_total":          s.StepsProcessed,
+		"xtract_steps_failed_total":              s.StepsFailed,
+		"xtract_tasks_resubmitted_total":         s.TasksResubmitted,
+		"xtract_bytes_staged_total":              s.BytesStaged,
+		"xtract_hedges_total":                    s.StepsHedged,
+		"xtract_hedge_wins_total":                s.HedgeWins,
+		"xtract_hedge_fenced_total":              s.DuplicateSteps,
+		`xtract_deadletter_total{kind="family"}`: s.FamiliesDeadLettered,
+		`xtract_deadletter_total{kind="step"}`:   s.StepsDeadLettered,
+	} {
+		if v, ok := got[series]; !ok || v != float64(want) {
+			t.Errorf("%s = %v (exposed: %v), the jobs' stats sum to %d", series, v, ok, want)
+		}
+	}
+	u, _ := d.Tenants.UsageFor(tenant.Default)
+	if u.StepsProcessed != s.StepsProcessed || u.StepsFailed != s.StepsFailed || u.CacheHits != s.CacheHits ||
+		u.BytesStaged != s.BytesStaged || math.Abs(u.ExtractorSeconds-s.ExtractorTime.Seconds()) > 1e-9*s.ExtractorTime.Seconds() {
+		t.Errorf("tenant usage %+v; the jobs' stats sum to %+v", u, s)
 	}
 }

@@ -163,12 +163,17 @@ func TestSubmissionGate(t *testing.T) {
 		answer <- accepted{id, err}
 	}()
 
-	familiesDone := deps.Obs.Reg().Counter("xtract_families_done_total", "")
+	familiesDone := func() float64 {
+		text, err := client.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, text, "xtract_families_done_total")
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for familiesDone.Value() < 2 {
+	for done := familiesDone(); done < 2; done = familiesDone() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%.0f/2 families done behind the held fsync: the job did not start before its submission was durable",
-				familiesDone.Value())
+			t.Fatalf("%.0f/2 families done behind the held fsync: the job did not start before its submission was durable", done)
 		}
 		time.Sleep(time.Millisecond)
 	}

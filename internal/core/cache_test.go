@@ -349,10 +349,10 @@ func TestConcurrentJobStatsIsolation(t *testing.T) {
 		t.Fatalf("corpora should differ: alpha %d vs beta %d families", a.FamiliesDone, b.FamiliesDone)
 	}
 	// The service-level counters stay as aggregates: exactly the sum.
-	if got := int64(h.svc.obsFamiliesDone.Value()); got != a.FamiliesDone+b.FamiliesDone {
+	if got := totals(h.svc).FamiliesDone; got != a.FamiliesDone+b.FamiliesDone {
 		t.Fatalf("service families %d != %d + %d", got, a.FamiliesDone, b.FamiliesDone)
 	}
-	if got := int64(h.svc.obsGroupsProcessed.Value()); got != a.StepsProcessed+b.StepsProcessed {
+	if got := totals(h.svc).StepsProcessed; got != a.StepsProcessed+b.StepsProcessed {
 		t.Fatalf("service steps %d != %d + %d", got, a.StepsProcessed, b.StepsProcessed)
 	}
 }

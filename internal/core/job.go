@@ -23,18 +23,24 @@ import (
 
 // JobStats summarizes a finished job. Every counter is scoped to this
 // job alone — concurrent jobs on one service each report only their own
-// work (the service-lifetime aggregates are the xtract_* counters).
+// work — and is the one count of its event: the pump posts its growth to
+// the service-lifetime xtract_* counters and the tenant's bill (post).
 type JobStats struct {
-	JobID             string
-	Crawl             crawler.Stats
-	FamiliesDone      int64
-	FamiliesFailed    int64
-	StepsProcessed    int64
-	StepsFailed       int64
-	TasksResubmitted  int64
-	StepsRetried      int64
-	StepsDeadLettered int64
-	BytesStaged       int64
+	JobID          string
+	Crawl          crawler.Stats
+	FamiliesDone   int64
+	FamiliesFailed int64
+	// FamiliesDeadLettered: those of FamiliesFailed abandoned unplaced or
+	// unstaged, each with a family dead letter on the job's record.
+	FamiliesDeadLettered int64
+	StepsProcessed       int64
+	StepsFailed          int64
+	TasksResubmitted     int64
+	StepsRetried         int64
+	StepsDeadLettered    int64
+	BytesStaged          int64
+	// ExtractorTime sums the run time of the steps extracted fresh.
+	ExtractorTime time.Duration
 	// CacheHits counts steps replayed from the extraction result cache
 	// (no FaaS dispatch); CacheMisses counts lookups that fell through
 	// to extraction.
@@ -62,6 +68,30 @@ type JobStats struct {
 	Degraded bool
 	Elapsed  time.Duration
 }
+
+// pumpCounts are the JobStats counts every pump posts to the process
+// totals (Service.pumpTotals, in this order), each with its xtract_* series.
+var pumpCounts = [...]struct {
+	name, help string
+	labels     map[string]string
+	of         func(*JobStats) *int64
+}{
+	{"xtract_families_done_total", "Families whose extraction plans completed.", nil, func(s *JobStats) *int64 { return &s.FamiliesDone }},
+	{"xtract_families_failed_total", "Families abandoned (no placement, staging failure, or capacity) or failed by their dead-lettered steps.",
+		nil, func(s *JobStats) *int64 { return &s.FamiliesFailed }},
+	{"xtract_groups_processed_total", "Group-extractor steps completed successfully.", nil, func(s *JobStats) *int64 { return &s.StepsProcessed }},
+	{"xtract_steps_failed_total", "Group-extractor steps that failed.", nil, func(s *JobStats) *int64 { return &s.StepsFailed }},
+	{"xtract_tasks_resubmitted_total", "FaaS tasks resubmitted after being lost.", nil, func(s *JobStats) *int64 { return &s.TasksResubmitted }},
+	{"xtract_bytes_staged_total", "Bytes staged to remote compute sites by the prefetcher.", nil, func(s *JobStats) *int64 { return &s.BytesStaged }},
+	{"xtract_hedges_total", "Duplicate step attempts dispatched after a task exceeded its adaptive deadline.",
+		nil, func(s *JobStats) *int64 { return &s.StepsHedged }},
+	{"xtract_hedge_wins_total", "Steps whose hedged duplicate finished before the original attempt.", nil, func(s *JobStats) *int64 { return &s.HedgeWins }},
+	{"xtract_hedge_fenced_total", "Duplicate step completions discarded by the exactly-once fence.", nil, func(s *JobStats) *int64 { return &s.DuplicateSteps }},
+	{"xtract_deadletter_total", deadLetterHelp, map[string]string{"kind": "family"}, func(s *JobStats) *int64 { return &s.FamiliesDeadLettered }},
+	{"xtract_deadletter_total", deadLetterHelp, map[string]string{"kind": "step"}, func(s *JobStats) *int64 { return &s.StepsDeadLettered }},
+}
+
+const deadLetterHelp = "Steps quarantined after exhausting their retries, and families abandoned."
 
 // Job is the service's handle on one job and, from submission until it
 // leaves the finished table, its one record: its live-job table entry while
@@ -214,6 +244,10 @@ func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, ca
 	s.cfg.Tenants.JobStarted(p.tenant)
 	defer s.cfg.Tenants.JobEnded(p.tenant)
 	defer p.teardown(cancelJob)
+	// Every exit posts, the fenced and draining ones that publish nothing
+	// included, so what a reader sees in the totals and on the bill after
+	// Wait does not rest on which publish ran last.
+	defer p.post()
 	err := p.startCrawls(repos, groupers)
 	if err == nil {
 		p.publish(registry.JobExtracting, "")
@@ -227,17 +261,37 @@ func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, ca
 	return p.conclude(), nil
 }
 
-// publish makes the job's progress readable on its record, under the
-// job's own lock: once a pump pass, and with each change of state (when
-// state is set).
+// publish makes the job's progress readable: on its record, under the
+// job's own lock, and in the totals and on the bill (post). Once a pump
+// pass, and with each change of state (when state is set).
 func (p *pump) publish(state registry.JobState, errMsg string) {
 	j := p.job
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if state != "" {
 		j.rec.State, j.rec.Err = state, errMsg
 	}
 	j.rec.GroupsCrawled, j.rec.GroupsDone = p.Crawl.GroupsFormed, p.StepsProcessed
+	j.mu.Unlock()
+	p.post()
+}
+
+// post hands what the pump has counted since its last post to the two
+// wider scopes: the process totals /metrics reads and the owning tenant's
+// bill, in one controller call. What has not grown is not posted.
+func (p *pump) post() {
+	now, was := &p.JobStats, &p.posted
+	for i, c := range pumpCounts[:] {
+		if d := *c.of(now) - *c.of(was); d != 0 {
+			p.s.pumpTotals[i].Add(d)
+		}
+	}
+	bill := tenant.Usage{StepsProcessed: now.StepsProcessed - was.StepsProcessed, StepsFailed: now.StepsFailed - was.StepsFailed,
+		CacheHits: now.CacheHits - was.CacheHits, BytesStaged: now.BytesStaged - was.BytesStaged,
+		ExtractorSeconds: (now.ExtractorTime - was.ExtractorTime).Seconds()}
+	if bill != (tenant.Usage{}) {
+		p.s.cfg.Tenants.Charge(p.tenant, bill)
+	}
+	p.posted = *now
 }
 
 // addDeadLetter notes one quarantine on the job's record.

@@ -140,8 +140,7 @@ func (p *pump) failStaging(st *famState, cause string) {
 func (p *pump) failFamily(famID, reason string, attempts int) {
 	p.fams[famID] = finishedFam
 	p.FamiliesFailed++
-	p.s.obsFamiliesFailed.Inc()
-	p.s.obsDeadLetterFam.Inc()
+	p.FamiliesDeadLettered++
 	dl := registry.DeadLetter{Kind: "family", FamilyID: famID, Attempts: attempts, Reason: reason, At: p.s.clk.Now()}
 	p.addDeadLetter(dl)
 	p.s.obs.Emitf(p.JobID, obs.EvFamilyFailed, "family=%s abandoned: %s", famID, reason)

@@ -37,8 +37,10 @@ type pump struct {
 	s   *Service
 	job *Job // the pump's handle: the record it publishes
 	// JobStats (with the job's ID) accumulates as the job runs and is what
-	// it returns: concurrent jobs never report each other's work.
+	// it returns: concurrent jobs never report each other's work. posted
+	// is JobStats as of the last post.
 	JobStats
+	posted JobStats
 	// tenant owns the job: dispatch admission and cost accounting are
 	// billed against it.
 	tenant  string
@@ -350,8 +352,6 @@ func (p *pump) takeStaged(res *transfer.PrefetchResult) {
 		return
 	}
 	p.BytesStaged += res.Bytes
-	p.s.cfg.Tenants.AddBytesStaged(p.tenant, res.Bytes)
-	p.s.obsBytesStaged.Add(float64(res.Bytes))
 	p.s.obs.Emitf(p.JobID, obs.EvFamilyStaged, "family=%s bytes=%d elapsed=%s",
 		res.FamilyID, res.Bytes, res.Elapsed)
 	p.setFamPhase(st, famRunning)

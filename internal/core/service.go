@@ -236,44 +236,34 @@ type Service struct {
 	breakerMu  sync.Mutex
 	breakers   map[string]*breaker
 
-	// crawlTotals sums every job's crawls: the xtract_crawl_* counters,
-	// read at scrape time.
+	// crawlTotals sums every job's crawls and pumpTotals what every job's
+	// pump has posted: the process-wide counters, read at scrape time.
 	crawlTotals crawler.Totals
+	pumpTotals  [len(pumpCounts)]atomic.Int64
 
 	// Live observability handles resolved from cfg.Obs (nil-safe).
-	obs                 *obs.Observer
-	obsFamiliesDone     *obs.Counter
-	obsFamiliesFailed   *obs.Counter
-	obsGroupsProcessed  *obs.Counter
-	obsStepsFailed      *obs.Counter
-	obsTasksResubmitted *obs.Counter
-	obsBytesStaged      *obs.Counter
-	obsRetryBackoff     *obs.Histogram
-	obsBudgetExhausted  *obs.Counter
-	obsStepDuration     *obs.HistogramVec
-	obsDispatchLatency  *obs.Histogram
-	obsPipelineDepth    *obs.Gauge
-	obsJournalErrors    *obs.Counter
-	obsJournalFsync     *obs.Histogram
-	obsRecoveredJobs    *obs.CounterVec
-	obsRecoverySeconds  *obs.Histogram
-	obsClusterFenced    *obs.Counter
-	obsHedges           *obs.Counter
-	obsHedgeWins        *obs.Counter
-	obsHedgeFenced      *obs.Counter
-	obsHedgeCancelled   *obs.Counter
-	obsShedTotal        *obs.Counter
+	obs                *obs.Observer
+	obsRetryBackoff    *obs.Histogram
+	obsBudgetExhausted *obs.Counter
+	obsStepDuration    *obs.HistogramVec
+	obsDispatchLatency *obs.Histogram
+	obsPipelineDepth   *obs.Gauge
+	obsJournalErrors   *obs.Counter
+	obsJournalFsync    *obs.Histogram
+	obsRecoveredJobs   *obs.CounterVec
+	obsRecoverySeconds *obs.Histogram
+	obsClusterFenced   *obs.Counter
+	obsHedgeCancelled  *obs.Counter
+	obsShedTotal       *obs.Counter
 
 	// Labelled counters on hot paths: the pump and dispatcher emit
 	// millions of events per run, so their known label values
 	// are resolved to series handles once at construction instead of
 	// re-resolving a *Vec.With per event (see labelledCounter).
-	obsWakeups       labelledCounter // by wakeup reason
-	obsRetries       labelledCounter // by failure cause
-	obsJobs          labelledCounter // by terminal registry.JobState
-	obsDeadLetterFam *obs.Counter
-	obsDeadLetterStp *obs.Counter
-	obsStepDurBy     sync.Map // extractor name -> *obs.Histogram
+	obsWakeups   labelledCounter // by wakeup reason
+	obsRetries   labelledCounter // by failure cause
+	obsJobs      labelledCounter // by terminal registry.JobState
+	obsStepDurBy sync.Map        // extractor name -> *obs.Histogram
 
 	// draining is set by BeginShutdown: job contexts are about to be
 	// cancelled for a restart, so the cancellations must not be journaled
@@ -333,18 +323,9 @@ func (s *Service) instrument(reg *obs.Registry) {
 		h          **obs.Counter
 		name, help string
 	}{
-		{&s.obsFamiliesDone, "xtract_families_done_total", "Families whose extraction plans completed."},
-		{&s.obsFamiliesFailed, "xtract_families_failed_total", "Families abandoned (no placement, staging failure, or capacity)."},
-		{&s.obsGroupsProcessed, "xtract_groups_processed_total", "Group-extractor steps completed successfully."},
-		{&s.obsStepsFailed, "xtract_steps_failed_total", "Group-extractor steps that failed."},
-		{&s.obsTasksResubmitted, "xtract_tasks_resubmitted_total", "FaaS tasks resubmitted after being lost."},
-		{&s.obsBytesStaged, "xtract_bytes_staged_total", "Bytes staged to remote compute sites by the prefetcher."},
 		{&s.obsBudgetExhausted, "xtract_retry_budget_exhausted_total", "Retries denied because the per-job retry budget was spent."},
 		{&s.obsJournalErrors, "xtract_journal_append_errors_total", "Journal appends that failed (the transition proceeded un-journaled)."},
 		{&s.obsClusterFenced, "xtract_cluster_fenced_appends_total", "Journal appends dropped because this node's job lease was lost."},
-		{&s.obsHedges, "xtract_hedges_total", "Duplicate step attempts dispatched after a task exceeded its adaptive deadline."},
-		{&s.obsHedgeWins, "xtract_hedge_wins_total", "Steps whose hedged duplicate finished before the original attempt."},
-		{&s.obsHedgeFenced, "xtract_hedge_fenced_total", "Duplicate step completions discarded by the exactly-once fence."},
 		{&s.obsHedgeCancelled, "xtract_hedge_cancelled_total", "Losing attempts cancelled after a sibling completed first."},
 		{&s.obsShedTotal, "xtract_shed_total", "Job submissions refused by overload shedding (503 + Retry-After)."},
 	} {
@@ -361,10 +342,6 @@ func (s *Service) instrument(reg *obs.Registry) {
 		"Extractor execution time per step.", nil, "extractor")
 	s.obsRecoveredJobs = reg.CounterVec("xtract_recovery_jobs_total",
 		"Jobs restored from the journal at startup, by disposition.", "disposition")
-	deadLetters := reg.CounterVec("xtract_deadletter_total",
-		"Poison tasks quarantined after exhausting their retries.", "kind")
-	s.obsDeadLetterFam = deadLetters.With("family")
-	s.obsDeadLetterStp = deadLetters.With("step")
 	s.obsJobs = newLabelledCounter(reg.CounterVec("xtract_jobs_total",
 		"Extraction jobs by terminal state.", "state"),
 		string(registry.JobCrawling), string(registry.JobExtracting), string(registry.JobComplete),
@@ -379,9 +356,12 @@ func (s *Service) instrument(reg *obs.Registry) {
 }
 
 // instrumentOwned exposes the counts their owners keep, read at scrape
-// time: the summed crawls', the result cache's, the journal's, the
-// recovery pass's and the live-job table's.
+// time: the summed crawls' and pumps', the result cache's, the journal's,
+// the recovery pass's and the live-job table's.
 func (s *Service) instrumentOwned(reg *obs.Registry) {
+	for i, c := range pumpCounts {
+		reg.CounterFunc(c.name, c.help, c.labels, s.pumpTotals[i].Load)
+	}
 	ct := &s.crawlTotals
 	for _, c := range []struct {
 		name, help string

@@ -182,16 +182,15 @@ func (p *pump) offer(st *famState, idx int) {
 // effects, so a second completion is counted and changes nothing,
 // whether it came from a hedged duplicate or anywhere else — and then
 // runs each effect once: plan growth, the family's results, the
-// step_completed journal record, tenant billing, counters, the latency
-// estimator, and the hedge win with its losers' cancellation. The cache
-// write is not among them: the worker that extracted the step made it,
-// under the content-addressed key, so a second write by a duplicate is
-// the same entry again.
+// step_completed journal record, the job's counts (which the pass's post
+// bills to the tenant), the latency estimator, and the hedge win with its
+// losers' cancellation. The cache write is not among them: the worker
+// that extracted the step made it, under the content-addressed key, so a
+// second write by a duplicate is the same entry again.
 func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	ss := &st.steps[idx]
 	if ss.phase >= stepDone {
 		p.DuplicateSteps++
-		p.s.obsHedgeFenced.Inc()
 		return
 	}
 	ss.phase = stepDone
@@ -213,14 +212,13 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 		p.journal(rec)
 	}
 	p.StepsProcessed++
-	p.s.cfg.Tenants.StepDone(p.tenant, o.dur, o.cached)
-	p.s.obsGroupsProcessed.Inc()
 	if o.cached {
 		p.CacheHits++
 		p.s.obs.Emit(p.JobID, obs.EvStepCacheHit, "family="+st.fam.ID+" group="+step.GroupID+
 			" extractor="+step.Extractor+" replayed from cache")
 		return
 	}
+	p.ExtractorTime += o.dur
 	// With hedging the estimator learns the span the hedge deadline is
 	// armed over; without, raw execution time (it has no consumer then).
 	if o.e2e > 0 {
@@ -231,7 +229,6 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	p.s.stepDurationHist(step.Extractor).ObserveDuration(o.dur)
 	if o.task.hedge {
 		p.HedgeWins++
-		p.s.obsHedgeWins.Inc()
 	}
 	p.cancelLosers(ss, o.task)
 }
@@ -317,9 +314,6 @@ func (p *pump) deadLetterStep(st *famState, idx int, cause string) {
 	st.deadLettered++
 	p.StepsDeadLettered++
 	p.StepsFailed++
-	p.s.cfg.Tenants.StepFailed(p.tenant)
-	p.s.obsStepsFailed.Inc()
-	p.s.obsDeadLetterStp.Inc()
 	dl := registry.DeadLetter{
 		Kind:      "step",
 		FamilyID:  st.fam.ID,
@@ -372,7 +366,6 @@ func (p *pump) resolveTask(ev shardEvent) {
 		p.s.obs.Emitf(p.JobID, obs.EvTaskLost, "task=%s steps=%d", t.id, len(t.refs))
 		if requeued := p.failSteps(t.refs, "lost", info.Err); requeued > 0 {
 			p.TasksResubmitted++
-			p.s.obsTasksResubmitted.Inc()
 			p.s.obs.Emitf(p.JobID, obs.EvTaskResubmitted, "task=%s steps=%d requeued after backoff", t.id, requeued)
 		}
 	}
@@ -423,7 +416,6 @@ func (p *pump) resolveResult(t *task, body []byte) {
 	}
 	if surplus := len(result.Outcomes) - len(t.refs); surplus > 0 {
 		p.DuplicateSteps += int64(surplus)
-		p.s.obsHedgeFenced.Add(float64(surplus))
 	}
 }
 
@@ -438,7 +430,6 @@ func (p *pump) finishFamily(st *famState) {
 	if st.deadLettered > 0 {
 		if !p.withinStragglerBudget() {
 			p.FamiliesFailed++
-			p.s.obsFamiliesFailed.Inc()
 			p.s.obs.Emitf(p.JobID, obs.EvFamilyFailed,
 				"family=%s failed: %d steps dead-lettered", st.fam.ID, st.deadLettered)
 			return
@@ -475,7 +466,6 @@ func (p *pump) finishFamily(st *famState) {
 	p.resultBuf, _ = validate.AppendRecord(p.resultBuf, &rec)
 	p.pendingResults = append(p.pendingResults, p.resultBuf[start:])
 	p.FamiliesDone++
-	p.s.obsFamiliesDone.Inc()
 	p.s.obs.Emit(p.JobID, obs.EvFamilyDone, "family="+st.fam.ID+" steps="+strconv.Itoa(len(st.steps)))
 }
 
@@ -584,7 +574,6 @@ func (p *pump) dispatchHedge(st *famState, idx int) {
 	}
 	if p.feed(target, dispatchItem{extractor: step.Extractor, hedge: true, ref: stepRef{st, idx}, sp: sp}) {
 		p.StepsHedged++
-		p.s.obsHedges.Inc()
 		p.s.obs.Emitf(p.JobID, obs.EvTaskHedged,
 			"family=%s group=%s extractor=%s site=%s speculative duplicate",
 			st.fam.ID, step.GroupID, step.Extractor, target.Name)

@@ -167,7 +167,10 @@ type effects struct {
 	stats                            JobStats
 }
 
+// The bill moves once a pass: the pass an event arrived in posts at its
+// end, as the loop's does, before the bill is read.
 func (m *machine) effects(st *famState) effects {
+	m.p.post()
 	u, _ := m.tenants.UsageFor("default")
 	e := effects{
 		completed: m.jnl.Appends(journal.RecStepCompleted), retried: m.jnl.Appends(journal.RecStepRetried),
@@ -185,7 +188,7 @@ func (m *machine) effects(st *famState) effects {
 // committed is what one fresh completion causes, and nothing else may: no
 // cache write among it, since the worker that extracted the step made it.
 var committed = effects{completed: 1, billed: 1, results: 1,
-	stats: JobStats{StepsProcessed: 1}}
+	stats: JobStats{StepsProcessed: 1, ExtractorTime: 2 * time.Millisecond}}
 
 func TestStepTransitions(t *testing.T) {
 	complete := func(m *machine, st *famState) {

@@ -550,7 +550,7 @@ func (r *run) crashUndurable() {
 	// The pump outlives the kill until the process ends: let it finish
 	// every family, so that everything it could leak is ready to.
 	eventually(r.t, "every family finished behind the held fsync",
-		func() bool { return h.svc.obsFamiliesDone.Value() >= float64(len(r.ctl.docs)) })
+		func() bool { return totals(h.svc).FamiliesDone >= int64(len(r.ctl.docs)) })
 	h.kill()
 	r.killed, r.fired = h, true
 	eventually(r.t, "the killed job leaving the live table", func() bool { return liveJobs(h.svc) == 0 })
@@ -752,8 +752,8 @@ func (r *run) checkRegistry(js *journal.JobState) (*harness, registry.JobRecord)
 // control's steps.
 func (r *run) checkAccounts(js *journal.JobState, holder *harness, rec registry.JobRecord) {
 	for _, h := range r.w.lives {
-		if u := h.usage(); float64(u.StepsProcessed) != h.svc.obsGroupsProcessed.Value() {
-			r.t.Errorf("%q billed %d steps and processed %.0f", h.id, u.StepsProcessed, h.svc.obsGroupsProcessed.Value())
+		if u, steps := h.usage(), totals(h.svc).StepsProcessed; u.StepsProcessed != steps {
+			r.t.Errorf("%q billed %d steps and processed %d", h.id, u.StepsProcessed, steps)
 		}
 	}
 	if holder == nil {
@@ -784,11 +784,11 @@ func (r *run) checkAccounts(js *journal.JobState, holder *harness, rec registry.
 	if u.JobsStarted != 1 || js.State == string(registry.JobCancelled) {
 		return
 	}
-	done, failed := int64(holder.svc.obsFamiliesDone.Value()), int64(holder.svc.obsFamiliesFailed.Value())
+	done, failed := totals(holder.svc).FamiliesDone, totals(holder.svc).FamiliesFailed
 	if emitted := holder.svc.crawlTotals.FamiliesEmitted.Load(); done+failed != emitted {
 		r.t.Errorf("families done %d + failed %d != emitted %d", done, failed, emitted)
 	}
-	steps := int64(holder.svc.obsGroupsProcessed.Value())
+	steps := totals(holder.svc).StepsProcessed
 	if steps > r.ctl.steps || js.State == string(registry.JobComplete) && (failed != 0 || steps != r.ctl.steps) {
 		r.t.Errorf("%s with %d families failed and %d steps committed; the control has %d", js.State, failed, steps, r.ctl.steps)
 	}

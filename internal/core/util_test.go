@@ -69,6 +69,16 @@ func afterAppends(t *testing.T, jnl *journal.Journal, n int64) <-chan struct{} {
 	return ch
 }
 
+// totals is what every pump has posted to s's process totals, as one
+// JobStats.
+func totals(s *Service) JobStats {
+	var t JobStats
+	for i, c := range pumpCounts {
+		*c.of(&t) = s.pumpTotals[i].Load()
+	}
+	return t
+}
+
 // liveJobs is the size of the service's live-job table.
 func liveJobs(s *Service) int {
 	s.jobs.mu.Lock()

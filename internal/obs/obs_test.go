@@ -65,6 +65,33 @@ func TestTypeConflictPanics(t *testing.T) {
 	r.Gauge("x", "h")
 }
 
+// A name is exposed through handles or through funcs, never both: one
+// series of each would print the name twice, and the handle's would read
+// 0 for ever. Either order panics, whatever the handle's kind.
+func TestHandleAndFuncSeriesDoNotMix(t *testing.T) {
+	read := func(r *Registry) { r.CounterFunc("x_total", "h", nil, func() int64 { return 7 }) }
+	for _, handle := range []struct {
+		name string
+		reg  func(*Registry)
+	}{
+		{"counter", func(r *Registry) { r.Counter("x_total", "h") }},
+		{"counter vec", func(r *Registry) { r.CounterVec("x_total", "h", "kind") }},
+	} {
+		for _, order := range [][2]func(*Registry){{read, handle.reg}, {handle.reg, read}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: a handle and a func series under one name did not panic", handle.name)
+					}
+				}()
+				r := NewRegistry()
+				order[0](r)
+				order[1](r)
+			}()
+		}
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("latency_seconds", "latency", []float64{0.1, 1, 10})

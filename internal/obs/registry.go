@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,6 +80,10 @@ type metricFamily struct {
 	typ     metricType
 	labels  []string
 	buckets []float64 // histograms only
+	// fromFuncs marks a family whose series are all callbacks: one name
+	// is exposed either through handles or through funcs, never both,
+	// since a series of each would print the name twice.
+	fromFuncs bool
 
 	// series maps the joined label-value key to its *series. A sync.Map
 	// keeps the steady-state With lookup contention-free: new series are
@@ -123,40 +128,33 @@ func addFloat(bits *atomic.Uint64, v float64) {
 }
 
 // getFamily returns the named family, creating it on first use.
-// Re-registering a name with a different type or label schema panics:
-// it is a programming error, caught in tests.
-func (r *Registry) getFamily(name, help string, typ metricType, labels []string, buckets []float64) *metricFamily {
+// Re-registering a name with a different type or label schema, or for
+// handles once it has func series (or the reverse), panics: it is a
+// programming error, caught in tests.
+func (r *Registry) getFamily(name, help string, typ metricType, labels []string, buckets []float64, fromFuncs bool) *metricFamily {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &metricFamily{
-			name:    name,
-			help:    help,
-			typ:     typ,
-			labels:  append([]string(nil), labels...),
-			buckets: append([]float64(nil), buckets...),
+			name:      name,
+			help:      help,
+			typ:       typ,
+			labels:    append([]string(nil), labels...),
+			buckets:   append([]float64(nil), buckets...),
+			fromFuncs: fromFuncs,
 		}
 		r.families[name] = f
 		return f
 	}
-	if f.typ != typ || !equalStrings(f.labels, labels) {
+	if f.typ != typ || !slices.Equal(f.labels, labels) {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s%v (was %s%v)",
 			name, typ, labels, f.typ, f.labels))
 	}
+	if f.fromFuncs != fromFuncs {
+		panic(fmt.Sprintf("obs: metric %q registered with both handle and func series", name))
+	}
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // getSeries returns the series for the given label values, creating it on
@@ -183,7 +181,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	f := r.getFamily(name, help, typeCounter, nil, nil)
+	f := r.getFamily(name, help, typeCounter, nil, nil, false)
 	return &Counter{s: f.getSeries(nil)}
 }
 
@@ -192,7 +190,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{f: r.getFamily(name, help, typeCounter, labels, nil)}
+	return &CounterVec{f: r.getFamily(name, help, typeCounter, labels, nil, false)}
 }
 
 // Gauge returns the unlabeled gauge registered under name.
@@ -200,7 +198,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	f := r.getFamily(name, help, typeGauge, nil, nil)
+	f := r.getFamily(name, help, typeGauge, nil, nil, false)
 	return &Gauge{s: f.getSeries(nil)}
 }
 
@@ -257,7 +255,7 @@ func sortedPairs(labels map[string]string) [][2]string {
 }
 
 func (r *Registry) registerFunc(name, help string, typ metricType, pairs [][2]string, fn func() float64) {
-	f := r.getFamily(name, help, typ, nil, nil)
+	f := r.getFamily(name, help, typ, nil, nil, true)
 	var sb strings.Builder
 	for _, p := range pairs {
 		sb.WriteString(p[0])
@@ -288,7 +286,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	f := r.getFamily(name, help, typeHistogram, nil, buckets)
+	f := r.getFamily(name, help, typeHistogram, nil, buckets, false)
 	return &Histogram{f: f, s: f.getSeries(nil)}
 }
 
@@ -300,7 +298,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	return &HistogramVec{f: r.getFamily(name, help, typeHistogram, labels, buckets)}
+	return &HistogramVec{f: r.getFamily(name, help, typeHistogram, labels, buckets, false)}
 }
 
 // Counter is a monotonically increasing metric handle. Cached handles

@@ -467,44 +467,21 @@ func (c *Controller) JobOutcome(id, jobState string) {
 	}
 }
 
-// StepDone bills one completed extraction step: execution time for
-// fresh extractions, a cache-hit count for replayed ones.
-func (c *Controller) StepDone(id string, dur time.Duration, cached bool) {
+// Charge adds u's steps, failed steps, cache hits, bytes staged and
+// extractor seconds to the tenant's bill, under one lock: a job's pump
+// posts what it counted since its last post, once a pass.
+func (c *Controller) Charge(id string, u Usage) {
 	if c == nil {
 		return
 	}
-	id = Normalize(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.stateLocked(id)
-	t.usage.StepsProcessed++
-	if cached {
-		t.usage.CacheHits++
-		return
-	}
-	t.usage.ExtractorSeconds += dur.Seconds()
-}
-
-// StepFailed bills one dead-lettered step.
-func (c *Controller) StepFailed(id string) {
-	if c == nil {
-		return
-	}
-	id = Normalize(id)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stateLocked(id).usage.StepsFailed++
-}
-
-// AddBytesStaged bills prefetcher transfer volume.
-func (c *Controller) AddBytesStaged(id string, n int64) {
-	if c == nil || n <= 0 {
-		return
-	}
-	id = Normalize(id)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stateLocked(id).usage.BytesStaged += n
+	b := &c.stateLocked(Normalize(id)).usage
+	b.StepsProcessed += u.StepsProcessed
+	b.StepsFailed += u.StepsFailed
+	b.CacheHits += u.CacheHits
+	b.BytesStaged += u.BytesStaged
+	b.ExtractorSeconds += u.ExtractorSeconds
 }
 
 // SlotPressure reports the global in-flight task-slot usage against the

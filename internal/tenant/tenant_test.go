@@ -37,9 +37,7 @@ func TestNilControllerIsOpen(t *testing.T) {
 	c.JobStarted("a")
 	c.JobEnded("a")
 	c.JobOutcome("a", "COMPLETE")
-	c.StepDone("a", time.Second, false)
-	c.StepFailed("a")
-	c.AddBytesStaged("a", 10)
+	c.Charge("a", Usage{StepsProcessed: 1, BytesStaged: 10})
 	if _, ok := c.UsageFor("a"); ok {
 		t.Fatal("nil UsageFor should report not found")
 	}
@@ -418,10 +416,11 @@ func TestWaitBehindOwnTasksIsNotThrottled(t *testing.T) {
 func TestUsageAccounting(t *testing.T) {
 	c := NewController(Config{Clock: clock.NewFake(time.Unix(0, 0))})
 	c.JobStarted("a")
-	c.StepDone("a", 2*time.Second, false)
-	c.StepDone("a", 0, true) // cache hit
-	c.StepFailed("a")
-	c.AddBytesStaged("a", 4096)
+	// Two posts of a pump: a fresh step and a cache hit, then a
+	// dead-lettered step and a staged family. Charge bills only its five
+	// fields: the job counts are the controller's own.
+	c.Charge("a", Usage{StepsProcessed: 2, CacheHits: 1, ExtractorSeconds: 2})
+	c.Charge("a", Usage{StepsFailed: 1, BytesStaged: 4096, JobsCompleted: 7, Throttled: 7})
 	c.JobOutcome("a", "COMPLETE")
 	c.JobEnded("a")
 
@@ -438,7 +437,7 @@ func TestUsageAccounting(t *testing.T) {
 	if u.BytesStaged != 4096 {
 		t.Fatalf("BytesStaged = %d", u.BytesStaged)
 	}
-	if u.JobsCompleted != 1 || u.ActiveJobs != 0 {
+	if u.JobsCompleted != 1 || u.ActiveJobs != 0 || u.Throttled != 0 {
 		t.Fatalf("jobs = %+v", u)
 	}
 
