@@ -12,36 +12,30 @@ import (
 	"xtract/internal/queue"
 )
 
-// scribble overwrites the buffer's full capacity, emulating what the
-// next pool owner does to the bytes the moment they are recycled.
-func scribble(b *[]byte) {
-	s := (*b)[:cap(*b)]
+// scribble overwrites the buffer's full capacity, emulating a producer
+// that encodes its next body into the bytes it has just sent.
+func scribble(b []byte) {
+	s := b[:cap(b)]
 	for j := range s {
 		s[j] = 'X'
 	}
-	*b = (*b)[:0]
 }
 
-// TestPooledPayloadNotAliasedByQueue pins the pool ownership contract
-// the dispatch path depends on: queue.SendBatch copies every body, so a
-// pooled encode buffer may be scribbled and released immediately after
-// the hand-off without corrupting queued messages.
+// TestPooledPayloadNotAliasedByQueue: queue.SendBatch copies every body,
+// so a producer may encode its next message into the buffer it has just
+// sent without corrupting the queued ones.
 func TestPooledPayloadNotAliasedByQueue(t *testing.T) {
 	q := queue.New("alias", clock.NewReal())
 	tp := taskPayload{Extractor: "keyword",
 		Steps: []stepPayload{{FamilyID: "f", GroupID: "g", Files: []string{"/a"}}}}
 
 	const rounds = 200
-	var want []byte
+	want := encodeTaskPayload(nil, &tp)
+	var buf []byte
 	for i := 0; i < rounds; i++ {
-		buf := getPayloadBuf()
-		*buf = encodeTaskPayload(*buf, &tp)
-		if want == nil {
-			want = append([]byte(nil), *buf...)
-		}
-		q.SendBatch([][]byte{*buf})
+		buf = encodeTaskPayload(buf[:0], &tp)
+		q.SendBatch([][]byte{buf})
 		scribble(buf)
-		putPayloadBuf(buf)
 	}
 	var got [][]byte
 	for len(got) < rounds {
@@ -53,18 +47,17 @@ func TestPooledPayloadNotAliasedByQueue(t *testing.T) {
 	}
 	for i := range got {
 		if !bytes.Equal(got[i], want) {
-			t.Fatalf("message %d corrupted by released-buffer reuse:\ngot:  %s\nwant: %s",
+			t.Fatalf("message %d corrupted by the producer's next encode:\ngot:  %s\nwant: %s",
 				i, got[i], want)
 		}
 	}
 }
 
-// TestPooledPayloadNotAliasedByFaaS is the same contract for the other
-// hand-off: faas.SubmitBatch copies each payload before returning, so
-// the dispatcher may scribble and recycle its encode buffers as soon as
-// the submit call comes back, while workers are still executing the
-// tasks. Run under -race, the concurrent workers reading an aliased
-// payload would trip the detector.
+// TestPooledPayloadNotAliasedByFaaS: faas.SubmitBatch keeps the payload it
+// is given, and each task's payload is a slice of its own that nobody
+// writes after submission, so workers read every payload intact while the
+// producer goes on encoding the next ones. Run under -race, a payload
+// written after its hand-off would trip the detector.
 func TestPooledPayloadNotAliasedByFaaS(t *testing.T) {
 	clk := clock.NewReal()
 	svc := faas.NewService(clk, faas.Costs{})
@@ -90,27 +83,23 @@ func TestPooledPayloadNotAliasedByFaaS(t *testing.T) {
 
 	tp := taskPayload{Extractor: "keyword",
 		Steps: []stepPayload{{FamilyID: "f", GroupID: "g", Files: []string{"/a"}}}}
-	var want []byte
+	want := encodeTaskPayload(nil, &tp)
 	const rounds = 100
-	var ids []string
+	sink := faas.NewCompletionSink()
 	for i := 0; i < rounds; i++ {
-		buf := getPayloadBuf()
-		*buf = encodeTaskPayload(*buf, &tp)
-		if want == nil {
-			want = append([]byte(nil), *buf...)
-		}
-		batch, err := svc.SubmitBatch([]faas.TaskRequest{
-			{FunctionID: fid, EndpointID: "ep1", Payload: *buf}})
+		ids, err := svc.SubmitBatch([]faas.TaskRequest{
+			{FunctionID: fid, EndpointID: "ep1", Payload: encodeTaskPayload(make([]byte, 0, len(want)), &tp)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, batch...)
-		scribble(buf)
-		putPayloadBuf(buf)
+		svc.Notify(ids, sink)
 	}
-	for _, id := range ids {
-		if _, err := svc.Wait(id); err != nil {
-			t.Fatal(err)
+	for ends, deadline := 0, time.After(10*time.Second); ends < rounds; {
+		select {
+		case <-sink.Ready():
+			ends += len(sink.Drain())
+		case <-deadline:
+			t.Fatalf("%d of %d tasks ended", ends, rounds)
 		}
 	}
 	mu.Lock()
@@ -120,7 +109,7 @@ func TestPooledPayloadNotAliasedByFaaS(t *testing.T) {
 	}
 	for i, p := range seen {
 		if !bytes.Equal(p, want) {
-			t.Fatalf("payload %d corrupted by released-buffer reuse:\ngot:  %s\nwant: %s",
+			t.Fatalf("payload %d corrupted after its hand-off:\ngot:  %s\nwant: %s",
 				i, p, want)
 		}
 	}

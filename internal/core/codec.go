@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"xtract/internal/fastjson"
 )
 
@@ -10,35 +8,12 @@ import (
 // hand-rolled append-style encoders and pull decoders for the task
 // payload and task result shapes, both internal formats (see below).
 // Reflection-driven marshaling was the dominant per-task allocation
-// source; these codecs write into pooled scratch instead.
+// source; these codecs append into a buffer sized once by the caller.
 //
-// Pool ownership discipline: getPayloadBuf hands out a scratch slice
-// whose bytes may be passed only to copying consumers (queue.Send/
-// SendBatch and faas.SubmitBatch copy every body before returning), and
-// putPayloadBuf must be called only after that hand-off. After release
-// the bytes belong to the next getPayloadBuf caller — never retain or
-// mutate them. DESIGN.md section 16 documents the full rules.
-
-// maxPooledPayload caps the capacity of recycled payload scratch: one
-// giant validation record must not pin its buffer in the pool forever.
-const maxPooledPayload = 1 << 18
-
-// payloadBufPool recycles JSON encode scratch for task payloads and
-// validation records.
-var payloadBufPool = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, 1<<10)
-	return &b
-}}
-
-func getPayloadBuf() *[]byte { return payloadBufPool.Get().(*[]byte) }
-
-func putPayloadBuf(b *[]byte) {
-	if cap(*b) > maxPooledPayload {
-		return
-	}
-	*b = (*b)[:0]
-	payloadBufPool.Put(b)
-}
+// Payload ownership: each task's payload is its own slice. The FaaS
+// fabric keeps what SubmitBatch is given and its handler only reads it,
+// so nobody writes those bytes after submission; queue.Send/SendBatch
+// copy every body. DESIGN.md section 16 documents the rules.
 
 // The task payload and the task result are internal formats: the shard
 // writes the payload and the handler of the same binary reads it, the

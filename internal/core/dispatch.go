@@ -50,15 +50,14 @@ type bucketKey struct {
 // pointer — the shard's pending list, its outstanding set, every shard
 // event about it, the pump's hedge deadlines and its steps' task lists.
 // No lock guards it because no field has two writers and each is written
-// before the record is published to its readers: refs, hedge, ready and
-// buf by makeTask; id and submitted by submit, before the first event
+// before the record is published to its readers: refs, hedge and ready
+// by makeTask; id and submitted by submit, before the first event
 // about the task enters the sink (whose mutex orders them for the pump);
 // ended by the pump alone, which is also its only reader.
 type task struct {
 	refs  []stepRef
 	hedge bool      // a speculative duplicate, never itself hedged
 	ready time.Time // earliest readyAt of its steps
-	buf   *[]byte   // pooled encode scratch behind the request's payload, until submitted
 
 	id        string    // the fabric's name for it
 	submitted time.Time // when the fabric accepted it
@@ -229,8 +228,14 @@ func (d *dispatcher) makeTask(k bucketKey) {
 
 	t := &task{refs: make([]stepRef, 0, len(batch)), hedge: k.hedge, ready: batch[0].readyAt}
 	steps := make([]stepPayload, 0, len(batch))
+	size := 64 + len(extractor)
 	for _, it := range batch {
 		steps = append(steps, it.sp)
+		size += 96 + len(it.sp.FamilyID) + len(it.sp.GroupID) + len(it.sp.Stage) +
+			len(it.sp.FetchFrom) + len(it.sp.ContentHash)
+		for _, f := range it.sp.Files {
+			size += 3 + len(f)
+		}
 		t.refs = append(t.refs, it.ref)
 		if it.readyAt.Before(t.ready) {
 			t.ready = it.readyAt
@@ -242,14 +247,15 @@ func (d *dispatcher) makeTask(k bucketKey) {
 		d.undispatched(t, "no_function", err)
 		return
 	}
+	// The payload is the task's own slice, allocated once at the size its
+	// steps need: the fabric keeps it as given.
 	tp := taskPayload{Extractor: extractor, Steps: steps}
-	t.buf = getPayloadBuf()
-	*t.buf = encodeTaskPayload(*t.buf, &tp)
+	payload := encodeTaskPayload(make([]byte, 0, size), &tp)
 	ep := ""
 	if cep := d.site.ComputeEndpoint(); cep != nil {
 		ep = cep.ID
 	}
-	d.reqs = append(d.reqs, faas.TaskRequest{FunctionID: fid, EndpointID: ep, Payload: *t.buf})
+	d.reqs = append(d.reqs, faas.TaskRequest{FunctionID: fid, EndpointID: ep, Payload: payload})
 	d.pending = append(d.pending, t)
 	if len(d.reqs) >= d.s.cfg.FuncXBatchSize {
 		d.submit()
@@ -272,8 +278,6 @@ func (d *dispatcher) submit() {
 	ids, err := d.s.cfg.FaaS.SubmitBatch(d.reqs)
 	now := d.s.clk.Now()
 	for i, t := range d.pending {
-		putPayloadBuf(t.buf) // SubmitBatch copied every payload
-		t.buf = nil
 		if err != nil {
 			d.undispatched(t, "submit_error", err)
 			continue

@@ -226,7 +226,7 @@ func (s *Service) runJob(ctx context.Context, rec registry.JobRecord, spec journ
 	j := p.job
 	j.done = make(chan struct{})
 	p.jobCtx, j.cancel = context.WithCancel(ctx)
-	s.jobs.enter(s, j)
+	s.jobs.enter(j)
 	go func() {
 		j.stats, j.err = p.run(spec.Repos, groupers, j.cancel)
 		s.jobs.leave(j)
@@ -263,14 +263,21 @@ func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, ca
 
 // publish makes the job's progress readable: on its record, under the
 // job's own lock, and in the totals and on the bill (post). Once a pump
-// pass, and with each change of state (when state is set).
+// pass, and with each change of state (when state is set). A crawl's
+// Stats arrive when it ends, its families before that: while one runs,
+// the groups crawled are those whose families reached the pump, so a step
+// done never outruns its group's count.
 func (p *pump) publish(state registry.JobState, errMsg string) {
+	crawled := p.Crawl.GroupsFormed
+	if p.crawlsPending > 0 {
+		crawled = p.groupsTaken
+	}
 	j := p.job
 	j.mu.Lock()
 	if state != "" {
 		j.rec.State, j.rec.Err = state, errMsg
 	}
-	j.rec.GroupsCrawled, j.rec.GroupsDone = p.Crawl.GroupsFormed, p.StepsProcessed
+	j.rec.GroupsCrawled, j.rec.GroupsDone = crawled, p.StepsProcessed
 	j.mu.Unlock()
 	p.post()
 }
@@ -353,8 +360,8 @@ const finishedJobs = 256
 // jobTable is the service's one table of jobs. runJob enters a job before
 // its goroutine starts and that goroutine moves it to the finished table
 // after teardown, on every exit; Cancel, Job and every pump's intakeStaged
-// look live jobs up in it, LookupJob and JobRecords every job. One
-// heartbeat scanner runs while a job is live.
+// look live jobs up in it, LookupJob and JobRecords every job. It owns no
+// liveness scanner: the fabric's endpoints find dead peers themselves.
 type jobTable struct {
 	mu   sync.Mutex
 	live map[string]*Job
@@ -366,12 +373,7 @@ type jobTable struct {
 	// "job-<node>-" on a cluster node.
 	seq    int
 	prefix string
-	// scanStop ends the running scanner; scanDone closes when it has gone.
-	// tick is its pending timer, which a stopped scanner leaves to the
-	// next: a service holds one however many busy spells it has.
-	scanStop, scanDone chan struct{}
-	tick               <-chan time.Time
-	strays             atomic.Int64 // staged results no family was waiting for
+	strays atomic.Int64 // staged results no family was waiting for
 }
 
 // mint returns a new job ID: "job-<n>", or "job-<node>-<n>" on a cluster
@@ -410,21 +412,16 @@ func MintingNode(jobID string) string {
 	return rest[:i]
 }
 
-// enter adds j; the first live entry starts the heartbeat scanner.
-func (t *jobTable) enter(s *Service, j *Job) {
+// enter adds j to the live map.
+func (t *jobTable) enter(j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.live) == 0 {
-		prev := t.scanDone
-		t.scanStop, t.scanDone = make(chan struct{}), make(chan struct{})
-		go s.scanHeartbeats(prev, t.scanStop, t.scanDone)
-	}
 	t.live[j.ID] = j
 }
 
 // leave moves j from the live map to the finished table, evicting the
-// oldest finished job past the bound; the last live one ends the heartbeat
-// scanner. What is left in j's event sink goes: the job reads it no more.
+// oldest finished job past the bound. What is left in j's event sink goes:
+// the job reads it no more.
 func (t *jobTable) leave(j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -436,9 +433,6 @@ func (t *jobTable) leave(j *Job) {
 	if t.finished = append(t.finished, j); len(t.finished) > t.keep {
 		t.finished[0] = nil
 		t.finished = t.finished[1:]
-	}
-	if len(t.live) == 0 {
-		close(t.scanStop)
 	}
 }
 
@@ -553,34 +547,6 @@ func (s *Service) foldRecord(js *journal.JobState) registry.JobRecord {
 	}
 	_, rec.Recovered = s.cfg.Journal.Recovered().Jobs[js.ID]
 	return rec
-}
-
-// scanHeartbeats scans endpoint liveness on its own timer, so tasks
-// stranded on a dead allocation surface as LOST — and wake their pump
-// through their completion notification — even while the pumps are busy.
-// It starts once the scanner before it (prev) has gone, and until stop
-// closes is the only user of the table's tick.
-func (s *Service) scanHeartbeats(prev, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	if prev != nil {
-		<-prev
-	}
-	interval := s.cfg.FaaS.HeartbeatTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	for {
-		if s.jobs.tick == nil {
-			s.jobs.tick = s.clk.After(interval)
-		}
-		select {
-		case <-stop:
-			return
-		case <-s.jobs.tick:
-			s.jobs.tick = nil
-			s.cfg.FaaS.CheckHeartbeats()
-		}
-	}
 }
 
 // teardown ends a job's pump whichever way the job exits.

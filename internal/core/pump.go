@@ -48,10 +48,14 @@ type pump struct {
 	noCache bool
 	// handoff is where this job's crawlers leave each directory's families
 	// for the pump; each crawler reports its end on one of the channels.
+	// groupsTaken counts the groups of every family taken off the
+	// hand-off, a directory crawled twice included: the record's crawl
+	// progress until each crawl has reported its Stats.
 	handoff       chan []family.Family
 	crawlDone     chan crawler.Stats
 	crawlErr      chan error
 	crawlsPending int
+	groupsTaken   int64
 
 	// fams holds every family the job has taken in; a family's phase is
 	// its entry's phase field: absent → staging → running → finished, the
@@ -285,6 +289,7 @@ func (p *pump) intakeFamilies() bool {
 // for dispatch or sends them to the prefetcher.
 func (p *pump) takeFamilies(fams []family.Family) {
 	for _, fam := range fams {
+		p.groupsTaken += int64(len(fam.Groups))
 		if _, seen := p.fams[fam.ID]; seen {
 			// Overlapping roots crawl a directory twice and name its
 			// families the same both times. The family is already placed (or

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"xtract/internal/clock"
+	"xtract/internal/crawler"
+	"xtract/internal/family"
 	"xtract/internal/journal"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
@@ -44,8 +46,9 @@ func (r *rendezvousHook) DispatchFault(ep string) error {
 	return nil
 }
 
-func (r *rendezvousHook) HeartbeatDrop(string) bool { return false }
-func (r *rendezvousHook) EndpointCrash(string) bool { return false }
+func (r *rendezvousHook) HeartbeatDrop(string) bool      { return false }
+func (r *rendezvousHook) EndpointCrash(string) bool      { return false }
+func (r *rendezvousHook) SlowFault(string) time.Duration { return 0 }
 
 // met reports whether both endpoints dispatched, and the gap between
 // their first dispatches.
@@ -103,20 +106,23 @@ func TestTwoSiteShardsSubmitConcurrently(t *testing.T) {
 	t.Logf("two-site dispatch overlap: first dispatches %s apart", gap)
 }
 
-// dropHeartbeats silences every endpoint heartbeat, so only the pump's
-// timer-driven CheckHeartbeats scanner can notice the endpoint is gone.
+// dropHeartbeats silences every endpoint heartbeat, so only the fabric's
+// own liveness check, run at each endpoint's heartbeat tick, can notice
+// the endpoint is gone.
 type dropHeartbeats struct{}
 
-func (dropHeartbeats) DispatchFault(string) error { return nil }
-func (dropHeartbeats) HeartbeatDrop(string) bool  { return true }
-func (dropHeartbeats) EndpointCrash(string) bool  { return false }
+func (dropHeartbeats) DispatchFault(string) error     { return nil }
+func (dropHeartbeats) HeartbeatDrop(string) bool      { return true }
+func (dropHeartbeats) EndpointCrash(string) bool      { return false }
+func (dropHeartbeats) SlowFault(string) time.Duration { return 0 }
 
 // TestHeartbeatScannerResubmitsMidBurst kills an endpoint's heartbeats
-// while the pump is continuously busy with completions. The old pump
-// only scanned liveness on idle iterations, so a busy burst deferred
-// loss detection indefinitely; the timer-driven scanner must declare the
-// endpoint dead mid-burst, mark its in-flight tasks LOST, and the job
-// must converge with those steps resubmitted.
+// while the pump is continuously busy with completions. A pump that
+// scanned liveness on idle iterations deferred loss detection through a
+// busy burst indefinitely; the fabric, checking at every endpoint
+// heartbeat tick, must declare the endpoint dead mid-burst and mark its
+// in-flight tasks LOST, and the job must converge with those steps
+// resubmitted.
 func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 	h := newHarnessCfg(t, []siteSpec{{name: "mira", workers: 2}}, scheduler.LocalPolicy{}, func(cfg *Config) {
 		cfg.FaaS.HeartbeatTimeout = 30 * time.Millisecond
@@ -163,10 +169,10 @@ func TestHeartbeatScannerResubmitsMidBurst(t *testing.T) {
 	}
 }
 
-// TestOneHeartbeatScannerPerService: the liveness scanner belongs to the
-// service, not to a job — it runs while any job is live and however many
-// jobs come and go it holds one timer. (A scanner per job left one
-// HeartbeatTimeout/4 timer behind for every job, however short.)
+// TestOneHeartbeatScannerPerService: liveness belongs to the fabric, not
+// to a job. However many jobs come and go, the timers they leave pending
+// are no more than one job leaves. (A scanner per job left one timer
+// behind for every job, however short.)
 func TestOneHeartbeatScannerPerService(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	h := newWorld(t, []siteSpec{{name: "mira", workers: 2}}).start(t, node{clk: clk})
@@ -183,22 +189,19 @@ func TestOneHeartbeatScannerPerService(t *testing.T) {
 			t.Fatalf("job = %+v, %v", stats, err)
 		}
 	}
-	// scannerGone waits for the scanner of the job that has just ended: it
-	// has then armed its timer, if it was the first to need one.
-	scannerGone := func() {
-		svc.jobs.mu.Lock()
-		gone := svc.jobs.scanDone
-		svc.jobs.mu.Unlock()
-		<-gone
+	// The endpoint's heartbeat loop arms its timer at start; wait for it,
+	// so that the count after one job does not miss it.
+	for deadline := time.Now().Add(10 * time.Second); clk.PendingTimers() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the endpoint never armed its heartbeat timer")
+		}
 	}
 	run()
-	scannerGone()
 	timers := clk.PendingTimers()
 	for i := 0; i < 100; i++ {
 		run()
 	}
-	scannerGone()
-	if now := clk.PendingTimers(); now != timers {
+	if now := clk.PendingTimers(); now > timers {
 		t.Fatalf("%d timers pending after 100 more jobs, %d after the first", now, timers)
 	}
 }
@@ -227,5 +230,29 @@ func TestPumpWakeupAccounting(t *testing.T) {
 	}
 	if stats.Elapsed <= 0 {
 		t.Fatalf("elapsed not recorded: %+v", stats)
+	}
+}
+
+// TestRunningRecordCountsGroupsAsTheirFamiliesArrive: a crawl's Stats
+// reach the pump when the crawl ends, its families before that. While it
+// runs, the record counts the groups of the families the pump has taken,
+// so a step done never shows beside no group crawled; once every crawl has
+// reported, the count is their GroupsFormed.
+func TestRunningRecordCountsGroupsAsTheirFamiliesArrive(t *testing.T) {
+	m := newMachine(t, nil)
+	m.p.crawlsPending = 1
+	fam := family.Family{ID: "x:/d#0", Store: "x", BasePath: "/d", Files: []string{"/d/a.txt", "/d/b.txt"},
+		Groups: []family.Group{{ID: "a", Files: []string{"/d/a.txt"}, Extractor: "keyword"},
+			{ID: "b", Files: []string{"/d/b.txt"}, Extractor: "keyword"}}}
+	m.p.takeFamilies([]family.Family{fam})
+	m.p.publish("", "")
+	if got := m.p.job.Record().GroupsCrawled; got != 2 {
+		t.Fatalf("groups crawled while the crawl runs = %d, want the 2 its family brought", got)
+	}
+	m.p.Crawl.Add(crawler.Stats{GroupsFormed: 3})
+	m.p.crawlsPending--
+	m.p.publish("", "")
+	if got := m.p.job.Record().GroupsCrawled; got != 3 {
+		t.Fatalf("groups crawled after the crawl reported = %d, want its GroupsFormed, 3", got)
 	}
 }

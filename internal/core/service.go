@@ -184,7 +184,7 @@ type Config struct {
 	// Disabled by default.
 	Breakers BreakerPolicy
 	// Shed configures overload shedding at the API front door (consulted
-	// via ShedCheck). Disabled by default.
+	// via ShedCheck). Off by default: the zero policy sets no watermark.
 	Shed ShedPolicy
 	// StragglerBudget, when positive, lets a job finish DEGRADED with
 	// partial results when at most this many steps dead-lettered (and no
@@ -195,10 +195,9 @@ type Config struct {
 
 // ShedPolicy configures overload shedding: when either watermark is
 // crossed, new job submissions are refused with 503 + Retry-After
-// instead of admitted into a pipeline that cannot serve them.
+// instead of admitted into a pipeline that cannot serve them. A watermark
+// that is set is the switch; the zero policy never sheds.
 type ShedPolicy struct {
-	// Enabled turns shedding on.
-	Enabled bool
 	// MaxQueueDepth sheds when the summed compute-endpoint queue depth
 	// reaches this many tasks (0 = no queue-depth watermark).
 	MaxQueueDepth int
@@ -440,9 +439,6 @@ var errTaskCancelledText = faas.ErrTaskCancelled.Error()
 // by the API front door before tenant admission.
 func (s *Service) ShedCheck() (time.Duration, bool) {
 	pol := s.cfg.Shed
-	if !pol.Enabled {
-		return 0, false
-	}
 	retry := pol.RetryAfter
 	if retry <= 0 {
 		retry = time.Second

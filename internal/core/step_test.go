@@ -553,14 +553,16 @@ func TestLateAcceptedLoserIsCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	end := faas.NewCompletionSink() // the fabric reports the loser's end here
+	fsvc.Notify(ids, end)
 	winner, loser := m.accepted("t-win", false, stepRef{st, 0}), m.accepted(ids[0], true, stepRef{st, 0})
 	m.p.noteAccepted(winner)
 	m.p.resolveTask(m.terminal(winner, faas.TaskSuccess, []stepOutcome{ok(st, 0)}))
-	if info, _ := fsvc.Poll(ids[0]); info.Status.Terminal() {
-		t.Fatalf("loser ended before its accept arrived: %+v", info)
+	if end.Pending() != 0 {
+		t.Fatalf("loser ended before its accept arrived: %+v", end.Drain())
 	}
 	m.p.noteAccepted(loser)
-	if info, _ := fsvc.Poll(ids[0]); info.Status != faas.TaskFailed || info.Err != faas.ErrTaskCancelled.Error() {
-		t.Fatalf("late-accepted loser %+v, want cancelled", info)
+	if got := end.Drain(); len(got) != 1 || got[0].Status != faas.TaskFailed || got[0].Err != faas.ErrTaskCancelled.Error() {
+		t.Fatalf("late-accepted loser ended %+v, want cancelled", got)
 	}
 }

@@ -178,7 +178,7 @@ func TestShedCheck(t *testing.T) {
 	}
 
 	// Slot watermark: no pressure yet.
-	h.svc.cfg.Shed = ShedPolicy{Enabled: true, SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second}
+	h.svc.cfg.Shed = ShedPolicy{SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second}
 	if _, shed := h.svc.ShedCheck(); shed {
 		t.Fatal("shed with zero slot pressure")
 	}
@@ -199,7 +199,7 @@ func TestShedCheck(t *testing.T) {
 	}
 
 	// Unset RetryAfter defaults to 1s.
-	h.svc.cfg.Shed = ShedPolicy{Enabled: true, SlotHighWatermark: 0.5}
+	h.svc.cfg.Shed = ShedPolicy{SlotHighWatermark: 0.5}
 	if retry, shed := h.svc.ShedCheck(); !shed || retry != time.Second {
 		t.Fatalf("retry = %v shed=%v, want default 1s", retry, shed)
 	}
@@ -215,11 +215,11 @@ func TestShedCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := h.fsvc.Submit(faas.TaskRequest{FunctionID: fid, EndpointID: "ep-alpha"}); err != nil {
+		if _, err := h.fsvc.SubmitBatch([]faas.TaskRequest{{FunctionID: fid, EndpointID: "ep-alpha"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h.svc.cfg.Shed = ShedPolicy{Enabled: true, MaxQueueDepth: 2}
+	h.svc.cfg.Shed = ShedPolicy{MaxQueueDepth: 2}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, shed := h.svc.ShedCheck(); shed {

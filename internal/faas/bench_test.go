@@ -24,13 +24,7 @@ func BenchmarkSubmitWaitRoundTrip(b *testing.B) {
 	}, "")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "bench"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := svc.Wait(id); err != nil {
-			b.Fatal(err)
-		}
+		ended(b, svc, submit(b, svc, TaskRequest{FunctionID: fid, EndpointID: "bench"}))
 	}
 }
 
@@ -52,17 +46,15 @@ func BenchmarkBatchSubmit(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = TaskRequest{FunctionID: fid, EndpointID: "bench"}
 	}
+	sink := NewCompletionSink()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ids, err := svc.SubmitBatch(reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, id := range ids {
-			if _, err := svc.Wait(id); err != nil {
-				b.Fatal(err)
-			}
-		}
+		svc.Notify(ids, sink)
+		collect(b, sink, len(ids))
 	}
 	b.ReportMetric(64, "tasks/op")
 }

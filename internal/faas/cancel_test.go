@@ -27,24 +27,14 @@ func TestCancelPendingTaskNeverRuns(t *testing.T) {
 	}
 
 	// First task occupies the only worker; the second stays queued.
-	first, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("a")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("a")})
 	<-ran
-	second, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("b")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("b")})
 
 	if !svc.CancelTask(second) {
 		t.Fatal("pending task not cancelled")
 	}
-	info, err := svc.Wait(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Status != TaskFailed || info.Err != ErrTaskCancelled.Error() {
+	if info := ended(t, svc, second); info.Status != TaskFailed || info.Err != ErrTaskCancelled.Error() {
 		t.Fatalf("cancelled task info = %+v", info)
 	}
 
@@ -58,8 +48,8 @@ func TestCancelPendingTaskNeverRuns(t *testing.T) {
 
 	// The worker frees up and must skip the cancelled task entirely.
 	close(block)
-	if info, err := svc.Wait(first); err != nil || info.Status != TaskSuccess {
-		t.Fatalf("first task info = %+v, %v", info, err)
+	if info := ended(t, svc, first); info.Status != TaskSuccess {
+		t.Fatalf("first task info = %+v", info)
 	}
 	select {
 	case p := <-ran:
@@ -82,20 +72,13 @@ func TestCancelRunningTaskDiscardsLateResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})
 	<-started
 
 	if !svc.CancelTask(id) {
 		t.Fatal("running task not cancelled")
 	}
-	info, err := svc.Wait(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Status != TaskFailed || info.Err != ErrTaskCancelled.Error() {
+	if info := ended(t, svc, id); info.Status != TaskFailed || info.Err != ErrTaskCancelled.Error() {
 		t.Fatalf("info = %+v", info)
 	}
 
@@ -103,11 +86,7 @@ func TestCancelRunningTaskDiscardsLateResult(t *testing.T) {
 	// resurrect the task (the terminal-status fence in taskFinished).
 	close(block)
 	time.Sleep(10 * time.Millisecond)
-	again, err := svc.Poll(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Status != TaskFailed || string(again.Result) == "late" {
+	if again := ended(t, svc, id); again.Status != TaskFailed || string(again.Result) == "late" {
 		t.Fatalf("late completion overwrote the cancellation: %+v", again)
 	}
 }
@@ -126,14 +105,7 @@ func TestSlowFaultStretchesExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := svc.Wait(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")}))
 	if info.Status != TaskSuccess || string(info.Result) != "X" {
 		t.Fatalf("slowed task must still complete normally: %+v", info)
 	}
@@ -143,9 +115,8 @@ func TestSlowFaultStretchesExecution(t *testing.T) {
 
 	// The budget is spent: the next task runs at full speed.
 	start = time.Now()
-	id2, _ := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("y")})
-	if info, err := svc.Wait(id2); err != nil || info.Status != TaskSuccess {
-		t.Fatalf("info = %+v, %v", info, err)
+	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("y")})); info.Status != TaskSuccess {
+		t.Fatalf("info = %+v", info)
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
 		t.Fatalf("second task took %v, slow budget not bounded", elapsed)
@@ -169,10 +140,7 @@ func TestCancelDuringSlowSleepAbortsPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})
 
 	// Give the worker a moment to enter the injected straggle, then kill
 	// the task: the sleep must abort instead of running out the full 10s,
@@ -183,12 +151,8 @@ func TestCancelDuringSlowSleepAbortsPromptly(t *testing.T) {
 		t.Fatal("task not cancelled")
 	}
 	fid2, _ := svc.RegisterFunction("echo", echoHandler, "")
-	id2, err := svc.Submit(TaskRequest{FunctionID: fid2, EndpointID: "ep1", Payload: []byte("z")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info, err := svc.Wait(id2); err != nil || info.Status != TaskSuccess {
-		t.Fatalf("worker still wedged in the straggle: %+v, %v", info, err)
+	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid2, EndpointID: "ep1", Payload: []byte("z")})); info.Status != TaskSuccess {
+		t.Fatalf("worker still wedged in the straggle: %+v", info)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("worker freed after %v, cancel did not abort the sleep", elapsed)
@@ -235,16 +199,12 @@ func TestLostTaskHandlerStopsBetweenSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})
 	<-inStep
+	// The endpoint's own heartbeat tick finds it silent: nothing here
+	// checks its heartbeats.
 	clk.Advance(svc.HeartbeatTimeout + time.Second)
-	if dead := svc.CheckHeartbeats(); len(dead) != 1 {
-		t.Fatalf("dead endpoints = %v", dead)
-	}
-	if info, _ := svc.Poll(id); info.Status != TaskLost {
+	if info := ended(t, svc, id); info.Status != TaskLost {
 		t.Fatalf("status = %v, want lost", info.Status)
 	}
 	close(next) // the step in flight finishes
@@ -267,6 +227,7 @@ func TestLostTaskHandlerStopsBetweenSteps(t *testing.T) {
 // silent drops every heartbeat and injects nothing else.
 type silent struct{}
 
-func (silent) DispatchFault(string) error { return nil }
-func (silent) HeartbeatDrop(string) bool  { return true }
-func (silent) EndpointCrash(string) bool  { return false }
+func (silent) DispatchFault(string) error     { return nil }
+func (silent) HeartbeatDrop(string) bool      { return true }
+func (silent) EndpointCrash(string) bool      { return false }
+func (silent) SlowFault(string) time.Duration { return 0 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestEveryTerminalTransitionNotifiesOnce pins what lets a dispatcher rely
-// on notifications alone, with no PollBatch sweep behind them: whichever
+// on notifications alone, with no polling sweep behind them: whichever
 // way a task turns terminal, a sink subscribed before the transition and
 // a sink subscribed after it each receive the final TaskInfo exactly
 // once. (Every transition publishes under the task's own mutex, and
@@ -87,8 +87,8 @@ func TestEveryTerminalTransitionNotifiesOnce(t *testing.T) {
 			if tc.end != nil {
 				tc.end(t, svc, ep, fake, ids[0])
 			}
-			if info, err := svc.Wait(ids[0]); err != nil || info.Status != tc.want {
-				t.Fatalf("task ended %+v, %v; want %s", info, err, tc.want)
+			if info := ended(t, svc, ids[0]); info.Status != tc.want {
+				t.Fatalf("task ended %+v; want %s", info, tc.want)
 			}
 			svc.Notify(ids, after)
 			for name, sink := range map[string]*CompletionSink{"before": before, "after": after} {
@@ -105,5 +105,47 @@ func TestEveryTerminalTransitionNotifiesOnce(t *testing.T) {
 				t.Fatalf("extra deliveries: before=%d after=%d", before.Pending(), after.Pending())
 			}
 		})
+	}
+}
+
+// TestSilentEndpointsTaskIsDeliveredLost: the fabric watches its own
+// endpoints. An endpoint whose every heartbeat is dropped is found dead by
+// an endpoint's heartbeat tick -- its own, here, the only one -- and its
+// running task reaches a subscribed sink LOST, with nothing outside the
+// fabric checking heartbeats.
+func TestSilentEndpointsTaskIsDeliveredLost(t *testing.T) {
+	clk := clock.NewReal()
+	svc := NewService(clk, Costs{})
+	svc.HeartbeatTimeout = 20 * time.Millisecond
+	svc.SetFaults(silent{})
+	ep := NewEndpoint("ep1", 1, clk)
+	svc.RegisterEndpoint(ep)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := ep.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	running := make(chan struct{})
+	fid, err := svc.RegisterFunction("parked", func(ctx context.Context, _ []byte) ([]byte, error) {
+		close(running)
+		<-ctx.Done() // ends when the task does
+		return nil, ctx.Err()
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := svc.SubmitBatch([]TaskRequest{{FunctionID: fid, EndpointID: "ep1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := NewCompletionSink()
+	svc.Notify(ids, sink)
+	<-running
+	got := collect(t, sink, 1)
+	if got[0].ID != ids[0] || got[0].Status != TaskLost || got[0].Err != ErrEndpointStopped.Error() {
+		t.Fatalf("task ended %+v, want LOST to its silent endpoint", got[0])
+	}
+	if n := svc.TasksLost.Load(); n != 1 {
+		t.Fatalf("TasksLost = %d, want 1", n)
 	}
 }

@@ -237,23 +237,20 @@ func (e *Endpoint) execute(ctx context.Context, item *dispatchItem) {
 	t.mu.Unlock()
 
 	if h := e.svc.faultHook(); h != nil {
-		if sh, ok := h.(SlowFaultHook); ok {
-			if d := sh.SlowFault(e.ID); d > 0 {
-				// Injected straggler latency. The sleep aborts when the task
-				// turns terminal underneath it (cancelled hedge loser, lost
-				// allocation), so a killed duplicate frees its worker
-				// immediately instead of sleeping out the full straggle.
-				select {
-				case <-t.doneCh:
-					return
-				case <-e.clk.After(d):
-				}
-				t.mu.Lock()
-				terminal := t.info.Status.Terminal()
-				t.mu.Unlock()
-				if terminal {
-					return
-				}
+		if d := h.SlowFault(e.ID); d > 0 {
+			// Injected straggler latency. The sleep aborts when the task
+			// turns terminal underneath it (cancelled hedge loser, lost
+			// allocation), which ends ctx, so a killed duplicate frees its
+			// worker at once instead of sleeping out the full straggle.
+			select {
+			case <-ctx.Done():
+			case <-e.clk.After(d):
+			}
+			t.mu.Lock()
+			terminal := t.info.Status.Terminal()
+			t.mu.Unlock()
+			if terminal {
+				return
 			}
 		}
 	}
@@ -283,6 +280,8 @@ func (e *Endpoint) runHandler(ctx context.Context, fn *function, payload []byte)
 	return fn.handler(ctx, payload)
 }
 
+// heartbeatLoop beats, then checks every endpoint's heartbeat, once a
+// tick: any live endpoint finds a silent one dead and its tasks lost.
 func (e *Endpoint) heartbeatLoop(ctx context.Context) {
 	interval := e.svc.HeartbeatTimeout / 3
 	if interval <= 0 {
@@ -300,6 +299,7 @@ func (e *Endpoint) heartbeatLoop(ctx context.Context) {
 		if !drop {
 			e.svc.heartbeat(e.ID)
 		}
+		e.svc.CheckHeartbeats()
 		select {
 		case <-ctx.Done():
 			return

@@ -1,9 +1,10 @@
 // Package faas implements the federated Function-as-a-Service fabric that
 // Xtract builds on — an in-process funcX: a central service where
 // functions, containers, and endpoints are registered; batch task
-// submission and batch polling; containerized workers with cold/warm
-// starts; heartbeats; and lost-task detection when an endpoint's
-// allocation ends (the Figure 8 checkpoint/restart path).
+// submission and completion events; containerized workers with cold/warm
+// starts; heartbeats, which the endpoints themselves check; and lost-task
+// detection when an endpoint's allocation ends (the Figure 8
+// checkpoint/restart path).
 package faas
 
 import (
@@ -22,7 +23,6 @@ import (
 var (
 	ErrUnknownFunction  = errors.New("faas: unknown function")
 	ErrUnknownEndpoint  = errors.New("faas: unknown endpoint")
-	ErrUnknownTask      = errors.New("faas: unknown task")
 	ErrUnknownContainer = errors.New("faas: unknown container")
 	ErrEndpointStopped  = errors.New("faas: endpoint stopped")
 	// ErrTaskCancelled is the error recorded on tasks killed via
@@ -32,6 +32,8 @@ var (
 
 // Handler is the code behind a registered function. Payloads are opaque
 // bytes (Xtract serializes family batches into them); results likewise.
+// The payload is the submitter's slice, shared with it: a handler reads
+// it and never modifies it.
 type Handler func(ctx context.Context, payload []byte) ([]byte, error)
 
 // FaultHook injects failures into the fabric for chaos testing.
@@ -45,14 +47,9 @@ type FaultHook interface {
 	// EndpointCrash stops the endpoint at a heartbeat tick, simulating
 	// an allocation ending mid-run.
 	EndpointCrash(endpointID string) bool
-}
-
-// SlowFaultHook is an optional FaultHook extension: hooks that also
-// implement it may stretch one task execution by the returned duration
-// (zero = full speed), modeling a straggler worker without failing the
-// task. Kept separate from FaultHook so existing hook implementations
-// stay valid.
-type SlowFaultHook interface {
+	// SlowFault stretches one task execution by the returned duration
+	// (zero = full speed), modeling a straggler worker without failing
+	// the task.
 	SlowFault(endpointID string) time.Duration
 }
 
@@ -98,10 +95,12 @@ func (s TaskStatus) Terminal() bool {
 type TaskRequest struct {
 	FunctionID string
 	EndpointID string
-	Payload    []byte
+	// Payload is kept as given, not copied: once submitted it belongs to
+	// the task, and neither the submitter nor the handler modifies it.
+	Payload []byte
 }
 
-// TaskInfo is a polled snapshot of a task.
+// TaskInfo is a snapshot of a task, as its completion event carries it.
 type TaskInfo struct {
 	ID         string
 	FunctionID string
@@ -118,8 +117,8 @@ type TaskInfo struct {
 // behind the paper's Figure 3 breakdown. All default to zero. SubmitBatch
 // charges the first four by schedule (see there).
 type Costs struct {
-	// AuthPerRequest models Globus Auth validation per web request: once
-	// per SubmitBatch, and slept once per PollBatch.
+	// AuthPerRequest models Globus Auth validation per web request, once
+	// per SubmitBatch.
 	AuthPerRequest time.Duration
 	// SubmitPerBatch is charged once per SubmitBatch call, regardless of
 	// batch size — this is what funcX batching amortizes.
@@ -145,7 +144,6 @@ type task struct {
 	mu      sync.Mutex
 	info    TaskInfo
 	payload []byte
-	doneCh  chan struct{}
 	// stop ends the context the handler runs under; set while it runs.
 	stop context.CancelFunc
 	// subs are completion sinks to notify when the task turns terminal.
@@ -153,10 +151,9 @@ type task struct {
 }
 
 // publishUnlock ends a task that has just been given a terminal status:
-// waiters are released, t.mu (held by the caller) is dropped, and every
-// subscribed sink receives the final snapshot.
+// its handler's context ends, t.mu (held by the caller) is dropped, and
+// every subscribed sink receives the final snapshot.
 func (t *task) publishUnlock() {
-	close(t.doneCh)
 	if t.stop != nil {
 		t.stop()
 		t.stop = nil
@@ -230,7 +227,8 @@ type Service struct {
 	seq        int
 
 	// HeartbeatTimeout: endpoints whose last heartbeat is older than this
-	// are considered dead and their in-flight tasks marked lost.
+	// are considered dead and their in-flight tasks marked lost. Set it
+	// before any endpoint starts: each ticks at a third of it.
 	HeartbeatTimeout time.Duration
 	lastHeartbeat    map[string]time.Time
 
@@ -425,8 +423,7 @@ func (s *Service) SubmitBatch(reqs []TaskRequest) ([]string, error) {
 				Status:     TaskPending,
 				Submitted:  due,
 			},
-			payload: append([]byte(nil), req.Payload...),
-			doneCh:  make(chan struct{}),
+			payload: req.Payload,
 		}
 		s.tasks[id] = t
 		ids[i], tasks[i] = id, t
@@ -468,59 +465,6 @@ func (s *Service) lose(t *task, err error) {
 	t.info.Status = TaskLost
 	s.TasksLost.Add(1)
 	t.publishUnlock()
-}
-
-// Submit is SubmitBatch for a single request.
-func (s *Service) Submit(req TaskRequest) (string, error) {
-	ids, err := s.SubmitBatch([]TaskRequest{req})
-	if err != nil {
-		return "", err
-	}
-	return ids[0], nil
-}
-
-// PollBatch returns snapshots for the given task IDs (the funcX batch
-// polling API). Unknown IDs yield a zero TaskInfo with empty ID.
-func (s *Service) PollBatch(ids []string) []TaskInfo {
-	s.clk.Sleep(s.costs.AuthPerRequest)
-	out := make([]TaskInfo, len(ids))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, id := range ids {
-		if t, ok := s.tasks[id]; ok {
-			t.mu.Lock()
-			out[i] = t.info
-			t.mu.Unlock()
-		}
-	}
-	return out
-}
-
-// Poll returns the snapshot of one task.
-func (s *Service) Poll(id string) (TaskInfo, error) {
-	s.mu.Lock()
-	t, ok := s.tasks[id]
-	s.mu.Unlock()
-	if !ok {
-		return TaskInfo{}, fmt.Errorf("%w: %s", ErrUnknownTask, id)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.info, nil
-}
-
-// Wait blocks until the task reaches a terminal state.
-func (s *Service) Wait(id string) (TaskInfo, error) {
-	s.mu.Lock()
-	t, ok := s.tasks[id]
-	s.mu.Unlock()
-	if !ok {
-		return TaskInfo{}, fmt.Errorf("%w: %s", ErrUnknownTask, id)
-	}
-	<-t.doneCh
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.info, nil
 }
 
 // Forget drops a task's record once its owner has consumed the terminal
@@ -568,7 +512,9 @@ func (s *Service) endpointLost(epID string) {
 
 // CheckHeartbeats scans endpoint liveness and marks tasks lost for any
 // endpoint that has missed its heartbeat window. Returns the IDs of newly
-// dead endpoints.
+// dead endpoints. Every running endpoint calls it after each of its own
+// heartbeat ticks, so a silent endpoint is found by any live one, itself
+// included; nothing outside the fabric needs to.
 func (s *Service) CheckHeartbeats() []string {
 	s.mu.Lock()
 	now := s.clk.Now()
@@ -606,7 +552,7 @@ func (s *Service) taskFinished(t *task, result []byte, err error) {
 		t.info.Status = TaskSuccess
 		s.TasksCompleted.Add(1)
 	}
-	t.publishUnlock() // after the count: a Wait that returns sees the task counted
+	t.publishUnlock() // after the count: a sink that receives the end sees it counted
 	s.obsTaskLatency.ObserveDuration(latency)
 }
 
@@ -642,8 +588,9 @@ func (s *Service) CancelTask(id string) bool {
 // terminal. Tasks that are already terminal at subscription time are
 // delivered immediately, so there is no subscribe/complete race — callers
 // may Notify after SubmitBatch returns without missing completions.
-// Unknown IDs are ignored. Unlike PollBatch, Notify models the fabric's
-// internal event bus and charges no control-plane cost.
+// Unknown IDs are ignored. Notify models the fabric's internal event bus
+// and charges no control-plane cost; it is the one way an end is
+// reported.
 func (s *Service) Notify(ids []string, sink *CompletionSink) {
 	for _, id := range ids {
 		s.mu.Lock()

@@ -30,6 +30,25 @@ func newLiveService(t *testing.T, workers int) (*Service, *Endpoint, context.Can
 	return svc, ep, cancel
 }
 
+// submit submits one request as a batch of one and returns its task ID.
+func submit(t testing.TB, svc *Service, req TaskRequest) string {
+	t.Helper()
+	ids, err := svc.SubmitBatch([]TaskRequest{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
+}
+
+// ended returns a task's end the one way the fabric reports it, through
+// Notify: at once for a task that has ended, else when it does.
+func ended(t testing.TB, svc *Service, id string) TaskInfo {
+	t.Helper()
+	sink := NewCompletionSink()
+	svc.Notify([]string{id}, sink)
+	return collect(t, sink, 1)[0]
+}
+
 func TestSubmitAndWaitSuccess(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 2)
 	defer cancel()
@@ -37,14 +56,7 @@ func TestSubmitAndWaitSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("hi")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := svc.Wait(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("hi")}))
 	if info.Status != TaskSuccess || string(info.Result) != "HI" {
 		t.Fatalf("info = %+v", info)
 	}
@@ -56,11 +68,11 @@ func TestSubmitAndWaitSuccess(t *testing.T) {
 func TestSubmitUnknownFunctionAndEndpoint(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 1)
 	defer cancel()
-	if _, err := svc.Submit(TaskRequest{FunctionID: "nope", EndpointID: "ep1"}); !errors.Is(err, ErrUnknownFunction) {
+	if _, err := svc.SubmitBatch([]TaskRequest{{FunctionID: "nope", EndpointID: "ep1"}}); !errors.Is(err, ErrUnknownFunction) {
 		t.Fatalf("err = %v", err)
 	}
 	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
-	if _, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "nope"}); !errors.Is(err, ErrUnknownEndpoint) {
+	if _, err := svc.SubmitBatch([]TaskRequest{{FunctionID: fid, EndpointID: "nope"}}); !errors.Is(err, ErrUnknownEndpoint) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -79,8 +91,7 @@ func TestTaskFailure(t *testing.T) {
 	fid, _ := svc.RegisterFunction("boom", func(context.Context, []byte) ([]byte, error) {
 		return nil, errors.New("extractor exploded")
 	}, "")
-	id, _ := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1"})
-	info, _ := svc.Wait(id)
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"}))
 	if info.Status != TaskFailed || !strings.Contains(info.Err, "exploded") {
 		t.Fatalf("info = %+v", info)
 	}
@@ -101,13 +112,14 @@ func TestBatchSubmitAndPoll(t *testing.T) {
 	if len(ids) != 16 {
 		t.Fatalf("ids = %d", len(ids))
 	}
-	for _, id := range ids {
-		if _, err := svc.Wait(id); err != nil {
-			t.Fatal(err)
-		}
+	sink := NewCompletionSink()
+	svc.Notify(ids, sink)
+	byID := make(map[string]TaskInfo)
+	for _, info := range collect(t, sink, len(ids)) {
+		byID[info.ID] = info
 	}
-	infos := svc.PollBatch(ids)
-	for i, info := range infos {
+	for i, id := range ids {
+		info := byID[id]
 		if info.Status != TaskSuccess {
 			t.Fatalf("task %d status %v", i, info.Status)
 		}
@@ -148,18 +160,26 @@ func TestRejectedBatchCreatesNoTaskRecords(t *testing.T) {
 	}
 }
 
+// TestPollBatchUnknownID: an ID the fabric does not know -- never issued,
+// or forgotten after its end was consumed -- has no end to report and
+// cannot be cancelled.
 func TestPollBatchUnknownID(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 1)
 	defer cancel()
-	infos := svc.PollBatch([]string{"bogus"})
-	if len(infos) != 1 || infos[0].ID != "" {
-		t.Fatalf("infos = %+v", infos)
+	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})
+	ended(t, svc, id)
+	svc.Forget(id)
+	sink := NewCompletionSink()
+	svc.Notify([]string{"bogus", id}, sink)
+	if n := sink.Pending(); n != 0 {
+		t.Fatalf("unknown IDs delivered %d ends", n)
 	}
-	if _, err := svc.Poll("bogus"); !errors.Is(err, ErrUnknownTask) {
-		t.Fatalf("err = %v", err)
+	if svc.CancelTask("bogus") || svc.CancelTask(id) {
+		t.Fatal("an unknown task was cancelled")
 	}
-	if _, err := svc.Wait("bogus"); !errors.Is(err, ErrUnknownTask) {
-		t.Fatalf("err = %v", err)
+	if n := svc.TaskRecords(); n != 0 {
+		t.Fatalf("TaskRecords = %d after Forget, want 0", n)
 	}
 }
 
@@ -205,7 +225,7 @@ func TestConcurrentExecutionUsesWorkers(t *testing.T) {
 	}
 	close(release)
 	for _, id := range ids {
-		_, _ = svc.Wait(id)
+		ended(t, svc, id)
 	}
 	if maxRunning != 8 {
 		t.Fatalf("maxRunning = %d, want 8", maxRunning)
@@ -269,11 +289,7 @@ func TestEndpointStopMarksTasksLost(t *testing.T) {
 	<-started
 	ep.Stop()
 	for _, id := range ids {
-		info, err := svc.Wait(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Status != TaskLost {
+		if info := ended(t, svc, id); info.Status != TaskLost {
 			t.Fatalf("task %s status = %v, want LOST", id, info.Status)
 		}
 	}
@@ -283,17 +299,11 @@ func TestEndpointStopMarksTasksLost(t *testing.T) {
 	close(block)
 	// A late handler completion must not flip the lost status.
 	time.Sleep(10 * time.Millisecond)
-	info, _ := svc.Poll(ids[0])
-	if info.Status != TaskLost {
+	if info := ended(t, svc, ids[0]); info.Status != TaskLost {
 		t.Fatalf("late completion overwrote LOST: %v", info.Status)
 	}
 	// Submitting to a stopped endpoint marks the task lost immediately.
-	id2, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info2, _ := svc.Wait(id2)
-	if info2.Status != TaskLost {
+	if info2 := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})); info2.Status != TaskLost {
 		t.Fatalf("submit-after-stop status = %v", info2.Status)
 	}
 }
@@ -307,15 +317,14 @@ func TestHeartbeatExpiryMarksLost(t *testing.T) {
 	// Endpoint never started: no heartbeats after registration, and the
 	// queued task sits forever.
 	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
-	id, _ := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1"})
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})
 
 	clk.Advance(11 * time.Second)
 	dead := svc.CheckHeartbeats()
 	if len(dead) != 1 || dead[0] != "ep1" {
 		t.Fatalf("dead = %v", dead)
 	}
-	info, _ := svc.Poll(id)
-	if info.Status != TaskLost {
+	if info := ended(t, svc, id); info.Status != TaskLost {
 		t.Fatalf("status = %v", info.Status)
 	}
 	// A second check must not re-report the endpoint.
@@ -412,17 +421,14 @@ func TestFunctionRunsInRegisteredContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")})
-	info, _ := svc.Wait(id)
-	if info.Status != TaskSuccess {
+	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")})); info.Status != TaskSuccess {
 		t.Fatalf("status = %v", info.Status)
 	}
 	if ep.Containers().ColdStarts.Load() != 1 {
 		t.Fatalf("cold starts = %d", ep.Containers().ColdStarts.Load())
 	}
 	// Second task: warm hit.
-	id2, _ := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("y")})
-	_, _ = svc.Wait(id2)
+	ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("y")}))
 	if ep.Containers().WarmHits.Load() != 1 {
 		t.Fatalf("warm hits = %d", ep.Containers().WarmHits.Load())
 	}
@@ -441,10 +447,11 @@ func TestManyTasksThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		info, err := svc.Wait(id)
-		if err != nil || info.Status != TaskSuccess {
-			t.Fatalf("task %s: %v %v", id, info.Status, err)
+	sink := NewCompletionSink()
+	svc.Notify(ids, sink)
+	for _, info := range collect(t, sink, n) {
+		if info.Status != TaskSuccess {
+			t.Fatalf("task %s: %v %s", info.ID, info.Status, info.Err)
 		}
 	}
 	if got := ep.TasksExecuted.Load(); got != n {

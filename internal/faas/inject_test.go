@@ -21,14 +21,7 @@ func TestInjectedDispatchFaultMarksTaskLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("a")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := svc.Poll(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("a")}))
 	if info.Status != TaskLost {
 		t.Fatalf("status = %s, want LOST", info.Status)
 	}
@@ -36,15 +29,7 @@ func TestInjectedDispatchFaultMarksTaskLost(t *testing.T) {
 		t.Fatalf("lost task err = %q, want injected dispatch_error", info.Err)
 	}
 	// Budget spent: the next submit dispatches normally.
-	id2, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("b")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info2, err := svc.Wait(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Status != TaskSuccess {
+	if info2 := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("b")})); info2.Status != TaskSuccess {
 		t.Fatalf("post-budget status = %s, want SUCCESS", info2.Status)
 	}
 }
@@ -63,14 +48,7 @@ func TestHandlerPanicBecomesTaskFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := svc.Wait(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil}))
 	if info.Status != TaskFailed {
 		t.Fatalf("status = %s, want FAILED", info.Status)
 	}
@@ -84,15 +62,7 @@ func TestHandlerPanicBecomesTaskFailed(t *testing.T) {
 	if ep.Stopped() {
 		t.Fatal("endpoint stopped after a handler panic")
 	}
-	id2, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info2, err := svc.Wait(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Status != TaskSuccess || string(info2.Result) != "ok" {
+	if info2 := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})); info2.Status != TaskSuccess || string(info2.Result) != "ok" {
 		t.Fatalf("post-panic task = %+v", info2)
 	}
 }
@@ -102,7 +72,8 @@ func TestInjectedHeartbeatSilenceMarksTasksLost(t *testing.T) {
 	svc := NewService(clk, Costs{})
 	svc.HeartbeatTimeout = 20 * time.Millisecond
 	// Silence every heartbeat so the endpoint's liveness record goes
-	// stale and CheckHeartbeats declares the allocation dead.
+	// stale and the endpoint's own heartbeat tick declares the allocation
+	// dead.
 	svc.SetFaults(faultinject.New(faultinject.Config{
 		Seed:          1,
 		HeartbeatDrop: faultinject.Rule{Prob: 1},
@@ -123,29 +94,9 @@ func TestInjectedHeartbeatSilenceMarksTasksLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if lost := svc.CheckHeartbeats(); len(lost) > 0 {
-			if lost[0] != "ep1" {
-				t.Fatalf("lost endpoints = %v", lost)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("CheckHeartbeats never declared the silenced endpoint lost")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	info, err := svc.Poll(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Status != TaskLost {
-		t.Fatalf("status = %s, want LOST after heartbeat expiry", info.Status)
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil}))
+	if info.Status != TaskLost || info.Err != ErrEndpointStopped.Error() {
+		t.Fatalf("task ended %+v, want LOST after heartbeat expiry", info)
 	}
 	close(block)
 }

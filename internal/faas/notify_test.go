@@ -8,7 +8,7 @@ import (
 
 // collect drains the sink after each Ready token until n completions
 // arrive or the deadline passes.
-func collect(t *testing.T, sink *CompletionSink, n int) []TaskInfo {
+func collect(t testing.TB, sink *CompletionSink, n int) []TaskInfo {
 	t.Helper()
 	var got []TaskInfo
 	deadline := time.After(10 * time.Second)
@@ -67,13 +67,8 @@ func TestNotifyAfterTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Wait(id); err != nil {
-		t.Fatal(err)
-	}
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")})
+	ended(t, svc, id)
 	sink := NewCompletionSink()
 	svc.Notify([]string{id}, sink)
 	got := collect(t, sink, 1)
@@ -100,10 +95,7 @@ func TestNotifyCoversLostTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer close(block)
-	id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})
 	sink := NewCompletionSink()
 	svc.Notify([]string{id}, sink)
 	ep.Stop()
@@ -146,10 +138,7 @@ func TestNotifyDeliversExactlyOnceUnderRace(t *testing.T) {
 	sink := NewCompletionSink()
 	var ids []string
 	for i := 0; i < n; i++ {
-		id, err := svc.Submit(TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("r")})
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("r")})
 		svc.Notify([]string{id}, sink)
 		ids = append(ids, id)
 	}

@@ -200,7 +200,7 @@ func (i *Injector) TransferFault(src, dst string) (time.Duration, error) {
 	return stall, nil
 }
 
-// SlowFault implements faas.SlowFaultHook: a fired decision returns the
+// SlowFault implements faas.FaultHook: a fired decision returns the
 // extra execution latency to inject into one task on the endpoint; zero
 // means the task runs at full speed.
 func (i *Injector) SlowFault(endpointID string) time.Duration {
