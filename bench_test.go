@@ -287,7 +287,7 @@ func simulatePolicy(pol scheduler.Policy, n int) time.Duration {
 	for i, spec := range specs {
 		fam := &family.Family{
 			ID:       "f" + itoa(i+1),
-			FileMeta: map[string]family.FileMeta{"/f": {Size: spec.Bytes}},
+			FileMeta: []family.FileMeta{{Path: "/f", Size: spec.Bytes}},
 		}
 		homeState := scheduler.SiteState{
 			Name: "midway", HasCompute: true, Workers: 56, QueueDepth: home.QueueLen(),

@@ -435,13 +435,12 @@ func TestIntakeCostIsPerFamilyNotPerFile(t *testing.T) {
 		batches := make([][]family.Family, runs+1) // AllocsPerRun warms up once
 		for b := range batches {
 			for i := 0; i < perBatch; i++ {
-				fam := family.Family{ID: fmt.Sprintf("alpha:/d%d#%d", b, i), Store: "alpha", BasePath: fmt.Sprintf("/d%d", b),
-					FileMeta: make(map[string]family.FileMeta, files)}
+				fam := family.Family{ID: fmt.Sprintf("alpha:/d%d#%d", b, i), Store: "alpha", BasePath: fmt.Sprintf("/d%d", b)}
 				for f := 0; f < files; f++ {
 					path := fmt.Sprintf("/d%d/%d/%s-%04d.dat", b, i, strings.Repeat("long-name", 8), f)
 					fam.Files = append(fam.Files, path)
-					fam.FileMeta[path] = family.FileMeta{Size: int64(f), Extension: "dat",
-						MimeType: "application/octet-stream", ContentHash: strings.Repeat("ab", 32)}
+					fam.FileMeta = append(fam.FileMeta, family.FileMeta{Path: path, Size: int64(f), Extension: "dat",
+						MimeType: "application/octet-stream", ContentHash: strings.Repeat("ab", 32)})
 				}
 				batches[b] = append(batches[b], fam)
 			}

@@ -343,8 +343,8 @@ func (p *pump) startCrawls(repos []journal.RepoSpec, groupers []crawler.Grouping
 				p.crawlErr <- err
 				return
 			}
-			s.obs.Emitf(p.JobID, obs.EvCrawlFinished, "site=%s files=%d families=%d encode_errors=%d hashed=%d reused=%d fingerprint_errors=%d",
-				spec.Site, stats.FilesSeen, stats.FamiliesEmitted, stats.EncodeErrors,
+			s.obs.Emitf(p.JobID, obs.EvCrawlFinished, "site=%s files=%d families=%d hashed=%d reused=%d fingerprint_errors=%d",
+				spec.Site, stats.FilesSeen, stats.FamiliesEmitted,
 				stats.FilesHashed, stats.HashesReused, stats.FingerprintErrors)
 			p.crawlDone <- stats
 		}(spec)

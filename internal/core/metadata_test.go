@@ -470,7 +470,7 @@ func TestWarmStepCostDoesNotGrowWithMetadata(t *testing.T) {
 	fam := family.Family{
 		ID: "x:/d#0", Store: "x", BasePath: "/d", Files: []string{"/d/a.txt"},
 		Groups:   []family.Group{{ID: "g", Files: []string{"/d/a.txt"}, Extractor: "keyword"}},
-		FileMeta: map[string]family.FileMeta{"/d/a.txt": {Size: 1, ContentHash: "h"}},
+		FileMeta: []family.FileMeta{{Path: "/d/a.txt", Size: 1, ContentHash: "h"}},
 	}
 	key, ok := p.stepCacheKey(&famState{fam: fam}, scheduler.Step{GroupID: "g", Extractor: "keyword"})
 	if !ok {

@@ -3,7 +3,6 @@ package core
 import (
 	"xtract/internal/cache"
 	"xtract/internal/family"
-	"xtract/internal/fastjson"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/registry"
@@ -32,36 +31,32 @@ func (p *pump) setFamPhase(st *famState, to famPhase) {
 }
 
 // placeFamily runs the placement policy and routes the family either
-// straight to dispatch or through the prefetcher.
+// straight to dispatch or through the prefetcher. The policy sees the
+// other compute sites in name order: a seeded policy repeats itself.
 func (p *pump) placeFamily(fam family.Family) {
 	home, ok := p.s.Site(fam.Store)
 	if !ok {
 		p.failFamily(fam.ID, "unknown home site "+fam.Store, 0)
 		return
 	}
-	var alternates []scheduler.SiteState
-	p.s.mu.Lock()
-	for name, site := range p.s.sites {
-		if name != home.Name && site.HasCompute() {
-			alternates = append(alternates, site.state())
+	p.alternates = p.alternates[:0]
+	for _, site := range p.s.siteList() {
+		if site.Name != home.Name && site.HasCompute() {
+			p.alternates = append(p.alternates, site.state())
 		}
 	}
-	p.s.mu.Unlock()
-	targetName := p.s.cfg.Policy.Place(&fam, home.state(), alternates)
+	st := &famState{fam: fam}
+	targetName := p.s.cfg.Policy.Place(&st.fam, home.state(), p.alternates)
 	target, ok := p.s.Site(targetName)
 	if !ok || !target.HasCompute() {
 		// No compute anywhere reachable: the family cannot be processed.
 		p.failFamily(fam.ID, "no compute site for placement", 0)
 		return
 	}
-
-	st := &famState{
-		fam:     fam,
-		plan:    scheduler.BuildPlan(&fam),
-		steps:   make([]stepState, 0, len(fam.Groups)),
-		site:    target,
-		results: make(map[string]fastjson.Raw),
-	}
+	st.site = target
+	st.plan = scheduler.BuildPlan(&st.fam)
+	// A family of one group, the common case, has its one step in place.
+	st.steps = st.oneStep[:0]
 	if target.Name != home.Name && !target.DirectFetch {
 		p.stageFamily(st, home)
 		return
@@ -84,14 +79,12 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 	need := st.fam.TotalBytes()
 	if !st.site.reserveStage(need) {
 		st.site = nil
-		p.s.mu.Lock()
-		for name, site := range p.s.sites {
-			if name != home.Name && site.HasCompute() && site.reserveStage(need) {
+		for _, site := range p.s.siteList() {
+			if site.Name != home.Name && site.HasCompute() && site.reserveStage(need) {
 				st.site = site
 				break
 			}
 		}
-		p.s.mu.Unlock()
 		if st.site == nil {
 			p.failFamily(st.fam.ID, "no staging capacity", 0)
 			return
@@ -99,9 +92,9 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 	}
 	// Every family file lands under the target's stage dir.
 	st.stage = st.site.StagePath
-	pairs := make([]transfer.FilePair, 0, len(st.fam.FileMeta))
-	for path := range st.fam.FileMeta {
-		pairs = append(pairs, transfer.FilePair{Src: path, Dst: st.stage + path})
+	pairs := make([]transfer.FilePair, len(st.fam.FileMeta))
+	for i, m := range st.fam.FileMeta {
+		pairs[i] = transfer.FilePair{Src: m.Path, Dst: st.stage + m.Path}
 	}
 	st.prefetchBody = transfer.AppendPrefetchTask(nil, &transfer.PrefetchTask{
 		JobID:    p.JobID,
@@ -155,8 +148,8 @@ func (p *pump) unstage(st *famState) {
 	if st.prefetchBody == nil || !st.site.DeleteStaged {
 		return
 	}
-	for path := range st.fam.FileMeta {
-		_ = st.site.Store.Delete(st.stage + path) // a copy that never arrived is not an error
+	for _, m := range st.fam.FileMeta {
+		_ = st.site.Store.Delete(st.stage + m.Path) // a copy that never arrived is not an error
 	}
 	st.site.releaseStage(st.fam.TotalBytes())
 }
@@ -220,7 +213,10 @@ func (p *pump) stepCacheKey(st *famState, step scheduler.Step) (cache.Key, bool)
 	if p.s.cfg.Cache == nil || p.noCache {
 		return cache.Key{}, false
 	}
-	fp, ok := cache.GroupFingerprint(st.groupFiles(step.GroupID), func(f string) string { return st.fam.FileMeta[f].ContentHash })
+	fp, ok := cache.GroupFingerprint(st.groupFiles(step.GroupID), func(f string) string {
+		m, _ := st.fam.Meta(f)
+		return m.ContentHash
+	})
 	if !ok {
 		return cache.Key{}, false
 	}

@@ -12,6 +12,7 @@ import (
 	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/registry"
+	"xtract/internal/scheduler"
 	"xtract/internal/transfer"
 )
 
@@ -85,6 +86,8 @@ type pump struct {
 	// recordBuf is where finishFamily encodes one record's file list and
 	// metadata before AppendRecord copies them into resultBuf.
 	recordBuf []byte
+	// alternates is where placeFamily lists the policy's other sites.
+	alternates []scheduler.SiteState
 	// submitted is the submission gate (nil: open). It closes once
 	// job_submitted is durable or the journal has failed; until then no
 	// result leaves the pump — job IDs are re-issued after a crash, so a

@@ -229,14 +229,14 @@ func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, spec jour
 		}
 	}
 	s.obs.Emitf(js.ID, obs.EvJobRecovered,
-		"disposition=resumed families=%d steps_reconciled=%d", len(js.Families), reconciled)
+		"disposition=resumed families=%d steps_reconciled=%d", int(js.Families), reconciled)
 	submitted, _ := time.Parse(time.RFC3339Nano, js.Submitted)
 	rec := newRecord(js.ID, spec, submitted)
 	rec.Recovered = true
 	s.runJob(ctx, rec, spec, groupers, nil)
 	return RecoveredJob{
 		JobID: js.ID, Disposition: "resumed", State: string(registry.JobExtracting),
-		StepsReconciled: reconciled, Families: len(js.Families),
+		StepsReconciled: reconciled, Families: int(js.Families),
 	}
 }
 

@@ -10,7 +10,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,8 +215,10 @@ type Service struct {
 	cfg Config
 	clk clock.Clock
 
-	mu    sync.Mutex
-	sites map[string]*Site
+	mu sync.Mutex
+	// sites are the registered sites in name order, the one order every
+	// scan of them takes. AddSite publishes a new list, never writes one.
+	sites []*Site
 	// functions maps (extractor, site) to the registered FaaS function ID.
 	functions map[[2]string]string
 	// containerOf maps container name to its registered ID.
@@ -291,7 +294,6 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:         cfg,
 		clk:         cfg.Clock,
-		sites:       make(map[string]*Site),
 		functions:   make(map[[2]string]string),
 		containerOf: make(map[string]string),
 		obs:         cfg.Obs,
@@ -452,13 +454,11 @@ func (s *Service) ShedCheck() (time.Duration, bool) {
 	}
 	if pol.MaxQueueDepth > 0 {
 		depth := 0
-		s.mu.Lock()
-		for _, site := range s.sites {
+		for _, site := range s.siteList() {
 			if ep := site.ComputeEndpoint(); ep != nil {
 				depth += ep.QueueDepth()
 			}
 		}
-		s.mu.Unlock()
 		if depth >= pol.MaxQueueDepth {
 			s.obsShedTotal.Inc()
 			return retry, true
@@ -572,26 +572,35 @@ func (s *Service) extractorVersion(name string) string {
 func (s *Service) AddSite(site *Site) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sites[site.Name] = site
+	sites := slices.DeleteFunc(slices.Clone(s.sites), func(o *Site) bool { return o.Name == site.Name })
+	i, _ := slices.BinarySearchFunc(sites, site.Name, func(o *Site, name string) int { return strings.Compare(o.Name, name) })
+	s.sites = slices.Insert(sites, i, site)
+}
+
+// siteList returns the registered sites in name order.
+func (s *Service) siteList() []*Site {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sites
 }
 
 // Site returns a registered site.
 func (s *Service) Site(name string) (*Site, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	site, ok := s.sites[name]
-	return site, ok
+	for _, site := range s.siteList() {
+		if site.Name == name {
+			return site, true
+		}
+	}
+	return nil, false
 }
 
 // Sites lists registered site names, sorted.
 func (s *Service) Sites() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.sites))
-	for n := range s.sites {
-		out = append(out, n)
+	sites := s.siteList()
+	out := make([]string, len(sites))
+	for i, site := range sites {
+		out[i] = site.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -600,14 +609,7 @@ func (s *Service) Sites() []string {
 // and records the address tuples in the registry — the paper's
 // function:container:endpoint registration flow.
 func (s *Service) RegisterExtractors() error {
-	s.mu.Lock()
-	sites := make([]*Site, 0, len(s.sites))
-	for _, site := range s.sites {
-		sites = append(sites, site)
-	}
-	s.mu.Unlock()
-	sort.Slice(sites, func(i, j int) bool { return sites[i].Name < sites[j].Name })
-
+	sites := s.siteList()
 	for _, name := range s.cfg.Library.Names() {
 		ext, err := s.cfg.Library.Get(name)
 		if err != nil {
@@ -648,9 +650,7 @@ func (s *Service) RegisterExtractors() error {
 // it. Safe to call while jobs are running — in-flight tasks on the old
 // endpoint surface as LOST and are retried onto the new one.
 func (s *Service) SwapCompute(siteName string, ep *faas.Endpoint) error {
-	s.mu.Lock()
-	site, ok := s.sites[siteName]
-	s.mu.Unlock()
+	site, ok := s.Site(siteName)
 	if !ok {
 		return fmt.Errorf("core: unknown site %q", siteName)
 	}

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"xtract/internal/cache"
@@ -55,6 +56,9 @@ type stepState struct {
 	// tasks lists the accepted tasks carrying the step, whose losers are
 	// cancelled when one commits it (shards report them only when hedging).
 	tasks []*task
+	// md is the step's metadata once it is done, as the worker encoded
+	// it; the bytes are shared with the cache and the journal.
+	md fastjson.Raw
 }
 
 // stepRef names one step record: a dispatched step carries it through its
@@ -82,16 +86,14 @@ type famState struct {
 	fam   family.Family
 	plan  *scheduler.Plan
 	// steps holds one record per step the plan has handed out, in that
-	// order; a stepRef indexes it.
-	steps []stepState
-	site  *Site
+	// order; a stepRef indexes it. oneStep backs it until a second step.
+	steps   []stepState
+	oneStep [1]stepState
+	site    *Site
 	// stage is the prefix the site's workers read the family's files under:
 	// the site's staging directory once the family is staged there, empty
 	// when its files are read in place or fetched one by one.
-	stage string
-	// results holds each finished step's metadata as the worker encoded
-	// it; the bytes are shared with the cache and the journal.
-	results   map[string]fastjson.Raw
+	stage     string
 	fetchFrom string // direct-fetch source endpoint ("" = local/staged)
 
 	// prefetchBody is the serialized staging task, kept for re-sends; only
@@ -193,10 +195,9 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 		p.DuplicateSteps++
 		return
 	}
-	ss.phase = stepDone
+	ss.phase, ss.md = stepDone, o.md
 	step := ss.step
 	st.plan.Complete(step, extractors.Suggestions(o.md))
-	st.results[step.GroupID+"/"+step.Extractor] = o.md
 	if p.s.cfg.Journal != nil {
 		// The record carries the step's content-addressed cache key and
 		// its metadata, which is what lets recovery seed the result cache
@@ -442,16 +443,19 @@ func (p *pump) finishFamily(st *famState) {
 			"family=%s degraded: %d steps dead-lettered within straggler budget",
 			st.fam.ID, st.deadLettered)
 	}
-	files := make([]string, 0, len(st.fam.FileMeta))
-	for f := range st.fam.FileMeta {
-		files = append(files, f)
+	// The file list and the metadata are encoded once, here, in path and
+	// key order, and from there on only spliced: into the record, then
+	// into the document.
+	p.recordBuf = append(p.recordBuf[:0], '[')
+	for i := range st.fam.FileMeta {
+		if i > 0 {
+			p.recordBuf = append(p.recordBuf, ',')
+		}
+		p.recordBuf = fastjson.AppendString(p.recordBuf, st.fam.FileMeta[i].Path)
 	}
-	sort.Strings(files) // the same family writes the same document every run
-	// The file list and the metadata are encoded once, here, and from
-	// there on only spliced: into the record, then into the document.
-	p.recordBuf = fastjson.AppendStrings(p.recordBuf[:0], files)
+	p.recordBuf = append(p.recordBuf, ']')
 	n := len(p.recordBuf)
-	p.recordBuf = fastjson.AppendRawMap(p.recordBuf, st.results)
+	p.recordBuf = st.appendResults(p.recordBuf)
 	rec := validate.Record{
 		JobID:    p.JobID,
 		FamilyID: st.fam.ID,
@@ -467,6 +471,28 @@ func (p *pump) finishFamily(st *famState) {
 	p.pendingResults = append(p.pendingResults, p.resultBuf[start:])
 	p.FamiliesDone++
 	p.s.obs.Emit(p.JobID, obs.EvFamilyDone, "family="+st.fam.ID+" steps="+strconv.Itoa(len(st.steps)))
+}
+
+// appendResults appends the family's metadata as fastjson.AppendRawMap
+// would a map of it: each done step's metadata under its group/extractor
+// key, keys in order, null for a step that produced none.
+func (st *famState) appendResults(dst []byte) []byte {
+	key := func(i int) string { return st.steps[i].step.GroupID + "/" + st.steps[i].step.Extractor }
+	done := make([]int, 0, 1)
+	for i := range st.steps {
+		if st.steps[i].phase == stepDone {
+			done = append(done, i)
+		}
+	}
+	slices.SortFunc(done, func(a, b int) int { return strings.Compare(key(a), key(b)) })
+	dst = append(dst, '{')
+	for n, i := range done {
+		if n > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(append(fastjson.AppendString(dst, key(i)), ':'), orNull(st.steps[i].md)...)
+	}
+	return append(dst, '}')
 }
 
 // What follows is hedged speculative execution: a policy that proposes a
@@ -523,20 +549,14 @@ func (p *pump) fireHedge(t *task) bool {
 
 // hedgeTarget picks the site for a speculative duplicate: a different
 // compute site that can run the extractor and whose circuit breaker
-// admits new work (sites scanned in name order for determinism), else
+// admits new work, the first in name order, else
 // the origin site itself — a straggler is usually a property of the
 // worker, not the step, so even a same-site duplicate tends to win.
 func (p *pump) hedgeTarget(st *famState, extractor string) *Site {
-	var cands []*Site
-	p.s.mu.Lock()
-	for name, site := range p.s.sites {
-		if name != st.site.Name && site.HasCompute() {
-			cands = append(cands, site)
+	for _, site := range p.s.siteList() {
+		if site.Name == st.site.Name || !site.HasCompute() {
+			continue
 		}
-	}
-	p.s.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Name < cands[j].Name })
-	for _, site := range cands {
 		if _, err := p.s.functionFor(extractor, site.Name); err != nil {
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -104,16 +105,16 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 // family returns a running family on site x with n single-file keyword
 // groups, every step taken into the step table and still pending.
 func (m *machine) family(id string, n int) *famState {
-	fam := family.Family{ID: id, Store: "x", BasePath: "/d", FileMeta: map[string]family.FileMeta{}}
+	fam := family.Family{ID: id, Store: "x", BasePath: "/d"}
 	for i := 0; i < n; i++ {
 		f := fmt.Sprintf("/d/%s-%d.txt", id, i)
 		fam.Files = append(fam.Files, f)
 		fam.Groups = append(fam.Groups, family.Group{ID: fmt.Sprintf("g%d", i), Files: []string{f}, Extractor: "keyword"})
-		fam.FileMeta[f] = family.FileMeta{Size: 1, ContentHash: id + f}
+		fam.FileMeta = append(fam.FileMeta, family.FileMeta{Path: f, Size: 1, ContentHash: id + f})
 	}
+	slices.SortFunc(fam.FileMeta, func(a, b family.FileMeta) int { return strings.Compare(a.Path, b.Path) })
 	site, _ := m.svc.Site("x")
-	st := &famState{fam: fam, plan: scheduler.BuildPlan(&fam), site: site,
-		results: map[string]fastjson.Raw{}}
+	st := &famState{fam: fam, plan: scheduler.BuildPlan(&fam), site: site}
 	m.p.setFamPhase(st, famRunning)
 	for {
 		step, ok := st.plan.Next()
@@ -163,7 +164,7 @@ type effects struct {
 	completed, retried, deadLettered int64 // journal records
 	billed, billedCached, billedFail int64
 	cacheWrites                      int64
-	results                          int // the family's own record
+	results                          int // steps holding their metadata for the family's record
 	stats                            JobStats
 }
 
@@ -179,7 +180,11 @@ func (m *machine) effects(st *famState) effects {
 		cacheWrites: m.disk.writes.Load(), stats: m.p.JobStats,
 	}
 	if st != nil {
-		e.results = len(st.results)
+		for i := range st.steps {
+			if st.steps[i].md != nil {
+				e.results++
+			}
+		}
 	}
 	e.stats.JobID = ""
 	return e

@@ -14,6 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,9 +28,10 @@ import (
 	"xtract/internal/store"
 )
 
-// GroupingFunc assigns the files of one directory to groups. Grouping
-// functions consider only crawl-time metadata (names, extensions, paths,
-// sizes) — never file contents — so the crawler stays lightweight.
+// GroupingFunc assigns the files of one directory, in path order, to
+// groups, and leaves them in that order. Grouping functions consider only
+// crawl-time metadata (names, extensions, paths, sizes) — never file
+// contents — so the crawler stays lightweight.
 type GroupingFunc func(dir string, files []store.FileInfo) []family.Group
 
 // Stats summarizes one crawl; every field counts that crawl alone.
@@ -38,9 +42,6 @@ type Stats struct {
 	FamiliesEmitted int64
 	BytesSeen       int64
 	ListErrors      int64
-	// EncodeErrors counts families the sink did not take: the queue sink
-	// drops one whose metadata cannot be serialized.
-	EncodeErrors int64
 	// FilesHashed counts files read and hashed for their fingerprint,
 	// HashesReused files whose remembered hash the store's change token
 	// vouched for, and FingerprintErrors files whose read failed, leaving
@@ -62,7 +63,6 @@ func (s *Stats) Add(o Stats) {
 	s.FamiliesEmitted += o.FamiliesEmitted
 	s.BytesSeen += o.BytesSeen
 	s.ListErrors += o.ListErrors
-	s.EncodeErrors += o.EncodeErrors
 	s.FilesHashed += o.FilesHashed
 	s.HashesReused += o.HashesReused
 	s.FingerprintErrors += o.FingerprintErrors
@@ -167,8 +167,7 @@ func NewTo(s store.Store, grouper GroupingFunc, out Sink) *Crawler {
 
 // New is NewTo for a crawler whose consumer is in another process: each
 // family crosses as its family.AppendFamily body, one SendBatch per
-// directory. A family whose metadata JSON cannot carry is dropped, which
-// Stats.EncodeErrors counts.
+// directory.
 func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
 	return NewTo(s, grouper, func(_ context.Context, fams []family.Family) int {
 		// Bodies share one buffer: the queue copies each on send.
@@ -176,16 +175,10 @@ func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
 		bodies := make([][]byte, 0, len(fams))
 		for i := range fams {
 			start := len(buf)
-			var err error
-			if buf, err = family.AppendFamily(buf, &fams[i]); err != nil {
-				buf = buf[:start]
-				continue
-			}
+			buf = family.AppendFamily(buf, &fams[i])
 			bodies = append(bodies, buf[start:])
 		}
-		if len(bodies) > 0 {
-			out.SendBatch(bodies)
-		}
+		out.SendBatch(bodies)
 		return len(bodies)
 	})
 }
@@ -264,16 +257,7 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 	for _, r := range roots {
 		dq.push(store.Clean(r))
 	}
-	// Stop the queue if the context dies.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			dq.close()
-		case <-stop:
-		}
-	}()
+	defer context.AfterFunc(ctx, dq.close)()
 
 	var wg sync.WaitGroup
 	var mu sync.Mutex // guards total
@@ -430,7 +414,8 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 		return d
 	}
 	d.DirsListed++
-	var files []store.FileInfo
+	// Every store builds each listing afresh, so it is filtered in place.
+	files := infos[:0]
 	for _, fi := range infos {
 		if fi.IsDir {
 			dq.push(fi.Path)
@@ -455,30 +440,65 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 	} else {
 		fams = family.Naive(groups)
 	}
-	metaOf := make(map[string]family.FileMeta, len(files))
-	for _, fi := range files {
-		fm := family.FileMeta{Size: fi.Size, Extension: fi.Extension, MimeType: fi.MimeType}
+	// One record per listed file, in path order, as a listing comes in
+	// name order (store.Store.List); a family takes a window of them, or
+	// a copy where its files are not a run.
+	metas := make([]family.FileMeta, len(files))
+	for i, fi := range files {
+		metas[i] = family.FileMeta{Path: fi.Path, Size: fi.Size, Extension: fi.Extension, MimeType: fi.MimeType}
 		if c.Fingerprint {
-			fm.ContentHash = c.fingerprint(fi, &d)
+			metas[i].ContentHash = c.fingerprint(fi, &d)
 		}
-		metaOf[fi.Path] = fm
 	}
+	name := c.Store.Name()
+	id := make([]byte, 0, len(name)+len(dir)+8)
+	id = append(append(append(id, name...), ':'), dir...)
+	prefix := len(id)
 	for i := range fams {
 		fam := &fams[i]
-		fam.ID = fmt.Sprintf("%s:%s#%d", c.Store.Name(), dir, i)
-		fam.Store = c.Store.Name()
+		id = strconv.AppendInt(append(id[:prefix], '#'), int64(i), 10)
+		fam.ID = string(id)
+		fam.Store = name
 		fam.BasePath = dir
-		fam.FileMeta = make(map[string]family.FileMeta, len(fam.Files))
-		for _, g := range fam.Groups {
-			for _, f := range g.Files {
-				fam.FileMeta[f] = metaOf[f]
-			}
-		}
+		fam.FileMeta = familyMeta(fam.Groups, metas)
 	}
 	if len(fams) == 0 {
 		return d
 	}
 	d.FamiliesEmitted = int64(c.Out(ctx, fams))
-	d.EncodeErrors = int64(len(fams)) - d.FamiliesEmitted
 	return d
+}
+
+// familyMeta returns the records of every file groups name, once each,
+// in path order, out of metas, the directory's records in path order: a
+// window of metas when the files are a run of it — one file, or a
+// whole-directory group — else a copy, with a path-only record for a
+// file the listing lacks.
+func familyMeta(groups []family.Group, metas []family.FileMeta) []family.FileMeta {
+	byPath := func(m family.FileMeta, p string) int { return strings.Compare(m.Path, p) }
+	lo, n, run := 0, 0, true
+	for _, g := range groups {
+		for _, f := range g.Files {
+			if n == 0 {
+				lo, run = slices.BinarySearchFunc(metas, f, byPath)
+			}
+			run = run && lo+n < len(metas) && metas[lo+n].Path == f
+			n++
+		}
+	}
+	if n == 0 || run {
+		return metas[lo : lo+n : lo+n]
+	}
+	out := make([]family.FileMeta, 0, n)
+	for _, g := range groups {
+		for _, f := range g.Files {
+			m := family.FileMeta{Path: f}
+			if i, ok := slices.BinarySearchFunc(metas, f, byPath); ok {
+				m = metas[i]
+			}
+			out = append(out, m)
+		}
+	}
+	slices.SortFunc(out, func(a, b family.FileMeta) int { return byPath(a, b.Path) })
+	return slices.CompactFunc(out, func(a, b family.FileMeta) bool { return a.Path == b.Path })
 }

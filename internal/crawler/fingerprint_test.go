@@ -84,8 +84,8 @@ func crawlHashes(t *testing.T, s store.Store, memo *cache.Cache) (Stats, map[str
 	}
 	hashes := make(map[string]string)
 	for _, f := range drainFamilies(t, out) {
-		for p, fm := range f.FileMeta {
-			hashes[p] = fm.ContentHash
+		for _, fm := range f.FileMeta {
+			hashes[fm.Path] = fm.ContentHash
 		}
 	}
 	return stats, hashes
@@ -251,11 +251,11 @@ func TestFingerprintReadErrorsAreCounted(t *testing.T) {
 	}
 	unhashed := 0
 	for _, f := range drainFamilies(t, out) {
-		for p, fm := range f.FileMeta {
+		for _, fm := range f.FileMeta {
 			if fm.ContentHash == "" {
 				unhashed++
-			} else if data, _ := fs.Read(p); fm.ContentHash != ExactKey(data) {
-				t.Errorf("%s: wrong hash", p)
+			} else if data, _ := fs.Read(fm.Path); fm.ContentHash != ExactKey(data) {
+				t.Errorf("%s: wrong hash", fm.Path)
 			}
 		}
 	}
@@ -319,8 +319,8 @@ func TestConcurrentCrawlsShareOneMemo(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if h := f.FileMeta["/data/exp1/INCAR"].ContentHash; h != "" && !valid[h] {
-						t.Errorf("INCAR recorded with hash %q of no version", h)
+					if m, _ := f.Meta("/data/exp1/INCAR"); m.ContentHash != "" && !valid[m.ContentHash] {
+						t.Errorf("INCAR recorded with hash %q of no version", m.ContentHash)
 					}
 				}
 			}

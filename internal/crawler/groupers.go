@@ -2,7 +2,8 @@ package crawler
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"xtract/internal/extractors"
@@ -10,33 +11,26 @@ import (
 	"xtract/internal/store"
 )
 
-// annotate fills a group's extractor and candidate list from the library.
-// The first candidate becomes the initial extractor; the rest ride along
-// in group metadata for the dynamic plan.
+// annotate sets a group's extractor: the first the library offers for
+// sample, or keyword for untyped files, which default to free text.
 func annotate(g *family.Group, lib *extractors.Library, sample store.FileInfo) {
-	candidates := lib.CandidatesFor(sample)
-	if len(candidates) == 0 {
-		candidates = []string{"keyword"} // untyped files default to free text
+	g.Extractor = lib.Candidate(sample)
+	if g.Extractor == "" {
+		g.Extractor = "keyword"
 	}
-	g.Extractor = candidates[0]
-	if g.Metadata == nil {
-		g.Metadata = make(map[string]interface{})
-	}
-	g.Metadata["candidates"] = candidates
 }
 
 // SingleFileGrouper places every file in its own group — the most
-// granular grouping the paper supports.
+// granular grouping the paper supports. The groups' file lists are
+// windows of one slice.
 func SingleFileGrouper(lib *extractors.Library) GroupingFunc {
 	return func(dir string, files []store.FileInfo) []family.Group {
-		out := make([]family.Group, 0, len(files))
+		out := make([]family.Group, len(files))
+		paths := make([]string, len(files))
 		for i, fi := range files {
-			g := family.Group{
-				ID:    fmt.Sprintf("%s#f%d", dir, i),
-				Files: []string{fi.Path},
-			}
-			annotate(&g, lib, fi)
-			out = append(out, g)
+			paths[i] = fi.Path
+			out[i] = family.Group{ID: dir + "#f" + strconv.Itoa(i), Files: paths[i : i+1 : i+1]}
+			annotate(&out[i], lib, fi)
 		}
 		return out
 	}
@@ -46,28 +40,22 @@ func SingleFileGrouper(lib *extractors.Library) GroupingFunc {
 // extension, so (for example) all CSV shards of a dataset move and
 // extract together.
 func ExtensionGrouper(lib *extractors.Library) GroupingFunc {
+	key := func(fi store.FileInfo) string {
+		if fi.Extension == "" {
+			return "<none>"
+		}
+		return fi.Extension
+	}
 	return func(dir string, files []store.FileInfo) []family.Group {
-		byExt := make(map[string][]store.FileInfo)
-		for _, fi := range files {
-			key := fi.Extension
-			if key == "" {
-				key = "<none>"
-			}
-			byExt[key] = append(byExt[key], fi)
-		}
-		exts := make([]string, 0, len(byExt))
-		for e := range byExt {
-			exts = append(exts, e)
-		}
-		sort.Strings(exts)
+		byExt := slices.Clone(files) // the crawler keeps files in path order
+		slices.SortStableFunc(byExt, func(a, b store.FileInfo) int { return strings.Compare(key(a), key(b)) })
 		var out []family.Group
-		for _, e := range exts {
-			members := byExt[e]
-			g := family.Group{ID: fmt.Sprintf("%s#ext:%s", dir, e)}
-			for _, fi := range members {
-				g.Files = append(g.Files, fi.Path)
+		for i := 0; i < len(byExt); {
+			g := family.Group{ID: dir + "#ext:" + key(byExt[i])}
+			annotate(&g, lib, byExt[i])
+			for e := key(byExt[i]); i < len(byExt) && key(byExt[i]) == e; i++ {
+				g.Files = append(g.Files, byExt[i].Path)
 			}
-			annotate(&g, lib, members[0])
 			out = append(out, g)
 		}
 		return out
@@ -78,7 +66,7 @@ func ExtensionGrouper(lib *extractors.Library) GroupingFunc {
 // broadest grouping the paper supports.
 func DirectoryGrouper(lib *extractors.Library) GroupingFunc {
 	return func(dir string, files []store.FileInfo) []family.Group {
-		g := family.Group{ID: fmt.Sprintf("%s#dir", dir)}
+		g := family.Group{ID: dir + "#dir"}
 		for _, fi := range files {
 			g.Files = append(g.Files, fi.Path)
 		}
@@ -101,45 +89,25 @@ var vaspSet = map[string]bool{
 func MatIOGrouper(lib *extractors.Library) GroupingFunc {
 	single := SingleFileGrouper(lib)
 	return func(dir string, files []store.FileInfo) []family.Group {
-		var vasp []store.FileInfo
+		vasp := family.Group{ID: dir + "#vasp", Extractor: "matio"}
+		// The compute-heavy ASE analysis shares the structure files.
+		ase := family.Group{ID: dir + "#ase", Extractor: "ase"}
 		var rest []store.FileInfo
-		hasStructure := false
 		for _, fi := range files {
-			if vaspSet[strings.ToUpper(fi.Name)] {
-				vasp = append(vasp, fi)
-				up := strings.ToUpper(fi.Name)
-				if up == "POSCAR" || up == "CONTCAR" {
-					hasStructure = true
-				}
-			} else {
+			switch up := strings.ToUpper(fi.Name); {
+			case up == "POSCAR" || up == "CONTCAR":
+				ase.Files = append(ase.Files, fi.Path)
+				fallthrough
+			case vaspSet[up]:
+				vasp.Files = append(vasp.Files, fi.Path)
+			default:
 				rest = append(rest, fi)
 			}
 		}
 		var out []family.Group
-		if len(vasp) > 0 {
-			g := family.Group{
-				ID:        fmt.Sprintf("%s#vasp", dir),
-				Extractor: "matio",
-				Metadata:  map[string]interface{}{"candidates": []string{"matio"}},
-			}
-			for _, fi := range vasp {
-				g.Files = append(g.Files, fi.Path)
-			}
-			out = append(out, g)
-			if hasStructure {
-				// The compute-heavy ASE analysis shares the structure files.
-				ag := family.Group{
-					ID:        fmt.Sprintf("%s#ase", dir),
-					Extractor: "ase",
-					Metadata:  map[string]interface{}{"candidates": []string{"ase"}},
-				}
-				for _, fi := range vasp {
-					up := strings.ToUpper(fi.Name)
-					if up == "POSCAR" || up == "CONTCAR" {
-						ag.Files = append(ag.Files, fi.Path)
-					}
-				}
-				out = append(out, ag)
+		for _, g := range []family.Group{vasp, ase} {
+			if len(g.Files) > 0 {
+				out = append(out, g)
 			}
 		}
 		if len(rest) > 0 {

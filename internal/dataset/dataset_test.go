@@ -331,8 +331,11 @@ func TestExtractorOutputEncodesCanonically(t *testing.T) {
 			}
 			whole.Files = append(whole.Files, info.Path)
 			all[info.Path] = data
-			for _, name := range lib.CandidatesFor(info) {
+			for _, name := range lib.Names() {
 				ext, _ := lib.Get(name)
+				if !ext.Applies(info) {
+					continue
+				}
 				check(ext, &family.Group{ID: info.Path, Files: []string{info.Path}}, map[string][]byte{info.Path: data})
 			}
 		}

@@ -114,7 +114,10 @@ func walkCorpus(t testing.TB, fs *store.MemFS, lib *extractors.Library, visit fu
 			}
 			whole.Files = append(whole.Files, info.Path)
 			all[info.Path] = data
-			for _, name := range lib.CandidatesFor(info) {
+			for _, name := range lib.Names() {
+				if ext, _ := lib.Get(name); !ext.Applies(info) {
+					continue
+				}
 				visit(name, &family.Group{ID: info.Path, Files: []string{info.Path}}, map[string][]byte{info.Path: data})
 			}
 		}

@@ -96,8 +96,8 @@ func NewLibrary(exts ...Extractor) *Library {
 }
 
 // DefaultLibrary returns the full built-in extractor set. Registration
-// order matters: CandidatesFor returns matches in this order and the
-// first match becomes a group's initial extractor, so format-specific
+// order matters: Candidate takes the first match in this order as a
+// group's initial extractor, so format-specific
 // extractors come first and the free-text fallback (keyword) last.
 func DefaultLibrary() *Library {
 	return NewLibrary(
@@ -141,16 +141,15 @@ func (l *Library) Names() []string {
 	return out
 }
 
-// CandidatesFor returns the names of extractors whose Applies accepts the
-// file, in registration order. This is the crawl-time initial plan.
-func (l *Library) CandidatesFor(info store.FileInfo) []string {
-	var out []string
+// Candidate returns the first extractor, in registration order, whose
+// Applies accepts the file: a group's initial extractor. "" is none.
+func (l *Library) Candidate(info store.FileInfo) string {
 	for _, name := range l.order {
 		if l.byName[name].Applies(info) {
-			out = append(out, name)
+			return name
 		}
 	}
-	return out
+	return ""
 }
 
 // Suggestions pulls the dynamic-plan extractor suggestions out of a

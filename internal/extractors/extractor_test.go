@@ -55,6 +55,20 @@ func TestLibraryRegisterReplaces(t *testing.T) {
 	}
 }
 
+// candidatesFor lists every extractor whose Applies accepts the file, in
+// registration order.
+func candidatesFor(l *Library, info store.FileInfo) []string {
+	var out []string
+	for _, name := range l.Names() {
+		if e, _ := l.Get(name); e.Applies(info) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TestCandidatesFor: each file type is offered its extractor, and a
+// group's initial extractor, Candidate, is the first on offer.
 func TestCandidatesFor(t *testing.T) {
 	l := DefaultLibrary()
 	cases := []struct {
@@ -72,7 +86,10 @@ func TestCandidatesFor(t *testing.T) {
 		{info("archive.zip", store.MimeZip), "compressed"},
 	}
 	for _, c := range cases {
-		got := l.CandidatesFor(c.info)
+		got := candidatesFor(l, c.info)
+		if first := l.Candidate(c.info); len(got) == 0 || first != got[0] {
+			t.Errorf("Candidate(%s) = %q, want the first of %v", c.info.Name, first, got)
+		}
 		found := false
 		for _, name := range got {
 			if name == c.want {
@@ -84,8 +101,9 @@ func TestCandidatesFor(t *testing.T) {
 		}
 	}
 	// Directories never match.
-	if got := l.CandidatesFor(store.FileInfo{Name: "dir", IsDir: true}); len(got) != 0 {
-		t.Errorf("directory candidates = %v", got)
+	dir := store.FileInfo{Name: "dir", IsDir: true}
+	if got := candidatesFor(l, dir); len(got) != 0 || l.Candidate(dir) != "" {
+		t.Errorf("directory candidates = %v, %q", got, l.Candidate(dir))
 	}
 }
 

@@ -1,8 +1,6 @@
 package family
 
 import (
-	"sort"
-
 	"xtract/internal/fastjson"
 )
 
@@ -13,9 +11,9 @@ import (
 // and with the omitempty rules of family.go's struct tags, so the reader
 // on the other side is json.Unmarshal into a Family.
 
-// AppendFamily appends f's queue body to dst. It fails only on metadata
-// JSON cannot carry (NaN, Inf, an unencodable type).
-func AppendFamily(dst []byte, f *Family) ([]byte, error) {
+// AppendFamily appends f's queue body to dst. Every field is a string, a
+// number or a list of them, so nothing can fail.
+func AppendFamily(dst []byte, f *Family) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = fastjson.AppendString(dst, f.ID)
 	dst = append(dst, `,"files":`...)
@@ -36,10 +34,6 @@ func AppendFamily(dst []byte, f *Family) ([]byte, error) {
 			dst = fastjson.AppendStrings(dst, g.Files)
 			dst = append(dst, `,"extractor":`...)
 			dst = fastjson.AppendString(dst, g.Extractor)
-			var err error
-			if dst, err = appendMetadata(dst, g.Metadata); err != nil {
-				return dst, err
-			}
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -47,29 +41,24 @@ func AppendFamily(dst []byte, f *Family) ([]byte, error) {
 	dst = appendOptString(dst, `,"store":`, f.Store)
 	dst = appendOptString(dst, `,"base_path":`, f.BasePath)
 	if len(f.FileMeta) > 0 {
-		paths := make([]string, 0, len(f.FileMeta))
-		for p := range f.FileMeta {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		dst = append(dst, `,"file_meta":{`...)
-		for i, p := range paths {
+		dst = append(dst, `,"file_meta":[`...)
+		for i := range f.FileMeta {
+			m := &f.FileMeta[i]
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			m := f.FileMeta[p]
-			dst = fastjson.AppendString(dst, p)
-			dst = append(dst, `:{"size":`...)
+			dst = append(dst, `{"path":`...)
+			dst = fastjson.AppendString(dst, m.Path)
+			dst = append(dst, `,"size":`...)
 			dst = fastjson.AppendInt(dst, m.Size)
 			dst = appendOptString(dst, `,"extension":`, m.Extension)
 			dst = appendOptString(dst, `,"mime_type":`, m.MimeType)
 			dst = appendOptString(dst, `,"content_hash":`, m.ContentHash)
 			dst = append(dst, '}')
 		}
-		dst = append(dst, '}')
+		dst = append(dst, ']')
 	}
-	dst, err := appendMetadata(dst, f.Metadata)
-	return append(dst, '}'), err
+	return append(dst, '}')
 }
 
 func appendOptString(dst []byte, key, s string) []byte {
@@ -77,11 +66,4 @@ func appendOptString(dst []byte, key, s string) []byte {
 		return dst
 	}
 	return fastjson.AppendString(append(dst, key...), s)
-}
-
-func appendMetadata(dst []byte, m map[string]interface{}) ([]byte, error) {
-	if len(m) == 0 {
-		return dst, nil
-	}
-	return fastjson.AppendValue(append(dst, `,"metadata":`...), m)
 }

@@ -8,7 +8,8 @@ package family
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Group identifies zero or more files with a logical relationship (all
@@ -21,8 +22,6 @@ type Group struct {
 	Files []string `json:"files"`
 	// Extractor names the extractor to apply to this group.
 	Extractor string `json:"extractor"`
-	// Metadata is the group-level metadata record (g.m).
-	Metadata map[string]interface{} `json:"metadata,omitempty"`
 }
 
 // Family is a set of groups whose file sets intersect, packaged as a
@@ -39,15 +38,15 @@ type Family struct {
 	Store string `json:"store,omitempty"`
 	// BasePath is the directory the family was crawled from.
 	BasePath string `json:"base_path,omitempty"`
-	// FileMeta carries the crawl-time metadata record for each file
-	// (the initial f.m: size, extension, MIME type).
-	FileMeta map[string]FileMeta `json:"file_meta,omitempty"`
-	// Metadata is the family-level metadata record.
-	Metadata map[string]interface{} `json:"metadata,omitempty"`
+	// FileMeta is the crawl-time record (the initial f.m) of every file
+	// the groups touch, once each, in path order. It is read, never
+	// written: families of one crawl may share its backing array.
+	FileMeta []FileMeta `json:"file_meta,omitempty"`
 }
 
 // FileMeta is the minimal crawl-time file metadata record.
 type FileMeta struct {
+	Path      string `json:"path"`
 	Size      int64  `json:"size"`
 	Extension string `json:"extension,omitempty"`
 	MimeType  string `json:"mime_type,omitempty"`
@@ -66,23 +65,15 @@ func (f Family) TotalBytes() int64 {
 	return total
 }
 
-// TotalFiles returns the number of files assigned to the family.
-func (f Family) TotalFiles() int { return len(f.Files) }
-
-// Extractors returns the distinct extractors its groups need, sorted.
-func (f Family) Extractors() []string {
-	set := make(map[string]bool)
-	for _, g := range f.Groups {
-		if g.Extractor != "" {
-			set[g.Extractor] = true
-		}
+// Meta returns the record of one of the family's files.
+func (f *Family) Meta(path string) (FileMeta, bool) {
+	i, ok := slices.BinarySearchFunc(f.FileMeta, path, func(m FileMeta, p string) int {
+		return strings.Compare(m.Path, p)
+	})
+	if !ok {
+		return FileMeta{}, false
 	}
-	out := make([]string, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
+	return f.FileMeta[i], true
 }
 
 // Naive packages each group as its own single-group family — the
@@ -105,46 +96,18 @@ func Naive(groups []Group) []Family {
 // This is the quantity min-transfers minimizes (the paper reports 20,258
 // redundant files avoided on its 100k-file sample).
 func RedundantTransfers(families []Family) int {
-	count := make(map[string]int)
-	for _, fam := range families {
-		seen := make(map[string]bool)
-		for _, g := range fam.Groups {
-			for _, f := range g.Files {
-				if !seen[f] {
-					seen[f] = true
-					count[f]++
-				}
-			}
-		}
-	}
 	redundant := 0
-	for _, k := range count {
-		if k > 1 {
-			redundant += k - 1
-		}
+	for _, k := range familiesPerFile(families) {
+		redundant += k - 1
 	}
 	return redundant
 }
 
 // RedundantBytes is RedundantTransfers weighted by file size.
 func RedundantBytes(families []Family, sizes map[string]int64) int64 {
-	count := make(map[string]int)
-	for _, fam := range families {
-		seen := make(map[string]bool)
-		for _, g := range fam.Groups {
-			for _, f := range g.Files {
-				if !seen[f] {
-					seen[f] = true
-					count[f]++
-				}
-			}
-		}
-	}
 	var redundant int64
-	for f, k := range count {
-		if k > 1 {
-			redundant += int64(k-1) * sizes[f]
-		}
+	for f, k := range familiesPerFile(families) {
+		redundant += int64(k-1) * sizes[f]
 	}
 	return redundant
 }
@@ -153,16 +116,26 @@ func RedundantBytes(families []Family, sizes map[string]int64) int64 {
 // every member group, counted once per family that needs it.
 func TotalTransferBytes(families []Family, sizes map[string]int64) int64 {
 	var total int64
+	for f, k := range familiesPerFile(families) {
+		total += int64(k) * sizes[f]
+	}
+	return total
+}
+
+// familiesPerFile counts, for every file a group names, the families
+// whose groups name it.
+func familiesPerFile(families []Family) map[string]int {
+	count := make(map[string]int)
 	for _, fam := range families {
 		seen := make(map[string]bool)
 		for _, g := range fam.Groups {
 			for _, f := range g.Files {
 				if !seen[f] {
 					seen[f] = true
-					total += sizes[f]
+					count[f]++
 				}
 			}
 		}
 	}
-	return total
+	return count
 }

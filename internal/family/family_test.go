@@ -22,16 +22,6 @@ func TestNaive(t *testing.T) {
 	}
 }
 
-func TestFamilyExtractors(t *testing.T) {
-	f := Family{Groups: []Group{
-		{Extractor: "tabular"}, {Extractor: "keyword"}, {Extractor: "tabular"}, {Extractor: ""},
-	}}
-	got := f.Extractors()
-	if len(got) != 2 || got[0] != "keyword" || got[1] != "tabular" {
-		t.Fatalf("Extractors = %v", got)
-	}
-}
-
 func TestBuildGraph(t *testing.T) {
 	groups := []Group{
 		{ID: "g1", Files: []string{"/a", "/b", "/a"}}, // dup file ignored

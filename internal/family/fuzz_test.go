@@ -123,3 +123,77 @@ func FuzzMinTransfers(f *testing.F) {
 		}
 	})
 }
+
+// groupsWithRepeats derives groups whose shapes reach both of
+// MinTransfersN's paths: empty groups, groups wider than the size bound,
+// a file named twice in one group, files shared between groups, and
+// disjoint groups whose files ascend (the listing's shape) or do not.
+// Each file byte either names a new file or repeats one named before.
+func groupsWithRepeats(data []byte) []Group {
+	if len(data) == 0 {
+		return nil
+	}
+	descending := data[0]&0x80 != 0
+	n := int(data[0]) % 6
+	data = data[1:]
+	var named []string
+	groups := make([]Group, 0, n)
+	for i := 0; i < n && len(data) > 0; i++ {
+		size := int(data[0]) % 6
+		data = data[1:]
+		g := Group{ID: fmt.Sprintf("g%d", i), Extractor: "keyword"}
+		for ; size > 0 && len(data) > 0; size-- {
+			b := data[0]
+			data = data[1:]
+			if b&1 == 0 && len(named) > 0 {
+				g.Files = append(g.Files, named[int(b>>1)%len(named)])
+				continue
+			}
+			k := len(named)
+			if descending {
+				k = 99 - k
+			}
+			f := fmt.Sprintf("/d/f%02d", k)
+			named = append(named, f)
+			g.Files = append(g.Files, f)
+		}
+		groups = append(groups, g)
+	}
+	return groups
+}
+
+// FuzzMinTransfersDirectMatchesGraph holds MinTransfersN's direct answer
+// for disjoint groups to the graph path it skips: the same families, file
+// order and group order, and no more draws from the rng than the graph
+// path takes (none, as it cuts nothing). Every other input takes the
+// graph path itself.
+func FuzzMinTransfersDirectMatchesGraph(f *testing.F) {
+	f.Add([]byte{3, 2, 1, 3, 1, 5, 0, 1, 7}, int64(1), 4) // disjoint, ascending, one empty group
+	f.Add([]byte{0x83, 3, 1, 3, 5, 2, 7, 9}, int64(2), 4) // disjoint, descending
+	f.Add([]byte{2, 3, 1, 0, 3, 1, 1}, int64(3), 4)       // a file twice in one group
+	f.Add([]byte{2, 2, 1, 3, 2, 0, 5}, int64(4), 4)       // a file shared by two groups
+	f.Add([]byte{1, 5, 1, 3, 5, 7, 9}, int64(5), 2)       // one group over the bound
+	f.Add([]byte{5, 0, 0, 1, 1, 0, 0}, int64(6), 1)       // empty groups around one file
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, maxSize int) {
+		groups := groupsWithRepeats(data)
+		if maxSize < 0 {
+			maxSize = -maxSize
+		}
+		maxSize = maxSize%6 + 1
+
+		graphRng := rand.New(rand.NewSource(seed))
+		g := BuildGraph(groups)
+		want := assignGroups(g, cutToSize(g, maxSize, 2, graphRng), groups)
+
+		rng := rand.New(rand.NewSource(seed))
+		got := MinTransfersN(groups, maxSize, 2, rng)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("groups %v, maxSize %d: MinTransfersN =\n%#v\ngraph path =\n%#v", groups, maxSize, got, want)
+		}
+		if disjoint(groups, maxSize) {
+			if a, b := rng.Int63(), graphRng.Int63(); a != b {
+				t.Fatalf("groups %v: the direct answer and the graph path left the rng at different draws", groups)
+			}
+		}
+	})
+}

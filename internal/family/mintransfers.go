@@ -3,7 +3,9 @@ package family
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // Graph is the file co-occurrence multigraph: one node per file, one edge
@@ -14,6 +16,7 @@ type Graph struct {
 	Nodes []string
 	// Edges are unordered node-index pairs with multiplicity.
 	Edges []Edge
+	index map[string]int // each file's node index
 }
 
 // Edge joins node indices U and V with multiplicity W.
@@ -32,14 +35,13 @@ func BuildGraph(groups []Group) *Graph {
 		files += n
 		pairs += n * (n - 1) / 2
 	}
-	idx := make(map[string]int, files)
-	g := &Graph{}
+	g := &Graph{index: make(map[string]int, files)}
 	nodeOf := func(f string) int {
-		if i, ok := idx[f]; ok {
+		if i, ok := g.index[f]; ok {
 			return i
 		}
 		i := len(g.Nodes)
-		idx[f] = i
+		g.index[f] = i
 		g.Nodes = append(g.Nodes, f)
 		return i
 	}
@@ -125,21 +127,13 @@ func connectedComponents(g *Graph) [][]int {
 	for _, e := range g.Edges {
 		uf.union(e.U, e.V)
 	}
-	byRoot := make(map[int][]int)
+	// Components come in the order of their roots' indices.
+	byRoot := make([][]int, len(g.Nodes))
 	for i := range g.Nodes {
 		r := uf.find(i)
 		byRoot[r] = append(byRoot[r], i)
 	}
-	roots := make([]int, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, byRoot[r])
-	}
-	return out
+	return slices.DeleteFunc(byRoot, func(c []int) bool { return len(c) == 0 })
 }
 
 // kargerSplit runs one trial of Karger's randomized contraction on the
@@ -215,17 +209,16 @@ func kargerSplit(g *Graph, nodes []int, rng *rand.Rand) ([]int, []int) {
 // cutWeight sums the multiplicity of edges crossing the (a, b) node
 // partition — the number of group memberships a cut severs.
 func cutWeight(g *Graph, a, b []int) int {
-	inA := make(map[int]bool, len(a))
+	side := make([]uint8, len(g.Nodes)) // 1 for a, 2 for b
 	for _, n := range a {
-		inA[n] = true
+		side[n] = 1
 	}
-	inB := make(map[int]bool, len(b))
 	for _, n := range b {
-		inB[n] = true
+		side[n] = 2
 	}
 	w := 0
 	for _, e := range g.Edges {
-		if (inA[e.U] && inB[e.V]) || (inB[e.U] && inA[e.V]) {
+		if side[e.U]|side[e.V] == 3 {
 			w += e.W
 		}
 	}
@@ -252,7 +245,9 @@ func MinTransfers(groups []Group, maxSize int, rng *rand.Rand) []Family {
 // each oversized component is cut `trials` times and the cut severing the
 // fewest group memberships wins. Karger's success probability per trial
 // is Ω(1/n²), so extra trials trade crawl time for fewer redundant
-// transfers — the ablation DESIGN.md calls out.
+// transfers — the ablation DESIGN.md calls out. Groups that share no
+// file and each fit maxSize — every group of the single, extension and
+// directory groupers — are answered without building the graph.
 func MinTransfersN(groups []Group, maxSize, trials int, rng *rand.Rand) []Family {
 	if maxSize < 1 {
 		maxSize = 1
@@ -260,8 +255,51 @@ func MinTransfersN(groups []Group, maxSize, trials int, rng *rand.Rand) []Family
 	if trials < 1 {
 		trials = 1
 	}
+	if disjoint(groups, maxSize) {
+		// What the graph path gives, with no draw from rng as it cuts
+		// nothing: one family per non-empty group, in group order, sharing
+		// the group's backing arrays.
+		out := make([]Family, 0, len(groups))
+		for i := range groups {
+			if len(groups[i].Files) > 0 {
+				out = append(out, Family{ID: "fam-" + strconv.Itoa(len(out)),
+					Files: slices.Clip(groups[i].Files), Groups: groups[i : i+1 : i+1]})
+			}
+		}
+		return out
+	}
 	g := BuildGraph(groups)
 	return assignGroups(g, cutToSize(g, maxSize, trials, rng), groups)
+}
+
+// disjoint reports whether no file appears twice, in two groups or in
+// one, and no group is over maxSize: a graph that is cut nowhere. Files
+// ascending across the groups, as a listing gives them, need no copy.
+func disjoint(groups []Group, maxSize int) bool {
+	ascending, n := true, 0
+	var last string
+	for i := range groups {
+		files := groups[i].Files
+		if len(files) > maxSize {
+			return false
+		}
+		for _, f := range files {
+			if n > 0 && f <= last {
+				ascending = false
+			}
+			last = f
+			n++
+		}
+	}
+	if ascending {
+		return true
+	}
+	all := make([]string, 0, n)
+	for i := range groups {
+		all = append(all, groups[i].Files...)
+	}
+	slices.Sort(all)
+	return len(slices.Compact(all)) == n
 }
 
 // cutToSize is Algorithm 1's steps 1 and 2: queue g's connected
@@ -312,15 +350,11 @@ func assignGroups(g *Graph, final [][]int, groups []Group) []Family {
 		}
 		families[fi] = Family{ID: fmt.Sprintf("fam-%d", fi), Files: files}
 	}
-	nodeIdx := make(map[string]int, len(g.Nodes))
-	for i, f := range g.Nodes {
-		nodeIdx[f] = i
-	}
 	groupFam := make(map[string]int, len(groups)) // group ID -> family index
 	for _, grp := range groups {
 		votes := make(map[int]int)
 		for _, f := range grp.Files {
-			votes[famOf[nodeIdx[f]]]++
+			votes[famOf[g.index[f]]]++
 		}
 		best, bestVotes := 0, -1
 		for fi, v := range votes {

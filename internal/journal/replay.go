@@ -42,8 +42,8 @@ type JobState struct {
 	Cancelled bool     `json:"cancelled,omitempty"`
 	State     string   `json:"state,omitempty"`
 	Err       string   `json:"err,omitempty"`
-	// Families maps journaled family IDs to their group counts.
-	Families map[string]int `json:"families,omitempty"`
+	// Families counts the job's family_enqueued records, a resumed run's too.
+	Families FamilyCount `json:"families,omitempty"`
 	// Steps maps StepKey(...) to the journaled completion, for the steps
 	// recovery can seed: those with a cache key and an object body.
 	Steps        map[string]StepDone `json:"steps,omitempty"`
@@ -61,6 +61,20 @@ type JobState struct {
 	LeaseNode   string `json:"lease_node,omitempty"`
 	LeaseEpoch  int64  `json:"lease_epoch,omitempty"`
 	LeaseExpiry string `json:"lease_expiry,omitempty"`
+}
+
+// FamilyCount is JobState.Families. It reads a count, or the object of
+// family IDs a snapshot held when the fold kept one, as its length.
+type FamilyCount int
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (n *FamilyCount) UnmarshalJSON(b []byte) error {
+	var families map[string]json.RawMessage
+	if json.Unmarshal(b, &families) != nil {
+		return json.Unmarshal(b, (*int)(n))
+	}
+	*n = FamilyCount(len(families))
+	return nil
 }
 
 // State is the fold of a journal: everything recovery needs to restore
@@ -114,10 +128,7 @@ func (s *State) Apply(rec Record) {
 	}
 	switch rec.Type {
 	case RecFamilyEnqueued:
-		if job.Families == nil {
-			job.Families = make(map[string]int)
-		}
-		job.Families[rec.FamilyID] = rec.Groups
+		job.Families++
 		if len(job.DeadLetters) > 0 {
 			job.DeadLetters = slices.DeleteFunc(job.DeadLetters,
 				func(dl registry.DeadLetter) bool { return dl.FamilyID == rec.FamilyID })
@@ -198,7 +209,7 @@ func (j *JobState) addDeadLetter(dl registry.DeadLetter) {
 // the outcome and its dead-letter report only, and snapshots stay bounded
 // by live work, not job history.
 func (j *JobState) prune() {
-	j.Families = nil
+	j.Families = 0
 	j.Steps = nil
 	j.LeaseNode = ""
 	j.LeaseExpiry = ""

@@ -51,15 +51,7 @@ func appendJobJSON(b []byte, js *JobState) ([]byte, error) {
 	b = appendTrueField(b, `,"cancelled":true`, js.Cancelled)
 	b = appendStringField(b, `,"state":`, js.State)
 	b = appendStringField(b, `,"err":`, js.Err)
-	if len(js.Families) > 0 {
-		b = append(b, `,"families":{`...)
-		sep := false
-		for id, groups := range js.Families {
-			b = strconv.AppendInt(appendKey(b, sep, id), int64(groups), 10)
-			sep = true
-		}
-		b = append(b, '}')
-	}
+	b = appendIntField(b, `,"families":`, int64(js.Families))
 	if len(js.Steps) > 0 {
 		b = append(b, `,"steps":{`...)
 		sep := false
@@ -130,7 +122,6 @@ func (js *JobState) clone() *JobState {
 		}
 		out.Spec = &spec
 	}
-	out.Families = maps.Clone(js.Families)
 	out.Steps = maps.Clone(js.Steps)
 	for k, sd := range out.Steps {
 		if sd.CacheKey != nil {

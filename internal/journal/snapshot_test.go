@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,7 +24,7 @@ func TestSnapshotEncoderMatchesEncodingJSON(t *testing.T) {
 		`jo"b<1>\`: {ID: `jo"b<1>\`, Submitted: at.Format(time.RFC3339Nano),
 			Spec: &JobSpec{Repos: []RepoSpec{{Site: "s", Roots: []string{"/p", "/q"}, Grouper: "matio",
 				CrawlWorkers: 2, NoMinTransfers: true}}, Tenant: "alice"},
-			Families: map[string]int{"s:/p#0": 3, "päth/<&>#1": 0},
+			Families: 2,
 			Steps: map[string]StepDone{
 				StepKey("s:/p#0", "g\t0", "ключ"): {FamilyID: "s:/p#0", GroupID: "g\t0", Extractor: "ключ",
 					Cached: true, CacheKey: key, Metadata: json.RawMessage(`{"score":0.5,"terms":["a","b"]}`)},
@@ -158,7 +160,7 @@ func TestJobSnapshotIsACopy(t *testing.T) {
 	js, _ := j.JobSnapshot("job-1")
 	js.Spec.Repos[0].Roots[0] = "/elsewhere"
 	js.Spec.Tenant = "mallory"
-	js.Families["f2"] = 9
+	js.Families = 9
 	js.Steps[StepKey("f", "g", "x")].CacheKey.ContentHash = "forged"
 	js.Steps["other"] = StepDone{}
 	js.DeadLetters[0].Reason = "rewritten"
@@ -166,5 +168,56 @@ func TestJobSnapshotIsACopy(t *testing.T) {
 	after, _ := j.JobSnapshot("job-1")
 	if got, _ := json.Marshal(after); !bytes.Equal(got, want) {
 		t.Fatalf("mutating a snapshot reached the live fold:\nbefore %s\nafter  %s", want, got)
+	}
+}
+
+// TestParentJournalReplays: journals written while the fold kept a map of
+// family IDs — one a snapshot and the segment after it, one segments
+// alone — replay to the state that writer replayed them to, with the map
+// read as its length.
+func TestParentJournalReplays(t *testing.T) {
+	body, err := os.ReadFile("testdata/parent-journal/state.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want State
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	if n := want.Jobs["job-1"].Families; n != 4 {
+		t.Fatalf("the parent's families object read as %d, want its length 4", n)
+	}
+	for _, set := range []string{"snapshot", "segments"} {
+		dir, err := OSDir(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join("testdata/parent-journal", set, "*"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no journal files (%v)", set, err)
+		}
+		for _, name := range files {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := dir.Create(filepath.Base(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, info, err := Replay(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Errorf("%s (%+v) replays to\n%+v\nwant\n%+v", set, info, got.Jobs["job-1"], want.Jobs["job-1"])
+		}
 	}
 }

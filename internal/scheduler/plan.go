@@ -28,11 +28,13 @@ type Plan struct {
 
 	steps []Step // every step named so far; steps[:next] have been handed out
 	next  int
+	one   [1]Step // backs steps until a second is named
 }
 
 // BuildPlan derives the initial plan from each group's assigned extractor.
 func BuildPlan(fam *family.Family) *Plan {
-	p := &Plan{FamilyID: fam.ID, steps: make([]Step, 0, len(fam.Groups))}
+	p := &Plan{FamilyID: fam.ID}
+	p.steps = p.one[:0]
 	for _, g := range fam.Groups {
 		if g.Extractor != "" {
 			p.Add(g.ID, g.Extractor)

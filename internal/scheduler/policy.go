@@ -30,7 +30,8 @@ type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
 	// Place returns the chosen site name. home is the site where the
-	// family's files reside; alternates are other available sites.
+	// family's files reside; alternates are the other sites, valid during
+	// the call.
 	Place(fam *family.Family, home SiteState, alternates []SiteState) string
 }
 

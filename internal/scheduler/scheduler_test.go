@@ -15,9 +15,9 @@ func testFamily() *family.Family {
 			{ID: "g1", Extractor: "keyword", Files: []string{"/a.txt"}},
 			{ID: "g2", Extractor: "tabular", Files: []string{"/b.csv"}},
 		},
-		FileMeta: map[string]family.FileMeta{
-			"/a.txt": {Size: 100},
-			"/b.csv": {Size: 200},
+		FileMeta: []family.FileMeta{
+			{Path: "/a.txt", Size: 100},
+			{Path: "/b.csv", Size: 200},
 		},
 	}
 }
