@@ -47,7 +47,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -305,7 +305,7 @@ type Server struct {
 // passes one (ROADMAP item 1(f)).
 func NewServer(svc *core.Service, _ *registry.Registry, lib *extractors.Library, issuer *auth.Issuer) *Server {
 	if issuer == nil {
-		log.Printf("api: WARNING: no auth issuer configured — " +
+		slog.Warn("api: no auth issuer configured — " +
 			"authentication is DISABLED and every caller has full access " +
 			"as the default tenant; pass -auth-key to xtract serve (or an " +
 			"issuer to NewServer) to secure this API")
@@ -334,7 +334,7 @@ func (s *Server) SetCluster(n *cluster.Node) { s.cluster = n }
 func (s *Server) EnableDevTokens() { s.devTokens = true }
 
 // SetObserver attaches the observability layer: /metrics serves its
-// registry, /jobs/{id}/events serves its tracer, and every route counts
+// registry, /jobs/{id}/events serves its event ring, and every route counts
 // requests on xtract_http_requests_total.
 func (s *Server) SetObserver(o *obs.Observer) {
 	s.obs = o
@@ -741,10 +741,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := v.Record.ID
-	events, dropped := s.obs.Tracer().Events(id)
-	if events == nil {
-		events = []obs.Event{}
-	}
+	events, dropped := s.obs.Events(id)
 	writeJSON(w, http.StatusOK, JobEventsResponse{JobID: id, Events: events, Dropped: dropped})
 }
 

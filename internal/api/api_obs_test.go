@@ -1,10 +1,14 @@
 package api_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,6 +108,16 @@ func TestJobEventsEndpoint(t *testing.T) {
 		first[obs.EvTaskCompleted] < first[obs.EvJobCompleted]) {
 		t.Errorf("trace not ordered crawl -> dispatch -> completion: %v", first)
 	}
+	// Events are written as typed attributes and rendered when read: the
+	// JSON carries them as attrs, and detail still reads as k=v text.
+	for typ, key := range map[string]string{
+		obs.EvBatchDispatched: "task", obs.EvTaskCompleted: "task", obs.EvFamilyDone: "family",
+	} {
+		ev := events[first[typ]]
+		if s, _ := ev.Attrs[key].(string); s == "" || !strings.Contains(ev.Detail, key+"="+s) {
+			t.Errorf("%s: attrs %v, detail %q; want %s in both", typ, ev.Attrs, ev.Detail, key)
+		}
+	}
 
 	// Unknown jobs 404 with a machine-readable code.
 	if _, _, err := client.JobEvents("job-999"); err == nil {
@@ -113,6 +127,90 @@ func TestJobEventsEndpoint(t *testing.T) {
 		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeNotFound || apiErr.Status != 404 {
 			t.Fatalf("err = %#v", err)
 		}
+	}
+}
+
+// syncBuffer is a process log the test reads while the service writes it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRejectedDocumentIsReported: a document the destination refuses is
+// not silent. The job's trace names the family, the stage and the cause,
+// and the process log has one record per rejected document. It swaps
+// slog's default logger, so it does not run in parallel.
+func TestRejectedDocumentIsReported(t *testing.T) {
+	var logged syncBuffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logged, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	client, _, deps, done := newTestServerDeps(t, false, nil)
+	defer done()
+	// A file where the documents' directory belongs: every write fails.
+	if err := deps.Dest.Write("/metadata", []byte("in the way")); err != nil {
+		t.Fatal(err)
+	}
+	jobID := runQuickJob(t, client)
+	st, err := client.JobStatus(jobID)
+	if err != nil || st.Stats == nil || st.Stats.FamiliesDone == 0 {
+		t.Fatalf("status = %+v, %v", st, err)
+	}
+
+	// Validation runs behind the job: wait for every family's verdict.
+	var rejected []obs.Event
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		events, _, err := client.JobEvents(jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejected = rejected[:0]
+		for _, ev := range events {
+			if ev.Type == obs.EvFamilyRejected {
+				rejected = append(rejected, ev)
+			}
+		}
+		if int64(len(rejected)) >= st.Stats.FamiliesDone || time.Now().After(deadline) {
+			break
+		}
+	}
+	if int64(len(rejected)) != st.Stats.FamiliesDone {
+		t.Fatalf("%d family_rejected events for %d families", len(rejected), st.Stats.FamiliesDone)
+	}
+	for _, ev := range rejected {
+		if ev.Attrs["family"] == "" || ev.Attrs["stage"] != "write" ||
+			!strings.Contains(fmt.Sprint(ev.Attrs["cause"]), store.ErrNotDir.Error()) {
+			t.Fatalf("family_rejected attrs = %v, want a family, stage write and the store's error", ev.Attrs)
+		}
+	}
+
+	var records int
+	for _, line := range strings.Split(strings.TrimSpace(logged.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("process log line %q: %v", line, err)
+		}
+		if rec["msg"] == obs.EvFamilyRejected {
+			if rec["level"] != "WARN" || rec["job"] != jobID || rec["stage"] != "write" {
+				t.Fatalf("process log record = %v", rec)
+			}
+			records++
+		}
+	}
+	if records != len(rejected) {
+		t.Fatalf("%d family_rejected records in the process log, want %d", records, len(rejected))
 	}
 }
 

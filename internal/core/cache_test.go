@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -274,13 +272,13 @@ func TestCacheMetricsAndEvents(t *testing.T) {
 	if hashed, reused := h.svc.crawlTotals.FilesHashed.Load(), h.svc.crawlTotals.HashesReused.Load(); hashed != warm.Crawl.FilesSeen || reused != warm.Crawl.FilesSeen || h.svc.crawlTotals.FingerprintErrors.Load() != 0 {
 		t.Fatalf("fingerprint reads = %d, reused = %d, want %d each", hashed, reused, warm.Crawl.FilesSeen)
 	}
-	events, _ := h.svc.obs.Tracer().Events(warm.JobID)
+	events, _ := h.svc.obs.Events(warm.JobID)
 	var cacheHits, dispatched int
 	for _, ev := range events {
 		switch ev.Type {
 		case "crawl_finished":
-			if want := fmt.Sprintf("hashed=0 reused=%d fingerprint_errors=0", warm.Crawl.FilesSeen); !strings.HasSuffix(ev.Detail, want) {
-				t.Fatalf("crawl_finished = %q, want suffix %q", ev.Detail, want)
+			if ev.Attrs["hashed"] != int64(0) || ev.Attrs["reused"] != warm.Crawl.FilesSeen || ev.Attrs["fingerprint_errors"] != int64(0) {
+				t.Fatalf("crawl_finished attrs = %v, want hashed 0, reused %d, fingerprint_errors 0", ev.Attrs, warm.Crawl.FilesSeen)
 			}
 		case "step_cache_hit":
 			cacheHits++

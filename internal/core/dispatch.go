@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -285,8 +286,8 @@ func (d *dispatcher) submit() {
 		t.id, t.submitted = ids[i], now
 		d.out[t.id] = t
 		d.s.obsDispatchLatency.ObserveDuration(now.Sub(t.ready))
-		d.s.obs.Emitf(d.jobID, obs.EvBatchDispatched, "task=%s steps=%d endpoint=%s",
-			t.id, len(t.refs), d.reqs[i].EndpointID)
+		d.s.obs.Event(d.jobID, obs.EvBatchDispatched, slog.String("task", t.id),
+			slog.Int("steps", len(t.refs)), slog.String("endpoint", d.reqs[i].EndpointID))
 		if d.s.hedge.Enabled {
 			// Tell the pump the task is live so it can arm the hedge
 			// deadline and note it on its steps for loser cancellation.

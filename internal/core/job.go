@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"strconv"
 	"strings"
@@ -205,7 +206,7 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 			Type: journal.RecJobSubmitted, JobID: jobID, Spec: &spec,
 		})
 	}
-	s.obs.Emit(jobID, obs.EvJobSubmitted, "repositories="+strings.Join(rec.Repositories, ","))
+	s.obs.Event(jobID, obs.EvJobSubmitted, slog.Any("repositories", rec.Repositories))
 	j := s.runJob(ctx, rec, spec, groupers, submitted)
 	if err = ticket.Wait(); err != nil {
 		s.obsJournalErrors.Inc() // durability degraded, not correctness: see journalAppend
@@ -337,15 +338,16 @@ func (p *pump) startCrawls(repos []journal.RepoSpec, groupers []crawler.Grouping
 		c.Totals = &s.crawlTotals
 		p.crawlsPending++
 		go func(spec journal.RepoSpec) {
-			s.obs.Emitf(p.JobID, obs.EvCrawlStarted, "site=%s roots=%d", spec.Site, len(spec.Roots))
+			s.obs.Event(p.JobID, obs.EvCrawlStarted, slog.String("site", spec.Site), slog.Int("roots", len(spec.Roots)))
 			stats, err := c.Crawl(p.jobCtx, spec.Roots)
 			if err != nil {
 				p.crawlErr <- err
 				return
 			}
-			s.obs.Emitf(p.JobID, obs.EvCrawlFinished, "site=%s files=%d families=%d hashed=%d reused=%d fingerprint_errors=%d",
-				spec.Site, stats.FilesSeen, stats.FamiliesEmitted,
-				stats.FilesHashed, stats.HashesReused, stats.FingerprintErrors)
+			s.obs.Event(p.JobID, obs.EvCrawlFinished, slog.String("site", spec.Site),
+				slog.Int64("files", stats.FilesSeen), slog.Int64("families", stats.FamiliesEmitted),
+				slog.Int64("hashed", stats.FilesHashed), slog.Int64("reused", stats.HashesReused),
+				slog.Int64("fingerprint_errors", stats.FingerprintErrors))
 			p.crawlDone <- stats
 		}(spec)
 	}
@@ -578,13 +580,11 @@ func (p *pump) teardown(cancelJob context.CancelFunc) {
 // its record — rather than COMPLETE or hung.
 func (p *pump) conclude() JobStats {
 	s := p.s
-	state := registry.JobComplete
-	event := obs.EvJobCompleted
+	state, event, emit := registry.JobComplete, obs.EvJobCompleted, s.obs.Event
 	var errMsg string
 	switch {
 	case p.FamiliesFailed > 0 || (p.StepsDeadLettered > 0 && !p.withinStragglerBudget()):
-		state = registry.JobFailed
-		event = obs.EvJobFailed
+		state, event, emit = registry.JobFailed, obs.EvJobFailed, s.obs.Warn
 		errMsg = fmt.Sprintf("core: %d families failed, %d steps dead-lettered",
 			p.FamiliesFailed, p.StepsDeadLettered)
 	case p.FamiliesDegraded > 0:
@@ -597,8 +597,9 @@ func (p *pump) conclude() JobStats {
 	}
 	s.endJob(p.JobID, p.tenant, state, errMsg)
 	p.publish(state, errMsg)
-	s.obs.Emitf(p.JobID, event, "families_failed=%d steps_dead_lettered=%d cache_hits=%d elapsed=%s",
-		p.FamiliesFailed, p.StepsDeadLettered, p.CacheHits, p.Elapsed)
+	emit(p.JobID, event, slog.Int64("families_failed", p.FamiliesFailed),
+		slog.Int64("steps_dead_lettered", p.StepsDeadLettered), slog.Int64("cache_hits", p.CacheHits),
+		slog.Duration("elapsed", p.Elapsed))
 	return p.JobStats
 }
 
@@ -623,18 +624,16 @@ func (p *pump) fail(err error) {
 		// split-brain write the fence exists to stop.
 		return
 	}
-	state := registry.JobFailed
-	event := obs.EvJobFailed
+	state, event, emit := registry.JobFailed, obs.EvJobFailed, s.obs.Warn
 	if errors.Is(err, context.Canceled) {
 		if s.draining.Load() {
 			return
 		}
-		state = registry.JobCancelled
-		event = obs.EvJobCancelled
+		state, event, emit = registry.JobCancelled, obs.EvJobCancelled, s.obs.Event
 	}
 	s.endJob(p.JobID, p.tenant, state, err.Error())
 	p.publish(state, err.Error())
-	s.obs.Emit(p.JobID, event, err.Error())
+	emit(p.JobID, event, slog.String("cause", err.Error()))
 }
 
 // endJob journals a job's terminal state, durable before visible: a client

@@ -21,6 +21,7 @@ import (
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
 	"xtract/internal/journal"
+	"xtract/internal/obs"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
@@ -441,7 +442,7 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 // bareService is a service with one compute site and nothing running
 // beside it: no validator, no prefetcher, no endpoint workers. What a
 // test measures on it, the pump did.
-func bareService(t testing.TB, c *cache.Cache) *Service {
+func bareService(t testing.TB, c *cache.Cache, o *obs.Observer) *Service {
 	t.Helper()
 	clk := clock.NewReal()
 	_, prefetch, prefetchDone, results := NewQueues(clk)
@@ -449,7 +450,7 @@ func bareService(t testing.TB, c *cache.Cache) *Service {
 		Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: transfer.NewFabric(clk),
 		Library:       extractors.DefaultLibrary(),
 		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: c,
+		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: c, Obs: o,
 	})
 	svc.AddSite(&Site{Name: "x", Store: store.NewMemFS("x", nil), TransferID: "x",
 		Compute: faas.NewEndpoint("ep-x", 1, clk)})
@@ -465,7 +466,7 @@ func bareService(t testing.TB, c *cache.Cache) *Service {
 // their own ends to the same rule in their packages.)
 func TestWarmStepCostDoesNotGrowWithMetadata(t *testing.T) {
 	c := cache.New(0)
-	svc := bareService(t, c)
+	svc := bareService(t, c, nil)
 	p := newPump(svc, registry.JobRecord{ID: svc.jobs.mint()}, false, nil)
 	fam := family.Family{
 		ID: "x:/d#0", Store: "x", BasePath: "/d", Files: []string{"/d/a.txt"},

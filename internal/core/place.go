@@ -1,6 +1,8 @@
 package core
 
 import (
+	"log/slog"
+
 	"xtract/internal/cache"
 	"xtract/internal/family"
 	"xtract/internal/journal"
@@ -106,8 +108,8 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 	st.stageAttempts = 1
 	p.s.cfg.PrefetchQueue.Send(st.prefetchBody)
 	p.setFamPhase(st, famStaging)
-	p.s.obs.Emitf(p.JobID, obs.EvFamilyStaging, "family=%s dst=%s files=%d",
-		st.fam.ID, st.site.Name, len(pairs))
+	p.s.obs.Event(p.JobID, obs.EvFamilyStaging, slog.String("family", st.fam.ID),
+		slog.String("dst", st.site.Name), slog.Int("files", len(pairs)))
 }
 
 // failStaging is staging's failure transition: the retry policy either
@@ -122,9 +124,8 @@ func (p *pump) failStaging(st *famState, cause string) {
 		p.failFamily(st.fam.ID, cause, st.stageAttempts)
 		return
 	}
-	p.s.obs.Emitf(p.JobID, obs.EvTaskRetried,
-		"family=%s staging attempt=%d backoff=%s cause=%s",
-		st.fam.ID, st.stageAttempts, d, cause)
+	p.s.obs.Event(p.JobID, obs.EvTaskRetried, slog.String("family", st.fam.ID),
+		slog.Int("attempt", st.stageAttempts), slog.Duration("backoff", d), slog.String("cause", cause))
 }
 
 // failFamily abandons a family: the trace records why, and the job
@@ -136,7 +137,7 @@ func (p *pump) failFamily(famID, reason string, attempts int) {
 	p.FamiliesDeadLettered++
 	dl := registry.DeadLetter{Kind: "family", FamilyID: famID, Attempts: attempts, Reason: reason, At: p.s.clk.Now()}
 	p.addDeadLetter(dl)
-	p.s.obs.Emitf(p.JobID, obs.EvFamilyFailed, "family=%s abandoned: %s", famID, reason)
+	p.s.obs.Warn(p.JobID, obs.EvFamilyFailed, slog.String("family", famID), slog.String("cause", reason))
 	p.journal(journal.Record{Type: journal.RecFamilyFailed, FamilyID: famID, At: dl.At, Attempt: attempts, Reason: reason})
 }
 
@@ -190,9 +191,9 @@ func (p *pump) feed(site *Site, it dispatchItem) bool {
 		return false // job over; the controller reclaimed the slot internally
 	}
 	if waited {
-		p.s.obs.Emitf(p.JobID, obs.EvTenantThrottled,
-			"tenant=%s family=%s group=%s extractor=%s waited for task slot",
-			p.tenant, it.sp.FamilyID, it.sp.GroupID, it.extractor)
+		p.s.obs.Event(p.JobID, obs.EvTenantThrottled, slog.String("tenant", p.tenant),
+			slog.String("family", it.sp.FamilyID), slog.String("group", it.sp.GroupID),
+			slog.String("extractor", it.extractor))
 	}
 	it.readyAt = p.s.clk.Now()
 	select {

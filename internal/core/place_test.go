@@ -12,6 +12,7 @@ import (
 	"xtract/internal/faas"
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
+	"xtract/internal/obs"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
@@ -79,37 +80,56 @@ func TestSeededPlacementIsTheSameEveryRun(t *testing.T) {
 // committing its step — here from the result cache, so no shard is
 // involved — and sending its validation record allocates what the
 // family's state holds and no more. The count is what the pump reaches
-// today; the race detector changes it, so the test skips under it.
+// today; with an observer, each event it writes (step_cache_hit,
+// family_done) adds one, the ring's copy of its attributes. The race
+// detector changes the counts, so the test skips under it.
 func TestOneGroupFamilyStaysInItsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	c := cache.New(0)
-	svc := bareService(t, c)
-	p := newPump(svc, registry.JobRecord{ID: svc.jobs.mint()}, false, nil)
-	fam := family.Family{
-		ID: "x:/d#0", Store: "x", BasePath: "/d", Files: []string{"/d/a.txt"},
-		Groups:   []family.Group{{ID: "/d#f0", Files: []string{"/d/a.txt"}, Extractor: "keyword"}},
-		FileMeta: []family.FileMeta{{Path: "/d/a.txt", Size: 3, ContentHash: "h"}},
-	}
-	key, ok := p.stepCacheKey(&famState{fam: fam}, scheduler.Step{GroupID: "/d#f0", Extractor: "keyword"})
-	if !ok {
-		t.Fatal("step not cacheable")
-	}
-	c.PutRaw(key, fastjson.Raw(`{"keywords":["abc"]}`))
-	p.placeFamily(fam) // warm the pump's buffers
-	p.flushResults()
-	allocs := testing.AllocsPerRun(20, func() {
-		p.placeFamily(fam)
-		p.flushResults()
-	})
-	if p.CacheHits != p.FamiliesDone || p.CacheMisses != 0 {
-		t.Fatalf("hits %d, misses %d, families %d; want every family served by one hit",
-			p.CacheHits, p.CacheMisses, p.FamiliesDone)
-	}
-	t.Logf("%.0f allocations to place and commit a one-group family", allocs)
-	const budget = 9 // 16 before the family's state was sized for one group
-	if allocs > budget {
-		t.Fatalf("placing and committing a one-group family allocated %.0f times, budget %d", allocs, budget)
+	const budget = 7
+	for _, tc := range []struct {
+		name   string
+		o      *obs.Observer
+		budget float64
+	}{
+		{"observer off", nil, budget},
+		{"observer on", obs.New(clock.NewReal()), budget + 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cache.New(0)
+			svc := bareService(t, c, tc.o)
+			p := newPump(svc, registry.JobRecord{ID: svc.jobs.mint()}, false, nil)
+			fam := family.Family{
+				ID: "x:/d#0", Store: "x", BasePath: "/d", Files: []string{"/d/a.txt"},
+				Groups:   []family.Group{{ID: "/d#f0", Files: []string{"/d/a.txt"}, Extractor: "keyword"}},
+				FileMeta: []family.FileMeta{{Path: "/d/a.txt", Size: 3, ContentHash: "h"}},
+			}
+			key, ok := p.stepCacheKey(&famState{fam: fam}, scheduler.Step{GroupID: "/d#f0", Extractor: "keyword"})
+			if !ok {
+				t.Fatal("step not cacheable")
+			}
+			c.PutRaw(key, fastjson.Raw(`{"keywords":["abc"]}`))
+			p.placeFamily(fam) // warm the pump's buffers
+			p.flushResults()
+			for i := 0; i < 1024; i++ { // and fill the job's trace: its growth is not per event
+				tc.o.Event(p.JobID, "warm")
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				p.placeFamily(fam)
+				p.flushResults()
+			})
+			if p.CacheHits != p.FamiliesDone || p.CacheMisses != 0 {
+				t.Fatalf("hits %d, misses %d, families %d; want every family served by one hit",
+					p.CacheHits, p.CacheMisses, p.FamiliesDone)
+			}
+			t.Logf("%.0f allocations to place and commit a one-group family", allocs)
+			if allocs > tc.budget {
+				t.Fatalf("placing and committing a one-group family allocated %.0f times, budget %.0f", allocs, tc.budget)
+			}
+			if evs, _ := tc.o.Events(p.JobID); tc.o != nil && evs[len(evs)-1].Type != obs.EvFamilyDone {
+				t.Fatalf("last event %+v, want family_done", evs[len(evs)-1])
+			}
+		})
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"strconv"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -300,8 +300,8 @@ func (p *pump) takeFamilies(fams []family.Family) {
 			// and journal record.
 			continue
 		}
-		p.s.obs.Emit(p.JobID, obs.EvFamilyEnqueued, "family="+fam.ID+" groups="+strconv.Itoa(len(fam.Groups))+
-			" bytes="+strconv.FormatInt(fam.TotalBytes(), 10))
+		p.s.obs.Event(p.JobID, obs.EvFamilyEnqueued, slog.String("family", fam.ID),
+			slog.Int("groups", len(fam.Groups)), slog.Int64("bytes", fam.TotalBytes()))
 		p.journal(journal.Record{
 			Type: journal.RecFamilyEnqueued, FamilyID: fam.ID, Groups: len(fam.Groups),
 		})
@@ -360,8 +360,8 @@ func (p *pump) takeStaged(res *transfer.PrefetchResult) {
 		return
 	}
 	p.BytesStaged += res.Bytes
-	p.s.obs.Emitf(p.JobID, obs.EvFamilyStaged, "family=%s bytes=%d elapsed=%s",
-		res.FamilyID, res.Bytes, res.Elapsed)
+	p.s.obs.Event(p.JobID, obs.EvFamilyStaged, slog.String("family", res.FamilyID),
+		slog.Int64("bytes", res.Bytes), slog.Duration("elapsed", res.Elapsed))
 	p.setFamPhase(st, famRunning)
 	p.advance(st)
 }
@@ -389,8 +389,8 @@ func (p *pump) intakeDeadlines() bool {
 			if d.st.phase == famStaging {
 				d.st.stageAttempts++
 				p.s.cfg.PrefetchQueue.Send(d.st.prefetchBody)
-				p.s.obs.Emitf(p.JobID, obs.EvFamilyStaging, "family=%s re-staged attempt=%d",
-					d.st.fam.ID, d.st.stageAttempts)
+				p.s.obs.Event(p.JobID, obs.EvFamilyStaging, slog.String("family", d.st.fam.ID),
+					slog.Int("attempt", d.st.stageAttempts))
 			}
 		default:
 			progress = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"log/slog"
 	"time"
 
 	"xtract/internal/cache"
@@ -151,11 +152,11 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState) Recovere
 		if js.Cancelled {
 			disposition = "cancelled"
 		}
-		s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=%s state=%s", disposition, js.State)
+		s.obs.Event(js.ID, obs.EvJobRecovered, slog.String("disposition", disposition), slog.String("state", js.State))
 		return RecoveredJob{JobID: js.ID, Disposition: disposition, State: js.State, Err: js.Err}
 	}
 	if owner, foreign := s.leasedElsewhere(js); foreign {
-		s.obs.Emitf(js.ID, obs.EvJobRecovered, "disposition=foreign owner=%s", owner)
+		s.obs.Event(js.ID, obs.EvJobRecovered, slog.String("disposition", "foreign"), slog.String("owner", owner))
 		return RecoveredJob{JobID: js.ID, Disposition: "foreign", Owner: owner}
 	}
 	if js.Spec == nil {
@@ -200,7 +201,7 @@ func (s *Service) leasedElsewhere(js *journal.JobState) (owner string, foreign b
 // than dropping it; the fold answers for it from then on.
 func (s *Service) failRecovered(jobID, ten, msg string) RecoveredJob {
 	s.endJob(jobID, ten, registry.JobFailed, msg)
-	s.obs.Emitf(jobID, obs.EvJobRecovered, "disposition=failed err=%s", msg)
+	s.obs.Warn(jobID, obs.EvJobRecovered, slog.String("disposition", "failed"), slog.String("cause", msg))
 	return RecoveredJob{JobID: jobID, Disposition: "failed", State: string(registry.JobFailed), Err: msg}
 }
 
@@ -228,8 +229,8 @@ func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, spec jour
 			reconciled++
 		}
 	}
-	s.obs.Emitf(js.ID, obs.EvJobRecovered,
-		"disposition=resumed families=%d steps_reconciled=%d", int(js.Families), reconciled)
+	s.obs.Event(js.ID, obs.EvJobRecovered, slog.String("disposition", "resumed"),
+		slog.Int64("families", int64(js.Families)), slog.Int("steps_reconciled", reconciled))
 	submitted, _ := time.Parse(time.RFC3339Nano, js.Submitted)
 	rec := newRecord(js.ID, spec, submitted)
 	rec.Recovered = true

@@ -161,7 +161,7 @@ func TestUnrecoverableEndpointDeadLetters(t *testing.T) {
 	}
 
 	// Trace events record the retry/quarantine lifecycle.
-	events, _ := ob.Tracer().Events(stats.JobID)
+	events, _ := ob.Events(stats.JobID)
 	var sawRetried, sawDeadLettered bool
 	for _, ev := range events {
 		switch ev.Type {

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"log/slog"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -215,8 +215,8 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	p.StepsProcessed++
 	if o.cached {
 		p.CacheHits++
-		p.s.obs.Emit(p.JobID, obs.EvStepCacheHit, "family="+st.fam.ID+" group="+step.GroupID+
-			" extractor="+step.Extractor+" replayed from cache")
+		p.s.obs.Event(p.JobID, obs.EvStepCacheHit, slog.String("family", st.fam.ID),
+			slog.String("group", step.GroupID), slog.String("extractor", step.Extractor))
 		return
 	}
 	p.ExtractorTime += o.dur
@@ -259,9 +259,9 @@ func (p *pump) failStep(st *famState, idx int, cause, detail string) bool {
 		return false
 	}
 	ss.phase = stepBackoff
-	p.s.obs.Emitf(p.JobID, obs.EvTaskRetried,
-		"family=%s group=%s extractor=%s attempt=%d backoff=%s cause=%s",
-		st.fam.ID, step.GroupID, step.Extractor, ss.attempts, d, reason)
+	p.s.obs.Event(p.JobID, obs.EvTaskRetried, slog.String("family", st.fam.ID),
+		slog.String("group", step.GroupID), slog.String("extractor", step.Extractor),
+		slog.Int("attempt", ss.attempts), slog.Duration("backoff", d), slog.String("cause", reason))
 	p.journal(journal.Record{
 		Type: journal.RecStepRetried, FamilyID: st.fam.ID,
 		GroupID: step.GroupID, Extractor: step.Extractor,
@@ -325,9 +325,9 @@ func (p *pump) deadLetterStep(st *famState, idx int, cause string) {
 		At:        p.s.clk.Now(),
 	}
 	p.addDeadLetter(dl)
-	p.s.obs.Emitf(p.JobID, obs.EvTaskDeadLettered,
-		"family=%s group=%s extractor=%s attempts=%d cause=%s",
-		st.fam.ID, step.GroupID, step.Extractor, ss.attempts, cause)
+	p.s.obs.Warn(p.JobID, obs.EvTaskDeadLettered, slog.String("family", st.fam.ID),
+		slog.String("group", step.GroupID), slog.String("extractor", step.Extractor),
+		slog.Int("attempts", ss.attempts), slog.String("cause", cause))
 	// The record is the dead letter itself, At included: recovery hands
 	// it back to a job that ends before it runs again.
 	p.journal(journal.Record{
@@ -359,15 +359,16 @@ func (p *pump) resolveTask(ev shardEvent) {
 	case info.Status == faas.TaskFailed:
 		// Includes a hedge loser's cancellation, which every step's
 		// settled phase swallows.
-		p.s.obs.Emitf(p.JobID, obs.EvTaskFailed, "task=%s steps=%d err=%s", t.id, len(t.refs), info.Err)
+		p.s.obs.Event(p.JobID, obs.EvTaskFailed, slog.String("task", t.id), slog.Int("steps", len(t.refs)),
+			slog.String("cause", info.Err))
 		p.failSteps(t.refs, "failed", info.Err)
 	case info.Status == faas.TaskLost:
 		// Allocation ended (Figure 8 restart): resubmit with bounded
 		// retry so a permanently dead endpoint cannot loop forever.
-		p.s.obs.Emitf(p.JobID, obs.EvTaskLost, "task=%s steps=%d", t.id, len(t.refs))
+		p.s.obs.Event(p.JobID, obs.EvTaskLost, slog.String("task", t.id), slog.Int("steps", len(t.refs)))
 		if requeued := p.failSteps(t.refs, "lost", info.Err); requeued > 0 {
 			p.TasksResubmitted++
-			p.s.obs.Emitf(p.JobID, obs.EvTaskResubmitted, "task=%s steps=%d requeued after backoff", t.id, requeued)
+			p.s.obs.Event(p.JobID, obs.EvTaskResubmitted, slog.String("task", t.id), slog.Int("steps", requeued))
 		}
 	}
 	p.advanceAll(t.refs) // suggestions and ended backoffs become new steps
@@ -383,11 +384,11 @@ func (p *pump) resolveResult(t *task, body []byte) {
 	var result taskResult
 	if err := decodeTaskResult(body, &result); err != nil {
 		p.failSteps(t.refs, "bad_result", err.Error())
-		p.s.obs.Emitf(p.JobID, obs.EvTaskFailed, "task=%s bad result payload", t.id)
+		p.s.obs.Event(p.JobID, obs.EvTaskFailed, slog.String("task", t.id), slog.String("cause", "bad_result"))
 		return
 	}
-	p.s.obs.Emitf(p.JobID, obs.EvTaskCompleted, "task=%s extractor=%s outcomes=%d",
-		t.id, result.Extractor, len(result.Outcomes))
+	p.s.obs.Event(p.JobID, obs.EvTaskCompleted, slog.String("task", t.id),
+		slog.String("extractor", result.Extractor), slog.Int("outcomes", len(result.Outcomes)))
 	// The estimator is fed submit→terminal latency, the span the hedge
 	// deadline is armed over, so endpoint queueing is priced into the
 	// deadline, not counted against it. Without hedging nobody asks it.
@@ -431,17 +432,14 @@ func (p *pump) finishFamily(st *famState) {
 	if st.deadLettered > 0 {
 		if !p.withinStragglerBudget() {
 			p.FamiliesFailed++
-			p.s.obs.Emitf(p.JobID, obs.EvFamilyFailed,
-				"family=%s failed: %d steps dead-lettered", st.fam.ID, st.deadLettered)
+			p.s.obs.Warn(p.JobID, obs.EvFamilyFailed, slog.String("family", st.fam.ID),
+				slog.Int("dead_lettered", st.deadLettered))
 			return
 		}
 		// Inside the straggler budget: the family finishes degraded — its
 		// validation record ships below with the metadata of the steps
 		// that did finish, instead of discarding the whole family.
 		p.FamiliesDegraded++
-		p.s.obs.Emitf(p.JobID, obs.EvFamilyDone,
-			"family=%s degraded: %d steps dead-lettered within straggler budget",
-			st.fam.ID, st.deadLettered)
 	}
 	// The file list and the metadata are encoded once, here, in path and
 	// key order, and from there on only spliced: into the record, then
@@ -470,7 +468,8 @@ func (p *pump) finishFamily(st *famState) {
 	p.resultBuf, _ = validate.AppendRecord(p.resultBuf, &rec)
 	p.pendingResults = append(p.pendingResults, p.resultBuf[start:])
 	p.FamiliesDone++
-	p.s.obs.Emit(p.JobID, obs.EvFamilyDone, "family="+st.fam.ID+" steps="+strconv.Itoa(len(st.steps)))
+	p.s.obs.Event(p.JobID, obs.EvFamilyDone, slog.String("family", st.fam.ID), slog.Int("steps", len(st.steps)),
+		slog.Int("dead_lettered", st.deadLettered))
 }
 
 // appendResults appends the family's metadata as fastjson.AppendRawMap
@@ -594,9 +593,9 @@ func (p *pump) dispatchHedge(st *famState, idx int) {
 	}
 	if p.feed(target, dispatchItem{extractor: step.Extractor, hedge: true, ref: stepRef{st, idx}, sp: sp}) {
 		p.StepsHedged++
-		p.s.obs.Emitf(p.JobID, obs.EvTaskHedged,
-			"family=%s group=%s extractor=%s site=%s speculative duplicate",
-			st.fam.ID, step.GroupID, step.Extractor, target.Name)
+		p.s.obs.Event(p.JobID, obs.EvTaskHedged, slog.String("family", st.fam.ID),
+			slog.String("group", step.GroupID), slog.String("extractor", step.Extractor),
+			slog.String("site", target.Name))
 	}
 }
 

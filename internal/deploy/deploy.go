@@ -113,7 +113,7 @@ type Deployment struct {
 	// Tenants is the tenancy controller (nil unless Options.Tenants).
 	Tenants *tenant.Controller
 	// Obs is the deployment-wide observability layer: every substrate
-	// reports into its metric registry and per-job event tracer.
+	// reports into its metric registry and per-job event ring.
 	Obs    *obs.Observer
 	Queues struct {
 		Families, Prefetch, PrefetchDone, Results *queue.Queue

@@ -3,6 +3,7 @@ package faas
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,6 +276,7 @@ func (e *Endpoint) runHandler(ctx context.Context, fn *function, payload []byte)
 			result = nil
 			err = fmt.Errorf("faas: handler panic on endpoint %s: %v", e.ID, r)
 			e.svc.HandlerPanics.Add(1)
+			slog.Error("faas: handler panic", slog.String("endpoint", e.ID), slog.Any("panic", r))
 		}
 	}()
 	return fn.handler(ctx, payload)

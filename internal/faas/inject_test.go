@@ -1,7 +1,10 @@
 package faas
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +37,14 @@ func TestInjectedDispatchFaultMarksTaskLost(t *testing.T) {
 	}
 }
 
+// TestHandlerPanicBecomesTaskFailed: a panicking handler fails its task,
+// is counted, and leaves one error record in the process log. It swaps
+// slog's default logger, so it does not run in parallel.
 func TestHandlerPanicBecomesTaskFailed(t *testing.T) {
+	var logged bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logged, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
 	svc, ep, cancel := newLiveService(t, 1)
 	defer cancel()
 	calls := 0
@@ -57,6 +67,13 @@ func TestHandlerPanicBecomesTaskFailed(t *testing.T) {
 	}
 	if svc.HandlerPanics.Load() != 1 {
 		t.Fatalf("HandlerPanics = %d, want 1", svc.HandlerPanics.Load())
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(logged.Bytes(), &rec); err != nil {
+		t.Fatalf("process log %q: want one JSON record: %v", logged.String(), err)
+	}
+	if rec["level"] != "ERROR" || rec["endpoint"] != "ep1" || rec["panic"] != "kaboom" {
+		t.Fatalf("process log record = %v, want ERROR with endpoint ep1 and panic kaboom", rec)
 	}
 	// The worker survived the panic: the endpoint still executes tasks.
 	if ep.Stopped() {

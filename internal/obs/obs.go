@@ -3,23 +3,23 @@ package obs
 import "xtract/internal/clock"
 
 // Observer bundles the two halves of the observability layer — the
-// metric registry and the per-job event tracer — so components can be
+// metric registry and the per-job event ring — so components can be
 // handed a single optional dependency. A nil *Observer disables both
 // halves at near-zero cost.
 type Observer struct {
 	// Metrics is the labeled metric registry served on GET /metrics.
 	Metrics *Registry
-	// Events is the per-job event tracer served on
-	// GET /api/v1/jobs/{id}/events.
-	Events *Tracer
+	// trace holds the per-job events served on
+	// GET /api/v1/jobs/{id}/events (Event, Warn, Events).
+	trace ring
 }
 
-// New returns an Observer with a fresh registry and a default-bounded
-// tracer stamping events from clk (nil selects the wall clock).
+// New returns an Observer with a fresh registry and an event ring
+// stamping events from clk.
 func New(clk clock.Clock) *Observer {
 	return &Observer{
 		Metrics: NewRegistry(),
-		Events:  NewTracer(clk, 0, 0),
+		trace:   ring{clk: clk, jobs: make(map[string]*jobTrace)},
 	}
 }
 
@@ -31,22 +31,4 @@ func (o *Observer) Reg() *Registry {
 		return nil
 	}
 	return o.Metrics
-}
-
-// Tracer returns the event tracer, or nil for a nil/tracer-less observer.
-func (o *Observer) Tracer() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Events
-}
-
-// Emit forwards to the tracer; a no-op on a nil observer.
-func (o *Observer) Emit(jobID, typ, detail string) {
-	o.Tracer().Emit(jobID, typ, detail)
-}
-
-// Emitf forwards to the tracer; a no-op on a nil observer.
-func (o *Observer) Emitf(jobID, typ, format string, args ...interface{}) {
-	o.Tracer().Emitf(jobID, typ, format, args...)
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,10 +190,17 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var o *Observer
-	o.Emit("job-1", EvJobSubmitted, "")
+	o.Event("job-1", EvJobSubmitted, slog.String("site", "local"))
 	o.Reg().Counter("c", "h").Inc()
-	if evs, _ := o.Tracer().Events("job-1"); evs != nil {
-		t.Fatalf("nil tracer returned events %v", evs)
+	// No trace reads as an empty one, never nil: the API serves [].
+	if evs, dropped := o.Events("job-1"); evs == nil || len(evs) != 0 || dropped != 0 {
+		t.Fatalf("nil observer returned events %#v, dropped %d", evs, dropped)
+	}
+	// An event without a job has no trace to go to.
+	o = New(clock.NewReal())
+	o.Event("", EvJobSubmitted)
+	if len(o.trace.jobs) != 0 {
+		t.Fatalf("an event without a job made %d traces", len(o.trace.jobs))
 	}
 }
 
@@ -223,12 +231,12 @@ func TestConcurrentUse(t *testing.T) {
 
 func TestTracerOrderAndRing(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
-	tr := NewTracer(clk, 4, 3)
-	tr.Emit("job-1", EvJobSubmitted, "start")
-	tr.Emit("job-1", EvCrawlStarted, "site=local")
-	tr.Emit("job-1", EvBatchDispatched, "task=1")
+	o := New(clk)
+	o.Event("job-1", EvJobSubmitted, slog.Any("repositories", []string{"a:/x", "b:/y"}))
+	o.Event("job-1", EvCrawlStarted, slog.String("site", "local"), slog.Int("roots", 2))
+	o.Event("job-1", EvFamilyStaged, slog.String("family", "f"), slog.Duration("elapsed", 1500*time.Millisecond))
 
-	evs, dropped := tr.Events("job-1")
+	evs, dropped := o.Events("job-1")
 	if dropped != 0 || len(evs) != 3 {
 		t.Fatalf("events = %d dropped = %d", len(evs), dropped)
 	}
@@ -237,93 +245,146 @@ func TestTracerOrderAndRing(t *testing.T) {
 			t.Fatalf("events out of order: %+v", evs)
 		}
 	}
-	if evs[0].Type != EvJobSubmitted || evs[2].Detail != "task=1" {
-		t.Fatalf("events = %+v", evs)
+	// Text is made at read: detail in emission order, attrs typed; a
+	// kind the ring has no encoding for is kept as its text.
+	if evs[0].Type != EvJobSubmitted || evs[0].Attrs["repositories"] != "[a:/x b:/y]" || !evs[0].Time.Equal(time.Unix(1000, 0)) {
+		t.Fatalf("first event = %+v", evs[0])
+	}
+	if evs[1].Detail != "site=local roots=2" || evs[1].Attrs["site"] != "local" || evs[1].Attrs["roots"] != int64(2) {
+		t.Fatalf("crawl_started = %+v", evs[1])
+	}
+	if evs[2].Detail != "family=f elapsed=1.5s" || evs[2].Attrs["elapsed"] != 1500*time.Millisecond {
+		t.Fatalf("family_staged = %+v", evs[2])
 	}
 
-	// Overflow the 3-slot ring: the oldest events drop off.
-	tr.Emit("job-1", EvTaskCompleted, "task=1")
-	tr.Emit("job-1", EvJobCompleted, "")
-	evs, dropped = tr.Events("job-1")
-	if dropped != 2 || len(evs) != 3 {
-		t.Fatalf("after overflow: events = %d dropped = %d", len(evs), dropped)
+	long := strings.Repeat("x", 300) // past the encoder's stack buffer
+	o.Event("job-2", EvTaskFailed, slog.String("cause", long))
+	if evs, _ := o.Events("job-2"); len(evs) != 1 || evs[0].Attrs["cause"] != long {
+		t.Fatalf("a long attribute came back as %+v", evs)
 	}
-	if evs[0].Type != EvBatchDispatched || evs[2].Type != EvJobCompleted {
-		t.Fatalf("ring order wrong: %+v", evs)
+
+	// Overflow the job's ring: the oldest events drop off, counted.
+	for i := 0; i < perJob; i++ {
+		o.Event("job-1", EvTaskCompleted, slog.Int("n", i))
+	}
+	o.Event("job-1", EvJobCompleted)
+	evs, dropped = o.Events("job-1")
+	if dropped != 4 || len(evs) != perJob {
+		t.Fatalf("after overflow: events = %d dropped = %d, want %d and 4", len(evs), dropped, perJob)
+	}
+	if last := evs[perJob-1]; evs[0].Attrs["n"] != int64(1) || last.Type != EvJobCompleted || last.Detail != "" || len(last.Attrs) != 0 {
+		t.Fatalf("ring order wrong: first %+v, last %+v", evs[0], evs[perJob-1])
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("events out of order at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+		}
 	}
 }
 
 // TestTracerEventBudget: a long-lived process finishing full-ring jobs
-// holds at most maxEvents events whatever the per-job and per-tracer
+// holds at most maxEvents events whatever the per-job and per-job-count
 // limits admit; whole oldest traces go first, the emitting job's never
 // does, and a retained job's trace reads as before.
 func TestTracerEventBudget(t *testing.T) {
-	const jobs, perJob = 600, 1024
-	tr := NewTracer(nil, 0, 0)
+	const jobs = 600
+	o := New(clock.NewReal())
 	held := func() (n int) {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		for _, jt := range tr.jobs {
-			n += len(jt.events)
+		o.trace.mu.Lock()
+		defer o.trace.mu.Unlock()
+		for _, jt := range o.trace.jobs {
+			n += len(jt.entries)
 		}
-		if n != tr.held {
-			t.Fatalf("tracer counts %d held events, its traces hold %d", tr.held, n)
+		if n != o.trace.held {
+			t.Fatalf("ring counts %d held events, its traces hold %d", o.trace.held, n)
 		}
 		return n
 	}
 	for j := 0; j < jobs; j++ {
 		id := fmt.Sprintf("job-%d", j)
 		for e := 0; e < perJob+10; e++ { // ten past the ring: the oldest ten drop
-			tr.Emit(id, EvTaskCompleted, "task")
+			o.Event(id, EvTaskCompleted, slog.String("task", "t"))
 		}
 		if n := held(); n > maxEvents {
-			t.Fatalf("after %d jobs the tracer holds %d events, budget %d", j+1, n, maxEvents)
+			t.Fatalf("after %d jobs the ring holds %d events, budget %d", j+1, n, maxEvents)
 		}
 	}
-	if want := maxEvents / perJob; tr.Jobs() != want {
-		t.Fatalf("%d traces retained, want the newest %d", tr.Jobs(), want)
+	if want := maxEvents / perJob; len(o.trace.jobs) != want {
+		t.Fatalf("%d traces retained, want the newest %d", len(o.trace.jobs), want)
 	}
-	evs, dropped := tr.Events(fmt.Sprintf("job-%d", jobs-1))
+	evs, dropped := o.Events(fmt.Sprintf("job-%d", jobs-1))
 	if len(evs) != perJob || dropped != 10 {
 		t.Fatalf("newest job: %d events, %d dropped; want %d and 10", len(evs), dropped, perJob)
 	}
-	if evs, _ := tr.Events("job-0"); evs != nil {
+	if evs, _ := o.Events("job-0"); len(evs) != 0 {
 		t.Fatalf("the oldest job still has %d events", len(evs))
 	}
 
 	// The budget never costs the emitting job its own trace: while the
 	// oldest retained job is the one emitting, nothing is evicted (its
 	// ring bounds the overshoot), and the next job to emit makes room.
-	tr2 := NewTracer(nil, 0, 2*maxEvents)
-	tr2.Emit("job-a", EvJobSubmitted, "")
-	tr2.Emit("job-b", EvJobSubmitted, "")
-	for e := 0; e < maxEvents; e++ {
-		tr2.Emit("job-a", EvTaskCompleted, "task")
+	o = New(clock.NewReal())
+	o.Event("job-a", EvJobSubmitted)
+	for e := 1; e < maxEvents; e++ { // the rest of the budget: job-0 one short of full
+		o.Event(fmt.Sprintf("job-%d", e/perJob), EvTaskCompleted)
 	}
-	if evs, _ := tr2.Events("job-a"); len(evs) != maxEvents+1 {
-		t.Fatalf("emitting job kept %d of its %d events", len(evs), maxEvents+1)
+	for e := 1; e < perJob; e++ {
+		o.Event("job-a", EvTaskCompleted)
 	}
-	tr2.Emit("job-b", EvJobCompleted, "")
-	if evs, _ := tr2.Events("job-a"); evs != nil {
+	if evs, _ := o.Events("job-a"); len(evs) != perJob || held() != maxEvents+perJob-1 {
+		t.Fatalf("emitting job kept %d of its %d events, ring holds %d", len(evs), perJob, held())
+	}
+	o.Event("job-0", EvJobCompleted)
+	if evs, _ := o.Events("job-a"); len(evs) != 0 {
 		t.Fatal("the oldest trace outlived a full budget once another job emitted")
 	}
-	if evs, _ := tr2.Events("job-b"); len(evs) != 2 {
-		t.Fatalf("job-b has %d events, want 2", len(evs))
+	if evs, _ := o.Events("job-0"); len(evs) != perJob || held() != maxEvents {
+		t.Fatalf("job-0 has %d events, want %d; ring holds %d", len(evs), perJob, held())
 	}
 }
 
+// TestTracerEvictsOldJobs: the ring keeps the newest maxJobs traces.
 func TestTracerEvictsOldJobs(t *testing.T) {
-	tr := NewTracer(nil, 2, 8)
-	tr.Emit("job-1", EvJobSubmitted, "")
-	tr.Emit("job-2", EvJobSubmitted, "")
-	tr.Emit("job-3", EvJobSubmitted, "")
-	if tr.Jobs() != 2 {
-		t.Fatalf("jobs retained = %d, want 2", tr.Jobs())
+	o := New(clock.NewReal())
+	for j := 0; j <= maxJobs; j++ {
+		o.Event(fmt.Sprintf("job-%d", j), EvJobSubmitted)
 	}
-	if evs, _ := tr.Events("job-1"); len(evs) != 0 {
-		t.Fatalf("evicted job still has events: %v", evs)
+	if len(o.trace.jobs) != maxJobs {
+		t.Fatalf("jobs retained = %d, want %d", len(o.trace.jobs), maxJobs)
 	}
-	if evs, _ := tr.Events("job-3"); len(evs) != 1 {
-		t.Fatalf("job-3 events = %v", evs)
+	if evs, _ := o.Events("job-0"); evs == nil || len(evs) != 0 {
+		t.Fatalf("evicted job has events %#v, want none", evs)
+	}
+	if evs, _ := o.Events(fmt.Sprintf("job-%d", maxJobs)); len(evs) != 1 {
+		t.Fatalf("newest job events = %v", evs)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestEventStaysInItsBudget: an event costs one allocation, the ring's
+// copy of its attributes, whatever they are; nothing on a nil observer.
+// The race detector changes allocation counts, so the test skips under it.
+func TestEventStaysInItsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	o := New(clock.NewReal())
+	fam, task := "x:/d#0", "task-1"
+	emit := func(o *Observer) func() {
+		return func() {
+			o.Event("job-1", EvBatchDispatched, slog.String("task", task), slog.Int("steps", 300),
+				slog.String("family", fam))
+		}
+	}
+	for e := 0; e < perJob; e++ { // the ring is full: no growth is counted
+		emit(o)()
+	}
+	if n := testing.AllocsPerRun(1000, emit(o)); n > 1 {
+		t.Fatalf("an event with three attributes allocated %.0f times, budget 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, emit(nil)); n != 0 {
+		t.Fatalf("an event on a nil observer allocated %.0f times, budget 0", n)
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is Xtract's runtime observability layer: a concurrent
 // registry of named, labeled metrics (counters, gauges, bounded-bucket
-// histograms) with Prometheus text-format exposition, plus a lightweight
-// per-job event tracer. Every metric is a fixed-size aggregate, safe to
+// histograms) with Prometheus text-format exposition, plus a bounded
+// per-job event ring. Every metric is a fixed-size aggregate, safe to
 // leave enabled on a live service under heavy traffic.
 //
 // The emission path is lock-free and allocation-free: series values are

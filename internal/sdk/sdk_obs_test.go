@@ -81,7 +81,11 @@ func TestListJobsAndEventsClient(t *testing.T) {
 	ts := canned(t, map[string]string{
 		"/api/v1/jobs": `{"jobs":[{"job_id":"job-1","state":"COMPLETE"}],"total":5}`,
 		"/api/v1/jobs/job-1/events": `{"job_id":"job-1","events":[` +
-			`{"seq":1,"type":"job_submitted"},{"seq":2,"type":"job_completed"}],"dropped":3}`,
+			`{"seq":1,"type":"job_submitted","detail":"repositories=[local:/data]","attrs":{"repositories":"[local:/data]"}},` +
+			`{"seq":2,"type":"batch_dispatched","detail":"task=t-1 steps=2","attrs":{"task":"t-1","steps":2}},` +
+			`{"seq":3,"type":"task_completed","detail":"task=t-1","attrs":{"task":"t-1"}},` +
+			`{"seq":4,"type":"family_done","detail":"family=f steps=2","attrs":{"family":"f","steps":2}},` +
+			`{"seq":5,"type":"job_completed"}],"dropped":3}`,
 	}, "")
 	defer ts.Close()
 	c := New(ts.URL, "")
@@ -91,11 +95,20 @@ func TestListJobsAndEventsClient(t *testing.T) {
 		t.Fatalf("list = %+v, %v", list, err)
 	}
 	events, dropped, err := c.JobEvents("job-1")
-	if err != nil || dropped != 3 || len(events) != 2 {
+	if err != nil || dropped != 3 || len(events) != 5 {
 		t.Fatalf("events = %+v, dropped %d, %v", events, dropped, err)
 	}
-	if events[0].Type != obs.EvJobSubmitted || events[1].Type != obs.EvJobCompleted {
+	if events[0].Type != obs.EvJobSubmitted || events[4].Type != obs.EvJobCompleted || events[4].Attrs != nil {
 		t.Fatalf("events = %+v", events)
+	}
+	// Attributes arrive typed as JSON has them, beside the rendered detail.
+	for i, key := range map[int]string{1: "task", 2: "task", 3: "family"} {
+		if ev := events[i]; ev.Detail == "" || ev.Attrs[key] == nil {
+			t.Fatalf("%s: detail %q, attrs %v; want both, with %s", ev.Type, ev.Detail, ev.Attrs, key)
+		}
+	}
+	if events[1].Attrs["steps"] != float64(2) {
+		t.Fatalf("batch_dispatched steps = %#v, want 2", events[1].Attrs["steps"])
 	}
 }
 

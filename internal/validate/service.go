@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +30,8 @@ type Service struct {
 	Validated atomic.Int64
 	Rejected  atomic.Int64
 
-	// obsEvents is nil-safe when Instrument is never called.
-	obsEvents *obs.Tracer
+	// obs is nil-safe when Instrument is never called.
+	obs *obs.Observer
 
 	// batch makes a batch exclusive from its receive to its delete, so
 	// that a Drain which finds nothing visible has also waited out the
@@ -40,10 +41,10 @@ type Service struct {
 
 // Instrument wires the service to the observability layer: the two
 // outcome counters exposed as one family labeled by result (read at
-// scrape time), and family_validated trace events on the owning job's
-// trace.
+// scrape time), and family_validated and family_rejected events on the
+// owning job's trace.
 func (s *Service) Instrument(o *obs.Observer) {
-	s.obsEvents = o.Tracer()
+	s.obs = o
 	const name, help = "xtract_validate_records_total", "Validation outcomes by result."
 	o.Reg().CounterFunc(name, help, map[string]string{"result": "rejected"}, s.Rejected.Load)
 	o.Reg().CounterFunc(name, help, map[string]string{"result": "validated"}, s.Validated.Load)
@@ -101,23 +102,32 @@ func (s *Service) receive() bool {
 func (s *Service) process(body []byte) {
 	var rec Record
 	if err := DecodeRecord(body, &rec); err != nil {
-		s.Rejected.Add(1)
+		s.reject(&rec, "decode", err)
 		return
 	}
 	doc, err := s.Validator.Validate(rec)
 	if err != nil {
-		s.Rejected.Add(1)
+		s.reject(&rec, "validate", err)
 		return
 	}
 	var buf [128]byte // the path is built on the stack; only the string is allocated
 	p := append(append(buf[:0], s.DestPrefix...), '/')
 	path := string(append(appendSanitized(p, rec.FamilyID), ".json"...))
 	if err := s.Dest.Write(path, doc); err != nil {
-		s.Rejected.Add(1)
+		s.reject(&rec, "write", err)
 		return
 	}
 	s.Validated.Add(1)
-	s.obsEvents.Emit(rec.JobID, obs.EvFamilyValidated, "family="+rec.FamilyID+" doc="+path)
+	s.obs.Event(rec.JobID, obs.EvFamilyValidated, slog.String("family", rec.FamilyID), slog.String("doc", path))
+}
+
+// reject counts a record whose document was not written and says which
+// family it was, where it stopped and why: on the job's trace and in the
+// process log. A record that does not decode may name no job or family.
+func (s *Service) reject(rec *Record, stage string, err error) {
+	s.Rejected.Add(1)
+	s.obs.Warn(rec.JobID, obs.EvFamilyRejected, slog.String("family", rec.FamilyID),
+		slog.String("stage", stage), slog.String("cause", err.Error()))
 }
 
 // appendSanitized appends a family ID as a safe file name: every rune
