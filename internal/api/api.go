@@ -23,8 +23,10 @@
 //
 // Job routes are tenant-scoped: the tenant is derived from the bearer
 // token's identity, a caller only sees its own jobs, and cross-tenant
-// access answers 403 with code "tenant_forbidden". Quota refusals answer
-// 429 with code "tenant_quota" and a Retry-After header.
+// access answers 403 with code "tenant_forbidden". The service decides
+// whether a submission may start (core.Service.Submit); the API only
+// translates its refusals: 429 "tenant_quota" and 503 "overloaded", each
+// with a Retry-After header, and 400 "unknown_site" or "unknown_grouper".
 //
 // When the server runs as a cluster node (SetCluster), job routes are
 // placement-aware: a submission hashed to another node — or a request
@@ -318,9 +320,9 @@ func NewServer(svc *core.Service, _ *registry.Registry, lib *extractors.Library,
 	}
 }
 
-// SetTenants attaches the tenancy controller: submissions go through
-// admission control and GET /api/v1/tenants/{id}/usage serves its
-// accounting.
+// SetTenants attaches the tenancy controller whose accounting
+// GET /api/v1/tenants/{id}/usage serves: the service's own
+// (core.Config.Tenants), which admits its submissions.
 func (s *Server) SetTenants(t *tenant.Controller) { s.tenants = t }
 
 // SetCluster makes the server placement-aware: submissions hash to an
@@ -360,20 +362,14 @@ func (s *Server) EnableSearch(ix *index.Index, dest store.Store, destPrefix stri
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, scope string, h http.HandlerFunc) {
-		// Resolve the route's request counter once at registration; the
-		// fallback covers an observer attached after Handler() was built.
-		// The count comes before the auth check, so refused requests are
-		// counted too.
-		counter := s.obsHTTP.With(pattern)
+		// Every route's series exists from the start. The count comes
+		// before the auth check, so refused requests are counted too.
+		s.obsHTTP.With(pattern)
 		if scope != "" {
 			h = s.requireScope(scope, h)
 		}
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			if counter != nil {
-				counter.Inc()
-			} else {
-				s.obsHTTP.With(pattern).Inc()
-			}
+			s.obsHTTP.With(pattern).Inc()
 			h(w, r)
 		})
 	}
@@ -541,19 +537,14 @@ func placementKey(ten string, req JobRequest) string {
 	return b.String()
 }
 
-// jobSpec copies a request into the job spec the service runs and journals,
-// or says with which error code the request is refused.
-func (s *Server) jobSpec(req JobRequest) (spec journal.JobSpec, code string, err error) {
+// jobSpec copies a request into the job spec the service runs and journals.
+// A request naming no repository is refused here; whether its sites and
+// groupers exist is the service's to say.
+func jobSpec(req JobRequest) (spec journal.JobSpec, err error) {
 	if len(req.Repos) == 0 {
-		return spec, CodeInvalidRequest, fmt.Errorf("api: no repositories")
+		return spec, fmt.Errorf("api: no repositories")
 	}
 	for _, repo := range req.Repos {
-		if _, err := s.svc.Grouper(repo.Grouper); err != nil {
-			return spec, CodeUnknownGrouper, fmt.Errorf("api: %w", err)
-		}
-		if _, ok := s.svc.Site(repo.Site); !ok {
-			return spec, CodeUnknownSite, fmt.Errorf("api: unknown site %q", repo.Site)
-		}
 		spec.Repos = append(spec.Repos, journal.RepoSpec{
 			Site:           repo.Site,
 			Roots:          repo.Roots,
@@ -564,7 +555,7 @@ func (s *Server) jobSpec(req JobRequest) (spec journal.JobSpec, code string, err
 		})
 	}
 	spec.NoCache = req.NoCache
-	return spec, "", nil
+	return spec, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -573,58 +564,47 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	spec, code, err := s.jobSpec(req)
+	spec, err := jobSpec(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, code, err)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-
-	// Placement runs after validation (a malformed request should 400
-	// here, not bounce between nodes) and before admission, so the rate
-	// tokens and job-slot reservation are consumed on the node that will
-	// actually run the job.
-	ten := tenantOf(r)
+	// On a cluster the node the submission hashes to answers it, refusal
+	// included, so its rate tokens and job slot are taken where it runs.
+	spec.Tenant = tenantOf(r)
 	if s.cluster != nil {
-		owner, addr, ok := s.cluster.Coordinator().Owner(placementKey(ten, req))
+		owner, addr, ok := s.cluster.Coordinator().Owner(placementKey(spec.Tenant, req))
 		if ok && owner != s.cluster.ID() && addr != "" {
 			redirectToNode(w, r, addr)
 			return
 		}
 	}
-
-	// Overload shedding runs before admission: a service past its queue
-	// or task-slot watermark refuses new work outright — 503 with a
-	// Retry-After — rather than letting it pile onto an already deep
-	// backlog. Shedding consumes none of the tenant's rate tokens.
-	if retry, shed := s.svc.ShedCheck(); shed {
-		retryLater(w, http.StatusServiceUnavailable, CodeOverloaded, retry,
-			fmt.Errorf("api: service overloaded, retry after %s", retry))
-		return
-	}
-
-	// Admission control runs after request validation — a 400 must never
-	// consume the tenant's rate tokens or leak a job-slot reservation.
-	// The reservation taken here is consumed by the pump's JobStarted.
-	if err := s.tenants.AdmitJob(ten); err != nil {
-		var qe *tenant.QuotaError
-		if errors.As(err, &qe) {
-			retryLater(w, http.StatusTooManyRequests, CodeTenantQuota, qe.RetryAfter, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-
 	// The job runs under the server's lifecycle context, not the request's:
 	// it outlives this handler, and shutdown still reaches its pump.
-	spec.Tenant = ten
 	job, err := s.svc.Submit(s.baseCtx, spec)
 	if err != nil {
-		s.tenants.CancelAdmission(ten) // the job never started to consume it
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		refuseSubmission(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, JobResponse{JobID: job.ID})
+}
+
+// refuseSubmission answers a submission the service refused.
+func refuseSubmission(w http.ResponseWriter, err error) {
+	var quota *tenant.QuotaError
+	var overload *core.OverloadError
+	switch {
+	case errors.As(err, &quota):
+		retryLater(w, http.StatusTooManyRequests, CodeTenantQuota, quota.RetryAfter, err)
+	case errors.As(err, &overload):
+		retryLater(w, http.StatusServiceUnavailable, CodeOverloaded, overload.RetryAfter, err)
+	case errors.Is(err, core.ErrUnknownSite):
+		writeError(w, http.StatusBadRequest, CodeUnknownSite, err)
+	case errors.Is(err, core.ErrUnknownGrouper):
+		writeError(w, http.StatusBadRequest, CodeUnknownGrouper, err)
+	default:
+		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+	}
 }
 
 // retryLater answers a submission refused for now, with the Retry-After

@@ -7,6 +7,7 @@ package api_test
 // both the usage endpoint and the /metrics exposition.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -154,6 +155,32 @@ func TestTenantQuotaRetryAfter(t *testing.T) {
 	}
 	// Alice's exhausted bucket must not starve bob.
 	submitAndWait(t, bob, "/data")
+}
+
+// TestShedSubmissionAnswers503 pins the 503 envelope: a service past
+// its task-slot watermark refuses a submission with code overloaded and
+// the policy's Retry-After, before admission — the tenant's one rate
+// token is still there once the pressure is gone.
+func TestShedSubmissionAnswers503(t *testing.T) {
+	ctrl := tenant.NewController(tenant.Config{TaskSlots: 2, Defaults: tenant.Limits{SubmitRate: 0.01, SubmitBurst: 1}})
+	client, issuer, deps, done := newTestServerDepsCfg(t, true, nil, func(cfg *core.Config) {
+		cfg.Tenants = ctrl
+		cfg.Shed = core.ShedPolicy{SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second}
+	})
+	defer done()
+	deps.Server.SetTenants(ctrl)
+	alice := tenantClient(client.BaseURL, issuer, "alice")
+
+	if _, err := ctrl.AcquireTask(context.Background(), "bob"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := alice.Submit(api.JobRequest{Repos: []api.RepoRequest{{Site: "local", Roots: []string{"/data"}, Grouper: "single"}}})
+	ae := asAPIError(t, err)
+	if !ae.IsOverloaded() || ae.Status != 503 || ae.RetryAfter != 3*time.Second {
+		t.Fatalf("submission past the watermark = %+v; want 503 overloaded, Retry-After 3s", ae)
+	}
+	ctrl.ReleaseTasks("bob", 1)
+	submitAndWait(t, alice, "/data")
 }
 
 // TestAuthErrorEnvelopes pins the machine-readable auth failures: an

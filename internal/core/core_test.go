@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -719,10 +720,30 @@ func TestRerunShipsTheRewrittenFile(t *testing.T) {
 	}
 }
 
+// A job naming a site the service does not know is refused before it
+// exists: nothing is journaled or listed, and no job ID is used up.
 func TestRunJobUnknownSite(t *testing.T) {
-	h := newHarness(t, []siteSpec{{name: "a", workers: 1}}, nil)
-	if _, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{Site: "nope"}}); err == nil {
-		t.Fatal("expected error for unknown site")
+	w := newWorld(t, []siteSpec{{name: "a", workers: 1}})
+	w.jdir = newDevice()
+	h := w.start(t, node{})
+	if _, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{{Site: "nope"}}); !errors.Is(err, ErrUnknownSite) {
+		t.Fatalf("RunJob = %v; want ErrUnknownSite", err)
+	}
+	if recs := h.svc.JobRecords(); len(recs) != 0 {
+		t.Fatalf("a refused job left records %+v", recs)
+	}
+	if n := h.jnl.Appends(journal.RecJobSubmitted); n != 0 {
+		t.Fatalf("a refused job made %d job_submitted appends", n)
+	}
+	if err := h.sites["a"].Write("/d/f.txt", []byte("words here")); err != nil {
+		t.Fatal(err)
+	}
+	job, err := h.svc.Submit(context.Background(), journal.JobSpec{Repos: []journal.RepoSpec{{Site: "a", Roots: []string{"/d"}, Grouper: "single"}}})
+	if err != nil || job.ID != "job-1" {
+		t.Fatalf("the next submission = %v, %v; want job-1", job, err)
+	}
+	if _, err := job.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"xtract/internal/cache"
-	"xtract/internal/crawler"
 	"xtract/internal/family"
 	"xtract/internal/journal"
 	"xtract/internal/registry"
@@ -295,15 +294,20 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 		return h, countSite(t, h, "theta"), runtime.NumGoroutine()
 	}
 
+	// The job is refused before it exists: not even the first
+	// repository's crawl lists a directory.
 	t.Run("a later repository names an unknown site", func(t *testing.T) {
 		h, src, goroutines := setup(t, scheduler.LocalPolicy{})
-		stats, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{flatRepo("theta", workers), flatRepo("nowhere", workers)})
-		if err == nil || !strings.Contains(err.Error(), `unknown site "nowhere"`) {
+		_, err := h.svc.RunJob(context.Background(), []journal.RepoSpec{flatRepo("theta", workers), flatRepo("nowhere", workers)})
+		if !errors.Is(err, ErrUnknownSite) || !strings.Contains(err.Error(), `unknown site "nowhere"`) {
 			t.Fatalf("RunJob = %v; want the unknown-site error", err)
 		}
 		stopped(t, src, goroutines, false)
-		if rec, err := record(h.svc, stats.JobID); err != nil || rec.State != registry.JobFailed {
-			t.Fatalf("job record = %+v, %v; want FAILED", rec, err)
+		if n := src.lists.Load(); n != 0 {
+			t.Fatalf("a refused job listed %d directories", n)
+		}
+		if recs := h.svc.JobRecords(); len(recs) != 0 {
+			t.Fatalf("a refused job left records %+v", recs)
 		}
 	})
 
@@ -311,11 +315,10 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 		h, src, goroutines := setup(t, scheduler.LocalPolicy{})
 		// No spec names a grouper that fails to resolve, so the job is run
 		// with a nil one: the crawler refuses it.
-		repos := []journal.RepoSpec{flatRepo("theta", workers), flatRepo("theta", workers)}
-		single, _ := h.svc.Grouper("single")
-		spec := journal.JobSpec{Repos: repos}
-		job := h.svc.runJob(context.Background(), newRecord(h.svc.jobs.mint(), spec, h.clk.Now()), spec,
-			[]crawler.GroupingFunc{single, nil}, nil)
+		spec := journal.JobSpec{Repos: []journal.RepoSpec{flatRepo("theta", workers), flatRepo("theta", workers)}}
+		crawls, _ := h.svc.resolve(spec)
+		crawls[1].Grouper = nil
+		job := h.svc.runJob(context.Background(), newRecord(h.svc.jobs.mint(), spec, h.clk.Now()), spec, crawls, nil)
 		if _, err := job.Wait(); err == nil || !strings.Contains(err.Error(), "nil grouping function") {
 			t.Fatalf("job = %v; want the crawl's error", err)
 		}
@@ -327,10 +330,9 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 		p := barePump(h, "test-early-exit")
 		var cancelJob context.CancelFunc
 		p.jobCtx, cancelJob = context.WithCancel(context.Background())
-		single, _ := h.svc.Grouper("single")
-		if err := p.startCrawls([]journal.RepoSpec{flatRepo("theta", workers)}, []crawler.GroupingFunc{single}); err != nil {
-			t.Fatal(err)
-		}
+		spec := journal.JobSpec{Repos: []journal.RepoSpec{flatRepo("theta", workers)}}
+		crawls, _ := h.svc.resolve(spec)
+		p.startCrawls(spec.Repos, crawls)
 		// Nobody takes anything: one listing fewer than behind a pump that
 		// holds a directory.
 		eventually(t, "every crawl worker parked", func() bool { return src.lists.Load() == parkedLists(workers)-1 })

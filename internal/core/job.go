@@ -145,44 +145,85 @@ func (s *Service) RunJob(ctx context.Context, repos []journal.RepoSpec) (JobStat
 	return j.Wait()
 }
 
-// Grouper resolves a grouper name against the service's library. A job
-// names its groupers and holds none, so the spec its job_submitted record
-// carries is the job that ran; this is the one place a name becomes a
-// grouping function. Submit, recovery and the API's check of a request
-// all resolve through it.
-func (s *Service) Grouper(name string) (crawler.GroupingFunc, error) {
-	return crawler.GrouperByName(name, s.cfg.Library)
+// A spec that names a site the service has not registered, or a grouper
+// its library does not know, is refused with one of these.
+var (
+	ErrUnknownSite    = errors.New("unknown site")
+	ErrUnknownGrouper = errors.New("unknown grouper")
+)
+
+// OverloadError refuses a submission the service is too busy to take
+// (ShedPolicy); RetryAfter is the wait to suggest.
+type OverloadError struct{ RetryAfter time.Duration }
+
+func (e *OverloadError) Error() string {
+	return fmt.Sprintf("core: service overloaded, retry after %s", e.RetryAfter)
 }
 
-// groupers resolves every repository's grouper, in order.
-func (s *Service) groupers(repos []journal.RepoSpec) ([]crawler.GroupingFunc, error) {
-	gs := make([]crawler.GroupingFunc, len(repos))
-	for i, r := range repos {
-		var err error
-		if gs[i], err = s.Grouper(r.Grouper); err != nil {
-			return nil, err
+// resolve turns a spec into the crawls its job runs, one per repository,
+// in order: each repository's site found, and its grouper name made a
+// grouping function against the service's library. A job names its
+// groupers and holds none, so the spec its job_submitted record carries
+// is the job that ran; this is the one place a name becomes a site or a
+// grouping function, for submission and recovery alike. The crawls'
+// sinks are the pump's to set.
+func (s *Service) resolve(spec journal.JobSpec) ([]*crawler.Crawler, error) {
+	crawls := make([]*crawler.Crawler, len(spec.Repos))
+	for i, r := range spec.Repos {
+		g, err := crawler.GrouperByName(r.Grouper, s.cfg.Library)
+		if err != nil {
+			return nil, fmt.Errorf("%w %q", ErrUnknownGrouper, r.Grouper)
 		}
+		site, ok := s.Site(r.Site)
+		if !ok {
+			return nil, fmt.Errorf("%w %q", ErrUnknownSite, r.Site)
+		}
+		// What the service itself writes at the site is not the site's data.
+		c := crawler.NewTo(store.Hide(site.Store, site.StagePath), g, nil)
+		c.Fingerprint = s.cfg.Cache != nil && !spec.NoCache
+		c.Hashes = s.cfg.Cache // consulted only while fingerprinting
+		if r.CrawlWorkers > 0 {
+			c.Workers = r.CrawlWorkers
+		}
+		if r.MaxFamilySize > 0 {
+			c.MaxFamilySize = r.MaxFamilySize
+		}
+		c.UseMinTransfers = !r.NoMinTransfers
+		c.Totals = &s.crawlTotals
+		crawls[i] = c
 	}
-	return gs, nil
+	return crawls, nil
 }
 
-// Submit starts a job and returns its handle once the submission record is
-// durable. The crawl and the pump start at once (and overlap: the paper's
-// "begins extracting data within 3 seconds of the crawler starting"),
-// alongside the record's fsync; its ticket gates only what leaves the
-// process — this return (hence the API's 202) and the pump's results (hence
-// every document). The job's other records are ordered behind it by seq, so
-// a crash either recovers the job or leaves no trace of it. The record
-// carries spec as given, its tenant normalized, and the job runs that value:
-// the caller must not change it afterwards. The error is a grouper the
-// library does not know or a lease the coordination layer refused: that
-// job never ran.
+// Submit is the one way a job starts, and decides whether it may: the
+// spec is resolved, the service sheds it when overloaded, and the tenant
+// admits it, taking the job's active slot. Only then is its ID minted, its
+// lease taken and its submission record written; a refusal before that
+// leaves nothing behind — no record, no slot, no ID used up. The refusals
+// are typed: ErrUnknownSite, ErrUnknownGrouper, *OverloadError,
+// *tenant.QuotaError, or a lease the coordination layer refused.
+//
+// Submit returns the job's handle once the submission record is durable.
+// The crawl and the pump start at once (and overlap: the paper's "begins
+// extracting data within 3 seconds of the crawler starting"), alongside
+// the record's fsync; its ticket gates only what leaves the process — this
+// return (hence the API's 202) and the pump's results (hence every
+// document). The job's other records are ordered behind it by seq, so a
+// crash either recovers the job or leaves no trace of it. The record
+// carries spec as given, its tenant normalized, and the job runs that
+// value: the caller must not change it afterwards.
 func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error) {
-	groupers, err := s.groupers(spec.Repos)
+	crawls, err := s.resolve(spec)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if err := s.shedCheck(); err != nil {
+		return nil, err
+	}
 	spec.Tenant = tenant.Normalize(spec.Tenant)
+	if err := s.cfg.Tenants.AdmitJob(spec.Tenant); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	rec := newRecord(s.jobs.mint(), spec, s.clk.Now())
 	jobID := rec.ID
 	if s.cfg.Cluster != nil {
@@ -193,8 +234,9 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 		// the fold does not know yet are skipped on replay — harmless.)
 		// Fresh IDs are node-unique, so acquisition can only fail on a
 		// coordination-layer fault. A refused job leaves nothing behind:
-		// no record of it exists yet.
+		// no record of it exists yet, and its slot goes back.
 		if err := s.cfg.Cluster.AcquireJob(jobID); err != nil {
+			s.cfg.Tenants.JobEnded(spec.Tenant)
 			return nil, fmt.Errorf("core: job %s: %w", jobID, err)
 		}
 	}
@@ -207,7 +249,7 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 		})
 	}
 	s.obs.Event(jobID, obs.EvJobSubmitted, slog.Any("repositories", rec.Repositories))
-	j := s.runJob(ctx, rec, spec, groupers, submitted)
+	j := s.runJob(ctx, rec, spec, crawls, submitted)
 	if err = ticket.Wait(); err != nil {
 		s.obsJournalErrors.Inc() // durability degraded, not correctness: see journalAppend
 	}
@@ -219,17 +261,18 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 
 // runJob is the shared back half of submission, recovery and failover
 // adoption (the last two with an open, nil, gate): it enters the job, its
-// record starting as rec, into the live-job table and runs it on a
-// goroutine and a context of its own.
+// record starting as rec, into the live-job table and runs it, over the
+// crawls resolved from spec, on a goroutine and a context of its own. The
+// job's tenant slot is already taken; the pump gives it back.
 func (s *Service) runJob(ctx context.Context, rec registry.JobRecord, spec journal.JobSpec,
-	groupers []crawler.GroupingFunc, submitted <-chan struct{}) *Job {
+	crawls []*crawler.Crawler, submitted <-chan struct{}) *Job {
 	p := newPump(s, rec, spec.NoCache, submitted)
 	j := p.job
 	j.done = make(chan struct{})
 	p.jobCtx, j.cancel = context.WithCancel(ctx)
 	s.jobs.enter(j)
 	go func() {
-		j.stats, j.err = p.run(spec.Repos, groupers, j.cancel)
+		j.stats, j.err = p.run(spec.Repos, crawls, j.cancel)
 		s.jobs.leave(j)
 		close(j.done)
 	}()
@@ -237,23 +280,19 @@ func (s *Service) runJob(ctx context.Context, rec registry.JobRecord, spec journ
 }
 
 // run crawls and pumps the job to a terminal state.
-func (p *pump) run(repos []journal.RepoSpec, groupers []crawler.GroupingFunc, cancelJob context.CancelFunc) (JobStats, error) {
+func (p *pump) run(repos []journal.RepoSpec, crawls []*crawler.Crawler, cancelJob context.CancelFunc) (JobStats, error) {
 	s := p.s
-	// JobStarted consumes the admission reservation taken at the API
-	// front door (or a fresh slot for direct/recovered callers); the
-	// deferred JobEnded releases it whichever way the job exits.
-	s.cfg.Tenants.JobStarted(p.tenant)
+	// The job's slot was taken by its admission (or its recovery); it goes
+	// back whichever way the job exits.
 	defer s.cfg.Tenants.JobEnded(p.tenant)
 	defer p.teardown(cancelJob)
 	// Every exit posts, the fenced and draining ones that publish nothing
 	// included, so what a reader sees in the totals and on the bill after
 	// Wait does not rest on which publish ran last.
 	defer p.post()
-	err := p.startCrawls(repos, groupers)
-	if err == nil {
-		p.publish(registry.JobExtracting, "")
-		err = p.loop(p.jobCtx)
-	}
+	p.startCrawls(repos, crawls)
+	p.publish(registry.JobExtracting, "")
+	err := p.loop(p.jobCtx)
 	p.Elapsed = s.clk.Since(p.start)
 	if err != nil {
 		p.fail(err)
@@ -309,33 +348,16 @@ func (p *pump) addDeadLetter(dl registry.DeadLetter) {
 	p.job.rec.AddDeadLetter(dl)
 }
 
-// startCrawls starts one crawler per repository, with the grouper resolved
-// for it, each feeding the job's hand-off, and fails before starting any of the rest on a repository
-// whose site is not registered. The crawls run under the job's context:
-// teardown stops them on every exit, a worker waiting on a full hand-off
-// included.
-func (p *pump) startCrawls(repos []journal.RepoSpec, groupers []crawler.GroupingFunc) error {
+// startCrawls starts the job's crawls, one per repository, each feeding
+// the job's hand-off. They run under the job's context: teardown stops
+// them on every exit, a worker waiting on a full hand-off included.
+func (p *pump) startCrawls(repos []journal.RepoSpec, crawls []*crawler.Crawler) {
 	s := p.s
 	p.crawlDone = make(chan crawler.Stats, len(repos))
 	p.crawlErr = make(chan error, len(repos))
 	for i, spec := range repos {
-		site, ok := s.Site(spec.Site)
-		if !ok {
-			return fmt.Errorf("core: unknown site %q", spec.Site)
-		}
-		// What the service itself writes at the site is not the site's data.
-		own := store.Hide(site.Store, site.StagePath)
-		c := crawler.NewTo(own, groupers[i], p.offerFamilies)
-		c.Fingerprint = s.cfg.Cache != nil && !p.noCache
-		c.Hashes = s.cfg.Cache // consulted only while fingerprinting
-		if spec.CrawlWorkers > 0 {
-			c.Workers = spec.CrawlWorkers
-		}
-		if spec.MaxFamilySize > 0 {
-			c.MaxFamilySize = spec.MaxFamilySize
-		}
-		c.UseMinTransfers = !spec.NoMinTransfers
-		c.Totals = &s.crawlTotals
+		c := crawls[i]
+		c.Out = p.offerFamilies
 		p.crawlsPending++
 		go func(spec journal.RepoSpec) {
 			s.obs.Event(p.JobID, obs.EvCrawlStarted, slog.String("site", spec.Site), slog.Int("roots", len(spec.Roots)))
@@ -351,7 +373,6 @@ func (p *pump) startCrawls(repos []journal.RepoSpec, groupers []crawler.Grouping
 			p.crawlDone <- stats
 		}(spec)
 	}
-	return nil
 }
 
 // finishedJobs bounds the finished table: the newest jobs to end, whose
@@ -648,7 +669,7 @@ func (s *Service) endJob(jobID, ten string, state registry.JobState, errMsg stri
 		rec = journal.Record{Type: journal.RecJobCancelled, JobID: jobID, Err: errMsg}
 	}
 	s.journalAppend(rec)
-	s.obsJobs.with(string(state)).Inc()
+	s.obsJobs.With(string(state)).Inc()
 	s.cfg.Tenants.JobOutcome(ten, string(state))
 }
 

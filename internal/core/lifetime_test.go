@@ -12,7 +12,6 @@ import (
 
 	"xtract/internal/clock"
 	"xtract/internal/cluster"
-	"xtract/internal/crawler"
 	"xtract/internal/dataset"
 	xt "xtract/internal/extractors"
 	"xtract/internal/family"
@@ -301,10 +300,10 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 	})
 	t.Run("failed crawl", func(t *testing.T) {
 		h, goroutines := setup(t, scheduler.LocalPolicy{}, nil)
-		single, _ := h.svc.Grouper(repo.Grouper)
 		spec := journal.JobSpec{Repos: []journal.RepoSpec{repo, repo}}
-		job := h.svc.runJob(context.Background(), newRecord(h.svc.jobs.mint(), spec, h.clk.Now()), spec,
-			[]crawler.GroupingFunc{single, nil}, nil)
+		crawls, _ := h.svc.resolve(spec)
+		crawls[1].Grouper = nil
+		job := h.svc.runJob(context.Background(), newRecord(h.svc.jobs.mint(), spec, h.clk.Now()), spec, crawls, nil)
 		if _, err := job.Wait(); err == nil {
 			t.Fatal("a crawl without a grouping function did not fail the job")
 		}

@@ -143,7 +143,7 @@ func (p *pump) loop(ctx context.Context) error {
 		// woke the pump for nothing is counted as idle overhead.
 		if !progress && woke != "start" && woke != "crawl" && woke != "durable" && woke != "families" {
 			p.PumpIdleWakeups++
-			p.s.obsWakeups.with("idle").Inc()
+			p.s.obsWakeups.With("idle").Inc()
 		}
 		// Termination: nothing crawling, no family staging or running (a
 		// family leaves those phases only when every step has resolved, so
@@ -160,7 +160,7 @@ func (p *pump) loop(ctx context.Context) error {
 			return err
 		}
 		p.PumpWakeups++
-		p.s.obsWakeups.with(woke).Inc()
+		p.s.obsWakeups.With(woke).Inc()
 	}
 }
 

@@ -20,7 +20,7 @@ type RecoveredJob struct {
 	JobID string `json:"job_id"`
 	// Disposition is "terminal" (outcome replayed as-is), "cancelled"
 	// (durable cancellation honored), "resumed" (pump restarted),
-	// "failed" (unrecoverable, e.g. unknown grouper), or "foreign"
+	// "failed" (unrecoverable: an unknown grouper or site), or "foreign"
 	// (cluster mode: another node holds the job's lease, so this node
 	// leaves it alone).
 	Disposition string `json:"disposition"`
@@ -166,11 +166,11 @@ func (s *Service) recoverJob(ctx context.Context, js *journal.JobState) Recovere
 	// Tenant field and normalize to the default tenant.
 	spec := *js.Spec
 	spec.Tenant = tenant.Normalize(spec.Tenant)
-	groupers, err := s.groupers(spec.Repos)
+	crawls, err := s.resolve(spec)
 	if err != nil {
 		return s.failRecovered(js.ID, spec.Tenant, "recovery: "+err.Error())
 	}
-	return s.resumeJob(ctx, js, spec, groupers)
+	return s.resumeJob(ctx, js, spec, crawls)
 }
 
 // leasedElsewhere is lease-aware recovery: a restarting node re-adopts
@@ -210,9 +210,10 @@ func (s *Service) failRecovered(jobID, ten, msg string) RecoveredJob {
 // reconciled with the result cache: family packaging is not deterministic
 // across runs, but the cache key is content-addressed — seeding it makes
 // the resumed pump replay every pre-crash completion as a cache hit,
-// whatever family it lands in.
+// whatever family it lands in. The job was admitted when it was first
+// submitted: it takes its tenant slot here, unchecked.
 func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, spec journal.JobSpec,
-	groupers []crawler.GroupingFunc) RecoveredJob {
+	crawls []*crawler.Crawler) RecoveredJob {
 	reconciled := 0
 	if s.cfg.Cache != nil && !spec.NoCache {
 		for _, sd := range js.Steps {
@@ -234,7 +235,8 @@ func (s *Service) resumeJob(ctx context.Context, js *journal.JobState, spec jour
 	submitted, _ := time.Parse(time.RFC3339Nano, js.Submitted)
 	rec := newRecord(js.ID, spec, submitted)
 	rec.Recovered = true
-	s.runJob(ctx, rec, spec, groupers, nil)
+	s.cfg.Tenants.JobStarted(spec.Tenant)
+	s.runJob(ctx, rec, spec, crawls, nil)
 	return RecoveredJob{
 		JobID: js.ID, Disposition: "resumed", State: string(registry.JobExtracting),
 		StepsReconciled: reconciled, Families: int(js.Families),

@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +128,37 @@ func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 	h.svc.RecoveryWait()
 	if rec, err := record(h.svc, jobID); err != nil || rec.State != registry.JobComplete {
 		t.Fatalf("recovered pre-tenant job = %+v, %v; want COMPLETE", rec, err)
+	}
+}
+
+// A journaled job whose site this service no longer registers is failed
+// by recovery, disposition failed, without ever starting: it takes no
+// tenant slot. (It used to be resumed, then failed by its pump.)
+func TestRecoveredJobWithoutItsSiteFails(t *testing.T) {
+	w := newWorld(t, []siteSpec{{name: "theta", workers: 1}})
+	w.jdir = newDevice()
+	jnl, err := journal.Open(w.jdir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{Type: journal.RecJobSubmitted, JobID: "job-1", At: time.Now(),
+		Spec: &journal.JobSpec{Repos: []journal.RepoSpec{{Site: "gone", Roots: []string{"/data"}, Grouper: "single"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := tenant.NewController(tenant.Config{})
+	h := w.start(t, node{mut: func(cfg *Config) { cfg.Tenants = ctrl }})
+	status, err := h.svc.Recover(h.ctx)
+	if err != nil || status.Failed != 1 || status.Resumed != 0 {
+		t.Fatalf("recovery = %+v, %v; want the job failed", status, err)
+	}
+	if rj := status.Jobs[0]; rj.Disposition != "failed" || !strings.Contains(rj.Err, `unknown site "gone"`) {
+		t.Fatalf("recovered job = %+v; want failed for its unknown site", rj)
+	}
+	if u, _ := ctrl.UsageFor(tenant.Default); u.ActiveJobs != 0 || u.JobsStarted != 0 || u.JobsFailed != 1 {
+		t.Fatalf("tenant usage = %+v; want one failed job that never started", u)
 	}
 }
 

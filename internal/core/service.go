@@ -184,8 +184,8 @@ type Config struct {
 	// Breakers configures per-site circuit breakers over task outcomes.
 	// Disabled by default.
 	Breakers BreakerPolicy
-	// Shed configures overload shedding at the API front door (consulted
-	// via ShedCheck). Off by default: the zero policy sets no watermark.
+	// Shed configures overload shedding of new submissions (Submit). Off
+	// by default: the zero policy sets no watermark.
 	Shed ShedPolicy
 	// StragglerBudget, when positive, lets a job finish DEGRADED with
 	// partial results when at most this many steps dead-lettered (and no
@@ -257,15 +257,9 @@ type Service struct {
 	obsClusterFenced   *obs.Counter
 	obsHedgeCancelled  *obs.Counter
 	obsShedTotal       *obs.Counter
-
-	// Labelled counters on hot paths: the pump and dispatcher emit
-	// millions of events per run, so their known label values
-	// are resolved to series handles once at construction instead of
-	// re-resolving a *Vec.With per event (see labelledCounter).
-	obsWakeups   labelledCounter // by wakeup reason
-	obsRetries   labelledCounter // by failure cause
-	obsJobs      labelledCounter // by terminal registry.JobState
-	obsStepDurBy sync.Map        // extractor name -> *obs.Histogram
+	obsWakeups         *obs.CounterVec // by wakeup reason
+	obsRetries         *obs.CounterVec // by failure cause
+	obsJobs            *obs.CounterVec // by terminal registry.JobState
 
 	// draining is set by BeginShutdown: job contexts are about to be
 	// cancelled for a restart, so the cancellations must not be journaled
@@ -343,15 +337,20 @@ func (s *Service) instrument(reg *obs.Registry) {
 		"Extractor execution time per step.", nil, "extractor")
 	s.obsRecoveredJobs = reg.CounterVec("xtract_recovery_jobs_total",
 		"Jobs restored from the journal at startup, by disposition.", "disposition")
-	s.obsJobs = newLabelledCounter(reg.CounterVec("xtract_jobs_total",
-		"Extraction jobs by terminal state.", "state"),
+	// A family's known label values have their series from the start.
+	vec := func(name, help, label string, known ...string) *obs.CounterVec {
+		v := reg.CounterVec(name, help, label)
+		for _, k := range known {
+			v.With(k)
+		}
+		return v
+	}
+	s.obsJobs = vec("xtract_jobs_total", "Extraction jobs by terminal state.", "state",
 		string(registry.JobCrawling), string(registry.JobExtracting), string(registry.JobComplete),
 		string(registry.JobFailed), string(registry.JobCancelled), string(registry.JobDegraded))
-	s.obsRetries = newLabelledCounter(reg.CounterVec("xtract_retry_total",
-		"Step retries scheduled, by failure cause.", "reason"),
+	s.obsRetries = vec("xtract_retry_total", "Step retries scheduled, by failure cause.", "reason",
 		"lost", "failed", "staging", "step_error", "bad_result", "no_function")
-	s.obsWakeups = newLabelledCounter(reg.CounterVec("xtract_pump_wakeups_total",
-		"Orchestration-loop wakeups by triggering event source.", "reason"),
+	s.obsWakeups = vec("xtract_pump_wakeups_total", "Orchestration-loop wakeups by triggering event source.", "reason",
 		"start", "crawl", "families", "staged", "events", "retry", "hedge", "durable", "idle")
 	s.instrumentOwned(reg)
 }
@@ -426,80 +425,39 @@ func (s *Service) recordSiteOutcome(site string, info faas.TaskInfo) {
 	if !s.breakerPol.Enabled {
 		return
 	}
-	if info.Status == faas.TaskFailed && info.Err == errTaskCancelledText {
+	if info.Status == faas.TaskFailed && info.Err == faas.ErrTaskCancelled.Error() {
 		return
 	}
 	s.breakerFor(site).Record(info.Status == faas.TaskSuccess)
 }
 
-// errTaskCancelledText is the fabric's cancellation error string,
-// resolved once — hot paths compare against it instead of allocating.
-var errTaskCancelledText = faas.ErrTaskCancelled.Error()
-
-// ShedCheck reports whether a new job submission should be refused for
-// overload, and the Retry-After hint to return with the 503. Consulted
-// by the API front door before tenant admission.
-func (s *Service) ShedCheck() (time.Duration, bool) {
+// shedCheck refuses a new submission with an *OverloadError, carrying
+// the Retry-After hint, while the service is past a ShedPolicy watermark.
+func (s *Service) shedCheck() error {
 	pol := s.cfg.Shed
-	retry := pol.RetryAfter
-	if retry <= 0 {
-		retry = time.Second
-	}
+	over := false
 	if pol.SlotHighWatermark > 0 {
-		if used, total := s.cfg.Tenants.SlotPressure(); total > 0 &&
-			float64(used) >= pol.SlotHighWatermark*float64(total) {
-			s.obsShedTotal.Inc()
-			return retry, true
-		}
+		used, total := s.cfg.Tenants.SlotPressure()
+		over = total > 0 && float64(used) >= pol.SlotHighWatermark*float64(total)
 	}
-	if pol.MaxQueueDepth > 0 {
+	if !over && pol.MaxQueueDepth > 0 {
 		depth := 0
 		for _, site := range s.siteList() {
 			if ep := site.ComputeEndpoint(); ep != nil {
 				depth += ep.QueueDepth()
 			}
 		}
-		if depth >= pol.MaxQueueDepth {
-			s.obsShedTotal.Inc()
-			return retry, true
-		}
+		over = depth >= pol.MaxQueueDepth
 	}
-	return 0, false
-}
-
-// labelledCounter is a one-label counter family with the series of its
-// known label values resolved ahead of time; with falls back to the
-// family's own (allocating) lookup for a value nobody listed.
-type labelledCounter struct {
-	vec *obs.CounterVec
-	by  map[string]*obs.Counter
-}
-
-func newLabelledCounter(vec *obs.CounterVec, known ...string) labelledCounter {
-	c := labelledCounter{vec: vec, by: make(map[string]*obs.Counter, len(known))}
-	for _, v := range known {
-		c.by[v] = vec.With(v)
+	if !over {
+		return nil
 	}
-	return c
-}
-
-func (c labelledCounter) with(value string) *obs.Counter {
-	if h, ok := c.by[value]; ok {
-		return h
+	s.obsShedTotal.Inc()
+	retry := pol.RetryAfter
+	if retry <= 0 {
+		retry = time.Second
 	}
-	return c.vec.With(value)
-}
-
-// stepDurationHist returns the cached per-extractor step-duration
-// histogram, resolving and caching it on first use (extractor names are
-// not known at construction time).
-func (s *Service) stepDurationHist(extractor string) *obs.Histogram {
-	if h, ok := s.obsStepDurBy.Load(extractor); ok {
-		return h.(*obs.Histogram)
-	}
-	h := s.obsStepDuration.With(extractor)
-	actual, _ := s.obsStepDurBy.LoadOrStore(extractor, h)
-	return actual.(*obs.Histogram)
+	return &OverloadError{RetryAfter: retry}
 }
 
 // journalAppend writes one record to the configured journal and waits for

@@ -227,7 +227,7 @@ func (p *pump) commitStep(st *famState, idx int, o outcome) {
 	} else {
 		p.s.estimator.Observe(step.Extractor, o.dur)
 	}
-	p.s.stepDurationHist(step.Extractor).ObserveDuration(o.dur)
+	p.s.obsStepDuration.With(step.Extractor).ObserveDuration(o.dur)
 	if o.task.hedge {
 		p.HedgeWins++
 	}
@@ -294,7 +294,7 @@ func (p *pump) retry(wake stepRef, unit string, n int, cause, reason string) (ti
 		p.StepsRetried++
 		d := p.s.retry.backoff(unit, n)
 		p.deadlines = append(p.deadlines, deadline{at: p.s.clk.Now().Add(d), stepRef: wake})
-		p.s.obsRetries.with(cause).Inc()
+		p.s.obsRetries.With(cause).Inc()
 		p.s.obsRetryBackoff.ObserveDuration(d)
 		return d, reason, true
 	}

@@ -170,16 +170,23 @@ func TestShedCheck(t *testing.T) {
 	h := newHarnessCfg(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{}, func(cfg *Config) {
 		cfg.Tenants = ctrl
 	})
+	shedCheck := func() (time.Duration, bool) {
+		var oe *OverloadError
+		if errors.As(h.svc.shedCheck(), &oe) {
+			return oe.RetryAfter, true
+		}
+		return 0, false
+	}
 
 	// Disabled policy never sheds.
 	h.svc.cfg.Shed = ShedPolicy{}
-	if _, shed := h.svc.ShedCheck(); shed {
+	if _, shed := shedCheck(); shed {
 		t.Fatal("disabled shed policy refused a submission")
 	}
 
 	// Slot watermark: no pressure yet.
 	h.svc.cfg.Shed = ShedPolicy{SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second}
-	if _, shed := h.svc.ShedCheck(); shed {
+	if _, shed := shedCheck(); shed {
 		t.Fatal("shed with zero slot pressure")
 	}
 
@@ -190,7 +197,7 @@ func TestShedCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	retry, shed := h.svc.ShedCheck()
+	retry, shed := shedCheck()
 	if !shed {
 		t.Fatal("watermark pressure did not shed")
 	}
@@ -200,7 +207,7 @@ func TestShedCheck(t *testing.T) {
 
 	// Unset RetryAfter defaults to 1s.
 	h.svc.cfg.Shed = ShedPolicy{SlotHighWatermark: 0.5}
-	if retry, shed := h.svc.ShedCheck(); !shed || retry != time.Second {
+	if retry, shed := shedCheck(); !shed || retry != time.Second {
 		t.Fatalf("retry = %v shed=%v, want default 1s", retry, shed)
 	}
 
@@ -222,7 +229,7 @@ func TestShedCheck(t *testing.T) {
 	h.svc.cfg.Shed = ShedPolicy{MaxQueueDepth: 2}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, shed := h.svc.ShedCheck(); shed {
+		if _, shed := shedCheck(); shed {
 			break
 		}
 		if time.Now().After(deadline) {

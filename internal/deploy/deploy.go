@@ -91,7 +91,7 @@ type Options struct {
 	Hedge core.HedgePolicy
 	// Breakers enables per-site circuit breakers over task outcomes.
 	Breakers core.BreakerPolicy
-	// Shed enables overload shedding at the API front door.
+	// Shed enables overload shedding of new submissions (Service.Submit).
 	Shed core.ShedPolicy
 	// StragglerBudget, when > 0, lets a job finish DEGRADED with partial
 	// results while at most this many steps dead-lettered.

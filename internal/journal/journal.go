@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -756,7 +757,7 @@ func (j *Journal) flushLocked(seq uint64) {
 	for j.durableSeq < seq && len(j.pending) > 0 && j.err == nil && !j.killed {
 		if j.cur == nil {
 			if err := j.openSegmentLocked(); err != nil {
-				j.err = err
+				j.failLocked(err)
 				return
 			}
 		}
@@ -780,7 +781,7 @@ func (j *Journal) flushLocked(seq uint64) {
 		}
 		j.mu.Lock()
 		if werr != nil {
-			j.err = werr
+			j.failLocked(werr)
 			return
 		}
 		// Fold the durable batch into the live state. Deferring the fold
@@ -806,6 +807,14 @@ func (j *Journal) flushLocked(seq uint64) {
 			j.rotateLocked(false)
 		}
 	}
+}
+
+// failLocked makes err the journal's sticky error: every append from now
+// on is refused with it. Only xtract_journal_append_errors_total counts
+// those, so the device failure itself is logged, once.
+func (j *Journal) failLocked(err error) {
+	j.err = err
+	slog.Error("journal: device failed; appends are refused from now on", "err", err)
 }
 
 // encodeBatch frames batch's records onto frames until the current

@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,12 +13,14 @@ import (
 	"xtract/internal/clock"
 )
 
-// probeDir counts segment fsyncs, can fail them (an ENOSPC-style device
-// error) and can hold a snapshot's fsync until released.
+// probeDir counts segment fsyncs, can fail them or segment creates (an
+// ENOSPC-style device error) and can hold a snapshot's fsync until
+// released.
 type probeDir struct {
 	Dir
-	segSyncs atomic.Int64
-	syncErr  error
+	segSyncs  atomic.Int64
+	syncErr   error
+	createErr error
 	// snapEntered receives once a snapshot's Sync is reached; the Sync
 	// then blocks until snapRelease closes. Nil leaves snapshots alone.
 	snapEntered chan struct{}
@@ -30,6 +34,9 @@ type probeFile struct {
 }
 
 func (d *probeDir) Create(name string) (File, error) {
+	if d.createErr != nil && strings.HasPrefix(name, "seg-") {
+		return nil, d.createErr
+	}
 	f, err := d.Dir.Create(name)
 	if err != nil {
 		return nil, err
@@ -300,6 +307,34 @@ func TestDeviceErrorFailsEveryTicket(t *testing.T) {
 	}
 	if err := j.Close(); !errors.Is(err, enospc) {
 		t.Fatalf("Close = %v", err)
+	}
+}
+
+// TestDeviceFailureIsLoggedOnce: the failed fsync or segment open that
+// makes the journal's error sticky is one error record in the process
+// log; the appends refused after it add none. It swaps slog's default
+// logger, so it does not run in parallel.
+func TestDeviceFailureIsLoggedOnce(t *testing.T) {
+	enospc := errors.New("no space left on device")
+	for name, dir := range map[string]*probeDir{"fsync": {syncErr: enospc}, "segment open": {createErr: enospc}} {
+		t.Run(name, func(t *testing.T) {
+			var logged bytes.Buffer
+			prev := slog.Default()
+			slog.SetDefault(slog.New(slog.NewJSONHandler(&logged, nil)))
+			t.Cleanup(func() { slog.SetDefault(prev) })
+			dir.Dir = memDir(t)
+			j := mustOpen(t, dir, Options{CompactSegments: -1})
+			for i := 0; i < 50; i++ {
+				if err := j.Append(Record{Type: RecStepRetried, JobID: "job-1", Attempt: i}); !errors.Is(err, enospc) {
+					t.Fatalf("append %d = %v, want the device error", i, err)
+				}
+			}
+			_ = j.Close()
+			out := logged.String()
+			if n := strings.Count(out, "\n"); n != 1 || !strings.Contains(out, `"level":"ERROR"`) || !strings.Contains(out, enospc.Error()) {
+				t.Fatalf("process log after 50 failed appends (%d records):\n%s", n, out)
+			}
+		})
 	}
 }
 

@@ -51,15 +51,25 @@ func TestGaugeFuncDedupUnlabeled(t *testing.T) {
 }
 
 // TestCachedHandleZeroAllocs pins the hot-path contract the pump relies
-// on: once a handle is resolved via With, Inc/Observe allocate nothing.
+// on: Inc/Observe allocate nothing, and neither does resolving an
+// existing one-label series with With where it is used.
 func TestCachedHandleZeroAllocs(t *testing.T) {
 	r := NewRegistry()
-	c := r.CounterVec("xtract_alloc_ctr", "c", "site").With("s1")
+	cv := r.CounterVec("xtract_alloc_ctr", "c", "site")
+	c := cv.With("s1")
 	g := r.Gauge("xtract_alloc_g", "g")
-	h := r.HistogramVec("xtract_alloc_h", "h", nil, "step").With("ex")
+	hv := r.HistogramVec("xtract_alloc_h", "h", nil, "step")
+	h := hv.With("ex")
+	site, step := "s1", "ex"
 
 	if n := testing.AllocsPerRun(1000, func() { c.Inc() }); n != 0 {
 		t.Errorf("Counter.Inc allocs/op = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { cv.With(site).Inc() }); n != 0 {
+		t.Errorf("CounterVec.With(...).Inc allocs/op = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { hv.With(step).ObserveDuration(3 * time.Millisecond) }); n != 0 {
+		t.Errorf("HistogramVec.With(...).ObserveDuration allocs/op = %v, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() { g.Set(4) }); n != 0 {
 		t.Errorf("Gauge.Set allocs/op = %v, want 0", n)

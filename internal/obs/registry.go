@@ -6,11 +6,11 @@
 //
 // The emission path is lock-free and allocation-free: series values are
 // atomics (float bits for counters and gauges, per-bucket atomic counts
-// for histograms), so a cached handle's Inc/Add/Set/Observe never takes a
-// mutex and never allocates. *Vec.With resolves a handle through a
-// sync.Map read (one small allocation for the label key), so hot call
-// sites cache the handle once and emit through it; the registry's own
-// mutex is touched only at family registration and exposition time.
+// for histograms), so a handle's Inc/Add/Set/Observe never takes a mutex
+// and never allocates. *Vec.With on a one-label series that exists is a
+// sync.Map read and allocates nothing either, so call sites resolve a
+// handle where they emit; the registry's own mutex is touched only at
+// family registration and exposition time.
 //
 // Every handle type is nil-safe: a nil *Registry hands out nil handles,
 // and every method on a nil handle is a no-op. Components therefore
@@ -327,9 +327,9 @@ func (c *Counter) Value() float64 {
 // CounterVec hands out per-label-value counters.
 type CounterVec struct{ f *metricFamily }
 
-// With returns the counter for the given label values. The lookup costs
-// a map read and a key allocation: hot paths resolve once and cache the
-// returned handle.
+// With returns the counter for the given label values: a map read, which
+// allocates nothing for a one-label series that exists. The first call
+// for a value creates its series.
 func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil || v.f == nil {
 		return nil
@@ -410,7 +410,7 @@ func (h *Histogram) Sum() float64 {
 type HistogramVec struct{ f *metricFamily }
 
 // With returns the histogram for the given label values (see
-// CounterVec.With on caching).
+// CounterVec.With).
 func (v *HistogramVec) With(values ...string) *Histogram {
 	if v == nil || v.f == nil {
 		return nil

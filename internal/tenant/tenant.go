@@ -165,11 +165,8 @@ type state struct {
 	tokens   float64
 	lastFill time.Time
 
-	// active counts admitted-or-running jobs; pendingStart is the subset
-	// admitted via AdmitJob whose pump has not started yet (the
-	// reservation JobStarted consumes instead of taking a fresh slot).
-	active       int
-	pendingStart int
+	// active counts the tenant's jobs from admission (or recovery) to end.
+	active int
 
 	// Fair-share state: inflight task slots held, waiters queued, and
 	// the stride-scheduling virtual time (pass) — lowest pass is served
@@ -355,8 +352,8 @@ func (c *Controller) SetPeerActive(fn func(id string) int) {
 }
 
 // AdmitJob checks a job submission against the tenant's rate limit and
-// concurrent-job quota, reserving an active-job slot on success (the
-// reservation is consumed by the pump's JobStarted). Refusals are typed
+// concurrent-job quota and, when it passes, takes the job's active slot
+// and counts it started; JobEnded gives the slot back. Refusals are typed
 // *QuotaError values carrying a Retry-After hint.
 func (c *Controller) AdmitJob(id string) error {
 	if c == nil {
@@ -392,47 +389,29 @@ func (c *Controller) AdmitJob(id string) error {
 	if t.lim.SubmitRate > 0 {
 		t.tokens--
 	}
-	t.active++
-	t.pendingStart++
+	t.start()
 	return nil
 }
 
-// JobStarted records a pump actually starting: it consumes a pending
-// AdmitJob reservation when one exists, or takes a fresh active slot
-// unconditionally — direct Service callers and journal-recovered jobs
-// were never admitted through the front door but still count toward the
-// tenant's concurrency.
+// JobStarted takes an active slot, unchecked, for a job admitted in an
+// earlier life: one recovered from the journal or adopted from a failed
+// peer. It counts toward the tenant's quota like an admitted job.
 func (c *Controller) JobStarted(id string) {
 	if c == nil {
 		return
 	}
-	id = Normalize(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.stateLocked(id)
-	if t.pendingStart > 0 {
-		t.pendingStart--
-	} else {
-		t.active++
-	}
+	c.stateLocked(Normalize(id)).start()
+}
+
+// start takes a job's active slot and counts it started.
+func (t *state) start() {
+	t.active++
 	t.usage.JobsStarted++
 }
 
-// CancelAdmission returns the reservation AdmitJob took for a job that
-// never started (its submission failed after admission).
-func (c *Controller) CancelAdmission(id string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t := c.stateLocked(Normalize(id)); t.pendingStart > 0 {
-		t.pendingStart--
-		t.active--
-	}
-}
-
-// JobEnded releases the active-job slot taken by JobStarted.
+// JobEnded releases the active-job slot AdmitJob or JobStarted took.
 func (c *Controller) JobEnded(id string) {
 	if c == nil {
 		return

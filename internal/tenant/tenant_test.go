@@ -105,11 +105,10 @@ func TestAdmitJobConcurrencyQuota(t *testing.T) {
 	if !errors.As(err, &qe) || qe.Reason != "jobs" {
 		t.Fatalf("admit 3: want jobs QuotaError, got %v", err)
 	}
-	// Starting consumes the pending reservation, not a fresh slot.
-	c.JobStarted("a")
-	c.JobStarted("a")
-	if err := c.AdmitJob("a"); !errors.As(err, &qe) {
-		t.Fatalf("still full: got %v", err)
+	// An admitted job holds its slot and is counted started: nothing
+	// else takes or hands over a slot for it.
+	if u, _ := c.UsageFor("a"); u.ActiveJobs != 2 || u.JobsStarted != 2 {
+		t.Fatalf("usage after two admissions = %+v", u)
 	}
 	// A job ending frees a slot.
 	c.JobEnded("a")
@@ -118,9 +117,26 @@ func TestAdmitJobConcurrencyQuota(t *testing.T) {
 	}
 }
 
+// A recovered job takes a slot of its own: it cannot take the slot of a
+// job admitted beside it, so the quota still holds. (Admission used to
+// leave a reservation that the next job of the tenant to start took,
+// whichever job that was: the third admission below passed.)
+func TestRecoveredJobTakesItsOwnSlot(t *testing.T) {
+	c := NewController(Config{Clock: clock.NewFake(time.Unix(1000, 0)), Defaults: Limits{MaxActiveJobs: 2}})
+	if err := c.AdmitJob("a"); err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	c.JobStarted("a")
+	var qe *QuotaError
+	if err := c.AdmitJob("a"); !errors.As(err, &qe) || qe.Reason != "jobs" {
+		t.Fatalf("admission beside an admitted and a recovered job = %v; want a jobs QuotaError", err)
+	}
+}
+
 func TestJobStartedWithoutAdmission(t *testing.T) {
 	c := NewController(Config{Clock: clock.NewFake(time.Unix(0, 0))})
-	// Direct/recovered jobs were never admitted but still count.
+	// Recovered jobs were admitted in an earlier life: they are not
+	// checked again, but they count.
 	c.JobStarted("a")
 	u, _ := c.UsageFor("a")
 	if u.ActiveJobs != 1 || u.JobsStarted != 1 {

@@ -139,9 +139,7 @@ type Fabric struct {
 	obsFiles      *obs.Counter
 	obsDuration   *obs.Histogram
 	obsFetchBytes *obs.Counter
-	// obsJobsBy pre-resolves the per-status outcome counters so the
-	// per-job terminal path skips the label lookup.
-	obsJobsBy map[Status]*obs.Counter
+	obsJobs       *obs.CounterVec // by terminal status
 }
 
 // Instrument registers the fabric's transfer metrics on the
@@ -155,11 +153,10 @@ func (f *Fabric) Instrument(reg *obs.Registry) {
 		"Bytes moved by completed transfer jobs.")
 	f.obsFiles = reg.Counter("xtract_transfer_files_total",
 		"Files moved by completed transfer jobs.")
-	jobs := reg.CounterVec("xtract_transfer_jobs_total",
+	f.obsJobs = reg.CounterVec("xtract_transfer_jobs_total",
 		"Transfer jobs by terminal status.", "status")
-	f.obsJobsBy = map[Status]*obs.Counter{
-		StatusSucceeded: jobs.With(StatusSucceeded.String()),
-		StatusFailed:    jobs.With(StatusFailed.String()),
+	for _, st := range []Status{StatusSucceeded, StatusFailed} {
+		f.obsJobs.With(st.String())
 	}
 	f.obsDuration = reg.Histogram("xtract_transfer_duration_seconds",
 		"End-to-end latency of transfer jobs.", nil)
@@ -367,7 +364,7 @@ func (f *Fabric) move(j *job, ls *linkState, srcEP, dstEP *Endpoint, due time.Ti
 // registry. Bytes and files reflect what actually moved, even on failure.
 func (f *Fabric) observeTerminal(j *job) {
 	info := j.info(math.MaxInt)
-	f.obsJobsBy[info.Status].Inc()
+	f.obsJobs.With(info.Status.String()).Inc()
 	f.obsBytes.Add(float64(info.BytesTransferred))
 	f.obsFiles.Add(float64(info.FilesDone))
 	f.obsDuration.ObserveDuration(info.Elapsed)
