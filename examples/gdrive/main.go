@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"xtract/internal/clock"
+	"xtract/internal/core"
 	"xtract/internal/dataset"
 	"xtract/internal/deploy"
 	"xtract/internal/extractors"
@@ -46,7 +47,7 @@ func main() {
 	river := store.NewMemFS("river", nil)
 	d, err := deploy.New(context.Background(), clk, []deploy.SiteSpec{
 		{Name: "gdrive", Store: drive, Workers: 0},
-		{Name: "river", Store: river, Workers: 30, DirectFetch: true},
+		{Name: "river", Store: river, Workers: 30, SiteSettings: core.SiteSettings{DirectFetch: true}},
 	}, deploy.Options{Validator: validate.NewMDF("gdrive-case-study")})
 	if err != nil {
 		log.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"xtract/internal/clock"
+	"xtract/internal/core"
 	"xtract/internal/dataset"
 	"xtract/internal/deploy"
 	"xtract/internal/journal"
@@ -38,8 +39,8 @@ func run(percent float64, groups int) (time.Duration, int64, int64, int64) {
 		// Midway is deliberately under-provisioned (2 workers) so that
 		// offloading to Jetstream's 4 idle workers pays off.
 		{Name: "midway", Store: repo, Workers: 2},
-		{Name: "jetstream", Store: jsStore, Workers: 4, DeleteStaged: true},
-	}, deploy.Options{Policy: policy})
+		{Name: "jetstream", Store: jsStore, Workers: 4, SiteSettings: core.SiteSettings{DeleteStaged: true}},
+	}, deploy.Options{Settings: core.Settings{Policy: policy}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 
 	"xtract/internal/api"
 	"xtract/internal/cache"
-	"xtract/internal/core"
+	"xtract/internal/deploy"
 )
 
 func TestCacheEndpointDisabled(t *testing.T) {
@@ -26,10 +26,10 @@ func TestCacheEndpointDisabled(t *testing.T) {
 }
 
 func TestCacheEndpointAndNoCacheOverride(t *testing.T) {
-	c := cache.New(0)
-	client, _, _, done := newTestServerDepsCfg(t, false, nil,
-		func(cfg *core.Config) { cfg.Cache = c })
+	client, _, deps, done := newTestServerDepsCfg(t, false, nil,
+		func(opts *deploy.Options) { opts.CacheCapacity = 64 })
 	defer done()
+	c := deps.Cache
 
 	submitAndWait := func(noCache bool) api.JobStatus {
 		t.Helper()

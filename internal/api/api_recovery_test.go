@@ -8,7 +8,7 @@ import (
 
 	"xtract/internal/api"
 	"xtract/internal/cluster"
-	"xtract/internal/core"
+	"xtract/internal/deploy"
 	"xtract/internal/journal"
 	"xtract/internal/sdk"
 	"xtract/internal/store"
@@ -68,8 +68,8 @@ func TestRecoveryEndpointReportsRestoredJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, _, deps, done := newTestServerDepsCfg(t, false, nil, func(cfg *core.Config) {
-		cfg.Journal = jnl
+	client, _, deps, done := newTestServerDepsCfg(t, false, nil, func(opts *deploy.Options) {
+		opts.Journal = jnl
 	})
 	defer done()
 	defer jnl.Close()
@@ -83,7 +83,7 @@ func TestRecoveryEndpointReportsRestoredJobs(t *testing.T) {
 		t.Fatalf("pre-recovery = %+v, want enabled and not ran", resp)
 	}
 
-	if _, err := deps.Svc.Recover(context.Background()); err != nil {
+	if _, err := deps.Service.Recover(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = client.Recovery()
@@ -163,14 +163,14 @@ func TestCancelReachesRecoveredAndAdoptedJobs(t *testing.T) {
 			// The slow listing keeps the job running until it is cancelled.
 			client, _, deps, done := newTestServerDepsCfg(t, false,
 				func(s store.Store) store.Store { return &slowStore{Store: s, delay: 100 * time.Millisecond} },
-				func(cfg *core.Config) { cfg.Journal, cfg.Cluster = jnl, node })
+				func(opts *deploy.Options) { opts.Journal, opts.Cluster = jnl, node })
 			defer done()
 			if tc.clustered {
 				deps.Server.SetCluster(node)
-				if n := deps.Svc.FailoverScan(context.Background()); n != 1 {
+				if n := deps.Service.FailoverScan(context.Background()); n != 1 {
 					t.Fatalf("the failover scan adopted %d jobs, want 1", n)
 				}
-			} else if status, err := deps.Svc.Recover(context.Background()); err != nil || status.Resumed != 1 {
+			} else if status, err := deps.Service.Recover(context.Background()); err != nil || status.Resumed != 1 {
 				t.Fatalf("recovery = %+v, %v; want the one job resumed", status, err)
 			}
 

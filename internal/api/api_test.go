@@ -10,28 +10,20 @@ import (
 	"xtract/internal/api"
 	"xtract/internal/auth"
 	"xtract/internal/clock"
-	"xtract/internal/core"
+	"xtract/internal/deploy"
 	"xtract/internal/extractors"
-	"xtract/internal/faas"
 	"xtract/internal/family"
 	"xtract/internal/index"
-	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/sdk"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
-	"xtract/internal/transfer"
-	"xtract/internal/validate"
 )
 
 // testDeps exposes the pieces of a test deployment individual tests poke.
 type testDeps struct {
-	Server  *api.Server
-	Store   *store.MemFS
-	Dest    *store.MemFS
-	Results *queue.Queue
-	Svc     *core.Service
-	Obs     *obs.Observer
+	*deploy.Deployment
+	Server *api.Server
+	Store  *store.MemFS // the site's data layer, beneath any wrapping
 }
 
 // newTestServer stands up a full service with one compute site behind the
@@ -48,65 +40,35 @@ func newTestServerDeps(t *testing.T, withAuth bool, wrapStore func(store.Store) 
 	return newTestServerDepsCfg(t, withAuth, wrapStore, nil)
 }
 
-// newTestServerDepsCfg additionally applies a core.Config hook before the
-// service is built (e.g. to attach a result cache).
-func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Store) store.Store, cfgMut func(*core.Config)) (*sdk.XtractClient, *auth.Issuer, *testDeps, func()) {
+// newTestServerDepsCfg additionally applies a deploy.Options hook before the
+// deployment is built (e.g. to attach a result cache).
+func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Store) store.Store, optsMut func(*deploy.Options)) (*sdk.XtractClient, *auth.Issuer, *testDeps, func()) {
 	t.Helper()
 	clk := clock.NewReal()
-	o := obs.New(clk)
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fsvc.Instrument(o.Reg())
-	fabric := transfer.NewFabric(clk)
-	fabric.Instrument(o.Reg())
-	lib := extractors.DefaultLibrary()
-	families, prefetch, prefetchDone, results := core.NewQueues(clk)
-	for _, q := range []*queue.Queue{families, prefetch, prefetchDone, results} {
-		q.Instrument(o.Reg())
-	}
-
-	cfg := core.Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric, Library: lib,
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results, Obs: o,
-	}
-	if cfgMut != nil {
-		cfgMut(&cfg)
-	}
-	svc := core.New(cfg)
 	fs := store.NewMemFS("local", nil)
 	var siteStore store.Store = fs
 	if wrapStore != nil {
 		siteStore = wrapStore(fs)
 	}
-	fabric.AddEndpoint("local", siteStore)
-	ep := faas.NewEndpoint("ep-local", 2, clk)
-	fsvc.RegisterEndpoint(ep)
-	ctx, cancel := context.WithCancel(context.Background())
-	if err := ep.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	svc.AddSite(&core.Site{Name: "local", Store: siteStore, TransferID: "local", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-	go pf.Run(ctx, 1)
-	dest := store.NewMemFS("dest", nil)
-	vs := validate.NewService(validate.Passthrough{}, results, dest)
-	vs.Instrument(o)
-	go vs.Run(ctx)
-
 	// Seed a couple of files.
 	_ = fs.Write("/data/a.txt", []byte("perovskite cells and absorber layers"))
 	_ = fs.Write("/data/b.csv", []byte("x,y\n1,2\n3,4\n"))
 
+	var opts deploy.Options
+	if optsMut != nil {
+		optsMut(&opts)
+	}
+	d, err := deploy.New(context.Background(), clk, []deploy.SiteSpec{{Name: "local", Store: siteStore, Workers: 2}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var issuer *auth.Issuer
 	if withAuth {
 		issuer = auth.NewIssuer([]byte("api-key"), clk)
 	}
-	srv := api.NewServer(svc, nil, lib, issuer)
-	srv.SetObserver(o)
-	srv.SetBaseContext(ctx)
+	srv := api.NewServer(d.Service, d.Registry, d.Library, issuer)
+	srv.SetObserver(d.Obs)
+	srv.SetBaseContext(d.Ctx)
 	ts := httptest.NewServer(srv.Handler())
 	token := ""
 	if withAuth {
@@ -114,8 +76,7 @@ func newTestServerDepsCfg(t *testing.T, withAuth bool, wrapStore func(store.Stor
 			[]string{auth.ScopeCrawl, auth.ScopeExtract, auth.ScopeValidate}, time.Hour)
 	}
 	client := sdk.New(ts.URL, token)
-	deps := &testDeps{Server: srv, Store: fs, Dest: dest, Results: results, Svc: svc, Obs: o}
-	return client, issuer, deps, func() { ts.Close(); cancel() }
+	return client, issuer, &testDeps{Deployment: d, Server: srv, Store: fs}, func() { ts.Close(); d.Close() }
 }
 
 func TestSubmitAndPollJob(t *testing.T) {
@@ -228,40 +189,10 @@ func TestGrouperNames(t *testing.T) {
 }
 
 func TestSearchEndpoints(t *testing.T) {
-	// Stand up a server, run a job, refresh the index, and search it.
-	clk := clock.NewReal()
-	fsvc := faas.NewService(clk, faas.Costs{})
-	fabric := transfer.NewFabric(clk)
-	lib := extractors.DefaultLibrary()
-	_, prefetch, prefetchDone, results := core.NewQueues(clk)
-	svc := core.New(core.Config{
-		Clock: clk, FaaS: fsvc, Fabric: fabric, Library: lib,
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results,
-	})
-	fs := store.NewMemFS("local", nil)
-	fabric.AddEndpoint("local", fs)
-	ep := faas.NewEndpoint("ep-local", 2, clk)
-	fsvc.RegisterEndpoint(ep)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := ep.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-	svc.AddSite(&core.Site{Name: "local", Store: fs, TransferID: "local", Compute: ep})
-	if err := svc.RegisterExtractors(); err != nil {
-		t.Fatal(err)
-	}
-	dest := store.NewMemFS("dest", nil)
-	vs := validate.NewService(validate.Passthrough{}, results, dest)
-	_ = fs.Write("/data/doc.txt", []byte("perovskite absorber research notes"))
-
-	srv := api.NewServer(svc, nil, lib, nil)
-	ix := index.New()
-	srv.EnableSearch(ix, dest, "/metadata")
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := sdk.New(ts.URL, "")
+	// Run a job, refresh the index, and search it.
+	client, _, deps, done := newTestServerDeps(t, false, nil)
+	defer done()
+	deps.Server.EnableSearch(index.New(), deps.Dest, "/metadata")
 
 	jobID, err := client.Submit(api.JobRequest{Repos: []api.RepoRequest{{
 		Site: "local", Roots: []string{"/data"}, Grouper: "single",
@@ -272,7 +203,7 @@ func TestSearchEndpoints(t *testing.T) {
 	if _, err := client.WaitJob(jobID, 5*time.Millisecond, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	vs.Drain()
+	deps.DrainValidation()
 
 	ref, err := client.RefreshIndex()
 	if err != nil {
@@ -332,9 +263,9 @@ func TestRunningJobShowsProgress(t *testing.T) {
 		e, _ := base.Get(name)
 		held = append(held, holdingExtractor{Extractor: e, held: "/data/b.csv", release: release})
 	}
-	client, _, _, done := newTestServerDepsCfg(t, false, nil, func(cfg *core.Config) {
-		cfg.Library = extractors.NewLibrary(held...)
-		cfg.XtractBatchSize = 1 // a.txt's step is not in b.csv's task
+	client, _, _, done := newTestServerDepsCfg(t, false, nil, func(opts *deploy.Options) {
+		opts.Library = extractors.NewLibrary(held...)
+		opts.XtractBatchSize = 1 // a.txt's step is not in b.csv's task
 	})
 	defer done()
 	id, err := client.Submit(api.JobRequest{Repos: []api.RepoRequest{{Site: "local", Roots: []string{"/data"}, Grouper: "single"}}})
@@ -370,10 +301,10 @@ func TestCancelledJobReportsItsWork(t *testing.T) {
 		held = append(held, holdingExtractor{Extractor: e, held: "/data/b.csv", release: release})
 	}
 	ctrl := tenant.NewController(tenant.Config{})
-	client, _, deps, done := newTestServerDepsCfg(t, false, nil, func(cfg *core.Config) {
-		cfg.Library = extractors.NewLibrary(held...)
-		cfg.XtractBatchSize = 1 // a.txt's step is not in b.csv's task
-		cfg.Tenants = ctrl
+	client, _, deps, done := newTestServerDepsCfg(t, false, nil, func(opts *deploy.Options) {
+		opts.Library = extractors.NewLibrary(held...)
+		opts.XtractBatchSize = 1 // a.txt's step is not in b.csv's task
+		opts.Tenants = ctrl
 	})
 	defer done()
 	defer close(release)

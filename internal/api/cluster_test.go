@@ -9,8 +9,10 @@ package api_test
 // of the per-node xtract_tenant_* metric expositions.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,17 +23,11 @@ import (
 	"xtract/internal/clock"
 	"xtract/internal/cluster"
 	"xtract/internal/core"
-	"xtract/internal/extractors"
-	"xtract/internal/faas"
+	"xtract/internal/deploy"
 	"xtract/internal/obs"
 	"xtract/internal/sdk"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
-	"xtract/internal/transfer"
-	"xtract/internal/validate"
-
-	"context"
-	"net/http/httptest"
 )
 
 // clusterAPINode is one HTTP node of a two-node test cluster.
@@ -66,40 +62,18 @@ func newClusterAPIPairWith(t *testing.T, tcfg tenant.Config) (*cluster.Coordinat
 	var closers []func()
 
 	for _, id := range []string{"n1", "n2"} {
-		o := obs.New(clk)
 		ctrl := tenant.NewController(tcfg)
-		ctrl.Instrument(o.Reg())
-		fsvc := faas.NewService(clk, faas.Costs{})
-		fabric := transfer.NewFabric(clk)
-		lib := extractors.DefaultLibrary()
 		// The address is only known once the listener exists; join with a
 		// placeholder and refresh below (Join upserts).
 		node := cluster.NewNode(coord, id, "")
-		_, prefetch, prefetchDone, results := core.NewQueues(clk)
-		svc := core.New(core.Config{
-			Clock: clk, FaaS: fsvc, Fabric: fabric, Library: lib,
-			PrefetchQueue: prefetch,
-			PrefetchDone:  prefetchDone, ResultQueue: results, Obs: o,
-			Tenants: ctrl, Cluster: node,
-		})
-		fabric.AddEndpoint("local", siteFS)
-		ep := faas.NewEndpoint("ep-local-"+id, 2, clk)
-		fsvc.RegisterEndpoint(ep)
-		if err := ep.Start(ctx); err != nil {
+		d, err := deploy.New(ctx, clk, []deploy.SiteSpec{{Name: "local", Store: siteFS, Workers: 2}},
+			deploy.Options{Tenants: ctrl, Cluster: node})
+		if err != nil {
 			t.Fatal(err)
 		}
-		svc.AddSite(&core.Site{Name: "local", Store: siteFS, TransferID: "local", Compute: ep})
-		if err := svc.RegisterExtractors(); err != nil {
-			t.Fatal(err)
-		}
-		pf := transfer.NewPrefetcher(fabric, prefetch, prefetchDone, clk)
-		go pf.Run(ctx, 1)
-		vs := validate.NewService(validate.Passthrough{}, results, store.NewMemFS("dest-"+id, nil))
-		go vs.Run(ctx)
-
-		srv := api.NewServer(svc, nil, lib, issuer)
-		srv.SetObserver(o)
-		srv.SetBaseContext(ctx)
+		srv := api.NewServer(d.Service, d.Registry, d.Library, issuer)
+		srv.SetObserver(d.Obs)
+		srv.SetBaseContext(d.Ctx)
 		srv.SetTenants(ctrl)
 		srv.SetCluster(node)
 		ts := httptest.NewServer(srv.Handler())
@@ -107,7 +81,7 @@ func newClusterAPIPairWith(t *testing.T, tcfg tenant.Config) (*cluster.Coordinat
 		coord.Join(id, ts.URL)
 		coord.RegisterUsage(id, ctrl.UsageFor)
 		ctrl.SetPeerActive(func(ten string) int { return coord.PeerActive(id, ten) })
-		nodes = append(nodes, &clusterAPINode{id: id, base: ts.URL, server: srv, ctrl: ctrl, obs: o})
+		nodes = append(nodes, &clusterAPINode{id: id, base: ts.URL, server: srv, ctrl: ctrl, obs: d.Obs})
 	}
 	done := func() {
 		for _, c := range closers {
@@ -224,9 +198,9 @@ func TestClusterEndpointAndSubmitRedirect(t *testing.T) {
 }
 
 // A submission whose lease the coordination layer refuses leaves nothing
-// behind: no job in the node's listing, and the tenant's admission
-// reservation returned, so that a tenant allowed one active job is
-// admitted again at once.
+// behind: no job in the node's listing, no start on the tenant's bill,
+// and the tenant's admission reservation returned, so that a tenant
+// allowed one active job is admitted again at once.
 func TestClusterRefusedSubmissionLeavesNothingBehind(t *testing.T) {
 	coord, siteFS, issuer, nodes, done := newClusterAPIPairWith(t,
 		tenant.Config{TaskSlots: 4, Defaults: tenant.Limits{MaxActiveJobs: 1}})
@@ -249,8 +223,8 @@ func TestClusterRefusedSubmissionLeavesNothingBehind(t *testing.T) {
 	if list, err := c.ListJobs("", 0, 0); err != nil || list.Total != 0 {
 		t.Fatalf("n1 lists %+v, %v after a refused submission; want nothing", list, err)
 	}
-	if u, err := c.TenantUsage(alice); err != nil || u.Usage.ActiveJobs != 0 {
-		t.Fatalf("%s usage %+v, %v; want no active job", alice, u.Usage, err)
+	if u, err := c.TenantUsage(alice); err != nil || u.Usage.ActiveJobs != 0 || u.Usage.JobsStarted != 0 {
+		t.Fatalf("%s usage %+v, %v; want no active job and no start billed", alice, u.Usage, err)
 	}
 	id, err := c.Submit(req)
 	if err != nil {
@@ -258,6 +232,9 @@ func TestClusterRefusedSubmissionLeavesNothingBehind(t *testing.T) {
 	}
 	if st, err := c.WaitJob(id, 2*time.Millisecond, 30*time.Second); err != nil || st.State != "COMPLETE" {
 		t.Fatalf("job %s = %+v, %v", id, st, err)
+	}
+	if u, err := c.TenantUsage(alice); err != nil || u.Usage.JobsStarted != 1 || u.Usage.JobsCompleted != 1 {
+		t.Fatalf("%s usage %+v, %v; want the one job that ran started and complete", alice, u.Usage, err)
 	}
 }
 

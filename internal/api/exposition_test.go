@@ -120,7 +120,7 @@ func TestExpositionMatchesDesign(t *testing.T) {
 			{Name: "petrel", Store: src},
 			{Name: "theta", Store: store.NewMemFS("theta", nil), Workers: 2},
 		}, deploy.Options{CacheCapacity: 1, Journal: jnl, Tenants: tenants,
-			Breakers: core.BreakerPolicy{Enabled: true}})
+			Settings: core.Settings{Breakers: core.BreakerPolicy{Enabled: true}}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"xtract/internal/api"
-	"xtract/internal/core"
+	"xtract/internal/deploy"
 	"xtract/internal/journal"
 	"xtract/internal/store"
 )
@@ -122,7 +122,7 @@ func journalRecords(t *testing.T, disk *store.MemFS, prefix string) []journal.Re
 	return recs
 }
 
-func destDocs(dest *store.MemFS) int {
+func destDocs(dest store.Store) int {
 	infos, err := dest.List("/metadata")
 	if err != nil {
 		return 0
@@ -149,7 +149,7 @@ func TestSubmissionGate(t *testing.T) {
 	var src *listCounter
 	client, _, deps, done := newTestServerDepsCfg(t, false,
 		func(s store.Store) store.Store { src = &listCounter{Store: s}; return src },
-		func(cfg *core.Config) { cfg.Journal = jnl })
+		func(opts *deploy.Options) { opts.Journal = jnl })
 	defer done()
 	defer dev.open()
 
@@ -185,7 +185,7 @@ func TestSubmissionGate(t *testing.T) {
 		t.Fatalf("submission answered (%q, %v) before job_submitted was durable", a.id, a.err)
 	default:
 	}
-	if sent, _ := deps.Results.Stats(); sent != 0 {
+	if sent, _ := deps.Queues.Results.Stats(); sent != 0 {
 		t.Fatalf("%d results on the queue before job_submitted was durable", sent)
 	}
 	if n := destDocs(deps.Dest); n != 0 {
@@ -249,7 +249,7 @@ func TestJournalDeviceErrorDegradesDurabilityOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, _, deps, done := newTestServerDepsCfg(t, false, nil, func(cfg *core.Config) { cfg.Journal = jnl })
+	client, _, deps, done := newTestServerDepsCfg(t, false, nil, func(opts *deploy.Options) { opts.Journal = jnl })
 	defer done()
 
 	id, err := client.Submit(twoFileJob)
@@ -300,7 +300,7 @@ func TestTerminalStateFollowsItsRecord(t *testing.T) {
 			// The slow listing keeps the job running until it is cancelled.
 			client, _, _, done := newTestServerDepsCfg(t, false,
 				func(s store.Store) store.Store { return &slowStore{Store: s, delay: 100 * time.Millisecond} },
-				func(cfg *core.Config) { cfg.Journal = jnl })
+				func(opts *deploy.Options) { opts.Journal = jnl })
 			defer done()
 			defer dev.open()
 

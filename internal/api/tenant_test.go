@@ -18,6 +18,7 @@ import (
 	"xtract/internal/api"
 	"xtract/internal/auth"
 	"xtract/internal/core"
+	"xtract/internal/deploy"
 	"xtract/internal/sdk"
 	"xtract/internal/tenant"
 )
@@ -31,8 +32,7 @@ func newTenantServer(t *testing.T, lim tenant.Limits, slots int) (string, *auth.
 	t.Helper()
 	ctrl := tenant.NewController(tenant.Config{Defaults: lim, TaskSlots: slots})
 	client, issuer, deps, done := newTestServerDepsCfg(t, true, nil,
-		func(cfg *core.Config) { cfg.Tenants = ctrl })
-	ctrl.Instrument(deps.Obs.Reg())
+		func(opts *deploy.Options) { opts.Tenants = ctrl })
 	deps.Server.SetTenants(ctrl)
 	return client.BaseURL, issuer, deps, done
 }
@@ -163,9 +163,9 @@ func TestTenantQuotaRetryAfter(t *testing.T) {
 // token is still there once the pressure is gone.
 func TestShedSubmissionAnswers503(t *testing.T) {
 	ctrl := tenant.NewController(tenant.Config{TaskSlots: 2, Defaults: tenant.Limits{SubmitRate: 0.01, SubmitBurst: 1}})
-	client, issuer, deps, done := newTestServerDepsCfg(t, true, nil, func(cfg *core.Config) {
-		cfg.Tenants = ctrl
-		cfg.Shed = core.ShedPolicy{SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second}
+	client, issuer, deps, done := newTestServerDepsCfg(t, true, nil, func(opts *deploy.Options) {
+		opts.Tenants = ctrl
+		opts.Shed = core.ShedPolicy{SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second}
 	})
 	defer done()
 	deps.Server.SetTenants(ctrl)

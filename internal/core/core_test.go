@@ -143,7 +143,7 @@ func (w *world) start(t testing.TB, n node) *harness {
 		Clock: clk, FaaS: h.fsvc, Fabric: h.fabric,
 		Library:       extractors.DefaultLibrary(),
 		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: w.results,
-		Policy: n.policy, Journal: w.jnl,
+		Settings: Settings{Policy: n.policy}, Journal: w.jnl,
 	}
 	if n.inv != nil {
 		cfg.Library = countingLibrary(n.inv, n.delay)
@@ -168,8 +168,7 @@ func (w *world) start(t testing.TB, n node) *harness {
 	for _, spec := range w.specs {
 		fs := w.sites[spec.name]
 		h.fabric.AddEndpoint(spec.name, fs)
-		site := &Site{Name: spec.name, Store: fs, TransferID: spec.name, StagePath: "/xtract-stage",
-			ExcludeExtractors: spec.exclude}
+		site := &Site{Name: spec.name, Store: fs, SiteSettings: SiteSettings{ExcludeExtractors: spec.exclude}}
 		if spec.workers > 0 {
 			ep, err := h.endpoint("ep-"+spec.name, spec.workers)
 			if err != nil {
@@ -403,6 +402,33 @@ func seedScience(t testing.TB, fs *store.MemFS, root string) int {
 		}
 	}
 	return len(files)
+}
+
+// A zero Settings comes out of New with every default, and a site added
+// without a staging path gets the default one: New and AddSite are where
+// every default is applied.
+func TestNewDefaultsEverySetting(t *testing.T) {
+	svc := bareService(t, nil, nil)
+	got := svc.cfg.Settings
+	site, _ := svc.Site("x")
+	for _, c := range []struct {
+		setting   string
+		got, want any
+	}{
+		{"Policy", got.Policy, scheduler.LocalPolicy{}},
+		{"XtractBatchSize", got.XtractBatchSize, 8},
+		{"FuncXBatchSize", got.FuncXBatchSize, 16},
+		{"Retry", got.Retry, DefaultRetryPolicy},
+		{"Hedge", got.Hedge, HedgePolicy{Quantile: 0.95, Multiplier: 3, MinSamples: 20, MinDelay: 5 * time.Millisecond}},
+		{"Breakers", got.Breakers, BreakerPolicy{Window: 20, TripRatio: 0.5, Cooldown: 2 * time.Second, HalfOpenProbes: 3}},
+		{"Shed", got.Shed, ShedPolicy{RetryAfter: time.Second}},
+		{"StragglerBudget", got.StragglerBudget, 0},
+		{"Site.StagePath", site.StagePath, "/xtract-stage"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %+v, want %+v", c.setting, c.got, c.want)
+		}
+	}
 }
 
 func TestEndToEndLocalExtraction(t *testing.T) {
@@ -778,8 +804,8 @@ func TestSitesListing(t *testing.T) {
 	if site.HasCompute() {
 		t.Fatal("storage-only site reports compute")
 	}
-	if site.ReadStore() == nil {
-		t.Fatal("ReadStore nil")
+	if site.Store == nil {
+		t.Fatal("site a has no store")
 	}
 }
 

@@ -288,7 +288,7 @@ func (d *dispatcher) submit() {
 		d.s.obsDispatchLatency.ObserveDuration(now.Sub(t.ready))
 		d.s.obs.Event(d.jobID, obs.EvBatchDispatched, slog.String("task", t.id),
 			slog.Int("steps", len(t.refs)), slog.String("endpoint", d.reqs[i].EndpointID))
-		if d.s.hedge.Enabled {
+		if d.s.cfg.Hedge.Enabled {
 			// Tell the pump the task is live so it can arm the hedge
 			// deadline and note it on its steps for loser cancellation.
 			d.sink.push(shardEvent{task: t, accepted: true})

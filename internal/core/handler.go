@@ -9,7 +9,6 @@ import (
 	"xtract/internal/extractors"
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
-	"xtract/internal/store"
 )
 
 // stepPayload is one (family, group) extraction within an Xtract batch.
@@ -169,6 +168,3 @@ func (out *stepOutcome) setMetadata(md map[string]interface{}) bool {
 	out.OK = true
 	return true
 }
-
-// ReadStore reports the store a site exposes (exported for examples).
-func (s *Site) ReadStore() store.Store { return s.Store }

@@ -199,7 +199,8 @@ func (s *Service) resolve(spec journal.JobSpec) ([]*crawler.Crawler, error) {
 // spec is resolved, the service sheds it when overloaded, and the tenant
 // admits it, taking the job's active slot. Only then is its ID minted, its
 // lease taken and its submission record written; a refusal before that
-// leaves nothing behind — no record, no slot, no ID used up. The refusals
+// leaves nothing behind — no record, no slot, no ID used up — and only a
+// job that holds its lease is billed as started. The refusals
 // are typed: ErrUnknownSite, ErrUnknownGrouper, *OverloadError,
 // *tenant.QuotaError, or a lease the coordination layer refused.
 //
@@ -234,12 +235,14 @@ func (s *Service) Submit(ctx context.Context, spec journal.JobSpec) (*Job, error
 		// the fold does not know yet are skipped on replay — harmless.)
 		// Fresh IDs are node-unique, so acquisition can only fail on a
 		// coordination-layer fault. A refused job leaves nothing behind:
-		// no record of it exists yet, and its slot goes back.
+		// no record of it exists yet, no start was billed, and its slot
+		// goes back.
 		if err := s.cfg.Cluster.AcquireJob(jobID); err != nil {
 			s.cfg.Tenants.JobEnded(spec.Tenant)
 			return nil, fmt.Errorf("core: job %s: %w", jobID, err)
 		}
 	}
+	s.cfg.Tenants.CountStart(spec.Tenant)
 	var ticket journal.Ticket // zero without a journal: nothing to wait for
 	var submitted chan struct{}
 	if s.cfg.Journal != nil {

@@ -452,8 +452,7 @@ func bareService(t testing.TB, c *cache.Cache, o *obs.Observer) *Service {
 		PrefetchQueue: prefetch,
 		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: c, Obs: o,
 	})
-	svc.AddSite(&Site{Name: "x", Store: store.NewMemFS("x", nil), TransferID: "x",
-		Compute: faas.NewEndpoint("ep-x", 1, clk)})
+	svc.AddSite(&Site{Name: "x", Store: store.NewMemFS("x", nil), Compute: faas.NewEndpoint("ep-x", 1, clk)})
 	return svc
 }
 

@@ -67,7 +67,7 @@ func (p *pump) placeFamily(fam family.Family) {
 	// or — with no shared file system at the target — downloaded one by
 	// one from the home data layer at extraction time (Table 3's pods).
 	if target.Name != home.Name {
-		st.fetchFrom = home.TransferID
+		st.fetchFrom = home.Name
 	}
 	p.setFamPhase(st, famRunning)
 	p.advance(st) // a family served entirely from the result cache finishes right here
@@ -101,8 +101,8 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 	st.prefetchBody = transfer.AppendPrefetchTask(nil, &transfer.PrefetchTask{
 		JobID:    p.JobID,
 		FamilyID: st.fam.ID,
-		Src:      home.TransferID,
-		Dst:      st.site.TransferID,
+		Src:      home.Name,
+		Dst:      st.site.Name,
 		Pairs:    pairs,
 	})
 	st.stageAttempts = 1

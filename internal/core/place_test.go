@@ -45,12 +45,11 @@ func TestSeededPlacementIsTheSameEveryRun(t *testing.T) {
 		pol := &recordingPolicy{Policy: &scheduler.RandPolicy{Percent: 100, Rng: rand.New(rand.NewSource(7))}}
 		svc := New(Config{
 			Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: transfer.NewFabric(clk),
-			Library: extractors.DefaultLibrary(), Policy: pol,
+			Library: extractors.DefaultLibrary(), Settings: Settings{Policy: pol},
 			PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: results,
 		})
 		for _, name := range []string{"gamma", "alpha", "delta", "beta"} {
-			svc.AddSite(&Site{Name: name, Store: store.NewMemFS(name, nil), TransferID: name,
-				Compute: faas.NewEndpoint("ep-"+name, 1, clk)})
+			svc.AddSite(&Site{Name: name, Store: store.NewMemFS(name, nil), Compute: faas.NewEndpoint("ep-"+name, 1, clk)})
 		}
 		p := newPump(svc, registry.JobRecord{ID: svc.jobs.mint()}, false, nil)
 		for i := 0; i < 32; i++ {

@@ -110,7 +110,7 @@ func newPump(s *Service, rec registry.JobRecord, noCache bool, submitted <-chan 
 		fams:      make(map[string]*famState),
 		events:    events,
 		shards:    make(map[string]*dispatcher),
-		budget:    s.retry.JobBudget,
+		budget:    s.cfg.Retry.JobBudget,
 		submitted: submitted,
 	}
 }

@@ -198,8 +198,10 @@ func (s *Service) leasedElsewhere(js *journal.JobState) (owner string, foreign b
 }
 
 // failRecovered journals a job that cannot be run again FAILED rather
-// than dropping it; the fold answers for it from then on.
+// than dropping it; the fold answers for it from then on. Its tenant is
+// billed the start beside the outcome.
 func (s *Service) failRecovered(jobID, ten, msg string) RecoveredJob {
+	s.cfg.Tenants.CountStart(ten)
 	s.endJob(jobID, ten, registry.JobFailed, msg)
 	s.obs.Warn(jobID, obs.EvJobRecovered, slog.String("disposition", "failed"), slog.String("cause", msg))
 	return RecoveredJob{JobID: jobID, Disposition: "failed", State: string(registry.JobFailed), Err: msg}

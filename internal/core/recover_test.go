@@ -132,8 +132,9 @@ func TestPreTenantJournalReplaysAsDefault(t *testing.T) {
 }
 
 // A journaled job whose site this service no longer registers is failed
-// by recovery, disposition failed, without ever starting: it takes no
-// tenant slot. (It used to be resumed, then failed by its pump.)
+// by recovery, disposition failed, without ever running: it takes no
+// tenant slot, and is billed its start beside its outcome. (It used to be
+// resumed, then failed by its pump.)
 func TestRecoveredJobWithoutItsSiteFails(t *testing.T) {
 	w := newWorld(t, []siteSpec{{name: "theta", workers: 1}})
 	w.jdir = newDevice()
@@ -157,8 +158,8 @@ func TestRecoveredJobWithoutItsSiteFails(t *testing.T) {
 	if rj := status.Jobs[0]; rj.Disposition != "failed" || !strings.Contains(rj.Err, `unknown site "gone"`) {
 		t.Fatalf("recovered job = %+v; want failed for its unknown site", rj)
 	}
-	if u, _ := ctrl.UsageFor(tenant.Default); u.ActiveJobs != 0 || u.JobsStarted != 0 || u.JobsFailed != 1 {
-		t.Fatalf("tenant usage = %+v; want one failed job that never started", u)
+	if u, _ := ctrl.UsageFor(tenant.Default); u.ActiveJobs != 0 || u.JobsStarted != 1 || u.JobsFailed != 1 {
+		t.Fatalf("tenant usage = %+v; want one job started and failed, holding no slot", u)
 	}
 }
 

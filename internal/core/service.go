@@ -33,36 +33,16 @@ import (
 )
 
 // Site is one Xtract endpoint: a data layer (store + transfer endpoint)
-// and, optionally, a compute layer (a FaaS endpoint with workers).
+// and, optionally, a compute layer (a FaaS endpoint with workers). Its
+// name is also its endpoint ID in the transfer fabric.
 type Site struct {
 	// Name identifies the site ("theta", "midway", "petrel", ...).
 	Name string
 	// Store is the site's data layer.
 	Store store.Store
-	// TransferID is the site's endpoint ID in the transfer fabric.
-	TransferID string
 	// Compute is the site's FaaS endpoint; nil for storage-only sites.
 	Compute *faas.Endpoint
-	// StagePath is the directory staged (prefetched) files land in.
-	StagePath string
-	// DeleteStaged removes a family's staged files once its last step has
-	// ended (the family_batch.delete_files flag of Listing 1).
-	DeleteStaged bool
-	// DirectFetch makes workers at this site download remote files
-	// per-file through the transfer fabric at extraction time instead of
-	// batch-prefetching them — the Globus-HTTPS / Drive-API download
-	// path the paper uses for River pods without a shared file system.
-	DirectFetch bool
-	// ExcludeExtractors lists extractor names whose containers cannot
-	// run at this site (e.g., Docker-only extractors on Singularity-only
-	// systems); they are not registered here.
-	ExcludeExtractors []string
-	// StageCapacityBytes bounds how much data may be staged to this site
-	// (Listing 2's available_gb); 0 means unlimited. A family's bytes are
-	// reserved at placement and returned when DeleteStaged removes its
-	// copies; without DeleteStaged the copies stay, and so does the
-	// reservation.
-	StageCapacityBytes int64
+	SiteSettings
 
 	// mu guards Compute once the site is registered (jobs read the
 	// endpoint while Service.SwapCompute may replace it after an
@@ -129,8 +109,89 @@ func (s *Site) state() scheduler.SiteState {
 	return st
 }
 
+// SiteSettings are an endpoint's own settings (the paper's Listings 1–2).
+// Site and deploy.SiteSpec embed them; AddSite defaults StagePath.
+type SiteSettings struct {
+	// StagePath is the directory staged (prefetched) files land in
+	// (default "/xtract-stage").
+	StagePath string
+	// DeleteStaged removes a family's staged files once its last step has
+	// ended (the family_batch.delete_files flag of Listing 1).
+	DeleteStaged bool
+	// DirectFetch makes workers at this site download remote files
+	// per-file through the transfer fabric at extraction time instead of
+	// batch-prefetching them — the Globus-HTTPS / Drive-API download
+	// path the paper uses for River pods without a shared file system.
+	DirectFetch bool
+	// ExcludeExtractors lists extractor names whose containers cannot
+	// run at this site (e.g., Docker-only extractors on Singularity-only
+	// systems); they are not registered here.
+	ExcludeExtractors []string
+	// StageCapacityBytes bounds how much data may be staged to this site
+	// (Listing 2's available_gb); 0 means unlimited. A family's bytes are
+	// reserved at placement and returned when DeleteStaged removes its
+	// copies; without DeleteStaged the copies stay, and so does the
+	// reservation.
+	StageCapacityBytes int64
+}
+
+// Settings are the service's own settings: placement, the two batch
+// sizes of the paper's Fig. 5, retry, and the tail-latency armor. Config
+// and deploy.Options embed them; New defaults them (withDefaults), and
+// the service reads that one defaulted copy.
+type Settings struct {
+	// Policy decides task placement (default LocalPolicy).
+	Policy scheduler.Policy
+	// XtractBatchSize is how many plan steps ride in one FaaS task
+	// (default 8).
+	XtractBatchSize int
+	// FuncXBatchSize is how many FaaS tasks ride in one submit call
+	// (default 16).
+	FuncXBatchSize int
+	// Retry bounds per-step retry/backoff and the per-job retry budget
+	// applied to lost and failed extraction steps; zero fields take the
+	// DefaultRetryPolicy values.
+	Retry RetryPolicy
+	// Hedge configures hedged speculative execution: tasks exceeding
+	// their extractor's adaptive deadline are duplicated to another site,
+	// first result wins. Disabled by default.
+	Hedge HedgePolicy
+	// Breakers configures per-site circuit breakers over task outcomes.
+	// Disabled by default.
+	Breakers BreakerPolicy
+	// Shed configures overload shedding of new submissions (Submit). Off
+	// by default: the zero policy sets no watermark.
+	Shed ShedPolicy
+	// StragglerBudget, when positive, lets a job finish DEGRADED with
+	// partial results when at most this many steps dead-lettered (and no
+	// family failed outright for placement/staging reasons) instead of
+	// failing the whole job. Zero keeps the strict FAILED semantics.
+	StragglerBudget int
+}
+
+// withDefaults fills every zero setting that has a default.
+func (st Settings) withDefaults() Settings {
+	if st.Policy == nil {
+		st.Policy = scheduler.LocalPolicy{}
+	}
+	if st.XtractBatchSize < 1 {
+		st.XtractBatchSize = 8
+	}
+	if st.FuncXBatchSize < 1 {
+		st.FuncXBatchSize = 16
+	}
+	st.Retry = st.Retry.withDefaults()
+	st.Hedge = st.Hedge.withDefaults()
+	st.Breakers = st.Breakers.withDefaults()
+	if st.Shed.RetryAfter <= 0 {
+		st.Shed.RetryAfter = time.Second
+	}
+	return st
+}
+
 // Config wires the Xtract service to its substrates.
 type Config struct {
+	Settings
 	Clock   clock.Clock
 	FaaS    *faas.Service
 	Fabric  *transfer.Fabric
@@ -140,19 +201,9 @@ type Config struct {
 	PrefetchDone  *queue.Queue
 	// ResultQueue receives validate.Record JSON for finished families.
 	ResultQueue *queue.Queue
-	// Policy decides task placement; nil means LocalPolicy.
-	Policy scheduler.Policy
-	// XtractBatchSize is how many plan steps ride in one FaaS task.
-	XtractBatchSize int
-	// FuncXBatchSize is how many FaaS tasks ride in one submit call.
-	FuncXBatchSize int
 	// Obs is the runtime observability layer (nil disables live metrics
 	// and per-job event traces at near-zero cost).
 	Obs *obs.Observer
-	// Retry bounds per-step retry/backoff and the per-job retry budget
-	// applied to lost and failed extraction steps; zero fields take the
-	// DefaultRetryPolicy values.
-	Retry RetryPolicy
 	// ExtractFaults, when set, injects extractor failures and panics into
 	// step execution (chaos testing; internal/faultinject satisfies it).
 	ExtractFaults extractors.FaultHook
@@ -177,21 +228,6 @@ type Config struct {
 	// (dropped and counted) instead of written. Nil disables clustering
 	// (single-node operation).
 	Cluster *cluster.Node
-	// Hedge configures hedged speculative execution: tasks exceeding
-	// their extractor's adaptive deadline are duplicated to another site,
-	// first result wins. Disabled by default.
-	Hedge HedgePolicy
-	// Breakers configures per-site circuit breakers over task outcomes.
-	// Disabled by default.
-	Breakers BreakerPolicy
-	// Shed configures overload shedding of new submissions (Submit). Off
-	// by default: the zero policy sets no watermark.
-	Shed ShedPolicy
-	// StragglerBudget, when positive, lets a job finish DEGRADED with
-	// partial results when at most this many steps dead-lettered (and no
-	// family failed outright for placement/staging reasons) instead of
-	// failing the whole job. Zero keeps the strict FAILED semantics.
-	StragglerBudget int
 }
 
 // ShedPolicy configures overload shedding: when either watermark is
@@ -224,19 +260,14 @@ type Service struct {
 	// containerOf maps container name to its registered ID.
 	containerOf map[string]string
 
-	// retry is cfg.Retry with defaults applied.
-	retry RetryPolicy
-	// hedge is cfg.Hedge with defaults applied; estimator is the shared
-	// per-extractor runtime estimator behind its adaptive deadlines (nil
-	// when hedging is off — deadlines then fall back to the heartbeat
-	// timeout).
-	hedge     HedgePolicy
+	// estimator is the shared per-extractor runtime estimator behind the
+	// hedge policy's adaptive deadlines (nil when hedging is off —
+	// deadlines then fall back to the heartbeat timeout).
 	estimator *latencyEstimator
 	// breakers holds one circuit breaker per site (lazily created; all
 	// nil when cfg.Breakers is disabled).
-	breakerPol BreakerPolicy
-	breakerMu  sync.Mutex
-	breakers   map[string]*breaker
+	breakerMu sync.Mutex
+	breakers  map[string]*breaker
 
 	// crawlTotals sums every job's crawls and pumpTotals what every job's
 	// pump has posted: the process-wide counters, read at scrape time.
@@ -276,24 +307,13 @@ type Service struct {
 // New constructs the service. Call AddSite and RegisterExtractors before
 // running jobs.
 func New(cfg Config) *Service {
-	if cfg.Policy == nil {
-		cfg.Policy = scheduler.LocalPolicy{}
-	}
-	if cfg.XtractBatchSize < 1 {
-		cfg.XtractBatchSize = 8
-	}
-	if cfg.FuncXBatchSize < 1 {
-		cfg.FuncXBatchSize = 16
-	}
+	cfg.Settings = cfg.Settings.withDefaults()
 	s := &Service{
 		cfg:         cfg,
 		clk:         cfg.Clock,
 		functions:   make(map[[2]string]string),
 		containerOf: make(map[string]string),
 		obs:         cfg.Obs,
-		retry:       cfg.Retry.withDefaults(),
-		hedge:       cfg.Hedge.withDefaults(),
-		breakerPol:  cfg.Breakers.withDefaults(),
 		breakers:    make(map[string]*breaker),
 	}
 	s.jobs.live, s.jobs.keep = make(map[string]*Job), finishedJobs
@@ -301,8 +321,8 @@ func New(cfg Config) *Service {
 	if cfg.Cluster != nil {
 		s.jobs.prefix = "job-" + cfg.Cluster.ID() + "-"
 	}
-	if s.hedge.Enabled {
-		s.estimator = newLatencyEstimator(s.hedge)
+	if cfg.Hedge.Enabled {
+		s.estimator = newLatencyEstimator(cfg.Hedge)
 	}
 	s.instrument(cfg.Obs.Reg())
 	if cfg.Journal != nil {
@@ -402,13 +422,13 @@ func (s *Service) instrumentOwned(reg *obs.Registry) {
 // when breakers are disabled. First use registers the site's
 // xtract_breaker_state gauge.
 func (s *Service) breakerFor(site string) *breaker {
-	if !s.breakerPol.Enabled {
+	if !s.cfg.Breakers.Enabled {
 		return nil
 	}
 	s.breakerMu.Lock()
 	b, ok := s.breakers[site]
 	if !ok {
-		b = newBreaker(s.breakerPol, s.clk)
+		b = newBreaker(s.cfg.Breakers, s.clk)
 		s.breakers[site] = b
 		s.cfg.Obs.Reg().GaugeFunc("xtract_breaker_state",
 			"Per-site circuit breaker state (0 closed, 1 half-open, 2 open).",
@@ -422,7 +442,7 @@ func (s *Service) breakerFor(site string) *breaker {
 // recordSiteOutcome feeds one terminal task into the site's breaker.
 // Cancelled hedge losers are skipped: the kill is ours, not the site's.
 func (s *Service) recordSiteOutcome(site string, info faas.TaskInfo) {
-	if !s.breakerPol.Enabled {
+	if !s.cfg.Breakers.Enabled {
 		return
 	}
 	if info.Status == faas.TaskFailed && info.Err == faas.ErrTaskCancelled.Error() {
@@ -453,11 +473,7 @@ func (s *Service) shedCheck() error {
 		return nil
 	}
 	s.obsShedTotal.Inc()
-	retry := pol.RetryAfter
-	if retry <= 0 {
-		retry = time.Second
-	}
-	return &OverloadError{RetryAfter: retry}
+	return &OverloadError{RetryAfter: pol.RetryAfter}
 }
 
 // journalAppend writes one record to the configured journal and waits for
@@ -526,8 +542,12 @@ func (s *Service) extractorVersion(name string) string {
 }
 
 // AddSite registers an endpoint with the service. The site's store name
-// must equal the name crawled families carry.
+// must equal the name crawled families carry. An empty StagePath takes
+// the default, "/xtract-stage".
 func (s *Service) AddSite(site *Site) {
+	if site.StagePath == "" {
+		site.StagePath = "/xtract-stage"
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sites := slices.DeleteFunc(slices.Clone(s.sites), func(o *Site) bool { return o.Name == site.Name })

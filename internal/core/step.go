@@ -289,16 +289,16 @@ func (p *pump) failSteps(refs []stepRef, cause, detail string) int {
 // give up, saying so when it is the budget that ran out. unit keys the
 // deterministic jitter.
 func (p *pump) retry(wake stepRef, unit string, n int, cause, reason string) (time.Duration, string, bool) {
-	if n < p.s.retry.MaxAttempts && p.budget > 0 {
+	if n < p.s.cfg.Retry.MaxAttempts && p.budget > 0 {
 		p.budget--
 		p.StepsRetried++
-		d := p.s.retry.backoff(unit, n)
+		d := p.s.cfg.Retry.backoff(unit, n)
 		p.deadlines = append(p.deadlines, deadline{at: p.s.clk.Now().Add(d), stepRef: wake})
 		p.s.obsRetries.With(cause).Inc()
 		p.s.obsRetryBackoff.ObserveDuration(d)
 		return d, reason, true
 	}
-	if n < p.s.retry.MaxAttempts {
+	if n < p.s.cfg.Retry.MaxAttempts {
 		p.s.obsBudgetExhausted.Inc()
 		reason = "retry budget exhausted: " + reason
 	}
@@ -393,7 +393,7 @@ func (p *pump) resolveResult(t *task, body []byte) {
 	// deadline is armed over, so endpoint queueing is priced into the
 	// deadline, not counted against it. Without hedging nobody asks it.
 	var e2e time.Duration
-	if p.s.hedge.Enabled {
+	if p.s.cfg.Hedge.Enabled {
 		e2e = p.s.clk.Now().Sub(t.submitted) / time.Duration(len(t.refs))
 	}
 	for i, r := range t.refs {
@@ -588,7 +588,7 @@ func (p *pump) dispatchHedge(st *famState, idx int) {
 			if !ok {
 				return
 			}
-			sp.FetchFrom = home.TransferID
+			sp.FetchFrom = home.Name
 		}
 	}
 	if p.feed(target, dispatchItem{extractor: step.Extractor, hedge: true, ref: stepRef{st, idx}, sp: sp}) {

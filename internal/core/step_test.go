@@ -76,7 +76,7 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 		Library:       extractors.DefaultLibrary(),
 		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: results,
 		Cache: m.cache, Journal: jnl, Tenants: m.tenants,
-		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, JitterFrac: 0, JobBudget: 8},
+		Settings: Settings{Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, JitterFrac: 0, JobBudget: 8}},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -85,8 +85,8 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 	for _, name := range []string{"x", "y"} {
 		ep := faas.NewEndpoint("ep-"+name, 1, clk)
 		fsvc.RegisterEndpoint(ep)
-		m.svc.AddSite(&Site{Name: name, Store: store.NewMemFS(name, nil), TransferID: name,
-			Compute: ep, StagePath: "/stage"})
+		m.svc.AddSite(&Site{Name: name, Store: store.NewMemFS(name, nil), Compute: ep,
+			SiteSettings: SiteSettings{StagePath: "/stage"}})
 	}
 	if err := m.svc.RegisterExtractors(); err != nil {
 		t.Fatal(err)

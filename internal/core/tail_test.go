@@ -167,26 +167,26 @@ func TestBreakerStateMachine(t *testing.T) {
 
 func TestShedCheck(t *testing.T) {
 	ctrl := tenant.NewController(tenant.Config{TaskSlots: 4})
-	h := newHarnessCfg(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{}, func(cfg *Config) {
-		cfg.Tenants = ctrl
-	})
-	shedCheck := func() (time.Duration, bool) {
-		var oe *OverloadError
-		if errors.As(h.svc.shedCheck(), &oe) {
-			return oe.RetryAfter, true
+	// service stands up a service configured with pol; its check reports
+	// the Retry-After a refusal carries and whether it shed.
+	service := func(pol ShedPolicy) (*harness, func() (time.Duration, bool)) {
+		h := newHarnessCfg(t, []siteSpec{{name: "alpha", workers: 1}}, scheduler.LocalPolicy{}, func(cfg *Config) {
+			cfg.Tenants, cfg.Shed = ctrl, pol
+		})
+		return h, func() (time.Duration, bool) {
+			var oe *OverloadError
+			if errors.As(h.svc.shedCheck(), &oe) {
+				return oe.RetryAfter, true
+			}
+			return 0, false
 		}
-		return 0, false
 	}
-
-	// Disabled policy never sheds.
-	h.svc.cfg.Shed = ShedPolicy{}
-	if _, shed := shedCheck(); shed {
-		t.Fatal("disabled shed policy refused a submission")
-	}
+	_, disabled := service(ShedPolicy{})
+	_, slots := service(ShedPolicy{SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second})
+	_, slotsDefault := service(ShedPolicy{SlotHighWatermark: 0.5})
 
 	// Slot watermark: no pressure yet.
-	h.svc.cfg.Shed = ShedPolicy{SlotHighWatermark: 0.5, RetryAfter: 3 * time.Second}
-	if _, shed := shedCheck(); shed {
+	if _, shed := slots(); shed {
 		t.Fatal("shed with zero slot pressure")
 	}
 
@@ -197,7 +197,7 @@ func TestShedCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	retry, shed := shedCheck()
+	retry, shed := slots()
 	if !shed {
 		t.Fatal("watermark pressure did not shed")
 	}
@@ -206,12 +206,17 @@ func TestShedCheck(t *testing.T) {
 	}
 
 	// Unset RetryAfter defaults to 1s.
-	h.svc.cfg.Shed = ShedPolicy{SlotHighWatermark: 0.5}
-	if retry, shed := shedCheck(); !shed || retry != time.Second {
+	if retry, shed := slotsDefault(); !shed || retry != time.Second {
 		t.Fatalf("retry = %v shed=%v, want default 1s", retry, shed)
 	}
 
+	// Disabled policy never sheds, under the same pressure.
+	if _, shed := disabled(); shed {
+		t.Fatal("disabled shed policy refused a submission")
+	}
+
 	// Queue-depth watermark: park tasks behind a blocked worker.
+	h, depth := service(ShedPolicy{MaxQueueDepth: 2})
 	block := make(chan struct{})
 	defer close(block)
 	fid, err := h.fsvc.RegisterFunction("tail-block", func(context.Context, []byte) ([]byte, error) {
@@ -226,10 +231,9 @@ func TestShedCheck(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.svc.cfg.Shed = ShedPolicy{MaxQueueDepth: 2}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, shed := shedCheck(); shed {
+		if _, shed := depth(); shed {
 			break
 		}
 		if time.Now().After(deadline) {

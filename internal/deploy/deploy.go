@@ -18,7 +18,6 @@ import (
 	"xtract/internal/obs"
 	"xtract/internal/queue"
 	"xtract/internal/registry"
-	"xtract/internal/scheduler"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
 	"xtract/internal/transfer"
@@ -33,25 +32,13 @@ type SiteSpec struct {
 	Store store.Store
 	// Workers sizes the compute layer; 0 makes a storage-only site.
 	Workers int
-	// StagePath receives prefetched files (default "/xtract-stage").
-	StagePath string
-	// DeleteStaged removes staged copies after extraction.
-	DeleteStaged bool
-	// DirectFetch makes this site's workers download remote files
-	// per-file at extraction time instead of batch-prefetching (for
-	// sites without a shared file system, like River pods).
-	DirectFetch bool
-	// ExcludeExtractors lists extractors whose containers cannot run at
-	// this site.
-	ExcludeExtractors []string
-	// StageCapacityBytes bounds staged data at this site (0 = unlimited).
-	StageCapacityBytes int64
+	core.SiteSettings
 }
 
-// Options tunes the deployment.
+// Options tunes the deployment. The service's own settings are
+// core.Settings, passed to core.New whole.
 type Options struct {
-	// Policy is the placement policy (default LocalPolicy).
-	Policy scheduler.Policy
+	core.Settings
 	// Validator transforms finished records (default Passthrough).
 	Validator validate.Validator
 	// Dest receives validated metadata documents (default an in-memory
@@ -59,9 +46,6 @@ type Options struct {
 	Dest store.Store
 	// Library overrides the extractor set (default DefaultLibrary).
 	Library *extractors.Library
-	// XtractBatchSize / FuncXBatchSize override batching (defaults 8/16).
-	XtractBatchSize int
-	FuncXBatchSize  int
 	// FaaSCosts injects control-plane latencies (default zero).
 	FaaSCosts faas.Costs
 	// CacheCapacity, when > 0, enables the extraction result cache with
@@ -85,17 +69,6 @@ type Options struct {
 	// the job IDs it mints carry the node identity so nodes sharing a
 	// journal never collide.
 	Cluster *cluster.Node
-	// Hedge enables hedged speculative execution: steps running past
-	// their extractor's online latency estimate get a duplicate on
-	// another site, first result wins.
-	Hedge core.HedgePolicy
-	// Breakers enables per-site circuit breakers over task outcomes.
-	Breakers core.BreakerPolicy
-	// Shed enables overload shedding of new submissions (Service.Submit).
-	Shed core.ShedPolicy
-	// StragglerBudget, when > 0, lets a job finish DEGRADED with partial
-	// results while at most this many steps dead-lettered.
-	StragglerBudget int
 }
 
 // Deployment is a running Xtract instance.
@@ -161,25 +134,19 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	}
 
 	d.Service = core.New(core.Config{
-		Clock:           clk,
-		FaaS:            d.FaaS,
-		Fabric:          d.Fabric,
-		Library:         opts.Library,
-		PrefetchQueue:   prefetch,
-		PrefetchDone:    prefetchDone,
-		ResultQueue:     results,
-		Policy:          opts.Policy,
-		XtractBatchSize: opts.XtractBatchSize,
-		FuncXBatchSize:  opts.FuncXBatchSize,
-		Obs:             d.Obs,
-		Cache:           d.Cache,
-		Journal:         opts.Journal,
-		Tenants:         opts.Tenants,
-		Cluster:         opts.Cluster,
-		Hedge:           opts.Hedge,
-		Breakers:        opts.Breakers,
-		Shed:            opts.Shed,
-		StragglerBudget: opts.StragglerBudget,
+		Settings:      opts.Settings,
+		Clock:         clk,
+		FaaS:          d.FaaS,
+		Fabric:        d.Fabric,
+		Library:       opts.Library,
+		PrefetchQueue: prefetch,
+		PrefetchDone:  prefetchDone,
+		ResultQueue:   results,
+		Obs:           d.Obs,
+		Cache:         d.Cache,
+		Journal:       opts.Journal,
+		Tenants:       opts.Tenants,
+		Cluster:       opts.Cluster,
 	})
 	d.Tenants = opts.Tenants
 	opts.Tenants.Instrument(d.Obs.Reg())
@@ -218,19 +185,7 @@ func (opts Options) withDefaults() Options {
 func (d *Deployment) addSites(ctx context.Context, clk clock.Clock, sites []SiteSpec) error {
 	for _, spec := range sites {
 		d.Fabric.AddEndpoint(spec.Name, spec.Store)
-		site := &core.Site{
-			Name:               spec.Name,
-			Store:              spec.Store,
-			TransferID:         spec.Name,
-			StagePath:          spec.StagePath,
-			DeleteStaged:       spec.DeleteStaged,
-			DirectFetch:        spec.DirectFetch,
-			ExcludeExtractors:  spec.ExcludeExtractors,
-			StageCapacityBytes: spec.StageCapacityBytes,
-		}
-		if site.StagePath == "" {
-			site.StagePath = "/xtract-stage"
-		}
+		site := &core.Site{Name: spec.Name, Store: spec.Store, SiteSettings: spec.SiteSettings}
 		if spec.Workers > 0 {
 			ep := faas.NewEndpoint("ep-"+spec.Name, spec.Workers, clk)
 			d.FaaS.RegisterEndpoint(ep)

@@ -2,12 +2,18 @@ package deploy
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"xtract/internal/clock"
+	"xtract/internal/core"
 	"xtract/internal/dataset"
+	"xtract/internal/extractors"
+	"xtract/internal/family"
 	"xtract/internal/journal"
 	"xtract/internal/store"
 	"xtract/internal/validate"
@@ -180,5 +186,51 @@ func TestDeployScaleSmoke(t *testing.T) {
 	waitValidated(t, d, stats.FamiliesDone)
 	if stats.Elapsed > 30*time.Second {
 		t.Fatalf("scale run took %v", stats.Elapsed)
+	}
+}
+
+// poisonExtractor fails every group holding the poisoned file and
+// answers every other group at once.
+type poisonExtractor struct{ poisoned string }
+
+func (poisonExtractor) Name() string                { return "poison" }
+func (poisonExtractor) Container() string           { return "poison" }
+func (poisonExtractor) Applies(store.FileInfo) bool { return true }
+func (e poisonExtractor) Extract(g *family.Group, _ map[string][]byte) (map[string]interface{}, error) {
+	if slices.Contains(g.Files, e.poisoned) {
+		return nil, errors.New("poisoned input")
+	}
+	return map[string]interface{}{"ok": true}, nil
+}
+
+// The service's settings pass through Options whole: under
+// XtractBatchSize 1 every step rides a FaaS task of its own, and under a
+// straggler budget of one a job with one dead-lettered step ends
+// DEGRADED instead of FAILED.
+func TestOptionsSettingsReachTheService(t *testing.T) {
+	repo := store.NewMemFS("site", nil)
+	for i := 0; i < 4; i++ {
+		if err := repo.Write(fmt.Sprintf("/data/f%d.txt", i), []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := New(context.Background(), clock.NewReal(), []SiteSpec{
+		{Name: "site", Store: repo, Workers: 2},
+	}, Options{
+		Library:  extractors.NewLibrary(poisonExtractor{poisoned: "/data/f0.txt"}),
+		Settings: core.Settings{XtractBatchSize: 1, StragglerBudget: 1, Retry: core.RetryPolicy{MaxAttempts: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	stats, err := d.Service.RunJob(context.Background(), []journal.RepoSpec{{
+		Site: "site", Roots: []string{"/data"}, Grouper: "single",
+	}})
+	if err != nil || !stats.Degraded || stats.StepsDeadLettered != 1 {
+		t.Fatalf("job = %+v, %v; want DEGRADED with one dead-lettered step", stats, err)
+	}
+	if n := d.FaaS.TasksSubmitted.Load(); n != 4 {
+		t.Fatalf("%d FaaS tasks for 4 steps; want one task per step", n)
 	}
 }

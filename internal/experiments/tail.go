@@ -122,11 +122,10 @@ func TailLatency(jobs, filesPerJob int, seed int64) (TailRun, error) {
 
 		d, err := deploy.New(context.Background(), clk, specs, deploy.Options{
 			Library: lib,
-			Hedge:   hedge,
 			// One step per task: a hedge duplicates exactly the straggling
 			// step, not innocent batch-mates, keeping duplicate work at the
 			// straggler rate.
-			XtractBatchSize: 1,
+			Settings: core.Settings{Hedge: hedge, XtractBatchSize: 1},
 			FaaSCosts: faas.Costs{
 				AuthPerRequest:  500 * time.Microsecond,
 				SubmitPerBatch:  time.Millisecond,

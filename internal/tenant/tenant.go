@@ -352,9 +352,11 @@ func (c *Controller) SetPeerActive(fn func(id string) int) {
 }
 
 // AdmitJob checks a job submission against the tenant's rate limit and
-// concurrent-job quota and, when it passes, takes the job's active slot
-// and counts it started; JobEnded gives the slot back. Refusals are typed
-// *QuotaError values carrying a Retry-After hint.
+// concurrent-job quota and, when it passes, takes the job's active slot;
+// JobEnded gives the slot back. The job is counted started by CountStart
+// once it runs, so a submission refused after admission leaves no start
+// on the bill. Refusals are typed *QuotaError values carrying a
+// Retry-After hint.
 func (c *Controller) AdmitJob(id string) error {
 	if c == nil {
 		return nil
@@ -389,26 +391,35 @@ func (c *Controller) AdmitJob(id string) error {
 	if t.lim.SubmitRate > 0 {
 		t.tokens--
 	}
-	t.start()
+	t.active++
 	return nil
 }
 
 // JobStarted takes an active slot, unchecked, for a job admitted in an
 // earlier life: one recovered from the journal or adopted from a failed
-// peer. It counts toward the tenant's quota like an admitted job.
+// peer. It counts toward the tenant's quota like an admitted job, and is
+// counted started.
 func (c *Controller) JobStarted(id string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stateLocked(Normalize(id)).start()
-}
-
-// start takes a job's active slot and counts it started.
-func (t *state) start() {
+	t := c.stateLocked(Normalize(id))
 	t.active++
 	t.usage.JobsStarted++
+}
+
+// CountStart counts a job started without touching its slot: an admitted
+// submission once it runs, or a journaled job that recovery fails before
+// it can run, billed beside its FAILED outcome.
+func (c *Controller) CountStart(id string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stateLocked(Normalize(id)).usage.JobsStarted++
 }
 
 // JobEnded releases the active-job slot AdmitJob or JobStarted took.

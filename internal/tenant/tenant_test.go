@@ -105,9 +105,9 @@ func TestAdmitJobConcurrencyQuota(t *testing.T) {
 	if !errors.As(err, &qe) || qe.Reason != "jobs" {
 		t.Fatalf("admit 3: want jobs QuotaError, got %v", err)
 	}
-	// An admitted job holds its slot and is counted started: nothing
-	// else takes or hands over a slot for it.
-	if u, _ := c.UsageFor("a"); u.ActiveJobs != 2 || u.JobsStarted != 2 {
+	// An admitted job holds its slot: nothing else takes or hands over a
+	// slot for it. It is counted started once it runs (CountStart).
+	if u, _ := c.UsageFor("a"); u.ActiveJobs != 2 || u.JobsStarted != 0 {
 		t.Fatalf("usage after two admissions = %+v", u)
 	}
 	// A job ending frees a slot.
