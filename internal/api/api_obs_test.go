@@ -53,7 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xtract_faas_task_latency_seconds_bucket",
 		"xtract_transfer_bytes_total",
 		"xtract_transfer_fetch_bytes_total",
-		`xtract_queue_depth{queue="crawl-families"}`,
+		`xtract_queue_depth{queue="validation-results"}`,
 		"xtract_queue_oldest_age_seconds",
 		`xtract_http_requests_total{route="POST /api/v1/jobs"}`,
 	} {

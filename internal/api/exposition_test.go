@@ -177,8 +177,8 @@ func TestExpositionMatchesDesign(t *testing.T) {
 }
 
 // ownersAgree checks that /metrics reads the tenant's bill, the result
-// cache's and the journal's counts, and the live-job table, where they
-// are kept.
+// cache's and the journal's counts, the live-job table and the
+// prefetcher's pending tasks, where they are kept.
 func ownersAgree(t *testing.T, d *deploy.Deployment, jnl *journal.Journal, text string) {
 	t.Helper()
 	got := samples(t, text)
@@ -208,6 +208,7 @@ func ownersAgree(t *testing.T, d *deploy.Deployment, jnl *journal.Journal, text 
 		"xtract_cache_misses_total":                              float64(c.Misses),
 		"xtract_cache_evictions_total":                           float64(c.Evictions),
 		"xtract_jobs_active":                                     0,
+		"xtract_prefetch_pending":                                float64(d.Prefetcher.Pending()),
 	}
 	if u.JobsCompleted != 1 || u.StepsProcessed == 0 || c.Evictions == 0 {
 		t.Errorf("the job left tenant usage %+v and cache stats %+v: want a completed job and evictions", u, c)

@@ -88,8 +88,8 @@ type node struct {
 }
 
 // harness is one node life of a live Xtract deployment over its world:
-// registry, FaaS service and endpoints, fabric, prefetch queues,
-// prefetcher, validator — and, in a cluster, the node's maintenance loop.
+// registry, FaaS service and endpoints, fabric, prefetcher, validator —
+// and, in a cluster, the node's maintenance loop.
 type harness struct {
 	*world
 	id       string
@@ -131,7 +131,7 @@ func (w *world) start(t testing.TB, n node) *harness {
 	h.ctx, h.cancel = context.WithCancel(context.Background())
 	h.fsvc = faas.NewService(clk, faas.Costs{})
 	h.fabric = transfer.NewFabric(clk)
-	_, prefetch, prefetchDone, _ := NewQueues(clk)
+	h.pf = transfer.NewPrefetcher(h.fabric, clk)
 	if w.jdir != nil && w.jnl == nil {
 		jnl, err := journal.Open(w.jdir, journal.Options{Clock: clk})
 		if err != nil {
@@ -141,8 +141,8 @@ func (w *world) start(t testing.TB, n node) *harness {
 	}
 	cfg := Config{
 		Clock: clk, FaaS: h.fsvc, Fabric: h.fabric,
-		Library:       extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: w.results,
+		Library:    extractors.DefaultLibrary(),
+		Prefetcher: h.pf, ResultQueue: w.results,
 		Settings: Settings{Policy: n.policy}, Journal: w.jnl,
 	}
 	if n.inv != nil {
@@ -156,9 +156,7 @@ func (w *world) start(t testing.TB, n node) *harness {
 		h.fsvc.HeartbeatTimeout = 40 * time.Millisecond
 		h.fsvc.SetFaults(n.faults)
 		h.fabric.SetFaults(n.faults)
-		for _, q := range []*queue.Queue{prefetch, prefetchDone, w.results} {
-			q.SetFaults(n.faults)
-		}
+		w.results.SetFaults(n.faults)
 		cfg.ExtractFaults = n.faults
 	}
 	if n.mut != nil {
@@ -181,7 +179,6 @@ func (w *world) start(t testing.TB, n node) *harness {
 	if err := h.svc.RegisterExtractors(); err != nil {
 		t.Fatal(err)
 	}
-	h.pf = transfer.NewPrefetcher(h.fabric, prefetch, prefetchDone, clk)
 	go h.pf.Run(h.ctx, 2)
 	h.valsvc = validate.NewService(validate.Passthrough{}, w.results, w.dest)
 	go h.valsvc.Run(h.ctx)

@@ -71,8 +71,8 @@ type task struct {
 // it (accepted, sent only when hedging is on: the pump arms the hedge
 // deadline and notes the task on its steps, for loser cancellation), or
 // it never got there (cause set), in which case its steps go through the
-// pump's retry/dead-letter path. staged is not a shard's event: it is a
-// prefetcher result another job's pump took off the shared queue.
+// pump's retry/dead-letter path. staged is not a shard's event: it is
+// the prefetcher's report on one of the job's families.
 type shardEvent struct {
 	staged   *transfer.PrefetchResult
 	task     *task
@@ -82,10 +82,11 @@ type shardEvent struct {
 	detail   string
 }
 
-// shardEventSink fans events from every shard into the pump. The buffer
-// is unbounded and the wakeup token coalesced (the channel holds at most
-// one), so shards never block on a slow pump and the pump never misses
-// an event: it drains after each token and re-blocks.
+// shardEventSink fans events from every shard, and the prefetcher's
+// reports, into the pump. The buffer is unbounded and the wakeup token
+// coalesced (the channel holds at most one), so neither ever blocks on a
+// slow pump and the pump never misses an event: it drains after each
+// token and re-blocks.
 type shardEventSink struct {
 	mu    sync.Mutex
 	evs   []shardEvent
@@ -116,6 +117,12 @@ func (k *shardEventSink) drain() []shardEvent {
 	k.evs = nil
 	k.mu.Unlock()
 	return out
+}
+
+// staged is the prefetcher's report hook: a staging result joins the
+// events of the job whose pump handed its task over.
+func (k *shardEventSink) staged(res transfer.PrefetchResult) {
+	k.push(shardEvent{staged: &res})
 }
 
 func (k *shardEventSink) pending() int {

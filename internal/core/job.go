@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xtract/internal/clock"
@@ -100,7 +99,6 @@ const deadLetterHelp = "Steps quarantined after exhausting their retries, and fa
 type Job struct {
 	ID     string             // as the journal knows it
 	cancel context.CancelFunc // ends the job's context
-	events *shardEventSink    // the pump's; staged results are routed to it
 	// done closes once the job has ended and left the live table; stats and
 	// err are what its run returned.
 	done  chan struct{}
@@ -385,9 +383,9 @@ const finishedJobs = 256
 
 // jobTable is the service's one table of jobs. runJob enters a job before
 // its goroutine starts and that goroutine moves it to the finished table
-// after teardown, on every exit; Cancel, Job and every pump's intakeStaged
-// look live jobs up in it, LookupJob and JobRecords every job. It owns no
-// liveness scanner: the fabric's endpoints find dead peers themselves.
+// after teardown, on every exit; Cancel and Job look live jobs up in it,
+// LookupJob and JobRecords every job. It owns no liveness scanner: the
+// fabric's endpoints find dead peers themselves.
 type jobTable struct {
 	mu   sync.Mutex
 	live map[string]*Job
@@ -399,7 +397,6 @@ type jobTable struct {
 	// "job-<node>-" on a cluster node.
 	seq    int
 	prefix string
-	strays atomic.Int64 // staged results no family was waiting for
 }
 
 // mint returns a new job ID: "job-<n>", or "job-<node>-<n>" on a cluster
@@ -446,8 +443,7 @@ func (t *jobTable) enter(j *Job) {
 }
 
 // leave moves j from the live map to the finished table, evicting the
-// oldest finished job past the bound. What is left in j's event sink goes:
-// the job reads it no more.
+// oldest finished job past the bound.
 func (t *jobTable) leave(j *Job) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -455,7 +451,6 @@ func (t *jobTable) leave(j *Job) {
 		return
 	}
 	delete(t.live, j.ID)
-	j.events.drain()
 	if t.finished = append(t.finished, j); len(t.finished) > t.keep {
 		t.finished[0] = nil
 		t.finished = t.finished[1:]
@@ -644,8 +639,9 @@ func (p *pump) fail(err error) {
 	if s.cfg.Cluster != nil && !s.cfg.Cluster.HoldsLive(p.JobID) && !s.draining.Load() {
 		// The job's lease moved to another node (this pump was cancelled
 		// by fencing, not by the user): the new owner drives the job to
-		// its real outcome; recording a terminal state here would be the
-		// split-brain write the fence exists to stop.
+		// its real outcome and counts its start; recording either here
+		// would be the split-brain write the fence exists to stop.
+		s.cfg.Tenants.ReturnStart(p.tenant)
 		return
 	}
 	state, event, emit := registry.JobFailed, obs.EvJobFailed, s.obs.Warn
@@ -676,11 +672,8 @@ func (s *Service) endJob(jobID, ten string, state registry.JobState, errMsg stri
 	s.cfg.Tenants.JobOutcome(ten, string(state))
 }
 
-// NewQueues is a convenience constructor for the four queues a service
-// needs, named after their paper counterparts.
-func NewQueues(clk clock.Clock) (families, prefetch, prefetchDone, results *queue.Queue) {
-	return queue.New("crawl-families", clk),
-		queue.New("prefetch-tasks", clk),
-		queue.New("prefetch-done", clk),
-		queue.New("validation-results", clk)
+// NewQueues is a convenience constructor for the queues a deployment
+// holds, named after their paper counterparts.
+func NewQueues(clk clock.Clock) (families, results *queue.Queue) {
+	return queue.New("crawl-families", clk), queue.New("validation-results", clk)
 }

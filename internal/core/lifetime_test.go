@@ -21,6 +21,7 @@ import (
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
+	"xtract/internal/tenant"
 	"xtract/internal/transfer"
 )
 
@@ -373,7 +374,8 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 		coord := cluster.NewCoordinator(cluster.Options{Clock: clk, LeaseTTL: time.Second})
 		node := cluster.NewNode(coord, "n1", "")
 		policy := newParkPolicy()
-		h, goroutines := setup(t, policy, func(cfg *Config) { cfg.Cluster = node })
+		tenants := tenant.NewController(tenant.Config{})
+		h, goroutines := setup(t, policy, func(cfg *Config) { cfg.Cluster, cfg.Tenants = node, tenants })
 		job := parked(t, h, policy, context.Background())
 		clk.Advance(2 * time.Second)
 		if err := cluster.NewNode(coord, "n2", "").AdoptLease(job.ID, node.HeldEpoch(job.ID)); err != nil {
@@ -394,6 +396,11 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 		if rec, err := record(h.svc, job.ID); err != nil || rec.State.Terminal() {
 			t.Fatalf("job record = %+v, %v; want no terminal state on the fenced node", rec, err)
 		}
+		// Nor is its start: the new owner counts it, so the cluster's bill
+		// sums to one start for one job.
+		if u, _ := tenants.UsageFor(tenant.Default); u.JobsStarted != 0 || u.ActiveJobs != 0 {
+			t.Fatalf("fenced node's bill = %+v; want no start and no active job", u)
+		}
 	})
 }
 
@@ -409,19 +416,18 @@ func seedSized(t *testing.T, fs *store.MemFS, root string, n, size int) int64 {
 	return int64(n * size)
 }
 
-// TestStagedResultsReachTheirOwnJob: four jobs stage at once over the one
-// prefetch-done queue, two of them over the same repository, so that their
-// families carry the same IDs. Whichever pump takes a result off the queue,
-// it reaches the job it names: each job's BytesStaged is its own
-// repository's, every message is deleted, and none came round twice — a
-// second delivery finds its family past staging and is counted a stray.
+// TestStagedResultsReachTheirOwnJob: four jobs stage at once through the
+// one prefetcher, two of them over the same repository, so that their
+// families carry the same IDs and share its windows. Each result reaches
+// the job that asked for it: each job's BytesStaged is its own
+// repository's, and nothing is left pending.
 func TestStagedResultsReachTheirOwnJob(t *testing.T) {
 	h := newHarness(t, []siteSpec{
 		{name: "petrel", workers: 0},
 		{name: "river", workers: 4},
 	}, scheduler.LocalPolicy{})
 	// The link's round trip has all four jobs staging before the first
-	// result arrives, so pumps do take each other's.
+	// result arrives, so their tasks do share windows.
 	h.fabric.SetLink("petrel", "river", transfer.Link{RTT: 20 * time.Millisecond})
 	const files = 40
 	roots := []string{"/shared", "/shared", "/c", "/d"}
@@ -450,20 +456,16 @@ func TestStagedResultsReachTheirOwnJob(t *testing.T) {
 			t.Errorf("job over %s staged %d bytes, its repository holds %d", roots[i], stats.BytesStaged, want[roots[i]])
 		}
 	}
-	done := h.svc.cfg.PrefetchDone
-	if sent, deleted := done.Stats(); sent != int64(len(roots)*files) || deleted != sent || done.Len()+done.InFlight() != 0 {
-		t.Errorf("prefetch-done queue: %d sent, %d deleted, %d visible, %d in flight; want one delivery of each of %d",
-			sent, deleted, done.Len(), done.InFlight(), len(roots)*files)
-	}
-	if n := h.svc.jobs.strays.Load(); n != 0 {
-		t.Errorf("%d staged results reached no staging family", n)
+	if n := h.pf.Pending(); n != 0 || h.pf.TasksDone.Load() != int64(len(roots)*files) {
+		t.Errorf("prefetcher: %d tasks pending, %d done; want 0 and %d", n, h.pf.TasksDone.Load(), len(roots)*files)
 	}
 }
 
 // TestCancelledStagingJobLeavesNoResultsBehind: a job cancelled with all
-// its families staging is gone when their results arrive. They wait on the
-// queue for the next pump that reads it, which deletes them: after one more
-// staging job the queue is empty.
+// its families staging is gone when their results arrive. They are
+// reported to it all the same and nothing else: once its transfers have
+// landed nothing is pending, and the next job over the same repository,
+// whose families carry the same IDs, stages every one of them itself.
 func TestCancelledStagingJobLeavesNoResultsBehind(t *testing.T) {
 	h := newHarness(t, []siteSpec{
 		{name: "petrel", workers: 0},
@@ -475,31 +477,29 @@ func TestCancelledStagingJobLeavesNoResultsBehind(t *testing.T) {
 	h.fabric.SetLink("petrel", "river", transfer.Link{RTT: 100 * time.Millisecond})
 	repos := []journal.RepoSpec{{Site: "petrel", Roots: []string{"/data"},
 		Grouper: "single"}}
-	tasks, done := h.svc.cfg.PrefetchQueue, h.svc.cfg.PrefetchDone
 
 	job, err := h.svc.Submit(context.Background(), journal.JobSpec{Repos: repos})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "every family sent to the prefetcher", func() bool { sent, _ := tasks.Stats(); return sent == files })
+	eventually(t, "every family handed to the prefetcher", func() bool { return h.pf.Pending() == files })
 	if !h.svc.Cancel(job.ID) {
 		t.Fatal("the staging job was not live")
 	}
 	if stats, err := job.Wait(); !errors.Is(err, context.Canceled) || stats.BytesStaged != 0 {
 		t.Fatalf("cancelled job = %+v, %v; want context.Canceled before anything was staged", stats, err)
 	}
-	eventually(t, "the cancelled job's transfers finishing", func() bool { return done.Len() == files })
+	eventually(t, "the cancelled job's transfers reported", func() bool { return h.pf.Pending() == 0 })
+	if n := h.pf.TasksDone.Load(); n != files {
+		t.Fatalf("%d of the cancelled job's %d transfers landed", n, files)
+	}
 
 	stats, err := h.svc.RunJob(context.Background(), repos)
 	if err != nil || stats.FamiliesDone != files || stats.BytesStaged != bytesHeld {
 		t.Fatalf("second job = %+v, %v; want %d families and %d bytes staged", stats, err, files, bytesHeld)
 	}
-	if done.Len()+done.InFlight() != 0 {
-		t.Fatalf("prefetch-done queue holds %d visible and %d in-flight results after the second job",
-			done.Len(), done.InFlight())
-	}
-	if n := h.svc.jobs.strays.Load(); n != files {
-		t.Fatalf("%d stray results counted, want the cancelled job's %d", n, files)
+	if n := h.pf.Pending(); n != 0 || h.pf.TasksDone.Load() != 2*files {
+		t.Fatalf("prefetcher: %d tasks pending, %d done; want 0 and %d", n, h.pf.TasksDone.Load(), 2*files)
 	}
 }
 

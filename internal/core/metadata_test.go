@@ -445,12 +445,10 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 func bareService(t testing.TB, c *cache.Cache, o *obs.Observer) *Service {
 	t.Helper()
 	clk := clock.NewReal()
-	_, prefetch, prefetchDone, results := NewQueues(clk)
+	_, results := NewQueues(clk)
 	svc := New(Config{
 		Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: transfer.NewFabric(clk),
-		Library:       extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone, ResultQueue: results, Cache: c, Obs: o,
+		Library: extractors.DefaultLibrary(), ResultQueue: results, Cache: c, Obs: o,
 	})
 	svc.AddSite(&Site{Name: "x", Store: store.NewMemFS("x", nil), Compute: faas.NewEndpoint("ep-x", 1, clk)})
 	return svc

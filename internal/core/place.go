@@ -18,7 +18,7 @@ import (
 
 // setFamPhase is the one place a family changes phase: its entry in
 // pump.fams follows, and so do the per-phase counts the loop's
-// termination test and the prefetch-done intake read.
+// termination test reads.
 func (p *pump) setFamPhase(st *famState, to famPhase) {
 	if st.phase != 0 {
 		p.famCount[st.phase]--
@@ -98,15 +98,9 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 	for i, m := range st.fam.FileMeta {
 		pairs[i] = transfer.FilePair{Src: m.Path, Dst: st.stage + m.Path}
 	}
-	st.prefetchBody = transfer.AppendPrefetchTask(nil, &transfer.PrefetchTask{
-		JobID:    p.JobID,
-		FamilyID: st.fam.ID,
-		Src:      home.Name,
-		Dst:      st.site.Name,
-		Pairs:    pairs,
-	})
+	st.prefetch = transfer.PrefetchTask{FamilyID: st.fam.ID, Src: home.Name, Dst: st.site.Name, Pairs: pairs}
 	st.stageAttempts = 1
-	p.s.cfg.PrefetchQueue.Send(st.prefetchBody)
+	p.s.cfg.Prefetcher.Stage(st.prefetch, p.events.staged)
 	p.setFamPhase(st, famStaging)
 	p.s.obs.Event(p.JobID, obs.EvFamilyStaging, slog.String("family", st.fam.ID),
 		slog.String("dst", st.site.Name), slog.Int("files", len(pairs)))
@@ -146,7 +140,7 @@ func (p *pump) failFamily(famID, reason string, attempts int) {
 // a family share files — and their bytes return to the staging budget.
 // Only a staged family has a prefetch task.
 func (p *pump) unstage(st *famState) {
-	if st.prefetchBody == nil || !st.site.DeleteStaged {
+	if st.prefetch.Pairs == nil || !st.site.DeleteStaged {
 		return
 	}
 	for _, m := range st.fam.FileMeta {

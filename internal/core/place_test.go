@@ -41,12 +41,13 @@ func (r *recordingPolicy) Place(fam *family.Family, home scheduler.SiteState, al
 func TestSeededPlacementIsTheSameEveryRun(t *testing.T) {
 	place := func() []string {
 		clk := clock.NewReal()
-		_, prefetch, prefetchDone, results := NewQueues(clk)
+		_, results := NewQueues(clk)
+		fabric := transfer.NewFabric(clk)
 		pol := &recordingPolicy{Policy: &scheduler.RandPolicy{Percent: 100, Rng: rand.New(rand.NewSource(7))}}
 		svc := New(Config{
-			Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: transfer.NewFabric(clk),
+			Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: fabric,
 			Library: extractors.DefaultLibrary(), Settings: Settings{Policy: pol},
-			PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: results,
+			Prefetcher: transfer.NewPrefetcher(fabric, clk), ResultQueue: results,
 		})
 		for _, name := range []string{"gamma", "alpha", "delta", "beta"} {
 			svc.AddSite(&Site{Name: name, Store: store.NewMemFS(name, nil), Compute: faas.NewEndpoint("ep-"+name, 1, clk)})

@@ -98,17 +98,16 @@ type pump struct {
 // newPump returns the pump for one job, with the job's handle, its record
 // starting as rec; runJob adds jobCtx and crawls.
 func newPump(s *Service, rec registry.JobRecord, noCache bool, submitted <-chan struct{}) *pump {
-	events := newShardEventSink()
 	return &pump{
 		s:         s,
-		job:       &Job{ID: rec.ID, events: events, rec: rec},
+		job:       &Job{ID: rec.ID, rec: rec},
 		JobStats:  JobStats{JobID: rec.ID},
 		tenant:    rec.Tenant,
 		start:     s.clk.Now(),
 		noCache:   noCache,
 		handoff:   make(chan []family.Family, handoffDirs),
 		fams:      make(map[string]*famState),
-		events:    events,
+		events:    newShardEventSink(),
 		shards:    make(map[string]*dispatcher),
 		budget:    s.cfg.Retry.JobBudget,
 		submitted: submitted,
@@ -126,7 +125,6 @@ func (p *pump) loop(ctx context.Context) error {
 		progress := false
 		for {
 			pass := p.intakeFamilies()
-			pass = p.intakeStaged() || pass
 			pass = p.intakeDeadlines() || pass
 			pass = p.handleEvents() || pass
 			if !pass {
@@ -203,11 +201,10 @@ func (p *pump) nextDeadline() (deadline, bool) {
 }
 
 // await blocks until some event source signals work for this job: a
-// crawl finishing, the crawl hand-off, the shared prefetch-done queue
-// (only while this job is staging), a shard event or a staged result
-// another pump routed here, the earliest deadline coming due, or the
-// submission gate opening. It returns a low-cardinality reason label for
-// the wakeup counter.
+// crawl finishing, the crawl hand-off, a shard event or a staging
+// result, the earliest deadline coming due, or the submission gate
+// opening. It returns a low-cardinality reason label for the wakeup
+// counter.
 func (p *pump) await(ctx context.Context) (string, error) {
 	var deadlineCh <-chan time.Time
 	due := "retry"
@@ -216,12 +213,6 @@ func (p *pump) await(ctx context.Context) (string, error) {
 		if next.task != nil {
 			due = "hedge"
 		}
-	}
-	// The shared prefetch-done queue only matters while this job has
-	// families staging.
-	var prefetchReady <-chan struct{}
-	if p.famCount[famStaging] > 0 {
-		prefetchReady = p.s.cfg.PrefetchDone.Ready()
 	}
 	var durable <-chan struct{}
 	if len(p.pendingResults) > 0 {
@@ -245,8 +236,6 @@ func (p *pump) await(ctx context.Context) (string, error) {
 		p.takeFamilies(fams)
 		p.flushResults()
 		return "families", nil
-	case <-prefetchReady:
-		return "staged", nil
 	case <-p.events.Ready():
 		return "events", nil
 	case <-deadlineCh:
@@ -309,50 +298,11 @@ func (p *pump) takeFamilies(fams []family.Family) {
 	}
 }
 
-// intakeStaged reads the shared prefetch-done queue to empty, as its ready
-// channel's contract asks of whoever takes the token. Every staging pump
-// reads it and none competes: a result names its job; this job's are taken
-// here, another live job's go onto its pump's event sink, and every
-// message is deleted, never re-queued. A result nobody waits for — its job
-// has ended, its family is no longer staging — is dropped and counted: a
-// job that ends with families staging restages them if it is resumed.
-func (p *pump) intakeStaged() bool {
-	if p.famCount[famStaging] == 0 {
-		return false
-	}
-	progress := false
-	for {
-		msgs := p.s.cfg.PrefetchDone.Receive(64, 5*time.Minute)
-		if len(msgs) == 0 {
-			return progress
-		}
-		progress = true
-		acks := make([]string, 0, len(msgs))
-		for _, m := range msgs {
-			acks = append(acks, m.Receipt)
-			var res transfer.PrefetchResult
-			switch err := transfer.DecodePrefetchResult(m.Body, &res); {
-			case err != nil: // poison: deleted
-			case res.JobID == p.JobID:
-				p.takeStaged(&res)
-			default:
-				if j := p.s.Job(res.JobID); j != nil {
-					routed := res // res itself stays on the stack for a job's own results
-					j.events.push(shardEvent{staged: &routed})
-				} else {
-					p.s.jobs.strays.Add(1)
-				}
-			}
-		}
-		p.s.cfg.PrefetchDone.DeleteBatch(acks)
-	}
-}
-
 // takeStaged readies the family a result is for, or retries its staging.
+// A result for a family no longer staging is dropped.
 func (p *pump) takeStaged(res *transfer.PrefetchResult) {
 	st, ok := p.fams[res.FamilyID]
 	if !ok || st.phase != famStaging {
-		p.s.jobs.strays.Add(1) // e.g. the answer to a task that was sent again
 		return
 	}
 	if !res.OK {
@@ -388,7 +338,7 @@ func (p *pump) intakeDeadlines() bool {
 			progress = true
 			if d.st.phase == famStaging {
 				d.st.stageAttempts++
-				p.s.cfg.PrefetchQueue.Send(d.st.prefetchBody)
+				p.s.cfg.Prefetcher.Stage(d.st.prefetch, p.events.staged)
 				p.s.obs.Event(p.JobID, obs.EvFamilyStaging, slog.String("family", d.st.fam.ID),
 					slog.Int("attempt", d.st.stageAttempts))
 			}
@@ -404,9 +354,9 @@ func (p *pump) intakeDeadlines() bool {
 	return progress
 }
 
-// handleEvents drains the shard event sink: accepted tasks are noted,
-// ended ones resolve against their steps, and staged results that another
-// pump received are taken in.
+// handleEvents drains the job's event sink: accepted tasks are noted,
+// ended ones resolve against their steps, and staging results are taken
+// in.
 func (p *pump) handleEvents() bool {
 	evs := p.events.drain()
 	if len(evs) == 0 {

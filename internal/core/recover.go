@@ -10,7 +10,6 @@ import (
 	"xtract/internal/fastjson"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/tenant"
 )
@@ -95,9 +94,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStatus, error) {
 		TornTail:        info.TornTail,
 		CorruptSegments: info.CorruptSegments,
 	}
-	for _, q := range []*queue.Queue{s.cfg.PrefetchQueue, s.cfg.PrefetchDone, s.cfg.ResultQueue} {
-		status.Reclaimed += q.ReclaimAll()
-	}
+	status.Reclaimed = s.cfg.ResultQueue.ReclaimAll()
 	for _, id := range st.JobIDs() {
 		s.jobs.advance(id)
 		js := st.Jobs[id]

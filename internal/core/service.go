@@ -196,9 +196,8 @@ type Config struct {
 	FaaS    *faas.Service
 	Fabric  *transfer.Fabric
 	Library *extractors.Library
-	// PrefetchQueue / PrefetchDone connect to the prefetcher.
-	PrefetchQueue *queue.Queue
-	PrefetchDone  *queue.Queue
+	// Prefetcher stages the families placed away from their files.
+	Prefetcher *transfer.Prefetcher
 	// ResultQueue receives validate.Record JSON for finished families.
 	ResultQueue *queue.Queue
 	// Obs is the runtime observability layer (nil disables live metrics
@@ -371,7 +370,7 @@ func (s *Service) instrument(reg *obs.Registry) {
 	s.obsRetries = vec("xtract_retry_total", "Step retries scheduled, by failure cause.", "reason",
 		"lost", "failed", "staging", "step_error", "bad_result", "no_function")
 	s.obsWakeups = vec("xtract_pump_wakeups_total", "Orchestration-loop wakeups by triggering event source.", "reason",
-		"start", "crawl", "families", "staged", "events", "retry", "hedge", "durable", "idle")
+		"start", "crawl", "families", "events", "retry", "hedge", "durable", "idle")
 	s.instrumentOwned(reg)
 }
 

@@ -15,6 +15,7 @@ import (
 	"xtract/internal/obs"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
+	"xtract/internal/transfer"
 	"xtract/internal/validate"
 )
 
@@ -96,9 +97,9 @@ type famState struct {
 	stage     string
 	fetchFrom string // direct-fetch source endpoint ("" = local/staged)
 
-	// prefetchBody is the serialized staging task, kept for re-sends; only
-	// a staged family has one.
-	prefetchBody []byte
+	// prefetch is the staging task, kept for re-sends; only a staged
+	// family has one.
+	prefetch transfer.PrefetchTask
 	// stageAttempts counts staging tries for this family.
 	stageAttempts int
 	// deadLettered counts this family's quarantined steps; any > 0 makes

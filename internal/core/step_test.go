@@ -70,11 +70,12 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 	}
 	m.jnl = jnl
 	fsvc := faas.NewService(clk, faas.Costs{})
-	_, prefetch, prefetchDone, results := NewQueues(clk)
+	fabric := transfer.NewFabric(clk)
+	_, results := NewQueues(clk)
 	cfg := Config{
-		Clock: clk, FaaS: fsvc, Fabric: transfer.NewFabric(clk),
-		Library:       extractors.DefaultLibrary(),
-		PrefetchQueue: prefetch, PrefetchDone: prefetchDone, ResultQueue: results,
+		Clock: clk, FaaS: fsvc, Fabric: fabric,
+		Library:    extractors.DefaultLibrary(),
+		Prefetcher: transfer.NewPrefetcher(fabric, clk), ResultQueue: results,
 		Cache: m.cache, Journal: jnl, Tenants: m.tenants,
 		Settings: Settings{Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, JitterFrac: 0, JobBudget: 8}},
 	}
@@ -433,7 +434,7 @@ func TestRetryPolicyBoundsStepsAndStagingAlike(t *testing.T) {
 	t.Run("attempts", func(t *testing.T) {
 		m := newMachine(t, nil)
 		st := m.family("fam", 1)
-		staging := &famState{fam: family.Family{ID: "staged"}, site: st.site, stageAttempts: 1, prefetchBody: []byte("task")}
+		staging := &famState{fam: family.Family{ID: "staged"}, site: st.site, stageAttempts: 1}
 		m.p.setFamPhase(staging, famStaging)
 		for try := 1; try <= 3; try++ {
 			m.put(st, 0, stepInflight, 0, try-1) // its one execution has just ended
@@ -453,14 +454,14 @@ func TestRetryPolicyBoundsStepsAndStagingAlike(t *testing.T) {
 		if m.p.StepsRetried != 4 || m.p.budget != 8-4 || m.p.StepsDeadLettered != 1 || m.p.FamiliesFailed != 1 {
 			t.Fatalf("budget %d, stats %+v", m.p.budget, m.p.JobStats)
 		}
-		if n := m.svc.cfg.PrefetchQueue.Len(); n != 2 {
+		if n := m.svc.cfg.Prefetcher.Pending(); n != 2 {
 			t.Fatalf("%d prefetch tasks re-sent, want 2", n)
 		}
 	})
 	t.Run("budget", func(t *testing.T) {
 		m := newMachine(t, func(cfg *Config) { cfg.Retry.JobBudget = 1 })
 		st := m.family("fam", 1)
-		staging := &famState{fam: family.Family{ID: "staged"}, site: st.site, stageAttempts: 1, prefetchBody: []byte("task")}
+		staging := &famState{fam: family.Family{ID: "staged"}, site: st.site, stageAttempts: 1}
 		m.p.setFamPhase(staging, famStaging)
 		m.put(st, 0, stepInflight, 0, 0)
 		m.p.failStaging(staging, "staging failed: link down") // spends the budget

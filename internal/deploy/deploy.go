@@ -87,7 +87,10 @@ type Deployment struct {
 	Tenants *tenant.Controller
 	// Obs is the deployment-wide observability layer: every substrate
 	// reports into its metric registry and per-job event ring.
-	Obs    *obs.Observer
+	Obs *obs.Observer
+	// Queues.Results carries finished families to validation. Families,
+	// Prefetch and PrefetchDone carry nothing: they are kept for the
+	// benchmark harness, which reads their Stats.
 	Queues struct {
 		Families, Prefetch, PrefetchDone, Results *queue.Queue
 	}
@@ -115,15 +118,16 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		cancel:  cancel,
 	}
 	d.Registry = registry.New(clk, 0)
-	families, prefetch, prefetchDone, results := core.NewQueues(clk)
-	d.Queues.Families, d.Queues.Prefetch = families, prefetch
-	d.Queues.PrefetchDone, d.Queues.Results = prefetchDone, results
+	d.Queues.Families, d.Queues.Results = core.NewQueues(clk)
+	d.Queues.Prefetch, d.Queues.PrefetchDone = queue.New("prefetch-tasks", clk), queue.New("prefetch-done", clk)
+	d.Prefetcher = transfer.NewPrefetcher(d.Fabric, clk)
 
-	d.FaaS.Instrument(d.Obs.Reg())
-	d.Fabric.Instrument(d.Obs.Reg())
-	for _, q := range []*queue.Queue{families, prefetch, prefetchDone, results} {
-		q.Instrument(d.Obs.Reg())
-	}
+	reg := d.Obs.Reg()
+	d.FaaS.Instrument(reg)
+	d.Fabric.Instrument(reg)
+	d.Queues.Results.Instrument(reg)
+	reg.GaugeFunc("xtract_prefetch_pending", "Staging tasks handed to the prefetcher and not yet reported.", nil,
+		func() float64 { return float64(d.Prefetcher.Pending()) })
 
 	if opts.CacheCapacity > 0 {
 		if opts.CachePersistPrefix != "" {
@@ -134,19 +138,18 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	}
 
 	d.Service = core.New(core.Config{
-		Settings:      opts.Settings,
-		Clock:         clk,
-		FaaS:          d.FaaS,
-		Fabric:        d.Fabric,
-		Library:       opts.Library,
-		PrefetchQueue: prefetch,
-		PrefetchDone:  prefetchDone,
-		ResultQueue:   results,
-		Obs:           d.Obs,
-		Cache:         d.Cache,
-		Journal:       opts.Journal,
-		Tenants:       opts.Tenants,
-		Cluster:       opts.Cluster,
+		Settings:    opts.Settings,
+		Clock:       clk,
+		FaaS:        d.FaaS,
+		Fabric:      d.Fabric,
+		Library:     opts.Library,
+		Prefetcher:  d.Prefetcher,
+		ResultQueue: d.Queues.Results,
+		Obs:         d.Obs,
+		Cache:       d.Cache,
+		Journal:     opts.Journal,
+		Tenants:     opts.Tenants,
+		Cluster:     opts.Cluster,
 	})
 	d.Tenants = opts.Tenants
 	opts.Tenants.Instrument(d.Obs.Reg())
@@ -156,10 +159,9 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		return nil, err
 	}
 
-	d.Prefetcher = transfer.NewPrefetcher(d.Fabric, prefetch, prefetchDone, clk)
 	go d.Prefetcher.Run(ctx, 10) // transfer jobs in flight, as in the paper's Fig. 6 run
 
-	d.Validation = validate.NewService(opts.Validator, results, opts.Dest)
+	d.Validation = validate.NewService(opts.Validator, d.Queues.Results, opts.Dest)
 	d.Validation.Instrument(d.Obs)
 	go d.Validation.Run(ctx)
 	return d, nil

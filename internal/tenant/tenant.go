@@ -422,6 +422,17 @@ func (c *Controller) CountStart(id string) {
 	c.stateLocked(Normalize(id)).usage.JobsStarted++
 }
 
+// ReturnStart takes back the start counted for a job this node lost to a
+// peer: the peer counts it started when it adopts it.
+func (c *Controller) ReturnStart(id string) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stateLocked(Normalize(id)).usage.JobsStarted--
+}
+
 // JobEnded releases the active-job slot AdmitJob or JobStarted took.
 func (c *Controller) JobEnded(id string) {
 	if c == nil {

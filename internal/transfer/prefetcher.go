@@ -7,78 +7,109 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/queue"
 )
 
 // PrefetchTask asks the prefetcher to stage a family's files from one
-// endpoint onto another before extraction. The Xtract service enqueues
-// these when a family's files are not local to their planned compute site.
-// JobID names the job the family belongs to — family IDs repeat across jobs
-// over one repository — and comes back on the result.
+// endpoint onto another before extraction. The Xtract service hands these
+// over when a family's files are not local to their planned compute site.
 type PrefetchTask struct {
-	JobID    string     `json:"job_id"`
-	FamilyID string     `json:"family_id"`
-	Src      string     `json:"src"`
-	Dst      string     `json:"dst"`
-	Pairs    []FilePair `json:"pairs"`
+	FamilyID string
+	Src      string
+	Dst      string
+	Pairs    []FilePair
 }
 
 // PrefetchResult reports a completed (or failed) staging operation back to
-// the Xtract service's ready queue, under its task's job and family IDs.
+// whoever handed its task over, under the task's family ID.
 type PrefetchResult struct {
-	JobID    string        `json:"job_id"`
-	FamilyID string        `json:"family_id"`
-	OK       bool          `json:"ok"`
-	Err      string        `json:"err,omitempty"`
-	Bytes    int64         `json:"bytes"`
-	Elapsed  time.Duration `json:"elapsed"`
+	FamilyID string
+	OK       bool
+	Err      string
+	Bytes    int64
+	Elapsed  time.Duration
 }
 
-// Prefetcher is the microservice that drains a queue of staging tasks,
-// folds the same-route tasks of each received window into one fabric job,
-// keeps a bounded number of those jobs in flight, and reports each task
-// on the done queue as soon as its own files have landed.
+// staged is one task handed over, with the hook its asker hears it on.
+type staged struct {
+	PrefetchTask
+	report func(PrefetchResult)
+}
+
+// Prefetcher is the microservice that takes staging tasks, folds the
+// same-route tasks of each window into one fabric job, keeps a bounded
+// number of those jobs in flight, and reports each task to its asker as
+// soon as its own files have landed.
 type Prefetcher struct {
 	fabric *Fabric
-	in     *queue.Queue
-	out    *queue.Queue
 	clk    clock.Clock
 
-	// BatchWindow bounds how many queued tasks are folded into one
+	// BatchWindow bounds how many waiting tasks are folded into one
 	// fabric job per route (amortizing per-job RTT).
 	BatchWindow int
-	// Visibility is the queue visibility timeout while a task is staged.
-	Visibility time.Duration
+
+	// intake holds the tasks no window has taken yet, oldest first; ready
+	// holds at most one token, sent after every append.
+	mu      sync.Mutex
+	intake  []staged
+	ready   chan struct{}
+	pending atomic.Int64 // handed over, not yet reported or dropped
 
 	TasksDone   atomic.Int64
 	TasksFailed atomic.Int64
 	BytesMoved  atomic.Int64 // bytes of the tasks reported staged
 }
 
-// NewPrefetcher wires a prefetcher to its fabric and queues.
-func NewPrefetcher(fabric *Fabric, in, out *queue.Queue, clk clock.Clock) *Prefetcher {
+// NewPrefetcher wires a prefetcher to its fabric.
+func NewPrefetcher(fabric *Fabric, clk clock.Clock) *Prefetcher {
 	return &Prefetcher{
 		fabric:      fabric,
-		in:          in,
-		out:         out,
 		clk:         clk,
 		BatchWindow: 32,
-		Visibility:  5 * time.Minute,
+		ready:       make(chan struct{}, 1),
 	}
 }
 
-// window is the part of one received batch that shares a route: it
-// becomes one fabric job and one batch of results.
-type window struct {
-	src, dst string
-	tasks    []PrefetchTask
-	receipts []string
+// Stage hands t over. report is called once, from a prefetcher goroutine,
+// when t's files have landed or its fabric job has failed, and must not
+// block; it is never called if Run stops first. Stage never blocks.
+func (p *Prefetcher) Stage(t PrefetchTask, report func(PrefetchResult)) {
+	p.pending.Add(1)
+	p.mu.Lock()
+	p.intake = append(p.intake, staged{t, report})
+	p.mu.Unlock()
+	select {
+	case p.ready <- struct{}{}:
+	default:
+	}
 }
 
-// Run drains the input queue until ctx is cancelled, keeping at most
+// Pending returns how many tasks have been handed over and neither
+// reported nor dropped.
+func (p *Prefetcher) Pending() int64 { return p.pending.Load() }
+
+// take removes up to n waiting tasks, oldest first.
+func (p *Prefetcher) take(n int) []staged {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n = min(n, len(p.intake))
+	out := p.intake[:n:n]
+	if p.intake = p.intake[n:]; len(p.intake) == 0 {
+		p.intake = nil
+	}
+	return out
+}
+
+// window is the part of one taken batch that shares a route: it becomes
+// one fabric job.
+type window struct {
+	src, dst string
+	tasks    []staged
+}
+
+// Run stages what is handed over until ctx is cancelled, keeping at most
 // inFlight fabric jobs active, and returns once every waiter has exited.
-// The intake loop takes a slot before it receives, so a batch is never
-// held invisible while waiting for capacity; the batch's waiter runs one
+// The intake loop takes a slot before it takes tasks, so a window never
+// holds tasks while waiting for capacity; the window's waiter runs one
 // fabric job per route, one after the other.
 func (p *Prefetcher) Run(ctx context.Context, inFlight int) {
 	if inFlight < 1 {
@@ -93,22 +124,20 @@ func (p *Prefetcher) Run(ctx context.Context, inFlight int) {
 			return
 		case slots <- struct{}{}:
 		}
-		msgs := p.in.Receive(p.BatchWindow, p.Visibility)
-		if len(msgs) == 0 {
+		batch := p.take(p.BatchWindow)
+		if len(batch) == 0 {
 			<-slots
-			// Every way a message becomes visible (send, Nack, visibility
-			// expiry, a fault-suppressed Receive) signals Ready.
 			select {
 			case <-ctx.Done():
 				return
-			case <-p.in.Ready():
+			case <-p.ready:
 			}
 			continue
 		}
 		waiters.Add(1)
 		go func() {
 			defer waiters.Done()
-			for _, w := range p.split(msgs) {
+			for _, w := range split(batch) {
 				p.stage(ctx, w)
 			}
 			<-slots
@@ -116,41 +145,28 @@ func (p *Prefetcher) Run(ctx context.Context, inFlight int) {
 	}
 }
 
-// split decodes a received batch and groups it by route, in arrival
-// order. Poison messages are dropped.
-func (p *Prefetcher) split(msgs []queue.Message) []*window {
+// split groups a taken batch by route, in arrival order.
+func split(batch []staged) []*window {
 	var windows []*window
 next:
-	for _, m := range msgs {
-		var t PrefetchTask
-		if err := DecodePrefetchTask(m.Body, &t); err != nil {
-			_ = p.in.Delete(m.Receipt)
-			continue
-		}
+	for _, t := range batch {
 		for _, w := range windows {
 			if w.src == t.Src && w.dst == t.Dst {
 				w.tasks = append(w.tasks, t)
-				w.receipts = append(w.receipts, m.Receipt)
 				continue next
 			}
 		}
-		windows = append(windows, &window{
-			src: t.Src, dst: t.Dst,
-			tasks:    []PrefetchTask{t},
-			receipts: []string{m.Receipt},
-		})
+		windows = append(windows, &window{src: t.Src, dst: t.Dst, tasks: []staged{t}})
 	}
 	return windows
 }
 
 // stage runs one window as one fabric job and follows it in order: a
 // task is reported when its own last file is down, with its own bytes and
-// elapsed, along with every task behind it that is down by then. A report
-// is one batch of results, then one batch delete of those receipts: a
-// crash between the two redelivers tasks (at-least-once) and never loses
-// a result. If the job ends short the tasks already landed stay staged
-// and the rest fail with its error; on shutdown the unreported tasks go
-// back to the queue, so a restarted prefetcher can redo them.
+// elapsed, and every task behind it that is down by then is reported
+// with it. If the job ends short the tasks already landed stay staged
+// and the rest fail with its error; on shutdown the unreported tasks are
+// dropped.
 func (p *Prefetcher) stage(ctx context.Context, w *window) {
 	var pairs []FilePair
 	for _, t := range w.tasks {
@@ -160,8 +176,7 @@ func (p *Prefetcher) stage(ctx context.Context, w *window) {
 	jobID, err := p.fabric.Submit(w.src, w.dst, pairs)
 	res := PrefetchResult{OK: err == nil}
 	var info JobInfo
-	var bodies [][]byte
-	sent, end, moved := 0, 0, int64(0) // tasks reported, files through task i, bytes through task i-1
+	end, moved := 0, int64(0) // files through task i, bytes through task i-1
 	for i, t := range w.tasks {
 		if res.OK {
 			end += len(t.Pairs)
@@ -170,12 +185,10 @@ func (p *Prefetcher) stage(ctx context.Context, w *window) {
 		}
 		if err != nil && ctx.Err() != nil {
 			_, _ = p.fabric.WaitContext(ctx, jobID)
-			for _, r := range w.receipts[sent:] {
-				_ = p.in.Nack(r)
-			}
+			p.pending.Add(-int64(len(w.tasks) - i))
 			return
 		}
-		res.JobID, res.FamilyID, res.Elapsed = t.JobID, t.FamilyID, p.clk.Since(start)
+		res.FamilyID, res.Elapsed = t.FamilyID, p.clk.Since(start)
 		if res.OK {
 			res.Bytes, moved = info.BytesTransferred-moved, info.BytesTransferred
 			p.TasksDone.Add(1)
@@ -187,15 +200,10 @@ func (p *Prefetcher) stage(ctx context.Context, w *window) {
 			}
 			p.TasksFailed.Add(1)
 		}
-		bodies = append(bodies, AppendPrefetchResult(nil, &res))
-		if i+1 < len(w.tasks) && (!res.OK || info.FilesDone >= end+len(w.tasks[i+1].Pairs)) {
-			continue // the next task is down too, or fails with this one: one report
-		}
 		if i+1 == len(w.tasks) {
 			_, _ = p.fabric.WaitContext(ctx, jobID) // the job's record goes before its last report does
 		}
-		p.out.SendBatch(bodies)
-		p.in.DeleteBatch(w.receipts[sent : i+1])
-		sent, bodies = i+1, bodies[:0]
+		p.pending.Add(-1)
+		t.report(res)
 	}
 }

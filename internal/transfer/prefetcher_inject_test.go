@@ -2,71 +2,54 @@ package transfer
 
 import (
 	"context"
-	"encoding/json"
 	"runtime"
 	"testing"
 	"time"
 
 	"xtract/internal/clock"
 	"xtract/internal/faultinject"
-	"xtract/internal/queue"
 	"xtract/internal/store"
 )
 
-// newPrefetchRig wires a fabric with two endpoints and a prefetcher over
-// fresh queues. The caller runs the prefetcher.
-func newPrefetchRig(t *testing.T) (*Fabric, *Prefetcher, *queue.Queue, *queue.Queue, *store.MemFS) {
+// newPrefetchRig wires a fabric with two endpoints and a prefetcher. The
+// caller runs the prefetcher.
+func newPrefetchRig(t *testing.T) (*Fabric, *Prefetcher) {
 	t.Helper()
 	clk := clock.NewReal()
 	fabric := NewFabric(clk)
 	src := store.NewMemFS("src", nil)
-	dst := store.NewMemFS("dst", nil)
 	fabric.AddEndpoint("src", src)
-	fabric.AddEndpoint("dst", dst)
+	fabric.AddEndpoint("dst", store.NewMemFS("dst", nil))
 	if err := src.Write("/d/a.bin", []byte("0123456789")); err != nil {
 		t.Fatal(err)
 	}
-	in := queue.New("prefetch-in", clk)
-	out := queue.New("prefetch-out", clk)
-	pf := NewPrefetcher(fabric, in, out, clk)
-	return fabric, pf, in, out, src
+	return fabric, NewPrefetcher(fabric, clk)
 }
 
-func sendPrefetchTask(t *testing.T, in *queue.Queue, familyID string) {
-	t.Helper()
-	body, err := json.Marshal(PrefetchTask{
-		FamilyID: familyID,
-		Src:      "src",
-		Dst:      "dst",
-		Pairs:    []FilePair{{Src: "/d/a.bin", Dst: "/stage/d/a.bin"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Send(body)
+// stageOne hands over a one-file task and returns the channel its result
+// arrives on.
+func stageOne(pf *Prefetcher, familyID string) <-chan PrefetchResult {
+	out := make(chan PrefetchResult, 1)
+	pf.Stage(PrefetchTask{
+		FamilyID: familyID, Src: "src", Dst: "dst",
+		Pairs: []FilePair{{Src: "/d/a.bin", Dst: "/stage/d/a.bin"}},
+	}, func(res PrefetchResult) { out <- res })
+	return out
 }
 
-func recvPrefetchResult(t *testing.T, out *queue.Queue) PrefetchResult {
+func recvPrefetchResult(t *testing.T, out <-chan PrefetchResult) PrefetchResult {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if msgs := out.Receive(1, time.Minute); len(msgs) == 1 {
-			var res PrefetchResult
-			if err := json.Unmarshal(msgs[0].Body, &res); err != nil {
-				t.Fatal(err)
-			}
-			_ = out.Delete(msgs[0].Receipt)
-			return res
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no prefetch result arrived")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case res := <-out:
+		return res
+	case <-time.After(10 * time.Second):
+		t.Fatal("no prefetch result arrived")
+		return PrefetchResult{}
 	}
 }
 
 func TestPrefetcherInjectedTransferError(t *testing.T) {
-	fabric, pf, in, out, _ := newPrefetchRig(t)
+	fabric, pf := newPrefetchRig(t)
 	fabric.SetFaults(faultinject.New(faultinject.Config{
 		Seed:          1,
 		TransferError: faultinject.Rule{Prob: 1, Max: 1},
@@ -75,8 +58,7 @@ func TestPrefetcherInjectedTransferError(t *testing.T) {
 	defer cancel()
 	go pf.Run(ctx, 1)
 
-	sendPrefetchTask(t, in, "fam-1")
-	res := recvPrefetchResult(t, out)
+	res := recvPrefetchResult(t, stageOne(pf, "fam-1"))
 	if res.OK {
 		t.Fatalf("result OK despite injected transfer error: %+v", res)
 	}
@@ -84,8 +66,7 @@ func TestPrefetcherInjectedTransferError(t *testing.T) {
 		t.Fatal("failed result carries no error")
 	}
 	// Budget spent: a retry of the same route succeeds.
-	sendPrefetchTask(t, in, "fam-1")
-	res2 := recvPrefetchResult(t, out)
+	res2 := recvPrefetchResult(t, stageOne(pf, "fam-1"))
 	if !res2.OK {
 		t.Fatalf("post-budget staging failed: %+v", res2)
 	}
@@ -95,10 +76,10 @@ func TestPrefetcherInjectedTransferError(t *testing.T) {
 }
 
 // TestPrefetcherCancelMidFetch: cancelling the prefetcher while a fabric
-// job is in flight hands the task back to the queue (Nack, not a result)
-// and every prefetcher goroutine exits.
+// job is in flight drops the task without a result, and every prefetcher
+// goroutine exits.
 func TestPrefetcherCancelMidFetch(t *testing.T) {
-	fabric, pf, in, out, _ := newPrefetchRig(t)
+	fabric, pf := newPrefetchRig(t)
 	// A long injected stall holds the fabric job active while we cancel.
 	fabric.SetFaults(faultinject.New(faultinject.Config{
 		Seed:          1,
@@ -114,10 +95,10 @@ func TestPrefetcherCancelMidFetch(t *testing.T) {
 		close(runDone)
 	}()
 
-	sendPrefetchTask(t, in, "fam-1")
-	// Wait until the task is picked up (in flight, not visible).
+	out := stageOne(pf, "fam-1")
+	// Wait until a window has taken the task.
 	deadline := time.Now().Add(10 * time.Second)
-	for in.InFlight() == 0 {
+	for waiting(pf) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("prefetcher never picked up the task")
 		}
@@ -130,13 +111,9 @@ func TestPrefetcherCancelMidFetch(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("prefetcher did not shut down after cancel")
 	}
-	// The task went back to the queue for a future prefetcher, and no
-	// result was reported for it.
-	if in.Len() != 1 || in.InFlight() != 0 {
-		t.Fatalf("queue after cancel: visible=%d inflight=%d, want 1/0", in.Len(), in.InFlight())
-	}
-	if out.Len() != 0 {
-		t.Fatalf("cancelled fetch reported %d results", out.Len())
+	// The task was dropped, and no result was reported for it.
+	if pf.Pending() != 0 || len(out) != 0 {
+		t.Fatalf("after cancel: %d tasks pending, %d results; want 0 and 0", pf.Pending(), len(out))
 	}
 	// No goroutine leak: the waiters are gone once the lingering
 	// fabric job's stall elapses. goleak is unavailable here, so poll the
@@ -156,9 +133,9 @@ func TestPrefetcherCancelMidFetch(t *testing.T) {
 }
 
 // TestPrefetcherCancelWhileIdle: cancelling an intake loop blocked on an
-// empty queue also exits cleanly.
+// empty intake also exits cleanly.
 func TestPrefetcherCancelWhileIdle(t *testing.T) {
-	_, pf, _, _, _ := newPrefetchRig(t)
+	_, pf := newPrefetchRig(t)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan struct{})

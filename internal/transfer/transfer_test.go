@@ -2,7 +2,6 @@ package transfer
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/queue"
 	"xtract/internal/store"
 )
 
@@ -222,47 +220,35 @@ func TestPrefetcherEndToEnd(t *testing.T) {
 	dst := store.NewMemFS("midway", nil)
 	f.AddEndpoint("petrel", src)
 	f.AddEndpoint("midway", dst)
-
-	in := queue.New("prefetch", clk)
-	out := queue.New("ready", clk)
-	p := NewPrefetcher(f, in, out, clk)
+	p := NewPrefetcher(f, clk)
 
 	const families = 20
+	results := make(chan PrefetchResult, families)
 	for i := 0; i < families; i++ {
 		path := fmt.Sprintf("/mdf/fam%d/data.csv", i)
 		if err := src.Write(path, []byte("a,b\n1,2\n")); err != nil {
 			t.Fatal(err)
 		}
-		task := PrefetchTask{
+		p.Stage(PrefetchTask{
 			FamilyID: fmt.Sprintf("fam%d", i),
 			Src:      "petrel", Dst: "midway",
 			Pairs: []FilePair{{Src: path, Dst: path}},
-		}
-		body, _ := json.Marshal(task)
-		in.Send(body)
+		}, func(r PrefetchResult) { results <- r })
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go p.Run(ctx, 2)
 
-	deadline := time.Now().Add(10 * time.Second)
-	for out.Len() < families {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d results", out.Len(), families)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-
-	results := out.Drain()
 	okCount := 0
-	for _, body := range results {
-		var r PrefetchResult
-		if err := json.Unmarshal(body, &r); err != nil {
-			t.Fatal(err)
-		}
-		if r.OK {
-			okCount++
+	for i := 0; i < families; i++ {
+		select {
+		case r := <-results:
+			if r.OK {
+				okCount++
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d/%d results", i, families)
 		}
 	}
 	if okCount != families {
@@ -282,53 +268,26 @@ func TestPrefetcherReportsFailure(t *testing.T) {
 	f := NewFabric(clk)
 	f.AddEndpoint("a", store.NewMemFS("a", nil))
 	f.AddEndpoint("b", store.NewMemFS("b", nil))
-	in := queue.New("prefetch", clk)
-	out := queue.New("ready", clk)
-	p := NewPrefetcher(f, in, out, clk)
+	p := NewPrefetcher(f, clk)
 
-	body, _ := json.Marshal(PrefetchTask{
+	results := make(chan PrefetchResult, 1)
+	p.Stage(PrefetchTask{
 		FamilyID: "f1", Src: "a", Dst: "b",
 		Pairs: []FilePair{{Src: "/does-not-exist", Dst: "/x"}},
-	})
-	in.Send(body)
+	}, func(r PrefetchResult) { results <- r })
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go p.Run(ctx, 1)
-	deadline := time.Now().Add(5 * time.Second)
-	for out.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no result")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
 	var r PrefetchResult
-	_ = json.Unmarshal(out.Drain()[0], &r)
+	select {
+	case r = <-results:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no result")
+	}
 	if r.OK || r.Err == "" {
 		t.Fatalf("result = %+v, want failure", r)
 	}
 	if p.TasksFailed.Load() != 1 {
 		t.Fatalf("TasksFailed = %d", p.TasksFailed.Load())
-	}
-}
-
-func TestPrefetcherDropsPoisonMessage(t *testing.T) {
-	clk := clock.NewReal()
-	f := NewFabric(clk)
-	in := queue.New("prefetch", clk)
-	out := queue.New("ready", clk)
-	p := NewPrefetcher(f, in, out, clk)
-	in.Send([]byte("{not json"))
-	ctx, cancel := context.WithCancel(context.Background())
-	go p.Run(ctx, 1)
-	deadline := time.Now().Add(2 * time.Second)
-	for in.Len() > 0 || in.InFlight() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("poison message not consumed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if out.Len() != 0 {
-		t.Fatal("poison message produced a result")
 	}
 }
