@@ -80,9 +80,11 @@ func TestSeededPlacementIsTheSameEveryRun(t *testing.T) {
 // committing its step — here from the result cache, so no shard is
 // involved — and sending its validation record allocates what the
 // family's state holds and no more. The count is what the pump reaches
-// today; with an observer, each event it writes (step_cache_hit,
-// family_done) adds one, the ring's copy of its attributes. The race
-// detector changes the counts, so the test skips under it.
+// today; with an observer, the budget leaves one more for each event it
+// writes (step_cache_hit, family_done), so that an event's own cost,
+// gated at zero by obs's TestEventStaysInItsBudget, fails that test
+// alone. The race detector changes the counts, so the test skips under
+// it.
 func TestOneGroupFamilyStaysInItsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")

@@ -69,21 +69,18 @@ func (o *OSStore) List(dir string) ([]FileInfo, error) {
 	if err != nil {
 		return nil, mapOSError(err)
 	}
-	clean := Clean(dir)
+	prefix := Clean(dir)
+	if prefix != "/" {
+		prefix += "/"
+	}
 	out := make([]FileInfo, 0, len(entries))
 	for _, e := range entries {
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		p := clean
-		if p != "/" {
-			p += "/"
-		} else {
-			p = "/"
-		}
 		fi := FileInfo{
-			Path:    Clean(p + e.Name()),
+			Path:    prefix + e.Name(), // a directory entry's name is one clean component
 			Name:    e.Name(),
 			ModTime: info.ModTime(),
 			IsDir:   e.IsDir(),

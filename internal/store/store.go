@@ -67,10 +67,14 @@ type Store interface {
 }
 
 // Clean canonicalizes a store path: slash-separated, absolute, no
-// trailing slash (except root).
+// trailing slash (except root). A rooted path is cleaned in place:
+// path.Clean builds no new string for one that is already clean, or
+// that only ends in slashes.
 func Clean(p string) string {
-	p = path.Clean("/" + strings.TrimPrefix(p, "/"))
-	return p
+	if strings.HasPrefix(p, "/") {
+		return path.Clean(p)
+	}
+	return path.Clean("/" + p)
 }
 
 // ExtensionOf returns the lowercase extension of name without the dot.
@@ -146,23 +150,30 @@ func NewMemFS(name string, now func() time.Time) *MemFS {
 // Name implements Store.
 func (m *MemFS) Name() string { return m.name }
 
+// lookup walks the tree along p's components, in place.
 func (m *MemFS) lookup(p string) (*node, error) {
 	p = Clean(p)
 	cur := m.root
-	if p == "/" {
-		return cur, nil
-	}
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	for i := 1; i < len(p); {
+		end := nextSlash(p, i)
 		if cur.children == nil {
 			return nil, ErrNotDir
 		}
-		next, ok := cur.children[part]
+		next, ok := cur.children[p[i:end]]
 		if !ok {
 			return nil, ErrNotFound
 		}
-		cur = next
+		cur, i = next, end+1
 	}
 	return cur, nil
+}
+
+// nextSlash is the index of the first '/' in p at or after i, or len(p).
+func nextSlash(p string, i int) int {
+	if j := strings.IndexByte(p[i:], '/'); j >= 0 {
+		return i + j
+	}
+	return len(p)
 }
 
 // List implements Store.
@@ -242,26 +253,25 @@ func (m *MemFS) MkdirAll(dir string) error {
 	return err
 }
 
+// mkdirAll walks the tree along the clean path dir's components, in
+// place, creating missing directories; a new directory's Path and Name
+// are substrings of dir.
 func (m *MemFS) mkdirAll(dir string) (*node, error) {
-	dir = Clean(dir)
 	cur := m.root
-	if dir == "/" {
-		return cur, nil
-	}
-	full := ""
-	for _, part := range strings.Split(strings.TrimPrefix(dir, "/"), "/") {
-		full += "/" + part
+	for i := 1; i < len(dir); {
+		end := nextSlash(dir, i)
+		part := dir[i:end]
 		next, ok := cur.children[part]
 		if !ok {
 			next = &node{
-				info:     FileInfo{Path: full, Name: part, IsDir: true, ModTime: m.now()},
+				info:     FileInfo{Path: dir[:end], Name: part, IsDir: true, ModTime: m.now()},
 				children: make(map[string]*node),
 			}
 			cur.children[part] = next
 		} else if next.children == nil {
 			return nil, ErrNotDir
 		}
-		cur = next
+		cur, i = next, end+1
 	}
 	return cur, nil
 }
