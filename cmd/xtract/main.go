@@ -124,7 +124,8 @@ func runExtract(args []string) error {
 	if err != nil {
 		return err
 	}
-	d.DrainValidation()
+	// RunJob returns once the job is terminal, which it is only with every
+	// document written.
 	fmt.Printf("crawled %d files (%d dirs) in %d groups\n",
 		stats.Crawl.FilesSeen, stats.Crawl.DirsListed, stats.Crawl.GroupsFormed)
 	fmt.Printf("processed %d families (%d extractor invocations, %d failed) in %v\n",
@@ -334,6 +335,9 @@ func listen(ctx context.Context, f serveFlags, handler http.Handler, d *deploy.D
 		return err
 	case <-ctx.Done():
 	}
+	// A job still running is suspended, not ended: its documents are not
+	// all written yet, and recovery on the same journal runs it again, so
+	// the validator has nothing to drain.
 	fmt.Println("shutting down: draining jobs, flushing journal")
 	d.Service.BeginShutdown()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -63,7 +63,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d.DrainValidation()
 
 	fmt.Printf("\nextraction complete in %v\n", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("families: %d done, %d failed; extractor invocations: %d (files can draw several extractors)\n",

@@ -48,7 +48,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d.DrainValidation()
 	fmt.Printf("crawled %d files → %d groups → %d families\n",
 		stats.Crawl.FilesSeen, stats.Crawl.GroupsFormed, stats.FamiliesDone)
 	fmt.Printf("extractor invocations: %d (%d failed)\n",

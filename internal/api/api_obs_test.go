@@ -53,8 +53,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xtract_faas_task_latency_seconds_bucket",
 		"xtract_transfer_bytes_total",
 		"xtract_transfer_fetch_bytes_total",
-		`xtract_queue_depth{queue="validation-results"}`,
-		"xtract_queue_oldest_age_seconds",
+		"xtract_validate_pending 0",
 		`xtract_http_requests_total{route="POST /api/v1/jobs"}`,
 	} {
 		if !strings.Contains(text, want) {

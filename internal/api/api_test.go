@@ -203,7 +203,6 @@ func TestSearchEndpoints(t *testing.T) {
 	if _, err := client.WaitJob(jobID, 5*time.Millisecond, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deps.DrainValidation()
 
 	ref, err := client.RefreshIndex()
 	if err != nil {

@@ -177,8 +177,8 @@ func TestExpositionMatchesDesign(t *testing.T) {
 }
 
 // ownersAgree checks that /metrics reads the tenant's bill, the result
-// cache's and the journal's counts, the live-job table and the
-// prefetcher's pending tasks, where they are kept.
+// cache's and the journal's counts, the live-job table, and the
+// prefetcher's and the validator's pending work, where they are kept.
 func ownersAgree(t *testing.T, d *deploy.Deployment, jnl *journal.Journal, text string) {
 	t.Helper()
 	got := samples(t, text)
@@ -209,6 +209,7 @@ func ownersAgree(t *testing.T, d *deploy.Deployment, jnl *journal.Journal, text 
 		"xtract_cache_evictions_total":                           float64(c.Evictions),
 		"xtract_jobs_active":                                     0,
 		"xtract_prefetch_pending":                                float64(d.Prefetcher.Pending()),
+		"xtract_validate_pending":                                float64(d.Validation.Pending()),
 	}
 	if u.JobsCompleted != 1 || u.StepsProcessed == 0 || c.Evictions == 0 {
 		t.Errorf("the job left tenant usage %+v and cache stats %+v: want a completed job and evictions", u, c)

@@ -19,7 +19,6 @@ import (
 	"xtract/internal/family"
 	"xtract/internal/faultinject"
 	"xtract/internal/journal"
-	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
@@ -28,19 +27,18 @@ import (
 )
 
 // world is the durable layer every node life of one test shares: the
-// sites' data stores, the destination, the results queue (like SQS it
-// outlives the node that fed it), the journal's directory and, in a
+// sites' data stores, the destination, the journal's directory and, in a
 // cluster, the open journal and the coordinator. Everything else belongs
-// to one node life — a harness — and dies with it.
+// to one node life — a harness, its validator included — and dies with
+// it.
 type world struct {
-	specs   []siteSpec
-	sites   map[string]*store.MemFS
-	dest    *store.MemFS
-	results *queue.Queue
-	jdir    journal.Dir          // nil: no journal
-	jnl     *journal.Journal     // open on jdir: the current life's, or the whole cluster's
-	coord   *cluster.Coordinator // nil: a single node
-	lives   []*harness
+	specs []siteSpec
+	sites map[string]*store.MemFS
+	dest  *store.MemFS
+	jdir  journal.Dir          // nil: no journal
+	jnl   *journal.Journal     // open on jdir: the current life's, or the whole cluster's
+	coord *cluster.Coordinator // nil: a single node
+	lives []*harness
 }
 
 type siteSpec struct {
@@ -52,10 +50,9 @@ type siteSpec struct {
 
 func newWorld(t testing.TB, sites []siteSpec) *world {
 	w := &world{
-		specs:   sites,
-		sites:   make(map[string]*store.MemFS),
-		dest:    store.NewMemFS("user-dest", nil),
-		results: queue.New("validation-results", clock.NewReal()),
+		specs: sites,
+		sites: make(map[string]*store.MemFS),
+		dest:  store.NewMemFS("user-dest", nil),
 	}
 	for _, spec := range sites {
 		w.sites[spec.name] = store.NewMemFS(spec.name, spec.now)
@@ -139,10 +136,11 @@ func (w *world) start(t testing.TB, n node) *harness {
 		}
 		w.jnl = jnl
 	}
+	h.valsvc = validate.NewService(validate.Passthrough{}, w.dest)
 	cfg := Config{
 		Clock: clk, FaaS: h.fsvc, Fabric: h.fabric,
 		Library:    extractors.DefaultLibrary(),
-		Prefetcher: h.pf, ResultQueue: w.results,
+		Prefetcher: h.pf, Validation: h.valsvc,
 		Settings: Settings{Policy: n.policy}, Journal: w.jnl,
 	}
 	if n.inv != nil {
@@ -156,7 +154,6 @@ func (w *world) start(t testing.TB, n node) *harness {
 		h.fsvc.HeartbeatTimeout = 40 * time.Millisecond
 		h.fsvc.SetFaults(n.faults)
 		h.fabric.SetFaults(n.faults)
-		w.results.SetFaults(n.faults)
 		cfg.ExtractFaults = n.faults
 	}
 	if n.mut != nil {
@@ -180,7 +177,6 @@ func (w *world) start(t testing.TB, n node) *harness {
 		t.Fatal(err)
 	}
 	go h.pf.Run(h.ctx, 2)
-	h.valsvc = validate.NewService(validate.Passthrough{}, w.results, w.dest)
 	go h.valsvc.Run(h.ctx)
 	if h.node != nil {
 		go func() {
@@ -252,30 +248,23 @@ func (h *harness) kill() {
 	<-h.loopDone
 }
 
-// drain synchronously validates what the results queue holds, on every
-// live node.
-func (w *world) drain() {
-	for _, h := range w.lives {
-		if !h.dead {
-			h.valsvc.Drain()
-		}
+// docs reads the destination's documents (a job writes all of its own
+// before it ends) and fails unless there are want of them.
+func (w *world) docs(t testing.TB, want int) map[string][]byte {
+	t.Helper()
+	docs := snapshotDocs(t, w.dest)
+	if len(docs) != want {
+		t.Fatalf("the destination holds %d documents, want %d", len(docs), want)
 	}
+	return docs
 }
 
-// waitForDocs drains validation until the destination holds want docs.
-func (w *world) waitForDocs(t testing.TB, want int) map[string][]byte {
+// docsAre fails unless the destination holds exactly want's documents,
+// byte for byte.
+func (w *world) docsAre(t testing.TB, want map[string][]byte) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		w.drain()
-		docs := snapshotDocs(t, w.dest)
-		if len(docs) >= want {
-			return docs
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("validation stalled: %d/%d documents", len(docs), want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if docs := snapshotDocs(t, w.dest); !docsEqual(docs, want) {
+		t.Fatalf("the destination holds %d documents unlike the control's %d", len(docs), len(want))
 	}
 }
 
@@ -452,7 +441,7 @@ func TestEndToEndLocalExtraction(t *testing.T) {
 	// Validation output landed at the destination; the VASP family's
 	// metadata includes structure and results blocks.
 	foundStructure := false
-	for _, data := range h.waitForDocs(t, int(stats.FamiliesDone)) {
+	for _, data := range h.docs(t, int(stats.FamiliesDone)) {
 		if strings.Contains(string(data), `"structure"`) && strings.Contains(string(data), `"incar"`) {
 			foundStructure = true
 		}
@@ -552,7 +541,7 @@ func TestEndToEndDynamicPlanExpansion(t *testing.T) {
 	if stats.FamiliesDone != 1 || stats.StepsProcessed < 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	for _, data := range h.waitForDocs(t, 1) {
+	for _, data := range h.docs(t, 1) {
 		var doc struct{ Metadata map[string]json.RawMessage }
 		_ = json.Unmarshal(data, &doc)
 		hasTabular := false
@@ -704,8 +693,8 @@ func TestEndToEndRestartResumesFromCache(t *testing.T) {
 		t.Errorf("tasks resubmitted %d, cache hits %d; want the lost task's %d finished steps committed from the cache",
 			stats.TasksResubmitted, stats.CacheHits, len(finished))
 	}
-	want := control.waitForDocs(t, len(texts))
-	if got := h.waitForDocs(t, len(texts)); !docsEqual(got, want) {
+	want := control.docs(t, len(texts))
+	if got := h.docs(t, len(texts)); !docsEqual(got, want) {
 		t.Fatalf("documents after the restart differ from the control's:\n got %v\nwant %v", got, want)
 	}
 }
@@ -718,7 +707,7 @@ func TestRerunShipsTheRewrittenFile(t *testing.T) {
 	repo := []journal.RepoSpec{{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}}
 	notes := func() string {
 		t.Helper()
-		for _, doc := range h.waitForDocs(t, files) {
+		for _, doc := range h.docs(t, files) {
 			if bytes.Contains(doc, []byte(`"/mdf/exp2/notes.txt"`)) {
 				return string(doc)
 			}

@@ -71,22 +71,24 @@ type task struct {
 // it (accepted, sent only when hedging is on: the pump arms the hedge
 // deadline and notes the task on its steps, for loser cancellation), or
 // it never got there (cause set), in which case its steps go through the
-// pump's retry/dead-letter path. staged is not a shard's event: it is
-// the prefetcher's report on one of the job's families.
+// pump's retry/dead-letter path. staged and validated are not a shard's
+// events: they are the prefetcher's report on one of the job's families
+// and the validator's on a batch of its records.
 type shardEvent struct {
-	staged   *transfer.PrefetchResult
-	task     *task
-	info     faas.TaskInfo
-	accepted bool
-	cause    string // "no_function" | "submit_error"; empty unless dispatch failed
-	detail   string
+	staged    *transfer.PrefetchResult
+	validated int
+	task      *task
+	info      faas.TaskInfo
+	accepted  bool
+	cause     string // "no_function" | "submit_error"; empty unless dispatch failed
+	detail    string
 }
 
-// shardEventSink fans events from every shard, and the prefetcher's
-// reports, into the pump. The buffer is unbounded and the wakeup token
-// coalesced (the channel holds at most one), so neither ever blocks on a
-// slow pump and the pump never misses an event: it drains after each
-// token and re-blocks.
+// shardEventSink fans events from every shard, and the prefetcher's and
+// the validator's reports, into the pump. The buffer is unbounded and the
+// wakeup token coalesced (the channel holds at most one), so neither ever
+// blocks on a slow pump and the pump never misses an event: it drains
+// after each token and re-blocks.
 type shardEventSink struct {
 	mu    sync.Mutex
 	evs   []shardEvent
@@ -123,6 +125,12 @@ func (k *shardEventSink) drain() []shardEvent {
 // events of the job whose pump handed its task over.
 func (k *shardEventSink) staged(res transfer.PrefetchResult) {
 	k.push(shardEvent{staged: &res})
+}
+
+// validated is the validator's report hook: n of the job's records are
+// written or rejected.
+func (k *shardEventSink) validated(n int) {
+	k.push(shardEvent{validated: n})
 }
 
 func (k *shardEventSink) pending() int {

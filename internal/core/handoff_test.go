@@ -180,7 +180,6 @@ func TestBatchTakenInAwaitIsFlushed(t *testing.T) {
 	p.jobCtx = ctx
 	// No group, so no step: the family finishes inside its placement.
 	p.offerFamilies(ctx, []family.Family{{ID: "alpha:/d#0", Store: "alpha", BasePath: "/d"}})
-	sentBefore, _ := h.svc.cfg.ResultQueue.Stats()
 
 	woke, err := p.await(ctx)
 	if err != nil || woke != "families" {
@@ -189,8 +188,8 @@ func TestBatchTakenInAwaitIsFlushed(t *testing.T) {
 	if p.FamiliesDone != 1 {
 		t.Fatalf("FamiliesDone = %d, want 1", p.FamiliesDone)
 	}
-	if sent, _ := h.svc.cfg.ResultQueue.Stats(); sent != sentBefore+1 || len(p.pendingResults) != 0 {
-		t.Fatalf("%d results sent, %d still in the pump; want 1, 0", sent-sentBefore, len(p.pendingResults))
+	if p.validating != 1 || len(p.results) != 0 {
+		t.Fatalf("%d results handed to the validator, %d still in the pump; want 1, 0", p.validating, len(p.results))
 	}
 	if p.intakeFamilies() {
 		t.Fatal("the next pass found families on an empty hand-off")
@@ -451,10 +450,10 @@ func TestIntakeCostIsPerFamilyNotPerFile(t *testing.T) {
 		allocs := testing.AllocsPerRun(runs, func() {
 			p.offerFamilies(context.Background(), batches[next])
 			next++
-			if !p.intakeFamilies() || len(p.pendingResults) != perBatch {
-				t.Fatalf("intake finished %d of %d families", len(p.pendingResults), perBatch)
+			if !p.intakeFamilies() || len(p.results) != perBatch {
+				t.Fatalf("intake finished %d of %d families", len(p.results), perBatch)
 			}
-			p.pendingResults, p.resultBuf = p.pendingResults[:0], p.resultBuf[:0]
+			p.results = p.results[:0]
 		})
 		return allocs / perBatch
 	}

@@ -11,11 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"xtract/internal/clock"
 	"xtract/internal/crawler"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
@@ -572,7 +570,7 @@ func (s *Service) foldRecord(js *journal.JobState) registry.JobRecord {
 
 // teardown ends a job's pump whichever way the job exits.
 func (p *pump) teardown(cancelJob context.CancelFunc) {
-	p.flushResults() // error paths must not strand buffered records
+	p.flushResults() // a cancelled or failed job still ships what it finished
 	cancelJob()
 	p.shardWG.Wait()
 	for _, d := range p.shards { // fed after its shard's own sweep, a step still holds a slot
@@ -670,10 +668,4 @@ func (s *Service) endJob(jobID, ten string, state registry.JobState, errMsg stri
 	s.journalAppend(rec)
 	s.obsJobs.With(string(state)).Inc()
 	s.cfg.Tenants.JobOutcome(ten, string(state))
-}
-
-// NewQueues is a convenience constructor for the queues a deployment
-// holds, named after their paper counterparts.
-func NewQueues(clk clock.Clock) (families, results *queue.Queue) {
-	return queue.New("crawl-families", clk), queue.New("validation-results", clk)
 }

@@ -245,10 +245,7 @@ func journaledJob(t *testing.T, jobIDs ...string) *journal.Journal {
 func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 	repo := journal.RepoSpec{Site: "theta", Roots: []string{"/mdf"}, Grouper: "single"}
 	// setup returns a one-site service over the science corpus and the
-	// goroutine count to come back to. The result queue's visibility timer
-	// is the queue's, not a job's, and starts with the first record the
-	// validator receives: it is started here, with a record the validator
-	// rejects, so that the count includes it.
+	// goroutine count to come back to.
 	setup := func(t *testing.T, policy scheduler.Policy, mut func(*Config)) (*harness, int) {
 		h := newHarnessCfg(t, []siteSpec{{name: "theta", workers: 2}}, policy, func(cfg *Config) {
 			cfg.Obs = obs.New(cfg.Clock) // xtract_pipeline_depth
@@ -257,8 +254,6 @@ func TestLiveJobTableEmptiesOnEveryExit(t *testing.T) {
 			}
 		})
 		seedScience(t, h.sites["theta"], "/mdf")
-		h.svc.cfg.ResultQueue.Send([]byte("not a record"))
-		eventually(t, "the validator rejecting the warm-up record", func() bool { return h.valsvc.Rejected.Load() == 1 })
 		return h, runtime.NumGoroutine()
 	}
 	ended := func(t *testing.T, h *harness, goroutines int) {

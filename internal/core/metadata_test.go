@@ -26,6 +26,7 @@ import (
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 	"xtract/internal/transfer"
+	"xtract/internal/validate"
 )
 
 // journalRecords reads every record of the journal segments in dir, frame
@@ -77,7 +78,7 @@ func stepMetadata(recs []journal.Record, jobID string) map[string]string {
 // empties the destination for the next job.
 func takeDocs(t *testing.T, h *harness, want int64) map[string][]byte {
 	t.Helper()
-	docs := h.waitForDocs(t, int(want))
+	docs := h.docs(t, int(want))
 	for p := range docs {
 		if err := h.dest.Delete(p); err != nil {
 			t.Fatal(err)
@@ -248,14 +249,10 @@ func TestConcurrentWarmJobsShareMetadataBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Every job writes each family's document to the same path; whichever
-	// write landed last, the bytes are the cold job's.
-	deadline := time.Now().Add(30 * time.Second)
-	for h.valsvc.Validated.Load() < 5*cold.FamiliesDone {
-		if time.Now().After(deadline) {
-			t.Fatalf("validated %d of %d documents", h.valsvc.Validated.Load(), 5*cold.FamiliesDone)
-		}
-		time.Sleep(time.Millisecond)
+	// Every job writes each family's document to the same path, before it
+	// ends; whichever write landed last, the bytes are the cold job's.
+	if n := h.valsvc.Validated.Load(); n != 5*cold.FamiliesDone {
+		t.Fatalf("validated %d of %d documents", n, 5*cold.FamiliesDone)
 	}
 	if got := snapshotDocs(t, h.dest); !docsEqual(got, want) {
 		t.Fatal("concurrent warm jobs wrote different documents than the cold job")
@@ -382,7 +379,7 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 	if err != nil || stats.FamiliesFailed != 0 {
 		t.Fatalf("first life: %+v, %v", stats, err)
 	}
-	docs1 := w.waitForDocs(t, int(stats.FamiliesDone))
+	docs1 := w.docs(t, int(stats.FamiliesDone))
 	jdir1 := w.jdir
 	w.teardown()
 
@@ -423,7 +420,7 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 		t.Fatalf("recovery = %+v, %v; want one job resumed", status, err)
 	}
 	life2.svc.RecoveryWait()
-	docs2 := w.waitForDocs(t, len(docs1))
+	docs2 := w.docs(t, len(docs1))
 	if life2.inv.total() != 0 {
 		t.Fatalf("resumed job invoked %d extractors; every step was journaled", life2.inv.total())
 	}
@@ -445,10 +442,10 @@ func TestRecoverySeedsTheCacheWithJournalBytes(t *testing.T) {
 func bareService(t testing.TB, c *cache.Cache, o *obs.Observer) *Service {
 	t.Helper()
 	clk := clock.NewReal()
-	_, results := NewQueues(clk)
+	valsvc := validate.NewService(validate.Passthrough{}, store.NewMemFS("dest", nil))
 	svc := New(Config{
 		Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: transfer.NewFabric(clk),
-		Library: extractors.DefaultLibrary(), ResultQueue: results, Cache: c, Obs: o,
+		Library: extractors.DefaultLibrary(), Validation: valsvc, Cache: c, Obs: o,
 	})
 	svc.AddSite(&Site{Name: "x", Store: store.NewMemFS("x", nil), Compute: faas.NewEndpoint("ep-x", 1, clk)})
 	return svc
@@ -512,7 +509,6 @@ func BenchmarkWarmStep(b *testing.B) {
 	if _, err := h.svc.RunJob(h.ctx, repo); err != nil { // the cold, priming job
 		b.Fatal(err)
 	}
-	h.valsvc.Drain()
 
 	var before, after runtime.MemStats
 	var steps int64
@@ -523,7 +519,6 @@ func BenchmarkWarmStep(b *testing.B) {
 		if err != nil || stats.CacheHits != stats.StepsProcessed {
 			b.Fatalf("warm job = %+v, %v", stats, err)
 		}
-		h.valsvc.Drain()
 		steps += stats.StepsProcessed
 	}
 	b.StopTimer()

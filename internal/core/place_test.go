@@ -17,6 +17,7 @@ import (
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 	"xtract/internal/transfer"
+	"xtract/internal/validate"
 )
 
 // raceEnabled is set by race_test.go when the race detector is on.
@@ -41,13 +42,13 @@ func (r *recordingPolicy) Place(fam *family.Family, home scheduler.SiteState, al
 func TestSeededPlacementIsTheSameEveryRun(t *testing.T) {
 	place := func() []string {
 		clk := clock.NewReal()
-		_, results := NewQueues(clk)
+		valsvc := validate.NewService(validate.Passthrough{}, store.NewMemFS("dest", nil))
 		fabric := transfer.NewFabric(clk)
 		pol := &recordingPolicy{Policy: &scheduler.RandPolicy{Percent: 100, Rng: rand.New(rand.NewSource(7))}}
 		svc := New(Config{
 			Clock: clk, FaaS: faas.NewService(clk, faas.Costs{}), Fabric: fabric,
 			Library: extractors.DefaultLibrary(), Settings: Settings{Policy: pol},
-			Prefetcher: transfer.NewPrefetcher(fabric, clk), ResultQueue: results,
+			Prefetcher: transfer.NewPrefetcher(fabric, clk), Validation: valsvc,
 		})
 		for _, name := range []string{"gamma", "alpha", "delta", "beta"} {
 			svc.AddSite(&Site{Name: name, Store: store.NewMemFS(name, nil), Compute: faas.NewEndpoint("ep-"+name, 1, clk)})

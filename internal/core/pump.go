@@ -14,6 +14,7 @@ import (
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/transfer"
+	"xtract/internal/validate"
 )
 
 // This file is the pump's loop: what it waits on, and the intakes that
@@ -77,14 +78,15 @@ type pump struct {
 	budget    int
 	deadlines []deadline
 
-	// pendingResults holds the validation records of the families that
-	// finished this pass, encoded back to back in resultBuf, so one
-	// ResultQueue.SendBatch per pass replaces a queue lock (and a wakeup
-	// signal) per family. The send copies the bodies; both reset after it.
-	pendingResults [][]byte
-	resultBuf      []byte
+	// results holds the validation records of the families that finished
+	// this pass, handed to the validator in one Submit per pass: one intake
+	// lock and one wakeup per pass, not per family. validating counts the
+	// records handed over and not yet reported; the job cannot end above
+	// zero, so its terminal record follows its last document.
+	results    []validate.Record
+	validating int
 	// recordBuf is where finishFamily encodes one record's file list and
-	// metadata before AppendRecord copies them into resultBuf.
+	// metadata before copying them into the record's own bytes.
 	recordBuf []byte
 	// alternates is where placeFamily lists the policy's other sites.
 	alternates []scheduler.SiteState
@@ -147,10 +149,11 @@ func (p *pump) loop(ctx context.Context) error {
 		// family leaves those phases only when every step has resolved, so
 		// none also means no retry pending and no shard work outstanding),
 		// no shard events in flight, and the hand-off empty. Results held
-		// behind the submission gate keep the job open.
+		// behind the submission gate, and records the validator has not
+		// reported, keep the job open.
 		p.publish("", "")
 		if p.crawlsPending == 0 && p.famCount[famStaging]+p.famCount[famRunning] == 0 &&
-			p.events.pending() == 0 && len(p.handoff) == 0 && len(p.pendingResults) == 0 {
+			p.events.pending() == 0 && len(p.handoff) == 0 && len(p.results) == 0 && p.validating == 0 {
 			return nil
 		}
 		var err error
@@ -162,11 +165,12 @@ func (p *pump) loop(ctx context.Context) error {
 	}
 }
 
-// flushResults batch-sends the buffered validation records, unless the
-// submission gate still holds them. Called once per pump pass and by
-// teardown for the error-return paths.
+// flushResults hands this pass's validation records to the validator,
+// unless the submission gate still holds them; the validator reports
+// them on the job's event sink. Called once per pump pass and by teardown
+// for the error-return paths.
 func (p *pump) flushResults() {
-	if len(p.pendingResults) == 0 {
+	if len(p.results) == 0 {
 		return
 	}
 	if p.submitted != nil {
@@ -177,9 +181,9 @@ func (p *pump) flushResults() {
 			return
 		}
 	}
-	p.s.cfg.ResultQueue.SendBatch(p.pendingResults)
-	p.pendingResults = p.pendingResults[:0]
-	p.resultBuf = p.resultBuf[:0]
+	p.validating += len(p.results)
+	p.s.cfg.Validation.Submit(p.results, p.events.validated)
+	p.results = nil // the validator's now
 }
 
 // nextDeadline returns the earliest pending deadline, first dropping
@@ -201,10 +205,10 @@ func (p *pump) nextDeadline() (deadline, bool) {
 }
 
 // await blocks until some event source signals work for this job: a
-// crawl finishing, the crawl hand-off, a shard event or a staging
-// result, the earliest deadline coming due, or the submission gate
-// opening. It returns a low-cardinality reason label for the wakeup
-// counter.
+// crawl finishing, the crawl hand-off, a shard event, a staging result
+// or a validation report, the earliest deadline coming due, or the
+// submission gate opening. It returns a low-cardinality reason label for
+// the wakeup counter.
 func (p *pump) await(ctx context.Context) (string, error) {
 	var deadlineCh <-chan time.Time
 	due := "retry"
@@ -215,7 +219,7 @@ func (p *pump) await(ctx context.Context) (string, error) {
 		}
 	}
 	var durable <-chan struct{}
-	if len(p.pendingResults) > 0 {
+	if len(p.results) > 0 {
 		durable = p.submitted
 	}
 	select {
@@ -355,8 +359,8 @@ func (p *pump) intakeDeadlines() bool {
 }
 
 // handleEvents drains the job's event sink: accepted tasks are noted,
-// ended ones resolve against their steps, and staging results are taken
-// in.
+// ended ones resolve against their steps, staging results are taken in,
+// and reported records leave the validating count.
 func (p *pump) handleEvents() bool {
 	evs := p.events.drain()
 	if len(evs) == 0 {
@@ -377,6 +381,8 @@ func (p *pump) handleEvents() bool {
 		switch {
 		case ev.staged != nil:
 			p.takeStaged(ev.staged)
+		case ev.validated > 0:
+			p.validating -= ev.validated
 		case ev.accepted:
 			p.noteAccepted(ev.task)
 		default:

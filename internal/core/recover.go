@@ -49,8 +49,6 @@ type RecoveryStatus struct {
 	Failed          int `json:"failed"`
 	Foreign         int `json:"foreign,omitempty"`
 	StepsReconciled int `json:"steps_reconciled"`
-	// Reclaimed counts queue messages forced back to visible.
-	Reclaimed int `json:"reclaimed"`
 	// Journal scan detail (see journal.ReplayInfo).
 	Records         int64   `json:"records"`
 	Segments        int     `json:"segments"`
@@ -67,9 +65,10 @@ type RecoveryStatus struct {
 // resumed job's journaled step completions are first seeded into the
 // result cache so the resumed pump replays them as cache hits instead of
 // re-invoking extractors, which is what makes recovered jobs converge to
-// the same results with no duplicated extraction work. Before any pump
-// resumes, the in-flight messages of the service's queues are made visible
-// again: the consumers that held the receipts died with the old process.
+// the same results with no duplicated extraction work. A job is terminal
+// only once its documents are written, so a resumed job re-finishes every
+// family and rewrites their documents byte for byte; nothing the old
+// process held in memory needs to be found again.
 //
 // Recover runs at most once per service; later calls return the first
 // pass's status. With no journal configured it is a no-op.
@@ -94,7 +93,6 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStatus, error) {
 		TornTail:        info.TornTail,
 		CorruptSegments: info.CorruptSegments,
 	}
-	status.Reclaimed = s.cfg.ResultQueue.ReclaimAll()
 	for _, id := range st.JobIDs() {
 		s.jobs.advance(id)
 		js := st.Jobs[id]

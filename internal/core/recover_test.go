@@ -49,7 +49,7 @@ func TestTenantOwnershipSurvivesRestart(t *testing.T) {
 			if err != nil || stats.FamiliesFailed != 0 || stats.StepsDeadLettered != 0 {
 				t.Fatalf("control job not clean: %+v, %v", stats, err)
 			}
-			want := ctl.waitForDocs(t, int(stats.FamiliesDone))
+			want := ctl.docs(t, int(stats.FamiliesDone))
 
 			w := systemWorld(t, oneSite)
 			life1 := life(w, 2*time.Millisecond)
@@ -80,7 +80,7 @@ func TestTenantOwnershipSurvivesRestart(t *testing.T) {
 				t.Fatalf("recovered job record = %+v, %v; want tenant alice", rec, err)
 			}
 			life2.svc.RecoveryWait()
-			w.waitForDocsEqual(t, want)
+			w.docsAre(t, want)
 		})
 	}
 }

@@ -24,12 +24,12 @@ import (
 	"xtract/internal/faas"
 	"xtract/internal/journal"
 	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/registry"
 	"xtract/internal/scheduler"
 	"xtract/internal/store"
 	"xtract/internal/tenant"
 	"xtract/internal/transfer"
+	"xtract/internal/validate"
 )
 
 // Site is one Xtract endpoint: a data layer (store + transfer endpoint)
@@ -198,8 +198,9 @@ type Config struct {
 	Library *extractors.Library
 	// Prefetcher stages the families placed away from their files.
 	Prefetcher *transfer.Prefetcher
-	// ResultQueue receives validate.Record JSON for finished families.
-	ResultQueue *queue.Queue
+	// Validation writes each finished family's document; a job ends only
+	// once it has reported every record its pump handed over.
+	Validation *validate.Service
 	// Obs is the runtime observability layer (nil disables live metrics
 	// and per-job event traces at near-zero cost).
 	Obs *obs.Observer

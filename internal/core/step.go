@@ -443,8 +443,9 @@ func (p *pump) finishFamily(st *famState) {
 		p.FamiliesDegraded++
 	}
 	// The file list and the metadata are encoded once, here, in path and
-	// key order, and from there on only spliced: into the record, then
-	// into the document.
+	// key order, and from there on only spliced into the document. The
+	// record gets bytes of its own, which nobody writes after the hand-off:
+	// recordBuf is written again by the next family.
 	p.recordBuf = append(p.recordBuf[:0], '[')
 	for i := range st.fam.FileMeta {
 		if i > 0 {
@@ -455,19 +456,15 @@ func (p *pump) finishFamily(st *famState) {
 	p.recordBuf = append(p.recordBuf, ']')
 	n := len(p.recordBuf)
 	p.recordBuf = st.appendResults(p.recordBuf)
-	rec := validate.Record{
+	body := slices.Clip(slices.Clone(p.recordBuf))
+	p.results = append(p.results, validate.Record{
 		JobID:    p.JobID,
 		FamilyID: st.fam.ID,
 		Store:    st.fam.Store,
 		BasePath: st.fam.BasePath,
-		Files:    p.recordBuf[:n],
-		Metadata: p.recordBuf[n:],
-	}
-	start := len(p.resultBuf)
-	// The record splices metadata the worker already encoded (a dictionary
-	// JSON cannot carry failed its step there), so nothing is left to fail.
-	p.resultBuf, _ = validate.AppendRecord(p.resultBuf, &rec)
-	p.pendingResults = append(p.pendingResults, p.resultBuf[start:])
+		Files:    body[:n:n],
+		Metadata: body[n:],
+	})
 	p.FamiliesDone++
 	p.s.obs.Event(p.JobID, obs.EvFamilyDone, slog.String("family", st.fam.ID), slog.Int("steps", len(st.steps)),
 		slog.Int("dead_lettered", st.deadLettered))

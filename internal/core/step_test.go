@@ -28,6 +28,7 @@ import (
 	"xtract/internal/store"
 	"xtract/internal/tenant"
 	"xtract/internal/transfer"
+	"xtract/internal/validate"
 )
 
 // countingStore counts the writes the cache's persistent layer makes: one
@@ -71,11 +72,11 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 	m.jnl = jnl
 	fsvc := faas.NewService(clk, faas.Costs{})
 	fabric := transfer.NewFabric(clk)
-	_, results := NewQueues(clk)
+	valsvc := validate.NewService(validate.Passthrough{}, store.NewMemFS("dest", nil))
 	cfg := Config{
 		Clock: clk, FaaS: fsvc, Fabric: fabric,
 		Library:    extractors.DefaultLibrary(),
-		Prefetcher: transfer.NewPrefetcher(fabric, clk), ResultQueue: results,
+		Prefetcher: transfer.NewPrefetcher(fabric, clk), Validation: valsvc,
 		Cache: m.cache, Journal: jnl, Tenants: m.tenants,
 		Settings: Settings{Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, JitterFrac: 0, JobBudget: 8}},
 	}
@@ -95,6 +96,7 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 	m.p = newPump(m.svc, registry.JobRecord{ID: "job-1", Tenant: tenant.Default}, false, nil)
 	var cancel context.CancelFunc
 	m.p.jobCtx, cancel = context.WithCancel(context.Background())
+	go valsvc.Run(m.p.jobCtx)
 	t.Cleanup(func() {
 		cancel()
 		m.p.shardWG.Wait()

@@ -88,9 +88,8 @@ type Deployment struct {
 	// Obs is the deployment-wide observability layer: every substrate
 	// reports into its metric registry and per-job event ring.
 	Obs *obs.Observer
-	// Queues.Results carries finished families to validation. Families,
-	// Prefetch and PrefetchDone carry nothing: they are kept for the
-	// benchmark harness, which reads their Stats.
+	// Queues carry nothing: finished families reach Validation as values.
+	// They are kept for the benchmark harness, which reads their Stats.
 	Queues struct {
 		Families, Prefetch, PrefetchDone, Results *queue.Queue
 	}
@@ -118,16 +117,19 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		cancel:  cancel,
 	}
 	d.Registry = registry.New(clk, 0)
-	d.Queues.Families, d.Queues.Results = core.NewQueues(clk)
+	d.Queues.Families, d.Queues.Results = queue.New("crawl-families", clk), queue.New("validation-results", clk)
 	d.Queues.Prefetch, d.Queues.PrefetchDone = queue.New("prefetch-tasks", clk), queue.New("prefetch-done", clk)
 	d.Prefetcher = transfer.NewPrefetcher(d.Fabric, clk)
+	d.Validation = validate.NewService(opts.Validator, opts.Dest)
 
 	reg := d.Obs.Reg()
 	d.FaaS.Instrument(reg)
 	d.Fabric.Instrument(reg)
-	d.Queues.Results.Instrument(reg)
+	d.Validation.Instrument(d.Obs)
 	reg.GaugeFunc("xtract_prefetch_pending", "Staging tasks handed to the prefetcher and not yet reported.", nil,
 		func() float64 { return float64(d.Prefetcher.Pending()) })
+	reg.GaugeFunc("xtract_validate_pending", "Validation records handed to the validator and not yet reported.", nil,
+		func() float64 { return float64(d.Validation.Pending()) })
 
 	if opts.CacheCapacity > 0 {
 		if opts.CachePersistPrefix != "" {
@@ -138,18 +140,18 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	}
 
 	d.Service = core.New(core.Config{
-		Settings:    opts.Settings,
-		Clock:       clk,
-		FaaS:        d.FaaS,
-		Fabric:      d.Fabric,
-		Library:     opts.Library,
-		Prefetcher:  d.Prefetcher,
-		ResultQueue: d.Queues.Results,
-		Obs:         d.Obs,
-		Cache:       d.Cache,
-		Journal:     opts.Journal,
-		Tenants:     opts.Tenants,
-		Cluster:     opts.Cluster,
+		Settings:   opts.Settings,
+		Clock:      clk,
+		FaaS:       d.FaaS,
+		Fabric:     d.Fabric,
+		Library:    opts.Library,
+		Prefetcher: d.Prefetcher,
+		Validation: d.Validation,
+		Obs:        d.Obs,
+		Cache:      d.Cache,
+		Journal:    opts.Journal,
+		Tenants:    opts.Tenants,
+		Cluster:    opts.Cluster,
 	})
 	d.Tenants = opts.Tenants
 	opts.Tenants.Instrument(d.Obs.Reg())
@@ -160,9 +162,6 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 	}
 
 	go d.Prefetcher.Run(ctx, 10) // transfer jobs in flight, as in the paper's Fig. 6 run
-
-	d.Validation = validate.NewService(opts.Validator, d.Queues.Results, opts.Dest)
-	d.Validation.Instrument(d.Obs)
 	go d.Validation.Run(ctx)
 	return d, nil
 }
@@ -201,8 +200,7 @@ func (d *Deployment) addSites(ctx context.Context, clk clock.Clock, sites []Site
 	return d.Service.RegisterExtractors()
 }
 
-// Close stops the deployment's background services and endpoints.
+// Close stops the deployment's background services and endpoints. A job
+// still running is not terminal: its documents are not all written, and
+// recovery from the journal runs it again.
 func (d *Deployment) Close() { d.cancel() }
-
-// DrainValidation synchronously validates any remaining queued records.
-func (d *Deployment) DrainValidation() { d.Validation.Drain() }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"xtract/internal/extractors"
 	"xtract/internal/family"
 	"xtract/internal/journal"
+	"xtract/internal/registry"
 	"xtract/internal/store"
 	"xtract/internal/validate"
 )
@@ -42,24 +45,15 @@ func TestDeploySingleSiteEndToEnd(t *testing.T) {
 	if stats.FamiliesDone == 0 || stats.StepsFailed != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	waitValidated(t, d, stats.FamiliesDone)
+	validated(t, d, stats.FamiliesDone)
 }
 
-// waitValidated polls until the validation service has processed n
-// records: Drain only consumes visible messages, while the background
-// Run goroutine may still hold a batch in flight.
-func waitValidated(t *testing.T, d *Deployment, n int64) {
+// validated fails unless the validation service has written n documents:
+// a job returns only once every one of its documents is written.
+func validated(t *testing.T, d *Deployment, n int64) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		d.DrainValidation()
-		if d.Validation.Validated.Load() >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("validated %d of %d", d.Validation.Validated.Load(), n)
-		}
-		time.Sleep(time.Millisecond)
+	if got := d.Validation.Validated.Load(); got != n {
+		t.Fatalf("validated %d of %d", got, n)
 	}
 }
 
@@ -103,7 +97,7 @@ func TestDeployMDFValidator(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	waitValidated(t, d, 1)
+	validated(t, d, 1)
 	infos, err := d.Dest.List("/metadata")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("dest = %v, %v", infos, err)
@@ -183,7 +177,7 @@ func TestDeployScaleSmoke(t *testing.T) {
 	if stats.FamiliesFailed != 0 || stats.StepsFailed != 0 {
 		t.Fatalf("failures at scale: %+v", stats)
 	}
-	waitValidated(t, d, stats.FamiliesDone)
+	validated(t, d, stats.FamiliesDone)
 	if stats.Elapsed > 30*time.Second {
 		t.Fatalf("scale run took %v", stats.Elapsed)
 	}
@@ -232,5 +226,131 @@ func TestOptionsSettingsReachTheService(t *testing.T) {
 	}
 	if n := d.FaaS.TasksSubmitted.Load(); n != 4 {
 		t.Fatalf("%d FaaS tasks for 4 steps; want one task per step", n)
+	}
+}
+
+// heldValidator blocks its first Validate until release closes,
+// announcing it on entered.
+type heldValidator struct {
+	validate.Validator
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (v *heldValidator) Validate(rec validate.Record) ([]byte, error) {
+	v.once.Do(func() {
+		close(v.entered)
+		<-v.release
+	})
+	return v.Validator.Validate(rec)
+}
+
+// documents reads every document under /metadata.
+func documents(t *testing.T, dest store.Store) map[string]string {
+	t.Helper()
+	infos, _ := dest.List("/metadata")
+	out := make(map[string]string, len(infos))
+	for _, fi := range infos {
+		data, err := dest.Read(fi.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fi.Path] = string(data)
+	}
+	return out
+}
+
+// A job is COMPLETE only once its documents are written. While the
+// validator holds them the job is not over, in the journal or to a
+// reader; a process shut down then leaves the job unfinished, and the
+// next process on the same journal resumes it and writes every one of its
+// documents, byte for byte those of an uninterrupted run.
+func TestJobEndsOnlyWithItsDocumentsWritten(t *testing.T) {
+	repo := store.NewMemFS("site", nil)
+	if _, err := dataset.MaterializeMDF(repo, "/data", 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	spec := journal.JobSpec{Repos: []journal.RepoSpec{{Site: "site", Roots: []string{"/data"}, Grouper: "single"}}}
+	sites := []SiteSpec{{Name: "site", Store: repo, Workers: 2}}
+	life := func(jnl *journal.Journal, v validate.Validator) (*Deployment, store.Store) {
+		t.Helper()
+		dest := store.NewMemFS("dest", nil)
+		d, err := New(context.Background(), clock.NewReal(), sites, Options{Journal: jnl, Validator: v, Dest: dest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		return d, dest
+	}
+	openJournal := func(dir journal.Dir) *journal.Journal {
+		t.Helper()
+		jnl, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jnl
+	}
+
+	quiet, quietDest := life(nil, nil)
+	stats, err := quiet.Service.RunJob(context.Background(), spec.Repos)
+	if err != nil || stats.FamiliesDone == 0 {
+		t.Fatalf("quiet run = %+v, %v", stats, err)
+	}
+	want := documents(t, quietDest)
+	if int64(len(want)) != stats.FamiliesDone {
+		t.Fatalf("the quiet run wrote %d documents for %d families", len(want), stats.FamiliesDone)
+	}
+
+	dir, err := journal.OSDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl := openJournal(dir)
+	held := &heldValidator{Validator: validate.Passthrough{}, entered: make(chan struct{}), release: make(chan struct{})}
+	d, _ := life(jnl, held)
+	job, err := d.Service.Submit(d.Ctx, spec) // as serve's API does: the job runs on the deployment's context
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held.entered
+	ended := make(chan struct{})
+	go func() {
+		_, _ = job.Wait()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+		t.Fatal("the job ended while the validator held its documents")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if v, _ := d.Service.LookupJob(job.ID); v.Record.State == registry.JobComplete {
+		t.Fatal("the job answers COMPLETE while the validator holds its documents")
+	}
+	if js, ok := jnl.JobSnapshot(job.ID); !ok || js.Terminal {
+		t.Fatalf("the journal holds the job as %+v while the validator holds its documents", js)
+	}
+
+	// Shut down as serve does, the validator still holding its record.
+	d.Service.BeginShutdown()
+	d.Close()
+	<-ended
+	close(held.release)
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jnl = openJournal(dir)
+	defer jnl.Close()
+	d2, dest2 := life(jnl, nil)
+	status, err := d2.Service.Recover(d2.Ctx)
+	if err != nil || status.Resumed != 1 {
+		t.Fatalf("recovery = %+v, %v; want the job resumed", status, err)
+	}
+	d2.Service.RecoveryWait()
+	if js, ok := jnl.JobSnapshot(job.ID); !ok || js.State != string(registry.JobComplete) {
+		t.Fatalf("the resumed job ended as %+v", js)
+	}
+	if got := documents(t, dest2); !maps.Equal(got, want) {
+		t.Fatalf("the resumed job wrote %d documents; the quiet run %d, and they differ", len(got), len(want))
 	}
 }

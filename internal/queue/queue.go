@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"xtract/internal/clock"
-	"xtract/internal/obs"
 )
 
 // ErrUnknownReceipt is returned by Delete and Nack for receipts that do
@@ -41,7 +40,6 @@ type entry struct {
 	id         string
 	body       []byte
 	deliveries int
-	enqueuedAt time.Time // first Send time; survives redelivery
 	// in-flight state
 	inflight  bool
 	receipt   string
@@ -121,9 +119,8 @@ func (q *Queue) sendLocked(body []byte) string {
 	q.seq++
 	q.sent++
 	e := &entry{
-		id:         q.name + "-" + strconv.FormatInt(q.seq, 10),
-		body:       append([]byte(nil), body...),
-		enqueuedAt: q.clk.Now(),
+		id:   q.name + "-" + strconv.FormatInt(q.seq, 10),
+		body: append([]byte(nil), body...),
 	}
 	q.visible = append(q.visible, e)
 	q.notifyLocked()
@@ -335,38 +332,6 @@ func (q *Queue) InFlight() int {
 	defer q.mu.Unlock()
 	q.reclaimLocked()
 	return len(q.inflight)
-}
-
-// OldestAge reports the approximate age of the oldest visible message:
-// the time since the head of the FIFO was first sent (redelivered
-// messages keep their original send time). Zero when nothing is visible.
-// It is approximate in the SQS sense — reclaimed messages re-append, so
-// an older message may briefly sit behind a newer head.
-func (q *Queue) OldestAge() time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.reclaimLocked()
-	if len(q.visible) == 0 {
-		return 0
-	}
-	age := q.clk.Now().Sub(q.visible[0].enqueuedAt)
-	if age < 0 {
-		return 0
-	}
-	return age
-}
-
-// Instrument registers live depth, in-flight, and oldest-age gauges for
-// this queue, labeled by queue name, on the observability registry.
-// Values are sampled at scrape time.
-func (q *Queue) Instrument(reg *obs.Registry) {
-	labels := map[string]string{"queue": q.name}
-	reg.GaugeFunc("xtract_queue_depth", "Visible messages on the queue.",
-		labels, func() float64 { return float64(q.Len()) })
-	reg.GaugeFunc("xtract_queue_in_flight", "Received-but-unacknowledged messages on the queue.",
-		labels, func() float64 { return float64(q.InFlight()) })
-	reg.GaugeFunc("xtract_queue_oldest_age_seconds", "Approximate age of the oldest visible message.",
-		labels, func() float64 { return q.OldestAge().Seconds() })
 }
 
 // Stats reports cumulative sent and deleted counts.

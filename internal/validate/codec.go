@@ -4,14 +4,16 @@ import (
 	"xtract/internal/fastjson"
 )
 
-// The validation record is an internal format: the pump writes it onto
-// the result queue and the validation service of the same binary reads
-// it back. It is JSON in the field order of Record's struct tags, but the
-// decoder is strict -- exact lower-case keys, unknown keys skipped, a
-// repeated key replaces the earlier value -- and owes encoding/json
-// nothing beyond reading back what AppendRecord wrote. The file list and
-// the metadata cross as the bytes the pump encoded: spliced in on the way
-// out, sliced out of the body on the way in.
+// The validation record's queue body. The live system hands records to
+// the validation service as values (Service.Submit) and encodes none of
+// them: this codec is kept only for the benchmark harness's layer replay,
+// which captures records as bodies and decodes them again. The body is
+// JSON in the field order of Record's struct tags, but the decoder is
+// strict -- exact lower-case keys, unknown keys skipped, a repeated key
+// replaces the earlier value -- and owes encoding/json nothing beyond
+// reading back what AppendRecord wrote. The file list and the metadata
+// cross as encoded bytes: spliced in on the way out, sliced out of the
+// body on the way in.
 
 // AppendRecord appends rec's queue body to dst.
 func AppendRecord(dst []byte, rec *Record) ([]byte, error) {

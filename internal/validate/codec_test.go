@@ -293,30 +293,28 @@ func FuzzRecordRoundTrip(f *testing.F) {
 }
 
 // TestProcessCostDoesNotGrowWithMetadata is the white-box half of the
-// same contract: the service slices a record's files and metadata out of
-// the queue body and splices them into the document, so what it
-// allocates for a record is the same whether a block has one key or two
-// thousand. A decode into maps allocates per key, thousands for the large
-// record, and fails this at once. The slack is for fmt's buffer pool: the
-// large record makes more garbage, a collection empties the pool, and the
-// next Sprintf refills it with an allocation or two. The absolute bound
-// is the decode's four ID strings, the document, the destination path
-// and the destination's copy, with room for what the store keeps per
-// file.
+// same contract: the service splices a record's files and metadata into
+// the document as they are, so what it allocates for a record is the same
+// whether a block has one key or two thousand. A decode into maps
+// allocates per key, thousands for the large record, and fails this at
+// once. The slack is for fmt's buffer pool: the large record makes more
+// garbage, a collection empties the pool, and the next Sprintf refills it
+// with an allocation or two. The absolute bound is what a record costs:
+// the document, the destination path, and the destination's copy and
+// file node.
 func TestProcessCostDoesNotGrowWithMetadata(t *testing.T) {
-	const poolRefill, perRecord = 4, 15
+	const poolRefill, perRecord = 4, 4
 	big := []byte(`{"keywords":[0,"v",{"n":null}]`)
 	for i := 1; i < 2000; i++ {
 		big = append(big, fmt.Sprintf(`,"k%d":[%d,"v",{"n":null}]`, i, i)...)
 	}
 	big = append(big, '}')
 	for _, v := range []Validator{Passthrough{}, NewMDF("src")} {
-		s := NewService(v, nil, store.NewMemFS("dest", nil))
+		s := NewService(v, store.NewMemFS("dest", nil))
 		measure := func(files fastjson.Raw, blocks map[string]fastjson.Raw) float64 {
 			rec := Record{JobID: "job-1", FamilyID: "mdf:/data/exp1#0", Store: "petrel", BasePath: "/data/exp1",
 				Files: files, Metadata: rawMap(blocks)}
-			body, _ := AppendRecord(nil, &rec)
-			allocs := testing.AllocsPerRun(20, func() { s.process(body) })
+			allocs := testing.AllocsPerRun(20, func() { s.process(&rec) })
 			if got, _ := s.Dest.Read("/metadata/mdf__data_exp1_0.json"); !bytes.Contains(got, rec.Metadata) {
 				t.Fatalf("%s wrote %s", v.Name(), got)
 			}

@@ -5,26 +5,21 @@ import (
 	"log/slog"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unicode/utf8"
 
 	"xtract/internal/obs"
-	"xtract/internal/queue"
 	"xtract/internal/store"
 )
 
-// Service is the asynchronous validation microservice: it drains the
-// result queue by event, validates/transforms each record, and writes
-// the final JSON document to the user's destination endpoint under
-// DestPrefix.
+// Service is the asynchronous validation microservice: it takes finished
+// families as Record values, validates/transforms each record, writes the
+// final JSON document to the user's destination endpoint under
+// DestPrefix, and reports each batch to whoever handed it over.
 type Service struct {
 	Validator Validator
-	In        *queue.Queue
 	Dest      store.Store
 	// DestPrefix is the destination directory for validated documents.
 	DestPrefix string
-	// Visibility is the queue visibility timeout during validation.
-	Visibility time.Duration
 
 	// Validated and Rejected count records by outcome.
 	Validated atomic.Int64
@@ -33,10 +28,18 @@ type Service struct {
 	// obs is nil-safe when Instrument is never called.
 	obs *obs.Observer
 
-	// batch makes a batch exclusive from its receive to its delete, so
-	// that a Drain which finds nothing visible has also waited out the
-	// batch Run was holding.
-	batch sync.Mutex
+	// intake holds the batches Run has not taken yet, oldest first; ready
+	// holds at most one token, sent after every append.
+	mu      sync.Mutex
+	intake  []batch
+	ready   chan struct{}
+	pending atomic.Int64 // records handed over, not yet reported
+}
+
+// batch is one hand-over, with the hook its asker hears it on.
+type batch struct {
+	recs []Record
+	done func(n int)
 }
 
 // Instrument wires the service to the observability layer: the two
@@ -51,70 +54,78 @@ func (s *Service) Instrument(o *obs.Observer) {
 }
 
 // NewService wires a validation service.
-func NewService(v Validator, in *queue.Queue, dest store.Store) *Service {
+func NewService(v Validator, dest store.Store) *Service {
 	return &Service{
 		Validator:  v,
-		In:         in,
 		Dest:       dest,
 		DestPrefix: "/metadata",
-		Visibility: time.Minute,
+		ready:      make(chan struct{}, 1),
 	}
 }
 
-// Run validates records as they arrive until ctx is cancelled. An empty
-// queue blocks on its wakeup channel: a send, a Nack, a visibility
-// expiry and a fault-suppressed receive all signal it.
+// Submit hands recs over. done is called once, from Run's goroutine, with
+// len(recs) once every record has been written or rejected, and must not
+// block; it is never called if Run stops first. Submit never blocks. recs
+// and the bytes its records point at belong to the service from here on:
+// the caller never writes them again.
+func (s *Service) Submit(recs []Record, done func(n int)) {
+	s.pending.Add(int64(len(recs)))
+	s.mu.Lock()
+	s.intake = append(s.intake, batch{recs, done})
+	s.mu.Unlock()
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
+}
+
+// Pending returns how many records have been handed over and not yet
+// reported.
+func (s *Service) Pending() int64 { return s.pending.Load() }
+
+// take removes every waiting batch, oldest first.
+func (s *Service) take() []batch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.intake
+	s.intake = nil
+	return out
+}
+
+// Run validates what is handed over until ctx is cancelled: each batch
+// taken is written whole and then reported. An empty intake blocks on
+// the ready token that every Submit sends.
 func (s *Service) Run(ctx context.Context) {
 	for ctx.Err() == nil {
-		if s.receive() {
+		batches := s.take()
+		for _, b := range batches {
+			for i := range b.recs {
+				s.process(&b.recs[i])
+			}
+			s.pending.Add(-int64(len(b.recs)))
+			b.done(len(b.recs))
+		}
+		if len(batches) > 0 {
 			continue
 		}
 		select {
 		case <-ctx.Done():
-		case <-s.In.Ready():
+		case <-s.ready:
 		}
 	}
 }
 
-// Drain synchronously validates everything currently visible on the
-// queue and returns once every record received before it, by Run too, is
-// written and acknowledged. Useful at job completion and in tests.
-func (s *Service) Drain() {
-	for s.receive() {
-	}
-}
-
-// receive validates one batch and acknowledges it with a single delete,
-// reporting whether the queue delivered anything.
-func (s *Service) receive() bool {
-	s.batch.Lock()
-	defer s.batch.Unlock()
-	msgs := s.In.Receive(64, s.Visibility)
-	receipts := make([]string, len(msgs))
-	for i, m := range msgs {
-		s.process(m.Body)
-		receipts[i] = m.Receipt
-	}
-	s.In.DeleteBatch(receipts)
-	return len(msgs) > 0
-}
-
-func (s *Service) process(body []byte) {
-	var rec Record
-	if err := DecodeRecord(body, &rec); err != nil {
-		s.reject(&rec, "decode", err)
-		return
-	}
-	doc, err := s.Validator.Validate(rec)
+func (s *Service) process(rec *Record) {
+	doc, err := s.Validator.Validate(*rec)
 	if err != nil {
-		s.reject(&rec, "validate", err)
+		s.reject(rec, "validate", err)
 		return
 	}
 	var buf [128]byte // the path is built on the stack; only the string is allocated
 	p := append(append(buf[:0], s.DestPrefix...), '/')
 	path := string(append(appendSanitized(p, rec.FamilyID), ".json"...))
 	if err := s.Dest.Write(path, doc); err != nil {
-		s.reject(&rec, "write", err)
+		s.reject(rec, "write", err)
 		return
 	}
 	s.Validated.Add(1)
@@ -123,7 +134,7 @@ func (s *Service) process(body []byte) {
 
 // reject counts a record whose document was not written and says which
 // family it was, where it stopped and why: on the job's trace and in the
-// process log. A record that does not decode may name no job or family.
+// process log.
 func (s *Service) reject(rec *Record, stage string, err error) {
 	s.Rejected.Add(1)
 	s.obs.Warn(rec.JobID, obs.EvFamilyRejected, slog.String("family", rec.FamilyID),

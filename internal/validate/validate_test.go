@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"xtract/internal/clock"
-	"xtract/internal/queue"
 	"xtract/internal/store"
 )
 
@@ -119,46 +116,59 @@ func TestDefaultMDFSchemasCount(t *testing.T) {
 	}
 }
 
-func TestServiceValidatesToDestination(t *testing.T) {
-	clk := clock.NewReal()
-	in := queue.New("results", clk)
-	dest := store.NewMemFS("user-endpoint", nil)
-	s := NewService(Passthrough{}, in, dest)
+// reports collects a service's done calls: each batch's count arrives on
+// the channel.
+func reports() (chan int, func(int)) {
+	ch := make(chan int, 64)
+	return ch, func(n int) { ch <- n }
+}
 
-	body, _ := json.Marshal(sampleRecord())
-	in.Send(body)
-	in.Send([]byte("corrupt"))
-	s.Drain()
+// waitReported blocks until the reports add up to n records.
+func waitReported(t *testing.T, ch chan int, n int) {
+	t.Helper()
+	for got := 0; got < n; {
+		select {
+		case k := <-ch:
+			got += k
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d records reported", got, n)
+		}
+	}
+}
+
+func TestServiceValidatesToDestination(t *testing.T) {
+	s, stop := runService(t)
+	defer stop()
+	ch, done := reports()
+	s.Submit([]Record{sampleRecord(), {JobID: "job-1"}}, done) // the second names no family
+	waitReported(t, ch, 2)
 
 	if s.Validated.Load() != 1 || s.Rejected.Load() != 1 {
 		t.Fatalf("validated/rejected = %d/%d", s.Validated.Load(), s.Rejected.Load())
 	}
-	infos, err := dest.List("/metadata")
+	infos, err := s.Dest.List("/metadata")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("dest listing = %v, %v", infos, err)
 	}
-	data, _ := dest.Read(infos[0].Path)
+	data, _ := s.Dest.Read(infos[0].Path)
 	var out map[string]interface{}
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
 }
 
-// runService starts Run over a results queue on a fake clock that the
-// test never advances, so whatever the service does it does by event.
-// stop cancels it and fails the test unless Run returns promptly.
-func runService(t *testing.T) (s *Service, in *queue.Queue, clk *clock.Fake, stop func()) {
+// runService starts Run over a fresh destination. stop cancels it and
+// fails the test unless Run returns promptly.
+func runService(t *testing.T) (s *Service, stop func()) {
 	t.Helper()
-	clk = clock.NewFake(time.Unix(0, 0))
-	in = queue.New("results", clk)
-	s = NewService(Passthrough{}, in, store.NewMemFS("user-endpoint", nil))
+	s = NewService(Passthrough{}, store.NewMemFS("user-endpoint", nil))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		s.Run(ctx)
 	}()
-	return s, in, clk, func() {
+	return s, func() {
 		t.Helper()
 		cancel()
 		select {
@@ -169,62 +179,60 @@ func runService(t *testing.T) (s *Service, in *queue.Queue, clk *clock.Fake, sto
 	}
 }
 
-// waitAcked blocks until the queue has seen n deletes.
-func waitAcked(t *testing.T, in *queue.Queue, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, deleted := in.Stats(); deleted == n {
-			return
-		} else if time.Now().After(deadline) {
-			t.Fatalf("queue acknowledged %d records, want %d", deleted, n)
-		}
-		time.Sleep(time.Millisecond)
+func sampleRecords(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = sampleRecord()
+		recs[i].FamilyID = fmt.Sprintf("fam-%d", i)
 	}
+	return recs
 }
 
-func recordBodies(n int) [][]byte {
-	bodies := make([][]byte, n)
-	for i := range bodies {
-		rec := sampleRecord()
-		rec.FamilyID = fmt.Sprintf("fam-%d", i)
-		bodies[i], _ = AppendRecord(nil, &rec)
-	}
-	return bodies
-}
-
+// An idle service waits on its ready token alone: each Submit wakes it,
+// the second after it has gone idle again included.
 func TestRunWakesOnSendNotOnATimer(t *testing.T) {
-	s, in, clk, stop := runService(t)
+	s, stop := runService(t)
 	defer stop()
-	if n := clk.PendingTimers(); n != 0 {
-		t.Fatalf("idle service holds %d timers", n)
-	}
-	bodies := recordBodies(2)
-	in.Send(bodies[0])
-	waitAcked(t, in, 1)
-	// The only timer left is the queue's own visibility deadline; once it
-	// has fired nothing is waiting on the clock, and the service still
-	// picks up the next record.
-	clk.Advance(2 * s.Visibility)
-	if n := clk.PendingTimers(); n != 0 {
-		t.Fatalf("service between records holds %d timers", n)
-	}
-	in.Send(bodies[1])
-	waitAcked(t, in, 2)
-	if s.Validated.Load() != 2 {
-		t.Fatalf("validated = %d, want 2", s.Validated.Load())
+	ch, done := reports()
+	recs := sampleRecords(2)
+	s.Submit(recs[:1], done)
+	waitReported(t, ch, 1)
+	time.Sleep(5 * time.Millisecond) // let Run block again
+	s.Submit(recs[1:], done)
+	waitReported(t, ch, 1)
+	if s.Validated.Load() != 2 || s.Pending() != 0 {
+		t.Fatalf("validated = %d, pending %d; want 2, 0", s.Validated.Load(), s.Pending())
 	}
 }
 
+// Every record handed over is reported once, to the batch's own hook,
+// whichever batch Run takes it in.
 func TestRunAcknowledgesEveryRecord(t *testing.T) {
-	s, in, _, stop := runService(t)
+	s, stop := runService(t)
 	defer stop()
-	const n = 200 // several receive batches
-	in.SendBatch(recordBodies(n))
-	waitAcked(t, in, n)
-	if in.InFlight() != 0 || in.Len() != 0 || s.Validated.Load() != n {
-		t.Fatalf("in flight %d, visible %d, validated %d; want 0, 0, %d",
-			in.InFlight(), in.Len(), s.Validated.Load(), n)
+	const n, per = 200, 7
+	recs := sampleRecords(n)
+	var mu sync.Mutex
+	calls := make(map[int]int) // batch → records reported
+	var wg sync.WaitGroup
+	for i := 0; i < n; i += per {
+		batch := recs[i:min(i+per, n)]
+		wg.Add(1)
+		s.Submit(batch, func(k int) {
+			mu.Lock()
+			calls[i] += k
+			mu.Unlock()
+			wg.Done()
+		})
+	}
+	wg.Wait()
+	for i := 0; i < n; i += per {
+		if want := min(i+per, n) - i; calls[i] != want {
+			t.Fatalf("batch at %d reported %d records, want %d", i, calls[i], want)
+		}
+	}
+	if s.Pending() != 0 || s.Validated.Load() != n {
+		t.Fatalf("pending %d, validated %d; want 0, %d", s.Pending(), s.Validated.Load(), n)
 	}
 	if infos, err := s.Dest.List("/metadata"); err != nil || len(infos) != n {
 		t.Fatalf("destination holds %d documents (%v), want %d", len(infos), err, n)
@@ -232,7 +240,7 @@ func TestRunAcknowledgesEveryRecord(t *testing.T) {
 }
 
 // heldStore parks the first write until release is closed, announcing it
-// on entered: a Run-side batch caught between its receive and its delete.
+// on entered.
 type heldStore struct {
 	store.Store
 	once             sync.Once
@@ -247,68 +255,53 @@ func (h *heldStore) Write(path string, data []byte) error {
 	return h.Store.Write(path, data)
 }
 
-// Drain is the barrier its callers print and exit on: with Run holding a
-// received batch — nothing visible on the queue, nothing written yet — it
-// returns only once that batch is at the destination. (At the parent
-// commit it returned at once and `xtract extract` lost those documents.)
-func TestDrainWaitsForTheBatchInFlight(t *testing.T) {
-	s, in, _, stop := runService(t)
+// A batch is reported only once every document in it is written: the
+// report is what lets a job end.
+func TestReportFollowsTheWrite(t *testing.T) {
+	s, stop := runService(t)
 	defer stop()
 	held := &heldStore{Store: s.Dest, entered: make(chan struct{}), release: make(chan struct{})}
 	release := sync.OnceFunc(func() { close(held.release) })
 	defer release() // a failed test must not leave Run parked under stop
 	s.Dest = held
+	ch, done := reports()
 	const n = 3
-	in.SendBatch(recordBodies(n))
+	s.Submit(sampleRecords(n), done)
 	<-held.entered
-
-	written := make(chan int)
-	go func() {
-		s.Drain()
-		infos, _ := s.Dest.List("/metadata")
-		written <- len(infos)
-	}()
 	select {
-	case got := <-written:
-		t.Fatalf("Drain returned with a batch in flight and %d of %d documents written", got, n)
+	case k := <-ch:
+		t.Fatalf("%d records reported with a write in flight", k)
 	case <-time.After(50 * time.Millisecond):
 	}
 	release()
-	if got := <-written; got != n {
-		t.Fatalf("%d of %d documents written when Drain returned", got, n)
+	waitReported(t, ch, n)
+	if infos, _ := s.Dest.List("/metadata"); len(infos) != n {
+		t.Fatalf("%d of %d documents written when the batch was reported", len(infos), n)
 	}
 }
 
-// failFirst suppresses the first n deliveries of a queue.
-type failFirst struct{ left atomic.Int32 }
+// failingStore refuses every write.
+type failingStore struct{ store.Store }
 
-func (f *failFirst) ReceiveFault(string) bool { return f.left.Add(-1) >= 0 }
+func (failingStore) Write(string, []byte) error { return errors.New("disk full") }
 
-// A suppressed receive spends the wakeup token; the queue re-signals it,
-// and that alone must bring the service back.
-func TestRunNotStalledByReceiveFault(t *testing.T) {
-	_, in, _, stop := runService(t)
-	defer stop()
-	hook := &failFirst{}
-	hook.left.Store(3)
-	in.SetFaults(hook)
-	in.Send(recordBodies(1)[0])
-	waitAcked(t, in, 1)
-	if left := hook.left.Load(); left >= 0 {
-		t.Fatalf("only %d of 3 faults fired", 3-left)
-	}
-}
-
+// A record the validator refuses, or whose document the destination
+// refuses, is rejected: counted, and reported like a written one.
 func TestServiceRejectsInvalidRecord(t *testing.T) {
-	clk := clock.NewReal()
-	in := queue.New("results", clk)
-	dest := store.NewMemFS("user-endpoint", nil)
-	s := NewService(NewMDF("x"), in, dest)
-	body, _ := json.Marshal(Record{FamilyID: "f"}) // no metadata
-	in.Send(body)
-	s.Drain()
+	s, stop := runService(t)
+	defer stop()
+	s.Validator = NewMDF("x")
+	ch, done := reports()
+	s.Submit([]Record{{FamilyID: "f"}}, done) // no metadata
+	waitReported(t, ch, 1)
 	if s.Rejected.Load() != 1 {
 		t.Fatalf("rejected = %d", s.Rejected.Load())
+	}
+	s.Validator, s.Dest = Passthrough{}, failingStore{s.Dest}
+	s.Submit(sampleRecords(1), done)
+	waitReported(t, ch, 1)
+	if s.Rejected.Load() != 2 || s.Validated.Load() != 0 || s.Pending() != 0 {
+		t.Fatalf("rejected %d, validated %d, pending %d; want 2, 0, 0", s.Rejected.Load(), s.Validated.Load(), s.Pending())
 	}
 }
 
