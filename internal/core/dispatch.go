@@ -244,14 +244,8 @@ func (d *dispatcher) makeTask(k bucketKey) {
 
 	t := &task{refs: make([]stepRef, 0, len(batch)), hedge: k.hedge, ready: batch[0].readyAt}
 	steps := make([]stepPayload, 0, len(batch))
-	size := 64 + len(extractor)
 	for _, it := range batch {
 		steps = append(steps, it.sp)
-		size += 96 + len(it.sp.FamilyID) + len(it.sp.GroupID) + len(it.sp.Stage) +
-			len(it.sp.FetchFrom) + len(it.sp.ContentHash)
-		for _, f := range it.sp.Files {
-			size += 3 + len(f)
-		}
 		t.refs = append(t.refs, it.ref)
 		if it.readyAt.Before(t.ready) {
 			t.ready = it.readyAt
@@ -263,10 +257,9 @@ func (d *dispatcher) makeTask(k bucketKey) {
 		d.undispatched(t, "no_function", err)
 		return
 	}
-	// The payload is the task's own slice, allocated once at the size its
-	// steps need: the fabric keeps it as given.
-	tp := taskPayload{Extractor: extractor, Steps: steps}
-	payload := encodeTaskPayload(make([]byte, 0, size), &tp)
+	// The payload is the task's own value: the fabric keeps it as given
+	// and nobody writes it once it is submitted.
+	payload := &taskPayload{Extractor: extractor, Steps: steps}
 	ep := ""
 	if cep := d.site.ComputeEndpoint(); cep != nil {
 		ep = cep.ID

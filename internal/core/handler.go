@@ -3,101 +3,100 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"xtract/internal/cache"
 	"xtract/internal/extractors"
+	"xtract/internal/faas"
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
 )
 
 // stepPayload is one (family, group) extraction within an Xtract batch.
 type stepPayload struct {
-	FamilyID string `json:"family_id"`
-	GroupID  string `json:"group_id"`
-	// Files lists the group's files by their original paths: the names the
-	// extractor's input is keyed by, so metadata refers to a file's home
-	// location and not to a staging copy.
-	Files []string `json:"files"`
+	FamilyID string
+	GroupID  string
+	// Files lists the group's files by their original paths, in path
+	// order: the names the extractor's input is keyed by, so metadata
+	// refers to a file's home location and not to a staging copy. It is
+	// the family's own slice, read by every execution of the step.
+	Files []string
 	// Stage is the prefix the execution site reads them under: its staging
 	// directory for a prefetched family, empty for files read in place or
 	// fetched.
-	Stage string `json:"stage,omitempty"`
+	Stage string
 	// FetchFrom, when set, names the transfer-fabric endpoint to download
 	// each file from at extraction time (the direct HTTPS/Drive-API path
 	// for sites without a shared file system).
-	FetchFrom string `json:"fetch_from,omitempty"`
+	FetchFrom string
 	// ContentHash is the group's content fingerprint, set when the step is
 	// cacheable: the worker files its result in the result cache under it.
-	ContentHash string `json:"content_hash,omitempty"`
+	ContentHash string
 }
 
-// taskPayload is the body of one FaaS task: an Xtract batch of steps that
-// share an extractor. The function it is submitted to is bound to its site.
+// taskPayload is the payload of one FaaS task: an Xtract batch of steps
+// that share an extractor. The function it is submitted to is bound to its
+// site. Once submitted nobody writes it: its steps' file lists are the
+// family's, read by every other execution of the same steps too.
 type taskPayload struct {
-	Extractor string        `json:"extractor"`
-	Steps     []stepPayload `json:"steps"`
+	Extractor string
+	Steps     []stepPayload
 }
 
 // stepOutcome is the result of one step within a task.
 type stepOutcome struct {
-	FamilyID string `json:"family_id"`
-	GroupID  string `json:"group_id"`
-	OK       bool   `json:"ok"`
-	Err      string `json:"err,omitempty"`
+	FamilyID string
+	GroupID  string
+	OK       bool
+	Err      string
 	// Metadata is the extractor's dictionary in canonical form, encoded
 	// here in the worker and never parsed again on its way to the
-	// destination document. Empty when the extractor returned none.
-	Metadata  fastjson.Raw `json:"metadata,omitempty"`
-	ExtractMS float64      `json:"extract_ms"`
+	// destination document: the step's own buffer. Empty when the
+	// extractor returned none.
+	Metadata  fastjson.Raw
+	ExtractMS float64
 }
 
-// taskResult is the body returned by the extractor function.
+// taskResult is what the extractor function returns: one outcome per
+// step of its payload, in order.
 type taskResult struct {
-	Extractor string        `json:"extractor"`
-	Outcomes  []stepOutcome `json:"outcomes"`
+	Extractor string
+	Outcomes  []stepOutcome
 }
 
 // makeHandler builds the FaaS function body for one extractor at one
-// site: deserialize the Xtract batch, read each group's files from the
-// site's data layer, apply the extractor, file each cacheable result in
-// the result cache, and return the batched outcomes (Listing 1 of the
-// paper).
-func (s *Service) makeHandler(site *Site, ext extractors.Extractor) func(context.Context, []byte) ([]byte, error) {
-	return func(ctx context.Context, payload []byte) ([]byte, error) {
-		var task taskPayload
-		if err := decodeTaskPayload(payload, &task); err != nil {
-			return nil, fmt.Errorf("core: bad task payload: %w", err)
+// site: take the Xtract batch, read each group's files from the site's
+// data layer, apply the extractor, file each cacheable result in the
+// result cache, and return the batched outcomes (Listing 1 of the paper).
+// Anything but a *taskPayload fails the task.
+func (s *Service) makeHandler(site *Site, ext extractors.Extractor) faas.Handler {
+	return func(ctx context.Context, payload any) (any, error) {
+		task, ok := payload.(*taskPayload)
+		if !ok {
+			return nil, fmt.Errorf("core: bad task payload %T", payload)
 		}
-		result := taskResult{Extractor: task.Extractor}
-		size := 64
-		for _, step := range task.Steps {
+		result := &taskResult{Extractor: task.Extractor, Outcomes: make([]stepOutcome, 0, len(task.Steps))}
+		for i := range task.Steps {
 			// The context ends with the task: a task declared lost or
 			// cancelled stops here, between steps.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out := s.runStep(site, ext, task, step)
-			size += 96 + len(out.Err) + len(out.Metadata)
-			result.Outcomes = append(result.Outcomes, out)
+			result.Outcomes = append(result.Outcomes, s.runStep(site, ext, task.Extractor, &task.Steps[i]))
 		}
-		// The result buffer cannot be pooled: the pump slices each step's
-		// metadata out of it and those slices live on in the family's
-		// results and the journal's state, so it is allocated once, sized
-		// for the batch.
-		return encodeTaskResult(make([]byte, 0, size), &result)
+		return result, nil
 	}
 }
 
-// runStep executes one step.
-func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload, step stepPayload) stepOutcome {
+// runStep executes one step. It reads step and never writes it: the
+// step's files are already in path order, the order they are read in.
+func (s *Service) runStep(site *Site, ext extractors.Extractor, extractor string, step *stepPayload) stepOutcome {
 	out := stepOutcome{FamilyID: step.FamilyID, GroupID: step.GroupID}
 	if h := s.cfg.ExtractFaults; h != nil {
-		panics, err := h.ExtractFault(task.Extractor, step.GroupID)
+		panics, err := h.ExtractFault(extractor, step.GroupID)
 		if panics {
 			// Crash the worker mid-step; the endpoint's panic recovery
 			// turns this into a TaskFailed the pump retries.
-			panic(fmt.Sprintf("faultinject: extractor %s group %s", task.Extractor, step.GroupID))
+			panic(fmt.Sprintf("faultinject: extractor %s group %s", extractor, step.GroupID))
 		}
 		if err != nil {
 			out.Err = err.Error()
@@ -105,7 +104,6 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 		}
 	}
 	files := make(map[string][]byte, len(step.Files))
-	sort.Strings(step.Files) // deterministic read order
 	for _, orig := range step.Files {
 		var data []byte
 		var err error
@@ -123,7 +121,7 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, task taskPayload
 		files[orig] = data
 	}
 
-	g := &family.Group{ID: step.GroupID, Extractor: task.Extractor, Files: step.Files}
+	g := &family.Group{ID: step.GroupID, Extractor: extractor, Files: step.Files}
 	start := s.clk.Now()
 	md, err := extract(ext, g, files)
 	out.ExtractMS = float64(s.clk.Since(start).Microseconds()) / 1000

@@ -63,13 +63,13 @@ func TestExtractorPanicFailsItsStepNotItsTask(t *testing.T) {
 		p := "/repo/" + name + ".dat"
 		task.Steps = append(task.Steps, stepPayload{FamilyID: "fam-" + name, GroupID: "g-" + name, Files: []string{p}})
 	}
-	body, err := h.svc.makeHandler(site, ext)(context.Background(), encodeTaskPayload(nil, &task))
+	out, err := h.svc.makeHandler(site, ext)(context.Background(), &task)
 	if err != nil {
 		t.Fatalf("the task failed: %v", err)
 	}
-	var res taskResult
-	if err := decodeTaskResult(body, &res); err != nil || len(res.Outcomes) != 8 {
-		t.Fatalf("result %s: %v", body, err)
+	res, ok := out.(*taskResult)
+	if !ok || len(res.Outcomes) != 8 {
+		t.Fatalf("result %#v", out)
 	}
 	for i, out := range res.Outcomes {
 		switch {

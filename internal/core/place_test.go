@@ -136,3 +136,23 @@ func TestOneGroupFamilyStaysInItsBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestPayloadNamesEachFileOnce holds the payload the pump builds for a
+// step to saying each thing once: the files are the group's own slice,
+// not a copy and not one effective path per file, and a staged family's
+// prefix is one field per step.
+func TestPayloadNamesEachFileOnce(t *testing.T) {
+	files := []string{"/d/run/INCAR", "/d/run/OUTCAR", "/d/run/POSCAR"}
+	st := &famState{fam: family.Family{ID: "fam", Groups: []family.Group{{ID: "g", Files: files}}},
+		steps: []stepState{{step: scheduler.Step{GroupID: "g", Extractor: "keyword"}}}}
+	for _, stage := range []string{"", "/xtract-stage"} {
+		st.stage = stage
+		sp := st.payload(0)
+		if len(sp.Files) != len(files) || &sp.Files[0] != &files[0] {
+			t.Errorf("stage %q: the payload names %v, not the group's own slice", stage, sp.Files)
+		}
+		if sp.Stage != stage || sp.FamilyID != "fam" || sp.GroupID != "g" {
+			t.Errorf("stage %q: payload %+v", stage, sp)
+		}
+	}
+}

@@ -608,7 +608,7 @@ func (s *Service) RegisterExtractors() error {
 				continue
 			}
 			handler := s.makeHandler(site, ext)
-			fid, err := s.cfg.FaaS.RegisterFunction(
+			fid, err := s.cfg.FaaS.Register(
 				fmt.Sprintf("%s@%s", name, site.Name), handler, cid)
 			if err != nil {
 				return err

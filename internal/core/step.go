@@ -380,11 +380,12 @@ func (p *pump) resolveTask(ev shardEvent) {
 // family and group; a ref the result does not account for is a bad
 // result for that step (retried like any failure — left alone it would
 // stay in flight for ever), and outcomes beyond the refs are for steps
-// this task was never given: dropped, and counted as duplicates.
-func (p *pump) resolveResult(t *task, body []byte) {
-	var result taskResult
-	if err := decodeTaskResult(body, &result); err != nil {
-		p.failSteps(t.refs, "bad_result", err.Error())
+// this task was never given: dropped, and counted as duplicates. A result
+// that is not a *taskResult fails every ref as a bad result.
+func (p *pump) resolveResult(t *task, res any) {
+	result, ok := res.(*taskResult)
+	if !ok || result == nil {
+		p.failSteps(t.refs, "bad_result", "the task returned no task result")
 		p.s.obs.Event(p.JobID, obs.EvTaskFailed, slog.String("task", t.id), slog.String("cause", "bad_result"))
 		return
 	}

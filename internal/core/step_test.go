@@ -147,11 +147,7 @@ func (m *machine) accepted(id string, hedge bool, refs ...stepRef) *task {
 func (m *machine) terminal(t *task, status faas.TaskStatus, outs []stepOutcome) shardEvent {
 	info := faas.TaskInfo{ID: t.id, Status: status, Err: "task " + strings.ToLower(status.String())}
 	if status == faas.TaskSuccess {
-		body, err := encodeTaskResult(nil, &taskResult{Extractor: "keyword", Outcomes: outs})
-		if err != nil {
-			m.t.Fatal(err)
-		}
-		info.Result, info.Err = body, ""
+		info.Result, info.Err = &taskResult{Extractor: "keyword", Outcomes: outs}, ""
 	}
 	return shardEvent{task: t, info: info}
 }
@@ -213,10 +209,14 @@ func TestStepTransitions(t *testing.T) {
 	taskLost := func(m *machine, st *famState) {
 		m.p.resolveTask(m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskLost, nil))
 	}
-	badResult := func(m *machine, st *famState) {
-		ev := m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, nil)
-		ev.info.Result = []byte(`{"extractor":`)
-		m.p.resolveTask(ev)
+	// A result the pump cannot read as a *taskResult: a wrong-typed value,
+	// or none at all.
+	badResult := func(result any) func(*machine, *famState) {
+		return func(m *machine, st *famState) {
+			ev := m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, nil)
+			ev.info.Result = result
+			m.p.resolveTask(ev)
+		}
 	}
 	neverSubmitted := func(m *machine, st *famState) {
 		m.p.events.push(shardEvent{task: &task{refs: []stepRef{{st, 0}}}, cause: "no_function", detail: "not registered"})
@@ -252,7 +252,9 @@ func TestStepTransitions(t *testing.T) {
 		{name: "inflight/task failed", from: stepInflight, live: 1, event: taskFailed, to: stepBackoff, want: backedOff},
 		{name: "inflight/task lost", from: stepInflight, live: 1, event: taskLost, to: stepBackoff,
 			want: effects{retried: 1, stats: JobStats{StepsRetried: 1, TasksResubmitted: 1}}},
-		{name: "inflight/undecodable result", from: stepInflight, live: 1, event: badResult, to: stepBackoff, want: backedOff},
+		{name: "inflight/undecodable result", from: stepInflight, live: 1,
+			event: badResult([]byte(`{"extractor":"keyword","outcomes":[]}`)), to: stepBackoff, want: backedOff},
+		{name: "inflight/no result", from: stepInflight, live: 1, event: badResult((*taskResult)(nil)), to: stepBackoff, want: backedOff},
 		{name: "inflight/never submitted", from: stepInflight, live: 1, event: neverSubmitted, to: stepBackoff, want: backedOff},
 		{name: "inflight/failure while another execution is live", from: stepInflight, live: 2, event: taskFailed, to: stepInflight},
 		{name: "inflight/failure on the last attempt", from: stepInflight, live: 1, attempts: 2, event: stepError, to: stepDeadLettered, want: quarantined},
@@ -350,10 +352,9 @@ func TestWorkerWritesTheCache(t *testing.T) {
 		}
 		ext, _ := m.svc.cfg.Library.Get("keyword")
 		st.steps[0].key, _ = m.p.stepCacheKey(st, st.steps[0].step) // as its first offer derives it
-		payload := encodeTaskPayload(nil, &taskPayload{Extractor: "keyword", Steps: []stepPayload{st.payload(0)}})
-		body, err := m.svc.makeHandler(site, ext)(context.Background(), payload)
-		if err != nil || !bytes.Contains(body, []byte(`"ok":true`)) {
-			t.Fatalf("noCache=%v: the step did not extract: %s, %v", noCache, body, err)
+		out, err := m.svc.makeHandler(site, ext)(context.Background(), &taskPayload{Extractor: "keyword", Steps: []stepPayload{st.payload(0)}})
+		if res, ok := out.(*taskResult); err != nil || !ok || len(res.Outcomes) != 1 || !res.Outcomes[0].OK {
+			t.Fatalf("noCache=%v: the step did not extract: %#v, %v", noCache, out, err)
 		}
 		if got, want := m.disk.writes.Load(), map[bool]int64{false: 1, true: 0}[noCache]; got != want {
 			t.Fatalf("noCache=%v: the worker wrote %d cache entries, want %d", noCache, got, want)
@@ -553,7 +554,7 @@ func TestLateAcceptedLoserIsCancelled(t *testing.T) {
 	st := m.family("f", 1)
 	m.put(st, 0, stepInflight, 2, 1)
 	fsvc := m.svc.cfg.FaaS
-	fid, err := fsvc.RegisterFunction("parked", func(context.Context, []byte) ([]byte, error) { return nil, nil }, "")
+	fid, err := fsvc.Register("parked", func(context.Context, any) (any, error) { return nil, nil }, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,5 +573,45 @@ func TestLateAcceptedLoserIsCancelled(t *testing.T) {
 	m.p.noteAccepted(loser)
 	if got := end.Drain(); len(got) != 1 || got[0].Status != faas.TaskFailed || got[0].Err != faas.ErrTaskCancelled.Error() {
 		t.Fatalf("late-accepted loser ended %+v, want cancelled", got)
+	}
+}
+
+// TestEightStepResultStaysInItsBudget holds the pump's side of a task's
+// end — resolveResult of an eight-step *taskResult, each outcome matched
+// to its ref and committed through commitStep — to a fixed number of
+// allocations: the result is the worker's value, read where it lies, and
+// each step keeps the metadata buffer the worker encoded for it. The
+// journal is off; its append is a row of its own.
+func TestEightStepResultStaysInItsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const budget, runs, steps = 0, 20, 8
+	m := newMachine(t, func(cfg *Config) { cfg.Journal = nil })
+	type ended struct {
+		t   *task
+		res *taskResult
+	}
+	tasks := make([]ended, runs+1) // AllocsPerRun warms up with one more call
+	for i := range tasks {
+		st := m.family(fmt.Sprintf("fam%d", i), steps)
+		refs, outs := make([]stepRef, steps), make([]stepOutcome, steps)
+		for j := range refs {
+			m.put(st, j, stepInflight, 0, 0)
+			refs[j], outs[j] = stepRef{st, j}, ok(st, j)
+		}
+		tasks[i] = ended{m.accepted(fmt.Sprintf("t%d", i), false, refs...), &taskResult{Extractor: "keyword", Outcomes: outs}}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		m.p.resolveResult(tasks[next].t, tasks[next].res)
+		next++
+	})
+	if m.p.StepsProcessed != steps*(runs+1) || m.p.StepsFailed != 0 {
+		t.Fatalf("%+v; want every step committed", m.p.JobStats)
+	}
+	t.Logf("%.0f allocations to resolve and commit an eight-step result", allocs)
+	if allocs > budget {
+		t.Fatalf("resolving and committing an eight-step result allocated %.0f times, budget %d", allocs, budget)
 	}
 }

@@ -219,7 +219,7 @@ func TestShedCheck(t *testing.T) {
 	h, depth := service(ShedPolicy{MaxQueueDepth: 2})
 	block := make(chan struct{})
 	defer close(block)
-	fid, err := h.fsvc.RegisterFunction("tail-block", func(context.Context, []byte) ([]byte, error) {
+	fid, err := h.fsvc.Register("tail-block", func(context.Context, any) (any, error) {
 		<-block
 		return nil, nil
 	}, "")

@@ -29,9 +29,10 @@ import (
 )
 
 // GroupingFunc assigns the files of one directory, in path order, to
-// groups, and leaves them in that order. Grouping functions consider only
-// crawl-time metadata (names, extensions, paths, sizes) — never file
-// contents — so the crawler stays lightweight.
+// groups, and leaves them in that order (the crawler sorts a group that
+// breaks it). Grouping functions consider only crawl-time metadata
+// (names, extensions, paths, sizes) — never file contents — so the
+// crawler stays lightweight.
 type GroupingFunc func(dir string, files []store.FileInfo) []family.Group
 
 // Stats summarizes one crawl; every field counts that crawl alone.
@@ -431,6 +432,15 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 	groups := c.Grouper(dir, files)
 	if len(groups) == 0 {
 		return d
+	}
+	// Every execution of a step reads its group's files in path order,
+	// from this one slice and without writing it: a grouper that breaks
+	// the order gets a sorted copy, here and only here.
+	for i := range groups {
+		if g := &groups[i]; !slices.IsSorted(g.Files) {
+			g.Files = slices.Clone(g.Files)
+			slices.Sort(g.Files)
+		}
 	}
 	d.GroupsFormed = int64(len(groups))
 

@@ -692,3 +692,49 @@ func TestFamilyMetaHoldsEveryGroupFileOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupsLeaveTheCrawlInPathOrder: a grouper that lists a group's
+// files against path order has them sorted once, here, into a slice of
+// the group's own, so every later reader — the worker and its hedged
+// duplicates — reads them in order without writing them; a group already
+// in order keeps the grouper's slice.
+func TestGroupsLeaveTheCrawlInPathOrder(t *testing.T) {
+	fs := store.NewMemFS("petrel", nil)
+	for _, n := range []string{"a", "b", "c", "d"} {
+		if err := fs.Write("/r/"+n+".txt", []byte(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var given [][]string
+	grouper := func(dir string, files []store.FileInfo) []family.Group {
+		reversed := []string{files[1].Path, files[0].Path}
+		ordered := []string{files[2].Path, files[3].Path}
+		given = [][]string{reversed, ordered}
+		return []family.Group{{ID: dir + "#rev", Files: reversed}, {ID: dir + "#ord", Files: ordered}}
+	}
+	var fams []family.Family
+	c := NewTo(fs, grouper, func(_ context.Context, batch []family.Family) int {
+		fams = append(fams, batch...)
+		return len(batch)
+	})
+	c.Workers = 1
+	if _, err := c.Crawl(context.Background(), []string{"/r"}); err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]family.Group)
+	for _, f := range fams {
+		for _, g := range f.Groups {
+			byID[g.ID] = g
+		}
+	}
+	rev, ord := byID["/r#rev"], byID["/r#ord"]
+	if !slices.Equal(rev.Files, []string{"/r/a.txt", "/r/b.txt"}) || !slices.Equal(ord.Files, []string{"/r/c.txt", "/r/d.txt"}) {
+		t.Fatalf("groups %v and %v, want each in path order", rev.Files, ord.Files)
+	}
+	if !slices.Equal(given[0], []string{"/r/b.txt", "/r/a.txt"}) {
+		t.Fatalf("the crawl sorted the grouper's own slice in place: %v", given[0])
+	}
+	if &ord.Files[0] != &given[1][0] {
+		t.Fatal("a group already in path order was copied")
+	}
+}

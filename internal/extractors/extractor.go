@@ -76,7 +76,9 @@ type Extractor interface {
 	// MIME type) — grouping functions run without reading file bytes.
 	Applies(info store.FileInfo) bool
 	// Extract computes metadata for the group. files maps each group file
-	// path to its contents.
+	// path to its contents. g.Files, in path order, is the family's own
+	// slice, which concurrent executions of the step share: Extract reads
+	// it and never writes it.
 	Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error)
 }
 

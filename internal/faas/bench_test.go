@@ -19,7 +19,7 @@ func BenchmarkSubmitWaitRoundTrip(b *testing.B) {
 	if err := ep.Start(ctx); err != nil {
 		b.Fatal(err)
 	}
-	fid, _ := svc.RegisterFunction("noop", func(context.Context, []byte) ([]byte, error) {
+	fid, _ := svc.Register("noop", func(context.Context, any) (any, error) {
 		return nil, nil
 	}, "")
 	b.ResetTimer()
@@ -39,7 +39,7 @@ func BenchmarkBatchSubmit(b *testing.B) {
 	if err := ep.Start(ctx); err != nil {
 		b.Fatal(err)
 	}
-	fid, _ := svc.RegisterFunction("noop", func(context.Context, []byte) ([]byte, error) {
+	fid, _ := svc.Register("noop", func(context.Context, any) (any, error) {
 		return nil, nil
 	}, "")
 	reqs := make([]TaskRequest, 64)

@@ -17,8 +17,8 @@ func TestCancelPendingTaskNeverRuns(t *testing.T) {
 
 	block := make(chan struct{})
 	ran := make(chan string, 8)
-	fid, err := svc.RegisterFunction("blocker", func(_ context.Context, p []byte) ([]byte, error) {
-		ran <- string(p)
+	fid, err := svc.Register("blocker", func(_ context.Context, p any) (any, error) {
+		ran <- p.(string)
 		<-block
 		return p, nil
 	}, "")
@@ -27,9 +27,9 @@ func TestCancelPendingTaskNeverRuns(t *testing.T) {
 	}
 
 	// First task occupies the only worker; the second stays queued.
-	first := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("a")})
+	first := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "a"})
 	<-ran
-	second := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("b")})
+	second := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "b"})
 
 	if !svc.CancelTask(second) {
 		t.Fatal("pending task not cancelled")
@@ -64,10 +64,10 @@ func TestCancelRunningTaskDiscardsLateResult(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	fid, err := svc.RegisterFunction("blocker", func(context.Context, []byte) ([]byte, error) {
+	fid, err := svc.Register("blocker", func(context.Context, any) (any, error) {
 		close(started)
 		<-block
-		return []byte("late"), nil
+		return "late", nil
 	}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestCancelRunningTaskDiscardsLateResult(t *testing.T) {
 	// resurrect the task (the terminal-status fence in taskFinished).
 	close(block)
 	time.Sleep(10 * time.Millisecond)
-	if again := ended(t, svc, id); again.Status != TaskFailed || string(again.Result) == "late" {
+	if again := ended(t, svc, id); again.Status != TaskFailed || again.Result == "late" {
 		t.Fatalf("late completion overwrote the cancellation: %+v", again)
 	}
 }
@@ -100,13 +100,13 @@ func TestSlowFaultStretchesExecution(t *testing.T) {
 		SlowFor: 60 * time.Millisecond,
 	}))
 
-	fid, err := svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")}))
-	if info.Status != TaskSuccess || string(info.Result) != "X" {
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "x"}))
+	if info.Status != TaskSuccess || info.Result != "X" {
 		t.Fatalf("slowed task must still complete normally: %+v", info)
 	}
 	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
@@ -115,7 +115,7 @@ func TestSlowFaultStretchesExecution(t *testing.T) {
 
 	// The budget is spent: the next task runs at full speed.
 	start = time.Now()
-	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("y")})); info.Status != TaskSuccess {
+	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "y"})); info.Status != TaskSuccess {
 		t.Fatalf("info = %+v", info)
 	}
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
@@ -133,7 +133,7 @@ func TestCancelDuringSlowSleepAbortsPromptly(t *testing.T) {
 	}))
 
 	executed := make(chan struct{}, 1)
-	fid, err := svc.RegisterFunction("mark", func(context.Context, []byte) ([]byte, error) {
+	fid, err := svc.Register("mark", func(context.Context, any) (any, error) {
 		executed <- struct{}{}
 		return nil, nil
 	}, "")
@@ -150,8 +150,8 @@ func TestCancelDuringSlowSleepAbortsPromptly(t *testing.T) {
 	if !svc.CancelTask(id) {
 		t.Fatal("task not cancelled")
 	}
-	fid2, _ := svc.RegisterFunction("echo", echoHandler, "")
-	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid2, EndpointID: "ep1", Payload: []byte("z")})); info.Status != TaskSuccess {
+	fid2, _ := svc.Register("echo", echoHandler, "")
+	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid2, EndpointID: "ep1", Payload: "z"})); info.Status != TaskSuccess {
 		t.Fatalf("worker still wedged in the straggle: %+v", info)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -183,7 +183,7 @@ func TestLostTaskHandlerStopsBetweenSteps(t *testing.T) {
 	inStep, next := make(chan int, 3), make(chan struct{})
 	var ran atomic.Int32
 	stopped := make(chan error, 1)
-	fid, err := svc.RegisterFunction("steps", func(ctx context.Context, _ []byte) ([]byte, error) {
+	fid, err := svc.Register("steps", func(ctx context.Context, _ any) (any, error) {
 		for step := 0; step < 3; step++ {
 			if err := ctx.Err(); err != nil {
 				stopped <- err
@@ -194,7 +194,7 @@ func TestLostTaskHandlerStopsBetweenSteps(t *testing.T) {
 			<-next
 		}
 		stopped <- nil
-		return []byte("done"), nil
+		return "done", nil
 	}, "")
 	if err != nil {
 		t.Fatal(err)

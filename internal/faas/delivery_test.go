@@ -19,7 +19,7 @@ import (
 // itself.)
 func TestEveryTerminalTransitionNotifiesOnce(t *testing.T) {
 	release := make(chan struct{})
-	parked := func(ctx context.Context, _ []byte) ([]byte, error) {
+	parked := func(ctx context.Context, _ any) (any, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -39,9 +39,9 @@ func TestEveryTerminalTransitionNotifiesOnce(t *testing.T) {
 	}{
 		{name: "success", handler: echoHandler, want: TaskSuccess},
 		{name: "handler error", want: TaskFailed,
-			handler: func(context.Context, []byte) ([]byte, error) { return nil, errors.New("boom") }},
+			handler: func(context.Context, any) (any, error) { return nil, errors.New("boom") }},
 		{name: "handler panic", want: TaskFailed,
-			handler: func(context.Context, []byte) ([]byte, error) { panic("boom") }},
+			handler: func(context.Context, any) (any, error) { panic("boom") }},
 		{name: "endpoint stop", handler: parked, want: TaskLost,
 			end: func(_ *testing.T, _ *Service, ep *Endpoint, _ *clock.Fake, _ string) { ep.Stop() }},
 		{name: "heartbeat expiry", handler: parked, unlive: true, want: TaskLost,
@@ -74,12 +74,12 @@ func TestEveryTerminalTransitionNotifiesOnce(t *testing.T) {
 				svc, ep, cancel = newLiveService(t, 1)
 				defer cancel()
 			}
-			fid, err := svc.RegisterFunction(tc.name, tc.handler, "")
+			fid, err := svc.Register(tc.name, tc.handler, "")
 			if err != nil {
 				t.Fatal(err)
 			}
 			before, after := NewCompletionSink(), NewCompletionSink()
-			ids, err := svc.SubmitBatch([]TaskRequest{{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")}})
+			ids, err := svc.SubmitBatch([]TaskRequest{{FunctionID: fid, EndpointID: "ep1", Payload: "x"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestSilentEndpointsTaskIsDeliveredLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	running := make(chan struct{})
-	fid, err := svc.RegisterFunction("parked", func(ctx context.Context, _ []byte) ([]byte, error) {
+	fid, err := svc.Register("parked", func(ctx context.Context, _ any) (any, error) {
 		close(running)
 		<-ctx.Done() // ends when the task does
 		return nil, ctx.Err()

@@ -270,7 +270,7 @@ func (e *Endpoint) execute(ctx context.Context, item *dispatchItem) {
 // runHandler invokes the function handler, converting a panic into a
 // TaskFailed-style error so one poisoned payload cannot take down the
 // worker (let alone the process).
-func (e *Endpoint) runHandler(ctx context.Context, fn *function, payload []byte) (result []byte, err error) {
+func (e *Endpoint) runHandler(ctx context.Context, fn *function, payload any) (result any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			result = nil

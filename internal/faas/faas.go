@@ -4,7 +4,8 @@
 // submission and completion events; containerized workers with cold/warm
 // starts; heartbeats, which the endpoints themselves check; and lost-task
 // detection when an endpoint's allocation ends (the Figure 8
-// checkpoint/restart path).
+// checkpoint/restart path). Every endpoint is a goroutine of this
+// process, so a task's payload and result cross as values, not bytes.
 package faas
 
 import (
@@ -30,11 +31,14 @@ var (
 	ErrTaskCancelled = errors.New("faas: task cancelled")
 )
 
-// Handler is the code behind a registered function. Payloads are opaque
-// bytes (Xtract serializes family batches into them); results likewise.
-// The payload is the submitter's slice, shared with it: a handler reads
-// it and never modifies it.
-type Handler func(ctx context.Context, payload []byte) ([]byte, error)
+// Handler is the code behind a registered function. Payloads and results
+// are values the fabric carries and never reads: every endpoint runs in
+// this process, so nothing is serialized on the way (the control-plane
+// cost of a remote hop is charged by schedule, see Costs). The payload is
+// the submitter's value and may share data with other tasks' payloads: a
+// handler reads it and never modifies it. The result belongs to whoever
+// drains the task's end.
+type Handler func(ctx context.Context, payload any) (any, error)
 
 // FaultHook injects failures into the fabric for chaos testing.
 // internal/faultinject satisfies it structurally; a nil hook is a no-op.
@@ -97,7 +101,7 @@ type TaskRequest struct {
 	EndpointID string
 	// Payload is kept as given, not copied: once submitted it belongs to
 	// the task, and neither the submitter nor the handler modifies it.
-	Payload []byte
+	Payload any
 }
 
 // TaskInfo is a snapshot of a task, as its completion event carries it.
@@ -106,7 +110,7 @@ type TaskInfo struct {
 	FunctionID string
 	EndpointID string
 	Status     TaskStatus
-	Result     []byte
+	Result     any
 	Err        string
 	Submitted  time.Time
 	Started    time.Time
@@ -143,7 +147,7 @@ type function struct {
 type task struct {
 	mu      sync.Mutex
 	info    TaskInfo
-	payload []byte
+	payload any
 	// stop ends the context the handler runs under; set while it runs.
 	stop context.CancelFunc
 	// subs are completion sinks to notify when the task turns terminal.
@@ -343,10 +347,10 @@ func (s *Service) RegisterContainer(name string, coldStart time.Duration) string
 	return id
 }
 
-// RegisterFunction registers handler under a new function ID. containerID
-// names the runtime environment the function must execute in ("" for
-// bare execution).
-func (s *Service) RegisterFunction(name string, h Handler, containerID string) (string, error) {
+// Register registers handler under a new function ID. containerID names
+// the runtime environment the function must execute in ("" for bare
+// execution).
+func (s *Service) Register(name string, h Handler, containerID string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if containerID != "" {
@@ -358,6 +362,17 @@ func (s *Service) RegisterFunction(name string, h Handler, containerID string) (
 	id := fmt.Sprintf("func-%d-%s", s.seq, name)
 	s.functions[id] = &function{id: id, name: name, handler: h, container: containerID}
 	return id, nil
+}
+
+// RegisterFunction registers a function over bytes through Register: a
+// []byte payload reaches h as is, any other payload as nil, and h's
+// result becomes the task's Result. Only the benchmark's fabric replay
+// still registers one.
+func (s *Service) RegisterFunction(name string, h func(context.Context, []byte) ([]byte, error), containerID string) (string, error) {
+	return s.Register(name, func(ctx context.Context, payload any) (any, error) {
+		b, _ := payload.([]byte)
+		return h(ctx, b)
+	}, containerID)
 }
 
 // RegisterEndpoint attaches an endpoint to the service.
@@ -534,7 +549,7 @@ func (s *Service) CheckHeartbeats() []string {
 
 // taskFinished records completion bookkeeping and result-return latency.
 // It is a no-op for tasks already marked lost.
-func (s *Service) taskFinished(t *task, result []byte, err error) {
+func (s *Service) taskFinished(t *task, result any, err error) {
 	s.clk.Sleep(s.costs.ResultPerTask)
 	t.mu.Lock()
 	if t.info.Status.Terminal() {

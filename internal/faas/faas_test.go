@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,8 +14,9 @@ import (
 )
 
 // echoHandler returns its payload uppercased.
-func echoHandler(_ context.Context, payload []byte) ([]byte, error) {
-	return []byte(strings.ToUpper(string(payload))), nil
+func echoHandler(_ context.Context, payload any) (any, error) {
+	s, _ := payload.(string)
+	return strings.ToUpper(s), nil
 }
 
 func newLiveService(t *testing.T, workers int) (*Service, *Endpoint, context.CancelFunc) {
@@ -52,12 +54,12 @@ func ended(t testing.TB, svc *Service, id string) TaskInfo {
 func TestSubmitAndWaitSuccess(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 2)
 	defer cancel()
-	fid, err := svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("hi")}))
-	if info.Status != TaskSuccess || string(info.Result) != "HI" {
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "hi"}))
+	if info.Status != TaskSuccess || info.Result != "HI" {
 		t.Fatalf("info = %+v", info)
 	}
 	if info.Finished.Before(info.Submitted) {
@@ -71,7 +73,7 @@ func TestSubmitUnknownFunctionAndEndpoint(t *testing.T) {
 	if _, err := svc.SubmitBatch([]TaskRequest{{FunctionID: "nope", EndpointID: "ep1"}}); !errors.Is(err, ErrUnknownFunction) {
 		t.Fatalf("err = %v", err)
 	}
-	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	fid, _ := svc.Register("echo", echoHandler, "")
 	if _, err := svc.SubmitBatch([]TaskRequest{{FunctionID: fid, EndpointID: "nope"}}); !errors.Is(err, ErrUnknownEndpoint) {
 		t.Fatalf("err = %v", err)
 	}
@@ -80,15 +82,41 @@ func TestSubmitUnknownFunctionAndEndpoint(t *testing.T) {
 func TestRegisterFunctionUnknownContainer(t *testing.T) {
 	clk := clock.NewReal()
 	svc := NewService(clk, Costs{})
-	if _, err := svc.RegisterFunction("f", echoHandler, "bogus"); !errors.Is(err, ErrUnknownContainer) {
+	if _, err := svc.RegisterFunction("f", func(context.Context, []byte) ([]byte, error) { return nil, nil }, "bogus"); !errors.Is(err, ErrUnknownContainer) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRegisterFunctionAdaptsBytes: a function over bytes runs through
+// Register — a []byte payload reaches it as is, any other as nil — and its
+// bytes come back as the task's result.
+func TestRegisterFunctionAdaptsBytes(t *testing.T) {
+	svc, _, cancel := newLiveService(t, 1)
+	defer cancel()
+	fid, err := svc.RegisterFunction("upper", func(_ context.Context, p []byte) ([]byte, error) {
+		if p == nil {
+			return []byte("nil"), nil
+		}
+		return bytes.ToUpper(p), nil
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		payload any
+		want    string
+	}{{[]byte("hi"), "HI"}, {"not bytes", "nil"}, {nil, "nil"}} {
+		info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: tc.payload}))
+		if got, ok := info.Result.([]byte); info.Status != TaskSuccess || !ok || string(got) != tc.want {
+			t.Errorf("payload %#v: %s, result %#v; want %q", tc.payload, info.Status, info.Result, tc.want)
+		}
 	}
 }
 
 func TestTaskFailure(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 1)
 	defer cancel()
-	fid, _ := svc.RegisterFunction("boom", func(context.Context, []byte) ([]byte, error) {
+	fid, _ := svc.Register("boom", func(context.Context, any) (any, error) {
 		return nil, errors.New("extractor exploded")
 	}, "")
 	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"}))
@@ -100,10 +128,10 @@ func TestTaskFailure(t *testing.T) {
 func TestBatchSubmitAndPoll(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 4)
 	defer cancel()
-	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	fid, _ := svc.Register("echo", echoHandler, "")
 	reqs := make([]TaskRequest, 16)
 	for i := range reqs {
-		reqs[i] = TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte(fmt.Sprintf("p%d", i))}
+		reqs[i] = TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: fmt.Sprintf("p%d", i)}
 	}
 	ids, err := svc.SubmitBatch(reqs)
 	if err != nil {
@@ -123,7 +151,7 @@ func TestBatchSubmitAndPoll(t *testing.T) {
 		if info.Status != TaskSuccess {
 			t.Fatalf("task %d status %v", i, info.Status)
 		}
-		if want := strings.ToUpper(fmt.Sprintf("p%d", i)); string(info.Result) != want {
+		if want := strings.ToUpper(fmt.Sprintf("p%d", i)); info.Result != want {
 			t.Fatalf("task %d result %q, want %q (order preserved)", i, info.Result, want)
 		}
 	}
@@ -137,7 +165,7 @@ func TestBatchSubmitAndPoll(t *testing.T) {
 func TestRejectedBatchCreatesNoTaskRecords(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 1)
 	defer cancel()
-	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	fid, _ := svc.Register("echo", echoHandler, "")
 	good := TaskRequest{FunctionID: fid, EndpointID: "ep1"}
 	before := svc.TaskRecords()
 	for _, tc := range []struct {
@@ -166,7 +194,7 @@ func TestRejectedBatchCreatesNoTaskRecords(t *testing.T) {
 func TestPollBatchUnknownID(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 1)
 	defer cancel()
-	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	fid, _ := svc.Register("echo", echoHandler, "")
 	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})
 	ended(t, svc, id)
 	svc.Forget(id)
@@ -192,7 +220,7 @@ func TestConcurrentExecutionUsesWorkers(t *testing.T) {
 	running := 0
 	maxRunning := 0
 	release := make(chan struct{})
-	fid, _ := svc.RegisterFunction("block", func(context.Context, []byte) ([]byte, error) {
+	fid, _ := svc.Register("block", func(context.Context, any) (any, error) {
 		mu.Lock()
 		running++
 		if running > maxRunning {
@@ -274,10 +302,10 @@ func TestEndpointStopMarksTasksLost(t *testing.T) {
 	defer cancel()
 	started := make(chan struct{})
 	block := make(chan struct{})
-	fid, _ := svc.RegisterFunction("block", func(context.Context, []byte) ([]byte, error) {
+	fid, _ := svc.Register("block", func(context.Context, any) (any, error) {
 		close(started)
 		<-block
-		return []byte("late"), nil
+		return "late", nil
 	}, "")
 	// One running + three queued.
 	ids, _ := svc.SubmitBatch([]TaskRequest{
@@ -316,7 +344,7 @@ func TestHeartbeatExpiryMarksLost(t *testing.T) {
 	svc.RegisterEndpoint(ep)
 	// Endpoint never started: no heartbeats after registration, and the
 	// queued task sits forever.
-	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	fid, _ := svc.Register("echo", echoHandler, "")
 	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1"})
 
 	clk.Advance(11 * time.Second)
@@ -342,7 +370,7 @@ func TestCostsChargedOnVirtualClock(t *testing.T) {
 	})
 	ep := NewEndpoint("ep1", 1, clk)
 	svc.RegisterEndpoint(ep)
-	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	fid, _ := svc.Register("echo", echoHandler, "")
 
 	done := make(chan time.Duration, 1)
 	start := clk.Now()
@@ -417,18 +445,18 @@ func TestFunctionRunsInRegisteredContainer(t *testing.T) {
 	if err := ep.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	fid, err := svc.RegisterFunction("m", echoHandler, cid)
+	fid, err := svc.Register("m", echoHandler, cid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")})); info.Status != TaskSuccess {
+	if info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "x"})); info.Status != TaskSuccess {
 		t.Fatalf("status = %v", info.Status)
 	}
 	if ep.Containers().ColdStarts.Load() != 1 {
 		t.Fatalf("cold starts = %d", ep.Containers().ColdStarts.Load())
 	}
 	// Second task: warm hit.
-	ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("y")}))
+	ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "y"}))
 	if ep.Containers().WarmHits.Load() != 1 {
 		t.Fatalf("warm hits = %d", ep.Containers().WarmHits.Load())
 	}
@@ -437,11 +465,11 @@ func TestFunctionRunsInRegisteredContainer(t *testing.T) {
 func TestManyTasksThroughput(t *testing.T) {
 	svc, ep, cancel := newLiveService(t, 8)
 	defer cancel()
-	fid, _ := svc.RegisterFunction("echo", echoHandler, "")
+	fid, _ := svc.Register("echo", echoHandler, "")
 	const n = 500
 	reqs := make([]TaskRequest, n)
 	for i := range reqs {
-		reqs[i] = TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")}
+		reqs[i] = TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "x"}
 	}
 	ids, err := svc.SubmitBatch(reqs)
 	if err != nil {

@@ -20,11 +20,11 @@ func TestInjectedDispatchFaultMarksTaskLost(t *testing.T) {
 		Seed:          1,
 		DispatchError: faultinject.Rule{Prob: 1, Max: 1},
 	}))
-	fid, err := svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("a")}))
+	info := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "a"}))
 	if info.Status != TaskLost {
 		t.Fatalf("status = %s, want LOST", info.Status)
 	}
@@ -32,7 +32,7 @@ func TestInjectedDispatchFaultMarksTaskLost(t *testing.T) {
 		t.Fatalf("lost task err = %q, want injected dispatch_error", info.Err)
 	}
 	// Budget spent: the next submit dispatches normally.
-	if info2 := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("b")})); info2.Status != TaskSuccess {
+	if info2 := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "b"})); info2.Status != TaskSuccess {
 		t.Fatalf("post-budget status = %s, want SUCCESS", info2.Status)
 	}
 }
@@ -48,12 +48,12 @@ func TestHandlerPanicBecomesTaskFailed(t *testing.T) {
 	svc, ep, cancel := newLiveService(t, 1)
 	defer cancel()
 	calls := 0
-	fid, err := svc.RegisterFunction("flaky", func(context.Context, []byte) ([]byte, error) {
+	fid, err := svc.Register("flaky", func(context.Context, any) (any, error) {
 		calls++
 		if calls == 1 {
 			panic("kaboom")
 		}
-		return []byte("ok"), nil
+		return "ok", nil
 	}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestHandlerPanicBecomesTaskFailed(t *testing.T) {
 	if ep.Stopped() {
 		t.Fatal("endpoint stopped after a handler panic")
 	}
-	if info2 := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})); info2.Status != TaskSuccess || string(info2.Result) != "ok" {
+	if info2 := ended(t, svc, submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: nil})); info2.Status != TaskSuccess || info2.Result != "ok" {
 		t.Fatalf("post-panic task = %+v", info2)
 	}
 }
@@ -104,7 +104,7 @@ func TestInjectedHeartbeatSilenceMarksTasksLost(t *testing.T) {
 	}
 	// A slow task keeps the worker busy past the heartbeat window.
 	block := make(chan struct{})
-	fid, err := svc.RegisterFunction("slow", func(context.Context, []byte) ([]byte, error) {
+	fid, err := svc.Register("slow", func(context.Context, any) (any, error) {
 		<-block
 		return nil, nil
 	}, "")

@@ -26,13 +26,13 @@ func collect(t testing.TB, sink *CompletionSink, n int) []TaskInfo {
 func TestNotifyDeliversCompletions(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 2)
 	defer cancel()
-	fid, err := svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := make([]TaskRequest, 8)
 	for i := range reqs {
-		reqs[i] = TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("hi")}
+		reqs[i] = TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "hi"}
 	}
 	sink := NewCompletionSink()
 	ids, err := svc.SubmitBatch(reqs)
@@ -51,7 +51,7 @@ func TestNotifyDeliversCompletions(t *testing.T) {
 			t.Fatalf("task %s delivered twice", info.ID)
 		}
 		seen[info.ID] = true
-		if info.Status != TaskSuccess || string(info.Result) != "HI" {
+		if info.Status != TaskSuccess || info.Result != "HI" {
 			t.Fatalf("completion = %+v", info)
 		}
 	}
@@ -63,11 +63,11 @@ func TestNotifyDeliversCompletions(t *testing.T) {
 func TestNotifyAfterTerminal(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 1)
 	defer cancel()
-	fid, err := svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("x")})
+	id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "x"})
 	ended(t, svc, id)
 	sink := NewCompletionSink()
 	svc.Notify([]string{id}, sink)
@@ -84,7 +84,7 @@ func TestNotifyCoversLostTasks(t *testing.T) {
 	svc, ep, cancel := newLiveService(t, 1)
 	defer cancel()
 	block := make(chan struct{})
-	fid, err := svc.RegisterFunction("stall", func(ctx context.Context, _ []byte) ([]byte, error) {
+	fid, err := svc.Register("stall", func(ctx context.Context, _ any) (any, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
@@ -130,7 +130,7 @@ func TestNotifyUnknownIDIgnored(t *testing.T) {
 func TestNotifyDeliversExactlyOnceUnderRace(t *testing.T) {
 	svc, _, cancel := newLiveService(t, 4)
 	defer cancel()
-	fid, err := svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestNotifyDeliversExactlyOnceUnderRace(t *testing.T) {
 	sink := NewCompletionSink()
 	var ids []string
 	for i := 0; i < n; i++ {
-		id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: []byte("r")})
+		id := submit(t, svc, TaskRequest{FunctionID: fid, EndpointID: "ep1", Payload: "r"})
 		svc.Notify([]string{id}, sink)
 		ids = append(ids, id)
 	}

@@ -41,7 +41,7 @@ func newBatchRig(t *testing.T, costs Costs, endpoints int) *batchRig {
 		r.svc.RegisterEndpoint(ep)
 		r.eps = append(r.eps, ep)
 	}
-	fid, err := r.svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := r.svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestBatchCostsWhatTheModelSays(t *testing.T) {
 	clk := clock.NewReal()
 	svc := NewService(clk, benchCosts)
 	svc.RegisterEndpoint(NewEndpoint("ep", 1, clk))
-	fid, err := svc.RegisterFunction("echo", echoHandler, "")
+	fid, err := svc.Register("echo", echoHandler, "")
 	if err != nil {
 		t.Fatal(err)
 	}

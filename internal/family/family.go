@@ -18,7 +18,7 @@ import (
 type Group struct {
 	// ID uniquely names the group within a crawl.
 	ID string `json:"id"`
-	// Files are store paths of the group's members.
+	// Files are store paths of the group's members, in path order.
 	Files []string `json:"files"`
 	// Extractor names the extractor to apply to this group.
 	Extractor string `json:"extractor"`
