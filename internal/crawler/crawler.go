@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -296,13 +295,16 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 // crawl drains or ctx ends, handing each directory's counts to add.
 func (c *Crawler) work(ctx context.Context, dq *dirQueue, seed int64, add func(Stats)) {
 	rng := rand.New(&lazySource{seed: seed})
+	// The packer's scratch serves this worker's directories, and no longer
+	// than this crawl.
+	var pk family.Packer
 	for {
 		dir, ok := dq.pop()
 		// A cancelled crawl lists nothing more, backlog or not.
 		if !ok || ctx.Err() != nil {
 			return
 		}
-		d := c.processDir(ctx, dir, dq, rng)
+		d := c.processDir(ctx, dir, dq, rng, &pk)
 		add(d)
 		c.Totals.add(d)
 		dq.done()
@@ -408,7 +410,7 @@ func (c *Crawler) fingerprint(fi store.FileInfo, d *Stats) string {
 // processDir lists one directory, queues subdirectories, groups files,
 // and hands the directory's families to the sink. It returns what the
 // directory adds to the crawl's Stats: each event is counted here, once.
-func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng *rand.Rand) (d Stats) {
+func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng *rand.Rand, pk *family.Packer) (d Stats) {
 	infos, err := c.listWithBackoff(dir, &d)
 	if err != nil {
 		d.ListErrors++
@@ -446,7 +448,7 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 
 	var fams []family.Family
 	if c.UseMinTransfers {
-		fams = family.MinTransfers(groups, c.MaxFamilySize, rng)
+		fams = pk.Pack(groups, c.MaxFamilySize, 1, rng)
 	} else {
 		fams = family.Naive(groups)
 	}
@@ -461,13 +463,10 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 		}
 	}
 	name := c.Store.Name()
-	id := make([]byte, 0, len(name)+len(dir)+8)
-	id = append(append(append(id, name...), ':'), dir...)
-	prefix := len(id)
+	ids := newIDSheet([]string{name, ":", dir}, "#", len(fams), nil)
 	for i := range fams {
 		fam := &fams[i]
-		id = strconv.AppendInt(append(id[:prefix], '#'), int64(i), 10)
-		fam.ID = string(id)
+		fam.ID = ids.number(i)
 		fam.Store = name
 		fam.BasePath = dir
 		fam.FileMeta = familyMeta(fam.Groups, metas)

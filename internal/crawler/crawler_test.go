@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"xtract/internal/cache"
 	"xtract/internal/clock"
 	"xtract/internal/extractors"
 	"xtract/internal/family"
@@ -634,14 +635,54 @@ func TestDirectoryCrawlStaysInItsBudget(t *testing.T) {
 	})
 	dq := newDirQueue()
 	rng := rand.New(&lazySource{seed: 1})
-	allocs := testing.AllocsPerRun(20, func() { c.processDir(context.Background(), "/d", dq, rng) })
+	var pk family.Packer
+	allocs := testing.AllocsPerRun(20, func() { c.processDir(context.Background(), "/d", dq, rng, &pk) })
 	if families != 64 {
 		t.Fatalf("%d families, want 64", families)
 	}
 	t.Logf("%.0f allocations for a 64-file directory", allocs)
-	const budget = 331 // 1,284 before families stopped building maps nobody reads
+	const budget = 7 // 329 (budget 331) before the ID sheets, 1,284 before families stopped building maps nobody reads
 	if allocs > budget {
 		t.Fatalf("crawling a 64-file directory allocated %.0f times, budget %d", allocs, budget)
+	}
+}
+
+// TestVASPDirectoryCrawlStaysInItsBudget: a VASP calculation's
+// directory, crawled again with the matio grouper, the default library
+// and a warm fingerprint memo — listing, grouping, packing the
+// calculation with the structure analysis that shares its POSCAR, and
+// the families' records — allocates per directory and per family only
+// what the families hold. The race detector changes the count, so the
+// test skips under it.
+func TestVASPDirectoryCrawlStaysInItsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	fs := store.NewMemFS("mdf", nil)
+	for _, n := range []string{"INCAR", "OUTCAR", "POSCAR", "run.yaml"} {
+		if err := fs.Write("/data/calc_00000/"+n, []byte(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fams []family.Family
+	c := NewTo(fs, MatIOGrouper(extractors.DefaultLibrary()), func(_ context.Context, batch []family.Family) int {
+		fams = batch
+		return len(batch)
+	})
+	c.Fingerprint, c.Hashes = true, cache.New(0)
+	dq := newDirQueue()
+	rng := rand.New(&lazySource{seed: 1})
+	var pk family.Packer
+	crawl := func() { c.processDir(context.Background(), "/data/calc_00000", dq, rng, &pk) }
+	crawl() // the cold crawl reads and hashes every file
+	allocs := testing.AllocsPerRun(20, crawl)
+	if len(fams) != 2 || len(fams[0].Groups) != 2 || fams[0].FileMeta[0].ContentHash == "" {
+		t.Fatalf("families %+v, want the calculation with its structure analysis, and the sidecar, hashed", fams)
+	}
+	t.Logf("%.0f allocations for a VASP directory", allocs)
+	const budget = 10 // 58 before the Packer, the ID sheets and the in-place VASP check
+	if allocs > budget {
+		t.Fatalf("crawling a VASP directory allocated %.0f times, budget %d", allocs, budget)
 	}
 }
 

@@ -4,16 +4,41 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"xtract/internal/family"
 	"xtract/internal/store"
 )
 
-// vaspFileNames are the canonical VASP calculation artifacts MaterialsIO
+// vaspArtifacts are the canonical VASP calculation artifacts MaterialsIO
 // groups together.
-var vaspFileNames = map[string]bool{
-	"INCAR": true, "POSCAR": true, "OUTCAR": true, "CONTCAR": true,
-	"KPOINTS": true, "POTCAR": true,
+var vaspArtifacts = [...]string{"INCAR", "POSCAR", "OUTCAR", "CONTCAR", "KPOINTS", "POTCAR"}
+
+// VASPArtifact returns the VASP artifact a file name is, compared as
+// strings.ToUpper(name) — "INCAR" for "incar" — or "" for any other
+// name. An ASCII name is compared in place, so that the crawl classifies
+// a listing without building a string; any other is upper-cased first,
+// as that maps some non-ASCII letters to ASCII ones ("ıncar" is "INCAR").
+func VASPArtifact(name string) string {
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			name = strings.ToUpper(name)
+			break
+		}
+	}
+next:
+	for _, a := range vaspArtifacts {
+		if len(name) != len(a) {
+			continue
+		}
+		for i := 0; i < len(a); i++ {
+			if c := name[i]; c != a[i] && c-('a'-'A') != a[i] {
+				continue next
+			}
+		}
+		return a
+	}
+	return ""
 }
 
 // isMaterialsInfo reports whether crawl metadata marks a file as a
@@ -22,7 +47,7 @@ func isMaterialsInfo(info store.FileInfo) bool {
 	if info.IsDir {
 		return false
 	}
-	if vaspFileNames[strings.ToUpper(info.Name)] {
+	if VASPArtifact(info.Name) != "" {
 		return true
 	}
 	switch info.Extension {
@@ -58,7 +83,7 @@ func (m *MatIO) Extract(g *family.Group, files map[string][]byte) (map[string]in
 	paths := sortedKeys(files)
 	parsed := 0
 	for _, p := range paths {
-		base := strings.ToUpper(baseName(p))
+		base := VASPArtifact(baseName(p))
 		data := files[p]
 		switch {
 		case base == "INCAR":
@@ -473,8 +498,8 @@ func (a *ASE) Applies(info store.FileInfo) bool {
 	if info.IsDir {
 		return false
 	}
-	upper := strings.ToUpper(info.Name)
-	return upper == "POSCAR" || upper == "CONTCAR" || info.Extension == "xyz"
+	art := VASPArtifact(info.Name)
+	return art == "POSCAR" || art == "CONTCAR" || info.Extension == "xyz"
 }
 
 // Extract implements Extractor.
@@ -482,8 +507,7 @@ func (a *ASE) Extract(g *family.Group, files map[string][]byte) (map[string]inte
 	paths := sortedKeys(files)
 	var coords [][3]float64
 	for _, p := range paths {
-		base := strings.ToUpper(baseName(p))
-		if base == "POSCAR" || base == "CONTCAR" {
+		if art := VASPArtifact(baseName(p)); art == "POSCAR" || art == "CONTCAR" {
 			if s, ok := parsePOSCAR(files[p]); ok {
 				coords = append(coords, s.Coords...)
 			}

@@ -7,8 +7,8 @@
 package family
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -78,14 +78,15 @@ func (f *Family) Meta(path string) (FileMeta, bool) {
 
 // Naive packages each group as its own single-group family — the
 // "regular" baseline in Figure 7 that transfers every group separately
-// regardless of file overlap.
+// regardless of file overlap. Each family shares its group's backing
+// arrays, as MinTransfersN's answer for disjoint groups does.
 func Naive(groups []Group) []Family {
 	out := make([]Family, 0, len(groups))
-	for i, g := range groups {
+	for i := range groups {
 		out = append(out, Family{
-			ID:     fmt.Sprintf("fam-naive-%d", i),
-			Files:  append([]string(nil), g.Files...),
-			Groups: []Group{g},
+			ID:     "fam-naive-" + strconv.Itoa(i),
+			Files:  slices.Clip(groups[i].Files),
+			Groups: groups[i : i+1 : i+1],
 		})
 	}
 	return out

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -138,7 +138,7 @@ func (o *ObjectStore) List(dir string) ([]FileInfo, error) {
 	if !found {
 		return nil, ErrNotFound
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b FileInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"path"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,7 +190,7 @@ func (m *MemFS) List(dir string) ([]FileInfo, error) {
 	for _, c := range n.children {
 		out = append(out, c.info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b FileInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 

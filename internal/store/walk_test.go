@@ -68,6 +68,28 @@ func TestMemFSReadStaysInItsBudget(t *testing.T) {
 	}
 }
 
+// TestMemFSListStaysInItsBudget: a listing allocates the caller's slice
+// and nothing else; it is sorted in place, without reflection.
+func TestMemFSListStaysInItsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	m := NewMemFS("m", nil)
+	for _, n := range []string{"POSCAR", "INCAR", "run.yaml", "OUTCAR", "sub/x"} {
+		if err := m.Write("/data/calc/"+n, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func() {
+		if infos, err := m.List("/data/calc"); err != nil || len(infos) != 5 || infos[0].Name != "INCAR" {
+			t.Fatalf("List = %+v, %v", infos, err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, list); n != 1 {
+		t.Fatalf("MemFS.List allocated %.0f times, budget 1", n)
+	}
+}
+
 // TestUncleanSpellingsResolveToOneNode: the in-place walk sees the same
 // tree the split-and-join walk did, whatever spelling reaches it.
 func TestUncleanSpellingsResolveToOneNode(t *testing.T) {
