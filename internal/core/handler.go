@@ -50,8 +50,8 @@ type stepOutcome struct {
 	Err      string
 	// Metadata is the extractor's dictionary in canonical form, encoded
 	// here in the worker and never parsed again on its way to the
-	// destination document: the step's own buffer. Empty when the
-	// extractor returned none.
+	// destination document: the step's own exact-size copy, never
+	// written again. Empty when the extractor returned none.
 	Metadata  fastjson.Raw
 	ExtractMS float64
 }
@@ -67,7 +67,10 @@ type taskResult struct {
 // site: take the Xtract batch, read each group's files from the site's
 // data layer, apply the extractor, file each cacheable result in the
 // result cache, and return the batched outcomes (Listing 1 of the paper).
-// Anything but a *taskPayload fails the task.
+// Anything but a *taskPayload fails the task. The steps of a task share
+// one stepScratch, so a step allocates what it reads and one copy of its
+// metadata; the handler itself is shared by concurrent endpoint workers
+// and holds none.
 func (s *Service) makeHandler(site *Site, ext extractors.Extractor) faas.Handler {
 	return func(ctx context.Context, payload any) (any, error) {
 		task, ok := payload.(*taskPayload)
@@ -75,21 +78,32 @@ func (s *Service) makeHandler(site *Site, ext extractors.Extractor) faas.Handler
 			return nil, fmt.Errorf("core: bad task payload %T", payload)
 		}
 		result := &taskResult{Extractor: task.Extractor, Outcomes: make([]stepOutcome, 0, len(task.Steps))}
+		sc := new(stepScratch)
 		for i := range task.Steps {
 			// The context ends with the task: a task declared lost or
 			// cancelled stops here, between steps.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			result.Outcomes = append(result.Outcomes, s.runStep(site, ext, task.Extractor, &task.Steps[i]))
+			result.Outcomes = append(result.Outcomes, s.runStep(site, ext, task.Extractor, &task.Steps[i], sc))
 		}
 		return result, nil
 	}
 }
 
+// stepScratch is what one task's steps reuse, one after another: the map
+// of a step's file contents and the group handed to the extractor, which
+// may keep neither once it returns (extractors.Extractor), and the buffer
+// its metadata is encoded into before the outcome takes a copy.
+type stepScratch struct {
+	files map[string][]byte
+	group family.Group
+	buf   []byte
+}
+
 // runStep executes one step. It reads step and never writes it: the
 // step's files are already in path order, the order they are read in.
-func (s *Service) runStep(site *Site, ext extractors.Extractor, extractor string, step *stepPayload) stepOutcome {
+func (s *Service) runStep(site *Site, ext extractors.Extractor, extractor string, step *stepPayload, sc *stepScratch) stepOutcome {
 	out := stepOutcome{FamilyID: step.FamilyID, GroupID: step.GroupID}
 	if h := s.cfg.ExtractFaults; h != nil {
 		panics, err := h.ExtractFault(extractor, step.GroupID)
@@ -103,7 +117,10 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, extractor string
 			return out
 		}
 	}
-	files := make(map[string][]byte, len(step.Files))
+	if sc.files == nil {
+		sc.files = make(map[string][]byte, len(step.Files))
+	}
+	clear(sc.files)
 	for _, orig := range step.Files {
 		var data []byte
 		var err error
@@ -118,18 +135,18 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, extractor string
 			out.Err = fmt.Sprintf("read %s%s: %v", step.Stage, orig, err)
 			return out
 		}
-		files[orig] = data
+		sc.files[orig] = data
 	}
 
-	g := &family.Group{ID: step.GroupID, Extractor: extractor, Files: step.Files}
+	sc.group = family.Group{ID: step.GroupID, Extractor: extractor, Files: step.Files}
 	start := s.clk.Now()
-	md, err := extract(ext, g, files)
+	md, err := extract(ext, &sc.group, sc.files)
 	out.ExtractMS = float64(s.clk.Since(start).Microseconds()) / 1000
 	if err != nil {
 		out.Err = err.Error()
 		return out
 	}
-	if out.setMetadata(md) && step.ContentHash != "" {
+	if out.setMetadata(md, &sc.buf) && step.ContentHash != "" {
 		// The one record a worker leaves of finished work, under the key
 		// the pump probes: a task lost after this step still has it, and
 		// the retry commits it from the cache instead of extracting again.
@@ -152,16 +169,19 @@ func extract(ext extractors.Extractor, g *family.Group, files map[string][]byte)
 }
 
 // setMetadata completes a successful outcome with the one encoding its
-// metadata ever gets. A dictionary JSON cannot carry (NaN, Inf, an
-// unencodable type) fails the step, not the batch it shares a task with.
-func (out *stepOutcome) setMetadata(md map[string]interface{}) bool {
+// metadata ever gets, made in buf and copied out at its exact size: the
+// pump and the result cache keep the copy, and buf serves the next step.
+// A dictionary JSON cannot carry (NaN, Inf, an unencodable type) fails
+// the step, not the batch it shares a task with.
+func (out *stepOutcome) setMetadata(md map[string]interface{}, buf *[]byte) bool {
 	if len(md) > 0 {
-		raw, err := fastjson.AppendCanonical(nil, md)
+		raw, err := fastjson.AppendCanonical((*buf)[:0], md)
+		*buf = raw[:0]
 		if err != nil {
 			out.Err = "encode metadata: " + err.Error()
 			return false
 		}
-		out.Metadata = raw
+		out.Metadata = append(make(fastjson.Raw, 0, len(raw)), raw...)
 	}
 	out.OK = true
 	return true

@@ -480,16 +480,22 @@ func (c *Crawler) processDir(ctx context.Context, dir string, dq *dirQueue, rng 
 
 // familyMeta returns the records of every file groups name, once each,
 // in path order, out of metas, the directory's records in path order: a
-// window of metas when the files are a run of it — one file, or a
-// whole-directory group — else a copy, with a path-only record for a
-// file the listing lacks.
+// window of metas when the files are a run of it — one file, a
+// whole-directory group, or a VASP calculation with the structure
+// analysis that repeats its POSCAR — else a copy, with a path-only
+// record for a file the listing lacks.
 func familyMeta(groups []family.Group, metas []family.FileMeta) []family.FileMeta {
 	byPath := func(m family.FileMeta, p string) int { return strings.Compare(m.Path, p) }
-	lo, n, run := 0, 0, true
+	lo, n, named, run := 0, 0, 0, true
 	for _, g := range groups {
 		for _, f := range g.Files {
+			named++
 			if n == 0 {
 				lo, run = slices.BinarySearchFunc(metas, f, byPath)
+			} else if run {
+				if _, seen := slices.BinarySearchFunc(metas[lo:lo+n], f, byPath); seen {
+					continue // a file the window already holds
+				}
 			}
 			run = run && lo+n < len(metas) && metas[lo+n].Path == f
 			n++
@@ -498,7 +504,7 @@ func familyMeta(groups []family.Group, metas []family.FileMeta) []family.FileMet
 	if n == 0 || run {
 		return metas[lo : lo+n : lo+n]
 	}
-	out := make([]family.FileMeta, 0, n)
+	out := make([]family.FileMeta, 0, named)
 	for _, g := range groups {
 		for _, f := range g.Files {
 			m := family.FileMeta{Path: f}

@@ -330,6 +330,31 @@ func FuzzParseFloatMatchesStrconv(f *testing.F) {
 	})
 }
 
+// isNumericCases are the YAML values the generators write, the quirks of
+// fmt's float token (a numeric prefix, a decimal with a binary exponent,
+// a token fmt cuts short) and the spaces it skips before one.
+var isNumericCases = []string{
+	"nan", "+Inf", "0x1p4", "0X1P-2", "1p4", "1_000", "1e999", "12abc", "e5", ".5", "1.2.3", "-", "0x",
+	"42", "12.345", "-10.5", "run 731", "true", "false", "user7", "perovskite", "2019-01-01",
+	"NaN", "nano", "info", "ninf", "na5", "-in5", "1P4", "1p", "1p+4", "1p4_0", "0x1.8p1", "0xp1", "0x_1p0",
+	"1e", "1e+", "1e_5", "p", "+.", "Infinity", "-inf", "", " 1", "\t-2.5", "\n1", "\r\n1", "\r1",
+	"\u00a01", "\u20281", "\xff1", "1\n2",
+}
+
+// FuzzIsNumericMatchesSscanf: isNumeric agrees with fmt.Sscanf's %f
+// (refIsNumeric) on every string, leading spaces and newlines included,
+// though extractYAMLish only asks it of values it has trimmed.
+func FuzzIsNumericMatchesSscanf(f *testing.F) {
+	for _, c := range isNumericCases {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := isNumeric(s), refIsNumeric(s); got != want {
+			t.Errorf("isNumeric(%q) = %v, fmt.Sscanf says %v", s, got, want)
+		}
+	})
+}
+
 // TestParseFloatAllocatesNothing: the shapes the corpus is made of,
 // numbers and the words beside them, cost no allocation.
 func TestParseFloatAllocatesNothing(t *testing.T) {

@@ -78,7 +78,9 @@ type Extractor interface {
 	// Extract computes metadata for the group. files maps each group file
 	// path to its contents. g.Files, in path order, is the family's own
 	// slice, which concurrent executions of the step share: Extract reads
-	// it and never writes it.
+	// it and never writes it. Extract keeps neither g nor files once it
+	// returns: the worker reuses both for its task's next step. What it
+	// returns may hold g.Files and the file contents.
 	Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error)
 }
 

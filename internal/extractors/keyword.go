@@ -107,30 +107,22 @@ func (ks Keywords) AppendCanonical(dst []byte) ([]byte, error) { return appendRe
 
 // Extract implements Extractor.
 func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
-	tf := make(map[string]*int)
+	tf := make(map[string]int)
 	totalTokens := 0
 	looksTabular := false
-	var tok []byte // the token being read, lower-cased
 	for _, data := range files {
-		text := string(data)
-		if isProbablyTabular(text) {
-			looksTabular = true
-		}
-		if !isASCII(text) {
+		if !isASCII(data) {
 			// Case folding and letterhood beyond ASCII are unicode's to decide.
+			text := string(data)
+			looksTabular = looksTabular || isProbablyTabular(text)
 			for _, t := range tokenize(text) {
-				totalTokens += countToken(tf, []byte(t))
+				totalTokens += countToken(tf, t)
 			}
 			continue
 		}
-		for i := 0; i <= len(text); i++ {
-			if i < len(text) && text[i]|0x20 >= 'a' && text[i]|0x20 <= 'z' {
-				tok = append(tok, text[i]|0x20)
-				continue
-			}
-			totalTokens += countToken(tf, tok)
-			tok = tok[:0]
-		}
+		text, n := countASCII(tf, data)
+		totalTokens += n
+		looksTabular = looksTabular || isProbablyTabular(text)
 	}
 	if totalTokens == 0 {
 		md := map[string]interface{}{"keywords": Keywords{}, "tokens": 0}
@@ -147,7 +139,7 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 	for w, c := range tf {
 		// TF with a length boost standing in for embedding-based rarity:
 		// longer tokens are rarer and more descriptive in scientific text.
-		score := float64(*c) / float64(totalTokens) * (1 + float64(len(w))/10)
+		score := float64(c) / float64(totalTokens) * (1 + float64(len(w))/10)
 		all = append(all, scored{w, score})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -176,21 +168,59 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 	return md, nil
 }
 
+// longestStopword is the length of the longest stopword: a longer token
+// is counted without a lookup.
+var longestStopword = func() (n int) {
+	for w := range stopwords {
+		n = max(n, len(w))
+	}
+	return n
+}()
+
 // countToken counts one lower-cased token unless it is short or a
-// stopword, and reports whether it did. The maps are probed with
-// string(tok), which does not allocate: only a token seen for the first
-// time is copied.
-func countToken(tf map[string]*int, tok []byte) int {
-	if len(tok) < 3 || stopwords[string(tok)] {
+// stopword, and reports whether it did.
+func countToken(tf map[string]int, tok string) int {
+	if len(tok) < 3 || len(tok) <= longestStopword && stopwords[tok] {
 		return 0
 	}
-	n := tf[string(tok)]
-	if n == nil {
-		n = new(int)
-		tf[string(tok)] = n
-	}
-	*n++
+	tf[tok]++
 	return 1
+}
+
+// countASCII counts the tokens of an ASCII file, runs of letters
+// lower-cased, into tf, and returns the file's lower-cased copy and how
+// many it counted. The copy is the one allocation: it is written in the
+// same pass, and a token is counted as a substring of it once its bytes
+// are in; later writes only extend it.
+func countASCII(tf map[string]int, data []byte) (text string, n int) {
+	var b strings.Builder
+	b.Grow(len(data))
+	done, start := 0, -1 // data[:done] is in b; a token begins at start
+	for i, c := range data {
+		switch {
+		case c-'a' < 26:
+		case c-'A' < 26:
+			b.Write(data[done:i])
+			b.WriteByte(c + 'a' - 'A')
+			done = i + 1
+		default:
+			if start >= 0 {
+				b.Write(data[done:i])
+				done = i
+				n += countToken(tf, b.String()[start:i])
+				start = -1
+			}
+			continue
+		}
+		if start < 0 {
+			start = i
+		}
+	}
+	b.Write(data[done:])
+	if start >= 0 {
+		n += countToken(tf, b.String()[start:])
+	}
+	return b.String(), n
 }
 
 // tokenize lowercases and splits on non-letter runes.

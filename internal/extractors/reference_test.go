@@ -10,6 +10,7 @@ package extractors
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"image"
 	"math"
 	"sort"
@@ -751,7 +752,7 @@ func refExtractYAMLish(text string) map[string]interface{} {
 				typ := "string"
 				if val == "" {
 					typ = "mapping"
-				} else if isNumeric(val) {
+				} else if refIsNumeric(val) {
 					typ = "number"
 				} else if val == "true" || val == "false" {
 					typ = "bool"
@@ -768,4 +769,14 @@ func refExtractYAMLish(text string) map[string]interface{} {
 		"keys":     keys,
 		"num_keys": len(keys),
 	}
+}
+
+// refIsNumeric is isNumeric's definition: whether fmt.Sscanf's %f reads
+// a float from s.
+func refIsNumeric(s string) bool {
+	if s == "" {
+		return false
+	}
+	_, err := fmt.Sscanf(s, "%f", new(float64))
+	return err == nil
 }

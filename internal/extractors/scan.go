@@ -46,7 +46,7 @@ func appendFields(dst []string, s string) []string {
 }
 
 // isASCII reports whether s has no byte >= 0x80.
-func isASCII(s string) bool {
+func isASCII[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= utf8.RuneSelf {
 			return false

@@ -3,9 +3,10 @@ package extractors
 import (
 	"encoding/json"
 	"encoding/xml"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode"
 
 	"xtract/internal/family"
 	"xtract/internal/store"
@@ -197,10 +198,71 @@ func (s *SemiStructured) extractYAMLish(text string) map[string]interface{} {
 	}
 }
 
+// isNumeric reports whether fmt.Sscanf(s, "%f", &f) succeeds, without
+// its scan state: spaces are skipped up to a newline, the longest prefix
+// fmt's float token takes is cut off s ("12abc" is 12), and that token is
+// converted as fmt converts it, a decimal with a 'p' as mantissa times a
+// power of two ("1p4" is 16), anything else by parseFloat ("1e999" is out
+// of range).
 func isNumeric(s string) bool {
-	if s == "" {
+	s = strings.TrimLeftFunc(s, func(r rune) bool { return r != '\n' && unicode.IsSpace(r) })
+	if strings.HasPrefix(s, "\n") {
+		return false // fmt's "unexpected newline"
+	}
+	tok, hex := floatToken(s)
+	mant, exp, binary := tok, "", false
+	if p := strings.IndexByte(tok, 'p'); p >= 0 && !hex {
+		mant, exp, binary = tok[:p], tok[p+1:], true
+	}
+	// A mantissa without a digit is a float only as inf or nan, which
+	// parseFloat alone can tell; anything else would cost strconv's error.
+	if strings.IndexAny(mant, "0123456789") < 0 && !strings.ContainsAny(mant, "iInN") {
 		return false
 	}
-	_, err := fmt.Sscanf(s, "%f", new(float64))
-	return err == nil
+	if _, err := parseFloat(mant); err != nil {
+		return false
+	}
+	if binary {
+		_, err := strconv.Atoi(exp)
+		return err == nil
+	}
+	return true
+}
+
+// floatToken is the prefix of s that fmt's floatToken scans, and whether
+// it took the hexadecimal branch: nan, or a sign and inf, or digits with
+// '_', a fraction and an exponent with its sign. A failed accept leaves
+// what it matched in the token, as fmt's does ("na5" is one token).
+func floatToken(s string) (tok string, hex bool) {
+	i := 0
+	accept := func(set string) bool {
+		if i < len(s) && strings.IndexByte(set, s[i]) >= 0 {
+			i++
+			return true
+		}
+		return false
+	}
+	if accept("nN") && accept("aA") && accept("nN") {
+		return s[:i], false
+	}
+	accept("+-")
+	if accept("iI") && accept("nN") && accept("fF") {
+		return s[:i], false
+	}
+	digits, exp := "0123456789_", "eEpP"
+	if accept("0") && accept("xX") {
+		digits, exp, hex = "0123456789aAbBcCdDeEfF_", "pP", true
+	}
+	for accept(digits) {
+	}
+	if accept(".") {
+		for accept(digits) {
+		}
+	}
+	if accept(exp) {
+		accept("+-")
+		for accept("0123456789_") {
+		}
+	}
+	return s[:i], hex
 }
