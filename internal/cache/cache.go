@@ -8,24 +8,18 @@
 // without content changes hits on every step, while any content or
 // extractor-version change misses and re-extracts.
 //
-// The cache is two layers deep: a bounded in-memory LRU for the hot
-// working set, fronting an optional persistent layer backed by any
-// store.Store (typically the user's destination store), so warm state
-// survives service restarts. A corrupted or mismatched persistent entry
-// is treated as a miss and overwritten by the next write, never trusted.
+// The cache is a bounded in-memory LRU over the hot working set; a
+// restarted service starts it cold.
 package cache
 
 import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
 
 	"xtract/internal/fastjson"
-	"xtract/internal/store"
 )
 
 // Key identifies one cached extraction result.
@@ -40,31 +34,14 @@ type Key struct {
 	Version string
 }
 
-// Entry is the persistent on-store representation of one cached result.
-// The identity fields are stored alongside the metadata so a read can
-// verify the entry actually answers the key it was looked up under —
-// a truncated, corrupted, or foreign file is a miss, not an answer.
-type Entry struct {
-	ContentHash string       `json:"content_hash"`
-	Extractor   string       `json:"extractor"`
-	Version     string       `json:"version"`
-	Metadata    fastjson.Raw `json:"metadata"`
-}
-
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
-	// Hits counts lookups answered from either layer.
+	// Hits counts lookups answered from memory.
 	Hits int64 `json:"hits"`
-	// Misses counts lookups answered by neither layer.
+	// Misses counts lookups that found no entry.
 	Misses int64 `json:"misses"`
 	// Evictions counts in-memory entries displaced by the LRU bound.
 	Evictions int64 `json:"evictions"`
-	// PersistHits counts hits served by the persistent layer (a subset
-	// of Hits; these were promoted into memory).
-	PersistHits int64 `json:"persist_hits"`
-	// PersistErrors counts persistent entries rejected as corrupted or
-	// mismatched, plus failed writes.
-	PersistErrors int64 `json:"persist_errors"`
 	// Entries is the current in-memory entry count.
 	Entries int `json:"entries"`
 	// Capacity is the in-memory LRU bound (0 = unbounded).
@@ -76,7 +53,7 @@ type Stats struct {
 	FileHashHits int64 `json:"file_hash_hits"`
 }
 
-// Cache is the two-layer extraction result cache. Safe for concurrent
+// Cache is the extraction result cache. Safe for concurrent
 // use: several job pumps may share one cache.
 type Cache struct {
 	mu       sync.Mutex
@@ -84,10 +61,7 @@ type Cache struct {
 	order    *list.List // front = most recently used
 	entries  map[Key]*list.Element
 
-	persist store.Store // nil disables the persistent layer
-	prefix  string
-
-	hits, misses, evictions, persistHits, persistErrors int64
+	hits, misses, evictions int64
 
 	// The fingerprint memo has its own lock: crawlers use it while the
 	// pump uses the entries above.
@@ -118,8 +92,8 @@ type memEntry struct {
 	body fastjson.Raw
 }
 
-// New returns a memory-only cache bounded to capacity entries
-// (capacity <= 0 means unbounded).
+// New returns a cache bounded to capacity entries (capacity <= 0 means
+// unbounded).
 func New(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
@@ -128,15 +102,6 @@ func New(capacity int) *Cache {
 		files:    make(map[fileKey]fileHash),
 		maxFiles: maxFileHashes,
 	}
-}
-
-// NewPersistent returns a cache whose misses fall through to (and whose
-// writes replicate into) JSON entries under prefix on st.
-func NewPersistent(capacity int, st store.Store, prefix string) *Cache {
-	c := New(capacity)
-	c.persist = st
-	c.prefix = store.Clean(prefix)
-	return c
 }
 
 // GroupFingerprint derives the content-addressed identity of a group
@@ -170,78 +135,22 @@ func GroupFingerprint(paths []string, hashOf func(path string) string) (string, 
 	return string(out[:]), true
 }
 
-// entryPath is where a key's persistent entry lives. Extractor and
-// version are sanitized into the path; the content hash is already hex.
-func (c *Cache) entryPath(k Key) string {
-	return fmt.Sprintf("%s/%s/%s/%s.json",
-		c.prefix, sanitize(k.Extractor), sanitize(k.Version), k.ContentHash)
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	if len(out) == 0 {
-		return "_"
-	}
-	return string(out)
-}
-
-// Get looks the key up in memory, then in the persistent layer. The
-// returned bytes are the cache's own and must not be modified.
+// Get looks the key up. The returned bytes are the cache's own and must
+// not be modified.
 func (c *Cache) Get(k Key) (fastjson.Raw, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		body := el.Value.(*memEntry).body
-		c.hits++
-		c.mu.Unlock()
-		return body, true
-	}
-	c.mu.Unlock()
-
-	if c.persist == nil {
-		c.miss()
-		return nil, false
-	}
-	data, err := c.persist.Read(c.entryPath(k))
-	if err != nil {
-		c.miss()
-		return nil, false
-	}
-	var ent Entry
-	if err := json.Unmarshal(data, &ent); err != nil ||
-		ent.ContentHash != k.ContentHash || ent.Extractor != k.Extractor ||
-		ent.Version != k.Version || !fastjson.IsObject(ent.Metadata) {
-		// Corrupted or mismatched entry: a miss, never an answer.
-		c.mu.Lock()
-		c.persistErrors++
+	defer c.mu.Unlock()
+	el, ok := c.entries[k]
+	if !ok {
 		c.misses++
-		c.mu.Unlock()
 		return nil, false
 	}
-	c.mu.Lock()
+	c.order.MoveToFront(el)
 	c.hits++
-	c.persistHits++
-	c.putLocked(k, ent.Metadata)
-	c.mu.Unlock()
-	return ent.Metadata, true
-}
-
-func (c *Cache) miss() {
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
+	return el.Value.(*memEntry).body, true
 }
 
 // Put encodes a metadata dictionary and stores it, for callers that hold
@@ -252,41 +161,20 @@ func (c *Cache) Put(k Key, metadata map[string]interface{}) {
 	}
 }
 
-// PutRaw stores a step's encoded metadata object under the key, in
-// memory and (when configured) write-through to the persistent layer.
-// The cache keeps the slice it is given.
+// PutRaw stores a step's encoded metadata object under the key. The
+// cache keeps the slice it is given.
 func (c *Cache) PutRaw(k Key, metadata fastjson.Raw) {
 	if c == nil || !fastjson.IsObject(metadata) {
 		return
 	}
 	c.mu.Lock()
-	c.putLocked(k, metadata)
-	c.mu.Unlock()
-	if c.persist != nil {
-		data, err := json.Marshal(Entry{
-			ContentHash: k.ContentHash,
-			Extractor:   k.Extractor,
-			Version:     k.Version,
-			Metadata:    metadata,
-		})
-		if err == nil {
-			err = c.persist.Write(c.entryPath(k), data)
-		}
-		if err != nil {
-			c.mu.Lock()
-			c.persistErrors++
-			c.mu.Unlock()
-		}
-	}
-}
-
-func (c *Cache) putLocked(k Key, body fastjson.Raw) {
+	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
-		el.Value.(*memEntry).body = body
+		el.Value.(*memEntry).body = metadata
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[k] = c.order.PushFront(&memEntry{key: k, body: body})
+	c.entries[k] = c.order.PushFront(&memEntry{key: k, body: metadata})
 	for c.capacity > 0 && c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -360,14 +248,12 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		PersistHits:   c.persistHits,
-		PersistErrors: c.persistErrors,
-		Entries:       c.order.Len(),
-		Capacity:      c.capacity,
-		FileHashes:    fileHashes,
-		FileHashHits:  fileHashHits,
+		Hits:         c.hits,
+		Misses:       c.misses,
+		Evictions:    c.evictions,
+		Entries:      c.order.Len(),
+		Capacity:     c.capacity,
+		FileHashes:   fileHashes,
+		FileHashHits: fileHashHits,
 	}
 }

@@ -3,12 +3,10 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"testing"
 
 	"xtract/internal/fastjson"
-	"xtract/internal/store"
 )
 
 func md(v string) map[string]interface{} {
@@ -104,89 +102,6 @@ func TestBytesAreStoredOnceAndHandedOut(t *testing.T) {
 	}
 }
 
-func TestPersistentRoundTripAcrossRestart(t *testing.T) {
-	fs := store.NewMemFS("dest", nil)
-	k := Key{ContentHash: "abc", Extractor: "keyword", Version: "1"}
-
-	c1 := NewPersistent(4, fs, "/cache")
-	c1.Put(k, md("persisted"))
-
-	// A fresh cache over the same store simulates a service restart: the
-	// memory layer is cold but the persistent layer answers.
-	c2 := NewPersistent(4, fs, "/cache")
-	got, ok := c2.Get(k)
-	if !ok || string(got) != `{"value":"persisted"}` {
-		t.Fatalf("persistent layer miss: %s, %v", got, ok)
-	}
-	st := c2.Stats()
-	if st.PersistHits != 1 || st.Hits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// The entry was promoted: a second Get is a memory hit even if the
-	// store entry disappears.
-	if err := fs.Delete("/cache/keyword/1/abc.json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.Get(k); !ok {
-		t.Fatal("promoted entry not served from memory")
-	}
-}
-
-func TestCorruptedPersistentEntryIsAMiss(t *testing.T) {
-	fs := store.NewMemFS("dest", nil)
-	k := Key{ContentHash: "abc", Extractor: "keyword", Version: "1"}
-	path := "/cache/keyword/1/abc.json"
-
-	c := NewPersistent(4, fs, "/cache")
-	if err := fs.Write(path, []byte("{not json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("corrupted entry served as a hit")
-	}
-	st := c.Stats()
-	if st.PersistErrors != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-
-	// A well-formed entry whose identity does not match the key is just
-	// as untrustworthy.
-	wrong, _ := json.Marshal(Entry{
-		ContentHash: "other", Extractor: "keyword", Version: "1",
-		Metadata: fastjson.Raw(`{"value":"stolen"}`),
-	})
-	if err := fs.Write(path, wrong); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("mismatched entry served as a hit")
-	}
-
-	// So is an entry under the right identity whose metadata is not an
-	// object: a step's metadata is a dictionary or nothing.
-	for _, bad := range []string{`null`, `[1,2]`, `"text"`, `7`} {
-		body := `{"content_hash":"abc","extractor":"keyword","version":"1","metadata":` + bad + `}`
-		if err := fs.Write(path, []byte(body)); err != nil {
-			t.Fatal(err)
-		}
-		before := c.Stats().PersistErrors
-		if _, ok := c.Get(k); ok {
-			t.Fatalf("entry with metadata %s served as a hit", bad)
-		}
-		if c.Stats().PersistErrors != before+1 {
-			t.Fatalf("metadata %s not counted as a persist error", bad)
-		}
-	}
-
-	// Write-back repairs the slot and later reads trust it again.
-	c2 := NewPersistent(4, fs, "/cache")
-	c2.Put(k, md("repaired"))
-	c3 := NewPersistent(4, fs, "/cache")
-	if got, ok := c3.Get(k); !ok || string(got) != `{"value":"repaired"}` {
-		t.Fatalf("repaired entry = %s, %v", got, ok)
-	}
-}
-
 // fingerprintOf feeds GroupFingerprint a group given as path → hash, in
 // the path order given.
 func fingerprintOf(hashes map[string]string, paths ...string) (string, bool) {
@@ -224,7 +139,7 @@ func TestGroupFingerprint(t *testing.T) {
 
 // TestGroupFingerprintGolden pins the key bytes: the literals were
 // computed by the map-hashing GroupFingerprint this one replaced, so
-// persistent entries written by it still hit.
+// the key is the same for the same group.
 func TestGroupFingerprintGolden(t *testing.T) {
 	vasp := map[string]string{
 		"/data/exp-7/INCAR":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -79,6 +79,7 @@ func (s *Service) makeHandler(site *Site, ext extractors.Extractor) faas.Handler
 		}
 		result := &taskResult{Extractor: task.Extractor, Outcomes: make([]stepOutcome, 0, len(task.Steps))}
 		sc := new(stepScratch)
+		sc.buf = sc.first[:0]
 		for i := range task.Steps {
 			// The context ends with the task: a task declared lost or
 			// cancelled stops here, between steps.
@@ -94,11 +95,14 @@ func (s *Service) makeHandler(site *Site, ext extractors.Extractor) faas.Handler
 // stepScratch is what one task's steps reuse, one after another: the map
 // of a step's file contents and the group handed to the extractor, which
 // may keep neither once it returns (extractors.Extractor), and the buffer
-// its metadata is encoded into before the outcome takes a copy.
+// its metadata is encoded into before the outcome takes a copy. The
+// buffer starts in first, inside the scratch's own allocation, so a step
+// whose metadata fits encodes it without growing one.
 type stepScratch struct {
 	files map[string][]byte
 	group family.Group
 	buf   []byte
+	first [1024]byte
 }
 
 // runStep executes one step. It reads step and never writes it: the

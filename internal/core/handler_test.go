@@ -25,14 +25,15 @@ func (x constExtractor) Extract(*family.Group, map[string][]byte) (map[string]in
 // steps hand back: a step costs the copy of its metadata and one
 // allocation per file it reads (a MemFS read is the caller's copy), and
 // the task a constant: its result and outcome list, the scratch its steps
-// share, that scratch's map, and the encode buffer's growth to the
-// metadata's size. An eight-step task is measured against a one-step
-// task of the same steps.
+// share (its encode buffer inline) and that scratch's map. An eight-step
+// task is measured against a one-step task of the same steps, and the
+// one-step task is held to its own budget: a task that carries a single
+// step pays no buffer growth and no copy beyond its outcome's.
 func TestTaskStepsStayInTheirBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const steps, filesPerStep, perTask = 8, 2, 9
+	const steps, filesPerStep, perTask, oneStep = 8, 2, 5, 8
 	m := newMachine(t, nil)
 	site := &Site{Name: "w", Store: store.NewMemFS("w", nil)}
 	ext := constExtractor{md: map[string]interface{}{"kind": "constant", "files": 2.0,
@@ -68,5 +69,8 @@ func TestTaskStepsStayInTheirBudget(t *testing.T) {
 	}
 	if task := a1 - (1 + filesPerStep); task > perTask {
 		t.Errorf("a task allocated %.0f times besides its steps, budget %d", task, perTask)
+	}
+	if a1 > oneStep {
+		t.Errorf("a one-step task allocated %.0f times, budget %d", a1, oneStep)
 	}
 }

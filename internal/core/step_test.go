@@ -3,8 +3,8 @@ package core
 // step_test.go holds the step state machine (step.go) to its transition
 // table: every (phase, event) pair lands in the stated phase and runs
 // exactly the stated effects, counted by a recording journal hook, a real
-// tenant controller and a cache whose persistent layer counts writes —
-// so "effects run once" is asserted, not inferred from a job's totals.
+// tenant controller and the cache's entries — so "effects run once" is
+// asserted, not inferred from a job's totals.
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,18 +30,6 @@ import (
 	"xtract/internal/validate"
 )
 
-// countingStore counts the writes the cache's persistent layer makes: one
-// per Cache.PutRaw. The pump makes none: the worker writes the cache.
-type countingStore struct {
-	store.Store
-	writes atomic.Int64
-}
-
-func (c *countingStore) Write(path string, data []byte) error {
-	c.writes.Add(1)
-	return c.Store.Write(path, data)
-}
-
 // machine is one pump on a fake clock with every effect sink recording.
 // Its site's endpoint is registered but never started: dispatched steps
 // reach the fabric and stay there, and the test plays the shards' part by
@@ -53,7 +40,6 @@ type machine struct {
 	svc     *Service
 	p       *pump
 	cache   *cache.Cache
-	disk    *countingStore
 	tenants *tenant.Controller
 	jnl     *journal.Journal
 }
@@ -62,8 +48,7 @@ func newMachine(t *testing.T, mut func(*Config)) *machine {
 	t.Helper()
 	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	m := &machine{t: t, clk: clk}
-	m.disk = &countingStore{Store: store.NewMemFS("cache-disk", nil)}
-	m.cache = cache.NewPersistent(0, m.disk, "/cache")
+	m.cache = cache.New(0)
 	m.tenants = tenant.NewController(tenant.Config{Clock: clk})
 	jnl, err := journal.Open(journal.StoreDir(store.NewMemFS("journal-disk", nil), "/wal"), journal.Options{})
 	if err != nil {
@@ -162,7 +147,7 @@ func ok(st *famState, idx int) stepOutcome {
 type effects struct {
 	completed, retried, deadLettered int64 // journal records
 	billed, billedCached, billedFail int64
-	cacheWrites                      int64
+	cacheEntries                     int // the pump makes none: the worker writes the cache
 	results                          int // steps holding their metadata for the family's record
 	stats                            JobStats
 }
@@ -176,7 +161,7 @@ func (m *machine) effects(st *famState) effects {
 		completed: m.jnl.Appends(journal.RecStepCompleted), retried: m.jnl.Appends(journal.RecStepRetried),
 		deadLettered: m.jnl.Appends(journal.RecStepDeadLettered),
 		billed:       u.StepsProcessed, billedCached: u.CacheHits, billedFail: u.StepsFailed,
-		cacheWrites: m.disk.writes.Load(), stats: m.p.JobStats,
+		cacheEntries: m.cache.Len(), stats: m.p.JobStats,
 	}
 	if st != nil {
 		for i := range st.steps {
@@ -190,7 +175,7 @@ func (m *machine) effects(st *famState) effects {
 }
 
 // committed is what one fresh completion causes, and nothing else may: no
-// cache write among it, since the worker that extracted the step made it.
+// cache entry among it, since the worker that extracted the step made it.
 var committed = effects{completed: 1, billed: 1, results: 1,
 	stats: JobStats{StepsProcessed: 1, ExtractorTime: 2 * time.Millisecond}}
 
@@ -298,7 +283,7 @@ func TestStepTransitions(t *testing.T) {
 
 // The cache's half of the table: every offer of a pending step looks it
 // up, under the key derived at its first. A hit commits with no execution
-// and, like any commit, no cache write; a miss goes in flight with the
+// and, like any commit, no cache entry; a miss goes in flight with the
 // key's content hash in its payload; and a step back from backoff is
 // looked up again, so one whose lost task had already finished it — the
 // worker wrote the entry — commits from the cache.
@@ -307,7 +292,6 @@ func TestStepOfferedToTheCache(t *testing.T) {
 	st := m.family("fam", 2)
 	key, _ := m.p.stepCacheKey(st, st.steps[0].step)
 	m.cache.PutRaw(key, fastjson.Raw(`{"from":"an earlier job"}`))
-	m.disk.writes.Store(0)
 
 	m.p.advance(st)
 	missed := &st.steps[1]
@@ -320,7 +304,6 @@ func TestStepOfferedToTheCache(t *testing.T) {
 
 	// The worker finishes the step and files it, then its task is lost.
 	m.cache.PutRaw(missed.key, fastjson.Raw(`{"finished":"before the loss"}`))
-	m.disk.writes.Store(0)
 	m.p.resolveTask(m.terminal(m.accepted("t1", false, stepRef{st, 1}), faas.TaskLost, nil))
 	if missed.phase != stepBackoff {
 		t.Fatalf("phase after the loss = %d, want backoff", missed.phase)
@@ -331,7 +314,7 @@ func TestStepOfferedToTheCache(t *testing.T) {
 	if missed.phase != stepDone || st.phase != famFinished {
 		t.Fatalf("retried step phase %d, family %d; want done from the cache", missed.phase, st.phase)
 	}
-	want := effects{completed: 2, retried: 1, billed: 2, billedCached: 2, results: 2,
+	want := effects{completed: 2, retried: 1, billed: 2, billedCached: 2, results: 2, cacheEntries: 2,
 		stats: JobStats{StepsProcessed: 2, CacheHits: 2, CacheMisses: 1, StepsRetried: 1, TasksResubmitted: 1, FamiliesDone: 1}}
 	if got := m.effects(st); got != want {
 		t.Fatalf("effects\n got %+v\nwant %+v", got, want)
@@ -356,7 +339,7 @@ func TestWorkerWritesTheCache(t *testing.T) {
 		if res, ok := out.(*taskResult); err != nil || !ok || len(res.Outcomes) != 1 || !res.Outcomes[0].OK {
 			t.Fatalf("noCache=%v: the step did not extract: %#v, %v", noCache, out, err)
 		}
-		if got, want := m.disk.writes.Load(), map[bool]int64{false: 1, true: 0}[noCache]; got != want {
+		if got, want := m.cache.Len(), map[bool]int{false: 1, true: 0}[noCache]; got != want {
 			t.Fatalf("noCache=%v: the worker wrote %d cache entries, want %d", noCache, got, want)
 		}
 		if md, hit := m.cache.Get(st.steps[0].key); hit != !noCache || hit && !bytes.Contains(md, []byte("perovskite")) {
@@ -376,7 +359,7 @@ func TestSameCompletionTwiceHasNoSecondEffect(t *testing.T) {
 	ev := m.terminal(m.accepted("t1", false, stepRef{st, 0}), faas.TaskSuccess, []stepOutcome{ok(st, 0)})
 
 	m.p.resolveTask(ev)
-	if got := m.effects(st); got.completed != 1 || got.billed != 1 || got.cacheWrites != 0 || got.stats.DuplicateSteps != 0 {
+	if got := m.effects(st); got.completed != 1 || got.billed != 1 || got.cacheEntries != 0 || got.stats.DuplicateSteps != 0 {
 		t.Fatalf("first delivery: %+v", got)
 	}
 	first := m.effects(st)

@@ -1,5 +1,5 @@
-// Package crawler implements Xtract's elastically parallel crawler: a
-// pool of worker threads draining a shared directory queue, listing each
+// Package crawler implements Xtract's parallel crawler: a pool of worker
+// threads draining a shared directory queue, listing each
 // directory on the remote store, applying a grouping function to the
 // files found, packaging overlapping groups into min-transfer families,
 // and handing each directory's families to a sink — in process, the
@@ -49,10 +49,8 @@ type Stats struct {
 	FilesHashed       int64
 	HashesReused      int64
 	FingerprintErrors int64
-	// RateLimited counts listings retried after a rate-limit rejection,
-	// WorkersSpawned workers added by elastic scaling.
-	RateLimited    int64
-	WorkersSpawned int64
+	// RateLimited counts listings retried after a rate-limit rejection.
+	RateLimited int64
 }
 
 // Add accumulates another crawl's statistics into s.
@@ -67,7 +65,6 @@ func (s *Stats) Add(o Stats) {
 	s.HashesReused += o.HashesReused
 	s.FingerprintErrors += o.FingerprintErrors
 	s.RateLimited += o.RateLimited
-	s.WorkersSpawned += o.WorkersSpawned
 }
 
 // Totals are running sums over every crawl that shares them: the
@@ -117,19 +114,6 @@ type Crawler struct {
 	UseMinTransfers bool
 	// Clock paces rate-limit backoff (default: real clock).
 	Clock clock.Clock
-	// MaxWorkers enables elastic scaling: when the directory backlog
-	// exceeds ScaleBacklog×(current workers), additional crawl workers
-	// start, up to this bound (the paper's crawler "starts new EC2
-	// resources ... if current instances are overloaded"). 0 disables.
-	MaxWorkers int
-	// ScaleBacklog is the backlog-per-worker ratio that triggers scaling
-	// (default 4).
-	ScaleBacklog int
-	// RateLimitRetries bounds retries of a rate-limited listing (the
-	// Google Drive API path); each retry backs off exponentially from
-	// RateLimitBackoff.
-	RateLimitRetries int
-	RateLimitBackoff time.Duration
 	// Fingerprint makes the crawler record each file's content hash
 	// (ExactKey) into family.FileMeta.ContentHash, the key material
 	// for the extraction result cache. This is the one deliberate
@@ -152,16 +136,14 @@ type Crawler struct {
 // min-transfers on, family size 16) feeding out.
 func NewTo(s store.Store, grouper GroupingFunc, out Sink) *Crawler {
 	return &Crawler{
-		Store:            s,
-		Workers:          16,
-		Grouper:          grouper,
-		MaxFamilySize:    16,
-		Seed:             1,
-		Out:              out,
-		UseMinTransfers:  true,
-		Clock:            clock.NewReal(),
-		RateLimitRetries: 4,
-		RateLimitBackoff: 100 * time.Millisecond,
+		Store:           s,
+		Workers:         16,
+		Grouper:         grouper,
+		MaxFamilySize:   16,
+		Seed:            1,
+		Out:             out,
+		UseMinTransfers: true,
+		Clock:           clock.NewReal(),
 	}
 }
 
@@ -267,22 +249,12 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 		total.Add(d)
 		mu.Unlock()
 	}
-	spawn := func(seed int64) {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(seed int64) {
 			defer wg.Done()
 			c.work(ctx, dq, seed, add)
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		spawn(c.Seed + int64(w))
-	}
-	if c.MaxWorkers > workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			add(Stats{WorkersSpawned: c.scale(ctx, dq, workers, spawn)})
-		}()
+		}(c.Seed + int64(w))
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -331,46 +303,21 @@ func (s *lazySource) Int63() int64    { return s.get().Int63() }
 func (s *lazySource) Uint64() uint64  { return s.get().Uint64() }
 func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
-// scale is elastic scaling: it spawns workers while the backlog outruns
-// the pool of current, up to MaxWorkers, and reports how many it added.
-func (c *Crawler) scale(ctx context.Context, dq *dirQueue, current int, spawn func(seed int64)) int64 {
-	ratio := c.ScaleBacklog
-	if ratio < 1 {
-		ratio = 4
-	}
-	var added int64
-	for current < c.MaxWorkers {
-		dq.mu.Lock()
-		backlog := len(dq.items)
-		outstanding := dq.outstanding
-		closed := dq.closed
-		dq.mu.Unlock()
-		if closed || (backlog == 0 && outstanding == 0) {
-			return added
-		}
-		if backlog > ratio*current {
-			spawn(c.Seed + int64(current) + 1000)
-			current++
-			added++
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return added
-		case <-c.Clock.After(time.Millisecond):
-		}
-	}
-	return added
-}
+// A rate-limited listing (the Drive API's token bucket) is retried up to
+// rateLimitRetries times, each retry backing off twice as long as the one
+// before, from rateLimitBackoff.
+const (
+	rateLimitRetries = 4
+	rateLimitBackoff = 100 * time.Millisecond
+)
 
-// listWithBackoff lists a directory, retrying rate-limit rejections
-// (e.g., the Drive API's token bucket) with exponential backoff, each
-// retry counted in d.
+// listWithBackoff lists a directory, retrying rate-limit rejections with
+// exponential backoff, each retry counted in d.
 func (c *Crawler) listWithBackoff(dir string, d *Stats) ([]store.FileInfo, error) {
-	backoff := c.RateLimitBackoff
+	backoff := rateLimitBackoff
 	for attempt := 0; ; attempt++ {
 		infos, err := c.Store.List(dir)
-		if err == nil || !errors.Is(err, store.ErrRateLimit) || attempt >= c.RateLimitRetries {
+		if err == nil || !errors.Is(err, store.ErrRateLimit) || attempt >= rateLimitRetries {
 			return infos, err
 		}
 		d.RateLimited++

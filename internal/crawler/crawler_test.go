@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -386,95 +387,105 @@ func TestCrawlNaiveVsMinTransfers(t *testing.T) {
 	}
 }
 
+// listTimes records when each directory was listed, on the store's clock.
+type listTimes struct {
+	store.Store
+	clk *clock.Fake
+	mu  sync.Mutex
+	at  map[string][]time.Duration // since start, one per List call
+	t0  time.Time
+}
+
+func (l *listTimes) List(dir string) ([]store.FileInfo, error) {
+	l.mu.Lock()
+	l.at[dir] = append(l.at[dir], l.clk.Now().Sub(l.t0))
+	l.mu.Unlock()
+	return l.Store.List(dir)
+}
+
+// crawlOnFakeClock crawls a Drive store behind a listTimes, one worker on
+// clk, advancing clk 10 ms at a time whenever the crawl sleeps on it.
+func crawlOnFakeClock(t *testing.T, clk *clock.Fake, drive *store.DriveStore) (Stats, map[string][]time.Duration) {
+	t.Helper()
+	lt := &listTimes{Store: drive, clk: clk, at: map[string][]time.Duration{}, t0: clk.Now()}
+	c := NewTo(lt, SingleFileGrouper(extractors.DefaultLibrary()), func(_ context.Context, fams []family.Family) int { return len(fams) })
+	c.Workers, c.Clock = 1, clk
+	var stats Stats
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stats, err = c.Crawl(context.Background(), []string{"/"})
+	}()
+	for {
+		select {
+		case <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats, lt.at
+		default:
+		}
+		if clk.PendingTimers() > 0 {
+			clk.Advance(10 * time.Millisecond)
+		} else {
+			runtime.Gosched()
+		}
+	}
+}
+
+// gaps returns the spans between consecutive calls.
+func gaps(at []time.Duration) []time.Duration {
+	var out []time.Duration
+	for i := 1; i < len(at); i++ {
+		out = append(out, at[i]-at[i-1])
+	}
+	return out
+}
+
 func TestCrawlRetriesRateLimitedDriveStore(t *testing.T) {
-	// A rate-limited Drive store rejects bursts; the crawler must back
-	// off and finish the crawl anyway.
-	clk := clock.NewReal()
-	drive := store.NewDriveStore("gdrive", clk, 200, 2) // tight burst, fast refill
+	// A Drive store with one token and 2.5 a second refilling rejects
+	// every listing after the first until 0.7 s of backoff has passed:
+	// three retries a directory, 100, 200 and 400 ms apart.
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	drive := store.NewDriveStore("gdrive", clk, 2.5, 1)
 	for i := 0; i < 6; i++ {
 		if err := drive.Write(fmt.Sprintf("/docs/d%d/f.txt", i), []byte("words")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out := queue.New("families", clk)
-	c := New(drive, SingleFileGrouper(extractors.DefaultLibrary()), out)
-	c.Workers = 2
-	c.RateLimitBackoff = 2 * time.Millisecond
-	c.RateLimitRetries = 8
-	stats, err := c.Crawl(context.Background(), []string{"/"})
-	if err != nil {
-		t.Fatal(err)
+	stats, at := crawlOnFakeClock(t, clk, drive)
+	if stats.FilesSeen != 6 || stats.ListErrors != 0 {
+		t.Fatalf("FilesSeen = %d, list errors %d", stats.FilesSeen, stats.ListErrors)
 	}
-	if stats.FilesSeen != 6 {
-		t.Fatalf("FilesSeen = %d (list errors %d, rate limited %d)",
-			stats.FilesSeen, stats.ListErrors, stats.RateLimited)
+	if stats.RateLimited != 3*7 {
+		t.Fatalf("RateLimited = %d, want 3 for /docs and each of its 6 directories", stats.RateLimited)
 	}
-	if stats.RateLimited == 0 {
-		t.Fatal("rate limiter never tripped; test is vacuous")
+	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond}
+	for dir, calls := range at {
+		if dir == "/" {
+			continue // the bucket's one token
+		}
+		if got := gaps(calls); !slices.Equal(got, want) {
+			t.Errorf("%s: retries %v apart, want %v", dir, got, want)
+		}
 	}
 }
 
 func TestCrawlRateLimitRetriesExhausted(t *testing.T) {
-	// With zero refill the retries run out and the listing counts as an
-	// error rather than hanging.
-	clk := clock.NewReal()
+	// With no refill to speak of, /d is rejected on its first listing and
+	// on all four retries: the listing counts as an error rather than
+	// hanging.
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	drive := store.NewDriveStore("gdrive", clk, 0.000001, 1)
 	_ = drive.Write("/d/f.txt", []byte("x"))
-	out := queue.New("families", clk)
-	c := New(drive, SingleFileGrouper(extractors.DefaultLibrary()), out)
-	c.Workers = 1
-	c.RateLimitBackoff = time.Microsecond
-	c.RateLimitRetries = 2
-	stats, err := c.Crawl(context.Background(), []string{"/", "/d"})
-	if err != nil {
-		t.Fatal(err)
+	stats, at := crawlOnFakeClock(t, clk, drive)
+	if stats.ListErrors != 1 || stats.RateLimited != 4 || stats.DirsListed != 1 {
+		t.Fatalf("expected /d's exhausted retries to surface as one list error: %+v", stats)
 	}
-	if stats.ListErrors == 0 {
-		t.Fatalf("expected exhausted retries to surface as list errors: %+v", stats)
-	}
-}
-
-func TestElasticScalingSpawnsWorkers(t *testing.T) {
-	// A wide, slow store overloads 1 initial worker; elastic scaling must
-	// spawn more and the crawl must still find everything.
-	clk := clock.NewReal()
-	inner := store.NewMemFS("wide", nil)
-	for i := 0; i < 200; i++ {
-		if err := inner.Write(fmt.Sprintf("/r/d%03d/f.txt", i), []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slow := store.WithLatency(inner, clk, store.LatencyProfile{ListRTT: time.Millisecond})
-	out := queue.New("families", clk)
-	c := New(slow, SingleFileGrouper(extractors.DefaultLibrary()), out)
-	c.Workers = 1
-	c.MaxWorkers = 8
-	c.ScaleBacklog = 2
-	stats, err := c.Crawl(context.Background(), []string{"/r"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FilesSeen != 200 {
-		t.Fatalf("FilesSeen = %d", stats.FilesSeen)
-	}
-	if stats.WorkersSpawned == 0 {
-		t.Fatal("no workers spawned despite backlog")
-	}
-	if stats.WorkersSpawned > 7 {
-		t.Fatalf("spawned %d workers, cap is 7", stats.WorkersSpawned)
-	}
-}
-
-func TestElasticScalingDisabledByDefault(t *testing.T) {
-	fs := buildTree(t)
-	out := queue.New("families", clock.NewReal())
-	c := New(fs, SingleFileGrouper(extractors.DefaultLibrary()), out)
-	stats, err := c.Crawl(context.Background(), []string{"/"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WorkersSpawned != 0 {
-		t.Fatalf("spawned %d workers with scaling disabled", stats.WorkersSpawned)
+	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 800 * time.Millisecond}
+	if got := gaps(at["/d"]); !slices.Equal(got, want) {
+		t.Fatalf("/d: retries %v apart, want %v", got, want)
 	}
 }
 
@@ -514,16 +525,17 @@ func TestCrawlFingerprintRecordsContentHashes(t *testing.T) {
 	}
 }
 
-// peekStore notes the output queue's depth each time the crawler asks the
-// store's name, which it does once per family while packaging a directory.
+// peekStore notes how many messages the output queue has taken each time
+// the crawler asks the store's name, which it does once per family while
+// packaging a directory.
 type peekStore struct {
 	store.Store
 	out      *queue.Queue
-	maxDepth int
+	maxDepth int64
 }
 
 func (p *peekStore) Name() string {
-	if n := p.out.Len(); n > p.maxDepth {
+	if n, _ := p.out.Stats(); n > p.maxDepth {
 		p.maxDepth = n
 	}
 	return p.Store.Name()
@@ -549,8 +561,8 @@ func TestCrawlSendsOneBatchPerDirectory(t *testing.T) {
 	if ps.maxDepth != 0 {
 		t.Fatalf("queue held %d families of a directory still being packaged", ps.maxDepth)
 	}
-	if stats.FamiliesEmitted != 10 || out.Len() != 10 {
-		t.Fatalf("emitted %d, queued %d; want 10, 10", stats.FamiliesEmitted, out.Len())
+	if queued := len(out.Drain()); stats.FamiliesEmitted != 10 || queued != 10 {
+		t.Fatalf("emitted %d, queued %d; want 10, 10", stats.FamiliesEmitted, queued)
 	}
 }
 

@@ -52,10 +52,6 @@ type Options struct {
 	// this in-memory entry bound; warm re-runs over unchanged content
 	// replay cached metadata instead of dispatching extractors.
 	CacheCapacity int
-	// CachePersistPrefix, with CacheCapacity > 0, additionally persists
-	// cache entries under this prefix on the destination store so warm
-	// state survives restarts.
-	CachePersistPrefix string
 	// Journal, when set, is the durable job journal the core service
 	// writes every job state transition to; pass an opened journal (its
 	// replayed state feeds Service.Recover at startup).
@@ -132,11 +128,7 @@ func New(ctx context.Context, clk clock.Clock, sites []SiteSpec, opts Options) (
 		func() float64 { return float64(d.Validation.Pending()) })
 
 	if opts.CacheCapacity > 0 {
-		if opts.CachePersistPrefix != "" {
-			d.Cache = cache.NewPersistent(opts.CacheCapacity, opts.Dest, opts.CachePersistPrefix)
-		} else {
-			d.Cache = cache.New(opts.CacheCapacity)
-		}
+		d.Cache = cache.New(opts.CacheCapacity)
 	}
 
 	d.Service = core.New(core.Config{

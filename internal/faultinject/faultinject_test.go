@@ -121,7 +121,7 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if err := inj.DispatchFault("ep"); err != nil {
 		t.Fatal(err)
 	}
-	if inj.HeartbeatDrop("ep") || inj.EndpointCrash("ep") || inj.ReceiveFault("q") {
+	if inj.HeartbeatDrop("ep") || inj.EndpointCrash("ep") {
 		t.Fatal("nil injector fired")
 	}
 	if stall, err := inj.TransferFault("a", "b"); stall != 0 || err != nil {
@@ -142,7 +142,7 @@ func TestZeroProbNeverFires(t *testing.T) {
 	inj := New(Config{Seed: 11}) // all rules zero
 	for i := 0; i < 100; i++ {
 		if inj.DispatchFault("ep") != nil || inj.HeartbeatDrop("ep") ||
-			inj.EndpointCrash("ep") || inj.ReceiveFault("q") {
+			inj.EndpointCrash("ep") {
 			t.Fatal("zero-probability rule fired")
 		}
 		if stall, err := inj.TransferFault("a", "b"); stall != 0 || err != nil {
@@ -208,11 +208,11 @@ func TestExtractFaultPanicPrecedence(t *testing.T) {
 }
 
 func TestInjectorString(t *testing.T) {
-	inj := New(Config{Seed: 77, QueueDrop: Rule{Prob: 1, Max: 2}})
-	inj.ReceiveFault("q")
-	inj.ReceiveFault("q")
+	inj := New(Config{Seed: 77, HeartbeatDrop: Rule{Prob: 1, Max: 2}})
+	inj.HeartbeatDrop("ep")
+	inj.HeartbeatDrop("ep")
 	s := inj.String()
-	if !strings.Contains(s, "seed=77") || !strings.Contains(s, "queue_drop=2") {
+	if !strings.Contains(s, "seed=77") || !strings.Contains(s, "heartbeat_drop=2") {
 		t.Fatalf("String() = %q", s)
 	}
 }

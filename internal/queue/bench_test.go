@@ -9,11 +9,11 @@ import (
 
 func BenchmarkSendReceiveDelete(b *testing.B) {
 	q := New("bench", clock.NewReal())
-	body := make([]byte, 256)
+	body := [][]byte{make([]byte, 256)}
 	b.SetBytes(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Send(body)
+		q.SendBatch(body)
 		msgs := q.Receive(1, time.Minute)
 		_ = q.Delete(msgs[0].Receipt)
 	}

@@ -15,9 +15,21 @@ func newTestQueue() (*Queue, *clock.Fake) {
 	return New("test", clk), clk
 }
 
+// send enqueues one message and returns its ID.
+func send(q *Queue, body []byte) string { return q.SendBatch([][]byte{body})[0] }
+
+// depth reports the visible and in-flight message counts, as the next
+// Receive would find them.
+func depth(q *Queue) (visible, inflight int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.reclaimLocked()
+	return len(q.visible), len(q.inflight)
+}
+
 func TestSendReceiveDelete(t *testing.T) {
 	q, _ := newTestQueue()
-	id := q.Send([]byte("hello"))
+	id := send(q, []byte("hello"))
 	if id == "" {
 		t.Fatal("empty message id")
 	}
@@ -34,7 +46,7 @@ func TestSendReceiveDelete(t *testing.T) {
 	if err := q.Delete(msgs[0].Receipt); err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 0 || q.InFlight() != 0 {
+	if v, f := depth(q); v != 0 || f != 0 {
 		t.Fatal("queue not empty after delete")
 	}
 }
@@ -42,7 +54,7 @@ func TestSendReceiveDelete(t *testing.T) {
 func TestFIFOOrder(t *testing.T) {
 	q, _ := newTestQueue()
 	for i := 0; i < 5; i++ {
-		q.Send([]byte(fmt.Sprintf("m%d", i)))
+		send(q, []byte(fmt.Sprintf("m%d", i)))
 	}
 	msgs := q.Receive(5, time.Minute)
 	for i, m := range msgs {
@@ -54,7 +66,7 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestVisibilityTimeoutRedelivers(t *testing.T) {
 	q, clk := newTestQueue()
-	q.Send([]byte("x"))
+	send(q, []byte("x"))
 	msgs := q.Receive(1, 30*time.Second)
 	if len(msgs) != 1 {
 		t.Fatal("expected one message")
@@ -77,79 +89,20 @@ func TestVisibilityTimeoutRedelivers(t *testing.T) {
 	}
 }
 
-func TestNack(t *testing.T) {
-	q, _ := newTestQueue()
-	q.Send([]byte("x"))
-	m := q.Receive(1, time.Minute)[0]
-	if err := q.Nack(m.Receipt); err != nil {
-		t.Fatal(err)
-	}
-	if q.Len() != 1 {
-		t.Fatal("nacked message not visible")
-	}
-	if err := q.Nack("bogus"); err != ErrUnknownReceipt {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReclaimAll(t *testing.T) {
-	q, _ := newTestQueue()
-	for i := 0; i < 3; i++ {
-		q.Send([]byte(fmt.Sprintf("m%d", i)))
-	}
-	held := q.Receive(2, time.Hour)
-	if len(held) != 2 || q.InFlight() != 2 || q.Len() != 1 {
-		t.Fatalf("setup: held=%d inflight=%d visible=%d", len(held), q.InFlight(), q.Len())
-	}
-	if n := q.ReclaimAll(); n != 2 {
-		t.Fatalf("ReclaimAll = %d, want 2", n)
-	}
-	if q.InFlight() != 0 || q.Len() != 3 {
-		t.Fatalf("after reclaim: inflight=%d visible=%d", q.InFlight(), q.Len())
-	}
-	// The pre-restart receipts died with the old consumer.
-	if err := q.Delete(held[0].Receipt); err != ErrUnknownReceipt {
-		t.Fatalf("stale receipt delete err = %v, want ErrUnknownReceipt", err)
-	}
-	// Reclaimed messages redeliver with a bumped delivery count.
-	again := q.Receive(10, time.Minute)
-	if len(again) != 3 {
-		t.Fatalf("redelivered %d messages, want 3", len(again))
-	}
-	bumped := 0
-	for _, m := range again {
-		if m.Deliveries == 2 {
-			bumped++
-		}
-	}
-	if bumped != 2 {
-		t.Fatalf("%d messages show redelivery, want 2", bumped)
-	}
-	// Idempotent on an all-visible queue.
-	for _, m := range again {
-		if err := q.Nack(m.Receipt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := q.ReclaimAll(); n != 0 {
-		t.Fatalf("second ReclaimAll = %d, want 0", n)
-	}
-}
-
 func TestSendBatch(t *testing.T) {
 	q, _ := newTestQueue()
 	ids := q.SendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")})
 	if len(ids) != 3 {
 		t.Fatalf("ids = %d", len(ids))
 	}
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d", q.Len())
+	if v, _ := depth(q); v != 3 {
+		t.Fatalf("visible = %d", v)
 	}
 }
 
 func TestReceiveMaxZero(t *testing.T) {
 	q, _ := newTestQueue()
-	q.Send([]byte("a"))
+	send(q, []byte("a"))
 	if got := q.Receive(0, time.Minute); got != nil {
 		t.Fatal("Receive(0) should return nil")
 	}
@@ -157,8 +110,8 @@ func TestReceiveMaxZero(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	q, _ := newTestQueue()
-	q.Send([]byte("a"))
-	q.Send([]byte("b"))
+	send(q, []byte("a"))
+	send(q, []byte("b"))
 	m := q.Receive(1, time.Minute)[0]
 	_ = q.Delete(m.Receipt)
 	sent, deleted := q.Stats()
@@ -170,13 +123,13 @@ func TestStats(t *testing.T) {
 func TestDrain(t *testing.T) {
 	q, _ := newTestQueue()
 	for i := 0; i < 100; i++ {
-		q.Send([]byte{byte(i)})
+		send(q, []byte{byte(i)})
 	}
 	bodies := q.Drain()
 	if len(bodies) != 100 {
 		t.Fatalf("drained %d, want 100", len(bodies))
 	}
-	if q.Len() != 0 || q.InFlight() != 0 {
+	if v, f := depth(q); v != 0 || f != 0 {
 		t.Fatal("queue not empty after drain")
 	}
 }
@@ -184,7 +137,7 @@ func TestDrain(t *testing.T) {
 func TestBodyIsCopied(t *testing.T) {
 	q, _ := newTestQueue()
 	b := []byte("mutate-me")
-	q.Send(b)
+	send(q, b)
 	b[0] = 'X'
 	m := q.Receive(1, time.Minute)[0]
 	if string(m.Body) != "mutate-me" {
@@ -201,7 +154,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				q.Send([]byte("m"))
+				send(q, []byte("m"))
 			}
 		}()
 	}
@@ -263,7 +216,7 @@ func TestAtLeastOnceNoLoss(t *testing.T) {
 		}
 		q, _ := newTestQueue()
 		for i := 0; i < int(n); i++ {
-			q.Send([]byte{byte(i)})
+			send(q, []byte{byte(i)})
 		}
 		seen := 0
 		for {
@@ -292,7 +245,7 @@ func TestDeleteBatchSkipsStaleReceiptAfterRedelivery(t *testing.T) {
 	// The first consumer's stale receipt must be a no-op — acknowledging
 	// it must not delete (or double-count) the redelivered copy.
 	q, clk := newTestQueue()
-	q.Send([]byte("fam"))
+	send(q, []byte("fam"))
 
 	first := q.Receive(1, 10*time.Second)
 	if len(first) != 1 {
@@ -316,20 +269,20 @@ func TestDeleteBatchSkipsStaleReceiptAfterRedelivery(t *testing.T) {
 	if n := q.DeleteBatch([]string{first[0].Receipt}); n != 0 {
 		t.Fatalf("stale DeleteBatch acked %d messages, want 0", n)
 	}
-	if q.InFlight() != 1 {
-		t.Fatalf("inflight = %d after stale ack, want 1", q.InFlight())
+	if _, f := depth(q); f != 1 {
+		t.Fatalf("inflight = %d after stale ack, want 1", f)
 	}
 
 	// The second consumer's ack completes the message exactly once.
 	if n := q.DeleteBatch([]string{second[0].Receipt}); n != 1 {
 		t.Fatalf("fresh DeleteBatch acked %d messages, want 1", n)
 	}
-	if q.Len() != 0 || q.InFlight() != 0 {
-		t.Fatalf("queue not drained: visible=%d inflight=%d", q.Len(), q.InFlight())
+	if v, f := depth(q); v != 0 || f != 0 {
+		t.Fatalf("queue not drained: visible=%d inflight=%d", v, f)
 	}
 
 	// A mixed batch (stale + fresh) counts only the known receipt.
-	q.Send([]byte("fam2"))
+	send(q, []byte("fam2"))
 	m1 := q.Receive(1, time.Second)
 	clk.Advance(2 * time.Second)
 	m2 := q.Receive(1, time.Minute)
@@ -339,7 +292,36 @@ func TestDeleteBatchSkipsStaleReceiptAfterRedelivery(t *testing.T) {
 	if n := q.DeleteBatch([]string{m1[0].Receipt, m2[0].Receipt}); n != 1 {
 		t.Fatalf("mixed DeleteBatch = %d, want 1", n)
 	}
-	if q.Len() != 0 || q.InFlight() != 0 {
+	if v, f := depth(q); v != 0 || f != 0 {
 		t.Fatal("queue not drained after mixed batch")
+	}
+}
+
+func TestDeleteBatch(t *testing.T) {
+	q, _ := newTestQueue()
+	for i := 0; i < 5; i++ {
+		send(q, []byte(fmt.Sprintf("m%d", i)))
+	}
+	msgs := q.Receive(5, time.Minute)
+	if len(msgs) != 5 {
+		t.Fatalf("received %d, want 5", len(msgs))
+	}
+	receipts := make([]string, 0, len(msgs))
+	for _, m := range msgs {
+		receipts = append(receipts, m.Receipt)
+	}
+	receipts = append(receipts, "r-bogus-999") // unknown receipts are skipped
+	if n := q.DeleteBatch(receipts); n != 5 {
+		t.Fatalf("DeleteBatch acknowledged %d, want 5", n)
+	}
+	if v, f := depth(q); v != 0 || f != 0 {
+		t.Fatalf("queue not empty after batch delete: visible=%d inflight=%d", v, f)
+	}
+	_, deleted := q.Stats()
+	if deleted != 5 {
+		t.Fatalf("deleted stat = %d, want 5", deleted)
+	}
+	if n := q.DeleteBatch(receipts); n != 0 {
+		t.Fatalf("double DeleteBatch acknowledged %d, want 0", n)
 	}
 }

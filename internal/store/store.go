@@ -1,7 +1,8 @@
 // Package store implements the storage systems Xtract crawls and reads:
 // an in-memory POSIX-like file system (stand-in for Lustre/Ceph behind a
-// Globus endpoint), an S3-like object store, and a Google-Drive-like store
-// with per-request rate limiting and MIME types instead of extensions.
+// Globus endpoint), a directory on local disk, and a Google-Drive-like
+// store with per-request rate limiting and MIME types instead of
+// extensions.
 //
 // All stores share the Store interface so the crawler and transfer fabric
 // are agnostic to where files live, mirroring the paper's modular crawler

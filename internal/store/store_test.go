@@ -287,65 +287,6 @@ func TestMemFSRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestObjectStoreBasics(t *testing.T) {
-	o := NewObjectStore("s3", nil)
-	if err := o.Write("/bucket/dir/key.json", []byte("{}")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := o.Read("/bucket/dir/key.json")
-	if err != nil || string(got) != "{}" {
-		t.Fatalf("Read = %q, %v", got, err)
-	}
-	if o.KeyCount() != 1 {
-		t.Fatalf("KeyCount = %d", o.KeyCount())
-	}
-	info, err := o.Stat("/bucket/dir/key.json")
-	if err != nil || info.Extension != "json" {
-		t.Fatalf("Stat = %+v, %v", info, err)
-	}
-	// Prefix stat acts as a directory.
-	dinfo, err := o.Stat("/bucket/dir")
-	if err != nil || !dinfo.IsDir {
-		t.Fatalf("prefix Stat = %+v, %v", dinfo, err)
-	}
-}
-
-func TestObjectStoreList(t *testing.T) {
-	o := NewObjectStore("s3", nil)
-	_ = o.Write("/b/x.txt", []byte("1"))
-	_ = o.Write("/b/sub/y.txt", []byte("2"))
-	_ = o.Write("/b/sub/deep/z.txt", []byte("3"))
-	infos, err := o.List("/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expect sub (dir) and x.txt
-	if len(infos) != 2 {
-		t.Fatalf("infos = %+v", infos)
-	}
-	var names []string
-	for _, fi := range infos {
-		names = append(names, fi.Name)
-	}
-	if names[0] != "sub" || names[1] != "x.txt" {
-		t.Fatalf("names = %v", names)
-	}
-	if _, err := o.List("/nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestObjectStoreDelete(t *testing.T) {
-	o := NewObjectStore("s3", nil)
-	_ = o.Write("/k", []byte("v"))
-	if err := o.Delete("/k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Delete("/k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestDriveStoreMimeAndID(t *testing.T) {
 	clk := clock.NewFake(time.Unix(0, 0))
 	d := NewDriveStore("gdrive", clk, 0, 0)

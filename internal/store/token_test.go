@@ -17,9 +17,8 @@ func frozen() time.Time { return time.Unix(1_600_000_000, 0) }
 // plain Store interface and on a frozen clock.
 func tokenStores() map[string]Store {
 	return map[string]Store{
-		"memfs":  NewMemFS("s", frozen),
-		"object": NewObjectStore("s", frozen),
-		"drive":  NewDriveStore("s", clock.NewFake(frozen()), 0, 0),
+		"memfs": NewMemFS("s", frozen),
+		"drive": NewDriveStore("s", clock.NewFake(frozen()), 0, 0),
 	}
 }
 
@@ -108,10 +107,9 @@ func TestChangeTokenRetiredByEveryWrite(t *testing.T) {
 // hand out each other's tokens.
 func TestChangeTokensDistinctAcrossStores(t *testing.T) {
 	a, b := NewMemFS("same", frozen), NewMemFS("same", frozen)
-	o := NewObjectStore("same", frozen)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 50; i++ {
-		for _, s := range []Store{a, b, o} {
+		for _, s := range []Store{a, b} {
 			if err := s.Write("/d/f", []byte("x")); err != nil {
 				t.Fatal(err)
 			}
@@ -125,8 +123,7 @@ func TestChangeTokensDistinctAcrossStores(t *testing.T) {
 }
 
 func TestChangeTokensUniqueUnderConcurrentWrites(t *testing.T) {
-	m := NewMemFS("m", frozen)
-	o := NewObjectStore("o", frozen)
+	a, b := NewMemFS("a", frozen), NewMemFS("b", frozen)
 	var mu sync.Mutex
 	seen := make(map[uint64]bool)
 	var wg sync.WaitGroup
@@ -134,9 +131,9 @@ func TestChangeTokensUniqueUnderConcurrentWrites(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var s Store = m
+			var s Store = a
 			if g%2 == 1 {
-				s = o
+				s = b
 			}
 			p := "/d/f" + string(rune('a'+g))
 			for i := 0; i < 200; i++ {
@@ -159,12 +156,11 @@ func TestChangeTokensUniqueUnderConcurrentWrites(t *testing.T) {
 
 func TestDirectoriesAndOSStoreCarryNoToken(t *testing.T) {
 	m := NewMemFS("m", frozen)
-	o := NewObjectStore("o", frozen)
 	osd, err := NewOSStore("disk", t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Store{m, o, osd} {
+	for _, s := range []Store{m, osd} {
 		if err := s.Write("/top/sub/f.txt", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
@@ -206,25 +202,18 @@ func TestWrappersForwardChangeToken(t *testing.T) {
 
 // Every document of every job goes through MemFS.Write: the token must
 // not add an allocation to it. Under an existing directory a write
-// allocates its node (or object) and its copy of the data, nothing else:
-// the path is walked in place.
+// allocates its node and its copy of the data, nothing else: the path is
+// walked in place.
 func TestWriteAllocationsUnchangedByToken(t *testing.T) {
 	data := []byte("abc")
-	for _, tc := range []struct {
-		s    Store
-		want float64
-	}{
-		{NewMemFS("m", nil), 2},
-		{NewObjectStore("o", nil), 2},
-	} {
-		write := func() {
-			if err := tc.s.Write("/docs/job-1/fam_0.json", data); err != nil {
-				t.Fatal(err)
-			}
+	s := NewMemFS("m", nil)
+	write := func() {
+		if err := s.Write("/docs/job-1/fam_0.json", data); err != nil {
+			t.Fatal(err)
 		}
-		write()
-		if got := testing.AllocsPerRun(1000, write); got != tc.want {
-			t.Errorf("%T.Write allocates %v times, want %v", tc.s, got, tc.want)
-		}
+	}
+	write()
+	if got := testing.AllocsPerRun(1000, write); got != 2 {
+		t.Errorf("MemFS.Write allocates %v times, want 2", got)
 	}
 }

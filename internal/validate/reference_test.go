@@ -91,12 +91,11 @@ func refClassify(m *MDF, rec refRecord) (MDFSchema, error) {
 			break
 		}
 	}
-	var d fastjson.Dec
 	for _, md := range rec.Metadata {
 		if !fastjson.IsObject(md) {
 			continue
 		}
-		d.Reset(md)
+		d := fastjson.NewDec(md)
 		err := d.ObjEach(func(key []byte) error {
 			best = m.firstNaming(key, best)
 			return d.Skip()
