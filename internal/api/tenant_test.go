@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,9 +18,11 @@ import (
 
 	"xtract/internal/api"
 	"xtract/internal/auth"
+	"xtract/internal/clock"
 	"xtract/internal/core"
 	"xtract/internal/deploy"
 	"xtract/internal/sdk"
+	"xtract/internal/store"
 	"xtract/internal/tenant"
 )
 
@@ -357,5 +360,41 @@ func TestTwoTenantFloodAccounting(t *testing.T) {
 			`xtract_tenant_jobs_active{tenant="`+name+`"}`); v != 0 {
 			t.Fatalf("%s active gauge = %v, want 0", name, v)
 		}
+	}
+}
+
+// TestMemoisedTokenExpiresAtTheAPI: the issuer remembers a token it has
+// verified, and still checks its expiry on every request. Once the clock
+// passes it, a client holding the token gets 401 auth_expired, and a
+// client with a token source re-mints and retries.
+func TestMemoisedTokenExpiresAtTheAPI(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1000, 0))
+	d, err := deploy.New(context.Background(), clock.NewReal(),
+		[]deploy.SiteSpec{{Name: "local", Store: store.NewMemFS("local", nil), Workers: 1}}, deploy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	issuer := auth.NewIssuer([]byte("api-key"), clk)
+	ts := httptest.NewServer(api.NewServer(d.Service, d.Registry, d.Library, issuer).Handler())
+	defer ts.Close()
+
+	minted := 0
+	c := sdk.New(ts.URL, "", sdk.WithTokenSource(func() (string, error) {
+		minted++
+		return issuer.Issue("alice", allScopes, time.Minute), nil
+	}))
+	for i := 0; i < 2; i++ { // the second request is a memo hit
+		if _, err := c.Sites(); err != nil || minted != 1 {
+			t.Fatalf("request %d with a fresh token: minted %d, %v", i, minted, err)
+		}
+	}
+	held := sdk.New(ts.URL, c.Token)
+	clk.Advance(time.Minute + time.Second)
+	if ae := asAPIError(t, errOf(held.Sites())); !ae.IsAuthExpired() || ae.Status != 401 {
+		t.Fatalf("a memoised token past its expiry = %+v, want 401 auth_expired", ae)
+	}
+	if _, err := c.Sites(); err != nil || minted != 2 {
+		t.Fatalf("after expiry: minted %d, %v; want one re-mint and a retry that succeeds", minted, err)
 	}
 }

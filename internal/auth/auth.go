@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"xtract/internal/clock"
@@ -54,11 +55,26 @@ func (c Claims) HasScope(scope string) bool {
 type Issuer struct {
 	key []byte
 	clk clock.Clock
+
+	// memo holds the claims of tokens whose signature verified, keyed by
+	// the whole token: a client sends one token on every request, and
+	// the same bytes under the same key verify the same way each time.
+	// Expiry is checked on every use.
+	mu   sync.RWMutex
+	memo map[string]Claims
 }
+
+// The memo's bound: at most memoTokens tokens, each at most memoTokenBytes
+// long, so that tokens minted without limit (POST /api/v1/token) hold a
+// bounded amount of memory. A longer token is verified on every use.
+const (
+	memoTokens     = 1024
+	memoTokenBytes = 1024
+)
 
 // NewIssuer returns an issuer using key for HMAC-SHA256 signing.
 func NewIssuer(key []byte, clk clock.Clock) *Issuer {
-	return &Issuer{key: append([]byte(nil), key...), clk: clk}
+	return &Issuer{key: append([]byte(nil), key...), clk: clk, memo: make(map[string]Claims)}
 }
 
 // Issue mints a token for identity with the given scopes and lifetime.
@@ -80,15 +96,38 @@ func (i *Issuer) sign(b64 string) string {
 }
 
 // Validate checks the token's signature and expiry and returns its claims.
+// A token seen before is not verified again, only checked for expiry; the
+// claims' Scopes are then shared with its other callers and must not be
+// written.
 func (i *Issuer) Validate(token string) (Claims, error) {
-	parts := strings.Split(token, ".")
-	if len(parts) != 2 {
+	i.mu.RLock()
+	claims, ok := i.memo[token]
+	i.mu.RUnlock()
+	if !ok {
+		var err error
+		if claims, err = i.verify(token); err != nil {
+			return Claims{}, err
+		}
+		if len(token) <= memoTokenBytes {
+			i.remember(token, claims)
+		}
+	}
+	if i.clk.Now().After(claims.Expires) {
+		return Claims{}, ErrExpired
+	}
+	return claims, nil
+}
+
+// verify checks the token's signature and decodes its claims.
+func (i *Issuer) verify(token string) (Claims, error) {
+	body64, sig, ok := strings.Cut(token, ".")
+	if !ok || strings.Contains(sig, ".") {
 		return Claims{}, ErrBadToken
 	}
-	if !hmac.Equal([]byte(i.sign(parts[0])), []byte(parts[1])) {
+	if !hmac.Equal([]byte(i.sign(body64)), []byte(sig)) {
 		return Claims{}, ErrBadSignature
 	}
-	body, err := base64.RawURLEncoding.DecodeString(parts[0])
+	body, err := base64.RawURLEncoding.DecodeString(body64)
 	if err != nil {
 		return Claims{}, fmt.Errorf("%w: %v", ErrBadToken, err)
 	}
@@ -96,10 +135,21 @@ func (i *Issuer) Validate(token string) (Claims, error) {
 	if err := json.Unmarshal(body, &claims); err != nil {
 		return Claims{}, fmt.Errorf("%w: %v", ErrBadToken, err)
 	}
-	if i.clk.Now().After(claims.Expires) {
-		return Claims{}, ErrExpired
-	}
 	return claims, nil
+}
+
+// remember enters a verified token into the memo, first dropping an
+// arbitrary entry when it is full.
+func (i *Issuer) remember(token string, claims Claims) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	if _, ok := i.memo[token]; !ok && len(i.memo) >= memoTokens {
+		for victim := range i.memo {
+			delete(i.memo, victim)
+			break
+		}
+	}
+	i.memo[token] = claims
 }
 
 // Require validates the token and checks it grants scope.

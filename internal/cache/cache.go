@@ -227,16 +227,6 @@ func (c *Cache) RecordFileHash(storeName, path string, token uint64, size int64,
 	c.files[k] = fileHash{token: token, size: size, hash: hash}
 }
 
-// Len reports the in-memory entry count.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {

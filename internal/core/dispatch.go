@@ -95,10 +95,6 @@ type shardEventSink struct {
 	ready chan struct{}
 }
 
-func newShardEventSink() *shardEventSink {
-	return &shardEventSink{ready: make(chan struct{}, 1)}
-}
-
 // Ready returns the sink's coalesced wakeup channel.
 func (k *shardEventSink) Ready() <-chan struct{} { return k.ready }
 

@@ -45,6 +45,7 @@ func countSite(t *testing.T, h *harness, name string) *countedStore {
 	}
 	cs := &countedStore{Store: site.Store}
 	site.Store = cs
+	h.svc.AddSite(site) // crawls see the store the site was registered with
 	return cs
 }
 
@@ -226,6 +227,7 @@ func TestLastFamiliesArriveWhileThePumpWaits(t *testing.T) {
 	gate := &gatedStore{Store: site.Store, dir: "/w/b", open: make(chan struct{})}
 	close(gate.open)
 	site.Store = gate
+	h.svc.AddSite(site)
 	repos := []journal.RepoSpec{{Site: "theta", Roots: []string{"/w"}, CrawlWorkers: 2,
 		Grouper: "single"}}
 	docs := func() int {
@@ -337,7 +339,7 @@ func TestCrawlStopsWhenTheJobEnds(t *testing.T) {
 		eventually(t, "every crawl worker parked", func() bool { return src.lists.Load() == parkedLists(workers)-1 })
 		p.teardown(cancelJob)
 		stopped(t, src, goroutines, false)
-		if err := <-p.crawlErr; !errors.Is(err, context.Canceled) {
+		if err := (<-p.crawlEnds).err; !errors.Is(err, context.Canceled) {
 			t.Fatalf("the parked crawl ended with %v, want context.Canceled", err)
 		}
 	})

@@ -15,7 +15,6 @@ import (
 	"xtract/internal/journal"
 	"xtract/internal/obs"
 	"xtract/internal/registry"
-	"xtract/internal/store"
 	"xtract/internal/tenant"
 )
 
@@ -174,8 +173,7 @@ func (s *Service) resolve(spec journal.JobSpec) ([]*crawler.Crawler, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w %q", ErrUnknownSite, r.Site)
 		}
-		// What the service itself writes at the site is not the site's data.
-		c := crawler.NewTo(store.Hide(site.Store, site.StagePath), g, nil)
+		c := crawler.NewTo(site.crawled, g, nil)
 		c.Fingerprint = s.cfg.Cache != nil && !spec.NoCache
 		c.Hashes = s.cfg.Cache // consulted only while fingerprinting
 		if r.CrawlWorkers > 0 {
@@ -351,27 +349,34 @@ func (p *pump) addDeadLetter(dl registry.DeadLetter) {
 // the job's hand-off. They run under the job's context: teardown stops
 // them on every exit, a worker waiting on a full hand-off included.
 func (p *pump) startCrawls(repos []journal.RepoSpec, crawls []*crawler.Crawler) {
-	s := p.s
-	p.crawlDone = make(chan crawler.Stats, len(repos))
-	p.crawlErr = make(chan error, len(repos))
-	for i, spec := range repos {
-		c := crawls[i]
-		c.Out = p.offerFamilies
+	p.crawlEnds = make(chan crawlEnd, len(repos))
+	for i := range repos {
+		crawls[i].Out = p.offerFamilies
 		p.crawlsPending++
-		go func(spec journal.RepoSpec) {
-			s.obs.Event(p.JobID, obs.EvCrawlStarted, slog.String("site", spec.Site), slog.Int("roots", len(spec.Roots)))
-			stats, err := c.Crawl(p.jobCtx, spec.Roots)
-			if err != nil {
-				p.crawlErr <- err
-				return
-			}
-			s.obs.Event(p.JobID, obs.EvCrawlFinished, slog.String("site", spec.Site),
-				slog.Int64("files", stats.FilesSeen), slog.Int64("families", stats.FamiliesEmitted),
-				slog.Int64("hashed", stats.FilesHashed), slog.Int64("reused", stats.HashesReused),
-				slog.Int64("fingerprint_errors", stats.FingerprintErrors))
-			p.crawlDone <- stats
-		}(spec)
+		go p.crawl(&repos[i], crawls[i])
 	}
+}
+
+// crawlEnd is how one of a job's crawls ended: its Stats, or its error.
+type crawlEnd struct {
+	stats crawler.Stats
+	err   error
+}
+
+// crawl runs the job's crawl of one repository and reports its end.
+func (p *pump) crawl(spec *journal.RepoSpec, c *crawler.Crawler) {
+	obsv := p.s.obs
+	obsv.Event(p.JobID, obs.EvCrawlStarted, slog.String("site", spec.Site), slog.Int("roots", len(spec.Roots)))
+	stats, err := c.Crawl(p.jobCtx, spec.Roots)
+	if err != nil {
+		p.crawlEnds <- crawlEnd{err: err}
+		return
+	}
+	obsv.Event(p.JobID, obs.EvCrawlFinished, slog.String("site", spec.Site),
+		slog.Int64("files", stats.FilesSeen), slog.Int64("families", stats.FamiliesEmitted),
+		slog.Int64("hashed", stats.FilesHashed), slog.Int64("reused", stats.HashesReused),
+		slog.Int64("fingerprint_errors", stats.FingerprintErrors))
+	p.crawlEnds <- crawlEnd{stats: stats}
 }
 
 // finishedJobs bounds the finished table: the newest jobs to end, whose

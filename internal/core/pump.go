@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"xtract/internal/crawler"
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
 	"xtract/internal/journal"
@@ -49,13 +48,12 @@ type pump struct {
 	start   time.Time
 	noCache bool
 	// handoff is where this job's crawlers leave each directory's families
-	// for the pump; each crawler reports its end on one of the channels.
+	// for the pump; each crawler reports its end on crawlEnds.
 	// groupsTaken counts the groups of every family taken off the
 	// hand-off, a directory crawled twice included: the record's crawl
 	// progress until each crawl has reported its Stats.
 	handoff       chan []family.Family
-	crawlDone     chan crawler.Stats
-	crawlErr      chan error
+	crawlEnds     chan crawlEnd
 	crawlsPending int
 	groupsTaken   int64
 
@@ -70,8 +68,8 @@ type pump struct {
 	// shards' notifications back in; shards holds one dispatcher per site,
 	// created on first use.
 	jobCtx  context.Context
-	events  *shardEventSink
-	shards  map[string]*dispatcher
+	events  shardEventSink
+	shards  []*dispatcher
 	shardWG sync.WaitGroup
 
 	// budget is the job's remaining retry budget.
@@ -109,8 +107,7 @@ func newPump(s *Service, rec registry.JobRecord, noCache bool, submitted <-chan 
 		noCache:   noCache,
 		handoff:   make(chan []family.Family, handoffDirs),
 		fams:      make(map[string]*famState),
-		events:    newShardEventSink(),
-		shards:    make(map[string]*dispatcher),
+		events:    shardEventSink{ready: make(chan struct{}, 1)},
 		budget:    s.cfg.Retry.JobBudget,
 		submitted: submitted,
 	}
@@ -228,12 +225,13 @@ func (p *pump) await(ctx context.Context) (string, error) {
 	case <-durable:
 		p.flushResults()
 		return "durable", nil
-	case stats := <-p.crawlDone: // one send per crawler, here or on crawlErr
-		p.Crawl.Add(stats)
+	case end := <-p.crawlEnds: // one send per crawler
+		if end.err != nil {
+			return "", end.err
+		}
+		p.Crawl.Add(end.stats)
 		p.crawlsPending--
 		return "crawl", nil
-	case err := <-p.crawlErr:
-		return "", err
 	case fams := <-p.handoff:
 		// Taken while blocked, so worked off here as a pass of its own: the
 		// loop's next pass may find nothing else to flush these results.
@@ -395,11 +393,13 @@ func (p *pump) handleEvents() bool {
 // shardFor returns (creating on first use) the dispatcher shard that
 // owns the site's batching buckets and outstanding-task set.
 func (p *pump) shardFor(site *Site) *dispatcher {
-	if d, ok := p.shards[site.Name]; ok {
-		return d
+	for _, d := range p.shards {
+		if d.site.Name == site.Name {
+			return d
+		}
 	}
-	d := newDispatcher(p.s, p.JobID, p.tenant, site, p.events)
-	p.shards[site.Name] = d
+	d := newDispatcher(p.s, p.JobID, p.tenant, site, &p.events)
+	p.shards = append(p.shards, d)
 	p.shardWG.Add(1)
 	go func() {
 		defer p.shardWG.Done()

@@ -38,7 +38,8 @@ import (
 type Site struct {
 	// Name identifies the site ("theta", "midway", "petrel", ...).
 	Name string
-	// Store is the site's data layer.
+	// Store is the site's data layer; crawls see the one the site was
+	// registered with (AddSite).
 	Store store.Store
 	// Compute is the site's FaaS endpoint; nil for storage-only sites.
 	Compute *faas.Endpoint
@@ -49,6 +50,10 @@ type Site struct {
 	// allocation loss) and stagedBytes, which every job's pump updates.
 	mu          sync.Mutex
 	stagedBytes int64 // reserved staging bytes
+
+	// crawled is Store as crawls see it, built by AddSite: what the
+	// service itself writes at the site is not the site's data.
+	crawled store.Store
 }
 
 // ComputeEndpoint returns the site's current compute endpoint (nil for
@@ -548,6 +553,7 @@ func (s *Service) AddSite(site *Site) {
 	if site.StagePath == "" {
 		site.StagePath = "/xtract-stage"
 	}
+	site.crawled = store.Hide(site.Store, site.StagePath)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sites := slices.DeleteFunc(slices.Clone(s.sites), func(o *Site) bool { return o.Name == site.Name })

@@ -161,7 +161,7 @@ func (m *machine) effects(st *famState) effects {
 		completed: m.jnl.Appends(journal.RecStepCompleted), retried: m.jnl.Appends(journal.RecStepRetried),
 		deadLettered: m.jnl.Appends(journal.RecStepDeadLettered),
 		billed:       u.StepsProcessed, billedCached: u.CacheHits, billedFail: u.StepsFailed,
-		cacheEntries: m.cache.Len(), stats: m.p.JobStats,
+		cacheEntries: m.cache.Stats().Entries, stats: m.p.JobStats,
 	}
 	if st != nil {
 		for i := range st.steps {
@@ -339,7 +339,7 @@ func TestWorkerWritesTheCache(t *testing.T) {
 		if res, ok := out.(*taskResult); err != nil || !ok || len(res.Outcomes) != 1 || !res.Outcomes[0].OK {
 			t.Fatalf("noCache=%v: the step did not extract: %#v, %v", noCache, out, err)
 		}
-		if got, want := m.cache.Len(), map[bool]int{false: 1, true: 0}[noCache]; got != want {
+		if got, want := m.cache.Stats().Entries, map[bool]int{false: 1, true: 0}[noCache]; got != want {
 			t.Fatalf("noCache=%v: the worker wrote %d cache entries, want %d", noCache, got, want)
 		}
 		if md, hit := m.cache.Get(st.steps[0].key); hit != !noCache || hit && !bytes.Contains(md, []byte("perovskite")) {

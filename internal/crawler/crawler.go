@@ -99,7 +99,8 @@ type Sink func(ctx context.Context, fams []family.Family) int
 type Crawler struct {
 	// Store is the storage system to crawl.
 	Store store.Store
-	// Workers is the number of concurrent crawl threads.
+	// Workers bounds the concurrent crawl threads, which start as
+	// directories queue.
 	Workers int
 	// Grouper assigns directory files to groups.
 	Grouper GroupingFunc
@@ -132,7 +133,7 @@ type Crawler struct {
 	Totals *Totals
 }
 
-// NewTo returns a crawler with sensible defaults (16 workers,
+// NewTo returns a crawler with sensible defaults (up to 16 workers,
 // min-transfers on, family size 16) feeding out.
 func NewTo(s store.Store, grouper GroupingFunc, out Sink) *Crawler {
 	return &Crawler{
@@ -165,29 +166,48 @@ func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
 	})
 }
 
-// dirQueue is the shared work queue of directories with termination
-// detection: the crawl is done when no items remain and no worker still
-// holds one.
+// dirQueue is one crawl's shared work queue of directories, with
+// termination detection: the crawl is done when no items remain and no
+// worker still holds one. It starts the crawl's workers itself, as
+// directories queue: a push that leaves more directories queued than
+// workers free to take them starts one more, until limit have started,
+// so a one-directory crawl runs one worker. Worker w draws from seed
+// c.Seed+w. The workers list under ctx and add each directory's counts
+// to total.
 type dirQueue struct {
 	mu          sync.Mutex
-	cond        *sync.Cond
+	cond        sync.Cond
 	items       []string
 	outstanding int
 	closed      bool
+
+	c                    *Crawler
+	ctx                  context.Context
+	limit, started, busy int
+	wg                   sync.WaitGroup
+	total                Stats
 }
 
-func newDirQueue() *dirQueue {
-	q := &dirQueue{}
-	q.cond = sync.NewCond(&q.mu)
+// newDirQueue returns c's queue for one crawl under ctx, which starts up
+// to limit workers; limit 0 starts none.
+func newDirQueue(c *Crawler, ctx context.Context, limit int) *dirQueue {
+	q := &dirQueue{c: c, ctx: ctx, limit: limit}
+	q.cond.L = &q.mu
 	return q
 }
 
-// push adds a directory, incrementing the outstanding count.
+// push adds a directory, incrementing the outstanding count, and starts a
+// worker for it when every started one is busy.
 func (q *dirQueue) push(dir string) {
 	q.mu.Lock()
 	q.items = append(q.items, dir)
 	q.outstanding++
-	q.cond.Broadcast()
+	if len(q.items) > q.started-q.busy && q.started < q.limit {
+		q.wg.Add(1)
+		go q.work(q.c.Seed + int64(q.started))
+		q.started++
+	}
+	q.cond.Signal()
 	q.mu.Unlock()
 }
 
@@ -203,12 +223,15 @@ func (q *dirQueue) pop() (string, bool) {
 	}
 	dir := q.items[0]
 	q.items = q.items[1:]
+	q.busy++
 	return dir, true
 }
 
-// done marks one popped directory fully processed.
-func (q *dirQueue) done() {
+// done marks one popped directory fully processed, adding its counts d.
+func (q *dirQueue) done(d Stats) {
 	q.mu.Lock()
+	q.total.Add(d)
+	q.busy--
 	q.outstanding--
 	if q.outstanding == 0 {
 		q.cond.Broadcast()
@@ -224,62 +247,49 @@ func (q *dirQueue) close() {
 	q.mu.Unlock()
 }
 
-// Crawl traverses the given roots with the configured worker pool and
-// returns aggregate statistics once every reachable directory has been
-// listed (or ctx is cancelled).
+// Crawl traverses the given roots with up to Workers crawl workers,
+// started as directories queue, and returns aggregate statistics once
+// every reachable directory has been listed (or ctx is cancelled).
 func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 	if c.Grouper == nil {
 		return Stats{}, fmt.Errorf("crawler: nil grouping function")
 	}
-	workers := c.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	dq := newDirQueue()
+	q := newDirQueue(c, ctx, max(c.Workers, 1))
 	for _, r := range roots {
-		dq.push(store.Clean(r))
+		q.push(store.Clean(r))
 	}
-	defer context.AfterFunc(ctx, dq.close)()
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards total
-	var total Stats
-	add := func(d Stats) {
-		mu.Lock()
-		total.Add(d)
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			c.work(ctx, dq, seed, add)
-		}(c.Seed + int64(w))
-	}
-	wg.Wait()
+	q.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
-	return total, nil
+	return q.total, nil
 }
 
 // work is one crawl worker: it lists directories off the queue until the
-// crawl drains or ctx ends, handing each directory's counts to add.
-func (c *Crawler) work(ctx context.Context, dq *dirQueue, seed int64, add func(Stats)) {
+// crawl drains or ctx ends. A worker that finds ctx ended closes the
+// queue, so that the workers waiting on it end too: every wait has a
+// busy worker behind it, and a busy worker's directory ends once ctx
+// does.
+func (q *dirQueue) work(seed int64) {
+	defer q.wg.Done()
+	c := q.c
 	rng := rand.New(&lazySource{seed: seed})
 	// The packer's scratch serves this worker's directories, and no longer
 	// than this crawl.
 	var pk family.Packer
 	for {
-		dir, ok := dq.pop()
-		// A cancelled crawl lists nothing more, backlog or not.
-		if !ok || ctx.Err() != nil {
+		dir, ok := q.pop()
+		if !ok {
 			return
 		}
-		d := c.processDir(ctx, dir, dq, rng, &pk)
-		add(d)
+		// A cancelled crawl lists nothing more, backlog or not.
+		if q.ctx.Err() != nil {
+			q.close()
+			return
+		}
+		d := c.processDir(q.ctx, dir, q, rng, &pk)
 		c.Totals.add(d)
-		dq.done()
+		q.done(d)
 	}
 }
 

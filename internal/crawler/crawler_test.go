@@ -337,6 +337,114 @@ func (l *listCounter) List(dir string) ([]store.FileInfo, error) {
 	return l.Store.List(dir)
 }
 
+// listGauge counts the listings in flight and the most there ever were.
+// Until open is closed, every listing but the root's waits there, so a
+// crawl that can list in parallel is seen to.
+type listGauge struct {
+	store.Store
+	root           string
+	inflight, peak atomic.Int32
+	open           chan struct{}
+}
+
+func (g *listGauge) List(dir string) ([]store.FileInfo, error) {
+	n := g.inflight.Add(1)
+	defer g.inflight.Add(-1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	if dir != g.root {
+		<-g.open
+	}
+	return g.Store.List(dir)
+}
+
+// TestOneDirectoryCrawlStartsOneWorker: workers start as directories
+// queue, so a crawl of a repository that is one directory runs one
+// worker and one listing at a time, whatever Workers allows.
+func TestOneDirectoryCrawlStartsOneWorker(t *testing.T) {
+	fs := store.NewMemFS("petrel", nil)
+	for i := 0; i < 20; i++ {
+		if err := fs.Write(fmt.Sprintf("/r/f%02d.txt", i), []byte("words")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listing := make(chan struct{})
+	g := &listGauge{Store: fs, root: "/r", open: make(chan struct{})}
+	close(g.open)
+	c := NewTo(&signalStore{Store: g, listing: listing}, SingleFileGrouper(extractors.DefaultLibrary()),
+		func(_ context.Context, fams []family.Family) int { return len(fams) })
+	c.Workers = 16
+	goroutines := runtime.NumGoroutine()
+	done := make(chan Stats, 1)
+	go func() {
+		stats, err := c.Crawl(context.Background(), []string{"/r"})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- stats
+	}()
+	<-listing // the root's listing is under way: every worker the crawl starts for it has started
+	if n := runtime.NumGoroutine() - goroutines; n > 2 {
+		t.Errorf("%d goroutines during a one-directory crawl, want the crawl's and one worker's", n)
+	}
+	listing <- struct{}{}
+	if stats := <-done; stats.FilesSeen != 20 || stats.DirsListed != 1 {
+		t.Fatalf("stats = %+v, want 20 files in one directory", stats)
+	}
+	if p := g.peak.Load(); p != 1 {
+		t.Fatalf("%d listings at once, want 1", p)
+	}
+}
+
+// signalStore announces each listing on listing and waits there for the
+// test's go-ahead.
+type signalStore struct {
+	store.Store
+	listing chan struct{}
+}
+
+func (s *signalStore) List(dir string) ([]store.FileInfo, error) {
+	s.listing <- struct{}{}
+	<-s.listing
+	return s.Store.List(dir)
+}
+
+// TestWideTreeReachesItsWorkers: a root with eight subdirectories and
+// Workers: 4 starts its workers as the root's listing queues them, and
+// lists four directories at once, never more.
+func TestWideTreeReachesItsWorkers(t *testing.T) {
+	fs := store.NewMemFS("petrel", nil)
+	for i := 0; i < 8; i++ {
+		if err := fs.Write(fmt.Sprintf("/r/d%d/f.txt", i), []byte("words")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := &listGauge{Store: fs, root: "/r", open: make(chan struct{})}
+	c := NewTo(g, SingleFileGrouper(extractors.DefaultLibrary()),
+		func(_ context.Context, fams []family.Family) int { return len(fams) })
+	c.Workers = 4
+	done := make(chan Stats, 1)
+	go func() {
+		stats, err := c.Crawl(context.Background(), []string{"/r"})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- stats
+	}()
+	for deadline := time.Now().Add(10 * time.Second); g.inflight.Load() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d listings at once after 10 s, want 4", g.inflight.Load())
+		}
+	}
+	close(g.open)
+	if stats := <-done; stats.DirsListed != 9 || stats.FilesSeen != 8 {
+		t.Fatalf("stats = %+v, want 9 directories and 8 files", stats)
+	}
+	if p := g.peak.Load(); p != 4 {
+		t.Fatalf("%d listings at once, want 4", p)
+	}
+}
+
 func TestCrawlMissingRoot(t *testing.T) {
 	fs := store.NewMemFS("empty", nil)
 	out := queue.New("families", clock.NewReal())
@@ -645,7 +753,7 @@ func TestDirectoryCrawlStaysInItsBudget(t *testing.T) {
 		families = len(fams)
 		return len(fams)
 	})
-	dq := newDirQueue()
+	dq := newDirQueue(nil, nil, 0)
 	rng := rand.New(&lazySource{seed: 1})
 	var pk family.Packer
 	allocs := testing.AllocsPerRun(20, func() { c.processDir(context.Background(), "/d", dq, rng, &pk) })
@@ -682,7 +790,7 @@ func TestVASPDirectoryCrawlStaysInItsBudget(t *testing.T) {
 		return len(batch)
 	})
 	c.Fingerprint, c.Hashes = true, cache.New(0)
-	dq := newDirQueue()
+	dq := newDirQueue(nil, nil, 0)
 	rng := rand.New(&lazySource{seed: 1})
 	var pk family.Packer
 	crawl := func() { c.processDir(context.Background(), "/data/calc_00000", dq, rng, &pk) }

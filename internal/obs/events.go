@@ -72,6 +72,15 @@ const (
 	maxEvents = 1 << 15
 )
 
+// A new job's trace starts with room for a small job's events and their
+// attributes (a 20-file job writes about 70), so it does not grow its way
+// there one doubling at a time. A power of two below 256 keeps the path
+// append takes to perJob, so a full trace holds what it always did.
+const (
+	firstEvents = 64
+	firstArena  = firstEvents * 64
+)
+
 // entry is one event as the ring holds it. Its attributes are the bytes
 // [off, end) of its job's attribute stream (see jobTrace): encoded, they
 // keep none of the caller's strings alive and hold no pointer for the
@@ -141,6 +150,10 @@ type jobTrace struct {
 	dropped int64   // events overwritten
 	arena   []byte
 	base    int
+}
+
+func newJobTrace() *jobTrace {
+	return &jobTrace{entries: make([]entry, 0, firstEvents), arena: make([]byte, 0, firstArena)}
 }
 
 // add appends an event with attributes enc to the trace and reports
@@ -225,7 +238,7 @@ func (o *Observer) Event(job, typ string, attrs ...slog.Attr) {
 	defer r.mu.Unlock()
 	jt, ok := r.jobs[job]
 	if !ok {
-		jt = &jobTrace{}
+		jt = newJobTrace()
 		r.jobs[job] = jt
 		r.order = append(r.order, job)
 		for len(r.order) > maxJobs {

@@ -444,3 +444,26 @@ func TestEventStaysInItsBudget(t *testing.T) {
 		t.Fatalf("an event on a nil observer allocated %.0f times, budget 0", n)
 	}
 }
+
+// TestFullTraceHoldsWhatItDid: a trace that starts with room for a small
+// job's events ends, once full, holding the entries a trace grown from
+// nothing holds, and an arena whose largest size is within 1 % of that
+// trace's: the ring's bound retains the bytes it did. Event sizes vary,
+// as a job's do, so where compactions fall differs between the two.
+func TestFullTraceHoldsWhatItDid(t *testing.T) {
+	grown, sized := &jobTrace{}, newJobTrace()
+	enc := make([]byte, 0, 128)
+	var grownMax, sizedMax int
+	for i := 0; i < 20*perJob; i++ {
+		enc = enc[:10+(i*31)%97]
+		grown.add(entry{}, enc)
+		sized.add(entry{}, enc)
+		if i == perJob-1 && cap(grown.entries) != cap(sized.entries) {
+			t.Fatalf("a full trace holds %d entries, %d grown from nothing", cap(sized.entries), cap(grown.entries))
+		}
+		grownMax, sizedMax = max(grownMax, cap(grown.arena)), max(sizedMax, cap(sized.arena))
+	}
+	if r := float64(sizedMax) / float64(grownMax); r < 0.99 || r > 1.01 {
+		t.Fatalf("a full trace's arena reaches %d bytes, %d grown from nothing", sizedMax, grownMax)
+	}
+}

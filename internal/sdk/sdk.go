@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xtract/internal/api"
@@ -114,7 +115,9 @@ type XtractClient struct {
 	// responses (see WithTokenSource).
 	Source TokenSource
 	// HTTPClient may be overridden for testing; defaults to a client
-	// with a 30 s timeout.
+	// with a 30 s timeout. Requests go through a copy of it with
+	// redirects turned off (doOnce follows them), made once per
+	// HTTPClient value.
 	HTTPClient *http.Client
 	// Clock drives WaitJob's polling; nil selects the wall clock.
 	// Injecting a fake clock lets tests step through poll cycles.
@@ -122,6 +125,22 @@ type XtractClient struct {
 
 	// tokenMu guards Token refreshes against concurrent requests.
 	tokenMu sync.Mutex
+	// direct is HTTPClient's copy with redirects turned off (see doOnce),
+	// and bearer the Authorization header of the last token sent.
+	direct atomic.Pointer[directClient]
+	bearer atomic.Pointer[bearerHeader]
+}
+
+// directClient is the copy of from that returns redirects to its caller.
+type directClient struct {
+	from, hc *http.Client
+}
+
+// bearerHeader is token's Authorization header value. Every request with
+// the token shares it, and none writes it.
+type bearerHeader struct {
+	token string
+	value []string
 }
 
 // Option configures a client at construction.
@@ -226,6 +245,31 @@ func (c *XtractClient) do(method, path string, body, out interface{}) error {
 // small enough to cut a redirect loop short.
 const maxRedirectHops = 5
 
+// directHTTP returns HTTPClient with redirects disabled, made on the
+// first request through each HTTPClient value.
+func (c *XtractClient) directHTTP() *http.Client {
+	if d := c.direct.Load(); d != nil && d.from == c.HTTPClient {
+		return d.hc
+	}
+	hc := *c.HTTPClient
+	hc.CheckRedirect = func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}
+	c.direct.Store(&directClient{from: c.HTTPClient, hc: &hc})
+	return &hc
+}
+
+// authorization returns the Authorization header value for token, made on
+// the first request that sends it.
+func (c *XtractClient) authorization(token string) []string {
+	if b := c.bearer.Load(); b != nil && b.token == token {
+		return b.value
+	}
+	b := &bearerHeader{token: token, value: []string{"Bearer " + token}}
+	c.bearer.Store(b)
+	return b.value
+}
+
 // doOnce issues one logical request with the given token, following
 // 307/308 redirects itself. Go's http.Client strips Authorization when
 // a redirect crosses hosts, but a cluster node's 307 points at a
@@ -241,10 +285,7 @@ func (c *XtractClient) doOnce(method, path, token string, body, out interface{})
 			return err
 		}
 	}
-	hc := *c.HTTPClient
-	hc.CheckRedirect = func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}
+	hc := c.directHTTP()
 	url := c.BaseURL + path
 	for hop := 0; ; hop++ {
 		var reader io.Reader
@@ -259,7 +300,7 @@ func (c *XtractClient) doOnce(method, path, token string, body, out interface{})
 			req.Header.Set("Content-Type", "application/json")
 		}
 		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
+			req.Header["Authorization"] = c.authorization(token)
 		}
 		resp, err := hc.Do(req)
 		if err != nil {

@@ -42,6 +42,13 @@ func (c *Controller) AcquireTask(ctx context.Context, id string) (waited bool, e
 	if t.inflight == 0 && t.waiting == 0 && t.pass < c.vtime {
 		t.pass = c.vtime
 	}
+	// With nobody queued, pumpLocked would grant this call at once if the
+	// tenant is eligible: grant it here, without a waiter.
+	if len(c.waiters) == 0 && c.slotFreeLocked() && t.underCap() {
+		c.grantLocked(t)
+		c.mu.Unlock()
+		return false, nil
+	}
 	w := &waiter{t: t, ch: make(chan struct{})}
 	c.waiters = append(c.waiters, w)
 	t.waiting++
@@ -111,13 +118,13 @@ func (c *Controller) releaseLocked(t *state, n int) {
 // until slots run out or no waiter is eligible.
 func (c *Controller) pumpLocked() {
 	for {
-		if c.cfg.TaskSlots > 0 && c.inflight >= c.cfg.TaskSlots {
+		if !c.slotFreeLocked() {
 			return
 		}
 		var best *waiter
 		bestIdx := -1
 		for i, w := range c.waiters {
-			if w.t.lim.MaxInFlightTasks > 0 && w.t.inflight >= w.t.lim.MaxInFlightTasks {
+			if !w.t.underCap() {
 				continue
 			}
 			if best == nil || w.t.pass < best.t.pass {
@@ -128,16 +135,31 @@ func (c *Controller) pumpLocked() {
 			return
 		}
 		c.waiters = append(c.waiters[:bestIdx], c.waiters[bestIdx+1:]...)
-		t := best.t
-		t.waiting--
+		best.t.waiting--
 		best.granted = true
-		t.inflight++
-		c.inflight++
-		if t.pass > c.vtime {
-			c.vtime = t.pass
-		}
-		t.pass += 1 / t.lim.weight()
-		t.usage.TasksDispatched++
+		c.grantLocked(best.t)
 		close(best.ch)
 	}
+}
+
+// slotFreeLocked reports whether the global budget has a slot free.
+func (c *Controller) slotFreeLocked() bool {
+	return c.cfg.TaskSlots <= 0 || c.inflight < c.cfg.TaskSlots
+}
+
+// underCap reports whether the tenant holds fewer slots than its own cap.
+func (t *state) underCap() bool {
+	return t.lim.MaxInFlightTasks <= 0 || t.inflight < t.lim.MaxInFlightTasks
+}
+
+// grantLocked gives t one slot and advances its pass, and the virtual
+// time to the pass it was served at.
+func (c *Controller) grantLocked(t *state) {
+	t.inflight++
+	c.inflight++
+	if t.pass > c.vtime {
+		c.vtime = t.pass
+	}
+	t.pass += 1 / t.lim.weight()
+	t.usage.TasksDispatched++
 }
