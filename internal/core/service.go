@@ -38,8 +38,9 @@ import (
 type Site struct {
 	// Name identifies the site ("theta", "midway", "petrel", ...).
 	Name string
-	// Store is the site's data layer; crawls see the one the site was
-	// registered with (AddSite).
+	// Store is the site's data layer. It is fixed once the site is
+	// registered: AddSite derives what crawls list from it, so a site
+	// whose store is replaced must be registered again.
 	Store store.Store
 	// Compute is the site's FaaS endpoint; nil for storage-only sites.
 	Compute *faas.Endpoint

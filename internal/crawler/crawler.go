@@ -168,10 +168,10 @@ func New(s store.Store, grouper GroupingFunc, out *queue.Queue) *Crawler {
 
 // dirQueue is one crawl's shared work queue of directories, with
 // termination detection: the crawl is done when no items remain and no
-// worker still holds one. It starts the crawl's workers itself, as
-// directories queue: a push that leaves more directories queued than
-// workers free to take them starts one more, until limit have started,
-// so a one-directory crawl runs one worker. Worker w draws from seed
+// worker still holds one. It starts the crawl's workers itself, up to
+// limit: one for each root, then one more for each push that leaves more
+// directories queued than workers free to take them, so a one-directory
+// crawl runs one worker. Worker w draws from seed
 // c.Seed+w. The workers list under ctx and add each directory's counts
 // to total.
 type dirQueue struct {
@@ -196,19 +196,41 @@ func newDirQueue(c *Crawler, ctx context.Context, limit int) *dirQueue {
 	return q
 }
 
+// start queues the crawl's roots and starts a worker for each, up to
+// limit. Every root is queued before any worker can take one: a worker
+// that drained the queue between two roots would end, and the crawl with
+// it, before the next root was listed.
+func (q *dirQueue) start(roots []string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, r := range roots {
+		q.items = append(q.items, store.Clean(r))
+	}
+	q.outstanding += len(roots)
+	for q.started < min(len(roots), q.limit) {
+		q.spawnLocked()
+	}
+}
+
 // push adds a directory, incrementing the outstanding count, and starts a
-// worker for it when every started one is busy.
+// worker for it when every started one is busy. Only a busy worker
+// pushes, so the crawl cannot drain while it does.
 func (q *dirQueue) push(dir string) {
 	q.mu.Lock()
 	q.items = append(q.items, dir)
 	q.outstanding++
 	if len(q.items) > q.started-q.busy && q.started < q.limit {
-		q.wg.Add(1)
-		go q.work(q.c.Seed + int64(q.started))
-		q.started++
+		q.spawnLocked()
 	}
 	q.cond.Signal()
 	q.mu.Unlock()
+}
+
+// spawnLocked starts worker q.started. Callers hold q.mu.
+func (q *dirQueue) spawnLocked() {
+	q.wg.Add(1)
+	go q.work(q.c.Seed + int64(q.started))
+	q.started++
 }
 
 // pop blocks until a directory is available or the crawl has drained.
@@ -255,9 +277,7 @@ func (c *Crawler) Crawl(ctx context.Context, roots []string) (Stats, error) {
 		return Stats{}, fmt.Errorf("crawler: nil grouping function")
 	}
 	q := newDirQueue(c, ctx, max(c.Workers, 1))
-	for _, r := range roots {
-		q.push(store.Clean(r))
-	}
+	q.start(roots)
 	q.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err

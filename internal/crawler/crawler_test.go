@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -455,6 +456,101 @@ func TestCrawlMissingRoot(t *testing.T) {
 	}
 	if stats.ListErrors != 1 || stats.FilesSeen != 0 {
 		t.Fatalf("stats = %+v", stats)
+	}
+}
+
+// TestEveryRootIsListed: a root that lists at once (missing, empty) does
+// not end the crawl before the roots after it are listed, whether one
+// worker or several may run. A queue that let the first root's worker
+// drain it before the second root queued would lose that root when the
+// worker won the race, so /r is spelled long, to take a while to clean,
+// and each crawl is repeated.
+func TestEveryRootIsListed(t *testing.T) {
+	fs := store.NewMemFS("petrel", nil)
+	if err := fs.Write("/r/f.txt", []byte("words")); err != nil {
+		t.Fatal(err)
+	}
+	r := strings.Repeat("/x/..", 2000) + "/r"
+	for _, workers := range []int{1, 4} {
+		c := NewTo(fs, SingleFileGrouper(extractors.DefaultLibrary()),
+			func(_ context.Context, fams []family.Family) int { return len(fams) })
+		c.Workers = workers
+		for i := 0; i < 200; i++ {
+			stats, err := c.Crawl(context.Background(), []string{"/missing", r})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.ListErrors != 1 || stats.DirsListed != 1 || stats.FilesSeen != 1 {
+				t.Fatalf("Workers %d, crawl %d: stats = %+v, want /missing refused and /r's one file seen", workers, i, stats)
+			}
+		}
+	}
+}
+
+// heldStore holds each listing until the test opens its directory's gate.
+type heldStore struct {
+	store.Store
+	inflight atomic.Int32
+	mu       sync.Mutex
+	gates    map[string]chan struct{}
+}
+
+func (h *heldStore) gate(dir string) chan struct{} {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.gates == nil {
+		h.gates = map[string]chan struct{}{}
+	}
+	if h.gates[dir] == nil {
+		h.gates[dir] = make(chan struct{})
+	}
+	return h.gates[dir]
+}
+
+func (h *heldStore) List(dir string) ([]store.FileInfo, error) {
+	h.inflight.Add(1)
+	defer h.inflight.Add(-1)
+	<-h.gate(dir)
+	return h.Store.List(dir)
+}
+
+// TestPushStartsAWorkerOnlyWhenNoneIsFree: a directory queued while every
+// started worker is busy starts one more, and one queued while a worker
+// is free goes to that worker.
+func TestPushStartsAWorkerOnlyWhenNoneIsFree(t *testing.T) {
+	h := &heldStore{Store: store.NewMemFS("petrel", nil)}
+	c := NewTo(h, SingleFileGrouper(extractors.DefaultLibrary()),
+		func(_ context.Context, fams []family.Family) int { return len(fams) })
+	q := newDirQueue(c, context.Background(), 4)
+	workers := func() (started, busy int) {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.started, q.busy
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("after 10 s: want %s", what)
+			}
+		}
+	}
+	q.start([]string{"/a"})
+	waitFor("/a listing", func() bool { return h.inflight.Load() == 1 })
+	q.push("/b") // the one worker is busy
+	waitFor("/a and /b listing", func() bool { return h.inflight.Load() == 2 })
+	close(h.gate("/a"))
+	waitFor("/a's worker free", func() bool { _, busy := workers(); return busy == 1 })
+	q.push("/c") // /a's worker is free
+	waitFor("/b and /c listing", func() bool { return h.inflight.Load() == 2 })
+	if started, _ := workers(); started != 2 {
+		t.Errorf("%d workers started, want 2: /c went to a new worker, not the free one", started)
+	}
+	close(h.gate("/b"))
+	close(h.gate("/c"))
+	q.wg.Wait()
+	if q.total.ListErrors != 3 {
+		t.Fatalf("stats = %+v, want the three missing directories refused", q.total)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestStatusRoundTripStaysInItsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const budget = 112 // 135 before the token memo and the SDK's one no-redirect client and bearer header
+	const budget = 114 // 135 before the token memo and the SDK's one no-redirect client
 	clk := clock.NewReal()
 	repo := store.NewMemFS("site", nil)
 	if err := repo.Write("/r/notes.txt", []byte("temperature salinity depth")); err != nil {

@@ -125,22 +125,13 @@ type XtractClient struct {
 
 	// tokenMu guards Token refreshes against concurrent requests.
 	tokenMu sync.Mutex
-	// direct is HTTPClient's copy with redirects turned off (see doOnce),
-	// and bearer the Authorization header of the last token sent.
+	// direct is HTTPClient's copy with redirects turned off (see doOnce).
 	direct atomic.Pointer[directClient]
-	bearer atomic.Pointer[bearerHeader]
 }
 
 // directClient is the copy of from that returns redirects to its caller.
 type directClient struct {
 	from, hc *http.Client
-}
-
-// bearerHeader is token's Authorization header value. Every request with
-// the token shares it, and none writes it.
-type bearerHeader struct {
-	token string
-	value []string
 }
 
 // Option configures a client at construction.
@@ -259,17 +250,6 @@ func (c *XtractClient) directHTTP() *http.Client {
 	return &hc
 }
 
-// authorization returns the Authorization header value for token, made on
-// the first request that sends it.
-func (c *XtractClient) authorization(token string) []string {
-	if b := c.bearer.Load(); b != nil && b.token == token {
-		return b.value
-	}
-	b := &bearerHeader{token: token, value: []string{"Bearer " + token}}
-	c.bearer.Store(b)
-	return b.value
-}
-
 // doOnce issues one logical request with the given token, following
 // 307/308 redirects itself. Go's http.Client strips Authorization when
 // a redirect crosses hosts, but a cluster node's 307 points at a
@@ -300,7 +280,7 @@ func (c *XtractClient) doOnce(method, path, token string, body, out interface{})
 			req.Header.Set("Content-Type", "application/json")
 		}
 		if token != "" {
-			req.Header["Authorization"] = c.authorization(token)
+			req.Header.Set("Authorization", "Bearer "+token)
 		}
 		resp, err := hc.Do(req)
 		if err != nil {

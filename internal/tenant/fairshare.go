@@ -28,23 +28,17 @@ func (c *Controller) AcquireTask(ctx context.Context, id string) (waited bool, e
 	id = Normalize(id)
 	c.mu.Lock()
 	t := c.stateLocked(id)
-	// Uncontended fast path: no global budget, no per-tenant cap.
-	if c.cfg.TaskSlots <= 0 && t.lim.MaxInFlightTasks <= 0 {
-		t.inflight++
-		c.inflight++
-		t.usage.TasksDispatched++
-		c.mu.Unlock()
-		return false, nil
-	}
 	// A tenant rejoining after idling must not carry an ancient (small)
 	// pass that would let it monopolize slots to "catch up": virtual
 	// time only moves forward.
 	if t.inflight == 0 && t.waiting == 0 && t.pass < c.vtime {
 		t.pass = c.vtime
 	}
-	// With nobody queued, pumpLocked would grant this call at once if the
-	// tenant is eligible: grant it here, without a waiter.
-	if len(c.waiters) == 0 && c.slotFreeLocked() && t.underCap() {
+	// The uncontended grant: if the tenant is eligible and nobody is
+	// queued — or nobody it could pass over, as without a global budget a
+	// waiter waits only on its own tenant's cap — pumpLocked would grant
+	// this call at once. Grant it here, without a waiter.
+	if (len(c.waiters) == 0 || c.cfg.TaskSlots <= 0) && c.slotFreeLocked() && t.underCap() {
 		c.grantLocked(t)
 		c.mu.Unlock()
 		return false, nil
