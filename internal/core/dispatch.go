@@ -73,9 +73,10 @@ type task struct {
 // it never got there (cause set), in which case its steps go through the
 // pump's retry/dead-letter path. staged and validated are not a shard's
 // events: they are the prefetcher's report on one of the job's families
-// and the validator's on a batch of its records.
+// (set when isStaged) and the validator's on a batch of its records.
 type shardEvent struct {
-	staged    *transfer.PrefetchResult
+	isStaged  bool
+	staged    transfer.PrefetchResult
 	validated int
 	task      *task
 	info      faas.TaskInfo
@@ -88,10 +89,12 @@ type shardEvent struct {
 // the validator's reports, into the pump. The buffer is unbounded and the
 // wakeup token coalesced (the channel holds at most one), so neither ever
 // blocks on a slow pump and the pump never misses an event: it drains
-// after each token and re-blocks.
+// after each token and re-blocks. The sink is the prefetcher's and the
+// validator's Reporter for its job.
 type shardEventSink struct {
 	mu    sync.Mutex
 	evs   []shardEvent
+	spare []shardEvent // what the last drain returned, the next buffer
 	ready chan struct{}
 }
 
@@ -108,24 +111,28 @@ func (k *shardEventSink) push(ev shardEvent) {
 	}
 }
 
-// drain returns and clears every pending event, in arrival order.
+// drain returns and clears every pending event, in arrival order. The
+// slice is the caller's until its next drain, which takes it back,
+// cleared, as the buffer events are pushed into: two buffers serve the
+// job's every pass.
 func (k *shardEventSink) drain() []shardEvent {
 	k.mu.Lock()
 	out := k.evs
-	k.evs = nil
+	clear(k.spare)
+	k.evs, k.spare = k.spare[:0], out
 	k.mu.Unlock()
 	return out
 }
 
-// staged is the prefetcher's report hook: a staging result joins the
+// Staged is the prefetcher's report hook: a staging result joins the
 // events of the job whose pump handed its task over.
-func (k *shardEventSink) staged(res transfer.PrefetchResult) {
-	k.push(shardEvent{staged: &res})
+func (k *shardEventSink) Staged(res transfer.PrefetchResult) {
+	k.push(shardEvent{isStaged: true, staged: res})
 }
 
-// validated is the validator's report hook: n of the job's records are
+// Validated is the validator's report hook: n of the job's records are
 // written or rejected.
-func (k *shardEventSink) validated(n int) {
+func (k *shardEventSink) Validated(n int) {
 	k.push(shardEvent{validated: n})
 }
 
@@ -219,8 +226,10 @@ func (d *dispatcher) intake(it dispatchItem) {
 // flushAll converts every partial bucket into a task and submits the
 // accumulated batch.
 func (d *dispatcher) flushAll() {
-	for k := range d.buckets {
-		d.makeTask(k)
+	for k, items := range d.buckets {
+		if len(items) > 0 {
+			d.makeTask(k)
+		}
 	}
 	if len(d.reqs) > 0 {
 		d.submit()
@@ -230,13 +239,13 @@ func (d *dispatcher) flushAll() {
 // makeTask turns a bucket — never more than one Xtract batch, since intake
 // empties a bucket the moment it is full — into a task and its pending
 // FaaS request, and submits the funcX batch that request completes. The
+// bucket keeps its array, cleared, for the extractor's next steps. The
 // extractor's function at the site comes from the service's one function
 // table (the paper's RDS tuple, the Figure 3 t_xs resolve); an
 // unregistered pair goes back to the pump as a dispatch-failure event.
 func (d *dispatcher) makeTask(k bucketKey) {
 	extractor := k.extractor
 	batch := d.buckets[k]
-	delete(d.buckets, k)
 
 	t := &task{refs: make([]stepRef, 0, len(batch)), hedge: k.hedge, ready: batch[0].readyAt}
 	steps := make([]stepPayload, 0, len(batch))
@@ -247,6 +256,8 @@ func (d *dispatcher) makeTask(k bucketKey) {
 			t.ready = it.readyAt
 		}
 	}
+	clear(batch)
+	d.buckets[k] = batch[:0]
 
 	fid, err := d.s.functionFor(extractor, d.site.Name)
 	if err != nil {

@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"xtract/internal/cache"
 	"xtract/internal/extractors"
 	"xtract/internal/faas"
 	"xtract/internal/family"
 	"xtract/internal/fastjson"
+	"xtract/internal/transfer"
 )
 
 // stepPayload is one (family, group) extraction within an Xtract batch.
@@ -22,8 +25,11 @@ type stepPayload struct {
 	Files []string
 	// Stage is the prefix the execution site reads them under: its staging
 	// directory for a prefetched family, empty for files read in place or
-	// fetched.
-	Stage string
+	// fetched. Staged is the family's staging pairs, whose destinations are
+	// those paths already built: the worker reads a file there, and under
+	// Stage only one staging did not name. Both are empty elsewhere.
+	Stage  string
+	Staged []transfer.FilePair
 	// FetchFrom, when set, names the transfer-fabric endpoint to download
 	// each file from at extraction time (the direct HTTPS/Drive-API path
 	// for sites without a shared file system).
@@ -125,18 +131,23 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, extractor string
 		sc.files = make(map[string][]byte, len(step.Files))
 	}
 	clear(sc.files)
+	staged := step.Staged
 	for _, orig := range step.Files {
+		path := orig
+		if step.Stage != "" {
+			path, staged = stagedPath(staged, step.Stage, orig)
+		}
 		var data []byte
 		var err error
 		if step.FetchFrom != "" {
 			// Direct download from the remote data layer (Listing 1's
 			// GoogleDriveDownloader path).
-			data, err = s.cfg.Fabric.Fetch(step.FetchFrom, step.Stage+orig)
+			data, err = s.cfg.Fabric.Fetch(step.FetchFrom, path)
 		} else {
-			data, err = site.Store.Read(step.Stage + orig)
+			data, err = site.Store.Read(path)
 		}
 		if err != nil {
-			out.Err = fmt.Sprintf("read %s%s: %v", step.Stage, orig, err)
+			out.Err = fmt.Sprintf("read %s: %v", path, err)
 			return out
 		}
 		sc.files[orig] = data
@@ -158,6 +169,18 @@ func (s *Service) runStep(site *Site, ext extractors.Extractor, extractor string
 			Version: extractors.VersionOf(ext)}, out.Metadata)
 	}
 	return out
+}
+
+// stagedPath is where staging put orig: the destination of its pair,
+// found by binary search, since pairs are in path order like a group's
+// files (so each search starts past the last file found), or stage+orig
+// for a file no pair names. It returns the pairs left to search.
+func stagedPath(pairs []transfer.FilePair, stage, orig string) (string, []transfer.FilePair) {
+	i, ok := slices.BinarySearchFunc(pairs, orig, func(p transfer.FilePair, f string) int { return strings.Compare(p.Src, f) })
+	if !ok {
+		return stage + orig, pairs
+	}
+	return pairs[i].Dst, pairs[i+1:]
 }
 
 // extract runs one step's extraction. An extractor that panics on a

@@ -56,7 +56,7 @@ func (p *pump) placeFamily(fam family.Family) {
 		return
 	}
 	st.site = target
-	st.plan = scheduler.BuildPlan(&st.fam)
+	st.plan.Init(&st.fam)
 	// A family of one group, the common case, has its one step in place.
 	st.steps = st.oneStep[:0]
 	if target.Name != home.Name && !target.DirectFetch {
@@ -100,7 +100,7 @@ func (p *pump) stageFamily(st *famState, home *Site) {
 	}
 	st.prefetch = transfer.PrefetchTask{FamilyID: st.fam.ID, Src: home.Name, Dst: st.site.Name, Pairs: pairs}
 	st.stageAttempts = 1
-	p.s.cfg.Prefetcher.Stage(st.prefetch, p.events.staged)
+	p.s.cfg.Prefetcher.Stage(st.prefetch, &p.events)
 	p.setFamPhase(st, famStaging)
 	p.s.obs.Event(p.JobID, obs.EvFamilyStaging, slog.String("family", st.fam.ID),
 		slog.String("dst", st.site.Name), slog.Int("files", len(pairs)))
@@ -143,8 +143,8 @@ func (p *pump) unstage(st *famState) {
 	if st.prefetch.Pairs == nil || !st.site.DeleteStaged {
 		return
 	}
-	for _, m := range st.fam.FileMeta {
-		_ = st.site.Store.Delete(st.stage + m.Path) // a copy that never arrived is not an error
+	for _, pair := range st.prefetch.Pairs {
+		_ = st.site.Store.Delete(pair.Dst) // a copy that never arrived is not an error
 	}
 	st.site.releaseStage(st.fam.TotalBytes())
 }
@@ -167,6 +167,7 @@ func (st *famState) payload(idx int) stepPayload {
 		GroupID:     ss.step.GroupID,
 		Files:       st.groupFiles(ss.step.GroupID),
 		Stage:       st.stage,
+		Staged:      st.prefetch.Pairs,
 		FetchFrom:   st.fetchFrom,
 		ContentHash: ss.key.ContentHash,
 	}

@@ -179,7 +179,7 @@ func (p *pump) flushResults() {
 		}
 	}
 	p.validating += len(p.results)
-	p.s.cfg.Validation.Submit(p.results, p.events.validated)
+	p.s.cfg.Validation.Submit(p.results, &p.events)
 	p.results = nil // the validator's now
 }
 
@@ -340,7 +340,7 @@ func (p *pump) intakeDeadlines() bool {
 			progress = true
 			if d.st.phase == famStaging {
 				d.st.stageAttempts++
-				p.s.cfg.Prefetcher.Stage(d.st.prefetch, p.events.staged)
+				p.s.cfg.Prefetcher.Stage(d.st.prefetch, &p.events)
 				p.s.obs.Event(p.JobID, obs.EvFamilyStaging, slog.String("family", d.st.fam.ID),
 					slog.Int("attempt", d.st.stageAttempts))
 			}
@@ -377,8 +377,8 @@ func (p *pump) handleEvents() bool {
 	}
 	for _, ev := range evs {
 		switch {
-		case ev.staged != nil:
-			p.takeStaged(ev.staged)
+		case ev.isStaged:
+			p.takeStaged(&ev.staged)
 		case ev.validated > 0:
 			p.validating -= ev.validated
 		case ev.accepted:

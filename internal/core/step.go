@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"log/slog"
 	"slices"
 	"strings"
@@ -85,7 +86,7 @@ var finishedFam = &famState{phase: famFinished}
 type famState struct {
 	phase famPhase
 	fam   family.Family
-	plan  *scheduler.Plan
+	plan  scheduler.Plan // its first step inline: a famState is never copied
 	// steps holds one record per step the plan has handed out, in that
 	// order; a stepRef indexes it. oneStep backs it until a second step.
 	steps   []stepState
@@ -473,24 +474,64 @@ func (p *pump) finishFamily(st *famState) {
 
 // appendResults appends the family's metadata as fastjson.AppendRawMap
 // would a map of it: each done step's metadata under its group/extractor
-// key, keys in order, null for a step that produced none.
+// key, keys in order, null for a step that produced none. A key is
+// compared and written from its two parts and never built.
 func (st *famState) appendResults(dst []byte) []byte {
-	key := func(i int) string { return st.steps[i].step.GroupID + "/" + st.steps[i].step.Extractor }
-	done := make([]int, 0, 1)
+	var first [8]int // the done steps' indices: a family's usually fit here
+	done := first[:0]
 	for i := range st.steps {
 		if st.steps[i].phase == stepDone {
 			done = append(done, i)
 		}
 	}
-	slices.SortFunc(done, func(a, b int) int { return strings.Compare(key(a), key(b)) })
+	slices.SortFunc(done, func(a, b int) int {
+		sa, sb := &st.steps[a].step, &st.steps[b].step
+		return compareKeys(sa.GroupID, sa.Extractor, sb.GroupID, sb.Extractor)
+	})
 	dst = append(dst, '{')
 	for n, i := range done {
 		if n > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(append(fastjson.AppendString(dst, key(i)), ':'), orNull(st.steps[i].md)...)
+		step := &st.steps[i].step
+		// The key's two quoted strings, spliced at the slash: JSON escapes
+		// byte by byte and '/' never ends a UTF-8 sequence, so this is
+		// the joined key's encoding.
+		dst = fastjson.AppendString(dst, step.GroupID)
+		dst[len(dst)-1] = '/' // its closing quote
+		at := len(dst)
+		dst = fastjson.AppendString(dst, step.Extractor)
+		dst = append(dst[:at], dst[at+1:]...) // its opening quote
+		dst = append(append(dst, ':'), orNull(st.steps[i].md)...)
 	}
 	return append(dst, '}')
+}
+
+// compareKeys orders the keys g1+"/"+e1 and g2+"/"+e2 as strings.Compare
+// orders them joined, without joining them. It is not the order of the
+// (group, extractor) pairs: "a-b/x" sorts before "a/x".
+func compareKeys(g1, e1, g2, e2 string) int {
+	k1, k2 := [3]string{g1, "/", e1}, [3]string{g2, "/", e2}
+	i, j := 0, 0
+	a, b := k1[0], k2[0]
+	for {
+		for a == "" && i < 2 {
+			i++
+			a = k1[i]
+		}
+		for b == "" && j < 2 {
+			j++
+			b = k2[j]
+		}
+		if a == "" || b == "" {
+			return cmp.Compare(len(a), len(b))
+		}
+		n := min(len(a), len(b))
+		if c := strings.Compare(a[:n], b[:n]); c != 0 {
+			return c
+		}
+		a, b = a[n:], b[n:]
+	}
 }
 
 // What follows is hedged speculative execution: a policy that proposes a
@@ -581,7 +622,7 @@ func (p *pump) dispatchHedge(st *famState, idx int) {
 	}
 	sp := st.payload(idx)
 	if target.Name != st.site.Name {
-		sp.Stage, sp.FetchFrom = "", ""
+		sp.Stage, sp.Staged, sp.FetchFrom = "", nil, ""
 		if target.Name != st.fam.Store {
 			home, ok := p.s.Site(st.fam.Store)
 			if !ok {

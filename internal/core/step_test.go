@@ -102,7 +102,8 @@ func (m *machine) family(id string, n int) *famState {
 	}
 	slices.SortFunc(fam.FileMeta, func(a, b family.FileMeta) int { return strings.Compare(a.Path, b.Path) })
 	site, _ := m.svc.Site("x")
-	st := &famState{fam: fam, plan: scheduler.BuildPlan(&fam), site: site}
+	st := &famState{fam: fam, site: site}
+	st.plan.Init(&st.fam)
 	m.p.setFamPhase(st, famRunning)
 	for {
 		step, ok := st.plan.Next()

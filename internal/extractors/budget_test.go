@@ -34,7 +34,7 @@ func TestKeywordCountStaysInItsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const growth, at200 = 4, 21
+	const growth, at200 = 4, 18
 	k := NewKeyword(15)
 	measure := func(distinct int) float64 {
 		var b strings.Builder

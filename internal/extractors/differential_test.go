@@ -13,6 +13,7 @@ import (
 	"image/gif"
 	"image/jpeg"
 	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -154,6 +155,38 @@ var keywordCases = []string{
 func TestKeywordMatchesReference(t *testing.T) {
 	for _, c := range keywordCases {
 		checkKeyword(t, []byte(c))
+	}
+}
+
+// TestKeywordTiesMatchReference: the top-N list is cut inside runs of
+// tied scores, so which tied words make it is decided by the word order
+// alone, against refKeywordExtract's sort.Slice. Ties come from equal
+// counts and lengths, and from a count and a length that price the same
+// (one 30-letter word scores as two 10-letter words do).
+func TestKeywordTiesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	words := []string{"alphaa", "bravoo", "charly", "deltaa", "echooo", "foxtro", "golfff",
+		"hotell", "indiaa", "juliet", "kiloo", "limaa", "tenletters", "tenletterz",
+		strings.Repeat("q", 30), strings.Repeat("p", 30)}
+	for trial := 0; trial < 50; trial++ {
+		var toks []string
+		for _, w := range words {
+			n := 2
+			if len(w) == 30 {
+				n = 1
+			}
+			for i := 0; i < n+trial%2; i++ {
+				toks = append(toks, w)
+			}
+		}
+		rng.Shuffle(len(toks), func(i, j int) { toks[i], toks[j] = toks[j], toks[i] })
+		data := []byte(strings.Join(toks, " "))
+		for _, topN := range []int{1, 3, 7, 12, len(words)} {
+			k := NewKeyword(topN)
+			sameOutcome(t, "keyword", k.Extract, func(g *family.Group, files map[string][]byte) (map[string]interface{}, error) {
+				return refKeywordExtract(k, g, files)
+			}, "/notes.txt", data)
+		}
 	}
 }
 

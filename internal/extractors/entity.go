@@ -2,7 +2,7 @@ package extractors
 
 import (
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 
 	"xtract/internal/family"
@@ -112,11 +112,11 @@ func (e *Entity) Extract(g *family.Group, files map[string][]byte) (map[string]i
 	for m := range seen {
 		mentions = append(mentions, m)
 	}
-	sort.Slice(mentions, func(i, j int) bool {
-		if mentions[i].Type != mentions[j].Type {
-			return mentions[i].Type < mentions[j].Type
+	slices.SortFunc(mentions, func(a, b EntityMention) int {
+		if c := strings.Compare(a.Type, b.Type); c != 0 {
+			return c
 		}
-		return mentions[i].Text < mentions[j].Text
+		return strings.Compare(a.Text, b.Text)
 	})
 	return map[string]interface{}{
 		"entities": mentions,

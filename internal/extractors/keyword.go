@@ -1,7 +1,8 @@
 package extractors
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"unicode"
 
@@ -142,11 +143,11 @@ func (k *Keyword) Extract(g *family.Group, files map[string][]byte) (map[string]
 		score := float64(c) / float64(totalTokens) * (1 + float64(len(w))/10)
 		all = append(all, scored{w, score})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	slices.SortFunc(all, func(a, b scored) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return all[i].word < all[j].word
+		return strings.Compare(a.word, b.word)
 	})
 	n := k.TopN
 	if n > len(all) {

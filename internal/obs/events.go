@@ -94,7 +94,9 @@ type entry struct {
 
 // appendAttr encodes one attribute: its key, its kind, then an int64 or
 // a duration as a varint and a string as its bytes. A value of any other
-// kind (none is written on the pump's path) is kept as its text.
+// kind (none is written on the pump's path) is kept as its text; a list
+// of strings, job_submitted's repositories, as the text fmt makes of it,
+// made here without fmt.
 func appendAttr(b []byte, a slog.Attr) []byte {
 	b = appendString(b, a.Key)
 	switch v := a.Value; v.Kind() {
@@ -102,13 +104,32 @@ func appendAttr(b []byte, a slog.Attr) []byte {
 		return binary.AppendVarint(append(b, byte(slog.KindInt64)), v.Int64())
 	case slog.KindDuration:
 		return binary.AppendVarint(append(b, byte(slog.KindDuration)), int64(v.Duration()))
-	default:
-		return appendString(append(b, byte(slog.KindString)), v.String())
+	case slog.KindAny:
+		if ss, ok := v.Any().([]string); ok {
+			return appendList(append(b, byte(slog.KindString)), ss)
+		}
 	}
+	return appendString(append(b, byte(slog.KindString)), a.Value.String())
 }
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendList encodes ss as appendString would fmt.Sprint(ss): "[a b]".
+func appendList(b []byte, ss []string) []byte {
+	n := 2 + max(len(ss)-1, 0)
+	for _, s := range ss {
+		n += len(s)
+	}
+	b = append(binary.AppendUvarint(b, uint64(n)), '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, s...)
+	}
+	return append(b, ']')
 }
 
 // nextAttr decodes the attribute appendAttr wrote at the head of b and

@@ -428,11 +428,17 @@ func TestEventStaysInItsBudget(t *testing.T) {
 	}
 	o := New(clock.NewReal())
 	fam, task := "x:/d#0", "task-1"
+	// A list is boxed into its slog.Value by the caller, once per
+	// job_submitted; the row holds what the event itself costs.
+	repos := slog.Any("repositories", []string{"local:/data", "remote:/mdf/run-7"})
 	emit := func(o *Observer) func() {
 		return func() {
 			o.Event("job-1", EvBatchDispatched, slog.String("task", task), slog.Int("steps", 300),
 				slog.String("family", fam))
 		}
+	}
+	emitList := func(o *Observer) func() {
+		return func() { o.Event("job-1", EvJobSubmitted, repos) }
 	}
 	for e := 0; e < perJob; e++ { // the ring is full: no growth is counted
 		emit(o)()
@@ -440,8 +446,29 @@ func TestEventStaysInItsBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(4*perJob, emit(o)); n != 0 {
 		t.Fatalf("an event with three attributes allocated %.0f times, budget 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, emit(nil)); n != 0 {
-		t.Fatalf("an event on a nil observer allocated %.0f times, budget 0", n)
+	if n := testing.AllocsPerRun(4*perJob, emitList(o)); n != 0 {
+		t.Fatalf("an event with a list of strings allocated %.0f times, budget 0", n)
+	}
+	for _, mk := range []func(*Observer) func(){emit, emitList} {
+		if n := testing.AllocsPerRun(1000, mk(nil)); n != 0 {
+			t.Fatalf("an event on a nil observer allocated %.0f times, budget 0", n)
+		}
+	}
+}
+
+// TestListAttributeReadsAsFmtPrintsIt: a list of strings is kept as the
+// text fmt.Sprint makes of it, the empty and the nil list included, so
+// the trace reads as it did when fmt made it.
+func TestListAttributeReadsAsFmtPrintsIt(t *testing.T) {
+	o := New(clock.NewReal())
+	for i, ss := range [][]string{nil, {}, {""}, {"a:/x"}, {"a:/x", "b:/y"}, {"", " ", "a b", "[c]"}} {
+		job := fmt.Sprintf("job-%d", i)
+		o.Event(job, EvJobSubmitted, slog.Any("repositories", ss))
+		evs, _ := o.Events(job)
+		want := fmt.Sprint(ss)
+		if evs[0].Attrs["repositories"] != want || evs[0].Detail != "repositories="+want {
+			t.Errorf("%q reads %+v, want %q", ss, evs[0], want)
+		}
 	}
 }
 

@@ -33,14 +33,22 @@ type Plan struct {
 
 // BuildPlan derives the initial plan from each group's assigned extractor.
 func BuildPlan(fam *family.Family) *Plan {
-	p := &Plan{FamilyID: fam.ID}
+	p := new(Plan)
+	p.Init(fam)
+	return p
+}
+
+// Init makes p the initial plan of fam in place, so a plan can live
+// inside its family's record. A plan's first step is held in the plan
+// itself, so once initialised p must not be copied.
+func (p *Plan) Init(fam *family.Family) {
+	*p = Plan{FamilyID: fam.ID}
 	p.steps = p.one[:0]
 	for _, g := range fam.Groups {
 		if g.Extractor != "" {
 			p.Add(g.ID, g.Extractor)
 		}
 	}
-	return p
 }
 
 // Add names a step unless the plan has named it before, whether or not it

@@ -29,10 +29,13 @@ type PrefetchResult struct {
 	Elapsed  time.Duration
 }
 
+// Reporter is how the asker of a staging task hears its result.
+type Reporter interface{ Staged(PrefetchResult) }
+
 // staged is one task handed over, with the hook its asker hears it on.
 type staged struct {
 	PrefetchTask
-	report func(PrefetchResult)
+	report Reporter
 }
 
 // Prefetcher is the microservice that takes staging tasks, folds the
@@ -69,10 +72,10 @@ func NewPrefetcher(fabric *Fabric, clk clock.Clock) *Prefetcher {
 	}
 }
 
-// Stage hands t over. report is called once, from a prefetcher goroutine,
+// Stage hands t over. report hears it once, from a prefetcher goroutine,
 // when t's files have landed or its fabric job has failed, and must not
 // block; it is never called if Run stops first. Stage never blocks.
-func (p *Prefetcher) Stage(t PrefetchTask, report func(PrefetchResult)) {
+func (p *Prefetcher) Stage(t PrefetchTask, report Reporter) {
 	p.pending.Add(1)
 	p.mu.Lock()
 	p.intake = append(p.intake, staged{t, report})
@@ -204,6 +207,6 @@ func (p *Prefetcher) stage(ctx context.Context, w *window) {
 			_, _ = p.fabric.WaitContext(ctx, jobID) // the job's record goes before its last report does
 		}
 		p.pending.Add(-1)
-		t.report(res)
+		t.report.Staged(res)
 	}
 }

@@ -11,6 +11,11 @@ import (
 	"xtract/internal/store"
 )
 
+// reportFunc adapts a function to a Reporter.
+type reportFunc func(PrefetchResult)
+
+func (f reportFunc) Staged(res PrefetchResult) { f(res) }
+
 // newPrefetchRig wires a fabric with two endpoints and a prefetcher. The
 // caller runs the prefetcher.
 func newPrefetchRig(t *testing.T) (*Fabric, *Prefetcher) {
@@ -33,7 +38,7 @@ func stageOne(pf *Prefetcher, familyID string) <-chan PrefetchResult {
 	pf.Stage(PrefetchTask{
 		FamilyID: familyID, Src: "src", Dst: "dst",
 		Pairs: []FilePair{{Src: "/d/a.bin", Dst: "/stage/d/a.bin"}},
-	}, func(res PrefetchResult) { out <- res })
+	}, reportFunc(func(res PrefetchResult) { out <- res }))
 	return out
 }
 

@@ -64,7 +64,7 @@ func (r *pipelineRig) landFile(t testing.TB, d time.Duration) {
 // stage hands over one task per pair list, in order, named fam-<i>.
 func (r *pipelineRig) stage(pairs ...[]FilePair) {
 	for i, ps := range pairs {
-		r.pf.Stage(PrefetchTask{FamilyID: fmt.Sprintf("fam-%d", i), Src: "src", Dst: "dst", Pairs: ps}, r.report)
+		r.pf.Stage(PrefetchTask{FamilyID: fmt.Sprintf("fam-%d", i), Src: "src", Dst: "dst", Pairs: ps}, reportFunc(r.report))
 	}
 }
 
@@ -263,7 +263,7 @@ func BenchmarkPrefetcherStage(b *testing.B) {
 	}
 	var reports sync.WaitGroup
 	reports.Add(b.N)
-	report := func(PrefetchResult) { reports.Done() }
+	report := reportFunc(func(PrefetchResult) { reports.Done() })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

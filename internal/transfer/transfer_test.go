@@ -233,7 +233,7 @@ func TestPrefetcherEndToEnd(t *testing.T) {
 			FamilyID: fmt.Sprintf("fam%d", i),
 			Src:      "petrel", Dst: "midway",
 			Pairs: []FilePair{{Src: path, Dst: path}},
-		}, func(r PrefetchResult) { results <- r })
+		}, reportFunc(func(r PrefetchResult) { results <- r }))
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -274,7 +274,7 @@ func TestPrefetcherReportsFailure(t *testing.T) {
 	p.Stage(PrefetchTask{
 		FamilyID: "f1", Src: "a", Dst: "b",
 		Pairs: []FilePair{{Src: "/does-not-exist", Dst: "/x"}},
-	}, func(r PrefetchResult) { results <- r })
+	}, reportFunc(func(r PrefetchResult) { results <- r }))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go p.Run(ctx, 1)

@@ -36,10 +36,14 @@ type Service struct {
 	pending atomic.Int64 // records handed over, not yet reported
 }
 
+// Reporter is how the submitter of a batch of records hears that they
+// are written or rejected.
+type Reporter interface{ Validated(n int) }
+
 // batch is one hand-over, with the hook its asker hears it on.
 type batch struct {
 	recs []Record
-	done func(n int)
+	done Reporter
 }
 
 // Instrument wires the service to the observability layer: the two
@@ -63,12 +67,12 @@ func NewService(v Validator, dest store.Store) *Service {
 	}
 }
 
-// Submit hands recs over. done is called once, from Run's goroutine, with
-// len(recs) once every record has been written or rejected, and must not
+// Submit hands recs over. done hears len(recs) once, from Run's
+// goroutine, once every record has been written or rejected, and must not
 // block; it is never called if Run stops first. Submit never blocks. recs
 // and the bytes its records point at belong to the service from here on:
 // the caller never writes them again.
-func (s *Service) Submit(recs []Record, done func(n int)) {
+func (s *Service) Submit(recs []Record, done Reporter) {
 	s.pending.Add(int64(len(recs)))
 	s.mu.Lock()
 	s.intake = append(s.intake, batch{recs, done})
@@ -103,7 +107,7 @@ func (s *Service) Run(ctx context.Context) {
 				s.process(&b.recs[i])
 			}
 			s.pending.Add(-int64(len(b.recs)))
-			b.done(len(b.recs))
+			b.done.Validated(len(b.recs))
 		}
 		if len(batches) > 0 {
 			continue

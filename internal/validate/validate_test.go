@@ -116,9 +116,14 @@ func TestDefaultMDFSchemasCount(t *testing.T) {
 	}
 }
 
+// doneFunc adapts a function to a Reporter.
+type doneFunc func(n int)
+
+func (f doneFunc) Validated(n int) { f(n) }
+
 // reports collects a service's done calls: each batch's count arrives on
 // the channel.
-func reports() (chan int, func(int)) {
+func reports() (chan int, doneFunc) {
 	ch := make(chan int, 64)
 	return ch, func(n int) { ch <- n }
 }
@@ -218,12 +223,12 @@ func TestRunAcknowledgesEveryRecord(t *testing.T) {
 	for i := 0; i < n; i += per {
 		batch := recs[i:min(i+per, n)]
 		wg.Add(1)
-		s.Submit(batch, func(k int) {
+		s.Submit(batch, doneFunc(func(k int) {
 			mu.Lock()
 			calls[i] += k
 			mu.Unlock()
 			wg.Done()
-		})
+		}))
 	}
 	wg.Wait()
 	for i := 0; i < n; i += per {
